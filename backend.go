@@ -112,19 +112,12 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 	case 3:
 		ap := cfg.approach
 		if ap == 0 {
-			switch {
-			case cfg.plannedApproach != 0:
-				// An autotuned run defaults to the model's pick for the
-				// device.
+			// An autotuned run defaults to the model's pick for the
+			// device; everything else, sharded or not, to V4F (whose
+			// shards slice the block-triple space and merge bit-exactly).
+			ap = V4Fused
+			if cfg.plannedApproach != 0 {
 				ap = cfg.plannedApproach
-			case cfg.shard != nil:
-				// Unless the caller pinned an approach, a sharded search
-				// uses V2, whose shards are exact near-equal rank slices;
-				// the blocked approaches shard the coarser block-triple
-				// space.
-				ap = V2Split
-			default:
-				ap = V4Fused
 			}
 		}
 		eopts.Approach = ap

@@ -405,6 +405,7 @@ func overall() error {
 
 func host(snps, samples int) error {
 	fmt.Fprintf(out, "== Host-measured approach study (%d SNPs x %d samples) ==\n", snps, samples)
+	fmt.Fprintf(out, "fused kernel on this host: %s (V3F always runs the portable bodies, V4F this one)\n", trigene.Kernel())
 	mx, err := trigene.Generate(trigene.GenConfig{SNPs: snps, Samples: samples, Seed: 6})
 	if err != nil {
 		return err
@@ -416,7 +417,7 @@ func host(snps, samples int) error {
 	ctx := context.Background()
 	t := report.NewTable("", "approach", "duration", "G elem/s", "speedup vs V1")
 	var v1 float64
-	for a := trigene.V1Naive; a <= trigene.V4Vector; a++ {
+	for a := trigene.V1Naive; a <= trigene.V4Fused; a++ {
 		rep, err := sess.Search(ctx, trigene.WithApproach(a))
 		if err != nil {
 			return err
@@ -545,13 +546,15 @@ type schedSnapshot struct {
 	Samples    int            `json:"samples"`
 	Seed       int64          `json:"seed"`
 	GoMaxProcs int            `json:"gomaxprocs"`
+	Kernel     string         `json:"kernel"` // fused-kernel implementation behind the V4F row
 	HotLoops   []schedHotLoop `json:"hotLoops"`
 }
 
 // schedExp audits the tile scheduler's claim→score hot loop on the
-// fixed snapshot dataset: single-consumer tiles/sec for the V2 (flat)
-// and V4 (blocked) pipelines, and the steady-state allocations per
-// processed tile via testing.AllocsPerRun. Any nonzero allocation
+// fixed snapshot dataset: single-consumer tiles/sec for the V2 (flat),
+// V4 (blocked) and V4F (fused, the default: assembly where the host
+// has it) pipelines, and the steady-state allocations per processed
+// tile via testing.AllocsPerRun. Any nonzero allocation
 // count is a regression of the zero-allocation guarantee and fails
 // the run (and CI with it).
 func schedExp(outPath string) error {
@@ -569,8 +572,9 @@ func schedExp(outPath string) error {
 		Samples:    snapSamples,
 		Seed:       snapSeed,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Kernel:     trigene.Kernel(),
 	}
-	for _, a := range []engine.Approach{engine.V2Split, engine.V4Vector} {
+	for _, a := range []engine.Approach{engine.V2Split, engine.V4Vector, engine.V4Fused} {
 		h, err := searcher.NewHotLoop(engine.Options{Approach: a, TopK: 4})
 		if err != nil {
 			return err
@@ -1560,6 +1564,7 @@ type kernelsSnapshot struct {
 	Samples    int           `json:"samples"`
 	Seed       int64         `json:"seed"`
 	GoMaxProcs int           `json:"gomaxprocs"`
+	Kernel     string        `json:"kernel"` // fused-kernel implementation behind the V4F rows
 	Reps       int           `json:"reps"`
 	Points     []kernelPoint `json:"points"`
 	SpeedupV3F float64       `json:"speedupV3FvsV3"`
@@ -1569,8 +1574,9 @@ type kernelsSnapshot struct {
 // kernelsExp is the fused-kernel audit: on a fixed dataset it measures
 // the host G elements/s of the blocked scalar (V3/V3F) and unrolled
 // (V4/V4F) pipelines at several tile shapes — both pipelines of a pair
-// run the same tile so the only difference is the cached pair-AND
-// planes. Each rep runs the four pipelines back to back and
+// run the same tile, so V3F against V3 shows what the cached pair block
+// saves in pure Go, and V4F against V4 adds the host's tuned bodies
+// (the snapshot's "kernel"). Each rep runs the four pipelines back to back and
 // contributes one fused/unfused ratio per pair, so clock drift and
 // co-tenant noise hit both sides of a ratio alike; the headline
 // speedups are the medians of those paired ratios across reps and
@@ -1598,6 +1604,7 @@ func kernelsExp(outPath string) error {
 		Samples:    kernSamples,
 		Seed:       kernSeed,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Kernel:     trigene.Kernel(),
 		Reps:       kernReps,
 	}
 	tiles := []struct{ bs, bw int }{
@@ -1662,8 +1669,8 @@ func kernelsExp(outPath string) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "== Fused-kernel audit (%d SNPs x %d samples, best of %d) -> %s ==\n",
-		kernSNPs, kernSamples, kernReps, outPath)
+	fmt.Fprintf(out, "== Fused-kernel audit (%d SNPs x %d samples, best of %d, V4F kernel %s) -> %s ==\n",
+		kernSNPs, kernSamples, kernReps, snap.Kernel, outPath)
 	t := report.NewTable("", "approach", "tile", "G elem/s")
 	for _, p := range snap.Points {
 		t.AddRowf(p.Approach, fmt.Sprintf("%dx%d", p.BlockSNPs, p.BlockWords), p.GElemsPerSec)

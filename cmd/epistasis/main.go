@@ -320,17 +320,21 @@ func parseShard(s string) (index, count int, err error) {
 // wire format, so this output and `trigened result` carry identical
 // Report JSON.
 type jsonSummary struct {
-	Mode         string                    `json:"mode"`
-	Backend      string                    `json:"backend"`
-	SNPs         int                       `json:"snps"`
-	Samples      int                       `json:"samples"`
-	Controls     int                       `json:"controls"`
-	Cases        int                       `json:"cases"`
-	Objective    string                    `json:"objective"`
-	Combinations int64                     `json:"combinations"`
-	GElemPerSec  float64                   `json:"gigaElementsPerSec"`
-	Candidates   []trigene.SearchCandidate `json:"candidates"`
-	PValue       *float64                  `json:"pValue,omitempty"`
+	Mode         string  `json:"mode"`
+	Backend      string  `json:"backend"`
+	SNPs         int     `json:"snps"`
+	Samples      int     `json:"samples"`
+	Controls     int     `json:"controls"`
+	Cases        int     `json:"cases"`
+	Objective    string  `json:"objective"`
+	Combinations int64   `json:"combinations"`
+	GElemPerSec  float64 `json:"gigaElementsPerSec"`
+	// Kernel is the fused-kernel implementation this host selected
+	// (what a CPU order-3 V4F run executed): "avx512-vpopcntdq" or
+	// "portable".
+	Kernel     string                    `json:"kernel"`
+	Candidates []trigene.SearchCandidate `json:"candidates"`
+	PValue     *float64                  `json:"pValue,omitempty"`
 	// Plan surfaces the autotuner's decision trace (also embedded in
 	// Report) for -auto / -energy-budget runs.
 	Plan *trigene.PlanInfo `json:"plan,omitempty"`
@@ -356,6 +360,7 @@ func summarize(sess *trigene.Session, rep *trigene.Report, pValue *float64) json
 		Objective:    rep.Objective,
 		Combinations: rep.Combinations,
 		GElemPerSec:  rep.ElementsPerSec / 1e9,
+		Kernel:       trigene.Kernel(),
 		Candidates:   rep.TopK,
 		PValue:       pValue,
 		Plan:         rep.Plan,

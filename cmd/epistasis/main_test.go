@@ -141,6 +141,7 @@ func TestRunJSONOutput(t *testing.T) {
 		Mode         string `json:"mode"`
 		SNPs         int    `json:"snps"`
 		Combinations int64  `json:"combinations"`
+		Kernel       string `json:"kernel"`
 		Candidates   []struct {
 			SNPs  []int   `json:"snps"`
 			Score float64 `json:"score"`
@@ -152,6 +153,9 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if summary.SNPs != 16 || len(summary.Candidates) != 2 {
 		t.Errorf("summary wrong: %+v", summary)
+	}
+	if summary.Kernel != trigene.Kernel() || (summary.Kernel != "avx512-vpopcntdq" && summary.Kernel != "portable") {
+		t.Errorf("kernel %q, want the host's selection %q", summary.Kernel, trigene.Kernel())
 	}
 	if summary.Candidates[0].SNPs[0] != 1 || summary.Candidates[0].SNPs[1] != 7 || summary.Candidates[0].SNPs[2] != 12 {
 		t.Errorf("best candidate %v, want planted (1,7,12)", summary.Candidates[0].SNPs)

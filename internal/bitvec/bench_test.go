@@ -29,32 +29,12 @@ func BenchmarkPopCount(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkPopCountLanes4(b *testing.B) {
-	x, _, _ := benchWords(benchN)
-	b.SetBytes(benchN * 8)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += PopCountLanes4(x)
-	}
-	_ = sink
-}
-
 func BenchmarkPopCountAnd3(b *testing.B) {
 	x, y, z := benchWords(benchN)
 	b.SetBytes(benchN * 8 * 3)
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink += PopCountAnd3(x, y, z)
-	}
-	_ = sink
-}
-
-func BenchmarkPopCountAnd3Lanes4(b *testing.B) {
-	x, y, z := benchWords(benchN)
-	b.SetBytes(benchN * 8 * 3)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += PopCountAnd3Lanes4(x, y, z)
 	}
 	_ = sink
 }

@@ -6,11 +6,12 @@ import "math/bits"
 // table builders. They correspond to the instruction sequences in the
 // paper's Figure 1 and Algorithms 1-2 (AND / NOR / POPCNT chains).
 //
-// Scalar kernels process one 64-bit word per iteration. Lane kernels
-// process several words per iteration with independent accumulators,
-// emulating the paper's AVX (4 lanes ~ 256 bit) and AVX-512 (8 lanes ~
-// 512 bit) variants: the compiler can schedule the independent lane
-// operations in parallel, which is the same ILP exposure SIMD gives.
+// Scalar kernels process one 64-bit word per iteration. The lane kernel
+// processes eight words per iteration with independent accumulators,
+// emulating the paper's AVX-512 (8 lanes ~ 512 bit) variant: the
+// compiler can schedule the independent lane operations in parallel,
+// which is the same ILP exposure SIMD gives. The order-3 search's own
+// vector kernel is contingency.PairBlock.
 
 // PopCountAnd2 returns popcount(x & y) over equally sized slices.
 func PopCountAnd2(x, y []uint64) int {
@@ -87,47 +88,9 @@ func Nor(dst, x, y []uint64) {
 	}
 }
 
-// PopCountLanes4 counts set bits using 4 independent accumulator lanes.
-// It is the 256-bit "vector" analogue of PopCount.
-func PopCountLanes4(w []uint64) int {
-	var c0, c1, c2, c3 int
-	i := 0
-	for ; i+4 <= len(w); i += 4 {
-		c0 += bits.OnesCount64(w[i])
-		c1 += bits.OnesCount64(w[i+1])
-		c2 += bits.OnesCount64(w[i+2])
-		c3 += bits.OnesCount64(w[i+3])
-	}
-	for ; i < len(w); i++ {
-		c0 += bits.OnesCount64(w[i])
-	}
-	return c0 + c1 + c2 + c3
-}
-
-// PopCountAnd3Lanes4 is PopCountAnd3 with 4 accumulator lanes.
-func PopCountAnd3Lanes4(x, y, z []uint64) int {
-	n := len(z)
-	if n == 0 {
-		return 0
-	}
-	_ = x[n-1]
-	_ = y[n-1]
-	var c0, c1, c2, c3 int
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0 += bits.OnesCount64(x[i] & y[i] & z[i])
-		c1 += bits.OnesCount64(x[i+1] & y[i+1] & z[i+1])
-		c2 += bits.OnesCount64(x[i+2] & y[i+2] & z[i+2])
-		c3 += bits.OnesCount64(x[i+3] & y[i+3] & z[i+3])
-	}
-	for ; i < n; i++ {
-		c0 += bits.OnesCount64(x[i] & y[i] & z[i])
-	}
-	return c0 + c1 + c2 + c3
-}
-
 // PopCountAnd3Lanes8 is PopCountAnd3 with 8 accumulator lanes
-// (the 512-bit analogue).
+// (the 512-bit analogue): the scalar AND3+POPCNT rate the fused
+// kernel's roof fraction is measured against.
 func PopCountAnd3Lanes8(x, y, z []uint64) int {
 	n := len(z)
 	if n == 0 {

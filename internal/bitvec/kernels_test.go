@@ -36,9 +36,6 @@ func TestPopCountKernelsAgainstReference(t *testing.T) {
 		if got := PopCountAnd3(x, y, z); got != want {
 			t.Errorf("n=%d PopCountAnd3 = %d, want %d", n, got, want)
 		}
-		if got := PopCountAnd3Lanes4(x, y, z); got != want {
-			t.Errorf("n=%d PopCountAnd3Lanes4 = %d, want %d", n, got, want)
-		}
 		if got := PopCountAnd3Lanes8(x, y, z); got != want {
 			t.Errorf("n=%d PopCountAnd3Lanes8 = %d, want %d", n, got, want)
 		}
@@ -55,16 +52,6 @@ func TestPopCountKernelsAgainstReference(t *testing.T) {
 		}
 		if got := PopCountAnd2(x, y); got != PopCountAnd3(x, y, ones) {
 			t.Errorf("n=%d PopCountAnd2 inconsistent with And3", n)
-		}
-	}
-}
-
-func TestPopCountLanes4MatchesPopCount(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 3, 4, 5, 8, 17, 64} {
-		w := randWords(r, n)
-		if PopCountLanes4(w) != PopCount(w) {
-			t.Errorf("n=%d lanes4 != scalar", n)
 		}
 	}
 }
@@ -88,7 +75,7 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 		n := min3(len(x), len(y), len(z))
 		x, y, z = x[:n], y[:n], z[:n]
 		a := PopCountAnd3(x, y, z)
-		return a == PopCountAnd3Lanes4(x, y, z) && a == PopCountAnd3Lanes8(x, y, z)
+		return a == PopCountAnd3Lanes8(x, y, z)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package contingency
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -64,4 +65,37 @@ func BenchmarkBuildNaiveVsSplit(b *testing.B) {
 			_ = BuildSplit(spl, 1, 4, 7)
 		}
 	})
+}
+
+// BenchmarkPairBlock times the fused primitive's two halves on both
+// bodies: a default-size tile (120 words), one vector, and the 4-word
+// class planes of a 500-sample dataset, which always take the Go loop.
+func BenchmarkPairBlock(b *testing.B) {
+	for _, words := range []int{120, 8, 4} {
+		p := benchPlanes(words)
+		for i := 1; i < 6; i += 2 {
+			for w := range p[i] {
+				p[i][w] &^= p[i-1][w]
+			}
+		}
+		for _, body := range bodies {
+			var blk PairBlock
+			blk.Init(words, body.oracle)
+			blk.Build(p[2], p[3], p[4], p[5])
+			name := fmt.Sprintf("%dw/%s", words, body.name)
+			b.Run("build/"+name, func(b *testing.B) {
+				skipWithoutAssembly(b, body.oracle)
+				for i := 0; i < b.N; i++ {
+					blk.Build(p[2], p[3], p[4], p[5])
+				}
+			})
+			b.Run("accumulate/"+name, func(b *testing.B) {
+				skipWithoutAssembly(b, body.oracle)
+				var ft [Cells]int32
+				for i := 0; i < b.N; i++ {
+					blk.Accumulate(&ft, p[0], p[1])
+				}
+			})
+		}
+	}
 }

@@ -1,0 +1,21 @@
+//go:build amd64 && !purego
+
+package contingency
+
+// hasAVX512 selects the assembly bodies of the fused kernel: probed
+// once, when the package initialises.
+var hasAVX512 = cpuHasAVX512VPOPCNTDQ()
+
+func cpuHasAVX512VPOPCNTDQ() bool
+
+// The assembly bodies take raw pointers and walk n >= 1 words from
+// each; their Go callers have checked every slice holds that many.
+
+//go:noescape
+func buildPairPlanesAVX512(dst, y0, y1, z0, z1 *uint64, n int)
+
+//go:noescape
+func sumPairPlanesAVX512(sums *[PairPlanes]int32, planes *uint64, n int)
+
+//go:noescape
+func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[PairPlanes]int32, n int)

@@ -1,0 +1,20 @@
+//go:build !amd64 || purego
+
+package contingency
+
+// hasAVX512 is false in builds without the assembly (other
+// architectures, or -tags purego): every call takes the Go bodies and
+// the stubs below are never reached.
+const hasAVX512 = false
+
+func buildPairPlanesAVX512(dst, y0, y1, z0, z1 *uint64, n int) {
+	panic("contingency: no assembly in this build")
+}
+
+func sumPairPlanesAVX512(sums *[PairPlanes]int32, planes *uint64, n int) {
+	panic("contingency: no assembly in this build")
+}
+
+func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[PairPlanes]int32, n int) {
+	panic("contingency: no assembly in this build")
+}

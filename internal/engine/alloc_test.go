@@ -19,10 +19,19 @@ import (
 // resolved at construction; the per-tile update is atomic adds only).
 // The screened search's index-remap layer (Searcher.Subset) must
 // preserve the guarantee — its sub-searcher is probed alongside the
-// full one, since stage 2 runs the same hot loops over survivors.
+// full one, since stage 2 runs the same hot loops over survivors. The
+// tuned V4F path crosses into assembly with pointers to the arena's
+// pair block and to per-call tables; its stubs are //go:noescape so
+// neither is moved to the heap, which the "wide" searcher pins on
+// class planes of many vectors with a ragged last one (the narrow
+// shapes have sub-vector planes).
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := New(randomMatrix(203, 32, 9000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +48,7 @@ func TestHotPathAllocs(t *testing.T) {
 	searchers := []struct {
 		name string
 		s    *Searcher
-	}{{"full", s}, {"subset", sub}}
+	}{{"full", s}, {"subset", sub}, {"wide", wide}}
 	for _, probe := range searchers {
 		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 			for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {

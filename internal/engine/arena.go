@@ -18,9 +18,9 @@ type arena struct {
 	tab contingency.Table
 	// tables is the blocked paths' BS^3 table bank.
 	tables []contingency.Table
-	// pair is the fused paths' cached pair-AND plane buffer
-	// (contingency.PairPlanes * BlockWords words).
-	pair []uint64
+	// pair is the fused paths' cached pair block (planes and their
+	// popcounts for one (i1, i2) word tile).
+	pair contingency.PairBlock
 	// comb/ctrl/cases are the generic k-way buffers.
 	comb        []int
 	ctrl, cases []int32
@@ -48,15 +48,6 @@ func getArena(obj score.Objective, k, tables int) *arena {
 	}
 	a.tables = a.tables[:tables]
 	return a
-}
-
-// sizePair grows the arena's pair-plane buffer to hold words words, so
-// the fused hot loop reuses it allocation-free across block triples.
-func (a *arena) sizePair(words int) {
-	if cap(a.pair) < words {
-		a.pair = make([]uint64, words)
-	}
-	a.pair = a.pair[:words]
 }
 
 // sizeK grows the arena's k-way buffers for the given order.

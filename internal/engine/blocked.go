@@ -109,23 +109,21 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
 }
 
 // blockWorker holds one worker's reusable state for the blocked paths.
-// The unfused approaches drive kernel; the fused approaches drive
-// fusedK (one x plane pair against the cached pair planes) and, for
-// V4F, fusedX2 (two x plane pairs per pass).
+// The unfused approaches drive kernel over six stored planes; the fused
+// approaches drive the arena's pair block.
 type blockWorker struct {
-	s       *Searcher
-	o       *Options
-	split   *dataset.Split
-	bs      int
-	nb      int
-	a       *arena
-	kernel  func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
-	fusedK  func(*[contingency.Cells]int32, []uint64, []uint64, []uint64)
-	fusedX2 func(*[contingency.Cells]int32, *[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64)
+	s      *Searcher
+	o      *Options
+	split  *dataset.Split
+	bs     int
+	nb     int
+	a      *arena
+	kernel func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
 }
 
 // newBlockWorker builds a consumer with a pooled arena sized for the
-// BS^3 table bank (plus the pair-plane buffer on the fused paths).
+// BS^3 table bank (plus the pair block on the fused paths, where V3F
+// pins the pure-Go bodies and V4F takes the host's tuned ones).
 func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 	w := &blockWorker{
 		s:     s,
@@ -135,33 +133,15 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 		nb:    nb,
 		a:     getArena(o.Objective, o.TopK, bs*bs*bs),
 	}
-	switch o.Approach {
-	case V3Fused:
-		w.fusedK = contingency.AccumulateFused
-	case V4Fused:
-		switch o.Lanes {
-		case 1:
-			w.fusedK = contingency.AccumulateFused
-		case 4:
-			w.fusedK = contingency.AccumulateFusedLanes4
-		default:
-			w.fusedK = contingency.AccumulateFusedLanes8
-		}
-		w.fusedX2 = contingency.AccumulateFusedX2
-	case V4Vector:
-		switch o.Lanes {
-		case 4:
-			w.kernel = contingency.AccumulateSplitLanes4
-		case 8:
-			w.kernel = contingency.AccumulateSplitLanes8
-		default:
-			w.kernel = contingency.AccumulateSplit
-		}
+	switch {
+	case o.Approach.fused():
+		w.a.pair.Init(o.BlockWords, o.Approach == V3Fused)
+	case o.Approach == V4Vector && o.Lanes == 4:
+		w.kernel = contingency.AccumulateSplitLanes4
+	case o.Approach == V4Vector && o.Lanes == 8:
+		w.kernel = contingency.AccumulateSplitLanes8
 	default:
 		w.kernel = contingency.AccumulateSplit
-	}
-	if o.Approach.fused() {
-		w.a.sizePair(contingency.PairPlanes * o.BlockWords)
 	}
 	return w
 }
@@ -174,7 +154,7 @@ func (w *blockWorker) tile(t sched.Tile) int64 {
 		// Unrank the multiset triple: strict triple over nb+2 minus the
 		// staircase offsets.
 		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		if w.fusedK != nil {
+		if w.o.Approach.fused() {
 			scored += w.processBlockTripleFused(a, b-1, c-2)
 		} else {
 			scored += w.processBlockTriple(a, b-1, c-2)
@@ -235,12 +215,11 @@ func (w *blockWorker) processBlockTriple(b0, b1, b2 int) int64 {
 }
 
 // processBlockTripleFused is processBlockTriple with the pair-AND
-// hoisting: for each (ii1, ii2) the nine genotype-pair products of the
-// y/z planes are built once into the arena's pair buffer, then the
-// whole ii0 run streams against the cached planes with the fused
-// kernels (two i0 per pass on V4F, single-x remainder otherwise). The
-// pair buffer is sized by FusedTileParams/carm.FusedTileWords so the
-// planes stay L1-resident across the run.
+// hoisting: for each (ii1, ii2) the arena's pair block is built once
+// per word tile (the nine y∧z planes and their popcounts), then every
+// i0 of the run is one fused accumulate against it. The tile is sized
+// by FusedTileParams/carm.FusedTileWords so the block stays L1-resident
+// across the run.
 func (w *blockWorker) processBlockTripleFused(b0, b1, b2 int) int64 {
 	m := w.s.st.SNPs()
 	bs := w.bs
@@ -276,32 +255,16 @@ func (w *blockWorker) processBlockTripleFused(b0, b1, b2 int) int64 {
 					if n0 <= 0 {
 						continue
 					}
-					pair := w.a.pair[:contingency.PairPlanes*(w1-w0)]
-					contingency.BuildPairPlanes(pair,
+					w.a.pair.Build(
 						split.PlaneRange(class, gi1, 0, w0, w1),
 						split.PlaneRange(class, gi1, 1, w0, w1),
 						z0, z1)
 					row := ii1*bs + ii2
-					ii0 := 0
-					if w.fusedX2 != nil {
-						for ; ii0+2 <= n0; ii0 += 2 {
-							gi0 := base0 + ii0
-							fta := &tables[ii0*bs*bs+row].Counts[class]
-							ftb := &tables[(ii0+1)*bs*bs+row].Counts[class]
-							w.fusedX2(fta, ftb,
-								split.PlaneRange(class, gi0, 0, w0, w1),
-								split.PlaneRange(class, gi0, 1, w0, w1),
-								split.PlaneRange(class, gi0+1, 0, w0, w1),
-								split.PlaneRange(class, gi0+1, 1, w0, w1),
-								pair)
-						}
-					}
-					for ; ii0 < n0; ii0++ {
+					for ii0 := 0; ii0 < n0; ii0++ {
 						gi0 := base0 + ii0
-						w.fusedK(&tables[ii0*bs*bs+row].Counts[class],
+						w.a.pair.Accumulate(&tables[ii0*bs*bs+row].Counts[class],
 							split.PlaneRange(class, gi0, 0, w0, w1),
-							split.PlaneRange(class, gi0, 1, w0, w1),
-							pair)
+							split.PlaneRange(class, gi0, 1, w0, w1))
 					}
 				}
 			}

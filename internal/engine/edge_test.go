@@ -3,9 +3,11 @@ package engine
 import (
 	"testing"
 
+	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/gpusim"
+	"trigene/internal/score"
 
 	"trigene/internal/device"
 )
@@ -152,5 +154,71 @@ func TestWorkersExceedWork(t *testing.T) {
 	}
 	if len(res.TopK) != 4 {
 		t.Errorf("TopK = %d, want 4", len(res.TopK))
+	}
+}
+
+// TestFusedParityEdgeShapes runs the tuned fused pipeline (V4F), its
+// pure-Go oracle pipeline (V3F) and a brute-force ranking over
+// contingency.BuildReference on the shapes where the vector kernel's
+// tile handling could go wrong: sample counts that are not a multiple
+// of 64, class planes shorter than one 8-word vector, a class of a
+// single sample, fewer SNPs than one block, class planes of exactly one
+// vector with no padding, and planes of many vectors with a ragged
+// last one — each at the default tile and at word tiles that split the
+// planes raggedly. (A single-class phenotype never reaches a kernel:
+// New refuses it, see TestNewRejectsBadDatasets.)
+func TestFusedParityEdgeShapes(t *testing.T) {
+	oneCase := randomMatrix(151, 10, 200)
+	for j := 0; j < 200; j++ {
+		oneCase.SetPhen(j, dataset.Control)
+	}
+	oneCase.SetPhen(137, dataset.Case)
+	balanced := randomMatrix(152, 9, 1024)
+	for j := 0; j < 1024; j++ {
+		balanced.SetPhen(j, uint8(j%2))
+	}
+	shapes := []struct {
+		name string
+		mx   *dataset.Matrix
+	}{
+		{"333 samples, sub-vector planes", randomMatrix(153, 24, 333)},
+		{"one case", oneCase},
+		{"3 SNPs, fewer than a block", randomMatrix(154, 3, 1500)},
+		{"512+512 samples, one full vector", balanced},
+		{"4133 samples, ragged vectors", randomMatrix(155, 14, 4133)},
+	}
+	const topK = 5
+	for _, sh := range shapes {
+		s, err := New(sh.mx)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		obj := score.NewK2(sh.mx.Samples())
+		ref := newTopK(obj, topK)
+		combin.ForEachTriple(sh.mx.SNPs(), func(i, j, k int) {
+			tab := contingency.BuildReference(sh.mx, i, j, k)
+			ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
+		})
+		want := ref.list()
+		for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
+			for _, a := range []Approach{V3Fused, V4Fused} {
+				o := Options{Approach: a, TopK: topK, Workers: 2}
+				if bw > 0 {
+					o.BlockSNPs, o.BlockWords = 4, bw
+				}
+				res, err := s.Run(o)
+				if err != nil {
+					t.Fatalf("%s %v bw=%d: %v", sh.name, a, bw, err)
+				}
+				if len(res.TopK) != len(want) {
+					t.Fatalf("%s %v bw=%d: %d candidates, reference %d", sh.name, a, bw, len(res.TopK), len(want))
+				}
+				for i := range want {
+					if res.TopK[i] != want[i] {
+						t.Errorf("%s %v bw=%d: TopK[%d] = %+v, reference %+v", sh.name, a, bw, i, res.TopK[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,11 +16,13 @@
 //	                the paper's AVX/AVX-512 intrinsics.
 //	V3F/V4F (fused) the blocked pipelines with the (i1, i2) pair-AND
 //	                planes hoisted out of the innermost loop: the nine
-//	                genotype-pair products are built once per word-block
-//	                into an arena buffer and every i0 pass is a fused
-//	                AND+POPCNT over the cached planes (V4F additionally
-//	                streams two i0 per pass with multi-word unrolled
-//	                popcounts, and is the default).
+//	                genotype-pair products and their popcounts are built
+//	                once per word tile into an arena pair block, and
+//	                every i0 pass counts 18 cells against it and derives
+//	                the other 9 (contingency.PairBlock). V3F pins the
+//	                pure-Go bodies, the oracle; V4F takes the tuned ones
+//	                (AVX-512 VPOPCNTDQ where the host has it) and is the
+//	                default.
 //
 // Work is distributed over a pool of workers that claim chunks of the
 // combination space (or of the block-triple space for V3/V4) from an
@@ -58,14 +60,14 @@ const (
 	V3Blocked
 	// V4Vector adds the lane-vectorized kernels.
 	V4Vector
-	// V3Fused restructures V3 so the (i1, i2) pair-AND planes are built
-	// once per word-block into an arena buffer and reused across the
-	// whole ii0 loop (1 NOR + 27 AND per combination word instead of
-	// 3 NOR + 36 AND).
+	// V3Fused restructures V3 so the (i1, i2) pair-AND planes and their
+	// popcounts are built once per word tile and reused across the
+	// whole ii0 loop (18 AND + 18 POPCNT per combination word instead
+	// of 3 NOR + 36 AND + 27 POPCNT), on the pure-Go bodies: the oracle
+	// pipeline of the fused kernel.
 	V3Fused
-	// V4Fused adds the multi-word unrolled popcount chains and the
-	// two-i0-per-pass kernel on top of the cached pair planes — the
-	// fused successor to V4 and the default pipeline.
+	// V4Fused is the same pipeline on the bodies chosen for the host at
+	// start-up (contingency.Kernel) — the default pipeline.
 	V4Fused
 )
 
@@ -199,7 +201,8 @@ type Options struct {
 	// L1DataBytes is the L1 data cache size used to derive tile
 	// parameters (default 32 KiB).
 	L1DataBytes int
-	// Lanes selects the V4 kernel width: 1, 4 or 8 (default 8).
+	// Lanes selects the unfused V4 kernel's unroll width: 1, 4 or 8
+	// (default 8). The fused approaches ignore it.
 	Lanes int
 	// Context optionally allows cancellation; a nil Context means
 	// context.Background(). Cancellation is observed between work
@@ -352,18 +355,16 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	return bs, bw
 }
 
-// fusedXBatch is how many i0 candidates the fused V4 kernel streams
-// against one cached pair-plane pass (AccumulateFusedX2).
-const fusedXBatch = 2
-
 // FusedTileParams derives the fused kernels' tile from the same L1
-// budget split as TileParams, with the word-block resized by
+// budget split as TileParams, with the word tile resized by
 // carm.FusedTileWords: the data third of the cache must now hold the
-// nine cached pair-AND planes plus the streamed x planes instead of
-// six per-combination planes.
+// nine cached pair-AND planes plus the one x plane pair streamed
+// against them, instead of six per-combination planes. The tile is a
+// whole number of 8-word vectors (at least one), so only a class's last
+// tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	bs, _ := TileParams(l1Bytes)
-	return bs, carm.FusedTileWords(l1Bytes, fusedXBatch)
+	return bs, max(carm.FusedTileWords(l1Bytes, 1)&^7, 8)
 }
 
 // Searcher runs exhaustive searches over one dataset through its

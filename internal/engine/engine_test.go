@@ -77,6 +77,16 @@ func TestTileParams(t *testing.T) {
 	if bsT < 2 || bwT < 1 {
 		t.Errorf("tiny cache params %d/%d", bsT, bwT)
 	}
+	// The fused tile is whole 8-word vectors, at least one, and shares BS.
+	for _, l1 := range []int{1024, 32 << 10, 48 << 10} {
+		bs, _ := TileParams(l1)
+		if fbs, fbw := FusedTileParams(l1); fbs != bs || fbw < 8 || fbw%8 != 0 {
+			t.Errorf("FusedTileParams(%d) = %d/%d, want BS %d and whole vectors", l1, fbs, fbw, bs)
+		}
+	}
+	if _, fbw := FusedTileParams(32 << 10); fbw != 120 {
+		t.Errorf("fused word tile for 32 KiB = %d, want 120", fbw)
+	}
 }
 
 func TestAllApproachesAgree(t *testing.T) {

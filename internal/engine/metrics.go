@@ -1,6 +1,9 @@
 package engine
 
-import "trigene/internal/obs"
+import (
+	"trigene/internal/contingency"
+	"trigene/internal/obs"
+)
 
 // runMetrics is one run's resolved series, looked up before the
 // worker pool starts so the drain callback does one nil check and two
@@ -12,8 +15,11 @@ type runMetrics struct {
 }
 
 // resolveRunMetrics registers (or finds) the engine's per-approach
-// series. A nil registry yields no-op metrics.
+// series, and the info series naming the kernel the tuned fused
+// pipeline runs on this host. A nil registry yields no-op metrics.
 func resolveRunMetrics(reg *obs.Registry, a Approach) runMetrics {
+	reg.Gauge("trigene_engine_kernel_info", "Fused-kernel implementation selected for this host at start-up (constant 1).",
+		obs.L("kernel", contingency.Kernel())).Set(1)
 	l := obs.L("approach", a.String())
 	return runMetrics{
 		tiles:  reg.Counter("trigene_engine_tiles_total", "Tiles scored by the search engine, by approach.", l),

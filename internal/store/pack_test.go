@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"hash/crc32"
 	"os"
@@ -200,6 +201,8 @@ func TestReadPackErrors(t *testing.T) {
 			sum := crc32.Checksum(b[off:off+ln], crc32.MakeTable(crc32.Castagnoli))
 			binary.LittleEndian.PutUint32(b[packHeaderSize+4:], sum)
 		}), "invalid packed genotype"},
+		{"overlapping split planes", overlapPack(good, secSplit0, 2), "split class-0 planes of SNP 0 overlap"},
+		{"overlapping binarized planes", overlapPack(good, secBin, 3), "binarized planes of SNP 0 overlap"},
 		{"class counts", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[24:], 0); binary.LittleEndian.PutUint32(b[28:], 40) }), "degenerate dataset"},
 		{"section out of bounds", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[packHeaderSize+16:], 1<<40)
@@ -213,6 +216,57 @@ func TestReadPackErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// overlapPack returns a copy of a good pack in which the first sample
+// carries two genotypes of SNP 0 in one plane section (per SNP planes
+// the section holds that many planes): plane 1's first word is OR-ed
+// into plane 0's and the section CRC recomputed, so every integrity
+// check passes and only the semantic one can refuse it.
+func overlapPack(good []byte, sec, perSNP int) []byte {
+	b := append([]byte(nil), good...)
+	e := b[packHeaderSize+(sec-1)*sectionEntrySize:]
+	off := binary.LittleEndian.Uint64(e[8:])
+	ln := binary.LittleEndian.Uint64(e[16:])
+	m := uint64(binary.LittleEndian.Uint32(b[16:]))
+	words := ln / 8 / (m * uint64(perSNP))
+	p0, p1 := b[off:off+8], b[off+words*8:off+words*8+8]
+	binary.LittleEndian.PutUint64(p0, binary.LittleEndian.Uint64(p0)|binary.LittleEndian.Uint64(p1)|1)
+	binary.LittleEndian.PutUint64(p1, binary.LittleEndian.Uint64(p1)|1)
+	binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(b[off:off+ln], castagnoli))
+	return b
+}
+
+// TestOverlappingPlanesRefused pins the trust boundary the fused kernel
+// leans on: a pack whose CRCs and content hash all verify but whose
+// split (or binarized) planes give one sample two genotypes must be
+// refused by both loaders with the typed error — not searched, where
+// the derived cells would go negative and index outside the K2 table.
+func TestOverlappingPlanesRefused(t *testing.T) {
+	good := packBytes(t, genMatrix(t, 9, 40, 9))
+	for _, tc := range []struct {
+		name        string
+		sec, perSNP int
+		encoding    string
+	}{{"split", secSplit0, 2, "split"}, {"split class 1", secSplit1, 2, "split"}, {"binarized", secBin, 3, "binarized"}} {
+		bad := overlapPack(good, tc.sec, tc.perSNP)
+		path := filepath.Join(t.TempDir(), "bad.tpack")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, readErr := ReadPack(bytes.NewReader(bad))
+		_, openErr := Open(path)
+		for loader, err := range map[string]error{"ReadPack": readErr, "Open": openErr} {
+			var overlap *dataset.PlaneOverlapError
+			if !errors.As(err, &overlap) {
+				t.Errorf("%s: %s returned %v, want a *dataset.PlaneOverlapError", tc.name, loader, err)
+				continue
+			}
+			if overlap.Encoding != tc.encoding || overlap.SNP != 0 || overlap.Word != 0 {
+				t.Errorf("%s: %s located the overlap at %+v", tc.name, loader, *overlap)
+			}
 		}
 	}
 }
@@ -237,6 +291,9 @@ func FuzzReadPack(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
+	// Valid checksums over planes that give a sample two genotypes.
+	f.Add(overlapPack(buf.Bytes(), secSplit0, 2))
+	f.Add(overlapPack(buf.Bytes(), secBin, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := ReadPack(bytes.NewReader(data))
 		if err != nil {
@@ -257,7 +314,22 @@ func FuzzReadPack(f *testing.F) {
 		if err := st.Matrix().Validate(); err != nil {
 			t.Fatalf("accepted pack decodes an invalid matrix: %v", err)
 		}
-		st.Split()
-		st.Binarized()
+		// The kernels' derivations need the stored planes of a SNP
+		// pairwise disjoint.
+		sp, bin := st.Split(), st.Binarized()
+		for i := 0; i < st.SNPs(); i++ {
+			for c := 0; c < 2; c++ {
+				for k, w := range sp.Plane(c, i, 0) {
+					if w&sp.Plane(c, i, 1)[k] != 0 {
+						t.Fatalf("accepted pack with overlapping split planes (class %d, SNP %d)", c, i)
+					}
+				}
+			}
+			for k, w := range bin.Plane(i, 0) {
+				if g1, g2 := bin.Plane(i, 1)[k], bin.Plane(i, 2)[k]; w&g1|(w|g1)&g2 != 0 {
+					t.Fatalf("accepted pack with overlapping binarized planes (SNP %d)", i)
+				}
+			}
+		}
 	})
 }

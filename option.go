@@ -193,8 +193,9 @@ func WithApproach(v Approach) Option {
 // contiguous slices of the scheduler's work space — the primitive that
 // distributed deployments partition on. Every backend shards: the
 // flat CPU approaches, orders 2 and k, gpusim, baseline and hetero
-// slice the combination-rank space; the blocked approaches V3/V4
-// slice the block-triple space (see ShardInfo.Space). Running every
+// slice the combination-rank space; the blocked approaches V3/V4 and
+// their fused variants — the order-3 default, sharded or not — slice
+// the block-triple space (see ShardInfo.Space). Running every
 // shard and merging the Reports (MergeReports) reproduces the
 // unsharded search bit-exactly.
 func WithShard(index, count int) Option {

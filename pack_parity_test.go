@@ -3,7 +3,10 @@ package trigene_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,5 +119,39 @@ func TestPackParityAllBackends(t *testing.T) {
 	}
 	if pOrig.PValue != pMap.PValue {
 		t.Fatalf("permutation p-value %.6f != %.6f from pack", pMap.PValue, pOrig.PValue)
+	}
+}
+
+// TestPackWithOverlappingPlanesRefused corrupts a pack the way no
+// checksum catches — one sample set in both stored split planes of a
+// SNP, section CRC recomputed — and requires both public loaders to
+// refuse it with the typed error instead of handing the fused kernel
+// planes its 18+9 cell derivation cannot survive.
+func TestPackWithOverlappingPlanesRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := plantedSession(t).WritePack(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// .tpack v1: 72-byte header, 24-byte section entries {id, crc32c,
+	// off, len}; section 4 is the class-0 split planes, (snp*2+g)*Words.
+	bad := buf.Bytes()
+	entry := bad[72+3*24:]
+	off, ln := binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
+	words := ln / 8 / uint64(2*binary.LittleEndian.Uint32(bad[16:]))
+	bad[off] |= 1
+	bad[off+words*8] |= 1
+	binary.LittleEndian.PutUint32(entry[4:], crc32.Checksum(bad[off:off+ln], crc32.MakeTable(crc32.Castagnoli)))
+
+	path := filepath.Join(t.TempDir(), "overlap.tpack")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := trigene.ReadPack(bytes.NewReader(bad))
+	_, openErr := trigene.OpenPack(path)
+	for loader, err := range map[string]error{"ReadPack": readErr, "OpenPack": openErr} {
+		var overlap *trigene.PlaneOverlapError
+		if !errors.As(err, &overlap) {
+			t.Errorf("%s returned %v, want a *trigene.PlaneOverlapError", loader, err)
+		}
 	}
 }

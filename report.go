@@ -24,7 +24,8 @@ const (
 	// approaches, orders 2 and k, gpusim, baseline, hetero).
 	ShardSpaceRanks = "combination-ranks"
 	// ShardSpaceBlocks: block-triple ranks (the blocked CPU approaches
-	// V3/V4, whose cache tiles are the indivisible work unit).
+	// V3/V4/V3F/V4F, whose cache tiles are the indivisible work unit;
+	// the default of a CPU order-3 shard).
 	ShardSpaceBlocks = "block-triples"
 )
 

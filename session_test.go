@@ -147,8 +147,9 @@ func TestSessionShardBitExact(t *testing.T) {
 		if rep.Shard == nil || rep.Shard.Index != i || rep.Shard.Count != shards {
 			t.Fatalf("shard %d info: %+v", i, rep.Shard)
 		}
-		if rep.Approach != "V2" {
-			t.Errorf("shard %d approach %q, want rank-partitionable V2", i, rep.Approach)
+		if rep.Approach != full.Approach || rep.Shard.Space != trigene.ShardSpaceBlocks {
+			t.Errorf("shard %d ran %q over %q, want the unsharded default %q over block triples",
+				i, rep.Approach, rep.Shard.Space, full.Approach)
 		}
 		combos += rep.Combinations
 		parts = append(parts, rep)

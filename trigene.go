@@ -52,6 +52,7 @@ package trigene
 import (
 	"io"
 
+	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/device"
 	"trigene/internal/engine"
@@ -72,6 +73,18 @@ type Interaction = dataset.Interaction
 
 // PairInteraction plants a second-order signal in generated data.
 type PairInteraction = dataset.PairInteraction
+
+// PlaneOverlapError is what OpenPack and ReadPack return (match it
+// with errors.As) for a .tpack whose pre-built bit planes give one
+// sample two genotypes of the same SNP: checksums cannot catch such a
+// pack, and searching it would derive wrong contingency cells.
+type PlaneOverlapError = dataset.PlaneOverlapError
+
+// Kernel names the implementation of the fused order-3 kernel (the
+// default approach, V4F) selected for this host when the program
+// started: "avx512-vpopcntdq" or "portable". Nothing selects it by
+// hand; it is reported so that a measurement says which path made it.
+func Kernel() string { return contingency.Kernel() }
 
 // NewMatrix returns a zeroed M-by-N genotype matrix.
 func NewMatrix(m, n int) *Matrix { return dataset.NewMatrix(m, n) }
