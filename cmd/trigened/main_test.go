@@ -42,7 +42,31 @@ func startDaemon(t *testing.T) string {
 		t.Fatalf("unexpected serve banner %q", line)
 	}
 	go io.Copy(io.Discard, pr)
+	waitReady(t, url)
 	return url
+}
+
+// waitReady blocks until the daemon answers 200 on /v1/healthz. It
+// listens (and answers health probes) before journal recovery finishes,
+// so a submit right after the banner would race the recovering
+// coordinator's 503s.
+func waitReady(t *testing.T, url string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(url + "/v1/healthz")
+		if err == nil {
+			ready := resp.StatusCode == http.StatusOK
+			resp.Body.Close()
+			if ready {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never became ready on /v1/healthz")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // startCLIWorkers runs n `trigened worker` loops against the daemon.
@@ -244,24 +268,7 @@ func startDurableDaemon(t *testing.T, addr, stateDir string) (string, func()) {
 		t.Fatalf("unexpected serve banner %q", line)
 	}
 	go io.Copy(io.Discard, pr)
-	// The daemon listens (and answers health probes) before journal
-	// recovery finishes; wait for readiness so a submit right after the
-	// banner does not race the recovering coordinator's 503s.
-	readyDeadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(url + "/v1/healthz")
-		if err == nil {
-			ready := resp.StatusCode == http.StatusOK
-			resp.Body.Close()
-			if ready {
-				break
-			}
-		}
-		if time.Now().After(readyDeadline) {
-			t.Fatal("daemon never became ready on /v1/healthz")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitReady(t, url)
 	stopped := false
 	stop := func() {
 		if stopped {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
@@ -97,5 +98,31 @@ func BenchmarkPairBlock(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPairScan times the pair primitive on both bodies over the
+// 256-word planes of a 16384-sample class: one BuildPair per iteration,
+// the unit of the stage-1 screen scan.
+func BenchmarkPairScan(b *testing.B) {
+	p := benchPlanes(benchWords)
+	for w := range p[1] {
+		p[1][w] &^= p[0][w]
+		p[3][w] &^= p[2][w]
+	}
+	var xn, yn [2]int32
+	for g := 0; g < 2; g++ {
+		xn[g] = int32(bitvec.PopCount(p[g]))
+		yn[g] = int32(bitvec.PopCount(p[2+g]))
+	}
+	for _, body := range bodies {
+		b.Run(body.name, func(b *testing.B) {
+			skipWithoutAssembly(b, body.oracle)
+			b.SetBytes(benchWords * 8 * 4)
+			var ft [Cells]int32
+			for i := 0; i < b.N; i++ {
+				buildPair(&ft, p[0], p[1], p[2], p[3], xn, yn, benchWords*64, !body.oracle)
+			}
+		})
 	}
 }

@@ -7,6 +7,10 @@ import "math/bits"
 // planes.
 const PairPlanes = 9
 
+// TripleCounted is how many of a triple's 27 cells PairBlock.Accumulate
+// counts per x; the nine of x genotype 2 follow from the plane sums.
+const TripleCounted = 2 * PairPlanes
+
 // Kernel names the implementation behind PairBlock on this host:
 // "avx512-vpopcntdq" when the CPU and OS support it and the build holds
 // the assembly, "portable" (the pure-Go bodies) otherwise.

@@ -19,3 +19,6 @@ func sumPairPlanesAVX512(sums *[PairPlanes]int32, planes *uint64, n int)
 
 //go:noescape
 func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[PairPlanes]int32, n int)
+
+//go:noescape
+func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int)

@@ -2,13 +2,14 @@
 
 #include "textflag.h"
 
-// AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops. All of them
-// walk n >= 1 words in 8-word vectors under opmask K1: 0xFF for the full
-// vectors and the low n%8 bits for a ragged last one, whose masked loads
-// and stores touch nothing beyond word n (masked-out elements neither
-// fault nor count). The nine pair planes sit n words apart, so plane p
-// of the current vector is at DX + p*R8 with R8 = 8n bytes; R9, R10 and
-// R11 hold 3x, 5x and 7x that stride for the addressing modes.
+// AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops and of the
+// pair kernel's one. All of them walk n >= 1 words in 8-word vectors
+// under opmask K1: 0xFF for the full vectors and the low n%8 bits for a
+// ragged last one, whose masked loads and stores touch nothing beyond
+// word n (masked-out elements neither fault nor count). The nine pair
+// planes of the fused kernel sit n words apart, so plane p of the
+// current vector is at DX + p*R8 with R8 = 8n bytes; R9, R10 and R11
+// hold 3x, 5x and 7x that stride for the addressing modes.
 
 // func cpuHasAVX512VPOPCNTDQ() bool
 //
@@ -294,5 +295,65 @@ accDone:
 	ADDL    R13, 32(DI)
 	ADDL    R14, 68(DI)
 	ADDL    R12, 104(DI)
+	VZEROUPPER
+	RET
+
+// PAIRCELL counts one stored-genotype product of the pair primitive.
+#define PAIRCELL(x, y, acc) \
+	VPANDQ   x, y, Z2; \
+	VPOPCNTQ Z2, Z2; \
+	VPADDQ   Z2, acc, acc
+
+// func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int)
+//
+// c = popcounts of x0∧y0, x0∧y1, x1∧y0, x1∧y1 over n words, one
+// accumulator each (Z4..Z7). R8 is the byte offset of the current
+// vector in all four planes. The x planes are the streamed side of a
+// pair scan and dataset.Split lays consecutive SNPs' planes end to end,
+// so each vector prefetches 2 KiB further down both x streams: the rest
+// of this plane, or the SNPs scanned next. Once the split form outgrows
+// L2 that is a quarter off the scan; prefetches never fault, so running
+// off the last plane is harmless.
+TEXT ·countPairAVX512(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ x0+8(FP), AX
+	MOVQ x1+16(FP), BX
+	MOVQ y0+24(FP), SI
+	MOVQ y1+32(FP), DX
+	MOVQ n+40(FP), CX
+	XORQ R8, R8
+	MOVQ  $0xFF, R13
+	KMOVW R13, K1
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+pairLoop:
+	NEXTMASK(pairBody, pairDone)
+
+pairBody:
+	PREFETCHT0  2048(AX)(R8*1)
+	PREFETCHT0  2048(BX)(R8*1)
+	VMOVDQU64.Z (AX)(R8*1), K1, Z0
+	VMOVDQU64.Z (BX)(R8*1), K1, Z1
+	VMOVDQU64.Z (SI)(R8*1), K1, Z8
+	VMOVDQU64.Z (DX)(R8*1), K1, Z9
+	PAIRCELL(Z0, Z8, Z4)
+	PAIRCELL(Z0, Z9, Z5)
+	PAIRCELL(Z1, Z8, Z6)
+	PAIRCELL(Z1, Z9, Z7)
+	ADDQ $64, R8
+	SUBQ $8, CX
+	JMP  pairLoop
+
+pairDone:
+	// Lanes of Z4 after the folds: the four totals, twice over.
+	FOLD2(Z4, Z5)
+	FOLD2(Z6, Z7)
+	FOLD128(Z4, Z6)
+	FOLD128(Z4, Z4)
+	VPMOVQD Z4, Y4
+	VMOVDQU X4, (DI)
 	VZEROUPPER
 	RET

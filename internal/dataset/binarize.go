@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"trigene/internal/bitvec"
@@ -28,10 +29,22 @@ func Binarize(mx *Matrix) *Binarized {
 		planes: make([]uint64, m*3*w),
 		Phen:   bitvec.New(n),
 	}
+	// Whole words come straight from the row; the ragged last one goes
+	// through tail, whose bytes past the row are no genotype.
+	var tail [bitvec.WordBits]uint8
+	for k := range tail {
+		tail[k] = noGenotype
+	}
 	for i := 0; i < m; i++ {
 		row := mx.Row(i)
-		for j, g := range row {
-			b.planeWords(i, int(g))[j/bitvec.WordBits] |= 1 << (uint(j) % bitvec.WordBits)
+		planes := b.planes[i*3*w : (i+1)*3*w]
+		for k := 0; k < w; k++ {
+			src := row[k*bitvec.WordBits:]
+			if len(src) < bitvec.WordBits {
+				copy(tail[:], src)
+				src = tail[:]
+			}
+			planes[k], planes[w+k], planes[2*w+k] = genotypeWord(src, 0), genotypeWord(src, 1), genotypeWord(src, 2)
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -146,26 +159,62 @@ func SplitBinarize(mx *Matrix) *Split {
 		s.Pad[c] = s.Words[c]*bitvec.WordBits - s.N[c]
 		s.planes[c] = make([]uint64, m*2*s.Words[c])
 	}
-	// Position of each sample within its class.
-	pos := make([]int, mx.Samples())
-	var nc [2]int
-	for j := 0; j < mx.Samples(); j++ {
-		c := int(mx.Phen(j))
-		pos[j] = nc[c]
-		nc[c]++
+	// order[c] lists the samples of class c in sample order. Each SNP's
+	// genotypes are gathered class by class into buf, whose bytes past the
+	// class size stay no genotype, and packed a word at a time.
+	var order [2][]int32
+	var buf [2][]uint8
+	for c := range order {
+		order[c] = make([]int32, 0, s.N[c])
+		buf[c] = make([]uint8, s.Words[c]*bitvec.WordBits)
+		for k := s.N[c]; k < len(buf[c]); k++ {
+			buf[c][k] = noGenotype
+		}
+	}
+	for j, p := range mx.Phenotypes() {
+		order[p] = append(order[p], int32(j))
 	}
 	for i := 0; i < m; i++ {
 		row := mx.Row(i)
-		for j, g := range row {
-			if g > 1 {
-				continue // genotype 2 is implicit
+		for c := range order {
+			src := buf[c]
+			for k, j := range order[c] {
+				src[k] = row[j]
 			}
-			c := int(mx.Phen(j))
-			p := pos[j]
-			s.plane(c, i, int(g))[p/bitvec.WordBits] |= 1 << (uint(p) % bitvec.WordBits)
+			w := s.Words[c]
+			planes := s.planes[c][i*2*w : (i+1)*2*w]
+			for k := 0; k < w; k++ {
+				word := src[k*bitvec.WordBits:]
+				planes[k], planes[w+k] = genotypeWord(word, 0), genotypeWord(word, 1) // genotype 2 is implicit
+			}
 		}
 	}
 	return s
+}
+
+// noGenotype fills the byte positions of a 64-sample word that hold no
+// sample: it equals no genotype, so it sets no plane bit.
+const noGenotype = 0xFF
+
+// genotypeWord packs 64 genotype bytes into the word of genotype plane
+// g: bit k is set iff src[k] == g. Eight bytes at a time: XOR with g in
+// every byte zeroes the matching ones, an exact zero-byte test leaves a
+// flag in bit 0 of each, and a multiplication gathers the eight flags
+// into one byte (flag i, at bit 8i, meets multiplier bit 7(8-i) at bit
+// 56+i, and no other product reaches the top byte or collides below it).
+func genotypeWord(src []uint8, g uint64) (w uint64) {
+	const (
+		low    = 0x0101010101010101
+		low7   = 0x7F7F7F7F7F7F7F7F
+		gather = 0x0102040810204080
+	)
+	src = src[:bitvec.WordBits]
+	for b := 0; b < bitvec.WordBits; b += 8 {
+		x := binary.LittleEndian.Uint64(src[b:]) ^ g*low
+		nonzero := (x&low7 + low7) | x // bit 7 of a byte: the byte is not zero
+		w |= (^nonzero >> 7 & low) * gather >> 56 << b
+	}
+	return w
 }
 
 // SplitFromPlanes wraps pre-built per-class plane storage (the packed

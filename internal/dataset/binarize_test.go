@@ -176,3 +176,108 @@ func TestBytesPerCombination(t *testing.T) {
 		t.Errorf("BytesPerCombination = %d, want %d", got, want)
 	}
 }
+
+// binarizePerSample and splitBinarizePerSample are the encoders in
+// their one-bit-per-sample form: the oracles of the word-at-a-time ones.
+func binarizePerSample(mx *Matrix) []uint64 {
+	w := bitvec.WordsFor(mx.Samples())
+	planes := make([]uint64, mx.SNPs()*3*w)
+	for i := 0; i < mx.SNPs(); i++ {
+		for j, g := range mx.Row(i) {
+			planes[(i*3+int(g))*w+j/64] |= 1 << (uint(j) % 64)
+		}
+	}
+	return planes
+}
+
+func splitBinarizePerSample(mx *Matrix) (planes [2][]uint64) {
+	controls, cases := mx.ClassCounts()
+	words := [2]int{bitvec.WordsFor(controls), bitvec.WordsFor(cases)}
+	for c := range planes {
+		planes[c] = make([]uint64, mx.SNPs()*2*words[c])
+	}
+	for i := 0; i < mx.SNPs(); i++ {
+		var pos [2]int
+		for j, g := range mx.Row(i) {
+			c := mx.Phen(j)
+			p := pos[c]
+			pos[c]++
+			if g < 2 {
+				planes[c][(i*2+int(g))*words[c]+p/64] |= 1 << (uint(p) % 64)
+			}
+		}
+	}
+	return planes
+}
+
+// TestEncodersMatchPerSampleForm is the differential test of the
+// word-at-a-time encoders: byte-identical planes (and so DatasetHash
+// and .tpack bytes) on shapes where a word boundary can go wrong —
+// sample counts around multiples of 8 and 64, classes of one sample, of
+// exactly one word and of one sample more, a SNP that is all genotype 2
+// (no stored bit at all) and one that is all genotype 0.
+func TestEncodersMatchPerSampleForm(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, n := range []int{2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 1000} {
+		for _, cases := range []int{1, n / 2, n - 1, 64, 65} {
+			if cases < 1 || cases >= n {
+				continue
+			}
+			mx := randomMatrix(int64(1000*n+cases), 6, n)
+			for j := range mx.Phenotypes() {
+				mx.Phenotypes()[j] = Control
+			}
+			for _, j := range r.Perm(n)[:cases] {
+				mx.SetPhen(j, Case)
+			}
+			for j := 0; j < n; j++ {
+				mx.SetGeno(2, j, 2)
+				mx.SetGeno(4, j, 0)
+			}
+			b := Binarize(mx)
+			want := binarizePerSample(mx)
+			for k, w := range b.PlaneData() {
+				if w != want[k] {
+					t.Fatalf("n=%d cases=%d: binarized word %d = %#x, per-sample form %#x", n, cases, k, w, want[k])
+				}
+			}
+			s := SplitBinarize(mx)
+			wantSplit := splitBinarizePerSample(mx)
+			for c := range wantSplit {
+				got := s.ClassPlaneData(c)
+				if len(got) != len(wantSplit[c]) {
+					t.Fatalf("n=%d cases=%d: class %d holds %d words, want %d", n, cases, c, len(got), len(wantSplit[c]))
+				}
+				for k, w := range got {
+					if w != wantSplit[c][k] {
+						t.Fatalf("n=%d cases=%d: split class %d word %d = %#x, per-sample form %#x", n, cases, c, k, w, wantSplit[c][k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenotypeWordIsExact: every byte value at every position sets its
+// bit in the plane it equals and in no other, so planes built from any
+// bytes at all cannot overlap.
+func TestGenotypeWordIsExact(t *testing.T) {
+	var src [64]uint8
+	for v := 0; v < 256; v++ {
+		for k := range src {
+			for i := range src {
+				src[i] = noGenotype
+			}
+			src[k] = uint8(v)
+			for g := uint64(0); g < 3; g++ {
+				want := uint64(0)
+				if uint64(v) == g {
+					want = 1 << k
+				}
+				if got := genotypeWord(src[:], g); got != want {
+					t.Fatalf("byte %#x at %d, plane %d: word %#x, want %#x", v, k, g, got, want)
+				}
+			}
+		}
+	}
+}

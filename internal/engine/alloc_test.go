@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"trigene/internal/combin"
 	"trigene/internal/obs"
 	"trigene/internal/sched"
 	"trigene/internal/score"
@@ -24,7 +25,12 @@ import (
 // pair block and to per-call tables; its stubs are //go:noescape so
 // neither is moved to the heap, which the "wide" searcher pins on
 // class planes of many vectors with a ragged last one (the narrow
-// shapes have sub-vector planes).
+// shapes have sub-vector planes). The screened search's other two tile
+// loops are held to the same standard on the same searchers: the
+// stage-1 pair walker with the screen's sink (its marginals live on the
+// Searcher, its counted cells on the stack behind a //go:noescape stub)
+// and the seeded extension (its two class-plane-sized PairBlocks and its
+// raw table live in the worker arena).
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)
@@ -76,6 +82,47 @@ func TestHotPathAllocs(t *testing.T) {
 				h.Close()
 			}
 		}
+		o, err := Options{TopK: 4}.withDefaults(probe.s.st.Samples())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := probe.s.st.SNPs()
+		sink := &screenSink{obj: o.Objective, best: make([]float64, m), seen: make([]bool, m),
+			top: newPairTopK(o.Objective, o.TopK)}
+		pw := probe.s.newPairWalker(&o, sink.take)
+		steadyStateAllocs(t, probe.name+"/pair screen", combin.Pairs(m), pw.tile)
+		pw.a.release()
+
+		// Seeds that overlap in a SNP, with a subset mask: every skip rule
+		// runs. Tiles of 37 ranks start and end mid-seed.
+		seeds := []Pair{{1, 5}, {5, m - 2}, {0, m - 1}}
+		inSubset := make([]bool, m)
+		inSubset[1], inSubset[5], inSubset[7] = true, true, true
+		sw := probe.s.newSeededWorker(&o, seeds, seedRanks(seeds, m), inSubset)
+		steadyStateAllocs(t, probe.name+"/seeded", int64(len(seeds)*m), sw.tile)
+		sw.a.release()
+	}
+}
+
+// steadyStateAllocs cuts [0, ranks) into tiles of 37 ranks, runs them
+// all once to warm the consumer (top-K at depth, scratch faulted in),
+// then demands zero allocations per tile.
+func steadyStateAllocs(t *testing.T, name string, ranks int64, tile func(sched.Tile) int64) {
+	t.Helper()
+	const grain = 37
+	tiles := (ranks + grain - 1) / grain
+	at := func(i int64) sched.Tile {
+		return sched.Tile{Lo: i * grain, Hi: min((i+1)*grain, ranks)}
+	}
+	for i := int64(0); i < tiles; i++ {
+		tile(at(i))
+	}
+	var idx int64
+	if allocs := testing.AllocsPerRun(32, func() {
+		tile(at(idx % tiles))
+		idx++
+	}); allocs != 0 {
+		t.Errorf("%s: %.1f allocs per tile in steady state, want 0", name, allocs)
 	}
 }
 

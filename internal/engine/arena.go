@@ -21,6 +21,9 @@ type arena struct {
 	// pair is the fused paths' cached pair block (planes and their
 	// popcounts for one (i1, i2) word tile).
 	pair contingency.PairBlock
+	// seed is the seeded extension's cached seed pair, one block per
+	// class over the whole class plane.
+	seed [2]contingency.PairBlock
 	// comb/ctrl/cases are the generic k-way buffers.
 	comb        []int
 	ctrl, cases []int32

@@ -168,25 +168,7 @@ func TestWorkersExceedWork(t *testing.T) {
 // planes raggedly. (A single-class phenotype never reaches a kernel:
 // New refuses it, see TestNewRejectsBadDatasets.)
 func TestFusedParityEdgeShapes(t *testing.T) {
-	oneCase := randomMatrix(151, 10, 200)
-	for j := 0; j < 200; j++ {
-		oneCase.SetPhen(j, dataset.Control)
-	}
-	oneCase.SetPhen(137, dataset.Case)
-	balanced := randomMatrix(152, 9, 1024)
-	for j := 0; j < 1024; j++ {
-		balanced.SetPhen(j, uint8(j%2))
-	}
-	shapes := []struct {
-		name string
-		mx   *dataset.Matrix
-	}{
-		{"333 samples, sub-vector planes", randomMatrix(153, 24, 333)},
-		{"one case", oneCase},
-		{"3 SNPs, fewer than a block", randomMatrix(154, 3, 1500)},
-		{"512+512 samples, one full vector", balanced},
-		{"4133 samples, ragged vectors", randomMatrix(155, 14, 4133)},
-	}
+	shapes := edgeShapes()
 	const topK = 5
 	for _, sh := range shapes {
 		s, err := New(sh.mx)
@@ -220,5 +202,145 @@ func TestFusedParityEdgeShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// edgeShapes are the datasets the vector kernels' tail handling is
+// checked on.
+func edgeShapes() []edgeShape {
+	oneCase := randomMatrix(151, 10, 200)
+	for j := 0; j < 200; j++ {
+		oneCase.SetPhen(j, dataset.Control)
+	}
+	oneCase.SetPhen(137, dataset.Case)
+	balanced := randomMatrix(152, 9, 1024)
+	for j := 0; j < 1024; j++ {
+		balanced.SetPhen(j, uint8(j%2))
+	}
+	return []edgeShape{
+		{"333 samples, sub-vector planes", randomMatrix(153, 24, 333)},
+		{"one case", oneCase},
+		{"3 SNPs, fewer than a block", randomMatrix(154, 3, 1500)},
+		{"512+512 samples, one full vector", balanced},
+		{"4133 samples, ragged vectors", randomMatrix(155, 14, 4133)},
+	}
+}
+
+type edgeShape struct {
+	name string
+	mx   *dataset.Matrix
+}
+
+// TestPairAndSeededParityEdgeShapes is the engine-level parity run of
+// the pair kernel and of the seeded extension's PairBlock path, on the
+// same shapes and under all three objectives: RunPairs' ranking and
+// RunPairScreen's per-SNP bests and seed list must be bit-equal to a
+// brute-force pass over contingency.BuildReferencePair scored with the
+// objective's 27-row form, and every triple RunSeeded scores must carry
+// the score of contingency.BuildReference on the sorted triple — for
+// seed pairs whose third SNPs all sort above them, all between, all
+// below, and on every side. A K2 or MI score moves in its last bits if
+// the rows are summed in another order, so this fails if the nine-row
+// scorers or the seeded row permutation drift; the ragged classes make
+// it fail if row 26 loses its pad correction on the way.
+func TestPairAndSeededParityEdgeShapes(t *testing.T) {
+	const topK = 6
+	for _, sh := range edgeShapes() {
+		s, err := New(sh.mx)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		m := sh.mx.SNPs()
+		for _, obj := range []score.Objective{score.NewK2(sh.mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
+			name := sh.name + "/" + obj.Name()
+			refTop := newPairTopK(obj, topK)
+			best := make([]float64, m)
+			seen := make([]bool, m)
+			combin.ForEachPair(m, func(i, j int) {
+				tab := contingency.BuildReferencePair(sh.mx, i, j)
+				sc := obj.Score(&tab)
+				refTop.take(Pair{i, j}, sc)
+				for _, snp := range [2]int{i, j} {
+					if !seen[snp] || obj.Better(sc, best[snp]) {
+						best[snp], seen[snp] = sc, true
+					}
+				}
+			})
+			pairs, err := s.RunPairs(Options{Objective: obj, TopK: topK, Workers: 2})
+			if err != nil {
+				t.Fatalf("%s: RunPairs: %v", name, err)
+			}
+			screen, err := s.RunPairScreen(Options{Objective: obj, TopK: topK, Workers: 3})
+			if err != nil {
+				t.Fatalf("%s: RunPairScreen: %v", name, err)
+			}
+			for what, got := range map[string][]PairCandidate{"RunPairs": pairs.TopK, "RunPairScreen": screen.TopPairs} {
+				if len(got) != len(refTop.items) {
+					t.Fatalf("%s: %s ranks %d pairs, reference %d", name, what, len(got), len(refTop.items))
+				}
+				for i, c := range got {
+					if c != refTop.items[i] {
+						t.Errorf("%s: %s [%d] = %+v, reference %+v", name, what, i, c, refTop.items[i])
+					}
+				}
+			}
+			for snp := 0; snp < m; snp++ {
+				if !screen.Seen[snp] || screen.Best[snp] != best[snp] {
+					t.Errorf("%s: SNP %d screen best (%v, seen %v), reference %v", name, snp, screen.Best[snp], screen.Seen[snp], best[snp])
+				}
+			}
+
+			// Thirds above, between, below, and all three.
+			tried := map[Pair]bool{}
+			for _, seed := range []Pair{{0, 1}, {0, m - 1}, {m - 2, m - 1}, {m / 3, m - 1 - m/3}} {
+				if seed.I >= seed.J || tried[seed] {
+					continue
+				}
+				tried[seed] = true
+				res, err := s.RunSeeded([]Pair{seed}, nil, Options{Objective: obj, TopK: m, Workers: 2})
+				if err != nil {
+					t.Fatalf("%s: RunSeeded(%v): %v", name, seed, err)
+				}
+				if len(res.TopK) != m-2 || res.Stats.Combinations != int64(m-2) {
+					t.Fatalf("%s: seed %v extended to %d triples (%d scored), want %d", name, seed, len(res.TopK), res.Stats.Combinations, m-2)
+				}
+				for _, c := range res.TopK {
+					tab := contingency.BuildReference(sh.mx, c.Triple.I, c.Triple.J, c.Triple.K)
+					if want := obj.Score(&tab); c.Score != want {
+						t.Errorf("%s: seed %v triple %v scored %v, reference %v", name, seed, c.Triple, c.Score, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededPermutation pins the row permutation itself: each slot's
+// map is a bijection on the 27 rows, a third SNP that sorts first needs
+// none, and row 26 — (2,2,2), where the pad bits of the NOR-derived
+// planes land — never moves, so one correction after permuting is right.
+func TestSeededPermutation(t *testing.T) {
+	for slot, perm := range seededPerm {
+		var hit [contingency.Cells]bool
+		for cell, src := range perm {
+			if hit[src] {
+				t.Errorf("slot %d: kernel row %d is used twice", slot, src)
+			}
+			hit[src] = true
+			if slot == 0 && int(src) != cell {
+				t.Errorf("slot 0: row %d comes from %d, want the identity", cell, src)
+			}
+		}
+		if perm[contingency.Cells-1] != contingency.Cells-1 {
+			t.Errorf("slot %d moves row 26 to %d", slot, perm[contingency.Cells-1])
+		}
+	}
+	// Third SNP between the seed's: kernel row (gt, gi, gj) is sorted row (gi, gt, gj).
+	if got := seededPerm[1][contingency.ComboIndex(0, 1, 2)]; int(got) != contingency.ComboIndex(1, 0, 2) {
+		t.Errorf("slot 1: sorted row (0,1,2) comes from kernel row %d", got)
+	}
+	// Third SNP above both: kernel row (gt, gi, gj) is sorted row (gi, gj, gt).
+	if got := seededPerm[2][contingency.ComboIndex(0, 1, 2)]; int(got) != contingency.ComboIndex(2, 0, 1) {
+		t.Errorf("slot 2: sorted row (0,1,2) comes from kernel row %d", got)
 	}
 }

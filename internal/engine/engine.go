@@ -37,8 +37,10 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
+	"trigene/internal/bitvec"
 	"trigene/internal/carm"
 	"trigene/internal/combin"
 	"trigene/internal/dataset"
@@ -375,6 +377,13 @@ func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 // themselves are internally parallel).
 type Searcher struct {
 	st *store.Store
+
+	// marg caches the popcount of every stored plane of the split form,
+	// marg[class][snp] = {|plane 0|, |plane 1|}: what the pair kernel
+	// derives five of its nine cells from. Counted once, on the first
+	// pair run.
+	margOnce sync.Once
+	marg     [2][][2]int32
 }
 
 // New validates the dataset and wraps it in a fresh encoded-dataset
@@ -410,6 +419,22 @@ func (s *Searcher) Store() *store.Store { return s.st }
 // Split exposes the phenotype-split form, building it on first use.
 func (s *Searcher) Split() *dataset.Split { return s.st.Split() }
 
+// marginals returns the per-SNP plane popcounts of the split form.
+func (s *Searcher) marginals() *[2][][2]int32 {
+	s.margOnce.Do(func() {
+		split := s.st.Split()
+		for class := range s.marg {
+			s.marg[class] = make([][2]int32, split.M)
+			for snp := range s.marg[class] {
+				for g := 0; g < 2; g++ {
+					s.marg[class][snp][g] = int32(bitvec.PopCount(split.Plane(class, snp, g)))
+				}
+			}
+		}
+	})
+	return &s.marg
+}
+
 // Binarized exposes the naive three-plane form, building it on first
 // use.
 func (s *Searcher) Binarized() *dataset.Binarized { return s.st.Binarized() }
@@ -440,12 +465,18 @@ func (s *Searcher) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Combinations is the count the workers actually scored, which is
-	// the claimed share of the space on sharded and shared-cursor runs.
-	res.Stats.Elements = float64(res.Stats.Combinations) * float64(s.st.Samples())
-	res.Stats.Duration = time.Since(start)
-	if secs := res.Stats.Duration.Seconds(); secs > 0 {
-		res.Stats.ElementsPerSec = res.Stats.Elements / secs
-	}
+	s.finishStats(&res.Stats, start)
 	return res, nil
+}
+
+// finishStats derives a finished run's volume and speed from its
+// Combinations — the count the workers actually scored, which is the
+// claimed share of the space on sharded and shared-cursor runs — and
+// its start time.
+func (s *Searcher) finishStats(st *Stats, start time.Time) {
+	st.Elements = float64(st.Combinations) * float64(s.st.Samples())
+	st.Duration = time.Since(start)
+	if secs := st.Duration.Seconds(); secs > 0 {
+		st.ElementsPerSec = st.Elements / secs
+	}
 }

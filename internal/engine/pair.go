@@ -47,83 +47,110 @@ type PairResult struct {
 }
 
 // RunPairs executes an exhaustive second-order search. Options are
-// interpreted as for Run; Approach is ignored (the split kernel is
-// always used — the pair table is too small for tiling to matter).
-// Shard slices the colexicographic pair-rank space.
+// interpreted as for Run; Approach is ignored (the pair kernel,
+// contingency.BuildPair, is always used — a pair's four planes fit the
+// L1 cache whole, so there is nothing to tile). Shard slices the
+// colexicographic pair-rank space.
 func (s *Searcher) RunPairs(opts Options) (*PairResult, error) {
 	o, err := opts.withDefaults(s.st.Samples())
 	if err != nil {
 		return nil, err
 	}
-	m := s.st.SNPs()
-	res := &PairResult{}
-	src, space, err := flatSpace(combin.Pairs(m), &o)
-	if err != nil {
-		return nil, err
-	}
-	res.Space = space
-	cur := sched.NewCursor(src)
-	if o.Progress != nil {
-		cur.OnProgress(src.Ranks(), o.Progress)
-	}
-
 	start := time.Now()
-	split := s.st.Split()
-	workers := make([]*pairWorker, o.Workers)
-	for w := range workers {
-		workers[w] = &pairWorker{o: &o, split: split, m: m, a: getArena(o.Objective, 0, 0),
-			top: newPairTopK(o.Objective, o.TopK)}
-	}
-	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		return workers[w].tile(t), nil
+	tops := make([]*pairTopK, o.Workers)
+	res := &PairResult{}
+	res.Stats.Combinations, res.Space, err = s.scanPairs(&o, func(w int) func(Pair, float64) {
+		tops[w] = newPairTopK(o.Objective, o.TopK)
+		return tops[w].take
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	merged := newPairTopK(o.Objective, o.TopK)
-	for _, w := range workers {
-		for _, c := range w.top.items {
-			merged.offer(c)
-		}
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
+	res.TopK = mergePairTopK(&o, tops)
+	if len(res.TopK) > 0 {
+		res.Best = res.TopK[0]
 	}
-	res.TopK = merged.items
-	if len(merged.items) > 0 {
-		res.Best = merged.items[0]
-	}
-	res.Stats.Elements = float64(res.Stats.Combinations) * float64(s.st.Samples())
-	res.Stats.Duration = time.Since(start)
-	if secs := res.Stats.Duration.Seconds(); secs > 0 {
-		res.Stats.ElementsPerSec = res.Stats.Elements / secs
-	}
+	s.finishStats(&res.Stats, start)
 	return res, nil
 }
 
-// pairWorker is one consumer of the pair tile stream.
-type pairWorker struct {
-	o     *Options
+// scanPairs drains the pair-rank space (Shard-restricted if asked)
+// through one pairWalker per worker, worker w delivering every scored
+// pair to sinkFor(w), and returns the number of pairs scored and the
+// covered slice of a restricted space. It is the whole of a pair run
+// but for what the sinks keep.
+func (s *Searcher) scanPairs(o *Options, sinkFor func(worker int) func(Pair, float64)) (int64, *sched.Tile, error) {
+	m := s.st.SNPs()
+	src, space, err := flatSpace(combin.Pairs(m), o)
+	if err != nil {
+		return 0, nil, err
+	}
+	cur := sched.NewCursor(src)
+	if o.Progress != nil {
+		cur.OnProgress(src.Ranks(), o.Progress)
+	}
+	walkers := make([]*pairWalker, o.Workers)
+	for w := range walkers {
+		walkers[w] = s.newPairWalker(o, sinkFor(w))
+	}
+	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
+		return walkers[w].tile(t), nil
+	})
+	var scored int64
+	for _, w := range walkers {
+		scored += w.a.scored
+		w.a.release()
+	}
+	return scored, space, err
+}
+
+// pairWalker is one consumer of a pair tile stream: it walks runs of
+// colexicographic pair ranks, builds each pair's embedded table with
+// the 4-counted / 5-derived kernel and hands the score to its sink (the
+// pair search's top-K, or the screen's per-SNP planes).
+type pairWalker struct {
 	split *dataset.Split
+	marg  *[2][][2]int32
 	m     int
+	score func(*contingency.Table) float64
+	sink  func(Pair, float64)
 	a     *arena
-	top   *pairTopK
+}
+
+func (s *Searcher) newPairWalker(o *Options, sink func(Pair, float64)) *pairWalker {
+	w := &pairWalker{split: s.st.Split(), marg: s.marginals(), m: s.st.SNPs(),
+		score: o.Objective.Score, sink: sink, a: getArena(o.Objective, 0, 0)}
+	// Rows 9..26 of an embedded pair table are empty, so an objective
+	// that can score the nine pair rows alone does a third of the work.
+	if ps, ok := o.Objective.(score.PairScorer); ok {
+		w.score = ps.ScorePair
+	}
+	w.a.tab = contingency.Table{} // pooled: the kernel writes rows 0..8 only
+	return w
 }
 
 // tile scores every pair rank in [t.Lo, t.Hi) and returns the count.
-func (w *pairWorker) tile(t sched.Tile) int64 {
-	obj := w.o.Objective
+// Colexicographic order runs i over 0..j-1 for each j, so the four
+// planes of j are sliced once per run and stay in L1 while the i planes
+// stream past them.
+func (w *pairWalker) tile(t sched.Tile) int64 {
+	split, marg, tab := w.split, w.marg, &w.a.tab
+	n := [2]int32{int32(split.N[0]), int32(split.N[1])}
 	i, j := combin.UnrankPair(t.Lo, w.m)
-	for r := t.Lo; r < t.Hi; r++ {
-		w.a.tab = contingency.BuildSplitPair(w.split, i, j)
-		w.top.offer(PairCandidate{
-			Pair:  Pair{I: i, J: j},
-			Score: obj.Score(&w.a.tab),
-		})
-		if i+1 < j {
-			i++
-		} else {
-			i, j = 0, j+1
+	for r := t.Lo; r < t.Hi; i, j = 0, j+1 {
+		run := min(int64(j-i), t.Hi-r)
+		r += run
+		var y [2][2][]uint64
+		for class := range y {
+			y[class] = [2][]uint64{split.Plane(class, j, 0), split.Plane(class, j, 1)}
+		}
+		for end := i + int(run); i < end; i++ {
+			for class := range y {
+				contingency.BuildPair(&tab.Counts[class],
+					split.Plane(class, i, 0), split.Plane(class, i, 1), y[class][0], y[class][1],
+					marg[class][i], marg[class][j], n[class])
+			}
+			w.sink(Pair{I: i, J: j}, w.score(tab))
 		}
 	}
 	w.a.scored += t.Len()
@@ -159,4 +186,18 @@ func newPairTopK(obj score.Objective, k int) *pairTopK {
 
 func (t *pairTopK) offer(c PairCandidate) {
 	t.items = topk.Insert(t.items, c, t.k, t.cmp)
+}
+
+// take is offer in the shape of a pairWalker sink.
+func (t *pairTopK) take(p Pair, sc float64) { t.offer(PairCandidate{Pair: p, Score: sc}) }
+
+// mergePairTopK folds the workers' pair lists into one ranked list.
+func mergePairTopK(o *Options, tops []*pairTopK) []PairCandidate {
+	merged := newPairTopK(o.Objective, o.TopK)
+	for _, t := range tops {
+		for _, c := range t.items {
+			merged.offer(c)
+		}
+	}
+	return merged.items
 }

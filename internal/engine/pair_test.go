@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"testing"
-	"testing/quick"
 
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/sched"
 	"trigene/internal/score"
 )
 
@@ -37,18 +37,6 @@ func TestPairSearchMatchesBruteForce(t *testing.T) {
 	if res.Stats.Combinations != combin.Pairs(20) {
 		t.Errorf("combinations = %d", res.Stats.Combinations)
 	}
-}
-
-func TestPairSplitKernelMatchesReference(t *testing.T) {
-	mx := randomMatrix(111, 10, 173) // odd N exercises the pad correction
-	s := dataset.SplitBinarize(mx)
-	combin.ForEachPair(10, func(i, j int) {
-		got := contingency.BuildSplitPair(s, i, j)
-		want := contingency.BuildReferencePair(mx, i, j)
-		if !got.Equal(&want) {
-			t.Fatalf("pair (%d,%d): split table differs from reference", i, j)
-		}
-	})
 }
 
 func TestPairEmbeddedTableScoresLikeNineCells(t *testing.T) {
@@ -165,27 +153,50 @@ func TestPairCancellation(t *testing.T) {
 	}
 }
 
-// Property: pair iteration used inside the worker (the inlined
-// next-pair step) matches colex enumeration.
-func TestPairIterationProperty(t *testing.T) {
-	f := func(mRaw uint8) bool {
-		m := int(mRaw%40) + 2
-		i, j := 0, 1
-		ok := true
-		combin.ForEachPair(m, func(ei, ej int) {
-			if ei != i || ej != j {
-				ok = false
-			}
-			if i+1 < j {
-				i++
-			} else {
-				i, j = 0, j+1
-			}
-		})
-		return ok
+// TestPairWalkerTilesMatchReference drives the walker directly: cut any
+// way into tiles (mid-run starts and ends, single ranks, runs of one
+// pair at j = 1), it must visit exactly the colexicographic pairs of
+// each tile, in order, and hand over BuildReferencePair's score. 173
+// samples leave both classes ragged.
+func TestPairWalkerTilesMatchReference(t *testing.T) {
+	const m = 9
+	mx := randomMatrix(115, m, 173)
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	o, err := Options{}.withDefaults(mx.Samples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type scoredPair struct {
+		p  Pair
+		sc float64
+	}
+	var want []scoredPair
+	combin.ForEachPair(m, func(i, j int) {
+		tab := contingency.BuildReferencePair(mx, i, j)
+		want = append(want, scoredPair{Pair{i, j}, o.Objective.Score(&tab)})
+	})
+	var got []scoredPair
+	w := s.newPairWalker(&o, func(p Pair, sc float64) { got = append(got, scoredPair{p, sc}) })
+	defer w.a.release()
+	total := combin.Pairs(m)
+	for lo := int64(0); lo < total; lo++ {
+		for hi := lo + 1; hi <= total; hi++ {
+			got = got[:0]
+			if n := w.tile(sched.Tile{Lo: lo, Hi: hi}); n != hi-lo {
+				t.Fatalf("tile [%d,%d) reports %d pairs", lo, hi, n)
+			}
+			if len(got) != int(hi-lo) {
+				t.Fatalf("tile [%d,%d) visited %d pairs", lo, hi, len(got))
+			}
+			for k, g := range got {
+				if g != want[lo+int64(k)] {
+					t.Fatalf("tile [%d,%d) pair %d = %+v, want %+v", lo, hi, k, g, want[lo+int64(k)])
+				}
+			}
+		}
 	}
 }
 

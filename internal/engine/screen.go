@@ -3,18 +3,16 @@ package engine
 import (
 	"time"
 
-	"trigene/internal/combin"
-	"trigene/internal/contingency"
-	"trigene/internal/dataset"
 	"trigene/internal/sched"
+	"trigene/internal/score"
 )
 
 // Stage 1 of the two-stage screened search: an exhaustive pairwise
 // scan that charges every pair's score to both participating SNPs, so
 // the survivor selection ("top-S SNPs by best participating pair
 // score") and the seed list ("top pairs") fall out of one pass over
-// C(M,2). The scan reuses the pair engine's split kernel, scheduler
-// and sharding; only the accumulator differs.
+// C(M,2). The scan is the pair engine's (scanPairs: same kernel, walker,
+// scheduler and sharding); only the sink differs.
 
 // ScreenResult is the outcome of a stage-1 pairwise screen.
 type ScreenResult struct {
@@ -45,29 +43,15 @@ func (s *Searcher) RunPairScreen(opts Options) (*ScreenResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	m := s.st.SNPs()
 	res := &ScreenResult{SNPs: m}
-	src, space, err := flatSpace(combin.Pairs(m), &o)
-	if err != nil {
-		return nil, err
-	}
-	res.Space = space
-	cur := sched.NewCursor(src)
-	if o.Progress != nil {
-		cur.OnProgress(src.Ranks(), o.Progress)
-	}
-
-	start := time.Now()
-	split := s.st.Split()
-	workers := make([]*screenWorker, o.Workers)
-	for w := range workers {
-		workers[w] = &screenWorker{o: &o, split: split, m: m,
-			a:    getArena(o.Objective, 0, 0),
-			best: make([]float64, m), seen: make([]bool, m),
-			top: newPairTopK(o.Objective, o.TopK)}
-	}
-	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		return workers[w].tile(t), nil
+	sinks := make([]*screenSink, o.Workers)
+	tops := make([]*pairTopK, o.Workers)
+	res.Stats.Combinations, res.Space, err = s.scanPairs(&o, func(w int) func(Pair, float64) {
+		tops[w] = newPairTopK(o.Objective, o.TopK)
+		sinks[w] = &screenSink{obj: o.Objective, best: make([]float64, m), seen: make([]bool, m), top: tops[w]}
+		return sinks[w].take
 	})
 	if err != nil {
 		return nil, err
@@ -75,8 +59,7 @@ func (s *Searcher) RunPairScreen(opts Options) (*ScreenResult, error) {
 
 	res.Best = make([]float64, m)
 	res.Seen = make([]bool, m)
-	merged := newPairTopK(o.Objective, o.TopK)
-	for _, w := range workers {
+	for _, w := range sinks {
 		for i := 0; i < m; i++ {
 			if !w.seen[i] {
 				continue
@@ -85,55 +68,29 @@ func (s *Searcher) RunPairScreen(opts Options) (*ScreenResult, error) {
 				res.Best[i], res.Seen[i] = w.best[i], true
 			}
 		}
-		for _, c := range w.top.items {
-			merged.offer(c)
-		}
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
 	}
-	res.TopPairs = merged.items
-	res.Stats.Elements = float64(res.Stats.Combinations) * float64(s.st.Samples())
-	res.Stats.Duration = time.Since(start)
-	if secs := res.Stats.Duration.Seconds(); secs > 0 {
-		res.Stats.ElementsPerSec = res.Stats.Elements / secs
-	}
+	res.TopPairs = mergePairTopK(&o, tops)
+	s.finishStats(&res.Stats, start)
 	return res, nil
 }
 
-// screenWorker is one consumer of the screen's pair tile stream. Its
-// best/seen planes are private, so the scan has no synchronization in
-// the hot loop; they merge once at the end.
-type screenWorker struct {
-	o     *Options
-	split *dataset.Split
-	m     int
-	a     *arena
-	best  []float64
-	seen  []bool
-	top   *pairTopK
+// screenSink is what one screen worker keeps of the pairs its walker
+// scores. Its best/seen planes are private, so the scan has no
+// synchronization in the hot loop; they merge once at the end.
+type screenSink struct {
+	obj  score.Objective
+	best []float64
+	seen []bool
+	top  *pairTopK
 }
 
-// tile scores every pair rank in [t.Lo, t.Hi), charging each score to
-// both SNPs, and returns the pair count.
-func (w *screenWorker) tile(t sched.Tile) int64 {
-	obj := w.o.Objective
-	i, j := combin.UnrankPair(t.Lo, w.m)
-	for r := t.Lo; r < t.Hi; r++ {
-		w.a.tab = contingency.BuildSplitPair(w.split, i, j)
-		sc := obj.Score(&w.a.tab)
-		if !w.seen[i] || obj.Better(sc, w.best[i]) {
-			w.best[i], w.seen[i] = sc, true
-		}
-		if !w.seen[j] || obj.Better(sc, w.best[j]) {
-			w.best[j], w.seen[j] = sc, true
-		}
-		w.top.offer(PairCandidate{Pair: Pair{I: i, J: j}, Score: sc})
-		if i+1 < j {
-			i++
-		} else {
-			i, j = 0, j+1
+// take charges the pair's score to both of its SNPs and offers the pair
+// to the seed list.
+func (w *screenSink) take(p Pair, sc float64) {
+	for _, snp := range [2]int{p.I, p.J} {
+		if !w.seen[snp] || w.obj.Better(sc, w.best[snp]) {
+			w.best[snp], w.seen[snp] = sc, true
 		}
 	}
-	w.a.scored += t.Len()
-	return t.Len()
+	w.top.take(p, sc)
 }

@@ -37,17 +37,6 @@ func (s *Searcher) RunSeeded(seeds []Pair, inSubset []bool, opts Options) (*Resu
 			return nil, fmt.Errorf("engine: invalid seed pair (%d,%d) for %d SNPs", p.I, p.J, m)
 		}
 	}
-	// The seed-rank map resolves each of a triple's pairs to the
-	// earliest seed that generates it; built once, read-only across
-	// workers.
-	seedRank := make(map[int64]int, len(seeds))
-	for idx, p := range seeds {
-		key := int64(p.I)*int64(m) + int64(p.J)
-		if _, dup := seedRank[key]; !dup {
-			seedRank[key] = idx
-		}
-	}
-
 	res := &Result{}
 	src, space, err := flatSpace(sched.SeededExtensions(len(seeds), m, o.Workers).Ranks(), &o)
 	if err != nil {
@@ -60,12 +49,10 @@ func (s *Searcher) RunSeeded(seeds []Pair, inSubset []bool, opts Options) (*Resu
 	}
 
 	start := time.Now()
-	split := s.st.Split()
+	seedRank := seedRanks(seeds, m)
 	workers := make([]*seededWorker, o.Workers)
 	for w := range workers {
-		workers[w] = &seededWorker{o: &o, split: split, m: m,
-			seeds: seeds, seedRank: seedRank, inSubset: inSubset,
-			a: getArena(o.Objective, o.TopK, 0)}
+		workers[w] = s.newSeededWorker(&o, seeds, seedRank, inSubset)
 	}
 	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
 		return workers[w].tile(t), nil
@@ -74,12 +61,21 @@ func (s *Searcher) RunSeeded(seeds []Pair, inSubset []bool, opts Options) (*Resu
 		return nil, err
 	}
 	assembleSeeded(res, &o, workers)
-	res.Stats.Elements = float64(res.Stats.Combinations) * float64(s.st.Samples())
-	res.Stats.Duration = time.Since(start)
-	if secs := res.Stats.Duration.Seconds(); secs > 0 {
-		res.Stats.ElementsPerSec = res.Stats.Elements / secs
-	}
+	s.finishStats(&res.Stats, start)
 	return res, nil
+}
+
+// seedRanks resolves each seed pair (keyed I*m + J) to the earliest
+// seed that generates it; built once per run, read-only across workers.
+func seedRanks(seeds []Pair, m int) map[int64]int {
+	seedRank := make(map[int64]int, len(seeds))
+	for idx, p := range seeds {
+		key := int64(p.I)*int64(m) + int64(p.J)
+		if _, dup := seedRank[key]; !dup {
+			seedRank[key] = idx
+		}
+	}
+	return seedRank
 }
 
 // seededWorker is one consumer of the extension tile stream.
@@ -93,37 +89,105 @@ type seededWorker struct {
 	a        *arena
 }
 
+// newSeededWorker builds a consumer whose pooled arena holds the two
+// class-plane-sized seed blocks and one bank table: the raw (third,
+// seed) cells of the triple in hand, before they are permuted into the
+// arena's flat table.
+func (s *Searcher) newSeededWorker(o *Options, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
+	split := s.st.Split()
+	a := getArena(o.Objective, o.TopK, 1)
+	for class := range a.seed {
+		a.seed[class].Init(split.Words[class], false)
+	}
+	return &seededWorker{o: o, split: split, m: s.st.SNPs(),
+		seeds: seeds, seedRank: seedRank, inSubset: inSubset, a: a}
+}
+
 // tile scores the extensions with ranks in [t.Lo, t.Hi) and returns
-// the number of triples actually scored (skipped ranks do not count as
-// combinations).
+// the tile length (skipped ranks do not count as combinations). Ranks
+// run third-fastest, so a tile is a few runs over one seed each: the
+// seed pair's PairBlock is built once per class at the head of a run
+// and every third SNP of the run is one fused Accumulate per class
+// against it — the triple kernel, with the seed as its cached (y, z).
 func (w *seededWorker) tile(t sched.Tile) int64 {
 	obj := w.o.Objective
+	split := w.split
 	span := int64(w.m)
+	raw, tab := &w.a.tables[0], &w.a.tab
 	var scored int64
-	for r := t.Lo; r < t.Hi; r++ {
+	for r := t.Lo; r < t.Hi; {
 		sIdx := int(r / span)
-		third := int(r % span)
 		p := w.seeds[sIdx]
-		if third == p.I || third == p.J {
-			continue
+		for class := range w.a.seed {
+			w.a.seed[class].Build(
+				split.Plane(class, p.I, 0), split.Plane(class, p.I, 1),
+				split.Plane(class, p.J, 0), split.Plane(class, p.J, 1))
 		}
-		i, j, k := sortTriple(p.I, p.J, third)
-		if w.inSubset != nil && w.inSubset[i] && w.inSubset[j] && w.inSubset[k] {
-			continue
+		for end := min(int64(sIdx+1)*span, t.Hi); r < end; r++ {
+			third := int(r % span)
+			if third == p.I || third == p.J {
+				continue
+			}
+			tr, slot := extend(p, third)
+			if w.inSubset != nil && w.inSubset[tr.I] && w.inSubset[tr.J] && w.inSubset[tr.K] {
+				continue
+			}
+			if w.ownedByEarlierSeed(tr.I, tr.J, tr.K, sIdx) {
+				continue
+			}
+			*raw = contingency.Table{}
+			for class := range w.a.seed {
+				w.a.seed[class].Accumulate(&raw.Counts[class],
+					split.Plane(class, third, 0), split.Plane(class, third, 1))
+			}
+			// The kernel's rows are (third, p.I, p.J) genotypes; scores are
+			// bit-equal to BuildReference's only when the objective sums
+			// rows in sorted-triple order.
+			perm := &seededPerm[slot]
+			for class := range raw.Counts {
+				for cell, src := range perm {
+					tab.Counts[class][cell] = raw.Counts[class][src]
+				}
+				// Row 26 (2,2,2) is where every permutation leaves it, and
+				// with it the NOR-derived planes' pad inflation.
+				tab.Counts[class][contingency.Cells-1] -= int32(split.Pad[class])
+			}
+			w.a.top.offer(Candidate{Triple: tr, Score: obj.Score(tab)})
+			scored++
 		}
-		if w.ownedByEarlierSeed(i, j, k, sIdx) {
-			continue
-		}
-		w.a.tab = contingency.BuildSplit(w.split, i, j, k)
-		w.a.top.offer(Candidate{
-			Triple: Triple{I: i, J: j, K: k},
-			Score:  obj.Score(&w.a.tab),
-		})
-		scored++
 	}
 	w.a.scored += scored
 	return t.Len()
 }
+
+// extend returns the sorted triple that seed pair p forms with a third
+// SNP and the third's slot in it: 0 below p.I, 1 between, 2 above p.J.
+func extend(p Pair, third int) (Triple, int) {
+	switch {
+	case third < p.I:
+		return Triple{I: third, J: p.I, K: p.J}, 0
+	case third < p.J:
+		return Triple{I: p.I, J: third, K: p.J}, 1
+	}
+	return Triple{I: p.I, J: p.J, K: third}, 2
+}
+
+// seededPerm[slot][cell] is the kernel row (third genotype major, then
+// p.I, then p.J) that holds sorted-triple row cell when the third SNP
+// sorts into slot.
+var seededPerm = func() (perm [3][contingency.Cells]uint8) {
+	for gt := 0; gt < 3; gt++ {
+		for gi := 0; gi < 3; gi++ {
+			for gj := 0; gj < 3; gj++ {
+				src := uint8(contingency.ComboIndex(gt, gi, gj))
+				perm[0][contingency.ComboIndex(gt, gi, gj)] = src
+				perm[1][contingency.ComboIndex(gi, gt, gj)] = src
+				perm[2][contingency.ComboIndex(gi, gj, gt)] = src
+			}
+		}
+	}
+	return perm
+}()
 
 // ownedByEarlierSeed reports whether another of the triple's pairs is
 // a seed with a smaller index than cur — the canonical-owner dedup
@@ -140,20 +204,6 @@ func (w *seededWorker) ownedByEarlierSeed(i, j, k, cur int) bool {
 		}
 	}
 	return false
-}
-
-// sortTriple orders three distinct indices ascending.
-func sortTriple(a, b, c int) (int, int, int) {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return a, b, c
 }
 
 // assembleSeeded merges the workers' accumulators into res and returns

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"trigene/internal/combin"
+	"trigene/internal/contingency"
 )
 
 // Two-stage cost model: should a search screen, and at what survivor
@@ -16,10 +17,12 @@ import (
 // Report.
 
 // screenPairRateFactor models the stage-1 pair kernel relative to the
-// triple kernel the throughput predictions describe: a pair table has
-// 9 cells against the triple's 27 and skips the third plane AND, so
-// pairs scan roughly three times faster per combination.
-const screenPairRateFactor = 3.0
+// triple kernel the throughput predictions describe. Both are bound by
+// the AND+POPCNT they issue per sample word, and both derive the cells
+// they can: a triple costs TripleCounted (18) of its 27 cells, a pair
+// PairCounted (4) of its 9, so pairs scan that many times faster per
+// combination — 4.5, not the 27/9 = 3 of cell counts alone.
+const screenPairRateFactor = float64(contingency.TripleCounted) / contingency.PairCounted
 
 // minScreenSurvivors floors the survivor budget: below 3 SNPs stage 2
 // has no triples to search.

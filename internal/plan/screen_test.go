@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"trigene/internal/combin"
 )
 
 // modelScreen fetches the model's wall-time projections for wl by
@@ -21,6 +24,18 @@ func modelScreen(t *testing.T) *ScreenDecision {
 		t.Fatalf("no usable projections: %+v", d)
 	}
 	return d
+}
+
+// TestScreenPairRateFollowsCountedCells: the model charges a pair and a
+// triple by the cells their kernels count — 4 against 18 — so one
+// scanned pair is predicted at 4/18 of one searched triple.
+func TestScreenPairRateFollowsCountedCells(t *testing.T) {
+	model := modelScreen(t)
+	perTriple := model.PredictedExhaustiveSec / float64(combin.Triples(wl.SNPs))
+	perPair := model.PredictedStage1Sec / float64(combin.Pairs(wl.SNPs))
+	if got := perTriple / perPair; math.Abs(got-4.5) > 1e-9 {
+		t.Errorf("a triple is modeled at %.4g pairs, want 18/4 = 4.5", got)
+	}
 }
 
 // TestDecideScreenBudgetValidation: a screen cannot be sized for a

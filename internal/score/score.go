@@ -48,9 +48,12 @@ func (l *LnFact) At(n int) float64 {
 // K2 computes the Bayesian K2 score of a contingency table.
 // Lower is better. The LnFact table must cover N+1 where N is the
 // total sample count.
-func K2(t *contingency.Table, lf *LnFact) float64 {
+func K2(t *contingency.Table, lf *LnFact) float64 { return k2(t, lf, contingency.Cells) }
+
+// k2 sums the K2 terms of the first cells rows, in row order.
+func k2(t *contingency.Table, lf *LnFact, cells int) float64 {
 	score := 0.0
-	for combo := 0; combo < contingency.Cells; combo++ {
+	for combo := 0; combo < cells; combo++ {
 		r0 := int(t.Counts[0][combo])
 		r1 := int(t.Counts[1][combo])
 		score += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
@@ -61,18 +64,35 @@ func K2(t *contingency.Table, lf *LnFact) float64 {
 // MutualInformation computes I(combo; class) in nats from the table.
 // Higher is better. It is the objective used by the MPI3SNP baseline.
 func MutualInformation(t *contingency.Table) float64 {
-	n := float64(t.ClassTotal(0) + t.ClassTotal(1))
+	return mutualInformation(t, contingency.Cells)
+}
+
+// classTotals sums the first cells rows of each class.
+func classTotals(t *contingency.Table, cells int) (totals [2]int) {
+	for class := range totals {
+		for _, c := range t.Counts[class][:cells] {
+			totals[class] += int(c)
+		}
+	}
+	return totals
+}
+
+// mutualInformation is MutualInformation over the first cells rows, in
+// row order.
+func mutualInformation(t *contingency.Table, cells int) float64 {
+	totals := classTotals(t, cells)
+	n := float64(totals[0] + totals[1])
 	if n == 0 {
 		return 0
 	}
 	// I(X;Y) = H(class) + H(combo) - H(combo, class)
 	hClass := 0.0
 	for class := 0; class < 2; class++ {
-		p := float64(t.ClassTotal(class)) / n
+		p := float64(totals[class]) / n
 		hClass += entropyTerm(p)
 	}
 	hCombo, hJoint := 0.0, 0.0
-	for combo := 0; combo < contingency.Cells; combo++ {
+	for combo := 0; combo < cells; combo++ {
 		row := float64(t.Counts[0][combo]) + float64(t.Counts[1][combo])
 		hCombo += entropyTerm(row / n)
 		for class := 0; class < 2; class++ {
@@ -95,13 +115,17 @@ func entropyTerm(p float64) float64 {
 
 // Gini computes the count-weighted Gini impurity of the class split
 // across genotype combinations. Lower is better.
-func Gini(t *contingency.Table) float64 {
-	n := float64(t.ClassTotal(0) + t.ClassTotal(1))
+func Gini(t *contingency.Table) float64 { return gini(t, contingency.Cells) }
+
+// gini is Gini over the first cells rows, in row order.
+func gini(t *contingency.Table, cells int) float64 {
+	totals := classTotals(t, cells)
+	n := float64(totals[0] + totals[1])
 	if n == 0 {
 		return 0
 	}
 	g := 0.0
-	for combo := 0; combo < contingency.Cells; combo++ {
+	for combo := 0; combo < cells; combo++ {
 		r0 := float64(t.Counts[0][combo])
 		r1 := float64(t.Counts[1][combo])
 		row := r0 + r1
@@ -193,6 +217,33 @@ func New(name string, maxSamples int) (Objective, error) {
 	default:
 		return nil, fmt.Errorf("score: unknown objective %q (want k2, mi or gini)", name)
 	}
+}
+
+// PairScorer is implemented by objectives that can score an embedded
+// pair table (contingency.BuildPair) from its nine pair cells alone,
+// bit-identically to Score on the same table: rows 9..26 are empty, an
+// empty row adds exactly +0.0 to every sum of K2, MI and Gini, and each
+// objective keeps the summation order of its 27-row form. (The generic
+// cell-slice forms below do not: MICells pairs up the joint-entropy
+// terms.) All built-in objectives implement it; the pair engine falls
+// back to Score for any that does not.
+type PairScorer interface {
+	ScorePair(t *contingency.Table) float64
+}
+
+// ScorePair implements PairScorer.
+func (o *K2Objective) ScorePair(t *contingency.Table) float64 {
+	return k2(t, o.lf, contingency.PairCells)
+}
+
+// ScorePair implements PairScorer.
+func (MIObjective) ScorePair(t *contingency.Table) float64 {
+	return mutualInformation(t, contingency.PairCells)
+}
+
+// ScorePair implements PairScorer.
+func (GiniObjective) ScorePair(t *contingency.Table) float64 {
+	return gini(t, contingency.PairCells)
 }
 
 // Generic cell-slice scoring: the arbitrary-order (k-way) search mode

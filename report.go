@@ -97,7 +97,8 @@ type HeteroInfo struct {
 // from one trace order and nest without wall-clock comparisons.
 type TraceSpan struct {
 	// Name identifies the phase: "plan", "encode", "search" or
-	// "merge".
+	// "merge"; a screened search adds "screen", "subset", "stage2" and
+	// "seeded" inside "search".
 	Name string `json:"name"`
 	// StartNs is the span's start offset from the trace origin (the
 	// Search call's entry) in nanoseconds.

@@ -14,13 +14,13 @@ import (
 )
 
 // Two-stage screened search. Stage 1 scans all C(M,2) pairs with the
-// cheap 9-cell pair kernel, charging each pair's score to both
-// participating SNPs; the top-S SNPs by best participating pair score
-// survive (optionally with a seed list of top pairs). Stage 2 runs the
-// full triple engine only over the survivors — a C(S,3) space instead
-// of C(M,3) — plus, in seeded mode, every (seed pair, third SNP)
-// extension outside it. The pruning decision is recorded as
-// Report.Screen so results stay auditable.
+// cheap pair kernel (four cells counted, five derived), charging each
+// pair's score to both participating SNPs; the top-S SNPs by best
+// participating pair score survive (optionally with a seed list of top
+// pairs). Stage 2 runs the full triple engine only over the survivors
+// — a C(S,3) space instead of C(M,3) — plus, in seeded mode, every
+// (seed pair, third SNP) extension outside it. The pruning decision is
+// recorded as Report.Screen so results stay auditable.
 
 // ScreenSpec configures the screen (WithScreen). Exactly how the
 // survivor budget is set:
@@ -152,7 +152,10 @@ type ScreenInfo struct {
 	// survivor — the pruning cut line.
 	Threshold float64 `json:"threshold"`
 	// Stage1Ns and Stage2Ns split the wall time between the pair scan
-	// and the triple search.
+	// (with survivor selection) and everything after it: Stage2Ns covers
+	// gathering the survivor columns, the triple search over them and
+	// the seeded extension — the "subset", "stage2" and "seeded" spans
+	// of a traced Report.
 	Stage1Ns int64 `json:"stage1Ns"`
 	Stage2Ns int64 `json:"stage2Ns"`
 	// Declined records a planner decision not to screen (the search ran
@@ -425,14 +428,19 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 	}
 
 	// Stage 2: the configured backend runs unchanged over the gathered
-	// survivor columns; candidates come back in subset positions.
+	// survivor columns; candidates come back in subset positions. The
+	// trace splits what Stage2Ns sums: subset, stage2, seeded.
 	stage2 := time.Now()
+	subsetDone := tr.Start("subset")
 	sub, err := s.searcher.Subset(survivors)
+	subsetDone()
 	if err != nil {
 		return nil, err
 	}
 	subSession := &Session{store: sub.Store(), searcher: sub}
+	stage2Done := tr.Start("stage2")
 	rep, err := cfg.backend.search(ctx, subSession, cfg)
+	stage2Done()
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +450,10 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 	// ranked list; triples fully inside the survivor set are skipped
 	// (stage 2 already scored them).
 	if len(seeds) > 0 {
-		if err := s.runSeeded(ctx, cfg, rep, survivors, seeds); err != nil {
+		seededDone := tr.Start("seeded")
+		err := s.runSeeded(ctx, cfg, rep, survivors, seeds)
+		seededDone()
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package trigene_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"trigene"
@@ -93,6 +94,55 @@ func TestScreenTightRecall(t *testing.T) {
 	}
 }
 
+// TestScreenTraceSpans: a traced screened search accounts for itself —
+// one span per phase (screen, subset, stage2, seeded), in that order,
+// inside the search span, with the last three summing to no more than
+// the Stage2Ns they split. Without seeds there is no seeded span.
+func TestScreenTraceSpans(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		spec trigene.ScreenSpec
+		want []string
+	}{
+		{trigene.ScreenSpec{MaxSurvivors: 10, SeedPairs: 3}, []string{"screen", "subset", "stage2", "seeded", "search"}},
+		{trigene.ScreenSpec{MaxSurvivors: 10}, []string{"screen", "subset", "stage2", "search"}},
+	} {
+		rep, err := s.Search(ctx, trigene.WithTopK(3), trigene.WithTrace(), trigene.WithScreen(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Trace == nil {
+			t.Fatal("traced search carries no trace")
+		}
+		var names []string
+		spans := map[string]trigene.TraceSpan{}
+		for _, sp := range rep.Trace.Spans {
+			if sp.Name != "encode" { // present only when this search built an encoding
+				names = append(names, sp.Name)
+			}
+			spans[sp.Name] = sp
+		}
+		if fmt.Sprint(names) != fmt.Sprint(tc.want) {
+			t.Fatalf("spans %v, want %v", names, tc.want)
+		}
+		search := spans["search"]
+		var stage2Sum int64
+		for _, name := range tc.want[:len(tc.want)-1] {
+			sp := spans[name]
+			if sp.StartNs < search.StartNs || sp.StartNs+sp.DurationNs > search.StartNs+search.DurationNs {
+				t.Errorf("span %s [%d,+%d] lies outside search [%d,+%d]", name, sp.StartNs, sp.DurationNs, search.StartNs, search.DurationNs)
+			}
+			if name != "screen" {
+				stage2Sum += sp.DurationNs
+			}
+		}
+		if stage2Sum <= 0 || stage2Sum > rep.Screen.Stage2Ns {
+			t.Errorf("subset+stage2+seeded spans sum to %d ns, Stage2Ns is %d", stage2Sum, rep.Screen.Stage2Ns)
+		}
+	}
+}
+
 // TestScreenShardedMergeParity: a screened 2-shard run merged with
 // MergeReports must equal the screened single-node run, and the merge
 // must keep the screen audit trail. Locally each shard repeats the
@@ -132,6 +182,49 @@ func TestScreenShardedMergeParity(t *testing.T) {
 				t.Errorf("merged screen trail %+v, single-node %+v", merged.Screen, single.Screen)
 			}
 		})
+	}
+}
+
+// TestMergeScreensShardCountsMatchUnsharded: the stage-1 scan cut into
+// 1, 3 and 7 shards of the pair-rank space and merged with MergeScreens
+// equals the unsharded scan bit for bit — per-SNP bests, seen planes,
+// seed list and pair count — under every objective, on a dataset whose
+// classes are ragged (413 samples) and on one of three SNPs, where most
+// of seven shards are empty.
+func TestMergeScreensShardCountsMatchUnsharded(t *testing.T) {
+	ctx := context.Background()
+	for _, shape := range [][2]int{{17, 413}, {3, 150}} {
+		mx, err := trigene.Generate(trigene.GenConfig{SNPs: shape[0], Samples: shape[1], Seed: 21, MAFMin: 0.2, MAFMax: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := trigene.NewSession(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, objective := range []string{"k2", "mi", "gini"} {
+			full, err := s.ScreenStage1(ctx, 5, trigene.WithObjective(objective))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, count := range []int{1, 3, 7} {
+				parts := make([]*trigene.ScreenScores, count)
+				for i := range parts {
+					parts[i], err = s.ScreenStage1(ctx, 5, trigene.WithObjective(objective), trigene.WithShard(i, count))
+					if err != nil {
+						t.Fatalf("%v %s shard %d/%d: %v", shape, objective, i, count, err)
+					}
+				}
+				merged, err := trigene.MergeScreens(parts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged.DurationNs = full.DurationNs // wall time is the one field that may differ
+				if !reflect.DeepEqual(merged, full) {
+					t.Errorf("%v %s: %d shards merge to\n%+v\nunsharded scan\n%+v", shape, objective, count, merged, full)
+				}
+			}
+		}
 	}
 }
 
