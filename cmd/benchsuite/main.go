@@ -51,8 +51,8 @@
 //	                         # hot loop
 //	benchsuite -exp perm     # permutation-kernel audit (BENCH_PR10.json):
 //	                         # scalar vs bit-plane significance testing
-//	                         # (time-paired median of ratios), a batch-size
-//	                         # sweep, and a loopback-cluster fan-out check;
+//	                         # (time-paired median of ratios) and a
+//	                         # loopback-cluster fan-out check;
 //	                         # exits nonzero if the bit-plane kernel is not
 //	                         # at least 5x faster, if any p-value diverges
 //	                         # from the scalar reference (single-node or
@@ -2093,13 +2093,6 @@ func screenExp(outPath string) error {
 	return nil
 }
 
-// permBatchPoint is one batch size in the sweep: the wall time of the
-// full multi-candidate test with that many perm planes per kernel pass.
-type permBatchPoint struct {
-	Batch    int     `json:"batch"`
-	MedianMs float64 `json:"medianMs"`
-}
-
 // permSnapshot is the committed BENCH_PR10.json shape.
 type permSnapshot struct {
 	Schema     string `json:"schema"`
@@ -2118,8 +2111,6 @@ type permSnapshot struct {
 	BitPlaneMedianMs    float64 `json:"bitPlaneMedianMs"`
 	MedianPairedSpeedup float64 `json:"medianPairedSpeedup"`
 
-	BatchSweep []permBatchPoint `json:"batchSweep"`
-
 	PValuesBitExact      bool    `json:"pValuesBitExact"`
 	ClusterWorkers       int     `json:"clusterWorkers"`
 	ClusterTiles         int     `json:"clusterTiles"`
@@ -2129,7 +2120,7 @@ type permSnapshot struct {
 
 // Permutation-kernel audit shape: enough samples that the scalar
 // per-permutation table fill hurts, enough candidates that the shared
-// shuffle amortizes, and mixed orders so both the Table path (2–3) and
+// case plane amortizes, and mixed orders so both the Table path (2–3) and
 // the CellScorer path (4+) are on the clock.
 const (
 	permAuditSNPs    = 96
@@ -2151,8 +2142,8 @@ var permAuditCandidates = [][]int{
 }
 
 // permExp audits the bit-plane permutation kernel end to end. Each rep
-// runs the scalar reference path (permtest.K per candidate, the
-// pre-bit-plane implementation retained as the oracle) and the batched
+// runs the scalar reference path (permtest.K per candidate, the same
+// relabelings read one sample at a time) and the batched
 // multi-candidate kernel (permtest.KAll) back to back and contributes
 // one scalar/bit-plane wall-time ratio; the headline speedup is the
 // median of the paired ratios. Around the timing the audit checks the
@@ -2181,7 +2172,7 @@ func permExp(outPath string) error {
 		orders[i] = len(c)
 	}
 	snap := permSnapshot{
-		Schema:       "trigene-perm/1",
+		Schema:       "trigene-perm/2",
 		SNPs:         permAuditSNPs,
 		Samples:      permAuditSamples,
 		Seed:         permAuditSeed,
@@ -2247,29 +2238,6 @@ func permExp(outPath string) error {
 	snap.ScalarMedianMs = median(scalarMs)
 	snap.BitPlaneMedianMs = median(planeMs)
 	snap.MedianPairedSpeedup = median(ratios)
-
-	// Batch-size sweep: the same test at pinned batch widths (0 is the
-	// L1-sized default). Hit counts must not move — batch size is a
-	// cache-shaping knob, not a semantic one.
-	for _, b := range []int{0, 4, 8, 16, 32, 64} {
-		bcfg := cfg
-		bcfg.Batch = b
-		var ms []float64
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			res, err := permtest.KAll(mx, permAuditCandidates, bcfg)
-			if err != nil {
-				return err
-			}
-			ms = append(ms, float64(time.Since(t0).Microseconds())/1e3)
-			for i := range res {
-				if *res[i] != *oracle[i] {
-					snap.PValuesBitExact = false
-				}
-			}
-		}
-		snap.BatchSweep = append(snap.BatchSweep, permBatchPoint{Batch: b, MedianMs: median(ms)})
-	}
 
 	// Marginal allocations per permutation: KAllRange pays a fixed
 	// per-call setup (combo planes, worker scratch), so the difference
@@ -2347,13 +2315,6 @@ func permExp(outPath string) error {
 	t := report.NewTable("", "path", "median ms")
 	t.AddRowf("scalar reference", snap.ScalarMedianMs)
 	t.AddRowf("bit-plane batched", snap.BitPlaneMedianMs)
-	for _, p := range snap.BatchSweep {
-		label := fmt.Sprintf("bit-plane B=%d", p.Batch)
-		if p.Batch == 0 {
-			label = "bit-plane B=auto"
-		}
-		t.AddRowf(label, p.MedianMs)
-	}
 	if err := render(t); err != nil {
 		return err
 	}

@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	energyBudget := fs.Float64("energy-budget", 0, "cap the modeled power draw at this many watts (implies -auto; the plan records the DVFS operating point)")
 	permute := fs.Int("permute", 0, "permutation count for a significance test of the best candidate (0 = off)")
 	permCluster := fs.String("perm-cluster", "", "with -permute: fan the permutation test out over the cluster at this coordinator URL (the search itself stays local); merged p-values are bit-exact with the local run")
-	permBatch := fs.Int("perm-batch", 0, "with -permute: permuted phenotype planes counted per kernel pass (0 = L1-sized)")
 	screenSurvivors := fs.Int("screen-survivors", 0, "two-stage screening: keep the S best SNPs from a pairwise pre-scan and search triples only among them (0 = no screen)")
 	screenBudget := fs.Float64("screen-budget", 0, "two-stage screening under a time budget: the planner sizes the survivor set to fit this many seconds (0 = off; combinable with -screen-survivors as a cap)")
 	screenSeeds := fs.Int("screen-seeds", 0, "also extend the top-P screened pairs with every third SNP, guarding against survivors pruned by a marginal-free interaction (0 = default when screening)")
@@ -193,9 +192,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *workers > 0 {
 			permOpts = append(permOpts, trigene.WithWorkers(*workers))
-		}
-		if *permBatch > 0 {
-			permOpts = append(permOpts, trigene.WithPermBatch(*permBatch))
 		}
 		if *permCluster != "" {
 			permOpts = append(permOpts, trigene.WithCluster(cluster.NewClient(*permCluster)))

@@ -60,8 +60,8 @@ func main() {
 
 	// Stage 3: significance of every winner at once. The pairwise top-3
 	// and the 3-way winner go through one PermutationTestAll call, so
-	// each permuted phenotype (the dominant per-permutation cost) is
-	// shuffled once and shared across all four candidates.
+	// each relabeled phenotype is drawn once and shared across all four
+	// candidates.
 	candidates := make([][]int, 0, len(pairs.TopK)+1)
 	for _, c := range pairs.TopK {
 		candidates = append(candidates, c.SNPs)

@@ -13,19 +13,6 @@ import "math/bits"
 // which is the same ILP exposure SIMD gives. The order-3 search's own
 // vector kernel is contingency.PairBlock.
 
-// PopCountAnd2 returns popcount(x & y) over equally sized slices.
-func PopCountAnd2(x, y []uint64) int {
-	if len(y) == 0 {
-		return 0
-	}
-	_ = x[len(y)-1]
-	c := 0
-	for i := range y {
-		c += bits.OnesCount64(x[i] & y[i])
-	}
-	return c
-}
-
 // PopCountAnd3 returns popcount(x & y & z). This is the frequency-table
 // cell kernel once the phenotype has been factored out of the dataset
 // (approaches V2+).

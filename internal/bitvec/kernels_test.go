@@ -45,14 +45,6 @@ func TestPopCountKernelsAgainstReference(t *testing.T) {
 		if cs+ct != want {
 			t.Errorf("n=%d case(%d)+control(%d) != and3(%d)", n, cs, ct, want)
 		}
-		// And2 with an all-ones third operand equals And3.
-		ones := make([]uint64, n)
-		for i := range ones {
-			ones[i] = ^uint64(0)
-		}
-		if got := PopCountAnd2(x, y); got != PopCountAnd3(x, y, ones) {
-			t.Errorf("n=%d PopCountAnd2 inconsistent with And3", n)
-		}
 	}
 }
 

@@ -1000,7 +1000,7 @@ func (c *Coordinator) pinStage2Locked(j *job) {
 // stage-1 scan). Permutation jobs sum per-range hit counts instead
 // (MergePerms) and answer with a Report whose Perm block carries the
 // finalized p-values — bit-exact with a single-node run because every
-// range seeded its shuffles by absolute permutation index.
+// range keyed its relabelings by absolute permutation index.
 func (c *Coordinator) mergeLocked(j *job) {
 	if j.perm() {
 		merged, err := trigene.MergePerms(j.perms...)

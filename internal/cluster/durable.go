@@ -210,6 +210,24 @@ func (c *Coordinator) recoverLocked() error {
 				continue
 			}
 		}
+		// Replayed permutation ranges get the door check live ones got.
+		// It fails here for a journal another release wrote: its hit
+		// counts are draws of a different permutation stream, and
+		// finishing the job with this build's workers would sum the two
+		// into one p-value.
+		for tile, ps := range j.perms {
+			if ps == nil {
+				continue
+			}
+			if err := ps.ValidateShape(); err != nil {
+				c.cfg.Logger.Error("recovered permutation range refused", "job", j.id, "tile", tile, "error", err)
+				c.finishLocked(j, StateFailed, fmt.Sprintf("recovered permutation range of tile %d: %v", tile, err))
+				break
+			}
+		}
+		if j.state != StateRunning {
+			continue
+		}
 		if j.leases.Done() == j.tiles {
 			// Every tile completed but the finish record was lost with
 			// the crash: merge now, exactly as the uninterrupted run

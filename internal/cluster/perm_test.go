@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/wal"
 )
 
 // TestClusterPermParity is the permutation-job acceptance gate: a
@@ -138,5 +141,85 @@ func TestClusterPermSubmitValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestClusterPermRefusesForeignStream: hit counts drawn from another
+// permutation stream never reach a p-value. A range without the
+// "stream" field is what a worker of a release before the field posts
+// and what such a release's journal holds. Posted live it is refused at
+// the door and its tile stays open; found in the journal on recovery it
+// fails the job — the alternative is finishing the job with this
+// build's workers and summing two streams' hits.
+func TestClusterPermRefusesForeignStream(t *testing.T) {
+	mx := plantedMatrix(t)
+	sess, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := Config{LeaseTTL: 5 * time.Second, StateDir: t.TempDir()}
+	cl, proxy, _ := newDurableCluster(t, cfg)
+
+	candidates := [][]int{{3, 9, 15}, {0, 1}}
+	spec := trigene.SearchSpec{Perm: &trigene.PermSpec{SNPs: candidates, Permutations: 60, Seed: 5}}
+	id, err := cl.Submit(ctx, mx, spec, 2, "mixed fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := sess.PermutationSlice(ctx, candidates, 0, 30, trigene.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Stream = 0 // omitted on the wire
+	raw, err := json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "stream") {
+		t.Fatalf("stream-less range still carries the field: %s", raw)
+	}
+
+	g, ok, err := cl.lease(ctx, LeaseRequest{Worker: "old-release"})
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	if _, err := cl.completePerm(ctx, g.Granted[0].Token, foreign); err == nil || !strings.Contains(err.Error(), "permutation stream 1") {
+		t.Fatalf("stream-less range posted live: err = %v, want a permutation stream refusal", err)
+	}
+	if st, err := cl.Status(ctx, id); err != nil || st.State != StateRunning || st.Done != 0 {
+		t.Fatalf("after the refused post: %+v, %v", st, err)
+	}
+
+	// The same range as a journal record, appended behind the crashed
+	// coordinator's back.
+	proxy.crash()
+	l, err := wal.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(walRecord{T: recComplete, Job: id, Tile: 0, Perm: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	proxy.resume(t, cfg)
+	st, err := cl.Status(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "permutation stream 1") {
+		t.Fatalf("job with a stream-1 range in its journal recovered as %+v, want failed on the stream", st)
+	}
+
+	// The typed error is what every one of those paths surfaces.
+	var se *trigene.PermStreamError
+	if err := foreign.ValidateShape(); !errors.As(err, &se) || se.Got != 1 {
+		t.Errorf("ValidateShape on a stream-less range = %v, want a PermStreamError with Got 1", err)
 	}
 }

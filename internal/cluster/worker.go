@@ -423,8 +423,8 @@ func (w *Worker) executeScreenTile(ctx context.Context, hb *heartbeats, grant Le
 // executePermTile runs one permutation-range tile of a permutation job:
 // the grant's shard of the [0, P) permutation index space, evaluated
 // with Session.PermutationSlice and posted back as PermScores. Because
-// every permutation seeds its shuffle by absolute index, the range the
-// shard covers is bit-exact regardless of which worker runs it or how
+// every permutation keys its relabeling by absolute index, the range
+// the shard covers is bit-exact regardless of which worker runs it or how
 // the space was cut. Reports false when the whole batch should be
 // abandoned (the job was failed deterministically).
 func (w *Worker) executePermTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) bool {

@@ -22,3 +22,7 @@ func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[Pair
 func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int) {
 	panic("contingency: no assembly in this build")
 }
+
+func countPlanesAVX512(out *[PlaneBatch]int32, combo, planes *uint64, n int) {
+	panic("contingency: no assembly in this build")
+}

@@ -1,55 +1,45 @@
 // Bit-plane permutation kernel: the batched, allocation-free engine
 // behind KAll/KAllRange. A candidate's 3^k genotype-combination cells
 // are materialized once as combo bit planes (the AND of its per-SNP
-// genotype planes), so re-scoring under a permuted phenotype reduces to
-// one popcount per cell: cases = popcount(comboPlane AND permPlane),
-// controls = cellTotal − cases. Permuted phenotypes are packed into
-// case bit planes in batches of B, and the counting loop runs cells
-// outer / batch inner so each combo plane is loaded once per B
-// permutations while the whole batch stays L1-resident.
+// genotype planes), so re-scoring under a relabeled phenotype reduces
+// to one popcount per cell: cases = popcount(comboPlane AND casePlane),
+// controls = cellTotal − cases. Relabelings are drawn straight into
+// case bit planes (casePlane) in batches, and the counting loop runs
+// cells outer / batch inner, eight planes per pass of
+// contingency.CountPlanes, so each combo plane is loaded once per
+// eight permutations while the whole batch stays L1-resident.
 //
-// Determinism contract: permutation p draws its shuffle from a source
-// seeded with Seed + p*7919 — exactly the scalar reference path — so
-// hit counts are bit-identical to run/runCells for any worker count,
-// any batch size, and any decomposition of the permutation range
-// (which is what lets the cluster merge KAllRange tiles into p-values
-// bit-exact with a single-node run).
+// Determinism contract: permutation p of a seed is casePlane(seed, p) —
+// exactly the scalar reference path — so hit counts are bit-identical
+// to K for any worker count and any decomposition of the permutation
+// range (which is what lets the cluster merge KAllRange tiles into
+// p-values bit-exact with a single-node run).
 package permtest
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"trigene/internal/bitvec"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
-	"trigene/internal/score"
 )
 
 // l1PermBudget is the cache footprint the batched counting loop aims
-// for: one combo plane streaming against B resident perm planes plus
-// the B×cells count matrix. A third of a typical 32 KiB L1D goes to
-// each, mirroring the CARM sizing used by carm.FusedTileWords; the
-// constant is local so the kernel does not drag the planner in.
+// for: one combo plane streaming against the resident case planes plus
+// their rows of the count matrix, in a typical 32 KiB L1D. The constant
+// is local so the kernel does not drag the planner in.
 const l1PermBudget = 24 << 10
 
-// Batch size bounds: below minPermBatch the per-batch bookkeeping
-// dominates, above maxPermBatch the batch spills L1 on wide samples.
-const (
-	minPermBatch = 4
-	maxPermBatch = 64
-)
-
-// batchSize picks how many permuted phenotype planes to count per
-// kernel pass for the given plane width and cell count.
+// batchSize is how many case planes a worker draws before counting
+// them: the multiple of contingency.PlaneBatch that fits the L1 budget,
+// at least one pass's worth.
 func batchSize(words, cells int) int {
-	b := l1PermBudget / (words*8 + cells*4)
-	if b < minPermBatch {
-		b = minPermBatch
-	}
-	if b > maxPermBatch {
-		b = maxPermBatch
+	const pass = contingency.PlaneBatch
+	b := l1PermBudget / (words*8 + cells*4) / pass * pass
+	if b < pass {
+		b = pass
 	}
 	return b
 }
@@ -76,15 +66,12 @@ type planeCand struct {
 	planes []uint64 // cells combo planes, words each, contiguous
 	totals []int32  // popcount per combo plane (cell sample totals)
 	obs    float64
-	table  bool // score through contingency.Table (orders 2–3)
 }
 
-// KAll permutation-tests every candidate at once, sharing each permuted
-// phenotype across all of them: the Fisher–Yates shuffle and the plane
-// packing — the dominant per-permutation cost — are paid once per
-// permutation instead of once per permutation per candidate. Results
-// are bit-identical to calling K on each candidate separately with the
-// same Config. Candidates may mix orders 2 through contingency.MaxOrder.
+// KAll permutation-tests every candidate at once, sharing each drawn
+// case plane across all of them. Results are bit-identical to calling K
+// on each candidate separately with the same Config. Candidates may mix
+// orders 2 through contingency.MaxOrder.
 func KAll(mx *dataset.Matrix, candidates [][]int, cfg Config) ([]*Result, error) {
 	c, err := cfg.withDefaults(mx.Samples())
 	if err != nil {
@@ -96,12 +83,7 @@ func KAll(mx *dataset.Matrix, candidates [][]int, cfg Config) ([]*Result, error)
 	}
 	out := make([]*Result, len(candidates))
 	for i := range out {
-		out[i] = &Result{
-			Observed:       rr.Observed[i],
-			AsGoodOrBetter: rr.Hits[i],
-			Permutations:   c.Permutations,
-			PValue:         float64(rr.Hits[i]+1) / float64(c.Permutations+1),
-		}
+		out[i] = newResult(rr.Observed[i], rr.Hits[i], c.Permutations)
 	}
 	return out, nil
 }
@@ -109,7 +91,7 @@ func KAll(mx *dataset.Matrix, candidates [][]int, cfg Config) ([]*Result, error)
 // KAllRange runs the bit-plane kernel over permutation indices
 // [offset, offset+count) only — the primitive a cluster tile executes.
 // Config.Permutations is ignored; the range arguments govern. Because
-// permutation p is seeded by its absolute index, any partition of an
+// permutation p is keyed by its absolute index, any partition of an
 // index range yields Hits that sum to the single-range result exactly.
 func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Config) (*RangeResult, error) {
 	c, err := cfg.withDefaults(mx.Samples())
@@ -122,9 +104,6 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("permtest: no candidates")
 	}
-	if c.Batch < 0 {
-		return nil, fmt.Errorf("permtest: invalid batch size %d", c.Batch)
-	}
 	bin := c.Planes
 	if bin == nil {
 		bin = dataset.Binarize(mx)
@@ -134,11 +113,11 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 			bin.M, bin.N, mx.SNPs(), mx.Samples())
 	}
 
-	scorer, _ := c.Objective.(score.CellScorer)
 	cands := make([]planeCand, len(candidates))
+	cs := newCellScore(c.Objective)
 	maxCells := 0
 	for i, snps := range candidates {
-		if err := buildCand(mx, bin, snps, c.Objective, scorer, &cands[i]); err != nil {
+		if err := buildCand(bin, snps, cs, &cands[i]); err != nil {
 			return nil, err
 		}
 		if cands[i].cells > maxCells {
@@ -146,23 +125,26 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 		}
 	}
 
-	words := bin.Words
-	n := mx.Samples()
-	batch := c.Batch
-	if batch == 0 {
-		batch = batchSize(words, maxCells)
+	// The observed tables come through the kernel's own count and score
+	// code: the real phenotype is one more case plane.
+	ps := newPermScratch(c, len(cands), bin.Words, maxCells)
+	copy(ps.planes, bin.Phen.Words())
+	for i := range cands {
+		ps.count(&cands[i], 1)
+		cands[i].obs = ps.score(&cands[i], 0)
 	}
-	phen := mx.Phenotypes()
 
+	nCases := bin.Phen.OnesCount()
 	hitsPer := make([][]int, c.Workers)
+	var next atomic.Int64 // first unclaimed permutation of the range, less offset
 	var wg sync.WaitGroup
 	for w := 0; w < c.Workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps := newPermScratch(c.Objective, len(cands), words, n, batch, maxCells)
-			hitsPer[w] = ps.permWorker(c, cands, phen, words, n, batch, offset, count, w)
+			ps := newPermScratch(c, len(cands), bin.Words, maxCells)
+			hitsPer[w] = ps.permWorker(c, cands, bin.N, nCases, offset, count, &next)
 		}()
 	}
 	wg.Wait()
@@ -186,39 +168,27 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 	return rr, nil
 }
 
-// buildCand validates one candidate and materializes its kernel state:
-// combo planes, cell totals, and the observed score computed through
-// the same oracle as the scalar reference path (Table scoring for
-// orders 2–3, CellScorer beyond), so observed-vs-permuted comparisons
-// are bit-identical to K.
-func buildCand(mx *dataset.Matrix, bin *dataset.Binarized, snps []int, obj score.Objective, scorer score.CellScorer, out *planeCand) error {
-	k := len(snps)
-	if k < 2 || k > contingency.MaxOrder {
-		return fmt.Errorf("permtest: order %d out of [2,%d]", k, contingency.MaxOrder)
+// buildCand validates one candidate and materializes its combo planes
+// and cell totals.
+func buildCand(bin *dataset.Binarized, snps []int, cs *cellScore, out *planeCand) error {
+	if err := checkCombo(bin.M, snps); err != nil {
+		return err
 	}
-	for i, v := range snps {
-		if v < 0 || v >= mx.SNPs() || (i > 0 && snps[i-1] >= v) {
-			return fmt.Errorf("permtest: invalid combination %v", snps)
-		}
+	k := len(snps)
+	if err := cs.check(k); err != nil {
+		return err
 	}
 	cells := contingency.CellsK(k)
 	words := bin.Words
 	out.cells = cells
-	out.table = k <= 3
 	out.planes = make([]uint64, cells*words)
 	out.totals = make([]int32, cells)
-	if !out.table && scorer == nil {
-		return fmt.Errorf("permtest: objective %q cannot score %d-way tables", obj.Name(), k)
-	}
 
 	// Cell c's combo plane is the AND of one genotype plane per SNP;
 	// the digit order matches contingency.ComboIndex/PairComboIndex
 	// (first SNP is the most significant base-3 digit). Genotype
 	// planes are tail-clean, so the ANDs are too.
-	pow := 1
-	for i := 0; i < k-1; i++ {
-		pow *= 3
-	}
+	pow := cells / 3
 	for cell := 0; cell < cells; cell++ {
 		dst := out.planes[cell*words : (cell+1)*words]
 		copy(dst, bin.Plane(snps[0], cell/pow))
@@ -232,135 +202,100 @@ func buildCand(mx *dataset.Matrix, bin *dataset.Binarized, snps []int, obj score
 		}
 		out.totals[cell] = int32(bitvec.PopCount(dst))
 	}
-
-	switch k {
-	case 2:
-		obs := contingency.BuildReferencePair(mx, snps[0], snps[1])
-		out.obs = obj.Score(&obs)
-	case 3:
-		obs := contingency.BuildReference(mx, snps[0], snps[1], snps[2])
-		out.obs = obj.Score(&obs)
-	default:
-		ctrl, cases := make([]int32, cells), make([]int32, cells)
-		if err := contingency.BuildReferenceK(mx, snps, ctrl, cases); err != nil {
-			return err
-		}
-		out.obs = scorer.ScoreCells(ctrl, cases)
-	}
 	return nil
 }
 
-// permScratch is one worker's preallocated state: label buffer, the
-// B-plane batch, the B×cells count matrix, scoring slices, and the
-// reseedable RNG. Everything the steady-state loop touches lives here,
-// so the loop itself is allocation-free.
+// permScratch is one worker's preallocated state: the batch of case
+// planes, the batch × cells count matrix and the scoring slices.
+// Everything the steady-state loop touches lives here, so the loop
+// itself is allocation-free.
 type permScratch struct {
-	local  []uint8
-	planes []uint64 // batch perm planes, words each
-	cnt    []int32  // batch × maxCells count matrix
+	words  int
+	planes []uint64 // batch case planes, words each
+	cnt    []int32  // batch rows of maxCells case counts
 	ctrl   []int32
-	cases  []int32
 	hits   []int
-	tab    contingency.Table
-	scorer score.CellScorer
-	// Reseeding a single source per permutation reproduces the scalar
-	// path's rand.New(rand.NewSource(...)) stream without its per-
-	// permutation allocations.
-	src rand.Source
-	rng *rand.Rand
+	cs     *cellScore
 }
 
-func newPermScratch(obj score.Objective, nCands, words, n, batch, maxCells int) *permScratch {
-	ps := &permScratch{
-		local:  make([]uint8, n),
+func newPermScratch(c Config, nCands, words, maxCells int) *permScratch {
+	batch := batchSize(words, maxCells)
+	return &permScratch{
+		words:  words,
 		planes: make([]uint64, batch*words),
 		cnt:    make([]int32, batch*maxCells),
 		ctrl:   make([]int32, maxCells),
-		cases:  make([]int32, maxCells),
 		hits:   make([]int, nCands),
-		src:    rand.NewSource(0),
+		cs:     newCellScore(c.Objective),
 	}
-	ps.scorer, _ = obj.(score.CellScorer)
-	ps.rng = rand.New(ps.src)
-	return ps
 }
 
-// permWorker runs one worker's strided share of the permutation range:
-// shuffle, pack, and once batch planes accumulate, count and score the
-// whole batch against every candidate. The returned slice is
-// ps.hits — per-candidate as-good-or-better counts for this worker's
-// stride.
-func (ps *permScratch) permWorker(c Config, cands []planeCand, phen []uint8, words, n, batch, offset, count, w int) []int {
-	for i := range ps.hits {
-		ps.hits[i] = 0
-	}
-	nb := 0
-	for p := offset + w; p < offset+count; p += c.Workers {
-		if c.Context.Err() != nil {
-			return ps.hits
+// permWorker runs one worker: claim the next unclaimed batch of the
+// permutation range, draw its case planes, count and score them against
+// every candidate, until the range is spent. Claiming instead of
+// striding keeps a call's time at work over total speed when one core
+// runs slower than another; which worker draws a permutation does not
+// matter to the sums. The returned slice is ps.hits — per-candidate
+// as-good-or-better counts for the batches this worker claimed.
+func (ps *permScratch) permWorker(c Config, cands []planeCand, n, nCases, offset, count int, next *atomic.Int64) []int {
+	clear(ps.hits)
+	words := ps.words
+	batch := len(ps.planes) / words
+	for c.Context.Err() == nil {
+		lo := int(next.Add(int64(batch))) - batch
+		if lo >= count {
+			break
 		}
-		copy(ps.local, phen)
-		ps.src.Seed(c.Seed + int64(p)*7919)
-		for s := n - 1; s > 0; s-- {
-			t := ps.rng.Intn(s + 1)
-			ps.local[s], ps.local[t] = ps.local[t], ps.local[s]
+		nb := min(batch, count-lo)
+		for b := 0; b < nb; b++ {
+			casePlane(ps.planes[b*words:(b+1)*words], n, nCases, c.Seed, offset+lo+b)
 		}
-		// The shuffled labels become a case bit plane. Unwritten tail
-		// words stay zero, so the AND results are tail-clean.
-		plane := ps.planes[nb*words : (nb+1)*words]
-		for i := range plane {
-			plane[i] = 0
-		}
-		for s, v := range ps.local {
-			plane[s>>6] |= uint64(v) << (uint(s) & 63)
-		}
-		nb++
-		if nb == batch {
-			ps.flush(c, cands, words, nb)
-			nb = 0
-		}
-	}
-	if nb > 0 {
-		ps.flush(c, cands, words, nb)
+		ps.flush(cands, nb)
 	}
 	return ps.hits
 }
 
-// flush counts and scores the nb accumulated perm planes against every
+// flush counts and scores the nb accumulated case planes against every
 // candidate.
-func (ps *permScratch) flush(c Config, cands []planeCand, words, nb int) {
+func (ps *permScratch) flush(cands []planeCand, nb int) {
 	for ci := range cands {
 		cand := &cands[ci]
-		cells := cand.cells
-		// Cells outer, batch inner: one combo plane streams against
-		// the resident batch, loading each combo word once per nb
-		// permutations.
-		for cell := 0; cell < cells; cell++ {
-			combo := cand.planes[cell*words : (cell+1)*words]
-			for b := 0; b < nb; b++ {
-				ps.cnt[b*cells+cell] = int32(bitvec.PopCountAnd2(combo, ps.planes[b*words:(b+1)*words]))
-			}
-		}
+		ps.count(cand, nb)
 		for b := 0; b < nb; b++ {
-			row := ps.cnt[b*cells : (b+1)*cells]
-			var sc float64
-			if cand.table {
-				ps.tab = contingency.Table{}
-				for cell, cs := range row {
-					ps.tab.Counts[dataset.Case][cell] = cs
-					ps.tab.Counts[dataset.Control][cell] = cand.totals[cell] - cs
-				}
-				sc = c.Objective.Score(&ps.tab)
-			} else {
-				for cell, cs := range row {
-					ps.cases[cell] = cs
-					ps.ctrl[cell] = cand.totals[cell] - cs
-				}
-				sc = ps.scorer.ScoreCells(ps.ctrl[:cells], ps.cases[:cells])
-			}
-			if sc == cand.obs || c.Objective.Better(sc, cand.obs) {
+			if ps.cs.hit(ps.score(cand, b), cand.obs) {
 				ps.hits[ci]++
 			}
 		}
 	}
+}
+
+// count fills rows 0..nb-1 of the count matrix with the candidate's
+// per-cell case counts. Cells outer, batch inner: one combo plane
+// streams against the resident batch, a pass of PlaneBatch planes at a
+// time. A ragged last pass also counts the stale planes behind nb;
+// their rows are never scored.
+func (ps *permScratch) count(cand *planeCand, nb int) {
+	const pass = contingency.PlaneBatch
+	words, cells := ps.words, cand.cells
+	var c [pass]int32
+	for cell := 0; cell < cells; cell++ {
+		combo := cand.planes[cell*words : (cell+1)*words]
+		for b := 0; b < nb; b += pass {
+			contingency.CountPlanes(&c, combo, ps.planes[b*words:(b+pass)*words])
+			for i, v := range c {
+				ps.cnt[(b+i)*cells+cell] = v
+			}
+		}
+	}
+}
+
+// score scores row b of the count matrix: controls are the cell totals
+// minus the cases.
+func (ps *permScratch) score(cand *planeCand, b int) float64 {
+	cases := ps.cnt[b*cand.cells : (b+1)*cand.cells]
+	ctrl := ps.ctrl[:cand.cells]
+	for cell, cs := range cases {
+		ctrl[cell] = cand.totals[cell] - cs
+	}
+	return ps.cs.score(ctrl, cases)
 }

@@ -1,6 +1,7 @@
 package permtest
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"trigene/internal/dataset"
@@ -66,6 +67,37 @@ func TestBitPlaneParityObjectives(t *testing.T) {
 	}
 }
 
+// TestBitPlaneParityDegenerateClasses: one case, one control, no cases
+// and no controls — the class sizes where an exact-weight draw could
+// spin or a count could go negative — terminate and match the scalar
+// reference.
+func TestBitPlaneParityDegenerateClasses(t *testing.T) {
+	const n = 130
+	for _, nCases := range []int{0, 1, n - 1, n} {
+		mx := nullMatrix(59, 6, n)
+		for s := 0; s < n; s++ {
+			mx.SetPhen(s, dataset.Control)
+		}
+		for s := 0; s < nCases; s++ {
+			mx.SetPhen((s*37+5)%n, dataset.Case)
+		}
+		for _, snps := range [][]int{{0, 3}, {1, 2, 5}, {0, 1, 3, 4}} {
+			cfg := Config{Permutations: 40, Seed: 16}
+			want, err := K(mx, snps, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := KAll(mx, [][]int{snps}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got[0] != *want {
+				t.Errorf("nCases=%d %v: bit-plane %+v != scalar %+v", nCases, snps, got[0], want)
+			}
+		}
+	}
+}
+
 // TestBitPlaneMultiCandidate checks that sharing permuted planes across
 // a mixed-order candidate set changes nothing: each candidate's result
 // equals its standalone scalar test.
@@ -88,28 +120,26 @@ func TestBitPlaneMultiCandidate(t *testing.T) {
 	}
 }
 
-// TestBitPlaneWorkersAndBatches: the kernel is deterministic across
-// worker counts and batch sizes.
-func TestBitPlaneWorkersAndBatches(t *testing.T) {
+// TestBitPlaneWorkers: the kernel is deterministic across worker
+// counts, whichever worker claims which batch. 200 permutations are a
+// full batch and a ragged one.
+func TestBitPlaneWorkers(t *testing.T) {
 	mx := nullMatrix(53, 10, 200)
 	candidates := [][]int{{0, 3, 7}, {2, 8}}
 	var first []*Result
 	for _, workers := range []int{1, 2, 5} {
-		for _, batch := range []int{0, 1, 7, 64} {
-			cfg := Config{Permutations: 64, Seed: 12, Workers: workers, Batch: batch}
-			res, err := KAll(mx, candidates, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = res
-				continue
-			}
-			for i := range res {
-				if *res[i] != *first[i] {
-					t.Errorf("workers=%d batch=%d candidate %d: %+v != %+v",
-						workers, batch, i, res[i], first[i])
-				}
+		cfg := Config{Permutations: 200, Seed: 12, Workers: workers}
+		res, err := KAll(mx, candidates, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		for i := range res {
+			if *res[i] != *first[i] {
+				t.Errorf("workers=%d candidate %d: %+v != %+v", workers, i, res[i], first[i])
 			}
 		}
 	}
@@ -184,9 +214,6 @@ func TestBitPlaneValidation(t *testing.T) {
 	if _, err := KAll(mx, [][]int{{0, 9}}, Config{}); err == nil {
 		t.Error("out-of-range candidate accepted")
 	}
-	if _, err := KAll(mx, [][]int{{0, 1}}, Config{Batch: -2}); err == nil {
-		t.Error("negative batch accepted")
-	}
 	if _, err := KAllRange(mx, [][]int{{0, 1}}, -1, 10, Config{}); err == nil {
 		t.Error("negative offset accepted")
 	}
@@ -199,10 +226,13 @@ func TestBitPlaneValidation(t *testing.T) {
 	}
 }
 
-// TestBitPlaneSteadyStateAllocs: the per-permutation loop — shuffle,
-// pack, count, score — must not allocate at all once the per-worker
-// scratch exists. The probe preallocates the scratch and drives the
-// worker loop directly, asserting exactly zero allocations per run.
+// TestBitPlaneSteadyStateAllocs: the per-permutation loop — draw,
+// count, score — must not allocate at all once the per-worker scratch
+// exists. The probe preallocates the scratch and drives the worker loop
+// directly, asserting exactly zero allocations per run. The counts of a
+// pass live on count's stack and go to the assembly by pointer: without
+// //go:noescape on the CountPlanes stub every pass would move them to
+// the heap, and this test is what notices.
 func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 	mx := nullMatrix(58, 10, 256)
 	candidates := [][]int{{0, 2, 4}, {1, 7}, {3, 5, 8, 9}}
@@ -211,26 +241,24 @@ func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorer, _ := c.Objective.(score.CellScorer)
 	cands := make([]planeCand, len(candidates))
+	cs := newCellScore(c.Objective)
 	maxCells := 0
 	for i, snps := range candidates {
-		if err := buildCand(mx, c.Planes, snps, c.Objective, scorer, &cands[i]); err != nil {
+		if err := buildCand(c.Planes, snps, cs, &cands[i]); err != nil {
 			t.Fatal(err)
 		}
 		if cands[i].cells > maxCells {
 			maxCells = cands[i].cells
 		}
 	}
-	words := c.Planes.Words
-	n := mx.Samples()
-	batch := batchSize(words, maxCells)
-	phen := mx.Phenotypes()
-	ps := newPermScratch(c.Objective, len(cands), words, n, batch, maxCells)
+	_, nCases := mx.ClassCounts()
+	ps := newPermScratch(c, len(cands), c.Planes.Words, maxCells)
 
-	const perms = 64
+	const perms = 100
 	avg := testing.AllocsPerRun(10, func() {
-		ps.permWorker(c, cands, phen, words, n, batch, 0, perms, 0)
+		var next atomic.Int64
+		ps.permWorker(c, cands, mx.Samples(), nCases, 0, perms, &next)
 	})
 	if avg != 0 {
 		t.Errorf("hot path allocates: %.1f allocs per %d permutations, want 0", avg, perms)

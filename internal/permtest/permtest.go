@@ -11,10 +11,10 @@ package permtest
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 
+	"trigene/internal/bitvec"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/score"
@@ -25,8 +25,9 @@ type Config struct {
 	// Permutations is the number of phenotype relabelings (default
 	// 1000; the p-value resolution is 1/(Permutations+1)).
 	Permutations int
-	// Seed makes the test reproducible. Results are deterministic for
-	// a given seed regardless of Workers.
+	// Seed makes the test reproducible: permutation p is casePlane of
+	// (Seed, p), so results are deterministic for a given seed
+	// regardless of Workers.
 	Seed int64
 	// Workers is the parallelism (default all cores).
 	Workers int
@@ -39,11 +40,8 @@ type Config struct {
 	Context context.Context
 	// Planes optionally supplies prebuilt genotype bit planes for the
 	// bit-plane kernel (KAll/KAllRange); nil binarizes the matrix on
-	// first use. Scalar paths ignore it.
+	// first use. The scalar path ignores it.
 	Planes *dataset.Binarized
-	// Batch is the number of permuted phenotype planes counted per
-	// kernel pass (0 picks an L1-sized batch). Scalar paths ignore it.
-	Batch int
 }
 
 // Result summarizes a permutation test.
@@ -57,6 +55,15 @@ type Result struct {
 	Permutations int
 	// PValue is (AsGoodOrBetter + 1) / (Permutations + 1).
 	PValue float64
+}
+
+func newResult(observed float64, hits, permutations int) *Result {
+	return &Result{
+		Observed:       observed,
+		AsGoodOrBetter: hits,
+		Permutations:   permutations,
+		PValue:         float64(hits+1) / float64(permutations+1),
+	}
 }
 
 func (c Config) withDefaults(maxSamples int) (Config, error) {
@@ -83,108 +90,108 @@ func (c Config) withDefaults(maxSamples int) (Config, error) {
 
 // Triple tests the significance of the 3-way candidate (i, j, k).
 func Triple(mx *dataset.Matrix, i, j, k int, cfg Config) (*Result, error) {
-	if !(0 <= i && i < j && j < k && k < mx.SNPs()) {
-		return nil, fmt.Errorf("permtest: invalid triple (%d,%d,%d)", i, j, k)
-	}
-	combos := comboRow3(mx, i, j, k)
-	obs := contingency.BuildReference(mx, i, j, k)
-	return run(mx, combos, &obs, cfg)
+	return K(mx, []int{i, j, k}, cfg)
 }
 
 // Pair tests the significance of the 2-way candidate (i, j).
 func Pair(mx *dataset.Matrix, i, j int, cfg Config) (*Result, error) {
-	if !(0 <= i && i < j && j < mx.SNPs()) {
-		return nil, fmt.Errorf("permtest: invalid pair (%d,%d)", i, j)
+	return K(mx, []int{i, j}, cfg)
+}
+
+// checkCombo validates one candidate against a dataset of m SNPs.
+func checkCombo(m int, snps []int) error {
+	k := len(snps)
+	if k < 2 || k > contingency.MaxOrder {
+		return fmt.Errorf("permtest: order %d out of [2,%d]", k, contingency.MaxOrder)
 	}
-	combos := comboRow2(mx, i, j)
-	obs := contingency.BuildReferencePair(mx, i, j)
-	return run(mx, combos, &obs, cfg)
+	for i, v := range snps {
+		if v < 0 || v >= m || (i > 0 && snps[i-1] >= v) {
+			return fmt.Errorf("permtest: invalid combination %v", snps)
+		}
+	}
+	return nil
+}
+
+// cellScore scores 3^k-cell count slices the way the scan that produced
+// a candidate did: through a contingency.Table for orders 2–3 (pairs
+// embedded in cells 0..8), through score.CellScorer beyond. It holds a
+// scratch table, so each goroutine needs its own.
+type cellScore struct {
+	obj   score.Objective
+	cells score.CellScorer // nil: obj scores tables only
+	tab   contingency.Table
+}
+
+func newCellScore(obj score.Objective) *cellScore {
+	cs := &cellScore{obj: obj}
+	cs.cells, _ = obj.(score.CellScorer)
+	return cs
+}
+
+// check reports whether candidates of order k can be scored.
+func (cs *cellScore) check(k int) error {
+	if k > 3 && cs.cells == nil {
+		return fmt.Errorf("permtest: objective %q cannot score %d-way tables", cs.obj.Name(), k)
+	}
+	return nil
+}
+
+func (cs *cellScore) score(ctrl, cases []int32) float64 {
+	if len(ctrl) > contingency.Cells {
+		return cs.cells.ScoreCells(ctrl, cases)
+	}
+	cs.tab = contingency.Table{}
+	copy(cs.tab.Counts[dataset.Control][:], ctrl)
+	copy(cs.tab.Counts[dataset.Case][:], cases)
+	return cs.obj.Score(&cs.tab)
+}
+
+// hit reports whether a permuted score ties or beats the observed one.
+func (cs *cellScore) hit(sc, obs float64) bool {
+	return sc == obs || cs.obj.Better(sc, obs)
 }
 
 // K tests the significance of an arbitrary-order candidate; the order
 // is len(snps), in [2, contingency.MaxOrder], and snps must be strictly
-// increasing. Orders 2 and 3 take the specialized table paths; higher
-// orders require an Objective implementing score.CellScorer (all
-// built-in objectives do).
+// increasing. Orders beyond 3 require an Objective implementing
+// score.CellScorer (all built-in objectives do).
+//
+// K is the scalar reference of the bit-plane kernel (KAll/KAllRange):
+// it draws the same relabelings (casePlane) but reads them one sample
+// at a time against the genotype matrix — no combo planes, no
+// popcounts, observed table from contingency.BuildReferenceK — so the
+// kernel's planes and counts are checked against independent code.
 func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
-	k := len(snps)
-	if k < 2 || k > contingency.MaxOrder {
-		return nil, fmt.Errorf("permtest: order %d out of [2,%d]", k, contingency.MaxOrder)
-	}
-	for i, v := range snps {
-		if v < 0 || v >= mx.SNPs() || (i > 0 && snps[i-1] >= v) {
-			return nil, fmt.Errorf("permtest: invalid combination %v", snps)
-		}
-	}
-	switch k {
-	case 2:
-		return Pair(mx, snps[0], snps[1], cfg)
-	case 3:
-		return Triple(mx, snps[0], snps[1], snps[2], cfg)
+	if err := checkCombo(mx.SNPs(), snps); err != nil {
+		return nil, err
 	}
 	c, err := cfg.withDefaults(mx.Samples())
 	if err != nil {
 		return nil, err
 	}
-	scorer, ok := c.Objective.(score.CellScorer)
-	if !ok {
-		return nil, fmt.Errorf("permtest: objective %q cannot score %d-way tables", c.Objective.Name(), k)
+	cs := newCellScore(c.Objective)
+	if err := cs.check(len(snps)); err != nil {
+		return nil, err
 	}
-	cells := contingency.CellsK(k)
+	cells := contingency.CellsK(len(snps))
 	obsCtrl, obsCases := make([]int32, cells), make([]int32, cells)
 	if err := contingency.BuildReferenceK(mx, snps, obsCtrl, obsCases); err != nil {
 		return nil, err
 	}
-	combos := comboRowK(mx, snps)
-	return runCells(mx, combos, cells, scorer.ScoreCells(obsCtrl, obsCases), c)
-}
+	obs := cs.score(obsCtrl, obsCases)
 
-// comboRow3 precomputes each sample's genotype-combination cell for the
-// triple, so each permutation only pays one table fill.
-func comboRow3(mx *dataset.Matrix, i, j, k int) []uint8 {
+	// Each sample's genotype-combination cell, so a permutation only
+	// pays one table fill.
 	n := mx.Samples()
-	out := make([]uint8, n)
-	ri, rj, rk := mx.Row(i), mx.Row(j), mx.Row(k)
-	for s := 0; s < n; s++ {
-		out[s] = uint8(contingency.ComboIndex(int(ri[s]), int(rj[s]), int(rk[s])))
-	}
-	return out
-}
-
-func comboRow2(mx *dataset.Matrix, i, j int) []uint8 {
-	n := mx.Samples()
-	out := make([]uint8, n)
-	ri, rj := mx.Row(i), mx.Row(j)
-	for s := 0; s < n; s++ {
-		out[s] = uint8(contingency.PairComboIndex(int(ri[s]), int(rj[s])))
-	}
-	return out
-}
-
-// comboRowK is the arbitrary-order analogue; 3^k cells exceed a uint8
-// beyond order 5, hence the wider element type.
-func comboRowK(mx *dataset.Matrix, snps []int) []uint16 {
-	n := mx.Samples()
-	out := make([]uint16, n)
-	rows := make([][]uint8, len(snps))
-	for d, snp := range snps {
-		rows[d] = mx.Row(snp)
-	}
-	for s := 0; s < n; s++ {
+	combos := make([]uint16, n)
+	for s := range combos {
 		cell := 0
-		for _, row := range rows {
-			cell = cell*3 + int(row[s])
+		for _, snp := range snps {
+			cell = cell*3 + int(mx.Geno(snp, s))
 		}
-		out[s] = uint16(cell)
+		combos[s] = uint16(cell)
 	}
-	return out
-}
-
-// runCells is the generic-order permutation loop over 3^k cell slices.
-func runCells(mx *dataset.Matrix, combos []uint16, cells int, obsScore float64, c Config) (*Result, error) {
-	scorer := c.Objective.(score.CellScorer)
-	phen := append([]uint8(nil), mx.Phenotypes()...)
-	n := len(phen)
+	_, nCases := mx.ClassCounts()
 
 	counts := make([]int, c.Workers)
 	var wg sync.WaitGroup
@@ -193,38 +200,25 @@ func runCells(mx *dataset.Matrix, combos []uint16, cells int, obsScore float64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := append([]uint8(nil), phen...)
-			ctrl := make([]int32, cells)
-			cases := make([]int32, cells)
-			// One RNG per worker, reseeded per permutation: Seed resets
-			// the source to the exact state rand.NewSource would mint, so
-			// the shuffle order is bit-identical to the historical
-			// per-permutation rand.New at zero steady-state allocations.
-			src := rand.NewSource(0)
-			rng := rand.New(src)
+			cs := newCellScore(c.Objective)
+			plane := make([]uint64, bitvec.WordsFor(n))
+			ctrl, cases := make([]int32, cells), make([]int32, cells)
 			hits := 0
 			for p := w; p < c.Permutations; p += c.Workers {
 				if c.Context.Err() != nil {
 					return
 				}
-				copy(local, phen)
-				src.Seed(c.Seed + int64(p)*7919)
-				for s := n - 1; s > 0; s-- {
-					t := rng.Intn(s + 1)
-					local[s], local[t] = local[t], local[s]
-				}
-				for i := range ctrl {
-					ctrl[i], cases[i] = 0, 0
-				}
-				for s := 0; s < n; s++ {
-					if local[s] == dataset.Case {
-						cases[combos[s]]++
+				casePlane(plane, n, nCases, c.Seed, p)
+				clear(ctrl)
+				clear(cases)
+				for s, cell := range combos {
+					if plane[s>>6]>>(uint(s)&63)&1 != 0 {
+						cases[cell]++
 					} else {
-						ctrl[combos[s]]++
+						ctrl[cell]++
 					}
 				}
-				sc := scorer.ScoreCells(ctrl, cases)
-				if sc == obsScore || c.Objective.Better(sc, obsScore) {
+				if cs.hit(cs.score(ctrl, cases), obs) {
 					hits++
 				}
 			}
@@ -240,75 +234,5 @@ func runCells(mx *dataset.Matrix, combos []uint16, cells int, obsScore float64, 
 	for _, h := range counts {
 		total += h
 	}
-	return &Result{
-		Observed:       obsScore,
-		AsGoodOrBetter: total,
-		Permutations:   c.Permutations,
-		PValue:         float64(total+1) / float64(c.Permutations+1),
-	}, nil
-}
-
-func run(mx *dataset.Matrix, combos []uint8, observed *contingency.Table, cfg Config) (*Result, error) {
-	c, err := cfg.withDefaults(mx.Samples())
-	if err != nil {
-		return nil, err
-	}
-	obsScore := c.Objective.Score(observed)
-
-	// The permuted tables only depend on how many cases land in each
-	// combo cell; shuffle a copy of the phenotype vector and recount.
-	phen := append([]uint8(nil), mx.Phenotypes()...)
-	n := len(phen)
-
-	counts := make([]int, c.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := append([]uint8(nil), phen...)
-			// Per-permutation reseeding of a reused source: deterministic
-			// under any worker count, allocation-free in steady state
-			// (Seed restores the exact rand.NewSource state).
-			src := rand.NewSource(0)
-			rng := rand.New(src)
-			hits := 0
-			for p := w; p < c.Permutations; p += c.Workers {
-				if c.Context.Err() != nil {
-					return
-				}
-				copy(local, phen)
-				src.Seed(c.Seed + int64(p)*7919)
-				for s := n - 1; s > 0; s-- {
-					t := rng.Intn(s + 1)
-					local[s], local[t] = local[t], local[s]
-				}
-				var tab contingency.Table
-				for s := 0; s < n; s++ {
-					tab.Counts[local[s]][combos[s]]++
-				}
-				sc := c.Objective.Score(&tab)
-				if sc == obsScore || c.Objective.Better(sc, obsScore) {
-					hits++
-				}
-			}
-			counts[w] = hits
-		}()
-	}
-	wg.Wait()
-	if err := c.Context.Err(); err != nil {
-		return nil, err
-	}
-
-	total := 0
-	for _, h := range counts {
-		total += h
-	}
-	return &Result{
-		Observed:       obsScore,
-		AsGoodOrBetter: total,
-		Permutations:   c.Permutations,
-		PValue:         float64(total+1) / float64(c.Permutations+1),
-	}, nil
+	return newResult(obs, total, c.Permutations), nil
 }

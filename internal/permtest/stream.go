@@ -1,0 +1,117 @@
+package permtest
+
+import (
+	"math/bits"
+
+	"trigene/internal/bitvec"
+)
+
+// Stream is the version of the permutation stream: which relabeling
+// permutation p of a seed is. Hit counts from different streams are
+// draws of different permutations and must never be summed into one
+// p-value, so the version travels with every range of a distributed
+// test. Version 1 was a math/rand Fisher–Yates shuffle of the labels.
+const Stream = 2
+
+// rng is a counter-based generator (wyrand: a Weyl sequence through a
+// 64 x 64 -> 128-bit multiply folded in half): the state only ever steps
+// by a constant, so a stream is fully named by where it starts, and a
+// word costs one multiply.
+type rng uint64
+
+const (
+	golden = 0x9e3779b97f4a7c15
+	weyl   = 0xa0761d6478bd642f
+)
+
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// newRNG keys a stream by (seed, p): the start is output p of the
+// SplitMix64 sequence the seed names.
+func newRNG(seed int64, p int) rng {
+	return rng(mix64(mix64(uint64(seed)) + golden*uint64(p)))
+}
+
+func (r *rng) next() uint64 {
+	*r += weyl
+	hi, lo := bits.Mul64(uint64(*r), uint64(*r)^0xe7037ed1a0b428db)
+	return hi ^ lo
+}
+
+// intn draws uniformly from [0, n) with no modulo bias (Lemire's
+// multiply-and-reject).
+func (r *rng) intn(n uint64) uint64 {
+	hi, lo := bits.Mul64(r.next(), n)
+	if lo < n {
+		for reject := -n % n; lo < reject; {
+			hi, lo = bits.Mul64(r.next(), n)
+		}
+	}
+	return hi
+}
+
+// digit folds one random word v into x under one binary digit of q,
+// given as a word m of 64 copies of it: x AND v under a 0, x OR v under
+// a 1.
+func digit(x, v, m uint64) uint64 { return (x | v&m) & (v | m) }
+
+// casePlane writes permutation p of the seed as a case bit plane over n
+// samples with exactly nCases bits set, tail-clean, uniform over all
+// such planes — which is all a relabeling is to a permutation test. No
+// label vector is shuffled or packed. Every sample first becomes a case
+// independently with probability q = round(256·nCases/n)/256: a word of
+// such bits comes from one random word per binary digit of q, least
+// significant first, AND-ed in under a 0 digit and OR-ed in under a 1
+// (that halves the probability, or halves it and adds a half). All
+// eight digits are always taken, the zeros below the lowest 1 too, so a
+// plane costs the same whatever the class ratio: how long a test takes
+// depends on the size of the cohort and never on its phenotype. Then
+// uniformly drawn positions are flipped, those already in the wanted
+// state left alone, until the count is exact; about √n/2 + n/512 flips.
+// Both steps treat every position alike, so all planes of the final
+// weight are equally likely whatever q was; q only sets how many flips
+// there are.
+func casePlane(dst []uint64, n, nCases int, seed int64, p int) {
+	if n == 0 {
+		return
+	}
+	r := newRNG(seed, p)
+	q := uint((256*nCases + n/2) / n)
+	var m [9]uint64 // m[8]: q = 256, every sample a case
+	for d := range m {
+		m[d] = -uint64(q >> d & 1)
+	}
+	for i := range dst {
+		x := r.next() & m[0]
+		x = digit(x, r.next(), m[1])
+		x = digit(x, r.next(), m[2])
+		x = digit(x, r.next(), m[3])
+		x = digit(x, r.next(), m[4])
+		x = digit(x, r.next(), m[5])
+		x = digit(x, r.next(), m[6])
+		x = digit(x, r.next(), m[7])
+		dst[i] = x | m[8]
+	}
+	dst[len(dst)-1] &= bitvec.TailMask(n)
+
+	// Flips go one way: a drawn position still in the state to leave
+	// (ok = 1) flips and moves the count a step; any other is a no-op.
+	// Written without a branch, because that one would be a coin toss.
+	have := bitvec.PopCount(dst)
+	var leave uint64
+	step := 1
+	if have > nCases {
+		leave, step = 1, -1
+	}
+	for have != nCases {
+		s := r.intn(uint64(n))
+		w, b := s>>6, s&63
+		ok := ^(dst[w]>>b ^ leave) & 1
+		dst[w] ^= ok << b
+		have += step * int(ok)
+	}
+}

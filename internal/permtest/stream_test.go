@@ -1,0 +1,186 @@
+package permtest
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"trigene/internal/bitvec"
+	"trigene/internal/dataset"
+)
+
+func drawPlane(n, nCases int, seed int64, p int) []uint64 {
+	// Dirty on arrival: casePlane must overwrite every word.
+	dst := make([]uint64, bitvec.WordsFor(n))
+	for i := range dst {
+		dst[i] = 0xa5a5a5a5a5a5a5a5
+	}
+	casePlane(dst, n, nCases, seed, p)
+	return dst
+}
+
+func samePlane(a, b []uint64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCasePlaneShape: for every cohort of up to 200 samples and every
+// class split of it — empty and full classes included, which must
+// terminate — a drawn plane has exactly nCases bits, none past sample
+// n, is a function of (seed, p) alone, and differs across p and across
+// seeds wherever the cohort has enough planes for a repeat to mean a
+// broken key (C(64, 8) is 4e9).
+func TestCasePlaneShape(t *testing.T) {
+	for n := 1; n <= 200; n++ {
+		for nCases := 0; nCases <= n; nCases++ {
+			seed, p := int64(n), 1000*nCases
+			plane := drawPlane(n, nCases, seed, p)
+			if got := bitvec.PopCount(plane); got != nCases {
+				t.Fatalf("n=%d nCases=%d: plane has %d cases", n, nCases, got)
+			}
+			if pad := plane[len(plane)-1] &^ bitvec.TailMask(n); pad != 0 {
+				t.Fatalf("n=%d nCases=%d: pad bits %#x set", n, nCases, pad)
+			}
+			if !samePlane(plane, drawPlane(n, nCases, seed, p)) {
+				t.Fatalf("n=%d nCases=%d: two draws of (seed, p) differ", n, nCases)
+			}
+			if n >= 64 && nCases >= 8 && n-nCases >= 8 {
+				if samePlane(plane, drawPlane(n, nCases, seed, p+1)) {
+					t.Fatalf("n=%d nCases=%d: permutations p and p+1 coincide", n, nCases)
+				}
+				if samePlane(plane, drawPlane(n, nCases, seed+1, p)) {
+					t.Fatalf("n=%d nCases=%d: seeds s and s+1 coincide", n, nCases)
+				}
+			}
+		}
+	}
+}
+
+// TestCasePlaneUniform: a uniform nCases-subset includes every sample
+// with probability nCases/n and every pair of samples with probability
+// nCases(nCases−1)/(n(n−1)). Over 20000 planes each count must sit
+// within 5σ of its mean, for ragged and whole-word cohorts, balanced
+// classes (q = 1/2: seven AND digits under one OR), 1:3, and splits
+// whose q has ones all over or rounds to a different ratio than the
+// class has (so the flips do real work in both directions). Pairs are
+// checked between neighbours, across a word boundary and across the
+// plane.
+func TestCasePlaneUniform(t *testing.T) {
+	const planes = 20000
+	within := func(t *testing.T, what string, got int, prob float64) {
+		t.Helper()
+		mean := planes * prob
+		sigma := math.Sqrt(planes * prob * (1 - prob))
+		if math.Abs(float64(got)-mean) > 5*sigma {
+			t.Errorf("%s: %d of %d planes, want %.0f ± %.0f (5σ)", what, got, planes, mean, 5*sigma)
+		}
+	}
+	for _, tc := range []struct{ n, nCases int }{
+		{65, 32}, {65, 7}, {65, 60},
+		{500, 250}, {500, 125}, {500, 41},
+		{1000, 500}, {1000, 333}, {1000, 901},
+	} {
+		n, nCases := tc.n, tc.nCases
+		partners := []int{1, 64, n / 2}
+		single := make([]int, n)
+		pair := make([][]int, len(partners))
+		for k := range pair {
+			pair[k] = make([]int, n)
+		}
+		dst := make([]uint64, bitvec.WordsFor(n))
+		bit := func(s int) bool { return dst[s>>6]>>(uint(s)&63)&1 != 0 }
+		for p := 0; p < planes; p++ {
+			casePlane(dst, n, nCases, 77, p)
+			for s := 0; s < n; s++ {
+				if !bit(s) {
+					continue
+				}
+				single[s]++
+				for k, d := range partners {
+					if bit((s + d) % n) {
+						pair[k][s]++
+					}
+				}
+			}
+		}
+		p1 := float64(nCases) / float64(n)
+		p2 := p1 * float64(nCases-1) / float64(n-1)
+		for s := 0; s < n; s++ {
+			within(t, "inclusion", single[s], p1)
+			for k := range partners {
+				within(t, "co-inclusion", pair[k][s], p2)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("n=%d nCases=%d: planes are not uniform", n, nCases)
+		}
+	}
+}
+
+// TestStreamAgreesWithVersion1 holds stream 2 to the distribution of
+// the math/rand Fisher–Yates stream it replaced. The constants were
+// recorded from the last commit with stream 1, at 4000 (null) and 2000
+// (planted) permutations of the same datasets and seeds: both streams
+// sample the same null distribution, so the null hit fractions agree
+// within 5σ of the difference of two such draws, and a planted triple
+// no relabeling ever matched is still never matched.
+func TestStreamAgreesWithVersion1(t *testing.T) {
+	const perms = 4000
+	mx := nullMatrix(41, 12, 800)
+	for _, tc := range []struct {
+		snps     []int
+		observed float64
+		v1Hits   int
+	}{
+		{[]int{1, 5, 9}, 580.2031739094999, 1233},
+		{[]int{2, 7}, 567.4325082933457, 1024},
+	} {
+		res, err := K(mx, tc.snps, Config{Permutations: perms, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Observed != tc.observed {
+			t.Errorf("%v: observed score %v, stream 1 recorded %v", tc.snps, res.Observed, tc.observed)
+		}
+		f := float64(tc.v1Hits) / perms
+		sigma := math.Sqrt(2 * f * (1 - f) * perms)
+		if d := math.Abs(float64(res.AsGoodOrBetter - tc.v1Hits)); d > 5*sigma {
+			t.Errorf("%v: %d hits of %d, stream 1 had %d (5σ = %.0f)", tc.snps, res.AsGoodOrBetter, perms, tc.v1Hits, 5*sigma)
+		}
+	}
+
+	it := &dataset.Interaction{SNPs: [3]int{2, 8, 14}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)}
+	planted, err := dataset.Generate(dataset.GenConfig{
+		SNPs: 20, Samples: 1000, Seed: 40, MAFMin: 0.3, MAFMax: 0.5, Interaction: it,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := K(planted, []int{2, 8, 14}, Config{Permutations: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Observed != 260.91418283276704 || res.AsGoodOrBetter != 0 {
+		t.Errorf("planted triple: observed %v with %d hits, stream 1 recorded 260.91418283276704 with 0", res.Observed, res.AsGoodOrBetter)
+	}
+}
+
+// BenchmarkCasePlane times one relabeling at the benchmark's two plane
+// widths, for a balanced cohort, a 1:3 one and one whose q is odd: the
+// three must cost the same.
+func BenchmarkCasePlane(b *testing.B) {
+	for _, n := range []int{500, 16384} {
+		for _, nCases := range []int{n / 2, n / 4, n * 77 / 256} {
+			b.Run(fmt.Sprintf("n=%d/cases=%d", n, nCases), func(b *testing.B) {
+				dst := make([]uint64, bitvec.WordsFor(n))
+				for i := 0; i < b.N; i++ {
+					casePlane(dst, n, nCases, 1, i)
+				}
+			})
+		}
+	}
+}

@@ -2,7 +2,7 @@ package sched
 
 // Permutation-testing spaces. A permutation test over P relabelings is
 // a flat index space: permutation p is fully determined by its absolute
-// index (the shuffle is seeded per index), so any tiling of [0, P) into
+// index (the relabeling is keyed per index), so any tiling of [0, P) into
 // contiguous ranges is valid and every decomposition merges to the same
 // hit counts. The source below gives permutation jobs the same tiling,
 // sharding, and lease machinery the search spaces use.

@@ -46,7 +46,6 @@ type searchConfig struct {
 	// Permutation-test knobs (ignored by Search).
 	permutations int
 	seed         int64
-	permBatch    int
 }
 
 // shardSpec selects shard index of count equal slices of the
@@ -298,21 +297,6 @@ func WithPermutations(n int) Option {
 func WithSeed(seed int64) Option {
 	return func(c *searchConfig) error {
 		c.seed = seed
-		return nil
-	}
-}
-
-// WithPermBatch sets how many permuted phenotype planes the bit-plane
-// permutation kernel counts per pass (default: an L1-cache-sized batch
-// derived from the sample count). Results are bit-identical for every
-// batch size; this is a tuning knob for benchmarks and unusual cache
-// hierarchies. Search ignores it.
-func WithPermBatch(n int) Option {
-	return func(c *searchConfig) error {
-		if n < 1 {
-			return fmt.Errorf("trigene: permutation batch must be positive, got %d", n)
-		}
-		c.permBatch = n
 		return nil
 	}
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // Distributed permutation testing. A permutation test is a flat index
-// space — permutation p's shuffle is seeded by its absolute index — so
-// it tiles exactly like a search: the cluster shards [0, P) into
-// contiguous ranges, workers evaluate each range with the bit-plane
-// kernel (Session.PermutationSlice), and the coordinator sums hit
-// counts (MergePerms) into p-values bit-exact with a single-node run.
+// space — permutation p's relabeling is keyed by the seed and its
+// absolute index — so it tiles exactly like a search: the cluster
+// shards [0, P) into contiguous ranges, workers evaluate each range
+// with the bit-plane kernel (Session.PermutationSlice), and the
+// coordinator sums hit counts (MergePerms) into p-values bit-exact with
+// a single-node run.
 
 // PermSpec is the wire form of a cluster permutation-test job: the
 // candidate combinations to test, the relabeling count, and the seed.
@@ -27,7 +28,7 @@ type PermSpec struct {
 	SNPs [][]int `json:"snps"`
 	// Permutations is the relabeling count (0 = default 1000).
 	Permutations int `json:"permutations,omitempty"`
-	// Seed fixes the RNG seed; permutation p is seeded by Seed and its
+	// Seed fixes the RNG seed; permutation p is keyed by Seed and its
 	// absolute index, which is what makes any tiling merge bit-exactly.
 	Seed int64 `json:"seed,omitempty"`
 }
@@ -88,7 +89,7 @@ func (sp *PermSpec) permutations() int {
 // PermScores is the wire-safe outcome of one permutation range — what
 // a cluster worker posts per tile. Ranges over disjoint permutation
 // index sets merge with MergePerms; because every range re-derives the
-// same observed scores and seeds shuffles by absolute permutation
+// same observed scores and keys relabelings by absolute permutation
 // index, the merged hit counts are bit-exact with a single-node run
 // over the union.
 type PermScores struct {
@@ -99,6 +100,11 @@ type PermScores struct {
 	Objective string `json:"objective"`
 	// Seed is the test's RNG seed (merges must agree on it).
 	Seed int64 `json:"seed"`
+	// Stream is the version of the permutation stream the range was
+	// drawn from: which relabeling permutation p of a seed is. It is a
+	// constant of the build that drew it, not a setting; absent on the
+	// wire means 1, the stream of releases that did not write the field.
+	Stream int `json:"stream,omitempty"`
 	// Offset and Count delimit the evaluated permutation index range
 	// [Offset, Offset+Count).
 	Offset int `json:"offset"`
@@ -110,13 +116,35 @@ type PermScores struct {
 	Hits []int `json:"hits"`
 }
 
-// ValidateShape checks internal consistency of one tile's scores — the
-// door check a coordinator runs on a posted range before accounting its
-// tile done, so a malformed body never corrupts the merge.
+// PermStreamError reports permutation scores drawn from another stream
+// version than this build's — posted by a worker of another release, or
+// replayed from a journal one wrote. Their hit counts are draws of
+// different relabelings, so they are refused, never summed.
+type PermStreamError struct {
+	Got, Want int
+}
+
+func (e *PermStreamError) Error() string {
+	return fmt.Sprintf("trigene: perm scores come from permutation stream %d; this build draws stream %d and cannot merge them",
+		e.Got, e.Want)
+}
+
+// ValidateShape checks internal consistency of one tile's scores and
+// that they come from this build's permutation stream — the door check
+// a coordinator runs on a posted or replayed range before accounting
+// its tile done, so a malformed or foreign body never corrupts the
+// merge.
 func (ps *PermScores) ValidateShape() error { return ps.validateShape() }
 
 // validateShape checks internal consistency of one tile's scores.
 func (ps *PermScores) validateShape() error {
+	stream := ps.Stream
+	if stream == 0 {
+		stream = 1
+	}
+	if stream != permtest.Stream {
+		return &PermStreamError{Got: stream, Want: permtest.Stream}
+	}
 	if len(ps.SNPs) == 0 {
 		return fmt.Errorf("trigene: perm scores carry no candidates")
 	}
@@ -139,8 +167,9 @@ func (ps *PermScores) validateShape() error {
 // test: hit counts and range sizes sum; candidates, objective, seed and
 // observed scores must agree bit-for-bit across ranges (they are
 // re-derived deterministically by every worker, so a mismatch means the
-// ranges came from different tests). The result covers the union of the
-// input ranges.
+// ranges came from different tests), and every range must come from
+// this build's permutation stream (a *PermStreamError otherwise). The
+// result covers the union of the input ranges.
 func MergePerms(scores ...*PermScores) (*PermScores, error) {
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("trigene: MergePerms needs at least one range")
@@ -156,6 +185,7 @@ func MergePerms(scores ...*PermScores) (*PermScores, error) {
 		SNPs:      base.SNPs,
 		Objective: base.Objective,
 		Seed:      base.Seed,
+		Stream:    base.Stream,
 		Offset:    base.Offset,
 		Observed:  base.Observed,
 		Hits:      make([]int, len(base.Hits)),
@@ -219,6 +249,10 @@ type PermInfo struct {
 	Permutations int `json:"permutations"`
 	// Seed is the test's RNG seed.
 	Seed int64 `json:"seed"`
+	// Stream is the version of the permutation stream behind the
+	// p-values (absent = 1): the same seed gives different draws, and
+	// so slightly different p-values, under different versions.
+	Stream int `json:"stream,omitempty"`
 	// Objective names the scoring criterion.
 	Objective string `json:"objective"`
 	// Tiles is how many permutation ranges the cluster merged (1 for a
@@ -233,6 +267,7 @@ func permInfo(merged *PermScores, permutations, tiles int) *PermInfo {
 	info := &PermInfo{
 		Permutations: permutations,
 		Seed:         merged.Seed,
+		Stream:       merged.Stream,
 		Objective:    merged.Objective,
 		Tiles:        tiles,
 		Results:      make([]PermCandidate, len(merged.SNPs)),
@@ -318,19 +353,17 @@ func (s *Session) permtestConfig(ctx context.Context, cfg *searchConfig) (permte
 		Objective:    obj,
 		Context:      ctx,
 		Planes:       s.store.Binarized(),
-		Batch:        cfg.permBatch,
 	}, nil
 }
 
 // PermutationTestAll permutation-tests a whole candidate set —
 // typically a Report's top-K — at once on the bit-plane kernel, sharing
-// each permuted phenotype across all candidates so the per-permutation
-// shuffle cost is paid once instead of once per candidate. Results are
-// in candidate order and bit-identical to separate PermutationTest
-// calls with the same options. Relevant options: WithPermutations,
-// WithSeed, WithObjective, WithWorkers, WithPermBatch, WithCluster
-// (which distributes the permutation range over a cluster) and
-// WithMetrics.
+// each relabeled phenotype across all candidates so it is drawn once
+// instead of once per candidate. Results are in candidate order and
+// bit-identical to separate PermutationTest calls with the same
+// options. Relevant options: WithPermutations, WithSeed, WithObjective,
+// WithWorkers, WithCluster (which distributes the permutation range
+// over a cluster) and WithMetrics.
 func (s *Session) PermutationTestAll(ctx context.Context, candidates [][]int, opts ...Option) ([]*PermResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -365,8 +398,8 @@ func (s *Session) PermutationTestAll(ctx context.Context, candidates [][]int, op
 // only — the entry point cluster workers execute for a permutation
 // job's tiles — and returns the wire-safe range scores. Relevant
 // options: WithSeed, WithObjective (both must match the job),
-// WithWorkers, WithPermBatch, WithMetrics. Per-index seeding makes
-// MergePerms over any tiling bit-exact with the untiled run.
+// WithWorkers, WithMetrics. Per-index keying makes MergePerms over any
+// tiling bit-exact with the untiled run.
 func (s *Session) PermutationSlice(ctx context.Context, candidates [][]int, offset, count int, opts ...Option) (*PermScores, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -402,6 +435,7 @@ func (s *Session) PermutationSlice(ctx context.Context, candidates [][]int, offs
 		SNPs:      candidates,
 		Objective: objName,
 		Seed:      cfg.seed,
+		Stream:    permtest.Stream,
 		Offset:    offset,
 		Count:     count,
 		Observed:  rr.Observed,

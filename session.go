@@ -201,9 +201,9 @@ func (s *Session) searchRemote(ctx context.Context, cfg *searchConfig) (*Report,
 // (any order in [2, 7], strictly increasing SNP indices — typically a
 // Report's Best.SNPs) by phenotype permutation, on the bit-plane
 // kernel. Relevant options: WithPermutations, WithSeed, WithObjective
-// (which must match the scan that produced the candidate), WithWorkers,
-// WithPermBatch and WithCluster (which fans the permutation range out
-// over a cluster; merged p-values are bit-exact with a local run). Use
+// (which must match the scan that produced the candidate), WithWorkers
+// and WithCluster (which fans the permutation range out over a cluster;
+// merged p-values are bit-exact with a local run). Use
 // PermutationTestAll to test a whole top-K sharing the permutation
 // work.
 func (s *Session) PermutationTest(ctx context.Context, snps []int, opts ...Option) (*PermResult, error) {

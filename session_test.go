@@ -3,6 +3,7 @@ package trigene_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -379,6 +380,56 @@ func TestSessionPermutationTest(t *testing.T) {
 	if _, err := s.PermutationTest(ctx, rep.Best.SNPs, trigene.WithOrder(3),
 		trigene.WithPermutations(10)); err != nil {
 		t.Errorf("matching WithOrder rejected: %v", err)
+	}
+}
+
+// TestMergePermsRefusesMixedStreams: ranges of one test tile and merge
+// exactly, and carry the permutation stream they were drawn from; a
+// range from another stream — or from a release that did not write the
+// field, which reads as stream 1 — is refused with a PermStreamError
+// wherever it sits among the ranges, never summed.
+func TestMergePermsRefusesMixedStreams(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	candidates := [][]int{{3, 9, 15}, {0, 1}}
+	slice := func(offset, count int) *trigene.PermScores {
+		ps, err := s.PermutationSlice(ctx, candidates, offset, count, trigene.WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	a, b, whole := slice(0, 40), slice(40, 60), slice(0, 100)
+	merged, err := trigene.MergePerms(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Stream == 0 || merged.Stream != a.Stream || merged.Count != 100 {
+		t.Fatalf("merged range: stream %d (parts %d), count %d", merged.Stream, a.Stream, merged.Count)
+	}
+	for i := range candidates {
+		if merged.Hits[i] != whole.Hits[i] || merged.Observed[i] != whole.Observed[i] {
+			t.Errorf("candidate %d: tiled %d hits / %v, whole range %d / %v",
+				i, merged.Hits[i], merged.Observed[i], whole.Hits[i], whole.Observed[i])
+		}
+	}
+	rep, err := trigene.FinalizePerms(&trigene.PermSpec{SNPs: candidates, Permutations: 100, Seed: 3}, merged, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Perm.Stream != a.Stream {
+		t.Errorf("Report.Perm.Stream = %d, want %d", rep.Perm.Stream, a.Stream)
+	}
+
+	for _, foreign := range []int{0, 1, a.Stream + 1} {
+		old := *b
+		old.Stream = foreign
+		for _, ranges := range [][]*trigene.PermScores{{a, &old}, {&old, a}} {
+			var se *trigene.PermStreamError
+			if _, err := trigene.MergePerms(ranges...); !errors.As(err, &se) || se.Want != a.Stream {
+				t.Errorf("stream %d merged with stream %d: err = %v, want a PermStreamError", foreign, a.Stream, err)
+			}
+		}
 	}
 }
 
