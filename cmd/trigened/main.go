@@ -367,9 +367,9 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err := serveDebug(*debugAddr, logger); err != nil {
 		return err
 	}
-	// Elastic drain: the first SIGTERM lets the current tile batch
-	// finish, hands remaining leases back for immediate re-issue and
-	// exits 0; a second SIGTERM cancels outright (SIGINT always
+	// Elastic drain: the first SIGTERM lets the running tile finish
+	// and every finished result post, hands the remaining leases back
+	// for immediate re-issue and exits 0; a second SIGTERM cancels outright (SIGINT always
 	// cancels, via ctx).
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -382,7 +382,7 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		case <-wctx.Done():
 			return
 		}
-		logger.Info("SIGTERM: draining — finishing the current batch (SIGTERM again to cancel)")
+		logger.Info("SIGTERM: draining — finishing the current tile (SIGTERM again to cancel)")
 		w.Drain(wctx)
 		select {
 		case <-term:

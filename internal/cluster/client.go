@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,7 +31,10 @@ type Client struct {
 	// granularity and better balance across heterogeneous workers, at
 	// more wire round-trips.
 	Tiles int
-	// Poll is the job-status polling interval of Wait (default 150ms).
+	// Poll is the job-status polling interval of Wait (default 150ms): how
+	// long one status request stays parked at the coordinator before it
+	// answers "still running", and the sleep between requests against a
+	// coordinator that does not park them.
 	Poll time.Duration
 }
 
@@ -153,18 +157,22 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", struct{}{}, nil)
 }
 
-// Wait polls the job until it finishes, then returns its merged
-// Report (or the job's failure as an error).
+// Wait blocks until the job finishes, then returns its merged Report
+// (or the job's failure as an error). Each status request asks the
+// coordinator to park it until the job leaves "running" (waitMillis =
+// Poll), so the finish is seen the moment it is durable; a coordinator
+// that predates waitMillis answers at once, and Wait sleeps out the
+// rest of the interval itself.
 func (c *Client) Wait(ctx context.Context, id string) (*trigene.Report, error) {
 	poll := c.Poll
 	if poll <= 0 {
 		poll = 150 * time.Millisecond
 	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
+	path := "/v1/jobs/" + id + "?waitMillis=" + strconv.FormatInt(poll.Milliseconds(), 10)
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		asked := time.Now()
+		var st JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			return nil, err
 		}
 		switch st.State {
@@ -176,7 +184,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*trigene.Report, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-ticker.C:
+		case <-time.After(poll - time.Since(asked)):
 		}
 	}
 }
@@ -254,51 +262,56 @@ func (c *Client) lease(ctx context.Context, lr LeaseRequest) (LeaseGrant, bool, 
 	}
 }
 
-// renew heartbeats a lease, carrying the worker's current capability
-// report. A coordinator answer of 410 Gone comes back as errLeaseLost.
-func (c *Client) renew(ctx context.Context, token string, rr RenewRequest) error {
-	err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/renew", rr, nil)
-	return leaseLostOr(err)
+// renew heartbeats every given lease in one request, carrying the
+// worker's current capability report, and returns the tokens the
+// coordinator no longer honors. More than one token may only be sent to
+// a coordinator whose grants say Batch.
+func (c *Client) renew(ctx context.Context, tokens []string, rr RenewRequest) (lost []string, err error) {
+	rr.More = tokens[1:]
+	var resp RenewResponse
+	err = c.do(ctx, http.MethodPost, "/v1/lease/"+tokens[0]+"/renew", rr, &resp)
+	if errors.Is(leaseLostOr(err), errLeaseLost) {
+		// The answer to a renewal of one token that is lost.
+		return tokens[:1], nil
+	}
+	return resp.Lost, err
 }
 
-// complete posts a tile's Report; discarded reports the coordinator's
-// exactly-once accounting (false when this result was a duplicate).
-func (c *Client) complete(ctx context.Context, token string, rep *trigene.Report) (accepted bool, err error) {
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		return false, err
-	}
+// done posts finished tile results in one request — the first under its
+// token's path, the rest as More — and returns the coordinator's verdict
+// on each, in order. More than one result may only be sent to a
+// coordinator whose grants say Batch; should one that ignores More
+// answer anyway, the verdicts cover the first result alone and the
+// caller posts the rest again. An error means no verdict was given
+// (transport failure, 5xx) and the same request may be retried.
+func (c *Client) done(ctx context.Context, results []TileResult) ([]TileStatus, error) {
+	first := results[0]
 	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Report: raw}, &resp); err != nil {
-		return false, leaseLostOr(err)
+	err := c.do(ctx, http.MethodPost, "/v1/lease/"+first.Token+"/done",
+		CompleteRequest{Report: first.Report, Screen: first.Screen, Perm: first.Perm, More: results[1:]}, &resp)
+	var se *statusError
+	switch {
+	case err == nil && len(resp.Results) == len(results):
+		return resp.Results, nil
+	case err == nil:
+		status := TileDiscarded
+		if resp.Accepted {
+			status = TileAccepted
+		}
+		return []TileStatus{{Token: first.Token, Status: status}}, nil
+	case !errors.As(err, &se) || se.code >= 500:
+		return nil, err
+	case se.code == http.StatusGone:
+		return []TileStatus{{Token: first.Token, Status: TileGone, Error: se.msg}}, nil
+	default:
+		// Any other 4xx refuses the request as it stands (a payload that
+		// does not decode, a body past the bound): retrying cannot help.
+		verdicts := make([]TileStatus, len(results))
+		for i, res := range results {
+			verdicts[i] = TileStatus{Token: res.Token, Status: TileInvalid, Error: se.msg}
+		}
+		return verdicts, nil
 	}
-	return resp.Accepted, nil
-}
-
-// completeScreen posts a stage-1 tile's ScreenScores (screened jobs).
-func (c *Client) completeScreen(ctx context.Context, token string, sc *trigene.ScreenScores) (accepted bool, err error) {
-	raw, err := json.Marshal(sc)
-	if err != nil {
-		return false, err
-	}
-	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Screen: raw}, &resp); err != nil {
-		return false, leaseLostOr(err)
-	}
-	return resp.Accepted, nil
-}
-
-// completePerm posts a permutation tile's PermScores (permutation jobs).
-func (c *Client) completePerm(ctx context.Context, token string, ps *trigene.PermScores) (accepted bool, err error) {
-	raw, err := json.Marshal(ps)
-	if err != nil {
-		return false, err
-	}
-	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Perm: raw}, &resp); err != nil {
-		return false, leaseLostOr(err)
-	}
-	return resp.Accepted, nil
 }
 
 // fail reports a deterministic tile failure (fails the job).

@@ -22,16 +22,41 @@
 //
 //	POST /v1/jobs                  submit a job (spec + tiles + dataset)
 //	GET  /v1/jobs                  list job statuses
-//	GET  /v1/jobs/{id}             one job's status
+//	GET  /v1/jobs/{id}             one job's status (?waitMillis= parks the
+//	                               request until the job leaves "running")
 //	GET  /v1/jobs/{id}/dataset     the job's dataset (packed .tpack bytes)
 //	GET  /v1/jobs/{id}/result      the merged Report (409 until done)
 //	POST /v1/jobs/{id}/cancel      cancel a running job
-//	POST /v1/lease                 acquire a tile lease (204 when none)
+//	POST /v1/lease                 acquire a grant of tiles (204 when none;
+//	                               waitMillis parks the request until one is)
 //	POST /v1/lease/{token}/renew   heartbeat-extend the lease deadline
-//	POST /v1/lease/{token}/done    post the tile's Report
+//	                               ("more": every other token held)
+//	POST /v1/lease/{token}/done    post the tile's result ("more": every
+//	                               other result finished meanwhile)
 //	POST /v1/lease/{token}/fail    report a deterministic execution error
 //	POST /v1/workers/{id}/drain    stop granting new leases to a worker
 //	POST /v1/workers/{id}/leave    release a worker's leases, deregister
+//
+// The tile data path is built so a worker never waits on the control
+// plane between tiles. A grant carries several tiles, each under its own
+// token; a grant that says "batch": true comes from a coordinator that
+// reads "more" on done and renew, so the worker sends every result that
+// finished while its previous done request was in flight as one request,
+// and renews every token it holds with one heartbeat. Each token is
+// still accounted exactly once and answered on its own: a done request
+// without "more" keeps the single-tile contract (200 with "accepted",
+// 410 for a lease that was never granted or whose job is over, 400 for a
+// payload that does not decode), one with "more" always answers 200 with
+// a status per token in "results" (accepted | discarded | gone |
+// invalid), path token first; renew likewise answers 410 for a lone lost
+// token and 200 with the "lost" tokens for a batch. A worker batches only
+// when the grant said it may, and a coordinator treats a request without
+// "more" as today's, so old and new mix both ways.
+//
+// Request bodies are bounded per route (maxLeaseBody, maxRenewBody,
+// maxDoneBody, maxFailBody, maxEmptyBody; submissions by
+// maxSubmitBody); a longer one answers 413. Every non-2xx answer is the
+// uniform {"error": "..."} body.
 //
 // A Coordinator built by Recover additionally journals every state
 // transition to a write-ahead log under Config.StateDir (see
@@ -138,10 +163,16 @@ type LeaseRequest struct {
 	// (0 = none yet). Once every registered worker reports one, the
 	// measured rates replace advertised capacities as lease weights.
 	TilesPerSec float64 `json:"tilesPerSec,omitempty"`
+	// WaitMillis asks the coordinator to park the request for up to that
+	// long when nothing is grantable, and to answer as soon as something
+	// is (a submission, a released lease, a screened job's stage 2
+	// opening) instead of 204 at once. A coordinator that predates it
+	// answers at once, and the worker sleeps out the rest of its poll.
+	WaitMillis int64 `json:"waitMillis,omitempty"`
 }
 
-// LeaseGrant is the body answering POST /v1/lease: one tile of one
-// job, to be executed as Search(spec.Options()..., WithShard(Tile,
+// LeaseGrant is the body answering POST /v1/lease: tiles of one job,
+// each to be executed as Search(spec.Options()..., WithShard(Tile,
 // Tiles)) and completed — under heartbeat renewal every TTL/3 or so —
 // at /v1/lease/{token}/done.
 type LeaseGrant struct {
@@ -172,14 +203,17 @@ type LeaseGrant struct {
 	// unscreened job) and Tile/Tiles are the shard coordinates directly.
 	StageBase  int `json:"stageBase,omitempty"`
 	StageCount int `json:"stageCount,omitempty"`
-	// Granted lists every tile of this grant (weighted leasing hands
-	// fast workers several tiles per round trip); Granted[0] always
+	// Granted lists every tile of this grant (its size is the worker's
+	// guided share of the tiles still unleased); Granted[0] always
 	// mirrors Token/Tile. Empty means the single Token/Tile lease.
 	// Each tile is executed, heartbeat-renewed and completed under its
 	// own token, so exactly-once accounting is untouched.
 	Granted []TileGrant `json:"granted,omitempty"`
 	// TTLMillis is the lease duration; renew well before it elapses.
 	TTLMillis int64 `json:"ttlMillis"`
+	// Batch says the coordinator reads "more" on done and renew requests
+	// and answers per token; a worker batches only when it is set.
+	Batch bool `json:"batch,omitempty"`
 }
 
 // TileGrant is one tile of a (possibly batched) lease grant.
@@ -195,6 +229,15 @@ type TileGrant struct {
 type RenewRequest struct {
 	Worker      string  `json:"worker,omitempty"`
 	TilesPerSec float64 `json:"tilesPerSec,omitempty"`
+	// More lists further tokens to renew along with the path's.
+	More []string `json:"more,omitempty"`
+}
+
+// RenewResponse is the body answering a renewal that carried More: the
+// tokens among the path's and More's that are no longer current. (A
+// renewal of one token answers 410 instead when that token is lost.)
+type RenewResponse struct {
+	Lost []string `json:"lost,omitempty"`
 }
 
 // WorkerStatus is one worker's entry in the coordinator's capability
@@ -226,7 +269,9 @@ type WorkerList struct {
 	Workers []WorkerStatus `json:"workers"`
 }
 
-// CompleteRequest is the body of POST /v1/lease/{token}/done.
+// CompleteRequest is the body of POST /v1/lease/{token}/done: the
+// result of the path token's tile, and in More the results of other
+// tiles the worker finished while its previous request was in flight.
 type CompleteRequest struct {
 	// Report is the tile's Report in the stable wire format (search
 	// tiles).
@@ -236,14 +281,51 @@ type CompleteRequest struct {
 	// of Report, Screen and Perm is set.
 	Screen json.RawMessage `json:"screen,omitempty"`
 	Perm   json.RawMessage `json:"perm,omitempty"`
+	// More carries further results, each under its own token. Only sent
+	// to a coordinator whose grants say Batch.
+	More []TileResult `json:"more,omitempty"`
+}
+
+// TileResult is one finished tile in wire form: its lease token and the
+// payload its stage posts (exactly one of Report, Screen and Perm).
+type TileResult struct {
+	Token  string          `json:"token"`
+	Report json.RawMessage `json:"report,omitempty"`
+	Screen json.RawMessage `json:"screen,omitempty"`
+	Perm   json.RawMessage `json:"perm,omitempty"`
+}
+
+// Verdicts on one posted tile result (TileStatus.Status).
+const (
+	// TileAccepted: first result of the tile; it counts, durably.
+	TileAccepted = "accepted"
+	// TileDiscarded: the tile was already completed, or a re-issued
+	// lease owns it (exactly-once accounting keeps the first result).
+	TileDiscarded = "discarded"
+	// TileGone: the lease was never granted or its job is not running;
+	// the holder gives the tile up.
+	TileGone = "gone"
+	// TileInvalid: the payload does not decode or does not fit the job.
+	TileInvalid = "invalid"
+)
+
+// TileStatus is the coordinator's verdict on one posted tile result.
+type TileStatus struct {
+	Token  string `json:"token"`
+	Status string `json:"status"`
+	// Error says why, for gone and invalid results.
+	Error string `json:"error,omitempty"`
 }
 
 // CompleteResponse is the body answering a completion.
 type CompleteResponse struct {
-	// Accepted is false when the result was discarded — the tile was
-	// already completed under a re-issued lease (exactly-once
-	// accounting keeps the first result).
+	// Accepted is the path token's verdict: false when the result was
+	// discarded — the tile was already completed under a re-issued
+	// lease (exactly-once accounting keeps the first result).
 	Accepted bool `json:"accepted"`
+	// Results is the verdict on every token of the request, the path
+	// token's first, then More's in order.
+	Results []TileStatus `json:"results,omitempty"`
 }
 
 // FailRequest is the body of POST /v1/lease/{token}/fail: a

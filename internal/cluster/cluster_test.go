@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -59,6 +60,58 @@ func startWorkers(t *testing.T, cl *Client, n int) {
 		cancel()
 		wg.Wait()
 	})
+}
+
+// The single-token forms of the client's batched calls, as the tests
+// that drive the wire by hand use them: one result or one renewal per
+// request, which is also the contract of a worker that predates
+// batching (a lost lease answers 410, here errLeaseLost).
+
+func (c *Client) post(ctx context.Context, res TileResult) (accepted bool, err error) {
+	verdicts, err := c.done(ctx, []TileResult{res})
+	if err != nil {
+		return false, err
+	}
+	switch v := verdicts[0]; v.Status {
+	case TileGone:
+		return false, errLeaseLost
+	case TileInvalid:
+		return false, errors.New(v.Error)
+	default:
+		return v.Status == TileAccepted, nil
+	}
+}
+
+func (c *Client) complete(ctx context.Context, token string, rep *trigene.Report) (bool, error) {
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		return false, err
+	}
+	return c.post(ctx, TileResult{Token: token, Report: raw})
+}
+
+func (c *Client) completeScreen(ctx context.Context, token string, sc *trigene.ScreenScores) (bool, error) {
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		return false, err
+	}
+	return c.post(ctx, TileResult{Token: token, Screen: raw})
+}
+
+func (c *Client) completePerm(ctx context.Context, token string, ps *trigene.PermScores) (bool, error) {
+	raw, err := json.Marshal(ps)
+	if err != nil {
+		return false, err
+	}
+	return c.post(ctx, TileResult{Token: token, Perm: raw})
+}
+
+func (c *Client) renewOne(ctx context.Context, token string, rr RenewRequest) error {
+	lost, err := c.renew(ctx, []string{token}, rr)
+	if err == nil && len(lost) > 0 {
+		err = errLeaseLost
+	}
+	return err
 }
 
 // reportsEqual asserts bit-exact candidates and identical coverage.
@@ -317,10 +370,10 @@ func TestClusterExactlyOnce(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("tile 1 lease: ok=%v err=%v", ok, err)
 	}
-	if err := cl.renew(ctx, g1.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
+	if err := cl.renewOne(ctx, g1.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
 		t.Fatalf("renew of superseded lease = %v, want lease lost", err)
 	}
-	if err := cl.renew(ctx, g3.Token, RenewRequest{}); err != nil {
+	if err := cl.renewOne(ctx, g3.Token, RenewRequest{}); err != nil {
 		t.Fatalf("renew of live lease: %v", err)
 	}
 
@@ -353,7 +406,7 @@ func TestClusterExactlyOnce(t *testing.T) {
 	reportsEqual(t, "exactly-once", remote, local)
 
 	// Lease traffic for a finished job answers "gone".
-	if err := cl.renew(ctx, g3.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
+	if err := cl.renewOne(ctx, g3.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
 		t.Fatalf("renew after job done = %v, want lease lost", err)
 	}
 	if _, err := cl.complete(ctx, g3.Token, rep1); !errors.Is(err, errLeaseLost) {
@@ -448,7 +501,7 @@ func TestClusterCancelAndRetention(t *testing.T) {
 	if st.State != StateCancelled {
 		t.Fatalf("state after cancel = %q", st.State)
 	}
-	if err := cl.renew(ctx, g.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
+	if err := cl.renewOne(ctx, g.Token, RenewRequest{}); !errors.Is(err, errLeaseLost) {
 		t.Fatalf("renew after cancel = %v, want lease lost", err)
 	}
 	if _, err := cl.Result(ctx, cancelled); err == nil {
@@ -560,54 +613,72 @@ func TestClusterResultWhileRunning(t *testing.T) {
 	}
 }
 
-// TestWeightedLeaseBatches pins the capability-weighted grant sizing:
-// a worker advertising 4x the capacity of the slowest registered
-// worker receives 4 tiles per grant (each under its own token), and
-// the coordinator's worker registry records the traffic.
+// TestWeightedLeaseBatches pins the guided grant sizing on the wire: a
+// worker that has reported no rate gets one tile to measure, one that
+// has gets its capacity's share of half the unleased tiles (advertised
+// capacities are the currency while any live worker is unmeasured) but
+// never more than its own rate finishes in a heartbeat interval, every
+// tile travels under its own token, and the registry records the
+// traffic.
 func TestWeightedLeaseBatches(t *testing.T) {
 	mx := plantedMatrix(t)
-	cl, _ := newTestCluster(t, Config{LeaseTTL: 5 * time.Second})
+	cl, _ := newTestCluster(t, Config{LeaseTTL: 6 * time.Second}) // heartbeat interval 2s
 	ctx := context.Background()
-	if _, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2}, 8, ""); err != nil {
+	if _, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2}, 64, ""); err != nil {
 		t.Fatal(err)
 	}
 
-	slow, ok, err := cl.lease(ctx, LeaseRequest{Worker: "slow", Capacity: 1})
+	fresh, ok, err := cl.lease(ctx, LeaseRequest{Worker: "fresh", Capacity: 1})
+	if err != nil || !ok {
+		t.Fatalf("fresh lease: ok=%v err=%v", ok, err)
+	}
+	if len(fresh.Granted) != 1 || fresh.Granted[0].Token != fresh.Token || fresh.Granted[0].Tile != fresh.Tile {
+		t.Fatalf("unmeasured worker's grant = %+v, want a single self-consistent tile", fresh)
+	}
+	if !fresh.Batch {
+		t.Error("grant does not advertise batched completions")
+	}
+
+	// 63 unleased, capacities 1 (fresh) + 1: ceil(63·1 / (2·2)) = 16.
+	slow, ok, err := cl.lease(ctx, LeaseRequest{Worker: "slow", Capacity: 1, TilesPerSec: 100})
 	if err != nil || !ok {
 		t.Fatalf("slow lease: ok=%v err=%v", ok, err)
 	}
-	if len(slow.Granted) != 1 || slow.Granted[0].Token != slow.Token || slow.Granted[0].Tile != slow.Tile {
-		t.Fatalf("slow grant = %+v, want a single self-consistent tile", slow)
+	if len(slow.Granted) != 16 {
+		t.Fatalf("slow grant carries %d tiles, want 16", len(slow.Granted))
 	}
-
-	fast, ok, err := cl.lease(ctx, LeaseRequest{Worker: "fast", Capacity: 4})
+	// 47 unleased, capacities 1 + 1 + 3: ceil(47·3 / (2·5)) = 15.
+	fast, ok, err := cl.lease(ctx, LeaseRequest{Worker: "fast", Capacity: 3, TilesPerSec: 100})
 	if err != nil || !ok {
 		t.Fatalf("fast lease: ok=%v err=%v", ok, err)
 	}
-	if len(fast.Granted) != 4 {
-		t.Fatalf("fast grant carries %d tiles, want 4: %+v", len(fast.Granted), fast.Granted)
+	if len(fast.Granted) != 15 {
+		t.Fatalf("fast grant carries %d tiles, want 15", len(fast.Granted))
 	}
-	seen := map[int]bool{slow.Tile: true}
-	for _, tg := range fast.Granted {
-		if seen[tg.Tile] {
-			t.Fatalf("tile %d granted twice", tg.Tile)
-		}
-		seen[tg.Tile] = true
-		if tg.Token == "" {
-			t.Fatalf("tile %d has no token", tg.Tile)
+	seen := map[int]bool{}
+	for _, g := range []LeaseGrant{fresh, slow, fast} {
+		for _, tg := range g.Granted {
+			if seen[tg.Tile] {
+				t.Fatalf("tile %d granted twice", tg.Tile)
+			}
+			seen[tg.Tile] = true
+			if tg.Token == "" {
+				t.Fatalf("tile %d has no token", tg.Tile)
+			}
 		}
 	}
 	if fast.Granted[0].Token != fast.Token || fast.Granted[0].Tile != fast.Tile {
-		t.Errorf("batch head does not mirror Token/Tile: %+v", fast)
+		t.Errorf("grant head does not mirror Token/Tile: %+v", fast)
 	}
 
-	// The batch cap holds no matter the advertised ratio.
-	huge, ok, err := cl.lease(ctx, LeaseRequest{Worker: "huge", Capacity: 1000})
+	// The pace bound: 32 unleased would give capacity 3 of 8 six tiles,
+	// but 2 tiles/s finishes only 4 in one 2s heartbeat interval.
+	paced, ok, err := cl.lease(ctx, LeaseRequest{Worker: "paced", Capacity: 3, TilesPerSec: 2})
 	if err != nil || !ok {
-		t.Fatalf("huge lease: ok=%v err=%v", ok, err)
+		t.Fatalf("paced lease: ok=%v err=%v", ok, err)
 	}
-	if len(huge.Granted) != 3 { // 8 tiles - 1 - 4 = 3 left, under the cap of 4
-		t.Fatalf("huge grant carries %d tiles, want the 3 remaining", len(huge.Granted))
+	if len(paced.Granted) != 4 {
+		t.Fatalf("paced grant carries %d tiles, want its pace of 4", len(paced.Granted))
 	}
 
 	ws, err := cl.Workers(ctx)
@@ -618,35 +689,78 @@ func TestWeightedLeaseBatches(t *testing.T) {
 	for _, w := range ws {
 		byID[w.ID] = w
 	}
-	if byID["slow"].Granted != 1 || byID["fast"].Granted != 4 || byID["huge"].Granted != 3 {
+	if byID["fresh"].Granted != 1 || byID["slow"].Granted != 16 || byID["fast"].Granted != 15 || byID["paced"].Granted != 4 {
 		t.Errorf("registry grants: %+v", byID)
 	}
-	if byID["fast"].Capacity != 4 {
+	if byID["fast"].Capacity != 3 {
 		t.Errorf("fast capacity = %g", byID["fast"].Capacity)
 	}
 }
 
-// TestWeightedLeaseMeasuredRates: once every registered worker reports
-// a measured tiles/sec, the measured currency replaces advertised
-// capacity for batch sizing.
+// TestWeightedLeaseMeasuredRates: once every live worker reports a
+// measured tiles/sec, the measured currency replaces advertised
+// capacity. Two workers that advertise "equal" and measure 1:3 drain a
+// job by turns: each one's grants shrink toward the tail and end at a
+// single tile, the faster one's share follows its rate, and every tile
+// is granted exactly once.
 func TestWeightedLeaseMeasuredRates(t *testing.T) {
 	mx := plantedMatrix(t)
 	cl, _ := newTestCluster(t, Config{LeaseTTL: 5 * time.Second})
 	ctx := context.Background()
-	if _, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2}, 12, ""); err != nil {
+	reqs := []LeaseRequest{
+		{Worker: "a", Capacity: 1, TilesPerSec: 20},
+		{Worker: "b", Capacity: 1, TilesPerSec: 60},
+	}
+	// Register both before there is work, so the first grant already
+	// divides between them.
+	for _, lr := range reqs {
+		if _, ok, err := cl.lease(ctx, lr); err != nil || ok {
+			t.Fatalf("%s on an empty queue: ok=%v err=%v", lr.Worker, ok, err)
+		}
+	}
+	const tiles = 96
+	if _, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2}, tiles, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Advertised capacities say "equal"; measured rates say 3x.
-	g, ok, err := cl.lease(ctx, LeaseRequest{Worker: "a", Capacity: 1, TilesPerSec: 2})
-	if err != nil || !ok || len(g.Granted) != 1 {
-		t.Fatalf("a: ok=%v err=%v grant=%+v", ok, err, g)
+	sizes := map[string][]int{}
+	seen := map[int]bool{}
+	last := 0
+	for turn := 0; len(seen) < tiles; turn++ {
+		lr := reqs[turn%2]
+		g, ok, err := cl.lease(ctx, lr)
+		if err != nil || !ok {
+			t.Fatalf("%s turn %d: ok=%v err=%v with %d of %d tiles granted", lr.Worker, turn, ok, err, len(seen), tiles)
+		}
+		for _, tg := range g.Granted {
+			if seen[tg.Tile] {
+				t.Fatalf("tile %d granted twice", tg.Tile)
+			}
+			seen[tg.Tile] = true
+		}
+		sizes[lr.Worker] = append(sizes[lr.Worker], len(g.Granted))
+		last = len(g.Granted)
 	}
-	g, ok, err = cl.lease(ctx, LeaseRequest{Worker: "b", Capacity: 1, TilesPerSec: 6})
-	if err != nil || !ok {
-		t.Fatalf("b: ok=%v err=%v", ok, err)
+	if last != 1 {
+		t.Errorf("the job's last grant carries %d tiles, want 1: %v", last, sizes)
 	}
-	if len(g.Granted) != 3 {
-		t.Fatalf("b grant carries %d tiles, want 3 (measured 6 vs 2)", len(g.Granted))
+	// First grants: ceil(96·20/160) = 12, then ceil(84·60/160) = 32.
+	if sizes["a"][0] != 12 || sizes["b"][0] != 32 {
+		t.Errorf("first grants a=%d b=%d, want 12 and 32", sizes["a"][0], sizes["b"][0])
+	}
+	total := map[string]int{}
+	for id, ns := range sizes {
+		for i, n := range ns {
+			total[id] += n
+			if i > 0 && n > ns[i-1] {
+				t.Errorf("%s: grant %d grew from %d to %d tiles: %v", id, i, ns[i-1], n, ns)
+			}
+		}
+		if n := ns[len(ns)-1]; n > 2 {
+			t.Errorf("%s: last grant carries %d tiles, want the tail to end in single tiles: %v", id, n, ns)
+		}
+	}
+	if ratio := float64(total["b"]) / float64(total["a"]); ratio < 2 || ratio > 3.5 {
+		t.Errorf("shares a=%d b=%d (ratio %.2f), want about the 1:3 of the measured rates", total["a"], total["b"], ratio)
 	}
 }
 

@@ -3,14 +3,17 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trigene"
@@ -70,12 +73,25 @@ type Coordinator struct {
 	order   []string // submission order; finished jobs stay until evicted
 	seq     int
 	workers map[string]*workerInfo
+	swept   time.Time // last retention sweep of workers
 
-	// log is the write-ahead journal (nil for an in-memory
-	// coordinator); replaying suppresses journaling while recovery
-	// re-applies the log to itself.
+	// wake is closed (and replaced) by wakeLocked whenever a parked
+	// long-poll may have something to answer: a lease request when tiles
+	// became grantable, a status request when a job finished.
+	wake chan struct{}
+
+	// log is the write-ahead journal (nil for an in-memory coordinator,
+	// and never reassigned once Recover returns); replaying suppresses
+	// journaling while recovery re-applies the log to itself. journaled
+	// counts the records appended — a record's journal position is the
+	// count just after it — and durable is the position fsynced so far;
+	// commit (durable.go) moves it under syncMu, one fsync for every
+	// waiter. syncMu is taken before mu, never after.
 	log       *wal.Log
 	replaying bool
+	journaled uint64
+	durable   atomic.Uint64
+	syncMu    sync.Mutex
 
 	// cm holds the metric hooks installed by Instrument (zero value:
 	// every hook is a no-op).
@@ -94,10 +110,36 @@ type workerInfo struct {
 	draining    bool // announced drain: no new leases for this worker
 }
 
-// maxLeaseBatch caps how many tiles one grant bundles: enough for a
-// fast worker to stay busy between round trips, small enough that a
-// dead worker's batch re-issues quickly.
-const maxLeaseBatch = 4
+// Request body bounds, one per route: what a well-formed body of that
+// route can need, with room to spare. A longer body answers 413.
+const (
+	// maxSubmitBody bounds POST /v1/jobs: a base64 dataset.
+	maxSubmitBody = 1 << 30
+	// maxLeaseBody bounds POST /v1/lease: a worker ID and three numbers.
+	maxLeaseBody = 4 << 10
+	// maxRenewBody bounds renew: a worker ID, a rate, and one token per
+	// tile the worker holds.
+	maxRenewBody = 1 << 20
+	// maxDoneBody bounds done: a batch of tile results. Workers keep a
+	// batch under half of it.
+	maxDoneBody = 64 << 20
+	// maxFailBody bounds fail: an error string.
+	maxFailBody = 64 << 10
+	// maxEmptyBody bounds drain, leave and cancel, which take no body
+	// (clients send "{}").
+	maxEmptyBody = 1 << 10
+)
+
+// maxLongPoll caps how long a lease or status request may stay parked,
+// whatever waitMillis asked for.
+const maxLongPoll = 30 * time.Second
+
+// longPoll starts the clock of a request that may park: the timer fires
+// once waitMillis has elapsed — at once for a request that asked for no
+// wait.
+func longPoll(waitMillis int64) *time.Timer {
+	return time.NewTimer(time.Duration(min(max(waitMillis, 0), maxLongPoll.Milliseconds())) * time.Millisecond)
+}
 
 // workerRetention bounds the capability registry: a worker unseen
 // this long is deleted (worker IDs default to host:pid, so restarts
@@ -126,6 +168,12 @@ type job struct {
 	tiles    int
 	state    string
 	err      string
+
+	// pos is the journal position of the job's last transition a client
+	// can observe (submit, complete, release, finish): status, result
+	// and the acks of those transitions wait until it is durable. No tile
+	// is granted before the submission itself is (submitPos).
+	pos, submitPos uint64
 
 	dataset       []byte // packed .tpack bytes; released when the job leaves StateRunning
 	datasetSHA    string // dataset content hash (Session.DatasetHash)
@@ -166,13 +214,14 @@ func (j *job) perm() bool { return j.spec.Perm != nil }
 // screenDone reports whether every stage-1 shard completed.
 func (j *job) screenDone() bool { return j.leases.DoneBelow(j.screenTiles) == j.screenTiles }
 
-// acquire grants the next free lease unit, holding stage-2 units back
-// while a screened job's stage-1 phase is still open (un-pinned).
-func (j *job) acquire(now time.Time, ttl time.Duration) (sched.TileLease, bool) {
+// grantable is the end of the lease units open for granting: stage-2
+// units are held back while a screened job's stage-1 phase is still
+// open (un-pinned), so a grant never mixes stages.
+func (j *job) grantable() int {
 	if j.screened() && j.stage2 == nil {
-		return j.leases.AcquireBelow(now, ttl, j.screenTiles)
+		return j.screenTiles
 	}
-	return j.leases.Acquire(now, ttl)
+	return j.tiles
 }
 
 // granteeRef names the holder of one tile's current lease — worker ID
@@ -207,6 +256,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
 		workers: make(map[string]*workerInfo),
+		wake:    make(chan struct{}),
 		mux:     http.NewServeMux(),
 	}
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkers)
@@ -233,8 +283,7 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding submit request: %v", err)
+	if !readBody(w, r, maxSubmitBody, &req) {
 		return
 	}
 	if req.Tiles < 1 {
@@ -335,6 +384,19 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	datasetSHA := sess.DatasetHash()
+	// The submission must be durable before it is acknowledged: the
+	// dataset goes to the pack store (content-addressed, so outside the
+	// lock), then the submit record is committed. Until that commit
+	// returns the job exists but is granted to nobody — a crash must not
+	// leave a worker holding a lease on a job ID the restarted
+	// coordinator mints again.
+	if c.log != nil {
+		if err := c.writePack(datasetSHA, packed); err != nil {
+			writeErr(w, http.StatusInternalServerError, "journaling submission: %v", err)
+			return
+		}
+	}
 	c.mu.Lock()
 	c.seq++
 	units := req.Tiles + screenTiles
@@ -345,7 +407,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tiles:       units,
 		state:       StateRunning,
 		dataset:     packed,
-		datasetSHA:  sess.DatasetHash(),
+		datasetSHA:  datasetSHA,
 		snps:        sess.SNPs(),
 		samples:     sess.Samples(),
 		leases:      sched.NewLeaseTable(units),
@@ -362,19 +424,31 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	// The submission must be durable before it is acknowledged: the
-	// dataset goes to the pack store and the submit record is fsynced.
-	// On failure the job is rolled back — an unacknowledged submission
-	// must not run.
-	if err := c.journalSubmitLocked(j); err != nil {
+	c.journalJobLocked(j, walRecord{T: recSubmit, Job: j.id, Name: j.name, Spec: &j.spec,
+		Tiles: j.tiles, ScreenTiles: j.screenTiles,
+		SHA: j.datasetSHA, SNPs: j.snps, Samples: j.samples,
+		UnixNs: j.submitted.UnixNano()})
+	j.submitPos = j.pos
+	c.mu.Unlock()
+	err := c.commit(j.submitPos)
+	c.mu.Lock()
+	if err != nil {
+		// An unacknowledged submission must not run. Its ID stays spent.
 		delete(c.jobs, j.id)
-		c.order = c.order[:len(c.order)-1]
-		c.seq--
-		c.mu.Unlock()
+		for i, id := range c.order {
+			if id == j.id {
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
+			}
+		}
+	} else {
+		c.wakeLocked()
+	}
+	c.mu.Unlock()
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "journaling submission: %v", err)
 		return
 	}
-	c.mu.Unlock()
 	c.cm.submitted.Inc()
 	c.cfg.Logger.Info("job submitted",
 		"job", j.id, "name", j.name, "tiles", j.tiles,
@@ -396,26 +470,54 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		c.enforceDeadlineLocked(j, now)
 	}
+	var pos uint64
 	for _, id := range c.order {
-		list.Jobs = append(list.Jobs, c.jobs[id].status(now))
+		j := c.jobs[id]
+		list.Jobs = append(list.Jobs, j.status(now))
+		pos = max(pos, j.pos)
 	}
 	c.mu.Unlock()
+	if !c.committed(w, pos) {
+		return
+	}
 	writeJSON(w, http.StatusOK, list)
 }
 
+// handleStatus answers one job's status — never a state that is not
+// durable yet. With ?waitMillis= the request parks while the job runs
+// and answers as soon as it leaves StateRunning, or with the running
+// status once the wait elapses.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	now := c.cfg.Now()
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	if !ok {
+	id := r.PathValue("id")
+	wait, _ := strconv.ParseInt(r.URL.Query().Get("waitMillis"), 10, 64)
+	expired := longPoll(wait)
+	defer expired.Stop()
+	for {
+		now := c.cfg.Now()
+		c.mu.Lock()
+		j, ok := c.jobs[id]
+		if !ok {
+			c.mu.Unlock()
+			writeErr(w, http.StatusNotFound, "no such job %q", id)
+			return
+		}
+		c.enforceDeadlineLocked(j, now)
+		st, pos, wake := j.status(now), j.pos, c.wake
 		c.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		if st.State == StateRunning {
+			select {
+			case <-wake:
+				continue
+			case <-expired.C:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		if c.committed(w, pos) {
+			writeJSON(w, http.StatusOK, st)
+		}
 		return
 	}
-	c.enforceDeadlineLocked(j, now)
-	st := j.status(now)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
@@ -441,12 +543,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	j, ok := c.jobs[r.PathValue("id")]
 	var st JobStatus
+	var result *trigene.Report
+	var pos uint64
 	if ok {
-		st = j.status(c.cfg.Now())
-	}
-	result := (*trigene.Report)(nil)
-	if ok {
-		result = j.result
+		st, result, pos = j.status(c.cfg.Now()), j.result, j.pos
 	}
 	c.mu.Unlock()
 	switch {
@@ -454,6 +554,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 	case st.State == StateRunning:
 		writeErr(w, http.StatusConflict, "job %s still running: %d/%d tiles done", st.ID, st.Done, st.Tiles)
+	case !c.committed(w, pos):
 	case result == nil:
 		writeErr(w, http.StatusGone, "job %s %s: %s", st.ID, st.State, st.Error)
 	default:
@@ -462,33 +563,65 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
+	if !readBody(w, r, maxEmptyBody, nil) {
+		return
+	}
 	c.mu.Lock()
 	j, ok := c.jobs[r.PathValue("id")]
-	if ok && j.state == StateRunning {
-		c.finishLocked(j, StateCancelled, "cancelled by request")
-		if err := c.commitLocked(); err != nil {
-			c.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "journaling cancel: %v", err)
-			return
+	var pos uint64
+	if ok {
+		if j.state == StateRunning {
+			c.finishLocked(j, StateCancelled, "cancelled by request")
 		}
+		pos = j.pos
 	}
 	c.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	if c.committed(w, pos) {
+		writeJSON(w, http.StatusOK, struct{}{})
+	}
 }
 
+// handleLease grants the worker its next tiles. With waitMillis the
+// request parks while nothing is grantable and is answered the moment
+// something is (wakeLocked), or 204 once the wait elapses.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding lease request: %v", err)
+	if !readBody(w, r, maxLeaseBody, &req) {
 		return
 	}
-	now := c.cfg.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	expired := longPoll(req.WaitMillis)
+	defer expired.Stop()
+	for {
+		c.mu.Lock()
+		grant, ok := c.grantLocked(req, c.cfg.Now())
+		wake := c.wake
+		c.mu.Unlock()
+		if ok {
+			writeJSON(w, http.StatusOK, grant)
+			return
+		}
+		select {
+		case <-wake:
+		case <-expired.C:
+			w.WriteHeader(http.StatusNoContent)
+			return
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
+
+// grantLocked registers the worker's report and grants it tiles of the
+// first job that has any, ok false when none does. Grants are journaled
+// through the buffer only — no fsync on this path: losing one in a
+// crash is benign (the restored table's seq counter stays below the
+// lost grant, so its holder's completion answers "gone" and the tile
+// simply re-issues), and it keeps lease throughput at in-memory speed.
+func (c *Coordinator) grantLocked(req LeaseRequest, now time.Time) (LeaseGrant, bool) {
 	wi := c.touchWorkerLocked(req.Worker, now)
 	if req.Capacity > 0 {
 		wi.capacity = req.Capacity
@@ -499,13 +632,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wi.draining {
 		// A draining worker is finishing what it holds; granting it
 		// more would delay both the drain and the tiles.
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return LeaseGrant{}, false
 	}
-	batch := c.leaseBatchLocked(wi, now)
 	// First running job (submission order) with an available tile: a
 	// FIFO queue in which later jobs still progress once earlier ones
-	// are fully leased. A batch never spans jobs. Iterate a copy: a
+	// are fully leased. A grant never spans jobs. Iterate a copy: a
 	// tripped deadline can evict finished jobs from c.order.
 	for _, id := range append([]string(nil), c.order...) {
 		j := c.jobs[id]
@@ -513,19 +644,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		c.enforceDeadlineLocked(j, now)
-		if j.state != StateRunning {
+		if j.state != StateRunning || j.submitPos > c.durable.Load() {
 			continue
 		}
 		if !c.underWorkerCapLocked(j, req.Worker, now) {
 			continue
 		}
-		var grants []sched.TileLease
-		failed := false
-		for len(grants) < batch {
-			// Screened jobs gate stage 2 behind the screen: while the
-			// stage-1 phase is open, only its shards are grantable, so a
-			// batch never mixes stages.
-			l, ok := j.acquire(now, c.cfg.LeaseTTL)
+		size := c.grantSizeLocked(wi, j, now)
+		granted := make([]TileGrant, 0, size)
+		for len(granted) < size {
+			l, ok := j.leases.AcquireBelow(now, c.cfg.LeaseTTL, j.grantable())
 			if !ok {
 				break
 			}
@@ -534,7 +662,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 					"job", j.id, "tile", l.Tile, "maxAttempts", c.cfg.MaxAttempts)
 				c.finishLocked(j, StateFailed,
 					fmt.Sprintf("tile %d of %d was re-issued %d times without completing", l.Tile, j.tiles, c.cfg.MaxAttempts))
-				failed = true
 				break
 			}
 			if l.Attempt > 1 {
@@ -542,31 +669,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				c.cfg.Logger.Warn("re-issuing tile",
 					"job", j.id, "tile", l.Tile, "attempt", l.Attempt, "worker", req.Worker)
 			}
-			grants = append(grants, l)
-		}
-		if failed || len(grants) == 0 {
-			continue
-		}
-		granted := make([]TileGrant, len(grants))
-		for i, l := range grants {
-			granted[i] = TileGrant{Token: leaseToken(j.id, l), Tile: l.Tile}
+			granted = append(granted, TileGrant{Token: leaseToken(j.id, l), Tile: l.Tile})
 			j.grantee[l.Tile] = granteeRef{worker: req.Worker, seq: l.Seq}
-			// Grants are journaled without an fsync: losing one in a
-			// crash is benign (the restored table's seq counter stays
-			// below the lost grant, so its holder's completion answers
-			// Unknown and the tile simply re-issues), and keeping the
-			// grant path buffer-only keeps lease throughput at
-			// in-memory speed.
 			c.journalLocked(walRecord{T: recGrant, Job: j.id, Tile: l.Tile,
 				Seq: l.Seq, Attempt: l.Attempt, Worker: req.Worker,
 				UnixNs: now.Add(c.cfg.LeaseTTL).UnixNano()})
 		}
-		wi.granted += len(grants)
-		c.cm.leasesGranted.Add(int64(len(grants)))
-		if len(grants) > 1 {
-			c.cfg.Logger.Debug("weighted tile batch granted",
-				"job", j.id, "tiles", len(grants), "worker", req.Worker)
+		if j.state != StateRunning || len(granted) == 0 {
+			continue
 		}
+		wi.granted += len(granted)
+		c.cm.leasesGranted.Add(int64(len(granted)))
+		c.cfg.Logger.Debug("tiles granted", "job", j.id, "tiles", len(granted), "worker", req.Worker)
 		resp := LeaseGrant{
 			Token:         granted[0].Token,
 			Job:           j.id,
@@ -576,6 +690,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			Tiles:         j.tiles,
 			Granted:       granted,
 			TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
+			Batch:         true,
 		}
 		if j.screened() {
 			if granted[0].Tile < j.screenTiles {
@@ -588,19 +703,27 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				resp.StageBase, resp.StageCount = j.screenTiles, j.tiles-j.screenTiles
 			}
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, true
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return LeaseGrant{}, false
+}
+
+// wakeLocked releases every parked long-poll to look again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // touchWorkerLocked returns (creating if needed) the worker's
-// capability record, stamps its last-seen instant, and evicts
-// registry entries past retention.
+// capability record and stamps its last-seen instant. Once per
+// staleness window it also evicts registry entries past retention.
 func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerInfo {
-	for oid, o := range c.workers {
-		if now.Sub(o.lastSeen) > workerRetention {
-			delete(c.workers, oid)
+	if now.Sub(c.swept) > c.staleAfter() {
+		c.swept = now
+		for oid, o := range c.workers {
+			if now.Sub(o.lastSeen) > workerRetention {
+				delete(c.workers, oid)
+			}
 		}
 	}
 	wi := c.workers[id]
@@ -612,46 +735,40 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerInfo {
 	return wi
 }
 
-// leaseBatchLocked sizes this worker's next grant: its weight over the
-// slowest live worker's, so fast workers get proportionally bigger
-// batches. Weights compare measured tiles/sec once every live worker
-// has reported one, and advertised capacities until then — never a
-// mix of the two currencies. Workers silent past the staleness window
-// neither anchor the base nor block the measured currency: a dead
-// slow worker must not leave the survivors over-batched forever.
-func (c *Coordinator) leaseBatchLocked(wi *workerInfo, now time.Time) int {
-	stale := c.staleAfter()
+// grantSizeLocked sizes this worker's next grant from job j by guided
+// self-scheduling: its weight's share of half the tiles still unleased,
+// ceil(unleased · w / (2 · Σ live w)). Early grants are large, so round
+// trips are few; they shrink toward the tail, so the last tiles spread
+// over every worker; and a worker's share is proportional to its weight
+// throughout. Weights compare measured tiles/sec once every live worker
+// has reported one, and advertised capacities until then — never a mix
+// of the two currencies; draining workers and workers silent past the
+// staleness window are not live. A grant is at least one tile, and at
+// most what the worker's own reported rate finishes in one heartbeat
+// interval (TTL/3), which keeps a prefetched grant inside its lease and
+// gives a worker that has measured nothing yet a single tile to measure.
+func (c *Coordinator) grantSizeLocked(wi *workerInfo, j *job, now time.Time) int {
+	live := func(o *workerInfo) bool { return !o.draining && now.Sub(o.lastSeen) <= c.staleAfter() }
 	measured := true
 	for _, o := range c.workers {
-		if now.Sub(o.lastSeen) > stale {
-			continue
-		}
-		if o.tilesPerSec <= 0 {
+		if live(o) && o.tilesPerSec <= 0 {
 			measured = false
 			break
 		}
 	}
-	weight := wi.weight(measured)
-	base := weight
+	var sum float64
 	for _, o := range c.workers {
-		if now.Sub(o.lastSeen) > stale {
-			continue
-		}
-		if ow := o.weight(measured); ow > 0 && ow < base {
-			base = ow
+		if live(o) {
+			sum += o.weight(measured)
 		}
 	}
-	if weight <= 0 || base <= 0 {
-		return 1
+	n := 1
+	if weight := wi.weight(measured); weight > 0 && sum > 0 {
+		unleased := float64(j.leases.AvailableBelow(now, j.grantable()))
+		n = int(math.Ceil(unleased * weight / (2 * sum)))
 	}
-	n := int(weight/base + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxLeaseBatch {
-		n = maxLeaseBatch
-	}
-	return n
+	pace := int(wi.tilesPerSec * (c.cfg.LeaseTTL / 3).Seconds())
+	return max(1, min(n, pace))
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
@@ -685,6 +802,9 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // leases it holds, but is granted nothing new. Workers announce their
 // own drain on SIGTERM; operators may also call it directly.
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
+	if !readBody(w, r, maxEmptyBody, nil) {
+		return
+	}
 	id := r.PathValue("id")
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -697,18 +817,21 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 
 // handleLeave deregisters a worker and releases every lease it still
 // holds, so its tiles re-issue on the next lease request instead of
-// idling until TTL expiry. The releases are journaled and fsynced
+// idling until TTL expiry. The releases are journaled and durable
 // before the worker is told it may exit.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
+	if !readBody(w, r, maxEmptyBody, nil) {
+		return
+	}
 	id := r.PathValue("id")
-	now := c.cfg.Now()
 	c.mu.Lock()
-	released := c.releaseWorkerLeasesLocked(id, now)
+	released, pos := c.releaseWorkerLeasesLocked(id)
 	delete(c.workers, id)
-	err := c.commitLocked()
+	if released > 0 {
+		c.wakeLocked()
+	}
 	c.mu.Unlock()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "journaling leave: %v", err)
+	if !c.committed(w, pos) {
 		return
 	}
 	c.cfg.Logger.Info("worker left; leases released for immediate re-issue",
@@ -717,9 +840,9 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 // releaseWorkerLeasesLocked frees every live lease the worker holds
-// across all running jobs, journaling each release.
-func (c *Coordinator) releaseWorkerLeasesLocked(worker string, now time.Time) int {
-	released := 0
+// across all running jobs, journaling each release; pos is the journal
+// position of the last one.
+func (c *Coordinator) releaseWorkerLeasesLocked(worker string) (released int, pos uint64) {
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.state != StateRunning {
@@ -731,13 +854,14 @@ func (c *Coordinator) releaseWorkerLeasesLocked(worker string, now time.Time) in
 			}
 			if j.leases.Release(tile, g.seq) {
 				delete(j.grantee, tile)
-				c.journalLocked(walRecord{T: recRelease, Job: j.id, Tile: tile, Seq: g.seq})
+				c.journalJobLocked(j, walRecord{T: recRelease, Job: j.id, Tile: tile, Seq: g.seq})
+				pos = j.pos
 				c.cm.released.Inc()
 				released++
 			}
 		}
 	}
-	return released
+	return released, pos
 }
 
 // underWorkerCapLocked enforces a job's MaxWorkers policy: when set,
@@ -774,16 +898,21 @@ func (c *Coordinator) enforceDeadlineLocked(j *job, now time.Time) {
 	}
 }
 
+// handleRenew extends the path token's lease and every token in More,
+// all under one lock hold. Heartbeats double as capability reports; the
+// body is optional.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	jobID, tile, seq, err := parseLeaseToken(r.PathValue("token"))
-	if err != nil {
+	token := r.PathValue("token")
+	if _, _, _, err := parseLeaseToken(token); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Heartbeats double as capability reports; the body is optional.
 	var req RenewRequest
-	json.NewDecoder(r.Body).Decode(&req)
+	if r.ContentLength != 0 && !readBody(w, r, maxRenewBody, &req) {
+		return
+	}
 	now := c.cfg.Now()
+	var resp RenewResponse
 	c.mu.Lock()
 	if req.Worker != "" {
 		wi := c.touchWorkerLocked(req.Worker, now)
@@ -791,45 +920,84 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 			wi.tilesPerSec = req.TilesPerSec
 		}
 	}
-	j, ok := c.jobs[jobID]
-	if ok {
-		c.enforceDeadlineLocked(j, now)
-	}
-	renewed := ok && j.state == StateRunning && j.leases.Renew(tile, seq, now, c.cfg.LeaseTTL)
-	c.mu.Unlock()
-	if !renewed {
+	for _, tok := range append([]string{token}, req.More...) {
+		jobID, tile, seq, err := parseLeaseToken(tok)
+		j, ok := c.jobs[jobID]
+		if ok {
+			c.enforceDeadlineLocked(j, now)
+		}
+		if err == nil && ok && j.state == StateRunning && j.leases.Renew(tile, seq, now, c.cfg.LeaseTTL) {
+			c.cm.leasesRenewed.Inc()
+			continue
+		}
 		if ok {
 			c.cm.leasesExpired.Inc()
 		}
-		writeErr(w, http.StatusGone, "lease %s is no longer current", r.PathValue("token"))
+		resp.Lost = append(resp.Lost, tok)
+	}
+	c.mu.Unlock()
+	if len(req.More) == 0 && len(resp.Lost) > 0 {
+		writeErr(w, http.StatusGone, "lease %s is no longer current", token)
 		return
 	}
-	c.cm.leasesRenewed.Inc()
-	writeJSON(w, http.StatusOK, struct{}{})
+	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleComplete takes the path token's result and every result in
+// More: each is accounted on its own (exactly once, its own journal
+// record), and the request is answered after one commit makes all of
+// them durable.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	jobID, tile, seq, err := parseLeaseToken(r.PathValue("token"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding completion: %v", err)
+	if !readBody(w, r, maxDoneBody, &req) {
 		return
 	}
-
+	results := append([]TileResult{{Token: r.PathValue("token"), Report: req.Report, Screen: req.Screen, Perm: req.Perm}}, req.More...)
+	resp := CompleteResponse{Results: make([]TileStatus, len(results))}
 	now := c.cfg.Now()
+	var pos uint64
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for i, res := range results {
+		var at uint64
+		resp.Results[i], at = c.completeLocked(res, now)
+		pos = max(pos, at)
+	}
+	c.mu.Unlock()
+	c.cm.completionBatch.Observe(float64(len(results)))
+	if !c.committed(w, pos) {
+		return
+	}
+	first := resp.Results[0]
+	resp.Accepted = first.Status == TileAccepted
+	switch {
+	case len(req.More) > 0 || first.Status == TileAccepted || first.Status == TileDiscarded:
+		writeJSON(w, http.StatusOK, resp)
+	case first.Status == TileGone:
+		writeErr(w, http.StatusGone, "%s", first.Error)
+	default:
+		writeErr(w, http.StatusBadRequest, "%s", first.Error)
+	}
+}
+
+// completeLocked accounts one posted tile result. at is the journal
+// position that must be durable before the verdict is sent: the job's
+// last transition for a result that was accepted or discarded (a
+// discarded one's holder drops its copy, so the result that beat it
+// must be safe), nothing for one that changed nothing.
+func (c *Coordinator) completeLocked(res TileResult, now time.Time) (st TileStatus, at uint64) {
+	verdict := func(status, format string, args ...any) (TileStatus, uint64) {
+		return TileStatus{Token: res.Token, Status: status, Error: fmt.Sprintf(format, args...)}, 0
+	}
+	jobID, tile, seq, err := parseLeaseToken(res.Token)
+	if err != nil {
+		return verdict(TileInvalid, "%v", err)
+	}
 	j, ok := c.jobs[jobID]
 	if ok {
 		c.enforceDeadlineLocked(j, now)
 	}
 	if !ok || j.state != StateRunning {
-		writeErr(w, http.StatusGone, "job %s is not running", jobID)
-		return
+		return verdict(TileGone, "job %s is not running", jobID)
 	}
 	// Decode (and sanity-check) the payload the tile's stage expects
 	// before touching the lease table, so a malformed body never marks
@@ -840,35 +1008,29 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var perm trigene.PermScores
 	switch {
 	case screenTile:
-		if err := json.Unmarshal(req.Screen, &scores); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding stage-1 screen scores: %v", err)
-			return
+		if err := json.Unmarshal(res.Screen, &scores); err != nil {
+			return verdict(TileInvalid, "decoding stage-1 screen scores: %v", err)
 		}
 		if scores.SNPs != j.snps {
-			writeErr(w, http.StatusBadRequest, "stage-1 scores cover %d SNPs; the job's dataset has %d", scores.SNPs, j.snps)
-			return
+			return verdict(TileInvalid, "stage-1 scores cover %d SNPs; the job's dataset has %d", scores.SNPs, j.snps)
 		}
 	case j.perm():
-		if err := json.Unmarshal(req.Perm, &perm); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding tile perm scores: %v", err)
-			return
+		if err := json.Unmarshal(res.Perm, &perm); err != nil {
+			return verdict(TileInvalid, "decoding tile perm scores: %v", err)
 		}
 		if err := perm.ValidateShape(); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid tile perm scores: %v", err)
-			return
+			return verdict(TileInvalid, "invalid tile perm scores: %v", err)
 		}
 		if len(perm.SNPs) != len(j.spec.Perm.SNPs) {
-			writeErr(w, http.StatusBadRequest, "tile perm scores cover %d candidates; the job tests %d",
+			return verdict(TileInvalid, "tile perm scores cover %d candidates; the job tests %d",
 				len(perm.SNPs), len(j.spec.Perm.SNPs))
-			return
 		}
 	default:
-		if err := json.Unmarshal(req.Report, &rep); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding tile report: %v", err)
-			return
+		if err := json.Unmarshal(res.Report, &rep); err != nil {
+			return verdict(TileInvalid, "decoding tile report: %v", err)
 		}
 	}
-	switch st := j.leases.Complete(tile, seq); st {
+	switch status := j.leases.Complete(tile, seq); status {
 	case sched.CompleteAccepted:
 		switch {
 		case screenTile:
@@ -881,11 +1043,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if wi := c.workers[j.grantee[tile].worker]; wi != nil {
 			wi.completed++
 		}
-		// The completion — and, when it was the last tile, the finish
-		// record mergeLocked appends — must be durable before the
-		// worker is told its result counted, or a crash would lose an
-		// acknowledged tile and re-execute it.
-		c.journalLocked(walRecord{T: recComplete, Job: j.id, Tile: tile, Seq: seq, Report: req.Report, Screen: req.Screen, Perm: req.Perm})
+		c.journalJobLocked(j, walRecord{T: recComplete, Job: j.id, Tile: tile, Seq: seq, Report: res.Report, Screen: res.Screen, Perm: res.Perm})
 		if screenTile && j.stage2 == nil && j.screenDone() {
 			// Last stage-1 shard: merge the scores, pin the survivor set,
 			// and open the stage-2 phase. Pinning is deterministic from
@@ -896,21 +1054,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if j.state == StateRunning && j.leases.Done() == j.tiles {
 			c.mergeLocked(j)
 		}
-		if err := c.commitLocked(); err != nil {
-			writeErr(w, http.StatusInternalServerError, "journaling completion: %v", err)
-			return
-		}
 		c.cm.completed.Inc()
-		writeJSON(w, http.StatusOK, CompleteResponse{Accepted: true})
+		return TileStatus{Token: res.Token, Status: TileAccepted}, j.pos
 	case sched.CompleteDuplicate, sched.CompleteStale:
 		// Exactly-once accounting: the tile's first result already
 		// counted (or a re-issued lease owns it); this one is discarded.
 		c.cm.discarded.Inc()
 		c.cfg.Logger.Debug("discarding completion",
-			"job", jobID, "tile", tile, "status", st.String())
-		writeJSON(w, http.StatusOK, CompleteResponse{Accepted: false})
+			"job", jobID, "tile", tile, "status", status.String())
+		return TileStatus{Token: res.Token, Status: TileDiscarded}, j.pos
 	default:
-		writeErr(w, http.StatusGone, "lease %s was never granted", r.PathValue("token"))
+		return verdict(TileGone, "lease %s was never granted", res.Token)
 	}
 }
 
@@ -921,32 +1075,32 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding failure: %v", err)
+	if !readBody(w, r, maxFailBody, &req) {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	j, ok := c.jobs[jobID]
-	if !ok || j.state != StateRunning {
-		writeErr(w, http.StatusGone, "job %s is not running", jobID)
-		return
-	}
 	// Only the tile's live lease may fail the job: a superseded holder
 	// (its tile was re-issued, possibly to a worker that handles the
 	// spec fine) must not kill everyone else's work.
-	if !j.leases.Current(tile, seq) {
+	running := ok && j.state == StateRunning
+	current := running && j.leases.Current(tile, seq)
+	var pos uint64
+	if current {
+		c.cfg.Logger.Error("tile failed deterministically",
+			"job", jobID, "tile", tile, "error", req.Error)
+		c.finishLocked(j, StateFailed, fmt.Sprintf("tile %d: %s", tile, req.Error))
+		pos = j.pos
+	}
+	c.mu.Unlock()
+	switch {
+	case !running:
+		writeErr(w, http.StatusGone, "job %s is not running", jobID)
+	case !current:
 		writeErr(w, http.StatusGone, "lease %s is no longer current", r.PathValue("token"))
-		return
+	case c.committed(w, pos):
+		writeJSON(w, http.StatusOK, struct{}{})
 	}
-	c.cfg.Logger.Error("tile failed deterministically",
-		"job", jobID, "tile", tile, "error", req.Error)
-	c.finishLocked(j, StateFailed, fmt.Sprintf("tile %d: %s", tile, req.Error))
-	if err := c.commitLocked(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "journaling failure: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
 }
 
 // pinStage2Locked closes a screened job's stage-1 phase: merge the
@@ -988,6 +1142,7 @@ func (c *Coordinator) pinStage2Locked(j *job) {
 		Stage1Ns:     merged.DurationNs,
 	}
 	j.pinnedAt = c.cfg.Now()
+	c.wakeLocked()
 	c.cfg.Logger.Info("screen stage 1 complete; stage 2 opened",
 		"job", j.id, "pairsScanned", merged.Pairs, "survivors", len(survivors), "seeds", len(seeds))
 }
@@ -1057,6 +1212,7 @@ func (c *Coordinator) finishLocked(j *job, state, errMsg string) {
 	j.finished = c.cfg.Now()
 	c.journalFinishLocked(j)
 	c.evictFinishedLocked()
+	c.wakeLocked()
 }
 
 // evictFinishedLocked drops the oldest finished jobs beyond the
@@ -1127,6 +1283,43 @@ func parseLeaseToken(tok string) (jobID string, tile int, seq uint64, err error)
 		return "", 0, 0, fmt.Errorf("malformed lease token %q", tok)
 	}
 	return parts[0], tile, seq, nil
+}
+
+// readBody decodes a JSON request body of at most limit bytes into v
+// (nil for a route that takes none: the body is only drained). On
+// failure it answers — 413 for a body past the bound, 400 for one that
+// does not decode — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := error(&http.MaxBytesError{Limit: limit})
+	if r.ContentLength <= limit {
+		body := http.MaxBytesReader(w, r.Body, limit)
+		if v == nil {
+			_, err = io.Copy(io.Discard, body)
+		} else {
+			err = json.NewDecoder(body).Decode(v)
+		}
+	}
+	var tooLong *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLong):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte bound of %s", limit, r.URL.Path)
+	default:
+		writeErr(w, http.StatusBadRequest, "decoding request body: %v", err)
+	}
+	return false
+}
+
+// committed waits until the journal is durable up to pos, answering 500
+// itself (and reporting false) when the commit fails: no response a
+// client builds on leaves before the state behind it is safe.
+func (c *Coordinator) committed(w http.ResponseWriter, pos uint64) bool {
+	if err := c.commit(pos); err != nil {
+		writeErr(w, http.StatusInternalServerError, "journaling: %v", err)
+		return false
+	}
+	return true
 }
 
 // writeJSON writes v as a JSON response.

@@ -10,14 +10,33 @@
 // before the submit record that references them, and garbage-collected
 // on recovery once no running job needs them.
 //
-// Durability policy is sync-on-ack: transitions a client builds on
-// (submit accepted, tile result counted, job finished, worker released)
-// are fsynced before the response; lease grants are journaled through
-// the buffer only, because losing a grant is benign — the restored
-// sequence counter stays below the lost grant's, so its holder's
-// completion answers Unknown, the worker abandons the tile, and the
-// tile re-issues. That asymmetry keeps the grant path at in-memory
-// speed (see the durable benchsuite experiment's regression gate).
+// Durability policy is sync-on-ack by group commit. A handler applies
+// its transition and appends the record under the coordinator's mutex,
+// releases the mutex, and then waits in commit until the journal is
+// durable up to that record; whichever waiter finds no commit in flight
+// runs one — flush, then one fsync outside the mutex — for every record
+// appended so far, so concurrent completions, and the many results of
+// one batched completion, share an fsync, and nothing queues behind the
+// disk while holding the lock. Two things are promised:
+//
+//   - No ack before its record is durable: submit accepted, tile result
+//     counted or discarded, job finished or cancelled, worker released —
+//     the response leaves only after commit returns.
+//   - Nothing a client can observe is visible before it is durable: the
+//     in-memory state runs ahead of the disk between append and commit,
+//     so status, list and result wait for the job's last transition
+//     (job.pos) before answering, and no tile of a job is granted before
+//     its submission is durable.
+//
+// What may run ahead: lease grants are journaled through the buffer
+// only and answered at once, because losing a grant is benign — the
+// restored sequence counter stays below the lost grant's, so its
+// holder's completion answers "gone", the worker abandons the tile, and
+// the tile re-issues. That asymmetry keeps the grant path at in-memory
+// speed (see the durable benchsuite experiment's regression gate). For
+// the same reason a stage-2 grant may follow a stage-1 completion that
+// is not durable yet: the pin it carries is recomputed identically from
+// the re-executed shard.
 package cluster
 
 import (
@@ -152,17 +171,18 @@ func Recover(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close flushes and closes the journal; the coordinator must not
-// serve requests afterwards. It is a no-op for in-memory coordinators.
+// Close flushes and closes the journal, after any commit in flight; the
+// coordinator must not serve requests afterwards (one that still commits
+// is answered 500). It is a no-op for in-memory coordinators.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.log == nil {
 		return nil
 	}
-	err := c.log.Close()
-	c.log = nil
-	return err
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.log.Close()
 }
 
 // recoverLocked rebuilds the coordinator from the opened log:
@@ -250,9 +270,10 @@ func (c *Coordinator) recoverLocked() error {
 			return err
 		}
 	}
-	if err := c.commitLocked(); err != nil {
+	if err := c.log.Sync(); err != nil {
 		return err
 	}
+	c.durable.Store(c.journaled)
 	c.cfg.Logger.Info("recovered durable state",
 		"jobs", len(c.order), "running", running, "stateDir", c.cfg.StateDir)
 	return nil
@@ -511,7 +532,7 @@ func (c *Coordinator) exportLocked() walSnapshot {
 // no-op for in-memory coordinators and during replay. Append errors
 // are logged, not returned: the in-memory transition has already
 // happened, and the callers that must not acknowledge un-durable
-// state catch the problem in commitLocked.
+// state catch the problem in commit.
 func (c *Coordinator) journalLocked(rec walRecord) {
 	if c.log == nil || c.replaying {
 		return
@@ -523,27 +544,72 @@ func (c *Coordinator) journalLocked(rec walRecord) {
 	if err != nil {
 		c.cfg.Logger.Error("wal: journaling failed", "type", rec.T, "error", err)
 	}
+	c.journaled++
 }
 
-// commitLocked makes everything journaled so far durable (flush +
-// fsync) and compacts the journal into a snapshot when it has grown
-// past SnapshotEvery records. Handlers call it before acknowledging a
-// transition a client builds on.
-func (c *Coordinator) commitLocked() error {
-	if c.log == nil {
+// journalJobLocked journals a transition of j that clients can observe
+// and moves j.pos to it, so whoever answers for the job commits that
+// far first.
+func (c *Coordinator) journalJobLocked(j *job, rec walRecord) {
+	c.journalLocked(rec)
+	j.pos = c.journaled
+}
+
+// commit returns once the journal is durable up to position pos. It is
+// called without c.mu. Whoever gets syncMu runs a group commit for
+// everything journaled so far; the callers that queued behind it
+// meanwhile mostly find their record covered when their turn comes, and
+// the first that does not runs the next. A failed commit fails its own
+// caller; the others try again themselves and report what they get.
+func (c *Coordinator) commit(pos uint64) error {
+	if pos <= c.durable.Load() {
 		return nil
 	}
-	if err := c.log.Sync(); err != nil {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	if pos <= c.durable.Load() {
+		return nil
+	}
+	upTo, err := c.syncJournal()
+	if err != nil {
 		return err
 	}
-	if c.log.AppendedSinceSnapshot() >= c.cfg.SnapshotEvery {
-		if err := c.snapshotLocked(); err != nil {
-			// The journal is intact and durable; a failed compaction
-			// only costs replay time.
-			c.cfg.Logger.Warn("wal: snapshot failed", "error", err)
-		}
-	}
+	c.durable.Store(upTo)
 	return nil
+}
+
+// syncJournal is one group commit, run under syncMu by one goroutine at
+// a time: the buffer is flushed under c.mu, where
+// appends happen, the fsync runs outside it, and the journal is
+// compacted into a snapshot when it has grown past SnapshotEvery
+// records. It returns the position now durable.
+func (c *Coordinator) syncJournal() (uint64, error) {
+	c.mu.Lock()
+	upTo := c.journaled
+	compact := c.log.AppendedSinceSnapshot() >= c.cfg.SnapshotEvery
+	err := c.log.Flush()
+	c.mu.Unlock()
+	if err == nil {
+		err = c.log.Fsync()
+	}
+	if err != nil {
+		return 0, err
+	}
+	c.cm.commitRecords.Observe(float64(upTo - c.durable.Load()))
+	if compact {
+		c.mu.Lock()
+		// The snapshot holds every transition applied so far, journaled
+		// or not yet flushed, so all of them are durable with it. A
+		// failed compaction only costs replay time: the journal is
+		// intact.
+		if err := c.snapshotLocked(); err != nil {
+			c.cfg.Logger.Warn("wal: snapshot failed", "error", err)
+		} else {
+			upTo = c.journaled
+		}
+		c.mu.Unlock()
+	}
+	return upTo, nil
 }
 
 // snapshotLocked compacts the current state into a snapshot, resetting
@@ -568,24 +634,7 @@ func (c *Coordinator) journalFinishLocked(j *job) {
 	if j.result != nil {
 		rec.Result, _ = json.Marshal(j.result)
 	}
-	c.journalLocked(rec)
-}
-
-// journalSubmitLocked persists a new job: the dataset into the pack
-// store first, then the fsynced submit record referencing it — so a
-// replayed submit always finds its pack.
-func (c *Coordinator) journalSubmitLocked(j *job) error {
-	if c.log == nil {
-		return nil
-	}
-	if err := c.writePack(j.datasetSHA, j.dataset); err != nil {
-		return err
-	}
-	c.journalLocked(walRecord{T: recSubmit, Job: j.id, Name: j.name, Spec: &j.spec,
-		Tiles: j.tiles, ScreenTiles: j.screenTiles,
-		SHA: j.datasetSHA, SNPs: j.snps, Samples: j.samples,
-		UnixNs: j.submitted.UnixNano()})
-	return c.commitLocked()
+	c.journalJobLocked(j, rec)
 }
 
 // packPath is where a dataset with the given content hash lives.

@@ -185,7 +185,7 @@ func TestDurableRecoveryMidJob(t *testing.T) {
 	}
 	// The surviving holder's lease was restored: it renews and
 	// completes under the pre-crash token.
-	if err := cl.renew(ctx, gd.Token, RenewRequest{Worker: "doomed"}); err != nil {
+	if err := cl.renewOne(ctx, gd.Token, RenewRequest{Worker: "doomed"}); err != nil {
 		t.Fatalf("renewing restored lease: %v", err)
 	}
 	if !completeTile(t, ctx, cl, sess, gd, gd.Granted[0]) {

@@ -99,7 +99,7 @@ func TestWorkerDrainAndLeave(t *testing.T) {
 
 // TestWorkerDrainHandsOffMidJob is the elastic integration path: a
 // lone worker starts a job, drains mid-job (finishing its current
-// batch, Run returning nil), and a worker joining mid-job finishes the
+// tile, Run returning nil), and a worker joining mid-job finishes the
 // rest immediately — with an hour-long TTL, only the leave-time lease
 // release makes that possible — to a bit-exact Report.
 func TestWorkerDrainHandsOffMidJob(t *testing.T) {
@@ -156,6 +156,11 @@ func TestWorkerDrainHandsOffMidJob(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("drained worker never exited")
+	}
+	// Drain leaves no lease behind: neither the rest of the grant the
+	// leaver was running nor the one it had prefetched.
+	if st, err := cl.Status(ctx, id); err != nil || st.Leased != 0 {
+		t.Fatalf("after the drain: %+v, %v; want no tile leased", st, err)
 	}
 
 	// A new worker joins mid-job and finishes what the leaver left.

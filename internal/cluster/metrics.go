@@ -17,7 +17,14 @@ type coordMetrics struct {
 	released      *obs.Counter // explicit releases (worker leave)
 	completed     *obs.Counter
 	discarded     *obs.Counter // duplicate/stale completions
+
+	commitRecords   *obs.Histogram // journal records made durable per fsync
+	completionBatch *obs.Histogram // tile results per done request
 }
+
+// batchBuckets is the bucket ladder of the per-fsync and per-request
+// batch-size histograms: powers of two up to a whole grant.
+var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // Instrument registers the coordinator's metric series on reg and
 // installs the live collectors: job and lease counters on the request
@@ -50,6 +57,10 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 		"Tile completions accepted into job results.")
 	c.cm.discarded = reg.Counter("trigene_coord_completions_discarded_total",
 		"Tile completions discarded as duplicate or stale.")
+	c.cm.commitRecords = reg.Histogram("trigene_coord_commit_records",
+		"Journal records made durable by one group commit (one fsync).", batchBuckets)
+	c.cm.completionBatch = reg.Histogram("trigene_coord_completion_batch",
+		"Tile results carried by one done request.", batchBuckets)
 	reg.GaugeFunc("trigene_coord_jobs_running",
 		"Jobs currently in the running state.",
 		func() []obs.Sample {
@@ -111,6 +122,7 @@ type workerMetrics struct {
 	datasetLoads map[string]*obs.Counter // by source: memory, disk, fetch
 	tiles        *obs.Counter
 	tileSeconds  *obs.Histogram
+	idleSeconds  *obs.Histogram // executor waits for a grant
 	leasesLost   *obs.Counter
 	draining     *obs.Gauge
 }
@@ -141,6 +153,8 @@ func (w *Worker) Instrument(reg *obs.Registry) {
 		"Tiles executed to completion (whether or not the result was accepted).")
 	w.wm.tileSeconds = reg.Histogram("trigene_worker_tile_seconds",
 		"Wall time of one tile's search.", obs.DurationBuckets)
+	w.wm.idleSeconds = reg.Histogram("trigene_worker_idle_seconds",
+		"Time the executor spent with no tile to run, per wait for the next grant.", obs.DurationBuckets)
 	w.wm.leasesLost = reg.Counter("trigene_worker_leases_lost_total",
 		"Leases lost to expiry or re-issue while this worker held them.")
 	w.wm.draining = reg.Gauge("trigene_worker_draining",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -21,11 +22,23 @@ import (
 )
 
 // Worker executes leased tiles against one coordinator: it acquires a
-// lease, fetches (and caches) the job's dataset as a Session, runs the
-// tile as an ordinary sharded Session.Search, heartbeats the lease
-// while computing, and posts the tile Report back. One Worker runs one
-// tile at a time — the search itself is internally parallel — so a
+// grant of tiles, fetches (and caches) the job's dataset as a Session,
+// runs each tile as an ordinary sharded Session.Search, heartbeats the
+// leases while computing, and posts the results back. One Worker runs
+// one tile at a time — the search itself is internally parallel — so a
 // machine contributes capacity by running one Worker, not many.
+//
+// Run is a pipeline of four goroutines, so the executor goes from one
+// tile's kernel to the next without waiting on the coordinator:
+//
+//	leaser     keeps one grant ahead of the executor (the request for
+//	           the next is parked at the coordinator while this one runs)
+//	executor   runs the granted tiles, one after another
+//	completer  posts every result finished while its previous request
+//	           was in flight as one done request, and retries a request
+//	           that got no answer while the leases are still held
+//	heartbeat  renews every lease held — prefetched, running, finished
+//	           and not yet answered for — in one request per beat
 type Worker struct {
 	// Client connects to the coordinator.
 	Client *Client
@@ -33,12 +46,15 @@ type Worker struct {
 	ID string
 	// Capacity is the worker's advertised relative capability (an
 	// operator-assigned weight: cores, machine class, ...; default 1).
-	// The coordinator sizes lease batches by it until this worker's
+	// The coordinator weighs grants by it until this worker's
 	// measured throughput — reported on every lease request and
 	// heartbeat — takes over.
 	Capacity float64
 	// Poll is the idle wait between lease attempts when the
-	// coordinator has no work or is unreachable (default 500ms).
+	// coordinator has no work or is unreachable (default 500ms): how
+	// long a lease request stays parked at the coordinator, the sleep
+	// between requests against one that does not park them, and the
+	// ceiling of the completer's retry backoff.
 	Poll time.Duration
 	// CacheEntries bounds the in-memory LRU of per-dataset Sessions
 	// (default 4). Each entry holds a dataset's decoded encodings, so
@@ -55,11 +71,12 @@ type Worker struct {
 	Logger *slog.Logger
 
 	// rate is the EWMA of measured tiles/sec, stored as float64 bits
-	// (the heartbeat goroutine reads it while the search loop writes).
+	// (the leaser and heartbeat goroutines read it while the executor
+	// writes).
 	rate atomic.Uint64
 
 	// Drain support: draining is set once by Drain, drainCh (built
-	// lazily under drainMu) wakes an idle Run loop immediately, and
+	// lazily under drainMu) wakes an idle executor immediately, and
 	// idOnce makes the default ID computable from any goroutine.
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -192,12 +209,13 @@ func (w *Worker) drainSignal() chan struct{} {
 }
 
 // Drain asks the worker to leave the fleet cleanly: it finishes the
-// tile batch it is executing (completions still count), then
-// deregisters from the coordinator — which releases any lease still
-// charged to it for immediate re-issue — and Run returns nil. The
-// drain is announced to the coordinator right away so no further
-// leases are granted meanwhile. Safe to call from a signal handler
-// goroutine; subsequent calls are no-ops.
+// tile it is executing, posts every finished result (completions still
+// count), then deregisters from the coordinator — which releases the
+// leases still charged to it, the unstarted tiles of its grants, for
+// immediate re-issue — and Run returns nil. The drain is announced to
+// the coordinator right away so no further leases are granted
+// meanwhile. Safe to call from a signal handler goroutine; subsequent
+// calls are no-ops.
 func (w *Worker) Drain(ctx context.Context) {
 	w.drainOnce.Do(func() {
 		w.ensureID()
@@ -235,66 +253,242 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.CacheEntries > 0 {
 		w.sessions.cap = w.CacheEntries
 	}
-	for {
-		if w.draining.Load() {
-			// Between batches with nothing in flight: hand back
-			// whatever the coordinator still charges to this worker
-			// and leave the fleet.
-			if released, err := w.Client.Leave(ctx, w.ID); err != nil {
-				if ctx.Err() == nil {
-					w.logger().Warn("drain: leave failed; leases will expire by TTL", "error", err)
-				}
-			} else if released > 0 {
-				w.logger().Info("drained; abandoned leases released for re-issue", "released", released)
-			} else {
-				w.logger().Info("drained cleanly")
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	leaseCtx, stopLeasing := context.WithCancel(ctx)
+	defer stopLeasing()
+	p := &pipeline{
+		w:        w,
+		grants:   make(chan LeaseGrant),
+		held:     make(map[string]bool),
+		posted:   make(chan struct{}, 1),
+		beat:     make(chan struct{}, 1),
+		flushed:  make(chan struct{}),
+		interval: time.Second,
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { defer wg.Done(); p.lease(leaseCtx) }()
+	go func() { defer wg.Done(); p.heartbeat(ctx) }()
+	go func() { defer wg.Done(); defer close(p.flushed); p.complete(ctx) }()
+
+	err := p.execute(ctx)
+	if err == nil {
+		// Drained. Stop asking for work, let the completer post what is
+		// finished (one attempt each), then hand back whatever the
+		// coordinator still charges to this worker — the rest of the
+		// running grant, the prefetched one — and leave the fleet.
+		stopLeasing()
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		poke(p.posted)
+		select {
+		case <-p.flushed:
+		case <-ctx.Done():
+		}
+		if released, lerr := w.Client.Leave(ctx, w.ID); lerr != nil {
+			if ctx.Err() == nil {
+				w.logger().Warn("drain: leave failed; leases will expire by TTL", "error", lerr)
 			}
-			return nil
+		} else if released > 0 {
+			w.logger().Info("drained; abandoned leases released for re-issue", "released", released)
+		} else {
+			w.logger().Info("drained cleanly")
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	}
+	stop()
+	wg.Wait()
+	return err
+}
+
+// pipeline is the state one Run's goroutines share.
+type pipeline struct {
+	w *Worker
+	// grants hands grants from the leaser to the executor. Unbuffered:
+	// the leaser blocks on it holding the next grant, which is the one
+	// grant of prefetch.
+	grants chan LeaseGrant
+
+	mu sync.Mutex
+	// held is every lease to renew — granted and not yet answered for —
+	// mapped to whether a renewal found it lost; running and its cancel
+	// name the tile computing now, so losing that lease stops the search.
+	held    map[string]bool
+	running string
+	cancel  context.CancelFunc
+	// interval is the heartbeat period (TTL/3 of the latest grant), and
+	// batch whether that grant's coordinator takes batched requests.
+	interval time.Duration
+	batch    bool
+	// queue is the finished results not yet posted; closed says no more
+	// will come (drain), so the completer exits once it is empty.
+	queue  []TileResult
+	closed bool
+
+	posted  chan struct{} // poked when queue or closed changed
+	beat    chan struct{} // poked to renew now rather than at the next beat
+	flushed chan struct{} // closed when the completer has exited
+}
+
+// poke wakes the goroutine that sleeps on ch, if it does.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// pause sleeps d, or until ctx ends.
+func pause(ctx context.Context, d time.Duration) {
+	select {
+	case <-ctx.Done():
+	case <-time.After(d):
+	}
+}
+
+// lease is the leaser: it asks for the next grant as soon as the
+// executor has taken the previous one, so a grant is always waiting
+// when the executor runs out. The request parks at the coordinator for
+// up to Poll; the rest of the interval is slept here when it comes back
+// empty sooner — a coordinator that does not park, or one that is
+// unreachable (restart, network blip: retry rather than die).
+func (p *pipeline) lease(ctx context.Context) {
+	w := p.w
+	for ctx.Err() == nil {
+		asked := time.Now()
 		grant, ok, err := w.Client.lease(ctx, LeaseRequest{
 			Worker:      w.ID,
 			Capacity:    w.Capacity,
 			TilesPerSec: w.tilesPerSec(),
+			WaitMillis:  w.Poll.Milliseconds(),
 		})
-		switch {
-		case err != nil:
-			// Coordinator unreachable (restart, network blip): idle and
-			// retry rather than dying.
-			if ctx.Err() == nil {
-				w.logger().Warn("lease request failed; retrying", "error", err, "retryIn", w.Poll)
-			}
-			w.idle(ctx)
-		case !ok:
-			w.idle(ctx)
-		default:
-			w.execute(ctx, grant)
+		if err != nil && ctx.Err() == nil {
+			w.logger().Warn("lease request failed; retrying", "error", err, "retryIn", w.Poll)
+		}
+		if err != nil || !ok {
+			pause(ctx, w.Poll-time.Since(asked))
+			continue
+		}
+		if len(grant.Granted) == 0 {
+			grant.Granted = []TileGrant{{Token: grant.Token, Tile: grant.Tile}}
+		}
+		p.mu.Lock()
+		for _, tg := range grant.Granted {
+			p.held[tg.Token] = false
+		}
+		interval := time.Duration(grant.TTLMillis) * time.Millisecond / 3
+		rearm := interval > 0 && interval != p.interval
+		if rearm {
+			p.interval = interval
+		}
+		p.batch = grant.Batch
+		p.mu.Unlock()
+		if rearm {
+			// The heartbeat sleeps out the interval it last read; a beat
+			// now makes it pick up this one.
+			poke(p.beat)
+		}
+		select {
+		case p.grants <- grant:
+		case <-ctx.Done():
 		}
 	}
 }
 
-// idle sleeps one poll interval, or until cancellation or a drain
-// request (a draining idle worker should leave now, not a poll later).
-func (w *Worker) idle(ctx context.Context) {
-	select {
-	case <-ctx.Done():
-	case <-w.drainSignal():
-	case <-time.After(w.Poll):
+// heartbeat renews every held lease each interval, and at once when
+// poked. A token whose renewal comes back lost is marked so — the
+// executor skips its tile — and if it belongs to the tile running now, that search is cancelled so the worker stops
+// burning cycles on a tile it no longer owns. Transport errors are
+// tolerated (only an authoritative "lost" loses a lease).
+func (p *pipeline) heartbeat(ctx context.Context) {
+	w := p.w
+	for {
+		p.mu.Lock()
+		interval := p.interval
+		p.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return
+		case <-p.beat:
+		case <-time.After(interval):
+		}
+		p.mu.Lock()
+		tokens := make([]string, 0, len(p.held))
+		for tok, lost := range p.held {
+			if !lost {
+				tokens = append(tokens, tok)
+			}
+		}
+		step := len(tokens)
+		if !p.batch {
+			step = 1
+		}
+		p.mu.Unlock()
+		for ; len(tokens) > 0 && ctx.Err() == nil; tokens = tokens[step:] {
+			step = min(step, len(tokens))
+			lost, err := w.Client.renew(ctx, tokens[:step], RenewRequest{Worker: w.ID, TilesPerSec: w.tilesPerSec()})
+			if err != nil && ctx.Err() == nil {
+				w.logger().Warn("renew failed; will retry", "tokens", step, "error", err)
+			}
+			for _, tok := range lost {
+				w.wm.leasesLost.Inc()
+				p.mu.Lock()
+				if _, ok := p.held[tok]; ok {
+					p.held[tok] = true
+				}
+				if p.running == tok {
+					p.cancel()
+				}
+				p.mu.Unlock()
+			}
+		}
 	}
 }
 
-// execute runs one granted batch of tiles end to end, sequentially.
-// Every tile keeps its own lease token: the shared heartbeat renews
-// all of them while any tile of the batch is still pending, so tile 3
-// stays covered while tiles 1 and 2 compute, and exactly-once
-// accounting is per tile exactly as with single grants.
-func (w *Worker) execute(ctx context.Context, grant LeaseGrant) {
-	tiles := grant.Granted
-	if len(tiles) == 0 {
-		tiles = []TileGrant{{Token: grant.Token, Tile: grant.Tile}}
+// lost reports whether a renewal found the lease gone.
+func (p *pipeline) lost(token string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.held[token]
+}
+
+// release stops renewing the leases of tiles the worker is through
+// with: answered for, or given up.
+func (p *pipeline) release(tiles ...TileGrant) {
+	p.mu.Lock()
+	for _, tg := range tiles {
+		delete(p.held, tg.Token)
 	}
+	p.mu.Unlock()
+}
+
+// execute is the executor: it runs grants as the leaser hands them over
+// until ctx ends (returning its error) or the worker drains (nil). Time
+// spent here without a grant is the pipeline's idle time.
+func (p *pipeline) execute(ctx context.Context) error {
+	w := p.w
+	for {
+		waiting := time.Now()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-w.drainSignal():
+			return nil
+		case grant := <-p.grants:
+			w.wm.idleSeconds.Observe(time.Since(waiting).Seconds())
+			p.run(ctx, grant)
+		}
+	}
+}
+
+// run executes one grant's tiles in order, queueing each result for the
+// completer. Every tile keeps its own lease token, renewed by the
+// heartbeat until its result is answered for, so exactly-once
+// accounting is per tile however the results are batched.
+func (p *pipeline) run(ctx context.Context, grant LeaseGrant) {
+	w := p.w
+	tiles := grant.Granted
 	sess, err := w.session(ctx, grant)
 	if err != nil {
 		// Dataset load failures are treated as transient (coordinator
@@ -304,6 +498,7 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) {
 		if ctx.Err() == nil {
 			w.logger().Warn("loading dataset failed; abandoning leases", "job", grant.Job, "error", err)
 		}
+		p.release(tiles...)
 		return
 	}
 	var opts []trigene.Option
@@ -317,343 +512,191 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) {
 			w.logger().Error("rebuilding spec failed; failing the job",
 				"job", grant.Job, "tile", tiles[0].Tile, "token", tiles[0].Token, "error", err)
 			w.failJob(ctx, tiles[0].Token, fmt.Sprintf("rebuilding spec: %v", err))
+			p.release(tiles...)
 			return
 		}
 	}
-
-	hb := w.startHeartbeats(ctx, grant, tiles)
-	defer hb.stop()
-	for _, tg := range tiles {
-		if ctx.Err() != nil {
-			// Shutdown: remaining leases expire and re-issue.
+	for i, tg := range tiles {
+		if ctx.Err() != nil || w.draining.Load() {
+			// Shutdown: the remaining leases expire and re-issue. Drain:
+			// leave hands them back.
 			return
 		}
-		if hb.lost(tg.Token) {
+		if p.lost(tg.Token) {
 			w.logger().Info("lease lost before start; skipping tile",
 				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+			p.release(tg)
 			continue
 		}
-		ok := false
+		res, err := p.runTile(ctx, grant, tg, sess, opts)
 		switch {
-		case grant.Stage == "screen":
-			ok = w.executeScreenTile(ctx, hb, grant, tg, sess)
-		case grant.Spec.Perm != nil:
-			ok = w.executePermTile(ctx, hb, grant, tg, sess, opts)
+		case err == nil:
+			p.mu.Lock()
+			p.queue = append(p.queue, res)
+			p.mu.Unlock()
+			poke(p.posted)
+		case p.lost(tg.Token):
+			w.logger().Info("lease lost mid-tile; abandoning it",
+				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+			p.release(tg)
+		case ctx.Err() != nil:
+			return
 		default:
-			ok = w.executeTile(ctx, hb, grant, tg, sess, opts)
-		}
-		if !ok {
+			// A deterministic execution error: retrying elsewhere cannot
+			// help, so fail the job loudly (and drop the rest of the grant
+			// — its leases die with the job).
+			w.logger().Error("tile failed; failing the job",
+				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
+			w.failJob(ctx, tg.Token, err.Error())
+			p.release(tiles[i:]...)
 			return
 		}
 	}
 }
 
-// shardCoords maps a lease-unit index onto the shard the tile's phase
-// covers: unscreened jobs shard the whole space (Tile of Tiles), a
-// two-phase job's grants shard within their stage.
-func shardCoords(grant LeaseGrant, tg TileGrant) (index, count int) {
+// runTile computes one tile and returns its result in wire form. What a
+// tile is follows from its grant: a stage-1 shard of a screened job (the
+// pairwise scan, posting ScreenScores the coordinator merges to pin the
+// survivor set), a range of a permutation job's [0, P) index space
+// (PermScores — every permutation keys its relabeling by absolute
+// index, so a range is bit-exact whichever worker runs it and however
+// the space was cut), or a shard of a search (a Report).
+func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) (TileResult, error) {
+	w := p.w
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	p.mu.Lock()
+	p.running, p.cancel = tg.Token, cancel
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.running, p.cancel = "", nil
+		p.mu.Unlock()
+	}()
+
+	// The shard the tile covers: unscreened jobs shard the whole space
+	// (Tile of Tiles), a two-phase job's grants shard within their stage.
+	index, count := tg.Tile, grant.Tiles
 	if grant.StageCount > 0 {
-		return tg.Tile - grant.StageBase, grant.StageCount
+		index, count = tg.Tile-grant.StageBase, grant.StageCount
 	}
-	return tg.Tile, grant.Tiles
-}
-
-// executeScreenTile runs one stage-1 shard of a screened job — the
-// pairwise scan over shard (Tile−StageBase) of StageCount — and posts
-// its ScreenScores; the coordinator merges the shards and pins the
-// survivor set when the last one lands. Reports false when the whole
-// batch should be abandoned.
-func (w *Worker) executeScreenTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session) bool {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hb.setCurrent(tg.Token, cancel)
-	defer hb.clearCurrent()
-
-	index, count := shardCoords(grant, tg)
-	opts := []trigene.Option{trigene.WithShard(index, count), trigene.WithMetrics(w.reg)}
-	if grant.Spec.Objective != "" {
-		opts = append(opts, trigene.WithObjective(grant.Spec.Objective))
-	}
-	if grant.Spec.Workers != 0 {
-		opts = append(opts, trigene.WithWorkers(grant.Spec.Workers))
-	}
-	seedPairs := 0
-	if grant.Spec.Screen != nil {
-		seedPairs = grant.Spec.Screen.SeedPairs
-	}
-
-	w.logger().Info("executing screen tile",
-		"job", grant.Job, "tile", tg.Tile, "shard", index, "shards", count, "token", tg.Token)
-	start := time.Now()
-	scores, err := sess.ScreenStage1(sctx, seedPairs, opts...)
-
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		w.observe(elapsed)
-		w.wm.tiles.Inc()
-		w.wm.tileSeconds.Observe(elapsed.Seconds())
-		hb.finish(tg.Token)
-		accepted, cerr := w.Client.completeScreen(ctx, tg.Token, scores)
-		switch {
-		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		case cerr != nil:
-			w.logger().Warn("posting screen scores failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
-		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		}
-	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-scan; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-	case ctx.Err() != nil:
-		// Shutdown: leave the leases to expire and be re-issued.
-	default:
-		w.logger().Error("screen tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
-		w.failJob(ctx, tg.Token, err.Error())
-		return false
-	}
-	return true
-}
-
-// executePermTile runs one permutation-range tile of a permutation job:
-// the grant's shard of the [0, P) permutation index space, evaluated
-// with Session.PermutationSlice and posted back as PermScores. Because
-// every permutation keys its relabeling by absolute index, the range
-// the shard covers is bit-exact regardless of which worker runs it or how
-// the space was cut. Reports false when the whole batch should be
-// abandoned (the job was failed deterministically).
-func (w *Worker) executePermTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) bool {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hb.setCurrent(tg.Token, cancel)
-	defer hb.clearCurrent()
-
-	index, count := shardCoords(grant, tg)
-	src, serr := sched.Permutations(grant.Spec.Perm.PermutationCount(), count).Shard(sched.Shard{Index: index, Count: count})
-	if serr != nil {
-		// The coordinator sized the space at submit; a shard error here
-		// is deterministic, so fail the job loudly.
-		w.logger().Error("sharding permutation space failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", serr)
-		w.failJob(ctx, tg.Token, fmt.Sprintf("sharding permutation space: %v", serr))
-		return false
-	}
-	b := src.Bounds()
-	offset, n := int(b.Lo), int(b.Hi-b.Lo)
-
-	topts := make([]trigene.Option, 0, len(opts)+1)
-	topts = append(topts, opts...)
-	topts = append(topts, trigene.WithMetrics(w.reg))
-
-	w.logger().Info("executing perm tile",
-		"job", grant.Job, "tile", tg.Tile, "offset", offset, "count", n, "token", tg.Token)
-	start := time.Now()
-	scores, err := sess.PermutationSlice(sctx, grant.Spec.Perm.SNPs, offset, n, topts...)
-
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		w.observe(elapsed)
-		w.wm.tiles.Inc()
-		w.wm.tileSeconds.Observe(elapsed.Seconds())
-		hb.finish(tg.Token)
-		accepted, cerr := w.Client.completePerm(ctx, tg.Token, scores)
-		switch {
-		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		case cerr != nil:
-			w.logger().Warn("posting perm scores failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
-		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		}
-	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-test; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-	case ctx.Err() != nil:
-		// Shutdown: leave the leases to expire and be re-issued.
-	default:
-		w.logger().Error("perm tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
-		w.failJob(ctx, tg.Token, err.Error())
-		return false
-	}
-	return true
-}
-
-// executeTile runs one tile of a batch; it reports false when the
-// whole batch should be abandoned (the job was failed deterministically).
-func (w *Worker) executeTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) bool {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hb.setCurrent(tg.Token, cancel)
-	defer hb.clearCurrent()
-
-	index, count := shardCoords(grant, tg)
-	topts := make([]trigene.Option, 0, len(opts)+2)
-	topts = append(topts, opts...)
-	topts = append(topts, trigene.WithShard(index, count))
-	topts = append(topts, trigene.WithMetrics(w.reg))
-
 	w.logger().Info("executing tile",
-		"job", grant.Job, "tile", tg.Tile, "tiles", grant.Tiles, "token", tg.Token)
+		"job", grant.Job, "tile", tg.Tile, "shard", index, "shards", count, "stage", grant.Stage, "token", tg.Token)
+	res := TileResult{Token: tg.Token}
+	var out any
+	var field *json.RawMessage
+	var err error
 	start := time.Now()
-	rep, err := sess.Search(sctx, topts...)
-
 	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		w.observe(elapsed)
-		w.wm.tiles.Inc()
-		w.wm.tileSeconds.Observe(elapsed.Seconds())
-		hb.finish(tg.Token)
-		accepted, cerr := w.complete(ctx, tg.Token, rep)
-		switch {
-		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		case cerr != nil:
-			// The result is lost; the lease expires and the tile is
-			// re-issued. Nothing to clean up.
-			w.logger().Warn("posting result failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
-		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+	case grant.Stage == "screen":
+		sopts := []trigene.Option{trigene.WithShard(index, count), trigene.WithMetrics(w.reg)}
+		if grant.Spec.Objective != "" {
+			sopts = append(sopts, trigene.WithObjective(grant.Spec.Objective))
 		}
-	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-search; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-	case ctx.Err() != nil:
-		// Shutdown: leave the leases to expire and be re-issued.
+		if grant.Spec.Workers != 0 {
+			sopts = append(sopts, trigene.WithWorkers(grant.Spec.Workers))
+		}
+		seedPairs := 0
+		if grant.Spec.Screen != nil {
+			seedPairs = grant.Spec.Screen.SeedPairs
+		}
+		field = &res.Screen
+		out, err = sess.ScreenStage1(ctx, seedPairs, sopts...)
+	case grant.Spec.Perm != nil:
+		var src sched.Source
+		src, err = sched.Permutations(grant.Spec.Perm.PermutationCount(), count).Shard(sched.Shard{Index: index, Count: count})
+		if err != nil {
+			// The coordinator sized the space at submit; a shard error
+			// here is deterministic, and fails the job like any other.
+			return res, fmt.Errorf("sharding permutation space: %w", err)
+		}
+		b := src.Bounds()
+		field = &res.Perm
+		out, err = sess.PermutationSlice(ctx, grant.Spec.Perm.SNPs, int(b.Lo), int(b.Hi-b.Lo),
+			append(opts[:len(opts):len(opts)], trigene.WithMetrics(w.reg))...)
 	default:
-		// A deterministic execution error: retrying elsewhere cannot
-		// help, so fail the job loudly (and drop the rest of the batch
-		// — its leases die with the job).
-		w.logger().Error("tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
-		w.failJob(ctx, tg.Token, err.Error())
-		return false
+		field = &res.Report
+		out, err = sess.Search(ctx,
+			append(opts[:len(opts):len(opts)], trigene.WithShard(index, count), trigene.WithMetrics(w.reg))...)
 	}
-	return true
+	if err != nil {
+		return res, err
+	}
+	elapsed := time.Since(start)
+	w.observe(elapsed)
+	w.wm.tiles.Inc()
+	w.wm.tileSeconds.Observe(elapsed.Seconds())
+	*field, err = json.Marshal(out)
+	return res, err
 }
 
-// heartbeats renews every outstanding lease of one grant batch at
-// TTL/3 until stopped. A token whose renewal comes back "gone" is
-// marked lost, and if it belongs to the currently running tile, that
-// search is cancelled so the worker stops burning cycles on a tile it
-// no longer owns.
-type heartbeats struct {
-	w    *Worker
-	done chan struct{}
-	quit chan struct{}
-
-	mu        sync.Mutex
-	live      map[string]bool
-	lostSet   map[string]bool
-	curToken  string
-	curCancel context.CancelFunc
-}
-
-func (w *Worker) startHeartbeats(ctx context.Context, grant LeaseGrant, tiles []TileGrant) *heartbeats {
-	hb := &heartbeats{
-		w:       w,
-		done:    make(chan struct{}),
-		quit:    make(chan struct{}),
-		live:    make(map[string]bool, len(tiles)),
-		lostSet: make(map[string]bool),
-	}
-	for _, tg := range tiles {
-		hb.live[tg.Token] = true
-	}
-	interval := time.Duration(grant.TTLMillis) * time.Millisecond / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
-	go func() {
-		defer close(hb.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
+// complete is the completer: it posts, as one done request, every
+// result that finished while its previous request was in flight — the
+// batch sizes itself to however far the executor runs ahead of the
+// coordinator — and exits when ctx ends or the queue is closed and
+// empty. A request that got no answer (transport failure, 5xx: the
+// coordinator restarting or recovering) is retried with backoff for as
+// long as its leases are held, so a finished tile is not computed twice
+// because its first POST met a restart; a drained worker tries once.
+func (p *pipeline) complete(ctx context.Context) {
+	w := p.w
+	for {
+		p.mu.Lock()
+		// One result to a coordinator that takes no batches; otherwise
+		// all of them, up to half the route's body bound.
+		n, size := 0, 0
+		for n < len(p.queue) && (n == 0 || (p.batch && size < maxDoneBody/2)) {
+			size += len(p.queue[n].Report) + len(p.queue[n].Screen) + len(p.queue[n].Perm)
+			n++
+		}
+		results := p.queue[:n:n]
+		p.queue = p.queue[n:]
+		closed := p.closed
+		p.mu.Unlock()
+		if n == 0 {
+			if closed {
+				return
+			}
 			select {
 			case <-ctx.Done():
 				return
-			case <-hb.quit:
-				return
-			case <-ticker.C:
-				hb.renewAll(ctx)
+			case <-p.posted:
 			}
+			continue
 		}
-	}()
-	return hb
-}
-
-// renewAll heartbeats every live token once.
-func (hb *heartbeats) renewAll(ctx context.Context) {
-	hb.mu.Lock()
-	tokens := make([]string, 0, len(hb.live))
-	for tok := range hb.live {
-		tokens = append(tokens, tok)
-	}
-	hb.mu.Unlock()
-	for _, tok := range tokens {
-		if ctx.Err() != nil {
-			return
-		}
-		if err := hb.w.renewOnce(ctx, tok); err != nil {
-			hb.w.wm.leasesLost.Inc()
-			hb.mu.Lock()
-			delete(hb.live, tok)
-			hb.lostSet[tok] = true
-			cancel := hb.curCancel
-			isCurrent := hb.curToken == tok
-			hb.mu.Unlock()
-			if isCurrent && cancel != nil {
-				cancel()
+		for backoff := w.Poll / 16; len(results) > 0 && ctx.Err() == nil; backoff = min(2*backoff, w.Poll) {
+			verdicts, err := w.Client.done(ctx, results)
+			if err != nil {
+				p.mu.Lock()
+				giveUp := p.closed
+				p.mu.Unlock()
+				if ctx.Err() != nil || giveUp {
+					return
+				}
+				w.logger().Warn("posting results failed; retrying",
+					"results", len(results), "error", err, "retryIn", backoff)
+				pause(ctx, max(backoff, time.Millisecond))
+				continue
 			}
+			for _, v := range verdicts {
+				p.release(TileGrant{Token: v.Token})
+				switch v.Status {
+				case TileAccepted:
+				case TileDiscarded:
+					w.logger().Info("duplicate result discarded by coordinator", "token", v.Token)
+				case TileGone:
+					// The job is over or the lease was never the
+					// coordinator's: the same is likely true of others
+					// held, and a renewal now finds out which.
+					w.logger().Info("completed after lease loss; result discarded", "token", v.Token, "reason", v.Error)
+					poke(p.beat)
+				default:
+					w.logger().Warn("result refused by coordinator", "token", v.Token, "error", v.Error)
+				}
+			}
+			results = results[len(verdicts):]
 		}
 	}
-}
-
-// setCurrent marks the tile now computing, so a lost lease can cancel
-// exactly that search.
-func (hb *heartbeats) setCurrent(token string, cancel context.CancelFunc) {
-	hb.mu.Lock()
-	hb.curToken, hb.curCancel = token, cancel
-	hb.mu.Unlock()
-}
-
-func (hb *heartbeats) clearCurrent() {
-	hb.mu.Lock()
-	hb.curToken, hb.curCancel = "", nil
-	hb.mu.Unlock()
-}
-
-// finish stops renewing a completed tile's token.
-func (hb *heartbeats) finish(token string) {
-	hb.mu.Lock()
-	delete(hb.live, token)
-	hb.mu.Unlock()
-}
-
-// lost reports whether the token's lease is gone.
-func (hb *heartbeats) lost(token string) bool {
-	hb.mu.Lock()
-	defer hb.mu.Unlock()
-	return hb.lostSet[token]
-}
-
-// stop terminates the heartbeat goroutine and waits for it.
-func (hb *heartbeats) stop() {
-	close(hb.quit)
-	<-hb.done
 }
 
 // session returns the cached Session for a grant's dataset. On a cache
@@ -763,25 +806,6 @@ func (w *Worker) persistPack(hash string, raw []byte, s *trigene.Session) {
 	if err != nil {
 		w.logger().Warn("pack cache write failed", "error", err)
 	}
-}
-
-// renewOnce heartbeats the lease, carrying the current capability
-// report, and tolerates transient transport errors (only an
-// authoritative "gone" loses the lease).
-func (w *Worker) renewOnce(ctx context.Context, token string) error {
-	err := w.Client.renew(ctx, token, RenewRequest{Worker: w.ID, TilesPerSec: w.tilesPerSec()})
-	if errors.Is(err, errLeaseLost) {
-		return err
-	}
-	if err != nil && ctx.Err() == nil {
-		w.logger().Warn("renew failed; will retry", "token", token, "error", err)
-	}
-	return nil
-}
-
-// complete posts the tile Report.
-func (w *Worker) complete(ctx context.Context, token string, rep *trigene.Report) (bool, error) {
-	return w.Client.complete(ctx, token, rep)
 }
 
 // failJob reports a deterministic failure.

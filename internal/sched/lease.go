@@ -92,21 +92,13 @@ func NewLeaseTable(n int) *LeaseTable {
 // deadline of now+ttl. It returns false when every tile is either done
 // or covered by an unexpired lease.
 func (lt *LeaseTable) Acquire(now time.Time, ttl time.Duration) (TileLease, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for i := range lt.tiles {
-		t := &lt.tiles[i]
-		if t.state == tileDone || (t.state == tileLeased && now.Before(t.deadline)) {
-			continue
-		}
-		lt.seq++
-		t.state = tileLeased
-		t.seq = lt.seq
-		t.deadline = now.Add(ttl)
-		t.attempts++
-		return TileLease{Tile: i, Seq: t.seq, Attempt: t.attempts}, true
-	}
-	return TileLease{}, false
+	return lt.AcquireBelow(now, ttl, len(lt.tiles))
+}
+
+// available reports whether the tile can be granted at the given
+// instant: not done, and not covered by an unexpired lease.
+func (t *tileLease) available(now time.Time) bool {
+	return t.state == tileFree || (t.state == tileLeased && !now.Before(t.deadline))
 }
 
 // AcquireBelow is Acquire restricted to tiles with index < limit: the
@@ -122,7 +114,7 @@ func (lt *LeaseTable) AcquireBelow(now time.Time, ttl time.Duration, limit int) 
 	}
 	for i := 0; i < limit; i++ {
 		t := &lt.tiles[i]
-		if t.state == tileDone || (t.state == tileLeased && now.Before(t.deadline)) {
+		if !t.available(now) {
 			continue
 		}
 		lt.seq++
@@ -133,6 +125,24 @@ func (lt *LeaseTable) AcquireBelow(now time.Time, ttl time.Duration, limit int) 
 		return TileLease{Tile: i, Seq: t.seq, Attempt: t.attempts}, true
 	}
 	return TileLease{}, false
+}
+
+// AvailableBelow returns how many tiles with index < limit AcquireBelow
+// could grant at the given instant — what a coordinator sizing a
+// multi-tile grant divides among its workers.
+func (lt *LeaseTable) AvailableBelow(now time.Time, limit int) int {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if limit > len(lt.tiles) {
+		limit = len(lt.tiles)
+	}
+	n := 0
+	for i := 0; i < limit; i++ {
+		if lt.tiles[i].available(now) {
+			n++
+		}
+	}
+	return n
 }
 
 // DoneBelow returns how many tiles with index < limit have completed

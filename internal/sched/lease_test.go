@@ -277,3 +277,40 @@ func TestLeaseTableRestoreReplay(t *testing.T) {
 		t.Fatalf("seq %d did not advance past the replayed 9", l.Seq)
 	}
 }
+
+// TestLeaseTableAvailableBelow: the count a coordinator sizes grants by
+// is exactly what AcquireBelow could hand out — free tiles and lapsed
+// leases under the limit, never done or covered ones.
+func TestLeaseTableAvailableBelow(t *testing.T) {
+	now := time.Unix(100, 0)
+	ttl := 10 * time.Second
+	lt := NewLeaseTable(6)
+	if got := lt.AvailableBelow(now, 6); got != 6 {
+		t.Fatalf("fresh table: %d available, want 6", got)
+	}
+	a, _ := lt.Acquire(now, ttl)
+	b, _ := lt.Acquire(now, ttl)
+	lt.Complete(a.Tile, a.Seq)
+	if got := lt.AvailableBelow(now, 6); got != 4 {
+		t.Errorf("one done, one leased: %d available, want 4", got)
+	}
+	if got := lt.AvailableBelow(now, 3); got != 1 {
+		t.Errorf("below 3: %d available, want 1", got)
+	}
+	if got := lt.AvailableBelow(now, 99); got != 4 {
+		t.Errorf("limit past the table: %d available, want 4", got)
+	}
+	later := now.Add(ttl)
+	if got := lt.AvailableBelow(later, 6); got != 5 {
+		t.Errorf("after the lease lapsed: %d available, want 5", got)
+	}
+	for n := 0; ; n++ {
+		if _, ok := lt.AcquireBelow(later, ttl, 6); !ok {
+			if n != 5 {
+				t.Errorf("AcquireBelow granted %d tiles, AvailableBelow promised 5", n)
+			}
+			break
+		}
+	}
+	_ = b
+}

@@ -27,15 +27,15 @@ func (l *Log) Instrument(reg *obs.Registry) {
 	l.m = metrics{
 		appends:       reg.Counter("trigene_wal_appends_total", "Records appended to the write-ahead journal."),
 		appendBytes:   reg.Counter("trigene_wal_append_bytes_total", "Payload bytes appended to the write-ahead journal."),
-		syncs:         reg.Counter("trigene_wal_fsyncs_total", "Journal flush+fsync calls."),
-		syncSeconds:   reg.Histogram("trigene_wal_fsync_seconds", "Journal flush+fsync latency.", obs.DurationBuckets),
+		syncs:         reg.Counter("trigene_wal_fsyncs_total", "Journal fsync calls."),
+		syncSeconds:   reg.Histogram("trigene_wal_fsync_seconds", "Journal fsync latency.", obs.DurationBuckets),
 		snapshots:     reg.Counter("trigene_wal_snapshots_total", "Snapshots written."),
 		snapshotBytes: reg.Gauge("trigene_wal_snapshot_bytes", "Size of the last snapshot written."),
 		snapSeconds:   reg.Histogram("trigene_wal_snapshot_seconds", "Snapshot write+cutover latency.", obs.DurationBuckets),
 	}
 }
 
-// observeSync wraps a Sync with its counter and latency histogram.
+// observeSync records one fsync in its counter and latency histogram.
 func (l *Log) observeSync(start time.Time) {
 	l.m.syncs.Inc()
 	l.m.syncSeconds.Observe(time.Since(start).Seconds())

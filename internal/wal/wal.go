@@ -25,8 +25,15 @@
 // crash interrupted mid-write is discarded, everything before it is
 // trusted by checksum.
 //
+// Sync is Flush then Fsync, and the halves are exported so a caller can
+// commit in groups: Flush (buffer to file, cheap) under the lock that
+// serializes its appends, Fsync (the slow half) outside it, covering
+// every record flushed before it started.
+//
 // The Log is not safe for concurrent use; callers serialize (the
-// coordinator appends under its own mutex).
+// coordinator appends under its own mutex). The one exception is
+// Fsync, which may overlap Append and Flush — but not WriteSnapshot or
+// Close, which replace the file it syncs.
 package wal
 
 import (
@@ -134,12 +141,29 @@ func (l *Log) Append(rec []byte) error {
 // Sync flushes buffered appends and fsyncs the journal: every record
 // appended before Sync survives a machine crash once it returns.
 func (l *Log) Sync() error {
-	start := time.Now()
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+	if err := l.Flush(); err != nil {
+		return err
 	}
+	return l.Fsync()
+}
+
+// Flush hands buffered appends to the file. They survive the process
+// from here on, and a machine crash only after the next Fsync.
+func (l *Log) Flush() error {
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("wal: flush: %w", err)
+	}
+	return nil
+}
+
+// Fsync makes every record flushed before the call durable.
+func (l *Log) Fsync() error {
+	if l.f == nil {
+		return fmt.Errorf("wal: fsync: log is closed")
+	}
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.observeSync(start)
 	return nil

@@ -278,3 +278,46 @@ func TestDecodeEncodeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushThenFsync pins the two halves of Sync a group commit takes
+// apart: flushed records are in the file (a reader that opens it sees
+// them, whether or not an fsync followed), records still in the buffer
+// are not, an Fsync may run while appends go on, and a closed log
+// refuses one instead of panicking.
+func TestFlushThenFsync(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.f.Close() }) // never Closed: it "crashes" below
+	if err := l.Append([]byte("flushed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Fsync() }()
+	if err := l.Append([]byte("appended during the fsync")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	// A crash here: the process dies with its buffer.
+	crashed, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, crashed, "flushed")
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.Fsync(); err == nil {
+		t.Error("Fsync on a closed log succeeded")
+	}
+}
