@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -83,13 +80,45 @@ func TestHostOutput(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment: only the paper experiments exist. The per-PR
+// audits retired in PR 18 (their gates are tests and bench/ metrics
+// now) and their -out flag are refused like any other unknown name.
 func TestUnknownExperiment(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "fig9"}, &out, &errBuf); err == nil {
-		t.Error("unknown experiment accepted")
+	retired := []string{"snapshot", "sched", "cluster", "plan", "store", "durable", "kernels", "obs", "screen", "perm"}
+	for _, name := range append([]string{"fig9"}, retired...) {
+		var out, errBuf bytes.Buffer
+		err := run([]string{"-exp", name}, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: err = %v, want unknown experiment", name, err)
+		}
 	}
-	if err := run([]string{"-badflag"}, &out, &errBuf); err == nil {
-		t.Error("bad flag accepted")
+	for _, args := range [][]string{{"-badflag"}, {"-exp", "host", "-out", "x.json"}} {
+		var out, errBuf bytes.Buffer
+		err := run(args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v): err = %v, want undefined-flag error", args, err)
+		}
+	}
+}
+
+// TestAllOutput: -exp all renders the eight paper experiments, in
+// order, and nothing else.
+func TestAllOutput(t *testing.T) {
+	s := runExp(t, "-exp", "all", "-host-snps", "24", "-host-samples", "256")
+	headers := []string{
+		"== Figure 2a", "== Figure 2b", "== Figure 3", "== Figure 4", "== Table III",
+		"== Section V-D", "== DVFS energy study", "== Host-measured approach study (24 SNPs x 256 samples)",
+	}
+	at := 0
+	for _, h := range headers {
+		i := strings.Index(s[at:], h)
+		if i < 0 {
+			t.Fatalf("-exp all: %q missing or out of order", h)
+		}
+		at += i + len(h)
+	}
+	if n := strings.Count("\n"+s, "\n== "); n != len(headers) {
+		t.Errorf("-exp all printed %d experiment headers, want %d", n, len(headers))
 	}
 }
 
@@ -99,105 +128,5 @@ func TestEnergyOutput(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("energy output missing %q", want)
 		}
-	}
-}
-
-func TestSnapshotOutput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	s := runExp(t, "-exp", "snapshot", "-out", path)
-	if !strings.Contains(s, "Perf snapshot") {
-		t.Errorf("snapshot table missing:\n%s", s)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v", err)
-	}
-	if snap.Schema != "trigene-bench/1" || snap.SNPs != snapSNPs || snap.Samples != snapSamples {
-		t.Errorf("snapshot header wrong: %+v", snap)
-	}
-	want := map[string]bool{"V1": false, "V2": false, "V3": false, "V4": false, "mpi3snp": false}
-	for _, p := range snap.Points {
-		want[p.Approach] = true
-		if p.CombosPerSec <= 0 || p.Combinations <= 0 {
-			t.Errorf("point %+v has empty throughput", p)
-		}
-	}
-	for ap, seen := range want {
-		if !seen {
-			t.Errorf("approach %s missing from snapshot", ap)
-		}
-	}
-}
-
-// TestPlanOutput: the autotuning audit writes the snapshot and passes
-// its own sanity gate.
-func TestPlanOutput(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "plan.json")
-	s := runExp(t, "-exp", "plan", "-out", outPath)
-	if !strings.Contains(s, "Autotuning prediction audit") {
-		t.Errorf("missing header:\n%s", s)
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap planSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Schema != "trigene-plan/1" || len(snap.Points) != 3 {
-		t.Errorf("snapshot: schema=%q points=%d", snap.Schema, len(snap.Points))
-	}
-	for _, p := range snap.Points {
-		if p.PredictedTilesPerSec <= 0 || p.MeasuredTilesPerSec <= 0 || p.Grain <= 0 {
-			t.Errorf("point %+v not populated", p)
-		}
-	}
-}
-
-// TestKernelsOutput: the fused-kernel audit writes the snapshot and
-// passes its own fused-beats-unfused gate.
-func TestKernelsOutput(t *testing.T) {
-	if raceEnabled {
-		// Race instrumentation multiplies every pair-plane load, so the
-		// fused-vs-unfused timing gate measures the detector, not the
-		// kernels. The un-instrumented CI step "fused kernel audit"
-		// still enforces it.
-		t.Skip("fused-kernel timing gate is meaningless under -race")
-	}
-	outPath := filepath.Join(t.TempDir(), "kernels.json")
-	s := runExp(t, "-exp", "kernels", "-out", outPath)
-	if !strings.Contains(s, "Fused-kernel audit") {
-		t.Errorf("missing header:\n%s", s)
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap kernelsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Schema != "trigene-kernels/1" || len(snap.Points) != 12 {
-		t.Errorf("snapshot: schema=%q points=%d", snap.Schema, len(snap.Points))
-	}
-	want := map[string]bool{"V3": false, "V3F": false, "V4": false, "V4F": false}
-	for _, p := range snap.Points {
-		want[p.Approach] = true
-		if p.GElemsPerSec <= 0 || p.BlockSNPs <= 0 || p.BlockWords <= 0 {
-			t.Errorf("point %+v not populated", p)
-		}
-	}
-	for ap, seen := range want {
-		if !seen {
-			t.Errorf("approach %s missing from snapshot", ap)
-		}
-	}
-	if snap.SpeedupV4F <= 1 {
-		t.Errorf("fused V4F speedup %.3f, want > 1", snap.SpeedupV4F)
 	}
 }

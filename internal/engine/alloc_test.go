@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"trigene/internal/combin"
@@ -17,7 +19,9 @@ import (
 // buffer, reused top-K heaps) are what make this hold. The guarantee
 // must survive instrumentation, so every approach is probed twice:
 // without metrics and with a live registry attached (counters are
-// resolved at construction; the per-tile update is atomic adds only).
+// resolved at construction; the per-tile update is atomic adds only),
+// and a scrape of that registry must then show
+// trigene_engine_tiles_total at exactly the tiles the loop processed.
 // The screened search's index-remap layer (Searcher.Subset) must
 // preserve the guarantee — its sub-searcher is probed alongside the
 // full one, since stage 2 runs the same hot loops over survivors. The
@@ -80,6 +84,16 @@ func TestHotPathAllocs(t *testing.T) {
 						probe.name, a, reg != nil, allocs)
 				}
 				h.Close()
+				if reg != nil {
+					var expo strings.Builder
+					if _, err := reg.WriteTo(&expo); err != nil {
+						t.Fatal(err)
+					}
+					want := fmt.Sprintf("trigene_engine_tiles_total{approach=%q} %d\n", a.String(), tiles+idx)
+					if !strings.Contains(expo.String(), want) {
+						t.Errorf("%s/%v: scrape of the live registry lacks %q", probe.name, a, want)
+					}
+				}
 			}
 		}
 		o, err := Options{TopK: 4}.withDefaults(probe.s.st.Samples())

@@ -8,7 +8,7 @@ import (
 )
 
 // HotLoop exposes one consumer's steady-state claim→score step outside
-// the worker pool, so tests and the benchsuite can measure the hot
+// the worker pool, so tests and bench/ can measure the hot
 // path directly: allocations per processed tile (which must be zero
 // once warm) and tiles per second. It is not safe for concurrent use;
 // Close returns the pooled scratch.

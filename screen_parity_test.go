@@ -71,7 +71,7 @@ func TestScreenPermissiveParity(t *testing.T) {
 // TestScreenTightRecall: a tight screen still surfaces the planted
 // triple — its SNPs rank high in the pairwise pre-scan by
 // construction of ThresholdPenetrance — and the audit trail records
-// the pruning.
+// the pruning. A second, seedless screen pins survivor recall itself.
 func TestScreenTightRecall(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()
@@ -92,6 +92,14 @@ func TestScreenTightRecall(t *testing.T) {
 	if sc.PairsScanned != m*(m-1)/2 {
 		t.Errorf("scanned %d pairs, want C(%d,2) = %d", sc.PairsScanned, m, m*(m-1)/2)
 	}
+	// Without seeds nothing puts a pruned SNP back: the planted triple is
+	// best only if all three of its SNPs survive stage 1.
+	rep, err = s.Search(ctx, trigene.WithTopK(3),
+		trigene.WithScreen(trigene.ScreenSpec{MaxSurvivors: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSNPs(t, rep.Best.SNPs, 3, 9, 15)
 }
 
 // TestScreenTraceSpans: a traced screened search accounts for itself —
