@@ -21,6 +21,12 @@ func Kernel() string {
 	return "portable"
 }
 
+// HasAVX512 reports what the start-up probe found: AVX512F and
+// AVX512_VPOPCNTDQ with OS-saved opmask and ZMM state, in a build that
+// holds the assembly. Other packages' AVX-512 bodies (score's K2 lanes)
+// are gated on it, so the module has one probe.
+func HasAVX512() bool { return hasAVX512 }
+
 // PairBlock is the fused kernel's state for one (i1, i2) pair over one
 // word tile: the nine pair-AND planes (plane gy*3+gz holds
 // ys[gy] & zs[gz], genotype 2 derived by NOR, plane-major) and the

@@ -3,14 +3,16 @@
 #include "textflag.h"
 
 // AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops, of the
-// pair kernel's one and of the permutation test's plane counter. All of
-// them walk n >= 1 words in 8-word vectors under opmask K1: 0xFF for the
-// full vectors and the low n%8 bits for a ragged last one, whose masked
-// loads and stores touch nothing beyond word n (masked-out elements
-// neither fault nor count). The nine pair planes of the fused kernel and
-// the eight case planes of the plane counter sit n words apart, so plane
-// p of the current vector is at DX + p*R8 with R8 = 8n bytes; R9, R10
-// and R11 hold 3x, 5x and 7x that stride for the addressing modes.
+// pair kernel's one, of the permutation test's plane counter and, at the
+// end, of the lanes pass, which walks word by word with a SNP per lane.
+// The others walk n >= 1 words in 8-word vectors under opmask K1: 0xFF
+// for the full vectors and the low n%8 bits for a ragged last one, whose
+// masked loads and stores touch nothing beyond word n (masked-out
+// elements neither fault nor count). The nine pair planes of the fused
+// kernel and the eight case planes of the plane counter sit n words
+// apart, so plane p of the current vector is at DX + p*R8 with R8 = 8n
+// bytes; R9, R10 and R11 hold 3x, 5x and 7x that stride for the
+// addressing modes.
 
 // func cpuHasAVX512VPOPCNTDQ() bool
 //
@@ -409,5 +411,91 @@ planesBody:
 planesDone:
 	REDUCE8(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Y4)
 	VMOVDQU Y4, (DI)
+	VZEROUPPER
+	RET
+
+// LANECELLS counts one pair-plane word, broadcast to every lane, against
+// the x0 (Z0) and x1 (Z1) words of eight SNPs.
+#define LANECELLS(mem, acc0, acc1) \
+	VPBROADCASTQ mem, Z2; \
+	VPANDQ       Z2, Z0, Z3; \
+	VPANDQ       Z2, Z1, Z2; \
+	VPOPCNTQ     Z3, Z3; \
+	VPOPCNTQ     Z2, Z2; \
+	VPADDQ       Z3, acc0, acc0; \
+	VPADDQ       Z2, acc1, acc1
+
+// LANEROWS narrows the two accumulators of pair plane p to eight 32-bit
+// counts each and stores them as rows p and 9+p of the lane table, and
+// row 18+p as sums[p] minus both.
+#define LANEROWS(p, acc0, ylo0, acc1) \
+	VPMOVQD      acc0, ylo0; \
+	VPMOVQD      acc1, Y3; \
+	VPBROADCASTD 4*p(SI), Y2; \
+	VPSUBD       ylo0, Y2, Y2; \
+	VPSUBD       Y3, Y2, Y2; \
+	VMOVDQU      ylo0, 32*p(DI); \
+	VMOVDQU      Y3, 32*(9+p)(DI); \
+	VMOVDQU      Y2, 32*(18+p)(DI)
+
+// func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int)
+//
+// One combination per lane: per plane word, the x0 and x1 vectors of the
+// x tile (128 bytes per word) meet each of the nine pair-plane words,
+// broadcast, in the same 18 accumulators as accumulateFusedAVX512 — but a
+// lane is a SNP here, not a word, so the counts leave as they stand: no
+// mask (short lanes are zero words of the tile), no lane reduction.
+TEXT ·accumulateLanesAVX512(SB), NOSPLIT, $0-40
+	MOVQ lt+0(FP), DI
+	MOVQ xt+8(FP), AX
+	MOVQ planes+16(FP), DX
+	MOVQ sums+24(FP), SI
+	MOVQ n+32(FP), CX
+	STRIDES
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+
+lanesLoop:
+	VMOVDQU64 (AX), Z0
+	VMOVDQU64 64(AX), Z1
+	LANECELLS((DX), Z4, Z13)
+	LANECELLS((DX)(R8*1), Z5, Z14)
+	LANECELLS((DX)(R8*2), Z6, Z15)
+	LANECELLS((DX)(R9*1), Z7, Z16)
+	LANECELLS((DX)(R8*4), Z8, Z17)
+	LANECELLS((DX)(R10*1), Z9, Z18)
+	LANECELLS((DX)(R9*2), Z10, Z19)
+	LANECELLS((DX)(R11*1), Z11, Z20)
+	LANECELLS((DX)(R8*8), Z12, Z21)
+	ADDQ $128, AX
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  lanesLoop
+
+	LANEROWS(0, Z4, Y4, Z13)
+	LANEROWS(1, Z5, Y5, Z14)
+	LANEROWS(2, Z6, Y6, Z15)
+	LANEROWS(3, Z7, Y7, Z16)
+	LANEROWS(4, Z8, Y8, Z17)
+	LANEROWS(5, Z9, Y9, Z18)
+	LANEROWS(6, Z10, Y10, Z19)
+	LANEROWS(7, Z11, Y11, Z20)
+	LANEROWS(8, Z12, Y12, Z21)
 	VZEROUPPER
 	RET

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trigene/internal/combin"
+	"trigene/internal/contingency"
 	"trigene/internal/obs"
 	"trigene/internal/sched"
 	"trigene/internal/score"
@@ -28,8 +29,15 @@ import (
 // tuned V4F path crosses into assembly with pointers to the arena's
 // pair block and to per-call tables; its stubs are //go:noescape so
 // neither is moved to the heap, which the "wide" searcher pins on
-// class planes of many vectors with a ragged last one (the narrow
-// shapes have sub-vector planes). The screened search's other two tile
+// class planes longer than a word tile, with a ragged last vector. The
+// other shapes have class planes that fit one tile, so their fused
+// approaches run the short-plane loop — whole-plane pair blocks, x
+// tiles, lane tables and the score vector all in the pooled arena —
+// at 4-word planes ("short", and "full" at 5), at ragged 2-word planes
+// with a last block of one SNP ("ragged") and through a subset remap;
+// that loop's two assembly stubs (the lanes pass and K2's lane scoring)
+// take pointers to arena memory there, so their //go:noescape is pinned
+// separately at the end, on stack tables. The screened search's other two tile
 // loops are held to the same standard on the same searchers: the
 // stage-1 pair walker with the screen's sink (its marginals live on the
 // Searcher, its counted cells on the stack behind a //go:noescape stub)
@@ -41,7 +49,15 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := New(randomMatrix(203, 32, 9000))
+	wide, err := New(randomMatrix(203, 32, 17000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := New(randomMatrix(204, 40, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged, err := New(randomMatrix(205, 13, 130))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +74,13 @@ func TestHotPathAllocs(t *testing.T) {
 	searchers := []struct {
 		name string
 		s    *Searcher
-	}{{"full", s}, {"subset", sub}, {"wide", wide}}
+	}{{"full", s}, {"subset", sub}, {"wide", wide}, {"short", short}, {"ragged", ragged}}
 	for _, probe := range searchers {
+		if o, err := (Options{}).withDefaults(probe.s.st.Samples()); err != nil {
+			t.Fatal(err)
+		} else if got := shortPlanes(probe.s.Split(), &o); got != (probe.name != "wide") {
+			t.Fatalf("%s: short-plane loop = %v", probe.name, got)
+		}
 		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 			for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {
 				h, err := probe.s.NewHotLoop(Options{Approach: a, TopK: 4, Metrics: reg})
@@ -115,6 +136,25 @@ func TestHotPathAllocs(t *testing.T) {
 		sw := probe.s.newSeededWorker(&o, seeds, seedRanks(seeds, m), inSubset)
 		steadyStateAllocs(t, probe.name+"/seeded", int64(len(seeds)*m), sw.tile)
 		sw.a.release()
+	}
+
+	// The short-plane loop's two stubs, on tables that live on the stack.
+	split := short.Split()
+	var blk contingency.PairBlock
+	blk.Init(split.Words[0], false)
+	blk.Build(split.Plane(0, 1, 0), split.Plane(0, 1, 1), split.Plane(0, 2, 0), split.Plane(0, 2, 1))
+	xt := make([]uint64, contingency.LaneTileWords(split.Words[0]))
+	k2 := score.NewK2(2 * short.st.Samples()) // both classes get the control table
+	if allocs := testing.AllocsPerRun(32, func() {
+		var lt contingency.LaneTable
+		var scores [contingency.Lanes]float64
+		blk.AccumulateLanes(&lt, xt)
+		k2.ScoreLanes(&scores, &lt, &lt, contingency.Lanes)
+		if scores[0] == 0 {
+			t.Fatal("no score")
+		}
+	}); allocs != 0 {
+		t.Errorf("lanes pass + lane scoring on stack tables: %.1f allocs, want 0", allocs)
 	}
 }
 

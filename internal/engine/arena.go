@@ -21,9 +21,16 @@ type arena struct {
 	// pair is the fused paths' cached pair block (planes and their
 	// popcounts for one (i1, i2) word tile).
 	pair contingency.PairBlock
-	// seed is the seeded extension's cached seed pair, one block per
-	// class over the whole class plane.
-	seed [2]contingency.PairBlock
+	// whole is one pair block per class over the whole class plane: the
+	// seeded extension's cached seed pair, the short-plane loop's
+	// (i1, i2).
+	whole [2]contingency.PairBlock
+	// xt, lane and laneScore are the rest of the short-plane loop's
+	// scratch: per class the x tile of the 8-SNP chunk in hand and the
+	// lane table of its last pass, and the scores of the eight tables.
+	xt        [2][]uint64
+	lane      [2]contingency.LaneTable
+	laneScore [contingency.Lanes]float64
 	// comb/ctrl/cases are the generic k-way buffers.
 	comb        []int
 	ctrl, cases []int32
@@ -51,6 +58,19 @@ func getArena(obj score.Objective, k, tables int) *arena {
 	}
 	a.tables = a.tables[:tables]
 	return a
+}
+
+// sizeLanes sizes the short-plane loop's scratch for class planes of the
+// given lengths; oracle pins the pure-Go bodies.
+func (a *arena) sizeLanes(words [2]int, oracle bool) {
+	for class, n := range words {
+		a.whole[class].Init(n, oracle)
+		tile := contingency.LaneTileWords(n)
+		if cap(a.xt[class]) < tile {
+			a.xt[class] = make([]uint64, tile)
+		}
+		a.xt[class] = a.xt[class][:tile]
+	}
 }
 
 // sizeK grows the arena's k-way buffers for the given order.

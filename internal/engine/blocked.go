@@ -5,6 +5,7 @@ import (
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/sched"
+	"trigene/internal/score"
 )
 
 // runBlocked executes approaches V3 and V4 (Algorithm 1): SNPs are
@@ -20,16 +21,8 @@ import (
 // sub-search whose results merge bit-exactly — the property that makes
 // V3/V4 shardable at all.
 func (s *Searcher) runBlocked(o Options) (*Result, error) {
-	m := s.st.SNPs()
-	bs := o.BlockSNPs
-	if bs > m {
-		bs = m
-	}
-	nb := combin.TripleBlocks(m, bs)
-	totalBlocks := combin.Triples(nb + 2) // multiset triples over nb blocks
-
+	bs, nb, src := s.blockSpace(&o)
 	res := &Result{}
-	src := sched.NewSource(0, totalBlocks, 1)
 	if o.Shard != nil {
 		sub, err := src.Shard(*o.Shard)
 		if err != nil {
@@ -73,6 +66,29 @@ func (s *Searcher) runBlocked(o Options) (*Result, error) {
 	return res, nil
 }
 
+// blockSpace returns the run's block size, its block count and the
+// block-triple space: multiset triples over nb blocks, claimed one at a
+// time — except by the short-plane loop, whose claims are as many block
+// triples as fill its eight lanes with x SNPs.
+func (s *Searcher) blockSpace(o *Options) (bs, nb int, src sched.Source) {
+	m := s.st.SNPs()
+	bs = min(o.BlockSNPs, m)
+	nb = combin.TripleBlocks(m, bs)
+	grain := 1
+	if shortPlanes(s.st.Split(), o) {
+		grain = (contingency.Lanes + bs - 1) / bs
+	}
+	return bs, nb, sched.NewSource(0, combin.Triples(nb+2), int64(grain))
+}
+
+// shortPlanes reports whether the run takes the short-plane loop: a fused
+// approach over class planes that each fit one word tile, so one pair
+// block spans a whole plane. It is a property of the input and the tile,
+// not an option.
+func shortPlanes(split *dataset.Split, o *Options) bool {
+	return o.Approach.fused() && split.Words[0] <= o.BlockWords && split.Words[1] <= o.BlockWords
+}
+
 // blockSpaceCombos counts the combinations covered by a range of
 // block-triple ranks — the progress denominator of a (possibly
 // sharded) blocked run. One O(1) count per block triple.
@@ -110,7 +126,8 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
 
 // blockWorker holds one worker's reusable state for the blocked paths.
 // The unfused approaches drive kernel over six stored planes; the fused
-// approaches drive the arena's pair block.
+// approaches drive the arena's pair block, or on short planes its two
+// whole-plane blocks through the lanes pass.
 type blockWorker struct {
 	s      *Searcher
 	o      *Options
@@ -119,11 +136,16 @@ type blockWorker struct {
 	nb     int
 	a      *arena
 	kernel func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
+	// short selects the short-plane loop; laneScorer is the objective's
+	// own scoring of its lane tables (nil: score.ScoreColumns).
+	short      bool
+	laneScorer score.LaneScorer
 }
 
 // newBlockWorker builds a consumer with a pooled arena sized for the
 // BS^3 table bank (plus the pair block on the fused paths, where V3F
-// pins the pure-Go bodies and V4F takes the host's tuned ones).
+// pins the pure-Go bodies and V4F takes the host's tuned ones), or for
+// the short-plane loop, which has no bank.
 func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 	w := &blockWorker{
 		s:     s,
@@ -131,8 +153,16 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 		split: s.st.Split(),
 		bs:    bs,
 		nb:    nb,
-		a:     getArena(o.Objective, o.TopK, bs*bs*bs),
 	}
+	if w.short = shortPlanes(w.split, o); w.short {
+		w.a = getArena(o.Objective, o.TopK, 0)
+		w.a.sizeLanes(w.split.Words, o.Approach == V3Fused)
+		if o.Approach != V3Fused {
+			w.laneScorer, _ = o.Objective.(score.LaneScorer)
+		}
+		return w
+	}
+	w.a = getArena(o.Objective, o.TopK, bs*bs*bs)
 	switch {
 	case o.Approach.fused():
 		w.a.pair.Init(o.BlockWords, o.Approach == V3Fused)
@@ -149,6 +179,9 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 // tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
 // returns how many combinations it scored.
 func (w *blockWorker) tile(t sched.Tile) int64 {
+	if w.short {
+		return w.tileLanes(t)
+	}
 	var scored int64
 	for rank := t.Lo; rank < t.Hi; rank++ {
 		// Unrank the multiset triple: strict triple over nb+2 minus the
@@ -272,6 +305,80 @@ func (w *blockWorker) processBlockTripleFused(b0, b1, b2 int) int64 {
 	}
 
 	return w.scoreTables(base0, base1, base2, lim0, lim1, lim2)
+}
+
+// tileLanes is tile on short planes. b0 is the fastest coordinate of the
+// unranking, so the ranks sharing (b1, b2) are consecutive and their x
+// SNPs are one contiguous range: the tile is cut into such runs, however
+// it was cut out of the space.
+func (w *blockWorker) tileLanes(t sched.Tile) int64 {
+	var scored int64
+	for rank := t.Lo; rank < t.Hi; {
+		a, b, c := combin.UnrankTriple(rank, w.nb+2)
+		b0, b1, b2 := a, b-1, c-2
+		n := min(int64(b1-b0+1), t.Hi-rank) // b0 runs up to b1
+		scored += w.processRunLanes(b0, b0+int(n), b1, b2)
+		rank += n
+	}
+	w.a.scored += scored
+	return scored
+}
+
+// processRunLanes evaluates the block triples (b0, b1, b2) for b0 in
+// [b0lo, b0hi), eight x SNPs at a time: each chunk of the run's x range
+// is transposed once per class into the arena's x tiles, and for every
+// (i1, i2) of the two blocks one whole-plane pair block per class and one
+// lanes pass against it give the chunk's eight tables as two lane tables,
+// which are pad-corrected and scored where they lie. Nothing is zeroed
+// and no table bank is kept: a lanes pass sets its rows. The x SNPs of a
+// chunk are valid while they sort below i1, which only bites when the run
+// reaches the diagonal block b0 = b1.
+func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
+	m := w.s.st.SNPs()
+	bs := w.bs
+	split := w.split
+	a := w.a
+	base1, base2 := b1*bs, b2*bs
+	lim1, lim2 := blockLim(base1, bs, m), blockLim(base2, bs, m)
+	xhi := min(b0hi*bs, base1+lim1-1) // x < i1 <= base1+lim1-1
+	var scored int64
+	for x := b0lo * bs; x < xhi; x += contingency.Lanes {
+		nx := min(contingency.Lanes, xhi-x)
+		for class, words := range split.Words {
+			data := split.ClassPlaneData(class)
+			contingency.TransposeLanes(a.xt[class], data[x*2*words:(x+nx)*2*words], words)
+		}
+		for ii2 := 0; ii2 < lim2; ii2++ {
+			gi2 := base2 + ii2
+			for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
+				valid := min(nx, gi1-x)
+				for class, words := range split.Words {
+					data := split.ClassPlaneData(class)
+					y, z := data[gi1*2*words:(gi1+1)*2*words], data[gi2*2*words:(gi2+1)*2*words]
+					a.whole[class].Build(y[:words], y[words:], z[:words], z[words:])
+					a.whole[class].AccumulateLanes(&a.lane[class], a.xt[class])
+					pads := &a.lane[class][contingency.Cells-1]
+					for lane := range pads {
+						pads[lane] -= int32(split.Pad[class])
+					}
+				}
+				ctrl, cases := &a.lane[dataset.Control], &a.lane[dataset.Case]
+				if w.laneScorer != nil {
+					w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, valid)
+				} else {
+					score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, valid, &a.tab)
+				}
+				for lane := 0; lane < valid; lane++ {
+					a.top.offer(Candidate{
+						Triple: Triple{I: x + lane, J: gi1, K: gi2},
+						Score:  a.laneScore[lane],
+					})
+				}
+				scored += int64(valid)
+			}
+		}
+	}
+	return scored
 }
 
 // zeroTables clears the valid (lim0 x lim1 x lim2) slab of the arena's

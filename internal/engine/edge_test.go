@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"trigene/internal/combin"
@@ -159,45 +160,55 @@ func TestWorkersExceedWork(t *testing.T) {
 
 // TestFusedParityEdgeShapes runs the tuned fused pipeline (V4F), its
 // pure-Go oracle pipeline (V3F) and a brute-force ranking over
-// contingency.BuildReference on the shapes where the vector kernel's
+// contingency.BuildReference on the shapes where the vector kernels'
 // tile handling could go wrong: sample counts that are not a multiple
 // of 64, class planes shorter than one 8-word vector, a class of a
-// single sample, fewer SNPs than one block, class planes of exactly one
-// vector with no padding, and planes of many vectors with a ragged
-// last one — each at the default tile and at word tiles that split the
-// planes raggedly. (A single-class phenotype never reaches a kernel:
-// New refuses it, see TestNewRejectsBadDatasets.)
+// single sample, fewer SNPs than one block or than one vector has lanes,
+// class planes of exactly one vector with no padding, and planes of many
+// vectors with a ragged last one — each at the default tile, where every
+// one of these shapes takes the short-plane loop (whole-plane pair
+// blocks, eight x SNPs per lanes pass, scores from the lane tables), and
+// at word tiles that split the planes raggedly, where they take the
+// table-bank loop; under K2, MI and Gini, because a score moves in its
+// last bits if the lane tables' rows are summed in another order or
+// row 26 loses its pad correction. (A single-class phenotype never
+// reaches a kernel: New refuses it, see TestNewRejectsBadDatasets.)
 func TestFusedParityEdgeShapes(t *testing.T) {
-	shapes := edgeShapes()
+	shapes := append(edgeShapes(), shortPlaneShapes()...)
 	const topK = 5
 	for _, sh := range shapes {
 		s, err := New(sh.mx)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		obj := score.NewK2(sh.mx.Samples())
-		ref := newTopK(obj, topK)
-		combin.ForEachTriple(sh.mx.SNPs(), func(i, j, k int) {
-			tab := contingency.BuildReference(sh.mx, i, j, k)
-			ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
-		})
-		want := ref.list()
-		for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
-			for _, a := range []Approach{V3Fused, V4Fused} {
-				o := Options{Approach: a, TopK: topK, Workers: 2}
-				if bw > 0 {
-					o.BlockSNPs, o.BlockWords = 4, bw
-				}
-				res, err := s.Run(o)
-				if err != nil {
-					t.Fatalf("%s %v bw=%d: %v", sh.name, a, bw, err)
-				}
-				if len(res.TopK) != len(want) {
-					t.Fatalf("%s %v bw=%d: %d candidates, reference %d", sh.name, a, bw, len(res.TopK), len(want))
-				}
-				for i := range want {
-					if res.TopK[i] != want[i] {
-						t.Errorf("%s %v bw=%d: TopK[%d] = %+v, reference %+v", sh.name, a, bw, i, res.TopK[i], want[i])
+		for _, obj := range []score.Objective{score.NewK2(sh.mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
+			ref := newTopK(obj, topK)
+			combin.ForEachTriple(sh.mx.SNPs(), func(i, j, k int) {
+				tab := contingency.BuildReference(sh.mx, i, j, k)
+				ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
+			})
+			want := ref.list()
+			for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
+				for _, a := range []Approach{V3Fused, V4Fused} {
+					o := Options{Approach: a, Objective: obj, TopK: topK, Workers: 2}
+					if bw > 0 {
+						o.BlockSNPs, o.BlockWords = 4, bw
+					}
+					name := fmt.Sprintf("%s/%s %v bw=%d", sh.name, obj.Name(), a, bw)
+					res, err := s.Run(o)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Stats.Combinations != combin.Triples(sh.mx.SNPs()) {
+						t.Errorf("%s: scored %d combinations, want %d", name, res.Stats.Combinations, combin.Triples(sh.mx.SNPs()))
+					}
+					if len(res.TopK) != len(want) {
+						t.Fatalf("%s: %d candidates, reference %d", name, len(res.TopK), len(want))
+					}
+					for i := range want {
+						if res.TopK[i] != want[i] {
+							t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, res.TopK[i], want[i])
+						}
 					}
 				}
 			}

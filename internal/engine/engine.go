@@ -22,7 +22,11 @@
 //	                the other 9 (contingency.PairBlock). V3F pins the
 //	                pure-Go bodies, the oracle; V4F takes the tuned ones
 //	                (AVX-512 VPOPCNTDQ where the host has it) and is the
-//	                default.
+//	                default. When both class planes fit one word tile the
+//	                same two approaches turn the vector round: eight x
+//	                SNPs per pass, one per lane, against a whole-plane
+//	                pair block (PairBlock.AccumulateLanes), scored from
+//	                the lane tables with no table bank in between.
 //
 // Work is distributed over a pool of workers that claim chunks of the
 // combination space (or of the block-triple space for V3/V4) from an

@@ -47,14 +47,10 @@ func (s *Searcher) NewHotLoop(opts Options) (*HotLoop, error) {
 			rm:   rm,
 		}, nil
 	default:
-		bs := o.BlockSNPs
-		if bs > m {
-			bs = m
-		}
-		nb := combin.TripleBlocks(m, bs)
+		bs, nb, src := s.blockSpace(&o)
 		return &HotLoop{
 			blocked: newBlockWorker(s, &o, bs, nb),
-			src:     sched.NewSource(0, combin.Triples(nb+2), 1),
+			src:     src,
 			rm:      rm,
 		}, nil
 	}

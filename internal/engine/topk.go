@@ -42,8 +42,16 @@ func (t *topK) better(a, b Candidate) bool {
 	return a.Triple.Less(b.Triple)
 }
 
-// offer inserts the candidate if it ranks among the k best seen.
+// offer inserts the candidate if it ranks among the k best seen. A full
+// list turns most candidates away on their score alone, before Insert's
+// comparator is called; ties with the worst kept go on to its
+// tie-break.
 func (t *topK) offer(c Candidate) {
+	if n := len(t.items); n == t.k && n > 0 {
+		if worst := t.items[n-1].Score; c.Score != worst && !t.obj.Better(c.Score, worst) {
+			return
+		}
+	}
 	t.items = topk.Insert(t.items, c, t.k, t.cmp)
 }
 

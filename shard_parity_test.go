@@ -147,6 +147,54 @@ func reportsEqual(t *testing.T, label string, got, want *trigene.Report) {
 	}
 }
 
+// TestShortPlaneShardMergeParity: class planes that fit one word tile
+// take the fused approaches' short-plane loop, which cuts whatever range
+// of block triples it is given into runs of eight x SNPs and claims
+// several block triples at a time. However the space is sharded — one
+// shard, three, or seven, whose bounds fall in the middle of runs — the
+// merged Report must be the unsharded one bit for bit, and that one must
+// be what the flat V2 pipeline reports, under every objective, on the
+// host's bodies (V4F) and the Go ones (V3F). 21 SNPs leave a last block
+// of one; 333 samples leave both classes ragged.
+func TestShortPlaneShardMergeParity(t *testing.T) {
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 21, Samples: 333, Seed: 19, MAFMin: 0.2, MAFMax: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, objective := range []string{"k2", "mi", "gini"} {
+		flat, err := s.Search(ctx, trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(trigene.V2Split))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, approach := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
+			base := []trigene.Option{trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(approach)}
+			for _, count := range []int{1, 3, 7} {
+				var parts []*trigene.Report
+				for i := 0; i < count; i++ {
+					rep, err := s.Search(ctx, append(base, trigene.WithShard(i, count))...)
+					if err != nil {
+						t.Fatalf("%s %v shard %d/%d: %v", objective, approach, i, count, err)
+					}
+					if rep.Shard == nil || rep.Shard.Space != "block-triples" {
+						t.Fatalf("%s %v shard %d/%d info: %+v", objective, approach, i, count, rep.Shard)
+					}
+					parts = append(parts, rep)
+				}
+				merged, err := trigene.MergeReports(parts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reportsEqual(t, fmt.Sprintf("%s %v, %d shards vs flat", objective, approach, count), merged, flat)
+			}
+		}
+	}
+}
+
 // TestSessionShardEmptyEverywhere: shards beyond the space report no
 // candidates on every backend (the GPU simulator must not fall back
 // to the full space, and hetero must not spin up either half).
