@@ -16,7 +16,7 @@ import (
 // plantedMatrix is the shared test dataset: a strong 3-way signal at
 // (3, 9, 15), small enough that every backend searches it in
 // milliseconds.
-func plantedMatrix(t *testing.T) *trigene.Matrix {
+func plantedMatrix(t testing.TB) *trigene.Matrix {
 	t.Helper()
 	mx, err := trigene.Generate(trigene.GenConfig{
 		SNPs: 24, Samples: 900, Seed: 11, MAFMin: 0.3, MAFMax: 0.5,

@@ -161,69 +161,6 @@ func (w *workerInfo) weight(measured bool) float64 {
 	return w.capacity
 }
 
-// job is the coordinator-side state of one search.
-type job struct {
-	id, name string
-	spec     trigene.SearchSpec
-	tiles    int
-	state    string
-	err      string
-
-	// pos is the journal position of the job's last transition a client
-	// can observe (submit, complete, release, finish): status, result
-	// and the acks of those transitions wait until it is durable. No tile
-	// is granted before the submission itself is (submitPos).
-	pos, submitPos uint64
-
-	dataset       []byte // packed .tpack bytes; released when the job leaves StateRunning
-	datasetSHA    string // dataset content hash (Session.DatasetHash)
-	snps, samples int
-
-	leases  *sched.LeaseTable
-	reports []*trigene.Report  // one slot per tile
-	grantee map[int]granteeRef // tile -> holder of its current lease
-	result  *trigene.Report
-
-	// Two-phase screened jobs (spec.Screen set, survivors not pinned):
-	// lease units [0, screenTiles) are the stage-1 pair-scan shards,
-	// units [screenTiles, tiles) the stage-2 search tiles. Stage-2 units
-	// are granted only once every stage-1 unit completed and the merged
-	// scores were pinned into stage2 (the spec stage-2 grants carry,
-	// with Survivors/Seeds filled). screenTiles is 0 for unscreened
-	// jobs, and everything below is nil/zero then.
-	screenTiles int
-	screens     []*trigene.ScreenScores // one slot per stage-1 tile
-	stage2      *trigene.SearchSpec
-	screenInfo  *trigene.ScreenInfo
-	pinnedAt    time.Time
-
-	// Permutation jobs (spec.Perm set): tiles shard the permutation
-	// index range and complete with PermScores instead of Reports.
-	perms []*trigene.PermScores // one slot per tile
-
-	submitted time.Time
-	finished  time.Time
-}
-
-// screened reports whether the job runs the two-phase screen protocol.
-func (j *job) screened() bool { return j.screenTiles > 0 }
-
-// perm reports whether the job is a permutation test.
-func (j *job) perm() bool { return j.spec.Perm != nil }
-
-// screenDone reports whether every stage-1 shard completed.
-func (j *job) screenDone() bool { return j.leases.DoneBelow(j.screenTiles) == j.screenTiles }
-
-// grantable is the end of the lease units open for granting: stage-2
-// units are held back while a screened job's stage-1 phase is still
-// open (un-pinned), so a grant never mixes stages.
-func (j *job) grantable() int {
-	if j.screened() && j.stage2 == nil {
-		return j.screenTiles
-	}
-	return j.tiles
-}
-
 // granteeRef names the holder of one tile's current lease — worker ID
 // for accounting, grant seq so a draining worker's leases can be
 // released under exactly the coordinates it holds.
@@ -399,35 +336,15 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.seq++
-	units := req.Tiles + screenTiles
-	j := &job{
-		id:          "j" + strconv.Itoa(c.seq),
-		name:        req.Name,
-		spec:        req.Spec,
-		tiles:       units,
-		state:       StateRunning,
-		dataset:     packed,
-		datasetSHA:  datasetSHA,
-		snps:        sess.SNPs(),
-		samples:     sess.Samples(),
-		leases:      sched.NewLeaseTable(units),
-		reports:     make([]*trigene.Report, units),
-		grantee:     make(map[int]granteeRef),
-		screenTiles: screenTiles,
-		submitted:   c.cfg.Now(),
-	}
-	if screenTiles > 0 {
-		j.screens = make([]*trigene.ScreenScores, screenTiles)
-	}
-	if j.perm() {
-		j.perms = make([]*trigene.PermScores, units)
-	}
+	rec := walRecord{T: recSubmit, Job: "j" + strconv.Itoa(c.seq), Name: req.Name, Spec: &req.Spec,
+		Tiles: req.Tiles + screenTiles, ScreenTiles: screenTiles,
+		SHA: datasetSHA, SNPs: sess.SNPs(), Samples: sess.Samples(),
+		UnixNs: c.cfg.Now().UnixNano()}
+	j := newJob(rec)
+	j.dataset = packed
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	c.journalJobLocked(j, walRecord{T: recSubmit, Job: j.id, Name: j.name, Spec: &j.spec,
-		Tiles: j.tiles, ScreenTiles: j.screenTiles,
-		SHA: j.datasetSHA, SNPs: j.snps, Samples: j.samples,
-		UnixNs: j.submitted.UnixNano()})
+	c.journalJobLocked(j, rec)
 	j.submitPos = j.pos
 	c.mu.Unlock()
 	err := c.commit(j.submitPos)
@@ -681,27 +598,23 @@ func (c *Coordinator) grantLocked(req LeaseRequest, now time.Time) (LeaseGrant, 
 		wi.granted += len(granted)
 		c.cm.leasesGranted.Add(int64(len(granted)))
 		c.cfg.Logger.Debug("tiles granted", "job", j.id, "tiles", len(granted), "worker", req.Worker)
+		ph := j.phases[j.open]
 		resp := LeaseGrant{
 			Token:         granted[0].Token,
 			Job:           j.id,
 			DatasetSHA256: j.datasetSHA,
-			Spec:          j.spec,
+			Spec:          j.grantSpec,
 			Tile:          granted[0].Tile,
 			Tiles:         j.tiles,
+			Stage:         ph.kind.stage,
 			Granted:       granted,
 			TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
 			Batch:         true,
 		}
-		if j.screened() {
-			if granted[0].Tile < j.screenTiles {
-				resp.Stage = "screen"
-				resp.StageBase, resp.StageCount = 0, j.screenTiles
-			} else {
-				// Stage 2: the pinned spec, with the merged screen's
-				// survivors and seeds baked in.
-				resp.Spec = *j.stage2
-				resp.StageBase, resp.StageCount = j.screenTiles, j.tiles-j.screenTiles
-			}
+		if len(j.phases) > 1 {
+			// A one-phase job's tiles are its shards; only a phase of
+			// several says where in the lease units it sits.
+			resp.StageBase, resp.StageCount = ph.base, ph.count
 		}
 		return resp, true
 	}
@@ -999,61 +912,20 @@ func (c *Coordinator) completeLocked(res TileResult, now time.Time) (st TileStat
 	if !ok || j.state != StateRunning {
 		return verdict(TileGone, "job %s is not running", jobID)
 	}
-	// Decode (and sanity-check) the payload the tile's stage expects
-	// before touching the lease table, so a malformed body never marks
-	// a tile done.
-	screenTile := j.screened() && tile < j.screenTiles
-	var rep trigene.Report
-	var scores trigene.ScreenScores
-	var perm trigene.PermScores
-	switch {
-	case screenTile:
-		if err := json.Unmarshal(res.Screen, &scores); err != nil {
-			return verdict(TileInvalid, "decoding stage-1 screen scores: %v", err)
-		}
-		if scores.SNPs != j.snps {
-			return verdict(TileInvalid, "stage-1 scores cover %d SNPs; the job's dataset has %d", scores.SNPs, j.snps)
-		}
-	case j.perm():
-		if err := json.Unmarshal(res.Perm, &perm); err != nil {
-			return verdict(TileInvalid, "decoding tile perm scores: %v", err)
-		}
-		if err := perm.ValidateShape(); err != nil {
-			return verdict(TileInvalid, "invalid tile perm scores: %v", err)
-		}
-		if len(perm.SNPs) != len(j.spec.Perm.SNPs) {
-			return verdict(TileInvalid, "tile perm scores cover %d candidates; the job tests %d",
-				len(perm.SNPs), len(j.spec.Perm.SNPs))
-		}
-	default:
-		if err := json.Unmarshal(res.Report, &rep); err != nil {
-			return verdict(TileInvalid, "decoding tile report: %v", err)
-		}
+	// Decode and validate the payload before touching the lease table, so
+	// a refused body never marks a tile done.
+	part, err := j.decode(tile, &res)
+	if err != nil {
+		return verdict(TileInvalid, "%v", err)
 	}
 	switch status := j.leases.Complete(tile, seq); status {
 	case sched.CompleteAccepted:
-		switch {
-		case screenTile:
-			j.screens[tile] = &scores
-		case j.perm():
-			j.perms[tile] = &perm
-		default:
-			j.reports[tile] = &rep
-		}
+		j.partials[tile] = part
 		if wi := c.workers[j.grantee[tile].worker]; wi != nil {
 			wi.completed++
 		}
 		c.journalJobLocked(j, walRecord{T: recComplete, Job: j.id, Tile: tile, Seq: seq, Report: res.Report, Screen: res.Screen, Perm: res.Perm})
-		if screenTile && j.stage2 == nil && j.screenDone() {
-			// Last stage-1 shard: merge the scores, pin the survivor set,
-			// and open the stage-2 phase. Pinning is deterministic from
-			// the journaled per-shard scores, so recovery recomputes the
-			// identical stage-2 spec instead of journaling it.
-			c.pinStage2Locked(j)
-		}
-		if j.state == StateRunning && j.leases.Done() == j.tiles {
-			c.mergeLocked(j)
-		}
+		c.advanceLocked(j)
 		c.cm.completed.Inc()
 		return TileStatus{Token: res.Token, Status: TileAccepted}, j.pos
 	case sched.CompleteDuplicate, sched.CompleteStale:
@@ -1103,97 +975,31 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// pinStage2Locked closes a screened job's stage-1 phase: merge the
-// per-shard scores bit-exactly (MergeScreens), select the survivor set
-// under the submitted budget, and pin survivors and seeds into the
-// spec every stage-2 grant carries. Deterministic given the shard
-// scores, so journal replay recomputes the identical pin. Selection
-// failures (scores that cannot seat an order-k search) fail the job —
-// re-running stage 1 would reproduce them.
-func (c *Coordinator) pinStage2Locked(j *job) {
-	merged, err := trigene.MergeScreens(j.screens...)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("merging stage-1 scores: %v", err))
-		return
-	}
-	survivors, threshold, err := merged.SelectSurvivors(j.spec.Screen.MaxSurvivors)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("selecting screen survivors: %v", err))
-		return
-	}
-	order := j.spec.Order
-	if order == 0 {
-		order = 3
-	}
-	if len(survivors) < order {
-		c.finishLocked(j, StateFailed,
-			fmt.Sprintf("screen kept %d survivors, fewer than the order-%d search needs", len(survivors), order))
-		return
-	}
-	seeds := merged.SeedList(j.spec.Screen.SeedPairs)
-	sp := j.spec
-	sp.Screen = &trigene.ScreenSpec{Survivors: survivors, Seeds: seeds}
-	j.stage2 = &sp
-	j.screenInfo = &trigene.ScreenInfo{
-		PairsScanned: merged.Pairs,
-		Survivors:    len(survivors),
-		SeedPairs:    len(seeds),
-		Threshold:    threshold,
-		Stage1Ns:     merged.DurationNs,
-	}
-	j.pinnedAt = c.cfg.Now()
-	c.wakeLocked()
-	c.cfg.Logger.Info("screen stage 1 complete; stage 2 opened",
-		"job", j.id, "pairsScanned", merged.Pairs, "survivors", len(survivors), "seeds", len(seeds))
-}
-
-// mergeLocked assembles the final Report from the per-tile Reports (in
-// tile order — MergeReports' candidate ordering is order-independent,
-// but determinism is easier to audit this way). Screened jobs merge
-// only their stage-2 slots and carry the coordinator-assembled
-// ScreenInfo (the per-tile reports ran pinned and know nothing of the
-// stage-1 scan). Permutation jobs sum per-range hit counts instead
-// (MergePerms) and answer with a Report whose Perm block carries the
-// finalized p-values — bit-exact with a single-node run because every
-// range keyed its relabelings by absolute permutation index.
-func (c *Coordinator) mergeLocked(j *job) {
-	if j.perm() {
-		merged, err := trigene.MergePerms(j.perms...)
-		if err != nil {
-			c.finishLocked(j, StateFailed, fmt.Sprintf("merging permutation ranges: %v", err))
+// advanceLocked closes every phase of j that is complete and still
+// open, in order: the kind's close turns the phase's partials into the
+// job's result or into what the next phase's grants carry. Closing the
+// last phase finishes the job; closing an earlier one opens the next to
+// the parked lease requests. Recovery calls it too — a close is
+// deterministic given the partials, so it is recomputed, not journaled.
+func (c *Coordinator) advanceLocked(j *job) {
+	for j.state == StateRunning {
+		ph := j.phases[j.open]
+		// The count of all done tiles settles most calls without a scan.
+		if j.leases.Done() < ph.end() || j.leases.DoneBelow(ph.end()) < ph.end() {
 			return
 		}
-		rep, err := trigene.FinalizePerms(j.spec.Perm, merged, j.tiles)
-		if err != nil {
-			c.finishLocked(j, StateFailed, fmt.Sprintf("finalizing permutation test: %v", err))
+		if err := ph.kind.close(j, j.partials[ph.base:ph.end()], c.cfg.Now()); err != nil {
+			c.finishLocked(j, StateFailed, err.Error())
 			return
 		}
-		j.result = rep
-		c.finishLocked(j, StateDone, "")
-		c.cfg.Logger.Info("permutation job done",
-			"job", j.id, "candidates", len(merged.SNPs), "permutations", merged.Count)
-		return
-	}
-	reports := j.reports
-	if j.screened() {
-		reports = j.reports[j.screenTiles:]
-	}
-	merged, err := trigene.MergeReports(reports...)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("merging tile reports: %v", err))
-		return
-	}
-	if j.screened() && j.screenInfo != nil {
-		info := *j.screenInfo
-		if !j.pinnedAt.IsZero() {
-			info.Stage2Ns = c.cfg.Now().Sub(j.pinnedAt).Nanoseconds()
+		if j.open++; j.open == len(j.phases) {
+			c.finishLocked(j, StateDone, "")
+			c.cfg.Logger.Info("job done", "job", j.id, "tiles", j.tiles)
+			return
 		}
-		merged.Screen = &info
+		c.cfg.Logger.Info("phase closed; the next is open", "job", j.id, "closed", j.open, "of", len(j.phases))
+		c.wakeLocked()
 	}
-	j.result = merged
-	c.finishLocked(j, StateDone, "")
-	c.cfg.Logger.Info("job done",
-		"job", j.id, "combinations", merged.Combinations, "best", fmt.Sprint(merged.Best.SNPs))
 }
 
 // finishLocked moves a job out of StateRunning: records the outcome,
@@ -1202,15 +1008,14 @@ func (c *Coordinator) mergeLocked(j *job) {
 // beyond the retention cap.
 func (c *Coordinator) finishLocked(j *job, state, errMsg string) {
 	c.cm.finishCount(state)
-	j.state = state
-	j.err = errMsg
-	j.dataset = nil
-	j.reports = nil
-	j.screens = nil
-	j.perms = nil
-	j.grantee = nil
-	j.finished = c.cfg.Now()
-	c.journalFinishLocked(j)
+	j.finish(state, errMsg, c.cfg.Now())
+	if c.log != nil && !c.replaying {
+		rec := walRecord{T: recFinish, Job: j.id, State: j.state, Err: j.err, UnixNs: j.finished.UnixNano()}
+		if j.result != nil {
+			rec.Result, _ = json.Marshal(j.result)
+		}
+		c.journalJobLocked(j, rec)
+	}
 	c.evictFinishedLocked()
 	c.wakeLocked()
 }
@@ -1235,31 +1040,6 @@ func (c *Coordinator) evictFinishedLocked() {
 		c.order = append(c.order[:i], c.order[i+1:]...)
 		finished--
 	}
-}
-
-// status snapshots a job (caller holds c.mu).
-func (j *job) status(now time.Time) JobStatus {
-	st := JobStatus{
-		ID:              j.id,
-		Name:            j.name,
-		State:           j.state,
-		Spec:            j.spec,
-		SNPs:            j.snps,
-		Samples:         j.samples,
-		Tiles:           j.tiles,
-		Done:            j.leases.Done(),
-		Leased:          j.leases.Outstanding(now),
-		Error:           j.err,
-		SubmittedUnixMs: j.submitted.UnixMilli(),
-	}
-	if j.screened() {
-		st.ScreenTiles = j.screenTiles
-		st.ScreenDone = j.leases.DoneBelow(j.screenTiles)
-	}
-	if !j.finished.IsZero() {
-		st.DurationMs = float64(j.finished.Sub(j.submitted)) / float64(time.Millisecond)
-	}
-	return st
 }
 
 // leaseToken encodes a granted lease as "job.tile.seq" — opaque to

@@ -34,9 +34,28 @@
 // holder's completion answers "gone", the worker abandons the tile, and
 // the tile re-issues. That asymmetry keeps the grant path at in-memory
 // speed (bench/ bounds it: gelems_per_s on cluster-loopback, and
-// sched.lease_ns per grant). For the same reason a stage-2 grant may
-// follow a stage-1 completion that is not durable yet: the pin it
-// carries is recomputed identically from the re-executed shard.
+// sched.lease_ns per grant). For the same reason a grant of a job's
+// next phase may follow a completion of the previous one that is not
+// durable yet: what the closed phase pinned into it is recomputed
+// identically from the re-executed tile.
+//
+// Replay policy. A complete record in the journal and a tile's slot in
+// a snapshot go through the function a live result goes through
+// (job.decode: the tile's kind decodes and validates the payload
+// against the job), and what a phase's close computes is never stored —
+// recovery closes every complete phase again from the recovered
+// partials (advanceLocked). So replay accepts exactly what the live
+// path accepts, and there is one rule for everything else, whatever the
+// kind and whether the payload failed to decode or failed validation: a
+// recovered completion that is refused fails its job, with an error
+// naming the tile and the reason. Only a live result that passed the
+// same check is ever journaled, so a refusal means the state directory
+// was written by a release with another contract (a permutation range
+// of another stream version, say) or edited; computing the tile afresh
+// and merging it with that release's other partials would hide exactly
+// that. A record that does not decode as a record at all (or names an
+// unknown type) is skipped with a warning, as before: it says nothing
+// about any job.
 package cluster
 
 import (
@@ -86,10 +105,9 @@ type walRecord struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 
-	// complete: Report for search tiles, Screen for a screened job's
-	// stage-1 tiles, Perm for a permutation job's range tiles. The
-	// stage-2 pin is deliberately not journaled — recovery recomputes it
-	// deterministically from the replayed scores.
+	// complete: the tile's payload, in the field its kind names (job.go).
+	// What a phase's close computes is deliberately not journaled —
+	// recovery recomputes it deterministically from the replayed payloads.
 	Report json.RawMessage `json:"report,omitempty"`
 	Screen json.RawMessage `json:"screen,omitempty"`
 	Perm   json.RawMessage `json:"perm,omitempty"`
@@ -186,9 +204,9 @@ func (c *Coordinator) Close() error {
 }
 
 // recoverLocked rebuilds the coordinator from the opened log:
-// snapshot, then journal replay, then the fixups replay cannot express
-// as records — reloading running jobs' datasets from the pack store,
-// merging jobs whose finish record the crash swallowed, and collecting
+// snapshot, then journal replay, then what replay cannot express as
+// records — closing the phases whose close the crash swallowed,
+// reloading running jobs' datasets from the pack store, and collecting
 // packs no running job references. Ends by compacting the recovered
 // state into a fresh snapshot, so journals stay bounded across
 // repeated restarts.
@@ -220,39 +238,12 @@ func (c *Coordinator) recoverLocked() error {
 		if j == nil || j.state != StateRunning {
 			continue
 		}
-		if j.screened() && j.stage2 == nil && j.screenDone() {
-			// The stage-1 phase finished but the crash swallowed the pin:
-			// recompute it from the replayed scores — MergeScreens and
-			// SelectSurvivors are deterministic, so the stage-2 spec is
-			// identical to the one pre-crash grants carried.
-			c.pinStage2Locked(j)
-			if j.state != StateRunning {
-				continue
-			}
-		}
-		// Replayed permutation ranges get the door check live ones got.
-		// It fails here for a journal another release wrote: its hit
-		// counts are draws of a different permutation stream, and
-		// finishing the job with this build's workers would sum the two
-		// into one p-value.
-		for tile, ps := range j.perms {
-			if ps == nil {
-				continue
-			}
-			if err := ps.ValidateShape(); err != nil {
-				c.cfg.Logger.Error("recovered permutation range refused", "job", j.id, "tile", tile, "error", err)
-				c.finishLocked(j, StateFailed, fmt.Sprintf("recovered permutation range of tile %d: %v", tile, err))
-				break
-			}
-		}
+		// A phase whose last tile is journaled but whose close the crash
+		// swallowed — what it pinned for the next phase, the merge before
+		// a lost finish record — closes now, exactly as the uninterrupted
+		// run would have.
+		c.advanceLocked(j)
 		if j.state != StateRunning {
-			continue
-		}
-		if j.leases.Done() == j.tiles {
-			// Every tile completed but the finish record was lost with
-			// the crash: merge now, exactly as the uninterrupted run
-			// would have.
-			c.mergeLocked(j)
 			continue
 		}
 		data, err := os.ReadFile(c.packPath(j.datasetSHA))
@@ -285,29 +276,7 @@ func (c *Coordinator) recoverLocked() error {
 func (c *Coordinator) applyLocked(rec walRecord) {
 	switch rec.T {
 	case recSubmit:
-		j := &job{
-			id:          rec.Job,
-			name:        rec.Name,
-			tiles:       rec.Tiles,
-			state:       StateRunning,
-			datasetSHA:  rec.SHA,
-			snps:        rec.SNPs,
-			samples:     rec.Samples,
-			leases:      sched.NewLeaseTable(rec.Tiles),
-			reports:     make([]*trigene.Report, rec.Tiles),
-			grantee:     make(map[int]granteeRef),
-			screenTiles: rec.ScreenTiles,
-			submitted:   time.Unix(0, rec.UnixNs),
-		}
-		if rec.ScreenTiles > 0 {
-			j.screens = make([]*trigene.ScreenScores, rec.ScreenTiles)
-		}
-		if rec.Spec != nil {
-			j.spec = *rec.Spec
-		}
-		if j.perm() {
-			j.perms = make([]*trigene.PermScores, rec.Tiles)
-		}
+		j := newJob(rec)
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
 		// Job IDs are "j<n>"; the counter resumes past every replayed
@@ -327,36 +296,7 @@ func (c *Coordinator) applyLocked(rec walRecord) {
 		if j == nil || j.state != StateRunning {
 			return
 		}
-		if j.screened() && rec.Tile < j.screenTiles {
-			var scores trigene.ScreenScores
-			if err := json.Unmarshal(rec.Screen, &scores); err != nil {
-				c.cfg.Logger.Warn("wal: undecodable stage-1 scores",
-					"job", rec.Job, "tile", rec.Tile, "error", err)
-				return
-			}
-			j.leases.RestoreDone(rec.Tile)
-			j.screens[rec.Tile] = &scores
-			return
-		}
-		if j.perm() {
-			var perm trigene.PermScores
-			if err := json.Unmarshal(rec.Perm, &perm); err != nil {
-				c.cfg.Logger.Warn("wal: undecodable tile perm scores",
-					"job", rec.Job, "tile", rec.Tile, "error", err)
-				return
-			}
-			j.leases.RestoreDone(rec.Tile)
-			j.perms[rec.Tile] = &perm
-			return
-		}
-		var rep trigene.Report
-		if err := json.Unmarshal(rec.Report, &rep); err != nil {
-			c.cfg.Logger.Warn("wal: undecodable tile report",
-				"job", rec.Job, "tile", rec.Tile, "error", err)
-			return
-		}
-		j.leases.RestoreDone(rec.Tile)
-		j.reports[rec.Tile] = &rep
+		c.restoreLocked(j, rec.Tile, &TileResult{Report: rec.Report, Screen: rec.Screen, Perm: rec.Perm})
 	case recRelease:
 		j := c.jobs[rec.Job]
 		if j == nil || j.state != StateRunning {
@@ -370,13 +310,7 @@ func (c *Coordinator) applyLocked(rec walRecord) {
 		if j == nil {
 			return
 		}
-		j.state = rec.State
-		j.err = rec.Err
-		j.dataset = nil
-		j.reports = nil
-		j.perms = nil
-		j.grantee = nil
-		j.finished = time.Unix(0, rec.UnixNs)
+		j.finish(rec.State, rec.Err, time.Unix(0, rec.UnixNs))
 		if len(rec.Result) > 0 {
 			var rep trigene.Report
 			if err := json.Unmarshal(rec.Result, &rep); err == nil {
@@ -397,76 +331,46 @@ func (c *Coordinator) importSnapshotLocked(data []byte) error {
 	}
 	c.seq = snap.Seq
 	for _, wj := range snap.Jobs {
-		j := &job{
-			id:         wj.ID,
-			name:       wj.Name,
-			spec:       wj.Spec,
-			tiles:      wj.Tiles,
-			state:      wj.State,
-			err:        wj.Err,
-			datasetSHA: wj.SHA,
-			snps:       wj.SNPs,
-			samples:    wj.Samples,
-			leases:     sched.ImportLeaseTable(wj.LeaseSeq, wj.TileStates),
-			submitted:  time.Unix(0, wj.SubmittedUnixNs),
+		j := newJob(walRecord{Job: wj.ID, Name: wj.Name, Spec: &wj.Spec, Tiles: wj.Tiles, ScreenTiles: wj.ScreenTiles,
+			SHA: wj.SHA, SNPs: wj.SNPs, Samples: wj.Samples, UnixNs: wj.SubmittedUnixNs})
+		if wj.TileStates != nil {
+			j.leases = sched.ImportLeaseTable(wj.LeaseSeq, wj.TileStates)
 		}
-		if wj.TileStates == nil {
-			j.leases = sched.NewLeaseTable(wj.Tiles)
-		}
-		if wj.FinishedUnixNs != 0 {
-			j.finished = time.Unix(0, wj.FinishedUnixNs)
-		}
-		if len(wj.Result) > 0 {
-			var rep trigene.Report
-			if err := json.Unmarshal(wj.Result, &rep); err == nil {
-				j.result = &rep
-			}
-		}
-		if wj.State == StateRunning {
-			j.reports = make([]*trigene.Report, wj.Tiles)
-			for i, raw := range wj.Reports {
-				if i >= wj.Tiles || len(raw) == 0 {
-					continue
-				}
-				var rep trigene.Report
-				if err := json.Unmarshal(raw, &rep); err == nil {
-					j.reports[i] = &rep
-				}
-			}
-			j.screenTiles = wj.ScreenTiles
-			if wj.ScreenTiles > 0 {
-				j.screens = make([]*trigene.ScreenScores, wj.ScreenTiles)
-				for i, raw := range wj.Screens {
-					if i >= wj.ScreenTiles || len(raw) == 0 {
-						continue
-					}
-					var sc trigene.ScreenScores
-					if err := json.Unmarshal(raw, &sc); err == nil {
-						j.screens[i] = &sc
-					}
-				}
-			}
-			if j.perm() {
-				j.perms = make([]*trigene.PermScores, wj.Tiles)
-				for i, raw := range wj.Perms {
-					if i >= wj.Tiles || len(raw) == 0 {
-						continue
-					}
-					var ps trigene.PermScores
-					if err := json.Unmarshal(raw, &ps); err == nil {
-						j.perms[i] = &ps
-					}
-				}
-			}
-			j.grantee = make(map[int]granteeRef, len(wj.Grantees))
-			for _, g := range wj.Grantees {
-				j.grantee[g.Tile] = granteeRef{worker: g.Worker, seq: g.Seq}
-			}
+		for _, g := range wj.Grantees {
+			j.grantee[g.Tile] = granteeRef{worker: g.Worker, seq: g.Seq}
 		}
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
+		if wj.State != StateRunning {
+			c.applyLocked(walRecord{T: recFinish, Job: j.id, State: wj.State, Err: wj.Err, Result: wj.Result, UnixNs: wj.FinishedUnixNs})
+			continue
+		}
+		for _, ph := range j.phases {
+			slots := *ph.kind.slots(&wj)
+			for tile := ph.base; tile < min(ph.end(), len(slots)) && j.state == StateRunning; tile++ {
+				if raw := slots[tile]; len(raw) > 0 && string(raw) != "null" {
+					var res TileResult
+					*ph.kind.field(&res) = raw
+					c.restoreLocked(j, tile, &res)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// restoreLocked puts back one completed tile that recovery found — a
+// replayed complete record or a snapshot slot — through the decode a
+// live result passes, under the replay policy of this file's header.
+func (c *Coordinator) restoreLocked(j *job, tile int, res *TileResult) {
+	part, err := j.decode(tile, res)
+	if err != nil {
+		c.cfg.Logger.Error("recovered completion refused; failing the job", "job", j.id, "tile", tile, "error", err)
+		c.finishLocked(j, StateFailed, fmt.Sprintf("recovered completion of tile %d refused: %v", tile, err))
+		return
+	}
+	j.leases.RestoreDone(tile)
+	j.partials[tile] = part
 }
 
 // exportLocked snapshots the full coordinator state.
@@ -494,26 +398,19 @@ func (c *Coordinator) exportLocked() walSnapshot {
 			wj.Result, _ = json.Marshal(j.result)
 		}
 		if j.state == StateRunning {
+			// "reports" has a slot per lease unit in every running job,
+			// whatever its kinds: it always had, and a snapshot's bytes do
+			// not move. Every kind's array runs to the end of its phase.
 			wj.Reports = make([]json.RawMessage, j.tiles)
-			for i, rep := range j.reports {
-				if rep != nil {
-					wj.Reports[i], _ = json.Marshal(rep)
-				}
-			}
 			wj.ScreenTiles = j.screenTiles
-			if j.screenTiles > 0 {
-				wj.Screens = make([]json.RawMessage, j.screenTiles)
-				for i, sc := range j.screens {
-					if sc != nil {
-						wj.Screens[i], _ = json.Marshal(sc)
-					}
+			for _, ph := range j.phases {
+				slots := ph.kind.slots(&wj)
+				if len(*slots) < ph.end() {
+					*slots = make([]json.RawMessage, ph.end())
 				}
-			}
-			if j.perm() {
-				wj.Perms = make([]json.RawMessage, j.tiles)
-				for i, ps := range j.perms {
-					if ps != nil {
-						wj.Perms[i], _ = json.Marshal(ps)
+				for tile := ph.base; tile < ph.end(); tile++ {
+					if part := j.partials[tile]; part != nil {
+						(*slots)[tile], _ = json.Marshal(part)
 					}
 				}
 			}
@@ -620,21 +517,6 @@ func (c *Coordinator) snapshotLocked() error {
 		return fmt.Errorf("cluster: encoding snapshot: %w", err)
 	}
 	return c.log.WriteSnapshot(state)
-}
-
-// journalFinishLocked records a job leaving StateRunning, carrying the
-// merged result for done jobs. Called from finishLocked, so every
-// finish path — merge, deterministic failure, cancel, deadline,
-// attempt exhaustion — journals identically.
-func (c *Coordinator) journalFinishLocked(j *job) {
-	if c.log == nil || c.replaying {
-		return
-	}
-	rec := walRecord{T: recFinish, Job: j.id, State: j.state, Err: j.err, UnixNs: j.finished.UnixNano()}
-	if j.result != nil {
-		rec.Result, _ = json.Marshal(j.result)
-	}
-	c.journalJobLocked(j, rec)
 }
 
 // packPath is where a dataset with the given content hash lives.

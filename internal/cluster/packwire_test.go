@@ -30,7 +30,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 // sessionFor builds a Session over mx, failing the test on error.
-func sessionFor(t *testing.T, mx *trigene.Matrix) *trigene.Session {
+func sessionFor(t testing.TB, mx *trigene.Matrix) *trigene.Session {
 	t.Helper()
 	s, err := trigene.NewSession(mx)
 	if err != nil {

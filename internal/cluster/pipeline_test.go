@@ -59,8 +59,9 @@ func leaseAll(t *testing.T, cl *Client, worker string) []LeaseGrant {
 }
 
 // tileResults computes every tile of the grants exactly as a worker
-// would and returns the results in wire form, in grant order.
-func tileResults(t *testing.T, sess *trigene.Session, grants []LeaseGrant) []TileResult {
+// would — through the grant's kind — and returns the results in wire
+// form, in grant order.
+func tileResults(t testing.TB, sess *trigene.Session, grants []LeaseGrant) []TileResult {
 	t.Helper()
 	var results []TileResult
 	for _, g := range grants {
@@ -68,16 +69,17 @@ func tileResults(t *testing.T, sess *trigene.Session, grants []LeaseGrant) []Til
 		if err != nil {
 			t.Fatal(err)
 		}
+		kind := grantKind(&g)
 		for _, tg := range g.Granted {
-			rep, err := sess.Search(context.Background(), append(opts, trigene.WithShard(tg.Tile, g.Tiles))...)
+			out, err := kind.run(context.Background(), tileRun{w: &Worker{}, sess: sess, spec: &g.Spec, opts: opts, shard: g.shard(tg.Tile)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := json.Marshal(rep)
-			if err != nil {
+			res := TileResult{Token: tg.Token}
+			if *kind.field(&res), err = json.Marshal(out); err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, TileResult{Token: tg.Token, Report: raw})
+			results = append(results, res)
 		}
 	}
 	return results
@@ -228,17 +230,81 @@ func copyState(t *testing.T, src string, keep int64) string {
 }
 
 // TestBatchedCompletionCrashPoints injects a crash at every record
-// boundary of one batched completion: the journal of an n-tile done
-// request is cut before its first complete record, after each of the n,
-// and after the finish record that follows them (synced, response not
-// yet sent). Every cut recovers to exactly the tiles journaled before
-// it, re-issues exactly the others once their restored leases lapse,
-// and merges to the single-node Report.
+// boundary of a job's batched completions, for a job of every kind: the
+// journal is cut before the first complete record, after each one, and
+// after the finish record that follows the last (synced, response not
+// yet sent). For the two-phase screened job that puts cuts inside stage
+// 1, exactly between the last stage-1 complete and the first stage-2
+// grant, and inside stage 2. Every cut recovers to exactly the tiles
+// journaled before it, re-issues exactly the others once their restored
+// leases lapse, and merges to the single-node result.
 func TestBatchedCompletionCrashPoints(t *testing.T) {
 	mx := plantedMatrix(t)
 	sess := sessionFor(t, mx)
 	ctx := context.Background()
-	want := localReport(t, sess, paritySpec)
+	permSpec := trigene.SearchSpec{Perm: &trigene.PermSpec{SNPs: [][]int{{3, 9, 15}, {0, 1}}, Permutations: 90, Seed: 11}}
+	localPerm, err := sess.PermutationTestAll(ctx, permSpec.Perm.SNPs, trigene.WithPermutations(90), trigene.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		prefix        string // of the job's cutN subtests; the search job's keep their bare names
+		spec          trigene.SearchSpec
+		submit, tiles int // tiles asked for, lease units that makes
+		check         func(t *testing.T, got *trigene.Report)
+	}{
+		{"", paritySpec, 5, 5, func(t *testing.T, got *trigene.Report) {
+			reportsEqual(t, "recovered", got, localReport(t, sess, paritySpec))
+		}},
+		{"screened-", screenedSpec(), 3, 6, func(t *testing.T, got *trigene.Report) {
+			want := localScreened(t, sess, screenedSpec())
+			reportsEqual(t, "recovered", got, want)
+			if got.Screen == nil || got.Screen.PairsScanned != want.Screen.PairsScanned || got.Screen.Threshold != want.Screen.Threshold {
+				t.Errorf("recovered ScreenInfo %+v, want %+v", got.Screen, want.Screen)
+			}
+		}},
+		{"perm-", permSpec, 4, 4, func(t *testing.T, got *trigene.Report) {
+			if got.Perm == nil || len(got.Perm.Results) != len(localPerm) {
+				t.Fatalf("recovered Perm block %+v, want %d results", got.Perm, len(localPerm))
+			}
+			for i, pc := range got.Perm.Results {
+				if want := localPerm[i]; pc.Observed != want.Observed || pc.AsGoodOrBetter != want.AsGoodOrBetter || pc.PValue != want.PValue {
+					t.Errorf("candidate %d: recovered %+v != local %+v", i, pc, *want)
+				}
+			}
+		}},
+	} {
+		crashPoints(t, tc.prefix, mx, sess, tc.spec, tc.submit, tc.tiles, tc.check)
+	}
+}
+
+// drain leases and completes, as one worker posting each round's results
+// in one request, until the coordinator grants nothing more (a job of
+// several phases opens the next when a round closes the last); it
+// returns the tiles it was granted.
+func drain(t *testing.T, cl *Client, sess *trigene.Session, worker string) map[int]bool {
+	t.Helper()
+	granted := map[int]bool{}
+	for {
+		grants := leaseAll(t, cl, worker)
+		if len(grants) == 0 {
+			return granted
+		}
+		results := tileResults(t, sess, grants)
+		for _, g := range grants {
+			for _, tg := range g.Granted {
+				granted[tg.Tile] = true
+			}
+		}
+		verdicts, err := cl.done(context.Background(), results)
+		if err != nil || strings.Count(statuses(verdicts), TileAccepted) != len(results) {
+			t.Fatalf("batched completion: %v, %+v", err, verdicts)
+		}
+	}
+}
+
+func crashPoints(t *testing.T, prefix string, mx *trigene.Matrix, sess *trigene.Session, spec trigene.SearchSpec, submit, tiles int, check func(*testing.T, *trigene.Report)) {
+	ctx := context.Background()
 	clock := &fakeClock{now: time.Unix(7000, 0)}
 	ttl := 10 * time.Second
 	cfg := Config{LeaseTTL: ttl, Now: clock.Now, StateDir: t.TempDir()}
@@ -249,22 +315,20 @@ func TestBatchedCompletionCrashPoints(t *testing.T) {
 	}
 	srv := httptest.NewServer(co)
 	cl := NewClient(srv.URL)
-	const tiles = 5
-	if _, err := cl.Submit(ctx, mx, paritySpec, tiles, "crash-points"); err != nil {
+	if _, err := cl.Submit(ctx, mx, spec, submit, "crash-points"); err != nil {
 		t.Fatal(err)
 	}
-	results := tileResults(t, sess, leaseAll(t, cl, "w"))
-	verdicts, err := cl.done(ctx, results)
-	if err != nil || statuses(verdicts) != "accepted accepted accepted accepted accepted" {
-		t.Fatalf("batched completion: %v, %+v", err, verdicts)
+	if granted := drain(t, cl, sess, "w"); len(granted) != tiles {
+		t.Fatalf("granted %d tiles, want %d", len(granted), tiles)
 	}
 	srv.Close()
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Locate the record boundaries: submit, five grants, then the five
-	// complete records of the one request, in request order, and finish.
+	// Locate the record boundaries: submit, then each phase's grants and
+	// the complete records of its one request, in request order, and
+	// finish.
 	journal := filepath.Join(cfg.StateDir, "journal-0.wal")
 	raw, err := os.ReadFile(journal)
 	if err != nil {
@@ -297,7 +361,7 @@ func TestBatchedCompletionCrashPoints(t *testing.T) {
 	cuts = append(cuts, -1) // the whole journal: fsynced, response lost
 
 	for k, keep := range cuts {
-		t.Run(fmt.Sprintf("cut%d", k), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%scut%d", prefix, k), func(t *testing.T) {
 			rcfg := cfg
 			rcfg.StateDir = copyState(t, cfg.StateDir, keep)
 			co, err := Recover(rcfg)
@@ -320,15 +384,9 @@ func TestBatchedCompletionCrashPoints(t *testing.T) {
 				t.Fatalf("recovered state %q, want %q", st.State, wantState)
 			}
 			// The restored leases lapse; exactly the un-journaled tiles
-			// come out again.
+			// come out again, and completing them is accepted.
 			clock.advance(ttl + time.Second)
-			again := leaseAll(t, cl, "w2")
-			reissued := map[int]bool{}
-			for _, g := range again {
-				for _, tg := range g.Granted {
-					reissued[tg.Tile] = true
-				}
-			}
+			reissued := drain(t, cl, sess, "w2")
 			if len(reissued) != tiles-journaled {
 				t.Fatalf("re-issued tiles %v, want the %d cut off", reissued, tiles-journaled)
 			}
@@ -337,17 +395,11 @@ func TestBatchedCompletionCrashPoints(t *testing.T) {
 					t.Errorf("tile %d lost its complete record but was not re-issued", tile)
 				}
 			}
-			if len(again) > 0 {
-				verdicts, err := cl.done(ctx, tileResults(t, sess, again))
-				if err != nil || strings.Count(statuses(verdicts), TileAccepted) != len(reissued) {
-					t.Fatalf("completing the re-issued tiles: %v, %+v", err, verdicts)
-				}
-			}
 			got, err := cl.Result(ctx, "j1")
 			if err != nil {
 				t.Fatal(err)
 			}
-			reportsEqual(t, "recovered", got, want)
+			check(t, got)
 		})
 	}
 }
@@ -355,7 +407,11 @@ func TestBatchedCompletionCrashPoints(t *testing.T) {
 // TestJournalRecordFormat pins the journal's record encoding: batching
 // changed who appends records and when they are synced, not what they
 // are, so a journal written by the release before group commit replays
-// under this one and the reverse.
+// under this one and the reverse. Likewise the one job abstraction
+// changed how a job's state is held, not how a snapshot spells it: the
+// records below, as the release before it journaled them, replay into
+// the snapshot that release wrote, byte for byte, and importing that
+// snapshot and exporting it again gives it back.
 func TestJournalRecordFormat(t *testing.T) {
 	for _, tc := range []struct {
 		rec  walRecord
@@ -367,6 +423,8 @@ func TestJournalRecordFormat(t *testing.T) {
 			`{"t":"complete","job":"j1","tile":3,"seq":7,"report":{}}`},
 		{walRecord{T: recComplete, Job: "j1", Seq: 7, Perm: json.RawMessage(`{}`)},
 			`{"t":"complete","job":"j1","seq":7,"perm":{}}`},
+		{walRecord{T: recComplete, Job: "j1", Tile: 1, Seq: 7, Screen: json.RawMessage(`{}`)},
+			`{"t":"complete","job":"j1","tile":1,"seq":7,"screen":{}}`},
 		{walRecord{T: recRelease, Job: "j1", Tile: 3, Seq: 7},
 			`{"t":"release","job":"j1","tile":3,"seq":7}`},
 		{walRecord{T: recFinish, Job: "j1", State: StateFailed, Err: "x", UnixNs: 5},
@@ -378,6 +436,63 @@ func TestJournalRecordFormat(t *testing.T) {
 		}
 		if string(got) != tc.want {
 			t.Errorf("%s record = %s, want %s", tc.rec.T, got, tc.want)
+		}
+	}
+
+	const grants = `{"t":"grant","job":"j1","seq":1,"attempt":1,"worker":"w","ns":5000}
+{"t":"grant","job":"j1","tile":1,"seq":2,"attempt":1,"worker":"w","ns":5000}
+`
+	const leased = `"grantees":[{"tile":0,"worker":"w","seq":1},{"tile":1,"worker":"w","seq":2}]`
+	const screen = `{"snps":3,"best":[0.5,0.25,0],"seen":[true,true,false],"objective":"k2","pairs":1,"topPairs":[{"snps":[0,1],"score":0.25}],"topPairLimit":1,"durationNs":7}`
+	const perm = `{"snps":[[0,1]],"objective":"k2","seed":5,"stream":2,"offset":4,"count":4,"observed":[1.5],"hits":[1]}`
+	const report = `{"backend":"cpu","approach":"","objective":"k2","order":3,"best":{"snps":[0,1,2],"score":1.5},"topK":[{"snps":[0,1,2],"score":1.5}],"combinations":1,"elements":8,"durationNs":0,"elementsPerSec":0}`
+	for _, tc := range []struct {
+		name, journal, snapshot string
+	}{
+		{"screened job, stage 1 half done",
+			`{"t":"submit","job":"j1","name":"s","spec":{"topK":2,"screen":{"maxSurvivors":3,"seedPairs":1}},"tiles":4,"screenTiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
+` + grants + `{"t":"complete","job":"j1","seq":1,"screen":` + screen + `}`,
+			`{"seq":1,"jobs":[{"id":"j1","name":"s","spec":{"topK":2,"screen":{"maxSurvivors":3,"seedPairs":1}},"tiles":4,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":2,"q":1,"d":5000,"a":1},{"s":1,"q":2,"d":5000,"a":1},{"s":0},{"s":0}],` + leased + `,"reports":[null,null,null,null],"screenTiles":2,"screens":[` + screen + `,null],"sub":1000}]}`},
+		{"permutation job",
+			`{"t":"submit","job":"j1","spec":{"perm":{"snps":[[0,1]],"permutations":8,"seed":5}},"tiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
+` + grants + `{"t":"complete","job":"j1","tile":1,"seq":2,"perm":` + perm + `}`,
+			`{"seq":1,"jobs":[{"id":"j1","spec":{"perm":{"snps":[[0,1]],"permutations":8,"seed":5}},"tiles":2,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":1,"q":1,"d":5000,"a":1},{"s":2,"q":2,"d":5000,"a":1}],` + leased + `,"reports":[null,null],"perms":[null,` + perm + `],"sub":1000}]}`},
+		{"search job",
+			`{"t":"submit","job":"j1","spec":{"topK":2},"tiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
+` + grants + `{"t":"complete","job":"j1","tile":1,"seq":2,"report":` + report + `}`,
+			`{"seq":1,"jobs":[{"id":"j1","spec":{"topK":2},"tiles":2,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":1,"q":1,"d":5000,"a":1},{"s":2,"q":2,"d":5000,"a":1}],` + leased + `,"reports":[null,` + report + `],"sub":1000}]}`},
+	} {
+		export := func(fill func(co *Coordinator)) string {
+			t.Helper()
+			co := NewCoordinator(Config{})
+			co.mu.Lock()
+			defer co.mu.Unlock()
+			fill(co)
+			out, err := json.Marshal(co.exportLocked())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(out)
+		}
+		replayed := export(func(co *Coordinator) {
+			for _, line := range strings.Split(tc.journal, "\n") {
+				var rec walRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatal(err)
+				}
+				co.applyLocked(rec)
+			}
+		})
+		if replayed != tc.snapshot {
+			t.Errorf("%s: journal replays into snapshot\n%s\nwant\n%s", tc.name, replayed, tc.snapshot)
+		}
+		imported := export(func(co *Coordinator) {
+			if err := co.importSnapshotLocked([]byte(tc.snapshot)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if imported != tc.snapshot {
+			t.Errorf("%s: snapshot imports and exports as\n%s\nwant\n%s", tc.name, imported, tc.snapshot)
 		}
 	}
 }

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/wal"
 )
 
 // screenedSpec is the two-phase configuration the screened cluster
@@ -336,5 +339,111 @@ func TestDurableScreenedRecovery(t *testing.T) {
 	reportsEqual(t, "screened durable", got, want)
 	if got.Screen == nil || got.Screen.PairsScanned != want.Screen.PairsScanned {
 		t.Fatalf("recovered ScreenInfo %+v, want pairsScanned %d", got.Screen, want.Screen.PairsScanned)
+	}
+}
+
+// TestClusterScreenRefusesMalformedScores: stage-1 scores whose best
+// list is shorter than their seen list never reach the merge that pins
+// stage 2. Posted live as the shard that would close stage 1 they are
+// refused at the door, the coordinator keeps answering, the tile stays
+// leased and a correct re-post finishes the job bit-equal to the local
+// run; found in the journal on recovery they fail the job under the
+// replay policy of durable.go, naming the tile.
+func TestClusterScreenRefusesMalformedScores(t *testing.T) {
+	mx := plantedMatrix(t)
+	sess := sessionFor(t, mx)
+	ctx := context.Background()
+	spec := screenedSpec()
+	want := localScreened(t, sess, spec)
+	cfg := Config{LeaseTTL: time.Minute, StateDir: t.TempDir()}
+	cl, proxy, _ := newDurableCluster(t, cfg)
+
+	// stage1 submits a job of two stage-1 shards, completes the first and
+	// returns the second's token with its scores, good and malformed.
+	stage1 := func(name string) (id, token string, good, bad *trigene.ScreenScores) {
+		t.Helper()
+		id, err := cl.Submit(ctx, mx, spec, 2, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tiles []TileGrant
+		for _, g := range leaseAll(t, cl, "w") {
+			tiles = append(tiles, g.Granted...)
+		}
+		if len(tiles) != 2 {
+			t.Fatalf("%d stage-1 tiles granted, want 2", len(tiles))
+		}
+		scans := make([]*trigene.ScreenScores, 2)
+		for i, tg := range tiles {
+			if scans[i], err = sess.ScreenStage1(ctx, 3, trigene.WithShard(tg.Tile, 2), trigene.WithWorkers(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acc, err := cl.completeScreen(ctx, tiles[0].Token, scans[0]); err != nil || !acc {
+			t.Fatalf("first stage-1 completion: accepted=%v err=%v", acc, err)
+		}
+		short := *scans[1]
+		short.Best = short.Best[:len(short.Best)-1]
+		return id, tiles[1].Token, scans[1], &short
+	}
+	status := func(id string) *JobStatus {
+		t.Helper()
+		// A coordinator that panicked under its lock never answers again.
+		short, cancel := context.WithTimeout(ctx, 3*time.Second)
+		defer cancel()
+		st, err := cl.Status(short, id)
+		if err != nil {
+			t.Fatalf("status of %s: %v", id, err)
+		}
+		return st
+	}
+
+	id, token, good, bad := stage1("posted live")
+	if _, err := cl.completeScreen(ctx, token, bad); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("malformed scores posted live: err = %v, want a shape refusal", err)
+	}
+	if st := status(id); st.State != StateRunning || st.ScreenDone != 1 || st.Leased != 1 {
+		t.Fatalf("after the refused post: %+v, want the tile still leased", st)
+	}
+	if acc, err := cl.completeScreen(ctx, token, good); err != nil || !acc {
+		t.Fatalf("correct re-post: accepted=%v err=%v", acc, err)
+	}
+	verdicts, err := cl.done(ctx, tileResults(t, sess, leaseAll(t, cl, "w")))
+	if err != nil || statuses(verdicts) != "accepted accepted" {
+		t.Fatalf("completing stage 2: %v, %+v", err, verdicts)
+	}
+	got, err := cl.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "after a refused stage-1 post", got, want)
+
+	// The same scores as a journal record, appended behind the crashed
+	// coordinator's back.
+	id, token, _, bad = stage1("in the journal")
+	_, tile, _, _ := parseLeaseToken(token)
+	proxy.crash()
+	l, err := wal.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(walRecord{T: recComplete, Job: id, Tile: tile, Screen: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	proxy.resume(t, cfg)
+	st := status(id)
+	if st.State != StateFailed || !strings.Contains(st.Error, fmt.Sprintf("tile %d", tile)) || !strings.Contains(st.Error, "shape mismatch") {
+		t.Fatalf("job with malformed stage-1 scores in its journal recovered as %+v, want failed on that tile's shape", st)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"trigene"
 	"trigene/internal/obs"
-	"trigene/internal/sched"
 	"trigene/internal/store"
 )
 
@@ -501,20 +500,15 @@ func (p *pipeline) run(ctx context.Context, grant LeaseGrant) {
 		p.release(tiles...)
 		return
 	}
-	var opts []trigene.Option
-	if grant.Stage != "screen" {
-		// Stage-1 grants run ScreenStage1, which takes its own narrow
-		// option set; only search grants rebuild the full spec.
-		opts, err = grant.Spec.Options()
-		if err != nil {
-			// The coordinator validated the spec at submit; a rebuild error
-			// here is deterministic (version skew), so fail the job loudly.
-			w.logger().Error("rebuilding spec failed; failing the job",
-				"job", grant.Job, "tile", tiles[0].Tile, "token", tiles[0].Token, "error", err)
-			w.failJob(ctx, tiles[0].Token, fmt.Sprintf("rebuilding spec: %v", err))
-			p.release(tiles...)
-			return
-		}
+	opts, err := grant.Spec.Options()
+	if err != nil {
+		// The coordinator validated the spec at submit; a rebuild error
+		// here is deterministic (version skew), so fail the job loudly.
+		w.logger().Error("rebuilding spec failed; failing the job",
+			"job", grant.Job, "tile", tiles[0].Tile, "token", tiles[0].Token, "error", err)
+		w.failJob(ctx, tiles[0].Token, fmt.Sprintf("rebuilding spec: %v", err))
+		p.release(tiles...)
+		return
 	}
 	for i, tg := range tiles {
 		if ctx.Err() != nil || w.draining.Load() {
@@ -555,12 +549,8 @@ func (p *pipeline) run(ctx context.Context, grant LeaseGrant) {
 }
 
 // runTile computes one tile and returns its result in wire form. What a
-// tile is follows from its grant: a stage-1 shard of a screened job (the
-// pairwise scan, posting ScreenScores the coordinator merges to pin the
-// survivor set), a range of a permutation job's [0, P) index space
-// (PermScores — every permutation keys its relabeling by absolute
-// index, so a range is bit-exact whichever worker runs it and however
-// the space was cut), or a shard of a search (a Report).
+// tile is follows from its grant (grantKind): the kind runs it and names
+// the field its payload travels in.
 func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) (TileResult, error) {
 	w := p.w
 	ctx, cancel := context.WithCancel(ctx)
@@ -574,51 +564,13 @@ func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, 
 		p.mu.Unlock()
 	}()
 
-	// The shard the tile covers: unscreened jobs shard the whole space
-	// (Tile of Tiles), a two-phase job's grants shard within their stage.
-	index, count := tg.Tile, grant.Tiles
-	if grant.StageCount > 0 {
-		index, count = tg.Tile-grant.StageBase, grant.StageCount
-	}
+	shard := grant.shard(tg.Tile)
 	w.logger().Info("executing tile",
-		"job", grant.Job, "tile", tg.Tile, "shard", index, "shards", count, "stage", grant.Stage, "token", tg.Token)
+		"job", grant.Job, "tile", tg.Tile, "shard", shard.Index, "shards", shard.Count, "stage", grant.Stage, "token", tg.Token)
 	res := TileResult{Token: tg.Token}
-	var out any
-	var field *json.RawMessage
-	var err error
+	kind := grantKind(&grant)
 	start := time.Now()
-	switch {
-	case grant.Stage == "screen":
-		sopts := []trigene.Option{trigene.WithShard(index, count), trigene.WithMetrics(w.reg)}
-		if grant.Spec.Objective != "" {
-			sopts = append(sopts, trigene.WithObjective(grant.Spec.Objective))
-		}
-		if grant.Spec.Workers != 0 {
-			sopts = append(sopts, trigene.WithWorkers(grant.Spec.Workers))
-		}
-		seedPairs := 0
-		if grant.Spec.Screen != nil {
-			seedPairs = grant.Spec.Screen.SeedPairs
-		}
-		field = &res.Screen
-		out, err = sess.ScreenStage1(ctx, seedPairs, sopts...)
-	case grant.Spec.Perm != nil:
-		var src sched.Source
-		src, err = sched.Permutations(grant.Spec.Perm.PermutationCount(), count).Shard(sched.Shard{Index: index, Count: count})
-		if err != nil {
-			// The coordinator sized the space at submit; a shard error
-			// here is deterministic, and fails the job like any other.
-			return res, fmt.Errorf("sharding permutation space: %w", err)
-		}
-		b := src.Bounds()
-		field = &res.Perm
-		out, err = sess.PermutationSlice(ctx, grant.Spec.Perm.SNPs, int(b.Lo), int(b.Hi-b.Lo),
-			append(opts[:len(opts):len(opts)], trigene.WithMetrics(w.reg))...)
-	default:
-		field = &res.Report
-		out, err = sess.Search(ctx,
-			append(opts[:len(opts):len(opts)], trigene.WithShard(index, count), trigene.WithMetrics(w.reg))...)
-	}
+	out, err := kind.run(ctx, tileRun{w: w, sess: sess, spec: &grant.Spec, opts: opts, shard: shard})
 	if err != nil {
 		return res, err
 	}
@@ -626,7 +578,7 @@ func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, 
 	w.observe(elapsed)
 	w.wm.tiles.Inc()
 	w.wm.tileSeconds.Observe(elapsed.Seconds())
-	*field, err = json.Marshal(out)
+	*kind.field(&res), err = json.Marshal(out)
 	return res, err
 }
 
@@ -646,7 +598,7 @@ func (p *pipeline) complete(ctx context.Context) {
 		// all of them, up to half the route's body bound.
 		n, size := 0, 0
 		for n < len(p.queue) && (n == 0 || (p.batch && size < maxDoneBody/2)) {
-			size += len(p.queue[n].Report) + len(p.queue[n].Screen) + len(p.queue[n].Perm)
+			size += payloadSize(&p.queue[n])
 			n++
 		}
 		results := p.queue[:n:n]

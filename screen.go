@@ -189,10 +189,34 @@ type ScreenScores struct {
 	DurationNs int64 `json:"durationNs"`
 }
 
+// ValidateShape checks one scan's internal consistency — the door check
+// a coordinator runs on a posted or replayed stage-1 shard before
+// accounting its tile done, so a malformed body never reaches the merge
+// or the survivor set it pins.
+func (sc *ScreenScores) ValidateShape() error {
+	if sc.SNPs < 0 || len(sc.Best) != sc.SNPs || len(sc.Seen) != sc.SNPs {
+		return fmt.Errorf("trigene: screen scores shape mismatch: %d SNPs, %d best, %d seen",
+			sc.SNPs, len(sc.Best), len(sc.Seen))
+	}
+	if sc.Pairs < 0 || sc.TopPairLimit < 0 || sc.DurationNs < 0 {
+		return fmt.Errorf("trigene: screen scores carry a negative count (pairs %d, topPairLimit %d, durationNs %d)",
+			sc.Pairs, sc.TopPairLimit, sc.DurationNs)
+	}
+	if _, err := score.New(sc.Objective, 1); err != nil {
+		return fmt.Errorf("trigene: screen scores carry no usable objective: %w", err)
+	}
+	for _, c := range sc.TopPairs {
+		if len(c.SNPs) != 2 || c.SNPs[0] < 0 || c.SNPs[0] >= c.SNPs[1] || c.SNPs[1] >= sc.SNPs {
+			return fmt.Errorf("trigene: screen scores name top pair %v, not two ascending SNPs below %d", c.SNPs, sc.SNPs)
+		}
+	}
+	return nil
+}
+
 // MergeScreens combines sharded stage-1 scans into the full scan's
 // scores: per-SNP bests merge elementwise under the shared objective,
 // pair counts sum, and the seed lists re-rank. The result is bit-exact
-// with an unsharded scan.
+// with an unsharded scan. Every scan must pass ValidateShape.
 func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("trigene: MergeScreens needs at least one scan")
@@ -205,17 +229,14 @@ func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trigene: MergeScreens: scan carries no usable objective: %w", err)
 	}
-	out := &ScreenScores{
-		SNPs:      base.SNPs,
-		Best:      make([]float64, base.SNPs),
-		Seen:      make([]bool, base.SNPs),
-		Objective: base.Objective,
-	}
 	cmp := candidateCmp(obj)
 	k := 0
 	for _, sc := range scores {
 		if sc == nil {
 			return nil, fmt.Errorf("trigene: MergeScreens got a nil scan")
+		}
+		if err := sc.ValidateShape(); err != nil {
+			return nil, err
 		}
 		if sc.SNPs != base.SNPs || sc.Objective != base.Objective {
 			return nil, fmt.Errorf("trigene: cannot merge a %d-SNP %s scan with a %d-SNP %s scan",
@@ -232,10 +253,16 @@ func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 			}
 		}
 	}
-	out.TopPairLimit = k
+	out := &ScreenScores{
+		SNPs:         base.SNPs,
+		Best:         make([]float64, base.SNPs),
+		Seen:         make([]bool, base.SNPs),
+		Objective:    base.Objective,
+		TopPairLimit: k,
+	}
 	for _, sc := range scores {
 		for i := 0; i < base.SNPs; i++ {
-			if i >= len(sc.Seen) || !sc.Seen[i] {
+			if !sc.Seen[i] {
 				continue
 			}
 			if !out.Seen[i] || obj.Better(sc.Best[i], out.Best[i]) {
