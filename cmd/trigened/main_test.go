@@ -379,9 +379,17 @@ func TestTrigenedRestartRecovery(t *testing.T) {
 	}
 
 	// status -workers reports heartbeat ages for the reconnected fleet.
-	out.Reset()
-	if err := run(ctx, []string{"status", "-coordinator", url2, "-workers"}, &out, io.Discard); err != nil {
-		t.Fatal(err)
+	// The registry is not journaled: a worker is back in it with its next
+	// lease request or heartbeat, which a job finished on completions of
+	// recovered leases need not have waited for — so wait for it here.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		out.Reset()
+		if err := run(ctx, []string{"status", "-coordinator", url2, "-workers"}, &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if strings.TrimSpace(out.String()) != "no workers" || time.Now().After(deadline) {
+			break
+		}
 	}
 	if !strings.Contains(out.String(), "seen") || !strings.Contains(out.String(), "ago") {
 		t.Errorf("status -workers output lacks heartbeat ages:\n%s", out.String())

@@ -156,9 +156,13 @@ func TestCPUPointsFigure2aShape(t *testing.T) {
 }
 
 func TestFusedTileWords(t *testing.T) {
-	// 32 KiB: a third of the cache over 13 x 8-byte plane words.
-	if bw := FusedTileWords(32<<10, 2); bw != (32<<10)/3/104 {
+	// 32 KiB: three quarters of the cache over 13 x 8-byte plane words,
+	// and over the 25 of a lanes pass.
+	if bw := FusedTileWords(32<<10, 2); bw != (32<<10)*3/4/104 {
 		t.Errorf("FusedTileWords(32Ki, 2) = %d", bw)
+	}
+	if bw := FusedTileWords(32<<10, 8); bw != 122 {
+		t.Errorf("FusedTileWords(32Ki, 8) = %d, want 122", bw)
 	}
 	// More streamed x planes shrink the block; tiny budgets clamp to 1.
 	if FusedTileWords(32<<10, 4) >= FusedTileWords(32<<10, 1) {

@@ -426,31 +426,49 @@ planesDone:
 	VPADDQ       Z2, acc1, acc1
 
 // LANEROWS narrows the two accumulators of pair plane p to eight 32-bit
-// counts each and stores them as rows p and 9+p of the lane table, and
-// row 18+p as sums[p] minus both.
+// counts each, rows p (ylo0) and 9+p (Y3) of a lane table, and derives
+// row 18+p (Y2) as sums[p] minus both.
 #define LANEROWS(p, acc0, ylo0, acc1) \
 	VPMOVQD      acc0, ylo0; \
 	VPMOVQD      acc1, Y3; \
 	VPBROADCASTD 4*p(SI), Y2; \
 	VPSUBD       ylo0, Y2, Y2; \
-	VPSUBD       Y3, Y2, Y2; \
-	VMOVDQU      ylo0, 32*p(DI); \
-	VMOVDQU      Y3, 32*(9+p)(DI); \
-	VMOVDQU      Y2, 32*(18+p)(DI)
+	VPSUBD       Y3, Y2, Y2
 
-// func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int)
+// LANESTORE stores the three rows of pair plane p.
+#define LANESTORE(p, ylo0) \
+	VMOVDQU ylo0, 32*p(DI); \
+	VMOVDQU Y3, 32*(9+p)(DI); \
+	VMOVDQU Y2, 32*(18+p)(DI)
+
+// LANESET sets the three rows of pair plane p in the lane table, LANEADD
+// adds to them.
+#define LANESET(p, acc0, ylo0, acc1) \
+	LANEROWS(p, acc0, ylo0, acc1); \
+	LANESTORE(p, ylo0)
+
+#define LANEADD(p, acc0, ylo0, acc1) \
+	LANEROWS(p, acc0, ylo0, acc1); \
+	VPADDD 32*p(DI), ylo0, ylo0; \
+	VPADDD 32*(9+p)(DI), Y3, Y3; \
+	VPADDD 32*(18+p)(DI), Y2, Y2; \
+	LANESTORE(p, ylo0)
+
+// func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool)
 //
 // One combination per lane: per plane word, the x0 and x1 vectors of the
 // x tile (128 bytes per word) meet each of the nine pair-plane words,
 // broadcast, in the same 18 accumulators as accumulateFusedAVX512 — but a
-// lane is a SNP here, not a word, so the counts leave as they stand: no
-// mask (short lanes are zero words of the tile), no lane reduction.
-TEXT ·accumulateLanesAVX512(SB), NOSPLIT, $0-40
+// lane is a SNP here, not a word, so the counts go to the table as they
+// stand — set there, or with add on top of what it held: no mask (short
+// lanes are zero words of the tile), no lane reduction.
+TEXT ·accumulateLanesAVX512(SB), NOSPLIT, $0-41
 	MOVQ lt+0(FP), DI
 	MOVQ xt+8(FP), AX
 	MOVQ planes+16(FP), DX
 	MOVQ sums+24(FP), SI
 	MOVQ n+32(FP), CX
+	MOVBQZX add+40(FP), R12
 	STRIDES
 	VPXORQ Z4, Z4, Z4
 	VPXORQ Z5, Z5, Z5
@@ -488,14 +506,29 @@ lanesLoop:
 	DECQ CX
 	JNZ  lanesLoop
 
-	LANEROWS(0, Z4, Y4, Z13)
-	LANEROWS(1, Z5, Y5, Z14)
-	LANEROWS(2, Z6, Y6, Z15)
-	LANEROWS(3, Z7, Y7, Z16)
-	LANEROWS(4, Z8, Y8, Z17)
-	LANEROWS(5, Z9, Y9, Z18)
-	LANEROWS(6, Z10, Y10, Z19)
-	LANEROWS(7, Z11, Y11, Z20)
-	LANEROWS(8, Z12, Y12, Z21)
+	TESTQ R12, R12
+	JNZ   lanesAdd
+	LANESET(0, Z4, Y4, Z13)
+	LANESET(1, Z5, Y5, Z14)
+	LANESET(2, Z6, Y6, Z15)
+	LANESET(3, Z7, Y7, Z16)
+	LANESET(4, Z8, Y8, Z17)
+	LANESET(5, Z9, Y9, Z18)
+	LANESET(6, Z10, Y10, Z19)
+	LANESET(7, Z11, Y11, Z20)
+	LANESET(8, Z12, Y12, Z21)
+	VZEROUPPER
+	RET
+
+lanesAdd:
+	LANEADD(0, Z4, Y4, Z13)
+	LANEADD(1, Z5, Y5, Z14)
+	LANEADD(2, Z6, Y6, Z15)
+	LANEADD(3, Z7, Y7, Z16)
+	LANEADD(4, Z8, Y8, Z17)
+	LANEADD(5, Z9, Y9, Z18)
+	LANEADD(6, Z10, Y10, Z19)
+	LANEADD(7, Z11, Y11, Z20)
+	LANEADD(8, Z12, Y12, Z21)
 	VZEROUPPER
 	RET

@@ -27,6 +27,6 @@ func countPlanesAVX512(out *[PlaneBatch]int32, combo, planes *uint64, n int) {
 	panic("contingency: no assembly in this build")
 }
 
-func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int) {
+func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool) {
 	panic("contingency: no assembly in this build")
 }

@@ -11,27 +11,30 @@ const Lanes = 8
 // pass, so nothing is reduced across lanes on the way out.
 type LaneTable [Cells][Lanes]int32
 
-// LaneTileWords is the size of the x tile of a lanes pass over planes of
-// the given length.
+// LaneTileWords is the size of the x tile of a lanes pass over a word
+// range of the given length.
 func LaneTileWords(words int) int { return 2 * Lanes * words }
 
-// TransposeLanes lays the stored planes of up to Lanes consecutive SNPs
-// out as the x tile of a lanes pass: dst[(w*2+g)*Lanes+lane] is word w
-// of genotype plane g of SNP lane. src holds the SNPs' planes end to end,
-// (snp*2+g)*words, the way dataset.Split stores a class. Lanes past the
-// SNPs given are zeroed: a SNP no sample carries genotype 0 or 1 of,
-// whose counts are well-formed and which the caller ignores.
-func TransposeLanes(dst, src []uint64, words int) {
+// TransposeLanes lays words [w0, w1) of the stored planes of up to Lanes
+// consecutive SNPs out as the x tile of a lanes pass over that range:
+// dst[(w*2+g)*Lanes+lane] is word w0+w of genotype plane g of SNP lane.
+// src holds the SNPs' whole planes end to end, (snp*2+g)*words, the way
+// dataset.Split stores a class. Lanes past the SNPs given are zeroed: a
+// SNP no sample carries genotype 0 or 1 of, whose counts are well-formed
+// and which the caller ignores.
+func TransposeLanes(dst, src []uint64, words, w0, w1 int) {
 	if words == 0 {
 		return
 	}
 	n := len(src) / (2 * words)
-	dst = dst[:LaneTileWords(words)]
+	tile := w1 - w0
+	dst = dst[:LaneTileWords(tile)]
 	for lane := 0; lane < n; lane++ {
-		p := src[lane*2*words : (lane+1)*2*words]
-		for w := 0; w < words; w++ {
-			dst[2*w*Lanes+lane] = p[w]
-			dst[(2*w+1)*Lanes+lane] = p[words+w]
+		p0 := src[lane*2*words+w0 : lane*2*words+w1]
+		p1 := src[(lane*2+1)*words+w0 : (lane*2+1)*words+w1]
+		for w := range p0 {
+			dst[2*w*Lanes+lane] = p0[w]
+			dst[(2*w+1)*Lanes+lane] = p1[w]
 		}
 	}
 	for lane := n; lane < Lanes; lane++ {
@@ -46,21 +49,28 @@ func TransposeLanes(dst, src []uint64, words int) {
 // for. Per word each of the nine pair-plane words meets all eight x0 and
 // x1 words, so the 18 counted rows cost what one Accumulate does per
 // vector of words but carry eight SNPs, and the nine genotype-2 rows
-// follow from the cached sums as in Accumulate. It sets all 27 rows of
-// lt (no zeroing by the caller, no += across word tiles: the block must
-// span the whole plane); padding lands in row 26 as in Accumulate.
-func (b *PairBlock) AccumulateLanes(lt *LaneTable, xt []uint64) {
+// follow from the cached sums as in Accumulate. With add false the pass
+// sets all 27 rows of lt, with add true it adds to them: a plane cut
+// into word tiles is one pass per tile into one table, the first setting
+// and the rest adding, and the genotype-2 rows come out right because
+// each tile brings its own sums. Padding lands in row 26 as in
+// Accumulate.
+func (b *PairBlock) AccumulateLanes(lt *LaneTable, xt []uint64, add bool) {
 	n := len(b.planes) / PairPlanes
 	xt = xt[:LaneTileWords(n)]
 	if b.vector() && n > 0 {
-		accumulateLanesAVX512(lt, &xt[0], &b.planes[0], &b.sums, n)
+		accumulateLanesAVX512(lt, &xt[0], &b.planes[0], &b.sums, n, add)
 		return
+	}
+	if !add {
+		*lt = LaneTable{}
 	}
 	accumulateLanesGo(lt, xt, b.planes, &b.sums)
 }
 
-// accumulateLanesGo is the pure-Go body of AccumulateLanes and its
-// oracle: accumulateFusedGo's loop, one lane of the tile at a time.
+// accumulateLanesGo is the pure-Go body of AccumulateLanes (the adding
+// form) and its oracle: accumulateFusedGo's loop, one lane of the tile at
+// a time.
 func accumulateLanesGo(lt *LaneTable, xt, planes []uint64, sums *[PairPlanes]int32) {
 	n := len(planes) / PairPlanes
 	for lane := 0; lane < Lanes; lane++ {
@@ -76,9 +86,9 @@ func accumulateLanesGo(lt *LaneTable, xt, planes []uint64, sums *[PairPlanes]int
 			}
 		}
 		for p := 0; p < PairPlanes; p++ {
-			lt[p][lane] = c[p]
-			lt[p+PairPlanes][lane] = c[p+PairPlanes]
-			lt[p+2*PairPlanes][lane] = sums[p] - c[p] - c[p+PairPlanes]
+			lt[p][lane] += c[p]
+			lt[p+PairPlanes][lane] += c[p+PairPlanes]
+			lt[p+2*PairPlanes][lane] += sums[p] - c[p] - c[p+PairPlanes]
 		}
 	}
 }

@@ -26,17 +26,15 @@ import (
 // The screened search's index-remap layer (Searcher.Subset) must
 // preserve the guarantee — its sub-searcher is probed alongside the
 // full one, since stage 2 runs the same hot loops over survivors. The
-// tuned V4F path crosses into assembly with pointers to the arena's
-// pair block and to per-call tables; its stubs are //go:noescape so
-// neither is moved to the heap, which the "wide" searcher pins on
-// class planes longer than a word tile, with a ragged last vector. The
-// other shapes have class planes that fit one tile, so their fused
-// approaches run the short-plane loop — whole-plane pair blocks, x
-// tiles, lane tables and the score vector all in the pooled arena —
-// at 4-word planes ("short", and "full" at 5), at ragged 2-word planes
-// with a last block of one SNP ("ragged") and through a subset remap;
-// that loop's two assembly stubs (the lanes pass and K2's lane scoring)
-// take pointers to arena memory there, so their //go:noescape is pinned
+// fused approaches run one loop whatever the plane length — pair blocks,
+// x tile, lane-table banks and the score vector all in the pooled arena
+// — and it is probed on class planes of several word tiles with a ragged
+// last one ("wide"), at 4-word planes ("short", and "full" at 5), at
+// ragged 2-word planes with a last block of one SNP ("ragged") and
+// through a subset remap. V4F crosses into assembly there with pointers
+// to arena memory (the pair block's build and sums, the lanes pass, K2's
+// lane scoring); the stubs are //go:noescape so nothing is moved to the
+// heap, which for the lanes pass and the lane scoring is pinned
 // separately at the end, on stack tables. The screened search's other two tile
 // loops are held to the same standard on the same searchers: the
 // stage-1 pair walker with the screen's sink (its marginals live on the
@@ -76,11 +74,6 @@ func TestHotPathAllocs(t *testing.T) {
 		s    *Searcher
 	}{{"full", s}, {"subset", sub}, {"wide", wide}, {"short", short}, {"ragged", ragged}}
 	for _, probe := range searchers {
-		if o, err := (Options{}).withDefaults(probe.s.st.Samples()); err != nil {
-			t.Fatal(err)
-		} else if got := shortPlanes(probe.s.Split(), &o); got != (probe.name != "wide") {
-			t.Fatalf("%s: short-plane loop = %v", probe.name, got)
-		}
 		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 			for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {
 				h, err := probe.s.NewHotLoop(Options{Approach: a, TopK: 4, Metrics: reg})
@@ -138,7 +131,7 @@ func TestHotPathAllocs(t *testing.T) {
 		sw.a.release()
 	}
 
-	// The short-plane loop's two stubs, on tables that live on the stack.
+	// The fused loop's two stubs, on tables that live on the stack.
 	split := short.Split()
 	var blk contingency.PairBlock
 	blk.Init(split.Words[0], false)
@@ -148,7 +141,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(32, func() {
 		var lt contingency.LaneTable
 		var scores [contingency.Lanes]float64
-		blk.AccumulateLanes(&lt, xt)
+		blk.AccumulateLanes(&lt, xt, false)
 		k2.ScoreLanes(&scores, &lt, &lt, contingency.Lanes)
 		if scores[0] == 0 {
 			t.Fatal("no score")

@@ -8,28 +8,29 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (flat paths), a bank of block tables (blocked
-// paths), the generic k-way buffers, and the consumer's top-K heap.
+// a contingency table (flat paths), a bank of block tables (unfused
+// blocked paths), the fused loop's pair blocks, x tile and lane-table
+// bank, the generic k-way buffers, and the consumer's top-K heap.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
 	// tab is the flat paths' single reusable table; taking its address
 	// for the objective would otherwise heap-allocate per combination.
 	tab contingency.Table
-	// tables is the blocked paths' BS^3 table bank.
+	// tables is the unfused blocked paths' BS^3 table bank (and the
+	// seeded extension's one raw table).
 	tables []contingency.Table
-	// pair is the fused paths' cached pair block (planes and their
-	// popcounts for one (i1, i2) word tile).
-	pair contingency.PairBlock
-	// whole is one pair block per class over the whole class plane: the
-	// seeded extension's cached seed pair, the short-plane loop's
-	// (i1, i2).
-	whole [2]contingency.PairBlock
-	// xt, lane and laneScore are the rest of the short-plane loop's
-	// scratch: per class the x tile of the 8-SNP chunk in hand and the
-	// lane table of its last pass, and the scores of the eight tables.
-	xt        [2][]uint64
-	lane      [2]contingency.LaneTable
+	// block is one pair block per class: the seeded extension's cached
+	// seed pair over the whole class plane, the fused loop's (i1, i2)
+	// over the word tile in hand.
+	block [2]contingency.PairBlock
+	// xt, pairs, bank and laneScore are the rest of the fused loop's
+	// scratch for the 8-SNP x chunk in hand: its x tile over the word
+	// tile in hand, the (i1, i2) pairs it meets, per class one lane table
+	// per pair, and the scores of a pair's eight tables.
+	xt        []uint64
+	pairs     []lanePair
+	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
 	// comb/ctrl/cases are the generic k-way buffers.
 	comb        []int
@@ -43,8 +44,8 @@ type arena struct {
 var arenaPool = sync.Pool{New: func() interface{} { return new(arena) }}
 
 // getArena returns a pooled arena reset for one consumer: a top-K of
-// depth k under obj and (for the blocked paths) a bank of tables
-// block tables.
+// depth k under obj and (for the unfused blocked paths) a bank of
+// tables block tables.
 func getArena(obj score.Objective, k, tables int) *arena {
 	a := arenaPool.Get().(*arena)
 	a.scored = 0
@@ -60,16 +61,20 @@ func getArena(obj score.Objective, k, tables int) *arena {
 	return a
 }
 
-// sizeLanes sizes the short-plane loop's scratch for class planes of the
-// given lengths; oracle pins the pure-Go bodies.
-func (a *arena) sizeLanes(words [2]int, oracle bool) {
-	for class, n := range words {
-		a.whole[class].Init(n, oracle)
-		tile := contingency.LaneTileWords(n)
-		if cap(a.xt[class]) < tile {
-			a.xt[class] = make([]uint64, tile)
+// sizeLanes sizes the fused loop's scratch for blocks of bs SNPs and
+// word tiles of up to tile words; oracle pins the pure-Go bodies.
+func (a *arena) sizeLanes(bs, tile int, oracle bool) {
+	if n := contingency.LaneTileWords(tile); cap(a.xt) < n {
+		a.xt = make([]uint64, n)
+	}
+	if cap(a.pairs) < bs*bs {
+		a.pairs = make([]lanePair, 0, bs*bs)
+	}
+	for class := range a.block {
+		a.block[class].Init(tile, oracle)
+		if cap(a.bank[class]) < bs*bs {
+			a.bank[class] = make([]contingency.LaneTable, bs*bs)
 		}
-		a.xt[class] = a.xt[class][:tile]
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"trigene/internal/score"
 )
 
-// runBlocked executes approaches V3 and V4 (Algorithm 1): SNPs are
+// runBlocked executes the blocked approaches (Algorithm 1): SNPs are
 // grouped into blocks of BS, the sample dimension is walked in tiles of
-// BlockWords 64-bit words, and each worker holds BS^3 private frequency
-// tables so the tile data and the tables stay L1-resident across the
-// intra-block combination loops.
+// BlockWords 64-bit words, and each worker holds a private bank of
+// frequency tables — BS^3 tables for V3 and V4, BS^2 lane tables of
+// eight per class for the fused approaches — so the tile data and the
+// tables stay L1-resident across the intra-block combination loops.
 //
 // One scheduler rank is one block triple (b0 <= b1 <= b2), via the
 // bijection between multisets of size 3 over nb blocks and strict
@@ -68,25 +69,17 @@ func (s *Searcher) runBlocked(o Options) (*Result, error) {
 
 // blockSpace returns the run's block size, its block count and the
 // block-triple space: multiset triples over nb blocks, claimed one at a
-// time — except by the short-plane loop, whose claims are as many block
-// triples as fill its eight lanes with x SNPs.
+// time — except by the fused loop, whose claims are as many block triples
+// as fill its eight lanes with x SNPs.
 func (s *Searcher) blockSpace(o *Options) (bs, nb int, src sched.Source) {
 	m := s.st.SNPs()
 	bs = min(o.BlockSNPs, m)
 	nb = combin.TripleBlocks(m, bs)
 	grain := 1
-	if shortPlanes(s.st.Split(), o) {
+	if o.Approach.fused() {
 		grain = (contingency.Lanes + bs - 1) / bs
 	}
 	return bs, nb, sched.NewSource(0, combin.Triples(nb+2), int64(grain))
-}
-
-// shortPlanes reports whether the run takes the short-plane loop: a fused
-// approach over class planes that each fit one word tile, so one pair
-// block spans a whole plane. It is a property of the input and the tile,
-// not an option.
-func shortPlanes(split *dataset.Split, o *Options) bool {
-	return o.Approach.fused() && split.Words[0] <= o.BlockWords && split.Words[1] <= o.BlockWords
 }
 
 // blockSpaceCombos counts the combinations covered by a range of
@@ -125,9 +118,9 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
 }
 
 // blockWorker holds one worker's reusable state for the blocked paths.
-// The unfused approaches drive kernel over six stored planes; the fused
-// approaches drive the arena's pair block, or on short planes its two
-// whole-plane blocks through the lanes pass.
+// The unfused approaches drive kernel over six stored planes into the
+// arena's BS^3 table bank; the fused approaches drive the arena's pair
+// blocks through the lanes pass into its lane-table bank.
 type blockWorker struct {
 	s      *Searcher
 	o      *Options
@@ -136,16 +129,14 @@ type blockWorker struct {
 	nb     int
 	a      *arena
 	kernel func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
-	// short selects the short-plane loop; laneScorer is the objective's
-	// own scoring of its lane tables (nil: score.ScoreColumns).
-	short      bool
+	// laneScorer is the objective's own scoring of the fused loop's lane
+	// tables (nil: score.ScoreColumns).
 	laneScorer score.LaneScorer
 }
 
 // newBlockWorker builds a consumer with a pooled arena sized for the
-// BS^3 table bank (plus the pair block on the fused paths, where V3F
-// pins the pure-Go bodies and V4F takes the host's tuned ones), or for
-// the short-plane loop, which has no bank.
+// BS^3 table bank, or for the fused loop, where V3F pins the pure-Go
+// bodies and V4F takes the host's tuned ones.
 func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 	w := &blockWorker{
 		s:     s,
@@ -154,9 +145,9 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 		bs:    bs,
 		nb:    nb,
 	}
-	if w.short = shortPlanes(w.split, o); w.short {
+	if o.Approach.fused() {
 		w.a = getArena(o.Objective, o.TopK, 0)
-		w.a.sizeLanes(w.split.Words, o.Approach == V3Fused)
+		w.a.sizeLanes(bs, min(o.BlockWords, max(w.split.Words[0], w.split.Words[1])), o.Approach == V3Fused)
 		if o.Approach != V3Fused {
 			w.laneScorer, _ = o.Objective.(score.LaneScorer)
 		}
@@ -164,8 +155,6 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 	}
 	w.a = getArena(o.Objective, o.TopK, bs*bs*bs)
 	switch {
-	case o.Approach.fused():
-		w.a.pair.Init(o.BlockWords, o.Approach == V3Fused)
 	case o.Approach == V4Vector && o.Lanes == 4:
 		w.kernel = contingency.AccumulateSplitLanes4
 	case o.Approach == V4Vector && o.Lanes == 8:
@@ -179,7 +168,7 @@ func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
 // tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
 // returns how many combinations it scored.
 func (w *blockWorker) tile(t sched.Tile) int64 {
-	if w.short {
+	if w.o.Approach.fused() {
 		return w.tileLanes(t)
 	}
 	var scored int64
@@ -187,11 +176,7 @@ func (w *blockWorker) tile(t sched.Tile) int64 {
 		// Unrank the multiset triple: strict triple over nb+2 minus the
 		// staircase offsets.
 		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		if w.o.Approach.fused() {
-			scored += w.processBlockTripleFused(a, b-1, c-2)
-		} else {
-			scored += w.processBlockTriple(a, b-1, c-2)
-		}
+		scored += w.processBlockTriple(a, b-1, c-2)
 	}
 	w.a.scored += scored
 	return scored
@@ -247,70 +232,10 @@ func (w *blockWorker) processBlockTriple(b0, b1, b2 int) int64 {
 	return w.scoreTables(base0, base1, base2, lim0, lim1, lim2)
 }
 
-// processBlockTripleFused is processBlockTriple with the pair-AND
-// hoisting: for each (ii1, ii2) the arena's pair block is built once
-// per word tile (the nine y∧z planes and their popcounts), then every
-// i0 of the run is one fused accumulate against it. The tile is sized
-// by FusedTileParams/carm.FusedTileWords so the block stays L1-resident
-// across the run.
-func (w *blockWorker) processBlockTripleFused(b0, b1, b2 int) int64 {
-	m := w.s.st.SNPs()
-	bs := w.bs
-	base0, base1, base2 := b0*bs, b1*bs, b2*bs
-	lim0, lim1, lim2 := blockLim(base0, bs, m), blockLim(base1, bs, m), blockLim(base2, bs, m)
-
-	tables := w.a.tables
-	w.zeroTables(lim0, lim1, lim2)
-
-	split := w.split
-	bw := w.o.BlockWords
-	for class := 0; class < 2; class++ {
-		words := split.Words[class]
-		for w0 := 0; w0 < words; w0 += bw {
-			w1 := w0 + bw
-			if w1 > words {
-				w1 = words
-			}
-			for ii2 := 0; ii2 < lim2; ii2++ {
-				gi2 := base2 + ii2
-				z0 := split.PlaneRange(class, gi2, 0, w0, w1)
-				z1 := split.PlaneRange(class, gi2, 1, w0, w1)
-				for ii1 := 0; ii1 < lim1; ii1++ {
-					gi1 := base1 + ii1
-					if gi1 >= gi2 {
-						break
-					}
-					// Valid ii0 run: gi0 = base0+ii0 < gi1.
-					n0 := lim0
-					if v := gi1 - base0; v < n0 {
-						n0 = v
-					}
-					if n0 <= 0 {
-						continue
-					}
-					w.a.pair.Build(
-						split.PlaneRange(class, gi1, 0, w0, w1),
-						split.PlaneRange(class, gi1, 1, w0, w1),
-						z0, z1)
-					row := ii1*bs + ii2
-					for ii0 := 0; ii0 < n0; ii0++ {
-						gi0 := base0 + ii0
-						w.a.pair.Accumulate(&tables[ii0*bs*bs+row].Counts[class],
-							split.PlaneRange(class, gi0, 0, w0, w1),
-							split.PlaneRange(class, gi0, 1, w0, w1))
-					}
-				}
-			}
-		}
-	}
-
-	return w.scoreTables(base0, base1, base2, lim0, lim1, lim2)
-}
-
-// tileLanes is tile on short planes. b0 is the fastest coordinate of the
-// unranking, so the ranks sharing (b1, b2) are consecutive and their x
-// SNPs are one contiguous range: the tile is cut into such runs, however
-// it was cut out of the space.
+// tileLanes is tile for the fused approaches. b0 is the fastest coordinate
+// of the unranking, so the ranks sharing (b1, b2) are consecutive and
+// their x SNPs are one contiguous range: the tile is cut into such runs,
+// however it was cut out of the space.
 func (w *blockWorker) tileLanes(t sched.Tile) int64 {
 	var scored int64
 	for rank := t.Lo; rank < t.Hi; {
@@ -324,18 +249,33 @@ func (w *blockWorker) tileLanes(t sched.Tile) int64 {
 	return scored
 }
 
+// lanePair is one (i1, i2) a chunk of eight x SNPs meets: its two SNPs
+// and how many of the chunk's lanes sort below i1. Its tables are the
+// two lane tables at its position in the arena's banks.
+type lanePair struct{ y, z, valid int }
+
 // processRunLanes evaluates the block triples (b0, b1, b2) for b0 in
-// [b0lo, b0hi), eight x SNPs at a time: each chunk of the run's x range
-// is transposed once per class into the arena's x tiles, and for every
-// (i1, i2) of the two blocks one whole-plane pair block per class and one
-// lanes pass against it give the chunk's eight tables as two lane tables,
-// which are pad-corrected and scored where they lie. Nothing is zeroed
-// and no table bank is kept: a lanes pass sets its rows. The x SNPs of a
-// chunk are valid while they sort below i1, which only bites when the run
-// reaches the diagonal block b0 = b1.
+// [b0lo, b0hi), eight x SNPs at a time — the fused approaches' one loop,
+// whatever the plane length. For each chunk of the run's x range, one
+// class at a time, the class plane is walked in word tiles: the chunk's
+// x tile is transposed once per word tile, and for every (i1, i2) of the
+// two blocks the tile's pair block is built and one lanes pass against it
+// puts the chunk's eight partial tables into the pair's lane table in the
+// class's bank — sets it on the class's first tile (no class is empty:
+// the store refuses such a dataset), adds to it on the others, so nothing
+// is zeroed. The pass over the last tile of the second class completes
+// the pair's two tables, and they are pad-corrected and scored there and
+// then, while they are hot.
+//
+// The class loop is outside the pair loop so that one pass's working set
+// is one x tile, one pair block and the y/z words under it (128 + 72 +
+// 32 bytes per word of tile) next to one class's bank, of which a pass
+// touches one table; FusedTileParams sizes the tile by that. The x SNPs
+// of a chunk are valid while they sort below i1, which only bites when
+// the run reaches the diagonal block b0 = b1.
 func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	m := w.s.st.SNPs()
-	bs := w.bs
+	bs, bw := w.bs, w.o.BlockWords
 	split := w.split
 	a := w.a
 	base1, base2 := b1*bs, b2*bs
@@ -344,41 +284,56 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	var scored int64
 	for x := b0lo * bs; x < xhi; x += contingency.Lanes {
 		nx := min(contingency.Lanes, xhi-x)
-		for class, words := range split.Words {
-			data := split.ClassPlaneData(class)
-			contingency.TransposeLanes(a.xt[class], data[x*2*words:(x+nx)*2*words], words)
-		}
-		for ii2 := 0; ii2 < lim2; ii2++ {
-			gi2 := base2 + ii2
+		pairs := a.pairs[:0]
+		for gi2 := base2; gi2 < base2+lim2; gi2++ {
 			for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
-				valid := min(nx, gi1-x)
-				for class, words := range split.Words {
-					data := split.ClassPlaneData(class)
-					y, z := data[gi1*2*words:(gi1+1)*2*words], data[gi2*2*words:(gi2+1)*2*words]
-					a.whole[class].Build(y[:words], y[words:], z[:words], z[words:])
-					a.whole[class].AccumulateLanes(&a.lane[class], a.xt[class])
-					pads := &a.lane[class][contingency.Cells-1]
-					for lane := range pads {
-						pads[lane] -= int32(split.Pad[class])
+				pairs = append(pairs, lanePair{y: gi1, z: gi2, valid: min(nx, gi1-x)})
+			}
+		}
+		for class, words := range split.Words {
+			bank := a.bank[class][:len(pairs)]
+			blk := &a.block[class]
+			data := split.ClassPlaneData(class) // plane g of SNP i at (2i+g)*words
+			for w0 := 0; w0 < words; w0 += bw {
+				w1 := min(w0+bw, words)
+				whole := class == dataset.Case && w1 == words // the pass that completes a pair's tables
+				contingency.TransposeLanes(a.xt, data[x*2*words:(x+nx)*2*words], words, w0, w1)
+				for k, p := range pairs {
+					y, z := data[p.y*2*words:(p.y+1)*2*words], data[p.z*2*words:(p.z+1)*2*words]
+					blk.Build(y[w0:w1], y[words+w0:words+w1], z[w0:w1], z[words+w0:words+w1])
+					blk.AccumulateLanes(&bank[k], a.xt, w0 > 0)
+					if whole {
+						w.scoreLanes(x, k, p)
+						scored += int64(p.valid)
 					}
 				}
-				ctrl, cases := &a.lane[dataset.Control], &a.lane[dataset.Case]
-				if w.laneScorer != nil {
-					w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, valid)
-				} else {
-					score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, valid, &a.tab)
-				}
-				for lane := 0; lane < valid; lane++ {
-					a.top.offer(Candidate{
-						Triple: Triple{I: x + lane, J: gi1, K: gi2},
-						Score:  a.laneScore[lane],
-					})
-				}
-				scored += int64(valid)
 			}
 		}
 	}
 	return scored
+}
+
+// scoreLanes pad-corrects the two lane tables of the chunk's k'th pair,
+// scores them where they lie and offers the valid lanes' triples
+// (x + lane, p.y, p.z).
+func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
+	a := w.a
+	ctrl, cases := &a.bank[dataset.Control][k], &a.bank[dataset.Case][k]
+	for lane := range ctrl[contingency.Cells-1] {
+		ctrl[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Control])
+		cases[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Case])
+	}
+	if w.laneScorer != nil {
+		w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, p.valid)
+	} else {
+		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, p.valid, &a.tab)
+	}
+	for lane := 0; lane < p.valid; lane++ {
+		a.top.offer(Candidate{
+			Triple: Triple{I: x + lane, J: p.y, K: p.z},
+			Score:  a.laneScore[lane],
+		})
+	}
 }
 
 // zeroTables clears the valid (lim0 x lim1 x lim2) slab of the arena's

@@ -160,21 +160,22 @@ func TestWorkersExceedWork(t *testing.T) {
 
 // TestFusedParityEdgeShapes runs the tuned fused pipeline (V4F), its
 // pure-Go oracle pipeline (V3F) and a brute-force ranking over
-// contingency.BuildReference on the shapes where the vector kernels'
-// tile handling could go wrong: sample counts that are not a multiple
-// of 64, class planes shorter than one 8-word vector, a class of a
-// single sample, fewer SNPs than one block or than one vector has lanes,
-// class planes of exactly one vector with no padding, and planes of many
-// vectors with a ragged last one — each at the default tile, where every
-// one of these shapes takes the short-plane loop (whole-plane pair
-// blocks, eight x SNPs per lanes pass, scores from the lane tables), and
-// at word tiles that split the planes raggedly, where they take the
-// table-bank loop; under K2, MI and Gini, because a score moves in its
-// last bits if the lane tables' rows are summed in another order or
-// row 26 loses its pad correction. (A single-class phenotype never
-// reaches a kernel: New refuses it, see TestNewRejectsBadDatasets.)
+// contingency.BuildReference on the shapes where the fused loop's tile
+// handling could go wrong: sample counts that are not a multiple of 64,
+// class planes shorter than one 8-word vector, a class of a single
+// sample, fewer SNPs than one block or than one vector has lanes, class
+// planes of exactly one vector with no padding, planes of many vectors
+// with a ragged last one, and planes of exactly one 8-word tile, one
+// word more, two and a half tiles and one tile next to three — each at
+// the default tile, where every plane of these shapes is one pass, and
+// at word tiles that split the planes raggedly, where the loop adds the
+// tiles' passes into its lane-table bank; under K2, MI and Gini, because
+// a score moves in its last bits if the lane tables' rows are summed in
+// another order or row 26 loses its pad correction. (A single-class
+// phenotype never reaches a kernel: New refuses it, see
+// TestNewRejectsBadDatasets.)
 func TestFusedParityEdgeShapes(t *testing.T) {
-	shapes := append(edgeShapes(), shortPlaneShapes()...)
+	shapes := append(append(edgeShapes(), shortPlaneShapes()...), tiledShapes()...)
 	const topK = 5
 	for _, sh := range shapes {
 		s, err := New(sh.mx)

@@ -15,18 +15,39 @@
 //	V4 (vector)     V3 with the multi-word lane kernels standing in for
 //	                the paper's AVX/AVX-512 intrinsics.
 //	V3F/V4F (fused) the blocked pipelines with the (i1, i2) pair-AND
-//	                planes hoisted out of the innermost loop: the nine
-//	                genotype-pair products and their popcounts are built
-//	                once per word tile into an arena pair block, and
-//	                every i0 pass counts 18 cells against it and derives
-//	                the other 9 (contingency.PairBlock). V3F pins the
+//	                planes hoisted out of the innermost loop and the
+//	                vector turned round: the nine genotype-pair products
+//	                and their popcounts are built once per pair and word
+//	                tile into an arena pair block, and one pass against
+//	                it counts eight x SNPs, one per 64-bit lane — 18
+//	                cells counted, 9 derived (contingency.PairBlock,
+//	                AccumulateLanes) — into a lane table of the worker's
+//	                BS^2 bank per class, set by a plane's first tile and
+//	                added to by the rest; the pass that completes a
+//	                pair's tables scores the eight of them where they
+//	                lie. One loop, whatever the plane length. V3F pins the
 //	                pure-Go bodies, the oracle; V4F takes the tuned ones
 //	                (AVX-512 VPOPCNTDQ where the host has it) and is the
-//	                default. When both class planes fit one word tile the
-//	                same two approaches turn the vector round: eight x
-//	                SNPs per pass, one per lane, against a whole-plane
-//	                pair block (PairBlock.AccumulateLanes), scored from
-//	                the lane tables with no table bank in between.
+//	                default.
+//
+// The fused loop (blocked.go, processRunLanes) runs per chunk of eight x
+// SNPs, per class, per word tile, per (i1, i2) of the block pair. Its
+// working set per word of tile is 128 bytes of x tile and 72 of pair
+// block, both read again by the next pass, over the 32 bytes of y/z words
+// the block is built from; a pass adds to one 864-byte table of the
+// class's bank. The class loop is outside the pair loop because
+// alternating classes per pair keeps two x tiles and two blocks live (53
+// KB at 16384 samples, past a 48 KiB L1d: 1.07x over the word-lane loop
+// this replaced, where one class at a time is 1.20-1.26x at 96 SNPs).
+// The lanes cost their fill — a chunk with fewer than eight x SNPs below
+// i1 pays for eight: 0.67 of the lanes are in use at 24 SNPs, 0.85 at 64,
+// 0.96 at 224 — so at 24 SNPs the word-lane loop was 1-10 % faster, at 48
+// level, from 64 up slower at every plane length. Two other
+// arrangements were measured and dropped: one block build per pair per
+// run with x tiles streamed against it (0.98x at 16384 samples, 0.76x at
+// 500), and pre-transposed 8-aligned x tiles kept per search (0.91x: a
+// claim of ceil(8/BS) block triples is not 8-aligned inside a run, and
+// half-empty chunks double the passes).
 //
 // Work is distributed over a pool of workers that claim chunks of the
 // combination space (or of the block-triple space for V3/V4) from an
@@ -47,6 +68,7 @@ import (
 	"trigene/internal/bitvec"
 	"trigene/internal/carm"
 	"trigene/internal/combin"
+	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/obs"
 	"trigene/internal/sched"
@@ -67,9 +89,9 @@ const (
 	// V4Vector adds the lane-vectorized kernels.
 	V4Vector
 	// V3Fused restructures V3 so the (i1, i2) pair-AND planes and their
-	// popcounts are built once per word tile and reused across the
-	// whole ii0 loop (18 AND + 18 POPCNT per combination word instead
-	// of 3 NOR + 36 AND + 27 POPCNT), on the pure-Go bodies: the oracle
+	// popcounts are built once per word tile and reused by eight x SNPs
+	// at a time (18 AND + 18 POPCNT per combination word instead of
+	// 3 NOR + 36 AND + 27 POPCNT), on the pure-Go bodies: the oracle
 	// pipeline of the fused kernel.
 	V3Fused
 	// V4Fused is the same pipeline on the bodies chosen for the host at
@@ -361,16 +383,15 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	return bs, bw
 }
 
-// FusedTileParams derives the fused kernels' tile from the same L1
-// budget split as TileParams, with the word tile resized by
-// carm.FusedTileWords: the data third of the cache must now hold the
-// nine cached pair-AND planes plus the one x plane pair streamed
-// against them, instead of six per-combination planes. The tile is a
-// whole number of 8-word vectors (at least one), so only a class's last
-// tile is ragged.
+// FusedTileParams derives the fused loop's tile: the block size of
+// TileParams and a word tile from carm.FusedTileWords for the eight x
+// SNPs of a lanes pass — per word of tile 128 bytes of x tile and 72 of
+// pair block, which every pass reads again, over three quarters of the
+// cache. The tile is a whole number of 8-word vectors (at least one), so
+// only a class's last tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	bs, _ := TileParams(l1Bytes)
-	return bs, max(carm.FusedTileWords(l1Bytes, 1)&^7, 8)
+	return bs, max(carm.FusedTileWords(l1Bytes, contingency.Lanes)&^7, 8)
 }
 
 // Searcher runs exhaustive searches over one dataset through its

@@ -11,11 +11,11 @@ import (
 	"trigene/internal/score"
 )
 
-// shortPlaneShapes are the datasets the short-plane loop's run and chunk
-// handling is checked on: fewer SNPs than one vector has lanes, SNP
-// counts that are no multiple of the block, classes of exactly one word
-// with and without padding and of a few ragged words, and a class of a
-// single sample.
+// shortPlaneShapes are the datasets the fused loop's run and chunk
+// handling is checked on where every class plane is one word tile: fewer
+// SNPs than one vector has lanes, SNP counts that are no multiple of the
+// block, classes of exactly one word with and without padding and of a
+// few ragged words, and a class of a single sample.
 func shortPlaneShapes() []edgeShape {
 	oneCase := randomMatrix(160, 11, 130)
 	for j := 0; j < 130; j++ {
@@ -31,8 +31,32 @@ func shortPlaneShapes() []edgeShape {
 	}
 }
 
-// TestLanesTilesMatchReference drives the short-plane loop directly, the
-// way TestPairWalkerTilesMatchReference drives the pair walker: for every
+// tiledShapes are the datasets its word-tile handling is checked on, at
+// the 8-word tile the tests force on them: class planes of exactly one
+// tile, of one word more, of two and a half tiles with a padded last
+// word, and one class of one tile next to one of three.
+func tiledShapes() []edgeShape {
+	classes := func(seed int64, m, controls, cases int) *dataset.Matrix {
+		mx := randomMatrix(seed, m, controls+cases)
+		for j := 0; j < controls+cases; j++ {
+			phen := dataset.Control
+			if j >= controls {
+				phen = dataset.Case
+			}
+			mx.SetPhen(j, uint8(phen))
+		}
+		return mx
+	}
+	return []edgeShape{
+		{"9 SNPs x 512+512, one tile", classes(165, 9, 512, 512)},
+		{"10 SNPs x 520+576, one word over", classes(166, 10, 520, 576)},
+		{"13 SNPs x 1250+1270, two and a half tiles", classes(167, 13, 1250, 1270)},
+		{"11 SNPs x 500+1500, one tile and three", classes(168, 11, 500, 1500)},
+	}
+}
+
+// TestLanesTilesMatchReference drives the fused loop directly, the way
+// TestPairWalkerTilesMatchReference drives the pair walker: for every
 // [lo, hi) cut of the block-triple rank space — runs cut in the middle of
 // a (b1, b2), chunks that straddle the b0 = b1 diagonal, last blocks that
 // are short — the tile must score exactly the combinations of its block
@@ -40,9 +64,12 @@ func shortPlaneShapes() []edgeShape {
 // objective's 27-row form, on the Go bodies (V3F) and the host's (V4F),
 // for K2 (its own lane scoring), MI and Gini (the column fallback), at
 // the default block of 4 SNPs and at 3, where eight lanes never end on a
-// block boundary.
+// block boundary; on class planes of one word tile and, with the tile
+// forced down to 8 words, on planes the loop walks in several tiles
+// added into its lane-table bank.
 func TestLanesTilesMatchReference(t *testing.T) {
-	for _, sh := range shortPlaneShapes() {
+	tiled := tiledShapes()
+	for i, sh := range append(tiled, shortPlaneShapes()...) {
 		s, err := New(sh.mx)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
@@ -59,7 +86,10 @@ func TestLanesTilesMatchReference(t *testing.T) {
 				for _, bs := range []int{0, 3} {
 					name := fmt.Sprintf("%s/%s/%v/bs=%d", sh.name, obj.Name(), a, bs)
 					opts := Options{Approach: a, Objective: obj, TopK: all}
-					if bs > 0 {
+					switch {
+					case i < len(tiled):
+						opts.BlockSNPs, opts.BlockWords = max(bs, 4), 8
+					case bs > 0:
 						opts.BlockSNPs, opts.BlockWords = bs, 120
 					}
 					o, err := opts.withDefaults(sh.mx.Samples())
@@ -71,9 +101,6 @@ func TestLanesTilesMatchReference(t *testing.T) {
 						t.Fatalf("%s: claim grain %d, want %d", name, src.Grain(), wantGrain)
 					}
 					w := newBlockWorker(s, &o, bsz, nb)
-					if !w.short {
-						t.Fatalf("%s: not on the short-plane loop", name)
-					}
 					total := src.Ranks()
 					for lo := int64(0); lo < total; lo++ {
 						for hi := lo + 1; hi <= total; hi++ {

@@ -96,8 +96,8 @@ type seededWorker struct {
 func (s *Searcher) newSeededWorker(o *Options, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
 	split := s.st.Split()
 	a := getArena(o.Objective, o.TopK, 1)
-	for class := range a.whole {
-		a.whole[class].Init(split.Words[class], false)
+	for class := range a.block {
+		a.block[class].Init(split.Words[class], false)
 	}
 	return &seededWorker{o: o, split: split, m: s.st.SNPs(),
 		seeds: seeds, seedRank: seedRank, inSubset: inSubset, a: a}
@@ -118,8 +118,8 @@ func (w *seededWorker) tile(t sched.Tile) int64 {
 	for r := t.Lo; r < t.Hi; {
 		sIdx := int(r / span)
 		p := w.seeds[sIdx]
-		for class := range w.a.whole {
-			w.a.whole[class].Build(
+		for class := range w.a.block {
+			w.a.block[class].Build(
 				split.Plane(class, p.I, 0), split.Plane(class, p.I, 1),
 				split.Plane(class, p.J, 0), split.Plane(class, p.J, 1))
 		}
@@ -136,8 +136,8 @@ func (w *seededWorker) tile(t sched.Tile) int64 {
 				continue
 			}
 			*raw = contingency.Table{}
-			for class := range w.a.whole {
-				w.a.whole[class].Accumulate(&raw.Counts[class],
+			for class := range w.a.block {
+				w.a.block[class].Accumulate(&raw.Counts[class],
 					split.Plane(class, third, 0), split.Plane(class, third, 1))
 			}
 			// The kernel's rows are (third, p.I, p.J) genotypes; scores are

@@ -16,6 +16,7 @@ package score
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"trigene/internal/contingency"
 )
@@ -25,16 +26,32 @@ type LnFact struct {
 	table []float64
 }
 
-// NewLnFact builds a table of ln(n!) up to and including maxN.
+// lnFacts is the one ln(n!) table of the process, as long as the largest
+// NewLnFact has been asked for: entry n depends on n alone, so every
+// LnFact is a prefix of it and a search does not redo thousands of
+// logarithms per call. Tables handed out are never written again; growing
+// copies.
+var lnFacts struct {
+	sync.Mutex
+	table []float64
+}
+
+// NewLnFact returns a table of ln(n!) up to and including maxN.
 func NewLnFact(maxN int) *LnFact {
 	if maxN < 0 {
 		panic(fmt.Sprintf("score: negative table size %d", maxN))
 	}
-	t := make([]float64, maxN+1)
-	for i := 2; i <= maxN; i++ {
-		t[i] = t[i-1] + math.Log(float64(i))
+	lnFacts.Lock()
+	defer lnFacts.Unlock()
+	if have := len(lnFacts.table); have <= maxN {
+		t := make([]float64, maxN+1)
+		copy(t, lnFacts.table)
+		for i := max(have, 2); i <= maxN; i++ {
+			t[i] = t[i-1] + math.Log(float64(i))
+		}
+		lnFacts.table = t
 	}
-	return &LnFact{table: t}
+	return &LnFact{table: lnFacts.table[: maxN+1 : maxN+1]}
 }
 
 // Max returns the largest argument the table covers.

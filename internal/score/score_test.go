@@ -3,6 +3,7 @@ package score
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,47 @@ func TestLnFactValues(t *testing.T) {
 	// ln(10!) = ln(3628800)
 	if math.Abs(lf.At(10)-math.Log(3628800)) > 1e-9 {
 		t.Errorf("lnFact(10) = %g", lf.At(10))
+	}
+}
+
+// TestLnFactIsBuiltOnce pins the process-wide table: whatever sizes were
+// asked for before and in whatever order, from several goroutines at
+// once, a table covers exactly its own maxN, holds bit for bit the values
+// of the recurrence run from scratch, and — once a table at least as long
+// exists — costs no logarithms and no table-sized allocation.
+func TestLnFactIsBuiltOnce(t *testing.T) {
+	const top = 20000
+	want := make([]float64, top+1)
+	for i := 2; i <= top; i++ {
+		want[i] = want[i-1] + math.Log(float64(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, maxN := range []int{0, 1, 2, 17 + g, 8193, 1000 * g, top - g, 513} {
+				lf := NewLnFact(maxN)
+				if lf.Max() != maxN {
+					t.Errorf("NewLnFact(%d).Max() = %d", maxN, lf.Max())
+					return
+				}
+				for n := 0; n <= maxN; n++ {
+					if lf.At(n) != want[n] {
+						t.Errorf("NewLnFact(%d).At(%d) = %v, recurrence %v", maxN, n, lf.At(n), want[n])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if allocs := testing.AllocsPerRun(16, func() {
+		if NewK2(16384).lf.Max() != 16385 {
+			t.Fatal("wrong table")
+		}
+	}); allocs > 2 {
+		t.Errorf("NewK2 under a table already built: %.0f allocations, want the objective and its table header", allocs)
 	}
 }
 

@@ -3,6 +3,8 @@ package trigene_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"trigene"
@@ -147,17 +149,67 @@ func reportsEqual(t *testing.T, label string, got, want *trigene.Report) {
 	}
 }
 
-// TestShortPlaneShardMergeParity: class planes that fit one word tile
-// take the fused approaches' short-plane loop, which cuts whatever range
-// of block triples it is given into runs of eight x SNPs and claims
-// several block triples at a time. However the space is sharded — one
-// shard, three, or seven, whose bounds fall in the middle of runs — the
-// merged Report must be the unsharded one bit for bit, and that one must
-// be what the flat V2 pipeline reports, under every objective, on the
-// host's bodies (V4F) and the Go ones (V3F). 21 SNPs leave a last block
-// of one; 333 samples leave both classes ragged.
+// TestShortPlaneShardMergeParity: the fused approaches' loop cuts
+// whatever range of block triples it is given into runs of eight x SNPs
+// and claims several block triples at a time. However the space is
+// sharded — one shard, three, or seven, whose bounds fall in the middle
+// of runs — the merged Report must be the unsharded one bit for bit, and
+// that one must be what the flat V2 pipeline reports, under every
+// objective, on the host's bodies (V4F) and the Go ones (V3F). 21 SNPs
+// leave a last block of one; 333 samples leave both classes ragged and
+// inside one word tile, 20000 put at least one class past the default
+// tile, so its lane tables are summed over several.
 func TestShortPlaneShardMergeParity(t *testing.T) {
-	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 21, Samples: 333, Seed: 19, MAFMin: 0.2, MAFMax: 0.5})
+	for _, samples := range []int{333, 20000} {
+		mx, err := trigene.Generate(trigene.GenConfig{SNPs: 21, Samples: samples, Seed: 19, MAFMin: 0.2, MAFMax: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := trigene.NewSession(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for _, objective := range []string{"k2", "mi", "gini"} {
+			flat, err := s.Search(ctx, trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(trigene.V2Split))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, approach := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
+				base := []trigene.Option{trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(approach)}
+				for _, count := range []int{1, 3, 7} {
+					var parts []*trigene.Report
+					for i := 0; i < count; i++ {
+						rep, err := s.Search(ctx, append(base, trigene.WithShard(i, count))...)
+						if err != nil {
+							t.Fatalf("%d samples, %s %v shard %d/%d: %v", samples, objective, approach, i, count, err)
+						}
+						if rep.Shard == nil || rep.Shard.Space != "block-triples" {
+							t.Fatalf("%d samples, %s %v shard %d/%d info: %+v", samples, objective, approach, i, count, rep.Shard)
+						}
+						parts = append(parts, rep)
+					}
+					merged, err := trigene.MergeReports(parts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reportsEqual(t, fmt.Sprintf("%d samples, %s %v, %d shards vs flat", samples, objective, approach, count), merged, flat)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchShardAllocationBound: a cluster tile is one
+// Session.Search(WithShard(i, 512)), so what a call allocates is paid 512
+// times a job. Once the arenas are pooled and K2's ln(n!) table exists
+// (score.NewLnFact builds it once per process, not once per call: it was
+// 64 of the 76 KB a call used to allocate) a call is its options, its
+// workers' headers and its Report: the median call must stay under
+// 16 KB. The median, because sync.Pool drops arenas at random under the
+// race detector and after a collection.
+func TestSearchShardAllocationBound(t *testing.T) {
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 64, Samples: 8192, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,32 +218,29 @@ func TestShortPlaneShardMergeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, objective := range []string{"k2", "mi", "gini"} {
-		flat, err := s.Search(ctx, trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(trigene.V2Split))
-		if err != nil {
+	const shards, calls = 512, 33
+	search := func(i int) {
+		if _, err := s.Search(ctx, trigene.WithTopK(10), trigene.WithWorkers(1), trigene.WithShard(i, shards)); err != nil {
 			t.Fatal(err)
 		}
-		for _, approach := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
-			base := []trigene.Option{trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(approach)}
-			for _, count := range []int{1, 3, 7} {
-				var parts []*trigene.Report
-				for i := 0; i < count; i++ {
-					rep, err := s.Search(ctx, append(base, trigene.WithShard(i, count))...)
-					if err != nil {
-						t.Fatalf("%s %v shard %d/%d: %v", objective, approach, i, count, err)
-					}
-					if rep.Shard == nil || rep.Shard.Space != "block-triples" {
-						t.Fatalf("%s %v shard %d/%d info: %+v", objective, approach, i, count, rep.Shard)
-					}
-					parts = append(parts, rep)
-				}
-				merged, err := trigene.MergeReports(parts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reportsEqual(t, fmt.Sprintf("%s %v, %d shards vs flat", objective, approach, count), merged, flat)
-			}
-		}
+	}
+	for i := 0; i < 8; i++ {
+		search(i) // warm: split form, arena, table
+	}
+	per := make([]uint64, calls)
+	var before, after runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		search(8 + i)
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(per, func(a, b int) bool { return per[a] < per[b] })
+	if median := per[calls/2]; median > 16<<10 {
+		t.Errorf("a warm Search(WithShard(i, %d)) allocates %d bytes (median of %d calls, range %d–%d), want at most %d",
+			shards, median, calls, per[0], per[calls-1], 16<<10)
+	} else {
+		t.Logf("warm Search(WithShard(i, %d)): median %d bytes, range %d–%d", shards, median, per[0], per[calls-1])
 	}
 }
 
