@@ -7,7 +7,11 @@ import (
 
 // FuzzReadRAW drives the PLINK .raw decoder with arbitrary bytes: it
 // must return a valid matrix or an error, never panic, and never emit
-// out-of-range genotypes or phenotypes.
+// out-of-range genotypes or phenotypes. It is differential too: at the
+// production block size and at one that cuts every line, the block reader
+// must accept only what the reader it replaced accepts, with the same
+// matrix, and on ASCII input refuse exactly what that one refuses, with
+// the same error text (see checkAgainstReference).
 func FuzzReadRAW(f *testing.F) {
 	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE rs1_A rs2_C\n" +
 		"f1 i1 0 0 1 2 0 1\n" +
@@ -18,7 +22,11 @@ func FuzzReadRAW(f *testing.F) {
 	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE rs1_A\nf1 i1 0 0 1 2\n"))                // truncated row
 	f.Add([]byte("not a raw header\n"))
 	f.Add([]byte(""))
+	f.Add([]byte("\r\n FID IID PAT MAT SEX PHENOTYPE a b c d e f g h i\r\n\nf i 0 0 1 2 0 1 2 0 1 2 0 1 2\r\nf i 0 0 1 1\t2\t2\t2 2 2 2 2 2  2")) // fast and slow lines, CRLF, no final newline
+	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE a b\nf\u00a0x i 0 0 1 2 0 1\nf i 0 0 1 2 0\u00851\n"))                                            // white space outside ASCII
+	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE a b c d e f g h\nf i 0 0 1 9 0 1 2 0 1 2 3 NA\n"))                                                // phenotype before code
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data, rawBlockSize, 8)
 		mx, err := ReadRAW(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -126,87 +126,27 @@ func minorAllele(rows [][]string, snp int) (string, error) {
 // format is strict: every sample line must carry exactly one code per
 // header SNP (a truncated line is an error, not a short sample), codes
 // must be the biallelic dosages 0, 1 or 2, and the missing marker NA
-// is rejected.
+// is rejected. Blank lines are skipped, a line of 64 MiB or more is
+// refused, and the first error reported is that of the lowest bad line.
+//
+// Fields are separated by ASCII white space (space, tab, CR, VT, FF)
+// only: a line holding any other Unicode white space (U+00A0, U+0085,
+// ...) is refused as ragged rather than split there.
+//
+// The input is read in bounded blocks that up to GOMAXPROCS goroutines
+// tokenise (see raw.go); memory beyond the Matrix is a few blocks plus a
+// quarter byte per genotype.
 func ReadRAW(r io.Reader) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-
-	m := -1
-	line := 0
-	var rows [][]uint8
-	var phen []uint8
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		if m == -1 {
-			// Header line.
-			if len(fields) < 7 || fields[0] != "FID" || fields[5] != "PHENOTYPE" {
-				return nil, fmt.Errorf("dataset: raw line %d: not a .raw header (want FID IID PAT MAT SEX PHENOTYPE snp...)", line)
-			}
-			m = len(fields) - 6
-			continue
-		}
-		if len(fields) != 6+m {
-			return nil, fmt.Errorf("dataset: raw line %d: truncated or ragged line: %d fields, want %d", line, len(fields), 6+m)
-		}
-		switch fields[5] {
-		case "1":
-			phen = append(phen, Control)
-		case "2":
-			phen = append(phen, Case)
-		default:
-			return nil, fmt.Errorf("dataset: raw line %d: unsupported phenotype %q (want 1 or 2)", line, fields[5])
-		}
-		row := make([]uint8, m)
-		for i, code := range fields[6:] {
-			switch code {
-			case "0":
-				row[i] = 0
-			case "1":
-				row[i] = 1
-			case "2":
-				row[i] = 2
-			case "NA":
-				return nil, fmt.Errorf("dataset: raw line %d: missing genotype (NA) at SNP %d", line, i)
-			default:
-				return nil, fmt.Errorf("dataset: raw line %d: non-biallelic dosage code %q at SNP %d (want 0, 1 or 2)", line, code, i)
-			}
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: reading raw: %w", err)
-	}
-	if m == -1 {
-		return nil, fmt.Errorf("dataset: raw input has no header")
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: raw input has no samples")
-	}
-
-	mx := NewMatrix(m, len(rows))
-	for j, p := range phen {
-		mx.SetPhen(j, p)
-	}
-	for snp := 0; snp < m; snp++ {
-		dst := mx.Row(snp)
-		for j, row := range rows {
-			dst[j] = row[snp]
-		}
-	}
-	return mx, nil
+	return readRAW(r, rawBlockSize, rawMaxLine)
 }
 
 // ReadVCF parses a bi-allelic VCF subset: meta lines (##...) are
-// skipped, the #CHROM header fixes the sample count, and each data row
-// contributes one SNP whose genotypes are ALT-allele counts taken from
-// the leading GT subfield (phased or unphased). phen supplies the
-// phenotype per sample in header order, since VCF carries no
-// case-control status.
+// skipped, the one #CHROM header fixes the sample count (a second is
+// refused: rows on either side of it would disagree about the columns),
+// and each data row contributes one SNP whose genotypes are ALT-allele
+// counts taken from the leading GT subfield (phased or unphased). phen
+// supplies the phenotype per sample in header order, since VCF carries
+// no case-control status.
 func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -223,6 +163,9 @@ func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) {
 			fields := strings.Fields(text)
 			if len(fields) < 10 {
 				return nil, fmt.Errorf("dataset: vcf line %d: header has no samples", line)
+			}
+			if samples != 0 {
+				return nil, fmt.Errorf("dataset: vcf line %d: second #CHROM header (%d samples; the first named %d)", line, len(fields)-9, samples)
 			}
 			samples = len(fields) - 9
 			continue

@@ -272,3 +272,25 @@ func TestReadVCFErrors(t *testing.T) {
 		t.Error("invalid phenotype accepted")
 	}
 }
+
+// TestReadVCFRepeatedHeader: a second #CHROM header is refused with its
+// line number, whichever way it changes the sample count. Sizing the
+// matrix by the last header used to pad earlier rows with invented
+// genotype 0s (wider) or cut later samples off them (narrower).
+func TestReadVCFRepeatedHeader(t *testing.T) {
+	const cols = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT"
+	const row = "1\t1\t.\tA\tG\t.\t.\t.\tGT"
+	for name, tc := range map[string]struct {
+		in   string
+		phen []uint8
+	}{
+		"wider":    {cols + "\tS1\tS2\n" + row + "\t1/1\t1/1\n" + cols + "\tS1\tS2\tS3\n" + row + "\t0/1\t0/1\t0/1\n", []uint8{0, 1, 0}},
+		"narrower": {cols + "\tS1\tS2\tS3\n" + row + "\t1/1\t1/1\t1/1\n" + cols + "\tS1\tS2\n" + row + "\t0/1\t0/1\n", []uint8{0, 1}},
+		"same":     {cols + "\tS1\tS2\n" + row + "\t1/1\t1/1\n" + cols + "\tS1\tS2\n" + row + "\t0/1\t0/1\n", []uint8{0, 1}},
+	} {
+		_, err := ReadVCF(strings.NewReader(tc.in), tc.phen)
+		if err == nil || !strings.Contains(err.Error(), "vcf line 3: second #CHROM header") {
+			t.Errorf("%s: error %v, want a refusal of the second header at line 3", name, err)
+		}
+	}
+}

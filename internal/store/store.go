@@ -217,12 +217,8 @@ func (s *Store) ensurePackedLocked() {
 	}
 	mx := s.matrixLocked()
 	geno := make([]byte, (s.m*s.n+3)/4)
-	idx := 0
 	for i := 0; i < s.m; i++ {
-		for _, g := range mx.Row(i) {
-			geno[idx/4] |= g << (uint(idx%4) * 2)
-			idx++
-		}
+		packGenotypes(geno, i*s.n, mx.Row(i))
 	}
 	phen := make([]byte, (s.n+7)/8)
 	for j := 0; j < s.n; j++ {
@@ -247,12 +243,7 @@ func (s *Store) matrixLocked() *dataset.Matrix {
 		s.timedBuildLocked(func() {
 			mx := dataset.NewMatrix(s.m, s.n)
 			for i := 0; i < s.m; i++ {
-				row := mx.Row(i)
-				base := i * s.n
-				for j := range row {
-					idx := base + j
-					row[j] = s.packedGeno[idx/4] >> (uint(idx%4) * 2) & 3
-				}
+				unpackGenotypes(mx.Row(i), s.packedGeno, i*s.n)
 			}
 			for j := 0; j < s.n; j++ {
 				if s.packedPhen[j/8]>>(uint(j)%8)&1 != 0 {
@@ -341,6 +332,49 @@ func (s *Store) ClassPlanes() *dataset.ClassPlanes {
 		s.timedBuildLocked(func() { s.classPlanes = dataset.BuildClassPlanes(s.matrixLocked()) })
 	}
 	return s.classPlanes
+}
+
+// packGenotypes writes row into the 2-bit section packed (zeroed, four
+// genotypes to the byte, the first in the low bits) from genotype index
+// idx on: two bytes at a time where eight of the row's genotypes fill
+// them, singly where the row starts or ends inside a byte it shares with
+// its neighbour.
+func packGenotypes(packed []byte, idx int, row []uint8) {
+	head := min(len(row), -idx&3) // up to the next byte boundary
+	body := (len(row) - head) &^ 7
+	singly := func(idx int, row []uint8) {
+		for j, g := range row {
+			packed[(idx+j)/4] |= g << (uint(idx+j) % 4 * 2)
+		}
+	}
+	singly(idx, row[:head])
+	dst := packed[(idx+head)/4:]
+	for j := head; j < head+body; j, dst = j+8, dst[2:] {
+		x := binary.LittleEndian.Uint64(row[j:])
+		x |= x>>6 | x>>12 | x>>18 // each half's four codes meet in its low byte
+		dst[0], dst[1] = byte(x), byte(x>>32)
+	}
+	singly(idx+head+body, row[head+body:])
+}
+
+// unpackGenotypes is packGenotypes' inverse: it fills row from genotype
+// index idx of packed on.
+func unpackGenotypes(row []uint8, packed []byte, idx int) {
+	head := min(len(row), -idx&3)
+	body := (len(row) - head) &^ 7
+	singly := func(idx int, row []uint8) {
+		for j := range row {
+			row[j] = packed[(idx+j)/4] >> (uint(idx+j) % 4 * 2) & 3
+		}
+	}
+	singly(idx, row[:head])
+	src := packed[(idx+head)/4:]
+	for j := head; j < head+body; j, src = j+8, src[2:] {
+		x := uint64(src[0]) | uint64(src[1])<<32
+		x = (x | x<<12) & 0x000f000f000f000f
+		binary.LittleEndian.PutUint64(row[j:], (x|x<<6)&0x0303030303030303)
+	}
+	singly(idx+head+body, row[head+body:])
 }
 
 // phenVector builds the n-bit phenotype vector from a packed section.

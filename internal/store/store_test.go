@@ -155,3 +155,56 @@ func TestConcurrentAccessBuildsOnce(t *testing.T) {
 		t.Fatalf("concurrent builds = %+v, want %+v", b, want)
 	}
 }
+
+// TestHashGolden pins the content hash of two fixed datasets — one whose
+// rows end inside a packed byte (117 samples), one whose rows fill whole
+// bytes (16) — to the values the per-genotype packing loop gave before
+// packing went four to the byte. Caches and pack files key on this hash:
+// it must not move.
+func TestHashGolden(t *testing.T) {
+	for _, tc := range []struct {
+		m, n int
+		seed int64
+		want string
+	}{
+		{23, 117, 42, "d63a22ce95b741b48318e8e0f350dac3eb0f36127143905fd96cdc889ec525ec"},
+		{7, 16, 3, "a7142ef21b9eae9866dc614744d3be4d8f78a618ca1ba6e670410d03c05f2eec"},
+	} {
+		st, err := New(genMatrix(t, tc.m, tc.n, tc.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Hash(); got != tc.want {
+			t.Errorf("%dx%d seed %d: hash %s, want %s", tc.m, tc.n, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestPackGenotypesMatchesPerGenotypeForm holds the byte-at-a-time pack
+// and unpack to the one-genotype-at-a-time definition of the section, at
+// every alignment of a row against the bytes.
+func TestPackGenotypesMatchesPerGenotypeForm(t *testing.T) {
+	for n := 1; n <= 13; n++ {
+		mx := genMatrix(t, 5, n+1, int64(n))
+		m, n := mx.SNPs(), mx.Samples()
+		want := make([]byte, (m*n+3)/4)
+		got := make([]byte, len(want))
+		for i := 0; i < m; i++ {
+			for j, g := range mx.Row(i) {
+				idx := i*n + j
+				want[idx/4] |= g << (uint(idx%4) * 2)
+			}
+			packGenotypes(got, i*n, mx.Row(i))
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%dx%d: packed %x, want %x", m, n, got, want)
+		}
+		row := make([]uint8, n)
+		for i := 0; i < m; i++ {
+			unpackGenotypes(row, got, i*n)
+			if string(row) != string(mx.Row(i)) {
+				t.Fatalf("%dx%d: SNP %d unpacked %v, want %v", m, n, i, row, mx.Row(i))
+			}
+		}
+	}
+}
