@@ -1,8 +1,8 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"trigene/internal/bitvec"
 )
@@ -27,32 +27,93 @@ func Binarize(mx *Matrix) *Binarized {
 		N:      n,
 		Words:  w,
 		planes: make([]uint64, m*3*w),
-		Phen:   bitvec.New(n),
+		Phen:   phenotypeVector(mx),
 	}
-	// Whole words come straight from the row; the ragged last one goes
-	// through tail, whose bytes past the row are no genotype.
-	var tail [bitvec.WordBits]uint8
-	for k := range tail {
-		tail[k] = noGenotype
-	}
-	for i := 0; i < m; i++ {
-		row := mx.Row(i)
-		planes := b.planes[i*3*w : (i+1)*3*w]
-		for k := 0; k < w; k++ {
-			src := row[k*bitvec.WordBits:]
-			if len(src) < bitvec.WordBits {
-				copy(tail[:], src)
-				src = tail[:]
-			}
-			planes[k], planes[w+k], planes[2*w+k] = genotypeWord(src, 0), genotypeWord(src, 1), genotypeWord(src, 2)
+	eachSNPRun(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			binarizeRow(b.planes[i*3*w:(i+1)*3*w], mx.Row(i), w)
 		}
-	}
-	for j := 0; j < n; j++ {
-		if mx.Phen(j) == Case {
-			b.Phen.Set(j)
-		}
-	}
+	})
 	return b
+}
+
+// phenotypeVector returns the phenotype as a bit vector: bit j is set iff
+// sample j is a case.
+func phenotypeVector(mx *Matrix) *bitvec.Vector {
+	v := bitvec.New(mx.Samples())
+	for j, p := range mx.Phenotypes() {
+		if p == Case {
+			v.Set(j)
+		}
+	}
+	return v
+}
+
+// SNPPlanes is the three-plane form of some of a dataset's SNPs: what a
+// call that names its SNPs up front — a permutation test of a few
+// candidates — reads of the dataset, without a Binarized of all M SNPs
+// behind it.
+type SNPPlanes struct {
+	M, N   int // the dataset's dimensions
+	Words  int // 64-bit words per plane
+	Phen   *bitvec.Vector
+	snps   []int      // strictly increasing
+	planes [][]uint64 // planes[k]: the three planes of snps[k], genotype-major
+}
+
+// distinctSNPs returns the SNPs of snps that a dataset of m SNPs has,
+// sorted, each once.
+func distinctSNPs(m int, snps []int) []int {
+	out := make([]int, 0, len(snps))
+	for _, v := range snps {
+		if v >= 0 && v < m {
+			out = append(out, v)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// BinarizeSNPs encodes the three planes of the given SNPs only — any
+// order, repeats allowed, SNPs the matrix does not have left out — word
+// for word the planes Binarize gives them.
+func BinarizeSNPs(mx *Matrix, snps []int) *SNPPlanes {
+	w := bitvec.WordsFor(mx.Samples())
+	p := &SNPPlanes{M: mx.SNPs(), N: mx.Samples(), Words: w, Phen: phenotypeVector(mx), snps: distinctSNPs(mx.SNPs(), snps)}
+	p.planes = make([][]uint64, len(p.snps))
+	slab := make([]uint64, len(p.snps)*3*w)
+	eachSNPRun(len(p.snps), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			p.planes[k] = slab[k*3*w : (k+1)*3*w]
+			binarizeRow(p.planes[k], mx.Row(p.snps[k]), w)
+		}
+	})
+	return p
+}
+
+// Select returns the planes of the given SNPs (as BinarizeSNPs takes
+// them). They alias b's storage.
+func (b *Binarized) Select(snps []int) *SNPPlanes {
+	p := &SNPPlanes{M: b.M, N: b.N, Words: b.Words, Phen: b.Phen, snps: distinctSNPs(b.M, snps)}
+	p.planes = make([][]uint64, len(p.snps))
+	for k, snp := range p.snps {
+		p.planes[k] = b.planes[snp*3*b.Words : (snp+1)*3*b.Words]
+	}
+	return p
+}
+
+// Plane returns the words of genotype plane g (0, 1 or 2) of the given
+// SNP, nil if p does not hold the SNP. The slice aliases internal
+// storage.
+func (p *SNPPlanes) Plane(snp, g int) []uint64 {
+	if g < 0 || g > 2 {
+		panic(fmt.Sprintf("dataset: plane (%d,%d) out of range", snp, g))
+	}
+	k, ok := slices.BinarySearch(p.snps, snp)
+	if !ok {
+		return nil
+	}
+	return p.planes[k][g*p.Words : (g+1)*p.Words]
 }
 
 // PlaneOverlapError reports pre-built genotype planes in which one
@@ -151,70 +212,15 @@ type Split struct {
 // sample order.
 func SplitBinarize(mx *Matrix) *Split {
 	m := mx.SNPs()
-	controls, cases := mx.ClassCounts()
-	s := &Split{M: m}
-	s.N[Control], s.N[Case] = controls, cases
-	for c := 0; c < 2; c++ {
-		s.Words[c] = bitvec.WordsFor(s.N[c])
+	l := newClassLayout(mx.Phenotypes())
+	s := &Split{M: m, N: l.n}
+	for c := range s.planes {
+		s.Words[c] = l.words(c)
 		s.Pad[c] = s.Words[c]*bitvec.WordBits - s.N[c]
 		s.planes[c] = make([]uint64, m*2*s.Words[c])
 	}
-	// order[c] lists the samples of class c in sample order. Each SNP's
-	// genotypes are gathered class by class into buf, whose bytes past the
-	// class size stay no genotype, and packed a word at a time.
-	var order [2][]int32
-	var buf [2][]uint8
-	for c := range order {
-		order[c] = make([]int32, 0, s.N[c])
-		buf[c] = make([]uint8, s.Words[c]*bitvec.WordBits)
-		for k := s.N[c]; k < len(buf[c]); k++ {
-			buf[c][k] = noGenotype
-		}
-	}
-	for j, p := range mx.Phenotypes() {
-		order[p] = append(order[p], int32(j))
-	}
-	for i := 0; i < m; i++ {
-		row := mx.Row(i)
-		for c := range order {
-			src := buf[c]
-			for k, j := range order[c] {
-				src[k] = row[j]
-			}
-			w := s.Words[c]
-			planes := s.planes[c][i*2*w : (i+1)*2*w]
-			for k := 0; k < w; k++ {
-				word := src[k*bitvec.WordBits:]
-				planes[k], planes[w+k] = genotypeWord(word, 0), genotypeWord(word, 1) // genotype 2 is implicit
-			}
-		}
-	}
+	l.splitRuns(s.planes, mx, 2) // genotype 2 is implicit
 	return s
-}
-
-// noGenotype fills the byte positions of a 64-sample word that hold no
-// sample: it equals no genotype, so it sets no plane bit.
-const noGenotype = 0xFF
-
-// genotypeWord packs 64 genotype bytes into the word of genotype plane
-// g: bit k is set iff src[k] == g. Eight bytes at a time: XOR with g in
-// every byte zeroes the matching ones, an exact zero-byte test leaves a
-// flag in bit 0 of each, and a multiplication gathers the eight flags
-// into one byte (flag i, at bit 8i, meets multiplier bit 7(8-i) at bit
-// 56+i, and no other product reaches the top byte or collides below it).
-func genotypeWord(src []uint8, g uint64) (w uint64) {
-	const (
-		low    = 0x0101010101010101
-		low7   = 0x7F7F7F7F7F7F7F7F
-		gather = 0x0102040810204080
-	)
-	src = src[:bitvec.WordBits]
-	for b := 0; b < bitvec.WordBits; b += 8 {
-		x := binary.LittleEndian.Uint64(src[b:]) ^ g*low
-		nonzero := (x&low7 + low7) | x // bit 7 of a byte: the byte is not zero
-		w |= (^nonzero >> 7 & low) * gather >> 56 << b
-	}
-	return w
 }
 
 // SplitFromPlanes wraps pre-built per-class plane storage (the packed

@@ -260,7 +260,8 @@ func TestEncodersMatchPerSampleForm(t *testing.T) {
 
 // TestGenotypeWordIsExact: every byte value at every position sets its
 // bit in the plane it equals and in no other, so planes built from any
-// bytes at all cannot overlap.
+// bytes at all cannot overlap; a source that ends inside the word sets no
+// bit past its end.
 func TestGenotypeWordIsExact(t *testing.T) {
 	var src [64]uint8
 	for v := 0; v < 256; v++ {
@@ -269,14 +270,34 @@ func TestGenotypeWordIsExact(t *testing.T) {
 				src[i] = noGenotype
 			}
 			src[k] = uint8(v)
-			for g := uint64(0); g < 3; g++ {
-				want := uint64(0)
-				if uint64(v) == g {
-					want = 1 << k
+			for _, n := range []int{k + 1, 64} {
+				g0, g1, g2 := genotypeWords(src[:n])
+				for g, got := range []uint64{g0, g1, g2} {
+					want := uint64(0)
+					if v == g {
+						want = 1 << k
+					}
+					if got != want {
+						t.Fatalf("byte %#x at %d of %d, plane %d: word %#x, want %#x", v, k, n, g, got, want)
+					}
 				}
-				if got := genotypeWord(src[:], g); got != want {
-					t.Fatalf("byte %#x at %d, plane %d: word %#x, want %#x", v, k, g, got, want)
+			}
+		}
+	}
+	for i := range src {
+		src[i] = uint8(i % 3)
+	}
+	for n := 0; n <= 64; n++ {
+		g0, g1, g2 := genotypeWords(src[:n])
+		for g, got := range []uint64{g0, g1, g2} {
+			var want uint64
+			for k := 0; k < n; k++ {
+				if k%3 == g {
+					want |= 1 << k
 				}
+			}
+			if got != want {
+				t.Fatalf("%d bytes, plane %d: word %#x, want %#x", n, g, got, want)
 			}
 		}
 	}

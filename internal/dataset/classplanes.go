@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-
-	"trigene/internal/bitvec"
-)
+import "fmt"
 
 // ClassPlanes is the MPI3SNP-style data layout: per phenotype class,
 // all three genotype bit planes of every SNP are stored (no NOR
@@ -21,24 +17,14 @@ type ClassPlanes struct {
 // original sample order.
 func BuildClassPlanes(mx *Matrix) *ClassPlanes {
 	m := mx.SNPs()
-	controls, cases := mx.ClassCounts()
+	l := newClassLayout(mx.Phenotypes())
 	cp := &ClassPlanes{M: m}
-	sizes := [2]int{controls, cases}
-	for c := 0; c < 2; c++ {
-		cp.words[c] = bitvec.WordsFor(sizes[c])
+	for c := range cp.planes {
+		cp.words[c] = l.words(c)
 		cp.planes[c] = make([]uint64, m*3*cp.words[c])
 	}
-	var pos [2]int
-	for j := 0; j < mx.Samples(); j++ {
-		c := int(mx.Phen(j))
-		p := pos[c]
-		pos[c]++
-		for i := 0; i < m; i++ {
-			g := int(mx.Geno(i, j))
-			w := cp.words[c]
-			cp.planes[c][(i*3+g)*w+p/64] |= 1 << (uint(p) % 64)
-		}
-	}
+	// The split encode with the genotype-2 plane stored, not inferred.
+	l.splitRuns(cp.planes, mx, 3)
 	return cp
 }
 

@@ -10,6 +10,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -118,8 +119,18 @@ func (mx *Matrix) Phenotypes() []uint8 { return mx.phen }
 // the setters are always valid; Validate exists for data read from
 // untrusted codecs or constructed via aliased rows.
 func (mx *Matrix) Validate() error {
-	for idx, g := range mx.geno {
-		if g > 2 {
+	// Eight genotypes to a test: a byte above 2 has a bit above its low
+	// two set, or both of those. The byte loop starts at the first word
+	// that fails, to name the first offender, or at the last few bytes.
+	const low = 0x0101010101010101
+	idx := 0
+	for ; len(mx.geno)-idx >= 8; idx += 8 {
+		if x := binary.LittleEndian.Uint64(mx.geno[idx:]); x&^(3*low)|x&(x>>1)&low != 0 {
+			break
+		}
+	}
+	for ; idx < len(mx.geno); idx++ {
+		if g := mx.geno[idx]; g > 2 {
 			return fmt.Errorf("dataset: SNP %d sample %d: invalid genotype %d", idx/mx.n, idx%mx.n, g)
 		}
 	}

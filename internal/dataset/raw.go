@@ -148,22 +148,16 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Matrix, error) {
 	}
 	// Unpacking writes the whole Matrix once; SNPs are shared out so that
 	// it is not left to one core.
-	share := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += share {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < min(lo+share, m); i++ {
-				dst := mx.geno[i*n : (i+1)*n]
-				for _, c := range chunks {
-					stride := (c.rows + 3) / 4
-					unpackQuads(dst[:c.rows], c.packed[i*stride:][:stride])
-					dst = dst[c.rows:]
-				}
+	eachSNPRun(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst := mx.geno[i*n : (i+1)*n]
+			for _, c := range chunks {
+				stride := (c.rows + 3) / 4
+				unpackQuads(dst[:c.rows], c.packed[i*stride:][:stride])
+				dst = dst[c.rows:]
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return mx, nil
 }
 

@@ -69,15 +69,18 @@ type planeCand struct {
 }
 
 // KAll permutation-tests every candidate at once, sharing each drawn
-// case plane across all of them. Results are bit-identical to calling K
-// on each candidate separately with the same Config. Candidates may mix
-// orders 2 through contingency.MaxOrder.
-func KAll(mx *dataset.Matrix, candidates [][]int, cfg Config) ([]*Result, error) {
-	c, err := cfg.withDefaults(mx.Samples())
+// case plane across all of them. What it reads of the dataset is planes:
+// its dimensions, the phenotype and the genotype planes of the SNPs the
+// candidates name (dataset.BinarizeSNPs of a matrix, Select of a
+// Binarized; more SNPs than those do no harm). Results are bit-identical
+// to calling K on each candidate separately with the same Config.
+// Candidates may mix orders 2 through contingency.MaxOrder.
+func KAll(planes *dataset.SNPPlanes, candidates [][]int, cfg Config) ([]*Result, error) {
+	c, err := cfg.withDefaults(planes.N)
 	if err != nil {
 		return nil, err
 	}
-	rr, err := KAllRange(mx, candidates, 0, c.Permutations, c)
+	rr, err := KAllRange(planes, candidates, 0, c.Permutations, c)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +96,8 @@ func KAll(mx *dataset.Matrix, candidates [][]int, cfg Config) ([]*Result, error)
 // Config.Permutations is ignored; the range arguments govern. Because
 // permutation p is keyed by its absolute index, any partition of an
 // index range yields Hits that sum to the single-range result exactly.
-func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Config) (*RangeResult, error) {
-	c, err := cfg.withDefaults(mx.Samples())
+func KAllRange(planes *dataset.SNPPlanes, candidates [][]int, offset, count int, cfg Config) (*RangeResult, error) {
+	c, err := cfg.withDefaults(planes.N)
 	if err != nil {
 		return nil, err
 	}
@@ -104,20 +107,11 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("permtest: no candidates")
 	}
-	bin := c.Planes
-	if bin == nil {
-		bin = dataset.Binarize(mx)
-	}
-	if bin.M != mx.SNPs() || bin.N != mx.Samples() {
-		return nil, fmt.Errorf("permtest: planes are %d×%d, matrix is %d×%d",
-			bin.M, bin.N, mx.SNPs(), mx.Samples())
-	}
-
 	cands := make([]planeCand, len(candidates))
 	cs := newCellScore(c.Objective)
 	maxCells := 0
 	for i, snps := range candidates {
-		if err := buildCand(bin, snps, cs, &cands[i]); err != nil {
+		if err := buildCand(planes, snps, cs, &cands[i]); err != nil {
 			return nil, err
 		}
 		if cands[i].cells > maxCells {
@@ -127,14 +121,14 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 
 	// The observed tables come through the kernel's own count and score
 	// code: the real phenotype is one more case plane.
-	ps := newPermScratch(c, len(cands), bin.Words, maxCells)
-	copy(ps.planes, bin.Phen.Words())
+	ps := newPermScratch(c, len(cands), planes.Words, maxCells)
+	copy(ps.planes, planes.Phen.Words())
 	for i := range cands {
 		ps.count(&cands[i], 1)
 		cands[i].obs = ps.score(&cands[i], 0)
 	}
 
-	nCases := bin.Phen.OnesCount()
+	nCases := planes.Phen.OnesCount()
 	hitsPer := make([][]int, c.Workers)
 	var next atomic.Int64 // first unclaimed permutation of the range, less offset
 	var wg sync.WaitGroup
@@ -143,8 +137,8 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps := newPermScratch(c, len(cands), bin.Words, maxCells)
-			hitsPer[w] = ps.permWorker(c, cands, bin.N, nCases, offset, count, &next)
+			ps := newPermScratch(c, len(cands), planes.Words, maxCells)
+			hitsPer[w] = ps.permWorker(c, cands, planes.N, nCases, offset, count, &next)
 		}()
 	}
 	wg.Wait()
@@ -170,16 +164,21 @@ func KAllRange(mx *dataset.Matrix, candidates [][]int, offset, count int, cfg Co
 
 // buildCand validates one candidate and materializes its combo planes
 // and cell totals.
-func buildCand(bin *dataset.Binarized, snps []int, cs *cellScore, out *planeCand) error {
-	if err := checkCombo(bin.M, snps); err != nil {
+func buildCand(planes *dataset.SNPPlanes, snps []int, cs *cellScore, out *planeCand) error {
+	if err := checkCombo(planes.M, snps); err != nil {
 		return err
 	}
 	k := len(snps)
 	if err := cs.check(k); err != nil {
 		return err
 	}
+	for _, snp := range snps {
+		if planes.Plane(snp, 0) == nil {
+			return fmt.Errorf("permtest: the planes given do not hold SNP %d of candidate %v", snp, snps)
+		}
+	}
 	cells := contingency.CellsK(k)
-	words := bin.Words
+	words := planes.Words
 	out.cells = cells
 	out.planes = make([]uint64, cells*words)
 	out.totals = make([]int32, cells)
@@ -191,10 +190,10 @@ func buildCand(bin *dataset.Binarized, snps []int, cs *cellScore, out *planeCand
 	pow := cells / 3
 	for cell := 0; cell < cells; cell++ {
 		dst := out.planes[cell*words : (cell+1)*words]
-		copy(dst, bin.Plane(snps[0], cell/pow))
+		copy(dst, planes.Plane(snps[0], cell/pow))
 		rem, div := cell%pow, pow/3
 		for d := 1; d < k; d++ {
-			p := bin.Plane(snps[d], rem/div)
+			p := planes.Plane(snps[d], rem/div)
 			for i := range dst {
 				dst[i] &= p[i]
 			}

@@ -8,6 +8,16 @@ import (
 	"trigene/internal/score"
 )
 
+// planesOf encodes the planes a call on these candidates reads: those of
+// the candidates' SNPs, like Session.PermutationTestAll.
+func planesOf(mx *dataset.Matrix, candidates [][]int) *dataset.SNPPlanes {
+	var snps []int
+	for _, c := range candidates {
+		snps = append(snps, c...)
+	}
+	return dataset.BinarizeSNPs(mx, snps)
+}
+
 // TestBitPlaneParityOrders checks the bit-plane kernel against the
 // scalar reference for every supported order and several ragged/odd
 // sample counts: Observed and AsGoodOrBetter must be bit-identical.
@@ -29,7 +39,7 @@ func TestBitPlaneParityOrders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := KAll(mx, [][]int{snps}, cfg)
+			got, err := KAll(planesOf(mx, [][]int{snps}), [][]int{snps}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +66,7 @@ func TestBitPlaneParityObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := KAll(mx, [][]int{snps}, cfg)
+			got, err := KAll(planesOf(mx, [][]int{snps}), [][]int{snps}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +97,7 @@ func TestBitPlaneParityDegenerateClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := KAll(mx, [][]int{snps}, cfg)
+			got, err := KAll(planesOf(mx, [][]int{snps}), [][]int{snps}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +115,7 @@ func TestBitPlaneMultiCandidate(t *testing.T) {
 	mx := nullMatrix(52, 14, 333)
 	candidates := [][]int{{0, 1, 2}, {3, 9}, {2, 5, 8, 11}, {1, 6, 13}}
 	cfg := Config{Permutations: 80, Seed: 11}
-	got, err := KAll(mx, candidates, cfg)
+	got, err := KAll(planesOf(mx, candidates), candidates, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +139,7 @@ func TestBitPlaneWorkers(t *testing.T) {
 	var first []*Result
 	for _, workers := range []int{1, 2, 5} {
 		cfg := Config{Permutations: 200, Seed: 12, Workers: workers}
-		res, err := KAll(mx, candidates, cfg)
+		res, err := KAll(planesOf(mx, candidates), candidates, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,13 +163,13 @@ func TestBitPlaneRangeDecomposition(t *testing.T) {
 	candidates := [][]int{{1, 4, 9}, {0, 6}}
 	cfg := Config{Seed: 13}
 	const total = 90
-	whole, err := KAllRange(mx, candidates, 0, total, cfg)
+	whole, err := KAllRange(planesOf(mx, candidates), candidates, 0, total, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := make([]int, len(candidates))
 	for _, r := range [][2]int{{0, 17}, {17, 40}, {57, 33}} {
-		part, err := KAllRange(mx, candidates, r[0], r[1], cfg)
+		part, err := KAllRange(planesOf(mx, candidates), candidates, r[0], r[1], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,50 +189,68 @@ func TestBitPlaneRangeDecomposition(t *testing.T) {
 	}
 }
 
-// TestBitPlanePrebuiltPlanes: supplying Config.Planes gives the same
-// results as letting the kernel binarize.
-func TestBitPlanePrebuiltPlanes(t *testing.T) {
-	mx := nullMatrix(55, 8, 150)
-	candidates := [][]int{{0, 2, 5}}
-	base := Config{Permutations: 30, Seed: 14}
-	want, err := KAll(mx, candidates, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPlanes := base
-	withPlanes.Planes = dataset.Binarize(mx)
-	got, err := KAll(mx, candidates, withPlanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got[0] != *want[0] {
-		t.Errorf("prebuilt planes %+v != self-binarized %+v", got[0], want[0])
+// TestPermPlanesSubset: the kernel reads the planes of the candidates'
+// SNPs and nothing else of the dataset, so candidate-only planes encoded
+// from the matrix, the same SNPs selected out of a Binarized of all of
+// them and every SNP's planes give the same observed scores and hit
+// counts — those of the scalar K — over mixed orders and candidates
+// sharing SNPs, at sample counts on and off a word boundary.
+func TestPermPlanesSubset(t *testing.T) {
+	candidates := [][]int{{1, 4}, {1, 4, 9}, {0, 4, 9, 12}, {2, 9}, {4, 12, 13}}
+	for _, n := range []int{64, 150, 257} {
+		mx := nullMatrix(55+int64(n), 16, n)
+		cfg := Config{Permutations: 60, Seed: 14, Workers: 2}
+		all := make([]int, mx.SNPs())
+		for i := range all {
+			all[i] = i
+		}
+		var named []int
+		for _, c := range candidates {
+			named = append(named, c...)
+		}
+		bin := dataset.Binarize(mx)
+		forms := map[string]*dataset.SNPPlanes{
+			"candidate-only, from the matrix":  dataset.BinarizeSNPs(mx, named),
+			"candidate-only, out of Binarized": bin.Select(named),
+			"every SNP":                        bin.Select(all),
+		}
+		for name, planes := range forms {
+			got, err := KAll(planes, candidates, cfg)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			for i, snps := range candidates {
+				want, err := K(mx, snps, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got[i] != *want {
+					t.Errorf("n=%d %s, candidate %v: %+v != scalar %+v", n, name, snps, got[i], want)
+				}
+			}
+		}
 	}
 }
 
 func TestBitPlaneValidation(t *testing.T) {
 	mx := nullMatrix(56, 6, 100)
-	if _, err := KAll(mx, nil, Config{}); err == nil {
+	if _, err := KAll(planesOf(mx, nil), nil, Config{}); err == nil {
 		t.Error("empty candidate set accepted")
 	}
-	if _, err := KAll(mx, [][]int{{3, 1}}, Config{}); err == nil {
-		t.Error("unordered candidate accepted")
+	for name, c := range map[string][]int{"unordered": {3, 1}, "order-1": {4}, "out-of-range": {0, 9}} {
+		if _, err := KAll(planesOf(mx, [][]int{c}), [][]int{c}, Config{}); err == nil {
+			t.Errorf("%s candidate accepted", name)
+		}
 	}
-	if _, err := KAll(mx, [][]int{{4}}, Config{}); err == nil {
-		t.Error("order-1 candidate accepted")
-	}
-	if _, err := KAll(mx, [][]int{{0, 9}}, Config{}); err == nil {
-		t.Error("out-of-range candidate accepted")
-	}
-	if _, err := KAllRange(mx, [][]int{{0, 1}}, -1, 10, Config{}); err == nil {
+	planes := planesOf(mx, [][]int{{0, 1}})
+	if _, err := KAllRange(planes, [][]int{{0, 1}}, -1, 10, Config{}); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := KAllRange(mx, [][]int{{0, 1}}, 0, 0, Config{}); err == nil {
+	if _, err := KAllRange(planes, [][]int{{0, 1}}, 0, 0, Config{}); err == nil {
 		t.Error("empty range accepted")
 	}
-	other := nullMatrix(57, 6, 99)
-	if _, err := KAll(mx, [][]int{{0, 1}}, Config{Planes: dataset.Binarize(other)}); err == nil {
-		t.Error("mismatched planes accepted")
+	if _, err := KAll(planes, [][]int{{0, 2}}, Config{}); err == nil {
+		t.Error("candidate with a SNP the planes do not hold accepted")
 	}
 }
 
@@ -236,7 +264,8 @@ func TestBitPlaneValidation(t *testing.T) {
 func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 	mx := nullMatrix(58, 10, 256)
 	candidates := [][]int{{0, 2, 4}, {1, 7}, {3, 5, 8, 9}}
-	cfg := Config{Seed: 15, Workers: 1, Planes: dataset.Binarize(mx)}
+	cfg := Config{Seed: 15, Workers: 1}
+	planes := planesOf(mx, candidates)
 	c, err := cfg.withDefaults(mx.Samples())
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +274,7 @@ func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 	cs := newCellScore(c.Objective)
 	maxCells := 0
 	for i, snps := range candidates {
-		if err := buildCand(c.Planes, snps, cs, &cands[i]); err != nil {
+		if err := buildCand(planes, snps, cs, &cands[i]); err != nil {
 			t.Fatal(err)
 		}
 		if cands[i].cells > maxCells {
@@ -253,7 +282,7 @@ func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	_, nCases := mx.ClassCounts()
-	ps := newPermScratch(c, len(cands), c.Planes.Words, maxCells)
+	ps := newPermScratch(c, len(cands), planes.Words, maxCells)
 
 	const perms = 100
 	avg := testing.AllocsPerRun(10, func() {

@@ -38,10 +38,6 @@ type Config struct {
 	// context.Background(). Cancellation is observed between
 	// permutations and returns the context error.
 	Context context.Context
-	// Planes optionally supplies prebuilt genotype bit planes for the
-	// bit-plane kernel (KAll/KAllRange); nil binarizes the matrix on
-	// first use. The scalar path ignores it.
-	Planes *dataset.Binarized
 }
 
 // Result summarizes a permutation test.

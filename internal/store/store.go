@@ -61,7 +61,8 @@ type Store struct {
 	mu sync.Mutex
 
 	// mx is the raw matrix; nil on pack-loaded stores until something
-	// (a permutation test, a re-pack) actually needs the genotypes.
+	// (a cluster submission, a scalar permutation test) actually needs the
+	// genotypes.
 	mx *dataset.Matrix
 
 	// hash is the hex SHA-256 content hash; computed lazily on
@@ -271,6 +272,26 @@ func (s *Store) binarizedLocked() *dataset.Binarized {
 		s.timedBuildLocked(func() { s.bin = dataset.Binarize(s.matrixLocked()) })
 	}
 	return s.bin
+}
+
+// SNPPlanes returns the three-plane form of the given SNPs only (any
+// order, repeats allowed, SNPs the dataset does not have left out): out
+// of the Binarized where the store holds one — adopted from a pack, or
+// built for V1 — and otherwise encoded from those rows of the matrix,
+// outside the lock. It builds and memoizes nothing, so a call that names
+// its SNPs (a permutation test) never pays a dataset-wide encoding.
+func (s *Store) SNPPlanes(snps []int) *dataset.SNPPlanes {
+	s.mu.Lock()
+	bin := s.bin
+	var mx *dataset.Matrix
+	if bin == nil {
+		mx = s.matrixLocked()
+	}
+	s.mu.Unlock()
+	if bin != nil {
+		return bin.Select(snps)
+	}
+	return dataset.BinarizeSNPs(mx, snps)
 }
 
 // Split returns the phenotype-split two-plane form (approaches V2 and

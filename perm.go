@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"trigene/internal/contingency"
+	"trigene/internal/dataset"
 	"trigene/internal/obs"
 	"trigene/internal/permtest"
 )
@@ -340,7 +341,7 @@ func (s *Session) permConfig(opts []Option, orders func() []int) (*searchConfig,
 }
 
 // permtestConfig lowers a validated call configuration into the kernel
-// Config, wiring in the session's cached bit planes.
+// Config.
 func (s *Session) permtestConfig(ctx context.Context, cfg *searchConfig) (permtest.Config, error) {
 	obj, _, err := cfg.objective(s.Samples())
 	if err != nil {
@@ -352,8 +353,17 @@ func (s *Session) permtestConfig(ctx context.Context, cfg *searchConfig) (permte
 		Workers:      cfg.workers,
 		Objective:    obj,
 		Context:      ctx,
-		Planes:       s.store.Binarized(),
 	}, nil
+}
+
+// candidatePlanes returns what the permutation kernel reads of the
+// dataset: the genotype planes of the candidates' SNPs and no others.
+func (s *Session) candidatePlanes(candidates [][]int) *dataset.SNPPlanes {
+	var snps []int
+	for _, c := range candidates {
+		snps = append(snps, c...)
+	}
+	return s.store.SNPPlanes(snps)
 }
 
 // PermutationTestAll permutation-tests a whole candidate set —
@@ -386,7 +396,7 @@ func (s *Session) PermutationTestAll(ctx context.Context, candidates [][]int, op
 		return nil, err
 	}
 	start := time.Now()
-	res, err := permtest.KAll(s.Matrix(), candidates, pc)
+	res, err := permtest.KAll(s.candidatePlanes(candidates), candidates, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +436,7 @@ func (s *Session) PermutationSlice(ctx context.Context, candidates [][]int, offs
 		return nil, err
 	}
 	start := time.Now()
-	rr, err := permtest.KAllRange(s.Matrix(), candidates, offset, count, pc)
+	rr, err := permtest.KAllRange(s.candidatePlanes(candidates), candidates, offset, count, pc)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"trigene/internal/permtest"
 	"trigene/internal/store"
 )
 
@@ -119,5 +120,70 @@ func TestPackSessionAdoptsEncodings(t *testing.T) {
 	}
 	if b := loaded.store.Builds(); b.Binarized != 0 || b.Split != 0 {
 		t.Fatalf("pack-loaded session rebuilt adopted encodings: %+v", b)
+	}
+}
+
+// TestPermutationTestBuildsNoEncoding: a permutation test reads the
+// genotype planes of its candidates' SNPs and nothing else of the
+// dataset. On a session over a matrix that is an encode of those rows,
+// never the dataset-wide Binarized; on a pack-loaded session the planes
+// come out of the adopted encoding and the matrix is never decoded
+// either. Results agree with each other and with the scalar reference
+// either way.
+func TestPermutationTestBuildsNoEncoding(t *testing.T) {
+	s := internalSession(t)
+	ctx := context.Background()
+	var buf bytes.Buffer
+	if err := s.WritePack(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadPack(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSession(s.Matrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := [][]int{{0, 5, 9}, {2, 5}, {1, 9, 12, 17}}
+	opts := []Option{WithPermutations(50), WithSeed(4)}
+	want, err := fresh.PermutationTestAll(ctx, candidates, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.PermutationSlice(ctx, candidates, 10, 20, WithSeed(4)); err != nil {
+		t.Fatal(err)
+	}
+	if b := fresh.store.Builds(); b != (store.Builds{}) {
+		t.Errorf("permutation tests on a matrix session built %+v; want no dataset-wide encoding", b)
+	}
+	// The cold journey — search, then test its winners — is one build.
+	if _, err := fresh.Search(ctx, WithTopK(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.PermutationTestAll(ctx, candidates, opts...); err != nil {
+		t.Fatal(err)
+	}
+	if b := fresh.store.Builds(); b != (store.Builds{Split: 1}) {
+		t.Errorf("search + permutation test built %+v; want the split form only", b)
+	}
+	got, err := loaded.PermutationTestAll(ctx, candidates, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.PermutationSlice(ctx, candidates, 10, 20, WithSeed(4)); err != nil {
+		t.Fatal(err)
+	}
+	if b := loaded.store.Builds(); b != (store.Builds{}) {
+		t.Errorf("permutation tests on a pack-loaded session built %+v; want neither the matrix nor an encoding", b)
+	}
+	for i, snps := range candidates {
+		ref, err := permtest.K(s.Matrix(), snps, permtest.Config{Permutations: 50, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got[i] != *want[i] || *want[i] != *ref {
+			t.Errorf("candidate %v: pack session %+v, matrix session %+v, scalar %+v", snps, got[i], want[i], ref)
+		}
 	}
 }
