@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestHotPathAllocs(t *testing.T) {
 		var lt contingency.LaneTable
 		var scores [contingency.Lanes]float64
 		blk.AccumulateLanes(&lt, xt, false)
-		k2.ScoreLanes(&scores, &lt, &lt, contingency.Lanes)
+		k2.ScoreLanes(&scores, &lt, &lt, contingency.Lanes, math.Inf(1))
 		if scores[0] == 0 {
 			t.Fatal("no score")
 		}

@@ -39,6 +39,9 @@ type arena struct {
 	top *topK
 	// scored counts the combinations this consumer evaluated.
 	scored int64
+	// rejected counts the fused loop's lane groups scoring gave up on
+	// against the top-K's bound since the last tile was observed.
+	rejected int64
 }
 
 var arenaPool = sync.Pool{New: func() interface{} { return new(arena) }}
@@ -48,7 +51,7 @@ var arenaPool = sync.Pool{New: func() interface{} { return new(arena) }}
 // tables block tables.
 func getArena(obj score.Objective, k, tables int) *arena {
 	a := arenaPool.Get().(*arena)
-	a.scored = 0
+	a.scored, a.rejected = 0, 0
 	if a.top == nil {
 		a.top = newTopK(obj, k)
 	} else {

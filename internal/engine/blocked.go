@@ -47,7 +47,7 @@ func (s *Searcher) runBlocked(o Options) (*Result, error) {
 	rm := resolveRunMetrics(o.Metrics, o.Approach)
 	err := cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
 		n := workers[w].tile(t)
-		rm.observe(n)
+		rm.observe(n, workers[w].a)
 		return n, nil
 	})
 	if err != nil {
@@ -315,7 +315,11 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 
 // scoreLanes pad-corrects the two lane tables of the chunk's k'th pair,
 // scores them where they lie and offers the valid lanes' triples
-// (x + lane, p.y, p.z).
+// (x + lane, p.y, p.z). A LaneScorer is bounded by the worker's top-K: a
+// group it rejects would have been turned away lane by lane, so its
+// offers are skipped and the list goes through the states it would have
+// gone through. A lane scored above the bound in a group that is not
+// rejected is offered and turned away, as its full score would be.
 func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
 	a := w.a
 	ctrl, cases := &a.bank[dataset.Control][k], &a.bank[dataset.Case][k]
@@ -324,7 +328,10 @@ func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
 		cases[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Case])
 	}
 	if w.laneScorer != nil {
-		w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, p.valid)
+		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, p.valid, a.top.bound()) {
+			a.rejected++
+			return
+		}
 	} else {
 		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, p.valid, &a.tab)
 	}

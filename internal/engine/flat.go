@@ -49,13 +49,13 @@ func (s *Searcher) runFlat(o Options) (*Result, error) {
 	err := cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
 		if o.Meter == nil {
 			n := workers[w].tile(t)
-			rm.observe(n)
+			rm.observe(n, workers[w].a)
 			return n, nil
 		}
 		start := time.Now()
 		n := workers[w].tile(t)
 		o.Meter.Record(o.MeterBase+w, n, time.Since(start))
-		rm.observe(n)
+		rm.observe(n, workers[w].a)
 		return n, nil
 	})
 	if err != nil {

@@ -78,13 +78,13 @@ func (h *HotLoop) Tile(i int64) sched.Tile {
 // combinations it scored. After the first few tiles have warmed the
 // top-K heap, Process performs zero heap allocations.
 func (h *HotLoop) Process(t sched.Tile) int64 {
-	var n int64
 	if h.flat != nil {
-		n = h.flat.tile(t)
-	} else {
-		n = h.blocked.tile(t)
+		n := h.flat.tile(t)
+		h.rm.observe(n, h.flat.a)
+		return n
 	}
-	h.rm.observe(n)
+	n := h.blocked.tile(t)
+	h.rm.observe(n, h.blocked.a)
 	return n
 }
 

@@ -7,6 +7,7 @@ import (
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/obs"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 )
@@ -52,6 +53,99 @@ func tiledShapes() []edgeShape {
 		{"10 SNPs x 520+576, one word over", classes(166, 10, 520, 576)},
 		{"13 SNPs x 1250+1270, two and a half tiles", classes(167, 13, 1250, 1270)},
 		{"11 SNPs x 500+1500, one tile and three", classes(168, 11, 500, 1500)},
+	}
+}
+
+// TestLaneRejectionParityWithTies: K2's lane scoring gives up on a group
+// of tables once none of them can enter the worker's top-K, and a search
+// must report what it reported when every table was scored in full. The
+// dataset has a strong planted triple (2, 9, 14), and SNPs 3, 10 and 15
+// are copies of 2, 9 and 14 that sort where their originals do, so a
+// triple and each triple that swaps copies in have the same tables and
+// the same score bits: eight triples tie for first place and ties run all
+// the way down the ranking, the tenth place included. Where the bound
+// bites, a table scoring exactly the bound must still be offered: (2, 10,
+// 14) is met after (3, 9, 14) — a later (i1, i2) pair of the same x chunk
+// — and at K = 4 it has to displace it on the triple order alone (a body
+// that stopped at sum >= bound passes K = 1 and 10 and fails there). V4F
+// (bounded) must equal V3F (scored in full through ScoreColumns) and a
+// brute force over BuildReference, sharded 1/3/7 ways on 1 and 4
+// workers, for K = 1, 4 and 10, and its rejection counter must show that
+// groups were rejected.
+func TestLaneRejectionParityWithTies(t *testing.T) {
+	const m = 28
+	mx, err := dataset.Generate(dataset.GenConfig{
+		SNPs: m, Samples: 600, Seed: 25, MAFMin: 0.3, MAFMax: 0.5,
+		Interaction: &dataset.Interaction{SNPs: [3]int{2, 9, 14}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snp := range []int{2, 9, 14} {
+		copy(mx.Row(snp+1), mx.Row(snp))
+	}
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := score.NewK2(mx.Samples())
+	ref := newTopK(obj, int(combin.Triples(m)))
+	combin.ForEachTriple(m, func(i, j, k int) {
+		tab := contingency.BuildReference(mx, i, j, k)
+		ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
+	})
+	ranking := ref.list()
+	if planted := (Triple{2, 9, 14}); ranking[0].Triple != planted || ranking[7].Score != ranking[0].Score {
+		t.Fatalf("fixture: best %+v, eighth %+v; want %v tied eight ways", ranking[0], ranking[7], planted)
+	}
+	for _, k := range []int{1, 4, 10} {
+		if ranking[k-1].Score != ranking[k].Score {
+			t.Fatalf("fixture: places %d and %d do not tie (%v, %v)", k, k+1, ranking[k-1].Score, ranking[k].Score)
+		}
+		want := ranking[:k]
+		for _, shards := range []int{1, 3, 7} {
+			for _, workers := range []int{1, 4} {
+				for _, a := range []Approach{V3Fused, V4Fused} {
+					name := fmt.Sprintf("K=%d %d shards %d workers %v", k, shards, workers, a)
+					reg := obs.NewRegistry()
+					merged := newTopK(obj, k)
+					var combos int64
+					for i := 0; i < shards; i++ {
+						o := Options{Approach: a, TopK: k, Workers: workers, Metrics: reg}
+						if shards > 1 {
+							o.Shard = &sched.Shard{Index: i, Count: shards}
+						}
+						res, err := s.Run(o)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						combos += res.Stats.Combinations
+						for _, c := range res.TopK {
+							merged.offer(c)
+						}
+					}
+					if combos != combin.Triples(m) {
+						t.Errorf("%s: %d combinations, want %d", name, combos, combin.Triples(m))
+					}
+					got := merged.list()
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, got[i], want[i])
+						}
+					}
+					rm := resolveRunMetrics(reg, a)
+					switch rejected := rm.rejected.Value(); {
+					case a == V4Fused && rejected == 0:
+						t.Errorf("%s: no lane group was rejected", name)
+					case a == V3Fused && rejected != 0:
+						t.Errorf("%s: %d lane groups rejected without a bound", name, rejected)
+					}
+				}
+			}
+		}
 	}
 }
 

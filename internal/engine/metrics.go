@@ -6,12 +6,13 @@ import (
 )
 
 // runMetrics is one run's resolved series, looked up before the
-// worker pool starts so the drain callback does one nil check and two
-// atomic adds per tile — never a registry lookup, never an
+// worker pool starts so the drain callback does one nil check and a
+// few atomic adds per tile — never a registry lookup, never an
 // allocation. The zero value is a no-op.
 type runMetrics struct {
-	tiles  *obs.Counter
-	combos *obs.Counter
+	tiles    *obs.Counter
+	combos   *obs.Counter
+	rejected *obs.Counter
 }
 
 // resolveRunMetrics registers (or finds) the engine's per-approach
@@ -24,11 +25,16 @@ func resolveRunMetrics(reg *obs.Registry, a Approach) runMetrics {
 	return runMetrics{
 		tiles:  reg.Counter("trigene_engine_tiles_total", "Tiles scored by the search engine, by approach.", l),
 		combos: reg.Counter("trigene_engine_combinations_total", "SNP combinations scored, by approach.", l),
+		rejected: reg.Counter("trigene_engine_lane_groups_rejected_total",
+			"Groups of up to eight lane tables whose scoring stopped early because none could enter the worker's top-K, by approach.", l),
 	}
 }
 
-// observe records one drained tile.
-func (rm *runMetrics) observe(combos int64) {
+// observe records one drained tile of combos combinations, and hands on
+// the lane groups the consumer's arena rejected meanwhile.
+func (rm *runMetrics) observe(combos int64, a *arena) {
 	rm.tiles.Inc()
 	rm.combos.Add(combos)
+	rm.rejected.Add(a.rejected)
+	a.rejected = 0
 }

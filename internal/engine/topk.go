@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"trigene/internal/score"
 	"trigene/internal/topk"
 )
@@ -53,6 +55,16 @@ func (t *topK) offer(c Candidate) {
 		}
 	}
 	t.items = topk.Insert(t.items, c, t.k, t.cmp)
+}
+
+// bound is, for a lower-is-better objective, the score above which offer
+// turns a candidate away on its score alone: the worst kept score once the
+// list is full, +Inf while it fills. It only ever comes down.
+func (t *topK) bound() float64 {
+	if n := len(t.items); n == t.k && n > 0 {
+		return t.items[n-1].Score
+	}
+	return math.Inf(1)
 }
 
 // merge folds another accumulator's candidates into t.

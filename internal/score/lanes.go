@@ -2,20 +2,25 @@ package score
 
 import "trigene/internal/contingency"
 
-// LaneScorer is implemented by objectives that can score the tables of a
-// lanes pass (contingency.PairBlock.AccumulateLanes) where they lie: the
-// table of lane l has column l of ctrl and of cases as its class rows.
-// ScoreLanes sets dst[l] for l < valid to exactly what Score gives on
-// that table, bit for bit. Lanes at and past valid may hold anything;
-// they are not read as counts and what dst holds for them is undefined.
-// K2 implements it; the engine falls back to ScoreColumns for an
-// objective that does not.
+// LaneScorer is implemented by lower-is-better objectives that can score
+// the tables of a lanes pass (contingency.PairBlock.AccumulateLanes) where
+// they lie: the table of lane l has column l of ctrl and of cases as its
+// class rows. ScoreLanes sets dst[l] for l < valid to exactly what Score
+// gives on that table, bit for bit — or, if that score is above bound, to
+// some value above bound: a table may be given up on as soon as it
+// provably cannot score bound or better. It returns true (rejected) only
+// if every valid lane's score is above bound; bound = +Inf never rejects
+// and always gives the exact scores. Lanes at and past valid may hold
+// anything; they are not read as counts and what dst holds for them is
+// undefined. K2 implements it; the engine falls back to ScoreColumns for
+// an objective that does not.
 type LaneScorer interface {
-	ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int)
+	ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (rejected bool)
 }
 
-// ScoreColumns is ScoreLanes for any objective: each valid lane's column
-// is copied into the scratch table and scored through Score.
+// ScoreColumns is ScoreLanes for any objective, without a bound: each
+// valid lane's column is copied into the scratch table and scored
+// through Score.
 func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, scratch *contingency.Table) {
 	for lane := 0; lane < valid; lane++ {
 		for cell := range scratch.Counts[0] {
@@ -26,28 +31,43 @@ func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *c
 	}
 }
 
-// ScoreLanes implements LaneScorer. The vector body declines a table
-// with a count outside the LnFact table; the Go body then fails on it
-// the way Score does.
-func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
+// ScoreLanes implements LaneScorer. Giving up early is exact for K2
+// because every row term (lnFact(r0+r1+1) − lnFact(r0)) − lnFact(r1) is
+// ≥ +0 in float64 (TestK2TermsNeverNegative): the sum in row order never
+// decreases, so once it is above bound the whole table's score is too.
+// Both bodies check every count against the LnFact table, past the row
+// they stop at as well: the vector body declines a table with a count
+// outside it, and the Go body then fails on it the way Score does (or
+// scores it, if the vector body's check was only too coarse).
+func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
 	valid = min(valid, contingency.Lanes)
-	if contingency.HasAVX512() && valid > 0 &&
-		k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1) {
-		return
+	if contingency.HasAVX512() && valid > 0 {
+		if rejected, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, bound); ok {
+			return rejected
+		}
 	}
-	k2LanesGo(dst, ctrl, cases, o.lf, valid)
+	return k2LanesGo(dst, ctrl, cases, o.lf, valid, bound)
 }
 
 // k2LanesGo is the pure-Go body of K2's ScoreLanes and its oracle: k2's
-// sum, lane by lane.
-func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, valid int) {
+// sum, lane by lane, each lane stopped once its sum is above bound.
+func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, valid int, bound float64) bool {
+	rejected := valid > 0
 	for lane := 0; lane < valid; lane++ {
 		score := 0.0
 		for cell := range ctrl {
 			r0 := int(ctrl[cell][lane])
 			r1 := int(cases[cell][lane])
+			if score > bound {
+				// Past the stop a row is only checked: a count outside
+				// the table fails here as it does in Score.
+				_, _, _ = lf.table[r0+r1+1], lf.table[r0], lf.table[r1]
+				continue
+			}
 			score += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
 		}
 		dst[lane] = score
+		rejected = rejected && score > bound
 	}
+	return rejected
 }

@@ -5,9 +5,12 @@ package score
 import "trigene/internal/contingency"
 
 // k2LanesAVX512 scores the lanes whose bit is set in mask (a subset of
-// the low eight) and reports whether every count it met was a valid
-// LnFact index, 0..limit; if not, dst is unspecified. Callers gate it on
+// the low eight) against bound, with ScoreLanes' contract. ok = false
+// means it could not vouch, from all 27 rows, that every index of those
+// lanes lies in the LnFact table, 0..limit — always so when a count is
+// outside it, never for a table over fewer than limit samples; it has then
+// read no table entry and dst is unspecified. Callers gate it on
 // contingency.HasAVX512.
 //
 //go:noescape
-func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lnFact *float64, limit, mask int) bool
+func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lnFact *float64, limit, mask int, bound float64) (rejected, ok bool)

@@ -2,50 +2,88 @@
 
 #include "textflag.h"
 
-// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask int) bool
+// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask int, bound float64) (rejected, ok bool)
 //
-// K2 of eight tables at once, one per lane. Row by row, in row order:
-// the eight control counts r0 (Y0), the eight case counts r1 (Y1) and
-// r0+r1+1 (Y2) index three gathers from the LnFact table, and
-// (a - b) - c is added to the lane sums (Z8) — the operations of the
-// scalar k2, in its order, so each lane's sum is bit-identical to it.
+// K2 of eight tables at once, one per lane, in two passes over the 27
+// rows.
 //
-// A gather's opmask is K1 (the valid lanes) cut down to the lanes whose
-// index is at most limit, compared unsigned so that a negative count fails
-// too: an index outside the table is never dereferenced, whether it sits
-// in an invalid lane (garbage by contract) or a valid one. K4 collects
-// the masks; the return value says whether every valid lane kept every
-// gather. Loads and adds of the counts are VEX-encoded, so bits 256..511
-// of Z0..Z2 are zero and the upper half of a 16-lane compare is masked
-// off by K1.
-TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-49
+// The first checks the indices, with loads and maxima only: the largest
+// control count r0 (Y9) and the largest case count r1 (Y10) of every
+// lane, unsigned, so that a negative count is huge. Every index of a lane
+// lies in 0..limit if max r0, max r1 and max r0 + max r1 + 1 do (the sum
+// cannot wrap unless a maximum is past limit already), which holds for
+// every table of a dataset the LnFact table is sized for (r0 + r1 <= N);
+// for any valid lane (K1) where it does not, the body returns ok = false
+// having read no table entry, whatever row the count sits in and
+// wherever the second pass would have stopped, and the Go body scores the
+// group or fails on the count the way Score does. Garbage in an invalid
+// lane is masked off here and below.
+//
+// The second scores: per row r0 (Y0), r1 (Y1) and r0+r1+1 (Y2) index
+// three gathers from the LnFact table, and (a - b) - c is added to the
+// lane sums (Z8) — the operations of the scalar k2, in its order, so each
+// lane's sum is bit-identical to it. Every term is >= +0, so a lane's sum
+// never decreases: after each row the valid lanes whose sum is not above
+// the broadcast bound are found (NGT_UQ, the complement of GT_OQ), and
+// once there are none the group cannot score bound or better and the loop
+// is left, dst holding the partial sums. The gathers keep the constant
+// mask K1 (copied, since a gather clears its mask): cutting the exceeded
+// lanes out of the next row's gathers would make every gather wait on the
+// previous row's compare. Loads, maxima and adds of the counts are
+// VEX-encoded, so bits 256..511 of Z0..Z2 and Z9..Z11 are zero and the
+// upper half of a 16-lane compare is masked off by K1.
+TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-58
 	MOVQ  dst+0(FP), DI
 	MOVQ  ctrl+8(FP), AX
 	MOVQ  cases+16(FP), BX
 	MOVQ  lnFact+24(FP), SI
 	MOVQ  limit+32(FP), R8
 	MOVQ  mask+40(FP), R9
+	MOVB  $0, rejected+56(FP)
+	MOVB  $0, ok+57(FP)
 	KMOVW R9, K1
-	KMOVW R9, K4
 	VMOVQ R8, X7
 	VPBROADCASTD X7, Z7 // limit in every lane
 	MOVQ  $1, R10
 	VMOVQ R10, X6
 	VPBROADCASTD X6, Y6 // 1 in every lane
-	VPXORQ Z8, Z8, Z8
+
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	MOVQ  AX, R11
+	MOVQ  BX, R12
 	MOVQ  $27, CX
+
+k2Check:
+	VPMAXUD (R11), Y9, Y9
+	VPMAXUD (R12), Y10, Y10
+	ADDQ    $32, R11
+	ADDQ    $32, R12
+	DECQ    CX
+	JNZ     k2Check
+
+	VPADDD  Y10, Y9, Y11
+	VPADDD  Y6, Y11, Y11
+	VPMAXUD Y10, Y9, Y9
+	VPMAXUD Y11, Y9, Y9
+	VPCMPUD $2, Z7, Z9, K1, K2 // all three <= limit
+	KMOVW   K2, R10
+	CMPQ    R10, R9
+	JNE     k2Done
+	MOVB    $1, ok+57(FP)
+
+	VBROADCASTSD bound+48(FP), Z10
+	VPXORQ Z8, Z8, Z8
+	MOVQ   $27, CX
 
 k2Row:
 	VMOVDQU (AX), Y0
 	VMOVDQU (BX), Y1
 	VPADDD  Y1, Y0, Y2
 	VPADDD  Y6, Y2, Y2
-	VPCMPUD $2, Z7, Z2, K1, K2 // index <= limit
-	VPCMPUD $2, Z7, Z0, K1, K3
-	VPCMPUD $2, Z7, Z1, K1, K5
-	KANDW   K2, K4, K4
-	KANDW   K3, K4, K4
-	KANDW   K5, K4, K4
+	KMOVW   K1, K2
+	KMOVW   K1, K3
+	KMOVW   K1, K5
 	VPXORQ  Z3, Z3, Z3
 	VPXORQ  Z4, Z4, Z4
 	VPXORQ  Z5, Z5, Z5
@@ -55,14 +93,22 @@ k2Row:
 	VSUBPD  Z4, Z3, Z3
 	VSUBPD  Z5, Z3, Z3
 	VADDPD  Z3, Z8, Z8
+	VCMPPD  $0x0a, Z10, Z8, K1, K6 // sum not above bound
 	ADDQ    $32, AX
 	ADDQ    $32, BX
+	KORTESTW K6, K6
+	JEQ     k2Rejected
 	DECQ    CX
 	JNZ     k2Row
 
 	VMOVUPD Z8, (DI)
-	KMOVW   K4, R10
-	CMPQ    R10, R9
-	SETEQ   ret+48(FP)
+	VZEROUPPER
+	RET
+
+k2Rejected:
+	VMOVUPD Z8, (DI)
+	MOVB    $1, rejected+56(FP)
+
+k2Done:
 	VZEROUPPER
 	RET

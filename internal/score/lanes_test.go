@@ -1,42 +1,60 @@
 package score
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"trigene/internal/contingency"
 )
 
 // laneScore is ScoreLanes' signature.
-type laneScore func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int)
+type laneScore func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (rejected bool)
+
+// k2Body is one of K2's two ScoreLanes bodies.
+type k2Body struct {
+	name  string
+	score laneScore
+}
+
+// k2Bodies are K2's ScoreLanes (its vector body where the host has it,
+// else the Go one) and its Go body called directly.
+func k2Bodies(k2 *K2Objective) []k2Body {
+	return []k2Body{
+		{contingency.Kernel(), k2.ScoreLanes},
+		{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
+			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound)
+		}},
+	}
+}
 
 type laneScorer struct {
 	name  string
 	obj   Objective
-	score laneScore
+	score func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) // at bound +Inf
+	// bounded is the body with its bound; nil for ScoreColumns, which
+	// has none.
+	bounded laneScore
 }
 
-// laneScorers are the ways a lanes pass gets scored: an objective's own
-// ScoreLanes (K2 only; its vector body where the host has it, else the Go
-// one), K2's Go body called directly, and ScoreColumns, the fallback
-// every other objective takes.
+// laneScorers are the ways a lanes pass gets scored: K2's two bodies, and
+// ScoreColumns, the fallback every other objective takes.
 func laneScorers(n int) []laneScorer {
 	k2 := NewK2(n)
+	var scorers []laneScorer
+	for _, body := range k2Bodies(k2) {
+		scorers = append(scorers, laneScorer{"k2/" + body.name, k2, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
+			body.score(dst, ctrl, cases, valid, math.Inf(1))
+		}, body.score})
+	}
 	var scratch contingency.Table
-	columns := func(obj Objective) laneScore {
-		return func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
+	for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
+		scorers = append(scorers, laneScorer{obj.Name() + "/columns", obj, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
 			ScoreColumns(obj, dst, ctrl, cases, valid, &scratch)
-		}
+		}, nil})
 	}
-	return []laneScorer{
-		{"k2/" + contingency.Kernel(), k2, k2.ScoreLanes},
-		{"k2/go", k2, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
-			k2LanesGo(dst, ctrl, cases, k2.lf, valid)
-		}},
-		{"k2/columns", k2, columns(k2)},
-		{"mi/columns", MIObjective{}, columns(MIObjective{})},
-		{"gini/columns", GiniObjective{}, columns(GiniObjective{})},
-	}
+	return scorers
 }
 
 // randomLaneTables fills lane tables whose valid columns are partitions
@@ -114,26 +132,175 @@ func TestScoreLanesIsBitIdenticalToScore(t *testing.T) {
 	}
 }
 
+// laneScores is Score on the table of each of the first valid columns.
+func laneScores(obj Objective, ctrl, cases *contingency.LaneTable, valid int) []float64 {
+	scores := make([]float64, valid)
+	for lane := range scores {
+		var tab contingency.Table
+		for cell := range ctrl {
+			tab.Counts[0][cell], tab.Counts[1][cell] = ctrl[cell][lane], cases[cell][lane]
+		}
+		scores[lane] = obj.Score(&tab)
+	}
+	return scores
+}
+
+// boundsAround are the bounds a group with these scores is held to: +Inf,
+// −1 (below every partial sum: the group stops after its first row), one
+// ulp below the lowest score, every score itself and one ulp either side
+// of it, and halfway between neighbouring scores.
+func boundsAround(scores []float64) []float64 {
+	inf := math.Inf(1)
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	bounds := []float64{inf, -1, math.Nextafter(sorted[0], -inf)}
+	for i, s := range sorted {
+		bounds = append(bounds, s, math.Nextafter(s, -inf), math.Nextafter(s, inf))
+		if i > 0 {
+			bounds = append(bounds, sorted[i-1]+(s-sorted[i-1])/2)
+		}
+	}
+	return bounds
+}
+
+// TestScoreLanesBound holds K2's two bodies to ScoreLanes' contract at
+// bounds around the group's own scores: a valid lane gets exactly Score,
+// or — only where Score is above the bound — a value above the bound; the
+// group is rejected exactly when every valid lane's Score is above the
+// bound (the contract asks only "if rejected, then"; both bodies stop at
+// the first row where every lane's sum is past the bound, which at the
+// latest is the last); +Inf never rejects and gives Score's bits.
+// ScoreColumns has no bound: it is held to Score's bits under all three
+// objectives, with the same tables.
+func TestScoreLanesBound(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	inf := math.Inf(1)
+	for _, n := range [][2]int{{1, 1}, {40, 25}, {250, 250}, {3000, 1}} {
+		for _, sc := range laneScorers(n[0] + n[1]) {
+			for valid := 1; valid <= contingency.Lanes; valid++ {
+				for rep := 0; rep < 10; rep++ {
+					ctrl, cases := randomLaneTables(r, n[0], n[1], valid)
+					want := laneScores(sc.obj, &ctrl, &cases, valid)
+					if sc.bounded == nil {
+						var dst [contingency.Lanes]float64
+						sc.score(&dst, &ctrl, &cases, valid)
+						for lane, w := range want {
+							if math.Float64bits(dst[lane]) != math.Float64bits(w) {
+								t.Fatalf("%s N=%v valid=%d lane %d: scored %v, Score gives %v", sc.name, n, valid, lane, dst[lane], w)
+							}
+						}
+						continue
+					}
+					for _, bound := range boundsAround(want) {
+						var dst [contingency.Lanes]float64
+						rejected := sc.bounded(&dst, &ctrl, &cases, valid, bound)
+						above := true
+						for lane, w := range want {
+							above = above && w > bound
+							exact := math.Float64bits(dst[lane]) == math.Float64bits(w)
+							if !exact && !(w > bound && dst[lane] > bound) {
+								t.Fatalf("%s N=%v valid=%d bound %v lane %d: scored %v, Score gives %v",
+									sc.name, n, valid, bound, lane, dst[lane], w)
+							}
+							if bound == inf && !exact {
+								t.Fatalf("%s N=%v valid=%d lane %d: scored %v at bound +Inf, Score gives %v",
+									sc.name, n, valid, lane, dst[lane], w)
+							}
+						}
+						if rejected != above {
+							t.Fatalf("%s N=%v valid=%d bound %v: rejected = %v with scores %v",
+								sc.name, n, valid, bound, rejected, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestK2TermsNeverNegative is what early rejection in ScoreLanes rests on:
+// the LnFact table never decreases up to the largest table a search over
+// 16384 samples builds, and every row term (lnFact(r0+r1+1) − lnFact(r0))
+// − lnFact(r1) is ≥ +0 in float64 — exactly +0 for an empty row — so
+// adding a row never lowers a partial K2 sum. Every (r0, r1) with
+// r0 + r1 ≤ 4096 is checked, and a million random pairs up to 16384.
+func TestK2TermsNeverNegative(t *testing.T) {
+	const n = 16385
+	lf := NewLnFact(n)
+	for i := 1; i <= n; i++ {
+		if lf.At(i) < lf.At(i-1) {
+			t.Fatalf("lnFact(%d) = %v < lnFact(%d) = %v", i, lf.At(i), i-1, lf.At(i-1))
+		}
+	}
+	term := func(r0, r1 int) {
+		if v := lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1); v < 0 || math.Signbit(v) {
+			t.Fatalf("row term of (%d, %d) is %v", r0, r1, v)
+		}
+	}
+	for r0 := 0; r0 <= 4096; r0++ {
+		for r1 := 0; r0+r1 <= 4096; r1++ {
+			term(r0, r1)
+		}
+	}
+	r := rand.New(rand.NewSource(80))
+	for i := 0; i < 1_000_000; i++ {
+		r0 := r.Intn(n)
+		term(r0, r.Intn(n-r0))
+	}
+}
+
 // TestScoreLanesRefusesCountsPastTheTable: a valid lane with a count no
 // LnFact entry covers, or a negative one, must fail the way Score does
-// (an index panic), not read outside the table.
+// (an index panic), not read outside the table — in row 5 and in row 26,
+// with no bound and with one (−1) so low that the group stops summing
+// after its first row, long before the bad count.
 func TestScoreLanesRefusesCountsPastTheTable(t *testing.T) {
 	k2 := NewK2(10)
-	for _, bad := range [][2]int32{{12, 0}, {6, 6}, {-1, 3}, {0, -2}} {
-		var ctrl, cases contingency.LaneTable
-		ctrl[5][3], cases[5][3] = bad[0], bad[1]
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("counts %v in a valid lane were scored", bad)
+	for _, body := range k2Bodies(k2) {
+		for _, bad := range [][2]int32{{12, 0}, {6, 6}, {-1, 3}, {0, -2}} {
+			for _, row := range []int{5, contingency.Cells - 1} {
+				for _, bound := range []float64{math.Inf(1), -1} {
+					var ctrl, cases contingency.LaneTable
+					ctrl[row][3], cases[row][3] = bad[0], bad[1]
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s: counts %v in row %d of a valid lane were scored at bound %v", body.name, bad, row, bound)
+							}
+						}()
+						var dst [contingency.Lanes]float64
+						body.score(&dst, &ctrl, &cases, 4, bound)
+					}()
+					// The same counts in an invalid lane are nobody's business.
+					var dst [contingency.Lanes]float64
+					body.score(&dst, &ctrl, &cases, 3, bound)
 				}
-			}()
-			var dst [contingency.Lanes]float64
-			k2.ScoreLanes(&dst, &ctrl, &cases, 4)
-		}()
-		// The same counts in an invalid lane are nobody's business.
+			}
+		}
+	}
+}
+
+// TestScoreLanesScoresWhatTheCheckDeclines: the vector body vouches for a
+// lane's indices by its largest control and largest case count, so a
+// table whose counts all lie in the LnFact table but whose two maxima sit
+// in different rows and do not sum inside it — more samples than the
+// objective was sized for — is declined, and the Go body must score it
+// exactly, with a bound and without.
+func TestScoreLanesScoresWhatTheCheckDeclines(t *testing.T) {
+	k2 := NewK2(10) // ln(n!) up to n = 11
+	var ctrl, cases contingency.LaneTable
+	for lane := 0; lane < contingency.Lanes; lane++ {
+		ctrl[0][lane], cases[1][lane], cases[2][lane] = 10, 10, int32(lane)
+	}
+	want := laneScores(k2, &ctrl, &cases, contingency.Lanes)
+	for _, bound := range []float64{math.Inf(1), want[3]} {
 		var dst [contingency.Lanes]float64
-		k2.ScoreLanes(&dst, &ctrl, &cases, 3)
+		k2.ScoreLanes(&dst, &ctrl, &cases, contingency.Lanes, bound)
+		for lane, w := range want {
+			if dst[lane] != w && !(w > bound && dst[lane] > bound) {
+				t.Errorf("bound %v lane %d: scored %v, Score gives %v", bound, lane, dst[lane], w)
+			}
+		}
 	}
 }
 
@@ -146,7 +313,7 @@ func TestScoreLanesDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() {
 		ctrl, cases := randomLaneTables(r, 60, 40, 8)
 		var dst [contingency.Lanes]float64
-		k2.ScoreLanes(&dst, &ctrl, &cases, 8)
+		k2.ScoreLanes(&dst, &ctrl, &cases, 8, math.Inf(1))
 		if dst[0] == 0 {
 			t.Fatal("no score")
 		}
@@ -155,6 +322,12 @@ func TestScoreLanesDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkK2Lanes times K2 over eight tables of 500 samples (one op is
+// one group of eight), on both bodies at three bounds: one the group's
+// sums pass after about 9 of the 27 rows, one they pass after about 18,
+// and +Inf, which they never pass (the full sum). The row the group stops
+// after is reported as exit-row; ScoreColumns, which has no bound, is the
+// baseline.
 func BenchmarkK2Lanes(b *testing.B) {
 	k2 := NewK2(500)
 	ctrl, cases := randomLaneTables(rand.New(rand.NewSource(6)), 250, 250, 8)
@@ -163,17 +336,47 @@ func BenchmarkK2Lanes(b *testing.B) {
 			ctrl[cell][lane], cases[cell][lane] = ctrl[cell][3+lane], cases[cell][3+lane]
 		}
 	}
+	// partial[r] is the lowest of the eight sums after r rows; a bound just
+	// under it stops the group after r rows at the latest.
+	var partial [contingency.Cells + 1]float64
+	for r := 1; r <= contingency.Cells; r++ {
+		partial[r] = math.Inf(1)
+		for lane := 0; lane < contingency.Lanes; lane++ {
+			sum := 0.0
+			for cell := 0; cell < r; cell++ {
+				r0, r1 := int(ctrl[cell][lane]), int(cases[cell][lane])
+				sum += k2.lf.At(r0+r1+1) - k2.lf.At(r0) - k2.lf.At(r1)
+			}
+			partial[r] = min(partial[r], sum)
+		}
+	}
+	exitRow := func(bound float64) int {
+		for r := 1; r <= contingency.Cells; r++ {
+			if partial[r] > bound {
+				return r
+			}
+		}
+		return contingency.Cells
+	}
+	bounds := []struct {
+		name  string
+		bound float64
+	}{
+		{"exit-9", math.Nextafter(partial[9], math.Inf(-1))},
+		{"exit-18", math.Nextafter(partial[18], math.Inf(-1))},
+		{"never", math.Inf(1)},
+	}
 	var dst [contingency.Lanes]float64
-	b.Run(contingency.Kernel(), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k2.ScoreLanes(&dst, &ctrl, &cases, 8)
+	for _, body := range k2Bodies(k2) {
+		for _, bd := range bounds {
+			b.Run(body.name+"/"+bd.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					body.score(&dst, &ctrl, &cases, 8, bd.bound)
+				}
+				b.ReportMetric(float64(exitRow(bd.bound)), "exit-row")
+			})
 		}
-	})
-	b.Run("go", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k2LanesGo(&dst, &ctrl, &cases, k2.lf, 8)
-		}
-	})
+	}
 	b.Run("columns", func(b *testing.B) {
 		var scratch contingency.Table
 		for i := 0; i < b.N; i++ {
