@@ -9,11 +9,31 @@
 // contingency.CountPlanes, so each combo plane is loaded once per
 // eight permutations while the whole batch stays L1-resident.
 //
+// Under K2 the loop scores as it counts and gives up early. Each pass
+// of eight planes carries one partial sum per lane; for every cell in
+// row order a live pass is counted and each lane adds that row's
+// score.K2Term — the expression, order and operands of the K2 score
+// itself, so a lane that runs every row holds its table's Score to the
+// bit. A permuted table is a hit iff its score is ≤ the observed one.
+// Every row term is ≥ +0 (TestK2TermsNeverNegative), so a partial sum
+// never decreases: once it is above the observed score the table cannot
+// be a hit. A pass leaves the loop as soon as all of its lanes that hold
+// permutations of the range are there; the planes behind a ragged last
+// pass are counted but never read. The lanes of a stopped pass keep
+// partial sums above the observed score and score no hit, which is
+// what the full sum would have given. A cell no sample falls in counts
+// no popcount at all: its cases are 0 and its term is exactly +0. MI and
+// Gini have no such bound (MI is not a row sum); they count every row of
+// the batch and score each table whole. The observed scores always come
+// through that full count.
+//
 // Determinism contract: permutation p of a seed is casePlane(seed, p) —
 // exactly the scalar reference path — so hit counts are bit-identical
 // to K for any worker count and any decomposition of the permutation
 // range (which is what lets the cluster merge KAllRange tiles into
-// p-values bit-exact with a single-node run).
+// p-values bit-exact with a single-node run). Where a pass stops does
+// not depend on the other passes of its batch, so batching does not
+// move a hit either.
 package permtest
 
 import (
@@ -24,6 +44,7 @@ import (
 	"trigene/internal/bitvec"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/score"
 )
 
 // l1PermBudget is the cache footprint the batched counting loop aims
@@ -58,6 +79,27 @@ type RangeResult struct {
 	Hits []int
 	// Count is the number of permutations evaluated (the range size).
 	Count int
+	// Rows is what the range's permutations counted of the candidates'
+	// tables. It is for observability only: it is not part of the
+	// cluster wire format and nothing the test reports depends on it.
+	Rows RowTally
+}
+
+// RowTally counts contingency-table rows: Counted is how many rows the
+// kernel counted (a popcount per permutation and row), Total how many a
+// count of every row of every permuted table would have counted.
+type RowTally struct {
+	Counted, Total int64
+}
+
+// Results lowers the range into per-candidate Results, the range size
+// standing for the permutation count.
+func (rr *RangeResult) Results() []*Result {
+	out := make([]*Result, len(rr.Hits))
+	for i := range out {
+		out[i] = newResult(rr.Observed[i], rr.Hits[i], rr.Count)
+	}
+	return out
 }
 
 // planeCand is one candidate's prebuilt kernel state.
@@ -84,11 +126,7 @@ func KAll(planes *dataset.SNPPlanes, candidates [][]int, cfg Config) ([]*Result,
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Result, len(candidates))
-	for i := range out {
-		out[i] = newResult(rr.Observed[i], rr.Hits[i], c.Permutations)
-	}
-	return out, nil
+	return rr.Results(), nil
 }
 
 // KAllRange runs the bit-plane kernel over permutation indices
@@ -130,6 +168,7 @@ func KAllRange(planes *dataset.SNPPlanes, candidates [][]int, offset, count int,
 
 	nCases := planes.Phen.OnesCount()
 	hitsPer := make([][]int, c.Workers)
+	rowsPer := make([]int64, c.Workers)
 	var next atomic.Int64 // first unclaimed permutation of the range, less offset
 	var wg sync.WaitGroup
 	for w := 0; w < c.Workers; w++ {
@@ -139,6 +178,7 @@ func KAllRange(planes *dataset.SNPPlanes, candidates [][]int, offset, count int,
 			defer wg.Done()
 			ps := newPermScratch(c, len(cands), planes.Words, maxCells)
 			hitsPer[w] = ps.permWorker(c, cands, planes.N, nCases, offset, count, &next)
+			rowsPer[w] = ps.rows
 		}()
 	}
 	wg.Wait()
@@ -153,11 +193,13 @@ func KAllRange(planes *dataset.SNPPlanes, candidates [][]int, offset, count int,
 	}
 	for i := range cands {
 		rr.Observed[i] = cands[i].obs
+		rr.Rows.Total += int64(count) * int64(cands[i].cells)
 	}
-	for _, hits := range hitsPer {
+	for w, hits := range hitsPer {
 		for i, h := range hits {
 			rr.Hits[i] += h
 		}
+		rr.Rows.Counted += rowsPer[w]
 	}
 	return rr, nil
 }
@@ -205,15 +247,18 @@ func buildCand(planes *dataset.SNPPlanes, snps []int, cs *cellScore, out *planeC
 }
 
 // permScratch is one worker's preallocated state: the batch of case
-// planes, the batch × cells count matrix and the scoring slices.
-// Everything the steady-state loop touches lives here, so the loop
-// itself is allocation-free.
+// planes, the batch × cells count matrix, K2's per-lane partial sums and
+// live passes, and the scoring slices. Everything the steady-state loop
+// touches lives here, so the loop itself is allocation-free.
 type permScratch struct {
 	words  int
 	planes []uint64 // batch case planes, words each
 	cnt    []int32  // batch rows of maxCells case counts
 	ctrl   []int32
+	part   []float64 // K2: each plane's row-order partial sum
+	live   []int     // K2: first plane of each pass still counting
 	hits   []int
+	rows   int64 // table rows counted for the permutations drawn
 	cs     *cellScore
 }
 
@@ -224,6 +269,8 @@ func newPermScratch(c Config, nCands, words, maxCells int) *permScratch {
 		planes: make([]uint64, batch*words),
 		cnt:    make([]int32, batch*maxCells),
 		ctrl:   make([]int32, maxCells),
+		part:   make([]float64, batch),
+		live:   make([]int, 0, batch/contingency.PlaneBatch),
 		hits:   make([]int, nCands),
 		cs:     newCellScore(c.Objective),
 	}
@@ -235,9 +282,11 @@ func newPermScratch(c Config, nCands, words, maxCells int) *permScratch {
 // striding keeps a call's time at work over total speed when one core
 // runs slower than another; which worker draws a permutation does not
 // matter to the sums. The returned slice is ps.hits — per-candidate
-// as-good-or-better counts for the batches this worker claimed.
+// as-good-or-better counts for the batches this worker claimed; ps.rows
+// holds the rows they counted.
 func (ps *permScratch) permWorker(c Config, cands []planeCand, n, nCases, offset, count int, next *atomic.Int64) []int {
 	clear(ps.hits)
+	ps.rows = 0
 	words := ps.words
 	batch := len(ps.planes) / words
 	for c.Context.Err() == nil {
@@ -259,7 +308,11 @@ func (ps *permScratch) permWorker(c Config, cands []planeCand, n, nCases, offset
 func (ps *permScratch) flush(cands []planeCand, nb int) {
 	for ci := range cands {
 		cand := &cands[ci]
-		ps.count(cand, nb)
+		if ps.cs.lf != nil {
+			ps.hits[ci] += ps.countK2(cand, nb)
+			continue
+		}
+		ps.rows += int64(nb * ps.count(cand, nb))
 		for b := 0; b < nb; b++ {
 			if ps.cs.hit(ps.score(cand, b), cand.obs) {
 				ps.hits[ci]++
@@ -269,15 +322,23 @@ func (ps *permScratch) flush(cands []planeCand, nb int) {
 }
 
 // count fills rows 0..nb-1 of the count matrix with the candidate's
-// per-cell case counts. Cells outer, batch inner: one combo plane
-// streams against the resident batch, a pass of PlaneBatch planes at a
-// time. A ragged last pass also counts the stale planes behind nb;
-// their rows are never scored.
-func (ps *permScratch) count(cand *planeCand, nb int) {
+// per-cell case counts and returns how many cells it popcounted. Cells
+// outer, batch inner: one combo plane streams against the resident
+// batch, a pass of PlaneBatch planes at a time. A cell no sample falls
+// in has no cases and is not counted. A ragged last pass also counts
+// the stale planes behind nb; their rows are never scored.
+func (ps *permScratch) count(cand *planeCand, nb int) (counted int) {
 	const pass = contingency.PlaneBatch
 	words, cells := ps.words, cand.cells
 	var c [pass]int32
 	for cell := 0; cell < cells; cell++ {
+		if cand.totals[cell] == 0 {
+			for b := 0; b < nb; b++ {
+				ps.cnt[b*cells+cell] = 0
+			}
+			continue
+		}
+		counted++
 		combo := cand.planes[cell*words : (cell+1)*words]
 		for b := 0; b < nb; b += pass {
 			contingency.CountPlanes(&c, combo, ps.planes[b*words:(b+pass)*words])
@@ -286,6 +347,53 @@ func (ps *permScratch) count(cand *planeCand, nb int) {
 			}
 		}
 	}
+	return counted
+}
+
+// countK2 counts and scores the nb planes against a K2 candidate row by
+// row and returns how many tie or beat its observed score. A pass of
+// PlaneBatch planes stops counting once every one of its planes below nb
+// has a partial sum above the observed score (the package comment has
+// why that is exact).
+func (ps *permScratch) countK2(cand *planeCand, nb int) (hits int) {
+	const pass = contingency.PlaneBatch
+	words, lf, obs := ps.words, ps.cs.lf, cand.obs
+	part := ps.part[:nb]
+	clear(part)
+	live := ps.live[:0]
+	for b := 0; b < nb; b += pass {
+		live = append(live, b)
+	}
+	var c [pass]int32
+	for cell := 0; cell < cand.cells && len(live) > 0; cell++ {
+		total := cand.totals[cell]
+		if total == 0 {
+			continue // no cases in any plane: the term is exactly +0
+		}
+		combo := cand.planes[cell*words : (cell+1)*words]
+		kept := live[:0]
+		for _, b := range live {
+			contingency.CountPlanes(&c, combo, ps.planes[b*words:(b+pass)*words])
+			lanes := part[b:min(b+pass, nb)]
+			going := false
+			for i, s := range lanes {
+				s += score.K2Term(lf, int(total-c[i]), int(c[i]))
+				lanes[i] = s
+				going = going || !(s > obs)
+			}
+			ps.rows += int64(len(lanes))
+			if going {
+				kept = append(kept, b)
+			}
+		}
+		live = kept
+	}
+	for _, s := range part {
+		if ps.cs.hit(s, obs) {
+			hits++
+		}
+	}
+	return hits
 }
 
 // score scores row b of the count matrix: controls are the cell totals

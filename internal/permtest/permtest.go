@@ -115,12 +115,16 @@ func checkCombo(m int, snps []int) error {
 type cellScore struct {
 	obj   score.Objective
 	cells score.CellScorer // nil: obj scores tables only
+	lf    *score.LnFact    // K2's table; nil for any other objective
 	tab   contingency.Table
 }
 
 func newCellScore(obj score.Objective) *cellScore {
 	cs := &cellScore{obj: obj}
 	cs.cells, _ = obj.(score.CellScorer)
+	if k2, ok := obj.(*score.K2Objective); ok {
+		cs.lf = k2.LnFact()
+	}
 	return cs
 }
 

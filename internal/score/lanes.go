@@ -64,7 +64,7 @@ func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTab
 				_, _, _ = lf.table[r0+r1+1], lf.table[r0], lf.table[r1]
 				continue
 			}
-			score += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
+			score += K2Term(lf, r0, r1)
 		}
 		dst[lane] = score
 		rejected = rejected && score > bound

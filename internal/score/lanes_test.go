@@ -233,7 +233,7 @@ func TestK2TermsNeverNegative(t *testing.T) {
 		}
 	}
 	term := func(r0, r1 int) {
-		if v := lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1); v < 0 || math.Signbit(v) {
+		if v := K2Term(lf, r0, r1); v < 0 || math.Signbit(v) {
 			t.Fatalf("row term of (%d, %d) is %v", r0, r1, v)
 		}
 	}

@@ -67,13 +67,20 @@ func (l *LnFact) At(n int) float64 {
 // total sample count.
 func K2(t *contingency.Table, lf *LnFact) float64 { return k2(t, lf, contingency.Cells) }
 
+// K2Term is the K2 term of one row with r0 controls and r1 cases,
+// (lnFact(r0+r1+1) − lnFact(r0)) − lnFact(r1): every K2 sum in the
+// repository adds these terms in row order, so partial sums taken by one
+// caller and full scores taken by another agree to the bit. A term is
+// ≥ +0 (TestK2TermsNeverNegative) and an empty row's is exactly +0.
+func K2Term(lf *LnFact, r0, r1 int) float64 {
+	return lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
+}
+
 // k2 sums the K2 terms of the first cells rows, in row order.
 func k2(t *contingency.Table, lf *LnFact, cells int) float64 {
 	score := 0.0
 	for combo := 0; combo < cells; combo++ {
-		r0 := int(t.Counts[0][combo])
-		r1 := int(t.Counts[1][combo])
-		score += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
+		score += K2Term(lf, int(t.Counts[0][combo]), int(t.Counts[1][combo]))
 	}
 	return score
 }
@@ -179,6 +186,10 @@ func NewK2(maxSamples int) *K2Objective {
 	return &K2Objective{lf: NewLnFact(maxSamples + 1)}
 }
 
+// LnFact returns the objective's ln(n!) table, for callers that sum
+// K2Term themselves.
+func (o *K2Objective) LnFact() *LnFact { return o.lf }
+
 // Name implements Objective.
 func (o *K2Objective) Name() string { return "k2" }
 
@@ -275,8 +286,7 @@ func K2Cells(controls, cases []int32, lf *LnFact) float64 {
 	}
 	s := 0.0
 	for i := range controls {
-		r0, r1 := int(controls[i]), int(cases[i])
-		s += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
+		s += K2Term(lf, int(controls[i]), int(cases[i]))
 	}
 	return s
 }

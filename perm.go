@@ -396,12 +396,12 @@ func (s *Session) PermutationTestAll(ctx context.Context, candidates [][]int, op
 		return nil, err
 	}
 	start := time.Now()
-	res, err := permtest.KAll(s.candidatePlanes(candidates), candidates, pc)
+	rr, err := permtest.KAllRange(s.candidatePlanes(candidates), candidates, 0, cfg.permCount(), pc)
 	if err != nil {
 		return nil, err
 	}
-	observePerm(cfg.metrics, pc.Permutations, len(candidates), time.Since(start))
-	return res, nil
+	observePerm(cfg.metrics, rr, time.Since(start))
+	return rr.Results(), nil
 }
 
 // PermutationSlice evaluates permutation indices [offset, offset+count)
@@ -440,7 +440,7 @@ func (s *Session) PermutationSlice(ctx context.Context, candidates [][]int, offs
 	if err != nil {
 		return nil, err
 	}
-	observePerm(cfg.metrics, count, len(candidates), time.Since(start))
+	observePerm(cfg.metrics, rr, time.Since(start))
 	return &PermScores{
 		SNPs:      candidates,
 		Objective: objName,
@@ -465,10 +465,7 @@ func (s *Session) permRemote(ctx context.Context, cfg *searchConfig, candidates 
 	if err != nil {
 		return nil, err
 	}
-	perms := cfg.permutations
-	if perms == 0 {
-		perms = 1000
-	}
+	perms := cfg.permCount()
 	snps := make([][]int, len(candidates))
 	for i, c := range candidates {
 		snps[i] = append([]int(nil), c...)
@@ -499,11 +496,23 @@ func (s *Session) permRemote(ctx context.Context, cfg *searchConfig, candidates 
 	return out, nil
 }
 
+// permCount resolves the relabeling count of a permutation test
+// (default 1000).
+func (c *searchConfig) permCount() int {
+	if c.permutations == 0 {
+		return 1000
+	}
+	return c.permutations
+}
+
 // observePerm records the permutation-test counters: relabelings
-// evaluated, candidates sharing them, and the wall time. A nil registry
-// is a no-op.
-func observePerm(reg *obs.Registry, permutations, candidates int, d time.Duration) {
-	reg.Counter("trigene_perm_permutations_total", "Phenotype relabelings evaluated by permutation tests.").Add(int64(permutations))
-	reg.Counter("trigene_perm_candidates_total", "Candidate combinations scored by permutation tests.").Add(int64(candidates))
+// evaluated, candidates sharing them, the table rows counted against
+// those a full count would have counted, and the wall time. A nil
+// registry is a no-op.
+func observePerm(reg *obs.Registry, rr *permtest.RangeResult, d time.Duration) {
+	reg.Counter("trigene_perm_permutations_total", "Phenotype relabelings evaluated by permutation tests.").Add(int64(rr.Count))
+	reg.Counter("trigene_perm_candidates_total", "Candidate combinations scored by permutation tests.").Add(int64(len(rr.Hits)))
+	reg.Counter("trigene_perm_rows_counted_total", "Contingency-table rows permutation tests counted; a K2 table stops once it cannot tie or beat the observed score.").Add(rr.Rows.Counted)
+	reg.Counter("trigene_perm_rows_total", "Contingency-table rows permutation tests would count without stopping early.").Add(rr.Rows.Total)
 	reg.Histogram("trigene_perm_seconds", "Permutation test wall time in seconds.", obs.DurationBuckets).Observe(d.Seconds())
 }

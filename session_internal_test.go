@@ -3,8 +3,11 @@ package trigene
 import (
 	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
+	"trigene/internal/obs"
 	"trigene/internal/permtest"
 	"trigene/internal/store"
 )
@@ -185,5 +188,64 @@ func TestPermutationTestBuildsNoEncoding(t *testing.T) {
 		if *got[i] != *want[i] || *want[i] != *ref {
 			t.Errorf("candidate %v: pack session %+v, matrix session %+v, scalar %+v", snps, got[i], want[i], ref)
 		}
+	}
+}
+
+// TestPermRowCounters: a permutation test on a metrics registry reports
+// the relabelings it drew (the default 1000 when none is asked for) and
+// the table rows it counted next to those a full count would have
+// counted. The planted triple's permutations stop early under K2; the
+// range primitive adds its own rows; MI counts every row some sample
+// falls in.
+func TestPermRowCounters(t *testing.T) {
+	mx, err := Generate(GenConfig{SNPs: 16, Samples: 600, Seed: 40, MAFMin: 0.3, MAFMax: 0.5,
+		Interaction: &Interaction{SNPs: [3]int{2, 8, 14}, Penetrance: ThresholdPenetrance(3, 0.05, 0.95)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	value := func(name string) int64 {
+		var buf bytes.Buffer
+		if _, err := reg.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("%s not exposed", name)
+		return 0
+	}
+
+	candidates := [][]int{{2, 8, 14}, {2, 8}}
+	if _, err := s.PermutationTestAll(ctx, candidates, WithSeed(3), WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	if got := value("trigene_perm_permutations_total"); got != 1000 {
+		t.Errorf("permutations_total = %d, want the default 1000", got)
+	}
+	total, counted := value("trigene_perm_rows_total"), value("trigene_perm_rows_counted_total")
+	if total != 1000*(27+9) || counted <= 0 || counted >= total/2 {
+		t.Errorf("K2 rows: %d counted of %d, want 1000 x 36 in all and under half of them counted", counted, total)
+	}
+
+	if _, err := s.PermutationSlice(ctx, candidates, 100, 40, WithSeed(3), WithObjective("mi"), WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	if got := value("trigene_perm_rows_total") - total; got != 40*36 {
+		t.Errorf("slice added %d rows in all, want 40 x 36", got)
+	}
+	if got := value("trigene_perm_rows_counted_total") - counted; got != 40*36 {
+		t.Errorf("MI slice counted %d rows, want all 40 x 36 (every genotype cell is populated)", got)
 	}
 }
