@@ -157,10 +157,11 @@ func (cs *cellScore) hit(sc, obs float64) bool {
 // score.CellScorer (all built-in objectives do).
 //
 // K is the scalar reference of the bit-plane kernel (KAll/KAllRange):
-// it draws the same relabelings (casePlane) but reads them one sample
-// at a time against the genotype matrix — no combo planes, no
-// popcounts, observed table from contingency.BuildReferenceK — so the
-// kernel's planes and counts are checked against independent code.
+// it draws the same relabelings, through casePlane's Go fill on every
+// host (casePlaneGo), and reads them one sample at a time against the
+// genotype matrix — no combo planes, no popcounts, observed table from
+// contingency.BuildReferenceK — so the kernel's planes and counts are
+// checked against independent code.
 func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 	if err := checkCombo(mx.SNPs(), snps); err != nil {
 		return nil, err
@@ -208,7 +209,7 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 				if c.Context.Err() != nil {
 					return
 				}
-				casePlane(plane, n, nCases, c.Seed, p)
+				casePlaneGo(plane, n, nCases, c.Seed, p)
 				clear(ctrl)
 				clear(cases)
 				for s, cell := range combos {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"trigene/internal/bitvec"
+	"trigene/internal/contingency"
 )
 
 // Stream is the version of the permutation stream: which relabeling
@@ -75,7 +76,26 @@ func digit(x, v, m uint64) uint64 { return (x | v&m) & (v | m) }
 // Both steps treat every position alike, so all planes of the final
 // weight are equally likely whatever q was; q only sets how many flips
 // there are.
+//
+// Where contingency.HasAVX512, whole blocks of eight words are filled by
+// an AVX-512 body (fill_amd64.s) that draws the very same words: the
+// generator is counter-based, so the word for output word i and digit d
+// is wyrand(start + (8i+d+1)·weyl) whichever order they are drawn in,
+// eight words are eight independent lanes, and digit is the bitwise
+// majority of x, v and m, one VPTERNLOGQ. The planes are identical to
+// the bit on every host, so the stream is still Stream 2.
 func casePlane(dst []uint64, n, nCases int, seed int64, p int) {
+	casePlaneWith(dst, n, nCases, seed, p, contingency.HasAVX512())
+}
+
+// casePlaneGo is casePlane through the Go fill on every host: the scalar
+// reference K draws with it, so what it checks the kernel against shares
+// no code with the vector body.
+func casePlaneGo(dst []uint64, n, nCases int, seed int64, p int) {
+	casePlaneWith(dst, n, nCases, seed, p, false)
+}
+
+func casePlaneWith(dst []uint64, n, nCases int, seed int64, p int, vector bool) {
 	if n == 0 {
 		return
 	}
@@ -85,23 +105,11 @@ func casePlane(dst []uint64, n, nCases int, seed int64, p int) {
 	for d := range m {
 		m[d] = -uint64(q >> d & 1)
 	}
-	for i := range dst {
-		x := r.next() & m[0]
-		x = digit(x, r.next(), m[1])
-		x = digit(x, r.next(), m[2])
-		x = digit(x, r.next(), m[3])
-		x = digit(x, r.next(), m[4])
-		x = digit(x, r.next(), m[5])
-		x = digit(x, r.next(), m[6])
-		x = digit(x, r.next(), m[7])
-		dst[i] = x | m[8]
-	}
-	dst[len(dst)-1] &= bitvec.TailMask(n)
+	have := fill(dst, &r, &m, bitvec.TailMask(n), vector)
 
 	// Flips go one way: a drawn position still in the state to leave
 	// (ok = 1) flips and moves the count a step; any other is a no-op.
 	// Written without a branch, because that one would be a coin toss.
-	have := bitvec.PopCount(dst)
 	var leave uint64
 	step := 1
 	if have > nCases {
@@ -114,4 +122,46 @@ func casePlane(dst []uint64, n, nCases int, seed int64, p int) {
 		dst[w] ^= ok << b
 		have += step * int(ok)
 	}
+}
+
+// fill writes every word of dst from r, eight digits a word under the
+// masks m, ANDs the last word with tail, leaves r past the words it drew
+// and returns the weight of dst. The vector body takes the whole blocks
+// of eight words; the Go body the rest, from the counter where the
+// vector body stopped.
+func fill(dst []uint64, r *rng, m *[9]uint64, tail uint64, vector bool) (weight int) {
+	if whole := len(dst) &^ 7; vector && whole > 0 {
+		last := ^uint64(0)
+		if whole == len(dst) {
+			last = tail
+		}
+		weight = fillAVX512(&dst[0], whole/8, uint64(*r), m, last)
+		*r += rng(8 * uint64(whole) * weyl)
+		dst = dst[whole:]
+	}
+	return weight + fillGo(dst, r, m, tail)
+}
+
+// fillGo is the Go body of fill and its oracle.
+func fillGo(dst []uint64, r *rng, m *[9]uint64, tail uint64) (weight int) {
+	if len(dst) == 0 {
+		return 0
+	}
+	for i := range dst {
+		x := r.next() & m[0]
+		x = digit(x, r.next(), m[1])
+		x = digit(x, r.next(), m[2])
+		x = digit(x, r.next(), m[3])
+		x = digit(x, r.next(), m[4])
+		x = digit(x, r.next(), m[5])
+		x = digit(x, r.next(), m[6])
+		x = digit(x, r.next(), m[7])
+		x |= m[8]
+		dst[i] = x
+		weight += bits.OnesCount64(x)
+	}
+	last := &dst[len(dst)-1]
+	weight -= bits.OnesCount64(*last &^ tail)
+	*last &= tail
+	return weight
 }

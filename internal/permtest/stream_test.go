@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trigene/internal/bitvec"
+	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 )
 
@@ -169,18 +170,144 @@ func TestStreamAgreesWithVersion1(t *testing.T) {
 	}
 }
 
-// BenchmarkCasePlane times one relabeling at the benchmark's two plane
-// widths, for a balanced cohort, a 1:3 one and one whose q is odd: the
-// three must cost the same.
+// planeBodies are casePlane's two fills; the vector one runs only where
+// contingency.HasAVX512.
+var planeBodies = []struct {
+	name   string
+	vector bool
+}{{"avx512", true}, {"go", false}}
+
+// TestCasePlaneBodiesAgree holds the AVX-512 fill to the Go body, word
+// for word: every q from 0 to 256 (all 257 digit-mask patterns), plane
+// lengths on both sides of each 8-word block boundary (n = 1…600 and
+// around 8192 and 16384 samples), negative seeds and p near 2^31. The
+// weight the fill returns, where it leaves the counter and the finished
+// plane must agree too.
+func TestCasePlaneBodiesAgree(t *testing.T) {
+	if !contingency.HasAVX512() {
+		t.Skip("no AVX-512 body in this build or on this host")
+	}
+	keys := []struct {
+		seed int64
+		p    int
+	}{{1, 0}, {-3, 7}, {math.MinInt64, 1<<31 - 1}, {-1 << 40, 1 << 31}, {977, 1<<31 - 2}}
+	var ns []int
+	for n := 1; n <= 600; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 8191, 8192, 16383, 16384, 16385)
+	covered := make(map[uint]bool)
+	k := 0
+	for _, n := range ns {
+		words := bitvec.WordsFor(n)
+		tail := bitvec.TailMask(n)
+		seen := make(map[uint]bool)
+		for nCases := 0; nCases <= n; nCases++ {
+			q := uint((256*nCases + n/2) / n)
+			if seen[q] {
+				continue
+			}
+			seen[q], covered[q] = true, true
+			key := keys[k%len(keys)]
+			k++
+
+			var m [9]uint64
+			for d := range m {
+				m[d] = -uint64(q >> d & 1)
+			}
+			vec, ref := make([]uint64, words), make([]uint64, words)
+			for i := range vec {
+				vec[i], ref[i] = 0xa5a5a5a5a5a5a5a5, 0x5a5a5a5a5a5a5a5a
+			}
+			rv := newRNG(key.seed, key.p)
+			rg := rv
+			wv := fill(vec, &rv, &m, tail, true)
+			wg := fill(ref, &rg, &m, tail, false)
+			if wv != wg || rv != rg || !samePlane(vec, ref) {
+				t.Fatalf("n=%d q=%d seed=%d p=%d: vector fill (weight %d, counter %#x) != Go fill (weight %d, counter %#x) or their words differ",
+					n, q, key.seed, key.p, wv, uint64(rv), wg, uint64(rg))
+			}
+			if wg != bitvec.PopCount(ref) {
+				t.Fatalf("n=%d q=%d: fill returned weight %d of a plane of %d", n, q, wg, bitvec.PopCount(ref))
+			}
+
+			casePlaneWith(vec, n, nCases, key.seed, key.p, true)
+			casePlaneWith(ref, n, nCases, key.seed, key.p, false)
+			if !samePlane(vec, ref) {
+				t.Fatalf("n=%d nCases=%d seed=%d p=%d: the two bodies draw different planes", n, nCases, key.seed, key.p)
+			}
+		}
+	}
+	if len(covered) != 257 {
+		t.Errorf("covered %d of the 257 values of q", len(covered))
+	}
+}
+
+// FuzzCasePlane: on any cohort, class split and key, a plane has exactly
+// nCases bits, none past sample n, and the AVX-512 body (where it runs)
+// draws the Go body's plane.
+func FuzzCasePlane(f *testing.F) {
+	f.Add(uint16(600), uint16(300), int64(1), int64(0))
+	f.Add(uint16(512), uint16(511), int64(-9), int64(1<<31-1))
+	f.Add(uint16(16385), uint16(4000), int64(math.MinInt64), int64(1<<31))
+	f.Fuzz(func(t *testing.T, n, nCases uint16, seed, p int64) {
+		if n == 0 {
+			return
+		}
+		nc := int(nCases) % (int(n) + 1)
+		ref := make([]uint64, bitvec.WordsFor(int(n)))
+		casePlaneGo(ref, int(n), nc, seed, int(p))
+		if got := bitvec.PopCount(ref); got != nc {
+			t.Fatalf("n=%d nCases=%d: plane has %d cases", n, nc, got)
+		}
+		if pad := ref[len(ref)-1] &^ bitvec.TailMask(int(n)); pad != 0 {
+			t.Fatalf("n=%d nCases=%d: pad bits %#x set", n, nc, pad)
+		}
+		if contingency.HasAVX512() {
+			if got := drawPlane(int(n), nc, seed, int(p)); !samePlane(got, ref) {
+				t.Fatalf("n=%d nCases=%d seed=%d p=%d: the two bodies draw different planes", n, nc, seed, p)
+			}
+		}
+	})
+}
+
+// TestCasePlaneAllocs: a draw allocates nothing on either body — no
+// counter or mask array escapes, and the assembly stub keeps its
+// //go:noescape.
+func TestCasePlaneAllocs(t *testing.T) {
+	const n = 16385
+	dst := make([]uint64, bitvec.WordsFor(n))
+	for _, body := range planeBodies {
+		if body.vector && !contingency.HasAVX512() {
+			continue
+		}
+		p := 0
+		if a := testing.AllocsPerRun(20, func() {
+			casePlaneWith(dst, n, n/3, -2, p, body.vector)
+			p++
+		}); a != 0 {
+			t.Errorf("body=%s: %.1f allocations per plane, want 0", body.name, a)
+		}
+	}
+}
+
+// BenchmarkCasePlane times one relabeling on both bodies at the
+// benchmark's two plane widths, for a balanced cohort, a 1:3 one and one
+// whose q is odd: the three must cost the same.
 func BenchmarkCasePlane(b *testing.B) {
-	for _, n := range []int{500, 16384} {
-		for _, nCases := range []int{n / 2, n / 4, n * 77 / 256} {
-			b.Run(fmt.Sprintf("n=%d/cases=%d", n, nCases), func(b *testing.B) {
-				dst := make([]uint64, bitvec.WordsFor(n))
-				for i := 0; i < b.N; i++ {
-					casePlane(dst, n, nCases, 1, i)
-				}
-			})
+	for _, body := range planeBodies {
+		for _, n := range []int{500, 16384} {
+			for _, nCases := range []int{n / 2, n / 4, n * 77 / 256} {
+				b.Run(fmt.Sprintf("body=%s/n=%d/cases=%d", body.name, n, nCases), func(b *testing.B) {
+					if body.vector && !contingency.HasAVX512() {
+						b.Skip("no AVX-512 body in this build or on this host")
+					}
+					dst := make([]uint64, bitvec.WordsFor(n))
+					for i := 0; i < b.N; i++ {
+						casePlaneWith(dst, n, nCases, 1, i, body.vector)
+					}
+				})
+			}
 		}
 	}
 }
