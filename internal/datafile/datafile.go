@@ -119,8 +119,10 @@ const FormatsHelp = "input format: auto (trigene text/binary, .tpack, .bed, VCF 
 // ready-to-search Session. A packed .tpack input (format "pack", or
 // auto-detected from the TPK1 magic) opens the encoded-dataset store
 // directly — memory-mapped for files, so no re-parse and no
-// re-binarization; every other format parses a matrix and builds a
-// fresh Session around it.
+// re-binarization; a PLINK .raw input (format "raw", or auto-detected
+// from its FID header) becomes a store over the reader's packed
+// genotypes, with no Matrix built; every other format parses a matrix
+// and builds a fresh Session around it.
 func ReadSession(path, format, phenPath string) (*trigene.Session, error) {
 	if format == "bed" || (format == "auto" && path != "-" && isBEDFile(path)) {
 		mx, err := readBEDPath(path)
@@ -159,13 +161,21 @@ func ReadSession(path, format, phenPath string) (*trigene.Session, error) {
 // memory-mapped).
 func ReadSessionFrom(r io.Reader, format, phenPath string) (*trigene.Session, error) {
 	br := bufio.NewReader(r)
-	if format == "pack" {
-		return trigene.ReadPack(br)
-	}
 	if format == "auto" {
-		if magic, err := br.Peek(4); err == nil && store.IsPack(magic) {
-			return trigene.ReadPack(br)
+		if magic, err := br.Peek(4); err == nil {
+			switch {
+			case store.IsPack(magic):
+				format = "pack"
+			case isRawHeader(magic):
+				format = "raw"
+			}
 		}
+	}
+	switch format {
+	case "pack":
+		return trigene.ReadPack(br)
+	case "raw":
+		return trigene.ReadRAWSession(br)
 	}
 	mx, err := ReadFrom(br, format, phenPath)
 	if err != nil {

@@ -19,35 +19,7 @@ type Binarized struct {
 }
 
 // Binarize converts a genotype matrix into the three-plane form.
-func Binarize(mx *Matrix) *Binarized {
-	m, n := mx.SNPs(), mx.Samples()
-	w := bitvec.WordsFor(n)
-	b := &Binarized{
-		M:      m,
-		N:      n,
-		Words:  w,
-		planes: make([]uint64, m*3*w),
-		Phen:   phenotypeVector(mx),
-	}
-	eachSNPRun(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			binarizeRow(b.planes[i*3*w:(i+1)*3*w], mx.Row(i), w)
-		}
-	})
-	return b
-}
-
-// phenotypeVector returns the phenotype as a bit vector: bit j is set iff
-// sample j is a case.
-func phenotypeVector(mx *Matrix) *bitvec.Vector {
-	v := bitvec.New(mx.Samples())
-	for j, p := range mx.Phenotypes() {
-		if p == Case {
-			v.Set(j)
-		}
-	}
-	return v
-}
+func Binarize(mx *Matrix) *Binarized { return Pack(mx).Binarize() }
 
 // SNPPlanes is the three-plane form of some of a dataset's SNPs: what a
 // call that names its SNPs up front — a permutation test of a few
@@ -77,19 +49,7 @@ func distinctSNPs(m int, snps []int) []int {
 // BinarizeSNPs encodes the three planes of the given SNPs only — any
 // order, repeats allowed, SNPs the matrix does not have left out — word
 // for word the planes Binarize gives them.
-func BinarizeSNPs(mx *Matrix, snps []int) *SNPPlanes {
-	w := bitvec.WordsFor(mx.Samples())
-	p := &SNPPlanes{M: mx.SNPs(), N: mx.Samples(), Words: w, Phen: phenotypeVector(mx), snps: distinctSNPs(mx.SNPs(), snps)}
-	p.planes = make([][]uint64, len(p.snps))
-	slab := make([]uint64, len(p.snps)*3*w)
-	eachSNPRun(len(p.snps), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			p.planes[k] = slab[k*3*w : (k+1)*3*w]
-			binarizeRow(p.planes[k], mx.Row(p.snps[k]), w)
-		}
-	})
-	return p
-}
+func BinarizeSNPs(mx *Matrix, snps []int) *SNPPlanes { return Pack(mx).SNPPlanes(snps) }
 
 // Select returns the planes of the given SNPs (as BinarizeSNPs takes
 // them). They alias b's storage.
@@ -210,18 +170,7 @@ type Split struct {
 // SplitBinarize converts a genotype matrix into the phenotype-split
 // two-plane form. Sample order within each class follows the original
 // sample order.
-func SplitBinarize(mx *Matrix) *Split {
-	m := mx.SNPs()
-	l := newClassLayout(mx.Phenotypes())
-	s := &Split{M: m, N: l.n}
-	for c := range s.planes {
-		s.Words[c] = l.words(c)
-		s.Pad[c] = s.Words[c]*bitvec.WordBits - s.N[c]
-		s.planes[c] = make([]uint64, m*2*s.Words[c])
-	}
-	l.splitRuns(s.planes, mx, 2) // genotype 2 is implicit
-	return s
-}
+func SplitBinarize(mx *Matrix) *Split { return Pack(mx).Split() }
 
 // SplitFromPlanes wraps pre-built per-class plane storage (the packed
 // on-disk encoding) as a Split without recomputing it. planes[c] must

@@ -258,46 +258,54 @@ func TestEncodersMatchPerSampleForm(t *testing.T) {
 	}
 }
 
-// TestGenotypeWordIsExact: every byte value at every position sets its
-// bit in the plane it equals and in no other, so planes built from any
-// bytes at all cannot overlap; a source that ends inside the word sets no
-// bit past its end.
+// TestGenotypeWordIsExact: every code at every one of a word's 64
+// entries sets its bit in the plane it equals and in no other — code 3 in
+// none — so planes made from any section cannot overlap; and a row that
+// starts at any entry of a byte and ends inside a word sets no bit past
+// its end, whatever the next row holds.
 func TestGenotypeWordIsExact(t *testing.T) {
-	var src [64]uint8
-	for v := 0; v < 256; v++ {
-		for k := range src {
-			for i := range src {
-				src[i] = noGenotype
-			}
-			src[k] = uint8(v)
-			for _, n := range []int{k + 1, 64} {
-				g0, g1, g2 := genotypeWords(src[:n])
-				for g, got := range []uint64{g0, g1, g2} {
-					want := uint64(0)
-					if v == g {
-						want = 1 << k
-					}
-					if got != want {
-						t.Fatalf("byte %#x at %d of %d, plane %d: word %#x, want %#x", v, k, n, g, got, want)
-					}
+	for code := uint64(0); code < 4; code++ {
+		for k := 0; k < 64; k++ {
+			x := [2]uint64{^uint64(0), ^uint64(0)} // every other entry 3
+			x[k/32] ^= (3 ^ code) << (2 * (k % 32))
+			g0, g1, g2 := genotypeWords(x[0], x[1])
+			for g, got := range []uint64{g0, g1, g2} {
+				want := uint64(0)
+				if code == uint64(g) {
+					want = 1 << k
+				}
+				if got != want {
+					t.Fatalf("code %d at %d, plane %d: word %#x, want %#x", code, k, g, got, want)
 				}
 			}
 		}
 	}
-	for i := range src {
-		src[i] = uint8(i % 3)
-	}
-	for n := 0; n <= 64; n++ {
-		g0, g1, g2 := genotypeWords(src[:n])
-		for g, got := range []uint64{g0, g1, g2} {
-			var want uint64
-			for k := 0; k < n; k++ {
-				if k%3 == g {
-					want |= 1 << k
-				}
+	for n := 1; n <= 130; n++ {
+		// Four rows, so that one starts at each entry of a byte when n is
+		// odd; entry j of row i is (i+j)%3.
+		p := &Packed{M: 4, N: n, Geno: make([]byte, (4*n+3)/4), Phen: make([]byte, (n+7)/8)}
+		for i := 0; i < p.M; i++ {
+			for j := 0; j < n; j++ {
+				idx := i*n + j
+				p.Geno[idx/4] |= byte((i+j)%3) << (idx % 4 * 2)
 			}
-			if got != want {
-				t.Fatalf("%d bytes, plane %d: word %#x, want %#x", n, g, got, want)
+		}
+		w := bitvec.WordsFor(n)
+		planes := make([]uint64, 3*w)
+		for i := 0; i < p.M; i++ {
+			p.binarizeRow(planes, i)
+			for g := 0; g < 3; g++ {
+				want := make([]uint64, w)
+				for j := 0; j < n; j++ {
+					if (i+j)%3 == g {
+						want[j/64] |= 1 << (j % 64)
+					}
+				}
+				for k := range want {
+					if got := planes[g*w+k]; got != want[k] {
+						t.Fatalf("n=%d row %d plane %d word %d: %#x, want %#x", n, i, g, k, got, want[k])
+					}
+				}
 			}
 		}
 	}

@@ -15,18 +15,7 @@ type ClassPlanes struct {
 // BuildClassPlanes converts a genotype matrix into the per-class
 // three-plane form. Sample order within each class follows the
 // original sample order.
-func BuildClassPlanes(mx *Matrix) *ClassPlanes {
-	m := mx.SNPs()
-	l := newClassLayout(mx.Phenotypes())
-	cp := &ClassPlanes{M: m}
-	for c := range cp.planes {
-		cp.words[c] = l.words(c)
-		cp.planes[c] = make([]uint64, m*3*cp.words[c])
-	}
-	// The split encode with the genotype-2 plane stored, not inferred.
-	l.splitRuns(cp.planes, mx, 3)
-	return cp
-}
+func BuildClassPlanes(mx *Matrix) *ClassPlanes { return Pack(mx).ClassPlanes() }
 
 // ClassWords returns the 64-bit words per plane for the given class.
 func (cp *ClassPlanes) ClassWords(class int) int { return cp.words[class] }

@@ -113,15 +113,45 @@ func checkEncoders(t *testing.T, mx *Matrix) {
 	if _, err := SplitFromPlanes(mx.SNPs(), s.N, s.planes); err != nil {
 		t.Errorf("SplitBinarize output refused as stored planes (tail bits?): %v", err)
 	}
+
+	// The packed source, as the .raw reader and a pack hand it to the
+	// store: sections packed one row at a time, which Pack's SNP-parallel
+	// runs must reproduce, encoded with no Matrix behind them.
+	p := referencePack(mx)
+	if !packedEqual(Pack(mx), p) {
+		t.Errorf("Pack differs from packing one row at a time")
+	}
+	if !slices.Equal(p.Binarize().PlaneData(), wantBin) {
+		t.Errorf("Binarize from the packed source differs from the per-sample form")
+	}
+	psub := p.SNPPlanes(some)
+	for i := 0; i < mx.SNPs(); i++ {
+		for g := 0; g < 3; g++ {
+			if !slices.Equal(psub.Plane(i, g), sub.Plane(i, g)) {
+				t.Errorf("SNPPlanes from the packed source: plane (%d,%d) differs", i, g)
+			}
+		}
+	}
+	ps, pcp := p.Split(), p.ClassPlanes()
+	for c := range wantSplit {
+		if ps.N[c] != s.N[c] || ps.Pad[c] != s.Pad[c] || !slices.Equal(ps.ClassPlaneData(c), wantSplit[c]) {
+			t.Errorf("Split from the packed source, class %d, differs from the per-sample form", c)
+		}
+		if !slices.Equal(classPlaneData(pcp, c), wantClass[c]) {
+			t.Errorf("ClassPlanes from the packed source, class %d, differs from the per-sample form", c)
+		}
+	}
 }
 
-// TestEncodersDifferential compares the encoders with their per-sample
-// form over shapes where a word boundary, a class boundary or the split
-// over goroutines can go wrong: sample counts around a word and past one
-// goroutine's first run of words, a class of one sample, classes that
-// change on and off a word boundary, every control before every case,
-// SNPs of one genotype only, fewer SNPs than goroutines and more than one
-// run of them — each at GOMAXPROCS 1 and 4.
+// TestEncodersDifferential compares the encoders, from a Matrix and from
+// packed sections, with their per-sample form over shapes where a word
+// boundary, a class boundary or the split over goroutines can go wrong:
+// sample counts around a word and past one goroutine's first run of words,
+// a class of one sample, classes that change on and off a word boundary,
+// every control before every case, SNPs of one genotype only, fewer SNPs
+// than goroutines and more than one run of them — each at GOMAXPROCS 1 and
+// 4. With 19 SNPs and an odd sample count, rows start at every entry of a
+// packed byte and the section's last byte holds fewer than four entries.
 func TestEncodersDifferential(t *testing.T) {
 	phenotypes := map[string]func(j, n int, r *rand.Rand) uint8{
 		"random":            func(j, n int, r *rand.Rand) uint8 { return uint8(r.Intn(2)) },

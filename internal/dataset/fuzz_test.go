@@ -9,8 +9,9 @@ import (
 // must return a valid matrix or an error, never panic, and never emit
 // out-of-range genotypes or phenotypes. It is differential too: at the
 // production block size and at one that cuts every line, the block reader
-// must accept only what the reader it replaced accepts, with the same
-// matrix, and on ASCII input refuse exactly what that one refuses, with
+// must accept only what the reader it replaced accepts, with the packed
+// sections and content hash of that reader's matrix and the same matrix
+// decoded, and on ASCII input refuse exactly what that one refuses, with
 // the same error text (see checkAgainstReference).
 func FuzzReadRAW(f *testing.F) {
 	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE rs1_A rs2_C\n" +

@@ -134,9 +134,20 @@ func minorAllele(rows [][]string, snp int) (string, error) {
 // ...) is refused as ragged rather than split there.
 //
 // The input is read in bounded blocks that up to GOMAXPROCS goroutines
-// tokenise (see raw.go); memory beyond the Matrix is a few blocks plus a
-// quarter byte per genotype.
+// tokenise (see raw.go); memory beyond the Matrix is a few blocks plus
+// half a byte per genotype. ReadRAW is ReadRAWPacked and a decode.
 func ReadRAW(r io.Reader) (*Matrix, error) {
+	p, err := ReadRAWPacked(r)
+	if err != nil {
+		return nil, err
+	}
+	return p.Matrix(), nil
+}
+
+// ReadRAWPacked reads a .raw file as ReadRAW does into the dataset's
+// packed sections, without building the Matrix: memory beyond them is a
+// few blocks plus a quarter byte per genotype.
+func ReadRAWPacked(r io.Reader) (*Packed, error) {
 	return readRAW(r, rawBlockSize, rawMaxLine)
 }
 

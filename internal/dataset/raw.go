@@ -23,11 +23,14 @@ import (
 //	              staging through an L1-sized tile into the block's chunk:
 //	              SNP-major, four genotypes to the byte;
 //	readRAW       sums the chunks' line and row counts in input order —
-//	              which is when N, and so the Matrix's layout, is first
-//	              known — and unpacks every chunk into its columns.
+//	              which is when N, and so where each chunk's genotypes go,
+//	              is first known — and ORs every chunk into the dataset's
+//	              packed section (Packed), a word at a time.
 //
-// A chunk is packed because it has to wait for N: at one byte a genotype
-// the chunks would together be a second copy of the Matrix.
+// A chunk is already in the section's byte layout, four genotypes to the
+// byte with the first in the low bits, so assembling the section is a
+// shifted copy; the M x N byte Matrix is built only if the caller wants
+// one (ReadRAW).
 
 const (
 	// rawBlockSize is how much text one tokenizer call sees. A block grows
@@ -41,9 +44,9 @@ const (
 	rawTile = 64
 )
 
-// readRAW is ReadRAW with its two sizes as parameters; tests shrink them
-// so that every line straddles a block edge.
-func readRAW(r io.Reader, blockSize, maxLine int) (*Matrix, error) {
+// readRAW is ReadRAWPacked with its two sizes as parameters; tests shrink
+// them so that every line straddles a block edge.
+func readRAW(r io.Reader, blockSize, maxLine int) (*Packed, error) {
 	workers := runtime.GOMAXPROCS(0)
 	// One block being filled, one queued, one with each tokenizer.
 	src := newRawBlocks(r, blockSize, maxLine, workers+2)
@@ -140,25 +143,28 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Matrix, error) {
 		return nil, fmt.Errorf("dataset: raw input has no samples")
 	}
 
-	mx := NewMatrix(m, n)
+	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
 	off := 0
 	for _, c := range chunks {
-		copy(mx.phen[off:], c.phen)
+		for r, ph := range c.phen {
+			p.Phen[(off+r)/8] |= ph << ((off + r) % 8)
+		}
 		off += c.rows
 	}
-	// Unpacking writes the whole Matrix once; SNPs are shared out so that
-	// it is not left to one core.
+	// Row i of a chunk goes to entry i*n plus the rows before the chunk. A
+	// run of SNPs starts on a byte (eight rows are whole bytes), so runs
+	// write disjoint bytes.
 	eachSNPRun(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dst := mx.geno[i*n : (i+1)*n]
+			at := i * n
 			for _, c := range chunks {
 				stride := (c.rows + 3) / 4
-				unpackQuads(dst[:c.rows], c.packed[i*stride:][:stride])
-				dst = dst[c.rows:]
+				copyGenotypes(p.Geno, at, c.packed, 4*i*stride, c.rows)
+				at += c.rows
 			}
 		}
 	})
-	return mx, nil
+	return p, nil
 }
 
 // rawBlocks cuts a stream into blocks of whole lines. At most limit
@@ -524,18 +530,4 @@ func (t *rawTokenizer) transpose(rows int) []byte {
 		}
 	}
 	return out
-}
-
-// unpackQuads spreads src's genotypes, four to the byte with the first in
-// the low bits, over dst; len(dst) need not use all of src's last byte.
-func unpackQuads(dst []uint8, src []byte) {
-	q := 0
-	for ; 4*q+4 <= len(dst); q++ {
-		x := uint32(src[q])
-		x = (x | x<<12) & 0x000f000f
-		binary.LittleEndian.PutUint32(dst[4*q:], (x|x<<6)&0x03030303)
-	}
-	for j := 4 * q; j < len(dst); j++ {
-		dst[j] = src[q] >> (uint(j) % 4 * 2) & 3
-	}
 }

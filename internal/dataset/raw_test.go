@@ -128,9 +128,11 @@ func isASCII(data []byte) bool {
 
 // checkAgainstReference holds the block reader, at each of the given
 // block sizes, to the reference: it accepts only what the reference
-// accepts, with the same matrix, and on ASCII input it also refuses
-// everything the reference refuses, with the same error text. (Outside
-// ASCII it may refuse more: see ReadRAW on separators.)
+// accepts, with the packed sections and content hash that packing the
+// reference's matrix gives and that matrix when decoded, and on ASCII
+// input it also refuses everything the reference refuses, with the same
+// error text. (Outside ASCII it may refuse more: see ReadRAW on
+// separators.)
 func checkAgainstReference(t testing.TB, data []byte, blockSizes ...int) {
 	t.Helper()
 	want, wantErr := readRAWReference(bytes.NewReader(data))
@@ -140,7 +142,10 @@ func checkAgainstReference(t testing.TB, data []byte, blockSizes ...int) {
 		case err == nil && wantErr != nil:
 			t.Fatalf("block %d: accepted what the reference refuses with %q\ninput %q", blockSize, wantErr, data)
 		case err == nil:
-			if !matricesEqual(want, got) {
+			if !packedEqual(got, referencePack(want)) {
+				t.Fatalf("block %d: packed sections differ from the reference's\ninput %q", blockSize, data)
+			}
+			if !matricesEqual(want, got.Matrix()) {
 				t.Fatalf("block %d: matrix differs from the reference's\ninput %q", blockSize, data)
 			}
 		case !isASCII(data):
@@ -151,6 +156,26 @@ func checkAgainstReference(t testing.TB, data []byte, blockSizes ...int) {
 			t.Fatalf("block %d: error %q, reference %q\ninput %q", blockSize, err, wantErr, data)
 		}
 	}
+}
+
+// referencePack packs mx one row at a time with packGenotypes, on one
+// goroutine: what the reader's sections and Pack's SNP-parallel runs are
+// held to.
+func referencePack(mx *Matrix) *Packed {
+	m, n := mx.SNPs(), mx.Samples()
+	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
+	for i := 0; i < m; i++ {
+		packGenotypes(p.Geno, i*n, mx.Row(i))
+	}
+	for j := 0; j < n; j++ {
+		p.Phen[j/8] |= mx.Phen(j) << (j % 8)
+	}
+	return p
+}
+
+// packedEqual compares two datasets' packed sections and content hashes.
+func packedEqual(a, b *Packed) bool {
+	return a.M == b.M && a.N == b.N && bytes.Equal(a.Geno, b.Geno) && bytes.Equal(a.Phen, b.Phen) && a.Hash() == b.Hash()
 }
 
 // TestReadRAWBlockEdges runs inputs of every awkward shape at block sizes
@@ -198,6 +223,11 @@ func TestReadRAWBlockEdges(t *testing.T) {
 		"NUL in an id":        h + "F\x00 S 0 0 1 1 0 1 2\n",
 		"seven columns":       "FID IID PAT MAT SEX PHENOTYPE a b c d e f g\n" + "F S 0 0 1 1 0 1 2 0 1 2 0\n" + "F S 0 0 1 2 2 2 2 2 2 2 2\n" + "F S 0 0 1 2 2 2 2 2 2 2 3\n",
 		"one column":          "FID IID PAT MAT SEX PHENOTYPE a\n" + "F S 0 0 1 1 2\nF S 0 0 1 2 0\n",
+		"one sample, 5 SNPs":  string(rawText(randomMatrix(1, 5, 1))),
+		"N = 5 (1 mod 4)":     string(rawText(randomMatrix(2, 7, 5))),
+		"N = 6 (2 mod 4)":     string(rawText(randomMatrix(3, 7, 6))),
+		"N = 7 (3 mod 4)":     string(rawText(randomMatrix(4, 7, 7))),
+		"N = 13 (1 mod 4)":    string(rawText(randomMatrix(5, 9, 13))),
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -218,7 +248,7 @@ func TestReadRAWManyBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v block %d: %v", dims, block, err)
 			}
-			if !matricesEqual(mx, got) {
+			if !matricesEqual(mx, got.Matrix()) {
 				t.Fatalf("%v block %d: matrix differs from the one written", dims, block)
 			}
 		}

@@ -424,6 +424,20 @@ func New(mx *dataset.Matrix) (*Searcher, error) {
 	return NewFromStore(st)
 }
 
+// NewPacked is New over a dataset's packed sections (a .raw read, a
+// screened search's survivors): the store adopts them as they are and no
+// Matrix is built.
+func NewPacked(p *dataset.Packed) (*Searcher, error) {
+	if p.M < 3 {
+		return nil, fmt.Errorf("engine: need at least 3 SNPs, have %d", p.M)
+	}
+	st, err := store.NewPacked(p)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromStore(st)
+}
+
 // NewFromStore wraps an existing encoded-dataset store (a Session's,
 // or one loaded from a .tpack) so its memoized encodings are shared
 // instead of rebuilt.

@@ -1,19 +1,15 @@
 package engine
 
-import (
-	"fmt"
-
-	"trigene/internal/dataset"
-)
+import "fmt"
 
 // Subset is the index-remap layer of the screened search: it gathers
-// the named SNP columns into a compact dataset and wraps it in a fresh
-// Searcher, so every approach — including the fused V3F/V4F hot loops
-// — runs unchanged over survivor positions 0..len(cols)-1 with its
-// zero-alloc steady state intact. Candidates come back in subset
-// positions; callers translate through cols (which must be strictly
-// increasing, so position order is SNP order and tie-breaks agree with
-// an unscreened run).
+// the named SNPs' rows of the packed sections into a compact dataset (no
+// Matrix is decoded) and wraps it in a fresh Searcher, so every
+// approach — including the fused V3F/V4F hot loops — runs unchanged over
+// survivor positions 0..len(cols)-1 with its zero-alloc steady state
+// intact. Candidates come back in subset positions; callers translate
+// through cols (which must be strictly increasing, so position order is
+// SNP order and tie-breaks agree with an unscreened run).
 func (s *Searcher) Subset(cols []int) (*Searcher, error) {
 	m := s.st.SNPs()
 	if len(cols) < 3 {
@@ -27,12 +23,5 @@ func (s *Searcher) Subset(cols []int) (*Searcher, error) {
 			return nil, fmt.Errorf("engine: subset indices must be strictly increasing (%d after %d)", c, cols[p-1])
 		}
 	}
-	src := s.st.Matrix()
-	n := src.Samples()
-	sub := dataset.NewMatrix(len(cols), n)
-	for p, c := range cols {
-		copy(sub.Row(p), src.Row(c))
-	}
-	copy(sub.Phenotypes(), src.Phenotypes())
-	return New(sub)
+	return NewPacked(s.st.Packed().Select(cols))
 }

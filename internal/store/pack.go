@@ -81,8 +81,8 @@ func IsPack(prefix []byte) bool {
 // do not exist yet.
 func (s *Store) WritePack(w io.Writer) error {
 	s.mu.Lock()
-	s.ensurePackedLocked()
-	geno, phen := s.packedGeno, s.packedPhen
+	packed := s.packedLocked()
+	geno, phen := packed.Geno, packed.Phen
 	hash := s.hashLocked()
 	bin := s.binarizedLocked()
 	split := s.splitLocked()
@@ -256,24 +256,18 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 		}
 	}
 
-	geno, phen := secs[secGeno-1], secs[secPhen-1]
-	if len(geno) != (m*n+3)/4 {
-		return nil, fmt.Errorf("store: genotype section holds %d bytes, want %d", len(geno), (m*n+3)/4)
-	}
-	if len(phen) != (n+7)/8 {
-		return nil, fmt.Errorf("store: phenotype section holds %d bytes, want %d", len(phen), (n+7)/8)
-	}
-	if err := validateGeno(geno, m*n); err != nil {
+	packed := &dataset.Packed{M: m, N: n, Geno: secs[secGeno-1], Phen: secs[secPhen-1]}
+	if err := checkSections(packed); err != nil {
 		return nil, err
 	}
-	if tail := n % 8; tail != 0 && phen[len(phen)-1]>>uint(tail) != 0 {
-		return nil, fmt.Errorf("store: phenotype section has bits beyond sample %d", n)
+	if err := validateGeno(packed.Geno); err != nil {
+		return nil, err
 	}
-	if pc := popcountBytes(phen); pc != cases {
+	if pc := popcountBytes(packed.Phen); pc != cases {
 		return nil, fmt.Errorf("store: phenotype section has %d cases, header says %d", pc, cases)
 	}
 	wantHash := hex.EncodeToString(data[32:64])
-	if got := contentHash(m, n, geno, phen); got != wantHash {
+	if got := packed.Hash(); got != wantHash {
 		return nil, fmt.Errorf("store: content hash mismatch: header names %.12s…, sections hash to %.12s…", wantHash, got)
 	}
 
@@ -281,11 +275,7 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	phenVec, err := phenVector(n, phen)
-	if err != nil {
-		return nil, err
-	}
-	bin, err := dataset.BinarizedFromPlanes(m, n, binWords, phenVec)
+	bin, err := dataset.BinarizedFromPlanes(m, n, binWords, packed.PhenVector())
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -305,14 +295,13 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 
 	return &Store{
 		m: m, n: n, controls: controls, cases: cases,
-		hash:       wantHash,
-		packedGeno: geno,
-		packedPhen: phen,
-		bin:        bin,
-		split:      split,
-		words32:    make(map[words32Key]*dataset.Words32),
-		mapped:     mapped,
-		fromPack:   true,
+		hash:     wantHash,
+		packed:   packed,
+		bin:      bin,
+		split:    split,
+		words32:  make(map[words32Key]*dataset.Words32),
+		mapped:   mapped,
+		fromPack: true,
 	}, nil
 }
 
@@ -324,22 +313,12 @@ func sectionWords(sec []byte, wantWords int, name string) ([]uint64, error) {
 	return leWords(sec), nil
 }
 
-// validateGeno rejects genotype sections carrying the invalid 2-bit
-// code 3 or stray bits in the tail beyond the last genotype.
-func validateGeno(geno []byte, count int) error {
-	full := count / 4
-	for i := 0; i < full; i++ {
-		if b := geno[i]; (b>>1)&b&0x55 != 0 {
-			return fmt.Errorf("store: invalid packed genotype 3 near index %d", i*4)
-		}
-	}
-	if rem := count % 4; rem != 0 {
-		b := geno[full]
-		if b>>(uint(rem)*2) != 0 {
-			return fmt.Errorf("store: genotype section has bits beyond entry %d", count)
-		}
+// validateGeno rejects a genotype section carrying the invalid 2-bit
+// code 3 (its tail bits, checked before, are zero).
+func validateGeno(geno []byte) error {
+	for i, b := range geno {
 		if (b>>1)&b&0x55 != 0 {
-			return fmt.Errorf("store: invalid packed genotype 3 near index %d", full*4)
+			return fmt.Errorf("store: invalid packed genotype 3 near index %d", i*4)
 		}
 	}
 	return nil

@@ -7,6 +7,13 @@
 // exactly once, no matter how many searches, backends or devices share
 // the Store.
 //
+// Every encoding is made from the dataset's packed sections (2-bit
+// genotypes, 1-bit phenotypes: dataset.Packed). A Store over a Matrix
+// (New) packs it when first needed; one over a .raw read (NewPacked) or a
+// .tpack (ReadPack, Open) adopts the sections it is given and builds the
+// M x N byte Matrix only when Matrix is called — counted in Builds.Matrix
+// and trigene_store_builds_total{repr="matrix"}.
+//
 // A Store also has a versioned packed on-disk format (.tpack): a
 // magic/version header, the SHA-256 content hash of the source matrix,
 // and the little-endian word planes of the two hot encodings. Open
@@ -19,15 +26,11 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math/bits"
 	"sync"
 	"time"
 
-	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
@@ -41,7 +44,7 @@ type Builds struct {
 	Naive32     int
 	Words32     int // total across (layout, BS) keys
 	ClassPlanes int
-	Matrix      int // lazy matrix decodes on pack-loaded stores
+	Matrix      int // lazy matrix decodes on pack-loaded and text-born stores
 }
 
 // words32Key identifies one GPU word-layout encoding.
@@ -60,20 +63,20 @@ type Store struct {
 
 	mu sync.Mutex
 
-	// mx is the raw matrix; nil on pack-loaded stores until something
-	// (a cluster submission, a scalar permutation test) actually needs the
-	// genotypes.
+	// mx is the raw matrix; nil on pack-loaded stores and text-born ones
+	// until something (a cluster submission, a scalar permutation test)
+	// actually needs the genotypes.
 	mx *dataset.Matrix
 
 	// hash is the hex SHA-256 content hash; computed lazily on
-	// matrix-built stores, verified and adopted on pack loads.
+	// matrix-built and text-born stores, verified and adopted on pack
+	// loads.
 	hash string
 
-	// packedGeno/packedPhen are the canonical packed sections (2-bit
-	// genotypes, 1-bit phenotypes), lazily built from mx or aliased
+	// packed is the canonical packed sections every encoding is made
+	// from: lazily built from mx, adopted from a .raw read, or aliased
 	// into a loaded pack.
-	packedGeno []byte
-	packedPhen []byte
+	packed *dataset.Packed
 
 	bin         *dataset.Binarized
 	split       *dataset.Split
@@ -113,6 +116,52 @@ func New(mx *dataset.Matrix) (*Store, error) {
 		mx:      mx,
 		words32: make(map[words32Key]*dataset.Words32),
 	}, nil
+}
+
+// NewPacked returns a Store that adopts the packed sections p — what the
+// .raw reader assembles — as ReadPack adopts a pack's: they are hashed as
+// they are, and no Matrix is built until Matrix is called. Lengths and the
+// bits past the last genotype and the last sample are checked; the
+// genotypes are not range-checked (code 3 is in no plane, and the readers
+// that assemble sections write none).
+func NewPacked(p *dataset.Packed) (*Store, error) {
+	if p.M <= 0 || p.N <= 0 {
+		return nil, fmt.Errorf("store: invalid dimensions %dx%d", p.M, p.N)
+	}
+	if err := checkSections(p); err != nil {
+		return nil, err
+	}
+	cases := popcountBytes(p.Phen)
+	controls := p.N - cases
+	if controls == 0 || cases == 0 {
+		// Matrix.Validate's words, which a matrix-born store gives.
+		return nil, fmt.Errorf("dataset: degenerate dataset: %d controls, %d cases", controls, cases)
+	}
+	return &Store{
+		m: p.M, n: p.N,
+		controls: controls, cases: cases,
+		packed:  p,
+		words32: make(map[words32Key]*dataset.Words32),
+	}, nil
+}
+
+// checkSections checks the lengths of p's sections and that no bit is set
+// past the last genotype or the last sample.
+func checkSections(p *dataset.Packed) error {
+	m, n := p.M, p.N
+	if len(p.Geno) != (m*n+3)/4 {
+		return fmt.Errorf("store: genotype section holds %d bytes, want %d", len(p.Geno), (m*n+3)/4)
+	}
+	if len(p.Phen) != (n+7)/8 {
+		return fmt.Errorf("store: phenotype section holds %d bytes, want %d", len(p.Phen), (n+7)/8)
+	}
+	if rem := m * n % 4; rem != 0 && p.Geno[len(p.Geno)-1]>>(2*rem) != 0 {
+		return fmt.Errorf("store: genotype section has bits beyond entry %d", m*n)
+	}
+	if rem := n % 8; rem != 0 && p.Phen[len(p.Phen)-1]>>rem != 0 {
+		return fmt.Errorf("store: phenotype section has bits beyond sample %d", n)
+	}
+	return nil
 }
 
 // SNPs returns the dataset's SNP count M.
@@ -176,7 +225,7 @@ func (s *Store) Close() error {
 	s.mapped = nil
 	s.bin, s.split, s.naive32, s.classPlanes = nil, nil, nil, nil
 	s.words32 = make(map[words32Key]*dataset.Words32)
-	s.packedGeno, s.packedPhen = nil, nil
+	s.packed = nil
 	return munmapBytes(m)
 }
 
@@ -192,45 +241,29 @@ func (s *Store) Hash() string {
 
 func (s *Store) hashLocked() string {
 	if s.hash == "" {
-		s.ensurePackedLocked()
-		s.hash = contentHash(s.m, s.n, s.packedGeno, s.packedPhen)
+		s.hash = s.packedLocked().Hash()
 	}
 	return s.hash
 }
 
-// contentHash computes the canonical dataset digest.
-func contentHash(m, n int, geno, phen []byte) string {
-	h := sha256.New()
-	var hdr [16]byte
-	copy(hdr[:8], "tpack\x00v1")
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(n))
-	h.Write(hdr[:])
-	h.Write(geno)
-	h.Write(phen)
-	return hex.EncodeToString(h.Sum(nil))
+// Packed returns the dataset's canonical packed sections, packing the
+// matrix first on a matrix-born store. They must not be modified.
+func (s *Store) Packed() *dataset.Packed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.packedLocked()
 }
 
-// ensurePackedLocked materializes the canonical packed sections.
-func (s *Store) ensurePackedLocked() {
-	if s.packedGeno != nil {
-		return
+func (s *Store) packedLocked() *dataset.Packed {
+	if s.packed == nil {
+		s.packed = dataset.Pack(s.mx)
 	}
-	mx := s.matrixLocked()
-	geno := make([]byte, (s.m*s.n+3)/4)
-	for i := 0; i < s.m; i++ {
-		packGenotypes(geno, i*s.n, mx.Row(i))
-	}
-	phen := make([]byte, (s.n+7)/8)
-	for j := 0; j < s.n; j++ {
-		phen[j/8] |= mx.Phen(j) << (uint(j) % 8)
-	}
-	s.packedGeno, s.packedPhen = geno, phen
+	return s.packed
 }
 
 // Matrix returns the raw genotype matrix, decoding it from the packed
-// sections on pack-loaded stores (most searches never need it: the
-// engines consume the plane encodings directly).
+// sections on pack-loaded and text-born stores (most searches never need
+// it: the engines consume the plane encodings directly).
 func (s *Store) Matrix() *dataset.Matrix {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,18 +274,7 @@ func (s *Store) matrixLocked() *dataset.Matrix {
 	if s.mx == nil {
 		s.builds.Matrix++
 		s.countBuild("matrix")
-		s.timedBuildLocked(func() {
-			mx := dataset.NewMatrix(s.m, s.n)
-			for i := 0; i < s.m; i++ {
-				unpackGenotypes(mx.Row(i), s.packedGeno, i*s.n)
-			}
-			for j := 0; j < s.n; j++ {
-				if s.packedPhen[j/8]>>(uint(j)%8)&1 != 0 {
-					mx.SetPhen(j, dataset.Case)
-				}
-			}
-			s.mx = mx
-		})
+		s.timedBuildLocked(func() { s.mx = s.packed.Matrix() })
 	}
 	return s.mx
 }
@@ -269,7 +291,7 @@ func (s *Store) binarizedLocked() *dataset.Binarized {
 	if s.bin == nil {
 		s.builds.Binarized++
 		s.countBuild("binarized")
-		s.timedBuildLocked(func() { s.bin = dataset.Binarize(s.matrixLocked()) })
+		s.timedBuildLocked(func() { s.bin = s.packedLocked().Binarize() })
 	}
 	return s.bin
 }
@@ -277,21 +299,22 @@ func (s *Store) binarizedLocked() *dataset.Binarized {
 // SNPPlanes returns the three-plane form of the given SNPs only (any
 // order, repeats allowed, SNPs the dataset does not have left out): out
 // of the Binarized where the store holds one — adopted from a pack, or
-// built for V1 — and otherwise encoded from those rows of the matrix,
-// outside the lock. It builds and memoizes nothing, so a call that names
-// its SNPs (a permutation test) never pays a dataset-wide encoding.
+// built for V1 — and otherwise encoded from those rows of the packed
+// sections, outside the lock. It builds and memoizes nothing, so a call
+// that names its SNPs (a permutation test) never pays a dataset-wide
+// encoding.
 func (s *Store) SNPPlanes(snps []int) *dataset.SNPPlanes {
 	s.mu.Lock()
 	bin := s.bin
-	var mx *dataset.Matrix
+	var p *dataset.Packed
 	if bin == nil {
-		mx = s.matrixLocked()
+		p = s.packedLocked()
 	}
 	s.mu.Unlock()
 	if bin != nil {
 		return bin.Select(snps)
 	}
-	return dataset.BinarizeSNPs(mx, snps)
+	return p.SNPPlanes(snps)
 }
 
 // Split returns the phenotype-split two-plane form (approaches V2 and
@@ -306,7 +329,7 @@ func (s *Store) splitLocked() *dataset.Split {
 	if s.split == nil {
 		s.builds.Split++
 		s.countBuild("split")
-		s.timedBuildLocked(func() { s.split = dataset.SplitBinarize(s.matrixLocked()) })
+		s.timedBuildLocked(func() { s.split = s.packedLocked().Split() })
 	}
 	return s.split
 }
@@ -350,70 +373,9 @@ func (s *Store) ClassPlanes() *dataset.ClassPlanes {
 	if s.classPlanes == nil {
 		s.builds.ClassPlanes++
 		s.countBuild("classplanes")
-		s.timedBuildLocked(func() { s.classPlanes = dataset.BuildClassPlanes(s.matrixLocked()) })
+		s.timedBuildLocked(func() { s.classPlanes = s.packedLocked().ClassPlanes() })
 	}
 	return s.classPlanes
-}
-
-// packGenotypes writes row into the 2-bit section packed (zeroed, four
-// genotypes to the byte, the first in the low bits) from genotype index
-// idx on: two bytes at a time where eight of the row's genotypes fill
-// them, singly where the row starts or ends inside a byte it shares with
-// its neighbour.
-func packGenotypes(packed []byte, idx int, row []uint8) {
-	head := min(len(row), -idx&3) // up to the next byte boundary
-	body := (len(row) - head) &^ 7
-	singly := func(idx int, row []uint8) {
-		for j, g := range row {
-			packed[(idx+j)/4] |= g << (uint(idx+j) % 4 * 2)
-		}
-	}
-	singly(idx, row[:head])
-	dst := packed[(idx+head)/4:]
-	for j := head; j < head+body; j, dst = j+8, dst[2:] {
-		x := binary.LittleEndian.Uint64(row[j:])
-		x |= x>>6 | x>>12 | x>>18 // each half's four codes meet in its low byte
-		dst[0], dst[1] = byte(x), byte(x>>32)
-	}
-	singly(idx+head+body, row[head+body:])
-}
-
-// unpackGenotypes is packGenotypes' inverse: it fills row from genotype
-// index idx of packed on.
-func unpackGenotypes(row []uint8, packed []byte, idx int) {
-	head := min(len(row), -idx&3)
-	body := (len(row) - head) &^ 7
-	singly := func(idx int, row []uint8) {
-		for j := range row {
-			row[j] = packed[(idx+j)/4] >> (uint(idx+j) % 4 * 2) & 3
-		}
-	}
-	singly(idx, row[:head])
-	src := packed[(idx+head)/4:]
-	for j := head; j < head+body; j, src = j+8, src[2:] {
-		x := uint64(src[0]) | uint64(src[1])<<32
-		x = (x | x<<12) & 0x000f000f000f000f
-		binary.LittleEndian.PutUint64(row[j:], (x|x<<6)&0x0303030303030303)
-	}
-	singly(idx+head+body, row[head+body:])
-}
-
-// phenVector builds the n-bit phenotype vector from a packed section.
-func phenVector(n int, packed []byte) (*bitvec.Vector, error) {
-	words := make([]uint64, bitvec.WordsFor(n))
-	for k := range words {
-		var w uint64
-		for b := 0; b < 8; b++ {
-			if k*8+b < len(packed) {
-				w |= uint64(packed[k*8+b]) << (8 * b)
-			}
-		}
-		words[k] = w
-	}
-	if mask := bitvec.TailMask(n); len(words) > 0 && words[len(words)-1]&^mask != 0 {
-		return nil, fmt.Errorf("store: phenotype section has bits beyond sample %d", n)
-	}
-	return bitvec.FromWords(n, words), nil
 }
 
 // popcountBytes counts set bits across a byte slice.

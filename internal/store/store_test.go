@@ -215,32 +215,3 @@ func TestHashGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestPackGenotypesMatchesPerGenotypeForm holds the byte-at-a-time pack
-// and unpack to the one-genotype-at-a-time definition of the section, at
-// every alignment of a row against the bytes.
-func TestPackGenotypesMatchesPerGenotypeForm(t *testing.T) {
-	for n := 1; n <= 13; n++ {
-		mx := genMatrix(t, 5, n+1, int64(n))
-		m, n := mx.SNPs(), mx.Samples()
-		want := make([]byte, (m*n+3)/4)
-		got := make([]byte, len(want))
-		for i := 0; i < m; i++ {
-			for j, g := range mx.Row(i) {
-				idx := i*n + j
-				want[idx/4] |= g << (uint(idx%4) * 2)
-			}
-			packGenotypes(got, i*n, mx.Row(i))
-		}
-		if string(got) != string(want) {
-			t.Fatalf("%dx%d: packed %x, want %x", m, n, got, want)
-		}
-		row := make([]uint8, n)
-		for i := 0; i < m; i++ {
-			unpackGenotypes(row, got, i*n)
-			if string(row) != string(mx.Row(i)) {
-				t.Fatalf("%dx%d: SNP %d unpacked %v, want %v", m, n, i, row, mx.Row(i))
-			}
-		}
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"trigene/internal/dataset"
 	"trigene/internal/engine"
 	"trigene/internal/obs"
 	"trigene/internal/store"
@@ -65,6 +66,23 @@ func ReadPack(r io.Reader) (*Session, error) {
 	return &Session{store: st, searcher: s}, nil
 }
 
+// ReadRAWSession reads a PLINK .raw file (the format ReadRAW parses) into
+// a session, the .raw counterpart of ReadPack: the store holds the
+// reader's packed genotypes as they are, and the M x N Matrix — four times
+// their size — is built only if Matrix is called. Searches, permutation
+// tests, reports and DatasetHash equal those of NewSession(ReadRAW(r)).
+func ReadRAWSession(r io.Reader) (*Session, error) {
+	p, err := dataset.ReadRAWPacked(r)
+	if err != nil {
+		return nil, err
+	}
+	s, err := engine.NewPacked(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{store: s.Store(), searcher: s}, nil
+}
+
 // WritePack serializes the session's dataset in the packed .tpack
 // format, building (and memoizing) the hot encodings if they do not
 // exist yet. A pack round-trip preserves the dataset hash and every
@@ -87,7 +105,7 @@ func (s *Session) PackMapped() bool { return s.store.Mapped() }
 func (s *Session) Close() error { return s.store.Close() }
 
 // Matrix returns the dataset the session was built from (decoding it
-// from the packed sections on pack-loaded sessions).
+// from the packed sections on sessions read from a .tpack or a .raw).
 func (s *Session) Matrix() *Matrix { return s.store.Matrix() }
 
 // SNPs returns the dataset's SNP count M.

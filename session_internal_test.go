@@ -3,6 +3,8 @@ package trigene
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,6 +190,133 @@ func TestPermutationTestBuildsNoEncoding(t *testing.T) {
 		if *got[i] != *want[i] || *want[i] != *ref {
 			t.Errorf("candidate %v: pack session %+v, matrix session %+v, scalar %+v", snps, got[i], want[i], ref)
 		}
+	}
+}
+
+// rawText writes mx the way plink --recode A does: one space between
+// fields, one line per sample.
+func rawText(mx *Matrix) []byte {
+	var b bytes.Buffer
+	b.WriteString("FID IID PAT MAT SEX PHENOTYPE")
+	for i := 0; i < mx.SNPs(); i++ {
+		fmt.Fprintf(&b, " snp%d_A", i)
+	}
+	b.WriteByte('\n')
+	for j := 0; j < mx.Samples(); j++ {
+		fmt.Fprintf(&b, "F%d I%d 0 0 0 %d", j, j, mx.Phen(j)+1)
+		for i := 0; i < mx.SNPs(); i++ {
+			b.WriteByte(' ')
+			b.WriteByte('0' + mx.Geno(i, j))
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// TestRAWSessionBuildsNoMatrix: a session read with ReadRAWSession runs
+// the cold journey — a screened search with seed pairs, then a permutation
+// test of its top-K — on its packed sections alone: one Split, and the
+// Matrix is never decoded (the survivors are gathered from the packed rows,
+// the candidates' planes encoded from them). Report, p-values and
+// DatasetHash equal those of a session over ReadRAW's matrix, of one over
+// its .tpack, which also builds no Matrix for the screened search, and of
+// one over the matrix the text was written from.
+func TestRAWSessionBuildsNoMatrix(t *testing.T) {
+	// 101 samples: rows start at every entry of a packed byte.
+	mx, err := Generate(GenConfig{SNPs: 40, Samples: 101, Seed: 17, MAFMin: 0.3, MAFMax: 0.5,
+		Interaction: &Interaction{SNPs: [3]int{4, 19, 33}, Penetrance: ThresholdPenetrance(3, 0.05, 0.95)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := rawText(mx)
+	ctx := context.Background()
+	searchOpts := []Option{WithTopK(4), WithScreen(ScreenSpec{MaxSurvivors: 12, SeedPairs: 3})}
+	permOpts := []Option{WithPermutations(200), WithSeed(9)}
+	type run struct {
+		rep  *Report
+		perm []*PermResult
+		hash string
+	}
+	journey := func(t *testing.T, s *Session) run {
+		t.Helper()
+		rep, err := s.Search(ctx, searchOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var candidates [][]int
+		for _, c := range rep.TopK {
+			candidates = append(candidates, c.SNPs)
+		}
+		perm, err := s.PermutationTestAll(ctx, candidates, permOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{rep, perm, s.DatasetHash()}
+	}
+
+	cold, err := ReadRAWSession(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := journey(t, cold)
+	if b := cold.store.Builds(); b != (store.Builds{Split: 1}) {
+		t.Errorf(".raw session built %+v; want the split form only, and no Matrix", b)
+	}
+
+	parsed, err := ReadRAW(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMatrix, err := NewSession(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fromMatrix.WritePack(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromPack, err := ReadPack(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packRun := journey(t, fromPack)
+	if b := fromPack.store.Builds(); b != (store.Builds{}) {
+		t.Errorf("pack-loaded session built %+v for a screened search and a permutation test; want nothing", b)
+	}
+	generated, err := NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]run{"matrix session": journey(t, fromMatrix), ".tpack session": packRun, "generated matrix": journey(t, generated)} {
+		if got.hash != want.hash {
+			t.Errorf("%s: DatasetHash %s, .raw session %s", name, want.hash, got.hash)
+		}
+		if !reflect.DeepEqual(got.rep.TopK, want.rep.TopK) || !reflect.DeepEqual(got.rep.Best, want.rep.Best) ||
+			got.rep.Combinations != want.rep.Combinations || got.rep.Screen.Survivors != want.rep.Screen.Survivors ||
+			got.rep.Screen.SeedPairs != want.rep.Screen.SeedPairs || got.rep.Screen.Threshold != want.rep.Screen.Threshold {
+			t.Errorf("%s: Report %+v %+v, .raw session %+v %+v", name, want.rep.TopK, want.rep.Screen, got.rep.TopK, got.rep.Screen)
+		}
+		for i := range want.perm {
+			if *got.perm[i] != *want.perm[i] {
+				t.Errorf("%s: candidate %v: %+v, .raw session %+v", name, got.rep.TopK[i].SNPs, want.perm[i], got.perm[i])
+			}
+		}
+	}
+	if got.rep.Screen.SeedPairs == 0 || got.rep.Best.SNPs[0] != 4 || got.rep.Best.SNPs[1] != 19 || got.rep.Best.SNPs[2] != 33 {
+		t.Errorf("screened search found %v with %d seed pairs; want the planted (4,19,33) through a seeded screen", got.rep.Best.SNPs, got.rep.Screen.SeedPairs)
+	}
+	// A screen that keeps every SNP gathers every row at a new offset
+	// inside its byte, and must still give the unscreened top-K.
+	all, err := cold.Search(ctx, WithTopK(4), WithScreen(ScreenSpec{MaxSurvivors: mx.SNPs()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unscreened, err := cold.Search(ctx, WithTopK(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all.TopK, unscreened.TopK) {
+		t.Errorf("permissive screen %+v, unscreened %+v", all.TopK, unscreened.TopK)
 	}
 }
 
