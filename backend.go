@@ -93,23 +93,14 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 		topK:      cfg.topK,
 	}
 
-	switch cfg.order {
-	case 2:
-		if cfg.approachSet {
-			return nil, fmt.Errorf("trigene: order-%d searches use the fixed split kernel; WithApproach applies to order 3 only", cfg.order)
-		}
-		res, err := s.searcher.RunPairs(eopts)
-		if err != nil {
-			return nil, err
-		}
+	var res *engine.Result
+	switch {
+	case cfg.order != 3 && cfg.approachSet:
+		return nil, fmt.Errorf("trigene: order-%d searches use the fixed split kernel; WithApproach applies to order 3 only", cfg.order)
+	case cfg.order == 2:
 		rep.Approach = "V2"
-		for _, c := range res.TopK {
-			rep.TopK = append(rep.TopK, SearchCandidate{SNPs: []int{c.Pair.I, c.Pair.J}, Score: c.Score})
-		}
-		rep.Shard = shardInfo(cfg.shard, res.Space, ShardSpaceRanks)
-		fillStats(rep, res.Stats)
-
-	case 3:
+		res, err = s.searcher.RunPairs(eopts)
+	case cfg.order == 3:
 		ap := cfg.approach
 		if ap == 0 {
 			// An autotuned run defaults to the model's pick for the
@@ -121,40 +112,36 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 			}
 		}
 		eopts.Approach = ap
-		res, err := s.searcher.Run(eopts)
-		if err != nil {
-			return nil, err
-		}
 		rep.Approach = ap.String()
-		for _, c := range res.TopK {
-			rep.TopK = append(rep.TopK, SearchCandidate{SNPs: []int{c.Triple.I, c.Triple.J, c.Triple.K}, Score: c.Score})
-		}
-		space := ShardSpaceRanks
-		if res.BlockSpace {
-			space = ShardSpaceBlocks
-		}
-		rep.Shard = shardInfo(cfg.shard, res.Space, space)
-		fillStats(rep, res.Stats)
-
+		res, err = s.searcher.Run(eopts)
 	default:
-		if cfg.approachSet {
-			return nil, fmt.Errorf("trigene: order-%d searches use the fixed split kernel; WithApproach applies to order 3 only", cfg.order)
-		}
-		res, err := s.searcher.RunK(cfg.order, eopts)
-		if err != nil {
-			return nil, err
-		}
 		rep.Approach = "V2"
-		for _, c := range res.TopK {
-			rep.TopK = append(rep.TopK, SearchCandidate{SNPs: c.SNPs, Score: c.Score})
-		}
-		rep.Shard = shardInfo(cfg.shard, res.Space, ShardSpaceRanks)
-		fillStats(rep, res.Stats)
+		res, err = s.searcher.RunK(cfg.order, eopts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	rep.TopK = searchCandidates(res.TopK, res.Order)
 	if len(rep.TopK) > 0 {
 		rep.Best = rep.TopK[0]
 	}
+	space := ShardSpaceRanks
+	if res.BlockSpace {
+		space = ShardSpaceBlocks
+	}
+	rep.Shard = shardInfo(cfg.shard, res.Space, space)
+	fillStats(rep, res.Stats)
 	return rep, nil
+}
+
+// searchCandidates converts an engine ranking of order-k candidates into
+// the Report's (nil when it is empty).
+func searchCandidates(top []engine.Candidate, order int) []SearchCandidate {
+	var out []SearchCandidate
+	for _, c := range top {
+		out = append(out, SearchCandidate{SNPs: append([]int(nil), c.SNPs[:order]...), Score: c.Score})
+	}
+	return out
 }
 
 // fillStats copies the engine's throughput accounting into a Report.
@@ -384,12 +371,7 @@ func (b heteroBackend) search(ctx context.Context, s *Session, cfg *searchConfig
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range res.TopK {
-		rep.TopK = append(rep.TopK, SearchCandidate{
-			SNPs:  []int{c.Triple.I, c.Triple.J, c.Triple.K},
-			Score: c.Score,
-		})
-	}
+	rep.TopK = searchCandidates(res.TopK, 3)
 	if len(rep.TopK) > 0 {
 		rep.Best = rep.TopK[0]
 	}

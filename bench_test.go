@@ -307,18 +307,6 @@ func BenchmarkAblation_Blocking(b *testing.B) {
 	}
 }
 
-// Lane-width ablation: the V4 kernel at 1, 4 and 8 accumulator lanes
-// (the stand-ins for scalar, AVX and AVX-512).
-func BenchmarkAblation_Lanes(b *testing.B) {
-	mx := dataset(b, 96, 4096)
-	for _, lanes := range []int{1, 4, 8} {
-		lanes := lanes
-		b.Run(fmt.Sprintf("lanes%d", lanes), func(b *testing.B) {
-			reportEngine(b, mx, engine.Options{Approach: engine.V4Vector, Lanes: lanes})
-		})
-	}
-}
-
 // Tile-size ablation: blocked approach across BS values around the
 // paper's L1-derived optimum.
 func BenchmarkAblation_TileSize(b *testing.B) {

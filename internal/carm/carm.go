@@ -141,27 +141,6 @@ func CapElemRate(m Model, cost perfmodel.ApproachCost, gElemPerSec float64) floa
 	return gElemPerSec
 }
 
-// FusedTileWords sizes the fused loop's word tile from an L1 data
-// budget. What every pass of the loop reads again are the nine cached
-// pair-AND planes and the 2*xBatch x words counted against each of their
-// words (xBatch = 8: the x tile of a lanes pass), all 64-bit words; they
-// get three quarters of the cache. The last quarter takes what streams
-// under them: the y/z words a block is built from and the one table a
-// pass adds to — the fused loop keeps no table region hot, unlike the
-// BS^3 bank TileParams reserves 7/12 for. This is the cache-residency
-// constraint that keeps the fused kernels on the L1 slope of the roofline
-// rather than spilling the pair planes to L2.
-func FusedTileWords(l1Bytes, xBatch int) int {
-	if xBatch < 1 {
-		xBatch = 1
-	}
-	bw := l1Bytes * 3 / 4 / ((9 + 2*xBatch) * 8)
-	if bw < 1 {
-		bw = 1
-	}
-	return bw
-}
-
 // CPUPoints characterizes the CPU approaches on a device — the paper's
 // four plus the fused variants V3F/V4F: the element rates come from
 // the analytical models, converted to GINTOPS with the per-approach

@@ -155,24 +155,6 @@ func TestCPUPointsFigure2aShape(t *testing.T) {
 	}
 }
 
-func TestFusedTileWords(t *testing.T) {
-	// 32 KiB: three quarters of the cache over 13 x 8-byte plane words,
-	// and over the 25 of a lanes pass.
-	if bw := FusedTileWords(32<<10, 2); bw != (32<<10)*3/4/104 {
-		t.Errorf("FusedTileWords(32Ki, 2) = %d", bw)
-	}
-	if bw := FusedTileWords(32<<10, 8); bw != 122 {
-		t.Errorf("FusedTileWords(32Ki, 8) = %d, want 122", bw)
-	}
-	// More streamed x planes shrink the block; tiny budgets clamp to 1.
-	if FusedTileWords(32<<10, 4) >= FusedTileWords(32<<10, 1) {
-		t.Error("word block should shrink with the x batch")
-	}
-	if FusedTileWords(128, 2) != 1 {
-		t.Error("tiny budget should clamp to one word")
-	}
-}
-
 func TestGPUPointsFromSimulator(t *testing.T) {
 	r := rand.New(rand.NewSource(90))
 	mx := dataset.NewMatrix(16, 256)

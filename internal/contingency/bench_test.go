@@ -34,15 +34,6 @@ func BenchmarkAccumulateSplitScalar(b *testing.B) {
 	}
 }
 
-func BenchmarkAccumulateSplitLanes4(b *testing.B) {
-	p := benchPlanes(benchWords)
-	b.SetBytes(benchWords * 8 * 6)
-	var ft [Cells]int32
-	for i := 0; i < b.N; i++ {
-		AccumulateSplitLanes4(&ft, p[0], p[1], p[2], p[3], p[4], p[5])
-	}
-}
-
 func BenchmarkAccumulateSplitLanes8(b *testing.B) {
 	p := benchPlanes(benchWords)
 	b.SetBytes(benchWords * 8 * 6)

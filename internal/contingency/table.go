@@ -152,47 +152,11 @@ func AccumulateSplit(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
 	}
 }
 
-// AccumulateSplitLanes4 is AccumulateSplit with the word loop unrolled
-// over independent pairs, the 256-bit "vector" analogue of approach V4
-// on AVX-class devices: the two words' dependency chains interleave in
-// the out-of-order core the way SIMD lanes would.
-func AccumulateSplitLanes4(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
-	n := len(x0s)
-	w := 0
-	for ; w+2 <= n; w += 2 {
-		ax0, ax1 := x0s[w], x1s[w]
-		ay0, ay1 := y0s[w], y1s[w]
-		az0, az1 := z0s[w], z1s[w]
-		bx0, bx1 := x0s[w+1], x1s[w+1]
-		by0, by1 := y0s[w+1], y1s[w+1]
-		bz0, bz1 := z0s[w+1], z1s[w+1]
-		axs := [3]uint64{ax0, ax1, ^(ax0 | ax1)}
-		ays := [3]uint64{ay0, ay1, ^(ay0 | ay1)}
-		azs := [3]uint64{az0, az1, ^(az0 | az1)}
-		bxs := [3]uint64{bx0, bx1, ^(bx0 | bx1)}
-		bys := [3]uint64{by0, by1, ^(by0 | by1)}
-		bzs := [3]uint64{bz0, bz1, ^(bz0 | bz1)}
-		idx := 0
-		for gx := 0; gx < 3; gx++ {
-			for gy := 0; gy < 3; gy++ {
-				axy := axs[gx] & ays[gy]
-				bxy := bxs[gx] & bys[gy]
-				ft[idx] += int32(bits.OnesCount64(axy&azs[0]) + bits.OnesCount64(bxy&bzs[0]))
-				ft[idx+1] += int32(bits.OnesCount64(axy&azs[1]) + bits.OnesCount64(bxy&bzs[1]))
-				ft[idx+2] += int32(bits.OnesCount64(axy&azs[2]) + bits.OnesCount64(bxy&bzs[2]))
-				idx += 3
-			}
-		}
-	}
-	if w < n {
-		AccumulateSplit(ft, x0s[w:], x1s[w:], y0s[w:], y1s[w:], z0s[w:], z1s[w:])
-	}
-}
-
-// AccumulateSplitLanes8 widens AccumulateSplitLanes4 to four
-// interleaved words per iteration (the 512-bit analogue). Register
-// pressure caps the useful width on amd64; the remainder reuses the
-// pair kernel.
+// AccumulateSplitLanes8 is AccumulateSplit with the word loop unrolled
+// over four independent words, the 512-bit "vector" analogue of
+// approach V4: the words' dependency chains interleave in the
+// out-of-order core the way SIMD lanes would. Register pressure caps the
+// useful width on amd64; the remainder runs through AccumulateSplit.
 func AccumulateSplitLanes8(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
 	n := len(x0s)
 	w := 0
@@ -239,7 +203,7 @@ func AccumulateSplitLanes8(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint
 		}
 	}
 	if w < n {
-		AccumulateSplitLanes4(ft, x0s[w:], x1s[w:], y0s[w:], y1s[w:], z0s[w:], z1s[w:])
+		AccumulateSplit(ft, x0s[w:], x1s[w:], y0s[w:], y1s[w:], z0s[w:], z1s[w:])
 	}
 }
 

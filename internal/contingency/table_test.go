@@ -127,13 +127,9 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 			return w
 		}
 		x0, x1, y0, y1, z0, z1 := mk(), mk(), mk(), mk(), mk(), mk()
-		var scalar, l4, l8 [Cells]int32
+		var scalar, l8 [Cells]int32
 		AccumulateSplit(&scalar, x0, x1, y0, y1, z0, z1)
-		AccumulateSplitLanes4(&l4, x0, x1, y0, y1, z0, z1)
 		AccumulateSplitLanes8(&l8, x0, x1, y0, y1, z0, z1)
-		if scalar != l4 {
-			t.Errorf("words=%d: lanes4 differs from scalar", words)
-		}
 		if scalar != l8 {
 			t.Errorf("words=%d: lanes8 differs from scalar", words)
 		}
@@ -143,7 +139,6 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 func TestAccumulateEmptyRange(t *testing.T) {
 	var ft [Cells]int32
 	AccumulateSplit(&ft, nil, nil, nil, nil, nil, nil)
-	AccumulateSplitLanes4(&ft, nil, nil, nil, nil, nil, nil)
 	AccumulateSplitLanes8(&ft, nil, nil, nil, nil, nil, nil)
 	for _, c := range ft {
 		if c != 0 {

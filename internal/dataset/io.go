@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -110,76 +111,37 @@ func ReadText(r io.Reader) (*Matrix, error) {
 
 var binMagic = [4]byte{'T', 'G', 'B', '1'}
 
-// WriteBinary serializes the matrix in the compact binary format.
+// WriteBinary serializes the matrix in the compact binary format: the
+// header, then the sections of Pack(mx), which are its body byte for
+// byte.
 func WriteBinary(w io.Writer, mx *Matrix) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(mx.SNPs()))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(mx.Samples()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	// Genotypes, 2 bits each.
-	var acc byte
-	var nacc int
-	flush := func() error {
-		if nacc > 0 {
-			if err := bw.WriteByte(acc); err != nil {
-				return err
-			}
-			acc, nacc = 0, 0
-		}
-		return nil
-	}
-	for i := 0; i < mx.SNPs(); i++ {
-		for _, g := range mx.Row(i) {
-			acc |= g << (uint(nacc) * 2)
-			nacc++
-			if nacc == 4 {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	// Phenotypes, 1 bit each.
-	acc, nacc = 0, 0
-	for j := 0; j < mx.Samples(); j++ {
-		acc |= mx.Phen(j) << uint(nacc)
-		nacc++
-		if nacc == 8 {
-			if err := bw.WriteByte(acc); err != nil {
-				return err
-			}
-			acc, nacc = 0, 0
-		}
-	}
-	if nacc > 0 {
-		if err := bw.WriteByte(acc); err != nil {
+	p := Pack(mx)
+	var hdr [12]byte
+	copy(hdr[:4], binMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.M))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(p.N))
+	for _, b := range [][]byte{hdr[:], p.Geno, p.Phen} {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
-// ReadBinary parses the binary format produced by WriteBinary.
+// ReadBinary parses the binary format produced by WriteBinary: its body
+// is read straight into the packed sections and decoded from them. The
+// bits past the last genotype carry nothing and are cleared before a
+// genotype of code 3 is searched for and refused.
 func ReadBinary(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReader(r)
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("dataset: reading magic: %w", err)
 	}
 	if magic != binMagic {
 		return nil, fmt.Errorf("dataset: bad magic %q", magic[:])
 	}
 	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("dataset: reading header: %w", err)
 	}
 	m := int(binary.LittleEndian.Uint32(hdr[0:]))
@@ -187,28 +149,41 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
 		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
 	}
-	mx := NewMatrix(m, n)
-	genoBytes := (m*n + 3) / 4
-	buf := make([]byte, genoBytes)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
+	if _, err := io.ReadFull(r, p.Geno); err != nil {
 		return nil, fmt.Errorf("dataset: reading genotypes: %w", err)
 	}
-	for idx := 0; idx < m*n; idx++ {
-		g := buf[idx/4] >> (uint(idx%4) * 2) & 3
-		if g > 2 {
-			return nil, fmt.Errorf("dataset: invalid packed genotype 3 at index %d", idx)
-		}
-		mx.geno[idx] = g
+	if tail := m * n % 4; tail != 0 {
+		p.Geno[len(p.Geno)-1] &= 1<<(2*tail) - 1
 	}
-	phenBytes := (n + 7) / 8
-	pbuf := make([]byte, phenBytes)
-	if _, err := io.ReadFull(br, pbuf); err != nil {
+	if idx := firstCode3(p.Geno); idx >= 0 {
+		return nil, fmt.Errorf("dataset: invalid packed genotype 3 at index %d", idx)
+	}
+	if _, err := io.ReadFull(r, p.Phen); err != nil {
 		return nil, fmt.Errorf("dataset: reading phenotypes: %w", err)
 	}
-	for j := 0; j < n; j++ {
-		mx.phen[j] = pbuf[j/8] >> (uint(j) % 8) & 1
+	return p.Matrix(), nil
+}
+
+// firstCode3 returns the index of the first entry of a 2-bit genotype
+// section that holds code 3, or -1: eight bytes at a time, where an
+// entry's two bits both set is a bit of x & x>>1 at an even position.
+func firstCode3(geno []byte) int {
+	const even = 0x5555555555555555
+	for at := 0; at < len(geno); at += 8 {
+		var x uint64
+		if at+8 <= len(geno) {
+			x = binary.LittleEndian.Uint64(geno[at:])
+		} else {
+			var last [8]byte
+			copy(last[:], geno[at:])
+			x = binary.LittleEndian.Uint64(last[:])
+		}
+		if threes := x & (x >> 1) & even; threes != 0 {
+			return 4*at + bits.TrailingZeros64(threes)/2
+		}
 	}
-	return mx, nil
+	return -1
 }
 
 func orEOF(err error) error {

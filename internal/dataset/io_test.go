@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,4 +148,96 @@ func TestReadBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("invalid genotype: expected error")
 	}
+}
+
+// readBinaryReference is the binary reader ReadBinary replaced, one
+// genotype at a time: the oracle of FuzzReadBinary.
+func readBinaryReference(r io.Reader) (*Matrix, error) {
+	br := bufio.NewReader(r)
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("dataset: reading magic: %w", err)
+	}
+	if magic != binMagic {
+		return nil, fmt.Errorf("dataset: bad magic %q", magic[:])
+	}
+	var hdr [8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("dataset: reading header: %w", err)
+	}
+	m := int(binary.LittleEndian.Uint32(hdr[0:]))
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
+		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
+	}
+	mx := NewMatrix(m, n)
+	genoBytes := (m*n + 3) / 4
+	buf := make([]byte, genoBytes)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, fmt.Errorf("dataset: reading genotypes: %w", err)
+	}
+	for idx := 0; idx < m*n; idx++ {
+		g := buf[idx/4] >> (uint(idx%4) * 2) & 3
+		if g > 2 {
+			return nil, fmt.Errorf("dataset: invalid packed genotype 3 at index %d", idx)
+		}
+		mx.geno[idx] = g
+	}
+	phenBytes := (n + 7) / 8
+	pbuf := make([]byte, phenBytes)
+	if _, err := io.ReadFull(br, pbuf); err != nil {
+		return nil, fmt.Errorf("dataset: reading phenotypes: %w", err)
+	}
+	for j := 0; j < n; j++ {
+		mx.phen[j] = pbuf[j/8] >> (uint(j) % 8) & 1
+	}
+	return mx, nil
+}
+
+// FuzzReadBinary: ReadBinary accepts exactly the inputs the reference
+// reader accepts, with the same Matrix, and refuses the others with the
+// same error text — whatever the bits past the last genotype and the
+// last phenotype hold, wherever a code 3 sits, however the input is cut.
+func FuzzReadBinary(f *testing.F) {
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 13}, {9, 101}} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, randomMatrix(int64(shape[0]), shape[0], shape[1])); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		f.Add(valid)
+		f.Add(valid[:len(valid)-1])
+		f.Add(valid[:12+len(valid[12:])/2])
+		tails := append([]byte(nil), valid...)
+		tails[len(tails)-1] |= 0xfe // phenotype bits past the last sample
+		if (shape[0]*shape[1])%4 != 0 {
+			tails[12+(shape[0]*shape[1])/4] |= 0xc0 // a code 3 past the last genotype
+		}
+		f.Add(tails)
+		three := append([]byte(nil), valid...)
+		three[12+len(valid[12:])/3] |= 0x0c
+		f.Add(three)
+	}
+	f.Add([]byte("TGB1\x00\x00\x00\x00"))
+	f.Add([]byte("TGB1\x02\x00\x00\x00\x03\x00\x00\x00\xff\x03"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 {
+			// Both readers size their buffers from the header before reading
+			// the body; keep what a short input declares small.
+			m, n := binary.LittleEndian.Uint32(data[4:]), binary.LittleEndian.Uint32(data[8:])
+			if m <= 1<<24 && n <= 1<<24 && uint64(m)*uint64(n) > 8*uint64(len(data))+64 {
+				t.Skip()
+			}
+		}
+		want, wantErr := readBinaryReference(bytes.NewReader(data))
+		got, err := ReadBinary(bytes.NewReader(data))
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("ReadBinary error %v, reference %v", err, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("ReadBinary error %q, reference %q", err, wantErr)
+		case err == nil && !matricesEqual(got, want):
+			t.Fatal("ReadBinary and the reference read different matrices")
+		}
+	})
 }

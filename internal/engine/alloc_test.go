@@ -36,12 +36,13 @@ import (
 // to arena memory (the pair block's build and sums, the lanes pass, K2's
 // lane scoring); the stubs are //go:noescape so nothing is moved to the
 // heap, which for the lanes pass and the lane scoring is pinned
-// separately at the end, on stack tables. The screened search's other two tile
-// loops are held to the same standard on the same searchers: the
-// stage-1 pair walker with the screen's sink (its marginals live on the
-// Searcher, its counted cells on the stack behind a //go:noescape stub)
-// and the seeded extension (its two class-plane-sized PairBlocks and its
-// raw table live in the worker arena).
+// separately at the end, on stack tables. The engine's other two tile
+// loops are held to the same standard on the same searchers: the pair
+// walker, of a pair search and with the screen's planes (its marginals
+// live on the Searcher, its counted cells on the stack behind a
+// //go:noescape stub), and the seeded extension (its two
+// class-plane-sized PairBlocks and its raw table live in the worker
+// arena).
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)
@@ -116,20 +117,21 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := probe.s.st.SNPs()
-		sink := &screenSink{obj: o.Objective, best: make([]float64, m), seen: make([]bool, m),
-			top: newPairTopK(o.Objective, o.TopK)}
-		pw := probe.s.newPairWalker(&o, sink.take)
-		steadyStateAllocs(t, probe.name+"/pair screen", combin.Pairs(m), pw.tile)
-		pw.a.release()
+		for name, screen := range map[string]*screenPlanes{"pair": nil, "pair screen": newScreenPlanes(o.Objective, m)} {
+			a := getArena(o.Objective, o.TopK)
+			steadyStateAllocs(t, probe.name+"/"+name, combin.Pairs(m), probe.s.newPairWalker(&o, a, screen).tile)
+			a.release()
+		}
 
 		// Seeds that overlap in a SNP, with a subset mask: every skip rule
 		// runs. Tiles of 37 ranks start and end mid-seed.
 		seeds := []Pair{{1, 5}, {5, m - 2}, {0, m - 1}}
 		inSubset := make([]bool, m)
 		inSubset[1], inSubset[5], inSubset[7] = true, true, true
-		sw := probe.s.newSeededWorker(&o, seeds, seedRanks(seeds, m), inSubset)
+		a := getArena(o.Objective, o.TopK)
+		sw := probe.s.newSeededWorker(&o, a, seeds, seedRanks(seeds, m), inSubset)
 		steadyStateAllocs(t, probe.name+"/seeded", int64(len(seeds)*m), sw.tile)
-		sw.a.release()
+		a.release()
 	}
 
 	// The fused loop's two stubs, on tables that live on the stack.
@@ -155,7 +157,7 @@ func TestHotPathAllocs(t *testing.T) {
 // steadyStateAllocs cuts [0, ranks) into tiles of 37 ranks, runs them
 // all once to warm the consumer (top-K at depth, scratch faulted in),
 // then demands zero allocations per tile.
-func steadyStateAllocs(t *testing.T, name string, ranks int64, tile func(sched.Tile) int64) {
+func steadyStateAllocs(t *testing.T, name string, ranks int64, tile tileFunc) {
 	t.Helper()
 	const grain = 37
 	tiles := (ranks + grain - 1) / grain
@@ -197,12 +199,7 @@ func TestHotLoopMatchesRun(t *testing.T) {
 		if h.Scored() != want.Stats.Combinations {
 			t.Errorf("%v: probe scored %d, run %d", a, h.Scored(), want.Stats.Combinations)
 		}
-		var top *topK
-		if h.flat != nil {
-			top = h.flat.a.top
-		} else {
-			top = h.blocked.a.top
-		}
+		top := h.w.a.top
 		if len(top.items) != len(want.TopK) {
 			t.Fatalf("%v: probe top-K %d entries, run %d", a, len(top.items), len(want.TopK))
 		}

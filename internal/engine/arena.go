@@ -8,9 +8,9 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (flat paths), a bank of block tables (unfused
-// blocked paths), the fused loop's pair blocks, x tile and lane-table
-// bank, the generic k-way buffers, and the consumer's top-K heap.
+// a contingency table (flat and pair paths), a bank of block tables
+// (unfused blocked paths), the fused loop's pair blocks, x tile and
+// lane-table bank, the generic k-way cells, and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
@@ -32,8 +32,7 @@ type arena struct {
 	pairs     []lanePair
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
-	// comb/ctrl/cases are the generic k-way buffers.
-	comb        []int
+	// ctrl/cases are the generic k-way cells.
 	ctrl, cases []int32
 	// top accumulates this consumer's best candidates.
 	top *topK
@@ -46,10 +45,9 @@ type arena struct {
 
 var arenaPool = sync.Pool{New: func() interface{} { return new(arena) }}
 
-// getArena returns a pooled arena reset for one consumer: a top-K of
-// depth k under obj and (for the unfused blocked paths) a bank of
-// tables block tables.
-func getArena(obj score.Objective, k, tables int) *arena {
+// getArena returns a pooled arena reset for one consumer with a top-K
+// of depth k under obj; the consumer sizes the rest of its scratch.
+func getArena(obj score.Objective, k int) *arena {
 	a := arenaPool.Get().(*arena)
 	a.scored, a.rejected = 0, 0
 	if a.top == nil {
@@ -57,11 +55,15 @@ func getArena(obj score.Objective, k, tables int) *arena {
 	} else {
 		a.top.reset(obj, k)
 	}
-	if cap(a.tables) < tables {
-		a.tables = make([]contingency.Table, tables)
-	}
-	a.tables = a.tables[:tables]
 	return a
+}
+
+// sizeTables sizes the bank of block tables to n tables.
+func (a *arena) sizeTables(n int) {
+	if cap(a.tables) < n {
+		a.tables = make([]contingency.Table, n)
+	}
+	a.tables = a.tables[:n]
 }
 
 // sizeLanes sizes the fused loop's scratch for blocks of bs SNPs and
@@ -81,12 +83,8 @@ func (a *arena) sizeLanes(bs, tile int, oracle bool) {
 	}
 }
 
-// sizeK grows the arena's k-way buffers for the given order.
-func (a *arena) sizeK(order, cells int) {
-	if cap(a.comb) < order {
-		a.comb = make([]int, order)
-	}
-	a.comb = a.comb[:order]
+// sizeK sizes the k-way cells for tables of the given cell count.
+func (a *arena) sizeK(cells int) {
 	if cap(a.ctrl) < cells {
 		a.ctrl = make([]int32, cells)
 		a.cases = make([]int32, cells)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
@@ -8,8 +10,8 @@ import (
 	"trigene/internal/score"
 )
 
-// runBlocked executes the blocked approaches (Algorithm 1): SNPs are
-// grouped into blocks of BS, the sample dimension is walked in tiles of
+// blockedRun is the blocked approaches (Algorithm 1): SNPs are grouped
+// into blocks of BS, the sample dimension is walked in tiles of
 // BlockWords 64-bit words, and each worker holds a private bank of
 // frequency tables — BS^3 tables for V3 and V4, BS^2 lane tables of
 // eight per class for the fused approaches — so the tile data and the
@@ -20,51 +22,29 @@ import (
 // triples over nb+2 items. Because block triples partition the
 // combination space, a Shard over block-triple ranks is a disjoint
 // sub-search whose results merge bit-exactly — the property that makes
-// V3/V4 shardable at all.
-func (s *Searcher) runBlocked(o Options) (*Result, error) {
-	bs, nb, src := s.blockSpace(&o)
-	res := &Result{}
+// V3/V4 shardable at all. The same is why no shared cursor over
+// combination ranks can feed it.
+func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
+	if o.Tiles != nil {
+		return space{}, nil, fmt.Errorf("engine: a shared tile cursor requires approach V1 or V2, have %v", o.Approach)
+	}
+	bs, nb, src := s.blockSpace(o)
+	sp := space{src: src, order: 3, kind: "blocked", approach: o.Approach.String()}
 	if o.Shard != nil {
 		sub, err := src.Shard(*o.Shard)
 		if err != nil {
-			return nil, err
+			return sp, nil, err
 		}
-		src = sub
-		b := src.Bounds()
-		res.Space = &b
-		res.BlockSpace = true
+		b := sub.Bounds()
+		sp.src, sp.covered, sp.blocks = sub, &b, true
 	}
-	cur := sched.NewCursor(src)
 	if o.Progress != nil {
-		cur.OnProgress(s.blockSpaceCombos(src, bs, nb), o.Progress)
+		sp.items = s.blockSpaceCombos(sp.src, bs, nb)
 	}
-
-	workers := make([]*blockWorker, o.Workers)
-	for w := range workers {
-		workers[w] = newBlockWorker(s, &o, bs, nb)
-	}
-	cur.Instrument(o.Metrics, "blocked")
-	rm := resolveRunMetrics(o.Metrics, o.Approach)
-	err := cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		n := workers[w].tile(t)
-		rm.observe(n, workers[w].a)
-		return n, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	merged := newTopK(o.Objective, o.TopK)
-	for _, w := range workers {
-		merged.merge(w.a.top)
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
-	}
-	res.TopK = merged.list()
-	if len(res.TopK) > 0 {
-		res.Best = res.TopK[0]
-	}
-	return res, nil
+	split := s.st.Split()
+	return sp, func(_ int, a *arena) tileFunc {
+		return newBlockWorker(s, o, a, split, bs, nb).tile
+	}, nil
 }
 
 // blockSpace returns the run's block size, its block count and the
@@ -134,42 +114,32 @@ type blockWorker struct {
 	laneScorer score.LaneScorer
 }
 
-// newBlockWorker builds a consumer with a pooled arena sized for the
-// BS^3 table bank, or for the fused loop, where V3F pins the pure-Go
+// newBlockWorker builds a consumer over a pooled arena, sizing it for
+// the BS^3 table bank, or for the fused loop, where V3F pins the pure-Go
 // bodies and V4F takes the host's tuned ones.
-func newBlockWorker(s *Searcher, o *Options, bs, nb int) *blockWorker {
-	w := &blockWorker{
-		s:     s,
-		o:     o,
-		split: s.st.Split(),
-		bs:    bs,
-		nb:    nb,
-	}
-	if o.Approach.fused() {
-		w.a = getArena(o.Objective, o.TopK, 0)
-		w.a.sizeLanes(bs, min(o.BlockWords, max(w.split.Words[0], w.split.Words[1])), o.Approach == V3Fused)
+func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, bs, nb int) *blockWorker {
+	w := &blockWorker{s: s, o: o, split: split, bs: bs, nb: nb, a: a}
+	switch {
+	case o.Approach.fused():
+		a.sizeLanes(bs, min(o.BlockWords, max(split.Words[0], split.Words[1])), o.Approach == V3Fused)
 		if o.Approach != V3Fused {
 			w.laneScorer, _ = o.Objective.(score.LaneScorer)
 		}
 		return w
-	}
-	w.a = getArena(o.Objective, o.TopK, bs*bs*bs)
-	switch {
-	case o.Approach == V4Vector && o.Lanes == 4:
-		w.kernel = contingency.AccumulateSplitLanes4
-	case o.Approach == V4Vector && o.Lanes == 8:
+	case o.Approach == V4Vector:
 		w.kernel = contingency.AccumulateSplitLanes8
 	default:
 		w.kernel = contingency.AccumulateSplit
 	}
+	a.sizeTables(bs * bs * bs)
 	return w
 }
 
 // tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
 // returns how many combinations it scored.
-func (w *blockWorker) tile(t sched.Tile) int64 {
+func (w *blockWorker) tile(t sched.Tile) (int64, error) {
 	if w.o.Approach.fused() {
-		return w.tileLanes(t)
+		return w.tileLanes(t), nil
 	}
 	var scored int64
 	for rank := t.Lo; rank < t.Hi; rank++ {
@@ -179,7 +149,7 @@ func (w *blockWorker) tile(t sched.Tile) int64 {
 		scored += w.processBlockTriple(a, b-1, c-2)
 	}
 	w.a.scored += scored
-	return scored
+	return scored, nil
 }
 
 // processBlockTriple evaluates every valid combination (i0 < i1 < i2)
@@ -336,10 +306,7 @@ func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
 		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, p.valid, &a.tab)
 	}
 	for lane := 0; lane < p.valid; lane++ {
-		a.top.offer(Candidate{
-			Triple: Triple{I: x + lane, J: p.y, K: p.z},
-			Score:  a.laneScore[lane],
-		})
+		a.top.offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))
 	}
 }
 
@@ -389,10 +356,7 @@ func (w *blockWorker) scoreTables(base0, base1, base2, lim0, lim1, lim2 int) int
 				tab := &tables[idx]
 				tab.Counts[dataset.Control][contingency.Cells-1] -= int32(split.Pad[dataset.Control])
 				tab.Counts[dataset.Case][contingency.Cells-1] -= int32(split.Pad[dataset.Case])
-				w.a.top.offer(Candidate{
-					Triple: Triple{I: gi0, J: gi1, K: gi2},
-					Score:  w.o.Objective.Score(tab),
-				})
+				w.a.top.offer(Triple{I: gi0, J: gi1, K: gi2}.scored(w.o.Objective.Score(tab)))
 				scored++
 			}
 		}

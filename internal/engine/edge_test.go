@@ -37,8 +37,8 @@ func TestMonomorphicSNPs(t *testing.T) {
 			t.Fatalf("%v: %v", a, err)
 		}
 		// All triples tie; the lexicographic tie-break picks (0,1,2).
-		if res.Best.Triple != (Triple{0, 1, 2}) {
-			t.Errorf("%v: best %v, want (0,1,2)", a, res.Best.Triple)
+		if res.Best.triple() != (Triple{0, 1, 2}) {
+			t.Errorf("%v: best %v, want (0,1,2)", a, res.Best.triple())
 		}
 	}
 }
@@ -120,8 +120,8 @@ func TestMinimalDimensions(t *testing.T) {
 	if res.Stats.Combinations != 1 || len(res.TopK) != 1 {
 		t.Fatalf("M=3: combos %d, topK %d", res.Stats.Combinations, len(res.TopK))
 	}
-	if res.Best.Triple != (Triple{0, 1, 2}) {
-		t.Errorf("best %v", res.Best.Triple)
+	if res.Best.triple() != (Triple{0, 1, 2}) {
+		t.Errorf("best %v", res.Best.triple())
 	}
 }
 
@@ -186,7 +186,7 @@ func TestFusedParityEdgeShapes(t *testing.T) {
 			ref := newTopK(obj, topK)
 			combin.ForEachTriple(sh.mx.SNPs(), func(i, j, k int) {
 				tab := contingency.BuildReference(sh.mx, i, j, k)
-				ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
+				ref.offer(Triple{i, j, k}.scored(obj.Score(&tab)))
 			})
 			want := ref.list()
 			for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
@@ -265,13 +265,13 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 		m := sh.mx.SNPs()
 		for _, obj := range []score.Objective{score.NewK2(sh.mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
 			name := sh.name + "/" + obj.Name()
-			refTop := newPairTopK(obj, topK)
+			refTop := newTopK(obj, topK)
 			best := make([]float64, m)
 			seen := make([]bool, m)
 			combin.ForEachPair(m, func(i, j int) {
 				tab := contingency.BuildReferencePair(sh.mx, i, j)
 				sc := obj.Score(&tab)
-				refTop.take(Pair{i, j}, sc)
+				refTop.offer(Pair{i, j}.scored(sc))
 				for _, snp := range [2]int{i, j} {
 					if !seen[snp] || obj.Better(sc, best[snp]) {
 						best[snp], seen[snp] = sc, true
@@ -286,7 +286,7 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: RunPairScreen: %v", name, err)
 			}
-			for what, got := range map[string][]PairCandidate{"RunPairs": pairs.TopK, "RunPairScreen": screen.TopPairs} {
+			for what, got := range map[string][]Candidate{"RunPairs": pairs.TopK, "RunPairScreen": screen.TopPairs} {
 				if len(got) != len(refTop.items) {
 					t.Fatalf("%s: %s ranks %d pairs, reference %d", name, what, len(got), len(refTop.items))
 				}
@@ -317,9 +317,9 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 					t.Fatalf("%s: seed %v extended to %d triples (%d scored), want %d", name, seed, len(res.TopK), res.Stats.Combinations, m-2)
 				}
 				for _, c := range res.TopK {
-					tab := contingency.BuildReference(sh.mx, c.Triple.I, c.Triple.J, c.Triple.K)
+					tab := contingency.BuildReference(sh.mx, c.triple().I, c.triple().J, c.triple().K)
 					if want := obj.Score(&tab); c.Score != want {
-						t.Errorf("%s: seed %v triple %v scored %v, reference %v", name, seed, c.Triple, c.Score, want)
+						t.Errorf("%s: seed %v triple %v scored %v, reference %v", name, seed, c.triple(), c.Score, want)
 					}
 				}
 			}

@@ -49,11 +49,23 @@
 // claim of ceil(8/BS) block triples is not 8-aligned inside a run, and
 // half-empty chunks double the passes).
 //
-// Work is distributed over a pool of workers that claim chunks of the
-// combination space (or of the block-triple space for V3/V4) from an
-// atomic cursor, mirroring the paper's dynamically scheduled thread
-// pool; every worker keeps a private best/top-K that is reduced at the
-// end, so the hot path has no synchronization.
+// One run loop (run.go, Searcher.run) drives every search: a cursor over
+// the run's space, and a pool of workers claiming tiles from it — the
+// paper's dynamically scheduled thread pool — each scoring into the
+// private top-K of its pooled arena, so the hot path has no
+// synchronization, with the lists merged at the end. A search brings
+// only its space and its tile body:
+//
+//	search                  claims from (sched space)         records as (approach)
+//	Run, V1/V2              combination ranks ("flat")        "V1", "V2"
+//	Run, V3/V4/V3F/V4F      block triples ("blocked")         "V3", "V4", "V3F", "V4F"
+//	RunPairs, RunPairScreen pair ranks ("pair")               "pair"
+//	RunK, orders 2..7       k-combination ranks ("kway")      "kway"
+//	RunSeeded               seed x third-SNP ranks ("seeded") "seeded"
+//
+// Every run records its claims in the trigene_sched_* series under its
+// space, its tiles and combinations in the trigene_engine_* series under
+// its approach, and its throughput in Options.Meter.
 package engine
 
 import (
@@ -61,13 +73,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"trigene/internal/bitvec"
-	"trigene/internal/carm"
-	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/obs"
@@ -156,44 +167,49 @@ type Triple struct {
 	I, J, K int
 }
 
-// Less orders triples lexicographically; it breaks score ties so every
-// approach and worker count returns the same winner.
-func (t Triple) Less(o Triple) bool {
-	if t.I != o.I {
-		return t.I < o.I
-	}
-	if t.J != o.J {
-		return t.J < o.J
-	}
-	return t.K < o.K
-}
-
 // String renders the triple as "(i,j,k)".
 func (t Triple) String() string { return fmt.Sprintf("(%d,%d,%d)", t.I, t.J, t.K) }
 
-// Candidate is a scored SNP triple.
-type Candidate struct {
-	Triple Triple
-	Score  float64
+// scored returns the triple as a candidate at score sc.
+func (t Triple) scored(sc float64) Candidate {
+	return Candidate{SNPs: [contingency.MaxOrder]int{t.I, t.J, t.K}, Score: sc}
 }
+
+// Candidate is a scored SNP combination of any order up to
+// contingency.MaxOrder: its SNPs in increasing order, zero past the
+// order. Two candidates of one order compare as whole arrays, and an
+// offer copies a fixed-size value, never a slice.
+type Candidate struct {
+	SNPs  [contingency.MaxOrder]int
+	Score float64
+}
+
+// Less orders candidates of one order lexicographically by their SNPs:
+// the tie-break of equal scores that makes every approach, worker count
+// and shard merge return the same winners.
+func (c Candidate) Less(o Candidate) bool { return slices.Compare(c.SNPs[:], o.SNPs[:]) < 0 }
 
 // Stats reports the volume and speed of a completed search.
 type Stats struct {
-	// Combinations is the number of SNP triples evaluated: C(M,3).
+	// Combinations is the number of SNP combinations the run scored:
+	// C(M,k) for a full search, the claimed share of the space on sharded
+	// and shared-cursor runs.
 	Combinations int64
 	// Elements is the paper's work metric: Combinations x N.
 	Elements float64
 	// Duration is the wall time of the search phase (excluding dataset
-	// binarization, which Searcher performs once up front).
+	// binarization, which the store performs once up front).
 	Duration time.Duration
 	// ElementsPerSec is Elements / Duration.
 	ElementsPerSec float64
 }
 
-// Result is the outcome of an exhaustive search.
+// Result is the outcome of a search of any order.
 type Result struct {
-	// Best is the winning candidate (ties broken by lexicographic
-	// triple order, so results are deterministic).
+	// Order is the number of SNPs per candidate.
+	Order int
+	// Best is the winning candidate (ties broken by lexicographic SNP
+	// order, so results are deterministic).
 	Best Candidate
 	// TopK holds the best candidates in best-first order, up to
 	// Options.TopK entries.
@@ -201,19 +217,23 @@ type Result struct {
 	// Stats describes the completed run.
 	Stats Stats
 	// Space is the covered slice of the scheduler's work space when
-	// Shard or RankRange restricted the run; nil means the full space.
-	// For the flat approaches the ranks are colexicographic
-	// combination ranks; for the blocked approaches (BlockSpace true)
-	// they are block-triple ranks.
+	// Shard restricted the run; nil means the full space. Its ranks are
+	// colexicographic combination (or seed-extension) ranks, except on
+	// the blocked approaches (BlockSpace true), where they are
+	// block-triple ranks.
 	Space *sched.Tile
 	// BlockSpace reports whether Space ranks are block triples.
 	BlockSpace bool
 }
 
+// l1DataBytes is the L1 data cache the blocked approaches' tiles are
+// sized for when Options leaves them zero.
+const l1DataBytes = 32 << 10
+
 // Options configures a search. The zero value means: V4F, all CPUs,
-// K2 objective, top-1, auto-tiled for a 32 KiB L1d, 8 lanes.
+// K2 objective, top-1, tiles sized for a 32 KiB L1d.
 type Options struct {
-	// Approach selects the pipeline (default V4Fused).
+	// Approach selects the order-3 pipeline (default V4Fused).
 	Approach Approach
 	// Workers is the pool size (default runtime.GOMAXPROCS(0)).
 	Workers int
@@ -222,30 +242,18 @@ type Options struct {
 	// TopK is how many candidates to return (default 1).
 	TopK int
 	// BlockSNPs (BS) and BlockWords (BP, in 64-bit words) tile the
-	// blocked approaches. Zero derives both from L1DataBytes with the
+	// blocked approaches. Zero derives both from a 32 KiB L1d with the
 	// paper's sizing rule.
 	BlockSNPs  int
 	BlockWords int
-	// L1DataBytes is the L1 data cache size used to derive tile
-	// parameters (default 32 KiB).
-	L1DataBytes int
-	// Lanes selects the unfused V4 kernel's unroll width: 1, 4 or 8
-	// (default 8). The fused approaches ignore it.
-	Lanes int
 	// Context optionally allows cancellation; a nil Context means
 	// context.Background(). Cancellation is observed between work
 	// chunks and returns the context error.
 	Context context.Context
-	// RankRange restricts the search to combination ranks [Lo, Hi) in
-	// colexicographic order. Nil means the full space. Supported by
-	// the flat approaches (V1, V2) only; Shard is the backend-agnostic
-	// generalization.
-	RankRange *combin.Range
 	// Shard restricts the search to slice Index of Count of the
 	// scheduler's work space: combination ranks for the flat
-	// approaches and orders 2/k, block-triple ranks for V3/V4. Every
-	// approach and order supports it; mutually exclusive with
-	// RankRange.
+	// approaches and orders 2/k, block-triple ranks for V3/V4,
+	// seed-extension ranks for a seeded run. Every run supports it.
 	Shard *sched.Shard
 	// Grain overrides the flat source's ranks-per-claim tile size
 	// (0 = the AutoGrain heuristic). The planner seeds it from the
@@ -259,10 +267,11 @@ type Options struct {
 	Meter *sched.ThroughputMeter
 	// MeterBase offsets this run's worker indices inside Meter.
 	MeterBase int
-	// Tiles optionally supplies an externally shared claiming cursor:
-	// the run's workers then steal work from the same space as any
-	// other consumer of that cursor (the heterogeneous backend's CPU
-	// half). Flat approaches only; RankRange, Shard and Progress are
+	// Tiles optionally supplies an externally shared claiming cursor
+	// over the run's rank space: the run's workers then steal work from
+	// it alongside any other consumer (the heterogeneous backend's CPU
+	// half), or drain a sub-range it covers. Not for the blocked
+	// approaches, whose ranks are block triples; Shard and Progress are
 	// ignored when set (the cursor owns the space and its progress).
 	Tiles *sched.Cursor
 	// Progress, when non-nil, is invoked from worker goroutines as
@@ -300,17 +309,11 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	if o.TopK < 0 {
 		return o, fmt.Errorf("engine: negative TopK %d", o.TopK)
 	}
-	if o.L1DataBytes == 0 {
-		o.L1DataBytes = 32 << 10
-	}
-	if o.L1DataBytes < 1024 {
-		return o, fmt.Errorf("engine: implausible L1 size %d bytes", o.L1DataBytes)
-	}
 	if o.BlockSNPs == 0 && o.BlockWords == 0 {
 		if o.Approach.fused() {
-			o.BlockSNPs, o.BlockWords = FusedTileParams(o.L1DataBytes)
+			o.BlockSNPs, o.BlockWords = FusedTileParams(l1DataBytes)
 		} else {
-			o.BlockSNPs, o.BlockWords = TileParams(o.L1DataBytes)
+			o.BlockSNPs, o.BlockWords = TileParams(l1DataBytes)
 		}
 	}
 	if o.BlockSNPs < 1 || o.BlockWords < 1 {
@@ -319,33 +322,16 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 		}
 		o.BlockSNPs, o.BlockWords = 1, 1
 	}
-	if o.Lanes == 0 {
-		o.Lanes = 8
-	}
-	if o.Lanes != 1 && o.Lanes != 4 && o.Lanes != 8 {
-		return o, fmt.Errorf("engine: lanes must be 1, 4 or 8, got %d", o.Lanes)
-	}
 	if o.Context == nil {
 		o.Context = context.Background()
 	}
-	if r := o.RankRange; r != nil {
-		if o.Approach != V1Naive && o.Approach != V2Split {
-			return o, fmt.Errorf("engine: RankRange requires approach V1 or V2, have %v", o.Approach)
-		}
-		if r.Lo < 0 || r.Hi < r.Lo {
-			return o, fmt.Errorf("engine: invalid rank range [%d,%d)", r.Lo, r.Hi)
-		}
-		if o.Shard != nil {
-			return o, fmt.Errorf("engine: RankRange and Shard are mutually exclusive")
-		}
+	if o.Tiles != nil {
+		o.Shard, o.Progress = nil, nil
 	}
 	if o.Shard != nil {
 		if err := o.Shard.Validate(); err != nil {
 			return o, err
 		}
-	}
-	if o.Tiles != nil && o.Approach != V1Naive && o.Approach != V2Split {
-		return o, fmt.Errorf("engine: a shared tile cursor requires approach V1 or V2, have %v", o.Approach)
 	}
 	if o.Grain < 0 {
 		return o, fmt.Errorf("engine: negative grain %d", o.Grain)
@@ -384,14 +370,35 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 }
 
 // FusedTileParams derives the fused loop's tile: the block size of
-// TileParams and a word tile from carm.FusedTileWords for the eight x
-// SNPs of a lanes pass — per word of tile 128 bytes of x tile and 72 of
-// pair block, which every pass reads again, over three quarters of the
+// TileParams and a word tile from fusedTileWords for the eight x SNPs
+// of a lanes pass — per word of tile 128 bytes of x tile and 72 of pair
+// block, which every pass reads again, over three quarters of the
 // cache. The tile is a whole number of 8-word vectors (at least one), so
 // only a class's last tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	bs, _ := TileParams(l1Bytes)
-	return bs, max(carm.FusedTileWords(l1Bytes, contingency.Lanes)&^7, 8)
+	return bs, max(fusedTileWords(l1Bytes, contingency.Lanes)&^7, 8)
+}
+
+// fusedTileWords sizes the fused loop's word tile from an L1 data
+// budget. What every pass of the loop reads again are the nine cached
+// pair-AND planes and the 2*xBatch x words counted against each of their
+// words (xBatch = 8: the x tile of a lanes pass), all 64-bit words; they
+// get three quarters of the cache. The last quarter takes what streams
+// under them: the y/z words a block is built from and the one table a
+// pass adds to — the fused loop keeps no table region hot, unlike the
+// BS^3 bank TileParams reserves 7/12 for. This is the cache-residency
+// constraint that keeps the fused kernels on the L1 slope of the roofline
+// rather than spilling the pair planes to L2.
+func fusedTileWords(l1Bytes, xBatch int) int {
+	if xBatch < 1 {
+		xBatch = 1
+	}
+	bw := l1Bytes * 3 / 4 / ((9 + 2*xBatch) * 8)
+	if bw < 1 {
+		bw = 1
+	}
+	return bw
 }
 
 // Searcher runs exhaustive searches over one dataset through its
@@ -487,35 +494,24 @@ func Search(mx *dataset.Matrix, opts Options) (*Result, error) {
 	return s.Run(opts)
 }
 
-// Run executes an exhaustive search with the given options.
+// Run executes an exhaustive third-order search with the given options.
 func (s *Searcher) Run(opts Options) (*Result, error) {
 	o, err := opts.withDefaults(s.st.Samples())
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	var res *Result
-	switch o.Approach {
-	case V1Naive, V2Split:
-		res, err = s.runFlat(o)
-	default:
-		res, err = s.runBlocked(o)
-	}
+	sp, body, err := s.triples(&o)
 	if err != nil {
 		return nil, err
 	}
-	s.finishStats(&res.Stats, start)
-	return res, nil
+	return s.run(&o, sp, body)
 }
 
-// finishStats derives a finished run's volume and speed from its
-// Combinations — the count the workers actually scored, which is the
-// claimed share of the space on sharded and shared-cursor runs — and
-// its start time.
-func (s *Searcher) finishStats(st *Stats, start time.Time) {
-	st.Elements = float64(st.Combinations) * float64(s.st.Samples())
-	st.Duration = time.Since(start)
-	if secs := st.Duration.Seconds(); secs > 0 {
-		st.ElementsPerSec = st.Elements / secs
+// triples returns the space and tile body of an order-3 run of the
+// configured approach.
+func (s *Searcher) triples(o *Options) (space, tiler, error) {
+	if o.Approach.blocked() {
+		return s.blockedRun(o)
 	}
+	return s.flatRun(o)
 }

@@ -12,6 +12,9 @@ import (
 	"trigene/internal/score"
 )
 
+// triple returns an order-3 candidate's SNPs.
+func (c Candidate) triple() Triple { return Triple{I: c.SNPs[0], J: c.SNPs[1], K: c.SNPs[2]} }
+
 func randomMatrix(seed int64, m, n int) *dataset.Matrix {
 	r := rand.New(rand.NewSource(seed))
 	mx := dataset.NewMatrix(m, n)
@@ -89,6 +92,24 @@ func TestTileParams(t *testing.T) {
 	}
 }
 
+func TestFusedTileWords(t *testing.T) {
+	// 32 KiB: three quarters of the cache over 13 x 8-byte plane words,
+	// and over the 25 of a lanes pass.
+	if bw := fusedTileWords(32<<10, 2); bw != (32<<10)*3/4/104 {
+		t.Errorf("fusedTileWords(32Ki, 2) = %d", bw)
+	}
+	if bw := fusedTileWords(32<<10, 8); bw != 122 {
+		t.Errorf("fusedTileWords(32Ki, 8) = %d, want 122", bw)
+	}
+	// More streamed x planes shrink the block; tiny budgets clamp to 1.
+	if fusedTileWords(32<<10, 4) >= fusedTileWords(32<<10, 1) {
+		t.Error("word block should shrink with the x batch")
+	}
+	if fusedTileWords(128, 2) != 1 {
+		t.Error("tiny budget should clamp to one word")
+	}
+}
+
 func TestAllApproachesAgree(t *testing.T) {
 	mx := randomMatrix(60, 24, 333)
 	s, err := New(mx)
@@ -107,7 +128,7 @@ func TestAllApproachesAgree(t *testing.T) {
 		got, want := results[a-1], results[0]
 		if got.Best != want.Best {
 			t.Errorf("%v best %v (%.6f) != V1 best %v (%.6f)",
-				a, got.Best.Triple, got.Best.Score, want.Best.Triple, want.Best.Score)
+				a, got.Best.triple(), got.Best.Score, want.Best.triple(), want.Best.Score)
 		}
 		if len(got.TopK) != len(want.TopK) {
 			t.Fatalf("%v TopK length %d != %d", a, len(got.TopK), len(want.TopK))
@@ -134,8 +155,8 @@ func TestBestMatchesBruteForce(t *testing.T) {
 	combin.ForEachTriple(12, func(i, j, k int) {
 		tab := contingency.BuildReference(mx, i, j, k)
 		sc := obj.Score(&tab)
-		c := Candidate{Triple: Triple{i, j, k}, Score: sc}
-		if sc != best.Score && obj.Better(sc, best.Score) || sc == best.Score && c.Triple.Less(best.Triple) {
+		c := Triple{i, j, k}.scored(sc)
+		if sc != best.Score && obj.Better(sc, best.Score) || sc == best.Score && c.Less(best) {
 			best = c
 		}
 	})
@@ -189,8 +210,8 @@ func TestPlantedInteractionRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Triple{I: 5, J: 11, K: 17}
-	if res.Best.Triple != want {
-		t.Errorf("best = %v, want planted %v", res.Best.Triple, want)
+	if res.Best.triple() != want {
+		t.Errorf("best = %v, want planted %v", res.Best.triple(), want)
 	}
 }
 
@@ -212,8 +233,8 @@ func TestObjectiveVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Best.Triple != want {
-			t.Errorf("%s: best %v, want %v", name, res.Best.Triple, want)
+		if res.Best.triple() != want {
+			t.Errorf("%s: best %v, want %v", name, res.Best.triple(), want)
 		}
 	}
 }
@@ -280,15 +301,13 @@ func TestLaneVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lanes := range []int{1, 4, 8} {
-		for _, a := range []Approach{V4Vector, V4Fused} {
-			res, err := s.Run(Options{Approach: a, Lanes: lanes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Best != want.Best {
-				t.Errorf("%v lanes=%d best differs", a, lanes)
-			}
+	for _, a := range []Approach{V4Vector, V4Fused} {
+		res, err := s.Run(Options{Approach: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best != want.Best {
+			t.Errorf("%v best differs", a)
 		}
 	}
 }
@@ -299,8 +318,7 @@ func TestOptionValidation(t *testing.T) {
 		{Approach: Approach(9)},
 		{Workers: -1},
 		{TopK: -2},
-		{Lanes: 3},
-		{L1DataBytes: 10},
+		{Grain: -1},
 		{Approach: V3Blocked, BlockSNPs: -1, BlockWords: 2},
 	}
 	for i, o := range bad {
@@ -391,14 +409,17 @@ func TestApproachEquivalenceProperty(t *testing.T) {
 }
 
 func TestTripleLessAndString(t *testing.T) {
-	a := Triple{1, 2, 3}
-	b := Triple{1, 2, 4}
-	c := Triple{1, 3, 3}
-	d := Triple{2, 2, 3}
-	if !a.Less(b) || !a.Less(c) || !a.Less(d) || b.Less(a) {
+	a := Triple{1, 2, 3}.scored(0)
+	b := Triple{1, 2, 4}.scored(0)
+	c := Triple{1, 3, 3}.scored(0)
+	d := Triple{2, 2, 3}.scored(0)
+	if !a.Less(b) || !a.Less(c) || !a.Less(d) || b.Less(a) || a.Less(a) {
 		t.Error("Less ordering wrong")
 	}
-	if a.String() != "(1,2,3)" {
-		t.Errorf("String = %q", a.String())
+	if a.SNPs != [contingency.MaxOrder]int{1, 2, 3} || a.triple() != (Triple{1, 2, 3}) {
+		t.Errorf("candidate SNPs %v", a.SNPs)
+	}
+	if s := a.triple().String(); s != "(1,2,3)" {
+		t.Errorf("String = %q", s)
 	}
 }

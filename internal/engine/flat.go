@@ -1,34 +1,24 @@
 package engine
 
 import (
-	"time"
-
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/sched"
 )
 
-// runFlat executes approaches V1 and V2: one full-length frequency
-// table per combination, no tiling. Consumers claim tiles of
-// combination ranks from a sched.Cursor — the run's own, or a shared
-// one when another consumer (the simulated GPU of a heterogeneous
-// run) is stealing from the same space.
-func (s *Searcher) runFlat(o Options) (*Result, error) {
-	res := &Result{}
-	cur := o.Tiles
-	if cur == nil {
-		src, space, err := flatSpace(combin.Triples(s.st.SNPs()), &o)
-		if err != nil {
-			return nil, err
-		}
-		res.Space = space
-		cur = sched.NewCursor(src)
-		if o.Progress != nil {
-			cur.OnProgress(src.Ranks(), o.Progress)
-		}
+// flatRun is approaches V1 and V2: one full-length frequency table per
+// combination, no tiling, over colexicographic combination ranks —
+// claimed from the run's own cursor, or from a shared one when another
+// consumer (the simulated GPU of a heterogeneous run) steals from the
+// same space.
+func (s *Searcher) flatRun(o *Options) (space, tiler, error) {
+	m := s.st.SNPs()
+	sp, err := flatSpace(combin.Triples(m), o, 3, "flat")
+	if err != nil {
+		return sp, nil, err
 	}
-
+	sp.approach = o.Approach.String()
 	// Resolve exactly the encoding this approach consumes — V1 the
 	// naive three-plane form, V2 the phenotype-split form — once,
 	// before the pool starts; the store memoizes it for every later
@@ -40,66 +30,9 @@ func (s *Searcher) runFlat(o Options) (*Result, error) {
 	} else {
 		split = s.st.Split()
 	}
-	workers := make([]*flatWorker, o.Workers)
-	for w := range workers {
-		workers[w] = &flatWorker{o: &o, m: s.st.SNPs(), bin: bin, split: split, a: getArena(o.Objective, o.TopK, 0)}
-	}
-	cur.Instrument(o.Metrics, "flat")
-	rm := resolveRunMetrics(o.Metrics, o.Approach)
-	err := cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		if o.Meter == nil {
-			n := workers[w].tile(t)
-			rm.observe(n, workers[w].a)
-			return n, nil
-		}
-		start := time.Now()
-		n := workers[w].tile(t)
-		o.Meter.Record(o.MeterBase+w, n, time.Since(start))
-		rm.observe(n, workers[w].a)
-		return n, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	assembleFlat(res, &o, workers)
-	return res, nil
-}
-
-// flatSpace builds the claimable source of a flat-rank run from the
-// total space and the RankRange/Shard options, returning the covered
-// slice when the options restricted it. The claim grain is sized from
-// the restricted range, not the full space, so a small shard of a
-// huge space still spreads across every worker.
-func flatSpace(total int64, o *Options) (sched.Source, *sched.Tile, error) {
-	lo, hi := int64(0), total
-	var space *sched.Tile
-	if r := o.RankRange; r != nil {
-		if hi = r.Hi; hi > total {
-			hi = total
-		}
-		if lo = r.Lo; lo > hi {
-			lo = hi
-		}
-		space = &sched.Tile{Lo: lo, Hi: hi}
-	}
-	src := sched.NewSource(lo, hi, flatGrain(hi-lo, o))
-	if o.Shard != nil {
-		sub, err := src.Shard(*o.Shard)
-		if err != nil {
-			return src, nil, err
-		}
-		src = sub.WithGrain(flatGrain(sub.Ranks(), o))
-		b := src.Bounds()
-		space = &b
-	}
-	return src, space, nil
-}
-
-// flatGrain picks the ranks-per-claim for a flat run: the planner's
-// hint reconciled with the AutoGrain heuristic (sched.SeededGrain
-// owns that policy for every consumer of the scheduler).
-func flatGrain(ranks int64, o *Options) int64 {
-	return sched.SeededGrain(ranks, o.Workers, o.Grain)
+	return sp, func(_ int, a *arena) tileFunc {
+		return (&flatWorker{o: o, m: m, bin: bin, split: split, a: a}).tile
+	}, nil
 }
 
 // flatWorker is one consumer of the flat tile stream. Its arena holds
@@ -113,9 +46,8 @@ type flatWorker struct {
 	a     *arena
 }
 
-// tile scores every combination rank in [t.Lo, t.Hi) and returns the
-// count.
-func (w *flatWorker) tile(t sched.Tile) int64 {
+// tile scores every combination rank in [t.Lo, t.Hi).
+func (w *flatWorker) tile(t sched.Tile) (int64, error) {
 	naive := w.o.Approach == V1Naive
 	obj := w.o.Objective
 	i, j, k := combin.UnrankTriple(t.Lo, w.m)
@@ -125,27 +57,9 @@ func (w *flatWorker) tile(t sched.Tile) int64 {
 		} else {
 			w.a.tab = contingency.BuildSplit(w.split, i, j, k)
 		}
-		w.a.top.offer(Candidate{
-			Triple: Triple{I: i, J: j, K: k},
-			Score:  obj.Score(&w.a.tab),
-		})
+		w.a.top.offer(Triple{I: i, J: j, K: k}.scored(obj.Score(&w.a.tab)))
 		i, j, k, _ = combin.NextTriple(i, j, k, w.m)
 	}
 	w.a.scored += t.Len()
-	return t.Len()
-}
-
-// assembleFlat merges the workers' accumulators into res and returns
-// their arenas to the pool.
-func assembleFlat(res *Result, o *Options, workers []*flatWorker) {
-	merged := newTopK(o.Objective, o.TopK)
-	for _, w := range workers {
-		merged.merge(w.a.top)
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
-	}
-	res.TopK = merged.list()
-	if len(res.TopK) > 0 {
-		res.Best = res.TopK[0]
-	}
+	return t.Len(), nil
 }

@@ -2,14 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/sched"
 	"trigene/internal/score"
-	"trigene/internal/topk"
 )
 
 // Arbitrary-order exhaustive search. The paper's introduction motivates
@@ -19,28 +17,11 @@ import (
 // Orders 2 and 3 have specialized fast paths (RunPairs, Run); RunK is
 // the correctness-first generalization.
 
-// KCandidate is a scored SNP combination of arbitrary order.
-type KCandidate struct {
-	SNPs  []int
-	Score float64
-}
-
-// KResult is the outcome of an exhaustive k-way search.
-type KResult struct {
-	Order int
-	Best  KCandidate
-	TopK  []KCandidate
-	Stats Stats
-	// Space is the covered slice of combination ranks when Shard
-	// restricted the run; nil means the full space.
-	Space *sched.Tile
-}
-
 // RunK executes an exhaustive search of the given interaction order.
 // Options are interpreted as for Run; the Objective must implement
 // score.CellScorer (all built-in objectives do). Shard slices the
 // colexicographic k-combination rank space.
-func (s *Searcher) RunK(order int, opts Options) (*KResult, error) {
+func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	o, err := opts.withDefaults(s.st.Samples())
 	if err != nil {
 		return nil, err
@@ -48,75 +29,41 @@ func (s *Searcher) RunK(order int, opts Options) (*KResult, error) {
 	if order < 2 || order > contingency.MaxOrder {
 		return nil, fmt.Errorf("engine: order %d out of [2,%d]", order, contingency.MaxOrder)
 	}
-	if order > s.st.SNPs() {
-		return nil, fmt.Errorf("engine: order %d exceeds %d SNPs", order, s.st.SNPs())
+	m := s.st.SNPs()
+	if order > m {
+		return nil, fmt.Errorf("engine: order %d exceeds %d SNPs", order, m)
 	}
 	scorer, ok := o.Objective.(score.CellScorer)
 	if !ok {
 		return nil, fmt.Errorf("engine: objective %q cannot score %d-way tables", o.Objective.Name(), order)
 	}
-
-	m := s.st.SNPs()
-	res := &KResult{Order: order}
-	src, space, err := flatSpace(combin.Binomial(m, order), &o)
+	sp, err := flatSpace(combin.Binomial(m, order), &o, order, "kway")
 	if err != nil {
 		return nil, err
 	}
-	res.Space = space
-	cur := sched.NewCursor(src)
-	if o.Progress != nil {
-		cur.OnProgress(src.Ranks(), o.Progress)
-	}
-	cells := contingency.CellsK(order)
-
-	start := time.Now()
 	split := s.st.Split()
-	workers := make([]*kWorker, o.Workers)
-	for w := range workers {
-		a := getArena(o.Objective, 0, 0)
-		a.sizeK(order, cells)
-		workers[w] = &kWorker{split: split, m: m, a: a, scorer: scorer,
-			top: newKTopK(o.Objective, o.TopK)}
-	}
-	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		return workers[w].tile(t)
+	cells := contingency.CellsK(order)
+	return s.run(&o, sp, func(_ int, a *arena) tileFunc {
+		a.sizeK(cells)
+		return (&kWorker{split: split, m: m, order: order, a: a, scorer: scorer}).tile
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	merged := newKTopK(o.Objective, o.TopK)
-	for _, w := range workers {
-		for _, c := range w.top.items {
-			merged.offer(c.SNPs, c.Score)
-		}
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
-	}
-	res.TopK = merged.items
-	if len(merged.items) > 0 {
-		res.Best = merged.items[0]
-	}
-	res.Stats.Elements = float64(res.Stats.Combinations) * float64(s.st.Samples())
-	res.Stats.Duration = time.Since(start)
-	if secs := res.Stats.Duration.Seconds(); secs > 0 {
-		res.Stats.ElementsPerSec = res.Stats.Elements / secs
-	}
-	return res, nil
 }
 
-// kWorker is one consumer of the k-combination tile stream.
+// kWorker is one consumer of the k-combination tile stream. Its
+// candidate's SNPs are the enumeration's scratch: the combination in
+// hand is offered as it lies.
 type kWorker struct {
 	split  *dataset.Split
 	m      int
+	order  int
 	a      *arena
 	scorer score.CellScorer
-	top    *kTopK
+	c      Candidate
 }
 
 // tile scores every combination rank in [t.Lo, t.Hi).
 func (w *kWorker) tile(t sched.Tile) (int64, error) {
-	comb, ctrl, cases := w.a.comb, w.a.ctrl, w.a.cases
+	comb, ctrl, cases := w.c.SNPs[:w.order], w.a.ctrl, w.a.cases
 	combin.UnrankK(t.Lo, w.m, comb)
 	for r := t.Lo; r < t.Hi; r++ {
 		for i := range ctrl {
@@ -125,43 +72,10 @@ func (w *kWorker) tile(t sched.Tile) (int64, error) {
 		if err := contingency.BuildSplitK(w.split, comb, ctrl, cases); err != nil {
 			return 0, err
 		}
-		w.top.offer(comb, w.scorer.ScoreCells(ctrl, cases))
+		w.c.Score = w.scorer.ScoreCells(ctrl, cases)
+		w.a.top.offer(w.c)
 		combin.NextK(comb, w.m)
 	}
 	w.a.scored += t.Len()
 	return t.Len(), nil
-}
-
-// kTopK accumulates the k best arbitrary-order candidates.
-type kTopK struct {
-	k     int
-	items []KCandidate
-	cmp   func(a, b KCandidate) bool
-}
-
-func newKTopK(obj score.Objective, k int) *kTopK {
-	return &kTopK{k: k, cmp: func(a, b KCandidate) bool {
-		if a.Score != b.Score {
-			return obj.Better(a.Score, b.Score)
-		}
-		for i := range a.SNPs {
-			if a.SNPs[i] != b.SNPs[i] {
-				return a.SNPs[i] < b.SNPs[i]
-			}
-		}
-		return false
-	}}
-}
-
-// offer copies snps only if the candidate ranks among the k best (the
-// buffer is the worker's reused enumeration scratch).
-func (t *kTopK) offer(snps []int, sc float64) {
-	if t.k == 0 {
-		return
-	}
-	probe := KCandidate{SNPs: snps, Score: sc}
-	if len(t.items) == t.k && !t.cmp(probe, t.items[len(t.items)-1]) {
-		return
-	}
-	t.items = topk.Insert(t.items, KCandidate{SNPs: append([]int(nil), snps...), Score: sc}, t.k, t.cmp)
 }

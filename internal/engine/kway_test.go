@@ -63,11 +63,11 @@ func TestRunKOrder3MatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Best.Score != want.Best.Score ||
-		got.Best.SNPs[0] != want.Best.Triple.I ||
-		got.Best.SNPs[1] != want.Best.Triple.J ||
-		got.Best.SNPs[2] != want.Best.Triple.K {
+		got.Best.SNPs[0] != want.Best.triple().I ||
+		got.Best.SNPs[1] != want.Best.triple().J ||
+		got.Best.SNPs[2] != want.Best.triple().K {
 		t.Errorf("RunK(3) best %v %.6f, Run best %v %.6f",
-			got.Best.SNPs, got.Best.Score, want.Best.Triple, want.Best.Score)
+			got.Best.SNPs, got.Best.Score, want.Best.triple(), want.Best.Score)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestRunKOrder2MatchesRunPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Best.SNPs[0] != want.Best.Pair.I || got.Best.SNPs[1] != want.Best.Pair.J {
-		t.Errorf("RunK(2) best %v, RunPairs best %+v", got.Best.SNPs, want.Best.Pair)
+	if got.Best.SNPs != want.Best.SNPs {
+		t.Errorf("RunK(2) best %v, RunPairs best %v", got.Best.SNPs, want.Best.SNPs)
 	}
 	// Scores use different cell widths (9 embedded in 27 vs pure 9)
 	// but must be numerically identical: empty cells contribute zero.

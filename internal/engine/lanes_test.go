@@ -92,10 +92,10 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 	ref := newTopK(obj, int(combin.Triples(m)))
 	combin.ForEachTriple(m, func(i, j, k int) {
 		tab := contingency.BuildReference(mx, i, j, k)
-		ref.offer(Candidate{Triple: Triple{i, j, k}, Score: obj.Score(&tab)})
+		ref.offer(Triple{i, j, k}.scored(obj.Score(&tab)))
 	})
 	ranking := ref.list()
-	if planted := (Triple{2, 9, 14}); ranking[0].Triple != planted || ranking[7].Score != ranking[0].Score {
+	if planted := (Triple{2, 9, 14}); ranking[0].triple() != planted || ranking[7].Score != ranking[0].Score {
 		t.Fatalf("fixture: best %+v, eighth %+v; want %v tied eight ways", ranking[0], ranking[7], planted)
 	}
 	for _, k := range []int{1, 4, 10} {
@@ -136,7 +136,7 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 							t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, got[i], want[i])
 						}
 					}
-					rm := resolveRunMetrics(reg, a)
+					rm := resolveRunMetrics(reg, a.String())
 					switch rejected := rm.rejected.Value(); {
 					case a == V4Fused && rejected == 0:
 						t.Errorf("%s: no lane group was rejected", name)
@@ -194,12 +194,12 @@ func TestLanesTilesMatchReference(t *testing.T) {
 					if wantGrain := int64((contingency.Lanes + bsz - 1) / bsz); src.Grain() != wantGrain {
 						t.Fatalf("%s: claim grain %d, want %d", name, src.Grain(), wantGrain)
 					}
-					w := newBlockWorker(s, &o, bsz, nb)
+					w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), bsz, nb)
 					total := src.Ranks()
 					for lo := int64(0); lo < total; lo++ {
 						for hi := lo + 1; hi <= total; hi++ {
 							w.a.top.reset(obj, all)
-							n := w.tile(sched.Tile{Lo: lo, Hi: hi})
+							n, _ := w.tile(sched.Tile{Lo: lo, Hi: hi})
 							var expect int64
 							for rank := lo; rank < hi; rank++ {
 								b0, b1, b2 := combin.UnrankTriple(rank, nb+2)
@@ -210,7 +210,7 @@ func TestLanesTilesMatchReference(t *testing.T) {
 									name, lo, hi, n, len(w.a.top.items), expect)
 							}
 							for _, c := range w.a.top.items {
-								tr := c.Triple
+								tr := c.triple()
 								if !(tr.I < tr.J && tr.J < tr.K) || want[tr] != c.Score {
 									t.Fatalf("%s: tile [%d,%d) scored %v at %v, reference %v", name, lo, hi, tr, c.Score, want[tr])
 								}

@@ -15,13 +15,15 @@ type runMetrics struct {
 	rejected *obs.Counter
 }
 
-// resolveRunMetrics registers (or finds) the engine's per-approach
-// series, and the info series naming the kernel the tuned fused
-// pipeline runs on this host. A nil registry yields no-op metrics.
-func resolveRunMetrics(reg *obs.Registry, a Approach) runMetrics {
+// resolveRunMetrics registers (or finds) the engine's series under one
+// run's approach label — V1..V4F for the order-3 pipelines, "pair",
+// "kway" or "seeded" for the other runs — and the info series naming the
+// kernel the tuned fused pipeline runs on this host. A nil registry
+// yields no-op metrics.
+func resolveRunMetrics(reg *obs.Registry, approach string) runMetrics {
 	reg.Gauge("trigene_engine_kernel_info", "Fused-kernel implementation selected for this host at start-up (constant 1).",
 		obs.L("kernel", contingency.Kernel())).Set(1)
-	l := obs.L("approach", a.String())
+	l := obs.L("approach", approach)
 	return runMetrics{
 		tiles:  reg.Counter("trigene_engine_tiles_total", "Tiles scored by the search engine, by approach.", l),
 		combos: reg.Counter("trigene_engine_combinations_total", "SNP combinations scored, by approach.", l),

@@ -18,12 +18,12 @@ func TestPairSearchMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := score.NewK2(mx.Samples())
-	best := PairCandidate{Score: obj.Worst()}
+	best := Candidate{Score: obj.Worst()}
 	combin.ForEachPair(20, func(i, j int) {
 		tab := contingency.BuildReferencePair(mx, i, j)
 		sc := obj.Score(&tab)
-		c := PairCandidate{Pair: Pair{i, j}, Score: sc}
-		if sc != best.Score && obj.Better(sc, best.Score) || sc == best.Score && c.Pair.Less(best.Pair) {
+		c := Pair{i, j}.scored(sc)
+		if sc != best.Score && obj.Better(sc, best.Score) || sc == best.Score && c.Less(best) {
 			best = c
 		}
 	})
@@ -84,8 +84,8 @@ func TestPairPlantedInteractionRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.Pair != (Pair{I: 8, J: 23}) {
-		t.Errorf("best pair %v, want planted (8,23)", res.Best.Pair)
+	if res.Order != 2 || res.Best != (Pair{I: 8, J: 23}).scored(res.Best.Score) {
+		t.Errorf("order-%d best %v, want planted (8,23)", res.Order, res.Best.SNPs)
 	}
 }
 
@@ -155,9 +155,9 @@ func TestPairCancellation(t *testing.T) {
 
 // TestPairWalkerTilesMatchReference drives the walker directly: cut any
 // way into tiles (mid-run starts and ends, single ranks, runs of one
-// pair at j = 1), it must visit exactly the colexicographic pairs of
-// each tile, in order, and hand over BuildReferencePair's score. 173
-// samples leave both classes ragged.
+// pair at j = 1), it must offer exactly the colexicographic pairs of
+// each tile, each once, with BuildReferencePair's score. 173 samples
+// leave both classes ragged.
 func TestPairWalkerTilesMatchReference(t *testing.T) {
 	const m = 9
 	mx := randomMatrix(115, m, 173)
@@ -165,43 +165,43 @@ func TestPairWalkerTilesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Options{}.withDefaults(mx.Samples())
+	total := combin.Pairs(m)
+	o, err := Options{TopK: int(total)}.withDefaults(mx.Samples())
 	if err != nil {
 		t.Fatal(err)
 	}
-	type scoredPair struct {
-		p  Pair
-		sc float64
-	}
-	var want []scoredPair
+	var want []float64 // by pair rank
 	combin.ForEachPair(m, func(i, j int) {
 		tab := contingency.BuildReferencePair(mx, i, j)
-		want = append(want, scoredPair{Pair{i, j}, o.Objective.Score(&tab)})
+		want = append(want, o.Objective.Score(&tab))
 	})
-	var got []scoredPair
-	w := s.newPairWalker(&o, func(p Pair, sc float64) { got = append(got, scoredPair{p, sc}) })
-	defer w.a.release()
-	total := combin.Pairs(m)
+	a := getArena(o.Objective, o.TopK)
+	defer a.release()
+	w := s.newPairWalker(&o, a, nil)
 	for lo := int64(0); lo < total; lo++ {
 		for hi := lo + 1; hi <= total; hi++ {
-			got = got[:0]
-			if n := w.tile(sched.Tile{Lo: lo, Hi: hi}); n != hi-lo {
-				t.Fatalf("tile [%d,%d) reports %d pairs", lo, hi, n)
+			a.top.reset(o.Objective, o.TopK)
+			if n, err := w.tile(sched.Tile{Lo: lo, Hi: hi}); n != hi-lo || err != nil {
+				t.Fatalf("tile [%d,%d) reports %d pairs, %v", lo, hi, n, err)
 			}
-			if len(got) != int(hi-lo) {
-				t.Fatalf("tile [%d,%d) visited %d pairs", lo, hi, len(got))
+			if len(a.top.items) != int(hi-lo) {
+				t.Fatalf("tile [%d,%d) offered %d pairs", lo, hi, len(a.top.items))
 			}
-			for k, g := range got {
-				if g != want[lo+int64(k)] {
-					t.Fatalf("tile [%d,%d) pair %d = %+v, want %+v", lo, hi, k, g, want[lo+int64(k)])
+			seen := map[int64]bool{}
+			for _, c := range a.top.items {
+				r := combin.RankPair(c.SNPs[0], c.SNPs[1])
+				if r < lo || r >= hi || seen[r] || [contingency.MaxOrder - 2]int(c.SNPs[2:]) != [contingency.MaxOrder - 2]int{} || c.Score != want[r] {
+					t.Fatalf("tile [%d,%d) offered %+v, reference score %v", lo, hi, c, want[min(r, total-1)])
 				}
+				seen[r] = true
 			}
 		}
 	}
 }
 
 func TestPairLessAndTypes(t *testing.T) {
-	if !(Pair{1, 2}).Less(Pair{1, 3}) || !(Pair{1, 2}).Less(Pair{2, 0}) || (Pair{1, 3}).Less(Pair{1, 2}) {
-		t.Error("Pair.Less ordering wrong")
+	less := func(a, b Pair) bool { return a.scored(0).Less(b.scored(0)) }
+	if !less(Pair{1, 2}, Pair{1, 3}) || !less(Pair{1, 2}, Pair{2, 0}) || less(Pair{1, 3}, Pair{1, 2}) {
+		t.Error("pair candidates ordered wrong")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,38 +50,51 @@ func TestProgressReportingFlatAndBlocked(t *testing.T) {
 	}
 }
 
-func TestProgressWithRankRange(t *testing.T) {
+// TestProgressWithShard: a sharded run's progress counts its own slice
+// of the space, whose bounds it records as its Space.
+func TestProgressWithShard(t *testing.T) {
 	mx := randomMatrix(131, 20, 100)
 	s, err := New(mx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg := &combin.Range{Lo: 100, Hi: 600}
+	sh := sched.Shard{Index: 1, Count: 3}
+	sub, err := sched.NewSource(0, combin.Triples(20), 1).Shard(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	var last int64
-	_, err = s.Run(Options{
-		Approach:  V2Split,
-		RankRange: rg,
+	res, err := s.Run(Options{
+		Approach: V2Split,
+		Shard:    &sh,
 		Progress: func(done, total int64) {
 			mu.Lock()
 			defer mu.Unlock()
 			if done > last {
 				last = done
 			}
-			if total != rg.Len() {
-				t.Errorf("total %d, want range length %d", total, rg.Len())
+			if total != sub.Ranks() {
+				t.Errorf("total %d, want the shard's %d ranks", total, sub.Ranks())
 			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last != rg.Len() {
-		t.Errorf("final progress %d, want %d", last, rg.Len())
+	if last != sub.Ranks() || res.Stats.Combinations != sub.Ranks() {
+		t.Errorf("final progress %d, %d combinations, want %d", last, res.Stats.Combinations, sub.Ranks())
+	}
+	if res.Space == nil || *res.Space != sub.Bounds() {
+		t.Errorf("Space %v, want %v", res.Space, sub.Bounds())
 	}
 }
 
-func TestRankRangeResultsMatchSubEnumeration(t *testing.T) {
+// TestSubRangeResultsMatchSubEnumeration: a run restricted to a slice
+// of the rank space scores exactly that slice — drained from a shared
+// cursor over it, or cut out by Shard — and the slices' union is the
+// full search.
+func TestSubRangeResultsMatchSubEnumeration(t *testing.T) {
 	mx := randomMatrix(132, 15, 120)
 	s, err := New(mx)
 	if err != nil {
@@ -94,14 +108,21 @@ func TestRankRangeResultsMatchSubEnumeration(t *testing.T) {
 	// reproduce the full result.
 	total := combin.Triples(15)
 	var all []Candidate
-	for _, rg := range sched.NewSource(0, total, 1).Partition(3) {
-		rg := rg
-		res, err := s.Run(Options{Approach: V2Split, TopK: 1000, RankRange: &rg})
+	for i, rg := range sched.NewSource(0, total, 1).Partition(3) {
+		cur := sched.NewCursor(sched.NewSource(rg.Lo, rg.Hi, 7))
+		res, err := s.Run(Options{Approach: V2Split, TopK: 1000, Workers: 3, Tiles: cur})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Combinations != rg.Len() {
-			t.Errorf("range %+v: combos %d", rg, res.Stats.Combinations)
+		if res.Stats.Combinations != rg.Len() || res.Space != nil {
+			t.Errorf("range %+v: combos %d, Space %v", rg, res.Stats.Combinations, res.Space)
+		}
+		shard, err := s.Run(Options{Approach: V2Split, TopK: 1000, Shard: &sched.Shard{Index: i, Count: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard.Space == nil || *shard.Space != rg || !slices.Equal(shard.TopK, res.TopK) {
+			t.Errorf("shard %d of 3 covers %v, range %v, and ranks them differently", i, shard.Space, rg)
 		}
 		all = append(all, res.TopK...)
 	}
@@ -110,25 +131,30 @@ func TestRankRangeResultsMatchSubEnumeration(t *testing.T) {
 	}
 	seen := map[Triple]float64{}
 	for _, c := range all {
-		seen[c.Triple] = c.Score
+		seen[c.triple()] = c.Score
 	}
 	for _, c := range full.TopK {
-		if got, ok := seen[c.Triple]; !ok || got != c.Score {
-			t.Errorf("triple %v missing or rescored in union", c.Triple)
+		if got, ok := seen[c.triple()]; !ok || got != c.Score {
+			t.Errorf("triple %v missing or rescored in union", c.triple())
 		}
 	}
 }
 
-func TestRankRangeRejectedForBlocked(t *testing.T) {
+// TestSharedCursorRejectedForBlocked: a shared cursor hands out
+// combination ranks, which the blocked approaches do not claim.
+func TestSharedCursorRejectedForBlocked(t *testing.T) {
 	mx := randomMatrix(133, 10, 60)
 	s, err := New(mx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(Options{Approach: V4Vector, RankRange: &combin.Range{Lo: 0, Hi: 10}}); err == nil {
-		t.Error("RankRange accepted for blocked approach")
+	cur := sched.NewCursor(sched.NewSource(0, 10, 1))
+	for _, a := range []Approach{V3Blocked, V4Vector, V3Fused, V4Fused} {
+		if _, err := s.Run(Options{Approach: a, Tiles: cur}); err == nil {
+			t.Errorf("%v: shared cursor accepted", a)
+		}
 	}
-	if _, err := s.Run(Options{Approach: V2Split, RankRange: &combin.Range{Lo: 5, Hi: 2}}); err == nil {
-		t.Error("inverted range accepted")
+	if _, err := s.NewHotLoop(Options{Approach: V2Split, Tiles: cur}); err == nil {
+		t.Error("HotLoop accepted a shared cursor")
 	}
 }

@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"time"
-
+	"trigene/internal/combin"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 )
@@ -11,8 +10,8 @@ import (
 // scan that charges every pair's score to both participating SNPs, so
 // the survivor selection ("top-S SNPs by best participating pair
 // score") and the seed list ("top pairs") fall out of one pass over
-// C(M,2). The scan is the pair engine's (scanPairs: same kernel, walker,
-// scheduler and sharding); only the sink differs.
+// C(M,2). The scan is the pair search (same kernel, walker, space and
+// sharding) with per-worker screen planes beside each top-K.
 
 // ScreenResult is the outcome of a stage-1 pairwise screen.
 type ScreenResult struct {
@@ -24,9 +23,9 @@ type ScreenResult struct {
 	// separate plane).
 	Best []float64
 	Seen []bool
-	// TopPairs holds the best pairs seen, up to Options.TopK entries,
-	// best first — the seed list of the seeded stage-2 mode.
-	TopPairs []PairCandidate
+	// TopPairs holds the best pairs seen, up to Options.TopK order-2
+	// candidates, best first — the seed list of the seeded stage-2 mode.
+	TopPairs []Candidate
 	// Stats describes the scan (Combinations counts pairs).
 	Stats Stats
 	// Space is the covered slice of pair ranks when Shard restricted
@@ -43,54 +42,53 @@ func (s *Searcher) RunPairScreen(opts Options) (*ScreenResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	m := s.st.SNPs()
-	res := &ScreenResult{SNPs: m}
-	sinks := make([]*screenSink, o.Workers)
-	tops := make([]*pairTopK, o.Workers)
-	res.Stats.Combinations, res.Space, err = s.scanPairs(&o, func(w int) func(Pair, float64) {
-		tops[w] = newPairTopK(o.Objective, o.TopK)
-		sinks[w] = &screenSink{obj: o.Objective, best: make([]float64, m), seen: make([]bool, m), top: tops[w]}
-		return sinks[w].take
+	sp, err := flatSpace(combin.Pairs(m), &o, 2, "pair")
+	if err != nil {
+		return nil, err
+	}
+	planes := make([]*screenPlanes, o.Workers)
+	pairs, err := s.run(&o, sp, func(w int, a *arena) tileFunc {
+		planes[w] = newScreenPlanes(o.Objective, m)
+		return s.newPairWalker(&o, a, planes[w]).tile
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res.Best = make([]float64, m)
-	res.Seen = make([]bool, m)
-	for _, w := range sinks {
-		for i := 0; i < m; i++ {
-			if !w.seen[i] {
-				continue
-			}
-			if !res.Seen[i] || o.Objective.Better(w.best[i], res.Best[i]) {
-				res.Best[i], res.Seen[i] = w.best[i], true
+	merged := newScreenPlanes(o.Objective, m)
+	for _, w := range planes {
+		for i, seen := range w.seen {
+			if seen {
+				merged.keep(i, w.best[i])
 			}
 		}
 	}
-	res.TopPairs = mergePairTopK(&o, tops)
-	s.finishStats(&res.Stats, start)
-	return res, nil
+	return &ScreenResult{SNPs: m, Best: merged.best, Seen: merged.seen,
+		TopPairs: pairs.TopK, Stats: pairs.Stats, Space: pairs.Space}, nil
 }
 
-// screenSink is what one screen worker keeps of the pairs its walker
-// scores. Its best/seen planes are private, so the scan has no
-// synchronization in the hot loop; they merge once at the end.
-type screenSink struct {
+// screenPlanes is one screen worker's per-SNP bests. They are private,
+// so the scan has no synchronization in the hot loop; they merge once at
+// the end.
+type screenPlanes struct {
 	obj  score.Objective
 	best []float64
 	seen []bool
-	top  *pairTopK
 }
 
-// take charges the pair's score to both of its SNPs and offers the pair
-// to the seed list.
-func (w *screenSink) take(p Pair, sc float64) {
-	for _, snp := range [2]int{p.I, p.J} {
-		if !w.seen[snp] || w.obj.Better(sc, w.best[snp]) {
-			w.best[snp], w.seen[snp] = sc, true
-		}
+func newScreenPlanes(obj score.Objective, m int) *screenPlanes {
+	return &screenPlanes{obj: obj, best: make([]float64, m), seen: make([]bool, m)}
+}
+
+// charge charges pair (i, j)'s score to both of its SNPs.
+func (p *screenPlanes) charge(i, j int, sc float64) {
+	p.keep(i, sc)
+	p.keep(j, sc)
+}
+
+// keep makes sc SNP snp's best if it has none yet or sc is better.
+func (p *screenPlanes) keep(snp int, sc float64) {
+	if !p.seen[snp] || p.obj.Better(sc, p.best[snp]) {
+		p.best[snp], p.seen[snp] = sc, true
 	}
-	w.top.take(p, sc)
 }

@@ -93,7 +93,7 @@ func TestPairScreenShardedMergeMatchesFull(t *testing.T) {
 	for _, count := range []int{2, 3, 5} {
 		best := make([]float64, m)
 		seen := make([]bool, m)
-		merged := newPairTopK(obj, 4)
+		merged := newTopK(obj, 4)
 		var combos int64
 		for i := 0; i < count; i++ {
 			res, err := s.RunPairScreen(Options{TopK: 4,
@@ -181,10 +181,7 @@ func TestSubsetSearchMatchesRestrictedBruteForce(t *testing.T) {
 	ref := newTopK(obj, 5)
 	combin.ForEachTriple(len(cols), func(a, b, c int) {
 		tab := contingency.BuildReference(mx, cols[a], cols[b], cols[c])
-		ref.offer(Candidate{
-			Triple: Triple{I: cols[a], J: cols[b], K: cols[c]},
-			Score:  obj.Score(&tab),
-		})
+		ref.offer(Triple{I: cols[a], J: cols[b], K: cols[c]}.scored(obj.Score(&tab)))
 	})
 	want := ref.list()
 
@@ -201,10 +198,8 @@ func TestSubsetSearchMatchesRestrictedBruteForce(t *testing.T) {
 			t.Fatalf("%v: top-K %d entries, want %d", a, len(res.TopK), len(want))
 		}
 		for i, c := range res.TopK {
-			got := Candidate{
-				Triple: Triple{I: cols[c.Triple.I], J: cols[c.Triple.J], K: cols[c.Triple.K]},
-				Score:  c.Score,
-			}
+			tr := c.triple()
+			got := Triple{I: cols[tr.I], J: cols[tr.J], K: cols[tr.K]}.scored(c.Score)
 			if got != want[i] {
 				t.Errorf("%v: TopK[%d] remaps to %+v, want %+v", a, i, got, want[i])
 			}
@@ -268,16 +263,16 @@ func TestSeededCoversEachExtensionOnce(t *testing.T) {
 	}
 	seenTriples := make(map[Triple]bool)
 	for _, c := range res.TopK {
-		if seenTriples[c.Triple] {
-			t.Errorf("triple %+v scored twice", c.Triple)
+		if seenTriples[c.triple()] {
+			t.Errorf("triple %+v scored twice", c.triple())
 		}
-		seenTriples[c.Triple] = true
-		if !want[c.Triple] {
-			t.Errorf("triple %+v outside the extension set", c.Triple)
+		seenTriples[c.triple()] = true
+		if !want[c.triple()] {
+			t.Errorf("triple %+v outside the extension set", c.triple())
 		}
-		tab := contingency.BuildReference(mx, c.Triple.I, c.Triple.J, c.Triple.K)
+		tab := contingency.BuildReference(mx, c.triple().I, c.triple().J, c.triple().K)
 		if sc := obj.Score(&tab); sc != c.Score {
-			t.Errorf("triple %+v score %g, reference %g", c.Triple, c.Score, sc)
+			t.Errorf("triple %+v score %g, reference %g", c.triple(), c.Score, sc)
 		}
 	}
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
@@ -37,32 +36,14 @@ func (s *Searcher) RunSeeded(seeds []Pair, inSubset []bool, opts Options) (*Resu
 			return nil, fmt.Errorf("engine: invalid seed pair (%d,%d) for %d SNPs", p.I, p.J, m)
 		}
 	}
-	res := &Result{}
-	src, space, err := flatSpace(sched.SeededExtensions(len(seeds), m, o.Workers).Ranks(), &o)
+	sp, err := flatSpace(sched.SeededExtensions(len(seeds), m, o.Workers).Ranks(), &o, 3, "seeded")
 	if err != nil {
 		return nil, err
 	}
-	res.Space = space
-	cur := sched.NewCursor(src)
-	if o.Progress != nil {
-		cur.OnProgress(src.Ranks(), o.Progress)
-	}
-
-	start := time.Now()
 	seedRank := seedRanks(seeds, m)
-	workers := make([]*seededWorker, o.Workers)
-	for w := range workers {
-		workers[w] = s.newSeededWorker(&o, seeds, seedRank, inSubset)
-	}
-	err = cur.Drain(o.Context, o.Workers, func(w int, t sched.Tile) (int64, error) {
-		return workers[w].tile(t), nil
+	return s.run(&o, sp, func(_ int, a *arena) tileFunc {
+		return s.newSeededWorker(&o, a, seeds, seedRank, inSubset).tile
 	})
-	if err != nil {
-		return nil, err
-	}
-	assembleSeeded(res, &o, workers)
-	s.finishStats(&res.Stats, start)
-	return res, nil
 }
 
 // seedRanks resolves each seed pair (keyed I*m + J) to the earliest
@@ -89,13 +70,13 @@ type seededWorker struct {
 	a        *arena
 }
 
-// newSeededWorker builds a consumer whose pooled arena holds the two
-// class-plane-sized seed blocks and one bank table: the raw (third,
+// newSeededWorker builds a consumer over a pooled arena, sized for the
+// two class-plane-sized seed blocks and one bank table: the raw (third,
 // seed) cells of the triple in hand, before they are permuted into the
 // arena's flat table.
-func (s *Searcher) newSeededWorker(o *Options, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
+func (s *Searcher) newSeededWorker(o *Options, a *arena, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
 	split := s.st.Split()
-	a := getArena(o.Objective, o.TopK, 1)
+	a.sizeTables(1)
 	for class := range a.block {
 		a.block[class].Init(split.Words[class], false)
 	}
@@ -109,7 +90,7 @@ func (s *Searcher) newSeededWorker(o *Options, seeds []Pair, seedRank map[int64]
 // seed pair's PairBlock is built once per class at the head of a run
 // and every third SNP of the run is one fused Accumulate per class
 // against it — the triple kernel, with the seed as its cached (y, z).
-func (w *seededWorker) tile(t sched.Tile) int64 {
+func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 	obj := w.o.Objective
 	split := w.split
 	span := int64(w.m)
@@ -152,12 +133,12 @@ func (w *seededWorker) tile(t sched.Tile) int64 {
 				// with it the NOR-derived planes' pad inflation.
 				tab.Counts[class][contingency.Cells-1] -= int32(split.Pad[class])
 			}
-			w.a.top.offer(Candidate{Triple: tr, Score: obj.Score(tab)})
+			w.a.top.offer(tr.scored(obj.Score(tab)))
 			scored++
 		}
 	}
 	w.a.scored += scored
-	return t.Len()
+	return t.Len(), nil
 }
 
 // extend returns the sorted triple that seed pair p forms with a third
@@ -204,19 +185,4 @@ func (w *seededWorker) ownedByEarlierSeed(i, j, k, cur int) bool {
 		}
 	}
 	return false
-}
-
-// assembleSeeded merges the workers' accumulators into res and returns
-// their arenas to the pool.
-func assembleSeeded(res *Result, o *Options, workers []*seededWorker) {
-	merged := newTopK(o.Objective, o.TopK)
-	for _, w := range workers {
-		merged.merge(w.a.top)
-		res.Stats.Combinations += w.a.scored
-		w.a.release()
-	}
-	res.TopK = merged.list()
-	if len(res.TopK) > 0 {
-		res.Best = res.TopK[0]
-	}
 }

@@ -7,11 +7,11 @@ import (
 	"trigene/internal/topk"
 )
 
-// topK accumulates the k best candidates for one worker through the
-// shared bounded sorted-insert (internal/topk). The comparator is
-// built once per reset, so offer is allocation-free once the slice
-// has grown to k entries — the hot-path requirement the scheduler
-// arenas rely on.
+// topK accumulates the k best candidates of one order — a worker's, or
+// a run's merged list — through the shared bounded sorted-insert
+// (internal/topk). The comparator is built once per reset, so offer is
+// allocation-free once the slice has grown to k entries — the hot-path
+// requirement the scheduler arenas rely on.
 type topK struct {
 	obj   score.Objective
 	k     int
@@ -35,13 +35,13 @@ func (t *topK) reset(obj score.Objective, k int) {
 	}
 }
 
-// better orders candidates: objective score first, lexicographic triple
+// better orders candidates: objective score first, lexicographic SNPs
 // as the deterministic tie-break.
 func (t *topK) better(a, b Candidate) bool {
 	if a.Score != b.Score {
 		return t.obj.Better(a.Score, b.Score)
 	}
-	return a.Triple.Less(b.Triple)
+	return a.Less(b)
 }
 
 // offer inserts the candidate if it ranks among the k best seen. A full

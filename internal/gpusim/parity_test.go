@@ -58,11 +58,11 @@ func TestAllKernelsMatchCPUEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if res.Best.I != cpu.Best.Triple.I || res.Best.J != cpu.Best.Triple.J ||
-			res.Best.K != cpu.Best.Triple.K || res.Best.Score != cpu.Best.Score {
+		if res.Best.I != cpu.Best.SNPs[0] || res.Best.J != cpu.Best.SNPs[1] ||
+			res.Best.K != cpu.Best.SNPs[2] || res.Best.Score != cpu.Best.Score {
 			t.Errorf("%v: best (%d,%d,%d)=%.6f, CPU (%d,%d,%d)=%.6f",
 				k, res.Best.I, res.Best.J, res.Best.K, res.Best.Score,
-				cpu.Best.Triple.I, cpu.Best.Triple.J, cpu.Best.Triple.K, cpu.Best.Score)
+				cpu.Best.SNPs[0], cpu.Best.SNPs[1], cpu.Best.SNPs[2], cpu.Best.Score)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"trigene/internal/combin"
+	"trigene/internal/contingency"
 	"trigene/internal/device"
 	"trigene/internal/engine"
 	"trigene/internal/gpusim"
@@ -184,6 +185,9 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
+	if opts.Workers == 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	if opts.Mode < ModeAuto || opts.Mode > ModeAllGPU {
 		return nil, fmt.Errorf("hetero: invalid mode %d", int(opts.Mode))
 	}
@@ -252,10 +256,7 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 	if gpuRes != nil {
 		out.GPUStats = gpuRes.Stats
 		for _, c := range gpuRes.TopK {
-			merged.offer(engine.Candidate{
-				Triple: engine.Triple{I: c.I, J: c.J, K: c.K},
-				Score:  c.Score,
-			})
+			merged.offer(engine.Candidate{SNPs: [contingency.MaxOrder]int{c.I, c.J, c.K}, Score: c.Score})
 		}
 	}
 	out.TopK = merged.items
@@ -280,9 +281,6 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 // mid-search, recording the realized rates into out.
 func runStealing(st *store.Store, opts *Options, lo, hi int64, out *Result) (*engine.Result, *gpusim.Result, error) {
 	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	grain := sched.SeededGrain(hi-lo, workers+1, opts.Grain)
 	src := sched.NewSource(lo, hi, grain)
 	cur := sched.NewCursor(src)
@@ -352,7 +350,8 @@ func runStealing(st *store.Store, opts *Options, lo, hi int64, out *Result) (*en
 // runStatic splits [lo, hi) at the given fraction and runs the halves
 // concurrently — the paper's throughput-proportional static split,
 // kept for analytical comparisons and forced placements (the one-
-// sided modes are its 0 and 1 endpoints).
+// sided modes are its 0 and 1 endpoints). The CPU half drains a cursor
+// of its own over [lo, cut).
 func runStatic(st *store.Store, opts *Options, lo, hi int64, frac float64) (*engine.Result, *gpusim.Result, error) {
 	cut := lo + int64(frac*float64(hi-lo))
 	if cut > hi {
@@ -375,7 +374,7 @@ func runStatic(st *store.Store, opts *Options, lo, hi int64, frac float64) (*eng
 			Objective: opts.Objective,
 			TopK:      opts.TopK,
 			Context:   opts.Context,
-			RankRange: &combin.Range{Lo: lo, Hi: cut},
+			Tiles:     sched.NewCursor(sched.NewSource(lo, cut, sched.AutoGrain(cut-lo, opts.Workers))),
 			Metrics:   opts.Metrics,
 		})
 		cpuCh <- cpuOut{res: res, err: err}
@@ -415,7 +414,7 @@ func (t *topList) better(a, b engine.Candidate) bool {
 	if a.Score != b.Score {
 		return t.obj.Better(a.Score, b.Score)
 	}
-	return a.Triple.Less(b.Triple)
+	return a.Less(b)
 }
 
 func (t *topList) offer(c engine.Candidate) {

@@ -37,10 +37,10 @@ func TestBaselineAgreesWithEngineOnMI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Best.I != eng.Best.Triple.I || base.Best.J != eng.Best.Triple.J ||
-		base.Best.K != eng.Best.Triple.K {
+	if base.Best.I != eng.Best.SNPs[0] || base.Best.J != eng.Best.SNPs[1] ||
+		base.Best.K != eng.Best.SNPs[2] {
 		t.Errorf("baseline best (%d,%d,%d), engine best %v",
-			base.Best.I, base.Best.J, base.Best.K, eng.Best.Triple)
+			base.Best.I, base.Best.J, base.Best.K, eng.Best.SNPs[:3])
 	}
 	if base.Best.MI != eng.Best.Score {
 		t.Errorf("baseline MI %.9f != engine %.9f", base.Best.MI, eng.Best.Score)

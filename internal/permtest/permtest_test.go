@@ -122,7 +122,7 @@ func TestEndToEndScanThenTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Triple(mx, scan.Best.Triple.I, scan.Best.Triple.J, scan.Best.Triple.K,
+	res, err := Triple(mx, scan.Best.SNPs[0], scan.Best.SNPs[1], scan.Best.SNPs[2],
 		Config{Permutations: 100, Seed: 6})
 	if err != nil {
 		t.Fatal(err)

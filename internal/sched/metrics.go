@@ -17,7 +17,8 @@ type cursorMetrics struct {
 }
 
 // Instrument registers the cursor's series on reg, labeled by the
-// space kind ("flat" or "blocked"), and starts recording: tiles and
+// space kind (the engine's "flat", "blocked", "pair", "kway" or
+// "seeded"), and starts recording: tiles and
 // ranks claimed, work items finished, and the claim grain in use.
 // Call before consumers start. A nil registry is a no-op.
 func (c *Cursor) Instrument(reg *obs.Registry, space string) {

@@ -374,9 +374,7 @@ func screenScores(res *engine.ScreenResult, objName string, seedPairs int) *Scre
 		TopPairLimit: seedPairs,
 		DurationNs:   res.Stats.Duration.Nanoseconds(),
 	}
-	for _, c := range res.TopPairs {
-		sc.TopPairs = append(sc.TopPairs, SearchCandidate{SNPs: []int{c.Pair.I, c.Pair.J}, Score: c.Score})
-	}
+	sc.TopPairs = searchCandidates(res.TopPairs, 2)
 	return sc
 }
 
@@ -536,11 +534,8 @@ func (s *Session) runSeeded(ctx context.Context, cfg *searchConfig, rep *Report,
 		return err
 	}
 	cmp := candidateCmp(obj)
-	for _, c := range res.TopK {
-		rep.TopK = topk.Insert(rep.TopK, SearchCandidate{
-			SNPs:  []int{c.Triple.I, c.Triple.J, c.Triple.K},
-			Score: c.Score,
-		}, cfg.topK, cmp)
+	for _, c := range searchCandidates(res.TopK, res.Order) {
+		rep.TopK = topk.Insert(rep.TopK, c, cfg.topK, cmp)
 	}
 	if len(rep.TopK) > 0 {
 		rep.Best = rep.TopK[0]
