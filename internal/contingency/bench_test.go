@@ -117,28 +117,3 @@ func BenchmarkPairScan(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkCountPlanes times the plane counter on both bodies: one combo
-// plane of a 16384-sample candidate against eight resident case planes,
-// the unit of the permutation test's counting loop.
-func BenchmarkCountPlanes(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	combo := make([]uint64, benchWords)
-	planes := make([]uint64, PlaneBatch*benchWords)
-	for w := range combo {
-		combo[w] = r.Uint64()
-	}
-	for w := range planes {
-		planes[w] = r.Uint64()
-	}
-	for _, body := range bodies {
-		b.Run(body.name, func(b *testing.B) {
-			skipWithoutAssembly(b, body.oracle)
-			b.SetBytes(benchWords * 8 * (1 + PlaneBatch))
-			var out [PlaneBatch]int32
-			for i := 0; i < b.N; i++ {
-				countPlanes(&out, combo, planes, !body.oracle)
-			}
-		})
-	}
-}

@@ -23,8 +23,10 @@ func Kernel() string {
 
 // HasAVX512 reports what the start-up probe found: AVX512F and
 // AVX512_VPOPCNTDQ with OS-saved opmask and ZMM state, in a build that
-// holds the assembly. Other packages' AVX-512 bodies (score's K2 lanes)
-// are gated on it, so the module has one probe.
+// holds the assembly. Other packages' AVX-512 bodies (score's K2 lanes,
+// permtest's case-plane fill, transpose and sample counter) are gated on
+// it, so the module has one probe, and every body uses only those two
+// subsets (TestAssemblyStaysInsideTheProbe).
 func HasAVX512() bool { return hasAVX512 }
 
 // PairBlock is the fused kernel's state for one (i1, i2) pair over one

@@ -24,7 +24,4 @@ func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[Pair
 func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int)
 
 //go:noescape
-func countPlanesAVX512(out *[PlaneBatch]int32, combo, planes *uint64, n int)
-
-//go:noescape
 func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool)

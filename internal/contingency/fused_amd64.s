@@ -3,16 +3,14 @@
 #include "textflag.h"
 
 // AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops, of the
-// pair kernel's one, of the permutation test's plane counter and, at the
-// end, of the lanes pass, which walks word by word with a SNP per lane.
-// The others walk n >= 1 words in 8-word vectors under opmask K1: 0xFF
-// for the full vectors and the low n%8 bits for a ragged last one, whose
-// masked loads and stores touch nothing beyond word n (masked-out
-// elements neither fault nor count). The nine pair planes of the fused
-// kernel and the eight case planes of the plane counter sit n words
-// apart, so plane p of the current vector is at DX + p*R8 with R8 = 8n
-// bytes; R9, R10 and R11 hold 3x, 5x and 7x that stride for the
-// addressing modes.
+// pair kernel's one and, at the end, of the lanes pass, which walks word
+// by word with a SNP per lane. The others walk n >= 1 words in 8-word
+// vectors under opmask K1: 0xFF for the full vectors and the low n%8 bits
+// for a ragged last one, whose masked loads and stores touch nothing
+// beyond word n (masked-out elements neither fault nor count). The nine
+// pair planes of the fused kernel sit n words apart, so plane p of the
+// current vector is at DX + p*R8 with R8 = 8n bytes; R9, R10 and R11 hold
+// 3x, 5x and 7x that stride for the addressing modes.
 
 // func cpuHasAVX512VPOPCNTDQ() bool
 //
@@ -358,59 +356,6 @@ pairDone:
 	FOLD128(Z4, Z4)
 	VPMOVQD Z4, Y4
 	VMOVDQU X4, (DI)
-	VZEROUPPER
-	RET
-
-// CASEPLANE counts one case plane vector against the combo vector (Z0).
-// The mask is on the AND because that is the instruction that reads the
-// plane: masked-out words of a ragged last vector are not touched.
-#define CASEPLANE(mem, acc) \
-	VPANDQ.Z mem, Z0, K1, Z2; \
-	VPOPCNTQ Z2, Z2; \
-	VPADDQ   Z2, acc, acc
-
-// func countPlanesAVX512(out *[PlaneBatch]int32, combo, planes *uint64, n int)
-//
-// out[b] = popcount of combo AND plane b over n words, one accumulator
-// per plane (Z4..Z11); each combo vector is loaded once for all eight.
-TEXT ·countPlanesAVX512(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ combo+8(FP), AX
-	MOVQ planes+16(FP), DX
-	MOVQ n+24(FP), CX
-	STRIDES
-	MOVQ  $0xFF, R13
-	KMOVW R13, K1
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-
-planesLoop:
-	NEXTMASK(planesBody, planesDone)
-
-planesBody:
-	VMOVDQU64.Z (AX), K1, Z0
-	CASEPLANE((DX), Z4)
-	CASEPLANE((DX)(R8*1), Z5)
-	CASEPLANE((DX)(R8*2), Z6)
-	CASEPLANE((DX)(R9*1), Z7)
-	CASEPLANE((DX)(R8*4), Z8)
-	CASEPLANE((DX)(R10*1), Z9)
-	CASEPLANE((DX)(R9*2), Z10)
-	CASEPLANE((DX)(R11*1), Z11)
-	ADDQ $64, AX
-	ADDQ $64, DX
-	SUBQ $8, CX
-	JMP  planesLoop
-
-planesDone:
-	REDUCE8(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Y4)
-	VMOVDQU Y4, (DI)
 	VZEROUPPER
 	RET
 

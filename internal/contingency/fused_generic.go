@@ -23,10 +23,6 @@ func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int) {
 	panic("contingency: no assembly in this build")
 }
 
-func countPlanesAVX512(out *[PlaneBatch]int32, combo, planes *uint64, n int) {
-	panic("contingency: no assembly in this build")
-}
-
 func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool) {
 	panic("contingency: no assembly in this build")
 }

@@ -255,41 +255,39 @@ func TestBitPlaneValidation(t *testing.T) {
 }
 
 // TestBitPlaneSteadyStateAllocs: the per-permutation loop — draw,
-// count, score — must not allocate at all once the per-worker scratch
-// exists. The probe preallocates the scratch and drives the worker loop
-// directly, asserting exactly zero allocations per run. The counts of a
-// pass live on count's stack and go to the assembly by pointer: without
-// //go:noescape on the CountPlanes stub every pass would move them to
-// the heap, and this test is what notices.
+// transpose, count, score — must not allocate at all once the per-worker
+// scratch exists. The probe takes the scratch from the pool and drives the
+// worker loop directly, asserting exactly zero allocations per run, at
+// block widths that take every chunk width and candidates of orders 2, 3
+// and 4 (lane tables and the count matrix). Without //go:noescape on the
+// assembly stubs the tables and scores would move to the heap, and this
+// test is what notices.
 func TestBitPlaneSteadyStateAllocs(t *testing.T) {
 	mx := nullMatrix(58, 10, 256)
 	candidates := [][]int{{0, 2, 4}, {1, 7}, {3, 5, 8, 9}}
-	cfg := Config{Seed: 15, Workers: 1}
 	planes := planesOf(mx, candidates)
-	c, err := cfg.withDefaults(mx.Samples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := make([]planeCand, len(candidates))
-	cs := newCellScore(c.Objective)
-	maxCells := 0
-	for i, snps := range candidates {
-		if err := buildCand(planes, snps, cs, &cands[i]); err != nil {
-			t.Fatal(err)
-		}
-		if cands[i].cells > maxCells {
-			maxCells = cands[i].cells
-		}
-	}
 	_, nCases := mx.ClassCounts()
-	ps := newPermScratch(c, len(cands), planes.Words, maxCells)
-
-	const perms = 100
-	avg := testing.AllocsPerRun(10, func() {
-		var next atomic.Int64
-		ps.permWorker(c, cands, mx.Samples(), nCases, 0, perms, &next)
-	})
-	if avg != 0 {
-		t.Errorf("hot path allocates: %.1f allocs per %d permutations, want 0", avg, perms)
+	for _, obj := range []score.Objective{nil, score.GiniObjective{}} {
+		for _, perms := range []int{100, 448} {
+			cfg := Config{Seed: 15, Workers: 1, Objective: obj}
+			c, err := cfg.withDefaults(mx.Samples())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Prepare(planes, candidates, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay := p.layout(blockPerms(planes.N, perms, 1))
+			ps := getScratch(c, lay, len(p.cands))
+			avg := testing.AllocsPerRun(10, func() {
+				var next atomic.Int64
+				ps.permWorker(c, p.cands, mx.Samples(), nCases, 0, perms, &next)
+			})
+			if avg != 0 {
+				t.Errorf("%s, %d permutations in blocks of %d: hot path allocates %.1f times per run, want 0",
+					ps.cs.obj.Name(), perms, 64*lay.r, avg)
+			}
+		}
 	}
 }

@@ -11,16 +11,16 @@ import (
 	"trigene/internal/score"
 )
 
-// exitRef replays the early exit of the K2 kernel from tables counted one
+// exitRef replays the early exit of K2's scoring from tables counted one
 // sample at a time, like K's: permutations [offset, offset+count) in
-// passes of contingency.PlaneBatch from offset; every lane of a pass adds
-// score.K2Term row by row over the cells some sample falls in, and the
-// pass stops after the first row at which stop holds for every lane.
-// It returns the lanes whose final partial sum ties or beats obs and the
-// rows the pass counted (lanes × rows). stop is "sum > obs" for the
-// kernel; a different one shows what a mistaken kernel would report.
+// groups of contingency.Lanes from offset; every lane of a group adds
+// score.K2Term row by row, and the group stops after the first row at
+// which stop holds for every lane. It returns the lanes whose final
+// partial sum ties or beats obs and the rows the groups scored (lanes ×
+// rows). stop is "sum > obs" for the kernel; a different one shows what
+// a mistaken kernel would report.
 func exitRef(mx *dataset.Matrix, snps []int, lf *score.LnFact, obs float64, seed int64, offset, count int, stop func(sum, obs float64) bool) (hits int, rows int64) {
-	const pass = contingency.PlaneBatch
+	const pass = contingency.Lanes
 	n := mx.Samples()
 	cells := contingency.CellsK(len(snps))
 	combos := make([]int, n)
@@ -45,9 +45,6 @@ func exitRef(mx *dataset.Matrix, snps []int, lf *score.LnFact, obs float64, seed
 		}
 		sums := make([]float64, lanes)
 		for cell := 0; cell < cells; cell++ {
-			if totals[cell] == 0 {
-				continue
-			}
 			done := true
 			for l := range sums {
 				sums[l] += score.K2Term(lf, totals[cell]-cases[l][cell], cases[l][cell])
@@ -81,19 +78,6 @@ func split(total, ways int) [][2]int {
 	return out
 }
 
-// nonEmptyCells counts the cells of a candidate's table some sample falls in.
-func nonEmptyCells(mx *dataset.Matrix, snps []int) int {
-	seen := make(map[int]bool)
-	for s := 0; s < mx.Samples(); s++ {
-		c := 0
-		for _, snp := range snps {
-			c = c*3 + int(mx.Geno(snp, s))
-		}
-		seen[c] = true
-	}
-	return len(seen)
-}
-
 // lowMAFMatrix draws m SNPs of minor allele frequency 0.05–0.35 over n
 // samples and a random phenotype: at n ≈ 24 most tables have a handful of
 // small rows, so permuted K2 sums tie the observed score, at the last
@@ -120,17 +104,17 @@ func lowMAFMatrix(seed int64, m, n int) *dataset.Matrix {
 	return mx
 }
 
-// TestKAllEarlyExitMatchesK: under K2 the kernel stops counting a pass
-// once none of its tables can tie or beat the observed score. KAll and
-// KAllRange — whole, and split 1, 3 and 7 ways and summed — must give
-// the scalar K's observed scores and hit counts, and count exactly the
-// rows exitRef says, on candidates that stop within a few rows (the
-// planted triple, two planted SNPs and a noise one), on ones whose
-// permutations are hits about half of the time and run every row, on a
-// monomorphic SNP's empty rows, and at 24 samples where permuted sums
-// tie the observed one — before the last row too, where a kernel
-// stopping at sum ≥ obs would miscount. MI and Gini, next to it, count
-// every row some sample falls in.
+// TestKAllEarlyExitMatchesK: under K2 the kernel stops scoring a group of
+// eight permuted tables once none of them can tie or beat the observed
+// score. KAll and KAllRange — whole, and split 1, 3 and 7 ways and summed
+// — must give the scalar K's observed scores and hit counts, and score
+// exactly the rows exitRef says, on candidates that stop within a few
+// rows (the planted triple, two planted SNPs and a noise one), on ones
+// whose permutations are hits about half of the time and run every row,
+// on a monomorphic SNP's empty rows, and at 24 samples where permuted
+// sums tie the observed one — before the last row too, where a kernel
+// stopping at sum ≥ obs would miscount. MI and Gini, next to it, score
+// every row.
 func TestKAllEarlyExitMatchesK(t *testing.T) {
 	it := &dataset.Interaction{SNPs: [3]int{2, 8, 14}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)}
 	planted, err := dataset.Generate(dataset.GenConfig{
@@ -215,7 +199,7 @@ func TestKAllEarlyExitMatchesK(t *testing.T) {
 					rows.Total += rr.Rows.Total
 					for i, snps := range tc.candidates {
 						if obj != score.Objective(k2) {
-							wantRows += int64(r[1] * nonEmptyCells(mx, snps))
+							wantRows += int64(r[1] * contingency.CellsK(len(snps)))
 							continue
 						}
 						_, rows := exitRef(mx, snps, k2.LnFact(), want[i].Observed, cfg.Seed, r[0], r[1],
@@ -245,7 +229,7 @@ func TestKAllEarlyExitMatchesK(t *testing.T) {
 		for _, i := range tc.early {
 			_, rows := exitRef(mx, tc.candidates[i], k2.LnFact(), k2Want[i].Observed, 17, 0, tc.perms,
 				func(sum, obs float64) bool { return sum > obs })
-			if full := int64(tc.perms * nonEmptyCells(mx, tc.candidates[i])); rows >= full {
+			if full := int64(tc.perms * contingency.CellsK(len(tc.candidates[i]))); rows >= full {
 				t.Errorf("%s %v: no pass stops early (%d of %d rows)", tc.name, tc.candidates[i], rows, full)
 			}
 		}
@@ -267,11 +251,12 @@ func TestKAllEarlyExitMatchesK(t *testing.T) {
 // BenchmarkKAll times a KAll call of 8 candidates and 1200 permutations at
 // 16384 samples, one worker, on the three kinds of candidate a search
 // hands the test: the planted triple and triples holding two of its
-// SNPs (planted: each pass stops within a few rows), triples of one
-// weakly planted SNP and noise (weak), and triples of noise (null: about
-// half the permutations are hits and run every row). It reports
+// SNPs (planted: each group of eight stops within a few rows), triples of
+// one weakly planted SNP and noise (weak), and triples of noise (null:
+// about half the permutations are hits and run every row). It reports
 // permutations per second and the mean row at which a permutation's
-// table stopped being counted (27 = never early).
+// table stopped being scored (27 = never early). Counting costs the same
+// for all three now; only scoring stops early.
 func BenchmarkKAll(b *testing.B) {
 	const n, perms = 16384, 1200
 	it := &dataset.Interaction{SNPs: [3]int{2, 9, 17}, Penetrance: dataset.ThresholdPenetrance(3, 0.1, 0.9)}
@@ -309,4 +294,29 @@ func BenchmarkKAll(b *testing.B) {
 			b.ReportMetric(27*float64(rows.Counted)/float64(rows.Total), "mean-exit-row")
 		})
 	}
+}
+
+// BenchmarkKAllTile times what a cluster worker runs for one tile of a
+// permutation job: KAllRange of 8 candidates over 125 permutations at
+// 8192 samples on two workers, its set-up (the candidates' cell lists)
+// included.
+func BenchmarkKAllTile(b *testing.B) {
+	const n, perms = 8192, 125
+	it := &dataset.Interaction{SNPs: [3]int{2, 9, 17}, Penetrance: dataset.ThresholdPenetrance(3, 0.1, 0.9)}
+	mx, err := dataset.Generate(dataset.GenConfig{
+		SNPs: 32, Samples: n, Seed: 49, MAFMin: 0.3, MAFMax: 0.5, Interaction: it,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	candidates := [][]int{{2, 9, 17}, {2, 4, 9}, {2, 9, 11}, {2, 9, 25}, {2, 5, 17}, {0, 1, 3}, {4, 5, 6}, {7, 8, 10}}
+	planes := planesOf(mx, candidates)
+	cfg := Config{Seed: 1, Workers: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KAllRange(planes, candidates, 125*i%8000, perms, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(perms)*float64(b.N)/b.Elapsed().Seconds(), "perm/s")
 }

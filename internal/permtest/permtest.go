@@ -114,17 +114,15 @@ func checkCombo(m int, snps []int) error {
 // scratch table, so each goroutine needs its own.
 type cellScore struct {
 	obj   score.Objective
-	cells score.CellScorer // nil: obj scores tables only
-	lf    *score.LnFact    // K2's table; nil for any other objective
+	cells score.CellScorer   // nil: obj scores tables only
+	k2    *score.K2Objective // nil for any other objective
 	tab   contingency.Table
 }
 
 func newCellScore(obj score.Objective) *cellScore {
 	cs := &cellScore{obj: obj}
 	cs.cells, _ = obj.(score.CellScorer)
-	if k2, ok := obj.(*score.K2Objective); ok {
-		cs.lf = k2.LnFact()
-	}
+	cs.k2, _ = obj.(*score.K2Objective)
 	return cs
 }
 

@@ -170,7 +170,8 @@ func TestStreamAgreesWithVersion1(t *testing.T) {
 	}
 }
 
-// planeBodies are casePlane's two fills; the vector one runs only where
+// planeBodies are the two bodies of casePlane's fill and of the
+// by-sample transpose and counter; the vector ones run only where
 // contingency.HasAVX512.
 var planeBodies = []struct {
 	name   string

@@ -40,34 +40,53 @@ func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *c
 // outside it, and the Go body then fails on it the way Score does (or
 // scores it, if the vector body's check was only too coarse).
 func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
+	return o.ScoreLanesStop(dst, ctrl, cases, valid, bound) > 0
+}
+
+// ScoreLanesStop is ScoreLanes that also says where the group was given
+// up on: the number of rows after which every valid lane's sum was first
+// above bound, or 0 when some valid lane's sum is not above it after the
+// last row (the group is not rejected; every row was summed). A lane's
+// sum never decreases, so that row is the latest of the rows each lane
+// alone passes bound at, and both bodies report the same one.
+func (o *K2Objective) ScoreLanesStop(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (stop int) {
 	valid = min(valid, contingency.Lanes)
 	if contingency.HasAVX512() && valid > 0 {
-		if rejected, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, bound); ok {
-			return rejected
+		if stop, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, bound); ok {
+			return stop
 		}
 	}
 	return k2LanesGo(dst, ctrl, cases, o.lf, valid, bound)
 }
 
-// k2LanesGo is the pure-Go body of K2's ScoreLanes and its oracle: k2's
-// sum, lane by lane, each lane stopped once its sum is above bound.
-func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, valid int, bound float64) bool {
-	rejected := valid > 0
+// k2LanesGo is the pure-Go body of K2's ScoreLanesStop and its oracle:
+// k2's sum, lane by lane, each lane stopped after the first row that takes
+// its sum above bound.
+func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, valid int, bound float64) (stop int) {
 	for lane := 0; lane < valid; lane++ {
-		score := 0.0
+		score, rows := 0.0, 0
 		for cell := range ctrl {
 			r0 := int(ctrl[cell][lane])
 			r1 := int(cases[cell][lane])
-			if score > bound {
+			if rows > 0 {
 				// Past the stop a row is only checked: a count outside
 				// the table fails here as it does in Score.
 				_, _, _ = lf.table[r0+r1+1], lf.table[r0], lf.table[r1]
 				continue
 			}
 			score += K2Term(lf, r0, r1)
+			if score > bound {
+				rows = cell + 1
+			}
 		}
 		dst[lane] = score
-		rejected = rejected && score > bound
+		if rows == 0 {
+			rows = len(ctrl) + 1 // this lane never stops: neither does the group
+		}
+		stop = max(stop, rows)
 	}
-	return rejected
+	if stop > len(ctrl) {
+		return 0
+	}
+	return stop
 }

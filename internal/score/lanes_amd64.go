@@ -5,7 +5,7 @@ package score
 import "trigene/internal/contingency"
 
 // k2LanesAVX512 scores the lanes whose bit is set in mask (a subset of
-// the low eight) against bound, with ScoreLanes' contract. ok = false
+// the low eight) against bound, with ScoreLanesStop's contract. ok = false
 // means it could not vouch, from all 27 rows, that every index of those
 // lanes lies in the LnFact table, 0..limit — always so when a count is
 // outside it, never for a table over fewer than limit samples; it has then
@@ -13,4 +13,4 @@ import "trigene/internal/contingency"
 // contingency.HasAVX512.
 //
 //go:noescape
-func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lnFact *float64, limit, mask int, bound float64) (rejected, ok bool)
+func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lnFact *float64, limit, mask int, bound float64) (stop int, ok bool)

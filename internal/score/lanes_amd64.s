@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask int, bound float64) (rejected, ok bool)
+// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask int, bound float64) (stop int, ok bool)
 //
 // K2 of eight tables at once, one per lane, in two passes over the 27
 // rows.
@@ -32,15 +32,15 @@
 // previous row's compare. Loads, maxima and adds of the counts are
 // VEX-encoded, so bits 256..511 of Z0..Z2 and Z9..Z11 are zero and the
 // upper half of a 16-lane compare is masked off by K1.
-TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-58
+TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-65
 	MOVQ  dst+0(FP), DI
 	MOVQ  ctrl+8(FP), AX
 	MOVQ  cases+16(FP), BX
 	MOVQ  lnFact+24(FP), SI
 	MOVQ  limit+32(FP), R8
 	MOVQ  mask+40(FP), R9
-	MOVB  $0, rejected+56(FP)
-	MOVB  $0, ok+57(FP)
+	MOVQ  $0, stop+56(FP)
+	MOVB  $0, ok+64(FP)
 	KMOVW R9, K1
 	VMOVQ R8, X7
 	VPBROADCASTD X7, Z7 // limit in every lane
@@ -70,7 +70,7 @@ k2Check:
 	KMOVW   K2, R10
 	CMPQ    R10, R9
 	JNE     k2Done
-	MOVB    $1, ok+57(FP)
+	MOVB    $1, ok+64(FP)
 
 	VBROADCASTSD bound+48(FP), Z10
 	VPXORQ Z8, Z8, Z8
@@ -107,7 +107,9 @@ k2Row:
 
 k2Rejected:
 	VMOVUPD Z8, (DI)
-	MOVB    $1, rejected+56(FP)
+	MOVQ    $28, R10
+	SUBQ    CX, R10
+	MOVQ    R10, stop+56(FP)
 
 k2Done:
 	VZEROUPPER

@@ -24,7 +24,7 @@ func k2Bodies(k2 *K2Objective) []k2Body {
 	return []k2Body{
 		{contingency.Kernel(), k2.ScoreLanes},
 		{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
-			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound)
+			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound) > 0
 		}},
 	}
 }
@@ -211,6 +211,58 @@ func TestScoreLanesBound(t *testing.T) {
 							t.Fatalf("%s N=%v valid=%d bound %v: rejected = %v with scores %v",
 								sc.name, n, valid, bound, rejected, want)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScoreLanesStopRow: both bodies of ScoreLanesStop report the row a
+// group of tables is given up on — the first after which every valid
+// lane's row-order partial sum is above the bound, replayed here with
+// K2Term — and 0 when some lane's full sum is not above it, at bounds
+// around the group's own partial sums, for 1 to 8 valid lanes.
+func TestScoreLanesStopRow(t *testing.T) {
+	r := rand.New(rand.NewSource(81))
+	k2 := NewK2(500)
+	bodies := []struct {
+		name string
+		stop func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int
+	}{
+		{contingency.Kernel(), k2.ScoreLanesStop},
+		{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int {
+			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound)
+		}},
+	}
+	for valid := 1; valid <= contingency.Lanes; valid++ {
+		for rep := 0; rep < 20; rep++ {
+			ctrl, cases := randomLaneTables(r, 250, 250, valid)
+			// lowest[row] is the lowest valid partial sum after row+1 rows.
+			var lowest [contingency.Cells]float64
+			sums := make([]float64, valid)
+			var bounds []float64
+			for row := range lowest {
+				lowest[row] = math.Inf(1)
+				for lane := range sums {
+					sums[lane] += K2Term(k2.lf, int(ctrl[row][lane]), int(cases[row][lane]))
+					lowest[row] = min(lowest[row], sums[lane])
+					bounds = append(bounds, sums[lane], math.Nextafter(sums[lane], math.Inf(-1)))
+				}
+			}
+			bounds = append(bounds, -1, math.Inf(1))
+			for _, bound := range bounds {
+				want := 0
+				for row, low := range lowest {
+					if low > bound {
+						want = row + 1
+						break
+					}
+				}
+				for _, body := range bodies {
+					var dst [contingency.Lanes]float64
+					if got := body.stop(&dst, &ctrl, &cases, valid, bound); got != want {
+						t.Fatalf("%s valid=%d bound %v: stop %d, want %d", body.name, valid, bound, got, want)
 					}
 				}
 			}

@@ -366,6 +366,32 @@ func (s *Session) candidatePlanes(candidates [][]int) *dataset.SNPPlanes {
 	return s.store.SNPPlanes(snps)
 }
 
+// preparedPerm is a candidate set prepared for the permutation kernel,
+// under the key permPrepared files it by.
+type preparedPerm struct {
+	key  string
+	prep *permtest.Prepared
+}
+
+// permPrepared returns the candidates prepared for the permutation
+// kernel under the named objective: the session's last prepared set when
+// it holds the same candidates under the same objective, else a new one,
+// which it keeps. A cluster worker runs one range per tile of a job on
+// one session, and the cell lists and observed scores are the same for
+// every tile.
+func (s *Session) permPrepared(candidates [][]int, objective string, pc permtest.Config) (*permtest.Prepared, error) {
+	key := fmt.Sprint(objective, candidates)
+	if last := s.perm.Load(); last != nil && last.key == key {
+		return last.prep, nil
+	}
+	prep, err := permtest.Prepare(s.candidatePlanes(candidates), candidates, pc)
+	if err != nil {
+		return nil, err
+	}
+	s.perm.Store(&preparedPerm{key: key, prep: prep})
+	return prep, nil
+}
+
 // PermutationTestAll permutation-tests a whole candidate set —
 // typically a Report's top-K — at once on the bit-plane kernel, sharing
 // each relabeled phenotype across all candidates so it is drawn once
@@ -395,8 +421,16 @@ func (s *Session) PermutationTestAll(ctx context.Context, candidates [][]int, op
 	if err != nil {
 		return nil, err
 	}
+	_, objName, err := cfg.objective(s.Samples())
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	rr, err := permtest.KAllRange(s.candidatePlanes(candidates), candidates, 0, cfg.permCount(), pc)
+	prep, err := s.permPrepared(candidates, objName, pc)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := prep.Range(0, cfg.permCount(), pc)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +470,11 @@ func (s *Session) PermutationSlice(ctx context.Context, candidates [][]int, offs
 		return nil, err
 	}
 	start := time.Now()
-	rr, err := permtest.KAllRange(s.candidatePlanes(candidates), candidates, offset, count, pc)
+	prep, err := s.permPrepared(candidates, objName, pc)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := prep.Range(offset, count, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -506,13 +544,13 @@ func (c *searchConfig) permCount() int {
 }
 
 // observePerm records the permutation-test counters: relabelings
-// evaluated, candidates sharing them, the table rows counted against
-// those a full count would have counted, and the wall time. A nil
+// evaluated, candidates sharing them, the table rows scored against
+// those a full score would have taken, and the wall time. A nil
 // registry is a no-op.
 func observePerm(reg *obs.Registry, rr *permtest.RangeResult, d time.Duration) {
 	reg.Counter("trigene_perm_permutations_total", "Phenotype relabelings evaluated by permutation tests.").Add(int64(rr.Count))
 	reg.Counter("trigene_perm_candidates_total", "Candidate combinations scored by permutation tests.").Add(int64(len(rr.Hits)))
-	reg.Counter("trigene_perm_rows_counted_total", "Contingency-table rows permutation tests counted; a K2 table stops once it cannot tie or beat the observed score.").Add(rr.Rows.Counted)
-	reg.Counter("trigene_perm_rows_total", "Contingency-table rows permutation tests would count without stopping early.").Add(rr.Rows.Total)
+	reg.Counter("trigene_perm_rows_counted_total", "Contingency-table rows permutation tests scored; K2 stops scoring a group of eight tables once none can tie or beat the observed score.").Add(rr.Rows.Counted)
+	reg.Counter("trigene_perm_rows_total", "Contingency-table rows permutation tests would score without stopping early.").Add(rr.Rows.Total)
 	reg.Histogram("trigene_perm_seconds", "Permutation test wall time in seconds.", obs.DurationBuckets).Observe(d.Seconds())
 }

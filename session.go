@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"trigene/internal/dataset"
@@ -20,6 +21,7 @@ import (
 type Session struct {
 	store    *store.Store
 	searcher *engine.Searcher
+	perm     atomic.Pointer[preparedPerm] // the last permutation test's candidates
 }
 
 // NewSession validates the dataset and wraps it in a fresh

@@ -322,10 +322,10 @@ func TestRAWSessionBuildsNoMatrix(t *testing.T) {
 
 // TestPermRowCounters: a permutation test on a metrics registry reports
 // the relabelings it drew (the default 1000 when none is asked for) and
-// the table rows it counted next to those a full count would have
-// counted. The planted triple's permutations stop early under K2; the
-// range primitive adds its own rows; MI counts every row some sample
-// falls in.
+// the table rows it scored next to those a full score would have taken.
+// The planted triple's permutations stop early under K2, in scoring: the
+// counts of every row are there, and under half the rows are scored. The
+// range primitive adds its own rows; MI scores every row.
 func TestPermRowCounters(t *testing.T) {
 	mx, err := Generate(GenConfig{SNPs: 16, Samples: 600, Seed: 40, MAFMin: 0.3, MAFMax: 0.5,
 		Interaction: &Interaction{SNPs: [3]int{2, 8, 14}, Penetrance: ThresholdPenetrance(3, 0.05, 0.95)}})
@@ -365,7 +365,7 @@ func TestPermRowCounters(t *testing.T) {
 	}
 	total, counted := value("trigene_perm_rows_total"), value("trigene_perm_rows_counted_total")
 	if total != 1000*(27+9) || counted <= 0 || counted >= total/2 {
-		t.Errorf("K2 rows: %d counted of %d, want 1000 x 36 in all and under half of them counted", counted, total)
+		t.Errorf("K2 rows: %d scored of %d, want 1000 x 36 in all and under half of them scored", counted, total)
 	}
 
 	if _, err := s.PermutationSlice(ctx, candidates, 100, 40, WithSeed(3), WithObjective("mi"), WithMetrics(reg)); err != nil {
@@ -375,6 +375,6 @@ func TestPermRowCounters(t *testing.T) {
 		t.Errorf("slice added %d rows in all, want 40 x 36", got)
 	}
 	if got := value("trigene_perm_rows_counted_total") - counted; got != 40*36 {
-		t.Errorf("MI slice counted %d rows, want all 40 x 36 (every genotype cell is populated)", got)
+		t.Errorf("MI slice scored %d rows, want all 40 x 36", got)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -380,6 +382,54 @@ func TestSessionPermutationTest(t *testing.T) {
 	if _, err := s.PermutationTest(ctx, rep.Best.SNPs, trigene.WithOrder(3),
 		trigene.WithPermutations(10)); err != nil {
 		t.Errorf("matching WithOrder rejected: %v", err)
+	}
+}
+
+// TestPermutationSliceConcurrent: a session keeps the candidates it last
+// prepared for the permutation kernel, and a cluster worker runs ranges of
+// one job, and of different jobs, on one session at once. Ranges run from
+// several goroutines together — two candidate sets and two objectives
+// taking turns, so the kept set is replaced while others read it — must
+// give what each range gives on a fresh session of the same data.
+func TestPermutationSliceConcurrent(t *testing.T) {
+	shared, fresh := plantedSession(t), plantedSession(t)
+	ctx := context.Background()
+	sets := [][][]int{{{3, 9, 15}, {0, 1}}, {{2, 4, 6}, {3, 9}, {1, 5, 7, 11}}}
+	objectives := []string{"k2", "gini"}
+	type job struct{ set, obj, offset int }
+	var jobs []job
+	for i := 0; i < 24; i++ {
+		jobs = append(jobs, job{i % 2, i / 2 % 2, 37 * i})
+	}
+	want := make([]*trigene.PermScores, len(jobs))
+	for i, j := range jobs {
+		ps, err := fresh.PermutationSlice(ctx, sets[j.set], j.offset, 50,
+			trigene.WithSeed(8), trigene.WithObjective(objectives[j.obj]), trigene.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ps
+	}
+	got := make([]*trigene.PermScores, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = shared.PermutationSlice(ctx, sets[j.set], j.offset, 50,
+				trigene.WithSeed(8), trigene.WithObjective(objectives[j.obj]), trigene.WithWorkers(2))
+		}()
+	}
+	wg.Wait()
+	for i := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i].Hits, want[i].Hits) || !reflect.DeepEqual(got[i].Observed, want[i].Observed) {
+			t.Errorf("range %+v: %v hits / %v observed, a fresh session gives %v / %v",
+				jobs[i], got[i].Hits, got[i].Observed, want[i].Hits, want[i].Observed)
+		}
 	}
 }
 
