@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
@@ -93,27 +92,28 @@ func BenchmarkPairBlock(b *testing.B) {
 }
 
 // BenchmarkPairScan times the pair primitive on both bodies over the
-// 256-word planes of a 16384-sample class: one BuildPair per iteration,
-// the unit of the stage-1 screen scan.
+// 256-word planes of a 16384-sample class: one PairLanes call per
+// iteration, the eight pairs of one lane group of the stage-1 screen scan,
+// reported per pair.
 func BenchmarkPairScan(b *testing.B) {
-	p := benchPlanes(benchWords)
-	for w := range p[1] {
-		p[1][w] &^= p[0][w]
-		p[3][w] &^= p[2][w]
+	snps := make([][2][]uint64, Lanes+1)
+	for k := range snps {
+		p := benchPlanes(benchWords)
+		for w := range p[1] {
+			p[1][w] &^= p[0][w]
+		}
+		snps[k] = [2][]uint64{p[0], p[1]}
 	}
-	var xn, yn [2]int32
-	for g := 0; g < 2; g++ {
-		xn[g] = int32(bitvec.PopCount(p[g]))
-		yn[g] = int32(bitvec.PopCount(p[2+g]))
-	}
+	data, marg := classPlanes(0, benchWords, snps)
 	for _, body := range bodies {
 		b.Run(body.name, func(b *testing.B) {
 			skipWithoutAssembly(b, body.oracle)
-			b.SetBytes(benchWords * 8 * 4)
-			var ft [Cells]int32
+			b.SetBytes(Lanes * benchWords * 8 * 4)
+			var lt LaneTable
 			for i := 0; i < b.N; i++ {
-				buildPair(&ft, p[0], p[1], p[2], p[3], xn, yn, benchWords*64, !body.oracle)
+				pairLanes(&lt, data, benchWords, 0, Lanes, Lanes, marg, benchWords*64, !body.oracle)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/Lanes, "ns/pair")
 		})
 	}
 }

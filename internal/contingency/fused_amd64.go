@@ -21,7 +21,7 @@ func sumPairPlanesAVX512(sums *[PairPlanes]int32, planes *uint64, n int)
 func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[PairPlanes]int32, n int)
 
 //go:noescape
-func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int)
+func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, words, valid int)
 
 //go:noescape
 func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool)

@@ -305,24 +305,38 @@ accDone:
 	VPOPCNTQ Z2, Z2; \
 	VPADDQ   Z2, acc, acc
 
-// func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int)
+// func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, words, valid int)
 //
-// c = popcounts of x0∧y0, x0∧y1, x1∧y0, x1∧y1 over n words, one
-// accumulator each (Z4..Z7). R8 is the byte offset of the current
-// vector in all four planes. The x planes are the streamed side of a
-// pair scan and dataset.Split lays consecutive SNPs' planes end to end,
-// so each vector prefetches 2 KiB further down both x streams: the rest
-// of this plane, or the SNPs scanned next. Once the split form outgrows
-// L2 that is a quarter off the scan; prefetches never fault, so running
-// off the last plane is harmless.
-TEXT ·countPairAVX512(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ x0+8(FP), AX
-	MOVQ x1+16(FP), BX
-	MOVQ y0+24(FP), SI
-	MOVQ y1+32(FP), DX
-	MOVQ n+40(FP), CX
-	XORQ R8, R8
+// The pair tables of lanes 0..valid-1 of a lane table, lane l pairing the
+// SNP whose planes start at x + 2l*words words with the one at y. Per
+// lane, the popcounts of x0∧y0, x0∧y1, x1∧y0, x1∧y1 over the words go to
+// one accumulator each (Z4..Z7), R8 the byte offset of the current vector
+// in all four planes, and their totals to rows 0, 1, 3 and 4 of the
+// lane's column. The x planes are the streamed side of a pair scan and
+// dataset.Split lays consecutive SNPs' planes end to end, so each vector
+// prefetches 2 KiB further down both x streams: the rest of this plane,
+// or the lane after it. Once the split form outgrows L2 that is a quarter
+// off the scan; prefetches never fault, so running off the last plane is
+// harmless. The other five rows are then derived for all eight lanes at
+// once from the four counted ones and the marginals: |x0| and |x1| of the
+// valid lanes (the low and high halves of xmarg's qwords, loaded under
+// the valid mask so nothing past the last lane is read), |y0|, |y1| and n
+// broadcast.
+TEXT ·pairLanesAVX512(SB), NOSPLIT, $0-64
+	MOVQ lt+0(FP), DI
+	MOVQ x+8(FP), AX
+	MOVQ y+16(FP), SI
+	MOVQ words+48(FP), R9
+	MOVQ valid+56(FP), R10
+	MOVQ R9, R11
+	SHLQ $3, R11 // bytes per plane
+	LEAQ (SI)(R11*1), DX
+	XORQ R12, R12
+
+pairLane:
+	LEAQ  (AX)(R11*1), BX
+	MOVQ  R9, CX
+	XORQ  R8, R8
 	MOVQ  $0xFF, R13
 	KMOVW R13, K1
 	VPXORQ Z4, Z4, Z4
@@ -355,7 +369,52 @@ pairDone:
 	FOLD128(Z4, Z6)
 	FOLD128(Z4, Z4)
 	VPMOVQD Z4, Y4
-	VMOVDQU X4, (DI)
+	VMOVD   X4, (DI)(R12*4)
+	VPEXTRD $1, X4, 32(DI)(R12*4)
+	VPEXTRD $2, X4, 96(DI)(R12*4)
+	VPEXTRD $3, X4, 128(DI)(R12*4)
+	LEAQ    (AX)(R11*2), AX
+	INCQ    R12
+	CMPQ    R12, R10
+	JLT     pairLane
+
+	// Y0..Y3 = c00, c01, c10, c11; Y9, Y10 = |x0|, |x1|; Y11, Y12 = |y0|,
+	// |y1|; Y13 = n.
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	VMOVDQU 96(DI), Y2
+	VMOVDQU 128(DI), Y3
+	MOVQ    R10, CX
+	MOVQ    $1, R13
+	SHLQ    CX, R13
+	DECQ    R13
+	KMOVW   R13, K2
+	MOVQ    xmarg+24(FP), BX
+	VMOVDQU64.Z (BX), K2, Z8
+	VPMOVQD Z8, Y9
+	VPSRLQ  $32, Z8, Z8
+	VPMOVQD Z8, Y10
+	MOVQ    ymarg+32(FP), BX
+	VPBROADCASTD (BX), Y11
+	VPBROADCASTD 4(BX), Y12
+	VPBROADCASTD n+40(FP), Y13
+	VPSUBD  Y0, Y9, Y5 // c02 = |x0| − c00 − c01
+	VPSUBD  Y1, Y5, Y5
+	VMOVDQU Y5, 64(DI)
+	VPSUBD  Y2, Y10, Y5 // c12 = |x1| − c10 − c11
+	VPSUBD  Y3, Y5, Y5
+	VMOVDQU Y5, 160(DI)
+	VPSUBD  Y0, Y11, Y6 // c20 = |y0| − c00 − c10
+	VPSUBD  Y2, Y6, Y6
+	VMOVDQU Y6, 192(DI)
+	VPSUBD  Y1, Y12, Y7 // c21 = |y1| − c01 − c11
+	VPSUBD  Y3, Y7, Y7
+	VMOVDQU Y7, 224(DI)
+	VPSUBD  Y9, Y13, Y13 // c22 = n − |x0| − |x1| − c20 − c21
+	VPSUBD  Y10, Y13, Y13
+	VPSUBD  Y6, Y13, Y13
+	VPSUBD  Y7, Y13, Y13
+	VMOVDQU Y13, 256(DI)
 	VZEROUPPER
 	RET
 

@@ -19,7 +19,7 @@ func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[Pair
 	panic("contingency: no assembly in this build")
 }
 
-func countPairAVX512(c *[PairCounted]int32, x0, x1, y0, y1 *uint64, n int) {
+func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, words, valid int) {
 	panic("contingency: no assembly in this build")
 }
 

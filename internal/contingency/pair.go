@@ -16,7 +16,7 @@ import (
 // PairCells is the number of genotype combinations for a SNP pair.
 const PairCells = 9
 
-// PairCounted is how many of a pair's nine cells BuildPair counts from
+// PairCounted is how many of a pair's nine cells PairLanes counts from
 // the planes (the stored-genotype products x0∧y0, x0∧y1, x1∧y0, x1∧y1);
 // the other five follow from plane popcounts. The triple kernel's
 // counterpart is TripleCounted.
@@ -25,48 +25,57 @@ const PairCounted = 4
 // PairComboIndex returns the embedded table row for (gx, gy).
 func PairComboIndex(gx, gy int) int { return gx*3 + gy }
 
-// BuildPair sets the nine embedded pair cells of one class from the
-// class's four stored planes of SNPs x and y (whole planes, equal
-// lengths), their popcounts xn = {|x0|, |x1|} and yn = {|y0|, |y1|},
-// and the class size n. Only the four cells of stored genotypes are
-// counted, 4 AND+POPCNT per word; every sample carries exactly one
-// genotype of each SNP, so the rest follow:
+// PairLanes sets rows 0..PairCells-1 of lt to one class's embedded pair
+// tables of the pairs (x+l, y), lane l < valid (1..Lanes): row
+// PairComboIndex(gx, gy), column l. data is the class's planes as
+// dataset.Split stores them, plane g of SNP i at (2i+g)*words, so the x
+// SNPs of consecutive lanes lie one stride apart; marg[i] = {|plane 0|,
+// |plane 1|} of SNP i in the class and n is the class size. Only the
+// four cells of stored genotypes are counted, 4 AND+POPCNT per word and
+// lane; every sample carries exactly one genotype of each SNP, so the
+// other five follow, for all lanes at once:
 //
 //	c02 = |x0| − c00 − c01    c20 = |y0| − c00 − c10
 //	c12 = |x1| − c10 − c11    c21 = |y1| − c01 − c11
-//	c22 = n − the other eight
+//	c22 = n − |x0| − |x1| − c20 − c21
 //
 // No genotype-2 plane is formed, so pad bits never enter a count and
-// there is no pad correction. Cells 9..26 of ft are left alone. The
-// planes of a SNP must be disjoint, which the dataset loaders guarantee.
-func BuildPair(ft *[Cells]int32, x0s, x1s, y0s, y1s []uint64, xn, yn [2]int32, n int32) {
-	buildPair(ft, x0s, x1s, y0s, y1s, xn, yn, n, hasAVX512)
+// there is no pad correction. Rows 9..26 of lt are left alone, and what
+// rows 0..8 hold in the lanes at and past valid is unspecified. The planes
+// of a SNP must be disjoint, which the dataset loaders guarantee.
+func PairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32) {
+	pairLanes(lt, data, words, x, valid, y, marg, n, hasAVX512)
 }
 
-// buildPair counts with the chosen body and derives. Like the fused
+// pairLanes counts with the chosen body and derives. Like the fused
 // kernel's, the vector body takes every non-empty plane, ragged or
 // shorter than a vector.
-func buildPair(ft *[Cells]int32, x0s, x1s, y0s, y1s []uint64, xn, yn [2]int32, n int32, vector bool) {
-	words := len(x0s)
-	x1s, y0s, y1s = x1s[:words], y0s[:words], y1s[:words]
-	var c [PairCounted]int32
-	if vector && words > 0 {
-		countPairAVX512(&c, &x0s[0], &x1s[0], &y0s[0], &y1s[0], words)
-	} else {
-		countPairGo(&c, x0s, x1s, y0s, y1s)
+func pairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32, vector bool) {
+	if valid < 1 || valid > Lanes {
+		panic("contingency: pair lanes out of range")
 	}
-	c00, c01, c10, c11 := c[0], c[1], c[2], c[3]
-	c02 := xn[0] - c00 - c01
-	c12 := xn[1] - c10 - c11
-	c20 := yn[0] - c00 - c10
-	c21 := yn[1] - c01 - c11
-	ft[0], ft[1], ft[2] = c00, c01, c02
-	ft[3], ft[4], ft[5] = c10, c11, c12
-	ft[6], ft[7] = c20, c21
-	ft[8] = n - xn[0] - xn[1] - c20 - c21
+	xs := data[2*x*words : 2*(x+valid)*words]
+	ys := data[2*y*words : 2*(y+1)*words]
+	xm, ym := marg[x:x+valid], &marg[y]
+	if vector && words > 0 {
+		pairLanesAVX512(lt, &xs[0], &ys[0], &xm[0], ym, int(n), words, valid)
+		return
+	}
+	for l, xn := range xm {
+		x := xs[2*l*words : 2*(l+1)*words]
+		var c [PairCounted]int32
+		countPairGo(&c, x[:words], x[words:], ys[:words], ys[words:])
+		c00, c01, c10, c11 := c[0], c[1], c[2], c[3]
+		c20, c21 := ym[0]-c00-c10, ym[1]-c01-c11
+		column := [PairCells]int32{c00, c01, xn[0] - c00 - c01, c10, c11, xn[1] - c10 - c11,
+			c20, c21, n - xn[0] - xn[1] - c20 - c21}
+		for row, v := range column {
+			lt[row][l] = v
+		}
+	}
 }
 
-// countPairGo is the pure-Go body of BuildPair's count and its oracle.
+// countPairGo is the pure-Go body of PairLanes' count and its oracle.
 func countPairGo(c *[PairCounted]int32, x0s, x1s, y0s, y1s []uint64) {
 	var c00, c01, c10, c11 int
 	for w, x0 := range x0s {

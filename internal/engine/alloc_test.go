@@ -39,8 +39,8 @@ import (
 // separately at the end, on stack tables. The engine's other two tile
 // loops are held to the same standard on the same searchers: the pair
 // walker, of a pair search and with the screen's planes (its marginals
-// live on the Searcher, its counted cells on the stack behind a
-// //go:noescape stub), and the seeded extension (its two
+// live on the Searcher, its two lane tables and their scores in the
+// arena, passed to //go:noescape stubs), and the seeded extension (its two
 // class-plane-sized PairBlocks and its raw table live in the worker
 // arena).
 func TestHotPathAllocs(t *testing.T) {
@@ -145,7 +145,7 @@ func TestHotPathAllocs(t *testing.T) {
 		var lt contingency.LaneTable
 		var scores [contingency.Lanes]float64
 		blk.AccumulateLanes(&lt, xt, false)
-		k2.ScoreLanes(&scores, &lt, &lt, contingency.Lanes, math.Inf(1))
+		k2.ScoreLanes(&scores, &lt, &lt, contingency.Cells, contingency.Lanes, math.Inf(1))
 		if scores[0] == 0 {
 			t.Fatal("no score")
 		}

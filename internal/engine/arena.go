@@ -8,9 +8,10 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (flat and pair paths), a bank of block tables
-// (unfused blocked paths), the fused loop's pair blocks, x tile and
-// lane-table bank, the generic k-way cells, and the consumer's top-K.
+// a contingency table (flat paths, and the pair walker's column
+// scoring), a bank of block tables (unfused blocked paths), the fused
+// loop's pair blocks, x tile and lane-table bank, the pair walker's lane
+// tables, the generic k-way cells, and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
@@ -32,14 +33,19 @@ type arena struct {
 	pairs     []lanePair
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
+	// pairLanes are the pair walker's two lane tables, one per class: the
+	// embedded tables of the eight pairs of a group in hand, scored into
+	// laneScore.
+	pairLanes [2]contingency.LaneTable
 	// ctrl/cases are the generic k-way cells.
 	ctrl, cases []int32
 	// top accumulates this consumer's best candidates.
 	top *topK
 	// scored counts the combinations this consumer evaluated.
 	scored int64
-	// rejected counts the fused loop's lane groups scoring gave up on
-	// against the top-K's bound since the last tile was observed.
+	// rejected counts the lane groups scoring gave up on (the fused
+	// loop's against the top-K's bound, the pair walker's against its
+	// group bound) since the last tile was observed.
 	rejected int64
 }
 

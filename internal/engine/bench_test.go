@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"trigene/internal/combin"
+	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/obs"
 )
 
 // BenchmarkFusedShapes times the default search (V4F, K2, top-10) on one
@@ -39,4 +41,60 @@ func BenchmarkFusedShapes(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(combin.Triples(sh.snps)), "ns/combination")
 		})
 	}
+}
+
+// BenchmarkPairScreen times the stage-1 pair screen (RunPairScreen, K2,
+// 16 seed pairs) on one worker at the shape of the repository benchmark's
+// pipeline-cold: 640 SNPs x 16384 samples with minor allele frequencies
+// 0.3-0.5 and a planted triple. It reports ns per pair and the share of
+// lane groups of up to eight pairs whose scoring was given up on.
+func BenchmarkPairScreen(b *testing.B) {
+	const m, n = 640, 16384
+	mx, err := dataset.Generate(dataset.GenConfig{
+		SNPs: m, Samples: n, Seed: 1, MAFMin: 0.3, MAFMax: 0.5,
+		Interaction: &dataset.Interaction{SNPs: [3]int{41, 333, 602}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(mx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Split()
+	s.marginals()
+	reg := obs.NewRegistry()
+	opts := Options{Workers: 1, TopK: 16, Metrics: reg}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.RunPairScreen(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	pairs := combin.Pairs(m)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+	o, err := opts.withDefaults(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rejected := resolveRunMetrics(reg, "pair").rejected.Value()
+	b.ReportMetric(float64(rejected)/float64(b.N)/float64(pairGroups(pairs, flatGrain(pairs, &o), m)), "rejected-share")
+}
+
+// pairGroups counts the lane groups a one-worker pair scan of m SNPs
+// scores: its cursor claims [0, total) in tiles of grain ranks, and each
+// tile's part of a colexicographic j-run is cut into groups of up to
+// eight pairs.
+func pairGroups(total, grain int64, m int) (groups int64) {
+	for lo := int64(0); lo < total; lo += grain {
+		hi := min(lo+grain, total)
+		i, j := combin.UnrankPair(lo, m)
+		for r := lo; r < hi; i, j = 0, j+1 {
+			run := min(int64(j-i), hi-r)
+			r += run
+			groups += (run + contingency.Lanes - 1) / contingency.Lanes
+		}
+	}
+	return groups
 }

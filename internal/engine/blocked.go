@@ -298,12 +298,12 @@ func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
 		cases[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Case])
 	}
 	if w.laneScorer != nil {
-		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, p.valid, a.top.bound()) {
+		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.Cells, p.valid, a.top.bound()) {
 			a.rejected++
 			return
 		}
 	} else {
-		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, p.valid, &a.tab)
+		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, contingency.Cells, p.valid, &a.tab)
 	}
 	for lane := 0; lane < p.valid; lane++ {
 		a.top.offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))

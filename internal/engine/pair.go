@@ -12,7 +12,8 @@ import (
 // GBOOST, episNP and GWISFI and supported by MPI3SNP. It shares the
 // phenotype-split data, the NOR inference, the tile scheduler and the
 // objectives with the 3-way engine; only the table kernel differs
-// (9 cells embedded in a Table).
+// (9 cells embedded in the first rows of a table, built and scored in
+// lane tables eight pairs at a time).
 
 // Pair identifies a SNP combination i < j.
 type Pair struct {
@@ -26,7 +27,7 @@ func (p Pair) scored(sc float64) Candidate {
 
 // RunPairs executes an exhaustive second-order search. Options are
 // interpreted as for Run; Approach is ignored (the pair kernel,
-// contingency.BuildPair, is always used — a pair's four planes fit the
+// contingency.PairLanes, is always used — a pair's four planes fit the
 // L1 cache whole, so there is nothing to tile). Shard slices the
 // colexicographic pair-rank space.
 func (s *Searcher) RunPairs(opts Options) (*Result, error) {
@@ -44,60 +45,92 @@ func (s *Searcher) RunPairs(opts Options) (*Result, error) {
 }
 
 // pairWalker is one consumer of a pair tile stream: it walks runs of
-// colexicographic pair ranks, builds each pair's embedded table with
-// the 4-counted / 5-derived kernel and offers the scored pair to its
-// arena's top-K — and, on a screen, charges the score to both SNPs.
+// colexicographic pair ranks eight pairs at a time, builds their embedded
+// tables in the lanes of the arena's two pair lane tables with the
+// 4-counted / 5-derived kernel, scores them there and offers the scored
+// pairs to its arena's top-K — and, on a screen, charges each score to
+// both SNPs.
 type pairWalker struct {
-	split  *dataset.Split
-	marg   *[2][][2]int32
-	m      int
-	score  func(*contingency.Table) float64
-	screen *screenPlanes // nil on a pair search
-	a      *arena
+	split *dataset.Split
+	marg  *[2][][2]int32
+	m     int
+	obj   score.Objective
+	// laneScorer is the objective's own bounded scoring of the lane
+	// tables (nil: score.ScoreColumns, unbounded).
+	laneScorer score.LaneScorer
+	screen     *screenPlanes // nil on a pair search
+	a          *arena
 }
 
 func (s *Searcher) newPairWalker(o *Options, a *arena, screen *screenPlanes) *pairWalker {
 	w := &pairWalker{split: s.st.Split(), marg: s.marginals(), m: s.st.SNPs(),
-		score: o.Objective.Score, screen: screen, a: a}
-	// Rows 9..26 of an embedded pair table are empty, so an objective
-	// that can score the nine pair rows alone does a third of the work.
-	if ps, ok := o.Objective.(score.PairScorer); ok {
-		w.score = ps.ScorePair
-	}
-	a.tab = contingency.Table{} // pooled: the kernel writes rows 0..8 only
+		obj: o.Objective, screen: screen, a: a}
+	w.laneScorer, _ = o.Objective.(score.LaneScorer)
+	a.tab = contingency.Table{} // pooled: ScoreColumns writes rows 0..8 only
 	return w
 }
 
 // tile scores every pair rank in [t.Lo, t.Hi) and returns the count.
-// Colexicographic order runs i over 0..j-1 for each j, so the four
-// planes of j are sliced once per run and stay in L1 while the i planes
-// stream past them.
+// Colexicographic order runs i over 0..j-1 for each j, so a run's pairs
+// (i, j) are the x SNPs i of consecutive lanes against one y: they go
+// eight at a time, j's planes staying in L1 while the i planes stream
+// past them.
 func (w *pairWalker) tile(t sched.Tile) (int64, error) {
-	split, marg, tab := w.split, w.marg, &w.a.tab
-	n := [2]int32{int32(split.N[0]), int32(split.N[1])}
 	i, j := combin.UnrankPair(t.Lo, w.m)
 	for r := t.Lo; r < t.Hi; i, j = 0, j+1 {
-		run := min(int64(j-i), t.Hi-r)
-		r += run
-		var y [2][2][]uint64
-		for class := range y {
-			y[class] = [2][]uint64{split.Plane(class, j, 0), split.Plane(class, j, 1)}
-		}
-		for end := i + int(run); i < end; i++ {
-			for class := range y {
-				contingency.BuildPair(&tab.Counts[class],
-					split.Plane(class, i, 0), split.Plane(class, i, 1), y[class][0], y[class][1],
-					marg[class][i], marg[class][j], n[class])
-			}
-			sc := w.score(tab)
-			if w.screen != nil {
-				w.screen.charge(i, j, sc)
-			}
-			w.a.top.offer(Pair{I: i, J: j}.scored(sc))
+		end := i + int(min(int64(j-i), t.Hi-r))
+		r += int64(end - i)
+		for ; i < end; i += contingency.Lanes {
+			w.group(i, min(contingency.Lanes, end-i), j)
 		}
 	}
 	w.a.scored += t.Len()
 	return t.Len(), nil
+}
+
+// group counts, derives and scores the pairs (x+l, y), l < valid, and
+// offers them — and charges them on a screen — in rank order. A
+// LaneScorer is held to the bound of the group: a group it rejects holds
+// no pair that could enter the top-K or improve either SNP's best, so its
+// offers and charges are skipped and the list and the screen go through
+// the states they would have gone through. A lane scored above the bound
+// in a group that is not rejected is offered and charged, and turned away
+// by both, as its full score would be.
+func (w *pairWalker) group(x, valid, y int) {
+	a, split := w.a, w.split
+	for class := range a.pairLanes {
+		contingency.PairLanes(&a.pairLanes[class], split.ClassPlaneData(class), split.Words[class],
+			x, valid, y, w.marg[class], int32(split.N[class]))
+	}
+	ctrl, cases := &a.pairLanes[dataset.Control], &a.pairLanes[dataset.Case]
+	if w.laneScorer != nil {
+		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.PairCells, valid, w.bound(x, valid, y)) {
+			a.rejected++
+			return
+		}
+	} else {
+		score.ScoreColumns(w.obj, &a.laneScore, ctrl, cases, contingency.PairCells, valid, &a.tab)
+	}
+	for l, sc := range a.laneScore[:valid] {
+		if w.screen != nil {
+			w.screen.charge(x+l, y, sc)
+		}
+		a.top.offer(Pair{I: x + l, J: y}.scored(sc))
+	}
+}
+
+// bound is the score a group of pairs (x+l, y) is given up on above: the
+// loosest of the worker's top-K bound and, on a screen, the bests of y and
+// of every x SNP of the group (+Inf while any of them is unseen). A pair
+// scoring above all of them changes nothing: offer turns it away, and keep
+// acts only on a better score. Bounds only ever come down during a run, so
+// one read at the group's start is at worst looser than a fresh one.
+func (w *pairWalker) bound(x, valid, y int) float64 {
+	b := w.a.top.bound()
+	if p := w.screen; p != nil {
+		b = p.loosest(y, y+1, p.loosest(x, x+valid, b))
+	}
+	return b
 }
 
 // SearchPairs is a convenience wrapper: build a Searcher and run one

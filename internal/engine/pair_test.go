@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/obs"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 )
@@ -203,5 +207,198 @@ func TestPairLessAndTypes(t *testing.T) {
 	less := func(a, b Pair) bool { return a.scored(0).Less(b.scored(0)) }
 	if !less(Pair{1, 2}, Pair{1, 3}) || !less(Pair{1, 2}, Pair{2, 0}) || less(Pair{1, 3}, Pair{1, 2}) {
 		t.Error("pair candidates ordered wrong")
+	}
+}
+
+// TestPairRejectionParityWithTies: K2's lane scoring gives up on a group
+// of eight pairs once none of them can enter the worker's top-K or, on a
+// screen, improve either SNP's best, and a pair search and a screen must
+// report what they reported when every table was scored in full. The
+// dataset has a strong planted pair (2, 9); SNPs 3, 4 and 5 are copies of
+// 2 and SNP 10 one of 9, so every pair that swaps copies in has the same
+// table and the same score bits: eight pairs tie for first place, every
+// SNP of them ties its bests with its copies, and the copies' own pairs
+// tie further down. Where the bound bites, a pair scoring exactly the
+// bound must still be offered: (2, 10) is met after (3, 9), (4, 9) and
+// (5, 9) — a later j-run — and at K = 4 it has to displace (5, 9) on the
+// pair order alone. RunPairs at K = 1, 4 and 10 and RunPairScreen (its
+// Best, Seen and TopPairs) must equal a brute force over
+// BuildReferencePair and ScorePair under K2, MI and Gini, sharded 1, 3 and
+// 7 ways on 1 and 4 workers, and the pair rejection counter must show that
+// groups were rejected under K2 and none under MI and Gini.
+func TestPairRejectionParityWithTies(t *testing.T) {
+	const m = 28
+	var pen [9]float64
+	for c := range pen {
+		pen[c] = 0.1
+		if c/3+c%3 >= 3 {
+			pen[c] = 0.9
+		}
+	}
+	mx, err := dataset.Generate(dataset.GenConfig{
+		SNPs: m, Samples: 600, Seed: 26, MAFMin: 0.3, MAFMax: 0.5,
+		PairInteraction: &dataset.PairInteraction{SNPs: [2]int{2, 9}, Penetrance: pen},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]int{{2, 3}, {2, 4}, {2, 5}, {9, 10}} {
+		copy(mx.Row(c[1]), mx.Row(c[0]))
+	}
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []score.Objective{score.NewK2(mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
+		ps := obj.(score.PairScorer)
+		ref := newTopK(obj, int(combin.Pairs(m)))
+		best := make([]float64, m)
+		for i := range best {
+			best[i] = obj.Worst()
+		}
+		combin.ForEachPair(m, func(i, j int) {
+			tab := contingency.BuildReferencePair(mx, i, j)
+			sc := ps.ScorePair(&tab)
+			ref.offer(Pair{i, j}.scored(sc))
+			for _, snp := range []int{i, j} {
+				if obj.Better(sc, best[snp]) {
+					best[snp] = sc
+				}
+			}
+		})
+		ranking := ref.list()
+		if obj.Name() == "k2" {
+			if planted := (Pair{2, 9}).scored(ranking[0].Score); ranking[0] != planted || ranking[7].Score != ranking[0].Score {
+				t.Fatalf("fixture: best %+v, eighth %+v; want (2,9) tied eight ways", ranking[0], ranking[7])
+			}
+			for _, k := range []int{1, 4, 10} {
+				if ranking[k-1].Score != ranking[k].Score {
+					t.Fatalf("fixture: places %d and %d do not tie (%v, %v)", k, k+1, ranking[k-1].Score, ranking[k].Score)
+				}
+			}
+		}
+		for _, k := range []int{1, 4, 10} {
+			want := ranking[:k]
+			for _, shards := range []int{1, 3, 7} {
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("%s K=%d %d shards %d workers", obj.Name(), k, shards, workers)
+					reg := obs.NewRegistry()
+					pairs, seeds := newTopK(obj, k), newTopK(obj, k)
+					var combos, screened int64
+					merged := newScreenPlanes(obj, m)
+					for i := 0; i < shards; i++ {
+						o := Options{Objective: obj, TopK: k, Workers: workers, Metrics: reg}
+						if shards > 1 {
+							o.Shard = &sched.Shard{Index: i, Count: shards}
+						}
+						res, err := s.RunPairs(o)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						combos += res.Stats.Combinations
+						pairs.merge(&topK{items: res.TopK})
+						scr, err := s.RunPairScreen(o)
+						if err != nil {
+							t.Fatalf("%s: screen: %v", name, err)
+						}
+						screened += scr.Stats.Combinations
+						seeds.merge(&topK{items: scr.TopPairs})
+						for snp, seen := range scr.Seen {
+							if seen {
+								merged.keep(snp, scr.Best[snp])
+							}
+						}
+					}
+					if combos != combin.Pairs(m) || screened != combin.Pairs(m) {
+						t.Errorf("%s: %d and %d pairs scanned, want %d", name, combos, screened, combin.Pairs(m))
+					}
+					for _, got := range [][]Candidate{pairs.list(), seeds.list()} {
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, got[i], want[i])
+							}
+						}
+					}
+					for snp := range best {
+						if !merged.seen[snp] || math.Float64bits(merged.best[snp]) != math.Float64bits(best[snp]) {
+							t.Errorf("%s: SNP %d best %v (seen %v), reference %v", name, snp, merged.best[snp], merged.seen[snp], best[snp])
+						}
+					}
+					switch rejected := resolveRunMetrics(reg, "pair").rejected.Value(); {
+					case obj.Name() == "k2" && rejected == 0:
+						t.Errorf("%s: no lane group was rejected", name)
+					case obj.Name() != "k2" && rejected != 0:
+						t.Errorf("%s: %d lane groups rejected without a bound", name, rejected)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairGroupBoundCoversEverySNP: a screen may give up on a group of
+// pairs only when none of them can improve the best of any SNP the group
+// holds. Every SNP's best is primed below any K2 score (−1) and the top-K
+// is full of such scores, so the group (3..10, 17) is rejected — unless one
+// of its SNPs, the x of any lane or y, has a loose best. Then the group
+// must be scored and that best improved: to the lane's pair's score for
+// an x, to the best of the eight for y; no other best moves.
+func TestPairGroupBoundCoversEverySNP(t *testing.T) {
+	const m, x, y = 20, 3, 17
+	mx := randomMatrix(116, m, 300)
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := Options{TopK: 3}.withDefaults(mx.Samples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := o.Objective.(score.PairScorer)
+	var scores [contingency.Lanes]float64
+	for l := range scores {
+		tab := contingency.BuildReferencePair(mx, x+l, y)
+		scores[l] = ps.ScorePair(&tab)
+	}
+	lo := combin.RankPair(x, y)
+	for loose := -1; loose <= contingency.Lanes; loose++ {
+		snp := -1 // the SNP with a loose best: none, lane loose's x, or y
+		switch {
+		case loose == contingency.Lanes:
+			snp = y
+		case loose >= 0:
+			snp = x + loose
+		}
+		a := getArena(o.Objective, o.TopK)
+		screen := newScreenPlanes(o.Objective, m)
+		for i := range screen.best {
+			screen.best[i], screen.seen[i] = -1, true
+		}
+		if snp >= 0 {
+			screen.best[snp] = math.MaxFloat64
+		}
+		for k := 0; k < o.TopK; k++ {
+			a.top.offer(Pair{0, k + 1}.scored(-1))
+		}
+		s.newPairWalker(&o, a, screen).tile(sched.Tile{Lo: lo, Hi: lo + contingency.Lanes})
+		if rejected := a.rejected == 1; rejected != (snp < 0) {
+			t.Errorf("loose SNP %d: %d groups rejected", snp, a.rejected)
+		}
+		for i, b := range screen.best {
+			want := -1.0
+			switch {
+			case i == snp && snp == y:
+				want = slices.Min(scores[:])
+			case i == snp:
+				want = scores[i-x]
+			}
+			if b != want {
+				t.Errorf("loose SNP %d: SNP %d best %v, want %v", snp, i, b, want)
+			}
+		}
+		a.release()
 	}
 }

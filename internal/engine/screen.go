@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"trigene/internal/combin"
 	"trigene/internal/sched"
 	"trigene/internal/score"
@@ -11,7 +13,10 @@ import (
 // the survivor selection ("top-S SNPs by best participating pair
 // score") and the seed list ("top pairs") fall out of one pass over
 // C(M,2). The scan is the pair search (same kernel, walker, space and
-// sharding) with per-worker screen planes beside each top-K.
+// sharding) with per-worker screen planes beside each top-K; the planes'
+// bests join the bound a group of eight pairs is given up on above, so a
+// group none of whose pairs improves a best or enters the top-K is never
+// charged (pairWalker.group).
 
 // ScreenResult is the outcome of a stage-1 pairwise screen.
 type ScreenResult struct {
@@ -91,4 +96,20 @@ func (p *screenPlanes) keep(snp int, sc float64) {
 	if !p.seen[snp] || p.obj.Better(sc, p.best[snp]) {
 		p.best[snp], p.seen[snp] = sc, true
 	}
+}
+
+// loosest is, for a lower-is-better objective, the loosest of b and the
+// scores above which keep leaves the bests of SNPs lo..hi-1 alone: +Inf if
+// any of them has none yet.
+func (p *screenPlanes) loosest(lo, hi int, b float64) float64 {
+	best := p.best[lo:hi]
+	for k, seen := range p.seen[lo:hi] {
+		if !seen {
+			return math.Inf(1)
+		}
+		if best[k] > b {
+			b = best[k]
+		}
+	}
+	return b
 }

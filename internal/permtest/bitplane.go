@@ -575,14 +575,14 @@ func (ps *permScratch) scoreLanes(cand *planeCand, nb int) (hits int) {
 		valid := min(contingency.Lanes, nb-8*g)
 		ctrl := (*contingency.LaneTable)(ps.ctrl[g*gs : (g+1)*gs])
 		cases := (*contingency.LaneTable)(ps.cases[g*gs : (g+1)*gs])
-		stop := ps.cs.k2.ScoreLanesStop(&ps.dst, ctrl, cases, valid, cand.obs)
+		stop := ps.cs.k2.ScoreLanesStop(&ps.dst, ctrl, cases, cand.cells, valid, cand.obs)
 		for _, sc := range ps.dst[:valid] {
 			if ps.cs.hit(sc, cand.obs) {
 				hits++
 			}
 		}
-		if stop == 0 || stop > cand.cells {
-			stop = cand.cells // a pair's rows past 9 add nothing
+		if stop == 0 {
+			stop = cand.cells
 		}
 		ps.scored += int64(valid * stop)
 	}

@@ -3,11 +3,14 @@ package score
 import "trigene/internal/contingency"
 
 // LaneScorer is implemented by lower-is-better objectives that can score
-// the tables of a lanes pass (contingency.PairBlock.AccumulateLanes) where
-// they lie: the table of lane l has column l of ctrl and of cases as its
-// class rows. ScoreLanes sets dst[l] for l < valid to exactly what Score
-// gives on that table, bit for bit — or, if that score is above bound, to
-// some value above bound: a table may be given up on as soon as it
+// the tables of a lanes pass (contingency.PairBlock.AccumulateLanes, or
+// contingency.PairLanes for pairs) where they lie: the table of lane l has
+// column l of ctrl and of cases as its class rows, of which the first rows
+// are read — contingency.Cells for a triple, contingency.PairCells for an
+// embedded pair table, whose rows past them are empty. ScoreLanes sets
+// dst[l] for l < valid to exactly what Score gives on that table (with the
+// rows past rows empty), bit for bit — or, if that score is above bound,
+// to some value above bound: a table may be given up on as soon as it
 // provably cannot score bound or better. It returns true (rejected) only
 // if every valid lane's score is above bound; bound = +Inf never rejects
 // and always gives the exact scores. Lanes at and past valid may hold
@@ -15,19 +18,25 @@ import "trigene/internal/contingency"
 // undefined. K2 implements it; the engine falls back to ScoreColumns for
 // an objective that does not.
 type LaneScorer interface {
-	ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (rejected bool)
+	ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) (rejected bool)
 }
 
-// ScoreColumns is ScoreLanes for any objective, without a bound: each
-// valid lane's column is copied into the scratch table and scored
-// through Score.
-func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, scratch *contingency.Table) {
+// ScoreColumns is ScoreLanes for any objective, without a bound: the
+// first rows of each valid lane's column are copied into the scratch
+// table, whose rows past them must be empty, and scored through Score —
+// or, for rows = contingency.PairCells and a PairScorer, through
+// ScorePair, which gives the same bits on such a table.
+func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, scratch *contingency.Table) {
+	score := obj.Score
+	if ps, ok := obj.(PairScorer); ok && rows == contingency.PairCells {
+		score = ps.ScorePair
+	}
 	for lane := 0; lane < valid; lane++ {
-		for cell := range scratch.Counts[0] {
+		for cell := 0; cell < rows; cell++ {
 			scratch.Counts[0][cell] = ctrl[cell][lane]
 			scratch.Counts[1][cell] = cases[cell][lane]
 		}
-		dst[lane] = obj.Score(scratch)
+		dst[lane] = score(scratch)
 	}
 }
 
@@ -39,36 +48,40 @@ func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *c
 // they stop at as well: the vector body declines a table with a count
 // outside it, and the Go body then fails on it the way Score does (or
 // scores it, if the vector body's check was only too coarse).
-func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
-	return o.ScoreLanesStop(dst, ctrl, cases, valid, bound) > 0
+func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) bool {
+	return o.ScoreLanesStop(dst, ctrl, cases, rows, valid, bound) > 0
 }
 
 // ScoreLanesStop is ScoreLanes that also says where the group was given
 // up on: the number of rows after which every valid lane's sum was first
 // above bound, or 0 when some valid lane's sum is not above it after the
-// last row (the group is not rejected; every row was summed). A lane's
-// sum never decreases, so that row is the latest of the rows each lane
-// alone passes bound at, and both bodies report the same one.
-func (o *K2Objective) ScoreLanesStop(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (stop int) {
+// last of the rows (the group is not rejected; every row was summed). A
+// lane's sum never decreases, so that row is the latest of the rows each
+// lane alone passes bound at, and both bodies report the same one. Only
+// the first rows (1..contingency.Cells) of the tables are read or checked.
+func (o *K2Objective) ScoreLanesStop(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) (stop int) {
 	valid = min(valid, contingency.Lanes)
+	if rows < 1 || rows > contingency.Cells {
+		panic("score: lane table rows out of range")
+	}
 	if contingency.HasAVX512() && valid > 0 {
-		if stop, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, bound); ok {
+		if stop, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, rows, bound); ok {
 			return stop
 		}
 	}
-	return k2LanesGo(dst, ctrl, cases, o.lf, valid, bound)
+	return k2LanesGo(dst, ctrl, cases, o.lf, rows, valid, bound)
 }
 
 // k2LanesGo is the pure-Go body of K2's ScoreLanesStop and its oracle:
-// k2's sum, lane by lane, each lane stopped after the first row that takes
-// its sum above bound.
-func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, valid int, bound float64) (stop int) {
+// k2's sum over the first rows, lane by lane, each lane stopped after the
+// first row that takes its sum above bound.
+func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lf *LnFact, rows, valid int, bound float64) (stop int) {
 	for lane := 0; lane < valid; lane++ {
-		score, rows := 0.0, 0
-		for cell := range ctrl {
+		score, after := 0.0, 0
+		for cell := range ctrl[:rows] {
 			r0 := int(ctrl[cell][lane])
 			r1 := int(cases[cell][lane])
-			if rows > 0 {
+			if after > 0 {
 				// Past the stop a row is only checked: a count outside
 				// the table fails here as it does in Score.
 				_, _, _ = lf.table[r0+r1+1], lf.table[r0], lf.table[r1]
@@ -76,16 +89,16 @@ func k2LanesGo(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTab
 			}
 			score += K2Term(lf, r0, r1)
 			if score > bound {
-				rows = cell + 1
+				after = cell + 1
 			}
 		}
 		dst[lane] = score
-		if rows == 0 {
-			rows = len(ctrl) + 1 // this lane never stops: neither does the group
+		if after == 0 {
+			after = rows + 1 // this lane never stops: neither does the group
 		}
-		stop = max(stop, rows)
+		stop = max(stop, after)
 	}
-	if stop > len(ctrl) {
+	if stop > rows {
 		return 0
 	}
 	return stop

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask int, bound float64) (stop int, ok bool)
+// func k2LanesAVX512(dst *[Lanes]float64, ctrl, cases *LaneTable, lnFact *float64, limit, mask, rows int, bound float64) (stop int, ok bool)
 //
-// K2 of eight tables at once, one per lane, in two passes over the 27
-// rows.
+// K2 of eight tables at once, one per lane, in two passes over the rows
+// the tables have (R13): 27 for triples, the first 9 for embedded pair
+// tables.
 //
 // The first checks the indices, with loads and maxima only: the largest
 // control count r0 (Y9) and the largest case count r1 (Y10) of every
@@ -32,15 +33,16 @@
 // previous row's compare. Loads, maxima and adds of the counts are
 // VEX-encoded, so bits 256..511 of Z0..Z2 and Z9..Z11 are zero and the
 // upper half of a 16-lane compare is masked off by K1.
-TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-65
+TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-73
 	MOVQ  dst+0(FP), DI
 	MOVQ  ctrl+8(FP), AX
 	MOVQ  cases+16(FP), BX
 	MOVQ  lnFact+24(FP), SI
 	MOVQ  limit+32(FP), R8
 	MOVQ  mask+40(FP), R9
-	MOVQ  $0, stop+56(FP)
-	MOVB  $0, ok+64(FP)
+	MOVQ  rows+48(FP), R13
+	MOVQ  $0, stop+64(FP)
+	MOVB  $0, ok+72(FP)
 	KMOVW R9, K1
 	VMOVQ R8, X7
 	VPBROADCASTD X7, Z7 // limit in every lane
@@ -52,7 +54,7 @@ TEXT ·k2LanesAVX512(SB), NOSPLIT, $0-65
 	VPXOR Y10, Y10, Y10
 	MOVQ  AX, R11
 	MOVQ  BX, R12
-	MOVQ  $27, CX
+	MOVQ  R13, CX
 
 k2Check:
 	VPMAXUD (R11), Y9, Y9
@@ -70,11 +72,11 @@ k2Check:
 	KMOVW   K2, R10
 	CMPQ    R10, R9
 	JNE     k2Done
-	MOVB    $1, ok+64(FP)
+	MOVB    $1, ok+72(FP)
 
-	VBROADCASTSD bound+48(FP), Z10
+	VBROADCASTSD bound+56(FP), Z10
 	VPXORQ Z8, Z8, Z8
-	MOVQ   $27, CX
+	MOVQ   R13, CX
 
 k2Row:
 	VMOVDQU (AX), Y0
@@ -107,9 +109,9 @@ k2Row:
 
 k2Rejected:
 	VMOVUPD Z8, (DI)
-	MOVQ    $28, R10
+	LEAQ    1(R13), R10 // rows + 1 − the rows left
 	SUBQ    CX, R10
-	MOVQ    R10, stop+56(FP)
+	MOVQ    R10, stop+64(FP)
 
 k2Done:
 	VZEROUPPER

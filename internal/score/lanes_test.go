@@ -1,6 +1,7 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,7 +10,7 @@ import (
 	"trigene/internal/contingency"
 )
 
-// laneScore is ScoreLanes' signature.
+// laneScore is ScoreLanes' signature at a fixed row count.
 type laneScore func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) (rejected bool)
 
 // k2Body is one of K2's two ScoreLanes bodies.
@@ -18,13 +19,19 @@ type k2Body struct {
 	score laneScore
 }
 
+// tableRows are the row counts lane tables are scored at: triples' 27 and
+// embedded pair tables' 9.
+var tableRows = []int{contingency.Cells, contingency.PairCells}
+
 // k2Bodies are K2's ScoreLanes (its vector body where the host has it,
-// else the Go one) and its Go body called directly.
-func k2Bodies(k2 *K2Objective) []k2Body {
+// else the Go one) and its Go body called directly, over the first rows.
+func k2Bodies(k2 *K2Objective, rows int) []k2Body {
 	return []k2Body{
-		{contingency.Kernel(), k2.ScoreLanes},
+		{contingency.Kernel(), func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
+			return k2.ScoreLanes(dst, ctrl, cases, rows, valid, bound)
+		}},
 		{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) bool {
-			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound) > 0
+			return k2LanesGo(dst, ctrl, cases, k2.lf, rows, valid, bound) > 0
 		}},
 	}
 }
@@ -32,43 +39,50 @@ func k2Bodies(k2 *K2Objective) []k2Body {
 type laneScorer struct {
 	name  string
 	obj   Objective
+	rows  int
 	score func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) // at bound +Inf
 	// bounded is the body with its bound; nil for ScoreColumns, which
 	// has none.
 	bounded laneScore
 }
 
-// laneScorers are the ways a lanes pass gets scored: K2's two bodies, and
-// ScoreColumns, the fallback every other objective takes.
+// laneScorers are the ways a lanes pass gets scored, at both row counts:
+// K2's two bodies, and ScoreColumns, the fallback every other objective
+// takes.
 func laneScorers(n int) []laneScorer {
 	k2 := NewK2(n)
 	var scorers []laneScorer
-	for _, body := range k2Bodies(k2) {
-		scorers = append(scorers, laneScorer{"k2/" + body.name, k2, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
-			body.score(dst, ctrl, cases, valid, math.Inf(1))
-		}, body.score})
-	}
-	var scratch contingency.Table
-	for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
-		scorers = append(scorers, laneScorer{obj.Name() + "/columns", obj, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
-			ScoreColumns(obj, dst, ctrl, cases, valid, &scratch)
-		}, nil})
+	for _, rows := range tableRows {
+		for _, body := range k2Bodies(k2, rows) {
+			scorers = append(scorers, laneScorer{fmt.Sprintf("k2/%s/%d rows", body.name, rows), k2, rows, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
+				body.score(dst, ctrl, cases, valid, math.Inf(1))
+			}, body.score})
+		}
+		for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
+			var scratch contingency.Table
+			scorers = append(scorers, laneScorer{fmt.Sprintf("%s/columns/%d rows", obj.Name(), rows), obj, rows, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
+				ScoreColumns(obj, dst, ctrl, cases, rows, valid, &scratch)
+			}, nil})
+		}
 	}
 	return scorers
 }
 
 // randomLaneTables fills lane tables whose valid columns are partitions
-// of n0 controls and n1 cases over the 27 cells — with the first columns
-// extreme: everything in one cell (a count at N, 26 at 0), in cell 26,
-// and one sample per class — and whose other columns are garbage no
-// LnFact table covers.
-func randomLaneTables(r *rand.Rand, n0, n1, valid int) (ctrl, cases contingency.LaneTable) {
+// of n0 controls and n1 cases over their first rows cells — with the first
+// columns extreme: everything in one cell (a count at N, the rest at 0),
+// in the last cell, and one sample per class — and whose other columns,
+// and the rows past rows of every column, are garbage no LnFact table
+// covers.
+func randomLaneTables(r *rand.Rand, n0, n1, rows, valid int) (ctrl, cases contingency.LaneTable) {
 	for lane := 0; lane < contingency.Lanes; lane++ {
-		if lane >= valid {
-			for cell := range ctrl {
+		for cell := range ctrl {
+			if lane >= valid || cell >= rows {
 				ctrl[cell][lane] = int32(r.Uint32())
 				cases[cell][lane] = int32(r.Uint32())
 			}
+		}
+		if lane >= valid {
 			continue
 		}
 		for class, n := range [2]int{n0, n1} {
@@ -80,12 +94,12 @@ func randomLaneTables(r *rand.Rand, n0, n1, valid int) (ctrl, cases contingency.
 			case 0:
 				lt[0][lane] = int32(n)
 			case 1:
-				lt[contingency.Cells-1][lane] = int32(n)
+				lt[rows-1][lane] = int32(n)
 			case 2:
-				lt[r.Intn(contingency.Cells)][lane] = 1
+				lt[r.Intn(rows)][lane] = 1
 			default:
 				for s := 0; s < n; s++ {
-					lt[r.Intn(contingency.Cells)][lane]++
+					lt[r.Intn(rows)][lane]++
 				}
 			}
 		}
@@ -93,35 +107,53 @@ func randomLaneTables(r *rand.Rand, n0, n1, valid int) (ctrl, cases contingency.
 	return ctrl, cases
 }
 
+// laneScores is, for each of the first valid columns, Score on the table
+// of its first rows — ScorePair's where that is a pair table.
+func laneScores(obj Objective, ctrl, cases *contingency.LaneTable, rows, valid int) []float64 {
+	scores := make([]float64, valid)
+	for lane := range scores {
+		var tab contingency.Table
+		for cell := 0; cell < rows; cell++ {
+			tab.Counts[0][cell], tab.Counts[1][cell] = ctrl[cell][lane], cases[cell][lane]
+		}
+		if rows == contingency.PairCells {
+			scores[lane] = obj.(PairScorer).ScorePair(&tab)
+		} else {
+			scores[lane] = obj.Score(&tab)
+		}
+	}
+	return scores
+}
+
 // TestScoreLanesIsBitIdenticalToScore: whichever way a lanes pass is
 // scored, every valid lane gets exactly Score's float64 on the table of
-// its column, for 1 to 8 valid lanes, with cells at 0 and at N, and with
-// garbage in the invalid lanes — which must neither fault (they index far
-// outside the LnFact table) nor change a valid lane's score.
+// its column — ScorePair's on the nine rows of a pair table — for 1 to 8
+// valid lanes, with cells at 0 and at N, and with garbage in the invalid
+// lanes and in the rows past a pair table's nine, which must neither fault
+// (they index far outside the LnFact table) nor change a valid lane's
+// score.
 func TestScoreLanesIsBitIdenticalToScore(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for _, n := range [][2]int{{1, 1}, {40, 25}, {250, 250}, {3000, 1}} {
 		for _, sc := range laneScorers(n[0] + n[1]) {
 			for valid := 1; valid <= contingency.Lanes; valid++ {
 				for rep := 0; rep < 20; rep++ {
-					ctrl, cases := randomLaneTables(r, n[0], n[1], valid)
+					ctrl, cases := randomLaneTables(r, n[0], n[1], sc.rows, valid)
 					var dst [contingency.Lanes]float64
 					sc.score(&dst, &ctrl, &cases, valid)
 					// The same valid columns under other garbage.
 					ctrl2, cases2 := ctrl, cases
-					for lane := valid; lane < contingency.Lanes; lane++ {
+					for lane := range contingency.Lanes {
 						for cell := range ctrl2 {
-							ctrl2[cell][lane], cases2[cell][lane] = -1, int32(r.Uint32())
+							if lane >= valid || cell >= sc.rows {
+								ctrl2[cell][lane], cases2[cell][lane] = -1, int32(r.Uint32())
+							}
 						}
 					}
 					var dst2 [contingency.Lanes]float64
 					sc.score(&dst2, &ctrl2, &cases2, valid)
-					for lane := 0; lane < valid; lane++ {
-						var tab contingency.Table
-						for cell := range ctrl {
-							tab.Counts[0][cell], tab.Counts[1][cell] = ctrl[cell][lane], cases[cell][lane]
-						}
-						if want := sc.obj.Score(&tab); dst[lane] != want || dst2[lane] != want {
+					for lane, want := range laneScores(sc.obj, &ctrl, &cases, sc.rows, valid) {
+						if math.Float64bits(dst[lane]) != math.Float64bits(want) || math.Float64bits(dst2[lane]) != math.Float64bits(want) {
 							t.Fatalf("%s N=%v valid=%d lane %d: scored %v and %v, Score gives %v",
 								sc.name, n, valid, lane, dst[lane], dst2[lane], want)
 						}
@@ -130,19 +162,6 @@ func TestScoreLanesIsBitIdenticalToScore(t *testing.T) {
 			}
 		}
 	}
-}
-
-// laneScores is Score on the table of each of the first valid columns.
-func laneScores(obj Objective, ctrl, cases *contingency.LaneTable, valid int) []float64 {
-	scores := make([]float64, valid)
-	for lane := range scores {
-		var tab contingency.Table
-		for cell := range ctrl {
-			tab.Counts[0][cell], tab.Counts[1][cell] = ctrl[cell][lane], cases[cell][lane]
-		}
-		scores[lane] = obj.Score(&tab)
-	}
-	return scores
 }
 
 // boundsAround are the bounds a group with these scores is held to: +Inf,
@@ -164,12 +183,13 @@ func boundsAround(scores []float64) []float64 {
 }
 
 // TestScoreLanesBound holds K2's two bodies to ScoreLanes' contract at
-// bounds around the group's own scores: a valid lane gets exactly Score,
-// or — only where Score is above the bound — a value above the bound; the
-// group is rejected exactly when every valid lane's Score is above the
-// bound (the contract asks only "if rejected, then"; both bodies stop at
-// the first row where every lane's sum is past the bound, which at the
-// latest is the last); +Inf never rejects and gives Score's bits.
+// bounds around the group's own scores, on triples' 27 rows and pair
+// tables' 9: a valid lane gets exactly Score, or — only where Score is
+// above the bound — a value above the bound; the group is rejected exactly
+// when every valid lane's Score is above the bound, so never when one of
+// them equals it (the contract asks only "if rejected, then"; both bodies
+// stop at the first row where every lane's sum is past the bound, which at
+// the latest is the last); +Inf never rejects and gives Score's bits.
 // ScoreColumns has no bound: it is held to Score's bits under all three
 // objectives, with the same tables.
 func TestScoreLanesBound(t *testing.T) {
@@ -179,8 +199,8 @@ func TestScoreLanesBound(t *testing.T) {
 		for _, sc := range laneScorers(n[0] + n[1]) {
 			for valid := 1; valid <= contingency.Lanes; valid++ {
 				for rep := 0; rep < 10; rep++ {
-					ctrl, cases := randomLaneTables(r, n[0], n[1], valid)
-					want := laneScores(sc.obj, &ctrl, &cases, valid)
+					ctrl, cases := randomLaneTables(r, n[0], n[1], sc.rows, valid)
+					want := laneScores(sc.obj, &ctrl, &cases, sc.rows, valid)
 					if sc.bounded == nil {
 						var dst [contingency.Lanes]float64
 						sc.score(&dst, &ctrl, &cases, valid)
@@ -222,47 +242,52 @@ func TestScoreLanesBound(t *testing.T) {
 // group of tables is given up on — the first after which every valid
 // lane's row-order partial sum is above the bound, replayed here with
 // K2Term — and 0 when some lane's full sum is not above it, at bounds
-// around the group's own partial sums, for 1 to 8 valid lanes.
+// around the group's own partial sums, for 1 to 8 valid lanes, on 27 rows
+// and on a pair table's 9.
 func TestScoreLanesStopRow(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	k2 := NewK2(500)
-	bodies := []struct {
-		name string
-		stop func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int
-	}{
-		{contingency.Kernel(), k2.ScoreLanesStop},
-		{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int {
-			return k2LanesGo(dst, ctrl, cases, k2.lf, valid, bound)
-		}},
-	}
-	for valid := 1; valid <= contingency.Lanes; valid++ {
-		for rep := 0; rep < 20; rep++ {
-			ctrl, cases := randomLaneTables(r, 250, 250, valid)
-			// lowest[row] is the lowest valid partial sum after row+1 rows.
-			var lowest [contingency.Cells]float64
-			sums := make([]float64, valid)
-			var bounds []float64
-			for row := range lowest {
-				lowest[row] = math.Inf(1)
-				for lane := range sums {
-					sums[lane] += K2Term(k2.lf, int(ctrl[row][lane]), int(cases[row][lane]))
-					lowest[row] = min(lowest[row], sums[lane])
-					bounds = append(bounds, sums[lane], math.Nextafter(sums[lane], math.Inf(-1)))
-				}
-			}
-			bounds = append(bounds, -1, math.Inf(1))
-			for _, bound := range bounds {
-				want := 0
-				for row, low := range lowest {
-					if low > bound {
-						want = row + 1
-						break
+	for _, rows := range tableRows {
+		bodies := []struct {
+			name string
+			stop func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int
+		}{
+			{contingency.Kernel(), func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int {
+				return k2.ScoreLanesStop(dst, ctrl, cases, rows, valid, bound)
+			}},
+			{"go", func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int, bound float64) int {
+				return k2LanesGo(dst, ctrl, cases, k2.lf, rows, valid, bound)
+			}},
+		}
+		for valid := 1; valid <= contingency.Lanes; valid++ {
+			for rep := 0; rep < 20; rep++ {
+				ctrl, cases := randomLaneTables(r, 250, 250, rows, valid)
+				// lowest[row] is the lowest valid partial sum after row+1 rows.
+				lowest := make([]float64, rows)
+				sums := make([]float64, valid)
+				var bounds []float64
+				for row := range lowest {
+					lowest[row] = math.Inf(1)
+					for lane := range sums {
+						sums[lane] += K2Term(k2.lf, int(ctrl[row][lane]), int(cases[row][lane]))
+						lowest[row] = min(lowest[row], sums[lane])
+						bounds = append(bounds, sums[lane], math.Nextafter(sums[lane], math.Inf(-1)))
 					}
 				}
-				for _, body := range bodies {
-					var dst [contingency.Lanes]float64
-					if got := body.stop(&dst, &ctrl, &cases, valid, bound); got != want {
-						t.Fatalf("%s valid=%d bound %v: stop %d, want %d", body.name, valid, bound, got, want)
+				bounds = append(bounds, -1, math.Inf(1))
+				for _, bound := range bounds {
+					want := 0
+					for row, low := range lowest {
+						if low > bound {
+							want = row + 1
+							break
+						}
+					}
+					for _, body := range bodies {
+						var dst [contingency.Lanes]float64
+						if got := body.stop(&dst, &ctrl, &cases, valid, bound); got != want {
+							t.Fatalf("%s %d rows valid=%d bound %v: stop %d, want %d", body.name, rows, valid, bound, got, want)
+						}
 					}
 				}
 			}
@@ -303,29 +328,34 @@ func TestK2TermsNeverNegative(t *testing.T) {
 
 // TestScoreLanesRefusesCountsPastTheTable: a valid lane with a count no
 // LnFact entry covers, or a negative one, must fail the way Score does
-// (an index panic), not read outside the table — in row 5 and in row 26,
-// with no bound and with one (−1) so low that the group stops summing
-// after its first row, long before the bad count.
+// (an index panic), not read outside the table — in row 5 and in the last
+// row of 27, and of a pair table's 9 — with no bound and with one (−1) so
+// low that the group stops summing after its first row, long before the
+// bad count. Past a pair table's nine rows the same count is not the
+// table's and must be ignored.
 func TestScoreLanesRefusesCountsPastTheTable(t *testing.T) {
 	k2 := NewK2(10)
-	for _, body := range k2Bodies(k2) {
-		for _, bad := range [][2]int32{{12, 0}, {6, 6}, {-1, 3}, {0, -2}} {
-			for _, row := range []int{5, contingency.Cells - 1} {
-				for _, bound := range []float64{math.Inf(1), -1} {
-					var ctrl, cases contingency.LaneTable
-					ctrl[row][3], cases[row][3] = bad[0], bad[1]
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("%s: counts %v in row %d of a valid lane were scored at bound %v", body.name, bad, row, bound)
-							}
+	for _, rows := range tableRows {
+		for _, body := range k2Bodies(k2, rows) {
+			for _, bad := range [][2]int32{{12, 0}, {6, 6}, {-1, 3}, {0, -2}} {
+				for _, row := range []int{5, rows - 1, contingency.Cells - 1} {
+					for _, bound := range []float64{math.Inf(1), -1} {
+						var ctrl, cases contingency.LaneTable
+						ctrl[row][3], cases[row][3] = bad[0], bad[1]
+						func() {
+							defer func() {
+								if failed := recover() != nil; failed != (row < rows) {
+									t.Errorf("%s, %d rows: counts %v in row %d of a valid lane at bound %v: failed = %v",
+										body.name, rows, bad, row, bound, failed)
+								}
+							}()
+							var dst [contingency.Lanes]float64
+							body.score(&dst, &ctrl, &cases, 4, bound)
 						}()
+						// The same counts in an invalid lane are nobody's business.
 						var dst [contingency.Lanes]float64
-						body.score(&dst, &ctrl, &cases, 4, bound)
-					}()
-					// The same counts in an invalid lane are nobody's business.
-					var dst [contingency.Lanes]float64
-					body.score(&dst, &ctrl, &cases, 3, bound)
+						body.score(&dst, &ctrl, &cases, 3, bound)
+					}
 				}
 			}
 		}
@@ -337,20 +367,22 @@ func TestScoreLanesRefusesCountsPastTheTable(t *testing.T) {
 // table whose counts all lie in the LnFact table but whose two maxima sit
 // in different rows and do not sum inside it — more samples than the
 // objective was sized for — is declined, and the Go body must score it
-// exactly, with a bound and without.
+// exactly, with a bound and without, on 27 rows and on 9.
 func TestScoreLanesScoresWhatTheCheckDeclines(t *testing.T) {
 	k2 := NewK2(10) // ln(n!) up to n = 11
 	var ctrl, cases contingency.LaneTable
 	for lane := 0; lane < contingency.Lanes; lane++ {
 		ctrl[0][lane], cases[1][lane], cases[2][lane] = 10, 10, int32(lane)
 	}
-	want := laneScores(k2, &ctrl, &cases, contingency.Lanes)
-	for _, bound := range []float64{math.Inf(1), want[3]} {
-		var dst [contingency.Lanes]float64
-		k2.ScoreLanes(&dst, &ctrl, &cases, contingency.Lanes, bound)
-		for lane, w := range want {
-			if dst[lane] != w && !(w > bound && dst[lane] > bound) {
-				t.Errorf("bound %v lane %d: scored %v, Score gives %v", bound, lane, dst[lane], w)
+	for _, rows := range tableRows {
+		want := laneScores(k2, &ctrl, &cases, rows, contingency.Lanes)
+		for _, bound := range []float64{math.Inf(1), want[3]} {
+			var dst [contingency.Lanes]float64
+			k2.ScoreLanes(&dst, &ctrl, &cases, rows, contingency.Lanes, bound)
+			for lane, w := range want {
+				if dst[lane] != w && !(w > bound && dst[lane] > bound) {
+					t.Errorf("%d rows, bound %v lane %d: scored %v, Score gives %v", rows, bound, lane, dst[lane], w)
+				}
 			}
 		}
 	}
@@ -363,9 +395,9 @@ func TestScoreLanesDoesNotAllocate(t *testing.T) {
 	k2 := NewK2(100)
 	r := rand.New(rand.NewSource(78))
 	if allocs := testing.AllocsPerRun(50, func() {
-		ctrl, cases := randomLaneTables(r, 60, 40, 8)
+		ctrl, cases := randomLaneTables(r, 60, 40, contingency.Cells, 8)
 		var dst [contingency.Lanes]float64
-		k2.ScoreLanes(&dst, &ctrl, &cases, 8, math.Inf(1))
+		k2.ScoreLanes(&dst, &ctrl, &cases, contingency.Cells, 8, math.Inf(1))
 		if dst[0] == 0 {
 			t.Fatal("no score")
 		}
@@ -382,7 +414,7 @@ func TestScoreLanesDoesNotAllocate(t *testing.T) {
 // baseline.
 func BenchmarkK2Lanes(b *testing.B) {
 	k2 := NewK2(500)
-	ctrl, cases := randomLaneTables(rand.New(rand.NewSource(6)), 250, 250, 8)
+	ctrl, cases := randomLaneTables(rand.New(rand.NewSource(6)), 250, 250, contingency.Cells, 8)
 	for lane := 0; lane < 3; lane++ { // the extreme columns are not typical
 		for cell := range ctrl {
 			ctrl[cell][lane], cases[cell][lane] = ctrl[cell][3+lane], cases[cell][3+lane]
@@ -419,7 +451,7 @@ func BenchmarkK2Lanes(b *testing.B) {
 		{"never", math.Inf(1)},
 	}
 	var dst [contingency.Lanes]float64
-	for _, body := range k2Bodies(k2) {
+	for _, body := range k2Bodies(k2, contingency.Cells) {
 		for _, bd := range bounds {
 			b.Run(body.name+"/"+bd.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -432,7 +464,7 @@ func BenchmarkK2Lanes(b *testing.B) {
 	b.Run("columns", func(b *testing.B) {
 		var scratch contingency.Table
 		for i := 0; i < b.N; i++ {
-			ScoreColumns(k2, &dst, &ctrl, &cases, 8, &scratch)
+			ScoreColumns(k2, &dst, &ctrl, &cases, contingency.Cells, 8, &scratch)
 		}
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -332,4 +334,35 @@ func FuzzReadPack(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestValidateGenoFindsEveryCode3: the genotype check tests eight bytes
+// at a time, so a 3 is planted in every 2-bit slot of every byte of
+// sections of 0 to 40 bytes — whole words, a ragged tail and both — among
+// codes 0..2 whose high bits meet the next byte's low bit when a word is
+// shifted: each must be refused, naming its byte, and the section without
+// it must pass.
+func TestValidateGenoFindsEveryCode3(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for n := 0; n <= 40; n++ {
+		geno := make([]byte, n)
+		for i := range geno {
+			for slot := 0; slot < 4; slot++ {
+				geno[i] |= byte(r.Intn(3)) << (2 * slot)
+			}
+		}
+		if err := validateGeno(geno); err != nil {
+			t.Fatalf("n=%d: valid section refused: %v", n, err)
+		}
+		for i := range geno {
+			for slot := 0; slot < 4; slot++ {
+				bad := append([]byte(nil), geno...)
+				bad[i] |= 3 << (2 * slot)
+				want := fmt.Sprintf("near index %d", i*4)
+				if err := validateGeno(bad); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("n=%d, a 3 in slot %d of byte %d: got %v, want an error %s", n, slot, i, err, want)
+				}
+			}
+		}
+	}
 }
