@@ -23,7 +23,7 @@ func (s *Session) applyPlan(cfg *searchConfig) error {
 		Order:     cfg.order,
 		Objective: cfg.objName,
 	}
-	cons := plan.Constraints{EnergyBudgetWatts: cfg.energyBudget}
+	var cons plan.Constraints
 	if cfg.backendSet {
 		cons.Backend = cfg.backend.Name()
 	}
@@ -105,7 +105,7 @@ func planScreen(snps, samples int, cfg *searchConfig, budgetSec float64) (*scree
 		Order:     cfg.order,
 		Objective: cfg.objName,
 	}
-	cons := plan.Constraints{EnergyBudgetWatts: cfg.energyBudget}
+	var cons plan.Constraints
 	if cfg.backendSet {
 		cons.Backend = cfg.backend.Name()
 	}
@@ -133,10 +133,6 @@ func planInfoFrom(p *plan.Plan) *PlanInfo {
 		PredictedGPUGElems:    p.PredictedGPUGElems,
 		PredictedCombosPerSec: p.PredictedCombosPerSec,
 		PredictedTilesPerSec:  p.PredictedTilesPerSec,
-		EnergyBudgetWatts:     p.EnergyBudgetWatts,
-		TargetCPUGHz:          p.TargetCPUGHz,
-		TargetGPUGHz:          p.TargetGPUGHz,
-		PredictedWatts:        p.PredictedWatts,
 		CPUDevice:             p.CPUDevice,
 		GPUDevice:             p.GPUDevice,
 		Reason:                p.Reason,

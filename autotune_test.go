@@ -74,30 +74,6 @@ func TestAutoTuneWithPinnedBackend(t *testing.T) {
 	}
 }
 
-// TestEnergyBudgetTrace: WithEnergyBudget implies autotuning and
-// records the DVFS operating point; nonsense budgets are rejected.
-func TestEnergyBudgetTrace(t *testing.T) {
-	s := plantedSession(t)
-	ctx := context.Background()
-	rep, err := s.Search(ctx, trigene.WithEnergyBudget(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rep.Plan
-	if p == nil {
-		t.Fatal("budgeted run has no plan trace")
-	}
-	if p.EnergyBudgetWatts != 60 || p.TargetCPUGHz <= 0 || p.PredictedWatts <= 0 {
-		t.Errorf("energy trace incomplete: %+v", p)
-	}
-	if _, err := s.Search(ctx, trigene.WithEnergyBudget(0)); err == nil {
-		t.Error("zero-watt budget accepted")
-	}
-	if _, err := s.Search(ctx, trigene.WithEnergyBudget(-5)); err == nil {
-		t.Error("negative budget accepted")
-	}
-}
-
 // TestMergeRejectsMixedShardSpaces: a rank shard and a block-triple
 // shard of the same (index, count) cover different triples; merging
 // them must fail loudly instead of silently mis-unioning — the trap

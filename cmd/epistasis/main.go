@@ -1,24 +1,27 @@
 // epistasis runs an exhaustive epistasis search on a dataset file
 // (trigene text or binary format, packed .tpack, PLINK .ped, PLINK
 // binary .bed with its .bim/.fam sidecars, or VCF; magic bytes are
-// auto-detected) through the unified Session/Backend API.
+// auto-detected) through the unified Session/Backend API. Its search
+// flags are `trigened submit`'s: both build a trigene.SearchSpec, and
+// epistasis runs it here as a cluster worker runs a tile.
 //
 // Usage:
 //
-//	epistasis -in data.tg                        # defaults: CPU V4, K2, all cores
+//	epistasis -in data.tg                        # defaults: CPU V4F, K2, all cores
 //	epistasis -in data.tgb -approach V2 -topk 10 -objective mi
-//	epistasis -in data.tg -gpu GN1               # run on a simulated GPU instead
+//	epistasis -in data.tg -backend gpusim:GN1    # run on a simulated GPU instead
 //	epistasis -in data.tg -backend baseline      # MPI3SNP-style comparator (MI)
 //	epistasis -in data.tg -backend hetero        # collaborative CPU+GPU split
+//	epistasis -in data.tg -order 2               # pairs instead of triples
 //	epistasis -in data.tg -shard 0/4             # evaluate one shard of the space
 //	epistasis -in data.tg -auto                  # model-driven autotuning (prints the plan)
-//	epistasis -in data.tg -energy-budget 95      # autotune under a power cap
 //	epistasis -in data.tg -screen-survivors 64   # two-stage: pair screen, then triples on survivors
 //	epistasis -in data.tg -screen-budget 2.5     # planner-sized screen under a 2.5 s budget
 //	epistasis -in data.tg -permute 10000         # permutation-test the best candidate (bit-plane kernel)
 //	epistasis -in data.tg -permute 10000 -perm-cluster http://c:9321  # fan the test out over the cluster
-//	epistasis -in data.tg -pack data.tpack       # pre-encode offline; later runs mmap it
 //	epistasis -in data.tpack                     # search a packed dataset (starts in ms)
+//
+// `trigened pack` and `datagen -format pack` write .tpack files.
 package main
 
 import (
@@ -50,114 +53,31 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("epistasis", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "input dataset path (required; '-' for stdin)")
-	informat := fs.String("informat", "auto", datafile.FormatsHelp)
-	phenPath := fs.String("phen", "", "phenotype file for VCF input (one 0/1 per sample, whitespace separated)")
-	backend := fs.String("backend", "cpu", "execution backend: cpu, baseline or hetero")
-	gpuID := fs.String("gpu", "", "simulate on a Table II GPU (e.g. GN1); overrides -backend")
-	approach := fs.String("approach", "", "pipeline V1..V4, V3F, V4F (or naive/split/blocked/vector/fused; on -gpu: naive/split/transposed/tiled/fused); default: the backend's best")
-	workers := fs.Int("workers", 0, "worker count (0 = all cores)")
-	topK := fs.Int("topk", 5, "number of candidates to report")
-	objective := fs.String("objective", "", "objective: k2, mi or gini (default: the backend's native objective)")
-	pairs := fs.Bool("pairs", false, "run a 2-way (pairwise) search instead of 3-way")
-	order := fs.Int("order", 0, "interaction order 4..7 for the generic k-way search (0 = specialized 3-way)")
+	sf := datafile.BindSearchFlags(fs)
+	fs.Float64Var(&sf.ScreenBudget, "screen-budget", 0, "two-stage screening under a time budget: the planner sizes the survivor set to fit this many seconds (0 = off; combinable with -screen-survivors as a cap)")
 	shard := fs.String("shard", "", "evaluate shard \"i/n\" of the combination space (e.g. 0/4)")
-	auto := fs.Bool("auto", false, "model-driven autotuning: the planner picks backend/approach/grain/split from the paper's models and the chosen plan is printed")
-	energyBudget := fs.Float64("energy-budget", 0, "cap the modeled power draw at this many watts (implies -auto; the plan records the DVFS operating point)")
 	permute := fs.Int("permute", 0, "permutation count for a significance test of the best candidate (0 = off)")
 	permCluster := fs.String("perm-cluster", "", "with -permute: fan the permutation test out over the cluster at this coordinator URL (the search itself stays local); merged p-values are bit-exact with the local run")
-	screenSurvivors := fs.Int("screen-survivors", 0, "two-stage screening: keep the S best SNPs from a pairwise pre-scan and search triples only among them (0 = no screen)")
-	screenBudget := fs.Float64("screen-budget", 0, "two-stage screening under a time budget: the planner sizes the survivor set to fit this many seconds (0 = off; combinable with -screen-survivors as a cap)")
-	screenSeeds := fs.Int("screen-seeds", 0, "also extend the top-P screened pairs with every third SNP, guarding against survivors pruned by a marginal-free interaction (0 = default when screening)")
-	packOut := fs.String("pack", "", "pre-encode the dataset into this .tpack file and exit (no search)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backendSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "backend" || f.Name == "gpu" {
-			backendSet = true
-		}
-	})
-	if *in == "" {
+	if sf.In == "" {
 		fs.Usage()
 		return fmt.Errorf("missing required -in")
 	}
-	sess, err := datafile.ReadSession(*in, *informat, *phenPath)
+	sess, err := datafile.ReadSession(sf.In, sf.Format, sf.Phen)
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
-	controls, cases := sess.ClassCounts()
-	if *packOut != "" {
-		return writePack(sess, *packOut, stderr)
+	spec, err := sf.Spec(sess.SNPs())
+	if err != nil {
+		return err
 	}
-	if !*jsonOut {
-		fmt.Fprintf(stdout, "dataset: %d SNPs x %d samples (%d controls / %d cases)\n",
-			sess.SNPs(), sess.Samples(), controls, cases)
-	}
-
-	onGPU := *gpuID != ""
-	var be trigene.Backend
-	switch {
-	case onGPU:
-		dev, err := trigene.GPUByID(*gpuID)
-		if err != nil {
-			return err
-		}
-		be = trigene.GPUSim(dev)
-	case *backend == "cpu":
-		be = trigene.CPU()
-	case *backend == "baseline":
-		be = trigene.Baseline()
-	case *backend == "hetero":
-		be = trigene.Hetero()
-	default:
-		return fmt.Errorf("unknown backend %q (want cpu, baseline or hetero)", *backend)
-	}
-	searchOrder := 3
-	switch {
-	case *pairs && *order != 0:
-		return fmt.Errorf("-pairs and -order are mutually exclusive")
-	case *pairs:
-		searchOrder = 2
-	case *order != 0:
-		searchOrder = *order
-	}
-
-	if *energyBudget < 0 {
-		return fmt.Errorf("energy budget must be positive watts, got %g", *energyBudget)
-	}
-	opts := []trigene.Option{trigene.WithOrder(searchOrder), trigene.WithTopK(*topK)}
-	autotuned := *auto || *energyBudget > 0
-	if backendSet || !autotuned {
-		// Under -auto an unset backend is the planner's to choose.
-		opts = append(opts, trigene.WithBackend(be))
-	}
-	if *energyBudget > 0 {
-		opts = append(opts, trigene.WithEnergyBudget(*energyBudget))
-	} else if *auto {
-		opts = append(opts, trigene.WithAutoTune())
-	}
-	if *workers > 0 {
-		opts = append(opts, trigene.WithWorkers(*workers))
-	}
-	if *objective != "" {
-		opts = append(opts, trigene.WithObjective(*objective))
-	}
-	if *approach != "" {
-		var ap trigene.Approach
-		if onGPU {
-			k, err := trigene.ParseGPUKernel(*approach)
-			if err != nil {
-				return err
-			}
-			ap = trigene.Approach(int(k))
-		} else if ap, err = trigene.ParseApproach(*approach); err != nil {
-			return err
-		}
-		opts = append(opts, trigene.WithApproach(ap))
+	opts, err := spec.Options()
+	if err != nil {
+		return err
 	}
 	if *shard != "" {
 		idx, cnt, err := parseShard(*shard)
@@ -166,16 +86,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		opts = append(opts, trigene.WithShard(idx, cnt))
 	}
-	if *screenSurvivors != 0 || *screenBudget != 0 || *screenSeeds != 0 {
-		sc := trigene.ScreenSpec{
-			MaxSurvivors:  *screenSurvivors,
-			BudgetSeconds: *screenBudget,
-			SeedPairs:     *screenSeeds,
-		}
-		if err := sc.Validate(sess.SNPs()); err != nil {
-			return err
-		}
-		opts = append(opts, trigene.WithScreen(sc))
+	if !*jsonOut {
+		controls, cases := sess.ClassCounts()
+		fmt.Fprintf(stdout, "dataset: %d SNPs x %d samples (%d controls / %d cases)\n",
+			sess.SNPs(), sess.Samples(), controls, cases)
 	}
 
 	ctx := context.Background()
@@ -190,8 +104,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			trigene.WithPermutations(*permute),
 			trigene.WithObjective(rep.Objective),
 		}
-		if *workers > 0 {
-			permOpts = append(permOpts, trigene.WithWorkers(*workers))
+		if sf.Workers > 0 {
+			permOpts = append(permOpts, trigene.WithWorkers(sf.Workers))
 		}
 		if *permCluster != "" {
 			permOpts = append(permOpts, trigene.WithCluster(cluster.NewClient(*permCluster)))
@@ -246,13 +160,6 @@ func printPlan(w io.Writer, rep *trigene.Report) {
 	fmt.Fprintf(w, "\nplan: predicted %.2f G elem/s (%.0f combos/s, %.1f tiles/s); realized %.2f G elem/s (%.1f tiles/s)\n",
 		(p.PredictedCPUGElems + p.PredictedGPUGElems), p.PredictedCombosPerSec, p.PredictedTilesPerSec,
 		rep.ElementsPerSec/1e9, realizedTiles)
-	if p.EnergyBudgetWatts > 0 {
-		fmt.Fprintf(w, "plan: energy budget %.0f W -> %.2f GHz CPU", p.EnergyBudgetWatts, p.TargetCPUGHz)
-		if p.TargetGPUGHz > 0 {
-			fmt.Fprintf(w, " / %.2f GHz GPU", p.TargetGPUGHz)
-		}
-		fmt.Fprintf(w, ", modeled draw %.0f W\n", p.PredictedWatts)
-	}
 	if p.Reason != "" {
 		fmt.Fprintf(w, "plan: %s\n", p.Reason)
 	}
@@ -332,7 +239,7 @@ type jsonSummary struct {
 	Candidates []trigene.SearchCandidate `json:"candidates"`
 	PValue     *float64                  `json:"pValue,omitempty"`
 	// Plan surfaces the autotuner's decision trace (also embedded in
-	// Report) for -auto / -energy-budget runs.
+	// Report) for -auto runs.
 	Plan *trigene.PlanInfo `json:"plan,omitempty"`
 	// Screen surfaces the two-stage screening audit trail (also
 	// embedded in Report) for -screen-* runs.
@@ -375,29 +282,4 @@ func printPValue(w io.Writer, p *float64, permutations int) {
 	if p != nil {
 		fmt.Fprintf(w, "permutation test (%d relabelings): p = %.4f\n", permutations, *p)
 	}
-}
-
-// writePack pre-encodes the loaded dataset into a .tpack file, so a
-// later epistasis/trigened run (or a cluster worker's pack cache)
-// starts searching without re-parsing or re-binarizing.
-func writePack(sess *trigene.Session, path string, stderr io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = sess.WritePack(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fi, statErr := os.Stat(path)
-	size := int64(0)
-	if statErr == nil {
-		size = fi.Size()
-	}
-	fmt.Fprintf(stderr, "packed %d SNPs x %d samples into %s (%d bytes, hash %.12s…)\n",
-		sess.SNPs(), sess.Samples(), path, size, sess.DatasetHash())
-	return nil
 }

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"trigene"
+	"trigene/internal/datafile"
 )
 
 // writeDataset materializes a small planted dataset in both formats.
@@ -74,7 +77,7 @@ func TestRunBinaryAutodetect(t *testing.T) {
 func TestRunGPUSimulated(t *testing.T) {
 	path := writeDataset(t, false)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-gpu", "GN1"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-backend", "gpusim:GN1"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -86,7 +89,7 @@ func TestRunGPUSimulated(t *testing.T) {
 func TestRunPairsMode(t *testing.T) {
 	path := writeDataset(t, false)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-pairs", "-topk", "2"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-order", "2", "-topk", "2"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "2-way:") {
@@ -107,12 +110,12 @@ func TestRunObjectives(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	path := writeDataset(t, false)
 	cases := [][]string{
-		{},                                   // missing -in
-		{"-in", "/nonexistent/file"},         // unreadable
-		{"-in", path, "-approach", "V9"},     // bad approach
-		{"-in", path, "-objective", "bogus"}, // bad objective
-		{"-in", path, "-gpu", "GX9"},         // unknown device
-		{"-badflag"},                         // flag error
+		{},                                      // missing -in
+		{"-in", "/nonexistent/file"},            // unreadable
+		{"-in", path, "-approach", "V9"},        // bad approach
+		{"-in", path, "-objective", "bogus"},    // bad objective
+		{"-in", path, "-backend", "gpusim:GX9"}, // unknown device
+		{"-badflag"},                            // flag error
 	}
 	for i, args := range cases {
 		var out, errBuf bytes.Buffer
@@ -245,7 +248,7 @@ func TestRunPermuteTextMode(t *testing.T) {
 func TestRunPairsJSON(t *testing.T) {
 	path := writeDataset(t, false)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-pairs", "-json", "-permute", "20"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-order", "2", "-json", "-permute", "20"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	var summary struct {
@@ -388,23 +391,6 @@ func TestRunAutoTune(t *testing.T) {
 	}
 }
 
-// TestRunEnergyBudget: -energy-budget implies autotuning and the text
-// output names the operating point; nonsense budgets fail.
-func TestRunEnergyBudget(t *testing.T) {
-	path := writeDataset(t, false)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-energy-budget", "50"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "energy budget 50 W") || !strings.Contains(s, "GHz CPU") {
-		t.Errorf("energy plan line missing:\n%s", s)
-	}
-	if err := run([]string{"-in", path, "-energy-budget", "-3"}, &out, &errBuf); err == nil {
-		t.Error("negative budget accepted")
-	}
-}
-
 // TestRunScreened drives the two-stage screen flags end to end: the
 // screened run still surfaces the planted triple, prints the audit
 // line, embeds ScreenInfo in -json output, and rejects bad budgets
@@ -453,4 +439,91 @@ func TestRunScreened(t *testing.T) {
 			t.Errorf("args %v accepted", args[1:])
 		}
 	}
+}
+
+// TestRunJSONMatchesSpec: each flag set runs exactly the search its
+// SearchSpec describes — the embedded -json Report equals
+// Session.Search(spec.Options()...) (plus WithShard for -shard) on the
+// same file, wall-clock fields aside.
+func TestRunJSONMatchesSpec(t *testing.T) {
+	path := writeDataset(t, false)
+	sess, err := datafile.ReadSession(path, "auto", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	cases := []struct {
+		args  []string
+		spec  trigene.SearchSpec
+		shard []int // index, count
+	}{
+		{nil, trigene.SearchSpec{TopK: 5}, nil},
+		{[]string{"-backend", "gpusim:GN1", "-approach", "tiled"},
+			trigene.SearchSpec{TopK: 5, Backend: "gpusim:GN1", Approach: "tiled"}, nil},
+		{[]string{"-order", "2", "-objective", "mi", "-topk", "3"},
+			trigene.SearchSpec{Order: 2, Objective: "mi", TopK: 3}, nil},
+		{[]string{"-screen-survivors", "8", "-screen-seeds", "2"},
+			trigene.SearchSpec{TopK: 5, Screen: &trigene.ScreenSpec{MaxSurvivors: 8, SeedPairs: 2}}, nil},
+		{[]string{"-shard", "1/3", "-approach", "V3F"},
+			trigene.SearchSpec{TopK: 5, Approach: "V3F"}, []int{1, 3}},
+		{[]string{"-backend", "baseline", "-workers", "2"},
+			trigene.SearchSpec{TopK: 5, Backend: "baseline", Workers: 2}, nil},
+		{[]string{"-auto"}, trigene.SearchSpec{TopK: 5, AutoTune: true}, nil},
+	}
+	for _, tc := range cases {
+		name := strings.Join(tc.args, " ")
+		if name == "" {
+			name = "defaults"
+		}
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(append([]string{"-in", path, "-json"}, tc.args...), &out, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			var summary struct {
+				Report *trigene.Report `json:"report"`
+			}
+			if err := json.Unmarshal(out.Bytes(), &summary); err != nil || summary.Report == nil {
+				t.Fatalf("no embedded report (%v):\n%s", err, out.String())
+			}
+			opts, err := tc.spec.Options()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shard != nil {
+				opts = append(opts, trigene.WithShard(tc.shard[0], tc.shard[1]))
+			}
+			want, err := sess.Search(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, wantJSON := wireForm(t, summary.Report), wireForm(t, want)
+			if got != wantJSON {
+				t.Errorf("epistasis -json report\n%s\nwant\n%s", got, wantJSON)
+			}
+		})
+	}
+	if err := run([]string{"-in", path, "-json", "-backend", "gpusim:GX9"}, io.Discard, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "GX9") {
+		t.Errorf("unknown device: err = %v", err)
+	}
+}
+
+// wireForm is a Report's stable JSON with the fields that measure wall
+// time (duration, measured rate, screen stage timings) zeroed.
+func wireForm(t *testing.T, rep *trigene.Report) string {
+	t.Helper()
+	r := *rep
+	r.Duration, r.ElementsPerSec = 0, 0
+	if r.Screen != nil {
+		sc := *r.Screen
+		sc.Stage1Ns, sc.Stage2Ns = 0, 0
+		r.Screen = &sc
+	}
+	raw, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

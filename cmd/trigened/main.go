@@ -9,6 +9,7 @@
 //	trigened pack   -in data.tg -out data.tpack # pre-encode a dataset offline
 //	trigened submit -coordinator http://c:9321 -in data.tg -tiles 64 -name scan1
 //	trigened submit -coordinator http://c:9321 -in data.tg -auto    # plan-aware job
+//	trigened submit -coordinator http://c:9321 -in data.tg -backend gpusim:GN1 -order 2
 //	trigened submit -coordinator http://c:9321 -in data.tg -wait    # block, print the Report
 //	trigened submit -coordinator http://c:9321 -in data.tg -screen-survivors 128  # two-stage screened job
 //	trigened submit -coordinator http://c:9321 -in data.tg -perm "3,9,15;0,1" -perms 10000  # distributed permutation test
@@ -20,8 +21,10 @@
 // A job is one Session.Search configuration cut into tiles; workers
 // lease tiles under heartbeat-renewed deadlines and the coordinator
 // merges their Reports bit-exactly (see the README's "Cluster
-// architecture" section). `trigened result` emits the same stable
-// Report JSON as `epistasis -json`. A screened job
+// architecture" section). submit takes epistasis's search flags
+// (-backend, -order, -approach, -auto, -screen-*, …): both tools build
+// the same trigene.SearchSpec from them, and `trigened result` emits
+// the same stable Report JSON as `epistasis -json`. A screened job
 // (-screen-survivors) runs as two phases: the pairwise pre-scan is
 // sharded across workers first, the coordinator merges the scan and
 // pins the survivor set, and only then do stage-2 triple tiles lease
@@ -404,23 +407,11 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	fs := flag.NewFlagSet("trigened submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	coord := fs.String("coordinator", "", "coordinator base URL (required)")
-	in := fs.String("in", "", "input dataset path (required; '-' for stdin)")
-	informat := fs.String("informat", "auto", datafile.FormatsHelp)
-	phenPath := fs.String("phen", "", "phenotype file for VCF input (one 0/1 per sample)")
+	sf := datafile.BindSearchFlags(fs)
 	name := fs.String("name", "", "human-readable job label")
 	tiles := fs.Int("tiles", 16, "lease units the search space is cut into")
-	backend := fs.String("backend", "", "execution backend: cpu, baseline, hetero or gpusim:<ID>")
-	order := fs.Int("order", 0, "interaction order (0 = default 3)")
-	topK := fs.Int("topk", 5, "number of candidates to report")
-	objective := fs.String("objective", "", "objective: k2, mi or gini (default: the backend's native)")
-	approach := fs.String("approach", "", "pin pipeline V1..V4, V3F or V4F (default: the backend's best)")
-	workers := fs.Int("workers", 0, "per-worker host parallelism (0 = all cores)")
-	auto := fs.Bool("auto", false, "model-driven autotuning: every worker plans the tile for its own host; the merged Report records the plan")
-	energyBudget := fs.Float64("energy-budget", 0, "cap the modeled power draw at this many watts (implies -auto)")
 	maxWorkers := fs.Int("max-workers", 0, "cap how many distinct workers may hold live leases on this job at once (0 = unlimited)")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget from submission; the coordinator fails the job past it (0 = none)")
-	screenSurvivors := fs.Int("screen-survivors", 0, "two-stage screening: a sharded pairwise pre-scan keeps the S best SNPs and stage-2 triple tiles search only among them (0 = no screen)")
-	screenSeeds := fs.Int("screen-seeds", 0, "with -screen-survivors: also extend the top-P screened pairs with every third SNP (0 = engine default)")
 	perm := fs.String("perm", "", "submit a permutation test instead of a search: candidate combinations as 'i,j,k[;i,j...]' (SNP indices); tiles shard the permutation range")
 	perms := fs.Int("perms", 0, "with -perm: number of phenotype relabelings (0 = default 1000)")
 	permSeed := fs.Int64("perm-seed", 0, "with -perm: RNG seed behind the permutation stream")
@@ -431,43 +422,30 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if *maxWorkers < 0 || *deadline < 0 {
 		return fmt.Errorf("-max-workers and -deadline must be ≥ 0")
 	}
-	if *coord == "" || *in == "" {
+	if *coord == "" || sf.In == "" {
 		fs.Usage()
 		return fmt.Errorf("missing required -coordinator / -in")
 	}
-	sess, err := datafile.ReadSession(*in, *informat, *phenPath)
+	sess, err := datafile.ReadSession(sf.In, sf.Format, sf.Phen)
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
-	spec := trigene.SearchSpec{
-		Order:             *order,
-		TopK:              *topK,
-		Objective:         *objective,
-		Backend:           *backend,
-		Approach:          *approach,
-		Workers:           *workers,
-		AutoTune:          *auto || *energyBudget > 0,
-		EnergyBudgetWatts: *energyBudget,
-		MaxWorkers:        *maxWorkers,
-		DeadlineMillis:    deadline.Milliseconds(),
+	// Spec checks a screen client-side for a friendly error (the
+	// coordinator re-validates at the door): survivor sets larger than
+	// the dataset fail before any bytes are uploaded.
+	spec, err := sf.Spec(sess.SNPs())
+	if err != nil {
+		return err
 	}
-	if *screenSurvivors != 0 || *screenSeeds != 0 {
-		// Validate client-side for a friendly error (the coordinator
-		// re-validates at the door): negative budgets and survivor sets
-		// larger than the dataset fail before any bytes are uploaded.
-		sc := trigene.ScreenSpec{MaxSurvivors: *screenSurvivors, SeedPairs: *screenSeeds}
-		if err := sc.Validate(sess.SNPs()); err != nil {
-			return err
-		}
-		spec.Screen = &sc
-	}
+	spec.MaxWorkers = *maxWorkers
+	spec.DeadlineMillis = deadline.Milliseconds()
 	if *perm != "" {
 		// A permutation job re-scores fixed candidates; the search-shaping
 		// flags do not combine with it (the coordinator re-rejects at the
 		// door, this just fails before any bytes are uploaded).
-		if spec.Screen != nil || spec.AutoTune || *order != 0 || *approach != "" ||
-			(*backend != "" && *backend != "cpu") {
+		if spec.Screen != nil || spec.AutoTune || spec.Order != 0 || spec.Approach != "" ||
+			(spec.Backend != "" && spec.Backend != "cpu") {
 			return fmt.Errorf("-perm does not combine with -screen-survivors/-auto/-order/-approach or a non-cpu -backend")
 		}
 		snps, err := parsePermCandidates(*perm)

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/datafile"
 )
 
 // startDaemon runs `trigened serve` on an ephemeral port and returns
@@ -625,5 +627,65 @@ func TestTrigenedScreenedSubmit(t *testing.T) {
 		if err := run(ctx, args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args[5:])
 		}
+	}
+}
+
+// TestTrigenedPack: `trigened pack` writes the source session's .tpack
+// byte for byte; the file opens with OpenPack under the source's
+// content hash and searches to the source session's Report. A copy cut
+// short by one byte is refused.
+func TestTrigenedPack(t *testing.T) {
+	path, _ := writeDataset(t)
+	out := filepath.Join(t.TempDir(), "data.tpack")
+	ctx := context.Background()
+	if err := run(ctx, []string{"pack", "-in", path, "-out", out}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	src, err := datafile.ReadSession(path, "auto", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var want bytes.Buffer
+	if err := src.WritePack(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("pack wrote %d bytes, the source session packs to %d (or they differ)", len(got), want.Len())
+	}
+
+	packed, err := trigene.OpenPack(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer packed.Close()
+	if packed.DatasetHash() != src.DatasetHash() {
+		t.Errorf("pack hash %.12s…, source %.12s…", packed.DatasetHash(), src.DatasetHash())
+	}
+	fromPack, err := packed.Search(ctx, trigene.WithTopK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSrc, err := src.Search(ctx, trigene.WithTopK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPack.Duration, fromPack.ElementsPerSec = 0, 0
+	fromSrc.Duration, fromSrc.ElementsPerSec = 0, 0
+	if !reflect.DeepEqual(fromPack, fromSrc) {
+		t.Errorf("pack Report %+v, source %+v", fromPack, fromSrc)
+	}
+
+	short := filepath.Join(t.TempDir(), "short.tpack")
+	if err := os.WriteFile(short, got[:len(got)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := trigene.OpenPack(short); err == nil {
+		s.Close()
+		t.Error("OpenPack accepted a truncated .tpack")
 	}
 }

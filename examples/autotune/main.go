@@ -1,15 +1,17 @@
 // Autotune: the same search run twice over one dataset — once with a
 // hand-picked backend, once under WithAutoTune, where the paper's
-// analytical models (CARM roofline, per-approach throughput, DVFS
-// energy) pick the execution parameters and the Report carries the
-// decision trace. The candidate lists are bit-exact: plans steer only
-// how the search executes, never what it finds.
+// analytical models (CARM roofline, per-approach throughput) pick the
+// execution parameters and the Report carries the decision trace. The
+// candidate lists are bit-exact: plans steer only how the search
+// executes, never what it finds. The program exits non-zero if they
+// are not.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"trigene"
 )
@@ -60,28 +62,15 @@ func main() {
 	fmt.Printf("plan        : predicted %.0f combos/s (%.1f tiles/s) on %s — %s\n",
 		p.PredictedCombosPerSec, p.PredictedTilesPerSec, p.CPUDevice, p.Reason)
 
-	// The same switch under an energy budget: the DVFS model picks the
-	// highest clock whose modeled draw fits, and the plan records the
-	// operating point.
-	capped, err := sess.Search(ctx, trigene.WithTopK(3), trigene.WithEnergyBudget(45))
-	if err != nil {
-		log.Fatalf("budgeted search: %v", err)
-	}
-	bp := capped.Plan
-	fmt.Printf("45 W budget : %.2f GHz CPU, modeled draw %.0f W, predicted %.0f combos/s\n",
-		bp.TargetCPUGHz, bp.PredictedWatts, bp.PredictedCombosPerSec)
-
 	// Bit-exactness is the contract: tuning never changes results.
-	same := len(manual.TopK) == len(tuned.TopK)
-	for i := range manual.TopK {
-		if !same || tuned.TopK[i].Score != manual.TopK[i].Score {
-			same = false
-			break
+	if len(manual.TopK) != len(tuned.TopK) {
+		log.Fatalf("candidate lists diverged: %d hand-picked, %d autotuned", len(manual.TopK), len(tuned.TopK))
+	}
+	for i, c := range manual.TopK {
+		if t := tuned.TopK[i]; !slices.Equal(t.SNPs, c.SNPs) || t.Score != c.Score {
+			log.Fatalf("candidate lists diverged at %d: hand-picked %v (%v), autotuned %v (%v)",
+				i+1, c.SNPs, c.Score, t.SNPs, t.Score)
 		}
 	}
-	if same {
-		fmt.Println("hand-picked and autotuned candidate lists are bit-exact")
-	} else {
-		fmt.Println("candidate lists diverged (this is a bug)")
-	}
+	fmt.Println("hand-picked and autotuned candidate lists are bit-exact")
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +15,7 @@ import (
 
 	"trigene"
 	"trigene/internal/sched"
+	"trigene/internal/wal"
 )
 
 // coordinatorProxy fronts a durable coordinator with a stable URL so a
@@ -555,4 +558,107 @@ func TestDurableDeadlineSurvivesRestart(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("state after restart past deadline = %q, want failed", st.State)
 	}
+}
+
+// TestDurableLegacyEnergyBudgetSpec: releases with an energy budget
+// option submitted and journaled specs carrying "energyBudgetWatts",
+// always beside "autoTune": true. Such a spec still decodes — from a
+// journal written by such a release, and at the submit door — with the
+// budget ignored, and runs autotuned: the merged Report carries the plan
+// and equals the local WithAutoTune run.
+func TestDurableLegacyEnergyBudgetSpec(t *testing.T) {
+	mx := plantedMatrix(t)
+	sess := sessionFor(t, mx)
+	ctx := context.Background()
+	const legacySpec = `{"topK":4,"workers":1,"autoTune":true,"energyBudgetWatts":45}`
+	want := trigene.SearchSpec{TopK: 4, Workers: 1, AutoTune: true}
+	local, err := sess.Search(ctx, trigene.WithTopK(4), trigene.WithWorkers(1), trigene.WithAutoTune())
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(t *testing.T, cl *Client, id string) {
+		t.Helper()
+		st, err := cl.Status(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Spec != want {
+			t.Errorf("decoded spec %+v, want %+v", st.Spec, want)
+		}
+		for {
+			g, ok, err := cl.lease(ctx, LeaseRequest{Worker: "w"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for _, tg := range g.Granted {
+				completeTile(t, ctx, cl, sess, g, tg)
+			}
+		}
+		remote, err := cl.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEqual(t, "legacy spec", remote, local)
+		if remote.Plan == nil {
+			t.Error("legacy autotuned spec ran unplanned")
+		}
+	}
+
+	t.Run("journaled", func(t *testing.T) {
+		cfg := Config{LeaseTTL: 10 * time.Second, StateDir: t.TempDir()}
+		if err := os.MkdirAll(filepath.Join(cfg.StateDir, "packs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var pack bytes.Buffer
+		if err := sess.WritePack(&pack); err != nil {
+			t.Fatal(err)
+		}
+		sha := sess.DatasetHash()
+		if err := os.WriteFile(filepath.Join(cfg.StateDir, "packs", sha+".tpack"), pack.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.Open(cfg.StateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf(`{"t":"submit","job":"j1","name":"legacy","spec":%s,"tiles":3,"sha":%q,"snps":%d,"samples":%d,"ns":1000}`,
+			legacySpec, sha, sess.SNPs(), sess.Samples())
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cl, _, _ := newDurableCluster(t, cfg)
+		finish(t, cl, "j1")
+	})
+
+	t.Run("submitted", func(t *testing.T) {
+		cl, _, _ := newDurableCluster(t, Config{LeaseTTL: 10 * time.Second, StateDir: t.TempDir()})
+		var data bytes.Buffer
+		if err := trigene.WriteBinary(&data, mx); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(SubmitRequest{Name: "legacy", Tiles: 3, Dataset: data.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.Replace(body, []byte(`"spec":{}`), []byte(`"spec":`+legacySpec), 1)
+		if !bytes.Contains(body, []byte("energyBudgetWatts")) {
+			t.Fatal("test setup: spec not replaced")
+		}
+		resp, err := http.Post(cl.BaseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit: %s, %v", resp.Status, err)
+		}
+		finish(t, cl, sub.ID)
+	})
 }

@@ -1,6 +1,7 @@
 // Package datafile is the CLI tools' shared dataset loader: one place
 // for format dispatch and magic-byte auto-detection, so cmd/epistasis
-// and cmd/trigened cannot drift apart on which inputs they accept.
+// and cmd/trigened cannot drift apart on which inputs they accept —
+// nor, through SearchFlags, on the flags that describe a search.
 //
 // Supported formats: the trigene text and binary formats, the packed
 // encoded-dataset .tpack format, PLINK .ped, PLINK binary .bed (with

@@ -107,29 +107,6 @@ func (m DVFSModel) OptimalGHz() float64 {
 	return f
 }
 
-// GHzForPower returns the highest clock in the DVFS range whose
-// modeled power stays within the budget — the planner's
-// power-capped operating point. ok is false when even MinGHz exceeds
-// the budget; the clamped MinGHz is still returned so callers can
-// plan a best-effort run and report the shortfall.
-func (m DVFSModel) GHzForPower(watts float64) (ghz float64, ok bool) {
-	if m.PowerAt(m.MinGHz) > watts {
-		return m.MinGHz, false
-	}
-	if m.PowerAt(m.MaxGHz) <= watts {
-		return m.MaxGHz, true
-	}
-	// Invert P(f) = Ps + Pd (f/f0)^3 for the budget.
-	f := m.NominalGHz * math.Cbrt((watts-m.StaticWatts)/m.DynamicWatts)
-	if f < m.MinGHz {
-		f = m.MinGHz
-	}
-	if f > m.MaxGHz {
-		f = m.MaxGHz
-	}
-	return f, true
-}
-
 // SweepPoint is one frequency step of a DVFS sweep.
 type SweepPoint struct {
 	GHz        float64

@@ -1,16 +1,14 @@
 // Package plan is the model-driven autotuner: it turns the paper's
-// analytical machinery — the CARM characterization (internal/carm),
-// the per-approach throughput models (internal/perfmodel) and the DVFS
-// energy model (internal/energy) — into executable decisions for the
-// live execution layers.
+// analytical machinery — the CARM characterization (internal/carm) and
+// the per-approach throughput models (internal/perfmodel) — into
+// executable decisions for the live execution layers.
 //
 // The planner takes a search shape (SNPs, samples, order, objective)
 // and a host description (a Table I/II device pair, or a live-host
 // probe) and produces a Plan: the chosen backend and approach, the
 // predicted throughput of each engine, the model-seeded CPU/GPU split
-// of a heterogeneous run, the ranks-per-claim tile grain for the
-// scheduler's consumers, and — under an energy budget — the
-// power-capped DVFS operating point. Every layer then consumes the
+// of a heterogeneous run, and the ranks-per-claim tile grain for the
+// scheduler's consumers. Every layer then consumes the
 // Plan instead of a magic constant: sched sizes tiles from it, hetero
 // seeds its work-stealing claim ratio and static split from it, and
 // the cluster coordinator weights lease sizes by the same capability
@@ -31,7 +29,6 @@ import (
 	"trigene/internal/carm"
 	"trigene/internal/combin"
 	"trigene/internal/device"
-	"trigene/internal/energy"
 	"trigene/internal/perfmodel"
 	"trigene/internal/sched"
 )
@@ -76,10 +73,6 @@ type Constraints struct {
 	// "V3F"/"V4F", also accepted as "V5"/"V6"). Empty lets the model
 	// pick the winning kernel for the device.
 	Approach string
-	// EnergyBudgetWatts caps the modeled power draw; the planner picks
-	// the highest DVFS operating point within it and derates the
-	// predicted rates accordingly. Zero means unconstrained.
-	EnergyBudgetWatts float64
 }
 
 // Plan is one executable set of decisions.
@@ -103,20 +96,13 @@ type Plan struct {
 	GPUGrains int64
 
 	// PredictedCPUGElems and PredictedGPUGElems are the modeled engine
-	// throughputs in G elements/s (post energy derating), each capped
+	// throughputs in G elements/s, each capped
 	// by the device's roofline ceiling at the approach's intensity.
 	PredictedCPUGElems, PredictedGPUGElems float64
 	// PredictedCombosPerSec and PredictedTilesPerSec restate the
 	// combined rate in scheduler currency: combinations (and Grain-
 	// sized tiles) per second across the whole host.
 	PredictedCombosPerSec, PredictedTilesPerSec float64
-
-	// EnergyBudgetWatts echoes the constraint; TargetCPUGHz /
-	// TargetGPUGHz are the chosen DVFS clocks (0 = nominal, no budget)
-	// and PredictedWatts the modeled draw at the operating point.
-	EnergyBudgetWatts          float64
-	TargetCPUGHz, TargetGPUGHz float64
-	PredictedWatts             float64
 
 	// CPUDevice and GPUDevice name the device models consulted.
 	CPUDevice, GPUDevice string
@@ -162,11 +148,7 @@ func Decide(w Workload, h Host, c Constraints) (*Plan, error) {
 		workers = 1
 	}
 
-	p := &Plan{
-		Workers:           workers,
-		EnergyBudgetWatts: c.EnergyBudgetWatts,
-		CPUDevice:         h.CPU.ID,
-	}
+	p := &Plan{Workers: workers, CPUDevice: h.CPU.ID}
 
 	// A gpusim constraint names its device; it overrides (or supplies)
 	// the host's accelerator so the prediction matches what will run.
@@ -234,37 +216,8 @@ func Decide(w Workload, h Host, c Constraints) (*Plan, error) {
 		p.GPUDevice = gpu.ID
 	}
 
-	// Energy budget: pick the highest DVFS point within it (split
-	// across a device pair proportionally to TDP) and derate the rates
-	// — the compute-bound kernels scale linearly with the clock.
-	var reasons []string
-	if c.EnergyBudgetWatts > 0 {
-		cpuShare := 1.0
-		if gpu != nil && gpuRate > 0 {
-			cpuTDP := h.CPU.TDPWatts * float64(h.CPU.Sockets)
-			cpuShare = cpuTDP / (cpuTDP + gpu.TDPWatts)
-		}
-		dv := energy.ForCPU(h.CPU, w.SNPs, w.Samples)
-		f, ok := dv.GHzForPower(c.EnergyBudgetWatts * cpuShare)
-		p.TargetCPUGHz = f
-		p.PredictedWatts += dv.PowerAt(f)
-		cpuRate *= f / dv.NominalGHz
-		if !ok {
-			reasons = append(reasons, fmt.Sprintf("budget below %s's DVFS floor, clamped to %.2f GHz", h.CPU.ID, f))
-		}
-		if gpu != nil && gpuRate > 0 {
-			gdv := energy.ForGPU(*gpu, w.SNPs, w.Samples)
-			gf, gok := gdv.GHzForPower(c.EnergyBudgetWatts * (1 - cpuShare))
-			p.TargetGPUGHz = gf
-			p.PredictedWatts += gdv.PowerAt(gf)
-			gpuRate *= gf / gdv.NominalGHz
-			if !gok {
-				reasons = append(reasons, fmt.Sprintf("budget below %s's DVFS floor, clamped to %.2f GHz", gpu.ID, gf))
-			}
-		}
-	}
-
 	// Placement: honor a pinned backend, otherwise compare the sides.
+	var reasons []string
 	backend := c.Backend
 	if backend == "" {
 		switch {

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 
 	"trigene/internal/device"
@@ -158,35 +157,6 @@ func TestDecideHonorsConstraints(t *testing.T) {
 	}
 	if _, err := Decide(wl, hostCI3(), Constraints{Approach: "V9"}); err == nil {
 		t.Error("unknown approach accepted")
-	}
-}
-
-func TestDecideEnergyBudget(t *testing.T) {
-	free, err := Decide(wl, hostCI3(), Constraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := Decide(wl, hostCI3(), Constraints{EnergyBudgetWatts: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.TargetCPUGHz <= 0 {
-		t.Fatal("budgeted plan has no operating point")
-	}
-	if capped.PredictedWatts > 201 {
-		t.Errorf("plan draws %.0f W against a 200 W budget", capped.PredictedWatts)
-	}
-	if capped.PredictedCPUGElems >= free.PredictedCPUGElems {
-		t.Errorf("power cap did not derate the prediction: %.1f vs %.1f", capped.PredictedCPUGElems, free.PredictedCPUGElems)
-	}
-
-	// An unattainable budget clamps to the DVFS floor and says so.
-	floor, err := Decide(wl, hostCI3(), Constraints{EnergyBudgetWatts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(floor.Reason, "DVFS floor") {
-		t.Errorf("floor clamp not traced: %q", floor.Reason)
 	}
 }
 

@@ -41,6 +41,17 @@ func TestCoreDoesNotLinkModels(t *testing.T) {
 	}
 }
 
+// TestPlannerDoesNotLinkEnergy: the DVFS energy model is a benchsuite
+// study (`-exp energy`), not an input to the planner, which picks from
+// the roofline and throughput models alone.
+func TestPlannerDoesNotLinkEnergy(t *testing.T) {
+	from := map[string]string{}
+	walkImports(t, &build.Default, "trigene/internal/plan", "", from)
+	if _, ok := from["trigene/internal/energy"]; ok {
+		t.Errorf("internal/plan reaches internal/energy through %s", from["trigene/internal/energy"])
+	}
+}
+
 // walkImports records path, imported by importer, and every module
 // package it reaches through non-test imports.
 func walkImports(t *testing.T, ctx *build.Context, path, importer string, from map[string]string) {

@@ -32,9 +32,8 @@ type searchConfig struct {
 	trace       bool
 	screen      *ScreenSpec
 
-	// Autotuning (WithAutoTune / WithEnergyBudget).
-	autotune     bool
-	energyBudget float64
+	// Autotuning (WithAutoTune).
+	autotune bool
 	// Planner decisions, filled by Session.applyPlan: the approach to
 	// default to, the scheduler tile grain, the heterogeneous claim
 	// seeds, and the decision trace attached as Report.Plan.
@@ -139,9 +138,8 @@ func WithBackend(b Backend) Option {
 }
 
 // WithAutoTune turns on model-driven planning: before the search
-// runs, the paper's analytical machinery (the CARM roofline, the
-// per-approach throughput models, the DVFS energy model) picks the
-// execution parameters — backend (unless pinned with WithBackend),
+// runs, the paper's analytical machinery (the CARM roofline and the
+// per-approach throughput models) picks the execution parameters — backend (unless pinned with WithBackend),
 // approach, scheduler tile grain, and the heterogeneous split seeds —
 // instead of the static defaults. The decision trace is returned as
 // Report.Plan. Autotuning steers execution only, never search
@@ -149,23 +147,6 @@ func WithBackend(b Backend) Option {
 func WithAutoTune() Option {
 	return func(c *searchConfig) error {
 		c.autotune = true
-		return nil
-	}
-}
-
-// WithEnergyBudget caps the modeled power draw at the given watts and
-// implies WithAutoTune: the planner picks the highest DVFS operating
-// point within the budget and derates its throughput predictions
-// accordingly (Report.Plan records the chosen clocks and predicted
-// draw). This repo cannot set host frequencies; the budget shapes the
-// plan, and the trace is the contract a deployment would enforce.
-func WithEnergyBudget(watts float64) Option {
-	return func(c *searchConfig) error {
-		if watts <= 0 {
-			return fmt.Errorf("trigene: energy budget must be positive watts, got %g", watts)
-		}
-		c.autotune = true
-		c.energyBudget = watts
 		return nil
 	}
 }

@@ -36,9 +36,6 @@ type SearchSpec struct {
 	// each worker places the work where its models say. Tile Reports
 	// then carry the plan trace (Report.Plan).
 	AutoTune bool `json:"autoTune,omitempty"`
-	// EnergyBudgetWatts carries WithEnergyBudget across the wire
-	// (implies AutoTune on the executing node).
-	EnergyBudgetWatts float64 `json:"energyBudgetWatts,omitempty"`
 	// MaxWorkers caps how many distinct workers may hold live leases
 	// on the job at once (0 = unlimited). Cluster scheduling policy
 	// enforced by the coordinator; local execution ignores it.
@@ -131,9 +128,6 @@ func (sp SearchSpec) Options() ([]Option, error) {
 	if sp.AutoTune {
 		opts = append(opts, WithAutoTune())
 	}
-	if sp.EnergyBudgetWatts > 0 {
-		opts = append(opts, WithEnergyBudget(sp.EnergyBudgetWatts))
-	}
 	if sp.Screen != nil {
 		opts = append(opts, WithScreen(*sp.Screen))
 	}
@@ -147,13 +141,12 @@ func (sp SearchSpec) Options() ([]Option, error) {
 // fails on configuration that cannot cross the wire.
 func (c *searchConfig) spec() (SearchSpec, error) {
 	sp := SearchSpec{
-		Order:             c.order,
-		TopK:              c.topK,
-		Objective:         c.objName,
-		Backend:           c.backend.Name(),
-		Workers:           c.workers,
-		AutoTune:          c.autotune,
-		EnergyBudgetWatts: c.energyBudget,
+		Order:     c.order,
+		TopK:      c.topK,
+		Objective: c.objName,
+		Backend:   c.backend.Name(),
+		Workers:   c.workers,
+		AutoTune:  c.autotune,
 	}
 	if c.autotune && !c.backendSet {
 		// The caller left placement to the planner; keep it open on the

@@ -43,9 +43,8 @@ type ShardInfo struct {
 }
 
 // PlanInfo is the decision trace of a model-driven autotuned search
-// (WithAutoTune / WithEnergyBudget): what the planner chose, what the
-// paper's models predicted, and — under an energy budget — the DVFS
-// operating point. It records the decisions actually taken by the run
+// (WithAutoTune): what the planner chose and what the paper's models
+// predicted. It records the decisions actually taken by the run
 // that produced the Report; predictions are model outputs, never
 // measurements.
 type PlanInfo struct {
@@ -67,13 +66,6 @@ type PlanInfo struct {
 	PredictedGPUGElems    float64 `json:"predictedGpuGElems,omitempty"`
 	PredictedCombosPerSec float64 `json:"predictedCombosPerSec,omitempty"`
 	PredictedTilesPerSec  float64 `json:"predictedTilesPerSec,omitempty"`
-	// EnergyBudgetWatts echoes WithEnergyBudget; TargetCPUGHz /
-	// TargetGPUGHz are the chosen DVFS clocks and PredictedWatts the
-	// modeled draw at that operating point.
-	EnergyBudgetWatts float64 `json:"energyBudgetWatts,omitempty"`
-	TargetCPUGHz      float64 `json:"targetCpuGHz,omitempty"`
-	TargetGPUGHz      float64 `json:"targetGpuGHz,omitempty"`
-	PredictedWatts    float64 `json:"predictedWatts,omitempty"`
 	// CPUDevice and GPUDevice name the device models consulted.
 	CPUDevice string `json:"cpuDevice,omitempty"`
 	GPUDevice string `json:"gpuDevice,omitempty"`
@@ -157,8 +149,8 @@ type Report struct {
 	GPU *GPUStats
 	// Hetero is set by the heterogeneous backend.
 	Hetero *HeteroInfo
-	// Plan is the autotuner's decision trace on WithAutoTune /
-	// WithEnergyBudget runs; nil otherwise.
+	// Plan is the autotuner's decision trace on WithAutoTune runs; nil
+	// otherwise.
 	Plan *PlanInfo
 	// Screen is the audit record of a screened search (WithScreen):
 	// what stage 1 scanned, what survived, the cut line, and the stage

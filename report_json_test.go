@@ -95,7 +95,7 @@ func TestReportJSONGolden(t *testing.T) {
 }
 
 // goldenPlan is a fully populated autotune decision trace, as built
-// by a budgeted heterogeneous plan.
+// by a heterogeneous plan.
 func goldenPlan() *PlanInfo {
 	return &PlanInfo{
 		Backend:               "hetero",
@@ -108,10 +108,6 @@ func goldenPlan() *PlanInfo {
 		PredictedGPUGElems:    2467.5,
 		PredictedCombosPerSec: 200000,
 		PredictedTilesPerSec:  48.83,
-		EnergyBudgetWatts:     350,
-		TargetCPUGHz:          2.1,
-		TargetGPUGHz:          1.2,
-		PredictedWatts:        349.5,
 		CPUDevice:             "CI3",
 		GPUDevice:             "GN1",
 		Reason:                "split CI3:GN1 at 25% CPU by modeled throughput",
@@ -121,8 +117,7 @@ func goldenPlan() *PlanInfo {
 // goldenPlanJSON pins the "plan" key of the wire format.
 const goldenPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,"grain":4096,` +
 	`"cpuFraction":0.25,"gpuGrains":12,"predictedCpuGElems":822.5,"predictedGpuGElems":2467.5,` +
-	`"predictedCombosPerSec":200000,"predictedTilesPerSec":48.83,"energyBudgetWatts":350,` +
-	`"targetCpuGHz":2.1,"targetGpuGHz":1.2,"predictedWatts":349.5,` +
+	`"predictedCombosPerSec":200000,"predictedTilesPerSec":48.83,` +
 	`"cpuDevice":"CI3","gpuDevice":"GN1","reason":"split CI3:GN1 at 25% CPU by modeled throughput"}`
 
 // TestReportJSONPlanGolden: an autotuned Report carries its decision

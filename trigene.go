@@ -23,10 +23,9 @@
 //     accounting, reachable from the public API through WithCluster;
 //   - the Cache-Aware Roofline Model and analytical device performance
 //     models that regenerate the paper's figures and tables;
-//   - the model-driven autotuner (WithAutoTune / WithEnergyBudget):
-//     the same models pick the backend, approach, scheduler tile
-//     grain, heterogeneous split and — under a watts budget — the
-//     DVFS operating point, with the decision trace on Report.Plan.
+//   - the model-driven autotuner (WithAutoTune): the same models pick
+//     the backend, approach, scheduler tile grain and heterogeneous
+//     split, with the decision trace on Report.Plan.
 //
 // The public search surface is the Session/Backend API: a Session
 // validates a dataset once and serves concurrent searches, a Backend
