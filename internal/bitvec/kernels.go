@@ -11,7 +11,7 @@ import "math/bits"
 // emulating the paper's AVX-512 (8 lanes ~ 512 bit) variant: the
 // compiler can schedule the independent lane operations in parallel,
 // which is the same ILP exposure SIMD gives. The order-3 search's own
-// vector kernel is contingency.PairBlock.
+// vector kernel is the triple lanes pass, contingency.LaneKernel.
 
 // PopCountAnd3 returns popcount(x & y & z). This is the frequency-table
 // cell kernel once the phenotype has been factored out of the dataset

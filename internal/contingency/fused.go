@@ -7,11 +7,14 @@ import "math/bits"
 // planes.
 const PairPlanes = 9
 
-// TripleCounted is how many of a triple's 27 cells PairBlock.Accumulate
-// counts per x; the nine of x genotype 2 follow from the plane sums.
-const TripleCounted = 2 * PairPlanes
+// TripleCounted is how many of a triple's 27 cells the lanes pass counts
+// per (y, z): the products of stored planes x_a ∧ y_b ∧ z_c, a, b, c in
+// {0, 1} (LaneKernel.TripleLanes); the other 19 are derived. The pair
+// kernel's counterpart is PairCounted.
+const TripleCounted = 8
 
-// Kernel names the implementation behind PairBlock on this host:
+// Kernel names the implementation behind the lanes pass, the pair kernel
+// and PairBlock on this host:
 // "avx512-vpopcntdq" when the CPU and OS support it and the build holds
 // the assembly, "portable" (the pure-Go bodies) otherwise.
 func Kernel() string {
@@ -29,8 +32,8 @@ func Kernel() string {
 // subsets (TestAssemblyStaysInsideTheProbe).
 func HasAVX512() bool { return hasAVX512 }
 
-// PairBlock is the fused kernel's state for one (i1, i2) pair over one
-// word tile: the nine pair-AND planes (plane gy*3+gz holds
+// PairBlock is the seeded extension's state for one (i1, i2) pair over
+// one word range: the nine pair-AND planes (plane gy*3+gz holds
 // ys[gy] & zs[gz], genotype 2 derived by NOR, plane-major) and the
 // popcount of each. Build fills it once per pair; Accumulate then
 // charges any number of x plane pairs against it. With the sums cached,

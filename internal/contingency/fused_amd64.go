@@ -24,4 +24,10 @@ func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[Pair
 func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, words, valid int)
 
 //go:noescape
-func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool)
+func tripleLanesAVX512(lt *LaneTable, xt, y0, y1, z0, z1 *uint64, n int, add bool)
+
+//go:noescape
+func xLanesAVX512(xc *XCounts, xt, s0, s1 *uint64, n int, add bool)
+
+//go:noescape
+func deriveAVX512(lt *LaneTable, xy, xz *XCounts, xmarg *[2]int32, nx int, yz *int32)

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops, of the
-// pair kernel's one and, at the end, of the lanes pass, which walks word
-// by word with a SNP per lane. The others walk n >= 1 words in 8-word
+// pair kernel's one and, at the end, of the lanes pass's three, which walk
+// word by word with a SNP per lane. The others walk n >= 1 words in 8-word
 // vectors under opmask K1: 0xFF for the full vectors and the low n%8 bits
 // for a ragged last one, whose masked loads and stores touch nothing
 // beyond word n (masked-out elements neither fault nor count). The nine
@@ -418,121 +418,221 @@ pairDone:
 	VZEROUPPER
 	RET
 
-// LANECELLS counts one pair-plane word, broadcast to every lane, against
-// the x0 (Z0) and x1 (Z1) words of eight SNPs.
-#define LANECELLS(mem, acc0, acc1) \
-	VPBROADCASTQ mem, Z2; \
-	VPANDQ       Z2, Z0, Z3; \
-	VPANDQ       Z2, Z1, Z2; \
-	VPOPCNTQ     Z3, Z3; \
-	VPOPCNTQ     Z2, Z2; \
-	VPADDQ       Z3, acc0, acc0; \
-	VPADDQ       Z2, acc1, acc1
+// The lanes pass's three bodies walk word by word with a SNP per lane: per
+// word, the x0 and x1 vectors of the x tile (128 bytes per word, R9 the
+// word index) meet the words of the y, z or s planes, broadcast. A short
+// chunk's missing lanes are zero words of the tile, so there is no mask
+// and no lane reduction; each accumulator narrows to one row of eight
+// 32-bit counts, set (R12 zero) or added to what the row held.
 
-// LANEROWS narrows the two accumulators of pair plane p to eight 32-bit
-// counts each, rows p (ylo0) and 9+p (Y3) of a lane table, and derives
-// row 18+p (Y2) as sums[p] minus both.
-#define LANEROWS(p, acc0, ylo0, acc1) \
-	VPMOVQD      acc0, ylo0; \
-	VPMOVQD      acc1, Y3; \
-	VPBROADCASTD 4*p(SI), Y2; \
-	VPSUBD       ylo0, Y2, Y2; \
-	VPSUBD       Y3, Y2, Y2
+// TRIPLECELL counts x ∧ y ∧ z for the eight lanes: y broadcast into Z4,
+// ANDed with the lanes' x word and the broadcast z in one ternary op.
+#define TRIPLECELL(y, x, z, acc) \
+	VPBROADCASTQ y, Z4; \
+	VPTERNLOGQ   $0x80, z, x, Z4; \
+	VPOPCNTQ     Z4, Z4; \
+	VPADDQ       Z4, acc, acc
 
-// LANESTORE stores the three rows of pair plane p.
-#define LANESTORE(p, ylo0) \
-	VMOVDQU ylo0, 32*p(DI); \
-	VMOVDQU Y3, 32*(9+p)(DI); \
-	VMOVDQU Y2, 32*(18+p)(DI)
-
-// LANESET sets the three rows of pair plane p in the lane table, LANEADD
-// adds to them.
-#define LANESET(p, acc0, ylo0, acc1) \
-	LANEROWS(p, acc0, ylo0, acc1); \
-	LANESTORE(p, ylo0)
-
-#define LANEADD(p, acc0, ylo0, acc1) \
-	LANEROWS(p, acc0, ylo0, acc1); \
-	VPADDD 32*p(DI), ylo0, ylo0; \
-	VPADDD 32*(9+p)(DI), Y3, Y3; \
-	VPADDD 32*(18+p)(DI), Y2, Y2; \
-	LANESTORE(p, ylo0)
-
-// func accumulateLanesAVX512(lt *LaneTable, xt, planes *uint64, sums *[PairPlanes]int32, n int, add bool)
+// func tripleLanesAVX512(lt *LaneTable, xt, y0, y1, z0, z1 *uint64, n int, add bool)
 //
-// One combination per lane: per plane word, the x0 and x1 vectors of the
-// x tile (128 bytes per word) meet each of the nine pair-plane words,
-// broadcast, in the same 18 accumulators as accumulateFusedAVX512 — but a
-// lane is a SNP here, not a word, so the counts go to the table as they
-// stand — set there, or with add on top of what it held: no mask (short
-// lanes are zero words of the tile), no lane reduction.
-TEXT ·accumulateLanesAVX512(SB), NOSPLIT, $0-41
-	MOVQ lt+0(FP), DI
-	MOVQ xt+8(FP), AX
-	MOVQ planes+16(FP), DX
-	MOVQ sums+24(FP), SI
-	MOVQ n+32(FP), CX
-	MOVBQZX add+40(FP), R12
-	STRIDES
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	VPXORQ Z12, Z12, Z12
-	VPXORQ Z13, Z13, Z13
-	VPXORQ Z14, Z14, Z14
-	VPXORQ Z15, Z15, Z15
-	VPXORQ Z16, Z16, Z16
-	VPXORQ Z17, Z17, Z17
-	VPXORQ Z18, Z18, Z18
-	VPXORQ Z19, Z19, Z19
-	VPXORQ Z20, Z20, Z20
-	VPXORQ Z21, Z21, Z21
+// The eight cells x_a ∧ y_b ∧ z_c, a, b, c in {0, 1}, in Z8..Z15 in the
+// order 4a+2b+c, to rows 0, 1, 3, 4, 9, 10, 12 and 13 of lt.
+TEXT ·tripleLanesAVX512(SB), NOSPLIT, $0-57
+	MOVQ    lt+0(FP), DI
+	MOVQ    xt+8(FP), AX
+	MOVQ    y0+16(FP), BX
+	MOVQ    y1+24(FP), DX
+	MOVQ    z0+32(FP), SI
+	MOVQ    z1+40(FP), R8
+	MOVQ    n+48(FP), CX
+	MOVBQZX add+56(FP), R12
+	XORQ    R9, R9
+	VPXORQ  Z8, Z8, Z8
+	VPXORQ  Z9, Z9, Z9
+	VPXORQ  Z10, Z10, Z10
+	VPXORQ  Z11, Z11, Z11
+	VPXORQ  Z12, Z12, Z12
+	VPXORQ  Z13, Z13, Z13
+	VPXORQ  Z14, Z14, Z14
+	VPXORQ  Z15, Z15, Z15
 
-lanesLoop:
-	VMOVDQU64 (AX), Z0
-	VMOVDQU64 64(AX), Z1
-	LANECELLS((DX), Z4, Z13)
-	LANECELLS((DX)(R8*1), Z5, Z14)
-	LANECELLS((DX)(R8*2), Z6, Z15)
-	LANECELLS((DX)(R9*1), Z7, Z16)
-	LANECELLS((DX)(R8*4), Z8, Z17)
-	LANECELLS((DX)(R10*1), Z9, Z18)
-	LANECELLS((DX)(R9*2), Z10, Z19)
-	LANECELLS((DX)(R11*1), Z11, Z20)
-	LANECELLS((DX)(R8*8), Z12, Z21)
-	ADDQ $128, AX
-	ADDQ $8, DX
-	DECQ CX
-	JNZ  lanesLoop
+tripleLoop:
+	VMOVDQU64    (AX), Z0
+	VMOVDQU64    64(AX), Z1
+	VPBROADCASTQ (SI)(R9*8), Z2
+	VPBROADCASTQ (R8)(R9*8), Z3
+	TRIPLECELL((BX)(R9*8), Z0, Z2, Z8)
+	TRIPLECELL((BX)(R9*8), Z0, Z3, Z9)
+	TRIPLECELL((DX)(R9*8), Z0, Z2, Z10)
+	TRIPLECELL((DX)(R9*8), Z0, Z3, Z11)
+	TRIPLECELL((BX)(R9*8), Z1, Z2, Z12)
+	TRIPLECELL((BX)(R9*8), Z1, Z3, Z13)
+	TRIPLECELL((DX)(R9*8), Z1, Z2, Z14)
+	TRIPLECELL((DX)(R9*8), Z1, Z3, Z15)
+	ADDQ         $128, AX
+	INCQ         R9
+	CMPQ         R9, CX
+	JLT          tripleLoop
 
-	TESTQ R12, R12
-	JNZ   lanesAdd
-	LANESET(0, Z4, Y4, Z13)
-	LANESET(1, Z5, Y5, Z14)
-	LANESET(2, Z6, Y6, Z15)
-	LANESET(3, Z7, Y7, Z16)
-	LANESET(4, Z8, Y8, Z17)
-	LANESET(5, Z9, Y9, Z18)
-	LANESET(6, Z10, Y10, Z19)
-	LANESET(7, Z11, Y11, Z20)
-	LANESET(8, Z12, Y12, Z21)
+	VPMOVQD Z8, Y8
+	VPMOVQD Z9, Y9
+	VPMOVQD Z10, Y10
+	VPMOVQD Z11, Y11
+	VPMOVQD Z12, Y12
+	VPMOVQD Z13, Y13
+	VPMOVQD Z14, Y14
+	VPMOVQD Z15, Y15
+	TESTQ   R12, R12
+	JZ      tripleSet
+	VPADDD  (DI), Y8, Y8
+	VPADDD  32(DI), Y9, Y9
+	VPADDD  96(DI), Y10, Y10
+	VPADDD  128(DI), Y11, Y11
+	VPADDD  288(DI), Y12, Y12
+	VPADDD  320(DI), Y13, Y13
+	VPADDD  384(DI), Y14, Y14
+	VPADDD  416(DI), Y15, Y15
+
+tripleSet:
+	VMOVDQU Y8, (DI)
+	VMOVDQU Y9, 32(DI)
+	VMOVDQU Y10, 96(DI)
+	VMOVDQU Y11, 128(DI)
+	VMOVDQU Y12, 288(DI)
+	VMOVDQU Y13, 320(DI)
+	VMOVDQU Y14, 384(DI)
+	VMOVDQU Y15, 416(DI)
 	VZEROUPPER
 	RET
 
-lanesAdd:
-	LANEADD(0, Z4, Y4, Z13)
-	LANEADD(1, Z5, Y5, Z14)
-	LANEADD(2, Z6, Y6, Z15)
-	LANEADD(3, Z7, Y7, Z16)
-	LANEADD(4, Z8, Y8, Z17)
-	LANEADD(5, Z9, Y9, Z18)
-	LANEADD(6, Z10, Y10, Z19)
-	LANEADD(7, Z11, Y11, Z20)
-	LANEADD(8, Z12, Y12, Z21)
+// XCELL counts x ∧ s for the eight lanes, s broadcast.
+#define XCELL(s, x, acc) \
+	VPANDQ   s, x, Z4; \
+	VPOPCNTQ Z4, Z4; \
+	VPADDQ   Z4, acc, acc
+
+// func xLanesAVX512(xc *XCounts, xt, s0, s1 *uint64, n int, add bool)
+//
+// The four cells x_a ∧ s_b in Z8..Z11 in the order 2a+b, to the rows of
+// xc.
+TEXT ·xLanesAVX512(SB), NOSPLIT, $0-41
+	MOVQ    xc+0(FP), DI
+	MOVQ    xt+8(FP), AX
+	MOVQ    s0+16(FP), BX
+	MOVQ    s1+24(FP), DX
+	MOVQ    n+32(FP), CX
+	MOVBQZX add+40(FP), R12
+	XORQ    R9, R9
+	VPXORQ  Z8, Z8, Z8
+	VPXORQ  Z9, Z9, Z9
+	VPXORQ  Z10, Z10, Z10
+	VPXORQ  Z11, Z11, Z11
+
+xLoop:
+	VMOVDQU64    (AX), Z0
+	VMOVDQU64    64(AX), Z1
+	VPBROADCASTQ (BX)(R9*8), Z2
+	VPBROADCASTQ (DX)(R9*8), Z3
+	XCELL(Z2, Z0, Z8)
+	XCELL(Z3, Z0, Z9)
+	XCELL(Z2, Z1, Z10)
+	XCELL(Z3, Z1, Z11)
+	ADDQ         $128, AX
+	INCQ         R9
+	CMPQ         R9, CX
+	JLT          xLoop
+
+	VPMOVQD Z8, Y8
+	VPMOVQD Z9, Y9
+	VPMOVQD Z10, Y10
+	VPMOVQD Z11, Y11
+	TESTQ   R12, R12
+	JZ      xSet
+	VPADDD  (DI), Y8, Y8
+	VPADDD  32(DI), Y9, Y9
+	VPADDD  64(DI), Y10, Y10
+	VPADDD  96(DI), Y11, Y11
+
+xSet:
+	VMOVDQU Y8, (DI)
+	VMOVDQU Y9, 32(DI)
+	VMOVDQU Y10, 64(DI)
+	VMOVDQU Y11, 96(DI)
+	VZEROUPPER
+	RET
+
+// DERIVEX derives the ten rows of x genotype a from its eight counted
+// ones: base is the byte offset of row 9a of the lane table, off that of
+// row 2a of the XCounts xy (SI) and xz (DX), and xa holds |x_a|. Y0..Y3
+// are T[a][0][0], T[a][0][1], T[a][1][0], T[a][1][1]; Y4, Y5 XY[a][0],
+// XY[a][1]; Y6, Y7 XZ[a][0], XZ[a][1] and then T[a][2][0], T[a][2][1].
+#define DERIVEX(base, off, xa) \
+	VMOVDQU base(DI), Y0; \
+	VMOVDQU base+32(DI), Y1; \
+	VMOVDQU base+96(DI), Y2; \
+	VMOVDQU base+128(DI), Y3; \
+	VMOVDQU off(SI), Y4; \
+	VMOVDQU off+32(SI), Y5; \
+	VPSUBD  Y0, Y4, Y6; \
+	VPSUBD  Y1, Y6, Y6; \
+	VMOVDQU Y6, base+64(DI); \
+	VPSUBD  Y2, Y5, Y6; \
+	VPSUBD  Y3, Y6, Y6; \
+	VMOVDQU Y6, base+160(DI); \
+	VMOVDQU off(DX), Y6; \
+	VPSUBD  Y0, Y6, Y6; \
+	VPSUBD  Y2, Y6, Y6; \
+	VMOVDQU Y6, base+192(DI); \
+	VMOVDQU off+32(DX), Y7; \
+	VPSUBD  Y1, Y7, Y7; \
+	VPSUBD  Y3, Y7, Y7; \
+	VMOVDQU Y7, base+224(DI); \
+	VPSUBD  Y4, xa, xa; \
+	VPSUBD  Y5, xa, xa; \
+	VPSUBD  Y6, xa, xa; \
+	VPSUBD  Y7, xa, xa; \
+	VMOVDQU xa, base+256(DI)
+
+// DERIVE2 derives row 18+bc, T[2][b][c] = YZ[b][c] − T[0][b][c] −
+// T[1][b][c], YZ[b][c] broadcast from row bc of the (y, z) column (R8).
+#define DERIVE2(bc) \
+	VPBROADCASTD 32*bc(R8), Y0; \
+	VPSUBD       32*bc(DI), Y0, Y0; \
+	VPSUBD       32*(9+bc)(DI), Y0, Y0; \
+	VMOVDQU      Y0, 32*(18+bc)(DI)
+
+// func deriveAVX512(lt *LaneTable, xy, xz *XCounts, xmarg *[2]int32, nx int, yz *int32)
+//
+// The 19 derived rows of a lane table, for all eight lanes at once. |x0|
+// and |x1| of the nx lanes are the low and high halves of xmarg's qwords,
+// loaded under the low nx bits of K2 so nothing past the last lane is
+// read (a lane past it is no SNP: |x0| = |x1| = 0); yz points at row 0 of
+// the (y, z) pair table's column, whose rows lie 32 bytes apart.
+TEXT ·deriveAVX512(SB), NOSPLIT, $0-48
+	MOVQ        lt+0(FP), DI
+	MOVQ        xy+8(FP), SI
+	MOVQ        xz+16(FP), DX
+	MOVQ        xmarg+24(FP), BX
+	MOVQ        nx+32(FP), CX
+	MOVQ        yz+40(FP), R8
+	MOVQ        $1, R13
+	SHLQ        CX, R13
+	DECQ        R13
+	KMOVW       R13, K2
+	VMOVDQU64.Z (BX), K2, Z8
+	VPMOVQD     Z8, Y9
+	VPSRLQ      $32, Z8, Z8
+	VPMOVQD     Z8, Y10
+	DERIVEX(0, 0, Y9)
+	DERIVEX(288, 64, Y10)
+	DERIVE2(0)
+	DERIVE2(1)
+	DERIVE2(2)
+	DERIVE2(3)
+	DERIVE2(4)
+	DERIVE2(5)
+	DERIVE2(6)
+	DERIVE2(7)
+	DERIVE2(8)
 	VZEROUPPER
 	RET

@@ -2,14 +2,24 @@ package contingency
 
 import "math/bits"
 
-// Lanes is how many x SNPs one PairBlock.AccumulateLanes pass counts:
-// one per 64-bit lane of a 512-bit vector.
+// Lanes is how many x SNPs one pass of the triple lanes pass counts: one
+// per 64-bit lane of a 512-bit vector.
 const Lanes = 8
 
 // LaneTable holds one class's counts of the Lanes triples (x[lane], y, z)
 // of a lanes pass: row cell, column lane — each row one vector of the
 // pass, so nothing is reduced across lanes on the way out.
 type LaneTable [Cells][Lanes]int32
+
+// XCounts holds one class's four counted pair cells of the Lanes x SNPs
+// of a lanes pass against one SNP s: row 2a+b, column lane, is the number
+// of samples with genotype a of x SNP lane and genotype b of s (a, b in
+// {0, 1}, the stored planes).
+type XCounts [PairCounted][Lanes]int32
+
+// tripleRows are the rows of a triple's table the lanes pass counts:
+// ComboIndex(a, b, c) for a, b, c in {0, 1}, in the order i = 4a+2b+c.
+var tripleRows = [TripleCounted]int{0, 1, 3, 4, 9, 10, 12, 13}
 
 // LaneTileWords is the size of the x tile of a lanes pass over a word
 // range of the given length.
@@ -44,51 +54,161 @@ func TransposeLanes(dst, src []uint64, words, w0, w1 int) {
 	}
 }
 
-// AccumulateLanes counts Lanes x SNPs at once against the block: xt is
-// their x tile (TransposeLanes) over the word range the block was built
-// for. Per word each of the nine pair-plane words meets all eight x0 and
-// x1 words, so the 18 counted rows cost what one Accumulate does per
-// vector of words but carry eight SNPs, and the nine genotype-2 rows
-// follow from the cached sums as in Accumulate. With add false the pass
-// sets all 27 rows of lt, with add true it adds to them: a plane cut
-// into word tiles is one pass per tile into one table, the first setting
-// and the rest adding, and the genotype-2 rows come out right because
-// each tile brings its own sums. Padding lands in row 26 as in
-// Accumulate.
-func (b *PairBlock) AccumulateLanes(lt *LaneTable, xt []uint64, add bool) {
-	n := len(b.planes) / PairPlanes
+// LaneKernel runs the triple lanes pass — TripleLanes and XLanes per word
+// tile, then PairLanes and Derive — on the bodies chosen for the host at
+// start-up, or, with Oracle, on the pure-Go bodies whatever the host
+// supports (the reference pipeline's pin).
+//
+// Of a triple's 27 cells per class, eight are counted per (y, z): the
+// products of stored planes, x_a ∧ y_b ∧ z_c for a, b, c in {0, 1}. The
+// pair cells x_a ∧ s_b are counted once per SNP s the chunk meets, the
+// (y, z) tables once per run, and |x_a| once per search.
+// Every sample carries exactly one genotype of each SNP, so the other 19
+// cells are sums of those minus counted ones (Derive). No genotype-2 plane
+// is formed, so pad bits never enter a count and the tables need no pad
+// correction. The planes of a SNP must be disjoint, which the dataset
+// loaders guarantee.
+type LaneKernel struct{ Oracle bool }
+
+// vector reports whether the kernel runs the host's assembly bodies.
+func (k LaneKernel) vector() bool { return hasAVX512 && !k.Oracle }
+
+// TripleLanes counts the eight stored-genotype cells of the triples
+// (x[lane], y, z) over words [w0, w1) into rows 0, 1, 3, 4, 9, 10, 12 and
+// 13 of lt — setting them, or with add adding to them, so that a plane cut
+// into word tiles is one call per tile into one table, the first setting
+// and the rest adding. xt is the x tile of the range (TransposeLanes);
+// data holds the class's planes as dataset.Split stores them, plane g of
+// SNP i at (2i+g)*words. The other rows are left alone. Per word and
+// cell, one three-way AND, one POPCNT and one add for all eight lanes.
+func (k LaneKernel) TripleLanes(lt *LaneTable, xt, data []uint64, words, y, z, w0, w1 int, add bool) {
+	y0s, y1s := data[2*y*words+w0:2*y*words+w1], data[(2*y+1)*words+w0:(2*y+1)*words+w1]
+	z0s, z1s := data[2*z*words+w0:2*z*words+w1], data[(2*z+1)*words+w0:(2*z+1)*words+w1]
+	n := len(y0s)
 	xt = xt[:LaneTileWords(n)]
-	if b.vector() && n > 0 {
-		accumulateLanesAVX512(lt, &xt[0], &b.planes[0], &b.sums, n, add)
+	if k.vector() && n > 0 {
+		tripleLanesAVX512(lt, &xt[0], &y0s[0], &y1s[0], &z0s[0], &z1s[0], n, add)
 		return
 	}
-	if !add {
-		*lt = LaneTable{}
-	}
-	accumulateLanesGo(lt, xt, b.planes, &b.sums)
+	tripleLanesGo(lt, xt, y0s, y1s, z0s, z1s, add)
 }
 
-// accumulateLanesGo is the pure-Go body of AccumulateLanes (the adding
-// form) and its oracle: accumulateFusedGo's loop, one lane of the tile at
-// a time.
-func accumulateLanesGo(lt *LaneTable, xt, planes []uint64, sums *[PairPlanes]int32) {
-	n := len(planes) / PairPlanes
-	for lane := 0; lane < Lanes; lane++ {
-		var c [TripleCounted]int32
-		for w := 0; w < n; w++ {
-			x0, x1 := xt[2*w*Lanes+lane], xt[(2*w+1)*Lanes+lane]
-			o := w
-			for p := 0; p < PairPlanes; p++ {
-				v := planes[o]
-				c[p] += int32(bits.OnesCount64(x0 & v))
-				c[p+PairPlanes] += int32(bits.OnesCount64(x1 & v))
-				o += n
+// XLanes counts the four pair cells of the pairs (x[lane], s) over words
+// [w0, w1) into xc, setting them or with add adding to them, as
+// TripleLanes does its rows.
+func (k LaneKernel) XLanes(xc *XCounts, xt, data []uint64, words, s, w0, w1 int, add bool) {
+	s0s, s1s := data[2*s*words+w0:2*s*words+w1], data[(2*s+1)*words+w0:(2*s+1)*words+w1]
+	n := len(s0s)
+	xt = xt[:LaneTileWords(n)]
+	if k.vector() && n > 0 {
+		xLanesAVX512(xc, &xt[0], &s0s[0], &s1s[0], n, add)
+		return
+	}
+	xLanesGo(xc, xt, s0s, s1s, add)
+}
+
+// PairLanes is the package's PairLanes on the kernel's bodies.
+func (k LaneKernel) PairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32) {
+	pairLanes(lt, data, words, x, valid, y, marg, n, k.vector())
+}
+
+// Derive completes the tables of the triples (x[lane], y, z) of one class
+// whose eight counted rows TripleLanes left in lt over the class's whole
+// planes. xy and xz are XLanes' counts of the x lanes against y and
+// against z, xmarg the x SNPs' {|x0|, |x1|} (one per lane; lanes past it
+// count as no SNP), and column col of yz's first nine rows the (y, z)
+// pair table (PairLanes). With T[a][b][c] the cell of genotypes (a, b, c):
+//
+//	T[a][b][2] = XY[a][b] − T[a][b][0] − T[a][b][1]
+//	T[a][2][c] = XZ[a][c] − T[a][0][c] − T[a][1][c]
+//	T[a][2][2] = |x_a| − XY[a][0] − XY[a][1] − T[a][2][0] − T[a][2][1]
+//	T[2][b][c] = YZ[b][c] − T[0][b][c] − T[1][b][c]
+//
+// for a, b, c in {0, 1} in the first three and b, c in {0, 1, 2} in the
+// last: 19 rows, each a vector subtraction across the lanes.
+func (k LaneKernel) Derive(lt *LaneTable, xy, xz *XCounts, xmarg [][2]int32, yz *LaneTable, col int) {
+	if len(xmarg) < 1 || len(xmarg) > Lanes || col < 0 || col >= Lanes {
+		panic("contingency: derive lanes out of range")
+	}
+	if k.vector() {
+		deriveAVX512(lt, xy, xz, &xmarg[0], len(xmarg), &yz[0][col])
+		return
+	}
+	deriveGo(lt, xy, xz, xmarg, yz, col)
+}
+
+// tripleLanesGo is the pure-Go body of TripleLanes and its oracle.
+func tripleLanesGo(lt *LaneTable, xt, y0s, y1s, z0s, z1s []uint64, add bool) {
+	n := len(y0s)
+	y1s, z0s, z1s = y1s[:n], z0s[:n], z1s[:n]
+	var c [TripleCounted][Lanes]int32
+	for w, y0 := range y0s {
+		y1, z0, z1 := y1s[w], z0s[w], z1s[w]
+		yz := [4]uint64{y0 & z0, y0 & z1, y1 & z0, y1 & z1}
+		x := xt[2*w*Lanes : 2*(w+1)*Lanes]
+		for lane := 0; lane < Lanes; lane++ {
+			x0, x1 := x[lane], x[Lanes+lane]
+			for i, v := range yz {
+				c[i][lane] += int32(bits.OnesCount64(x0 & v))
+				c[4+i][lane] += int32(bits.OnesCount64(x1 & v))
 			}
 		}
-		for p := 0; p < PairPlanes; p++ {
-			lt[p][lane] += c[p]
-			lt[p+PairPlanes][lane] += c[p+PairPlanes]
-			lt[p+2*PairPlanes][lane] += sums[p] - c[p] - c[p+PairPlanes]
+	}
+	for i, row := range tripleRows {
+		setLaneRow(&lt[row], &c[i], add)
+	}
+}
+
+// xLanesGo is the pure-Go body of XLanes and its oracle.
+func xLanesGo(xc *XCounts, xt, s0s, s1s []uint64, add bool) {
+	s1s = s1s[:len(s0s)]
+	var c XCounts
+	for w, s0 := range s0s {
+		s1 := s1s[w]
+		x := xt[2*w*Lanes : 2*(w+1)*Lanes]
+		for lane := 0; lane < Lanes; lane++ {
+			x0, x1 := x[lane], x[Lanes+lane]
+			c[0][lane] += int32(bits.OnesCount64(x0 & s0))
+			c[1][lane] += int32(bits.OnesCount64(x0 & s1))
+			c[2][lane] += int32(bits.OnesCount64(x1 & s0))
+			c[3][lane] += int32(bits.OnesCount64(x1 & s1))
+		}
+	}
+	for i := range c {
+		setLaneRow(&xc[i], &c[i], add)
+	}
+}
+
+// setLaneRow sets row to c, or with add adds c to it.
+func setLaneRow(row, c *[Lanes]int32, add bool) {
+	if add {
+		for lane, v := range c {
+			row[lane] += v
+		}
+		return
+	}
+	*row = *c
+}
+
+// deriveGo is the pure-Go body of Derive and its oracle.
+func deriveGo(lt *LaneTable, xy, xz *XCounts, xmarg [][2]int32, yz *LaneTable, col int) {
+	for l := 0; l < Lanes; l++ {
+		var xm [2]int32
+		if l < len(xmarg) {
+			xm = xmarg[l]
+		}
+		for a := 0; a < 2; a++ {
+			t := lt[9*a : 9*a+9]
+			for b := 0; b < 2; b++ {
+				t[3*b+2][l] = xy[2*a+b][l] - t[3*b][l] - t[3*b+1][l]
+			}
+			for c := 0; c < 2; c++ {
+				t[6+c][l] = xz[2*a+c][l] - t[c][l] - t[3+c][l]
+			}
+			t[8][l] = xm[a] - xy[2*a][l] - xy[2*a+1][l] - t[6][l] - t[7][l]
+		}
+		for bc := 0; bc < PairCells; bc++ {
+			lt[18+bc][l] = yz[bc][col] - lt[bc][l] - lt[9+bc][l]
 		}
 	}
 }

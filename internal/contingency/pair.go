@@ -18,7 +18,7 @@ const PairCells = 9
 
 // PairCounted is how many of a pair's nine cells PairLanes counts from
 // the planes (the stored-genotype products x0∧y0, x0∧y1, x1∧y0, x1∧y1);
-// the other five follow from plane popcounts. The triple kernel's
+// the other five follow from plane popcounts. The triple lanes pass's
 // counterpart is TripleCounted.
 const PairCounted = 4
 

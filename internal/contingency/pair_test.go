@@ -10,20 +10,10 @@ import (
 )
 
 // referencePairCells counts the nine pair cells one sample (bit) at a
-// time over the first samples bits of the planes: genotype 0 or 1 where
-// that plane has the bit, 2 where neither does.
+// time over the first samples bits of the planes.
 func referencePairCells(x0, x1, y0, y1 []uint64, samples int) (ft [Cells]int32) {
-	geno := func(p0, p1 []uint64, s int) int {
-		switch {
-		case p0[s/64]>>(s%64)&1 != 0:
-			return 0
-		case p1[s/64]>>(s%64)&1 != 0:
-			return 1
-		}
-		return 2
-	}
 	for s := 0; s < samples; s++ {
-		ft[PairComboIndex(geno(x0, x1, s), geno(y0, y1, s))]++
+		ft[PairComboIndex(sampleGeno(x0, x1, s), sampleGeno(y0, y1, s))]++
 	}
 	return ft
 }

@@ -27,16 +27,16 @@ import (
 // The screened search's index-remap layer (Searcher.Subset) must
 // preserve the guarantee — its sub-searcher is probed alongside the
 // full one, since stage 2 runs the same hot loops over survivors. The
-// fused approaches run one loop whatever the plane length — pair blocks,
-// x tile, lane-table banks and the score vector all in the pooled arena
+// fused approaches run one loop whatever the plane length — x tile,
+// counts, lane-table banks and the score vector all in the pooled arena
 // — and it is probed on class planes of several word tiles with a ragged
 // last one ("wide"), at 4-word planes ("short", and "full" at 5), at
 // ragged 2-word planes with a last block of one SNP ("ragged") and
 // through a subset remap. V4F crosses into assembly there with pointers
-// to arena memory (the pair block's build and sums, the lanes pass, K2's
-// lane scoring); the stubs are //go:noescape so nothing is moved to the
-// heap, which for the lanes pass and the lane scoring is pinned
-// separately at the end, on stack tables. The engine's other two tile
+// to arena memory (the lanes pass's counts and derive, the run's pair
+// tables, K2's lane scoring); the stubs are //go:noescape so nothing is
+// moved to the heap, which for the lanes pass and the lane scoring is
+// pinned separately at the end, on stack tables. The engine's other two tile
 // loops are held to the same standard on the same searchers: the pair
 // walker, of a pair search and with the screen's planes (its marginals
 // live on the Searcher, its two lane tables and their scores in the
@@ -134,17 +134,24 @@ func TestHotPathAllocs(t *testing.T) {
 		a.release()
 	}
 
-	// The fused loop's two stubs, on tables that live on the stack.
+	// The fused loop's stubs, on tables that live on the stack.
 	split := short.Split()
-	var blk contingency.PairBlock
-	blk.Init(split.Words[0], false)
-	blk.Build(split.Plane(0, 1, 0), split.Plane(0, 1, 1), split.Plane(0, 2, 0), split.Plane(0, 2, 1))
-	xt := make([]uint64, contingency.LaneTileWords(split.Words[0]))
+	words := split.Words[0]
+	data := split.ClassPlaneData(0)
+	marg := short.marginals()[0]
+	xt := make([]uint64, contingency.LaneTileWords(words))
+	contingency.TransposeLanes(xt, data[:2*contingency.Lanes*words], words, 0, words)
 	k2 := score.NewK2(2 * short.st.Samples()) // both classes get the control table
+	var k contingency.LaneKernel
 	if allocs := testing.AllocsPerRun(32, func() {
-		var lt contingency.LaneTable
+		var lt, yz contingency.LaneTable
+		var xy, xz contingency.XCounts
 		var scores [contingency.Lanes]float64
-		blk.AccumulateLanes(&lt, xt, false)
+		k.PairLanes(&yz, data, words, 8, 1, 9, marg, int32(split.N[0]))
+		k.XLanes(&xy, xt, data, words, 8, 0, words, false)
+		k.XLanes(&xz, xt, data, words, 9, 0, words, false)
+		k.TripleLanes(&lt, xt, data, words, 8, 9, 0, words, false)
+		k.Derive(&lt, &xy, &xz, marg[:contingency.Lanes], &yz, 0)
 		k2.ScoreLanes(&scores, &lt, &lt, contingency.Cells, contingency.Lanes, math.Inf(1))
 		if scores[0] == 0 {
 			t.Fatal("no score")

@@ -9,9 +9,10 @@ import (
 
 // arena is one consumer's reusable scratch for the claim→score loop:
 // a contingency table (flat paths, and the pair walker's column
-// scoring), a bank of block tables (unfused blocked paths), the fused
-// loop's pair blocks, x tile and lane-table bank, the pair walker's lane
-// tables, the generic k-way cells, and the consumer's top-K.
+// scoring), a bank of block tables (unfused blocked paths), the seeded
+// extension's pair blocks, the fused loop's x tile, counts and lane-table
+// banks, the pair walker's lane tables, the generic k-way cells, and the
+// consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
@@ -22,14 +23,17 @@ type arena struct {
 	// seeded extension's one raw table).
 	tables []contingency.Table
 	// block is one pair block per class: the seeded extension's cached
-	// seed pair over the whole class plane, the fused loop's (i1, i2)
-	// over the word tile in hand.
+	// seed pair over the whole class plane.
 	block [2]contingency.PairBlock
-	// xt, pairs, bank and laneScore are the rest of the fused loop's
-	// scratch for the 8-SNP x chunk in hand: its x tile over the word
-	// tile in hand, the (i1, i2) pairs it meets, per class one lane table
-	// per pair, and the scores of a pair's eight tables.
+	// yz, xt, xc, pairs, bank and laneScore are the fused loop's scratch:
+	// per class the (i1, i2) pair tables of the run in hand, eight i1 to
+	// a lane table per i2; and for the 8-SNP x chunk in hand its x tile
+	// over the word tile in hand, its XLanes counts against each SNP of
+	// the two blocks, the (i1, i2) pairs it meets, per class one lane
+	// table per pair, and the scores of a pair's eight tables.
+	yz        [2][]contingency.LaneTable
 	xt        []uint64
+	xc        []contingency.XCounts
 	pairs     []lanePair
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
@@ -73,18 +77,24 @@ func (a *arena) sizeTables(n int) {
 }
 
 // sizeLanes sizes the fused loop's scratch for blocks of bs SNPs and
-// word tiles of up to tile words; oracle pins the pure-Go bodies.
-func (a *arena) sizeLanes(bs, tile int, oracle bool) {
+// word tiles of up to tile words.
+func (a *arena) sizeLanes(bs, tile int) {
 	if n := contingency.LaneTileWords(tile); cap(a.xt) < n {
 		a.xt = make([]uint64, n)
+	}
+	if len(a.xc) < 2*bs {
+		a.xc = make([]contingency.XCounts, 2*bs)
 	}
 	if cap(a.pairs) < bs*bs {
 		a.pairs = make([]lanePair, 0, bs*bs)
 	}
-	for class := range a.block {
-		a.block[class].Init(tile, oracle)
-		if cap(a.bank[class]) < bs*bs {
+	runs := bs * ((bs + contingency.Lanes - 1) / contingency.Lanes)
+	for class := range a.bank {
+		if len(a.bank[class]) < bs*bs {
 			a.bank[class] = make([]contingency.LaneTable, bs*bs)
+		}
+		if len(a.yz[class]) < runs {
+			a.yz[class] = make([]contingency.LaneTable, runs)
 		}
 	}
 }

@@ -99,8 +99,8 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
 
 // blockWorker holds one worker's reusable state for the blocked paths.
 // The unfused approaches drive kernel over six stored planes into the
-// arena's BS^3 table bank; the fused approaches drive the arena's pair
-// blocks through the lanes pass into its lane-table bank.
+// arena's BS^3 table bank; the fused approaches drive the lanes pass's
+// kernel into its lane-table bank.
 type blockWorker struct {
 	s      *Searcher
 	o      *Options
@@ -109,6 +109,11 @@ type blockWorker struct {
 	nb     int
 	a      *arena
 	kernel func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
+	// lanes runs the fused loop's primitives: the Go bodies for V3F, the
+	// host's for V4F. marg is the split form's plane popcounts they
+	// derive from.
+	lanes contingency.LaneKernel
+	marg  *[2][][2]int32
 	// laneScorer is the objective's own scoring of the fused loop's lane
 	// tables (nil: score.ScoreColumns).
 	laneScorer score.LaneScorer
@@ -121,7 +126,8 @@ func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, bs,
 	w := &blockWorker{s: s, o: o, split: split, bs: bs, nb: nb, a: a}
 	switch {
 	case o.Approach.fused():
-		a.sizeLanes(bs, min(o.BlockWords, max(split.Words[0], split.Words[1])), o.Approach == V3Fused)
+		a.sizeLanes(bs, min(o.BlockWords, max(split.Words[0], split.Words[1])))
+		w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
 		if o.Approach != V3Fused {
 			w.laneScorer, _ = o.Objective.(score.LaneScorer)
 		}
@@ -226,31 +232,51 @@ type lanePair struct{ y, z, valid int }
 
 // processRunLanes evaluates the block triples (b0, b1, b2) for b0 in
 // [b0lo, b0hi), eight x SNPs at a time — the fused approaches' one loop,
-// whatever the plane length. For each chunk of the run's x range, one
-// class at a time, the class plane is walked in word tiles: the chunk's
-// x tile is transposed once per word tile, and for every (i1, i2) of the
-// two blocks the tile's pair block is built and one lanes pass against it
-// puts the chunk's eight partial tables into the pair's lane table in the
-// class's bank — sets it on the class's first tile (no class is empty:
-// the store refuses such a dataset), adds to it on the others, so nothing
-// is zeroed. The pass over the last tile of the second class completes
-// the pair's two tables, and they are pad-corrected and scored there and
-// then, while they are hot.
+// whatever the plane length. Once per run and class, PairLanes puts the
+// (i1, i2) pair tables of the two blocks into the arena's yz bank, b1's
+// SNPs in the lanes against each i2 of b2. Then for each chunk of the
+// run's x range, one class at a time, the class plane is walked in word
+// tiles: the chunk's x tile is transposed once per word tile, XLanes
+// counts it against every SNP of b1 ∪ b2 and TripleLanes against every
+// (i1, i2), into the pair's lane table in the class's bank — each sets on
+// the class's first tile (no class is empty: the store refuses such a
+// dataset) and adds on the others, so nothing is zeroed. The pass over
+// the class's last tile completes a pair's eight counted rows, and Derive
+// the other 19 there and then; the cases' completes the pair's two
+// tables, which are scored while they are hot.
 //
 // The class loop is outside the pair loop so that one pass's working set
-// is one x tile, one pair block and the y/z words under it (128 + 72 +
-// 32 bytes per word of tile) next to one class's bank, of which a pass
-// touches one table; FusedTileParams sizes the tile by that. The x SNPs
-// of a chunk are valid while they sort below i1, which only bites when
-// the run reaches the diagonal block b0 = b1.
+// is one x tile and the y/z words of the two blocks next to one class's
+// bank, of which a pass touches one table; FusedTileParams sizes the tile
+// by that. The x SNPs of a chunk are valid while they sort below i1, which
+// only bites when the run reaches the diagonal block b0 = b1.
 func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	m := w.s.st.SNPs()
 	bs, bw := w.bs, w.o.BlockWords
-	split := w.split
+	split, k, marg := w.split, w.lanes, w.marg
 	a := w.a
 	base1, base2 := b1*bs, b2*bs
 	lim1, lim2 := blockLim(base1, bs, m), blockLim(base2, bs, m)
 	xhi := min(b0hi*bs, base1+lim1-1) // x < i1 <= base1+lim1-1
+	if b0lo*bs >= xhi {
+		return 0
+	}
+	// SNP i of b1 ∪ b2 has XLanes counts a.xc[i-base1] in b1, and
+	// a.xc[zs+i-base2] in b2: the same slot on the diagonal b1 = b2.
+	zs := lim1
+	if b1 == b2 {
+		zs = 0
+	}
+	runs := (lim1 + contingency.Lanes - 1) / contingency.Lanes
+	for class, words := range split.Words {
+		data := split.ClassPlaneData(class)
+		for z := 0; z < lim2; z++ {
+			for y := 0; y < lim1; y += contingency.Lanes {
+				k.PairLanes(&a.yz[class][z*runs+y/contingency.Lanes], data, words, base1+y,
+					min(contingency.Lanes, lim1-y), base2+z, marg[class], int32(split.N[class]))
+			}
+		}
+	}
 	var scored int64
 	for x := b0lo * bs; x < xhi; x += contingency.Lanes {
 		nx := min(contingency.Lanes, xhi-x)
@@ -262,18 +288,27 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 		}
 		for class, words := range split.Words {
 			bank := a.bank[class][:len(pairs)]
-			blk := &a.block[class]
 			data := split.ClassPlaneData(class) // plane g of SNP i at (2i+g)*words
+			xmarg := marg[class][x : x+nx]
 			for w0 := 0; w0 < words; w0 += bw {
 				w1 := min(w0+bw, words)
-				whole := class == dataset.Case && w1 == words // the pass that completes a pair's tables
 				contingency.TransposeLanes(a.xt, data[x*2*words:(x+nx)*2*words], words, w0, w1)
-				for k, p := range pairs {
-					y, z := data[p.y*2*words:(p.y+1)*2*words], data[p.z*2*words:(p.z+1)*2*words]
-					blk.Build(y[w0:w1], y[words+w0:words+w1], z[w0:w1], z[words+w0:words+w1])
-					blk.AccumulateLanes(&bank[k], a.xt, w0 > 0)
-					if whole {
-						w.scoreLanes(x, k, p)
+				for i := range a.xc[:max(lim1, zs+lim2)] {
+					snp := base1 + i
+					if i >= lim1 {
+						snp = base2 + i - zs
+					}
+					k.XLanes(&a.xc[i], a.xt, data, words, snp, w0, w1, w0 > 0)
+				}
+				for j, p := range pairs {
+					k.TripleLanes(&bank[j], a.xt, data, words, p.y, p.z, w0, w1, w0 > 0)
+					if w1 < words {
+						continue
+					}
+					y, z := p.y-base1, p.z-base2
+					k.Derive(&bank[j], &a.xc[y], &a.xc[zs+z], xmarg, &a.yz[class][z*runs+y/contingency.Lanes], y%contingency.Lanes)
+					if class == dataset.Case {
+						w.scoreLanes(x, j, p)
 						scored += int64(p.valid)
 					}
 				}
@@ -283,20 +318,16 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	return scored
 }
 
-// scoreLanes pad-corrects the two lane tables of the chunk's k'th pair,
-// scores them where they lie and offers the valid lanes' triples
-// (x + lane, p.y, p.z). A LaneScorer is bounded by the worker's top-K: a
-// group it rejects would have been turned away lane by lane, so its
-// offers are skipped and the list goes through the states it would have
-// gone through. A lane scored above the bound in a group that is not
-// rejected is offered and turned away, as its full score would be.
-func (w *blockWorker) scoreLanes(x, k int, p lanePair) {
+// scoreLanes scores the two lane tables of the chunk's j'th pair where
+// they lie and offers the valid lanes' triples (x + lane, p.y, p.z). A
+// LaneScorer is bounded by the worker's top-K: a group it rejects would
+// have been turned away lane by lane, so its offers are skipped and the
+// list goes through the states it would have gone through. A lane scored
+// above the bound in a group that is not rejected is offered and turned
+// away, as its full score would be.
+func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 	a := w.a
-	ctrl, cases := &a.bank[dataset.Control][k], &a.bank[dataset.Case][k]
-	for lane := range ctrl[contingency.Cells-1] {
-		ctrl[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Control])
-		cases[contingency.Cells-1][lane] -= int32(w.split.Pad[dataset.Case])
-	}
+	ctrl, cases := &a.bank[dataset.Control][j], &a.bank[dataset.Case][j]
 	if w.laneScorer != nil {
 		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.Cells, p.valid, a.top.bound()) {
 			a.rejected++

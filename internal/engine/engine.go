@@ -14,40 +14,42 @@
 //	                data block fit in the L1 data cache (Algorithm 1).
 //	V4 (vector)     V3 with the multi-word lane kernels standing in for
 //	                the paper's AVX/AVX-512 intrinsics.
-//	V3F/V4F (fused) the blocked pipelines with the (i1, i2) pair-AND
-//	                planes hoisted out of the innermost loop and the
-//	                vector turned round: the nine genotype-pair products
-//	                and their popcounts are built once per pair and word
-//	                tile into an arena pair block, and one pass against
-//	                it counts eight x SNPs, one per 64-bit lane — 18
-//	                cells counted, 9 derived (contingency.PairBlock,
-//	                AccumulateLanes) — into a lane table of the worker's
-//	                BS^2 bank per class, set by a plane's first tile and
-//	                added to by the rest; the pass that completes a
-//	                pair's tables scores the eight of them where they
-//	                lie. One loop, whatever the plane length. V3F pins the
-//	                pure-Go bodies, the oracle; V4F takes the tuned ones
-//	                (AVX-512 VPOPCNTDQ where the host has it) and is the
-//	                default.
+//	V3F/V4F (fused) the blocked pipelines with the vector turned round:
+//	                eight x SNPs per pass, one per 64-bit lane, and only
+//	                the 8 cells of stored genotypes counted per (i1, i2)
+//	                — x_a & y_b & z_c straight from the split planes
+//	                (contingency.LaneKernel.TripleLanes) — into a lane
+//	                table of the worker's BS^2 bank per class, set by a
+//	                plane's first word tile and added to by the rest.
+//	                The other 19 cells are derived (Derive) from the x
+//	                lanes' pair counts against each SNP of the two
+//	                blocks (XLanes, once per chunk), the (i1, i2) pair
+//	                tables (PairLanes, once per run) and the x marginals;
+//	                the pass that completes a pair's tables scores the
+//	                eight of them where they lie. One loop, whatever the
+//	                plane length. V3F pins the pure-Go bodies, the
+//	                oracle; V4F takes the tuned ones (AVX-512 VPOPCNTDQ
+//	                where the host has it) and is the default.
 //
 // The fused loop (blocked.go, processRunLanes) runs per chunk of eight x
 // SNPs, per class, per word tile, per (i1, i2) of the block pair. Its
-// working set per word of tile is 128 bytes of x tile and 72 of pair
-// block, both read again by the next pass, over the 32 bytes of y/z words
-// the block is built from; a pass adds to one 864-byte table of the
-// class's bank. The class loop is outside the pair loop because
-// alternating classes per pair keeps two x tiles and two blocks live (53
-// KB at 16384 samples, past a 48 KiB L1d: 1.07x over the word-lane loop
-// this replaced, where one class at a time is 1.20-1.26x at 96 SNPs).
-// The lanes cost their fill — a chunk with fewer than eight x SNPs below
-// i1 pays for eight: 0.67 of the lanes are in use at 24 SNPs, 0.85 at 64,
-// 0.96 at 224 — so at 24 SNPs the word-lane loop was 1-10 % faster, at 48
-// level, from 64 up slower at every plane length. Two other
-// arrangements were measured and dropped: one block build per pair per
-// run with x tiles streamed against it (0.98x at 16384 samples, 0.76x at
-// 500), and pre-transposed 8-aligned x tiles kept per search (0.91x: a
-// claim of ceil(8/BS) block triples is not 8-aligned inside a run, and
-// half-empty chunks double the passes).
+// working set per word of tile is 128 bytes of x tile, read by every pass,
+// and the words of the two blocks' y/z planes (16 bytes per SNP, up to 2
+// BS SNPs), each read by the BS passes of its SNP; a pass adds eight rows
+// to one 864-byte table of the class's bank. The class loop is outside
+// the pair loop because alternating classes per pair keeps two x tiles
+// live. The lanes cost their fill — a chunk with fewer than eight x SNPs
+// below i1 pays for eight: 0.67 of the lanes are in use at 24 SNPs, 0.85
+// at 64, 0.96 at 224. The pass is bound by the vector operations it
+// issues per word, which is why only 8 of the 27 cells are counted per
+// (i1, i2): 24 operations per word for eight triples, where counting 18
+// against prebuilt pair planes took 54 and a plane build per pair. Two
+// arrangements of that 18-cell pass were measured and dropped, and the
+// reasons hold for this one: one block build per pair per run with x
+// tiles streamed against it (0.98x at 16384 samples, 0.76x at 500), and
+// pre-transposed 8-aligned x tiles kept per search (0.91x: a claim of
+// ceil(8/BS) block triples is not 8-aligned inside a run, and half-empty
+// chunks double the passes).
 //
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
@@ -99,11 +101,11 @@ const (
 	V3Blocked
 	// V4Vector adds the lane-vectorized kernels.
 	V4Vector
-	// V3Fused restructures V3 so the (i1, i2) pair-AND planes and their
-	// popcounts are built once per word tile and reused by eight x SNPs
-	// at a time (18 AND + 18 POPCNT per combination word instead of
-	// 3 NOR + 36 AND + 27 POPCNT), on the pure-Go bodies: the oracle
-	// pipeline of the fused kernel.
+	// V3Fused restructures V3 so eight x SNPs are counted at a time, one
+	// per lane, and only the eight cells of stored genotypes are counted
+	// per (i1, i2) (8 AND3 + 8 POPCNT per combination word instead of
+	// 3 NOR + 36 AND + 27 POPCNT; the other 19 cells are derived), on the
+	// pure-Go bodies: the oracle pipeline of the fused kernel.
 	V3Fused
 	// V4Fused is the same pipeline on the bodies chosen for the host at
 	// start-up (contingency.Kernel) — the default pipeline.
@@ -370,35 +372,30 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 }
 
 // FusedTileParams derives the fused loop's tile: the block size of
-// TileParams and a word tile from fusedTileWords for the eight x SNPs
-// of a lanes pass — per word of tile 128 bytes of x tile and 72 of pair
-// block, which every pass reads again, over three quarters of the
-// cache. The tile is a whole number of 8-word vectors (at least one), so
-// only a class's last tile is ragged.
+// TileParams and a word tile from fusedTileWords at that block size. The
+// tile is a whole number of 8-word vectors (at least one), so only a
+// class's last tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	bs, _ := TileParams(l1Bytes)
-	return bs, max(fusedTileWords(l1Bytes, contingency.Lanes)&^7, 8)
+	return bs, max(fusedTileWords(l1Bytes, bs)&^7, 8)
 }
 
-// fusedTileWords sizes the fused loop's word tile from an L1 data
-// budget. What every pass of the loop reads again are the nine cached
-// pair-AND planes and the 2*xBatch x words counted against each of their
-// words (xBatch = 8: the x tile of a lanes pass), all 64-bit words; they
-// get three quarters of the cache. The last quarter takes what streams
-// under them: the y/z words a block is built from and the one table a
-// pass adds to — the fused loop keeps no table region hot, unlike the
-// BS^3 bank TileParams reserves 7/12 for. This is the cache-residency
-// constraint that keeps the fused kernels on the L1 slope of the roofline
-// rather than spilling the pair planes to L2.
-func fusedTileWords(l1Bytes, xBatch int) int {
-	if xBatch < 1 {
-		xBatch = 1
-	}
-	bw := l1Bytes * 3 / 4 / ((9 + 2*xBatch) * 8)
-	if bw < 1 {
-		bw = 1
-	}
-	return bw
+// fusedTileWords sizes the fused loop's word tile from an L1 data budget
+// at blocks of bs SNPs. What the passes over a chunk's word tile read
+// again are its x tile — 2 x Lanes words per word of tile, read by every
+// pass — and the y/z planes of the two blocks, 2 words per word of tile
+// for each of up to 2 x bs SNPs, read by the bs passes of their SNP. They
+// get the budget less what the passes write into while the tile is hot:
+// the eight counted rows of a lane table and the chunk's XLanes counts
+// against the 2 x bs SNPs. The rest of the bank streams by, one table per
+// pass. This is the cache-residency constraint that keeps the lanes pass
+// on the L1 slope of the roofline; at the 32 KiB default and BS = 4 it
+// gives 123 words (120 in whole vectors).
+func fusedTileWords(l1Bytes, bs int) int {
+	bs = max(bs, 1)
+	perWord := (2*contingency.Lanes + 4*bs) * 8
+	written := (contingency.TripleCounted + 2*bs*contingency.PairCounted) * contingency.Lanes * 4
+	return max((l1Bytes-written)/perWord, 1)
 }
 
 // Searcher runs exhaustive searches over one dataset through its

@@ -93,17 +93,19 @@ func TestTileParams(t *testing.T) {
 }
 
 func TestFusedTileWords(t *testing.T) {
-	// 32 KiB: three quarters of the cache over 13 x 8-byte plane words,
-	// and over the 25 of a lanes pass.
-	if bw := fusedTileWords(32<<10, 2); bw != (32<<10)*3/4/104 {
-		t.Errorf("fusedTileWords(32Ki, 2) = %d", bw)
+	// 32 KiB at BS = 4: the budget less 1280 bytes of counts written
+	// (eight table rows and the XLanes counts of 8 SNPs, 32 bytes a row),
+	// over the 16 x-tile and 16 y/z words re-read per word of tile.
+	if bw := fusedTileWords(32<<10, 4); bw != ((32<<10)-1280)/256 {
+		t.Errorf("fusedTileWords(32Ki, 4) = %d, want %d", bw, ((32<<10)-1280)/256)
 	}
-	if bw := fusedTileWords(32<<10, 8); bw != 122 {
-		t.Errorf("fusedTileWords(32Ki, 8) = %d, want 122", bw)
+	if bw := fusedTileWords(32<<10, 2); bw != ((32<<10)-768)/192 {
+		t.Errorf("fusedTileWords(32Ki, 2) = %d, want %d", bw, ((32<<10)-768)/192)
 	}
-	// More streamed x planes shrink the block; tiny budgets clamp to 1.
-	if fusedTileWords(32<<10, 4) >= fusedTileWords(32<<10, 1) {
-		t.Error("word block should shrink with the x batch")
+	// Larger blocks bring more y/z planes and shrink the tile; tiny
+	// budgets clamp to 1.
+	if fusedTileWords(32<<10, 8) >= fusedTileWords(32<<10, 4) {
+		t.Error("word tile should shrink with the block")
 	}
 	if fusedTileWords(128, 2) != 1 {
 		t.Error("tiny budget should clamp to one word")

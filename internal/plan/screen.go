@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trigene/internal/combin"
-	"trigene/internal/contingency"
 )
 
 // Two-stage cost model: should a search screen, and at what survivor
@@ -17,12 +16,20 @@ import (
 // Report.
 
 // screenPairRateFactor models the stage-1 pair kernel relative to the
-// triple kernel the throughput predictions describe. Both are bound by
-// the AND+POPCNT they issue per sample word, and both derive the cells
-// they can: a triple costs TripleCounted (18) of its 27 cells, a pair
-// PairCounted (4) of its 9, so pairs scan that many times faster per
-// combination — 4.5, not the 27/9 = 3 of cell counts alone.
-const screenPairRateFactor = float64(contingency.TripleCounted) / contingency.PairCounted
+// triple kernel the throughput predictions describe: pairs scan this many
+// times faster per combination. It is a model constant, not a count read
+// off the kernels. It was set when both kernels were bound by the
+// AND+POPCNT they issue per sample word and a triple counted 18 of its 27
+// cells against a pair's 4 of 9: 18/4 = 4.5, not the 27/9 = 3 of cell
+// counts alone. The triple lanes pass now counts 8 cells per (y, z) and
+// derives 19 from pair counts it makes once per chunk and run
+// (contingency.TripleCounted), but its cost per combination is no longer
+// proportional to that count, and the throughput predictions this factor
+// scales have not been recalibrated to it. So the factor stays where it
+// was, and with it every budget-screen decision and Report.Plan; taking
+// it from a measurement is the planner's calibration work, not a change
+// of a kernel.
+const screenPairRateFactor = 4.5
 
 // minScreenSurvivors floors the survivor budget: below 3 SNPs stage 2
 // has no triples to search.

@@ -27,9 +27,15 @@ func modelScreen(t *testing.T) *ScreenDecision {
 }
 
 // TestScreenPairRateFollowsCountedCells: the model charges a pair and a
-// triple by the cells their kernels count — 4 against 18 — so one
-// scanned pair is predicted at 4/18 of one searched triple.
+// triple by the cells their kernels counted when the factor was set — 4
+// against 18 — so one scanned pair is predicted at 4/18 of one searched
+// triple. The factor is a literal: a kernel that counts fewer cells (the
+// triple lanes pass now counts 8) must not move it, and with it every
+// budget-screen decision.
 func TestScreenPairRateFollowsCountedCells(t *testing.T) {
+	if screenPairRateFactor != 4.5 {
+		t.Fatalf("screenPairRateFactor = %v, want the model constant 4.5", screenPairRateFactor)
+	}
 	model := modelScreen(t)
 	perTriple := model.PredictedExhaustiveSec / float64(combin.Triples(wl.SNPs))
 	perPair := model.PredictedStage1Sec / float64(combin.Pairs(wl.SNPs))
