@@ -104,3 +104,43 @@ func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 		t.Errorf("same-space merge failed: %v", err)
 	}
 }
+
+// TestMergeRejectsMixedBlockSizes: V4 cuts the block-triple space at
+// blocks of 4 SNPs and V4F at one lane group of 8, so their shards rank
+// different triples and must not merge, whatever their indices — nor may
+// a fused shard from before the block size was named ("block-triples", cut
+// at 4) merge with one cut at 8.
+func TestMergeRejectsMixedBlockSizes(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	shard := func(a trigene.Approach, i int) *trigene.Report {
+		t.Helper()
+		rep, err := s.Search(ctx, trigene.WithApproach(a), trigene.WithTopK(5), trigene.WithShard(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	v4 := []*trigene.Report{shard(trigene.V4Vector, 0), shard(trigene.V4Vector, 1)}
+	v4f := []*trigene.Report{shard(trigene.V4Fused, 0), shard(trigene.V4Fused, 1)}
+	if v4[0].Shard.Space != "block-triples" || v4f[0].Shard.Space != "block-triples-bs8" {
+		t.Fatalf("shard spaces %q (V4) and %q (V4F)", v4[0].Shard.Space, v4f[0].Shard.Space)
+	}
+	for _, a := range v4 {
+		for _, b := range v4f {
+			if _, err := trigene.MergeReports(a, b); err == nil {
+				t.Errorf("merged V4 shard %d with V4F shard %d", a.Shard.Index, b.Shard.Index)
+			}
+		}
+	}
+	legacy := *v4f[0]
+	legacy.Shard = &trigene.ShardInfo{Index: 0, Count: 2, Lo: 0, Hi: 10, Space: trigene.ShardSpaceBlocks}
+	if _, err := trigene.MergeReports(&legacy, v4f[1]); err == nil {
+		t.Error("merged a legacy block-triples V4F shard with a block-triples-bs8 one")
+	}
+	for _, set := range [][]*trigene.Report{v4, v4f} {
+		if _, err := trigene.MergeReports(set...); err != nil {
+			t.Errorf("%s shards did not merge: %v", set[0].Approach, err)
+		}
+	}
+}

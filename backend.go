@@ -126,8 +126,8 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 		rep.Best = rep.TopK[0]
 	}
 	space := ShardSpaceRanks
-	if res.BlockSpace {
-		space = ShardSpaceBlocks
+	if res.BlockSNPs > 0 {
+		space = blockSpaceName(res.BlockSNPs)
 	}
 	rep.Shard = shardInfo(cfg.shard, res.Space, space)
 	fillStats(rep, res.Stats)

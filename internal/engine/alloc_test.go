@@ -233,6 +233,13 @@ func TestShardedRunsMatchFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantBS := 0 // the block size the shards' ranks are cut at
+		switch {
+		case a.fused():
+			wantBS = contingency.Lanes
+		case a.blocked():
+			wantBS, _ = TileParams(l1DataBytes)
+		}
 		obj := score.NewK2(mx.Samples())
 		for _, count := range []int{2, 3, 5} {
 			merged := newTopK(obj, 7)
@@ -246,9 +253,8 @@ func TestShardedRunsMatchFull(t *testing.T) {
 				if res.Space == nil {
 					t.Fatalf("%v shard %d/%d: no Space recorded", a, i, count)
 				}
-				blocked := a.blocked()
-				if res.BlockSpace != blocked {
-					t.Errorf("%v shard: BlockSpace = %v", a, res.BlockSpace)
+				if res.BlockSNPs != wantBS {
+					t.Errorf("%v shard: BlockSNPs = %d, want %d", a, res.BlockSNPs, wantBS)
 				}
 				combos += res.Stats.Combinations
 				for _, c := range res.TopK {

@@ -13,9 +13,10 @@ import (
 // blockedRun is the blocked approaches (Algorithm 1): SNPs are grouped
 // into blocks of BS, the sample dimension is walked in tiles of
 // BlockWords 64-bit words, and each worker holds a private bank of
-// frequency tables — BS^3 tables for V3 and V4, BS^2 lane tables of
-// eight per class for the fused approaches — so the tile data and the
-// tables stay L1-resident across the intra-block combination loops.
+// frequency tables — BS^3 tables for V3 and V4 (BS = 4), BS^2 lane tables
+// of eight per class for the fused approaches (BS = 8, one lane group) —
+// so the tile data and the tables stay L1-resident across the
+// intra-block combination loops.
 //
 // One scheduler rank is one block triple (b0 <= b1 <= b2), via the
 // bijection between multisets of size 3 over nb blocks and strict
@@ -36,7 +37,7 @@ func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 			return sp, nil, err
 		}
 		b := sub.Bounds()
-		sp.src, sp.covered, sp.blocks = sub, &b, true
+		sp.src, sp.covered, sp.blockSNPs = sub, &b, o.BlockSNPs
 	}
 	if o.Progress != nil {
 		sp.items = s.blockSpaceCombos(sp.src, bs, nb)
@@ -49,8 +50,9 @@ func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 
 // blockSpace returns the run's block size, its block count and the
 // block-triple space: multiset triples over nb blocks, claimed one at a
-// time — except by the fused loop, whose claims are as many block triples
-// as fill its eight lanes with x SNPs.
+// time. The fused loop claims as many block triples as fill its eight
+// lanes with x SNPs: one at its default block of contingency.Lanes SNPs,
+// where a block triple is one aligned chunk of a run.
 func (s *Searcher) blockSpace(o *Options) (bs, nb int, src sched.Source) {
 	m := s.st.SNPs()
 	bs = min(o.BlockSNPs, m)
@@ -248,8 +250,9 @@ type lanePair struct{ y, z, valid int }
 // The class loop is outside the pair loop so that one pass's working set
 // is one x tile and the y/z words of the two blocks next to one class's
 // bank, of which a pass touches one table; FusedTileParams sizes the tile
-// by that. The x SNPs of a chunk are valid while they sort below i1, which
-// only bites when the run reaches the diagonal block b0 = b1.
+// so that the x tile, which every pass reads, stays in the L1. The x SNPs
+// of a chunk are valid while they sort below i1, which only bites when
+// the run reaches the diagonal block b0 = b1.
 func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	m := w.s.st.SNPs()
 	bs, bw := w.bs, w.o.BlockWords

@@ -33,23 +33,27 @@
 //
 // The fused loop (blocked.go, processRunLanes) runs per chunk of eight x
 // SNPs, per class, per word tile, per (i1, i2) of the block pair. Its
-// working set per word of tile is 128 bytes of x tile, read by every pass,
-// and the words of the two blocks' y/z planes (16 bytes per SNP, up to 2
-// BS SNPs), each read by the BS passes of its SNP; a pass adds eight rows
-// to one 864-byte table of the class's bank. The class loop is outside
-// the pair loop because alternating classes per pair keeps two x tiles
-// live. The lanes cost their fill — a chunk with fewer than eight x SNPs
-// below i1 pays for eight: 0.67 of the lanes are in use at 24 SNPs, 0.85
-// at 64, 0.96 at 224. The pass is bound by the vector operations it
-// issues per word, which is why only 8 of the 27 cells are counted per
-// (i1, i2): 24 operations per word for eight triples, where counting 18
-// against prebuilt pair planes took 54 and a plane build per pair. Two
+// block is one lane group (BS = 8, FusedTileParams), so a chunk is one
+// block and meets up to BS² = 64 pairs, over which its transpose and its
+// 16 XLanes are spread. Its working set per word of tile is 128 bytes of
+// x tile, read by every pass, and the words of the two blocks' y/z planes
+// (16 bytes per SNP, up to 16 SNPs), each read by the 8 passes of its
+// SNP; a pass adds eight rows to one 864-byte table of the class's bank.
+// The class loop is outside the pair loop because alternating classes
+// per pair keeps two x tiles live. The lanes cost their fill — a chunk
+// with fewer than eight x SNPs below i1 pays for eight: 0.67 of the lanes
+// are in use at 24 SNPs, 0.85 at 64, 0.96 at 224. The pass is bound by
+// the vector operations it issues per word, which is why only 8 of the 27
+// cells are counted per (i1, i2): 24 operations per word for eight
+// triples, where counting 18 against prebuilt pair planes took 54 and a
+// plane build per pair. Two
 // arrangements of that 18-cell pass were measured and dropped, and the
 // reasons hold for this one: one block build per pair per run with x
 // tiles streamed against it (0.98x at 16384 samples, 0.76x at 500), and
-// pre-transposed 8-aligned x tiles kept per search (0.91x: a claim of
-// ceil(8/BS) block triples is not 8-aligned inside a run, and half-empty
-// chunks double the passes).
+// pre-transposed 8-aligned x tiles kept per search (0.91x at BS = 4, where
+// a claim of two block triples was not 8-aligned inside a run and
+// half-empty chunks doubled the passes; at BS = 8 every chunk is aligned
+// and the transpose is 3.5 % of the time).
 //
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
@@ -221,11 +225,14 @@ type Result struct {
 	// Space is the covered slice of the scheduler's work space when
 	// Shard restricted the run; nil means the full space. Its ranks are
 	// colexicographic combination (or seed-extension) ranks, except on
-	// the blocked approaches (BlockSpace true), where they are
-	// block-triple ranks.
+	// the blocked approaches (BlockSNPs set), where they are block-triple
+	// ranks.
 	Space *sched.Tile
-	// BlockSpace reports whether Space ranks are block triples.
-	BlockSpace bool
+	// BlockSNPs is the block size (Options.BlockSNPs) whose block triples
+	// Space ranks count: 4 for V3/V4, contingency.Lanes for V3F/V4F by
+	// default. Spaces cut at different block sizes rank different
+	// triples. Zero when Space is nil or its ranks are not block triples.
+	BlockSNPs int
 }
 
 // l1DataBytes is the L1 data cache the blocked approaches' tiles are
@@ -350,8 +357,10 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 }
 
 // TileParams derives the paper's loop-tiling parameters from an L1
-// data cache budget: the frequency-table region gets ~7/12 of the
-// cache (the paper uses 7 ways) and the data block ~1/3, so
+// data cache budget. They size V3/V4, whose BS^3 bank of frequency
+// tables is what BS is sized for; FusedTileParams sizes the lanes loop.
+// The frequency-table region gets ~7/12 of the cache (the paper uses 7
+// ways) and the data block ~1/3, so
 //
 //	BS = floor(cbrt(sizeFT / (2*27*4)))          [paper's beta_int = 4]
 //	BP = sizeBlock / (BS * 4 * 2)  samples, rounded down to whole
@@ -371,31 +380,31 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	return bs, bw
 }
 
-// FusedTileParams derives the fused loop's tile: the block size of
-// TileParams and a word tile from fusedTileWords at that block size. The
-// tile is a whole number of 8-word vectors (at least one), so only a
-// class's last tile is ragged.
+// FusedTileParams derives the fused loop's tile. It keeps no BS^3 bank —
+// its unit is a chunk of contingency.Lanes x SNPs — so its block is one
+// lane group: a block-triple rank is then one aligned chunk of one run,
+// and each chunk's transpose and its XLanes against the two blocks serve
+// all BS² = 64 of its (i1, i2) pairs. The word tile comes from
+// fusedTileWords and is a whole number of 8-word vectors (at least one),
+// so only a class's last tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
-	bs, _ := TileParams(l1Bytes)
-	return bs, max(fusedTileWords(l1Bytes, bs)&^7, 8)
+	return contingency.Lanes, max(fusedTileWords(l1Bytes)&^7, 8)
 }
 
-// fusedTileWords sizes the fused loop's word tile from an L1 data budget
-// at blocks of bs SNPs. What the passes over a chunk's word tile read
-// again are its x tile — 2 x Lanes words per word of tile, read by every
-// pass — and the y/z planes of the two blocks, 2 words per word of tile
-// for each of up to 2 x bs SNPs, read by the bs passes of their SNP. They
-// get the budget less what the passes write into while the tile is hot:
-// the eight counted rows of a lane table and the chunk's XLanes counts
-// against the 2 x bs SNPs. The rest of the bank streams by, one table per
-// pass. This is the cache-residency constraint that keeps the lanes pass
-// on the L1 slope of the roofline; at the 32 KiB default and BS = 4 it
-// gives 123 words (120 in whole vectors).
-func fusedTileWords(l1Bytes, bs int) int {
-	bs = max(bs, 1)
-	perWord := (2*contingency.Lanes + 4*bs) * 8
-	written := (contingency.TripleCounted + 2*bs*contingency.PairCounted) * contingency.Lanes * 4
-	return max((l1Bytes-written)/perWord, 1)
+// fusedTileWords sizes the fused loop's word tile from an L1 data budget.
+// Of what the passes over a chunk's word tile read, only the x tile — 2 x
+// Lanes words per word of tile — is read by every one of the chunk's 64
+// passes; a y or z word is read only by the 8 passes of its SNP, and the
+// pair loop walks one z at a time, so the y/z words stream through the
+// cache rather than live in it. The x tile gets half the budget, less the
+// eight counted rows a pass writes; the y/z stream and the XLanes counts
+// have the other half. At the 32 KiB default that is 126 words (120 in
+// whole vectors): at 16384 samples 120 ran ahead of 96 and 72 on one
+// shape and level with them on the other, and tiles of 72 words and up
+// hold a whole class of 8192 samples, so the width cannot move those.
+func fusedTileWords(l1Bytes int) int {
+	written := contingency.TripleCounted * contingency.Lanes * 4
+	return max((l1Bytes/2-written)/(2*contingency.Lanes*8), 1)
 }
 
 // Searcher runs exhaustive searches over one dataset through its

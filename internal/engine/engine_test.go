@@ -80,34 +80,44 @@ func TestTileParams(t *testing.T) {
 	if bsT < 2 || bwT < 1 {
 		t.Errorf("tiny cache params %d/%d", bsT, bwT)
 	}
-	// The fused tile is whole 8-word vectors, at least one, and shares BS.
+	// The fused block is one lane group whatever the cache, claimed one
+	// block triple (one aligned chunk of a run) at a time, and its word
+	// tile is whole 8-word vectors, at least one.
 	for _, l1 := range []int{1024, 32 << 10, 48 << 10} {
-		bs, _ := TileParams(l1)
-		if fbs, fbw := FusedTileParams(l1); fbs != bs || fbw < 8 || fbw%8 != 0 {
-			t.Errorf("FusedTileParams(%d) = %d/%d, want BS %d and whole vectors", l1, fbs, fbw, bs)
+		if fbs, fbw := FusedTileParams(l1); fbs != contingency.Lanes || fbw < 8 || fbw%8 != 0 {
+			t.Errorf("FusedTileParams(%d) = %d/%d, want BS %d and whole vectors", l1, fbs, fbw, contingency.Lanes)
 		}
 	}
 	if _, fbw := FusedTileParams(32 << 10); fbw != 120 {
 		t.Errorf("fused word tile for 32 KiB = %d, want 120", fbw)
 	}
+	s, err := New(randomMatrix(5, 40, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Approach{V3Fused, V4Fused} {
+		o, err := Options{Approach: a}.withDefaults(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs, _, src := s.blockSpace(&o); bs != contingency.Lanes || src.Grain() != 1 {
+			t.Errorf("%v default block %d SNPs claimed %d block triples at a time, want %d and 1", a, bs, src.Grain(), contingency.Lanes)
+		}
+	}
 }
 
 func TestFusedTileWords(t *testing.T) {
-	// 32 KiB at BS = 4: the budget less 1280 bytes of counts written
-	// (eight table rows and the XLanes counts of 8 SNPs, 32 bytes a row),
-	// over the 16 x-tile and 16 y/z words re-read per word of tile.
-	if bw := fusedTileWords(32<<10, 4); bw != ((32<<10)-1280)/256 {
-		t.Errorf("fusedTileWords(32Ki, 4) = %d, want %d", bw, ((32<<10)-1280)/256)
+	// 32 KiB: half the budget less the 256 bytes of counted rows a pass
+	// writes (eight rows of eight lanes), over the 128 bytes of x tile
+	// per word of tile.
+	if bw := fusedTileWords(32 << 10); bw != ((16<<10)-256)/128 {
+		t.Errorf("fusedTileWords(32Ki) = %d, want %d", bw, ((16<<10)-256)/128)
 	}
-	if bw := fusedTileWords(32<<10, 2); bw != ((32<<10)-768)/192 {
-		t.Errorf("fusedTileWords(32Ki, 2) = %d, want %d", bw, ((32<<10)-768)/192)
+	if bw := fusedTileWords(48 << 10); bw != ((24<<10)-256)/128 {
+		t.Errorf("fusedTileWords(48Ki) = %d, want %d", bw, ((24<<10)-256)/128)
 	}
-	// Larger blocks bring more y/z planes and shrink the tile; tiny
-	// budgets clamp to 1.
-	if fusedTileWords(32<<10, 8) >= fusedTileWords(32<<10, 4) {
-		t.Error("word tile should shrink with the block")
-	}
-	if fusedTileWords(128, 2) != 1 {
+	// Tiny budgets clamp to 1.
+	if fusedTileWords(128) != 1 {
 		t.Error("tiny budget should clamp to one word")
 	}
 }

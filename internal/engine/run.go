@@ -16,10 +16,10 @@ type space struct {
 	// a Progress callback will read it).
 	items int64
 	// covered is the slice of the full space Shard restricted the run
-	// to (nil: all of it); blocks reports that its ranks are block
-	// triples.
-	covered *sched.Tile
-	blocks  bool
+	// to (nil: all of it); blockSNPs is the block size whose block
+	// triples its ranks count (0: they are not block triples).
+	covered   *sched.Tile
+	blockSNPs int
 	// order is the candidates' SNP count. kind labels the run's sched
 	// series ("flat", "blocked", "pair", "kway" or "seeded") and approach
 	// its engine series (V1..V4F on the order-3 pipelines, else kind).
@@ -111,7 +111,7 @@ func (s *Searcher) run(o *Options, sp space, body tiler) (*Result, error) {
 		return n, err
 	})
 
-	res := &Result{Order: sp.order, Space: sp.covered, BlockSpace: sp.blocks}
+	res := &Result{Order: sp.order, Space: sp.covered, BlockSNPs: sp.blockSNPs}
 	merged := newTopK(o.Objective, o.TopK)
 	for _, w := range workers {
 		merged.merge(w.a.top)

@@ -20,18 +20,20 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		return 0, nil
 	}
 	r.mu.Lock()
-	// Snapshot the family list, then release: GaugeFunc collectors may
-	// take their own locks (the coordinator's scrape takes c.mu) and
-	// concurrent registration must not deadlock against a scrape.
-	fams := make([]*family, 0, len(r.order))
+	// Snapshot each family's collector and sorted series, then release:
+	// registration inserts into the series maps while a scrape formats,
+	// GaugeFunc collectors may take their own locks (the coordinator's
+	// scrape takes c.mu) and concurrent registration must not deadlock
+	// against a scrape.
+	views := make([]familyView, 0, len(r.order))
 	for _, name := range r.order {
-		fams = append(fams, r.families[name])
+		views = append(views, r.families[name].view())
 	}
 	r.mu.Unlock()
 
 	cw := &countWriter{w: w}
-	for _, f := range fams {
-		if err := f.write(cw); err != nil {
+	for _, v := range views {
+		if err := v.write(cw); err != nil {
 			return cw.n, err
 		}
 	}
@@ -66,7 +68,33 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (f *family) write(w io.Writer) error {
+// familyView is what a scrape formats of one family, taken under the
+// registry's lock: the family, whose name, help, kind and buckets never
+// change once registered, its collector, and its series sorted by label
+// signature. The metrics' values are read atomically while formatting.
+type familyView struct {
+	f      *family
+	fn     func() []Sample
+	sigs   []string
+	series []any
+}
+
+// view snapshots f; the caller holds the registry's lock.
+func (f *family) view() familyView {
+	v := familyView{f: f, fn: f.fn, sigs: make([]string, 0, len(f.series))}
+	for sig := range f.series {
+		v.sigs = append(v.sigs, sig)
+	}
+	sort.Strings(v.sigs)
+	v.series = make([]any, len(v.sigs))
+	for i, sig := range v.sigs {
+		v.series[i] = f.series[sig]
+	}
+	return v
+}
+
+func (v familyView) write(w io.Writer) error {
+	f := v.f
 	var b strings.Builder
 	if f.help != "" {
 		b.WriteString("# HELP ")
@@ -82,20 +110,15 @@ func (f *family) write(w io.Writer) error {
 	b.WriteByte('\n')
 
 	if f.kind == kindGaugeFunc {
-		for _, s := range f.fn() {
+		for _, s := range v.fn() {
 			writeSeries(&b, f.name, labelString(s.Labels), s.Value)
 		}
 		_, err := io.WriteString(w, b.String())
 		return err
 	}
 
-	sigs := make([]string, 0, len(f.series))
-	for sig := range f.series {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		switch m := f.series[sig].(type) {
+	for i, sig := range v.sigs {
+		switch m := v.series[i].(type) {
 		case *Counter:
 			writeSeries(&b, f.name, sig, float64(m.Value()))
 		case *Gauge:

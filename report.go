@@ -2,6 +2,7 @@ package trigene
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"trigene/internal/score"
@@ -23,11 +24,25 @@ const (
 	// ShardSpaceRanks: colexicographic combination ranks (flat CPU
 	// approaches, orders 2 and k, gpusim, baseline, hetero).
 	ShardSpaceRanks = "combination-ranks"
-	// ShardSpaceBlocks: block-triple ranks (the blocked CPU approaches
-	// V3/V4/V3F/V4F, whose cache tiles are the indivisible work unit;
-	// the default of a CPU order-3 shard).
+	// ShardSpaceBlocks: block-triple ranks at blocks of 4 SNPs (the
+	// blocked CPU approaches V3/V4, whose cache tiles are the
+	// indivisible work unit). Block triples at any other block size BS
+	// are named ShardSpaceBlocks + "-bs" + BS.
 	ShardSpaceBlocks = "block-triples"
+	// ShardSpaceFusedBlocks: block-triple ranks at blocks of 8 SNPs, one
+	// lane group (V3F/V4F, the default of a CPU order-3 shard). Fused
+	// shards from before the block size was named cut blocks of 4 and
+	// are labelled ShardSpaceBlocks, so they do not merge with these.
+	ShardSpaceFusedBlocks = ShardSpaceBlocks + "-bs8"
 )
+
+// blockSpaceName names the block-triple space cut at blocks of bs SNPs.
+func blockSpaceName(bs int) string {
+	if bs == 4 {
+		return ShardSpaceBlocks
+	}
+	return ShardSpaceBlocks + "-bs" + strconv.Itoa(bs)
+}
 
 // ShardInfo records which slice of the scheduler's work space a
 // sharded Report covers.
@@ -38,7 +53,8 @@ type ShardInfo struct {
 	// Lo and Hi are the covered ranks [Lo, Hi) in Space units.
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-	// Space names the rank units: ShardSpaceRanks or ShardSpaceBlocks.
+	// Space names the rank units: ShardSpaceRanks, or ShardSpaceBlocks
+	// with the block size when it is not 4.
 	Space string `json:"space"`
 }
 
@@ -233,10 +249,12 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		// Shards only union back to the full space when they sliced the
 		// SAME space: a rank shard (V2, gpusim, ...) and a block-triple
 		// shard (V3/V4) of the same (index, count) cover different
-		// triples, so mixing them would silently double-count some
-		// combinations and drop others. (One way to mix them by
-		// accident: autotuning one shard of a search but not another —
-		// the planner may repick the approach and with it the space.)
+		// triples, and so do block-triple shards cut at different block
+		// sizes (V4's 4 SNPs, V4F's 8), so mixing them would silently
+		// double-count some combinations and drop others. (One way to
+		// mix them by accident: autotuning one shard of a search but not
+		// another — the planner may repick the approach and with it the
+		// space.)
 		if r.Shard != nil && r.Shard.Space != "" {
 			if space == "" {
 				space = r.Shard.Space

@@ -150,7 +150,7 @@ func TestSessionShardBitExact(t *testing.T) {
 		if rep.Shard == nil || rep.Shard.Index != i || rep.Shard.Count != shards {
 			t.Fatalf("shard %d info: %+v", i, rep.Shard)
 		}
-		if rep.Approach != full.Approach || rep.Shard.Space != trigene.ShardSpaceBlocks {
+		if rep.Approach != full.Approach || rep.Shard.Space != trigene.ShardSpaceFusedBlocks {
 			t.Errorf("shard %d ran %q over %q, want the unsharded default %q over block triples",
 				i, rep.Approach, rep.Shard.Space, full.Approach)
 		}
@@ -224,8 +224,8 @@ func TestSessionShardEverywhere(t *testing.T) {
 		{"cpu order 4", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithOrder(4), trigene.WithShard(0, 2)}},
 		{"cpu V3 pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Blocked), trigene.WithShard(0, 2)}},
 		{"cpu V4 pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Vector), trigene.WithShard(0, 2)}},
-		{"cpu V3F pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Fused), trigene.WithShard(0, 2)}},
-		{"cpu V4F pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Fused), trigene.WithShard(0, 2)}},
+		{"cpu V3F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Fused), trigene.WithShard(0, 2)}},
+		{"cpu V4F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Fused), trigene.WithShard(0, 2)}},
 	}
 	for _, tc := range cases {
 		rep, err := s.Search(ctx, tc.opts...)

@@ -184,7 +184,7 @@ func TestShortPlaneShardMergeParity(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%d samples, %s %v shard %d/%d: %v", samples, objective, approach, i, count, err)
 						}
-						if rep.Shard == nil || rep.Shard.Space != "block-triples" {
+						if rep.Shard == nil || rep.Shard.Space != trigene.ShardSpaceFusedBlocks {
 							t.Fatalf("%d samples, %s %v shard %d/%d info: %+v", samples, objective, approach, i, count, rep.Shard)
 						}
 						parts = append(parts, rep)
