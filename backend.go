@@ -58,11 +58,12 @@ func shardInfo(sp *shardSpec, space *sched.Tile, units string) *ShardInfo {
 
 type cpuBackend struct{}
 
-// CPU returns the host CPU backend: the paper's four approaches across
-// a dynamically scheduled worker pool fed by the tile scheduler. It
-// supports every interaction order, top-K ranking, and sharding on
-// every order and approach (V1/V2 and orders 2/k slice the
-// combination-rank space; V3/V4 slice the block-triple space).
+// CPU returns the host CPU backend: the paper's four approaches and the
+// fused V3F/V4F across a dynamically scheduled worker pool fed by the
+// tile scheduler. It supports every interaction order, top-K ranking,
+// and sharding on every order and approach (V1/V2 and orders 2/k slice
+// the combination-rank space; V3/V4 slice block triples of 4 SNPs,
+// V3F/V4F block triples of 8).
 func CPU() Backend { return cpuBackend{} }
 
 // Name implements Backend.

@@ -82,21 +82,6 @@ func (v *Vector) Set(i int) {
 	v.w[i/WordBits] |= 1 << (uint(i) % WordBits)
 }
 
-// Clear sets bit i to 0.
-func (v *Vector) Clear(i int) {
-	v.check(i)
-	v.w[i/WordBits] &^= 1 << (uint(i) % WordBits)
-}
-
-// SetTo sets bit i to the given value.
-func (v *Vector) SetTo(i int, bit bool) {
-	if bit {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
 // Get reports whether bit i is 1.
 func (v *Vector) Get(i int) bool {
 	v.check(i)
@@ -112,26 +97,6 @@ func (v *Vector) check(i int) {
 // OnesCount returns the number of set bits.
 func (v *Vector) OnesCount() int { return PopCount(v.w) }
 
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	w := make([]uint64, len(v.w))
-	copy(w, v.w)
-	return &Vector{n: v.n, w: w}
-}
-
-// Equal reports whether v and o have the same length and bits.
-func (v *Vector) Equal(o *Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i := range v.w {
-		if v.w[i] != o.w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the vector as a 0/1 string, bit 0 first. Intended for
 // tests and small examples only.
 func (v *Vector) String() string {
@@ -144,71 +109,6 @@ func (v *Vector) String() string {
 		}
 	}
 	return string(b)
-}
-
-// And sets v = a & b. All three vectors must have the same length.
-func (v *Vector) And(a, b *Vector) {
-	v.pairCheck(a, b)
-	for i := range v.w {
-		v.w[i] = a.w[i] & b.w[i]
-	}
-}
-
-// Or sets v = a | b.
-func (v *Vector) Or(a, b *Vector) {
-	v.pairCheck(a, b)
-	for i := range v.w {
-		v.w[i] = a.w[i] | b.w[i]
-	}
-}
-
-// Xor sets v = a ^ b.
-func (v *Vector) Xor(a, b *Vector) {
-	v.pairCheck(a, b)
-	for i := range v.w {
-		v.w[i] = a.w[i] ^ b.w[i]
-	}
-}
-
-// AndNot sets v = a &^ b.
-func (v *Vector) AndNot(a, b *Vector) {
-	v.pairCheck(a, b)
-	for i := range v.w {
-		v.w[i] = a.w[i] &^ b.w[i]
-	}
-}
-
-// Nor sets v = ^(a | b), masking tail bits so the invariant holds.
-// This is the genotype-2 inference primitive from the paper: with only
-// the genotype-0 and genotype-1 planes stored, the genotype-2 plane is
-// NOR(plane0, plane1).
-func (v *Vector) Nor(a, b *Vector) {
-	v.pairCheck(a, b)
-	for i := range v.w {
-		v.w[i] = ^(a.w[i] | b.w[i])
-	}
-	if len(v.w) > 0 {
-		v.w[len(v.w)-1] &= TailMask(v.n)
-	}
-}
-
-// Not sets v = ^a, masking tail bits.
-func (v *Vector) Not(a *Vector) {
-	if v.n != a.n {
-		panic("bitvec: length mismatch")
-	}
-	for i := range v.w {
-		v.w[i] = ^a.w[i]
-	}
-	if len(v.w) > 0 {
-		v.w[len(v.w)-1] &= TailMask(v.n)
-	}
-}
-
-func (v *Vector) pairCheck(a, b *Vector) {
-	if v.n != a.n || v.n != b.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d/%d/%d", v.n, a.n, b.n))
-	}
 }
 
 // PopCount returns the total number of set bits across the words.

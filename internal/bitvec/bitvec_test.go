@@ -52,24 +52,6 @@ func TestSetGetClear(t *testing.T) {
 	if v.OnesCount() != len(idx) {
 		t.Errorf("OnesCount = %d, want %d", v.OnesCount(), len(idx))
 	}
-	for _, i := range idx {
-		v.Clear(i)
-	}
-	if v.OnesCount() != 0 {
-		t.Errorf("OnesCount after clear = %d, want 0", v.OnesCount())
-	}
-}
-
-func TestSetTo(t *testing.T) {
-	v := New(10)
-	v.SetTo(3, true)
-	if !v.Get(3) {
-		t.Error("SetTo(3,true) did not set")
-	}
-	v.SetTo(3, false)
-	if v.Get(3) {
-		t.Error("SetTo(3,false) did not clear")
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -78,7 +60,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { v.Get(10) },
 		func() { v.Get(-1) },
 		func() { v.Set(10) },
-		func() { v.Clear(-1) },
+		func() { v.Set(-1) },
 	} {
 		func() {
 			defer func() {
@@ -131,84 +113,6 @@ func TestFromWordsDirtyTailPanics(t *testing.T) {
 	FromWords(10, []uint64{1 << 11})
 }
 
-func randVec(r *rand.Rand, n int) *Vector {
-	v := New(n)
-	for i := 0; i < n; i++ {
-		if r.Intn(2) == 1 {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
-func TestBooleanOpsAgainstBitLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 63, 64, 65, 200, 1024} {
-		a, b := randVec(r, n), randVec(r, n)
-		and, or, xor, andnot, nor, not := New(n), New(n), New(n), New(n), New(n), New(n)
-		and.And(a, b)
-		or.Or(a, b)
-		xor.Xor(a, b)
-		andnot.AndNot(a, b)
-		nor.Nor(a, b)
-		not.Not(a)
-		for i := 0; i < n; i++ {
-			ab, bb := a.Get(i), b.Get(i)
-			if and.Get(i) != (ab && bb) {
-				t.Fatalf("n=%d And bit %d wrong", n, i)
-			}
-			if or.Get(i) != (ab || bb) {
-				t.Fatalf("n=%d Or bit %d wrong", n, i)
-			}
-			if xor.Get(i) != (ab != bb) {
-				t.Fatalf("n=%d Xor bit %d wrong", n, i)
-			}
-			if andnot.Get(i) != (ab && !bb) {
-				t.Fatalf("n=%d AndNot bit %d wrong", n, i)
-			}
-			if nor.Get(i) != (!ab && !bb) {
-				t.Fatalf("n=%d Nor bit %d wrong", n, i)
-			}
-			if not.Get(i) != !ab {
-				t.Fatalf("n=%d Not bit %d wrong", n, i)
-			}
-		}
-		// Tail invariant must hold for the complementing ops.
-		for _, v := range []*Vector{nor, not} {
-			if len(v.w) > 0 && v.w[len(v.w)-1]&^TailMask(n) != 0 {
-				t.Fatalf("n=%d tail bits leaked", n)
-			}
-		}
-	}
-}
-
-func TestLengthMismatchPanics(t *testing.T) {
-	a, b, dst := New(10), New(11), New(10)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for length mismatch")
-		}
-	}()
-	dst.And(a, b)
-}
-
-func TestCloneEqual(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	a := randVec(r, 100)
-	c := a.Clone()
-	if !a.Equal(c) {
-		t.Fatal("clone not equal to original")
-	}
-	c.Set(0)
-	c.Clear(1)
-	if a.Equal(c) && (a.Get(0) != c.Get(0) || a.Get(1) != c.Get(1)) {
-		t.Fatal("mutating clone affected original comparison")
-	}
-	if a.Equal(New(101)) {
-		t.Fatal("vectors of different length compared equal")
-	}
-}
-
 func TestString(t *testing.T) {
 	v := New(5)
 	v.Set(1)
@@ -218,8 +122,9 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: NOR-derived plane equals direct complement of union, and
-// the three planes of a partition always popcount to n.
+// Property: the NOR-derived plane of two disjoint planes completes the
+// partition — the three planes popcount to n once the tail is masked,
+// and to every bit of the words, pad bits included, before.
 func TestNorPartitionProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw%500) + 1
@@ -234,9 +139,14 @@ func TestNorPartitionProperty(t *testing.T) {
 				p1.Set(i)
 			}
 		}
-		p2 := New(n)
-		p2.Nor(p0, p1)
-		return p0.OnesCount()+p1.OnesCount()+p2.OnesCount() == n
+		p2 := make([]uint64, WordsFor(n))
+		Nor(p2, p0.Words(), p1.Words())
+		stored := p0.OnesCount() + p1.OnesCount()
+		if stored+PopCount(p2) != len(p2)*WordBits {
+			return false
+		}
+		p2[len(p2)-1] &= TailMask(n)
+		return stored+PopCount(p2) == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

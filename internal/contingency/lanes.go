@@ -61,8 +61,8 @@ func TransposeLanes(dst, src []uint64, words, w0, w1 int) {
 //
 // Of a triple's 27 cells per class, eight are counted per (y, z): the
 // products of stored planes, x_a ∧ y_b ∧ z_c for a, b, c in {0, 1}. The
-// pair cells x_a ∧ s_b are counted once per SNP s the chunk meets, the
-// (y, z) tables once per run, and |x_a| once per search.
+// pair cells x_a ∧ s_b are counted once per SNP s the x lanes meet, the
+// (y, z) tables once per block pair they meet, and |x_a| once per search.
 // Every sample carries exactly one genotype of each SNP, so the other 19
 // cells are sums of those minus counted ones (Derive). No genotype-2 plane
 // is formed, so pad bits never enter a count and the tables need no pad

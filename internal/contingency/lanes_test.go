@@ -312,12 +312,13 @@ func FuzzLanesAccumulate(f *testing.F) {
 // of a 500-sample class, one vector, an 8192-sample class, a default tile,
 // a 16384-sample class of one tile and a bit, and two tiles and a bit:
 // TripleLanes for one (y, z), XLanes for one SNP, and as pair/ what one
-// (y, z) of a chunk costs at the default block of 4 SNPs — 16 TripleLanes,
-// 8 XLanes and 16 Derive calls, reported per pair — with planes longer than
-// a default tile walked in tiles, the later ones adding, the way the
-// engine walks them; and the transpose that feeds it and one Derive.
+// (y, z) of a block triple costs at the engine's fused block of Lanes SNPs
+// — 64 TripleLanes, 16 XLanes and 64 Derive calls, reported per pair —
+// with planes longer than a default tile walked in tiles, the later ones
+// adding, the way the engine walks them; and the transpose that feeds it
+// and one Derive.
 func BenchmarkLanes(b *testing.B) {
-	const tile, bs = 120, 4
+	const tile, bs = 120, Lanes
 	var derived bool
 	for _, words := range []int{4, 8, 64, 120, 137, 256} {
 		r := rand.New(rand.NewSource(5))

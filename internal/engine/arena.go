@@ -25,12 +25,12 @@ type arena struct {
 	// block is one pair block per class: the seeded extension's cached
 	// seed pair over the whole class plane.
 	block [2]contingency.PairBlock
-	// yz, xt, xc, pairs, bank and laneScore are the fused loop's scratch:
-	// per class the (i1, i2) pair tables of the run in hand, eight i1 to
-	// a lane table per i2; and for the 8-SNP x chunk in hand its x tile
-	// over the word tile in hand, its XLanes counts against each SNP of
-	// the two blocks, the (i1, i2) pairs it meets, per class one lane
-	// table per pair, and the scores of a pair's eight tables.
+	// yz, xt, xc, pairs, bank and laneScore are the fused loop's scratch
+	// for the block triple in hand: per class the (i1, i2) pair tables of
+	// its blocks b1 and b2, b1's SNPs in the lanes of one lane table per
+	// i2; its x tile over the word tile in hand, the XLanes counts against
+	// each SNP of b1 ∪ b2, the (i1, i2) pairs the x SNPs meet, per class
+	// one lane table per pair, and the scores of a pair's eight tables.
 	yz        [2][]contingency.LaneTable
 	xt        []uint64
 	xc        []contingency.XCounts
@@ -76,9 +76,10 @@ func (a *arena) sizeTables(n int) {
 	a.tables = a.tables[:n]
 }
 
-// sizeLanes sizes the fused loop's scratch for blocks of bs SNPs and
-// word tiles of up to tile words.
-func (a *arena) sizeLanes(bs, tile int) {
+// sizeLanes sizes the fused loop's scratch for word tiles of up to tile
+// words.
+func (a *arena) sizeLanes(tile int) {
+	const bs = contingency.Lanes
 	if n := contingency.LaneTileWords(tile); cap(a.xt) < n {
 		a.xt = make([]uint64, n)
 	}
@@ -88,13 +89,12 @@ func (a *arena) sizeLanes(bs, tile int) {
 	if cap(a.pairs) < bs*bs {
 		a.pairs = make([]lanePair, 0, bs*bs)
 	}
-	runs := bs * ((bs + contingency.Lanes - 1) / contingency.Lanes)
 	for class := range a.bank {
 		if len(a.bank[class]) < bs*bs {
 			a.bank[class] = make([]contingency.LaneTable, bs*bs)
 		}
-		if len(a.yz[class]) < runs {
-			a.yz[class] = make([]contingency.LaneTable, runs)
+		if len(a.yz[class]) < bs {
+			a.yz[class] = make([]contingency.LaneTable, bs)
 		}
 	}
 }

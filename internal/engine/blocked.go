@@ -50,18 +50,12 @@ func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 
 // blockSpace returns the run's block size, its block count and the
 // block-triple space: multiset triples over nb blocks, claimed one at a
-// time. The fused loop claims as many block triples as fill its eight
-// lanes with x SNPs: one at its default block of contingency.Lanes SNPs,
-// where a block triple is one aligned chunk of a run.
+// time.
 func (s *Searcher) blockSpace(o *Options) (bs, nb int, src sched.Source) {
 	m := s.st.SNPs()
 	bs = min(o.BlockSNPs, m)
 	nb = combin.TripleBlocks(m, bs)
-	grain := 1
-	if o.Approach.fused() {
-		grain = (contingency.Lanes + bs - 1) / bs
-	}
-	return bs, nb, sched.NewSource(0, combin.Triples(nb+2), int64(grain))
+	return bs, nb, sched.NewSource(0, combin.Triples(nb+2), 1)
 }
 
 // blockSpaceCombos counts the combinations covered by a range of
@@ -128,7 +122,7 @@ func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, bs,
 	w := &blockWorker{s: s, o: o, split: split, bs: bs, nb: nb, a: a}
 	switch {
 	case o.Approach.fused():
-		a.sizeLanes(bs, min(o.BlockWords, max(split.Words[0], split.Words[1])))
+		a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
 		w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
 		if o.Approach != V3Fused {
 			w.laneScorer, _ = o.Objective.(score.LaneScorer)
@@ -146,15 +140,16 @@ func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, bs,
 // tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
 // returns how many combinations it scored.
 func (w *blockWorker) tile(t sched.Tile) (int64, error) {
-	if w.o.Approach.fused() {
-		return w.tileLanes(t), nil
-	}
 	var scored int64
 	for rank := t.Lo; rank < t.Hi; rank++ {
 		// Unrank the multiset triple: strict triple over nb+2 minus the
 		// staircase offsets.
 		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		scored += w.processBlockTriple(a, b-1, c-2)
+		if w.o.Approach.fused() {
+			scored += w.processBlockLanes(a, b-1, c-2)
+		} else {
+			scored += w.processBlockTriple(a, b-1, c-2)
+		}
 	}
 	w.a.scored += scored
 	return scored, nil
@@ -210,58 +205,41 @@ func (w *blockWorker) processBlockTriple(b0, b1, b2 int) int64 {
 	return w.scoreTables(base0, base1, base2, lim0, lim1, lim2)
 }
 
-// tileLanes is tile for the fused approaches. b0 is the fastest coordinate
-// of the unranking, so the ranks sharing (b1, b2) are consecutive and
-// their x SNPs are one contiguous range: the tile is cut into such runs,
-// however it was cut out of the space.
-func (w *blockWorker) tileLanes(t sched.Tile) int64 {
-	var scored int64
-	for rank := t.Lo; rank < t.Hi; {
-		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		b0, b1, b2 := a, b-1, c-2
-		n := min(int64(b1-b0+1), t.Hi-rank) // b0 runs up to b1
-		scored += w.processRunLanes(b0, b0+int(n), b1, b2)
-		rank += n
-	}
-	w.a.scored += scored
-	return scored
-}
-
-// lanePair is one (i1, i2) a chunk of eight x SNPs meets: its two SNPs
-// and how many of the chunk's lanes sort below i1. Its tables are the
-// two lane tables at its position in the arena's banks.
+// lanePair is one (i1, i2) the block triple's eight x SNPs meet: its two
+// SNPs and how many of the lanes sort below i1. Its tables are the two
+// lane tables at its position in the arena's banks.
 type lanePair struct{ y, z, valid int }
 
-// processRunLanes evaluates the block triples (b0, b1, b2) for b0 in
-// [b0lo, b0hi), eight x SNPs at a time — the fused approaches' one loop,
-// whatever the plane length. Once per run and class, PairLanes puts the
-// (i1, i2) pair tables of the two blocks into the arena's yz bank, b1's
-// SNPs in the lanes against each i2 of b2. Then for each chunk of the
-// run's x range, one class at a time, the class plane is walked in word
-// tiles: the chunk's x tile is transposed once per word tile, XLanes
-// counts it against every SNP of b1 ∪ b2 and TripleLanes against every
-// (i1, i2), into the pair's lane table in the class's bank — each sets on
-// the class's first tile (no class is empty: the store refuses such a
-// dataset) and adds on the others, so nothing is zeroed. The pass over
-// the class's last tile completes a pair's eight counted rows, and Derive
-// the other 19 there and then; the cases' completes the pair's two
-// tables, which are scored while they are hot.
+// processBlockLanes evaluates the block triple (b0, b1, b2) of blocks of
+// contingency.Lanes SNPs, b0's SNPs in the lanes — the fused approaches'
+// one loop, whatever the plane length. Once per class, PairLanes puts the
+// (i1, i2) pair tables of b1 and b2 into the arena's yz bank, b1's SNPs in
+// the lanes against each i2 of b2. Then, one class at a time, the class
+// plane is walked in word tiles: the x tile is transposed once per word
+// tile, XLanes counts it against every SNP of b1 ∪ b2 and TripleLanes
+// against every (i1, i2), into the pair's lane table in the class's bank
+// — each sets on the class's first tile (no class is empty: the store
+// refuses such a dataset) and adds on the others, so nothing is zeroed.
+// The pass over the class's last tile completes a pair's eight counted
+// rows, and Derive the other 19 there and then; the cases' completes the
+// pair's two tables, which are scored while they are hot.
 //
 // The class loop is outside the pair loop so that one pass's working set
 // is one x tile and the y/z words of the two blocks next to one class's
 // bank, of which a pass touches one table; FusedTileParams sizes the tile
 // so that the x tile, which every pass reads, stays in the L1. The x SNPs
-// of a chunk are valid while they sort below i1, which only bites when
-// the run reaches the diagonal block b0 = b1.
-func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
+// are valid while they sort below i1, which only bites on the diagonal
+// block b0 = b1.
+func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
+	const bs = contingency.Lanes
 	m := w.s.st.SNPs()
-	bs, bw := w.bs, w.o.BlockWords
+	bw := w.o.BlockWords
 	split, k, marg := w.split, w.lanes, w.marg
 	a := w.a
-	base1, base2 := b1*bs, b2*bs
+	x, base1, base2 := b0*bs, b1*bs, b2*bs
 	lim1, lim2 := blockLim(base1, bs, m), blockLim(base2, bs, m)
-	xhi := min(b0hi*bs, base1+lim1-1) // x < i1 <= base1+lim1-1
-	if b0lo*bs >= xhi {
+	nx := min(bs, base1+lim1-1-x) // x + lane < i1 <= base1+lim1-1
+	if nx <= 0 {
 		return 0
 	}
 	// SNP i of b1 ∪ b2 has XLanes counts a.xc[i-base1] in b1, and
@@ -270,50 +248,43 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	if b1 == b2 {
 		zs = 0
 	}
-	runs := (lim1 + contingency.Lanes - 1) / contingency.Lanes
 	for class, words := range split.Words {
 		data := split.ClassPlaneData(class)
 		for z := 0; z < lim2; z++ {
-			for y := 0; y < lim1; y += contingency.Lanes {
-				k.PairLanes(&a.yz[class][z*runs+y/contingency.Lanes], data, words, base1+y,
-					min(contingency.Lanes, lim1-y), base2+z, marg[class], int32(split.N[class]))
-			}
+			k.PairLanes(&a.yz[class][z], data, words, base1, lim1, base2+z, marg[class], int32(split.N[class]))
+		}
+	}
+	pairs := a.pairs[:0]
+	for gi2 := base2; gi2 < base2+lim2; gi2++ {
+		for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
+			pairs = append(pairs, lanePair{y: gi1, z: gi2, valid: min(nx, gi1-x)})
 		}
 	}
 	var scored int64
-	for x := b0lo * bs; x < xhi; x += contingency.Lanes {
-		nx := min(contingency.Lanes, xhi-x)
-		pairs := a.pairs[:0]
-		for gi2 := base2; gi2 < base2+lim2; gi2++ {
-			for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
-				pairs = append(pairs, lanePair{y: gi1, z: gi2, valid: min(nx, gi1-x)})
-			}
-		}
-		for class, words := range split.Words {
-			bank := a.bank[class][:len(pairs)]
-			data := split.ClassPlaneData(class) // plane g of SNP i at (2i+g)*words
-			xmarg := marg[class][x : x+nx]
-			for w0 := 0; w0 < words; w0 += bw {
-				w1 := min(w0+bw, words)
-				contingency.TransposeLanes(a.xt, data[x*2*words:(x+nx)*2*words], words, w0, w1)
-				for i := range a.xc[:max(lim1, zs+lim2)] {
-					snp := base1 + i
-					if i >= lim1 {
-						snp = base2 + i - zs
-					}
-					k.XLanes(&a.xc[i], a.xt, data, words, snp, w0, w1, w0 > 0)
+	for class, words := range split.Words {
+		bank := a.bank[class][:len(pairs)]
+		data := split.ClassPlaneData(class) // plane g of SNP i at (2i+g)*words
+		xmarg := marg[class][x : x+nx]
+		for w0 := 0; w0 < words; w0 += bw {
+			w1 := min(w0+bw, words)
+			contingency.TransposeLanes(a.xt, data[x*2*words:(x+nx)*2*words], words, w0, w1)
+			for i := range a.xc[:max(lim1, zs+lim2)] {
+				snp := base1 + i
+				if i >= lim1 {
+					snp = base2 + i - zs
 				}
-				for j, p := range pairs {
-					k.TripleLanes(&bank[j], a.xt, data, words, p.y, p.z, w0, w1, w0 > 0)
-					if w1 < words {
-						continue
-					}
-					y, z := p.y-base1, p.z-base2
-					k.Derive(&bank[j], &a.xc[y], &a.xc[zs+z], xmarg, &a.yz[class][z*runs+y/contingency.Lanes], y%contingency.Lanes)
-					if class == dataset.Case {
-						w.scoreLanes(x, j, p)
-						scored += int64(p.valid)
-					}
+				k.XLanes(&a.xc[i], a.xt, data, words, snp, w0, w1, w0 > 0)
+			}
+			for j, p := range pairs {
+				k.TripleLanes(&bank[j], a.xt, data, words, p.y, p.z, w0, w1, w0 > 0)
+				if w1 < words {
+					continue
+				}
+				y, z := p.y-base1, p.z-base2
+				k.Derive(&bank[j], &a.xc[y], &a.xc[zs+z], xmarg, &a.yz[class][z], y)
+				if class == dataset.Case {
+					w.scoreLanes(x, j, p)
+					scored += int64(p.valid)
 				}
 			}
 		}
@@ -321,8 +292,8 @@ func (w *blockWorker) processRunLanes(b0lo, b0hi, b1, b2 int) int64 {
 	return scored
 }
 
-// scoreLanes scores the two lane tables of the chunk's j'th pair where
-// they lie and offers the valid lanes' triples (x + lane, p.y, p.z). A
+// scoreLanes scores the two lane tables of the block triple's j'th pair
+// where they lie and offers the valid lanes' triples (x + lane, p.y, p.z). A
 // LaneScorer is bounded by the worker's top-K: a group it rejects would
 // have been turned away lane by lane, so its offers are skipped and the
 // list goes through the states it would have gone through. A lane scored

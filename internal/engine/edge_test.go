@@ -191,10 +191,7 @@ func TestFusedParityEdgeShapes(t *testing.T) {
 			want := ref.list()
 			for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
 				for _, a := range []Approach{V3Fused, V4Fused} {
-					o := Options{Approach: a, Objective: obj, TopK: topK, Workers: 2}
-					if bw > 0 {
-						o.BlockSNPs, o.BlockWords = 4, bw
-					}
+					o := Options{Approach: a, Objective: obj, TopK: topK, Workers: 2, BlockWords: bw}
 					name := fmt.Sprintf("%s/%s %v bw=%d", sh.name, obj.Name(), a, bw)
 					res, err := s.Run(o)
 					if err != nil {

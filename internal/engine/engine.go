@@ -23,37 +23,37 @@
 //	                plane's first word tile and added to by the rest.
 //	                The other 19 cells are derived (Derive) from the x
 //	                lanes' pair counts against each SNP of the two
-//	                blocks (XLanes, once per chunk), the (i1, i2) pair
-//	                tables (PairLanes, once per run) and the x marginals;
+//	                blocks (XLanes), the (i1, i2) pair tables (PairLanes),
+//	                both once per block triple, and the x marginals;
 //	                the pass that completes a pair's tables scores the
 //	                eight of them where they lie. One loop, whatever the
 //	                plane length. V3F pins the pure-Go bodies, the
 //	                oracle; V4F takes the tuned ones (AVX-512 VPOPCNTDQ
 //	                where the host has it) and is the default.
 //
-// The fused loop (blocked.go, processRunLanes) runs per chunk of eight x
-// SNPs, per class, per word tile, per (i1, i2) of the block pair. Its
-// block is one lane group (BS = 8, FusedTileParams), so a chunk is one
-// block and meets up to BS² = 64 pairs, over which its transpose and its
-// 16 XLanes are spread. Its working set per word of tile is 128 bytes of
+// The fused loop (blocked.go, processBlockLanes) runs per block triple,
+// per class, per word tile, per (i1, i2) of the block pair. Its block is
+// one lane group (BS = 8, FusedTileParams), so b0's SNPs fill the lanes
+// and meet up to BS² = 64 pairs, over which the transpose and the 16
+// XLanes are spread. Its working set per word of tile is 128 bytes of
 // x tile, read by every pass, and the words of the two blocks' y/z planes
 // (16 bytes per SNP, up to 16 SNPs), each read by the 8 passes of its
 // SNP; a pass adds eight rows to one 864-byte table of the class's bank.
 // The class loop is outside the pair loop because alternating classes
-// per pair keeps two x tiles live. The lanes cost their fill — a chunk
-// with fewer than eight x SNPs below i1 pays for eight: 0.67 of the lanes
-// are in use at 24 SNPs, 0.85 at 64, 0.96 at 224. The pass is bound by
-// the vector operations it issues per word, which is why only 8 of the 27
-// cells are counted per (i1, i2): 24 operations per word for eight
-// triples, where counting 18 against prebuilt pair planes took 54 and a
-// plane build per pair. Two
+// per pair keeps two x tiles live. The lanes cost their fill — a block
+// triple with fewer than eight x SNPs below i1 pays for eight: 0.67 of
+// the lanes are in use at 24 SNPs, 0.85 at 64, 0.96 at 224. The pass is
+// bound by the vector operations it issues per word, which is why only 8
+// of the 27 cells are counted per (i1, i2): 24 operations per word for
+// eight triples, where counting 18 against prebuilt pair planes took 54
+// and a plane build per pair. Two
 // arrangements of that 18-cell pass were measured and dropped, and the
-// reasons hold for this one: one block build per pair per run with x
-// tiles streamed against it (0.98x at 16384 samples, 0.76x at 500), and
-// pre-transposed 8-aligned x tiles kept per search (0.91x at BS = 4, where
-// a claim of two block triples was not 8-aligned inside a run and
-// half-empty chunks doubled the passes; at BS = 8 every chunk is aligned
-// and the transpose is 3.5 % of the time).
+// reasons hold for this one: one block build per pair, kept across the
+// x blocks that share it, with x tiles streamed against it (0.98x at
+// 16384 samples, 0.76x at 500), and pre-transposed 8-aligned x tiles kept
+// per search (0.91x at BS = 4, where a claim of two block triples was not
+// 8-aligned and half-empty chunks doubled the passes; at BS = 8 every x
+// block is aligned and the transpose is 3.5 % of the time).
 //
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
@@ -229,8 +229,8 @@ type Result struct {
 	// ranks.
 	Space *sched.Tile
 	// BlockSNPs is the block size (Options.BlockSNPs) whose block triples
-	// Space ranks count: 4 for V3/V4, contingency.Lanes for V3F/V4F by
-	// default. Spaces cut at different block sizes rank different
+	// Space ranks count: 4 for V3/V4 by default, always contingency.Lanes
+	// for V3F/V4F. Spaces cut at different block sizes rank different
 	// triples. Zero when Space is nil or its ranks are not block triples.
 	BlockSNPs int
 }
@@ -251,8 +251,11 @@ type Options struct {
 	// TopK is how many candidates to return (default 1).
 	TopK int
 	// BlockSNPs (BS) and BlockWords (BP, in 64-bit words) tile the
-	// blocked approaches. Zero derives both from a 32 KiB L1d with the
-	// paper's sizing rule.
+	// blocked approaches. Zero derives both from a 32 KiB L1d: with the
+	// paper's sizing rule for V3/V4, with FusedTileParams for V3F/V4F.
+	// The fused block is always one lane group (contingency.Lanes SNPs),
+	// so BlockSNPs sizes V3/V4 only: a fused run refuses any other
+	// nonzero value, and BlockWords alone sets its word tile.
 	BlockSNPs  int
 	BlockWords int
 	// Context optionally allows cancellation; a nil Context means
@@ -261,8 +264,9 @@ type Options struct {
 	Context context.Context
 	// Shard restricts the search to slice Index of Count of the
 	// scheduler's work space: combination ranks for the flat
-	// approaches and orders 2/k, block-triple ranks for V3/V4,
-	// seed-extension ranks for a seeded run. Every run supports it.
+	// approaches and orders 2/k, block-triple ranks for V3/V4 and
+	// V3F/V4F, seed-extension ranks for a seeded run. Every run
+	// supports it.
 	Shard *sched.Shard
 	// Grain overrides the flat source's ranks-per-claim tile size
 	// (0 = the AutoGrain heuristic). The planner seeds it from the
@@ -318,12 +322,18 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	if o.TopK < 0 {
 		return o, fmt.Errorf("engine: negative TopK %d", o.TopK)
 	}
-	if o.BlockSNPs == 0 && o.BlockWords == 0 {
-		if o.Approach.fused() {
-			o.BlockSNPs, o.BlockWords = FusedTileParams(l1DataBytes)
-		} else {
-			o.BlockSNPs, o.BlockWords = TileParams(l1DataBytes)
+	switch {
+	case o.Approach.fused():
+		bs, bw := FusedTileParams(l1DataBytes)
+		if o.BlockSNPs != 0 && o.BlockSNPs != bs {
+			return o, fmt.Errorf("engine: %v's block is %d SNPs, have BlockSNPs %d", o.Approach, bs, o.BlockSNPs)
 		}
+		o.BlockSNPs = bs
+		if o.BlockWords == 0 {
+			o.BlockWords = bw
+		}
+	case o.BlockSNPs == 0 && o.BlockWords == 0:
+		o.BlockSNPs, o.BlockWords = TileParams(l1DataBytes)
 	}
 	if o.BlockSNPs < 1 || o.BlockWords < 1 {
 		if o.Approach.blocked() {
@@ -381,10 +391,10 @@ func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
 }
 
 // FusedTileParams derives the fused loop's tile. It keeps no BS^3 bank —
-// its unit is a chunk of contingency.Lanes x SNPs — so its block is one
-// lane group: a block-triple rank is then one aligned chunk of one run,
-// and each chunk's transpose and its XLanes against the two blocks serve
-// all BS² = 64 of its (i1, i2) pairs. The word tile comes from
+// its unit is one lane group of contingency.Lanes x SNPs — so its block is
+// that lane group, the only block the loop takes: a block-triple rank is
+// one aligned group of x SNPs, whose transpose and XLanes against the two
+// blocks serve all BS² = 64 of its (i1, i2) pairs. The word tile comes from
 // fusedTileWords and is a whole number of 8-word vectors (at least one),
 // so only a class's last tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
@@ -392,8 +402,8 @@ func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 }
 
 // fusedTileWords sizes the fused loop's word tile from an L1 data budget.
-// Of what the passes over a chunk's word tile read, only the x tile — 2 x
-// Lanes words per word of tile — is read by every one of the chunk's 64
+// Of what the passes over a block triple's word tile read, only the x
+// tile — 2 x Lanes words per word of tile — is read by every one of its 64
 // passes; a y or z word is read only by the 8 passes of its SNP, and the
 // pair loop walks one z at a time, so the y/z words stream through the
 // cache rather than live in it. The x tile gets half the budget, less the

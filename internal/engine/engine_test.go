@@ -288,17 +288,24 @@ func TestBlockParameterRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bs := range []int{1, 2, 3, 5, 7, 23, 64} {
-		for _, bw := range []int{1, 2, 5} {
-			for _, a := range []Approach{V3Blocked, V3Fused, V4Fused} {
-				res, err := s.Run(Options{Approach: a, BlockSNPs: bs, BlockWords: bw})
-				if err != nil {
-					t.Fatalf("%v bs=%d bw=%d: %v", a, bs, bw, err)
-				}
-				if res.Best != want.Best {
-					t.Errorf("%v bs=%d bw=%d: best %+v, want %+v", a, bs, bw, res.Best, want.Best)
-				}
-			}
+	// The fused approaches' block is fixed at one lane group: only their
+	// word tile varies.
+	check := func(o Options) {
+		t.Helper()
+		res, err := s.Run(o)
+		if err != nil {
+			t.Fatalf("%v bs=%d bw=%d: %v", o.Approach, o.BlockSNPs, o.BlockWords, err)
+		}
+		if res.Best != want.Best {
+			t.Errorf("%v bs=%d bw=%d: best %+v, want %+v", o.Approach, o.BlockSNPs, o.BlockWords, res.Best, want.Best)
+		}
+	}
+	for _, bw := range []int{1, 2, 5} {
+		for _, bs := range []int{1, 2, 3, 5, 7, 23, 64} {
+			check(Options{Approach: V3Blocked, BlockSNPs: bs, BlockWords: bw})
+		}
+		for _, a := range []Approach{V3Fused, V4Fused} {
+			check(Options{Approach: a, BlockWords: bw})
 		}
 	}
 }
@@ -332,6 +339,8 @@ func TestOptionValidation(t *testing.T) {
 		{TopK: -2},
 		{Grain: -1},
 		{Approach: V3Blocked, BlockSNPs: -1, BlockWords: 2},
+		{Approach: V4Fused, BlockSNPs: 4},
+		{Approach: V3Fused, BlockSNPs: 4, BlockWords: 8},
 	}
 	for i, o := range bad {
 		if _, err := Search(mx, o); err == nil {

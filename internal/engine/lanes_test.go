@@ -12,11 +12,12 @@ import (
 	"trigene/internal/score"
 )
 
-// shortPlaneShapes are the datasets the fused loop's run and chunk
-// handling is checked on where every class plane is one word tile: fewer
-// SNPs than one vector has lanes, SNP counts that are no multiple of the
-// block, classes of exactly one word with and without padding and of a
-// few ragged words, and a class of a single sample.
+// shortPlaneShapes are the datasets the fused loop's block handling is
+// checked on where every class plane is one word tile: fewer SNPs than
+// one vector has lanes, SNP counts that are no multiple of the block,
+// enough SNPs for three distinct blocks (b0 < b1 < b2), classes of
+// exactly one word with and without padding and of a few ragged words,
+// and a class of a single sample.
 func shortPlaneShapes() []edgeShape {
 	oneCase := randomMatrix(160, 11, 130)
 	for j := 0; j < 130; j++ {
@@ -28,6 +29,7 @@ func shortPlaneShapes() []edgeShape {
 		{"8 SNPs x 128, pad-free words", randomMatrix(162, 8, 128)},
 		{"13 SNPs x 130", randomMatrix(163, 13, 130)},
 		{"14 SNPs x 500", randomMatrix(164, 14, 500)},
+		{"19 SNPs x 200, three blocks", randomMatrix(169, 19, 200)},
 		{"11 SNPs x 130, one case", oneCase},
 	}
 }
@@ -151,16 +153,15 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 
 // TestLanesTilesMatchReference drives the fused loop directly, the way
 // TestPairWalkerTilesMatchReference drives the pair walker: for every
-// [lo, hi) cut of the block-triple rank space — runs cut in the middle of
-// a (b1, b2), chunks that straddle the b0 = b1 diagonal, last blocks that
-// are short — the tile must score exactly the combinations of its block
-// triples, each with the score of contingency.BuildReference under the
-// objective's 27-row form, on the Go bodies (V3F) and the host's (V4F),
-// for K2 (its own lane scoring), MI and Gini (the column fallback), at
-// the default block of 4 SNPs and at 3, where eight lanes never end on a
-// block boundary; on class planes of one word tile and, with the tile
-// forced down to 8 words, on planes the loop walks in several tiles
-// added into its lane-table bank.
+// [lo, hi) cut of the block-triple rank space — block triples on and off
+// the b0 = b1 and b1 = b2 diagonals, three distinct blocks, last blocks
+// that are short — the tile must score exactly the combinations of its
+// block triples, each with the score of contingency.BuildReference under
+// the objective's 27-row form, on the Go bodies (V3F) and the host's
+// (V4F), for K2 (its own lane scoring), MI and Gini (the column
+// fallback), claimed one block triple at a time; on class planes of one
+// word tile and, with the tile forced down to 8 words, on planes the loop
+// walks in several tiles added into its lane-table bank.
 func TestLanesTilesMatchReference(t *testing.T) {
 	tiled := tiledShapes()
 	for i, sh := range append(tiled, shortPlaneShapes()...) {
@@ -177,52 +178,47 @@ func TestLanesTilesMatchReference(t *testing.T) {
 				want[Triple{i, j, k}] = obj.Score(&tab)
 			})
 			for _, a := range []Approach{V3Fused, V4Fused} {
-				for _, bs := range []int{0, 3} {
-					name := fmt.Sprintf("%s/%s/%v/bs=%d", sh.name, obj.Name(), a, bs)
-					opts := Options{Approach: a, Objective: obj, TopK: all}
-					switch {
-					case i < len(tiled):
-						opts.BlockSNPs, opts.BlockWords = max(bs, 4), 8
-					case bs > 0:
-						opts.BlockSNPs, opts.BlockWords = bs, 120
-					}
-					o, err := opts.withDefaults(sh.mx.Samples())
-					if err != nil {
-						t.Fatal(err)
-					}
-					bsz, nb, src := s.blockSpace(&o)
-					if wantGrain := int64((contingency.Lanes + bsz - 1) / bsz); src.Grain() != wantGrain {
-						t.Fatalf("%s: claim grain %d, want %d", name, src.Grain(), wantGrain)
-					}
-					w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), bsz, nb)
-					total := src.Ranks()
-					for lo := int64(0); lo < total; lo++ {
-						for hi := lo + 1; hi <= total; hi++ {
-							w.a.top.reset(obj, all)
-							n, _ := w.tile(sched.Tile{Lo: lo, Hi: hi})
-							var expect int64
-							for rank := lo; rank < hi; rank++ {
-								b0, b1, b2 := combin.UnrankTriple(rank, nb+2)
-								expect += s.blockTripleCombos(b0, b1-1, b2-2, bsz)
+				name := fmt.Sprintf("%s/%s/%v", sh.name, obj.Name(), a)
+				opts := Options{Approach: a, Objective: obj, TopK: all}
+				if i < len(tiled) {
+					opts.BlockWords = 8
+				}
+				o, err := opts.withDefaults(sh.mx.Samples())
+				if err != nil {
+					t.Fatal(err)
+				}
+				bsz, nb, src := s.blockSpace(&o)
+				if src.Grain() != 1 {
+					t.Fatalf("%s: claim grain %d, want 1", name, src.Grain())
+				}
+				w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), bsz, nb)
+				total := src.Ranks()
+				for lo := int64(0); lo < total; lo++ {
+					for hi := lo + 1; hi <= total; hi++ {
+						w.a.top.reset(obj, all)
+						n, _ := w.tile(sched.Tile{Lo: lo, Hi: hi})
+						var expect int64
+						for rank := lo; rank < hi; rank++ {
+							b0, b1, b2 := combin.UnrankTriple(rank, nb+2)
+							expect += s.blockTripleCombos(b0, b1-1, b2-2, bsz)
+						}
+						if n != expect || int64(len(w.a.top.items)) != expect {
+							t.Fatalf("%s: tile [%d,%d) reports %d combinations and kept %d, want %d",
+								name, lo, hi, n, len(w.a.top.items), expect)
+						}
+						for _, c := range w.a.top.items {
+							tr := c.triple()
+							if !(tr.I < tr.J && tr.J < tr.K) || want[tr] != c.Score {
+								t.Fatalf("%s: tile [%d,%d) scored %v at %v, reference %v", name, lo, hi, tr, c.Score, want[tr])
 							}
-							if n != expect || int64(len(w.a.top.items)) != expect {
-								t.Fatalf("%s: tile [%d,%d) reports %d combinations and kept %d, want %d",
-									name, lo, hi, n, len(w.a.top.items), expect)
-							}
-							for _, c := range w.a.top.items {
-								tr := c.triple()
-								if !(tr.I < tr.J && tr.J < tr.K) || want[tr] != c.Score {
-									t.Fatalf("%s: tile [%d,%d) scored %v at %v, reference %v", name, lo, hi, tr, c.Score, want[tr])
-								}
-								r := combin.RankTriple(tr.I/bsz, tr.J/bsz+1, tr.K/bsz+2)
-								if r < lo || r >= hi {
-									t.Fatalf("%s: tile [%d,%d) scored %v of block triple %d", name, lo, hi, tr, r)
-								}
+							r := combin.RankTriple(tr.I/bsz, tr.J/bsz+1, tr.K/bsz+2)
+							if r < lo || r >= hi {
+								t.Fatalf("%s: tile [%d,%d) scored %v of block triple %d", name, lo, hi, tr, r)
 							}
 						}
 					}
-					w.a.release()
 				}
+				w.a.release()
 			}
 		}
 	}

@@ -5,11 +5,11 @@
 // A Source enumerates one search space as a contiguous run of ranks —
 // colexicographic combination ranks for the flat pipelines (V1/V2,
 // pairs, k-way, the GPU kernels) and block-triple ranks for the
-// blocked pipelines (V3/V4) — cut into tiles of Grain ranks. A Cursor
-// is a lock-free claiming cursor over a Source: any number of
-// consumers, of any kind and speed, Claim tiles until the space is
-// drained, which is exactly the paper's dynamically scheduled pool
-// and, with consumers of different kinds sharing one Cursor, true
+// blocked pipelines (V3/V4 and the fused V3F/V4F) — cut into tiles of
+// Grain ranks. A Cursor is a lock-free claiming cursor over a Source:
+// any number of consumers, of any kind and speed, Claim tiles until the
+// space is drained, which is exactly the paper's dynamically scheduled
+// pool and, with consumers of different kinds sharing one Cursor, true
 // work-stealing heterogeneous execution (Section V-D).
 //
 // Three consumption styles cover every backend:
