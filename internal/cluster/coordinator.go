@@ -504,7 +504,10 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the worker its next tiles. With waitMillis the
 // request parks while nothing is grantable and is answered the moment
-// something is (wakeLocked), or 204 once the wait elapses.
+// something is (wakeLocked), or 204 once the wait elapses. A request
+// whose worker leaves while it is parked answers 204 too: granting it
+// would re-register the departed worker and lease it tiles it never
+// runs, among them the ones its leave just released.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readBody(w, r, maxLeaseBody, &req) {
@@ -512,9 +515,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	expired := longPoll(req.WaitMillis)
 	defer expired.Stop()
+	var registered *workerInfo // the record this request's first look found or made
 	for {
 		c.mu.Lock()
+		if registered != nil && c.workers[req.Worker] != registered {
+			c.mu.Unlock()
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
 		grant, ok := c.grantLocked(req, c.cfg.Now())
+		registered = c.workers[req.Worker]
 		wake := c.wake
 		c.mu.Unlock()
 		if ok {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +188,68 @@ func TestWorkerDrainHandsOffMidJob(t *testing.T) {
 		if w.ID == "leaver" {
 			t.Error("drained worker still in the registry")
 		}
+	}
+}
+
+// TestLeaveFencesParkedLease: a lease request parked before its worker
+// leaves is answered empty, not granted the tiles the leave released.
+// A grant would re-register the departed worker and lease it tiles it
+// never runs, so they stay leased until the TTL.
+func TestLeaveFencesParkedLease(t *testing.T) {
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 12, Samples: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var ticks atomic.Int64
+	clock := func() time.Time { return time.Unix(5000, ticks.Add(1)) }
+	cl, co := newTestCluster(t, Config{LeaseTTL: time.Hour, Now: clock})
+	id, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2, Workers: 1}, 1, "fenced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cl.lease(ctx, LeaseRequest{Worker: "w"}); err != nil || !ok {
+		t.Fatalf("first lease: ok=%v err=%v", ok, err)
+	}
+	lastSeen := func() time.Time {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return co.workers["w"].lastSeen
+	}
+	granted := lastSeen()
+
+	// The job's only tile is held, so the next request parks.
+	type leaseOut struct {
+		ok  bool
+		err error
+	}
+	parked := make(chan leaseOut, 1)
+	go func() {
+		_, ok, err := cl.lease(ctx, LeaseRequest{Worker: "w", WaitMillis: 20000})
+		parked <- leaseOut{ok, err}
+	}()
+	// The request has registered and found nothing to grant once it has
+	// stamped the worker's record; the lock it did that under also
+	// holds the wake-up it then waits on.
+	for lastSeen().Equal(granted) {
+		time.Sleep(time.Millisecond)
+	}
+
+	if released, err := cl.Leave(ctx, "w"); err != nil || released != 1 {
+		t.Fatalf("leave: released %d, %v; want 1", released, err)
+	}
+	out := <-parked
+	if out.err != nil || out.ok {
+		t.Fatalf("parked lease after the leave: ok=%v err=%v; want no grant", out.ok, out.err)
+	}
+	if st, err := cl.Status(ctx, id); err != nil || st.Leased != 0 {
+		t.Fatalf("after the leave: %+v, %v; want no tile leased", st, err)
+	}
+	co.mu.Lock()
+	_, registered := co.workers["w"]
+	co.mu.Unlock()
+	if registered {
+		t.Error("departed worker back in the registry")
 	}
 }
 
