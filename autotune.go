@@ -38,22 +38,14 @@ func (s *Session) applyPlan(cfg *searchConfig) error {
 	// planner only places work on hardware the session will actually
 	// drive; the simulated devices enter through an explicit backend).
 	var h plan.Host
-	if hb, ok := cfg.backend.(heteroBackend); ok && cfg.backendSet {
-		cpu := hb.opts.CPUDevice
-		if cpu.ID == "" {
-			c, err := CPUByID("CI3")
-			if err != nil {
-				return err
-			}
-			cpu = c
+	if _, ok := cfg.backend.(heteroBackend); ok && cfg.backendSet {
+		cpu, err := CPUByID("CI3")
+		if err != nil {
+			return err
 		}
-		gpu := hb.opts.GPUDevice
-		if gpu.ID == "" {
-			g, err := GPUByID("GN1")
-			if err != nil {
-				return err
-			}
-			gpu = g
+		gpu, err := GPUByID("GN1")
+		if err != nil {
+			return err
 		}
 		h = plan.Host{CPU: cpu, GPU: &gpu}
 	} else {

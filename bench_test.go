@@ -381,15 +381,10 @@ func BenchmarkExt_PairSearch(b *testing.B) {
 
 func BenchmarkExt_Heterogeneous(b *testing.B) {
 	mx := dataset(b, 48, 2048)
-	for _, frac := range []float64{0.25, 0.5, 0.75} {
-		frac := frac
-		b.Run(fmt.Sprintf("cpu%.0f%%", frac*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hetero.Search(encStore(mx), hetero.Options{CPUFraction: frac}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := hetero.Search(encStore(mx), hetero.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

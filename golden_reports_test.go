@@ -299,6 +299,9 @@ func diffGolden(t *testing.T, path string, want, got []byte) {
 		}
 		t.Fatalf("%s: first differing key %q (rerun with -update-golden if the change is meant):\nwant %s\ngot  %s", path, k, wv, gv)
 	}
+	if runtime.GOARCH == "amd64" {
+		t.Fatalf("%s: same Reports laid out differently (rerun with -update-golden)", path)
+	}
 }
 
 // withinOneULP reports whether two encoded Reports differ only in

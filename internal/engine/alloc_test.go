@@ -242,7 +242,7 @@ func TestShardedRunsMatchFull(t *testing.T) {
 		}
 		obj := score.NewK2(mx.Samples())
 		for _, count := range []int{2, 3, 5} {
-			merged := newTopK(obj, 7)
+			merged := NewTopK(obj, 7)
 			var combos int64
 			for i := 0; i < count; i++ {
 				res, err := s.Run(Options{Approach: a, TopK: 7,
@@ -258,13 +258,13 @@ func TestShardedRunsMatchFull(t *testing.T) {
 				}
 				combos += res.Stats.Combinations
 				for _, c := range res.TopK {
-					merged.offer(c)
+					merged.Offer(c)
 				}
 			}
 			if combos != full.Stats.Combinations {
 				t.Errorf("%v %d shards cover %d combinations, full %d", a, count, combos, full.Stats.Combinations)
 			}
-			got := merged.list()
+			got := merged.List()
 			if len(got) != len(full.TopK) {
 				t.Fatalf("%v %d shards merge to %d candidates, full %d", a, count, len(got), len(full.TopK))
 			}

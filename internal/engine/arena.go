@@ -44,7 +44,7 @@ type arena struct {
 	// ctrl/cases are the generic k-way cells.
 	ctrl, cases []int32
 	// top accumulates this consumer's best candidates.
-	top *topK
+	top *TopK
 	// scored counts the combinations this consumer evaluated.
 	scored int64
 	// rejected counts the lane groups scoring gave up on (the fused
@@ -61,7 +61,7 @@ func getArena(obj score.Objective, k int) *arena {
 	a := arenaPool.Get().(*arena)
 	a.scored, a.rejected = 0, 0
 	if a.top == nil {
-		a.top = newTopK(obj, k)
+		a.top = NewTopK(obj, k)
 	} else {
 		a.top.reset(obj, k)
 	}

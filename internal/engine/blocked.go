@@ -311,7 +311,7 @@ func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, contingency.Cells, p.valid, &a.tab)
 	}
 	for lane := 0; lane < p.valid; lane++ {
-		a.top.offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))
+		a.top.Offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))
 	}
 }
 
@@ -361,7 +361,7 @@ func (w *blockWorker) scoreTables(base0, base1, base2, lim0, lim1, lim2 int) int
 				tab := &tables[idx]
 				tab.Counts[dataset.Control][contingency.Cells-1] -= int32(split.Pad[dataset.Control])
 				tab.Counts[dataset.Case][contingency.Cells-1] -= int32(split.Pad[dataset.Case])
-				w.a.top.offer(Triple{I: gi0, J: gi1, K: gi2}.scored(w.o.Objective.Score(tab)))
+				w.a.top.Offer(Triple{I: gi0, J: gi1, K: gi2}.scored(w.o.Objective.Score(tab)))
 				scored++
 			}
 		}

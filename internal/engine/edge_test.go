@@ -7,10 +7,7 @@ import (
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
-	"trigene/internal/gpusim"
 	"trigene/internal/score"
-
-	"trigene/internal/device"
 )
 
 // Edge-case hardening: degenerate genotype distributions, minimal
@@ -92,18 +89,6 @@ func TestExtremeClassImbalance(t *testing.T) {
 	if v2.Best != v4.Best {
 		t.Error("imbalanced dataset breaks approach equivalence")
 	}
-	// GPU simulator handles the 1-sample class (single padded word).
-	gn1, err := device.GPUByID("GN1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gpusim.New(gn1).Search(encStore(mx), gpusim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Best.Score != v2.Best.Score {
-		t.Errorf("gpusim score %.9f != engine %.9f", g.Best.Score, v2.Best.Score)
-	}
 }
 
 func TestMinimalDimensions(t *testing.T) {
@@ -183,12 +168,12 @@ func TestFusedParityEdgeShapes(t *testing.T) {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
 		for _, obj := range []score.Objective{score.NewK2(sh.mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
-			ref := newTopK(obj, topK)
+			ref := NewTopK(obj, topK)
 			combin.ForEachTriple(sh.mx.SNPs(), func(i, j, k int) {
 				tab := contingency.BuildReference(sh.mx, i, j, k)
-				ref.offer(Triple{i, j, k}.scored(obj.Score(&tab)))
+				ref.Offer(Triple{i, j, k}.scored(obj.Score(&tab)))
 			})
-			want := ref.list()
+			want := ref.List()
 			for _, bw := range []int{0, 3, 8, 13} { // 0: the FusedTileParams default
 				for _, a := range []Approach{V3Fused, V4Fused} {
 					o := Options{Approach: a, Objective: obj, TopK: topK, Workers: 2, BlockWords: bw}
@@ -262,13 +247,13 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 		m := sh.mx.SNPs()
 		for _, obj := range []score.Objective{score.NewK2(sh.mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
 			name := sh.name + "/" + obj.Name()
-			refTop := newTopK(obj, topK)
+			refTop := NewTopK(obj, topK)
 			best := make([]float64, m)
 			seen := make([]bool, m)
 			combin.ForEachPair(m, func(i, j int) {
 				tab := contingency.BuildReferencePair(sh.mx, i, j)
 				sc := obj.Score(&tab)
-				refTop.offer(Pair{i, j}.scored(sc))
+				refTop.Offer(Pair{i, j}.scored(sc))
 				for _, snp := range [2]int{i, j} {
 					if !seen[snp] || obj.Better(sc, best[snp]) {
 						best[snp], seen[snp] = sc, true

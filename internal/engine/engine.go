@@ -184,7 +184,7 @@ func (t Triple) scored(sc float64) Candidate {
 // Candidate is a scored SNP combination of any order up to
 // contingency.MaxOrder: its SNPs in increasing order, zero past the
 // order. Two candidates of one order compare as whole arrays, and an
-// offer copies a fixed-size value, never a slice.
+// Offer copies a fixed-size value, never a slice.
 type Candidate struct {
 	SNPs  [contingency.MaxOrder]int
 	Score float64

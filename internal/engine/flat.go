@@ -57,7 +57,7 @@ func (w *flatWorker) tile(t sched.Tile) (int64, error) {
 		} else {
 			w.a.tab = contingency.BuildSplit(w.split, i, j, k)
 		}
-		w.a.top.offer(Triple{I: i, J: j, K: k}.scored(obj.Score(&w.a.tab)))
+		w.a.top.Offer(Triple{I: i, J: j, K: k}.scored(obj.Score(&w.a.tab)))
 		i, j, k, _ = combin.NextTriple(i, j, k, w.m)
 	}
 	w.a.scored += t.Len()

@@ -73,7 +73,7 @@ func (w *kWorker) tile(t sched.Tile) (int64, error) {
 			return 0, err
 		}
 		w.c.Score = w.scorer.ScoreCells(ctrl, cases)
-		w.a.top.offer(w.c)
+		w.a.top.Offer(w.c)
 		combin.NextK(comb, w.m)
 	}
 	w.a.scored += t.Len()

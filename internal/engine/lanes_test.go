@@ -91,12 +91,12 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := score.NewK2(mx.Samples())
-	ref := newTopK(obj, int(combin.Triples(m)))
+	ref := NewTopK(obj, int(combin.Triples(m)))
 	combin.ForEachTriple(m, func(i, j, k int) {
 		tab := contingency.BuildReference(mx, i, j, k)
-		ref.offer(Triple{i, j, k}.scored(obj.Score(&tab)))
+		ref.Offer(Triple{i, j, k}.scored(obj.Score(&tab)))
 	})
-	ranking := ref.list()
+	ranking := ref.List()
 	if planted := (Triple{2, 9, 14}); ranking[0].triple() != planted || ranking[7].Score != ranking[0].Score {
 		t.Fatalf("fixture: best %+v, eighth %+v; want %v tied eight ways", ranking[0], ranking[7], planted)
 	}
@@ -110,7 +110,7 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 				for _, a := range []Approach{V3Fused, V4Fused} {
 					name := fmt.Sprintf("K=%d %d shards %d workers %v", k, shards, workers, a)
 					reg := obs.NewRegistry()
-					merged := newTopK(obj, k)
+					merged := NewTopK(obj, k)
 					var combos int64
 					for i := 0; i < shards; i++ {
 						o := Options{Approach: a, TopK: k, Workers: workers, Metrics: reg}
@@ -123,13 +123,13 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 						}
 						combos += res.Stats.Combinations
 						for _, c := range res.TopK {
-							merged.offer(c)
+							merged.Offer(c)
 						}
 					}
 					if combos != combin.Triples(m) {
 						t.Errorf("%s: %d combinations, want %d", name, combos, combin.Triples(m))
 					}
-					got := merged.list()
+					got := merged.List()
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
 					}

@@ -115,14 +115,14 @@ func (w *pairWalker) group(x, valid, y int) {
 		if w.screen != nil {
 			w.screen.charge(x+l, y, sc)
 		}
-		a.top.offer(Pair{I: x + l, J: y}.scored(sc))
+		a.top.Offer(Pair{I: x + l, J: y}.scored(sc))
 	}
 }
 
 // bound is the score a group of pairs (x+l, y) is given up on above: the
 // loosest of the worker's top-K bound and, on a screen, the bests of y and
 // of every x SNP of the group (+Inf while any of them is unseen). A pair
-// scoring above all of them changes nothing: offer turns it away, and keep
+// scoring above all of them changes nothing: Offer turns it away, and keep
 // acts only on a better score. Bounds only ever come down during a run, so
 // one read at the group's start is at worst looser than a fresh one.
 func (w *pairWalker) bound(x, valid, y int) float64 {

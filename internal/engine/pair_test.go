@@ -251,7 +251,7 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 	}
 	for _, obj := range []score.Objective{score.NewK2(mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
 		ps := obj.(score.PairScorer)
-		ref := newTopK(obj, int(combin.Pairs(m)))
+		ref := NewTopK(obj, int(combin.Pairs(m)))
 		best := make([]float64, m)
 		for i := range best {
 			best[i] = obj.Worst()
@@ -259,14 +259,14 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 		combin.ForEachPair(m, func(i, j int) {
 			tab := contingency.BuildReferencePair(mx, i, j)
 			sc := ps.ScorePair(&tab)
-			ref.offer(Pair{i, j}.scored(sc))
+			ref.Offer(Pair{i, j}.scored(sc))
 			for _, snp := range []int{i, j} {
 				if obj.Better(sc, best[snp]) {
 					best[snp] = sc
 				}
 			}
 		})
-		ranking := ref.list()
+		ranking := ref.List()
 		if obj.Name() == "k2" {
 			if planted := (Pair{2, 9}).scored(ranking[0].Score); ranking[0] != planted || ranking[7].Score != ranking[0].Score {
 				t.Fatalf("fixture: best %+v, eighth %+v; want (2,9) tied eight ways", ranking[0], ranking[7])
@@ -283,7 +283,7 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("%s K=%d %d shards %d workers", obj.Name(), k, shards, workers)
 					reg := obs.NewRegistry()
-					pairs, seeds := newTopK(obj, k), newTopK(obj, k)
+					pairs, seeds := NewTopK(obj, k), NewTopK(obj, k)
 					var combos, screened int64
 					merged := newScreenPlanes(obj, m)
 					for i := 0; i < shards; i++ {
@@ -296,13 +296,13 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						combos += res.Stats.Combinations
-						pairs.merge(&topK{items: res.TopK})
+						pairs.merge(&TopK{items: res.TopK})
 						scr, err := s.RunPairScreen(o)
 						if err != nil {
 							t.Fatalf("%s: screen: %v", name, err)
 						}
 						screened += scr.Stats.Combinations
-						seeds.merge(&topK{items: scr.TopPairs})
+						seeds.merge(&TopK{items: scr.TopPairs})
 						for snp, seen := range scr.Seen {
 							if seen {
 								merged.keep(snp, scr.Best[snp])
@@ -312,7 +312,7 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 					if combos != combin.Pairs(m) || screened != combin.Pairs(m) {
 						t.Errorf("%s: %d and %d pairs scanned, want %d", name, combos, screened, combin.Pairs(m))
 					}
-					for _, got := range [][]Candidate{pairs.list(), seeds.list()} {
+					for _, got := range [][]Candidate{pairs.List(), seeds.List()} {
 						if len(got) != len(want) {
 							t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
 						}
@@ -381,7 +381,7 @@ func TestPairGroupBoundCoversEverySNP(t *testing.T) {
 			screen.best[snp] = math.MaxFloat64
 		}
 		for k := 0; k < o.TopK; k++ {
-			a.top.offer(Pair{0, k + 1}.scored(-1))
+			a.top.Offer(Pair{0, k + 1}.scored(-1))
 		}
 		s.newPairWalker(&o, a, screen).tile(sched.Tile{Lo: lo, Hi: lo + contingency.Lanes})
 		if rejected := a.rejected == 1; rejected != (snp < 0) {

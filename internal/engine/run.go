@@ -112,7 +112,7 @@ func (s *Searcher) run(o *Options, sp space, body tiler) (*Result, error) {
 	})
 
 	res := &Result{Order: sp.order, Space: sp.covered, BlockSNPs: sp.blockSNPs}
-	merged := newTopK(o.Objective, o.TopK)
+	merged := NewTopK(o.Objective, o.TopK)
 	for _, w := range workers {
 		merged.merge(w.a.top)
 		res.Stats.Combinations += w.a.scored
@@ -121,7 +121,7 @@ func (s *Searcher) run(o *Options, sp space, body tiler) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.TopK = merged.list(); len(res.TopK) > 0 {
+	if res.TopK = merged.List(); len(res.TopK) > 0 {
 		res.Best = res.TopK[0]
 	}
 	st := &res.Stats

@@ -93,7 +93,7 @@ func TestPairScreenShardedMergeMatchesFull(t *testing.T) {
 	for _, count := range []int{2, 3, 5} {
 		best := make([]float64, m)
 		seen := make([]bool, m)
-		merged := newTopK(obj, 4)
+		merged := NewTopK(obj, 4)
 		var combos int64
 		for i := 0; i < count; i++ {
 			res, err := s.RunPairScreen(Options{TopK: 4,
@@ -114,7 +114,7 @@ func TestPairScreenShardedMergeMatchesFull(t *testing.T) {
 				}
 			}
 			for _, c := range res.TopPairs {
-				merged.offer(c)
+				merged.Offer(c)
 			}
 		}
 		if combos != full.Stats.Combinations {
@@ -178,12 +178,12 @@ func TestSubsetSearchMatchesRestrictedBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := score.NewK2(mx.Samples())
-	ref := newTopK(obj, 5)
+	ref := NewTopK(obj, 5)
 	combin.ForEachTriple(len(cols), func(a, b, c int) {
 		tab := contingency.BuildReference(mx, cols[a], cols[b], cols[c])
-		ref.offer(Triple{I: cols[a], J: cols[b], K: cols[c]}.scored(obj.Score(&tab)))
+		ref.Offer(Triple{I: cols[a], J: cols[b], K: cols[c]}.scored(obj.Score(&tab)))
 	})
-	want := ref.list()
+	want := ref.List()
 
 	for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {
 		res, err := sub.Run(Options{Approach: a, TopK: 5})
@@ -307,7 +307,7 @@ func TestSeededShardedMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, count := range []int{2, 3} {
-		merged := newTopK(obj, 6)
+		merged := NewTopK(obj, 6)
 		var combos int64
 		for i := 0; i < count; i++ {
 			res, err := s.RunSeeded(seeds, inSubset, Options{TopK: 6,
@@ -317,13 +317,13 @@ func TestSeededShardedMatchesFull(t *testing.T) {
 			}
 			combos += res.Stats.Combinations
 			for _, c := range res.TopK {
-				merged.offer(c)
+				merged.Offer(c)
 			}
 		}
 		if combos != full.Stats.Combinations {
 			t.Errorf("%d shards scored %d extensions, full %d", count, combos, full.Stats.Combinations)
 		}
-		got := merged.list()
+		got := merged.List()
 		if len(got) != len(full.TopK) {
 			t.Fatalf("%d shards merge %d candidates, full %d", count, len(got), len(full.TopK))
 		}

@@ -133,7 +133,7 @@ func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 				// with it the NOR-derived planes' pad inflation.
 				tab.Counts[class][contingency.Cells-1] -= int32(split.Pad[class])
 			}
-			w.a.top.offer(tr.scored(obj.Score(tab)))
+			w.a.top.Offer(tr.scored(obj.Score(tab)))
 			scored++
 		}
 	}

@@ -7,27 +7,30 @@ import (
 	"trigene/internal/topk"
 )
 
-// topK accumulates the k best candidates of one order — a worker's, or
-// a run's merged list — through the shared bounded sorted-insert
-// (internal/topk). The comparator is built once per reset, so offer is
-// allocation-free once the slice has grown to k entries — the hot-path
-// requirement the scheduler arenas rely on.
-type topK struct {
+// TopK accumulates the k best candidates of one order — a worker's, a
+// run's merged list, or a simulator's or baseline's ranking — through
+// the shared bounded sorted-insert (internal/topk), in the order every
+// backend shares: objective first, lexicographic SNPs as the tie-break.
+// The comparator is built once per reset, so Offer is allocation-free
+// once the slice has grown to k entries — the hot-path requirement the
+// scheduler arenas rely on.
+type TopK struct {
 	obj   score.Objective
 	k     int
 	items []Candidate
 	cmp   func(a, b Candidate) bool
 }
 
-func newTopK(obj score.Objective, k int) *topK {
-	t := &topK{obj: obj, k: k, items: make([]Candidate, 0, k)}
+// NewTopK returns an empty accumulator of the k best under obj.
+func NewTopK(obj score.Objective, k int) *TopK {
+	t := &TopK{obj: obj, k: k, items: make([]Candidate, 0, k)}
 	t.cmp = t.better
 	return t
 }
 
 // reset prepares a pooled accumulator for a new consumer, keeping the
 // backing array.
-func (t *topK) reset(obj score.Objective, k int) {
+func (t *TopK) reset(obj score.Objective, k int) {
 	t.obj, t.k = obj, k
 	t.items = t.items[:0]
 	if t.cmp == nil {
@@ -37,18 +40,18 @@ func (t *topK) reset(obj score.Objective, k int) {
 
 // better orders candidates: objective score first, lexicographic SNPs
 // as the deterministic tie-break.
-func (t *topK) better(a, b Candidate) bool {
+func (t *TopK) better(a, b Candidate) bool {
 	if a.Score != b.Score {
 		return t.obj.Better(a.Score, b.Score)
 	}
 	return a.Less(b)
 }
 
-// offer inserts the candidate if it ranks among the k best seen. A full
+// Offer inserts the candidate if it ranks among the k best seen. A full
 // list turns most candidates away on their score alone, before Insert's
 // comparator is called; ties with the worst kept go on to its
 // tie-break.
-func (t *topK) offer(c Candidate) {
+func (t *TopK) Offer(c Candidate) {
 	if n := len(t.items); n == t.k && n > 0 {
 		if worst := t.items[n-1].Score; c.Score != worst && !t.obj.Better(c.Score, worst) {
 			return
@@ -57,10 +60,10 @@ func (t *topK) offer(c Candidate) {
 	t.items = topk.Insert(t.items, c, t.k, t.cmp)
 }
 
-// bound is, for a lower-is-better objective, the score above which offer
+// bound is, for a lower-is-better objective, the score above which Offer
 // turns a candidate away on its score alone: the worst kept score once the
 // list is full, +Inf while it fills. It only ever comes down.
-func (t *topK) bound() float64 {
+func (t *TopK) bound() float64 {
 	if n := len(t.items); n == t.k && n > 0 {
 		return t.items[n-1].Score
 	}
@@ -68,15 +71,15 @@ func (t *topK) bound() float64 {
 }
 
 // merge folds another accumulator's candidates into t.
-func (t *topK) merge(o *topK) {
+func (t *TopK) merge(o *TopK) {
 	for _, c := range o.items {
-		t.offer(c)
+		t.Offer(c)
 	}
 }
 
-// list returns a copy of the accumulated candidates, best first. The
+// List returns a copy of the accumulated candidates, best first. The
 // copy detaches the result from the pooled backing array.
-func (t *topK) list() []Candidate {
+func (t *TopK) List() []Candidate {
 	if len(t.items) == 0 {
 		return nil
 	}

@@ -1,8 +1,7 @@
 package gpusim_test
 
-// CPU-parity tests live in an external test package: they compare the
-// simulator against trigene/internal/engine, which (via carm) imports
-// gpusim itself, so an in-package test would form an import cycle.
+// CPU-parity tests compare the simulator against trigene/internal/engine
+// through the package's exported surface only.
 
 import (
 	"math/rand"
@@ -58,11 +57,9 @@ func TestAllKernelsMatchCPUEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if res.Best.I != cpu.Best.SNPs[0] || res.Best.J != cpu.Best.SNPs[1] ||
-			res.Best.K != cpu.Best.SNPs[2] || res.Best.Score != cpu.Best.Score {
-			t.Errorf("%v: best (%d,%d,%d)=%.6f, CPU (%d,%d,%d)=%.6f",
-				k, res.Best.I, res.Best.J, res.Best.K, res.Best.Score,
-				cpu.Best.SNPs[0], cpu.Best.SNPs[1], cpu.Best.SNPs[2], cpu.Best.Score)
+		if res.Best != cpu.Best {
+			t.Errorf("%v: best %v = %.6f, CPU %v = %.6f",
+				k, res.Best.SNPs[:3], res.Best.Score, cpu.Best.SNPs[:3], cpu.Best.Score)
 		}
 	}
 }
@@ -129,5 +126,26 @@ func TestFusedSharesPairLoadsAcrossGroup(t *testing.T) {
 	}
 	if fused.Best.Score != tiled.Best.Score {
 		t.Errorf("fused score %.9f != tiled %.9f", fused.Best.Score, tiled.Best.Score)
+	}
+}
+
+// TestSingleCaseClassMatchesCPU: one case against every other sample a
+// control puts the case class in a single padded word.
+func TestSingleCaseClassMatchesCPU(t *testing.T) {
+	mx := randomMatrix(150, 10, 200)
+	for j := 0; j < 200; j++ {
+		mx.SetPhen(j, dataset.Control)
+	}
+	mx.SetPhen(137, dataset.Case)
+	cpu, err := engine.Search(mx, engine.Options{Approach: engine.V2Split})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gpusim.New(titan()).Search(encStore(mx), gpusim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best != cpu.Best {
+		t.Errorf("gpusim best %+v != engine %+v", res.Best, cpu.Best)
 	}
 }

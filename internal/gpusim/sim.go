@@ -11,10 +11,10 @@ import (
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/device"
+	"trigene/internal/engine"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 	"trigene/internal/store"
-	"trigene/internal/topk"
 )
 
 // Kernel selects one of the paper's four GPU approaches.
@@ -83,6 +83,20 @@ func ParseKernel(s string) (Kernel, error) {
 // wavefronts are 64 wide).
 const maxWarp = 64
 
+// The memory system and scheduler are modeled at the paper's values.
+// The SNP tile width of the tiled layouts is the device's warp size.
+const (
+	// coalesceBytes is the memory transaction segment size.
+	coalesceBytes = 32
+	// l2Ways is the L2 associativity.
+	l2Ways = 16
+	// schedBlock is Algorithm 2's per-dimension scheduling block: each
+	// kernel enqueue covers schedBlock^3 thread slots indexed by
+	// (i0, i1, i2), and slots violating the i0 < i1 < i2 guard idle.
+	// Only the utilization accounting depends on it.
+	schedBlock = 256
+)
+
 // Per-thread, per-32-bit-word operation counts for the kernels, per
 // class pass. The naive kernel evaluates 27 cells at 6 instructions
 // each (paper: 27x6 = 162, of which 2 are POPCNT); the split kernels
@@ -117,9 +131,6 @@ type Options struct {
 	// pair-AND-hoisted variant the CPU engine's fused approaches map
 	// to).
 	Kernel Kernel
-	// BS is the SNP tile width for K4Tiled; the paper sets it to a
-	// multiple of the warp width (default: the device warp size).
-	BS int
 	// Objective ranks candidates (default Bayesian K2).
 	Objective score.Objective
 	// TopK is how many ranked candidates to return (default 1). The
@@ -127,19 +138,15 @@ type Options struct {
 	// engine's workers do, so sharded and heterogeneous runs merge
 	// full per-side top-K lists instead of dropping to a single best.
 	TopK int
-	// CoalesceBytes is the memory transaction segment size (default 32).
-	CoalesceBytes int
-	// L2Ways is the modeled L2 associativity (default 16).
-	L2Ways int
-	// RankLo and RankHi restrict the search to combination ranks
-	// [RankLo, RankHi) in colexicographic order; both zero means the
-	// full space. Sharded deployments partition on this.
-	RankLo, RankHi int64
+	// Range restricts the search to combination ranks [Lo, Hi) in
+	// colexicographic order — the shard primitive. Nil means the full
+	// space.
+	Range *combin.Range
 	// Tiles optionally supplies an externally shared claiming cursor
 	// over the combination-rank space: the simulated device then
 	// steals tiles from the same space as the cursor's other consumers
-	// (the heterogeneous backend's CPU half). RankLo/RankHi are
-	// ignored when set — the cursor owns the space.
+	// (the heterogeneous backend's CPU half). Range is ignored when
+	// set — the cursor owns the space.
 	Tiles *sched.Cursor
 	// Started, when non-nil, is invoked exactly once, right after the
 	// device's first tile claim (successful or not). The heterogeneous
@@ -159,17 +166,6 @@ type Options struct {
 	// mis-modeled seed converges instead of persisting.
 	Meter         *sched.ThroughputMeter
 	MeterConsumer int
-	// BSched is the per-dimension scheduling block: each kernel
-	// enqueue covers BSched^3 thread slots indexed by (i0, i1, i2), and
-	// slots violating the i0 < i1 < i2 guard idle (Algorithm 2). The
-	// default is the paper's 256. Only the utilization accounting
-	// depends on it.
-	BSched int
-	// ModelGuardWaste, when set, charges the idle guard slots to the
-	// compute time (cycles scale by Scheduled/Active threads). Off by
-	// default: the paper's throughputs are reported per useful
-	// combination.
-	ModelGuardWaste bool
 	// Context optionally allows cancellation; nil means
 	// context.Background(). Cancellation is observed between warp
 	// batches and returns the context error.
@@ -192,11 +188,11 @@ type Stats struct {
 	Transactions   int64 `json:"transactions"`   // coalesced memory transactions
 	L2Hits         int64 `json:"l2Hits"`
 	L2Misses       int64 `json:"l2Misses"`
-	L2Bytes        int64 `json:"l2Bytes"`   // Transactions * CoalesceBytes
+	L2Bytes        int64 `json:"l2Bytes"`   // Transactions * coalesceBytes
 	DRAMBytes      int64 `json:"dramBytes"` // L2Misses * cacheLine
 
 	// Thread-scheduling accounting (Algorithm 2): every enqueue spawns
-	// BSched^3 thread slots over an (i0, i1, i2) block; only slots with
+	// schedBlock^3 thread slots over an (i0, i1, i2) block; only slots with
 	// i0 < i1 < i2 do work. Utilization = Active / Scheduled.
 	ScheduledThreads int64   `json:"scheduledThreads"`
 	ActiveThreads    int64   `json:"activeThreads"`
@@ -214,19 +210,13 @@ type Stats struct {
 	} `json:"elementsPerCyclePer"`
 }
 
-// Candidate is a scored SNP triple (i < j < k).
-type Candidate struct {
-	I, J, K int
-	Score   float64
-}
-
 // Result is the outcome of a simulated search.
 type Result struct {
-	Best Candidate
+	Best engine.Candidate
 	// TopK holds up to Options.TopK candidates in best-first order
 	// (objective first, lexicographic triple tie-break — the ordering
 	// every backend shares).
-	TopK  []Candidate
+	TopK  []engine.Candidate
 	Stats Stats
 }
 
@@ -256,12 +246,6 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	if opts.Kernel < K1Naive || opts.Kernel > K5Fused {
 		return nil, fmt.Errorf("gpusim: invalid kernel %d", int(opts.Kernel))
 	}
-	if opts.BS == 0 {
-		opts.BS = r.dev.WarpSize
-	}
-	if opts.BS < 1 {
-		return nil, fmt.Errorf("gpusim: invalid tile width %d", opts.BS)
-	}
 	if opts.Objective == nil {
 		opts.Objective = score.NewK2(st.Samples())
 	}
@@ -271,26 +255,12 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	if opts.TopK < 0 {
 		return nil, fmt.Errorf("gpusim: invalid TopK %d", opts.TopK)
 	}
-	if opts.CoalesceBytes == 0 {
-		opts.CoalesceBytes = 32
-	}
-	if opts.CoalesceBytes < 4 || opts.CoalesceBytes&(opts.CoalesceBytes-1) != 0 {
-		return nil, fmt.Errorf("gpusim: coalesce segment must be a power of two >= 4, got %d", opts.CoalesceBytes)
-	}
-	if opts.L2Ways == 0 {
-		opts.L2Ways = 16
-	}
-	if opts.BSched == 0 {
-		opts.BSched = 256
-	}
-	if opts.BSched < 1 {
-		return nil, fmt.Errorf("gpusim: invalid BSched %d", opts.BSched)
-	}
 
 	sim := &simState{
 		dev:  r.dev,
 		opts: opts,
-		l2:   newLRUCache(r.dev.L2Bytes, opts.L2Ways),
+		l2:   newLRUCache(r.dev.L2Bytes, l2Ways),
+		top:  engine.NewTopK(opts.Objective, opts.TopK),
 	}
 	switch opts.Kernel {
 	case K1Naive:
@@ -300,7 +270,7 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	case K3Transposed:
 		sim.words = st.Words32(dataset.LayoutTransposed, 0)
 	case K4Tiled, K5Fused:
-		sim.words = st.Words32(dataset.LayoutTiled, opts.BS)
+		sim.words = st.Words32(dataset.LayoutTiled, r.dev.WarpSize)
 	}
 
 	m := st.SNPs()
@@ -311,7 +281,7 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	warp := r.dev.WarpSize
 
 	// Work distribution goes through the tile scheduler: either the
-	// run's own cursor over [RankLo, RankHi), or a shared cursor other
+	// run's own cursor over its rank range, or a shared cursor other
 	// consumers are draining concurrently. One tile is one simulated
 	// kernel enqueue; warps iterate inside it, and cancellation is
 	// observed between tiles.
@@ -319,14 +289,14 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	claimGrains := int64(1)
 	shared := cur != nil
 	if cur == nil {
-		base, total := int64(0), combin.Triples(m)
-		if opts.RankLo != 0 || opts.RankHi != 0 {
-			if opts.RankLo < 0 || opts.RankHi < opts.RankLo || opts.RankHi > total {
-				return nil, fmt.Errorf("gpusim: invalid rank range [%d,%d) of %d", opts.RankLo, opts.RankHi, total)
+		lo, hi := int64(0), combin.Triples(m)
+		if r := opts.Range; r != nil {
+			if r.Lo < 0 || r.Hi < r.Lo || r.Hi > hi {
+				return nil, fmt.Errorf("gpusim: invalid rank range [%d,%d) of %d", r.Lo, r.Hi, hi)
 			}
-			base, total = opts.RankLo, opts.RankHi
+			lo, hi = r.Lo, r.Hi
 		}
-		cur = sched.NewCursor(sched.NewSource(base, total, int64(warp)*256))
+		cur = sched.NewCursor(sched.NewSource(lo, hi, int64(warp)*256))
 	} else {
 		// On a shared cursor the grain was sized for CPU workers; the
 		// device claims larger spans to amortize its launch overhead,
@@ -388,33 +358,38 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	sim.stats.Elements = float64(sim.stats.Combinations) * float64(st.Samples())
 	sim.accountScheduling(m)
 	sim.finishTiming()
-	res := &Result{Stats: sim.stats, TopK: sim.top}
-	if len(sim.top) > 0 {
-		res.Best = sim.top[0]
+	res := &Result{Stats: sim.stats, TopK: sim.top.List()}
+	if len(res.TopK) > 0 {
+		res.Best = res.TopK[0]
 	} else {
-		res.Best = Candidate{Score: opts.Objective.Worst()}
+		res.Best = engine.Candidate{Score: opts.Objective.Worst()}
 	}
 	return res, nil
 }
 
-// accountScheduling computes the Algorithm 2 thread-slot utilization:
-// kernel enqueues cover block triples (b0 <= b1 <= b2) of BSched-wide
-// index blocks, so the scheduled slots are C(nb+2,3) * BSched^3 scaled
-// to the evaluated rank share.
+// accountScheduling computes the Algorithm 2 thread-slot utilization
+// at the modeled scheduling block.
 func (s *simState) accountScheduling(m int) {
-	bs := int64(s.opts.BSched)
-	nb := int64(combin.TripleBlocks(m, s.opts.BSched))
-	scheduledFull := combin.Triples(int(nb)+2) * bs * bs * bs
-	totalFull := combin.Triples(m)
-	share := 1.0
-	if totalFull > 0 {
-		share = float64(s.stats.Combinations) / float64(totalFull)
-	}
 	s.stats.ActiveThreads = s.stats.Combinations
-	s.stats.ScheduledThreads = int64(float64(scheduledFull) * share)
+	s.stats.ScheduledThreads = scheduledThreads(m, s.stats.Combinations, schedBlock)
 	if s.stats.ScheduledThreads > 0 {
 		s.stats.Utilization = float64(s.stats.ActiveThreads) / float64(s.stats.ScheduledThreads)
 	}
+}
+
+// scheduledThreads counts the thread slots Algorithm 2 spawns for
+// combos of an m-SNP space's ranks: kernel enqueues cover block
+// triples (b0 <= b1 <= b2) of bs-wide index blocks, so the scheduled
+// slots are C(nb+2,3) * bs^3 scaled to the evaluated rank share.
+func scheduledThreads(m int, combos int64, bs int) int64 {
+	b := int64(bs)
+	nb := combin.TripleBlocks(m, bs)
+	scheduledFull := combin.Triples(nb+2) * b * b * b
+	share := 1.0
+	if totalFull := combin.Triples(m); totalFull > 0 {
+		share = float64(combos) / float64(totalFull)
+	}
+	return int64(float64(scheduledFull) * share)
 }
 
 // simState carries the per-search mutable state.
@@ -427,8 +402,7 @@ type simState struct {
 	words *dataset.Words32
 
 	stats Stats
-	top   []Candidate // best-first, capped at opts.TopK
-	cmp   func(a, b Candidate) bool
+	top   *engine.TopK
 
 	// Reused warp-sized buffers.
 	ti, tj, tk [maxWarp]int
@@ -463,31 +437,8 @@ func (s *simState) runWarp(m int, lo, hi int64) {
 		var tab contingency.Table
 		tab.Counts = s.ft[t]
 		sc := s.opts.Objective.Score(&tab)
-		s.offer(Candidate{I: s.ti[t], J: s.tj[t], K: s.tk[t], Score: sc})
+		s.top.Offer(engine.Candidate{SNPs: [contingency.MaxOrder]int{s.ti[t], s.tj[t], s.tk[t]}, Score: sc})
 	}
-}
-
-// better orders candidates: objective score first, lexicographic
-// triple as the deterministic tie-break (shared with every backend).
-func (s *simState) better(a, b Candidate) bool {
-	if a.Score != b.Score {
-		return s.opts.Objective.Better(a.Score, b.Score)
-	}
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	if a.J != b.J {
-		return a.J < b.J
-	}
-	return a.K < b.K
-}
-
-// offer inserts the candidate if it ranks among the TopK best seen.
-func (s *simState) offer(c Candidate) {
-	if s.cmp == nil {
-		s.cmp = s.better
-	}
-	s.top = topk.Insert(s.top, c, s.opts.TopK, s.cmp)
 }
 
 // runWarpSplit executes one warp of the V2/V3/V4 kernel body.
@@ -691,7 +642,7 @@ func (s *simState) coalesce(tc int) {
 		}
 		a[j+1] = v
 	}
-	seg := uint64(s.opts.CoalesceBytes)
+	seg := uint64(coalesceBytes)
 	lastSeg := ^uint64(0)
 	lastLine := ^uint64(0)
 	for _, addr := range a {
@@ -717,7 +668,7 @@ func (s *simState) coalesce(tc int) {
 func (s *simState) finishTiming() {
 	st := &s.stats
 	st.RequestedBytes = st.Loads * 4
-	st.L2Bytes = st.Transactions * int64(s.opts.CoalesceBytes)
+	st.L2Bytes = st.Transactions * coalesceBytes
 	st.L2Hits = s.l2.hits
 	st.L2Misses = s.l2.misses
 	st.DRAMBytes = st.L2Misses * cacheLine
@@ -731,9 +682,6 @@ func (s *simState) finishTiming() {
 		st.ComputeCycles = aluCyc + popCyc
 	} else {
 		st.ComputeCycles = maxf(aluCyc, popCyc)
-	}
-	if s.opts.ModelGuardWaste && st.Utilization > 0 {
-		st.ComputeCycles /= st.Utilization
 	}
 
 	l2Cyc := float64(st.L2Bytes) / d.L2BytesPerCycle

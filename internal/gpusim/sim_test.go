@@ -165,9 +165,9 @@ func TestOptionValidation(t *testing.T) {
 	r := New(titan())
 	bad := []Options{
 		{Kernel: Kernel(9)},
-		{Kernel: K4Tiled, BS: -1},
-		{Kernel: K2Split, CoalesceBytes: 33},
-		{Kernel: K2Split, CoalesceBytes: 2},
+		{TopK: -1},
+		{Range: &combin.Range{Lo: 5, Hi: 2}},
+		{Range: &combin.Range{Lo: 0, Hi: combin.Triples(6) + 1}},
 	}
 	for i, o := range bad {
 		if _, err := r.Search(encStore(mx), o); err == nil {
@@ -224,12 +224,12 @@ func TestCacheDegenerateSizes(t *testing.T) {
 	}
 }
 
+// TestSchedulingUtilization checks Algorithm 2's slot accounting: a
+// run schedules its share of the cube at the modeled block, and the
+// rule gives ~1/6 utilization when one block spans the space.
 func TestSchedulingUtilization(t *testing.T) {
 	mx := randomMatrix(90, 40, 128)
-	r := New(titan())
-	// With BSched equal to M there is a single block triple and the
-	// cube holds M^3 slots: utilization = C(M,3)/M^3 ~ 1/6.
-	res, err := r.Search(encStore(mx), Options{Kernel: K4Tiled, BSched: 40})
+	res, err := New(titan()).Search(encStore(mx), Options{Kernel: K4Tiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,43 +237,30 @@ func TestSchedulingUtilization(t *testing.T) {
 	if st.ActiveThreads != st.Combinations {
 		t.Errorf("active threads %d != combinations %d", st.ActiveThreads, st.Combinations)
 	}
-	if st.ScheduledThreads != 40*40*40 {
-		t.Errorf("scheduled threads %d, want 64000", st.ScheduledThreads)
+	if want := scheduledThreads(40, st.Combinations, schedBlock); st.ScheduledThreads != want {
+		t.Errorf("scheduled threads %d, want %d", st.ScheduledThreads, want)
 	}
-	if st.Utilization < 0.12 || st.Utilization > 0.20 {
-		t.Errorf("utilization %.3f, want ~1/6", st.Utilization)
+	if want := float64(st.ActiveThreads) / float64(st.ScheduledThreads); st.Utilization != want {
+		t.Errorf("utilization %g, want active/scheduled %g", st.Utilization, want)
 	}
-	// Smaller scheduling blocks waste fewer guard slots.
-	fine, err := r.Search(encStore(mx), Options{Kernel: K4Tiled, BSched: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.Stats.Utilization <= st.Utilization {
-		t.Errorf("BSched=8 utilization %.3f should beat BSched=40's %.3f",
-			fine.Stats.Utilization, st.Utilization)
-	}
-}
 
-func TestModelGuardWasteInflatesCycles(t *testing.T) {
-	mx := randomMatrix(91, 24, 256)
-	r := New(titan())
-	plain, err := r.Search(encStore(mx), Options{Kernel: K4Tiled, BSched: 24})
-	if err != nil {
-		t.Fatal(err)
+	// With the block equal to M there is a single block triple and the
+	// cube holds M^3 slots: utilization = C(M,3)/M^3 ~ 1/6.
+	total := combin.Triples(40)
+	coarse := scheduledThreads(40, total, 40)
+	if coarse != 40*40*40 {
+		t.Errorf("scheduled threads %d, want 64000", coarse)
 	}
-	wasted, err := r.Search(encStore(mx), Options{Kernel: K4Tiled, BSched: 24, ModelGuardWaste: true})
-	if err != nil {
-		t.Fatal(err)
+	if u := float64(total) / float64(coarse); u < 0.12 || u > 0.20 {
+		t.Errorf("utilization %.3f, want ~1/6", u)
 	}
-	if wasted.Stats.ComputeCycles <= plain.Stats.ComputeCycles {
-		t.Error("guard-waste modeling should inflate compute cycles")
+	// Smaller scheduling blocks waste fewer guard slots, and a shard
+	// schedules its share of the cube.
+	if fine := scheduledThreads(40, total, 8); fine >= coarse {
+		t.Errorf("block 8 schedules %d slots, block 40 %d: want fewer", fine, coarse)
 	}
-	// Functional results are unaffected.
-	if wasted.Best != plain.Best {
-		t.Error("guard-waste modeling changed results")
-	}
-	if _, err := r.Search(encStore(mx), Options{BSched: -2}); err == nil {
-		t.Error("negative BSched accepted")
+	if half := scheduledThreads(40, total/2, 40); half != coarse/2 {
+		t.Errorf("half the ranks schedule %d slots, want %d", half, coarse/2)
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 	"trigene/internal/combin"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/engine"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 	"trigene/internal/store"
-	"trigene/internal/topk"
 )
 
 // Options configures a baseline search.
@@ -49,12 +49,6 @@ type Options struct {
 	Context context.Context
 }
 
-// Candidate is a scored SNP triple.
-type Candidate struct {
-	I, J, K int
-	MI      float64
-}
-
 // Stats reports the volume and speed of a completed search.
 type Stats struct {
 	Combinations   int64
@@ -65,8 +59,10 @@ type Stats struct {
 
 // Result is the outcome of a baseline search.
 type Result struct {
-	Best  Candidate
-	TopK  []Candidate
+	Best engine.Candidate
+	// TopK holds up to Options.TopK candidates, best (highest MI)
+	// first; ties go to the lexicographically smaller triple.
+	TopK  []engine.Candidate
 	Stats Stats
 }
 
@@ -111,24 +107,30 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 	// claiming cursor, because static assignment is the point of this
 	// baseline.
 	ranges := sched.NewSource(lo, hi, 1).Partition(opts.Ranks)
-	tops := make([][]Candidate, len(ranges))
+	tops := make([]*engine.TopK, len(ranges))
 	var wg sync.WaitGroup
 	for rk, rg := range ranges {
+		tops[rk] = engine.NewTopK(score.MIObjective{}, opts.TopK)
 		wg.Add(1)
-		go func(rk int, rg combin.Range) {
+		go func(top *engine.TopK, rg combin.Range) {
 			defer wg.Done()
-			tops[rk] = searchRange(ctx, cp, m, rg, opts.TopK)
-		}(rk, rg)
+			searchRange(ctx, cp, m, rg, top)
+		}(tops[rk], rg)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	merged := mergeTopK(tops, opts.TopK)
-	res := &Result{TopK: merged}
-	if len(merged) > 0 {
-		res.Best = merged[0]
+	merged := engine.NewTopK(score.MIObjective{}, opts.TopK)
+	for _, top := range tops {
+		for _, c := range top.List() {
+			merged.Offer(c)
+		}
+	}
+	res := &Result{TopK: merged.List()}
+	if len(res.TopK) > 0 {
+		res.Best = res.TopK[0]
 	}
 	res.Stats.Combinations = hi - lo
 	res.Stats.Elements = float64(hi-lo) * float64(st.Samples())
@@ -139,13 +141,13 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 	return res, nil
 }
 
-func searchRange(ctx context.Context, cp *dataset.ClassPlanes, m int, rg combin.Range, topK int) []Candidate {
-	var top []Candidate
+// searchRange ranks the triples of rg into top by mutual information.
+func searchRange(ctx context.Context, cp *dataset.ClassPlanes, m int, rg combin.Range, top *engine.TopK) {
 	var tab contingency.Table // reused across combinations
 	i, j, k := combin.UnrankTriple(rg.Lo, m)
 	for r := rg.Lo; r < rg.Hi; r++ {
 		if (r-rg.Lo)%8192 == 0 && ctx.Err() != nil {
-			return nil
+			return
 		}
 		for class := 0; class < 2; class++ {
 			for gx := 0; gx < 3; gx++ {
@@ -160,37 +162,7 @@ func searchRange(ctx context.Context, cp *dataset.ClassPlanes, m int, rg combin.
 				}
 			}
 		}
-		top = insertTopK(top, Candidate{I: i, J: j, K: k, MI: score.MutualInformation(&tab)}, topK)
+		top.Offer(engine.Candidate{SNPs: [contingency.MaxOrder]int{i, j, k}, Score: score.MutualInformation(&tab)})
 		i, j, k, _ = combin.NextTriple(i, j, k, m)
 	}
-	return top
-}
-
-// insertTopK keeps the list sorted by MI descending (ties: smaller
-// triple first) and capped at k entries.
-func insertTopK(top []Candidate, c Candidate, k int) []Candidate {
-	return topk.Insert(top, c, k, better)
-}
-
-func better(a, b Candidate) bool {
-	if a.MI != b.MI {
-		return a.MI > b.MI
-	}
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	if a.J != b.J {
-		return a.J < b.J
-	}
-	return a.K < b.K
-}
-
-func mergeTopK(tops [][]Candidate, k int) []Candidate {
-	var merged []Candidate
-	for _, t := range tops {
-		for _, c := range t {
-			merged = insertTopK(merged, c, k)
-		}
-	}
-	return merged
 }

@@ -37,13 +37,11 @@ func TestBaselineAgreesWithEngineOnMI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Best.I != eng.Best.SNPs[0] || base.Best.J != eng.Best.SNPs[1] ||
-		base.Best.K != eng.Best.SNPs[2] {
-		t.Errorf("baseline best (%d,%d,%d), engine best %v",
-			base.Best.I, base.Best.J, base.Best.K, eng.Best.SNPs[:3])
+	if base.Best.SNPs != eng.Best.SNPs {
+		t.Errorf("baseline best %v, engine best %v", base.Best.SNPs[:3], eng.Best.SNPs[:3])
 	}
-	if base.Best.MI != eng.Best.Score {
-		t.Errorf("baseline MI %.9f != engine %.9f", base.Best.MI, eng.Best.Score)
+	if base.Best.Score != eng.Best.Score {
+		t.Errorf("baseline MI %.9f != engine %.9f", base.Best.Score, eng.Best.Score)
 	}
 }
 
@@ -65,8 +63,8 @@ func TestBaselineTablesMatchReference(t *testing.T) {
 		t.Fatalf("TopK = %d, want all %d", len(base.TopK), combin.Triples(6))
 	}
 	for _, c := range base.TopK {
-		if w := want[[3]int{c.I, c.J, c.K}]; c.MI != w {
-			t.Errorf("(%d,%d,%d): MI %.9f, want %.9f", c.I, c.J, c.K, c.MI, w)
+		if w := want[[3]int(c.SNPs[:3])]; c.Score != w {
+			t.Errorf("%v: MI %.9f, want %.9f", c.SNPs[:3], c.Score, w)
 		}
 	}
 }
@@ -103,7 +101,7 @@ func TestBaselineTopKSorted(t *testing.T) {
 		t.Fatalf("TopK = %d", len(res.TopK))
 	}
 	for i := 1; i < len(res.TopK); i++ {
-		if res.TopK[i-1].MI < res.TopK[i].MI {
+		if res.TopK[i-1].Score < res.TopK[i].Score {
 			t.Errorf("TopK not sorted at %d", i)
 		}
 	}
@@ -153,7 +151,7 @@ func TestBaselinePlantedInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.I != 1 || res.Best.J != 6 || res.Best.K != 9 {
-		t.Errorf("best (%d,%d,%d), want planted (1,6,9)", res.Best.I, res.Best.J, res.Best.K)
+	if got := [3]int(res.Best.SNPs[:3]); got != [3]int{1, 6, 9} {
+		t.Errorf("best %v, want planted (1,6,9)", got)
 	}
 }

@@ -10,7 +10,7 @@
 // of a heterogeneous run, and the ranks-per-claim tile grain for the
 // scheduler's consumers. Every layer then consumes the
 // Plan instead of a magic constant: sched sizes tiles from it, hetero
-// seeds its work-stealing claim ratio and static split from it, and
+// seeds its work-stealing grain and claim ratio from it, and
 // the cluster coordinator weights lease sizes by the same capability
 // currency.
 //
@@ -87,8 +87,8 @@ type Plan struct {
 	Grain int64
 	// CPUFraction is the modeled CPU share of the work: 1 on pure CPU
 	// plans, 0 on pure GPU plans, the throughput-proportional split on
-	// heterogeneous ones (the seed for a static split, and the
-	// expectation for a work-stealing one).
+	// heterogeneous ones (what the work-stealing run is expected to
+	// realize; the run itself is seeded by Grain and GPUGrains).
 	CPUFraction float64
 	// GPUGrains is the device consumer's claim multiplier on a shared
 	// work-stealing cursor: how many CPU-sized grains one device claim

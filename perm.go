@@ -499,10 +499,7 @@ func (s *Session) permRemote(ctx context.Context, cfg *searchConfig, candidates 
 	if !ok {
 		return nil, fmt.Errorf("trigene: cluster %s cannot run permutation jobs (no ExecutePerm)", cfg.remote.Name())
 	}
-	spec, err := cfg.spec()
-	if err != nil {
-		return nil, err
-	}
+	spec := cfg.spec()
 	perms := cfg.permCount()
 	snps := make([][]int, len(candidates))
 	for i, c := range candidates {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-
-	"trigene/internal/hetero"
 )
 
 // SearchSpec is the wire form of a search configuration: the subset of
@@ -62,8 +60,6 @@ type SearchSpec struct {
 
 // ParseBackend rebuilds a Backend from its Name(): "cpu" (or ""),
 // "baseline", "hetero", or "gpusim:<ID>" with a Table II device label.
-// Custom HeteroOn pairings do not round-trip through a name and are
-// not constructible here.
 func ParseBackend(name string) (Backend, error) {
 	switch {
 	case name == "" || name == "cpu":
@@ -137,9 +133,8 @@ func (sp SearchSpec) Options() ([]Option, error) {
 	return opts, nil
 }
 
-// spec serializes the resolved configuration of a Search call. It
-// fails on configuration that cannot cross the wire.
-func (c *searchConfig) spec() (SearchSpec, error) {
+// spec serializes the resolved configuration of a Search call.
+func (c *searchConfig) spec() SearchSpec {
 	sp := SearchSpec{
 		Order:     c.order,
 		TopK:      c.topK,
@@ -153,9 +148,6 @@ func (c *searchConfig) spec() (SearchSpec, error) {
 		// wire so every worker plans for its own host.
 		sp.Backend = ""
 	}
-	if hb, ok := c.backend.(heteroBackend); ok && hb.opts != (hetero.Options{}) {
-		return SearchSpec{}, fmt.Errorf("trigene: custom HeteroOn configurations do not serialize; remote execution supports the default Hetero() pairing")
-	}
 	if c.approachSet {
 		sp.Approach = fmt.Sprintf("V%d", int(c.approach))
 	}
@@ -163,7 +155,7 @@ func (c *searchConfig) spec() (SearchSpec, error) {
 		sc := *c.screen
 		sp.Screen = &sc
 	}
-	return sp, nil
+	return sp
 }
 
 // RemoteExecutor submits one configured search for execution somewhere

@@ -90,9 +90,5 @@ func specOf(t *testing.T, opts []Option) SearchSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := cfg.spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sp
+	return cfg.spec()
 }

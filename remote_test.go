@@ -163,8 +163,8 @@ func TestWithCluster(t *testing.T) {
 	}
 	exec.err = nil
 
-	// Loud failures: nil executor, sharding, progress, custom hetero,
-	// and permutation tests.
+	// Loud failures: nil executor, sharding, progress and permutation
+	// tests.
 	if _, err := s.Search(ctx, trigene.WithCluster(nil)); err == nil {
 		t.Error("nil executor accepted")
 	}
@@ -173,18 +173,6 @@ func TestWithCluster(t *testing.T) {
 	}
 	if _, err := s.Search(ctx, trigene.WithCluster(exec), trigene.WithProgress(func(done, total int64) {})); err == nil {
 		t.Error("WithProgress + WithCluster accepted")
-	}
-	ci3, err := trigene.CPUByID("CI3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn1, err := trigene.GPUByID("GN1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Search(ctx, trigene.WithCluster(exec),
-		trigene.WithBackend(trigene.HeteroOn(ci3, gn1, 0.5))); err == nil {
-		t.Error("custom HeteroOn + WithCluster accepted")
 	}
 	if _, err := s.PermutationTest(ctx, []int{1, 2, 3}, trigene.WithCluster(exec)); err == nil {
 		t.Error("WithCluster on a permutation test accepted")

@@ -206,11 +206,7 @@ func (s *Session) searchRemote(ctx context.Context, cfg *searchConfig) (*Report,
 	if cfg.progress != nil {
 		return nil, fmt.Errorf("trigene: WithProgress does not cross the wire; poll the cluster job status instead")
 	}
-	spec, err := cfg.spec()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := cfg.remote.ExecuteSearch(ctx, s.Matrix(), spec)
+	rep, err := cfg.remote.ExecuteSearch(ctx, s.Matrix(), cfg.spec())
 	if err != nil {
 		return nil, fmt.Errorf("trigene: cluster %s: %w", cfg.remote.Name(), err)
 	}

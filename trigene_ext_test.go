@@ -75,21 +75,6 @@ func TestPublicAPIHeterogeneous(t *testing.T) {
 	if het.Hetero == nil || het.Hetero.CPUFraction < 0 || het.Hetero.CPUFraction > 1 {
 		t.Errorf("hetero split info: %+v", het.Hetero)
 	}
-	// An explicit device pair with a forced static split also merges
-	// bit-exactly.
-	ci3, err := trigene.CPUByID("CI3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn1, err := trigene.GPUByID("GN1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := sess.Search(ctx, trigene.WithBackend(trigene.HeteroOn(ci3, gn1, 0.5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSNPs(t, forced.Best.SNPs, want.Best.SNPs...)
 }
 
 func TestPublicAPIPermutationTest(t *testing.T) {
