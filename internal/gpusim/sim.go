@@ -228,9 +228,6 @@ type Runner struct {
 // New returns a Runner for the given Table II device.
 func New(dev device.GPU) *Runner { return &Runner{dev: dev} }
 
-// Device returns the modeled device.
-func (r *Runner) Device() device.GPU { return r.dev }
-
 // Search runs the exhaustive 3-way search on the simulated device and
 // returns the (bit-exact) best candidate together with the modeled
 // execution statistics. The 32-bit word encodings come from the
