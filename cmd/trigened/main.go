@@ -206,7 +206,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	attempts := fs.Int("max-attempts", 5, "lease re-issues per tile before the job fails")
 	retain := fs.Int("retain", 64, "finished jobs kept (with results) before eviction")
 	stateDir := fs.String("state-dir", "", "durability root: journal every state transition there and recover from it on start (empty = in-memory)")
-	snapEvery := fs.Int("snapshot-every", 256, "journal records between state snapshots (with -state-dir)")
+	snapEvery := fs.Int("snapshot-every", 256, "fewest journal records between state snapshots; a snapshot also waits until the journal is as large as the last one, so recovery reads at most about twice the live state (with -state-dir)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "log encoding: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this extra address (empty = off)")

@@ -53,9 +53,12 @@ type Config struct {
 	// transition survive a coordinator crash. NewCoordinator ignores it
 	// (in-memory coordinator); Recover requires it.
 	StateDir string
-	// SnapshotEvery is how many journal records accumulate before the
-	// full state is compacted into a snapshot and the journal reset
-	// (default 256). Only meaningful with StateDir.
+	// SnapshotEvery is the fewest journal records that accumulate
+	// before the full state is compacted into a snapshot and the journal
+	// reset (default 256). Compaction also waits until the journal holds
+	// at least as many bytes as the last snapshot, so writing snapshots
+	// costs at most one byte per journaled byte and a recovery replays
+	// at most about twice the live state. Only meaningful with StateDir.
 	SnapshotEvery int
 }
 

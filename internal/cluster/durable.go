@@ -476,14 +476,18 @@ func (c *Coordinator) commit(pos uint64) error {
 }
 
 // syncJournal is one group commit, run under syncMu by one goroutine at
-// a time: the buffer is flushed under c.mu, where
-// appends happen, the fsync runs outside it, and the journal is
-// compacted into a snapshot when it has grown past SnapshotEvery
-// records. It returns the position now durable.
+// a time: the buffer is flushed under c.mu, where appends happen, the
+// fsync runs outside it, and the journal is compacted into a snapshot
+// when it has taken SnapshotEvery records and as many bytes as the last
+// snapshot. It returns the position now durable.
 func (c *Coordinator) syncJournal() (uint64, error) {
 	c.mu.Lock()
 	upTo := c.journaled
-	compact := c.log.AppendedSinceSnapshot() >= c.cfg.SnapshotEvery
+	// A snapshot re-encodes every retained job, finished ones included,
+	// so the byte condition (the append-only-file rewrite rule) keeps
+	// compaction to at most one snapshot byte written per journal byte.
+	compact := c.log.AppendedSinceSnapshot() >= c.cfg.SnapshotEvery &&
+		c.log.JournalBytes() >= c.log.SnapshotBytes()
 	err := c.log.Flush()
 	c.mu.Unlock()
 	if err == nil {
@@ -497,8 +501,9 @@ func (c *Coordinator) syncJournal() (uint64, error) {
 		c.mu.Lock()
 		// The snapshot holds every transition applied so far, journaled
 		// or not yet flushed, so all of them are durable with it. A
-		// failed compaction only costs replay time: the journal is
-		// intact.
+		// compaction that fails before its snapshot is in place only
+		// costs replay time: the journal is intact. One that fails after
+		// leaves the log refusing writes, and every later commit fails.
 		if err := c.snapshotLocked(); err != nil {
 			c.cfg.Logger.Warn("wal: snapshot failed", "error", err)
 		} else {

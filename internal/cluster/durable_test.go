@@ -9,11 +9,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/obs"
 	"trigene/internal/sched"
 	"trigene/internal/wal"
 )
@@ -525,6 +529,167 @@ func TestDurableSnapshotCompactionAndRetention(t *testing.T) {
 	if _, err := cl.Wait(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDurableCompactionWaitsForJournalBytes drives the compaction rule
+// by hand, one request at a time, with the retained finished jobs making
+// each snapshot large: the journal is still compacted (the generation
+// advances), no snapshot is written before the journal holds as many
+// bytes as the previous snapshot (read from the wal series, so a commit
+// that SnapshotEvery alone would have compacted is seen to wait), and a
+// crash recovers the same job list with bit-identical results.
+func TestDurableCompactionWaitsForJournalBytes(t *testing.T) {
+	mx := plantedMatrix(t)
+	sess := sessionFor(t, mx)
+	ctx := context.Background()
+
+	const snapshotEvery = 4
+	cfg := Config{LeaseTTL: time.Hour, SnapshotEvery: snapshotEvery, StateDir: t.TempDir()}
+	cl, proxy, co := newDurableCluster(t, cfg)
+	reg := obs.NewRegistry()
+	co.Instrument(reg)
+	generation := func() uint64 {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return co.log.Generation()
+	}
+	gen0 := generation()
+
+	// Each request runs alone, so whatever it appends precedes its
+	// commit, and the journal a snapshot cut is the journal before the
+	// request plus the framed bytes appended during it.
+	var snapshots, deferred, sinceSnap int
+	probe := func(commits bool, do func()) {
+		t.Helper()
+		before := scrapeRegistry(t, reg)
+		do()
+		after := scrapeRegistry(t, reg)
+		appends := after["trigene_wal_appends_total"] - before["trigene_wal_appends_total"]
+		framed := after["trigene_wal_append_bytes_total"] - before["trigene_wal_append_bytes_total"] + 8*appends
+		sinceSnap += int(appends)
+		switch n := after["trigene_wal_snapshots_total"] - before["trigene_wal_snapshots_total"]; {
+		case n > 1:
+			t.Fatalf("one request wrote %v snapshots", n)
+		case n == 1:
+			if !commits {
+				t.Fatal("a request that commits nothing wrote a snapshot")
+			}
+			journal, last := before["trigene_wal_journal_bytes"]+framed, before["trigene_wal_snapshot_bytes"]
+			if journal < last {
+				t.Errorf("snapshot written over a %v-byte journal, smaller than the previous %v-byte snapshot", journal, last)
+			}
+			if after["trigene_wal_journal_bytes"] != 0 {
+				t.Fatalf("journal holds %v bytes after a snapshot ended the request", after["trigene_wal_journal_bytes"])
+			}
+			snapshots++
+			sinceSnap = 0
+		case commits && sinceSnap >= snapshotEvery:
+			deferred++
+		}
+	}
+
+	const jobs, tiles = 6, 8
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		var id string
+		probe(true, func() {
+			var err error
+			id, err = cl.Submit(ctx, mx, trigene.SearchSpec{TopK: 2 + i, Workers: 1}, tiles, "compact-"+strconv.Itoa(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		ids = append(ids, id)
+		for {
+			var g LeaseGrant
+			var ok bool
+			probe(false, func() {
+				var err error
+				if g, ok, err = cl.lease(ctx, LeaseRequest{Worker: "hand"}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !ok {
+				break
+			}
+			for _, tg := range g.Granted {
+				probe(true, func() {
+					if !completeTile(t, ctx, cl, sess, g, tg) {
+						t.Fatalf("completion of tile %d discarded", tg.Tile)
+					}
+				})
+			}
+		}
+	}
+	if generation() == gen0 || snapshots == 0 {
+		t.Fatalf("journal never compacted: generation %d → %d, %d snapshots", gen0, generation(), snapshots)
+	}
+	if deferred == 0 {
+		t.Error("no commit waited for journal bytes: the test does not reach the byte rule")
+	}
+	t.Logf("%d snapshots, %d commits past SnapshotEvery deferred", snapshots, deferred)
+
+	before, err := cl.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(map[string][]byte)
+	for _, id := range ids {
+		rep, err := cl.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[id], err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	proxy.crash()
+	proxy.resume(t, cfg)
+	after, err := cl.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != jobs || !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovered job list differs:\n got %+v\nwant %+v", after, before)
+	}
+	for i, id := range ids {
+		rep, err := cl.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, results[id]) {
+			t.Errorf("job %s: recovered result differs:\n got %s\nwant %s", id, raw, results[id])
+		}
+		local, err := sess.Search(ctx, trigene.WithTopK(2+i), trigene.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEqual(t, "recovered "+id, rep, local)
+	}
+}
+
+// scrapeRegistry reads every series of the registry's exposition into a
+// map keyed by the series as exposed (name and labels).
+func scrapeRegistry(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	series := map[string]float64{}
+	for _, line := range strings.Split(expose(reg), "\n") {
+		at := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || at < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[at+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape line %q: %v", line, err)
+		}
+		series[line[:at]] = v
+	}
+	return series
 }
 
 // TestDurableDeadlineSurvivesRestart: a job's wall-clock budget is

@@ -16,13 +16,15 @@ type metrics struct {
 	syncSeconds   *obs.Histogram
 	snapshots     *obs.Counter
 	snapshotBytes *obs.Gauge
+	journalBytes  *obs.Gauge
 	snapSeconds   *obs.Histogram
 }
 
 // Instrument registers the log's metrics on reg and starts recording:
 // appended records and bytes, fsync count and latency, snapshot
-// count, size and duration. Safe to call with a nil registry (a
-// no-op) and idempotent per registry.
+// count, size and duration, and the bytes in the current journal
+// generation. Safe to call with a nil registry (a no-op) and idempotent
+// per registry.
 func (l *Log) Instrument(reg *obs.Registry) {
 	l.m = metrics{
 		appends:       reg.Counter("trigene_wal_appends_total", "Records appended to the write-ahead journal."),
@@ -31,8 +33,10 @@ func (l *Log) Instrument(reg *obs.Registry) {
 		syncSeconds:   reg.Histogram("trigene_wal_fsync_seconds", "Journal fsync latency.", obs.DurationBuckets),
 		snapshots:     reg.Counter("trigene_wal_snapshots_total", "Snapshots written."),
 		snapshotBytes: reg.Gauge("trigene_wal_snapshot_bytes", "Size of the last snapshot written."),
+		journalBytes:  reg.Gauge("trigene_wal_journal_bytes", "Framed record bytes in the current journal generation."),
 		snapSeconds:   reg.Histogram("trigene_wal_snapshot_seconds", "Snapshot write+cutover latency.", obs.DurationBuckets),
 	}
+	l.m.journalBytes.Set(float64(l.journalBytes))
 }
 
 // observeSync records one fsync in its counter and latency histogram.

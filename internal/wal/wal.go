@@ -25,6 +25,11 @@
 // crash interrupted mid-write is discarded, everything before it is
 // trusted by checksum.
 //
+// The log counts the framed bytes of its current journal generation,
+// recovered plus appended, and remembers the size of the last snapshot,
+// so a caller can compact when the journal has outgrown the snapshot
+// that would replace it.
+//
 // Sync is Flush then Fsync, and the halves are exported so a caller can
 // commit in groups: Flush (buffer to file, cheap) under the lock that
 // serializes its appends, Fsync (the slow half) outside it, covering
@@ -71,15 +76,34 @@ type Log struct {
 	dir string
 	gen uint64
 
-	f        *os.File
-	w        *bufio.Writer
-	appended int // records appended since the last snapshot (or open)
+	f            *os.File
+	w            *bufio.Writer
+	appended     int   // records appended since the last snapshot (or open)
+	journalBytes int64 // framed record bytes in the current generation
+	snapBytes    int64 // payload bytes of the last snapshot
+	broken       error // a *CutoverError once a snapshot cut-over failed midway
 
 	snapshot []byte
 	records  [][]byte
 
 	m metrics // resolved series; zero value is a no-op (see Instrument)
 }
+
+// CutoverError is returned by WriteSnapshot when the new snapshot was
+// renamed into place but the cut-over could not be made durable, and
+// by every later Append, Flush and Fsync: which generation a restart
+// recovers is then unknown, so the log acknowledges nothing more. Open
+// the directory again to continue.
+type CutoverError struct {
+	Gen uint64 // the generation the snapshot was written as
+	Err error
+}
+
+func (e *CutoverError) Error() string {
+	return fmt.Sprintf("wal: snapshot cut-over to generation %d failed, log refuses writes: %v", e.Gen, e.Err)
+}
+
+func (e *CutoverError) Unwrap() error { return e.Err }
 
 // Open opens (creating if needed) the log in dir and recovers it:
 // after Open, Snapshot and Records hold everything a deterministic
@@ -99,8 +123,9 @@ func Open(dir string) (*Log, error) {
 	return l, nil
 }
 
-// Snapshot returns the recovered snapshot payload (nil when none was
-// ever written). Valid until the next WriteSnapshot.
+// Snapshot returns the snapshot payload Open recovered (nil when there
+// was none). WriteSnapshot drops it: the log keeps no copy of what it
+// writes, only its size (SnapshotBytes).
 func (l *Log) Snapshot() []byte { return l.snapshot }
 
 // Records returns the journal records recovered after the snapshot,
@@ -111,8 +136,17 @@ func (l *Log) Records() [][]byte { return l.records }
 func (l *Log) Generation() uint64 { return l.gen }
 
 // AppendedSinceSnapshot counts records appended (plus recovered) on
-// the current journal generation — the snapshot-trigger currency.
+// the current journal generation.
 func (l *Log) AppendedSinceSnapshot() int { return l.appended + len(l.records) }
+
+// JournalBytes counts the framed record bytes of the current journal
+// generation, recovered plus appended (buffered ones included), without
+// the file header: what replay reads after the snapshot.
+func (l *Log) JournalBytes() int64 { return l.journalBytes }
+
+// SnapshotBytes is the payload size of the last snapshot, written or
+// recovered (0 when there is none).
+func (l *Log) SnapshotBytes() int64 { return l.snapBytes }
 
 // Append frames and buffers one record. It does NOT reach the disk
 // until Sync (or the buffer fills): callers acknowledging a state
@@ -120,6 +154,9 @@ func (l *Log) AppendedSinceSnapshot() int { return l.appended + len(l.records) }
 // safe to lose in a crash (a lease grant — the tile simply re-issues)
 // may leave the flush to the next critical record.
 func (l *Log) Append(rec []byte) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if len(rec) > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(rec), MaxRecord)
 	}
@@ -133,8 +170,10 @@ func (l *Log) Append(rec []byte) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.appended++
+	l.journalBytes += int64(recordOverhead + len(rec))
 	l.m.appends.Inc()
 	l.m.appendBytes.Add(int64(len(rec)))
+	l.m.journalBytes.Set(float64(l.journalBytes))
 	return nil
 }
 
@@ -150,6 +189,9 @@ func (l *Log) Sync() error {
 // Flush hands buffered appends to the file. They survive the process
 // from here on, and a machine crash only after the next Fsync.
 func (l *Log) Flush() error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
@@ -158,6 +200,9 @@ func (l *Log) Flush() error {
 
 // Fsync makes every record flushed before the call durable.
 func (l *Log) Fsync() error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if l.f == nil {
 		return fmt.Errorf("wal: fsync: log is closed")
 	}
@@ -171,30 +216,70 @@ func (l *Log) Fsync() error {
 
 // WriteSnapshot atomically replaces the snapshot with state and
 // starts a fresh journal generation: the records compacted into the
-// snapshot will not replay again. The recovered Snapshot/Records
-// views are reset accordingly.
+// snapshot will not replay again, and the recovered Snapshot/Records
+// views are dropped.
+//
+// The next generation's journal is created and fsynced before the
+// snapshot is renamed into place, so an error up to the rename leaves
+// the current generation whole and appending to it. An error after the
+// rename is a *CutoverError, and the log refuses every later write.
 func (l *Log) WriteSnapshot(state []byte) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	snapStart := time.Now()
 	newGen := l.gen + 1
+	next, err := createJournal(l.dir, newGen)
+	if err != nil {
+		return err
+	}
+	if err := writeSnapshotFile(l.dir, newGen, state); err != nil {
+		next.Close()
+		os.Remove(filepath.Join(l.dir, journalName(newGen)))
+		return err
+	}
+	// The rename is done; only making it durable is left. Should that
+	// fail, a restart may recover either generation, so neither journal
+	// may take another record.
+	if err := syncDir(l.dir); err != nil {
+		next.Close()
+		l.broken = &CutoverError{Gen: newGen, Err: err}
+		return l.broken
+	}
 
-	// Write the snapshot beside its final name and rename into place,
-	// fsyncing file then directory, so a crash leaves either the old or
-	// the new snapshot — never a torn one.
-	tmp, err := os.CreateTemp(l.dir, "snapshot.*.tmp")
+	// The snapshot is durable: cut over to the new journal generation
+	// and drop the compacted one.
+	if l.f != nil {
+		l.f.Close()
+		os.Remove(filepath.Join(l.dir, journalName(l.gen)))
+	}
+	l.gen = newGen
+	l.f, l.w = next, bufio.NewWriter(next)
+	l.snapshot, l.records = nil, nil
+	l.appended, l.journalBytes, l.snapBytes = 0, 0, int64(len(state))
+	l.m.snapshots.Inc()
+	l.m.snapshotBytes.Set(float64(len(state)))
+	l.m.journalBytes.Set(0)
+	l.m.snapSeconds.Observe(time.Since(snapStart).Seconds())
+	return nil
+}
+
+// writeSnapshotFile writes state as generation gen's snapshot beside
+// its final name and renames it into place, fsyncing the file first,
+// so a crash leaves either the old or the new snapshot — never a torn
+// one. The caller makes the rename durable.
+func writeSnapshotFile(dir string, gen uint64, state []byte) error {
+	tmp, err := os.CreateTemp(dir, "snapshot.*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	var hdr [4 + 8 + 8]byte
+	var hdr [4 + 8 + 8 + 4]byte
 	copy(hdr[0:4], snapMagic)
-	binary.LittleEndian.PutUint64(hdr[4:12], newGen)
+	binary.LittleEndian.PutUint64(hdr[4:12], gen)
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(state)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(state, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[20:24], crc32.Checksum(state, castagnoli))
 	_, err = tmp.Write(hdr[:])
-	if err == nil {
-		_, err = tmp.Write(crc[:])
-	}
 	if err == nil {
 		_, err = tmp.Write(state)
 	}
@@ -205,32 +290,11 @@ func (l *Log) WriteSnapshot(state []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(l.dir, "snapshot.snap"))
-	}
-	if err == nil {
-		err = syncDir(l.dir)
+		err = os.Rename(tmp.Name(), filepath.Join(dir, "snapshot.snap"))
 	}
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-
-	// The snapshot is durable; cut over to the new journal generation
-	// and drop the compacted one.
-	old := l.f
-	l.gen = newGen
-	l.snapshot = append([]byte(nil), state...)
-	l.records = nil
-	l.appended = 0
-	if err := l.createJournal(); err != nil {
-		return err
-	}
-	if old != nil {
-		old.Close()
-		os.Remove(filepath.Join(l.dir, journalName(newGen-1)))
-	}
-	l.m.snapshots.Inc()
-	l.m.snapshotBytes.Set(float64(len(state)))
-	l.m.snapSeconds.Observe(time.Since(snapStart).Seconds())
 	return nil
 }
 
@@ -275,6 +339,7 @@ func (l *Log) readSnapshot() error {
 	}
 	l.gen = gen
 	l.snapshot = body
+	l.snapBytes = int64(len(body))
 	return nil
 }
 
@@ -285,8 +350,12 @@ func (l *Log) openJournal() error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if os.IsNotExist(err) {
 		// Either a brand-new log, or a crash after WriteSnapshot renamed
-		// the snapshot but before the fresh journal existed.
-		return l.createJournal()
+		// the snapshot but before the fresh journal's entry was durable.
+		if f, err = createJournal(l.dir, l.gen); err != nil {
+			return err
+		}
+		l.f, l.w = f, bufio.NewWriter(f)
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -319,30 +388,29 @@ func (l *Log) openJournal() error {
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	l.records = records
+	l.journalBytes = int64(good)
 	return nil
 }
 
-// createJournal starts an empty journal for the current generation.
-func (l *Log) createJournal() error {
-	path := filepath.Join(l.dir, journalName(l.gen))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// createJournal writes and fsyncs an empty journal of generation gen
+// in dir, replacing any file of that name.
+func createJournal(dir string, gen uint64) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, journalName(gen)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	var hdr [headerLen]byte
 	copy(hdr[0:4], journalMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], l.gen)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	binary.LittleEndian.PutUint64(hdr[4:], gen)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	return nil
+	return f, nil
 }
 
 // dropStaleJournals deletes journal files of any generation other
@@ -404,8 +472,9 @@ func EncodeRecord(buf, rec []byte) []byte {
 	return append(buf, rec...)
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so a rename inside it is durable. It is a
+// variable so a test can fail the step after WriteSnapshot's rename.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,6 +114,173 @@ func TestLogSnapshotCompaction(t *testing.T) {
 	if len(matches) != 1 || matches[0] != filepath.Join(dir, journalName(gen)) {
 		t.Errorf("journal files = %v", matches)
 	}
+}
+
+// TestLogJournalBytes pins the compaction trigger's currency: the
+// framed bytes of the current generation count appends and recovered
+// records alike, survive a reopen and a torn-tail truncation, and reset
+// on WriteSnapshot, which also records the snapshot's size.
+func TestLogJournalBytes(t *testing.T) {
+	framed := func(recs ...string) int64 {
+		var n int64
+		for _, r := range recs {
+			n += int64(recordOverhead + len(r))
+		}
+		return n
+	}
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.JournalBytes() != 0 || l.SnapshotBytes() != 0 {
+		t.Fatalf("fresh log: journal %d bytes, snapshot %d", l.JournalBytes(), l.SnapshotBytes())
+	}
+	if err := l.Append([]byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.JournalBytes(), framed("buffered"); got != want {
+		t.Errorf("after a buffered append: %d bytes, want %d", got, want)
+	}
+	appendAll(t, l, "", "third")
+	if got, want := l.JournalBytes(), framed("buffered", "", "third"); got != want {
+		t.Errorf("after appends: %d bytes, want %d", got, want)
+	}
+
+	l = reopen(t, l, dir)
+	if got, want := l.JournalBytes(), framed("buffered", "", "third"); got != want {
+		t.Errorf("recovered: %d bytes, want %d", got, want)
+	}
+	appendAll(t, l, "fourth")
+	if got, want := l.JournalBytes(), framed("buffered", "", "third", "fourth"); got != want {
+		t.Errorf("recovered plus appended: %d bytes, want %d", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A torn tail is not counted: only what replay keeps is.
+	path := filepath.Join(dir, journalName(0))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, EncodeRecord(raw, []byte("torn"))[:len(raw)+recordOverhead+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l = reopen(t, nil, dir)
+	if got, want := l.JournalBytes(), framed("buffered", "", "third", "fourth"); got != want {
+		t.Errorf("after torn-tail truncation: %d bytes, want %d", got, want)
+	}
+
+	if err := l.WriteSnapshot([]byte("state of seventeen")); err != nil {
+		t.Fatal(err)
+	}
+	if l.JournalBytes() != 0 || l.SnapshotBytes() != int64(len("state of seventeen")) {
+		t.Errorf("after WriteSnapshot: journal %d bytes, snapshot %d", l.JournalBytes(), l.SnapshotBytes())
+	}
+	if l.Snapshot() != nil || l.Records() != nil {
+		t.Error("WriteSnapshot kept the recovered views")
+	}
+	appendAll(t, l, "next")
+	l = reopen(t, l, dir)
+	defer l.Close()
+	if got, want := l.JournalBytes(), framed("next"); got != want {
+		t.Errorf("next generation recovered: %d bytes, want %d", got, want)
+	}
+	if l.SnapshotBytes() != int64(len("state of seventeen")) {
+		t.Errorf("recovered snapshot size %d", l.SnapshotBytes())
+	}
+}
+
+// TestLogSnapshotCutoverFailureKeepsJournal: when the next generation's
+// journal cannot be created (a directory squats on its name),
+// WriteSnapshot fails before the snapshot is replaced, and a record
+// appended and synced afterwards survives a reopen — with the squatter
+// still there, and again after it is gone and a snapshot succeeds.
+func TestLogSnapshotCutoverFailureKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "before")
+	squatter := filepath.Join(dir, journalName(1))
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot([]byte("never")); err == nil {
+		t.Fatal("WriteSnapshot succeeded over a squatted journal name")
+	}
+	if l.Generation() != 0 {
+		t.Fatalf("generation %d after a failed snapshot", l.Generation())
+	}
+	appendAll(t, l, "after")
+
+	l = reopen(t, l, dir)
+	if l.Generation() != 0 || l.Snapshot() != nil {
+		t.Fatalf("reopened at generation %d, snapshot %q", l.Generation(), l.Snapshot())
+	}
+	wantRecords(t, l, "before", "after")
+
+	os.Remove(squatter)
+	if err := l.WriteSnapshot([]byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "latest")
+	l = reopen(t, l, dir)
+	defer l.Close()
+	if string(l.Snapshot()) != "state" {
+		t.Errorf("snapshot = %q", l.Snapshot())
+	}
+	wantRecords(t, l, "latest")
+}
+
+// TestLogCutoverErrorRefusesWrites: a failure after the snapshot's
+// rename leaves it unknown which generation a restart recovers, so the
+// log answers that and every later write with a *CutoverError instead
+// of acknowledging records a restart may drop.
+func TestLogCutoverErrorRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "compacted")
+	failed := errors.New("injected directory fsync failure")
+	saved := syncDir
+	syncDir = func(string) error { return failed }
+	err = l.WriteSnapshot([]byte("state"))
+	syncDir = saved
+
+	var cut *CutoverError
+	if !errors.As(err, &cut) || cut.Gen != 1 || !errors.Is(err, failed) {
+		t.Fatalf("WriteSnapshot = %v, want a *CutoverError for generation 1", err)
+	}
+	if err := l.Append([]byte("refused")); !errors.As(err, &cut) {
+		t.Errorf("Append after a failed cut-over = %v", err)
+	}
+	if err := l.Flush(); !errors.As(err, &cut) {
+		t.Errorf("Flush after a failed cut-over = %v", err)
+	}
+	if err := l.Fsync(); !errors.As(err, &cut) {
+		t.Errorf("Fsync after a failed cut-over = %v", err)
+	}
+	if err := l.WriteSnapshot([]byte("again")); !errors.As(err, &cut) {
+		t.Errorf("WriteSnapshot after a failed cut-over = %v", err)
+	}
+	if err := l.Close(); !errors.As(err, &cut) {
+		t.Errorf("Close after a failed cut-over = %v", err)
+	}
+
+	// Here the rename did land: the restart recovers the new snapshot
+	// and an empty journal, and nothing was acknowledged past it.
+	l = reopen(t, nil, dir)
+	defer l.Close()
+	if l.Generation() != 1 || string(l.Snapshot()) != "state" {
+		t.Errorf("recovered generation %d, snapshot %q", l.Generation(), l.Snapshot())
+	}
+	wantRecords(t, l)
 }
 
 // TestLogTornTailTruncated: a crash mid-append leaves a torn tail;
