@@ -51,7 +51,11 @@
 // invalid), path token first; renew likewise answers 410 for a lone lost
 // token and 200 with the "lost" tokens for a batch. A worker batches only
 // when the grant said it may, and a coordinator treats a request without
-// "more" as today's, so old and new mix both ways.
+// "more" as today's, so old and new mix both ways. The same holds for a
+// search tile's Report: a grant that says "binaryReports": true comes
+// from a coordinator that reads it as a JSON string holding the base64
+// of Report.MarshalBinary as well as the JSON object, and a worker posts
+// the string only under such a grant.
 //
 // Request bodies are bounded per route (maxLeaseBody, maxRenewBody,
 // maxDoneBody, maxFailBody, maxEmptyBody; submissions by
@@ -214,6 +218,11 @@ type LeaseGrant struct {
 	// Batch says the coordinator reads "more" on done and renew requests
 	// and answers per token; a worker batches only when it is set.
 	Batch bool `json:"batch,omitempty"`
+	// BinaryReports says the coordinator reads a search tile's Report in
+	// the binary form too (a JSON string holding the base64 of
+	// Report.MarshalBinary); a worker posts that form only when it is
+	// set, and the JSON object otherwise.
+	BinaryReports bool `json:"binaryReports,omitempty"`
 }
 
 // TileGrant is one tile of a (possibly batched) lease grant.
@@ -273,8 +282,9 @@ type WorkerList struct {
 // result of the path token's tile, and in More the results of other
 // tiles the worker finished while its previous request was in flight.
 type CompleteRequest struct {
-	// Report is the tile's Report in the stable wire format (search
-	// tiles).
+	// Report is the tile's Report (search tiles): the stable JSON
+	// object, or, under a grant that says BinaryReports, a JSON string
+	// holding the base64 of Report.MarshalBinary.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Screen is the tile's ScreenScores (stage-1 tiles of a screened
 	// job); Perm the tile's PermScores (permutation jobs). Exactly one

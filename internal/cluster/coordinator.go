@@ -623,6 +623,7 @@ func (c *Coordinator) grantLocked(req LeaseRequest, now time.Time) (LeaseGrant, 
 			Granted:       granted,
 			TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
 			Batch:         true,
+			BinaryReports: true,
 		}
 		if len(j.phases) > 1 {
 			// A one-phase job's tiles are its shards; only a phase of
@@ -925,11 +926,15 @@ func (c *Coordinator) completeLocked(res TileResult, now time.Time) (st TileStat
 	if !ok || j.state != StateRunning {
 		return verdict(TileGone, "job %s is not running", jobID)
 	}
-	// Decode and validate the payload before touching the lease table, so
-	// a refused body never marks a tile done.
-	part, err := j.decode(tile, &res)
-	if err != nil {
-		return verdict(TileInvalid, "%v", err)
+	// Decode and validate the payload of the tile's live lease before
+	// touching the lease table, so a refused body never marks a tile done.
+	// Any other lease's verdict does not depend on what it carries, and
+	// its payload is not read.
+	var part any
+	if j.leases.Current(tile, seq) {
+		if part, err = j.decode(tile, &res); err != nil {
+			return verdict(TileInvalid, "%v", err)
+		}
 	}
 	switch status := j.leases.Complete(tile, seq); status {
 	case sched.CompleteAccepted:

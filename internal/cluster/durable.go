@@ -4,7 +4,10 @@
 //
 // The journal records the coordinator's state machine, not its bytes:
 // one JSON record per transition — submit, grant, complete, release,
-// finish — replayed in order on top of the latest snapshot. Datasets
+// finish — replayed in order on top of the latest snapshot. A search
+// tile's complete record and snapshot slot hold its Report in the form
+// it was posted in: the JSON object, or the base64 string of the binary
+// form (tileReport, job.go). Datasets
 // are deliberately kept out of the journal; they are content-addressed
 // files under StateDir/packs/<sha256>.tpack, written (and fsynced)
 // before the submit record that references them, and garbage-collected

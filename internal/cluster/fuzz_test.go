@@ -36,17 +36,25 @@ func FuzzTilePayload(f *testing.F) {
 		return co, j, g
 	}
 
-	// Seeds: each kind's real payload of the planted matrix, what a
-	// decoder may meet instead, and stage-1 scores whose best list is
+	// Seeds: each kind's real payload of the planted matrix — a search
+	// tile's Report both as the JSON object and in the binary form — what
+	// a decoder may meet instead, and stage-1 scores whose best list is
 	// shorter than their seen list.
-	for _, seed := range []string{``, `null`, `{}`, `"not a payload"`, `{"snps":24}`, `{"snps":[[3,9,15],[0,1]],"stream":2,"count":40}`} {
+	for _, seed := range []string{``, `null`, `{}`, `"not a payload"`, `"AQ=="`, `"AQNjcHUA"`, `{"snps":24}`, `{"snps":[[3,9,15],[0,1]],"stream":2,"count":40}`} {
 		f.Add([]byte(seed))
 	}
 	for _, rec := range jobs {
 		_, _, g := open(f, rec)
+		g.BinaryReports = false
 		res := tileResults(f, sess, []LeaseGrant{g})[0]
 		real := *grantKind(&g).field(&res)
 		f.Add([]byte(real))
+		if grantKind(&g) == searchKind {
+			g.BinaryReports = true
+			bin := tileResults(f, sess, []LeaseGrant{g})[0].Report
+			f.Add([]byte(bin))
+			f.Add([]byte(string(bin[:len(bin)/2]) + `"`))
+		}
 		var scores trigene.ScreenScores
 		if g.Stage == screenKind.stage && json.Unmarshal(real, &scores) == nil {
 			scores.Best = scores.Best[:len(scores.Best)-1]

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -33,8 +34,9 @@ type tileKind struct {
 	run func(ctx context.Context, t tileRun) (any, error)
 	// decode turns a payload into the tile's partial, or refuses it: the
 	// one check a posted result, a replayed complete record and a
-	// snapshot slot all pass before their tile counts as done.
-	decode func(j *job, raw json.RawMessage) (any, error)
+	// snapshot slot all pass before their tile counts as done. shard is
+	// the tile within its phase.
+	decode func(j *job, shard sched.Shard, raw json.RawMessage) (any, error)
 	// close ends a phase whose tiles are all done, from their partials in
 	// tile order: it leaves the job's result, or what the next phase's
 	// grants need. Deterministic given the partials (recovery closes a
@@ -50,21 +52,22 @@ type tileRun struct {
 	spec  *trigene.SearchSpec
 	opts  []trigene.Option // spec.Options()
 	shard sched.Shard      // the tile within its phase
+	// binary: the grant said BinaryReports, so a search tile's Report
+	// may travel in the binary form.
+	binary bool
 }
 
 // newKind completes a kind from its typed halves: validate is the door
-// check of a decoded payload against the job (nil: decoding is all),
-// close the phase close over typed partials.
-func newKind[T any](k tileKind, validate func(*job, *T) error, close func(*job, []*T, time.Time) error) *tileKind {
-	k.decode = func(j *job, raw json.RawMessage) (any, error) {
+// check of a decoded payload against the job and the tile's shard within
+// its phase, close the phase close over typed partials.
+func newKind[T any](k tileKind, validate func(*job, sched.Shard, *T) error, close func(*job, []*T, time.Time) error) *tileKind {
+	k.decode = func(j *job, shard sched.Shard, raw json.RawMessage) (any, error) {
 		v := new(T)
 		if err := json.Unmarshal(raw, v); err != nil {
 			return nil, fmt.Errorf("decoding %s: %w", k.what, err)
 		}
-		if validate != nil {
-			if err := validate(j, v); err != nil {
-				return nil, fmt.Errorf("invalid %s: %w", k.what, err)
-			}
+		if err := validate(j, shard, v); err != nil {
+			return nil, fmt.Errorf("invalid %s: %w", k.what, err)
 		}
 		return v, nil
 	}
@@ -90,10 +93,20 @@ var searchKind = newKind(tileKind{
 	field: func(r *TileResult) *json.RawMessage { return &r.Report },
 	slots: func(w *walJob) *[]json.RawMessage { return &w.Reports },
 	run: func(ctx context.Context, t tileRun) (any, error) {
-		return t.sess.Search(ctx, append(t.opts[:len(t.opts):len(t.opts)],
+		rep, err := t.sess.Search(ctx, append(t.opts[:len(t.opts):len(t.opts)],
 			trigene.WithShard(t.shard.Index, t.shard.Count), trigene.WithMetrics(t.w.reg))...)
+		if err != nil {
+			return nil, err
+		}
+		return &tileReport{Report: *rep, binary: t.binary}, nil
 	},
-}, nil, func(j *job, reports []*trigene.Report, now time.Time) error {
+}, validateTileReport, func(j *job, tiles []*tileReport, now time.Time) error {
+	reports := make([]*trigene.Report, len(tiles))
+	for i, t := range tiles {
+		if t != nil {
+			reports[i] = &t.Report
+		}
+	}
 	merged, err := trigene.MergeReports(reports...)
 	if err != nil {
 		return fmt.Errorf("merging tile reports: %w", err)
@@ -106,6 +119,108 @@ var searchKind = newKind(tileKind{
 	j.result = merged
 	return nil
 })
+
+// tileReport is a search tile's Report in the form it travels in: the
+// stable JSON object, or — from a worker whose grant said BinaryReports
+// — a JSON string holding the base64 of Report.MarshalBinary. It keeps
+// the form it arrived in, so a snapshot spells a slot as the complete
+// record did.
+type tileReport struct {
+	trigene.Report
+	binary bool
+}
+
+// MarshalJSON writes the tile's Report in its form.
+func (t tileReport) MarshalJSON() ([]byte, error) {
+	if !t.binary {
+		return t.Report.MarshalJSON()
+	}
+	bin, err := t.Report.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, base64.StdEncoding.EncodedLen(len(bin))+2)
+	out = append(out, '"')
+	out = base64.StdEncoding.AppendEncode(out, bin)
+	return append(out, '"'), nil
+}
+
+// UnmarshalJSON reads a tile's Report in either form.
+func (t *tileReport) UnmarshalJSON(raw []byte) error {
+	if len(raw) == 0 || raw[0] != '"' {
+		t.binary = false
+		return t.Report.UnmarshalJSON(raw)
+	}
+	var bin []byte
+	if err := json.Unmarshal(raw, &bin); err != nil {
+		return err
+	}
+	t.binary = true
+	return t.Report.UnmarshalBinary(bin)
+}
+
+// validateTileReport is the search kind's door check: a Report counts
+// only if it is the tile's — the job's order and objective, the tile's
+// shard when its phase has several, the job's top-K limit and no more
+// candidates than it — and every candidate it ranks is a well-formed
+// combination of the dataset's SNPs. Anything else would merge into a
+// wrong top-K or count part of the space twice. Scores need no check:
+// neither form decodes a NaN or ±Inf.
+func validateTileReport(j *job, shard sched.Shard, r *tileReport) error {
+	order, objective, limit := j.spec.Order, j.spec.Objective, j.spec.TopK
+	if order == 0 {
+		order = 3
+	}
+	switch {
+	case objective != "":
+	case j.spec.Backend == "baseline":
+		objective = "mi"
+	default:
+		objective = "k2"
+	}
+	if limit == 0 {
+		limit = 1
+	}
+	if r.Order != order || r.Objective != objective {
+		return fmt.Errorf("report is order-%d %q; the job searches order-%d %q", r.Order, r.Objective, order, objective)
+	}
+	if shard.Count > 1 && (r.Shard == nil || r.Shard.Index != shard.Index || r.Shard.Count != shard.Count) {
+		got := "no shard"
+		if r.Shard != nil {
+			got = fmt.Sprintf("shard %d of %d", r.Shard.Index, r.Shard.Count)
+		}
+		return fmt.Errorf("report covers %s; the tile is shard %d of %d", got, shard.Index, shard.Count)
+	}
+	if l := r.TopKLimit(); l != 0 && l != limit {
+		// 0: a Report from a codec that predates the limit; its list
+		// length, bounded below, stands in for it in a merge.
+		return fmt.Errorf("report was ranked under top-%d; the job keeps %d", l, limit)
+	}
+	if len(r.TopK) > limit {
+		return fmt.Errorf("report ranks %d candidates; the job keeps %d", len(r.TopK), limit)
+	}
+	check := func(c trigene.SearchCandidate) error {
+		if len(c.SNPs) != order {
+			return fmt.Errorf("candidate %v has %d SNPs, want %d", c.SNPs, len(c.SNPs), order)
+		}
+		for i, s := range c.SNPs {
+			if s < 0 || s >= j.snps || (i > 0 && s <= c.SNPs[i-1]) {
+				return fmt.Errorf("candidate %v is not strictly increasing in [0, %d)", c.SNPs, j.snps)
+			}
+		}
+		return nil
+	}
+	for _, c := range r.TopK {
+		if err := check(c); err != nil {
+			return err
+		}
+	}
+	if len(r.TopK) > 0 {
+		// The best of a tile that ranked nothing is the zero candidate.
+		return check(r.Best)
+	}
+	return nil
+}
 
 // screenKind: a shard of a screened job's stage-1 pair scan,
 // Session.ScreenStage1, yielding ScreenScores. Closing merges the
@@ -132,7 +247,7 @@ var screenKind = newKind(tileKind{
 		}
 		return t.sess.ScreenStage1(ctx, seedPairs, opts...)
 	},
-}, func(j *job, sc *trigene.ScreenScores) error {
+}, func(j *job, _ sched.Shard, sc *trigene.ScreenScores) error {
 	if sc.SNPs != j.snps {
 		return fmt.Errorf("scores cover %d SNPs; the job's dataset has %d", sc.SNPs, j.snps)
 	}
@@ -189,7 +304,7 @@ var permKind = newKind(tileKind{
 		return t.sess.PermutationSlice(ctx, t.spec.Perm.SNPs, int(b.Lo), int(b.Hi-b.Lo),
 			append(t.opts[:len(t.opts):len(t.opts)], trigene.WithMetrics(t.w.reg))...)
 	},
-}, func(j *job, ps *trigene.PermScores) error {
+}, func(j *job, _ sched.Shard, ps *trigene.PermScores) error {
 	if err := ps.ValidateShape(); err != nil {
 		return err
 	}
@@ -343,7 +458,7 @@ func (j *job) grantable() int { return j.phases[j.open].end() }
 func (j *job) decode(tile int, res *TileResult) (any, error) {
 	for _, ph := range j.phases {
 		if tile >= ph.base && tile < ph.end() {
-			return ph.kind.decode(j, *ph.kind.field(res))
+			return ph.kind.decode(j, sched.Shard{Index: tile - ph.base, Count: ph.count}, *ph.kind.field(res))
 		}
 	}
 	return nil, fmt.Errorf("tile %d is outside the job's %d lease units", tile, j.tiles)

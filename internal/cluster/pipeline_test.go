@@ -71,7 +71,7 @@ func tileResults(t testing.TB, sess *trigene.Session, grants []LeaseGrant) []Til
 		}
 		kind := grantKind(&g)
 		for _, tg := range g.Granted {
-			out, err := kind.run(context.Background(), tileRun{w: &Worker{}, sess: sess, spec: &g.Spec, opts: opts, shard: g.shard(tg.Tile)})
+			out, err := kind.run(context.Background(), tileRun{w: &Worker{}, sess: sess, spec: &g.Spec, opts: opts, shard: g.shard(tg.Tile), binary: g.BinaryReports})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +411,12 @@ func crashPoints(t *testing.T, prefix string, mx *trigene.Matrix, sess *trigene.
 // changed how a job's state is held, not how a snapshot spells it: the
 // records below, as the release before it journaled them, replay into
 // the snapshot that release wrote, byte for byte, and importing that
-// snapshot and exporting it again gives it back.
+// snapshot and exporting it again gives it back. A search tile's Report
+// rests in the form it was posted in: a JSON object, or the binary form's
+// base64 string. Either names its tile's shard, as every worker's Report
+// does; one that covers no shard, or another, is refused
+// (validateTileReport), so the release before the check's search record,
+// whose hand-written Report named none, now fails its job.
 func TestJournalRecordFormat(t *testing.T) {
 	for _, tc := range []struct {
 		rec  walRecord
@@ -445,7 +450,20 @@ func TestJournalRecordFormat(t *testing.T) {
 	const leased = `"grantees":[{"tile":0,"worker":"w","seq":1},{"tile":1,"worker":"w","seq":2}]`
 	const screen = `{"snps":3,"best":[0.5,0.25,0],"seen":[true,true,false],"objective":"k2","pairs":1,"topPairs":[{"snps":[0,1],"score":0.25}],"topPairLimit":1,"durationNs":7}`
 	const perm = `{"snps":[[0,1]],"objective":"k2","seed":5,"stream":2,"offset":4,"count":4,"observed":[1.5],"hits":[1]}`
-	const report = `{"backend":"cpu","approach":"","objective":"k2","order":3,"best":{"snps":[0,1,2],"score":1.5},"topK":[{"snps":[0,1,2],"score":1.5}],"combinations":1,"elements":8,"durationNs":0,"elementsPerSec":0}`
+	const report = `{"backend":"cpu","approach":"","objective":"k2","order":3,"best":{"snps":[0,1,2],"score":1.5},"topK":[{"snps":[0,1,2],"score":1.5}],"combinations":1,"elements":8,"durationNs":0,"elementsPerSec":0,"shard":{"index":1,"count":2,"lo":0,"hi":1,"space":"combination-ranks"}}`
+	// binReport is report in the binary form a worker posts under a grant
+	// that says BinaryReports.
+	const binReport = `"AQNjcHUAAmsyBgAEAAECAAAAAAAA+D8BBAABAgAAAAAAAPg/AgAAAAAAACBAAAAAAAAAAAAAAQIEAAIRY29tYmluYXRpb24tcmFua3M="`
+	var fromJSON, fromBinary tileReport
+	if err := json.Unmarshal([]byte(report), &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(binReport), &fromBinary); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mustJSON(t, fromJSON.Report), mustJSON(t, fromBinary.Report); a != b {
+		t.Fatalf("binary report decodes to\n%s\nwant\n%s", b, a)
+	}
 	for _, tc := range []struct {
 		name, journal, snapshot string
 	}{
@@ -461,6 +479,10 @@ func TestJournalRecordFormat(t *testing.T) {
 			`{"t":"submit","job":"j1","spec":{"topK":2},"tiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
 ` + grants + `{"t":"complete","job":"j1","tile":1,"seq":2,"report":` + report + `}`,
 			`{"seq":1,"jobs":[{"id":"j1","spec":{"topK":2},"tiles":2,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":1,"q":1,"d":5000,"a":1},{"s":2,"q":2,"d":5000,"a":1}],` + leased + `,"reports":[null,` + report + `],"sub":1000}]}`},
+		{"search job, binary report",
+			`{"t":"submit","job":"j1","spec":{"topK":2},"tiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
+` + grants + `{"t":"complete","job":"j1","tile":1,"seq":2,"report":` + binReport + `}`,
+			`{"seq":1,"jobs":[{"id":"j1","spec":{"topK":2},"tiles":2,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":1,"q":1,"d":5000,"a":1},{"s":2,"q":2,"d":5000,"a":1}],` + leased + `,"reports":[null,` + binReport + `],"sub":1000}]}`},
 	} {
 		export := func(fill func(co *Coordinator)) string {
 			t.Helper()
@@ -493,6 +515,40 @@ func TestJournalRecordFormat(t *testing.T) {
 		})
 		if imported != tc.snapshot {
 			t.Errorf("%s: snapshot imports and exports as\n%s\nwant\n%s", tc.name, imported, tc.snapshot)
+		}
+	}
+
+	// The search job's record as the release before the door check wrote
+	// it: its Report names no shard. Recovery now refuses it, from the
+	// journal and from the snapshot alike, and fails the job.
+	const shardless = `{"backend":"cpu","approach":"","objective":"k2","order":3,"best":{"snps":[0,1,2],"score":1.5},"topK":[{"snps":[0,1,2],"score":1.5}],"combinations":1,"elements":8,"durationNs":0,"elementsPerSec":0}`
+	for _, load := range []struct {
+		name string
+		fill func(co *Coordinator)
+	}{
+		{"journal", func(co *Coordinator) {
+			for _, line := range strings.Split(`{"t":"submit","job":"j1","spec":{"topK":2},"tiles":2,"sha":"ab","snps":3,"samples":8,"ns":1000}
+`+grants+`{"t":"complete","job":"j1","tile":1,"seq":2,"report":`+shardless+`}`, "\n") {
+				var rec walRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatal(err)
+				}
+				co.applyLocked(rec)
+			}
+		}},
+		{"snapshot", func(co *Coordinator) {
+			if err := co.importSnapshotLocked([]byte(`{"seq":1,"jobs":[{"id":"j1","spec":{"topK":2},"tiles":2,"state":"running","sha":"ab","snps":3,"samples":8,"leaseSeq":2,"tileStates":[{"s":1,"q":1,"d":5000,"a":1},{"s":2,"q":2,"d":5000,"a":1}],` + leased + `,"reports":[null,` + shardless + `],"sub":1000}]}`)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		co := NewCoordinator(Config{})
+		co.mu.Lock()
+		load.fill(co)
+		j := co.jobs["j1"]
+		co.mu.Unlock()
+		if j == nil || j.state != StateFailed || !strings.Contains(j.err, "covers no shard") {
+			t.Errorf("shardless report from the %s: job %+v, want it failed naming the missing shard", load.name, j)
 		}
 	}
 }

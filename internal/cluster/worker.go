@@ -570,7 +570,7 @@ func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, 
 	res := TileResult{Token: tg.Token}
 	kind := grantKind(&grant)
 	start := time.Now()
-	out, err := kind.run(ctx, tileRun{w: w, sess: sess, spec: &grant.Spec, opts: opts, shard: shard})
+	out, err := kind.run(ctx, tileRun{w: w, sess: sess, spec: &grant.Spec, opts: opts, shard: shard, binary: grant.BinaryReports})
 	if err != nil {
 		return res, err
 	}

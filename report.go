@@ -187,6 +187,11 @@ type Report struct {
 	topK int
 }
 
+// TopKLimit is the candidate cap the Report was ranked under: the
+// search's WithTopK depth, or for a merge the deepest of its inputs'. It
+// is 0 on a Report decoded from JSON written before the cap was carried.
+func (r *Report) TopKLimit() int { return r.topK }
+
 // betterCandidate is the deterministic candidate order shared by every
 // backend: objective first, then lexicographic SNPs.
 func betterCandidate(obj score.Objective, a, b SearchCandidate) bool {

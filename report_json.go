@@ -5,14 +5,16 @@ import (
 	"time"
 )
 
-// Stable JSON codec for Report — the wire format of the distributed
-// deployment: trigened workers post tile Reports in it, `trigened
-// result` and `epistasis -json` emit it, and MergeReports accepts
-// Reports that round-tripped through it (the objective's ordering is
-// rebuilt from the Objective name, and the requested top-K depth is
-// carried as "topKLimit" so a merge of deserialized shard Reports
-// fills the same depth as an in-process merge — a shard whose own list
-// is short must not shrink the merged list).
+// Stable JSON codec for Report — its public format: `trigened result`,
+// `epistasis -json` and the cluster client's merged results speak it,
+// and MergeReports accepts Reports that round-tripped through it (the
+// objective's ordering is rebuilt from the Objective name, and the
+// requested top-K depth is carried as "topKLimit" so a merge of
+// deserialized shard Reports fills the same depth as an in-process
+// merge — a shard whose own list is short must not shrink the merged
+// list). Inside the cluster a search tile's Report travels in the
+// compact binary form of report_binary.go instead, and a worker under a
+// coordinator that predates it posts this one.
 //
 // The schema is versioned by field presence, not a version number:
 // fields are only ever added, never renamed or re-typed. Durations
