@@ -2,81 +2,54 @@ package trigene
 
 import (
 	"fmt"
-	"runtime"
 
 	"trigene/internal/plan"
 )
 
-// applyPlan runs the model-driven planner for an autotuned search and
-// folds its decisions into the resolved configuration: the backend
-// when the caller left it open, the approach default, the scheduler
-// tile grain, and the heterogeneous split seeds. The resulting
-// decision trace is attached to the Report as Report.Plan.
+// applyPlan prices an autotuned search with the planner and folds the
+// price into the resolved configuration: the scheduler tile grain and
+// the heterogeneous claim seeds. The backend and approach stay what
+// the caller chose or the backend defaults to. The decision trace is
+// attached to the Report as Report.Plan.
 //
-// Plans steer execution only — which engine runs and how the space is
-// cut — never search semantics, so an autotuned Report is bit-exact
-// with an untuned one (enforced by the shard-parity tests).
+// Plans steer how the space is cut, never search semantics, so an
+// autotuned Report is bit-exact with an untuned one (enforced by the
+// shard-parity tests).
 func (s *Session) applyPlan(cfg *searchConfig) error {
-	w := plan.Workload{
-		SNPs:      s.SNPs(),
-		Samples:   s.Samples(),
-		Order:     cfg.order,
-		Objective: cfg.objName,
-	}
-	var cons plan.Constraints
-	if cfg.backendSet {
-		cons.Backend = cfg.backend.Name()
-	}
-	if cfg.approachSet {
-		if _, isCPU := cfg.backend.(cpuBackend); isCPU {
-			cons.Approach = cfg.approach.String()
-		}
-	}
-
-	// The host description: the modeled device pair when the caller
-	// chose the heterogeneous backend, the live machine otherwise (the
-	// planner only places work on hardware the session will actually
-	// drive; the simulated devices enter through an explicit backend).
-	var h plan.Host
-	if _, ok := cfg.backend.(heteroBackend); ok && cfg.backendSet {
+	// Hetero's models describe its device pairing, CI3 beside GN1; every
+	// other backend is priced on the live machine.
+	h := plan.LiveHost()
+	if _, ok := cfg.backend.(heteroBackend); ok {
 		cpu, err := CPUByID("CI3")
 		if err != nil {
 			return err
 		}
-		gpu, err := GPUByID("GN1")
-		if err != nil {
-			return err
-		}
-		h = plan.Host{CPU: cpu, GPU: &gpu}
-	} else {
-		h = plan.LiveHost()
+		h.CPU = cpu
 	}
 	if cfg.workers > 0 {
 		h.Workers = cfg.workers
-	} else if h.Workers == 0 {
-		h.Workers = runtime.GOMAXPROCS(0)
 	}
-
+	w, cons := planRequest(s.SNPs(), s.Samples(), cfg)
 	p, err := plan.Decide(w, h, cons)
 	if err != nil {
 		return fmt.Errorf("trigene: autotune: %w", err)
-	}
-	if !cfg.backendSet {
-		be, err := ParseBackend(p.Backend)
-		if err != nil {
-			return fmt.Errorf("trigene: autotune: %w", err)
-		}
-		cfg.backend = be
-	}
-	if !cfg.approachSet {
-		if a, err := ParseApproach(p.Approach); err == nil {
-			cfg.plannedApproach = a
-		}
 	}
 	cfg.planGrain = p.Grain
 	cfg.planGPUGrains = p.GPUGrains
 	cfg.planInfo = planInfoFrom(p)
 	return nil
+}
+
+// planRequest describes the configured search to the planner: its
+// shape, and the backend and CPU approach that will run it.
+func planRequest(snps, samples int, cfg *searchConfig) (plan.Workload, plan.Constraints) {
+	w := plan.Workload{
+		SNPs:      snps,
+		Samples:   samples,
+		Order:     cfg.order,
+		Objective: cfg.objName,
+	}
+	return w, plan.Constraints{Backend: cfg.backend.Name(), Approach: int(cfg.cpuApproach())}
 }
 
 // screenDecision is the session-side shape of the planner's two-stage
@@ -91,20 +64,11 @@ type screenDecision struct {
 // budget-only screen: the largest survivor set whose stage-1 + stage-2
 // cost fits the budget, or a decline when screening loses.
 func planScreen(snps, samples int, cfg *searchConfig, budgetSec float64) (*screenDecision, error) {
-	w := plan.Workload{
-		SNPs:      snps,
-		Samples:   samples,
-		Order:     cfg.order,
-		Objective: cfg.objName,
-	}
-	var cons plan.Constraints
-	if cfg.backendSet {
-		cons.Backend = cfg.backend.Name()
-	}
 	h := plan.LiveHost()
 	if cfg.workers > 0 {
 		h.Workers = cfg.workers
 	}
+	w, cons := planRequest(snps, samples, cfg)
 	d, err := plan.DecideScreen(w, h, cons, budgetSec)
 	if err != nil {
 		return nil, fmt.Errorf("trigene: screen planning: %w", err)
@@ -112,11 +76,10 @@ func planScreen(snps, samples int, cfg *searchConfig, budgetSec float64) (*scree
 	return &screenDecision{Survivors: d.Survivors, Decline: d.Decline, Reason: d.Reason}, nil
 }
 
-// planInfoFrom copies a planner decision into the Report's wire shape.
+// planInfoFrom copies a planner decision into the Report's wire shape;
+// Backend and Approach are filled from the run's Report.
 func planInfoFrom(p *plan.Plan) *PlanInfo {
 	return &PlanInfo{
-		Backend:               p.Backend,
-		Approach:              p.Approach,
 		Workers:               p.Workers,
 		Grain:                 p.Grain,
 		CPUFraction:           p.CPUFraction,

@@ -2,6 +2,7 @@ package trigene_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"trigene"
@@ -26,6 +27,9 @@ func TestAutoTuneBitExactAndTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "autotuned", tuned, plain)
+	if tuned.Approach != plain.Approach {
+		t.Errorf("autotuned run ran %s, untuned %s", tuned.Approach, plain.Approach)
+	}
 	p := tuned.Plan
 	if p == nil {
 		t.Fatal("autotuned run has no plan trace")
@@ -72,12 +76,65 @@ func TestAutoTuneWithPinnedBackend(t *testing.T) {
 	if p := tuned.Plan; p.CPUFraction <= 0 || p.CPUFraction >= 1 || p.GPUGrains < 1 {
 		t.Errorf("hetero plan not seeded: %+v", p)
 	}
+	// ...priced on the V2 kernel its CPU half runs.
+	if p := tuned.Plan; !strings.Contains(p.Reason, "CI3 V2 + GN1") {
+		t.Errorf("hetero plan priced another CPU kernel: %q", p.Reason)
+	}
+}
+
+// TestAutoTunePlanDescribesRun: Report.Plan names the backend and
+// approach the run reports, and autotuning runs the approach an untuned
+// search with the same options runs — on every order, pinned CPU
+// approach and backend.
+func TestAutoTunePlanDescribesRun(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	gn1, err := trigene.GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type planCase struct {
+		name string
+		opts []trigene.Option
+	}
+	cases := []planCase{
+		{"cpu order 2", []trigene.Option{trigene.WithOrder(2)}},
+		{"cpu order 3", nil},
+		{"cpu order 4", []trigene.Option{trigene.WithOrder(4)}},
+		{"gpusim", []trigene.Option{trigene.WithBackend(trigene.GPUSim(gn1))}},
+		{"gpusim V2", []trigene.Option{trigene.WithBackend(trigene.GPUSim(gn1)), trigene.WithApproach(trigene.V2Split)}},
+		{"baseline", []trigene.Option{trigene.WithBackend(trigene.Baseline())}},
+		{"hetero", []trigene.Option{trigene.WithBackend(trigene.Hetero())}},
+	}
+	for _, a := range []trigene.Approach{trigene.V1Naive, trigene.V2Split, trigene.V3Blocked, trigene.V4Vector, trigene.V3Fused, trigene.V4Fused} {
+		cases = append(cases, planCase{"cpu " + a.String(), []trigene.Option{trigene.WithApproach(a)}})
+	}
+	for _, tc := range cases {
+		plain, err := s.Search(ctx, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tuned, err := s.Search(ctx, append(tc.opts, trigene.WithAutoTune())...)
+		if err != nil {
+			t.Fatalf("%s autotuned: %v", tc.name, err)
+		}
+		p := tuned.Plan
+		if p == nil {
+			t.Fatalf("%s: autotuned run has no plan", tc.name)
+		}
+		if p.Backend != tuned.Backend || p.Approach != tuned.Approach {
+			t.Errorf("%s: plan says %s/%s, run reports %s/%s", tc.name, p.Backend, p.Approach, tuned.Backend, tuned.Approach)
+		}
+		if tuned.Backend != plain.Backend || tuned.Approach != plain.Approach {
+			t.Errorf("%s: autotuned run is %s/%s, untuned %s/%s", tc.name, tuned.Backend, tuned.Approach, plain.Backend, plain.Approach)
+		}
+	}
 }
 
 // TestMergeRejectsMixedShardSpaces: a rank shard and a block-triple
 // shard of the same (index, count) cover different triples; merging
 // them must fail loudly instead of silently mis-unioning — the trap
-// being autotuning one shard of a search but not another.
+// being pinning an approach for one shard of a search but not another.
 func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()

@@ -94,29 +94,19 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 		topK:      cfg.topK,
 	}
 
-	var res *engine.Result
-	switch {
-	case cfg.order != 3 && cfg.approachSet:
+	if cfg.order != 3 && cfg.approachSet {
 		return nil, fmt.Errorf("trigene: order-%d searches use the fixed split kernel; WithApproach applies to order 3 only", cfg.order)
-	case cfg.order == 2:
-		rep.Approach = "V2"
+	}
+	ap := cfg.cpuApproach()
+	rep.Approach = ap.String()
+	var res *engine.Result
+	switch cfg.order {
+	case 2:
 		res, err = s.searcher.RunPairs(eopts)
-	case cfg.order == 3:
-		ap := cfg.approach
-		if ap == 0 {
-			// An autotuned run defaults to the model's pick for the
-			// device; everything else, sharded or not, to V4F (whose
-			// shards slice the block-triple space and merge bit-exactly).
-			ap = V4Fused
-			if cfg.plannedApproach != 0 {
-				ap = cfg.plannedApproach
-			}
-		}
+	case 3:
 		eopts.Approach = ap
-		rep.Approach = ap.String()
 		res, err = s.searcher.Run(eopts)
 	default:
-		rep.Approach = "V2"
 		res, err = s.searcher.RunK(cfg.order, eopts)
 	}
 	if err != nil {

@@ -352,7 +352,8 @@ func TestRunVCFInput(t *testing.T) {
 	}
 }
 
-// TestRunAutoTune: -auto prints the chosen plan in text mode, and the
+// TestRunAutoTune: -auto prints the plan in text mode, naming the
+// kernel that ran (the default V4F), and the
 // JSON summary carries the same trace (top-level and inside the
 // embedded stable Report).
 func TestRunAutoTune(t *testing.T) {
@@ -362,8 +363,8 @@ func TestRunAutoTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "plan: backend=cpu") {
-		t.Errorf("plan line missing:\n%s", s)
+	if !strings.Contains(s, "plan: backend=cpu approach=V4F ") {
+		t.Errorf("plan line missing or not the default V4F:\n%s", s)
 	}
 	if !strings.Contains(s, "grain=") || !strings.Contains(s, "predicted") {
 		t.Errorf("plan details missing:\n%s", s)

@@ -847,16 +847,22 @@ func TestClusterAutotunedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "local autotuned", localTuned, plain)
+	if localTuned.Approach != plain.Approach {
+		t.Errorf("local autotuned run ran %s, untuned %s", localTuned.Approach, plain.Approach)
+	}
 
 	remote, err := sess.Search(ctx, trigene.WithCluster(cl), trigene.WithTopK(5), trigene.WithAutoTune())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "cluster autotuned", remote, plain)
+	if remote.Approach != plain.Approach {
+		t.Errorf("cluster autotuned run ran %s, untuned %s", remote.Approach, plain.Approach)
+	}
 	if remote.Plan == nil {
 		t.Fatal("cluster-autotuned Report lost the plan trace on the wire")
 	}
-	if remote.Plan.Backend != "cpu" || remote.Plan.Grain <= 0 {
+	if remote.Plan.Backend != "cpu" || remote.Plan.Approach != plain.Approach || remote.Plan.Grain <= 0 {
 		t.Errorf("cluster plan trace: %+v", remote.Plan)
 	}
 }

@@ -28,13 +28,13 @@ func BindSearchFlags(fs *flag.FlagSet) *SearchFlags {
 	fs.StringVar(&f.In, "in", "", "input dataset path (required; '-' for stdin)")
 	fs.StringVar(&f.Format, "informat", "auto", FormatsHelp)
 	fs.StringVar(&f.Phen, "phen", "", "phenotype file for VCF input (one 0/1 per sample, whitespace separated)")
-	fs.StringVar(&f.Backend, "backend", "", "execution backend: cpu, baseline, hetero or gpusim:<ID> (a simulated Table II GPU, e.g. gpusim:GN1); default cpu, or the planner's choice under -auto")
+	fs.StringVar(&f.Backend, "backend", "", "execution backend: cpu, baseline, hetero or gpusim:<ID> (a simulated Table II GPU, e.g. gpusim:GN1); default cpu")
 	fs.StringVar(&f.Approach, "approach", "", "pipeline V1..V4, V3F or V4F (or naive/split/blocked/vector/fused; on gpusim: naive/split/transposed/tiled/fused); default: the backend's best")
 	fs.IntVar(&f.Order, "order", 0, "interaction order 2..7 (0 = 3)")
 	fs.IntVar(&f.TopK, "topk", 5, "number of candidates to report")
 	fs.StringVar(&f.Objective, "objective", "", "objective: k2, mi or gini (default: the backend's native objective)")
 	fs.IntVar(&f.Workers, "workers", 0, "host parallelism of each node that runs the search (0 = all cores)")
-	fs.BoolVar(&f.Auto, "auto", false, "model-driven autotuning: the node that runs the search picks backend (unless -backend pins it), approach, grain and split from the paper's models, and the Report records the plan")
+	fs.BoolVar(&f.Auto, "auto", false, "model-driven autotuning: the node that runs the search prices the backend and approach it runs with the paper's models and sizes the grain and hetero split from that price; the Report records the plan")
 	fs.IntVar(&f.ScreenSurvivors, "screen-survivors", 0, "two-stage screening: keep the S best SNPs from a pairwise pre-scan and search only among them (0 = no screen)")
 	fs.IntVar(&f.ScreenSeeds, "screen-seeds", 0, "with a screen: also extend the top P screened pairs with every third SNP, guarding against survivors pruned by a marginal-free interaction (0 = none)")
 	return f

@@ -121,25 +121,6 @@ func GPUCost() ApproachCost {
 	return ApproachCost{OpsPerWord: gpuALUPerWord + gpuPopPerWord, BytesPerWord: 24}
 }
 
-// BestCPUApproach returns the approach (1..6, including the fused
-// 5 = V3F and 6 = V4F) with the highest modeled throughput on the
-// device at the given workload, and that throughput in G elements/s —
-// the planner's per-device kernel selection (the paper's Figure 2
-// conclusion, computed instead of plotted, extended with the fused
-// kernels' arithmetic intensity).
-func BestCPUApproach(c device.CPU, avx512 bool, snps, samples int) (approach int, gElemPerSec float64) {
-	for a := 1; a <= 6; a++ {
-		rate, err := CPUApproachGElemPerSec(c, a, avx512, snps, samples)
-		if err != nil {
-			continue // unreachable for 1..6
-		}
-		if rate > gElemPerSec {
-			approach, gElemPerSec = a, rate
-		}
-	}
-	return approach, gElemPerSec
-}
-
 func minf(a, b float64) float64 {
 	if a < b {
 		return a

@@ -298,7 +298,7 @@ func TestCPUApproachProgression(t *testing.T) {
 	}
 	// Fused variants: V3F modestly above V3 (fewer scalar ops), V4F
 	// modestly above V4 (smaller pre-popcount budget) — each the best
-	// of its pipeline class, so BestCPUApproach lands on V4F.
+	// of its pipeline class.
 	if r := rate[5] / rate[3]; r < 1.05 || r > 1.3 {
 		t.Errorf("V3F/V3 = %.2f, want the 93/82 scalar-op ratio", r)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"testing"
 
 	"trigene/internal/device"
@@ -15,27 +16,18 @@ func hostCI3() Host {
 	return Host{CPU: c}
 }
 
-func gpuByID(t *testing.T, id string) *device.GPU {
-	t.Helper()
-	g, err := device.GPUByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &g
-}
-
 var wl = Workload{SNPs: 4096, Samples: 16384}
 
-func TestDecideCPUOnlyPicksWinningKernel(t *testing.T) {
+func TestDecideCPUPricesDefaultKernel(t *testing.T) {
 	p, err := Decide(wl, hostCI3(), Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Backend != "cpu" {
-		t.Errorf("backend = %q, want cpu (no accelerator on the host)", p.Backend)
+		t.Errorf("backend = %q, want cpu (the empty constraint)", p.Backend)
 	}
 	if p.Approach != "V4F" {
-		t.Errorf("approach = %q, want V4F (the fused winning CPU kernel)", p.Approach)
+		t.Errorf("approach = %q, want V4F (the engine default)", p.Approach)
 	}
 	if p.CPUFraction != 1 || p.PredictedGPUGElems != 0 {
 		t.Errorf("pure CPU plan carries a GPU share: frac=%g gpu=%g", p.CPUFraction, p.PredictedGPUGElems)
@@ -51,39 +43,46 @@ func TestDecideCPUOnlyPicksWinningKernel(t *testing.T) {
 	}
 }
 
+// TestDecideLiveHost: on the live host's model an unconstrained plan
+// prices the engine default V4F at every benchmark shape and beyond,
+// never the portable V3F the model once rated higher.
 func TestDecideLiveHost(t *testing.T) {
-	p, err := Decide(Workload{SNPs: 64, Samples: 2048}, LiveHost(), Constraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Backend != "cpu" || p.CPUDevice != "HOST" {
-		t.Errorf("live-host plan: backend=%q device=%q", p.Backend, p.CPUDevice)
-	}
-	if p.Workers < 1 {
-		t.Errorf("workers = %d", p.Workers)
+	for _, w := range []Workload{
+		{SNPs: 64, Samples: 2048},
+		{SNPs: 96, Samples: 16384},
+		{SNPs: 224, Samples: 500},
+		{SNPs: 640, Samples: 16384},
+		{SNPs: 128, Samples: 8192},
+		{SNPs: 5000, Samples: 100000},
+	} {
+		p, err := Decide(w, LiveHost(), Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Backend != "cpu" || p.CPUDevice != "HOST" || p.Approach != "V4F" {
+			t.Errorf("%d x %d live-host plan: backend=%q device=%q approach=%q", w.SNPs, w.Samples, p.Backend, p.CPUDevice, p.Approach)
+		}
+		if p.Workers < 1 || p.PredictedCPUGElems <= 0 {
+			t.Errorf("%d x %d live-host plan: workers=%d predicted=%g", w.SNPs, w.Samples, p.Workers, p.PredictedCPUGElems)
+		}
 	}
 }
 
-func TestDecideHeteroPair(t *testing.T) {
+// TestDecidePinnedHeteroPricesV2: hetero's CPU half runs V2, so its
+// split is priced on V2 against GN1. Priced as V4F instead, the same
+// plan read 0.406 and 3 grains.
+func TestDecidePinnedHeteroPricesV2(t *testing.T) {
 	h := hostCI3()
-	h.GPU = gpuByID(t, "GN1")
-	p, err := Decide(wl, h, Constraints{})
+	h.Workers = 2
+	p, err := Decide(Workload{SNPs: 96, Samples: 16384}, h, Constraints{Backend: "hetero", Approach: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CI3 and GN1 are the paper's Section V-D pairing: both sides
-	// contribute, so the planner must place the run heterogeneously.
-	if p.Backend != "hetero" {
-		t.Fatalf("backend = %q, want hetero", p.Backend)
+	if p.Backend != "hetero" || p.Approach != "V2" || p.GPUDevice != "GN1" {
+		t.Fatalf("hetero plan: backend=%q approach=%q gpu=%q", p.Backend, p.Approach, p.GPUDevice)
 	}
-	if p.CPUFraction <= 0 || p.CPUFraction >= 1 {
-		t.Errorf("split = %g, want inside (0,1)", p.CPUFraction)
-	}
-	if p.GPUGrains < 1 || p.GPUGrains > maxGPUGrains {
-		t.Errorf("GPU grains = %d", p.GPUGrains)
-	}
-	if p.PredictedCPUGElems <= 0 || p.PredictedGPUGElems <= 0 {
-		t.Errorf("one side predicted idle: %+v", p)
+	if math.Abs(p.CPUFraction-0.154) > 0.0005 || p.GPUGrains != 11 {
+		t.Errorf("split %.4f with %d GPU grains, want 0.154 and 11", p.CPUFraction, p.GPUGrains)
 	}
 	// The split is throughput-proportional.
 	want := p.PredictedCPUGElems / (p.PredictedCPUGElems + p.PredictedGPUGElems)
@@ -92,82 +91,55 @@ func TestDecideHeteroPair(t *testing.T) {
 	}
 }
 
-func TestDecideLopsidedPairDropsSlowSide(t *testing.T) {
-	// CI1 (6 desktop cores) against an A100: the CPU contributes noise,
-	// so the planner goes device-only.
-	c, err := device.CPUByID("CI1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := Host{CPU: c, GPU: gpuByID(t, "GN4")}
-	p, err := Decide(wl, h, Constraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Backend != "gpusim:GN4" {
-		t.Errorf("backend = %q, want gpusim:GN4", p.Backend)
-	}
-	if p.CPUFraction != 0 {
-		t.Errorf("CPU fraction = %g on a device-only plan", p.CPUFraction)
-	}
-}
-
 func TestDecideHonorsConstraints(t *testing.T) {
-	p, err := Decide(wl, hostCI3(), Constraints{Backend: "baseline"})
+	p, err := Decide(wl, hostCI3(), Constraints{Backend: "baseline", Approach: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Backend != "baseline" || p.Approach != "mpi3snp" {
+	if p.Backend != "baseline" || p.Approach != "V1" {
 		t.Errorf("baseline constraint: backend=%q approach=%q", p.Backend, p.Approach)
 	}
 
-	p, err = Decide(wl, hostCI3(), Constraints{Approach: "V2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Approach != "V2" {
-		t.Errorf("approach constraint: %q", p.Approach)
+	for a, name := range map[int]string{2: "V2", 5: "V3F", 6: "V4F"} {
+		p, err = Decide(wl, hostCI3(), Constraints{Approach: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Approach != name {
+			t.Errorf("approach %d constraint priced %q, want %q", a, p.Approach, name)
+		}
 	}
 
-	// A gpusim constraint supplies its own device model.
-	p, err = Decide(wl, hostCI3(), Constraints{Backend: "gpusim:GI2"})
+	// A gpusim constraint supplies its own device model and prices no
+	// CPU kernel.
+	p, err = Decide(wl, hostCI3(), Constraints{Backend: "gpusim:GI2", Approach: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Backend != "gpusim:GI2" || p.GPUDevice != "GI2" || p.PredictedGPUGElems <= 0 {
+	if p.Backend != "gpusim:GI2" || p.GPUDevice != "GI2" || p.PredictedGPUGElems <= 0 ||
+		p.Approach != "" || p.PredictedCPUGElems != 0 || p.CPUFraction != 0 {
 		t.Errorf("gpusim constraint: %+v", p)
 	}
 
 	if _, err := Decide(wl, hostCI3(), Constraints{Backend: "gpusim:NOPE"}); err == nil {
 		t.Error("unknown gpusim device accepted")
 	}
-	p, err = Decide(wl, hostCI3(), Constraints{Approach: "V4F"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Approach != "V4F" {
-		t.Errorf("fused approach constraint: %q", p.Approach)
-	}
-	p, err = Decide(wl, hostCI3(), Constraints{Approach: "V5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Approach != "V3F" {
-		t.Errorf("numeric fused approach constraint: %q", p.Approach)
-	}
-	if _, err := Decide(wl, hostCI3(), Constraints{Approach: "V9"}); err == nil {
+	if _, err := Decide(wl, hostCI3(), Constraints{Approach: 9}); err == nil {
 		t.Error("unknown approach accepted")
 	}
 }
 
 func TestDecideOrderGeneric(t *testing.T) {
-	p, err := Decide(Workload{SNPs: 500, Samples: 4000, Order: 4}, hostCI3(), Constraints{})
+	// Orders beyond 3 run the flat split kernel, which the caller names.
+	p, err := Decide(Workload{SNPs: 500, Samples: 4000, Order: 4}, hostCI3(), Constraints{Approach: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Orders beyond 3 run the flat split kernel.
-	if p.Approach != "V2" {
-		t.Errorf("order-4 approach = %q, want V2", p.Approach)
+	if p.Approach != "V2" || p.Grain < sched.MinGrain {
+		t.Errorf("order-4 plan: approach %q, grain %d", p.Approach, p.Grain)
+	}
+	if _, err := Decide(Workload{SNPs: 3, Samples: 4000, Order: 4}, hostCI3(), Constraints{Approach: 2}); err == nil {
+		t.Error("3 SNPs at order 4 accepted")
 	}
 }
 

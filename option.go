@@ -21,7 +21,6 @@ type searchConfig struct {
 	topK        int
 	objName     string
 	backend     Backend
-	backendSet  bool
 	approach    Approach
 	approachSet bool
 	workers     int
@@ -34,13 +33,12 @@ type searchConfig struct {
 
 	// Autotuning (WithAutoTune).
 	autotune bool
-	// Planner decisions, filled by Session.applyPlan: the approach to
-	// default to, the scheduler tile grain, the heterogeneous claim
-	// seeds, and the decision trace attached as Report.Plan.
-	plannedApproach Approach
-	planGrain       int64
-	planGPUGrains   int64
-	planInfo        *PlanInfo
+	// Planner decisions, filled by Session.applyPlan: the scheduler
+	// tile grain, the heterogeneous claim seeds, and the decision trace
+	// attached as Report.Plan.
+	planGrain     int64
+	planGPUGrains int64
+	planInfo      *PlanInfo
 
 	// Permutation-test knobs (ignored by Search).
 	permutations int
@@ -67,6 +65,28 @@ func newSearchConfig(opts []Option) (*searchConfig, error) {
 		cfg.backend = CPU()
 	}
 	return cfg, nil
+}
+
+// cpuApproach is the engine approach the configured search runs on the
+// CPU: the cpu backend's pinned approach or its default V4F at order 3
+// (sharded or not: V4F's shards slice the block-triple space and merge
+// bit-exactly) and V2 at every other order, hetero's CPU half (V2), and
+// baseline's V1-like pipeline. gpusim runs no CPU kernel; the planner
+// ignores the value there.
+func (c *searchConfig) cpuApproach() Approach {
+	switch c.backend.(type) {
+	case baselineBackend:
+		return V1Naive
+	case heteroBackend:
+		return V2Split
+	}
+	switch {
+	case c.order != 3:
+		return V2Split
+	case c.approach != 0:
+		return c.approach
+	}
+	return V4Fused
 }
 
 // objective builds the configured objective for a dataset of n samples
@@ -124,26 +144,27 @@ func WithObjective(name string) Option {
 }
 
 // WithBackend selects the execution engine (default CPU()). Under
-// WithAutoTune an explicit backend is a constraint: the planner tunes
-// within it instead of choosing one.
+// WithAutoTune the planner prices the backend that runs, pinned or
+// default; it never chooses one.
 func WithBackend(b Backend) Option {
 	return func(c *searchConfig) error {
 		if b == nil {
 			return fmt.Errorf("trigene: nil Backend")
 		}
 		c.backend = b
-		c.backendSet = true
 		return nil
 	}
 }
 
 // WithAutoTune turns on model-driven planning: before the search
 // runs, the paper's analytical machinery (the CARM roofline and the
-// per-approach throughput models) picks the execution parameters — backend (unless pinned with WithBackend),
-// approach, scheduler tile grain, and the heterogeneous split seeds —
-// instead of the static defaults. The decision trace is returned as
-// Report.Plan. Autotuning steers execution only, never search
-// semantics: an autotuned Report is bit-exact with an untuned one.
+// per-approach throughput models) prices the backend and approach the
+// search runs — the pinned ones, or each backend's default — and sizes
+// from that price the scheduler tile grain and the heterogeneous split
+// seeds instead of the static defaults. It chooses neither the backend
+// nor the approach. The decision trace is returned as Report.Plan.
+// Autotuning steers how the space is cut, never what runs or what it
+// finds: an autotuned Report is bit-exact with an untuned one.
 func WithAutoTune() Option {
 	return func(c *searchConfig) error {
 		c.autotune = true

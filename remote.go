@@ -30,9 +30,10 @@ type SearchSpec struct {
 	// Workers is the per-node host parallelism (0 = all cores).
 	Workers int `json:"workers,omitempty"`
 	// AutoTune asks every executing node to run the model-driven
-	// planner for its own host (WithAutoTune); with an empty Backend
-	// each worker places the work where its models say. Tile Reports
-	// then carry the plan trace (Report.Plan).
+	// planner for its own host (WithAutoTune): each worker prices the
+	// backend and approach the spec names, or their defaults, and cuts
+	// its tiles' grain from that price. Tile Reports then carry the
+	// plan trace (Report.Plan).
 	AutoTune bool `json:"autoTune,omitempty"`
 	// MaxWorkers caps how many distinct workers may hold live leases
 	// on the job at once (0 = unlimited). Cluster scheduling policy
@@ -81,8 +82,8 @@ func ParseBackend(name string) (Backend, error) {
 
 // Options rebuilds the Search options the spec describes. The caller
 // appends placement options (WithShard) that are not part of the wire
-// contract. An empty Backend stays unpinned (the call's default, or —
-// under AutoTune — the executing node's planner choice).
+// contract. An empty Backend adds no WithBackend: the call's default,
+// CPU.
 func (sp SearchSpec) Options() ([]Option, error) {
 	var opts []Option
 	if sp.Backend != "" {
@@ -142,11 +143,6 @@ func (c *searchConfig) spec() SearchSpec {
 		Backend:   c.backend.Name(),
 		Workers:   c.workers,
 		AutoTune:  c.autotune,
-	}
-	if c.autotune && !c.backendSet {
-		// The caller left placement to the planner; keep it open on the
-		// wire so every worker plans for its own host.
-		sp.Backend = ""
 	}
 	if c.approachSet {
 		sp.Approach = fmt.Sprintf("V%d", int(c.approach))

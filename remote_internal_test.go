@@ -45,7 +45,7 @@ func TestSearchSpecRoundTrip(t *testing.T) {
 		{"cpu V3F", []Option{WithApproach(V3Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V5"}},
 		{"cpu V4F", []Option{WithApproach(V4Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V6"}},
 		{"autotune, backend unpinned", []Option{WithAutoTune()},
-			SearchSpec{Order: 3, TopK: 1, AutoTune: true}},
+			SearchSpec{Order: 3, TopK: 1, Backend: "cpu", AutoTune: true}},
 		{"autotune, backend pinned", []Option{WithAutoTune(), WithBackend(Hetero())},
 			SearchSpec{Order: 3, TopK: 1, Backend: "hetero", AutoTune: true}},
 		{"screen", []Option{WithTopK(5), WithScreen(ScreenSpec{MaxSurvivors: 8, SeedPairs: 2, BudgetSeconds: 1.5})},

@@ -59,17 +59,20 @@ type ShardInfo struct {
 }
 
 // PlanInfo is the decision trace of a model-driven autotuned search
-// (WithAutoTune): what the planner chose and what the paper's models
-// predicted. It records the decisions actually taken by the run
-// that produced the Report; predictions are model outputs, never
-// measurements.
+// (WithAutoTune): what the paper's models predicted for the run and the
+// execution parameters sized from that prediction. It records the
+// decisions actually taken by the run that produced the Report;
+// predictions are model outputs, never measurements.
 type PlanInfo struct {
-	// Backend and Approach are the planned engine and pipeline.
+	// Backend and Approach are the engine and pipeline the run
+	// reports (Report.Backend, Report.Approach).
 	Backend  string `json:"backend"`
 	Approach string `json:"approach,omitempty"`
 	// Workers is the CPU pool size the predictions assume.
 	Workers int `json:"workers,omitempty"`
-	// Grain is the scheduler tile size in ranks per claim.
+	// Grain is the scheduler tile size in ranks per claim. It applies
+	// to rank-space runs: orders 2 and 4-7, V1/V2 and hetero. An
+	// order-3 V3..V4F run claims block triples and ignores it.
 	Grain int64 `json:"grain,omitempty"`
 	// CPUFraction is the modeled CPU share (1 pure CPU, 0 pure GPU,
 	// the throughput-proportional split on hetero plans); GPUGrains is
@@ -257,14 +260,13 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		// triples, and so do block-triple shards cut at different block
 		// sizes (V4's 4 SNPs, V4F's 8), so mixing them would silently
 		// double-count some combinations and drop others. (One way to
-		// mix them by accident: autotuning one shard of a search but not
-		// another — the planner may repick the approach and with it the
-		// space.)
+		// mix them by accident: pinning an approach for one shard of a
+		// search but not for another.)
 		if r.Shard != nil && r.Shard.Space != "" {
 			if space == "" {
 				space = r.Shard.Space
 			} else if r.Shard.Space != space {
-				return nil, fmt.Errorf("trigene: cannot merge a %s shard with a %s shard (the shards sliced different spaces; run every shard with the same approach/autotune configuration)",
+				return nil, fmt.Errorf("trigene: cannot merge a %s shard with a %s shard (the shards sliced different spaces; run every shard with the same approach)",
 					r.Shard.Space, space)
 			}
 		}

@@ -120,7 +120,7 @@ func (s *Session) Samples() int { return s.store.Samples() }
 func (s *Session) ClassCounts() (controls, cases int) { return s.store.ClassCounts() }
 
 // Search runs one exhaustive interaction search. The zero
-// configuration searches order 3 on the CPU backend with approach V4,
+// configuration searches order 3 on the CPU backend with approach V4F,
 // the Bayesian K2 objective and all cores, returning the single best
 // candidate; functional options select the order, backend, approach,
 // objective, top-K depth, shard and parallelism. Cancellation of ctx
@@ -173,6 +173,7 @@ func (s *Session) Search(ctx context.Context, opts ...Option) (*Report, error) {
 	}
 	if cfg.planInfo != nil {
 		rep.Plan = cfg.planInfo
+		rep.Plan.Backend, rep.Plan.Approach = rep.Backend, rep.Approach
 	}
 	if cfg.trace {
 		if d := s.store.EncodeSeconds() - encodeBefore; d > 0 {

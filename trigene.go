@@ -23,9 +23,10 @@
 //     accounting, reachable from the public API through WithCluster;
 //   - the Cache-Aware Roofline Model and analytical device performance
 //     models that regenerate the paper's figures and tables;
-//   - the model-driven autotuner (WithAutoTune): the same models pick
-//     the backend, approach, scheduler tile grain and heterogeneous
-//     split, with the decision trace on Report.Plan.
+//   - the model-driven autotuner (WithAutoTune): the same models price
+//     the backend and approach the search runs and size the scheduler
+//     tile grain and heterogeneous split from that price, with the
+//     decision trace on Report.Plan.
 //
 // The public search surface is the Session/Backend API: a Session
 // validates a dataset once and serves concurrent searches, a Backend
