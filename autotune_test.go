@@ -106,7 +106,7 @@ func TestAutoTunePlanDescribesRun(t *testing.T) {
 		{"baseline", []trigene.Option{trigene.WithBackend(trigene.Baseline())}},
 		{"hetero", []trigene.Option{trigene.WithBackend(trigene.Hetero())}},
 	}
-	for _, a := range []trigene.Approach{trigene.V1Naive, trigene.V2Split, trigene.V3Blocked, trigene.V4Vector, trigene.V3Fused, trigene.V4Fused} {
+	for _, a := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
 		cases = append(cases, planCase{"cpu " + a.String(), []trigene.Option{trigene.WithApproach(a)}})
 	}
 	for _, tc := range cases {
@@ -134,15 +134,20 @@ func TestAutoTunePlanDescribesRun(t *testing.T) {
 // TestMergeRejectsMixedShardSpaces: a rank shard and a block-triple
 // shard of the same (index, count) cover different triples; merging
 // them must fail loudly instead of silently mis-unioning — the trap
-// being pinning an approach for one shard of a search but not another.
+// being running one shard of a search on another backend.
 func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()
-	ranks, err := s.Search(ctx, trigene.WithApproach(trigene.V2Split), trigene.WithShard(0, 2))
+	gn1, err := trigene.GPUByID("GN1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := s.Search(ctx, trigene.WithApproach(trigene.V4Vector), trigene.WithShard(1, 2))
+	gpu := trigene.WithBackend(trigene.GPUSim(gn1))
+	ranks, err := s.Search(ctx, gpu, trigene.WithShard(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := s.Search(ctx, trigene.WithApproach(trigene.V4Fused), trigene.WithShard(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 		t.Error("merge of mixed shard spaces accepted")
 	}
 	// Same-space shards still merge.
-	other, err := s.Search(ctx, trigene.WithApproach(trigene.V2Split), trigene.WithShard(1, 2))
+	other, err := s.Search(ctx, gpu, trigene.WithShard(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +167,11 @@ func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsMixedBlockSizes: V4 cuts the block-triple space at
-// blocks of 4 SNPs and V4F at one lane group of 8, so their shards rank
-// different triples and must not merge, whatever their indices — nor may
-// a fused shard from before the block size was named ("block-triples", cut
-// at 4) merge with one cut at 8.
+// TestMergeRejectsMixedBlockSizes: V3F/V4F cut the block-triple space at
+// one lane group of 8 SNPs. Reports of the removed V3/V4, and fused shards
+// from before the block size was named, cut it at blocks of 4 and say
+// "block-triples": they rank different triples and must not merge with a
+// bs8 shard, whatever their indices.
 func TestMergeRejectsMixedBlockSizes(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()
@@ -178,24 +183,27 @@ func TestMergeRejectsMixedBlockSizes(t *testing.T) {
 		}
 		return rep
 	}
-	v4 := []*trigene.Report{shard(trigene.V4Vector, 0), shard(trigene.V4Vector, 1)}
+	v3f := []*trigene.Report{shard(trigene.V3Fused, 0), shard(trigene.V3Fused, 1)}
 	v4f := []*trigene.Report{shard(trigene.V4Fused, 0), shard(trigene.V4Fused, 1)}
-	if v4[0].Shard.Space != "block-triples" || v4f[0].Shard.Space != "block-triples-bs8" {
-		t.Fatalf("shard spaces %q (V4) and %q (V4F)", v4[0].Shard.Space, v4f[0].Shard.Space)
+	if v3f[0].Shard.Space != "block-triples-bs8" || v4f[0].Shard.Space != "block-triples-bs8" {
+		t.Fatalf("shard spaces %q (V3F) and %q (V4F)", v3f[0].Shard.Space, v4f[0].Shard.Space)
 	}
-	for _, a := range v4 {
+	var legacy []*trigene.Report
+	for _, r := range v4f {
+		old := *r
+		sh := *r.Shard
+		sh.Space = trigene.ShardSpaceBlocks
+		old.Approach, old.Shard = "V4", &sh
+		legacy = append(legacy, &old)
+	}
+	for _, a := range legacy {
 		for _, b := range v4f {
 			if _, err := trigene.MergeReports(a, b); err == nil {
-				t.Errorf("merged V4 shard %d with V4F shard %d", a.Shard.Index, b.Shard.Index)
+				t.Errorf("merged a block-triples shard %d with a block-triples-bs8 shard %d", a.Shard.Index, b.Shard.Index)
 			}
 		}
 	}
-	legacy := *v4f[0]
-	legacy.Shard = &trigene.ShardInfo{Index: 0, Count: 2, Lo: 0, Hi: 10, Space: trigene.ShardSpaceBlocks}
-	if _, err := trigene.MergeReports(&legacy, v4f[1]); err == nil {
-		t.Error("merged a legacy block-triples V4F shard with a block-triples-bs8 one")
-	}
-	for _, set := range [][]*trigene.Report{v4, v4f} {
+	for _, set := range [][]*trigene.Report{v3f, v4f, {v3f[0], v4f[1]}} {
 		if _, err := trigene.MergeReports(set...); err != nil {
 			t.Errorf("%s shards did not merge: %v", set[0].Approach, err)
 		}

@@ -58,12 +58,12 @@ func shardInfo(sp *shardSpec, space *sched.Tile, units string) *ShardInfo {
 
 type cpuBackend struct{}
 
-// CPU returns the host CPU backend: the paper's four approaches and the
-// fused V3F/V4F across a dynamically scheduled worker pool fed by the
-// tile scheduler. It supports every interaction order, top-K ranking,
-// and sharding on every order and approach (V1/V2 and orders 2/k slice
-// the combination-rank space; V3/V4 slice block triples of 4 SNPs,
-// V3F/V4F block triples of 8).
+// CPU returns the host CPU backend: at order 3 the lanes pass — V4F, or
+// V3F on the portable Go bodies — across a dynamically scheduled worker
+// pool fed by the tile scheduler. It supports every interaction order,
+// top-K ranking, and sharding on every order (order 3 slices block
+// triples of 8 SNPs, orders 2/k the combination-rank space). It refuses
+// approaches V1..V4, which are gpusim kernels.
 func CPU() Backend { return cpuBackend{} }
 
 // Name implements Backend.

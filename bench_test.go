@@ -116,12 +116,13 @@ func BenchmarkFig2a_CARM_CPU(b *testing.B) {
 	}
 }
 
-// Figure 2a/3 host calibration: the real V1-V4 progression measured on
-// the build machine (the shape the paper measures on each CPU).
+// Figure 2a/3 host calibration: the CPU pipelines the engine runs,
+// measured on the build machine (the shape the paper measures on each
+// CPU): V2, and the lanes pass on the portable and the tuned bodies.
 
 func BenchmarkFig2a_HostApproaches(b *testing.B) {
 	mx := dataset(b, 96, 4096)
-	for a := engine.V1Naive; a <= engine.V4Vector; a++ {
+	for _, a := range []engine.Approach{engine.V2Split, engine.V3Fused, engine.V4Fused} {
 		b.Run(a.String(), func(b *testing.B) {
 			reportEngine(b, mx, engine.Options{Approach: a})
 		})
@@ -270,8 +271,8 @@ func BenchmarkTable3_HostBaseline(b *testing.B) {
 		}
 		b.ReportMetric(elements/b.Elapsed().Seconds()/1e9, "Gelem/s")
 	})
-	b.Run("ThisWorkV4", func(b *testing.B) {
-		reportEngine(b, mx, engine.Options{Approach: engine.V4Vector})
+	b.Run("ThisWorkV4F", func(b *testing.B) {
+		reportEngine(b, mx, engine.Options{Approach: engine.V4Fused})
 	})
 }
 
@@ -295,11 +296,11 @@ func BenchmarkOverall_DeviceComparison(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md section 6): measured on the host.
 
-// Blocking ablation: V2 (no tiling) vs V3 (tiling) on a long-sample
-// dataset where the working set exceeds L2.
+// Blocking ablation: V2 (no tiling) vs V3F (tiled lanes pass, portable
+// bodies) on a long-sample dataset where the working set exceeds L2.
 func BenchmarkAblation_Blocking(b *testing.B) {
 	mx := dataset(b, 64, 16384)
-	for _, a := range []engine.Approach{engine.V2Split, engine.V3Blocked} {
+	for _, a := range []engine.Approach{engine.V2Split, engine.V3Fused} {
 		a := a
 		b.Run(a.String(), func(b *testing.B) {
 			reportEngine(b, mx, engine.Options{Approach: a})
@@ -307,14 +308,14 @@ func BenchmarkAblation_Blocking(b *testing.B) {
 	}
 }
 
-// Tile-size ablation: blocked approach across BS values around the
-// paper's L1-derived optimum.
+// Tile-size ablation: the lanes pass's word tile around the L1-derived
+// default of 120 words (its block is fixed at one lane group).
 func BenchmarkAblation_TileSize(b *testing.B) {
 	mx := dataset(b, 96, 4096)
-	for _, bs := range []int{2, 4, 5, 8, 16} {
-		bs := bs
-		b.Run(fmt.Sprintf("BS%d", bs), func(b *testing.B) {
-			reportEngine(b, mx, engine.Options{Approach: engine.V4Vector, BlockSNPs: bs, BlockWords: 4})
+	for _, bw := range []int{8, 32, 64, 120, 256} {
+		bw := bw
+		b.Run(fmt.Sprintf("BW%d", bw), func(b *testing.B) {
+			reportEngine(b, mx, engine.Options{BlockWords: bw})
 		})
 	}
 }

@@ -54,7 +54,7 @@ func TestTable3Output(t *testing.T) {
 	s := runExp(t, "-exp", "table3", "-host-snps", "32", "-host-samples", "512")
 	for _, want := range []string{
 		"Table III", "MPI3SNP", "Nobre et al. [29]", "Campos et al. [30]",
-		"host-measured cross-check", "this work V4",
+		"host-measured cross-check", "this work V4F",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table3 output missing %q", want)
@@ -73,7 +73,7 @@ func TestOverallOutput(t *testing.T) {
 
 func TestHostOutput(t *testing.T) {
 	s := runExp(t, "-exp", "host", "-host-snps", "24", "-host-samples", "256")
-	for _, want := range []string{"Host-measured", "V1", "V4", "speedup vs V1"} {
+	for _, want := range []string{"Host-measured", "MPI3SNP-style baseline", "V3F", "V4F", "speedup vs baseline"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("host output missing %q", want)
 		}

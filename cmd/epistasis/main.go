@@ -8,7 +8,7 @@
 // Usage:
 //
 //	epistasis -in data.tg                        # defaults: CPU V4F, K2, all cores
-//	epistasis -in data.tgb -approach V2 -topk 10 -objective mi
+//	epistasis -in data.tgb -approach V3F -topk 10 -objective mi
 //	epistasis -in data.tg -backend gpusim:GN1    # run on a simulated GPU instead
 //	epistasis -in data.tg -backend baseline      # MPI3SNP-style comparator (MI)
 //	epistasis -in data.tg -backend hetero        # collaborative CPU+GPU split

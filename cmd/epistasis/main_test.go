@@ -66,10 +66,10 @@ func TestRunTextDataset(t *testing.T) {
 func TestRunBinaryAutodetect(t *testing.T) {
 	path := writeDataset(t, true)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-approach", "V2"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-approach", "V3F"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "approach V2") {
+	if !strings.Contains(out.String(), "approach V3F") {
 		t.Errorf("approach line missing:\n%s", out.String())
 	}
 }

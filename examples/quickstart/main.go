@@ -1,6 +1,6 @@
 // Quickstart: generate a small synthetic case-control dataset with a
 // planted three-way interaction and recover it through the unified
-// Session API with the default search (CPU backend, approach V4, all
+// Session API with the default search (CPU backend, approach V4F, all
 // cores, Bayesian K2 score).
 package main
 

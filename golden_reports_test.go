@@ -57,7 +57,7 @@ type goldenRow struct {
 }
 
 // goldenRows lists the matrix for one dataset:
-//   - cpu: V2/V3/V4/V3F/V4F at order 3 and the order-2 and order-4
+//   - cpu: V3F/V4F at order 3 and the order-2 and order-4
 //     searches, under K2, MI and Gini, unsharded and as shard 1 of 3,
 //     plus the screened search with and without seed pairs;
 //   - gpusim: kernels V1..V4 and V4F on GN1 and on the 64-wide-warp GA1,
@@ -75,10 +75,9 @@ func goldenRows(t *testing.T, survivors int) []goldenRow {
 		add(key, workTotals, opts...)
 		add(key+"/shard1of3", workTotals, append(opts, trigene.WithShard(1, 3))...)
 	}
-	approaches := []trigene.Approach{trigene.V2Split, trigene.V3Blocked, trigene.V4Vector, trigene.V3Fused, trigene.V4Fused}
 	for _, obj := range []string{"k2", "mi", "gini"} {
 		o := trigene.WithObjective(obj)
-		for _, ap := range approaches {
+		for _, ap := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
 			addSharded(fmt.Sprintf("cpu/%s/order3/%s", obj, ap), false, o, trigene.WithApproach(ap))
 		}
 		for _, order := range []int{2, 4} {

@@ -29,39 +29,6 @@ func PopCountAnd3(x, y, z []uint64) int {
 	return c
 }
 
-// PopCountAnd3P returns popcount(x & y & z & p): the case-column kernel
-// of the naive approach (V1), where p is the phenotype vector.
-func PopCountAnd3P(x, y, z, p []uint64) int {
-	if len(p) == 0 {
-		return 0
-	}
-	_ = x[len(p)-1]
-	_ = y[len(p)-1]
-	_ = z[len(p)-1]
-	c := 0
-	for i := range p {
-		c += bits.OnesCount64(x[i] & y[i] & z[i] & p[i])
-	}
-	return c
-}
-
-// PopCountAnd3NotP returns popcount(x & y & z & ^p): the control-column
-// kernel of the naive approach (V1). The negated phenotype cannot set
-// tail bits in the result because x, y and z are tail-clean.
-func PopCountAnd3NotP(x, y, z, p []uint64) int {
-	if len(p) == 0 {
-		return 0
-	}
-	_ = x[len(p)-1]
-	_ = y[len(p)-1]
-	_ = z[len(p)-1]
-	c := 0
-	for i := range p {
-		c += bits.OnesCount64(x[i] & y[i] & z[i] &^ p[i])
-	}
-	return c
-}
-
 // Nor writes ^(x|y) into dst without tail masking. Callers must mask or
 // correct for tail bits themselves.
 func Nor(dst, x, y []uint64) {

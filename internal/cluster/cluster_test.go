@@ -161,8 +161,7 @@ func TestClusterLoopbackParity(t *testing.T) {
 		{"cpu/order2", trigene.SearchSpec{Order: 2, TopK: 6, Workers: 2}},
 		{"cpu/order3", trigene.SearchSpec{Order: 3, TopK: 6, Workers: 2}},
 		{"cpu/order4", trigene.SearchSpec{Order: 4, TopK: 6, Workers: 2}},
-		{"cpu/order3-V1", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V1", Workers: 2}},
-		{"cpu/order3-V4", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V4", Workers: 2}},
+		{"cpu/order3-V3F", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V3F", Workers: 2}},
 		{"gpusim/order3", trigene.SearchSpec{Backend: "gpusim:GN1", TopK: 6}},
 		{"baseline/order3", trigene.SearchSpec{Backend: "baseline", TopK: 6, Workers: 2}},
 		{"hetero/order3", trigene.SearchSpec{Backend: "hetero", TopK: 6, Workers: 2}},

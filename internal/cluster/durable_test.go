@@ -290,8 +290,7 @@ func TestDurableRecoveryBackendParity(t *testing.T) {
 		{"cpu/order2", trigene.SearchSpec{Order: 2, TopK: 6, Workers: 2}},
 		{"cpu/order3", trigene.SearchSpec{Order: 3, TopK: 6, Workers: 2}},
 		{"cpu/order4", trigene.SearchSpec{Order: 4, TopK: 6, Workers: 2}},
-		{"cpu/order3-V1", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V1", Workers: 2}},
-		{"cpu/order3-V4", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V4", Workers: 2}},
+		{"cpu/order3-V3F", trigene.SearchSpec{Order: 3, TopK: 6, Approach: "V3F", Workers: 2}},
 		{"gpusim/order3", trigene.SearchSpec{Backend: "gpusim:GN1", TopK: 6}},
 		{"baseline/order3", trigene.SearchSpec{Backend: "baseline", TopK: 6, Workers: 2}},
 		{"hetero/order3", trigene.SearchSpec{Backend: "hetero", TopK: 6, Workers: 2}},
@@ -825,5 +824,88 @@ func TestDurableLegacyEnergyBudgetSpec(t *testing.T) {
 			t.Fatalf("submit: %s, %v", resp.Status, err)
 		}
 		finish(t, cl, sub.ID)
+	})
+}
+
+// TestDurableRemovedApproachSpec: releases whose cpu backend still ran
+// V1..V4 accepted and journaled cpu specs pinning one of them. Such a
+// spec is refused at the submit door with 400. One a journal already
+// holds replays, and its job fails with an error naming the approach
+// once a worker leases it: it neither hangs nor runs as V4F, whose
+// block-triple space is not the one a V3 job's tiles were cut in.
+func TestDurableRemovedApproachSpec(t *testing.T) {
+	mx := plantedMatrix(t)
+	sess := sessionFor(t, mx)
+	const removedSpec = `{"topK":4,"workers":1,"approach":"V3"}`
+
+	t.Run("journaled", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cfg := Config{LeaseTTL: 10 * time.Second, StateDir: t.TempDir()}
+		if err := os.MkdirAll(filepath.Join(cfg.StateDir, "packs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var pack bytes.Buffer
+		if err := sess.WritePack(&pack); err != nil {
+			t.Fatal(err)
+		}
+		sha := sess.DatasetHash()
+		if err := os.WriteFile(filepath.Join(cfg.StateDir, "packs", sha+".tpack"), pack.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.Open(cfg.StateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf(`{"t":"submit","job":"j1","name":"removed","spec":%s,"tiles":3,"sha":%q,"snps":%d,"samples":%d,"ns":1000}`,
+			removedSpec, sha, sess.SNPs(), sess.Samples())
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cl, _, _ := newDurableCluster(t, cfg)
+		st, err := cl.Status(ctx, "j1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Spec.Approach != "V3" || st.State == StateFailed {
+			t.Fatalf("replayed job: %+v", st)
+		}
+		startWorkers(t, cl, 1)
+		if _, err := cl.Wait(ctx, "j1"); err == nil {
+			t.Fatal("a job pinning V3 on the cpu backend completed")
+		}
+		if st, err = cl.Status(ctx, "j1"); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || !strings.Contains(st.Error, `"V3"`) || st.Done != 0 {
+			t.Errorf("job status %+v, want failed with no tile done and an error naming V3", st)
+		}
+	})
+
+	t.Run("submitted", func(t *testing.T) {
+		cl, _, _ := newDurableCluster(t, Config{LeaseTTL: 10 * time.Second, StateDir: t.TempDir()})
+		var data bytes.Buffer
+		if err := trigene.WriteBinary(&data, mx); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(SubmitRequest{Name: "removed", Tiles: 3, Dataset: data.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.Replace(body, []byte(`"spec":{}`), []byte(`"spec":`+removedSpec), 1)
+		if !bytes.Contains(body, []byte(`"approach":"V3"`)) {
+			t.Fatal("test setup: spec not replaced")
+		}
+		resp, err := http.Post(cl.BaseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit of a cpu V3 spec: %s, want 400", resp.Status)
+		}
 	})
 }

@@ -33,29 +33,11 @@ func BenchmarkAccumulateSplitScalar(b *testing.B) {
 	}
 }
 
-func BenchmarkAccumulateSplitLanes8(b *testing.B) {
-	p := benchPlanes(benchWords)
-	b.SetBytes(benchWords * 8 * 6)
-	var ft [Cells]int32
+func BenchmarkBuildSplit(b *testing.B) {
+	spl := dataset.SplitBinarize(randomMatrix(3, 8, 16384))
 	for i := 0; i < b.N; i++ {
-		AccumulateSplitLanes8(&ft, p[0], p[1], p[2], p[3], p[4], p[5])
+		_ = BuildSplit(spl, 1, 4, 7)
 	}
-}
-
-func BenchmarkBuildNaiveVsSplit(b *testing.B) {
-	mx := randomMatrix(3, 8, 16384)
-	bin := dataset.Binarize(mx)
-	spl := dataset.SplitBinarize(mx)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = BuildNaive(bin, 1, 4, 7)
-		}
-	})
-	b.Run("split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = BuildSplit(spl, 1, 4, 7)
-		}
-	})
 }
 
 // BenchmarkPairBlock times the fused primitive's two halves on both

@@ -3,19 +3,16 @@
 // counts, per phenotype class, how many samples carry each of the 27
 // genotype combinations.
 //
-// The builders mirror the paper's approaches: BuildNaive is the
-// Figure 1 pipeline (three stored planes, phenotype AND/ANDNOT at
-// kernel time), BuildSplit is the V2+ pipeline (phenotype-split data,
-// genotype-2 planes inferred by NOR), and the Accumulate* kernels are
-// the word-range primitives the blocked (V3) and lane-vectorized (V4)
-// engine paths drive.
+// BuildSplit is the paper's V2 pipeline (phenotype-split data,
+// genotype-2 planes inferred by NOR) over the word-range primitive
+// AccumulateSplit, and BuildReference the per-sample oracle. The
+// engine's order-3 kernel is the lanes pass (lanes.go, LaneKernel).
 package contingency
 
 import (
 	"fmt"
 	"math/bits"
 
-	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
@@ -77,27 +74,6 @@ func (t *Table) String() string {
 	return s
 }
 
-// BuildNaive constructs the table with the paper's naive (V1) pipeline:
-// all three genotype planes are stored, and each cell requires ANDing
-// the three planes plus the (negated) phenotype before counting.
-func BuildNaive(b *dataset.Binarized, i, j, k int) Table {
-	var t Table
-	phen := b.Phen.Words()
-	for gx := 0; gx < 3; gx++ {
-		x := b.Plane(i, gx)
-		for gy := 0; gy < 3; gy++ {
-			y := b.Plane(j, gy)
-			for gz := 0; gz < 3; gz++ {
-				z := b.Plane(k, gz)
-				combo := ComboIndex(gx, gy, gz)
-				t.Counts[dataset.Case][combo] = int32(bitvec.PopCountAnd3P(x, y, z, phen))
-				t.Counts[dataset.Control][combo] = int32(bitvec.PopCountAnd3NotP(x, y, z, phen))
-			}
-		}
-	}
-	return t
-}
-
 // BuildSplit constructs the table with the phenotype-split pipeline
 // (V2): only planes 0 and 1 are stored per class; plane 2 is derived
 // word-by-word with NOR, and the known padding inflation of the (2,2,2)
@@ -149,61 +125,6 @@ func AccumulateSplit(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
 				idx += 3
 			}
 		}
-	}
-}
-
-// AccumulateSplitLanes8 is AccumulateSplit with the word loop unrolled
-// over four independent words, the 512-bit "vector" analogue of
-// approach V4: the words' dependency chains interleave in the
-// out-of-order core the way SIMD lanes would. Register pressure caps the
-// useful width on amd64; the remainder runs through AccumulateSplit.
-func AccumulateSplitLanes8(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
-	n := len(x0s)
-	w := 0
-	for ; w+4 <= n; w += 4 {
-		ax0, ax1 := x0s[w], x1s[w]
-		ay0, ay1 := y0s[w], y1s[w]
-		az0, az1 := z0s[w], z1s[w]
-		bx0, bx1 := x0s[w+1], x1s[w+1]
-		by0, by1 := y0s[w+1], y1s[w+1]
-		bz0, bz1 := z0s[w+1], z1s[w+1]
-		cx0, cx1 := x0s[w+2], x1s[w+2]
-		cy0, cy1 := y0s[w+2], y1s[w+2]
-		cz0, cz1 := z0s[w+2], z1s[w+2]
-		dx0, dx1 := x0s[w+3], x1s[w+3]
-		dy0, dy1 := y0s[w+3], y1s[w+3]
-		dz0, dz1 := z0s[w+3], z1s[w+3]
-		axs := [3]uint64{ax0, ax1, ^(ax0 | ax1)}
-		ays := [3]uint64{ay0, ay1, ^(ay0 | ay1)}
-		azs := [3]uint64{az0, az1, ^(az0 | az1)}
-		bxs := [3]uint64{bx0, bx1, ^(bx0 | bx1)}
-		bys := [3]uint64{by0, by1, ^(by0 | by1)}
-		bzs := [3]uint64{bz0, bz1, ^(bz0 | bz1)}
-		cxs := [3]uint64{cx0, cx1, ^(cx0 | cx1)}
-		cys := [3]uint64{cy0, cy1, ^(cy0 | cy1)}
-		czs := [3]uint64{cz0, cz1, ^(cz0 | cz1)}
-		dxs := [3]uint64{dx0, dx1, ^(dx0 | dx1)}
-		dys := [3]uint64{dy0, dy1, ^(dy0 | dy1)}
-		dzs := [3]uint64{dz0, dz1, ^(dz0 | dz1)}
-		idx := 0
-		for gx := 0; gx < 3; gx++ {
-			for gy := 0; gy < 3; gy++ {
-				axy := axs[gx] & ays[gy]
-				bxy := bxs[gx] & bys[gy]
-				cxy := cxs[gx] & cys[gy]
-				dxy := dxs[gx] & dys[gy]
-				ft[idx] += int32(bits.OnesCount64(axy&azs[0]) + bits.OnesCount64(bxy&bzs[0]) +
-					bits.OnesCount64(cxy&czs[0]) + bits.OnesCount64(dxy&dzs[0]))
-				ft[idx+1] += int32(bits.OnesCount64(axy&azs[1]) + bits.OnesCount64(bxy&bzs[1]) +
-					bits.OnesCount64(cxy&czs[1]) + bits.OnesCount64(dxy&dzs[1]))
-				ft[idx+2] += int32(bits.OnesCount64(axy&azs[2]) + bits.OnesCount64(bxy&bzs[2]) +
-					bits.OnesCount64(cxy&czs[2]) + bits.OnesCount64(dxy&dzs[2]))
-				idx += 3
-			}
-		}
-	}
-	if w < n {
-		AccumulateSplit(ft, x0s[w:], x1s[w:], y0s[w:], y1s[w:], z0s[w:], z1s[w:])
 	}
 }
 

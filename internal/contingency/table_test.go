@@ -43,7 +43,6 @@ func TestComboIndex(t *testing.T) {
 
 func TestBuildersAgreeWithReference(t *testing.T) {
 	mx := randomMatrix(40, 8, 173) // odd N exercises pad correction
-	b := dataset.Binarize(mx)
 	s := dataset.SplitBinarize(mx)
 	controls, cases := mx.ClassCounts()
 
@@ -52,10 +51,6 @@ func TestBuildersAgreeWithReference(t *testing.T) {
 		want := BuildReference(mx, tr[0], tr[1], tr[2])
 		if err := want.Validate(controls, cases); err != nil {
 			t.Fatalf("reference table invalid: %v", err)
-		}
-		naive := BuildNaive(b, tr[0], tr[1], tr[2])
-		if !naive.Equal(&want) {
-			t.Errorf("triple %v: BuildNaive differs from reference\ngot:\n%swant:\n%s", tr, naive.String(), want.String())
 		}
 		split := BuildSplit(s, tr[0], tr[1], tr[2])
 		if !split.Equal(&want) {
@@ -98,48 +93,25 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// Property: all three builders produce identical tables for arbitrary
-// datasets and triples, and lane kernels match the scalar kernel.
+// Property: the split builder and the reference produce identical
+// tables for arbitrary datasets and triples.
 func TestBuilderEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw%700) + 2
 		mx := randomMatrix(seed, 6, n)
-		b := dataset.Binarize(mx)
 		s := dataset.SplitBinarize(mx)
 		want := BuildReference(mx, 1, 3, 5)
-		naive := BuildNaive(b, 1, 3, 5)
 		split := BuildSplit(s, 1, 3, 5)
-		return naive.Equal(&want) && split.Equal(&want)
+		return split.Equal(&want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestLaneKernelsMatchScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for _, words := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33} {
-		mk := func() []uint64 {
-			w := make([]uint64, words)
-			for i := range w {
-				w[i] = r.Uint64()
-			}
-			return w
-		}
-		x0, x1, y0, y1, z0, z1 := mk(), mk(), mk(), mk(), mk(), mk()
-		var scalar, l8 [Cells]int32
-		AccumulateSplit(&scalar, x0, x1, y0, y1, z0, z1)
-		AccumulateSplitLanes8(&l8, x0, x1, y0, y1, z0, z1)
-		if scalar != l8 {
-			t.Errorf("words=%d: lanes8 differs from scalar", words)
-		}
-	}
-}
-
 func TestAccumulateEmptyRange(t *testing.T) {
 	var ft [Cells]int32
 	AccumulateSplit(&ft, nil, nil, nil, nil, nil, nil)
-	AccumulateSplitLanes8(&ft, nil, nil, nil, nil, nil, nil)
 	for _, c := range ft {
 		if c != 0 {
 			t.Fatal("empty accumulate changed counters")

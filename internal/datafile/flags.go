@@ -29,7 +29,7 @@ func BindSearchFlags(fs *flag.FlagSet) *SearchFlags {
 	fs.StringVar(&f.Format, "informat", "auto", FormatsHelp)
 	fs.StringVar(&f.Phen, "phen", "", "phenotype file for VCF input (one 0/1 per sample, whitespace separated)")
 	fs.StringVar(&f.Backend, "backend", "", "execution backend: cpu, baseline, hetero or gpusim:<ID> (a simulated Table II GPU, e.g. gpusim:GN1); default cpu")
-	fs.StringVar(&f.Approach, "approach", "", "pipeline V1..V4, V3F or V4F (or naive/split/blocked/vector/fused; on gpusim: naive/split/transposed/tiled/fused); default: the backend's best")
+	fs.StringVar(&f.Approach, "approach", "", "pipeline: on cpu V3F or V4F (or fused-blocked/fused); on gpusim V1..V4 or V4F (or naive/split/transposed/tiled/fused); default: the backend's best (cpu V4F, gpusim V4)")
 	fs.IntVar(&f.Order, "order", 0, "interaction order 2..7 (0 = 3)")
 	fs.IntVar(&f.TopK, "topk", 5, "number of candidates to report")
 	fs.StringVar(&f.Objective, "objective", "", "objective: k2, mi or gini (default: the backend's native objective)")

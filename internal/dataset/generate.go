@@ -177,9 +177,14 @@ func ThresholdPenetrance(minMinor int, low, high float64) [27]float64 {
 
 // XorPenetrance returns a penetrance table for a third-order parity
 // model: case probability is high when the number of SNPs with a
-// nonzero genotype is odd. Parity interactions have no marginal effects
-// at any single SNP, making them the canonical "needs exhaustive
-// search" workload.
+// nonzero genotype is odd. The model has no single-SNP (or SNP-pair)
+// marginal effect only when each of the three SNPs has P(genotype ≠ 0)
+// = ½: given one SNP, the other two make the parity odd with
+// probability 2q(1−q) or q² + (1−q)², q = P(genotype ≠ 0), and these are
+// equal only at q = ½. Under Hardy-Weinberg that is MAF = 1 − 1/√2 ≈
+// 0.2929 (GenConfig.MAFMin = MAFMax = 0.2929); at any other MAF the
+// interacting SNPs carry a marginal signal. At that MAF parity is the
+// canonical "needs exhaustive search" workload.
 func XorPenetrance(low, high float64) [27]float64 {
 	var t [27]float64
 	for combo := 0; combo < 27; combo++ {

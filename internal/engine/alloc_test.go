@@ -77,7 +77,7 @@ func TestHotPathAllocs(t *testing.T) {
 	}{{"full", s}, {"subset", sub}, {"wide", wide}, {"short", short}, {"ragged", ragged}}
 	for _, probe := range searchers {
 		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-			for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {
+			for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 				h, err := probe.s.NewHotLoop(Options{Approach: a, TopK: 4, Metrics: reg})
 				if err != nil {
 					t.Fatal(err)
@@ -191,7 +191,7 @@ func TestHotLoopMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Approach{V2Split, V4Vector, V4Fused} {
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 		want, err := s.Run(Options{Approach: a, TopK: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -221,24 +221,21 @@ func TestHotLoopMatchesRun(t *testing.T) {
 
 // TestShardedRunsMatchFull is the engine-level shard parity property:
 // every approach, sharded any way, merges back to the full result —
-// including V3/V4, whose shards slice the block-triple space.
+// including V3F/V4F, whose shards slice the block-triple space.
 func TestShardedRunsMatchFull(t *testing.T) {
 	mx := randomMatrix(202, 26, 180)
 	s, err := New(mx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Approach{V1Naive, V2Split, V3Blocked, V4Vector, V3Fused, V4Fused} {
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 		full, err := s.Run(Options{Approach: a, TopK: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantBS := 0 // the block size the shards' ranks are cut at
-		switch {
-		case a.fused():
+		if a.fused() {
 			wantBS = contingency.Lanes
-		case a.blocked():
-			wantBS, _ = TileParams(l1DataBytes)
 		}
 		obj := score.NewK2(mx.Samples())
 		for _, count := range []int{2, 3, 5} {

@@ -8,20 +8,19 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (flat paths, and the pair walker's column
-// scoring), a bank of block tables (unfused blocked paths), the seeded
-// extension's pair blocks, the fused loop's x tile, counts and lane-table
-// banks, the pair walker's lane tables, the generic k-way cells, and the
-// consumer's top-K.
+// a contingency table (the flat path, and the pair walker's column
+// scoring), the seeded extension's raw table and pair blocks, the fused
+// loop's x tile, counts and lane-table banks, the pair walker's lane
+// tables, the generic k-way cells, and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
-	// tab is the flat paths' single reusable table; taking its address
+	// tab is the flat path's single reusable table; taking its address
 	// for the objective would otherwise heap-allocate per combination.
 	tab contingency.Table
-	// tables is the unfused blocked paths' BS^3 table bank (and the
-	// seeded extension's one raw table).
-	tables []contingency.Table
+	// raw is the seeded extension's table of the triple in hand, in
+	// (third, seed) cell order before it is permuted into tab.
+	raw contingency.Table
 	// block is one pair block per class: the seeded extension's cached
 	// seed pair over the whole class plane.
 	block [2]contingency.PairBlock
@@ -66,14 +65,6 @@ func getArena(obj score.Objective, k int) *arena {
 		a.top.reset(obj, k)
 	}
 	return a
-}
-
-// sizeTables sizes the bank of block tables to n tables.
-func (a *arena) sizeTables(n int) {
-	if cap(a.tables) < n {
-		a.tables = make([]contingency.Table, n)
-	}
-	a.tables = a.tables[:n]
 }
 
 // sizeLanes sizes the fused loop's scratch for word tiles of up to tile

@@ -10,26 +10,24 @@ import (
 	"trigene/internal/score"
 )
 
-// blockedRun is the blocked approaches (Algorithm 1): SNPs are grouped
-// into blocks of BS, the sample dimension is walked in tiles of
-// BlockWords 64-bit words, and each worker holds a private bank of
-// frequency tables — BS^3 tables for V3 and V4 (BS = 4), BS^2 lane tables
-// of eight per class for the fused approaches (BS = 8, one lane group) —
-// so the tile data and the tables stay L1-resident across the
+// blockedRun is the lanes pass (V3F/V4F), the blocked loop of
+// Algorithm 1: SNPs are grouped into blocks of BS = contingency.Lanes, one
+// lane group, the sample dimension is walked in tiles of BlockWords 64-bit
+// words, and each worker holds a private bank of BS^2 lane tables per
+// class, so the tile data and the tables stay L1-resident across the
 // intra-block combination loops.
 //
 // One scheduler rank is one block triple (b0 <= b1 <= b2), via the
 // bijection between multisets of size 3 over nb blocks and strict
 // triples over nb+2 items. Because block triples partition the
 // combination space, a Shard over block-triple ranks is a disjoint
-// sub-search whose results merge bit-exactly — the property that makes
-// V3/V4 shardable at all. The same is why no shared cursor over
-// combination ranks can feed it.
+// sub-search whose results merge bit-exactly. The same is why no shared
+// cursor over combination ranks can feed it.
 func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 	if o.Tiles != nil {
-		return space{}, nil, fmt.Errorf("engine: a shared tile cursor requires approach V1 or V2, have %v", o.Approach)
+		return space{}, nil, fmt.Errorf("engine: a shared tile cursor requires approach V2, have %v", o.Approach)
 	}
-	bs, nb, src := s.blockSpace(o)
+	nb, src := s.blockSpace()
 	sp := space{src: src, order: 3, kind: "blocked", approach: o.Approach.String()}
 	if o.Shard != nil {
 		sub, err := src.Shard(*o.Shard)
@@ -37,31 +35,29 @@ func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 			return sp, nil, err
 		}
 		b := sub.Bounds()
-		sp.src, sp.covered, sp.blockSNPs = sub, &b, o.BlockSNPs
+		sp.src, sp.covered, sp.blockSNPs = sub, &b, contingency.Lanes
 	}
 	if o.Progress != nil {
-		sp.items = s.blockSpaceCombos(sp.src, bs, nb)
+		sp.items = s.blockSpaceCombos(sp.src, nb)
 	}
 	split := s.st.Split()
 	return sp, func(_ int, a *arena) tileFunc {
-		return newBlockWorker(s, o, a, split, bs, nb).tile
+		return newBlockWorker(s, o, a, split, nb).tile
 	}, nil
 }
 
-// blockSpace returns the run's block size, its block count and the
-// block-triple space: multiset triples over nb blocks, claimed one at a
-// time.
-func (s *Searcher) blockSpace(o *Options) (bs, nb int, src sched.Source) {
-	m := s.st.SNPs()
-	bs = min(o.BlockSNPs, m)
-	nb = combin.TripleBlocks(m, bs)
-	return bs, nb, sched.NewSource(0, combin.Triples(nb+2), 1)
+// blockSpace returns the run's block count and the block-triple space:
+// multiset triples over nb blocks of contingency.Lanes SNPs, claimed one
+// at a time.
+func (s *Searcher) blockSpace() (nb int, src sched.Source) {
+	nb = combin.TripleBlocks(s.st.SNPs(), contingency.Lanes)
+	return nb, sched.NewSource(0, combin.Triples(nb+2), 1)
 }
 
 // blockSpaceCombos counts the combinations covered by a range of
 // block-triple ranks — the progress denominator of a (possibly
 // sharded) blocked run. One O(1) count per block triple.
-func (s *Searcher) blockSpaceCombos(src sched.Source, bs, nb int) int64 {
+func (s *Searcher) blockSpaceCombos(src sched.Source, nb int) int64 {
 	b := src.Bounds()
 	if b.Lo == 0 && b.Hi == combin.Triples(nb+2) {
 		return combin.Triples(s.st.SNPs())
@@ -69,14 +65,15 @@ func (s *Searcher) blockSpaceCombos(src sched.Source, bs, nb int) int64 {
 	var total int64
 	for rank := b.Lo; rank < b.Hi; rank++ {
 		a, bb, c := combin.UnrankTriple(rank, nb+2)
-		total += s.blockTripleCombos(a, bb-1, c-2, bs)
+		total += s.blockTripleCombos(a, bb-1, c-2)
 	}
 	return total
 }
 
 // blockTripleCombos counts the strict combinations (i0 < i1 < i2) with
 // i0 in block b0, i1 in block b1, i2 in block b2 (b0 <= b1 <= b2).
-func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
+func (s *Searcher) blockTripleCombos(b0, b1, b2 int) int64 {
+	const bs = contingency.Lanes
 	m := s.st.SNPs()
 	l0 := int64(blockLim(b0*bs, bs, m))
 	l1 := int64(blockLim(b1*bs, bs, m))
@@ -93,18 +90,13 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2, bs int) int64 {
 	}
 }
 
-// blockWorker holds one worker's reusable state for the blocked paths.
-// The unfused approaches drive kernel over six stored planes into the
-// arena's BS^3 table bank; the fused approaches drive the lanes pass's
-// kernel into its lane-table bank.
+// blockWorker holds one worker's reusable state for the lanes pass.
 type blockWorker struct {
-	s      *Searcher
-	o      *Options
-	split  *dataset.Split
-	bs     int
-	nb     int
-	a      *arena
-	kernel func(*[contingency.Cells]int32, []uint64, []uint64, []uint64, []uint64, []uint64, []uint64)
+	s     *Searcher
+	o     *Options
+	split *dataset.Split
+	nb    int
+	a     *arena
 	// lanes runs the fused loop's primitives: the Go bodies for V3F, the
 	// host's for V4F. marg is the split form's plane popcounts they
 	// derive from.
@@ -115,25 +107,16 @@ type blockWorker struct {
 	laneScorer score.LaneScorer
 }
 
-// newBlockWorker builds a consumer over a pooled arena, sizing it for
-// the BS^3 table bank, or for the fused loop, where V3F pins the pure-Go
-// bodies and V4F takes the host's tuned ones.
-func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, bs, nb int) *blockWorker {
-	w := &blockWorker{s: s, o: o, split: split, bs: bs, nb: nb, a: a}
-	switch {
-	case o.Approach.fused():
-		a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
-		w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
-		if o.Approach != V3Fused {
-			w.laneScorer, _ = o.Objective.(score.LaneScorer)
-		}
-		return w
-	case o.Approach == V4Vector:
-		w.kernel = contingency.AccumulateSplitLanes8
-	default:
-		w.kernel = contingency.AccumulateSplit
+// newBlockWorker builds a consumer over a pooled arena, sized for the
+// lanes pass, where V3F pins the pure-Go bodies and V4F takes the host's
+// tuned ones.
+func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, nb int) *blockWorker {
+	w := &blockWorker{s: s, o: o, split: split, nb: nb, a: a}
+	a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
+	w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
+	if o.Approach != V3Fused {
+		w.laneScorer, _ = o.Objective.(score.LaneScorer)
 	}
-	a.sizeTables(bs * bs * bs)
 	return w
 }
 
@@ -145,64 +128,10 @@ func (w *blockWorker) tile(t sched.Tile) (int64, error) {
 		// Unrank the multiset triple: strict triple over nb+2 minus the
 		// staircase offsets.
 		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		if w.o.Approach.fused() {
-			scored += w.processBlockLanes(a, b-1, c-2)
-		} else {
-			scored += w.processBlockTriple(a, b-1, c-2)
-		}
+		scored += w.processBlockLanes(a, b-1, c-2)
 	}
 	w.a.scored += scored
 	return scored, nil
-}
-
-// processBlockTriple evaluates every valid combination (i0 < i1 < i2)
-// with i0 in block b0, i1 in block b1, i2 in block b2, and returns how
-// many combinations it scored.
-func (w *blockWorker) processBlockTriple(b0, b1, b2 int) int64 {
-	m := w.s.st.SNPs()
-	bs := w.bs
-	base0, base1, base2 := b0*bs, b1*bs, b2*bs
-	lim0, lim1, lim2 := blockLim(base0, bs, m), blockLim(base1, bs, m), blockLim(base2, bs, m)
-
-	tables := w.a.tables
-	w.zeroTables(lim0, lim1, lim2)
-
-	split := w.split
-	bw := w.o.BlockWords
-	for class := 0; class < 2; class++ {
-		words := split.Words[class]
-		for w0 := 0; w0 < words; w0 += bw {
-			w1 := w0 + bw
-			if w1 > words {
-				w1 = words
-			}
-			for ii2 := 0; ii2 < lim2; ii2++ {
-				gi2 := base2 + ii2
-				z0 := split.PlaneRange(class, gi2, 0, w0, w1)
-				z1 := split.PlaneRange(class, gi2, 1, w0, w1)
-				for ii1 := 0; ii1 < lim1; ii1++ {
-					gi1 := base1 + ii1
-					if gi1 >= gi2 {
-						break
-					}
-					y0 := split.PlaneRange(class, gi1, 0, w0, w1)
-					y1 := split.PlaneRange(class, gi1, 1, w0, w1)
-					for ii0 := 0; ii0 < lim0; ii0++ {
-						gi0 := base0 + ii0
-						if gi0 >= gi1 {
-							break
-						}
-						x0 := split.PlaneRange(class, gi0, 0, w0, w1)
-						x1 := split.PlaneRange(class, gi0, 1, w0, w1)
-						idx := (ii0*bs+ii1)*bs + ii2
-						w.kernel(&tables[idx].Counts[class], x0, x1, y0, y1, z0, z1)
-					}
-				}
-			}
-		}
-	}
-
-	return w.scoreTables(base0, base1, base2, lim0, lim1, lim2)
 }
 
 // lanePair is one (i1, i2) the block triple's eight x SNPs meet: its two
@@ -313,60 +242,6 @@ func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 	for lane := 0; lane < p.valid; lane++ {
 		a.top.Offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))
 	}
-}
-
-// zeroTables clears the valid (lim0 x lim1 x lim2) slab of the arena's
-// BS^3 table bank — boundary triples only touch that slab, so the rest
-// of the bank (stale from earlier triples) is never read or written.
-func (w *blockWorker) zeroTables(lim0, lim1, lim2 int) {
-	bs := w.bs
-	tables := w.a.tables
-	if lim0 == bs && lim1 == bs && lim2 == bs {
-		for i := range tables {
-			tables[i] = contingency.Table{}
-		}
-		return
-	}
-	for ii0 := 0; ii0 < lim0; ii0++ {
-		for ii1 := 0; ii1 < lim1; ii1++ {
-			row := (ii0*bs + ii1) * bs
-			slab := tables[row : row+lim2]
-			for i := range slab {
-				slab[i] = contingency.Table{}
-			}
-		}
-	}
-}
-
-// scoreTables applies the pad correction and scores every valid
-// combination of the block triple, returning how many it scored.
-func (w *blockWorker) scoreTables(base0, base1, base2, lim0, lim1, lim2 int) int64 {
-	bs := w.bs
-	split := w.split
-	tables := w.a.tables
-	var scored int64
-	for ii0 := 0; ii0 < lim0; ii0++ {
-		gi0 := base0 + ii0
-		for ii1 := 0; ii1 < lim1; ii1++ {
-			gi1 := base1 + ii1
-			if gi1 <= gi0 {
-				continue
-			}
-			for ii2 := 0; ii2 < lim2; ii2++ {
-				gi2 := base2 + ii2
-				if gi2 <= gi1 {
-					continue
-				}
-				idx := (ii0*bs+ii1)*bs + ii2
-				tab := &tables[idx]
-				tab.Counts[dataset.Control][contingency.Cells-1] -= int32(split.Pad[dataset.Control])
-				tab.Counts[dataset.Case][contingency.Cells-1] -= int32(split.Pad[dataset.Case])
-				w.a.top.Offer(Triple{I: gi0, J: gi1, K: gi2}.scored(w.o.Objective.Score(tab)))
-				scored++
-			}
-		}
-	}
-	return scored
 }
 
 // blockLim returns how many SNPs of a block starting at base exist in a

@@ -1,21 +1,11 @@
 // Package engine implements the paper's primary contribution: an
-// exhaustive third-order epistasis search with four progressively
-// optimized CPU approaches.
+// exhaustive third-order epistasis search on the CPU. The paper's Fig. 2
+// ladder (V1 naive → V2 phenotype split → V3 L1 tiling → V4 vectorized)
+// arrives at one tiled, vectorized kernel; this package runs that one
+// kernel, the lanes pass, in two arms, plus the V2 rank pipeline that
+// shared-cursor consumers need:
 //
-//	V1 (naive)      three stored genotype planes per SNP plus a
-//	                phenotype vector; every frequency cell costs three
-//	                plane ANDs, a phenotype AND/ANDNOT and two POPCNTs.
-//	V2 (split)      dataset split by phenotype class and genotype-2
-//	                planes inferred with NOR, removing the phenotype
-//	                from the hot loop (~65% fewer compute operations,
-//	                ~1/3 fewer bytes).
-//	V3 (blocked)    V2 plus loop tiling: blocks of BS SNPs and BP
-//	                samples sized so the BS^3 frequency tables plus the
-//	                data block fit in the L1 data cache (Algorithm 1).
-//	V4 (vector)     V3 with the multi-word lane kernels standing in for
-//	                the paper's AVX/AVX-512 intrinsics.
-//	V3F/V4F (fused) the blocked pipelines with the vector turned round:
-//	                eight x SNPs per pass, one per 64-bit lane, and only
+//	V3F/V4F (lanes) eight x SNPs per pass, one per 64-bit lane, and only
 //	                the 8 cells of stored genotypes counted per (i1, i2)
 //	                — x_a & y_b & z_c straight from the split planes
 //	                (contingency.LaneKernel.TripleLanes) — into a lane
@@ -30,6 +20,15 @@
 //	                plane length. V3F pins the pure-Go bodies, the
 //	                oracle; V4F takes the tuned ones (AVX-512 VPOPCNTDQ
 //	                where the host has it) and is the default.
+//	V2 (split)      one full-length table per combination from the
+//	                phenotype-split planes, genotype 2 inferred with NOR
+//	                (contingency.BuildSplit), over combination ranks: what
+//	                a shared cursor (Options.Tiles — the heterogeneous
+//	                backend's CPU half) can feed, and the reference the
+//	                simulated GPU's parity tests compare against.
+//
+// V1, V3 and V4 name the simulated GPU's kernels and the planner's price
+// list; Run refuses them.
 //
 // The fused loop (blocked.go, processBlockLanes) runs per block triple,
 // per class, per word tile, per (i1, i2) of the block pair. Its block is
@@ -63,8 +62,8 @@
 // only its space and its tile body:
 //
 //	search                  claims from (sched space)         records as (approach)
-//	Run, V1/V2              combination ranks ("flat")        "V1", "V2"
-//	Run, V3/V4/V3F/V4F      block triples ("blocked")         "V3", "V4", "V3F", "V4F"
+//	Run, V2                 combination ranks ("flat")        "V2"
+//	Run, V3F/V4F            block triples ("blocked")         "V3F", "V4F"
 //	RunPairs, RunPairScreen pair ranks ("pair")               "pair"
 //	RunK, orders 2..7       k-combination ranks ("kway")      "kway"
 //	RunSeeded               seed x third-SNP ranks ("seeded") "seeded"
@@ -77,7 +76,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -93,23 +91,25 @@ import (
 	"trigene/internal/store"
 )
 
-// Approach selects one of the paper's four CPU pipelines.
+// Approach numbers the paper's optimization stages. Run takes V2Split,
+// V3Fused and V4Fused; V1Naive, V3Blocked and V4Vector name the
+// simulated GPU's kernels and the planner's prices, not CPU pipelines.
 type Approach int
 
 const (
-	// V1Naive is the Figure 1 baseline pipeline.
+	// V1Naive is the Figure 1 baseline stage.
 	V1Naive Approach = iota + 1
 	// V2Split adds the phenotype split and NOR genotype inference.
 	V2Split
 	// V3Blocked adds L1-sized loop tiling (Algorithm 1).
 	V3Blocked
-	// V4Vector adds the lane-vectorized kernels.
+	// V4Vector adds the vectorized kernels.
 	V4Vector
-	// V3Fused restructures V3 so eight x SNPs are counted at a time, one
-	// per lane, and only the eight cells of stored genotypes are counted
-	// per (i1, i2) (8 AND3 + 8 POPCNT per combination word instead of
+	// V3Fused is the lanes pass: eight x SNPs counted at a time, one per
+	// lane, and only the eight cells of stored genotypes counted per
+	// (i1, i2) (8 AND3 + 8 POPCNT per combination word instead of
 	// 3 NOR + 36 AND + 27 POPCNT; the other 19 cells are derived), on the
-	// pure-Go bodies: the oracle pipeline of the fused kernel.
+	// pure-Go bodies: the oracle arm of the CPU kernel.
 	V3Fused
 	// V4Fused is the same pipeline on the bodies chosen for the host at
 	// start-up (contingency.Kernel) — the default pipeline.
@@ -136,37 +136,23 @@ func (a Approach) String() string {
 	}
 }
 
-// ParseApproach accepts "V1".."V4", the fused variants "V3F"/"V4F"
-// (also reachable as "V5"/"V6" for wire forms that serialize the
-// numeric value), plain digits, or the descriptive names "naive",
-// "split", "blocked", "vector", "fused-blocked" and "fused", all
-// case-insensitively.
+// ParseApproach accepts the CPU's approaches: "V3F" and "V4F" (also
+// reachable as "V5"/"V6" for wire forms that serialize the numeric
+// value), plain digits 5 and 6, or the descriptive names
+// "fused-blocked" and "fused", all case-insensitively.
 func ParseApproach(s string) (Approach, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "v1", "1", "naive":
-		return V1Naive, nil
-	case "v2", "2", "split":
-		return V2Split, nil
-	case "v3", "3", "blocked":
-		return V3Blocked, nil
-	case "v4", "4", "vector", "vectorized":
-		return V4Vector, nil
 	case "v3f", "v5", "5", "fused-blocked", "fusedblocked", "blocked-fused":
 		return V3Fused, nil
 	case "v4f", "v6", "6", "fused", "fused-vector", "fusedvector", "vector-fused":
 		return V4Fused, nil
 	default:
-		return 0, fmt.Errorf("engine: unknown approach %q (want V1..V4, V3F/V4F, or naive/split/blocked/vector/fused)", s)
+		return 0, fmt.Errorf("engine: unknown approach %q (want V3F or V4F, or fused-blocked/fused)", s)
 	}
 }
 
-// fused reports whether the approach drives the pair-AND-caching
-// kernels.
+// fused reports whether the approach runs the lanes pass.
 func (a Approach) fused() bool { return a == V3Fused || a == V4Fused }
-
-// blocked reports whether the approach runs the block-tiled path
-// (anything past the flat V1/V2 pipelines).
-func (a Approach) blocked() bool { return a >= V3Blocked }
 
 // Triple identifies a SNP combination i < j < k.
 type Triple struct {
@@ -225,24 +211,25 @@ type Result struct {
 	// Space is the covered slice of the scheduler's work space when
 	// Shard restricted the run; nil means the full space. Its ranks are
 	// colexicographic combination (or seed-extension) ranks, except on
-	// the blocked approaches (BlockSNPs set), where they are block-triple
-	// ranks.
+	// V3F/V4F (BlockSNPs set), where they are block-triple ranks.
 	Space *sched.Tile
-	// BlockSNPs is the block size (Options.BlockSNPs) whose block triples
-	// Space ranks count: 4 for V3/V4 by default, always contingency.Lanes
-	// for V3F/V4F. Spaces cut at different block sizes rank different
-	// triples. Zero when Space is nil or its ranks are not block triples.
+	// BlockSNPs is the block size whose block triples Space ranks count:
+	// contingency.Lanes on V3F/V4F. Spaces cut at different block sizes
+	// rank different triples. Zero when Space is nil or its ranks are not
+	// block triples.
 	BlockSNPs int
 }
 
-// l1DataBytes is the L1 data cache the blocked approaches' tiles are
-// sized for when Options leaves them zero.
+// l1DataBytes is the L1 data cache the lanes pass's word tile is sized
+// for when Options.BlockWords is zero.
 const l1DataBytes = 32 << 10
 
 // Options configures a search. The zero value means: V4F, all CPUs,
-// K2 objective, top-1, tiles sized for a 32 KiB L1d.
+// K2 objective, top-1, word tiles sized for a 32 KiB L1d.
 type Options struct {
-	// Approach selects the order-3 pipeline (default V4Fused).
+	// Approach selects the order-3 pipeline: V4Fused (the default),
+	// V3Fused, or V2Split for shared-cursor runs. Any other value is
+	// refused.
 	Approach Approach
 	// Workers is the pool size (default runtime.GOMAXPROCS(0)).
 	Workers int
@@ -250,23 +237,18 @@ type Options struct {
 	Objective score.Objective
 	// TopK is how many candidates to return (default 1).
 	TopK int
-	// BlockSNPs (BS) and BlockWords (BP, in 64-bit words) tile the
-	// blocked approaches. Zero derives both from a 32 KiB L1d: with the
-	// paper's sizing rule for V3/V4, with FusedTileParams for V3F/V4F.
-	// The fused block is always one lane group (contingency.Lanes SNPs),
-	// so BlockSNPs sizes V3/V4 only: a fused run refuses any other
-	// nonzero value, and BlockWords alone sets its word tile.
-	BlockSNPs  int
+	// BlockWords is the lanes pass's word tile (BP, in 64-bit words);
+	// zero takes FusedTileParams' for a 32 KiB L1d. Its block is always
+	// one lane group of contingency.Lanes SNPs.
 	BlockWords int
 	// Context optionally allows cancellation; a nil Context means
 	// context.Background(). Cancellation is observed between work
 	// chunks and returns the context error.
 	Context context.Context
 	// Shard restricts the search to slice Index of Count of the
-	// scheduler's work space: combination ranks for the flat
-	// approaches and orders 2/k, block-triple ranks for V3/V4 and
-	// V3F/V4F, seed-extension ranks for a seeded run. Every run
-	// supports it.
+	// scheduler's work space: combination ranks for V2 and orders 2/k,
+	// block-triple ranks for V3F/V4F, seed-extension ranks for a seeded
+	// run. Every run supports it.
 	Shard *sched.Shard
 	// Grain overrides the flat source's ranks-per-claim tile size
 	// (0 = the AutoGrain heuristic). The planner seeds it from the
@@ -283,8 +265,8 @@ type Options struct {
 	// Tiles optionally supplies an externally shared claiming cursor
 	// over the run's rank space: the run's workers then steal work from
 	// it alongside any other consumer (the heterogeneous backend's CPU
-	// half), or drain a sub-range it covers. Not for the blocked
-	// approaches, whose ranks are block triples; Shard and Progress are
+	// half), or drain a sub-range it covers. V2 only: V3F/V4F's ranks
+	// are block triples; Shard and Progress are
 	// ignored when set (the cursor owns the space and its progress).
 	Tiles *sched.Cursor
 	// Progress, when non-nil, is invoked from worker goroutines as
@@ -304,8 +286,8 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	if o.Approach == 0 {
 		o.Approach = V4Fused
 	}
-	if o.Approach < V1Naive || o.Approach > V4Fused {
-		return o, fmt.Errorf("engine: invalid approach %d", int(o.Approach))
+	if o.Approach != V2Split && !o.Approach.fused() {
+		return o, fmt.Errorf("engine: approach %v is not a CPU pipeline (want V3F or V4F, or V2 for a shared cursor)", o.Approach)
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -322,24 +304,11 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	if o.TopK < 0 {
 		return o, fmt.Errorf("engine: negative TopK %d", o.TopK)
 	}
-	switch {
-	case o.Approach.fused():
-		bs, bw := FusedTileParams(l1DataBytes)
-		if o.BlockSNPs != 0 && o.BlockSNPs != bs {
-			return o, fmt.Errorf("engine: %v's block is %d SNPs, have BlockSNPs %d", o.Approach, bs, o.BlockSNPs)
-		}
-		o.BlockSNPs = bs
-		if o.BlockWords == 0 {
-			o.BlockWords = bw
-		}
-	case o.BlockSNPs == 0 && o.BlockWords == 0:
-		o.BlockSNPs, o.BlockWords = TileParams(l1DataBytes)
+	if o.BlockWords == 0 {
+		_, o.BlockWords = FusedTileParams(l1DataBytes)
 	}
-	if o.BlockSNPs < 1 || o.BlockWords < 1 {
-		if o.Approach.blocked() {
-			return o, fmt.Errorf("engine: invalid tile %dx%d", o.BlockSNPs, o.BlockWords)
-		}
-		o.BlockSNPs, o.BlockWords = 1, 1
+	if o.BlockWords < 0 {
+		return o, fmt.Errorf("engine: negative word tile %d", o.BlockWords)
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -366,37 +335,13 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	return o, nil
 }
 
-// TileParams derives the paper's loop-tiling parameters from an L1
-// data cache budget. They size V3/V4, whose BS^3 bank of frequency
-// tables is what BS is sized for; FusedTileParams sizes the lanes loop.
-// The frequency-table region gets ~7/12 of the cache (the paper uses 7
-// ways) and the data block ~1/3, so
-//
-//	BS = floor(cbrt(sizeFT / (2*27*4)))          [paper's beta_int = 4]
-//	BP = sizeBlock / (BS * 4 * 2)  samples, rounded down to whole
-//	     64-bit words (at least one).
-func TileParams(l1Bytes int) (blockSNPs, blockWords int) {
-	sizeFT := l1Bytes * 7 / 12
-	sizeBlock := l1Bytes / 3
-	bs := int(math.Cbrt(float64(sizeFT) / (2 * 27 * 4)))
-	if bs < 2 {
-		bs = 2
-	}
-	bp := sizeBlock / (bs * 4 * 2) // samples
-	bw := bp / 64
-	if bw < 1 {
-		bw = 1
-	}
-	return bs, bw
-}
-
-// FusedTileParams derives the fused loop's tile. It keeps no BS^3 bank —
-// its unit is one lane group of contingency.Lanes x SNPs — so its block is
-// that lane group, the only block the loop takes: a block-triple rank is
-// one aligned group of x SNPs, whose transpose and XLanes against the two
-// blocks serve all BS² = 64 of its (i1, i2) pairs. The word tile comes from
-// fusedTileWords and is a whole number of 8-word vectors (at least one),
-// so only a class's last tile is ragged.
+// FusedTileParams derives the lanes pass's tile. Its unit is one lane
+// group of contingency.Lanes x SNPs, so its block is that lane group, the
+// only block the loop takes: a block-triple rank is one aligned group of x
+// SNPs, whose transpose and XLanes against the two blocks serve all BS² =
+// 64 of its (i1, i2) pairs. The word tile comes from fusedTileWords and is
+// a whole number of 8-word vectors (at least one), so only a class's last
+// tile is ragged.
 func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 	return contingency.Lanes, max(fusedTileWords(l1Bytes)&^7, 8)
 }
@@ -418,11 +363,9 @@ func fusedTileWords(l1Bytes int) int {
 }
 
 // Searcher runs exhaustive searches over one dataset through its
-// encoded-dataset store, which builds each binarized form lazily and
-// memoizes it across runs: a V1 run materializes only the naive
-// three-plane form, every other approach only the phenotype-split
-// form. It is safe for concurrent use once constructed (runs
-// themselves are internally parallel).
+// encoded-dataset store, which builds the phenotype-split form lazily
+// and memoizes it across runs. It is safe for concurrent use once
+// constructed (runs themselves are internally parallel).
 type Searcher struct {
 	st *store.Store
 
@@ -497,10 +440,6 @@ func (s *Searcher) marginals() *[2][][2]int32 {
 	return &s.marg
 }
 
-// Binarized exposes the naive three-plane form, building it on first
-// use.
-func (s *Searcher) Binarized() *dataset.Binarized { return s.st.Binarized() }
-
 // Search is a convenience wrapper: build a Searcher and run once.
 func Search(mx *dataset.Matrix, opts Options) (*Result, error) {
 	s, err := New(mx)
@@ -526,7 +465,7 @@ func (s *Searcher) Run(opts Options) (*Result, error) {
 // triples returns the space and tile body of an order-3 run of the
 // configured approach.
 func (s *Searcher) triples(o *Options) (space, tiler, error) {
-	if o.Approach.blocked() {
+	if o.Approach.fused() {
 		return s.blockedRun(o)
 	}
 	return s.flatRun(o)

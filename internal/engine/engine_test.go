@@ -36,7 +36,6 @@ func TestApproachParseAndString(t *testing.T) {
 		in   string
 		want Approach
 	}{
-		{"V1", V1Naive}, {"v2", V2Split}, {"3", V3Blocked}, {"V4", V4Vector},
 		{"V3F", V3Fused}, {"v3f", V3Fused}, {"V5", V3Fused}, {"fused-blocked", V3Fused},
 		{"V4F", V4Fused}, {"v4f", V4Fused}, {"v6", V4Fused}, {"FUSED", V4Fused},
 		{"fused-vector", V4Fused}, {" Fused ", V4Fused},
@@ -46,8 +45,12 @@ func TestApproachParseAndString(t *testing.T) {
 			t.Errorf("ParseApproach(%q) = %v, %v", c.in, got, err)
 		}
 	}
-	if _, err := ParseApproach("V9"); err == nil {
-		t.Error("expected error for V9")
+	// V1..V4 name the simulated GPU's kernels; the CPU parses only its
+	// own approaches.
+	for _, in := range []string{"V9", "V1", "v2", "3", "V4", "naive", "split", "blocked", "vector"} {
+		if _, err := ParseApproach(in); err == nil {
+			t.Errorf("ParseApproach(%q) accepted", in)
+		}
 	}
 	if V1Naive.String() != "V1" || V4Vector.String() != "V4" {
 		t.Error("approach names wrong")
@@ -61,25 +64,6 @@ func TestApproachParseAndString(t *testing.T) {
 }
 
 func TestTileParams(t *testing.T) {
-	// Paper example: 48 KiB L1d (Ice Lake SP) with 7 ways for the table
-	// gives BS <= 5.1 -> 5.
-	bs, bw := TileParams(48 << 10)
-	if bs != 5 {
-		t.Errorf("BS for 48 KiB = %d, want 5", bs)
-	}
-	if bw < 1 {
-		t.Errorf("BP words = %d", bw)
-	}
-	// 32 KiB: sizeFT = 18658 -> cbrt(86.4) = 4.4 -> 4.
-	bs32, _ := TileParams(32 << 10)
-	if bs32 < 4 || bs32 > 5 {
-		t.Errorf("BS for 32 KiB = %d, want 4-5", bs32)
-	}
-	// Tiny cache still yields usable parameters.
-	bsT, bwT := TileParams(1024)
-	if bsT < 2 || bwT < 1 {
-		t.Errorf("tiny cache params %d/%d", bsT, bwT)
-	}
 	// The fused block is one lane group whatever the cache, claimed one
 	// block triple (one aligned chunk of a run) at a time, and its word
 	// tile is whole 8-word vectors, at least one.
@@ -95,13 +79,12 @@ func TestTileParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if nb, src := s.blockSpace(); nb != 5 || src.Grain() != 1 {
+		t.Errorf("40 SNPs make %d blocks claimed %d block triples at a time, want 5 and 1", nb, src.Grain())
+	}
 	for _, a := range []Approach{V3Fused, V4Fused} {
-		o, err := Options{Approach: a}.withDefaults(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs, _, src := s.blockSpace(&o); bs != contingency.Lanes || src.Grain() != 1 {
-			t.Errorf("%v default block %d SNPs claimed %d block triples at a time, want %d and 1", a, bs, src.Grain(), contingency.Lanes)
+		if o, err := (Options{Approach: a}).withDefaults(64); err != nil || o.BlockWords != 120 {
+			t.Errorf("%v default word tile %d, %v; want 120", a, o.BlockWords, err)
 		}
 	}
 }
@@ -122,37 +105,40 @@ func TestFusedTileWords(t *testing.T) {
 	}
 }
 
+// referenceTopK ranks every triple of mx by obj from BuildReference's
+// tables: the oracle top-k of an order-3 search.
+func referenceTopK(mx *dataset.Matrix, obj score.Objective, k int) []Candidate {
+	top := NewTopK(obj, k)
+	combin.ForEachTriple(mx.SNPs(), func(i, j, l int) {
+		tab := contingency.BuildReference(mx, i, j, l)
+		top.Offer(Triple{i, j, l}.scored(obj.Score(&tab)))
+	})
+	return top.List()
+}
+
 func TestAllApproachesAgree(t *testing.T) {
 	mx := randomMatrix(60, 24, 333)
 	s, err := New(mx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results [6]*Result
-	for a := V1Naive; a <= V4Fused; a++ {
-		res, err := s.Run(Options{Approach: a, Workers: 3, TopK: 5})
+	want := referenceTopK(mx, score.NewK2(mx.Samples()), 5)
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
+		got, err := s.Run(Options{Approach: a, Workers: 3, TopK: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		results[a-1] = res
-	}
-	for a := V2Split; a <= V4Fused; a++ {
-		got, want := results[a-1], results[0]
-		if got.Best != want.Best {
-			t.Errorf("%v best %v (%.6f) != V1 best %v (%.6f)",
-				a, got.Best.triple(), got.Best.Score, want.Best.triple(), want.Best.Score)
-		}
-		if len(got.TopK) != len(want.TopK) {
-			t.Fatalf("%v TopK length %d != %d", a, len(got.TopK), len(want.TopK))
+		if len(got.TopK) != len(want) {
+			t.Fatalf("%v TopK length %d != %d", a, len(got.TopK), len(want))
 		}
 		for i := range got.TopK {
-			if got.TopK[i] != want.TopK[i] {
-				t.Errorf("%v TopK[%d] = %+v, want %+v", a, i, got.TopK[i], want.TopK[i])
+			if got.TopK[i] != want[i] {
+				t.Errorf("%v TopK[%d] = %+v, want %+v", a, i, got.TopK[i], want[i])
 			}
 		}
-	}
-	if results[0].Stats.Combinations != combin.Triples(24) {
-		t.Errorf("combinations = %d", results[0].Stats.Combinations)
+		if got.Stats.Combinations != combin.Triples(24) {
+			t.Errorf("%v combinations = %d", a, got.Stats.Combinations)
+		}
 	}
 }
 
@@ -172,7 +158,7 @@ func TestBestMatchesBruteForce(t *testing.T) {
 			best = c
 		}
 	})
-	for a := V1Naive; a <= V4Vector; a++ {
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 		res, err := s.Run(Options{Approach: a, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -189,12 +175,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.Run(Options{Approach: V4Vector, Workers: 1, TopK: 3})
+	base, err := s.Run(Options{Approach: V3Fused, Workers: 1, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		res, err := s.Run(Options{Approach: V4Vector, Workers: workers, TopK: 3})
+		res, err := s.Run(Options{Approach: V3Fused, Workers: workers, TopK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +203,7 @@ func TestPlantedInteractionRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(mx, Options{Approach: V4Vector})
+	res, err := Search(mx, Options{Approach: V3Fused})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,24 +274,16 @@ func TestBlockParameterRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fused approaches' block is fixed at one lane group: only their
-	// word tile varies.
-	check := func(o Options) {
-		t.Helper()
-		res, err := s.Run(o)
-		if err != nil {
-			t.Fatalf("%v bs=%d bw=%d: %v", o.Approach, o.BlockSNPs, o.BlockWords, err)
-		}
-		if res.Best != want.Best {
-			t.Errorf("%v bs=%d bw=%d: best %+v, want %+v", o.Approach, o.BlockSNPs, o.BlockWords, res.Best, want.Best)
-		}
-	}
+	// The block is fixed at one lane group: only the word tile varies.
 	for _, bw := range []int{1, 2, 5} {
-		for _, bs := range []int{1, 2, 3, 5, 7, 23, 64} {
-			check(Options{Approach: V3Blocked, BlockSNPs: bs, BlockWords: bw})
-		}
 		for _, a := range []Approach{V3Fused, V4Fused} {
-			check(Options{Approach: a, BlockWords: bw})
+			res, err := s.Run(Options{Approach: a, BlockWords: bw})
+			if err != nil {
+				t.Fatalf("%v bw=%d: %v", a, bw, err)
+			}
+			if res.Best != want.Best {
+				t.Errorf("%v bw=%d: best %+v, want %+v", a, bw, res.Best, want.Best)
+			}
 		}
 	}
 }
@@ -316,18 +294,16 @@ func TestLaneVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Run(Options{Approach: V3Blocked})
+	want, err := s.Run(Options{Approach: V3Fused})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Approach{V4Vector, V4Fused} {
-		res, err := s.Run(Options{Approach: a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Best != want.Best {
-			t.Errorf("%v best differs", a)
-		}
+	res, err := s.Run(Options{Approach: V4Fused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best != want.Best {
+		t.Errorf("V4F best %+v, V3F's %+v", res.Best, want.Best)
 	}
 }
 
@@ -335,12 +311,13 @@ func TestOptionValidation(t *testing.T) {
 	mx := randomMatrix(67, 6, 50)
 	bad := []Options{
 		{Approach: Approach(9)},
+		{Approach: V1Naive},
+		{Approach: V3Blocked},
+		{Approach: V4Vector},
 		{Workers: -1},
 		{TopK: -2},
 		{Grain: -1},
-		{Approach: V3Blocked, BlockSNPs: -1, BlockWords: 2},
-		{Approach: V4Fused, BlockSNPs: 4},
-		{Approach: V3Fused, BlockSNPs: 4, BlockWords: 8},
+		{Approach: V4Fused, BlockWords: -1},
 	}
 	for i, o := range bad {
 		if _, err := Search(mx, o); err == nil {
@@ -367,7 +344,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, a := range []Approach{V2Split, V4Vector} {
+	for _, a := range []Approach{V2Split, V4Fused} {
 		if _, err := s.Run(Options{Approach: a, Context: ctx}); err == nil {
 			t.Errorf("%v: cancelled run returned no error", a)
 		}
@@ -391,8 +368,9 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-// Property: V2, V4 and V4F agree on arbitrary random datasets, including
-// awkward shapes (class imbalance, tiny N, N not a word multiple).
+// Property: V2, V3F and V4F agree with the reference tables on arbitrary
+// random datasets, including awkward shapes (class imbalance, tiny N, N
+// not a word multiple).
 func TestApproachEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, mRaw uint8, nRaw uint16, imbalance bool) bool {
 		m := int(mRaw%12) + 5
@@ -418,11 +396,13 @@ func TestApproachEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r2, err2 := s.Run(Options{Approach: V2Split, Workers: 2})
-		r4, err4 := s.Run(Options{Approach: V4Vector, Workers: 2})
-		rf, errf := s.Run(Options{Approach: V4Fused, Workers: 2})
-		return err2 == nil && err4 == nil && errf == nil &&
-			r2.Best == r4.Best && r2.Best == rf.Best
+		want := referenceTopK(mx, score.NewK2(n), 1)[0]
+		for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
+			if r, err := s.Run(Options{Approach: a, Workers: 2}); err != nil || r.Best != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

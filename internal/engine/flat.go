@@ -7,11 +7,11 @@ import (
 	"trigene/internal/sched"
 )
 
-// flatRun is approaches V1 and V2: one full-length frequency table per
-// combination, no tiling, over colexicographic combination ranks —
-// claimed from the run's own cursor, or from a shared one when another
-// consumer (the simulated GPU of a heterogeneous run) steals from the
-// same space.
+// flatRun is approach V2: one full-length frequency table per
+// combination from the phenotype-split form, no tiling, over
+// colexicographic combination ranks — claimed from the run's own cursor,
+// or from a shared one when another consumer (the simulated GPU of a
+// heterogeneous run) steals from the same space.
 func (s *Searcher) flatRun(o *Options) (space, tiler, error) {
 	m := s.st.SNPs()
 	sp, err := flatSpace(combin.Triples(m), o, 3, "flat")
@@ -19,19 +19,11 @@ func (s *Searcher) flatRun(o *Options) (space, tiler, error) {
 		return sp, nil, err
 	}
 	sp.approach = o.Approach.String()
-	// Resolve exactly the encoding this approach consumes — V1 the
-	// naive three-plane form, V2 the phenotype-split form — once,
-	// before the pool starts; the store memoizes it for every later
-	// run.
-	var bin *dataset.Binarized
-	var split *dataset.Split
-	if o.Approach == V1Naive {
-		bin = s.st.Binarized()
-	} else {
-		split = s.st.Split()
-	}
+	// Resolve the split form once, before the pool starts; the store
+	// memoizes it for every later run.
+	split := s.st.Split()
 	return sp, func(_ int, a *arena) tileFunc {
-		return (&flatWorker{o: o, m: m, bin: bin, split: split, a: a}).tile
+		return (&flatWorker{o: o, m: m, split: split, a: a}).tile
 	}, nil
 }
 
@@ -41,22 +33,16 @@ func (s *Searcher) flatRun(o *Options) (space, tiler, error) {
 type flatWorker struct {
 	o     *Options
 	m     int
-	bin   *dataset.Binarized // V1 only
-	split *dataset.Split     // V2 only
+	split *dataset.Split
 	a     *arena
 }
 
 // tile scores every combination rank in [t.Lo, t.Hi).
 func (w *flatWorker) tile(t sched.Tile) (int64, error) {
-	naive := w.o.Approach == V1Naive
 	obj := w.o.Objective
 	i, j, k := combin.UnrankTriple(t.Lo, w.m)
 	for r := t.Lo; r < t.Hi; r++ {
-		if naive {
-			w.a.tab = contingency.BuildNaive(w.bin, i, j, k)
-		} else {
-			w.a.tab = contingency.BuildSplit(w.split, i, j, k)
-		}
+		w.a.tab = contingency.BuildSplit(w.split, i, j, k)
 		w.a.top.Offer(Triple{I: i, J: j, K: k}.scored(obj.Score(&w.a.tab)))
 		i, j, k, _ = combin.NextTriple(i, j, k, w.m)
 	}

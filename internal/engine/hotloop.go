@@ -18,8 +18,8 @@ type HotLoop struct {
 }
 
 // NewHotLoop builds a single consumer for the configured approach over
-// the full work space: combination-rank tiles for V1/V2, block-triple
-// tiles for V3/V4 and V3F/V4F.
+// the full work space: combination-rank tiles for V2, block-triple tiles
+// for V3F/V4F.
 func (s *Searcher) NewHotLoop(opts Options) (*HotLoop, error) {
 	if opts.Shard != nil || opts.Tiles != nil {
 		return nil, fmt.Errorf("engine: HotLoop probes the full space")

@@ -187,11 +187,11 @@ func TestLanesTilesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bsz, nb, src := s.blockSpace(&o)
+				nb, src := s.blockSpace()
 				if src.Grain() != 1 {
 					t.Fatalf("%s: claim grain %d, want 1", name, src.Grain())
 				}
-				w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), bsz, nb)
+				w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), nb)
 				total := src.Ranks()
 				for lo := int64(0); lo < total; lo++ {
 					for hi := lo + 1; hi <= total; hi++ {
@@ -200,7 +200,7 @@ func TestLanesTilesMatchReference(t *testing.T) {
 						var expect int64
 						for rank := lo; rank < hi; rank++ {
 							b0, b1, b2 := combin.UnrankTriple(rank, nb+2)
-							expect += s.blockTripleCombos(b0, b1-1, b2-2, bsz)
+							expect += s.blockTripleCombos(b0, b1-1, b2-2)
 						}
 						if n != expect || int64(len(w.a.top.items)) != expect {
 							t.Fatalf("%s: tile [%d,%d) reports %d combinations and kept %d, want %d",
@@ -211,7 +211,7 @@ func TestLanesTilesMatchReference(t *testing.T) {
 							if !(tr.I < tr.J && tr.J < tr.K) || want[tr] != c.Score {
 								t.Fatalf("%s: tile [%d,%d) scored %v at %v, reference %v", name, lo, hi, tr, c.Score, want[tr])
 							}
-							r := combin.RankTriple(tr.I/bsz, tr.J/bsz+1, tr.K/bsz+2)
+							r := combin.RankTriple(tr.I/contingency.Lanes, tr.J/contingency.Lanes+1, tr.K/contingency.Lanes+2)
 							if r < lo || r >= hi {
 								t.Fatalf("%s: tile [%d,%d) scored %v of block triple %d", name, lo, hi, tr, r)
 							}

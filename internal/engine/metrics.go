@@ -16,7 +16,7 @@ type runMetrics struct {
 }
 
 // resolveRunMetrics registers (or finds) the engine's series under one
-// run's approach label — V1..V4F for the order-3 pipelines, "pair",
+// run's approach label — V2, V3F or V4F for the order-3 pipelines, "pair",
 // "kway" or "seeded" for the other runs — and the info series naming the
 // kernel the tuned fused pipeline runs on this host. A nil registry
 // yields no-op metrics.

@@ -15,7 +15,7 @@ func TestProgressReportingFlatAndBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Approach{V2Split, V4Vector, V4Fused} {
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 		var mu sync.Mutex
 		var last, calls, reportedTotal int64
 		res, err := s.Run(Options{
@@ -141,7 +141,7 @@ func TestSubRangeResultsMatchSubEnumeration(t *testing.T) {
 }
 
 // TestSharedCursorRejectedForBlocked: a shared cursor hands out
-// combination ranks, which the blocked approaches do not claim.
+// combination ranks, which V3F/V4F do not claim.
 func TestSharedCursorRejectedForBlocked(t *testing.T) {
 	mx := randomMatrix(133, 10, 60)
 	s, err := New(mx)
@@ -149,7 +149,7 @@ func TestSharedCursorRejectedForBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := sched.NewCursor(sched.NewSource(0, 10, 1))
-	for _, a := range []Approach{V3Blocked, V4Vector, V3Fused, V4Fused} {
+	for _, a := range []Approach{V3Fused, V4Fused} {
 		if _, err := s.Run(Options{Approach: a, Tiles: cur}); err == nil {
 			t.Errorf("%v: shared cursor accepted", a)
 		}

@@ -22,7 +22,7 @@ type space struct {
 	blockSNPs int
 	// order is the candidates' SNP count. kind labels the run's sched
 	// series ("flat", "blocked", "pair", "kway" or "seeded") and approach
-	// its engine series (V1..V4F on the order-3 pipelines, else kind).
+	// its engine series (V2, V3F or V4F on the order-3 pipelines, else kind).
 	order          int
 	kind, approach string
 }

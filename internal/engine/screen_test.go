@@ -185,7 +185,7 @@ func TestSubsetSearchMatchesRestrictedBruteForce(t *testing.T) {
 	})
 	want := ref.List()
 
-	for _, a := range []Approach{V2Split, V4Vector, V3Fused, V4Fused} {
+	for _, a := range []Approach{V2Split, V3Fused, V4Fused} {
 		res, err := sub.Run(Options{Approach: a, TopK: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)

@@ -71,12 +71,9 @@ type seededWorker struct {
 }
 
 // newSeededWorker builds a consumer over a pooled arena, sized for the
-// two class-plane-sized seed blocks and one bank table: the raw (third,
-// seed) cells of the triple in hand, before they are permuted into the
-// arena's flat table.
+// two class-plane-sized seed blocks.
 func (s *Searcher) newSeededWorker(o *Options, a *arena, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
 	split := s.st.Split()
-	a.sizeTables(1)
 	for class := range a.block {
 		a.block[class].Init(split.Words[class], false)
 	}
@@ -94,7 +91,7 @@ func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 	obj := w.o.Objective
 	split := w.split
 	span := int64(w.m)
-	raw, tab := &w.a.tables[0], &w.a.tab
+	raw, tab := &w.a.raw, &w.a.tab
 	var scored int64
 	for r := t.Lo; r < t.Hi; {
 		sIdx := int(r / span)

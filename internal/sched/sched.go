@@ -3,9 +3,9 @@
 // blocked, simulated GPU, MPI-style baseline, heterogeneous) consumes.
 //
 // A Source enumerates one search space as a contiguous run of ranks —
-// colexicographic combination ranks for the flat pipelines (V1/V2,
-// pairs, k-way, the GPU kernels) and block-triple ranks for the
-// blocked pipelines (V3/V4 and the fused V3F/V4F) — cut into tiles of
+// colexicographic combination ranks for the flat pipelines (V2, pairs,
+// k-way, the GPU kernels) and block-triple ranks for the CPU's blocked
+// lanes pass (V3F/V4F) — cut into tiles of
 // Grain ranks. A Cursor is a lock-free claiming cursor over a Source:
 // any number of consumers, of any kind and speed, Claim tiles until the
 // space is drained, which is exactly the paper's dynamically scheduled

@@ -1,8 +1,8 @@
 // Package store is the unified encoded-dataset store: one immutable,
 // content-addressed handle per dataset that lazily builds and memoizes
 // every bit-plane representation the execution layers consume — the
-// naive three-plane Binarized form (approach V1), the phenotype-split
-// form (V2 and later), the 32-bit GPU word layouts (one per
+// naive three-plane Binarized form (gpusim's V1), the phenotype-split
+// form (every CPU search), the 32-bit GPU word layouts (one per
 // layout/tile-width pair), the per-class three-plane baseline form —
 // exactly once, no matter how many searches, backends or devices share
 // the Store.
@@ -279,8 +279,8 @@ func (s *Store) matrixLocked() *dataset.Matrix {
 	return s.mx
 }
 
-// Binarized returns the naive three-plane form (approach V1), building
-// it on first request.
+// Binarized returns the naive three-plane form (what gpusim's V1 kernel
+// re-encodes as Naive32), building it on first request.
 func (s *Store) Binarized() *dataset.Binarized {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,7 +299,7 @@ func (s *Store) binarizedLocked() *dataset.Binarized {
 // SNPPlanes returns the three-plane form of the given SNPs only (any
 // order, repeats allowed, SNPs the dataset does not have left out): out
 // of the Binarized where the store holds one — adopted from a pack, or
-// built for V1 — and otherwise encoded from those rows of the packed
+// built for gpusim's V1 — and otherwise encoded from those rows of the packed
 // sections, outside the lock. It builds and memoizes nothing, so a call
 // that names its SNPs (a permutation test) never pays a dataset-wide
 // encoding.
@@ -317,8 +317,8 @@ func (s *Store) SNPPlanes(snps []int) *dataset.SNPPlanes {
 	return p.SNPPlanes(snps)
 }
 
-// Split returns the phenotype-split two-plane form (approaches V2 and
-// later), building it on first request.
+// Split returns the phenotype-split two-plane form (every CPU search),
+// building it on first request.
 func (s *Store) Split() *dataset.Split {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -64,14 +64,17 @@ func newSearchConfig(opts []Option) (*searchConfig, error) {
 	if cfg.backend == nil {
 		cfg.backend = CPU()
 	}
+	if _, cpu := cfg.backend.(cpuBackend); cpu && cfg.approachSet && cfg.approach != V3Fused && cfg.approach != V4Fused {
+		return nil, fmt.Errorf("trigene: the cpu backend runs approach V3F or V4F, not %v (V1..V4 are gpusim kernels)", cfg.approach)
+	}
 	return cfg, nil
 }
 
-// cpuApproach is the engine approach the configured search runs on the
-// CPU: the cpu backend's pinned approach or its default V4F at order 3
-// (sharded or not: V4F's shards slice the block-triple space and merge
-// bit-exactly) and V2 at every other order, hetero's CPU half (V2), and
-// baseline's V1-like pipeline. gpusim runs no CPU kernel; the planner
+// cpuApproach is the approach the planner prices for the configured
+// search's CPU work: the cpu backend's pinned V3F or its default V4F at
+// order 3 (sharded or not: their shards slice the block-triple space and
+// merge bit-exactly) and V2 at every other order, hetero's CPU half (V2),
+// and baseline's V1-like pipeline. gpusim runs no CPU kernel; the planner
 // ignores the value there.
 func (c *searchConfig) cpuApproach() Approach {
 	switch c.backend.(type) {
@@ -172,13 +175,13 @@ func WithAutoTune() Option {
 	}
 }
 
-// WithApproach selects the paper's optimization stage V1..V4 — or a
-// fused pair-caching variant V3Fused/V4Fused ("V3F"/"V4F") — on
-// backends with selectable pipelines: the CPU approaches
-// (naive/split/blocked/vector/fused) or the simulated GPU kernels
-// (naive/split/transposed/tiled/fused). The default is each backend's
-// best (V4F on the CPU, V4 on the GPU). Use ParseApproach or
-// ParseGPUKernel to obtain the value from a string.
+// WithApproach selects the pipeline on backends with selectable ones.
+// The CPU backend runs the lanes pass: V4Fused ("V4F", the default) or
+// V3Fused ("V3F", the portable Go bodies); it refuses V1..V4 before any
+// planning or work. The simulated GPU runs the paper's kernels V1..V4
+// (naive/split/transposed/tiled, V4 the default) or the fused one
+// (V4Fused). Use ParseApproach or ParseGPUKernel to obtain the value
+// from a string.
 func WithApproach(v Approach) Option {
 	return func(c *searchConfig) error {
 		if v < V1Naive || v > V4Fused {
@@ -192,11 +195,10 @@ func WithApproach(v Approach) Option {
 
 // WithShard restricts the search to shard index of count near-equal
 // contiguous slices of the scheduler's work space — the primitive that
-// distributed deployments partition on. Every backend shards: the
-// flat CPU approaches, orders 2 and k, gpusim, baseline and hetero
-// slice the combination-rank space; the blocked approaches V3/V4 and
-// their fused variants — the order-3 default, sharded or not — slice
-// the block-triple space (see ShardInfo.Space). Running every
+// distributed deployments partition on. Every backend shards: the CPU's
+// orders 2 and k, gpusim, baseline and hetero slice the combination-rank
+// space; the CPU's order-3 V3F/V4F slice block triples of eight SNPs
+// (ShardSpaceFusedBlocks, see ShardInfo.Space). Running every
 // shard and merging the Reports (MergeReports) reproduces the
 // unsharded search bit-exactly.
 func WithShard(index, count int) Option {

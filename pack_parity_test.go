@@ -59,8 +59,7 @@ func TestPackParityAllBackends(t *testing.T) {
 		opts   []trigene.Option
 	}{
 		{"cpu", []int{2, 3, 4}, nil},
-		{"cpu-V1", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V1Naive)}},
-		{"cpu-V4", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V4Vector)}},
+		{"cpu-V3F", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V3Fused)}},
 		{"cpu-V4F", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V4Fused)}},
 		{"gpusim", []int{3}, []trigene.Option{trigene.WithBackend(trigene.GPUSim(gn1))}},
 		{"baseline", []int{3}, []trigene.Option{trigene.WithBackend(trigene.Baseline())}},

@@ -23,9 +23,10 @@ type SearchSpec struct {
 	// "gpusim:<ID>", "baseline" or "hetero" ("" = cpu). ParseBackend
 	// rebuilds the Backend from it.
 	Backend string `json:"backend,omitempty"`
-	// Approach pins the pipeline variant "V1".."V4" — or, via the
-	// numeric wire forms "V5"/"V6", the fused "V3F"/"V4F" ("" = backend
-	// default).
+	// Approach pins the pipeline variant ("" = backend default): on
+	// gpusim a kernel "V1".."V4" or the fused one; on the cpu backend
+	// "V3F"/"V4F", which spec() writes as their numeric wire forms
+	// "V5"/"V6". A cpu spec naming V1..V4 is refused by Options.
 	Approach string `json:"approach,omitempty"`
 	// Workers is the per-node host parallelism (0 = all cores).
 	Workers int `json:"workers,omitempty"`

@@ -38,10 +38,6 @@ func TestSearchSpecRoundTrip(t *testing.T) {
 			SearchSpec{Order: 3, TopK: 1, Backend: "gpusim:GN1", Approach: "V4"}},
 		{"gpusim fused kernel", []Option{WithBackend(GPUSim(gn1)), WithApproach(gpuApproach("fused"))},
 			SearchSpec{Order: 3, TopK: 1, Backend: "gpusim:GN1", Approach: "V5"}},
-		{"cpu V1", []Option{WithApproach(V1Naive)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V1"}},
-		{"cpu V2", []Option{WithApproach(V2Split)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V2"}},
-		{"cpu V3", []Option{WithApproach(V3Blocked)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V3"}},
-		{"cpu V4", []Option{WithApproach(V4Vector)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V4"}},
 		{"cpu V3F", []Option{WithApproach(V3Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V5"}},
 		{"cpu V4F", []Option{WithApproach(V4Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V6"}},
 		{"autotune, backend unpinned", []Option{WithAutoTune()},

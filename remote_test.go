@@ -57,9 +57,9 @@ func TestSearchSpecOptions(t *testing.T) {
 			[]trigene.Option{trigene.WithOrder(2), trigene.WithTopK(3), trigene.WithObjective("mi"), trigene.WithWorkers(2)},
 		},
 		{
-			"cpu pinned V1",
-			trigene.SearchSpec{Approach: "V1"},
-			[]trigene.Option{trigene.WithApproach(trigene.V1Naive)},
+			"cpu pinned V3F",
+			trigene.SearchSpec{Approach: "V3F"},
+			[]trigene.Option{trigene.WithApproach(trigene.V3Fused)},
 		},
 		{
 			"gpusim kernel V3",
@@ -94,7 +94,12 @@ func TestSearchSpecOptions(t *testing.T) {
 	for _, bad := range []trigene.SearchSpec{
 		{Backend: "bogus"},
 		{Approach: "V9"},
-		{Backend: "gpusim:GN1", Approach: "blocked"}, // CPU-only name on a GPU backend
+		{Backend: "gpusim:GN1", Approach: "blocked-fused"}, // CPU-only name on a GPU backend
+		// V1..V4 are gpusim kernels; the cpu backend refuses them.
+		{Approach: "V1"},
+		{Approach: "V2"},
+		{Backend: "cpu", Approach: "V3"},
+		{Backend: "cpu", Approach: "vector"},
 	} {
 		if _, err := bad.Options(); err == nil {
 			t.Errorf("spec %+v accepted", bad)
@@ -146,11 +151,11 @@ func TestWithCluster(t *testing.T) {
 	}
 
 	// A pinned approach serializes; the spec round-trips to options.
-	if _, err := s.Search(ctx, trigene.WithCluster(exec), trigene.WithApproach(trigene.V3Blocked)); err != nil {
+	if _, err := s.Search(ctx, trigene.WithCluster(exec), trigene.WithApproach(trigene.V3Fused)); err != nil {
 		t.Fatal(err)
 	}
-	if exec.spec.Approach != "V3" {
-		t.Errorf("approach serialized as %q, want V3", exec.spec.Approach)
+	if exec.spec.Approach != "V5" {
+		t.Errorf("approach serialized as %q, want V5 (V3F)", exec.spec.Approach)
 	}
 	if _, err := exec.spec.Options(); err != nil {
 		t.Errorf("serialized spec does not rebuild: %v", err)

@@ -21,28 +21,21 @@ type SearchCandidate struct {
 
 // Shard space units: what the ranks in ShardInfo.Lo/Hi count.
 const (
-	// ShardSpaceRanks: colexicographic combination ranks (flat CPU
-	// approaches, orders 2 and k, gpusim, baseline, hetero).
+	// ShardSpaceRanks: colexicographic combination ranks (CPU orders 2
+	// and k, gpusim, baseline, hetero).
 	ShardSpaceRanks = "combination-ranks"
-	// ShardSpaceBlocks: block-triple ranks at blocks of 4 SNPs (the
-	// blocked CPU approaches V3/V4, whose cache tiles are the
-	// indivisible work unit). Block triples at any other block size BS
-	// are named ShardSpaceBlocks + "-bs" + BS.
+	// ShardSpaceBlocks: block-triple ranks at blocks of 4 SNPs, what
+	// Reports of the removed CPU V3/V4 carry; named so that they refuse to
+	// merge with ShardSpaceFusedBlocks ones. Block triples at another
+	// block size BS are named ShardSpaceBlocks + "-bs" + BS.
 	ShardSpaceBlocks = "block-triples"
 	// ShardSpaceFusedBlocks: block-triple ranks at blocks of 8 SNPs, one
-	// lane group (V3F/V4F, the default of a CPU order-3 shard). Fused
-	// shards from before the block size was named cut blocks of 4 and
-	// are labelled ShardSpaceBlocks, so they do not merge with these.
+	// lane group: every CPU order-3 shard (V3F/V4F).
 	ShardSpaceFusedBlocks = ShardSpaceBlocks + "-bs8"
 )
 
 // blockSpaceName names the block-triple space cut at blocks of bs SNPs.
-func blockSpaceName(bs int) string {
-	if bs == 4 {
-		return ShardSpaceBlocks
-	}
-	return ShardSpaceBlocks + "-bs" + strconv.Itoa(bs)
-}
+func blockSpaceName(bs int) string { return ShardSpaceBlocks + "-bs" + strconv.Itoa(bs) }
 
 // ShardInfo records which slice of the scheduler's work space a
 // sharded Report covers.
@@ -53,8 +46,8 @@ type ShardInfo struct {
 	// Lo and Hi are the covered ranks [Lo, Hi) in Space units.
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-	// Space names the rank units: ShardSpaceRanks, or ShardSpaceBlocks
-	// with the block size when it is not 4.
+	// Space names the rank units: ShardSpaceRanks, or
+	// ShardSpaceFusedBlocks on a CPU order-3 shard.
 	Space string `json:"space"`
 }
 
@@ -71,8 +64,8 @@ type PlanInfo struct {
 	// Workers is the CPU pool size the predictions assume.
 	Workers int `json:"workers,omitempty"`
 	// Grain is the scheduler tile size in ranks per claim. It applies
-	// to rank-space runs: orders 2 and 4-7, V1/V2 and hetero. An
-	// order-3 V3..V4F run claims block triples and ignores it.
+	// to rank-space runs: orders 2 and 4-7 and hetero's CPU half. A CPU
+	// order-3 (V3F/V4F) run claims block triples and ignores it.
 	Grain int64 `json:"grain,omitempty"`
 	// CPUFraction is the modeled CPU share (1 pure CPU, 0 pure GPU,
 	// the throughput-proportional split on hetero plans); GPUGrains is
@@ -136,8 +129,9 @@ type Report struct {
 	// Backend names the engine that ran the search ("cpu",
 	// "gpusim:GN1", "baseline", "hetero").
 	Backend string
-	// Approach is the pipeline variant within the backend ("V1".."V4",
-	// "mpi3snp", "V2+V4").
+	// Approach is the pipeline variant within the backend: "V3F"/"V4F"
+	// (cpu at order 3, "V2" at other orders), "V1".."V4"/"V4F" (gpusim
+	// kernels), "mpi3snp", "V2+V4" (hetero).
 	Approach string
 	// Objective is the ranking criterion ("k2", "mi" or "gini").
 	Objective string
@@ -255,10 +249,11 @@ func MergeReports(reports ...*Report) (*Report, error) {
 				r.Order, r.Objective, base.Order, base.Objective)
 		}
 		// Shards only union back to the full space when they sliced the
-		// SAME space: a rank shard (V2, gpusim, ...) and a block-triple
-		// shard (V3/V4) of the same (index, count) cover different
-		// triples, and so do block-triple shards cut at different block
-		// sizes (V4's 4 SNPs, V4F's 8), so mixing them would silently
+		// SAME space: a rank shard (gpusim, order 2, ...) and a
+		// block-triple shard (V4F) of the same (index, count) cover
+		// different triples, and so do block-triple shards cut at
+		// different block sizes (the removed V4's 4 SNPs, V4F's 8), so
+		// mixing them would silently
 		// double-count some combinations and drop others. (One way to
 		// mix them by accident: pinning an approach for one shard of a
 		// search but not for another.)

@@ -48,7 +48,7 @@ func binaryCorpus(t testing.TB) map[string]*trigene.Report {
 		"traced":         {trigene.WithTrace(), trigene.WithTopK(3)},
 		"empty shard":    {trigene.WithOrder(4), trigene.WithShard(5, 7)},
 		"gini order 4":   {trigene.WithOrder(4), trigene.WithObjective("gini"), trigene.WithTopK(2)},
-		"one worker V1":  {trigene.WithApproach(trigene.V1Naive), trigene.WithWorkers(1)},
+		"one worker V3F": {trigene.WithApproach(trigene.V3Fused), trigene.WithWorkers(1)},
 		"all defaults":   nil,
 		"deep top-K":     {trigene.WithTopK(40), trigene.WithShard(2, 3)},
 		"gpusim traced":  {trigene.WithBackend(trigene.GPUSim(gpu)), trigene.WithTrace()},

@@ -26,8 +26,8 @@ type Session struct {
 
 // NewSession validates the dataset and wraps it in a fresh
 // encoded-dataset store. No encoding is built until a search needs it:
-// a V1-only session materializes just the naive three-plane form, a
-// V2+ session just the phenotype-split form.
+// a CPU search materializes just the phenotype-split form, and the naive
+// three-plane form is built only for gpusim's V1 kernel.
 func NewSession(mx *Matrix) (*Session, error) {
 	s, err := engine.New(mx)
 	if err != nil {

@@ -44,13 +44,12 @@ func TestSessionBuildsEachEncodingAtMostOnce(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"V1", []Option{WithApproach(V1Naive)}},
-		{"V2", []Option{WithApproach(V2Split)}},
-		{"V4", []Option{WithApproach(V4Vector)}},
+		{"V3F", []Option{WithApproach(V3Fused)}},
 		{"V4F", []Option{WithApproach(V4Fused)}},
 		{"pairs", []Option{WithOrder(2)}},
 		{"4-way", []Option{WithOrder(4)}},
 		{"gpusim", []Option{WithBackend(GPUSim(gn1))}},
+		{"gpusim V1", []Option{WithBackend(GPUSim(gn1)), WithApproach(V1Naive)}},
 		{"baseline", []Option{WithBackend(Baseline())}},
 		{"hetero", []Option{WithBackend(Hetero())}},
 	}
@@ -62,45 +61,97 @@ func TestSessionBuildsEachEncodingAtMostOnce(t *testing.T) {
 			}
 		}
 		b := s.store.Builds()
-		// One Binarized (V1), one Split (everything else on the CPU),
-		// one ClassPlanes (baseline), one tiled Words32 (the gpusim and
-		// hetero device halves share GN1's tile width).
-		want := store.Builds{Binarized: 1, Split: 1, ClassPlanes: 1, Words32: 1}
+		// One Binarized and one Naive32 (gpusim V1), one Split (every
+		// CPU search), one ClassPlanes (baseline), one tiled Words32 (the
+		// gpusim and hetero device halves share GN1's tile width).
+		want := store.Builds{Binarized: 1, Split: 1, Naive32: 1, ClassPlanes: 1, Words32: 1}
 		if b != want {
 			t.Fatalf("pass %d: builds = %+v, want %+v", pass, b, want)
 		}
 	}
 }
 
+// TestCPURefusesGPUApproaches: V1..V4 name the simulated GPU's kernels.
+// The cpu backend refuses each of them — pinned locally, under
+// WithAutoTune, sharded, and from a SearchSpec — with an error naming the
+// approach and the accepted ones, before any planning or encoding; gpusim
+// still runs all four.
+func TestCPURefusesGPUApproaches(t *testing.T) {
+	ctx := context.Background()
+	gn1, err := GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ap := range []Approach{V1Naive, V2Split, V3Blocked, V4Vector} {
+		s := internalSession(t)
+		for name, opts := range map[string][]Option{
+			"local":                  {WithApproach(ap)},
+			"cpu named":              {WithBackend(CPU()), WithApproach(ap)},
+			"backend after approach": {WithApproach(ap), WithBackend(CPU())},
+			"autotuned":              {WithAutoTune(), WithApproach(ap)},
+			"sharded":                {WithApproach(ap), WithShard(0, 2)},
+			"screened":               {WithApproach(ap), WithScreen(ScreenSpec{MaxSurvivors: 8})},
+		} {
+			rep, err := s.Search(ctx, opts...)
+			if err == nil || rep != nil {
+				t.Fatalf("%v %s: ran, plan %+v", ap, name, rep.Plan)
+			}
+			if msg := err.Error(); !strings.Contains(msg, ap.String()) || !strings.Contains(msg, "V3F or V4F") {
+				t.Errorf("%v %s: error %q does not name the approach and the accepted ones", ap, name, msg)
+			}
+		}
+		if b := s.store.Builds(); b != (store.Builds{}) {
+			t.Errorf("%v: refused searches built %+v", ap, b)
+		}
+		for _, sp := range []SearchSpec{{Approach: ap.String()}, {Backend: "cpu", Approach: ap.String()}, {Approach: strconv.Itoa(int(ap))}} {
+			if _, err := sp.Options(); err == nil || !strings.Contains(err.Error(), sp.Approach) {
+				t.Errorf("spec %+v: Options err = %v, want a refusal naming %q", sp, err, sp.Approach)
+			}
+		}
+
+		gpu := []Option{WithBackend(GPUSim(gn1)), WithApproach(ap)}
+		rep, err := s.Search(ctx, gpu...)
+		if err != nil || rep.Approach != ap.String() {
+			t.Fatalf("gpusim %v: %v, %+v", ap, err, rep)
+		}
+		sp := SearchSpec{Backend: "gpusim:GN1", Approach: ap.String()}
+		opts, err := sp.Options()
+		if err != nil {
+			t.Fatalf("gpusim spec %+v: %v", sp, err)
+		}
+		if rep, err := s.Search(ctx, opts...); err != nil || rep.Approach != ap.String() {
+			t.Errorf("gpusim spec %v: %v, %+v", ap, err, rep)
+		}
+	}
+}
+
 // TestSingleApproachBuildsOneEncoding asserts the lazy split: a
-// session serving only V1 searches never constructs the phenotype-
-// split form, and a V2-only session never constructs the naive
-// three-plane form.
+// session serving only gpusim V1 searches never constructs the
+// phenotype-split form, and a session serving only V3F or only V4F
+// never constructs the naive three-plane form.
 func TestSingleApproachBuildsOneEncoding(t *testing.T) {
 	ctx := context.Background()
+	gn1, err := GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	v1 := internalSession(t)
-	if _, err := v1.Search(ctx, WithApproach(V1Naive)); err != nil {
+	if _, err := v1.Search(ctx, WithBackend(GPUSim(gn1)), WithApproach(V1Naive)); err != nil {
 		t.Fatal(err)
 	}
 	if b := v1.store.Builds(); b.Binarized != 1 || b.Split != 0 {
-		t.Fatalf("V1-only session builds = %+v; the split form must never be constructed", b)
+		t.Fatalf("gpusim-V1-only session builds = %+v; the split form must never be constructed", b)
 	}
 
-	v2 := internalSession(t)
-	if _, err := v2.Search(ctx, WithApproach(V2Split)); err != nil {
-		t.Fatal(err)
-	}
-	if b := v2.store.Builds(); b.Split != 1 || b.Binarized != 0 {
-		t.Fatalf("V2-only session builds = %+v; the naive form must never be constructed", b)
-	}
-
-	v4 := internalSession(t)
-	if _, err := v4.Search(ctx, WithApproach(V4Vector)); err != nil {
-		t.Fatal(err)
-	}
-	if b := v4.store.Builds(); b.Split != 1 || b.Binarized != 0 {
-		t.Fatalf("V4-only session builds = %+v; the naive form must never be constructed", b)
+	for _, ap := range []Approach{V3Fused, V4Fused} {
+		s := internalSession(t)
+		if _, err := s.Search(ctx, WithApproach(ap)); err != nil {
+			t.Fatal(err)
+		}
+		if b := s.store.Builds(); b.Split != 1 || b.Binarized != 0 {
+			t.Fatalf("%v-only session builds = %+v; the naive form must never be constructed", ap, b)
+		}
 	}
 }
 
@@ -118,9 +169,13 @@ func TestPackSessionAdoptsEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ap := range []Approach{V1Naive, V2Split, V4Vector} {
-		if _, err := loaded.Search(ctx, WithApproach(ap)); err != nil {
-			t.Fatalf("%v: %v", ap, err)
+	gn1, err := GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{{WithApproach(V3Fused)}, {WithApproach(V4Fused)}, {WithBackend(GPUSim(gn1)), WithApproach(V1Naive)}} {
+		if _, err := loaded.Search(ctx, opts...); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if b := loaded.store.Builds(); b.Binarized != 0 || b.Split != 0 {

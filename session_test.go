@@ -222,8 +222,6 @@ func TestSessionShardEverywhere(t *testing.T) {
 		{"hetero", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithBackend(trigene.Hetero()), trigene.WithShard(0, 2)}},
 		{"cpu order 2", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithOrder(2), trigene.WithShard(0, 2)}},
 		{"cpu order 4", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithOrder(4), trigene.WithShard(0, 2)}},
-		{"cpu V3 pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Blocked), trigene.WithShard(0, 2)}},
-		{"cpu V4 pinned", trigene.ShardSpaceBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Vector), trigene.WithShard(0, 2)}},
 		{"cpu V3F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Fused), trigene.WithShard(0, 2)}},
 		{"cpu V4F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Fused), trigene.WithShard(0, 2)}},
 	}
@@ -239,7 +237,7 @@ func TestSessionShardEverywhere(t *testing.T) {
 	}
 	// Approach pinning still applies to order 3 only.
 	for _, order := range []int{2, 4} {
-		if _, err := s.Search(ctx, trigene.WithOrder(order), trigene.WithApproach(trigene.V1Naive)); err == nil {
+		if _, err := s.Search(ctx, trigene.WithOrder(order), trigene.WithApproach(trigene.V3Fused)); err == nil {
 			t.Errorf("order %d with pinned approach accepted, want error", order)
 		}
 	}
@@ -552,19 +550,24 @@ func TestMergeReportsErrors(t *testing.T) {
 // forms.
 func TestParseRoundTrips(t *testing.T) {
 	for name, want := range map[string]trigene.Approach{
-		"naive": trigene.V1Naive, "SPLIT": trigene.V2Split,
-		"Blocked": trigene.V3Blocked, "vector": trigene.V4Vector,
-		"v1": trigene.V1Naive, " V4 ": trigene.V4Vector, "2": trigene.V2Split,
+		"fused": trigene.V4Fused, "FUSED-BLOCKED": trigene.V3Fused,
+		"v3f": trigene.V3Fused, " V4F ": trigene.V4Fused, "5": trigene.V3Fused, "v6": trigene.V4Fused,
 	} {
 		got, err := trigene.ParseApproach(name)
 		if err != nil || got != want {
 			t.Errorf("ParseApproach(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for a := trigene.V1Naive; a <= trigene.V4Vector; a++ {
+	for _, a := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
 		got, err := trigene.ParseApproach(a.String())
 		if err != nil || got != a {
 			t.Errorf("approach round trip %v: got %v, %v", a, got, err)
+		}
+	}
+	// V1..V4 are the simulated GPU's kernels, not CPU approaches.
+	for _, name := range []string{"naive", "SPLIT", "Blocked", "vector", "v1", " V4 ", "2", "V3"} {
+		if a, err := trigene.ParseApproach(name); err == nil {
+			t.Errorf("ParseApproach(%q) = %v, want a refusal", name, a)
 		}
 	}
 	for name, want := range map[string]trigene.GPUKernel{

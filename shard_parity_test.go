@@ -34,10 +34,6 @@ func TestShardMergeParity(t *testing.T) {
 		opts   []trigene.Option
 	}{
 		{"cpu", []int{2, 3, 4}, nil},
-		{"cpu-V1", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V1Naive)}},
-		{"cpu-V2", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V2Split)}},
-		{"cpu-V3", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V3Blocked)}},
-		{"cpu-V4", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V4Vector)}},
 		{"cpu-V3F", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V3Fused)}},
 		{"cpu-V4F", []int{3}, []trigene.Option{trigene.WithApproach(trigene.V4Fused)}},
 		{"gpusim", []int{3}, []trigene.Option{trigene.WithBackend(trigene.GPUSim(gn1))}},
@@ -154,12 +150,17 @@ func reportsEqual(t *testing.T, label string, got, want *trigene.Report) {
 // and claims several block triples at a time. However the space is
 // sharded — one shard, three, or seven, whose bounds fall in the middle
 // of runs — the merged Report must be the unsharded one bit for bit, and
-// that one must be what the flat V2 pipeline reports, under every
-// objective, on the host's bodies (V4F) and the Go ones (V3F). 21 SNPs
+// that one must be what the simulated GPU's split kernel (V2, one table
+// per combination) reports, under every objective, on the host's bodies
+// (V4F) and the Go ones (V3F). 21 SNPs
 // leave a last block of one; 333 samples leave both classes ragged and
 // inside one word tile, 20000 put at least one class past the default
 // tile, so its lane tables are summed over several.
 func TestShortPlaneShardMergeParity(t *testing.T) {
+	gn1, err := trigene.GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, samples := range []int{333, 20000} {
 		mx, err := trigene.Generate(trigene.GenConfig{SNPs: 21, Samples: samples, Seed: 19, MAFMin: 0.2, MAFMax: 0.5})
 		if err != nil {
@@ -171,7 +172,8 @@ func TestShortPlaneShardMergeParity(t *testing.T) {
 		}
 		ctx := context.Background()
 		for _, objective := range []string{"k2", "mi", "gini"} {
-			flat, err := s.Search(ctx, trigene.WithObjective(objective), trigene.WithTopK(9), trigene.WithApproach(trigene.V2Split))
+			flat, err := s.Search(ctx, trigene.WithObjective(objective), trigene.WithTopK(9),
+				trigene.WithBackend(trigene.GPUSim(gn1)), trigene.WithApproach(trigene.V2Split))
 			if err != nil {
 				t.Fatal(err)
 			}

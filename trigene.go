@@ -99,7 +99,9 @@ func ThresholdPenetrance(minMinor int, low, high float64) [27]float64 {
 	return dataset.ThresholdPenetrance(minMinor, low, high)
 }
 
-// XorPenetrance builds a marginal-effect-free parity penetrance table.
+// XorPenetrance builds a parity penetrance table. It is free of marginal
+// effects only at P(genotype ≠ 0) = ½ per SNP, that is MAF ≈ 0.2929
+// under Hardy-Weinberg; see dataset.XorPenetrance.
 func XorPenetrance(low, high float64) [27]float64 {
 	return dataset.XorPenetrance(low, high)
 }
@@ -128,14 +130,15 @@ func ReadRAW(r io.Reader) (*Matrix, error) { return dataset.ReadRAW(r) }
 // phenotypes in header order.
 func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) { return dataset.ReadVCF(r, phen) }
 
-// Approach selects one of the paper's four CPU pipelines (V1Naive,
-// V2Split, V3Blocked, V4Vector) or a fused pair-caching variant
-// (V3Fused, V4Fused) that hoists the nine (y, z) pair-AND planes out
-// of the blocked inner loop.
+// Approach numbers the paper's optimization stages. The CPU backend runs
+// the lanes pass, V4Fused (its default, on the host's tuned bodies) or
+// V3Fused (the portable Go bodies); V1Naive..V4Vector name the simulated
+// GPU's kernels (GPUSim) and the planner's prices, and the CPU backend
+// refuses them.
 type Approach = engine.Approach
 
-// The CPU approaches: the paper's four in optimization order, then
-// the fused variants of the two blocked pipelines.
+// The approaches: the paper's four stages in optimization order, then
+// the CPU's two arms of the lanes pass.
 const (
 	V1Naive   = engine.V1Naive
 	V2Split   = engine.V2Split
@@ -145,10 +148,10 @@ const (
 	V4Fused   = engine.V4Fused
 )
 
-// ParseApproach accepts "V1".."V4", the fused "V3F"/"V4F" (or their
-// numeric wire forms "V5"/"V6"), plain digits, or the descriptive
-// names "naive", "split", "blocked", "vector", "fused-blocked" and
-// "fused", all case-insensitively.
+// ParseApproach accepts the CPU backend's approaches: "V3F"/"V4F" (or
+// their numeric wire forms "V5"/"V6"), plain digits 5 and 6, or the
+// descriptive names "fused-blocked" and "fused", all case-insensitively.
+// The simulated GPU's kernels parse with ParseGPUKernel.
 func ParseApproach(s string) (Approach, error) { return engine.ParseApproach(s) }
 
 // ParseGPUKernel accepts "V1".."V4", the fused "V4F" (or its numeric

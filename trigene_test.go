@@ -96,12 +96,12 @@ func TestPublicAPIApproachesAndObjectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	a, err := trigene.ParseApproach("V2")
-	if err != nil || a != trigene.V2Split {
+	a, err := trigene.ParseApproach("V3F")
+	if err != nil || a != trigene.V3Fused {
 		t.Fatalf("ParseApproach: %v %v", a, err)
 	}
 	var first *trigene.Report
-	for _, ap := range []trigene.Approach{trigene.V1Naive, trigene.V2Split, trigene.V3Blocked, trigene.V4Vector} {
+	for _, ap := range []trigene.Approach{trigene.V3Fused, trigene.V4Fused} {
 		rep, err := sess.Search(ctx, trigene.WithApproach(ap))
 		if err != nil {
 			t.Fatal(err)
