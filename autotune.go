@@ -6,15 +6,11 @@ import (
 	"trigene/internal/plan"
 )
 
-// applyPlan prices an autotuned search with the planner and folds the
-// price into the resolved configuration: the scheduler tile grain and
-// the heterogeneous claim seeds. The backend and approach stay what
-// the caller chose or the backend defaults to. The decision trace is
-// attached to the Report as Report.Plan.
-//
-// Plans steer how the space is cut, never search semantics, so an
-// autotuned Report is bit-exact with an untuned one (enforced by the
-// shard-parity tests).
+// applyPlan prices an autotuned search with the planner and keeps the
+// price for the Report (Report.Plan). The backend and approach stay
+// what the caller chose or the backend defaults to, and the scheduler
+// cuts the space as it would untuned, so an autotuned Report is
+// bit-exact with an untuned one apart from its plan block.
 func (s *Session) applyPlan(cfg *searchConfig) error {
 	// Hetero's models describe its device pairing, CI3 beside GN1; every
 	// other backend is priced on the live machine.
@@ -34,8 +30,6 @@ func (s *Session) applyPlan(cfg *searchConfig) error {
 	if err != nil {
 		return fmt.Errorf("trigene: autotune: %w", err)
 	}
-	cfg.planGrain = p.Grain
-	cfg.planGPUGrains = p.GPUGrains
 	cfg.planInfo = planInfoFrom(p)
 	return nil
 }
@@ -81,13 +75,10 @@ func planScreen(snps, samples int, cfg *searchConfig, budgetSec float64) (*scree
 func planInfoFrom(p *plan.Plan) *PlanInfo {
 	return &PlanInfo{
 		Workers:               p.Workers,
-		Grain:                 p.Grain,
 		CPUFraction:           p.CPUFraction,
-		GPUGrains:             p.GPUGrains,
 		PredictedCPUGElems:    p.PredictedCPUGElems,
 		PredictedGPUGElems:    p.PredictedGPUGElems,
 		PredictedCombosPerSec: p.PredictedCombosPerSec,
-		PredictedTilesPerSec:  p.PredictedTilesPerSec,
 		CPUDevice:             p.CPUDevice,
 		GPUDevice:             p.GPUDevice,
 		Reason:                p.Reason,

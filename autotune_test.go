@@ -2,15 +2,18 @@ package trigene_test
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"trigene"
+	"trigene/internal/combin"
+	"trigene/internal/obs"
+	"trigene/internal/sched"
 )
 
-// TestAutoTuneBitExactAndTraced: WithAutoTune changes how the search
-// executes, never what it finds — and the Report carries the decision
-// trace the planner actually applied.
+// TestAutoTuneBitExactAndTraced: WithAutoTune never changes what the
+// search finds, and the Report carries the planner's price of the run.
 func TestAutoTuneBitExactAndTraced(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()
@@ -40,7 +43,7 @@ func TestAutoTuneBitExactAndTraced(t *testing.T) {
 	if p.Approach != tuned.Approach {
 		t.Errorf("plan approach %q, report ran %q", p.Approach, tuned.Approach)
 	}
-	if p.Grain <= 0 || p.PredictedCombosPerSec <= 0 || p.CPUDevice == "" {
+	if p.PredictedCombosPerSec <= 0 || p.CPUDevice == "" {
 		t.Errorf("plan trace incomplete: %+v", p)
 	}
 }
@@ -68,13 +71,13 @@ func TestAutoTuneWithPinnedBackend(t *testing.T) {
 			t.Errorf("%s: plan = %+v", be.Name(), tuned.Plan)
 		}
 	}
-	// The hetero plan seeds a split and device claim ratio.
+	// The hetero plan prices a split.
 	tuned, err := s.Search(ctx, trigene.WithBackend(trigene.Hetero()), trigene.WithAutoTune())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := tuned.Plan; p.CPUFraction <= 0 || p.CPUFraction >= 1 || p.GPUGrains < 1 {
-		t.Errorf("hetero plan not seeded: %+v", p)
+	if p := tuned.Plan; p.CPUFraction <= 0 || p.CPUFraction >= 1 {
+		t.Errorf("hetero plan has no split: %+v", p)
 	}
 	// ...priced on the V2 kernel its CPU half runs.
 	if p := tuned.Plan; !strings.Contains(p.Reason, "CI3 V2 + GN1") {
@@ -207,5 +210,51 @@ func TestMergeRejectsMixedBlockSizes(t *testing.T) {
 		if _, err := trigene.MergeReports(set...); err != nil {
 			t.Errorf("%s shards did not merge: %v", set[0].Approach, err)
 		}
+	}
+}
+
+// TestAutoTuneKeepsTheCut: autotuning prices a rank-space run and leaves
+// its cut to the scheduler. At 640 SNPs x 16384 samples on two workers
+// the model's rate once sized an order-2 claim at 567 pair ranks against
+// AutoGrain's 1597; an autotuned search must claim the same grain and
+// the same number of tiles as an untuned one.
+func TestAutoTuneKeepsTheCut(t *testing.T) {
+	const snps = 640
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: snps, Samples: 16384, Seed: 5, MAFMin: 0.2, MAFMax: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(extra ...trigene.Option) (grain, tiles float64) {
+		reg := obs.NewRegistry()
+		opts := append([]trigene.Option{trigene.WithOrder(2), trigene.WithWorkers(2), trigene.WithMetrics(reg)}, extra...)
+		if _, err := s.Search(context.Background(), opts...); err != nil {
+			t.Fatal(err)
+		}
+		var expo strings.Builder
+		if _, err := reg.WriteTo(&expo); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(expo.String(), "\n") {
+			series, v, _ := strings.Cut(line, " ")
+			switch series {
+			case `trigene_sched_grain{space="pair"}`:
+				grain, _ = strconv.ParseFloat(v, 64)
+			case `trigene_sched_tiles_claimed_total{space="pair"}`:
+				tiles, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		return grain, tiles
+	}
+	grain, tiles := cut()
+	tunedGrain, tunedTiles := cut(trigene.WithAutoTune())
+	if tiles == 0 || tunedGrain != grain || tunedTiles != tiles {
+		t.Errorf("autotuned run claimed %g tiles of %g ranks, untuned %g of %g", tunedTiles, tunedGrain, tiles, grain)
+	}
+	if want := sched.AutoGrain(combin.Pairs(snps), 2); grain != float64(want) {
+		t.Errorf("grain %g, want AutoGrain's %d", grain, want)
 	}
 }

@@ -80,7 +80,6 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 		TopK:      cfg.topK,
 		Context:   ctx,
 		Progress:  cfg.progress,
-		Grain:     cfg.planGrain,
 		Metrics:   cfg.metrics,
 	}
 	if cfg.shard != nil {
@@ -314,11 +313,6 @@ func (heteroBackend) search(ctx context.Context, s *Session, cfg *searchConfig) 
 		TopK:      cfg.topK,
 		Objective: obj,
 		Context:   ctx,
-		// Plan seeds (autotuned runs): cursor grain and the device's
-		// claim multiplier; the run's throughput meter refines the
-		// latter.
-		Grain:     cfg.planGrain,
-		GPUGrains: cfg.planGPUGrains,
 		Metrics:   cfg.metrics,
 	}
 	rep := &Report{

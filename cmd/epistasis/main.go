@@ -143,23 +143,18 @@ func printScreen(w io.Writer, rep *trigene.Report) {
 		time.Duration(s.Stage2Ns).Round(time.Millisecond))
 }
 
-// printPlan renders the autotuner's decision trace.
+// printPlan renders the autotuner's price beside the run's realized rate.
 func printPlan(w io.Writer, rep *trigene.Report) {
 	p := rep.Plan
 	if p == nil {
 		return
 	}
-	fmt.Fprintf(w, "plan: backend=%s approach=%s workers=%d grain=%d", p.Backend, p.Approach, p.Workers, p.Grain)
+	fmt.Fprintf(w, "plan: backend=%s approach=%s workers=%d", p.Backend, p.Approach, p.Workers)
 	if p.Backend == "hetero" {
-		fmt.Fprintf(w, " cpu-split=%.2f gpu-grains=%d", p.CPUFraction, p.GPUGrains)
+		fmt.Fprintf(w, " cpu-split=%.2f", p.CPUFraction)
 	}
-	realizedTiles := 0.0
-	if secs := rep.Duration.Seconds(); secs > 0 && p.Grain > 0 {
-		realizedTiles = float64(rep.Combinations) / float64(p.Grain) / secs
-	}
-	fmt.Fprintf(w, "\nplan: predicted %.2f G elem/s (%.0f combos/s, %.1f tiles/s); realized %.2f G elem/s (%.1f tiles/s)\n",
-		(p.PredictedCPUGElems + p.PredictedGPUGElems), p.PredictedCombosPerSec, p.PredictedTilesPerSec,
-		rep.ElementsPerSec/1e9, realizedTiles)
+	fmt.Fprintf(w, "\nplan: predicted %.2f G elem/s (%.0f combos/s); realized %.2f G elem/s\n",
+		(p.PredictedCPUGElems + p.PredictedGPUGElems), p.PredictedCombosPerSec, rep.ElementsPerSec/1e9)
 	if p.Reason != "" {
 		fmt.Fprintf(w, "plan: %s\n", p.Reason)
 	}

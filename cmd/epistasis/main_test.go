@@ -366,7 +366,7 @@ func TestRunAutoTune(t *testing.T) {
 	if !strings.Contains(s, "plan: backend=cpu approach=V4F ") {
 		t.Errorf("plan line missing or not the default V4F:\n%s", s)
 	}
-	if !strings.Contains(s, "grain=") || !strings.Contains(s, "predicted") {
+	if !strings.Contains(s, "predicted") || !strings.Contains(s, "realized") {
 		t.Errorf("plan details missing:\n%s", s)
 	}
 	if !strings.Contains(s, "(1,7,12)") {
@@ -384,7 +384,7 @@ func TestRunAutoTune(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &summary); err != nil {
 		t.Fatalf("decoding JSON output: %v", err)
 	}
-	if summary.Plan == nil || summary.Plan.Backend != "cpu" || summary.Plan.Grain <= 0 {
+	if summary.Plan == nil || summary.Plan.Backend != "cpu" || summary.Plan.PredictedCPUGElems <= 0 {
 		t.Errorf("JSON plan: %+v", summary.Plan)
 	}
 	if summary.Report == nil || summary.Report.Plan == nil {

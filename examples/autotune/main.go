@@ -1,11 +1,11 @@
 // Autotune: the same search run twice over one dataset — once with a
 // hand-picked backend, once under WithAutoTune, where the paper's
 // analytical models (CARM roofline, per-approach throughput) price the
-// kernel that runs, cut the scheduler tiles from that price, and leave
-// the decision trace on the Report. Both runs use the same kernel and
-// their candidate lists are bit-exact: plans steer only how the space
-// is cut, never what runs or what it finds. The program exits non-zero
-// if the approaches differ or the candidate lists do.
+// kernel that runs and leave that price on the Report. Both runs use
+// the same kernel and the same tiles, and their candidate lists are
+// bit-exact: a plan prices a run, it never changes what runs, how the
+// space is cut or what it finds. The program exits non-zero if the
+// approaches differ or the candidate lists do.
 package main
 
 import (
@@ -48,8 +48,7 @@ func main() {
 		manual.Duration.Round(1000000), manual.Best.SNPs, manual.Best.Score)
 
 	// Autotuned: the planner prices the default kernel on the host's
-	// model, sizes the scheduler tiles from that rate, and leaves its
-	// trace on the Report.
+	// model and leaves the price on the Report.
 	tuned, err := sess.Search(ctx, trigene.WithTopK(3), trigene.WithAutoTune())
 	if err != nil {
 		log.Fatalf("autotuned search: %v", err)
@@ -58,10 +57,10 @@ func main() {
 	fmt.Printf("autotuned   : %s/%s  %d combos in %v  best %v (K2 %.3f)\n",
 		tuned.Backend, tuned.Approach, tuned.Combinations,
 		tuned.Duration.Round(1000000), tuned.Best.SNPs, tuned.Best.Score)
-	fmt.Printf("plan        : backend=%s approach=%s workers=%d grain=%d ranks/claim\n",
-		p.Backend, p.Approach, p.Workers, p.Grain)
-	fmt.Printf("plan        : predicted %.0f combos/s (%.1f tiles/s) on %s — %s\n",
-		p.PredictedCombosPerSec, p.PredictedTilesPerSec, p.CPUDevice, p.Reason)
+	fmt.Printf("plan        : backend=%s approach=%s workers=%d\n",
+		p.Backend, p.Approach, p.Workers)
+	fmt.Printf("plan        : predicted %.0f combos/s on %s — %s\n",
+		p.PredictedCombosPerSec, p.CPUDevice, p.Reason)
 
 	// Tuning never changes the kernel, and never the results.
 	if tuned.Approach != manual.Approach {

@@ -34,7 +34,7 @@ func BindSearchFlags(fs *flag.FlagSet) *SearchFlags {
 	fs.IntVar(&f.TopK, "topk", 5, "number of candidates to report")
 	fs.StringVar(&f.Objective, "objective", "", "objective: k2, mi or gini (default: the backend's native objective)")
 	fs.IntVar(&f.Workers, "workers", 0, "host parallelism of each node that runs the search (0 = all cores)")
-	fs.BoolVar(&f.Auto, "auto", false, "model-driven autotuning: the node that runs the search prices the backend and approach it runs with the paper's models and sizes the grain and hetero split from that price; the Report records the plan")
+	fs.BoolVar(&f.Auto, "auto", false, "model-driven autotuning: the node that runs the search prices the backend and approach it runs with the paper's models and records that price as the Report's plan; the run itself is unchanged")
 	fs.IntVar(&f.ScreenSurvivors, "screen-survivors", 0, "two-stage screening: keep the S best SNPs from a pairwise pre-scan and search only among them (0 = no screen)")
 	fs.IntVar(&f.ScreenSeeds, "screen-seeds", 0, "with a screen: also extend the top P screened pairs with every third SNP, guarding against survivors pruned by a marginal-free interaction (0 = none)")
 	return f

@@ -8,6 +8,7 @@ import (
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/obs"
+	"trigene/internal/sched"
 )
 
 // BenchmarkFusedShapes times the default search (V4F, K2, top-10) on one
@@ -79,7 +80,7 @@ func BenchmarkPairScreen(b *testing.B) {
 		b.Fatal(err)
 	}
 	rejected := resolveRunMetrics(reg, "pair").rejected.Value()
-	b.ReportMetric(float64(rejected)/float64(b.N)/float64(pairGroups(pairs, flatGrain(pairs, &o), m)), "rejected-share")
+	b.ReportMetric(float64(rejected)/float64(b.N)/float64(pairGroups(pairs, sched.AutoGrain(pairs, o.Workers), m)), "rejected-share")
 }
 
 // pairGroups counts the lane groups a one-worker pair scan of m SNPs

@@ -225,7 +225,10 @@ type Result struct {
 const l1DataBytes = 32 << 10
 
 // Options configures a search. The zero value means: V4F, all CPUs,
-// K2 objective, top-1, word tiles sized for a 32 KiB L1d.
+// K2 objective, top-1, word tiles sized for a 32 KiB L1d. No option
+// sets the claim grain: a rank-space run cuts its space with
+// sched.AutoGrain over the ranks it covers and Workers, and V3F/V4F
+// claim one block triple at a time.
 type Options struct {
 	// Approach selects the order-3 pipeline: V4Fused (the default),
 	// V3Fused, or V2Split for shared-cursor runs. Any other value is
@@ -250,18 +253,11 @@ type Options struct {
 	// block-triple ranks for V3F/V4F, seed-extension ranks for a seeded
 	// run. Every run supports it.
 	Shard *sched.Shard
-	// Grain overrides the flat source's ranks-per-claim tile size
-	// (0 = the AutoGrain heuristic). The planner seeds it from the
-	// modeled per-worker throughput; it never affects results, only
-	// how the space is cut. Clamped to sched's [MinGrain, MaxGrain].
-	Grain int64
 	// Meter, when non-nil, receives per-consumer throughput samples as
-	// workers finish tiles: worker w records into consumer MeterBase+w.
-	// A heterogeneous run shares one meter between the CPU pool and
-	// the device consumer so the realized split is observable live.
+	// workers finish tiles: worker w records into consumer w. A
+	// heterogeneous run shares one meter between the CPU pool and the
+	// device consumer so the realized split is observable live.
 	Meter *sched.ThroughputMeter
-	// MeterBase offsets this run's worker indices inside Meter.
-	MeterBase int
 	// Tiles optionally supplies an externally shared claiming cursor
 	// over the run's rank space: the run's workers then steal work from
 	// it alongside any other consumer (the heterogeneous backend's CPU
@@ -319,17 +315,6 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 	if o.Shard != nil {
 		if err := o.Shard.Validate(); err != nil {
 			return o, err
-		}
-	}
-	if o.Grain < 0 {
-		return o, fmt.Errorf("engine: negative grain %d", o.Grain)
-	}
-	if o.Grain > 0 {
-		if o.Grain < sched.MinGrain {
-			o.Grain = sched.MinGrain
-		}
-		if o.Grain > sched.MaxGrain {
-			o.Grain = sched.MaxGrain
 		}
 	}
 	return o, nil

@@ -316,7 +316,6 @@ func TestOptionValidation(t *testing.T) {
 		{Approach: V4Vector},
 		{Workers: -1},
 		{TopK: -2},
-		{Grain: -1},
 		{Approach: V4Fused, BlockWords: -1},
 	}
 	for i, o := range bad {

@@ -132,13 +132,3 @@ func (w *pairWalker) bound(x, valid, y int) float64 {
 	}
 	return b
 }
-
-// SearchPairs is a convenience wrapper: build a Searcher and run one
-// 2-way search.
-func SearchPairs(mx *dataset.Matrix, opts Options) (*Result, error) {
-	s, err := New(mx)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunPairs(opts)
-}

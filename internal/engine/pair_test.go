@@ -84,7 +84,11 @@ func TestPairPlantedInteractionRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SearchPairs(mx, Options{})
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunPairs(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

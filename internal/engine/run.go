@@ -32,24 +32,17 @@ type space struct {
 // from the restricted range, not the full space, so a small shard of a
 // huge space still spreads across every worker.
 func flatSpace(total int64, o *Options, order int, kind string) (space, error) {
-	sp := space{src: sched.NewSource(0, total, flatGrain(total, o)), order: order, kind: kind, approach: kind}
+	sp := space{src: sched.Flat(total, o.Workers), order: order, kind: kind, approach: kind}
 	if o.Shard != nil {
 		sub, err := sp.src.Shard(*o.Shard)
 		if err != nil {
 			return sp, err
 		}
 		b := sub.Bounds()
-		sp.src, sp.covered = sub.WithGrain(flatGrain(sub.Ranks(), o)), &b
+		sp.src, sp.covered = sub.WithGrain(sched.AutoGrain(sub.Ranks(), o.Workers)), &b
 	}
 	sp.items = sp.src.Ranks()
 	return sp, nil
-}
-
-// flatGrain picks the ranks-per-claim for a flat run: the planner's
-// hint reconciled with the AutoGrain heuristic (sched.SeededGrain
-// owns that policy for every consumer of the scheduler).
-func flatGrain(ranks int64, o *Options) int64 {
-	return sched.SeededGrain(ranks, o.Workers, o.Grain)
 }
 
 // tileFunc scores one claimed tile into its worker's arena — adding the
@@ -107,7 +100,7 @@ func (s *Searcher) run(o *Options, sp space, body tiler) (*Result, error) {
 		}
 		begin := time.Now()
 		n, err := wk.process(t, &rm)
-		o.Meter.Record(o.MeterBase+w, n, time.Since(begin))
+		o.Meter.Record(w, n, time.Since(begin))
 		return n, err
 	})
 

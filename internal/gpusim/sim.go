@@ -125,7 +125,9 @@ const (
 	fusedPairLoadPerWord   = 4  // y/z planes, once per group
 )
 
-// Options configures a simulated search.
+// Options configures a simulated search. None of it tunes how the space
+// is cut: an own cursor claims fixed warp-sized tiles, and on a shared
+// cursor the span of a device claim comes from Meter.
 type Options struct {
 	// Kernel selects the approach (default K4Tiled; K5Fused is the
 	// pair-AND-hoisted variant the CPU engine's fused approaches map
@@ -154,16 +156,11 @@ type Options struct {
 	// guaranteed a share of a shared space before faster consumers
 	// start draining it.
 	Started func()
-	// ClaimGrains seeds the device's claim-span multiplier on a shared
-	// cursor: how many CPU-sized grains one device claim covers
-	// (0 = 4, the legacy default). The planner derives it from the
-	// modeled device/CPU throughput ratio.
-	ClaimGrains int64
 	// Meter, when non-nil, records this consumer's realized
 	// throughput under slot MeterConsumer, and — on a shared cursor —
-	// feeds it back: once the meter has warmed up, the measured
-	// relative rate refines the claim multiplier mid-search, so a
-	// mis-modeled seed converges instead of persisting.
+	// feeds it back: the device claims 4 CPU-sized grains at a time
+	// until the meter has warmed up, then spans proportional to its
+	// measured rate relative to the other consumers.
 	Meter         *sched.ThroughputMeter
 	MeterConsumer int
 	// Context optionally allows cancellation; nil means
@@ -297,13 +294,9 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 	} else {
 		// On a shared cursor the grain was sized for CPU workers; the
 		// device claims larger spans to amortize its launch overhead,
-		// the way real kernel enqueues batch the space. The planner
-		// seeds the multiplier from the modeled throughput ratio; the
-		// meter refines it below once measured rates exist.
+		// the way real kernel enqueues batch the space. The meter
+		// refines the multiplier below once measured rates exist.
 		claimGrains = 4
-		if opts.ClaimGrains > 0 {
-			claimGrains = opts.ClaimGrains
-		}
 	}
 	started := opts.Started
 	signalStarted := func() {
@@ -324,7 +317,7 @@ func (r *Runner) Search(st *store.Store, opts Options) (*Result, error) {
 		if shared && opts.Meter != nil {
 			// Mid-search refinement: once both sides have measured
 			// rates, claim spans proportional to the realized ratio
-			// rather than the seed.
+			// rather than the constant 4.
 			if g := opts.Meter.SuggestGrains(opts.MeterConsumer, 64); g > 0 {
 				claimGrains = g
 			}

@@ -5,10 +5,15 @@
 //
 // The two sides share one claiming cursor of the tile scheduler — true
 // work-stealing: each side pulls the next tile when it finishes its
-// last one, so a mis-modeled device ratio degrades into a slightly
-// different split instead of idling half the machine. The device pair
-// is the paper's CI3 + GN1; its analytical Section V-D estimate of the
-// pair's joint throughput is reported as Result.ModeledCombinedGElems.
+// last one, so the split follows the realized rates instead of a
+// modeled ratio. The device pair is the paper's CI3 + GN1; its
+// analytical Section V-D estimate of the pair's joint throughput is
+// reported as Result.ModeledCombinedGElems.
+//
+// The CPU half runs the paper-ladder V2 kernel (engine.V2Split), the
+// one CPU pipeline that claims combination ranks on a shared cursor.
+// The package is kept to demonstrate Section V-D; it is not a product
+// path, and its CPU half runs far behind the cpu backend's V4F.
 package hetero
 
 import (
@@ -29,18 +34,12 @@ import (
 )
 
 // Options configures a heterogeneous search.
+//
+// The shared cursor's grain comes from sched.AutoGrain over the
+// searched range and the consumer count (the CPU workers and the
+// device); the device claims 4 grains at a time until the run's
+// throughput meter has measured both sides.
 type Options struct {
-	// Grain overrides the shared cursor's ranks-per-claim tile size
-	// (0 = the AutoGrain heuristic). The planner seeds it from the
-	// modeled per-consumer throughput.
-	Grain int64
-	// GPUGrains seeds the device consumer's claim-span multiplier on
-	// the shared cursor (0 = 4, the legacy default). The planner sets
-	// it to the modeled device/CPU-worker throughput ratio, and the
-	// run's throughput meter refines it mid-search from measured
-	// rates.
-	GPUGrains int64
-
 	// Searcher optionally supplies a prebuilt engine.Searcher over the
 	// same dataset, reusing its precomputed binarized forms (a Session
 	// holds one). Nil builds a fresh one.
@@ -85,9 +84,6 @@ type Result struct {
 	// throughput (G elements/s) at this workload, the Section V-D
 	// estimate.
 	ModeledCombinedGElems float64
-
-	// Grain is the shared cursor's ranks-per-claim.
-	Grain int64
 
 	// Duration is the wall time of the heterogeneous run.
 	Duration time.Duration
@@ -150,7 +146,7 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 	}
 
 	start := time.Now()
-	cpuRes, gpuRes, err := runStealing(st, gpuDev, &opts, lo, hi, out)
+	cpuRes, gpuRes, err := runStealing(st, gpuDev, &opts, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +175,12 @@ func Search(st *store.Store, opts Options) (*Result, error) {
 // runStealing drains one shared tile cursor from both sides: the GPU
 // consumer claims first (Search waits for its opening claim before
 // unleashing the CPU pool), then each side pulls the next tile
-// whenever it finishes one. The cursor's grain and the device's claim
-// multiplier come from the plan seeds when given; a shared throughput
-// meter measures both sides and refines the device's claim span
-// mid-search. The cursor's grain is recorded into out.
-func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64, out *Result) (*engine.Result, *gpusim.Result, error) {
+// whenever it finishes one. A shared throughput meter measures both
+// sides and refines the device's claim span mid-search.
+func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64) (*engine.Result, *gpusim.Result, error) {
 	workers := opts.Workers
-	grain := sched.SeededGrain(hi-lo, workers+1, opts.Grain)
-	src := sched.NewSource(lo, hi, grain)
-	cur := sched.NewCursor(src)
+	cur := sched.NewCursor(sched.NewSource(lo, hi, sched.AutoGrain(hi-lo, workers+1)))
 	meter := sched.NewThroughputMeter(workers + 1)
-	out.Grain = grain
 
 	type gpuOut struct {
 		res *gpusim.Result
@@ -205,7 +196,6 @@ func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64
 			Context:       opts.Context,
 			Tiles:         cur,
 			Started:       func() { close(claimed) },
-			ClaimGrains:   opts.GPUGrains,
 			Meter:         meter,
 			MeterConsumer: workers,
 		})

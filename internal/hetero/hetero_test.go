@@ -7,7 +7,6 @@ import (
 	"trigene/internal/combin"
 	"trigene/internal/dataset"
 	"trigene/internal/engine"
-	"trigene/internal/sched"
 	"trigene/internal/score"
 )
 
@@ -26,16 +25,16 @@ func randomMatrix(seed int64, m, n int) *dataset.Matrix {
 	return mx
 }
 
-// TestHeterogeneousMatchesFullSearch: however the shared cursor is cut
-// and however many CPU workers race the device for it, the merged best
-// is the CPU engine's and the two halves cover the space exactly.
+// TestHeterogeneousMatchesFullSearch: however many CPU workers race the
+// device for the shared cursor, the merged best is the CPU engine's and
+// the two halves cover the space exactly.
 func TestHeterogeneousMatchesFullSearch(t *testing.T) {
 	mx := randomMatrix(120, 18, 200)
 	want, err := engine.Search(mx, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{{}, {Workers: 1}, {Workers: 3, Grain: 7}, {Workers: 2, Grain: 64, GPUGrains: 16}} {
+	for _, o := range []Options{{}, {Workers: 1}, {Workers: 2}, {Workers: 3}} {
 		res, err := Search(encStore(mx), o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
@@ -46,41 +45,6 @@ func TestHeterogeneousMatchesFullSearch(t *testing.T) {
 		sum := res.CPUStats.Combinations + res.GPUStats.Combinations
 		if sum != want.Stats.Combinations {
 			t.Errorf("%+v: halves cover %d of %d combinations", o, sum, want.Stats.Combinations)
-		}
-	}
-}
-
-// TestPlanSeeds: a seeded grain and device claim multiplier change how
-// the space is cut, never what comes back. The seed applies when finer
-// than the AutoGrain heuristic; a coarser seed is capped so it cannot
-// starve the pool.
-func TestPlanSeeds(t *testing.T) {
-	mx := randomMatrix(128, 60, 60) // C(60,3) = 34220 ranks
-	want, err := engine.Search(mx, engine.Options{TopK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := combin.Triples(60)
-	for _, seed := range []int64{260, 1 << 30} {
-		res, err := Search(encStore(mx), Options{TopK: 4, Workers: 1, Grain: seed, GPUGrains: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Best != want.Best || len(res.TopK) != len(want.TopK) {
-			t.Fatalf("seed %d: run diverged: %+v", seed, res.Best)
-		}
-		for i := range want.TopK {
-			if res.TopK[i] != want.TopK[i] {
-				t.Errorf("seed %d: TopK[%d] = %+v, want %+v", seed, i, res.TopK[i], want.TopK[i])
-			}
-		}
-		auto := sched.AutoGrain(total, 2) // 1 worker + 1 device consumer
-		wantGrain := auto
-		if seed < auto {
-			wantGrain = seed
-		}
-		if res.Grain != wantGrain {
-			t.Errorf("seed %d: grain %d, want %d", seed, res.Grain, wantGrain)
 		}
 	}
 }

@@ -389,12 +389,6 @@ var DurationBuckets = []float64{
 	1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 1e-1, 2.5e-1, 1, 2.5, 10, 100,
 }
 
-// SizeBuckets is a general-purpose byte-size bucket ladder, from 1KiB
-// to 1GiB.
-var SizeBuckets = []float64{
-	1 << 10, 1 << 14, 1 << 17, 1 << 20, 1 << 23, 1 << 26, 1 << 30,
-}
-
 // Histogram registers (or finds) a histogram series with the given
 // ascending upper bounds (+Inf is implicit). Nil receiver returns a
 // nil (no-op) Histogram.

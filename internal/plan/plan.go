@@ -1,19 +1,16 @@
 // Package plan prices a search configuration with the paper's
 // analytical machinery — the CARM characterization (internal/carm) and
-// the per-approach throughput models (internal/perfmodel) — and turns
-// the price into execution parameters for the live layers.
+// the per-approach throughput models (internal/perfmodel).
 //
 // The planner chooses neither the kernel nor the device: the caller
 // names the backend and the CPU approach the search runs (Constraints),
 // and the planner predicts their throughput on a host description (a
-// Table I CPU, or the live host's synthesized model). From that
-// prediction it cuts the scheduler's tile grain, seeds a heterogeneous
-// run's CPU/GPU split and device claim multiplier, and sizes
-// budget-only screens (DecideScreen).
-//
-// Plans steer only how work is cut, never search semantics: a planned
-// run returns a Report bit-exact with an unplanned one, which the
-// shard-parity tests enforce across every backend.
+// Table I CPU, or the live host's synthesized model). The prediction
+// is reported (Report.Plan) and sizes budget-only screens
+// (DecideScreen); it does not cut the run. The scheduler sizes every
+// claim from the run's own inputs (sched.AutoGrain), so a planned run
+// claims the same tiles as an unplanned one and returns a bit-exact
+// Report, which the shard-parity tests enforce across every backend.
 package plan
 
 import (
@@ -22,10 +19,8 @@ import (
 	"strings"
 
 	"trigene/internal/carm"
-	"trigene/internal/combin"
 	"trigene/internal/device"
 	"trigene/internal/perfmodel"
-	"trigene/internal/sched"
 )
 
 // Workload is the search shape a plan is computed for.
@@ -79,44 +74,24 @@ type Plan struct {
 	Backend, Approach string
 	// Workers is the CPU pool size the predictions assume.
 	Workers int
-	// Grain is the scheduler tile size in ranks per claim, sized so
-	// one claim costs a few milliseconds at the predicted per-consumer
-	// rate (clamped to sched's [MinGrain, MaxGrain]). It applies to
-	// rank-space runs: orders 2 and 4-7, V1/V2 and hetero. An order-3
-	// V3..V4F run claims block triples and ignores it.
-	Grain int64
 	// CPUFraction is the modeled CPU share of the work: 1 on CPU
 	// plans, 0 on gpusim plans, the throughput-proportional split on
-	// hetero ones (what the work-stealing run is expected to realize;
-	// the run itself is seeded by Grain and GPUGrains).
+	// hetero ones (what the work-stealing run is expected to realize).
 	CPUFraction float64
-	// GPUGrains is the device consumer's claim multiplier on a shared
-	// work-stealing cursor: how many CPU-sized grains one device claim
-	// should span so both sides finish together.
-	GPUGrains int64
 
 	// PredictedCPUGElems and PredictedGPUGElems are the modeled engine
 	// throughputs in G elements/s, each capped
 	// by the device's roofline ceiling at the approach's intensity.
 	PredictedCPUGElems, PredictedGPUGElems float64
-	// PredictedCombosPerSec and PredictedTilesPerSec restate the
-	// combined rate in scheduler currency: combinations (and Grain-
-	// sized tiles) per second across the whole host.
-	PredictedCombosPerSec, PredictedTilesPerSec float64
+	// PredictedCombosPerSec restates the combined rate as
+	// combinations per second across the whole host.
+	PredictedCombosPerSec float64
 
 	// CPUDevice and GPUDevice name the device models consulted.
 	CPUDevice, GPUDevice string
 	// Reason is the human-readable decision trace.
 	Reason string
 }
-
-// tileSeconds is the target wall time of one claimed tile at the
-// predicted per-consumer rate: long enough to amortize claim overhead,
-// short enough for balance and cancellation latency.
-const tileSeconds = 0.004
-
-// maxGPUGrains bounds the device claim multiplier on a shared cursor.
-const maxGPUGrains = 64
 
 // Decide computes the plan for a workload on a host under the given
 // constraints.
@@ -192,33 +167,18 @@ func Decide(w Workload, h Host, c Constraints) (*Plan, error) {
 		p.Approach = perfmodel.ApproachName(approach)
 	}
 
-	// Per-backend shaping: split and consumer count.
-	consumers := workers
 	switch {
 	case backend == "hetero":
 		p.CPUFraction = cpuRate / (cpuRate + gpuRate)
-		perWorker := cpuRate / float64(workers)
-		p.GPUGrains = min(max(int64(gpuRate/perWorker+0.5), 1), maxGPUGrains)
-		consumers = workers + 1
 		p.Reason = fmt.Sprintf("split %s %s + %s at %.0f%% CPU by modeled throughput", h.CPU.ID, p.Approach, gpu.ID, 100*p.CPUFraction)
 	case gpusim:
 		p.Reason = fmt.Sprintf("%s runs alone at %.3g G elem/s modeled", gpu.ID, gpuRate)
-		consumers = 1
 	default:
 		p.CPUFraction = 1
 		p.Reason = fmt.Sprintf("%s runs %s at %.3g G elem/s modeled", h.CPU.ID, p.Approach, cpuRate)
 	}
 	p.PredictedCPUGElems = cpuRate
 	p.PredictedGPUGElems = gpuRate
-
-	// Scheduler currency: combos/sec over the whole host, tiles sized
-	// for ~tileSeconds per claim per consumer, never coarser than the
-	// claims-per-consumer heuristic would cut for the space.
-	total := combin.Binomial(w.SNPs, order)
-	combosPerSec := (cpuRate + gpuRate) * 1e9 / float64(w.Samples)
-	p.PredictedCombosPerSec = combosPerSec
-	grain := min(int64(combosPerSec/float64(consumers)*tileSeconds), sched.AutoGrain(total, consumers))
-	p.Grain = min(max(grain, sched.MinGrain), sched.MaxGrain)
-	p.PredictedTilesPerSec = combosPerSec / float64(p.Grain)
+	p.PredictedCombosPerSec = (cpuRate + gpuRate) * 1e9 / float64(w.Samples)
 	return p, nil
 }

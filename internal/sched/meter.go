@@ -10,11 +10,9 @@ import (
 // time they took, and anyone — the consumer itself, a coordinator, a
 // report — can read back items/sec rates while the run is live.
 //
-// It closes the planner's loop: the plan seeds claim grains and device
-// multipliers from *modeled* rates, and the meter refines them
-// mid-search from *measured* ones (a device consumer that turns out
-// faster than modeled grows its claim span instead of idling between
-// undersized tiles). All methods are safe for concurrent use; Record
+// A work-stealing device consumer sizes its claims from it mid-search
+// (SuggestGrains): a device that measures faster than its peers grows
+// its claim span instead of idling between undersized tiles. All methods are safe for concurrent use; Record
 // is two atomic adds, cheap enough for per-tile accounting.
 type ThroughputMeter struct {
 	cells []meterCell
@@ -34,9 +32,6 @@ func NewThroughputMeter(consumers int) *ThroughputMeter {
 	}
 	return &ThroughputMeter{cells: make([]meterCell, consumers)}
 }
-
-// Consumers returns how many consumer slots the meter tracks.
-func (m *ThroughputMeter) Consumers() int { return len(m.cells) }
 
 // Record adds items finished in d by the given consumer. Out-of-range
 // consumers are ignored (a defensive no-op, not an error, so meters
@@ -70,15 +65,6 @@ func (m *ThroughputMeter) Rate(consumer int) float64 {
 		return 0
 	}
 	return float64(c.items.Load()) / (float64(ns) / float64(time.Second))
-}
-
-// TotalRate returns the sum of all consumers' measured rates.
-func (m *ThroughputMeter) TotalRate() float64 {
-	var sum float64
-	for i := range m.cells {
-		sum += m.Rate(i)
-	}
-	return sum
 }
 
 // meterWarmupItems is how many items a consumer (and its peers) must

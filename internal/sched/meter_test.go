@@ -8,9 +8,6 @@ import (
 
 func TestMeterRates(t *testing.T) {
 	m := NewThroughputMeter(3)
-	if m.Consumers() != 3 {
-		t.Fatalf("consumers = %d", m.Consumers())
-	}
 	m.Record(0, 1000, time.Second)
 	m.Record(1, 4000, time.Second)
 	if r := m.Rate(0); r < 999 || r > 1001 {
@@ -21,9 +18,6 @@ func TestMeterRates(t *testing.T) {
 	}
 	if r := m.Rate(2); r != 0 {
 		t.Errorf("idle consumer rate = %g", r)
-	}
-	if tot := m.TotalRate(); tot < 4998 || tot > 5002 {
-		t.Errorf("total rate = %g, want ~5000", tot)
 	}
 	if m.Items(1) != 4000 {
 		t.Errorf("items(1) = %d", m.Items(1))

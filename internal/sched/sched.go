@@ -85,8 +85,7 @@ func Flat(total int64, consumers int) Source {
 
 // MinGrain and MaxGrain bound every grain heuristic: below MinGrain
 // claim overhead dominates, above MaxGrain tiles get too coarse for
-// load balance and cancellation latency. The planner's model-derived
-// grains honor the same clamps.
+// load balance and cancellation latency.
 const (
 	MinGrain = 256
 	MaxGrain = 1 << 20
@@ -110,22 +109,6 @@ func AutoGrain(total int64, consumers int) int64 {
 		grain = MaxGrain
 	}
 	return grain
-}
-
-// SeededGrain reconciles a planner grain hint with the AutoGrain
-// heuristic for a space of the given size: the hint wins only when it
-// is finer than AutoGrain's cut, so a model-seeded grain can tighten
-// tiles but never coarsen them into starving the consumer pool on a
-// small (or small-sharded) space. hint <= 0 means no hint.
-func SeededGrain(total int64, consumers int, hint int64) int64 {
-	auto := AutoGrain(total, consumers)
-	if hint > 0 && hint < auto {
-		if hint < MinGrain {
-			return MinGrain
-		}
-		return hint
-	}
-	return auto
 }
 
 // Bounds returns the rank range the source covers.

@@ -33,12 +33,9 @@ type searchConfig struct {
 
 	// Autotuning (WithAutoTune).
 	autotune bool
-	// Planner decisions, filled by Session.applyPlan: the scheduler
-	// tile grain, the heterogeneous claim seeds, and the decision trace
-	// attached as Report.Plan.
-	planGrain     int64
-	planGPUGrains int64
-	planInfo      *PlanInfo
+	// The planner's price, filled by Session.applyPlan and attached as
+	// Report.Plan.
+	planInfo *PlanInfo
 
 	// Permutation-test knobs (ignored by Search).
 	permutations int
@@ -159,15 +156,14 @@ func WithBackend(b Backend) Option {
 	}
 }
 
-// WithAutoTune turns on model-driven planning: before the search
-// runs, the paper's analytical machinery (the CARM roofline and the
+// WithAutoTune turns on model-driven pricing: before the search runs,
+// the paper's analytical machinery (the CARM roofline and the
 // per-approach throughput models) prices the backend and approach the
-// search runs — the pinned ones, or each backend's default — and sizes
-// from that price the scheduler tile grain and the heterogeneous split
-// seeds instead of the static defaults. It chooses neither the backend
-// nor the approach. The decision trace is returned as Report.Plan.
-// Autotuning steers how the space is cut, never what runs or what it
-// finds: an autotuned Report is bit-exact with an untuned one.
+// search runs — the pinned ones, or each backend's default — and the
+// price is returned as Report.Plan. It chooses neither the backend nor
+// the approach, and it does not change how the scheduler cuts the
+// space: an autotuned run claims the same tiles as an untuned one, and
+// its Report is bit-exact with the untuned one apart from Report.Plan.
 func WithAutoTune() Option {
 	return func(c *searchConfig) error {
 		c.autotune = true

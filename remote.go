@@ -32,9 +32,9 @@ type SearchSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// AutoTune asks every executing node to run the model-driven
 	// planner for its own host (WithAutoTune): each worker prices the
-	// backend and approach the spec names, or their defaults, and cuts
-	// its tiles' grain from that price. Tile Reports then carry the
-	// plan trace (Report.Plan).
+	// backend and approach the spec names, or their defaults, and its
+	// tile Reports carry that price (Report.Plan). The tiles run as
+	// they would untuned.
 	AutoTune bool `json:"autoTune,omitempty"`
 	// MaxWorkers caps how many distinct workers may hold live leases
 	// on the job at once (0 = unlimited). Cluster scheduling policy

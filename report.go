@@ -51,11 +51,10 @@ type ShardInfo struct {
 	Space string `json:"space"`
 }
 
-// PlanInfo is the decision trace of a model-driven autotuned search
-// (WithAutoTune): what the paper's models predicted for the run and the
-// execution parameters sized from that prediction. It records the
-// decisions actually taken by the run that produced the Report;
-// predictions are model outputs, never measurements.
+// PlanInfo is the price of a model-driven autotuned search
+// (WithAutoTune): what the paper's models predicted for the backend and
+// approach the run used. It sets nothing in the run; its predictions
+// are model outputs, never measurements.
 type PlanInfo struct {
 	// Backend and Approach are the engine and pipeline the run
 	// reports (Report.Backend, Report.Approach).
@@ -63,21 +62,14 @@ type PlanInfo struct {
 	Approach string `json:"approach,omitempty"`
 	// Workers is the CPU pool size the predictions assume.
 	Workers int `json:"workers,omitempty"`
-	// Grain is the scheduler tile size in ranks per claim. It applies
-	// to rank-space runs: orders 2 and 4-7 and hetero's CPU half. A CPU
-	// order-3 (V3F/V4F) run claims block triples and ignores it.
-	Grain int64 `json:"grain,omitempty"`
 	// CPUFraction is the modeled CPU share (1 pure CPU, 0 pure GPU,
-	// the throughput-proportional split on hetero plans); GPUGrains is
-	// the device's seeded claim multiplier on a shared cursor.
+	// the throughput-proportional split on hetero plans).
 	CPUFraction float64 `json:"cpuFraction,omitempty"`
-	GPUGrains   int64   `json:"gpuGrains,omitempty"`
 	// Predicted* are the model's throughput projections: per side in
-	// G elements/s, and combined in scheduler currency.
+	// G elements/s, and combined in combinations per second.
 	PredictedCPUGElems    float64 `json:"predictedCpuGElems,omitempty"`
 	PredictedGPUGElems    float64 `json:"predictedGpuGElems,omitempty"`
 	PredictedCombosPerSec float64 `json:"predictedCombosPerSec,omitempty"`
-	PredictedTilesPerSec  float64 `json:"predictedTilesPerSec,omitempty"`
 	// CPUDevice and GPUDevice name the device models consulted.
 	CPUDevice string `json:"cpuDevice,omitempty"`
 	GPUDevice string `json:"gpuDevice,omitempty"`

@@ -91,7 +91,8 @@ func binaryCorpus(t testing.TB) map[string]*trigene.Report {
 // binary form into a Report that marshals to byte-identical JSON and
 // re-encodes to the same bytes.
 func TestReportBinaryRoundTrip(t *testing.T) {
-	for name, rep := range binaryCorpus(t) {
+	corpus := binaryCorpus(t)
+	for name, rep := range corpus {
 		bin, err := rep.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -118,6 +119,31 @@ func TestReportBinaryRoundTrip(t *testing.T) {
 		if len(bin) >= len(want) {
 			t.Errorf("%s: binary form %d bytes, JSON %d", name, len(bin), len(want))
 		}
+	}
+
+	// A tile post or journal record whose plan block still carries the
+	// keys that have since left decodes with every other field intact.
+	rep := corpus["autotuned"]
+	bin, err := rep.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(bin, []byte(`"plan":{`))
+	if at < 0 {
+		t.Fatal("autotuned Report's binary form has no plan block")
+	}
+	at += len(`"plan":{`)
+	legacy := append(append(bin[:at:at], `"grain":4096,"gpuGrains":12,"predictedTilesPerSec":48.83,`...), bin[at:]...)
+	var got trigene.Report
+	if err := got.UnmarshalBinary(legacy); err != nil {
+		t.Fatalf("legacy plan keys: %v", err)
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if have, err := json.Marshal(&got); err != nil || !bytes.Equal(have, want) {
+		t.Errorf("legacy plan keys: decoded Report marshals to\n%s\nwant\n%s (err %v)", have, want, err)
 	}
 }
 

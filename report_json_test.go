@@ -101,13 +101,10 @@ func goldenPlan() *PlanInfo {
 		Backend:               "hetero",
 		Approach:              "V4",
 		Workers:               72,
-		Grain:                 4096,
 		CPUFraction:           0.25,
-		GPUGrains:             12,
 		PredictedCPUGElems:    822.5,
 		PredictedGPUGElems:    2467.5,
 		PredictedCombosPerSec: 200000,
-		PredictedTilesPerSec:  48.83,
 		CPUDevice:             "CI3",
 		GPUDevice:             "GN1",
 		Reason:                "split CI3:GN1 at 25% CPU by modeled throughput",
@@ -115,7 +112,14 @@ func goldenPlan() *PlanInfo {
 }
 
 // goldenPlanJSON pins the "plan" key of the wire format.
-const goldenPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,"grain":4096,` +
+const goldenPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,` +
+	`"cpuFraction":0.25,"predictedCpuGElems":822.5,"predictedGpuGElems":2467.5,` +
+	`"predictedCombosPerSec":200000,` +
+	`"cpuDevice":"CI3","gpuDevice":"GN1","reason":"split CI3:GN1 at 25% CPU by modeled throughput"}`
+
+// legacyPlanJSON is goldenPlanJSON as Reports wrote it while plans still
+// cut the run: with the grain, the device's claim seed and the tile rate.
+const legacyPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,"grain":4096,` +
 	`"cpuFraction":0.25,"gpuGrains":12,"predictedCpuGElems":822.5,"predictedGpuGElems":2467.5,` +
 	`"predictedCombosPerSec":200000,"predictedTilesPerSec":48.83,` +
 	`"cpuDevice":"CI3","gpuDevice":"GN1","reason":"split CI3:GN1 at 25% CPU by modeled throughput"}`
@@ -153,6 +157,16 @@ func TestReportJSONPlanGolden(t *testing.T) {
 	}
 	if string(again) != string(raw) {
 		t.Errorf("plan re-marshal drifted:\n got %s", again)
+	}
+
+	// A Report written with the plan keys that have since left decodes
+	// with every other field intact.
+	var legacy Report
+	if err := json.Unmarshal([]byte(goldenReportJSON[:at]+legacyPlanJSON+","+goldenReportJSON[at:]), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&legacy, rep) {
+		t.Errorf("legacy plan keys changed the report:\n got %+v\nwant %+v", legacy, *rep)
 	}
 
 	// A merge of deserialized shard Reports keeps the trace.

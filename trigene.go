@@ -24,9 +24,8 @@
 //   - the Cache-Aware Roofline Model and analytical device performance
 //     models that regenerate the paper's figures and tables;
 //   - the model-driven autotuner (WithAutoTune): the same models price
-//     the backend and approach the search runs and size the scheduler
-//     tile grain and heterogeneous split from that price, with the
-//     decision trace on Report.Plan.
+//     the backend and approach the search runs, and the price is
+//     reported on Report.Plan without changing the run.
 //
 // The public search surface is the Session/Backend API: a Session
 // validates a dataset once and serves concurrent searches, a Backend
