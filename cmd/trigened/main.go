@@ -34,6 +34,10 @@
 // kernel and the coordinator sums their hit counts into p-values
 // bit-exact with a single-node run (the result's "perm" block).
 //
+// submit names the dataset by its content hash and uploads it only when
+// the coordinator does not hold it, so resubmitting a dataset the
+// coordinator still holds sends the spec alone.
+//
 // With -state-dir the coordinator is durable: every state transition
 // is journaled, and a crashed (even SIGKILLed) coordinator restarted
 // on the same directory resumes its jobs without re-executing
@@ -123,7 +127,8 @@ modes:
   serve    run the coordinator (job queue + tile leases)
   worker   lease and execute tiles against a coordinator
   pack     pre-encode a dataset into the packed .tpack format
-  submit   submit a dataset + search spec as a job
+  submit   submit a search spec over a dataset as a job (the dataset's
+           bytes go only if the coordinator does not hold its hash)
   status   show the job queue, or one job
   result   print a finished job's merged Report JSON
   cancel   cancel a running job
@@ -416,6 +421,18 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	perms := fs.Int("perms", 0, "with -perm: number of phenotype relabelings (0 = default 1000)")
 	permSeed := fs.Int64("perm-seed", 0, "with -perm: RNG seed behind the permutation stream")
 	wait := fs.Bool("wait", false, "block until the job finishes and print its Report JSON")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, `usage: trigened submit -coordinator URL -in FILE [flags]
+
+Submits a search (or with -perm a permutation test) over the dataset in
+FILE as a job. The dataset is named by its content hash first; its bytes
+are uploaded, packed, only when the coordinator does not hold that hash
+already (a running job's dataset, or on a durable coordinator a retained
+job's pack).
+
+flags:`)
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

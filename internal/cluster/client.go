@@ -46,8 +46,9 @@ func NewClient(baseURL string) *Client {
 // Name implements trigene.RemoteExecutor.
 func (c *Client) Name() string { return "cluster(" + c.BaseURL + ")" }
 
-// ExecuteSearch implements trigene.RemoteExecutor: submit, wait,
-// fetch the merged Report.
+// ExecuteSearch implements trigene.RemoteExecutor: submit (the dataset
+// by content hash, uploaded only when the coordinator does not hold
+// it), wait, fetch the merged Report.
 func (c *Client) ExecuteSearch(ctx context.Context, mx *trigene.Matrix, spec trigene.SearchSpec) (*trigene.Report, error) {
 	tiles := c.Tiles
 	if tiles <= 0 {
@@ -61,9 +62,11 @@ func (c *Client) ExecuteSearch(ctx context.Context, mx *trigene.Matrix, spec tri
 }
 
 // ExecutePerm implements trigene.PermExecutor: submit the permutation
-// job (spec.Perm set), wait, fetch the Report whose Perm block carries
-// the merged hit counts. The tile count is clamped to the permutation
-// count so every leased range is non-empty.
+// job (spec.Perm set) as Submit does, wait, fetch the Report whose Perm
+// block carries the merged hit counts. After a search of the same
+// dataset a durable coordinator still holds it (in its pack store), and
+// the job goes out without the dataset's bytes. The tile count is
+// clamped to the permutation count so every leased range is non-empty.
 func (c *Client) ExecutePerm(ctx context.Context, mx *trigene.Matrix, spec trigene.SearchSpec) (*trigene.Report, error) {
 	if spec.Perm == nil {
 		return nil, fmt.Errorf("cluster: ExecutePerm requires a spec with Perm set")
@@ -82,42 +85,50 @@ func (c *Client) ExecutePerm(ctx context.Context, mx *trigene.Matrix, spec trige
 	return c.Wait(ctx, id)
 }
 
-// Submit uploads a dataset and a search spec as a new job cut into the
-// given number of tiles, returning the job ID.
+// Submit submits a search spec over a dataset as a new job cut into
+// the given number of tiles, returning the job ID. It names the dataset
+// by its content hash first and uploads it — in the trigene binary
+// format — only when the coordinator does not hold it already, so a
+// dataset crosses the wire once while the coordinator holds it (see
+// SubmitRequest.DatasetSHA256).
 func (c *Client) Submit(ctx context.Context, mx *trigene.Matrix, spec trigene.SearchSpec, tiles int, name string) (string, error) {
-	var data bytes.Buffer
-	if err := trigene.WriteBinary(&data, mx); err != nil {
-		return "", fmt.Errorf("serializing dataset: %w", err)
-	}
-	var resp SubmitResponse
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", SubmitRequest{
-		Name:    name,
-		Spec:    spec,
-		Tiles:   tiles,
-		Dataset: data.Bytes(),
-	}, &resp)
+	sess, err := trigene.NewSession(mx)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("invalid dataset: %w", err)
 	}
-	return resp.ID, nil
+	return c.submit(ctx, SubmitRequest{Name: name, Spec: spec, Tiles: tiles, DatasetSHA256: sess.DatasetHash()},
+		func(w io.Writer) error { return trigene.WriteBinary(w, mx) })
 }
 
-// SubmitSession uploads a session's dataset in the packed .tpack form
-// — exact for sessions opened from a pack, and sparing the coordinator
-// the one-time encode either way — as a new job cut into the given
-// number of tiles, returning the job ID.
+// SubmitSession submits a search spec over a session's dataset as a new
+// job cut into the given number of tiles, returning the job ID. Like
+// Submit it names the dataset by content hash first; when the
+// coordinator does not hold it, it uploads it in the packed .tpack form —
+// exact for sessions opened from a pack, and sparing the coordinator the
+// one-time encode either way.
 func (c *Client) SubmitSession(ctx context.Context, sess *trigene.Session, spec trigene.SearchSpec, tiles int, name string) (string, error) {
-	var data bytes.Buffer
-	if err := sess.WritePack(&data); err != nil {
-		return "", fmt.Errorf("packing dataset: %w", err)
-	}
+	return c.submit(ctx, SubmitRequest{Name: name, Spec: spec, Tiles: tiles, DatasetSHA256: sess.DatasetHash()},
+		sess.WritePack)
+}
+
+// submit posts req, which names its dataset by hash only, and on the
+// coordinator's "dataset not held" answer posts it again with the bytes
+// write produces. A coordinator that predates submission by reference
+// answers a request without bytes 400 "invalid dataset: ..."; that
+// answer also sends the bytes.
+func (c *Client) submit(ctx context.Context, req SubmitRequest, write func(io.Writer) error) (string, error) {
 	var resp SubmitResponse
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", SubmitRequest{
-		Name:    name,
-		Spec:    spec,
-		Tiles:   tiles,
-		Dataset: data.Bytes(),
-	}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &resp)
+	var se *statusError
+	if errors.As(err, &se) && (se.kind == codeDatasetNotHeld ||
+		se.code == http.StatusBadRequest && strings.HasPrefix(se.msg, "invalid dataset:")) {
+		var data bytes.Buffer
+		if err := write(&data); err != nil {
+			return "", fmt.Errorf("serializing dataset: %w", err)
+		}
+		req.Dataset = data.Bytes()
+		err = c.do(ctx, http.MethodPost, "/v1/jobs", req, &resp)
+	}
 	if err != nil {
 		return "", err
 	}
@@ -320,10 +331,12 @@ func (c *Client) fail(ctx context.Context, token, msg string) error {
 	return leaseLostOr(err)
 }
 
-// statusError is a non-2xx coordinator answer.
+// statusError is a non-2xx coordinator answer; kind is the error body's
+// code, if any.
 type statusError struct {
 	code int
 	msg  string
+	kind string
 }
 
 func (e *statusError) Error() string {
@@ -398,7 +411,7 @@ func decodeError(resp *http.Response) error {
 	var eb errorBody
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
-		return &statusError{code: resp.StatusCode, msg: eb.Error}
+		return &statusError{code: resp.StatusCode, msg: eb.Error, kind: eb.Code}
 	}
 	return &statusError{code: resp.StatusCode, msg: strings.TrimSpace(string(raw))}
 }

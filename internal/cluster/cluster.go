@@ -20,7 +20,8 @@
 //
 // Wire contract (all JSON unless noted), rooted at /v1:
 //
-//	POST /v1/jobs                  submit a job (spec + tiles + dataset)
+//	POST /v1/jobs                  submit a job (spec + tiles + dataset or
+//	                               its content hash)
 //	GET  /v1/jobs                  list job statuses
 //	GET  /v1/jobs/{id}             one job's status (?waitMillis= parks the
 //	                               request until the job leaves "running")
@@ -56,6 +57,15 @@
 // from a coordinator that reads it as a JSON string holding the base64
 // of Report.MarshalBinary as well as the JSON object, and a worker posts
 // the string only under such a grant.
+//
+// A submission names its dataset by content hash first: the client sends
+// the spec with datasetSHA256 and no bytes, and uploads the dataset (with
+// the hash) only when the coordinator answers 404 with the code
+// "datasetNotHeld" — or, from a coordinator that predates the field, 400
+// "invalid dataset". The coordinator holds a dataset while a retained job
+// names it: in memory, one copy per hash, while a job on it runs, and on
+// a durable coordinator in its pack store until the last job naming the
+// hash is evicted.
 //
 // Request bodies are bounded per route (maxLeaseBody, maxRenewBody,
 // maxDoneBody, maxFailBody, maxEmptyBody; submissions by
@@ -109,11 +119,21 @@ type SubmitRequest struct {
 	// job is cut into (0 = same as Tiles). Ignored for unscreened jobs
 	// and for specs with pinned survivors.
 	ScreenTiles int `json:"screenTiles,omitempty"`
+	// DatasetSHA256 names the dataset by its content hash
+	// (Session.DatasetHash: 64 lowercase hex characters). Sent without
+	// Dataset, it submits by reference: the coordinator runs the job on
+	// the dataset it already holds under that hash (a running job's, or
+	// on a durable coordinator a retained job's pack), and answers 404
+	// with the error code "datasetNotHeld" when it holds none, after
+	// which the client repeats the request with Dataset. Sent with
+	// Dataset, the upload must hash to it (400 otherwise).
+	DatasetSHA256 string `json:"datasetSHA256,omitempty"`
 	// Dataset is the dataset in the trigene binary format or the
 	// packed .tpack format (base64 in JSON). The coordinator holds and
 	// serves it packed either way, encoding a binary submission exactly
-	// once so workers never re-binarize.
-	Dataset []byte `json:"dataset"`
+	// once so workers never re-binarize. A request sets Dataset,
+	// DatasetSHA256 or both.
+	Dataset []byte `json:"dataset,omitempty"`
 }
 
 // SubmitResponse is the body answering POST /v1/jobs.
@@ -352,7 +372,13 @@ type LeaveResponse struct {
 	Released int `json:"released"`
 }
 
-// errorBody is the JSON shape of every non-2xx response.
+// errorBody is the JSON shape of every non-2xx response. Code types
+// the refusals a client acts on; it is empty on every other error.
 type errorBody struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
+
+// codeDatasetNotHeld types the answer (404) to a submission by
+// reference whose dataset the coordinator does not hold.
+const codeDatasetNotHeld = "datasetNotHeld"

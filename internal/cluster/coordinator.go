@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +41,8 @@ type Config struct {
 	MaxAttempts int
 	// Retain is how many finished jobs (done, failed or cancelled) keep
 	// their status and merged result before the oldest are evicted
-	// (default 64).
+	// (default 64). On a durable coordinator a retained job also keeps
+	// its dataset's pack, which a submission by reference reads back.
 	Retain int
 	// Logger receives coordinator events as structured records; every
 	// line carries the IDs it concerns (job, worker, tile) as
@@ -77,6 +79,11 @@ type Coordinator struct {
 	seq     int
 	workers map[string]*workerInfo
 	swept   time.Time // last retention sweep of workers
+
+	// pins counts the submissions of each dataset hash between resolving
+	// their dataset and holding it in a job: the pack store keeps a
+	// pinned hash's pack even when no retained job names it (dropPackLocked).
+	pins map[string]int
 
 	// wake is closed (and replaced) by wakeLocked whenever a parked
 	// long-poll may have something to answer: a lease request when tiles
@@ -132,6 +139,11 @@ const (
 	// (clients send "{}").
 	maxEmptyBody = 1 << 10
 )
+
+// maxTiles bounds a submission's tiles and screenTiles: a job's lease
+// book and result slots are allocated per lease unit at the door, and
+// past this many lease units a job only adds round trips.
+const maxTiles = 1 << 16
 
 // maxLongPoll caps how long a lease or status request may stay parked,
 // whatever waitMillis asked for.
@@ -196,6 +208,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
 		workers: make(map[string]*workerInfo),
+		pins:    make(map[string]int),
 		wake:    make(chan struct{}),
 		mux:     http.NewServeMux(),
 	}
@@ -226,8 +239,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, maxSubmitBody, &req) {
 		return
 	}
-	if req.Tiles < 1 {
-		writeErr(w, http.StatusBadRequest, "tiles must be ≥ 1, got %d", req.Tiles)
+	if req.Tiles < 1 || req.Tiles > maxTiles {
+		writeErr(w, http.StatusBadRequest, "tiles must be in [1, %d], got %d", maxTiles, req.Tiles)
 		return
 	}
 	// Fail configuration and dataset errors at the door, not on the
@@ -240,41 +253,30 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid spec: maxWorkers and deadlineMillis must be ≥ 0")
 		return
 	}
-	if req.ScreenTiles < 0 {
-		writeErr(w, http.StatusBadRequest, "screenTiles must be ≥ 0, got %d", req.ScreenTiles)
+	if req.ScreenTiles < 0 || req.ScreenTiles > maxTiles {
+		writeErr(w, http.StatusBadRequest, "screenTiles must be in [0, %d], got %d", maxTiles, req.ScreenTiles)
 		return
 	}
-	// Accept the dataset as trigene binary or pre-encoded .tpack, and
-	// hold (and serve) it packed either way: the coordinator encodes a
-	// binary submission exactly once, so every worker that fetches the
-	// job starts from the shared encodings instead of re-binarizing.
-	var sess *trigene.Session
-	var packed []byte
-	if store.IsPack(req.Dataset) {
-		s, err := trigene.ReadPack(bytes.NewReader(req.Dataset))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid dataset: %v", err)
-			return
-		}
-		sess, packed = s, req.Dataset
-	} else {
-		mx, err := trigene.ReadBinary(bytes.NewReader(req.Dataset))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid dataset: %v", err)
-			return
-		}
-		s, err := trigene.NewSession(mx)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid dataset: %v", err)
-			return
-		}
-		var buf bytes.Buffer
-		if err := s.WritePack(&buf); err != nil {
-			writeErr(w, http.StatusInternalServerError, "packing dataset: %v", err)
-			return
-		}
-		sess, packed = s, buf.Bytes()
+	// The hash becomes a file name in the pack store: nothing but a hex
+	// SHA-256 reaches a filesystem call.
+	if req.DatasetSHA256 != "" && !validDatasetHash(req.DatasetSHA256) {
+		writeErr(w, http.StatusBadRequest, "invalid datasetSHA256 %q: want 64 lowercase hex characters", req.DatasetSHA256)
+		return
 	}
+	if req.DatasetSHA256 == "" && len(req.Dataset) == 0 {
+		writeErr(w, http.StatusBadRequest, "invalid dataset: the request sets neither dataset nor datasetSHA256")
+		return
+	}
+	ds, code, err := c.submittedDataset(&req)
+	if err != nil {
+		if code == http.StatusNotFound {
+			writeJSON(w, code, errorBody{Error: err.Error(), Code: codeDatasetNotHeld})
+		} else {
+			writeErr(w, code, "%v", err)
+		}
+		return
+	}
+	defer c.unpin(ds.sha)
 
 	// Permutation submissions are validated loudly at the door: the
 	// candidates against the dataset, and the search-shaping fields —
@@ -282,7 +284,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// silently ignored. Tiles shard the permutation index range, so
 	// there must be at least one permutation per tile.
 	if pm := req.Spec.Perm; pm != nil {
-		if err := pm.Validate(sess.SNPs()); err != nil {
+		if err := pm.Validate(ds.snps); err != nil {
 			writeErr(w, http.StatusBadRequest, "invalid spec: %v", err)
 			return
 		}
@@ -307,7 +309,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// pinned screened search directly).
 	screenTiles := 0
 	if sc := req.Spec.Screen; sc != nil {
-		if err := sc.Validate(sess.SNPs()); err != nil {
+		if err := sc.Validate(ds.snps); err != nil {
 			writeErr(w, http.StatusBadRequest, "invalid spec: %v", err)
 			return
 		}
@@ -324,15 +326,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	datasetSHA := sess.DatasetHash()
-	// The submission must be durable before it is acknowledged: the
-	// dataset goes to the pack store (content-addressed, so outside the
-	// lock), then the submit record is committed. Until that commit
-	// returns the job exists but is granted to nobody — a crash must not
-	// leave a worker holding a lease on a job ID the restarted
-	// coordinator mints again.
-	if c.log != nil {
-		if err := c.writePack(datasetSHA, packed); err != nil {
+	// The submission must be durable before it is acknowledged: an
+	// uploaded dataset goes to the pack store (content-addressed, so
+	// outside the lock; the pin keeps eviction from deleting it), then
+	// the submit record is committed. Until that commit returns the job
+	// exists but is granted to nobody — a crash must not leave a worker
+	// holding a lease on a job ID the restarted coordinator mints again.
+	if c.log != nil && ds.uploaded {
+		if err := c.writePack(ds.sha, ds.data); err != nil {
 			writeErr(w, http.StatusInternalServerError, "journaling submission: %v", err)
 			return
 		}
@@ -341,16 +342,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.seq++
 	rec := walRecord{T: recSubmit, Job: "j" + strconv.Itoa(c.seq), Name: req.Name, Spec: &req.Spec,
 		Tiles: req.Tiles + screenTiles, ScreenTiles: screenTiles,
-		SHA: datasetSHA, SNPs: sess.SNPs(), Samples: sess.Samples(),
+		SHA: ds.sha, SNPs: ds.snps, Samples: ds.samples,
 		UnixNs: c.cfg.Now().UnixNano()}
 	j := newJob(rec)
-	j.dataset = packed
+	// One copy per hash: a running job on the same dataset may have
+	// started while this one was being resolved.
+	if held, _ := c.heldLocked(ds.sha); held.data != nil {
+		ds.data = held.data
+	}
+	j.dataset = ds.data
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.journalJobLocked(j, rec)
 	j.submitPos = j.pos
 	c.mu.Unlock()
-	err := c.commit(j.submitPos)
+	err = c.commit(j.submitPos)
 	c.mu.Lock()
 	if err != nil {
 		// An unacknowledged submission must not run. Its ID stays spent.
@@ -370,10 +376,129 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.cm.submitted.Inc()
+	c.cm.submission(ds.uploaded)
 	c.cfg.Logger.Info("job submitted",
 		"job", j.id, "name", j.name, "tiles", j.tiles,
-		"snps", j.snps, "samples", j.samples, "backend", req.Spec.Backend)
+		"snps", j.snps, "samples", j.samples, "backend", req.Spec.Backend,
+		"uploaded", ds.uploaded)
 	writeJSON(w, http.StatusCreated, SubmitResponse{ID: j.id, Tiles: j.tiles})
+}
+
+// heldDataset is a dataset the coordinator holds, or a submission
+// resolved to: its content hash, packed .tpack bytes (nil when only the
+// pack store has them) and shape.
+type heldDataset struct {
+	sha           string
+	data          []byte
+	snps, samples int
+	uploaded      bool // the submission carried the bytes
+}
+
+// submittedDataset resolves the dataset a submission names — the
+// uploaded bytes, or by reference the dataset held under its hash — and
+// pins its hash; the caller unpins it once the job holds the dataset or
+// the submission is refused. It answers the HTTP status of a refusal:
+// 400 for an upload that does not decode or does not hash to the named
+// hash, 404 for a reference to a dataset the coordinator does not hold.
+func (c *Coordinator) submittedDataset(req *SubmitRequest) (heldDataset, int, error) {
+	if len(req.Dataset) == 0 {
+		c.mu.Lock()
+		ds, named := c.heldLocked(req.DatasetSHA256)
+		c.pins[ds.sha]++
+		c.mu.Unlock()
+		if ds.data == nil && named && c.log != nil {
+			// A retained job names the hash, so its pack is in the store
+			// unless a crash lost the delete that followed an eviction the
+			// journal then lost too; the pin keeps it there now.
+			ds.data, _ = os.ReadFile(c.packPath(ds.sha))
+		}
+		if ds.data == nil {
+			c.unpin(ds.sha)
+			return ds, http.StatusNotFound, fmt.Errorf("dataset %s is not held; submit it with its bytes", ds.sha)
+		}
+		return ds, 0, nil
+	}
+	// Accept the dataset as trigene binary or pre-encoded .tpack, and
+	// hold (and serve) it packed either way: the coordinator encodes a
+	// binary submission exactly once, so every worker that fetches the
+	// job starts from the shared encodings instead of re-binarizing.
+	var sess *trigene.Session
+	ds := heldDataset{data: req.Dataset, uploaded: true}
+	if store.IsPack(req.Dataset) {
+		s, err := trigene.ReadPack(bytes.NewReader(req.Dataset))
+		if err != nil {
+			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
+		}
+		sess = s
+	} else {
+		mx, err := trigene.ReadBinary(bytes.NewReader(req.Dataset))
+		if err != nil {
+			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
+		}
+		s, err := trigene.NewSession(mx)
+		if err != nil {
+			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := s.WritePack(&buf); err != nil {
+			return ds, http.StatusInternalServerError, fmt.Errorf("packing dataset: %v", err)
+		}
+		sess, ds.data = s, buf.Bytes()
+	}
+	ds.sha, ds.snps, ds.samples = sess.DatasetHash(), sess.SNPs(), sess.Samples()
+	if req.DatasetSHA256 != "" && req.DatasetSHA256 != ds.sha {
+		return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: its content hash is %s, the request names %s", ds.sha, req.DatasetSHA256)
+	}
+	c.mu.Lock()
+	c.pins[ds.sha]++
+	c.mu.Unlock()
+	return ds, 0, nil
+}
+
+// heldLocked looks a dataset up among the retained jobs: the shared
+// in-memory bytes of a running job on it when there is one, else just
+// its shape, with named reporting whether any retained job names the
+// hash at all.
+func (c *Coordinator) heldLocked(sha string) (ds heldDataset, named bool) {
+	ds.sha = sha
+	for _, id := range c.order {
+		j := c.jobs[id]
+		if j.datasetSHA != sha {
+			continue
+		}
+		named, ds.snps, ds.samples = true, j.snps, j.samples
+		if j.dataset != nil {
+			ds.data = j.dataset
+			break
+		}
+	}
+	return ds, named
+}
+
+// unpin releases a submission's pin on a dataset hash, and with it the
+// hash's pack when nothing else keeps it (a refused or unacknowledged
+// submission of a dataset no retained job names).
+func (c *Coordinator) unpin(sha string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pins[sha]--; c.pins[sha] <= 0 {
+		delete(c.pins, sha)
+		c.dropPackLocked(sha)
+	}
+}
+
+// validDatasetHash reports whether s is a hex SHA-256 as
+// Session.DatasetHash writes it: 64 lowercase hex characters.
+func validDatasetHash(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; (b < '0' || b > '9') && (b < 'a' || b > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1039,8 +1164,10 @@ func (c *Coordinator) finishLocked(j *job, state, errMsg string) {
 }
 
 // evictFinishedLocked drops the oldest finished jobs beyond the
-// retention cap. It is shared by the live path (finishLocked) and
-// journal replay, so eviction reproduces identically on recovery.
+// retention cap, and the pack of a dataset the last of them named. It is
+// shared by the live path (finishLocked) and journal replay, so eviction
+// reproduces identically on recovery (which collects packs once, after
+// the replay: gcPacksLocked).
 func (c *Coordinator) evictFinishedLocked() {
 	finished := 0
 	for _, id := range c.order {
@@ -1050,13 +1177,15 @@ func (c *Coordinator) evictFinishedLocked() {
 	}
 	for i := 0; finished > c.cfg.Retain && i < len(c.order); {
 		id := c.order[i]
-		if c.jobs[id].state == StateRunning {
+		j := c.jobs[id]
+		if j.state == StateRunning {
 			i++
 			continue
 		}
 		delete(c.jobs, id)
 		c.order = append(c.order[:i], c.order[i+1:]...)
 		finished--
+		c.dropPackLocked(j.datasetSHA)
 	}
 }
 

@@ -10,8 +10,10 @@
 // form (tileReport, job.go). Datasets
 // are deliberately kept out of the journal; they are content-addressed
 // files under StateDir/packs/<sha256>.tpack, written (and fsynced)
-// before the submit record that references them, and garbage-collected
-// on recovery once no running job needs them.
+// before the submit record that references them, and deleted when the
+// last retained job that names them is evicted (dropPackLocked), or on
+// recovery when no retained job does. A submission by reference reads
+// the pack of a retained finished job back from there.
 //
 // Durability policy is sync-on-ack by group commit. A handler applies
 // its transition and appends the record under the coordinator's mutex,
@@ -210,7 +212,7 @@ func (c *Coordinator) Close() error {
 // snapshot, then journal replay, then what replay cannot express as
 // records — closing the phases whose close the crash swallowed,
 // reloading running jobs' datasets from the pack store, and collecting
-// packs no running job references. Ends by compacting the recovered
+// packs no retained job references. Ends by compacting the recovered
 // state into a fresh snapshot, so journals stay bounded across
 // repeated restarts.
 func (c *Coordinator) recoverLocked() error {
@@ -249,13 +251,17 @@ func (c *Coordinator) recoverLocked() error {
 		if j.state != StateRunning {
 			continue
 		}
-		data, err := os.ReadFile(c.packPath(j.datasetSHA))
-		if err != nil {
-			c.cfg.Logger.Error("dataset pack lost after recovery", "job", j.id, "error", err)
-			c.finishLocked(j, StateFailed, fmt.Sprintf("dataset missing after recovery: %v", err))
-			continue
+		// Running jobs on one dataset share one copy of it.
+		held, _ := c.heldLocked(j.datasetSHA)
+		if held.data == nil {
+			var err error
+			if held.data, err = os.ReadFile(c.packPath(j.datasetSHA)); err != nil {
+				c.cfg.Logger.Error("dataset pack lost after recovery", "job", j.id, "error", err)
+				c.finishLocked(j, StateFailed, fmt.Sprintf("dataset missing after recovery: %v", err))
+				continue
+			}
 		}
-		j.dataset = data
+		j.dataset = held.data
 		running++
 	}
 	c.gcPacksLocked()
@@ -565,9 +571,30 @@ func (c *Coordinator) writePack(sha string, data []byte) error {
 	return err
 }
 
-// gcPacksLocked deletes packs no running job references — finished
-// jobs released their datasets, so after recovery their packs are
-// orphans.
+// dropPackLocked deletes the pack of a dataset hash once nothing keeps
+// it: no retained job names the hash and no submission has it pinned
+// (a submission pins the hash before it writes or reads the pack outside
+// the lock, and unpins it once its job names the hash, so a pack that
+// writePack found in place is never deleted under it). It is a no-op on
+// an in-memory coordinator and during replay, whose evictions may
+// precede a later submit record of the same hash; recovery collects
+// packs once the replay is done (gcPacksLocked). A delete a crash loses
+// leaves an orphan that recovery collects.
+func (c *Coordinator) dropPackLocked(sha string) {
+	if c.log == nil || c.replaying || c.pins[sha] > 0 {
+		return
+	}
+	if _, named := c.heldLocked(sha); named {
+		return
+	}
+	if err := os.Remove(c.packPath(sha)); err == nil {
+		c.cfg.Logger.Info("pack store: deleted a pack no retained job names", "pack", sha)
+	}
+}
+
+// gcPacksLocked deletes packs no retained job references: orphans of
+// evictions whose delete a crash lost, and of submissions that never
+// committed.
 func (c *Coordinator) gcPacksLocked() {
 	dir := filepath.Join(c.cfg.StateDir, "packs")
 	entries, err := os.ReadDir(dir)
@@ -576,9 +603,7 @@ func (c *Coordinator) gcPacksLocked() {
 	}
 	needed := make(map[string]bool)
 	for _, id := range c.order {
-		if j := c.jobs[id]; j.state == StateRunning {
-			needed[j.datasetSHA+".tpack"] = true
-		}
+		needed[c.jobs[id].datasetSHA+".tpack"] = true
 	}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tpack") && !needed[e.Name()] {
@@ -586,6 +611,18 @@ func (c *Coordinator) gcPacksLocked() {
 			c.cfg.Logger.Info("pack store: collected orphan", "pack", e.Name())
 		}
 	}
+}
+
+// packStoreBytes sums the sizes of the packs in the pack store.
+func (c *Coordinator) packStoreBytes() int64 {
+	entries, _ := os.ReadDir(filepath.Join(c.cfg.StateDir, "packs"))
+	var n int64
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && strings.HasSuffix(e.Name(), ".tpack") {
+			n += info.Size()
+		}
+	}
+	return n
 }
 
 // fsyncDir makes a rename inside dir durable.

@@ -257,7 +257,8 @@ func TestDurableRecoveryMidJob(t *testing.T) {
 	reportsEqual(t, "re-queued job", remoteQ, localQ)
 
 	// Finished results are durable too: a second crash loses nothing,
-	// and with no running jobs the recovered pack store is empty.
+	// and the recovered pack store keeps the one dataset the retained
+	// finished jobs name, for submissions by reference.
 	proxy.crash()
 	proxy.resume(t, cfg)
 	again, err := cl.Result(ctx, id)
@@ -265,9 +266,23 @@ func TestDurableRecoveryMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "result after second restart", again, local)
-	if entries, err := os.ReadDir(filepath.Join(cfg.StateDir, "packs")); err == nil && len(entries) != 0 {
-		t.Errorf("pack store holds %d orphans after all jobs finished", len(entries))
+	if got := packNames(t, cfg.StateDir); !reflect.DeepEqual(got, []string{sess.DatasetHash() + ".tpack"}) {
+		t.Errorf("pack store after all jobs finished holds %v, want the retained jobs' one dataset", got)
 	}
+}
+
+// packNames lists the pack store's files.
+func packNames(t *testing.T, stateDir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(stateDir, "packs"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestDurableRecoveryBackendParity is the acceptance gate for

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/store"
 )
 
 // FuzzTilePayload posts arbitrary bytes as the payload of a tile of
@@ -85,4 +89,88 @@ func FuzzTilePayload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSubmitRequest posts arbitrary bodies to POST /v1/jobs of an
+// in-memory coordinator on which a running job holds the planted
+// dataset. Whatever the body, the coordinator answers without panicking
+// and without a 5xx, and accepts a submission (201) only when it
+// decodes and either carries a dataset that decodes or names the held
+// one by hash; the accepted job's status is then readable.
+func FuzzSubmitRequest(f *testing.F) {
+	mx := plantedMatrix(f)
+	sess := sessionFor(f, mx)
+	var pack bytes.Buffer
+	if err := sess.WritePack(&pack); err != nil {
+		f.Fatal(err)
+	}
+	held := sess.DatasetHash()
+	bin := binaryOf(f, mx)
+	for _, req := range []SubmitRequest{
+		{Tiles: 2, DatasetSHA256: held},
+		{Tiles: 2, Spec: trigene.SearchSpec{Order: 2, TopK: 3}, DatasetSHA256: held},
+		{Tiles: 1, Spec: trigene.SearchSpec{Perm: &trigene.PermSpec{SNPs: [][]int{{3, 9, 15}}, Permutations: 10}}, DatasetSHA256: held},
+		{Tiles: 2, ScreenTiles: 1, Spec: trigene.SearchSpec{Screen: &trigene.ScreenSpec{MaxSurvivors: 8}}, DatasetSHA256: held},
+		{Tiles: 1, Dataset: bin},
+		{Tiles: 1, Dataset: pack.Bytes(), DatasetSHA256: held},
+		{Tiles: 1, Dataset: bin[:len(bin)/2]},
+		{Tiles: 1, DatasetSHA256: "../" + held[3:]},
+		{Tiles: 1, DatasetSHA256: held[:63]},
+		{Tiles: 1},
+	} {
+		f.Add([]byte(mustJSON(f, req)))
+	}
+	for _, seed := range []string{``, `null`, `{}`, `[]`, `{"tiles":1e9,"datasetSHA256":"` + held + `"}`, `{"tiles":-1}`} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		co := NewCoordinator(Config{})
+		j := newJob(walRecord{Job: "j0", Spec: &trigene.SearchSpec{}, Tiles: 1, SHA: held, SNPs: sess.SNPs(), Samples: sess.Samples()})
+		j.dataset = pack.Bytes()
+		co.jobs[j.id], co.order = j, []string{j.id}
+
+		rec := httptest.NewRecorder()
+		co.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+		if rec.Code != http.StatusCreated {
+			return
+		}
+		var req SubmitRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("accepted a body that does not decode: %v", err)
+		}
+		switch {
+		case len(req.Dataset) == 0 && req.DatasetSHA256 != held:
+			t.Fatalf("accepted a reference to %q, which is not held", req.DatasetSHA256)
+		case len(req.Dataset) > 0 && !decodes(req.Dataset):
+			t.Fatal("accepted an upload that does not decode")
+		}
+		var resp SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		co.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+resp.ID, nil))
+		var st JobStatus
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil || st.ID != resp.ID || st.State != StateRunning {
+			t.Fatalf("status of accepted job %s: HTTP %d %s", resp.ID, rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// decodes reports whether an uploaded dataset reads as a pack or as a
+// valid dataset in the trigene binary format.
+func decodes(data []byte) bool {
+	if store.IsPack(data) {
+		_, err := trigene.ReadPack(bytes.NewReader(data))
+		return err == nil
+	}
+	mx, err := trigene.ReadBinary(bytes.NewReader(data))
+	if err == nil {
+		_, err = trigene.NewSession(mx)
+	}
+	return err == nil
 }

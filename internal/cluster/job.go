@@ -386,7 +386,7 @@ type job struct {
 	// is granted before the submission itself is (submitPos).
 	pos, submitPos uint64
 
-	dataset       []byte // packed .tpack bytes; released when the job leaves StateRunning
+	dataset       []byte // packed .tpack bytes, shared by the running jobs on one hash; released when the job leaves StateRunning
 	datasetSHA    string // dataset content hash (Session.DatasetHash)
 	snps, samples int
 

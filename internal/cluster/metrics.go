@@ -9,6 +9,8 @@ import (
 // request handlers never branch on whether metrics are enabled.
 type coordMetrics struct {
 	submitted     *obs.Counter
+	referenced    *obs.Counter            // submissions run on a dataset already held
+	uploaded      *obs.Counter            // submissions that carried their dataset
 	finished      map[string]*obs.Counter // by terminal job state
 	leasesGranted *obs.Counter
 	leasesRenewed *obs.Counter
@@ -38,6 +40,9 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 	}
 	c.cm.submitted = reg.Counter("trigene_coord_jobs_submitted_total",
 		"Jobs accepted (journaled and acknowledged) by the coordinator.")
+	const subHelp = "Submissions accepted, by how the dataset arrived: named by content hash and already held, or uploaded."
+	c.cm.referenced = reg.Counter("trigene_cluster_submissions_total", subHelp, obs.L("dataset", "referenced"))
+	c.cm.uploaded = reg.Counter("trigene_cluster_submissions_total", subHelp, obs.L("dataset", "uploaded"))
 	c.cm.finished = map[string]*obs.Counter{
 		StateDone:      reg.Counter("trigene_coord_jobs_finished_total", "Jobs that left the running state, by outcome.", obs.L("state", StateDone)),
 		StateFailed:    reg.Counter("trigene_coord_jobs_finished_total", "Jobs that left the running state, by outcome.", obs.L("state", StateFailed)),
@@ -88,10 +93,18 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 			return []obs.Sample{{Value: float64(pending)}}
 		})
 	c.mu.Lock()
-	if c.log != nil {
+	durable := c.log != nil
+	if durable {
 		c.log.Instrument(reg)
 	}
 	c.mu.Unlock()
+	if durable {
+		reg.GaugeFunc("trigene_cluster_pack_store_bytes",
+			"Bytes of the dataset packs in the durable coordinator's pack store.",
+			func() []obs.Sample {
+				return []obs.Sample{{Value: float64(c.packStoreBytes())}}
+			})
+	}
 	reg.GaugeFunc("trigene_coord_worker_staleness_seconds",
 		"Seconds since each registered worker was last seen.",
 		func() []obs.Sample {
@@ -107,6 +120,15 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 			}
 			return out
 		})
+}
+
+// submission records an accepted submission by how its dataset arrived.
+func (cm *coordMetrics) submission(uploaded bool) {
+	if uploaded {
+		cm.uploaded.Inc()
+	} else {
+		cm.referenced.Inc()
+	}
 }
 
 // finishCount records a job leaving the running state.

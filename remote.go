@@ -158,9 +158,10 @@ func (c *searchConfig) spec() SearchSpec {
 // RemoteExecutor submits one configured search for execution somewhere
 // else — WithCluster's contract. The cluster client
 // (internal/cluster.Client, fronted by the trigened daemon) implements
-// it by uploading the dataset, leasing tiles to workers and merging
-// their tile Reports bit-exactly; any transport satisfying this
-// interface plugs into Session.Search the same way.
+// it by naming the dataset by its content hash (uploading it only when
+// the coordinator does not hold it already), leasing tiles to workers
+// and merging their tile Reports bit-exactly; any transport satisfying
+// this interface plugs into Session.Search the same way.
 type RemoteExecutor interface {
 	// Name identifies the executor in errors and logs.
 	Name() string
@@ -173,9 +174,11 @@ type RemoteExecutor interface {
 // PermExecutor extends RemoteExecutor with distributed permutation
 // testing — what PermutationTest/PermutationTestAll under WithCluster
 // require. The cluster client implements it by sharding the
-// permutation index range into tiles; any executor whose merged hit
-// counts are bit-exact with a local run of the same spec plugs in the
-// same way.
+// permutation index range into tiles, submitting the dataset by content
+// hash like a search (a durable coordinator keeps a finished search's
+// dataset, so a test after it does not upload the dataset again); any
+// executor whose merged hit counts are bit-exact with a local run of the
+// same spec plugs in the same way.
 type PermExecutor interface {
 	RemoteExecutor
 	// ExecutePerm runs the permutation job (spec.Perm is set) against
