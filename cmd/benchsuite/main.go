@@ -7,7 +7,6 @@
 //	benchsuite -exp fig4     # GPU study across Table II devices (modeled)
 //	benchsuite -exp table3   # state-of-the-art comparison (modeled + host-measured)
 //	benchsuite -exp overall  # Section V-D whole-device and efficiency comparison
-//	benchsuite -exp energy   # DVFS energy study (modeled, the paper's future work)
 //	benchsuite -exp host     # measured baseline vs V3F and V4F on this machine
 //	benchsuite -exp all      # every experiment above, in this order
 //
@@ -30,7 +29,6 @@ import (
 	"trigene"
 	"trigene/internal/carm"
 	"trigene/internal/device"
-	"trigene/internal/energy"
 	"trigene/internal/gpusim"
 	"trigene/internal/perfmodel"
 	"trigene/internal/report"
@@ -57,7 +55,7 @@ var out io.Writer = os.Stdout
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: fig2a, fig2b, fig3, fig4, table3, overall, energy, host or all")
+	exp := fs.String("exp", "all", "experiment: fig2a, fig2b, fig3, fig4, table3, overall, host or all")
 	hostSNPs := fs.Int("host-snps", 160, "SNP count for the host-measured experiments")
 	hostSamples := fs.Int("host-samples", 4096, "sample count for the host-measured experiments")
 	if err := fs.Parse(args); err != nil {
@@ -72,10 +70,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"fig4":    fig4,
 		"table3":  func() error { return table3(*hostSNPs, *hostSamples) },
 		"overall": overall,
-		"energy":  energyExp,
 		"host":    func() error { return host(*hostSNPs, *hostSamples) },
 	}
-	order := []string{"fig2a", "fig2b", "fig3", "fig4", "table3", "overall", "energy", "host"}
+	order := []string{"fig2a", "fig2b", "fig3", "fig4", "table3", "overall", "host"}
 	if *exp == "all" {
 		for _, name := range order {
 			if err := experiments[name](); err != nil {
@@ -337,39 +334,4 @@ func host(snps, samples int) error {
 			rep.ElementsPerSec/1e9, report.Speedup(rep.ElementsPerSec/base.ElementsPerSec))
 	}
 	return render(t)
-}
-
-// energyExp models the paper's future-work direction: DVFS sweeps and
-// the energy-optimal operating point per device.
-func energyExp() error {
-	fmt.Fprintln(out, "== DVFS energy study (modeled, paper future work), 8192 SNPs x 16384 samples ==")
-	t := report.NewTable("", "device", "nominal GHz", "G elem/J @nominal", "optimal GHz", "G elem/J @optimal", "gain")
-	add := func(id string, m energy.DVFSModel) {
-		nom := m.EfficiencyAt(m.NominalGHz)
-		opt := m.OptimalGHz()
-		best := m.EfficiencyAt(opt)
-		t.AddRowf(id, m.NominalGHz, nom, opt, best, report.Speedup(best/nom))
-	}
-	for _, c := range device.AllCPUs() {
-		add(c.ID, energy.ForCPU(c, 8192, figSamples))
-	}
-	for _, g := range device.AllGPUs() {
-		add(g.ID, energy.ForGPU(g, 8192, figSamples))
-	}
-	if err := render(t); err != nil {
-		return err
-	}
-	gi2, err := device.GPUByID("GI2")
-	if err != nil {
-		return err
-	}
-	sweep, err := energy.ForGPU(gi2, 8192, figSamples).Sweep(7)
-	if err != nil {
-		return err
-	}
-	st := report.NewTable("GI2 DVFS sweep", "GHz", "watts", "G elem/s", "G elem/J")
-	for _, p := range sweep {
-		st.AddRowf(p.GHz, p.Watts, p.GElems, p.Efficiency)
-	}
-	return render(st)
 }

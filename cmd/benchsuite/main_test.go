@@ -82,9 +82,10 @@ func TestHostOutput(t *testing.T) {
 
 // TestUnknownExperiment: only the paper experiments exist. The per-PR
 // audits retired in PR 18 (their gates are tests and bench/ metrics
-// now) and their -out flag are refused like any other unknown name.
+// now), the DVFS energy study, which reproduced no paper artifact, and
+// the audits' -out flag are refused like any other unknown name.
 func TestUnknownExperiment(t *testing.T) {
-	retired := []string{"snapshot", "sched", "cluster", "plan", "store", "durable", "kernels", "obs", "screen", "perm"}
+	retired := []string{"snapshot", "sched", "cluster", "plan", "store", "durable", "kernels", "obs", "screen", "perm", "energy"}
 	for _, name := range append([]string{"fig9"}, retired...) {
 		var out, errBuf bytes.Buffer
 		err := run([]string{"-exp", name}, &out, &errBuf)
@@ -101,13 +102,13 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestAllOutput: -exp all renders the eight paper experiments, in
+// TestAllOutput: -exp all renders the seven paper experiments, in
 // order, and nothing else.
 func TestAllOutput(t *testing.T) {
 	s := runExp(t, "-exp", "all", "-host-snps", "24", "-host-samples", "256")
 	headers := []string{
 		"== Figure 2a", "== Figure 2b", "== Figure 3", "== Figure 4", "== Table III",
-		"== Section V-D", "== DVFS energy study", "== Host-measured approach study (24 SNPs x 256 samples)",
+		"== Section V-D", "== Host-measured approach study (24 SNPs x 256 samples)",
 	}
 	at := 0
 	for _, h := range headers {
@@ -119,14 +120,5 @@ func TestAllOutput(t *testing.T) {
 	}
 	if n := strings.Count("\n"+s, "\n== "); n != len(headers) {
 		t.Errorf("-exp all printed %d experiment headers, want %d", n, len(headers))
-	}
-}
-
-func TestEnergyOutput(t *testing.T) {
-	s := runExp(t, "-exp", "energy")
-	for _, want := range []string{"DVFS energy study", "optimal GHz", "GI2 DVFS sweep"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("energy output missing %q", want)
-		}
 	}
 }

@@ -14,7 +14,6 @@
 //	epistasis -in data.tg -backend hetero        # collaborative CPU+GPU split
 //	epistasis -in data.tg -order 2               # pairs instead of triples
 //	epistasis -in data.tg -shard 0/4             # evaluate one shard of the space
-//	epistasis -in data.tg -auto                  # model-driven autotuning (prints the plan)
 //	epistasis -in data.tg -screen-survivors 64   # two-stage: pair screen, then triples on survivors
 //	epistasis -in data.tg -screen-budget 2.5     # planner-sized screen under a 2.5 s budget
 //	epistasis -in data.tg -permute 10000         # permutation-test the best candidate (bit-plane kernel)
@@ -120,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *jsonOut {
 		return writeJSON(stdout, summarize(sess, rep, pValue))
 	}
-	printPlan(stdout, rep)
 	printScreen(stdout, rep)
 	printReport(stdout, rep)
 	printPValue(stdout, pValue, *permute)
@@ -141,23 +139,6 @@ func printScreen(w io.Writer, rep *trigene.Report) {
 		s.PairsScanned, s.Survivors, s.Threshold, s.SeedPairs,
 		time.Duration(s.Stage1Ns).Round(time.Millisecond),
 		time.Duration(s.Stage2Ns).Round(time.Millisecond))
-}
-
-// printPlan renders the autotuner's price beside the run's realized rate.
-func printPlan(w io.Writer, rep *trigene.Report) {
-	p := rep.Plan
-	if p == nil {
-		return
-	}
-	fmt.Fprintf(w, "plan: backend=%s approach=%s workers=%d", p.Backend, p.Approach, p.Workers)
-	if p.Backend == "hetero" {
-		fmt.Fprintf(w, " cpu-split=%.2f", p.CPUFraction)
-	}
-	fmt.Fprintf(w, "\nplan: predicted %.2f G elem/s (%.0f combos/s); realized %.2f G elem/s\n",
-		(p.PredictedCPUGElems + p.PredictedGPUGElems), p.PredictedCombosPerSec, rep.ElementsPerSec/1e9)
-	if p.Reason != "" {
-		fmt.Fprintf(w, "plan: %s\n", p.Reason)
-	}
 }
 
 // printReport renders the unified Report in the tool's text format.
@@ -233,9 +214,6 @@ type jsonSummary struct {
 	Kernel     string                    `json:"kernel"`
 	Candidates []trigene.SearchCandidate `json:"candidates"`
 	PValue     *float64                  `json:"pValue,omitempty"`
-	// Plan surfaces the autotuner's decision trace (also embedded in
-	// Report) for -auto runs.
-	Plan *trigene.PlanInfo `json:"plan,omitempty"`
 	// Screen surfaces the two-stage screening audit trail (also
 	// embedded in Report) for -screen-* runs.
 	Screen *trigene.ScreenInfo `json:"screen,omitempty"`
@@ -261,7 +239,6 @@ func summarize(sess *trigene.Session, rep *trigene.Report, pValue *float64) json
 		Kernel:       trigene.Kernel(),
 		Candidates:   rep.TopK,
 		PValue:       pValue,
-		Plan:         rep.Plan,
 		Screen:       rep.Screen,
 		Report:       rep,
 	}

@@ -132,6 +132,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", junk}, &out, &errBuf); err == nil {
 		t.Error("junk input accepted")
 	}
+	// Autotuning left the tool with its -auto flag: asking for it fails
+	// at flag parsing.
+	if err := run([]string{"-in", path, "-auto"}, &out, &errBuf); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -auto") {
+		t.Errorf("-auto: err = %v, want an undefined-flag error", err)
+	}
 }
 
 func TestRunJSONOutput(t *testing.T) {
@@ -352,46 +358,6 @@ func TestRunVCFInput(t *testing.T) {
 	}
 }
 
-// TestRunAutoTune: -auto prints the plan in text mode, naming the
-// kernel that ran (the default V4F), and the
-// JSON summary carries the same trace (top-level and inside the
-// embedded stable Report).
-func TestRunAutoTune(t *testing.T) {
-	path := writeDataset(t, false)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-auto", "-topk", "3"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "plan: backend=cpu approach=V4F ") {
-		t.Errorf("plan line missing or not the default V4F:\n%s", s)
-	}
-	if !strings.Contains(s, "predicted") || !strings.Contains(s, "realized") {
-		t.Errorf("plan details missing:\n%s", s)
-	}
-	if !strings.Contains(s, "(1,7,12)") {
-		t.Errorf("planted triple not in autotuned output:\n%s", s)
-	}
-
-	out.Reset()
-	if err := run([]string{"-in", path, "-auto", "-json"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	var summary struct {
-		Plan   *trigene.PlanInfo `json:"plan"`
-		Report *trigene.Report   `json:"report"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &summary); err != nil {
-		t.Fatalf("decoding JSON output: %v", err)
-	}
-	if summary.Plan == nil || summary.Plan.Backend != "cpu" || summary.Plan.PredictedCPUGElems <= 0 {
-		t.Errorf("JSON plan: %+v", summary.Plan)
-	}
-	if summary.Report == nil || summary.Report.Plan == nil {
-		t.Error("embedded Report lost the plan")
-	}
-}
-
 // TestRunScreened drives the two-stage screen flags end to end: the
 // screened run still surfaces the planted triple, prints the audit
 // line, embeds ScreenInfo in -json output, and rejects bad budgets
@@ -470,7 +436,6 @@ func TestRunJSONMatchesSpec(t *testing.T) {
 			trigene.SearchSpec{TopK: 5, Approach: "V3F"}, []int{1, 3}},
 		{[]string{"-backend", "baseline", "-workers", "2"},
 			trigene.SearchSpec{TopK: 5, Backend: "baseline", Workers: 2}, nil},
-		{[]string{"-auto"}, trigene.SearchSpec{TopK: 5, AutoTune: true}, nil},
 	}
 	for _, tc := range cases {
 		name := strings.Join(tc.args, " ")

@@ -8,7 +8,6 @@
 //	trigened worker -coordinator http://c:9321 -cache-entries 8 -cache-dir /var/cache/trigene
 //	trigened pack   -in data.tg -out data.tpack # pre-encode a dataset offline
 //	trigened submit -coordinator http://c:9321 -in data.tg -tiles 64 -name scan1
-//	trigened submit -coordinator http://c:9321 -in data.tg -auto    # plan-aware job
 //	trigened submit -coordinator http://c:9321 -in data.tg -backend gpusim:GN1 -order 2
 //	trigened submit -coordinator http://c:9321 -in data.tg -wait    # block, print the Report
 //	trigened submit -coordinator http://c:9321 -in data.tg -screen-survivors 128  # two-stage screened job
@@ -22,7 +21,7 @@
 // lease tiles under heartbeat-renewed deadlines and the coordinator
 // merges their Reports bit-exactly (see the README's "Cluster
 // architecture" section). submit takes epistasis's search flags
-// (-backend, -order, -approach, -auto, -screen-*, …): both tools build
+// (-backend, -order, -approach, -screen-*, …): both tools build
 // the same trigene.SearchSpec from them, and `trigened result` emits
 // the same stable Report JSON as `epistasis -json`. A screened job
 // (-screen-survivors) runs as two phases: the pairwise pre-scan is
@@ -461,9 +460,9 @@ flags:`)
 		// A permutation job re-scores fixed candidates; the search-shaping
 		// flags do not combine with it (the coordinator re-rejects at the
 		// door, this just fails before any bytes are uploaded).
-		if spec.Screen != nil || spec.AutoTune || spec.Order != 0 || spec.Approach != "" ||
+		if spec.Screen != nil || spec.Order != 0 || spec.Approach != "" ||
 			(spec.Backend != "" && spec.Backend != "cpu") {
-			return fmt.Errorf("-perm does not combine with -screen-survivors/-auto/-order/-approach or a non-cpu -backend")
+			return fmt.Errorf("-perm does not combine with -screen-survivors/-order/-approach or a non-cpu -backend")
 		}
 		snps, err := parsePermCandidates(*perm)
 		if err != nil {

@@ -822,46 +822,3 @@ func TestWeightedLeaseConvergence(t *testing.T) {
 		t.Errorf("registry accounts %d completed tiles, want %d", total, tiles)
 	}
 }
-
-// TestClusterAutotunedParity: AutoTune crosses the wire — each worker
-// plans per tile, the tile Reports carry the trace, and the merged
-// Report stays bit-exact with local autotuned and untuned runs.
-func TestClusterAutotunedParity(t *testing.T) {
-	mx := plantedMatrix(t)
-	sess, err := trigene.NewSession(mx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := newTestCluster(t, Config{LeaseTTL: 5 * time.Second})
-	cl.Tiles = 7
-	startWorkers(t, cl, 4)
-	ctx := context.Background()
-
-	plain, err := sess.Search(ctx, trigene.WithTopK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	localTuned, err := sess.Search(ctx, trigene.WithTopK(5), trigene.WithAutoTune())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "local autotuned", localTuned, plain)
-	if localTuned.Approach != plain.Approach {
-		t.Errorf("local autotuned run ran %s, untuned %s", localTuned.Approach, plain.Approach)
-	}
-
-	remote, err := sess.Search(ctx, trigene.WithCluster(cl), trigene.WithTopK(5), trigene.WithAutoTune())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "cluster autotuned", remote, plain)
-	if remote.Approach != plain.Approach {
-		t.Errorf("cluster autotuned run ran %s, untuned %s", remote.Approach, plain.Approach)
-	}
-	if remote.Plan == nil {
-		t.Fatal("cluster-autotuned Report lost the plan trace on the wire")
-	}
-	if remote.Plan.Backend != "cpu" || remote.Plan.Approach != plain.Approach {
-		t.Errorf("cluster plan trace: %+v", remote.Plan)
-	}
-}

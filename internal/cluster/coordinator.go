@@ -288,10 +288,10 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "invalid spec: %v", err)
 			return
 		}
-		if req.Spec.Screen != nil || req.Spec.AutoTune ||
+		if req.Spec.Screen != nil ||
 			req.Spec.Approach != "" || req.Spec.Order != 0 || req.Spec.TopK > 1 {
 			writeErr(w, http.StatusBadRequest,
-				"invalid spec: permutation jobs do not combine with screen/autoTune/approach/order/topK")
+				"invalid spec: permutation jobs do not combine with screen/approach/order/topK")
 			return
 		}
 		if perms := pm.PermutationCount(); req.Tiles > perms {

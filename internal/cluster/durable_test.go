@@ -742,16 +742,16 @@ func TestDurableDeadlineSurvivesRestart(t *testing.T) {
 // TestDurableLegacyEnergyBudgetSpec: releases with an energy budget
 // option submitted and journaled specs carrying "energyBudgetWatts",
 // always beside "autoTune": true. Such a spec still decodes — from a
-// journal written by such a release, and at the submit door — with the
-// budget ignored, and runs autotuned: the merged Report carries the plan
-// and equals the local WithAutoTune run.
+// journal written by such a release, and at the submit door — with both
+// keys ignored, and runs untuned: the merged Report equals the local
+// search.
 func TestDurableLegacyEnergyBudgetSpec(t *testing.T) {
 	mx := plantedMatrix(t)
 	sess := sessionFor(t, mx)
 	ctx := context.Background()
 	const legacySpec = `{"topK":4,"workers":1,"autoTune":true,"energyBudgetWatts":45}`
-	want := trigene.SearchSpec{TopK: 4, Workers: 1, AutoTune: true}
-	local, err := sess.Search(ctx, trigene.WithTopK(4), trigene.WithWorkers(1), trigene.WithAutoTune())
+	want := trigene.SearchSpec{TopK: 4, Workers: 1}
+	local, err := sess.Search(ctx, trigene.WithTopK(4), trigene.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,9 +781,6 @@ func TestDurableLegacyEnergyBudgetSpec(t *testing.T) {
 			t.Fatal(err)
 		}
 		reportsEqual(t, "legacy spec", remote, local)
-		if remote.Plan == nil {
-			t.Error("legacy autotuned spec ran unplanned")
-		}
 	}
 
 	t.Run("journaled", func(t *testing.T) {

@@ -68,16 +68,17 @@ func UnrankTriple(rank int64, m int) (i, j, k int) {
 	if rank < 0 || rank >= Triples(m) {
 		panic(fmt.Sprintf("combin: rank %d out of range for m=%d", rank, m))
 	}
-	k = invBinomial(rank, 3, m)
+	k = InvBinomial(rank, 3, m)
 	rank -= Binomial(k, 3)
-	j = invBinomial(rank, 2, k)
+	j = InvBinomial(rank, 2, k)
 	rank -= Binomial(j, 2)
 	i = int(rank)
 	return i, j, k
 }
 
-// invBinomial returns the largest v < bound with C(v, k) <= target.
-func invBinomial(target int64, k, bound int) int {
+// InvBinomial returns the largest v < bound with C(v, k) <= target, at
+// least k-1.
+func InvBinomial(target int64, k, bound int) int {
 	lo, hi := k-1, bound-1 // C(k-1, k) == 0 <= target always holds
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -140,7 +141,7 @@ func UnrankPair(rank int64, m int) (i, j int) {
 	if rank < 0 || rank >= Pairs(m) {
 		panic(fmt.Sprintf("combin: pair rank %d out of range for m=%d", rank, m))
 	}
-	j = invBinomial(rank, 2, m)
+	j = InvBinomial(rank, 2, m)
 	i = int(rank - Binomial(j, 2))
 	return i, j
 }
@@ -182,7 +183,7 @@ func UnrankK(rank int64, m int, dst []int) []int {
 	}
 	bound := m
 	for i := k - 1; i >= 0; i-- {
-		v := invBinomial(rank, i+1, bound)
+		v := InvBinomial(rank, i+1, bound)
 		dst[i] = v
 		rank -= Binomial(v, i+1)
 		bound = v

@@ -14,7 +14,6 @@ type SearchFlags struct {
 	In, Format, Phen             string
 	Backend, Approach, Objective string
 	Order, TopK, Workers         int
-	Auto                         bool
 	ScreenSurvivors, ScreenSeeds int
 	// ScreenBudget is ScreenSpec.BudgetSeconds. BindSearchFlags leaves
 	// it unbound: a cluster job sizes its screen by survivors only, so
@@ -34,7 +33,6 @@ func BindSearchFlags(fs *flag.FlagSet) *SearchFlags {
 	fs.IntVar(&f.TopK, "topk", 5, "number of candidates to report")
 	fs.StringVar(&f.Objective, "objective", "", "objective: k2, mi or gini (default: the backend's native objective)")
 	fs.IntVar(&f.Workers, "workers", 0, "host parallelism of each node that runs the search (0 = all cores)")
-	fs.BoolVar(&f.Auto, "auto", false, "model-driven autotuning: the node that runs the search prices the backend and approach it runs with the paper's models and records that price as the Report's plan; the run itself is unchanged")
 	fs.IntVar(&f.ScreenSurvivors, "screen-survivors", 0, "two-stage screening: keep the S best SNPs from a pairwise pre-scan and search only among them (0 = no screen)")
 	fs.IntVar(&f.ScreenSeeds, "screen-seeds", 0, "with a screen: also extend the top P screened pairs with every third SNP, guarding against survivors pruned by a marginal-free interaction (0 = none)")
 	return f
@@ -50,7 +48,6 @@ func (f *SearchFlags) Spec(snps int) (trigene.SearchSpec, error) {
 		Backend:   f.Backend,
 		Approach:  f.Approach,
 		Workers:   f.Workers,
-		AutoTune:  f.Auto,
 	}
 	if f.ScreenSurvivors != 0 || f.ScreenSeeds != 0 || f.ScreenBudget != 0 {
 		sc := trigene.ScreenSpec{

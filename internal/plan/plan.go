@@ -5,17 +5,15 @@
 // The planner chooses neither the kernel nor the device: the caller
 // names the backend and the CPU approach the search runs (Constraints),
 // and the planner predicts their throughput on a host description (a
-// Table I CPU, or the live host's synthesized model). The prediction
-// is reported (Report.Plan) and sizes budget-only screens
-// (DecideScreen); it does not cut the run. The scheduler sizes every
-// claim from the run's own inputs (sched.AutoGrain), so a planned run
-// claims the same tiles as an unplanned one and returns a bit-exact
-// Report, which the shard-parity tests enforce across every backend.
+// Table I CPU, or the live host's synthesized model). The product reads
+// the prediction in one place: DecideScreen sizes a budget-only screen
+// (ScreenSpec.BudgetSeconds) from it. The benchmark harness compares
+// Decide's CPU rate with the measured one. Nothing else in a run
+// depends on the model.
 package plan
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"trigene/internal/carm"
@@ -38,14 +36,12 @@ type Workload struct {
 type Host struct {
 	// CPU is the CPU device model (a Table I entry or device.Host()).
 	CPU device.CPU
-	// Workers is the CPU worker-pool size (0 = CPU.TotalCores()).
-	Workers int
 }
 
 // LiveHost probes the running machine: the synthesized device.Host()
-// CPU model and the Go runtime's processor count as the pool size.
+// CPU model.
 func LiveHost() Host {
-	return Host{CPU: device.Host(), Workers: runtime.GOMAXPROCS(0)}
+	return Host{CPU: device.Host()}
 }
 
 // Constraints names the configuration the search runs; the planner
@@ -66,31 +62,17 @@ type Constraints struct {
 // defaultApproach is the engine's default CPU kernel, V4F.
 const defaultApproach = 6
 
-// Plan is one executable set of decisions.
+// Plan is the modeled throughput of one configuration.
 type Plan struct {
-	// Backend is the engine priced; Approach names the CPU kernel the
-	// prediction prices ("V1".."V4", "V3F", "V4F"), empty on a gpusim
-	// plan.
-	Backend, Approach string
-	// Workers is the CPU pool size the predictions assume.
-	Workers int
-	// CPUFraction is the modeled CPU share of the work: 1 on CPU
-	// plans, 0 on gpusim plans, the throughput-proportional split on
-	// hetero ones (what the work-stealing run is expected to realize).
-	CPUFraction float64
-
-	// PredictedCPUGElems and PredictedGPUGElems are the modeled engine
-	// throughputs in G elements/s, each capped
-	// by the device's roofline ceiling at the approach's intensity.
-	PredictedCPUGElems, PredictedGPUGElems float64
-	// PredictedCombosPerSec restates the combined rate as
-	// combinations per second across the whole host.
+	// Backend is the engine priced.
+	Backend string
+	// PredictedCPUGElems is the modeled CPU engine throughput in G
+	// elements/s, capped by the device's roofline ceiling at the
+	// approach's intensity; 0 on a gpusim plan.
+	PredictedCPUGElems float64
+	// PredictedCombosPerSec is the combined CPU and GPU rate in
+	// combinations per second.
 	PredictedCombosPerSec float64
-
-	// CPUDevice and GPUDevice name the device models consulted.
-	CPUDevice, GPUDevice string
-	// Reason is the human-readable decision trace.
-	Reason string
 }
 
 // Decide computes the plan for a workload on a host under the given
@@ -109,43 +91,27 @@ func Decide(w Workload, h Host, c Constraints) (*Plan, error) {
 	if h.CPU.ID == "" {
 		return nil, fmt.Errorf("plan: host has no CPU model")
 	}
-	workers := h.Workers
-	if workers < 1 {
-		workers = h.CPU.TotalCores()
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	backend := c.Backend
 	if backend == "" {
 		backend = "cpu"
 	}
-	p := &Plan{Backend: backend, Workers: workers, CPUDevice: h.CPU.ID}
+	p := &Plan{Backend: backend}
 
 	// The device side: a gpusim backend names its device; hetero runs
 	// beside its pairing, GN1.
-	var gpu *device.GPU
-	id, gpusim := strings.CutPrefix(backend, "gpusim:")
-	switch {
-	case gpusim:
-		g, err := device.GPUByID(id)
-		if err != nil {
-			return nil, fmt.Errorf("plan: %w", err)
-		}
-		gpu = &g
-	case backend == "hetero":
-		g, err := device.GPUByID("GN1")
-		if err != nil {
-			return nil, fmt.Errorf("plan: %w", err)
-		}
-		gpu = &g
+	gpuID, gpusim := strings.CutPrefix(backend, "gpusim:")
+	if backend == "hetero" {
+		gpuID = "GN1"
 	}
 	var cpuRate, gpuRate float64
-	if gpu != nil {
-		gpuRate = perfmodel.GPUOverallGElemPerSec(*gpu, w.SNPs, w.Samples)
-		gpuRate = carm.CapElemRate(carm.GPUModel(*gpu), perfmodel.GPUCost(), gpuRate)
-		p.GPUDevice = gpu.ID
+	if gpusim || backend == "hetero" {
+		g, err := device.GPUByID(gpuID)
+		if err != nil {
+			return nil, fmt.Errorf("plan: %w", err)
+		}
+		gpuRate = perfmodel.GPUOverallGElemPerSec(g, w.SNPs, w.Samples)
+		gpuRate = carm.CapElemRate(carm.GPUModel(g), perfmodel.GPUCost(), gpuRate)
 	}
 
 	// The CPU side prices the kernel the search runs, capped by the
@@ -164,21 +130,9 @@ func Decide(w Workload, h Host, c Constraints) (*Plan, error) {
 			return nil, err
 		}
 		cpuRate = carm.CapElemRate(carm.CPUModel(h.CPU, true), cost, r)
-		p.Approach = perfmodel.ApproachName(approach)
 	}
 
-	switch {
-	case backend == "hetero":
-		p.CPUFraction = cpuRate / (cpuRate + gpuRate)
-		p.Reason = fmt.Sprintf("split %s %s + %s at %.0f%% CPU by modeled throughput", h.CPU.ID, p.Approach, gpu.ID, 100*p.CPUFraction)
-	case gpusim:
-		p.Reason = fmt.Sprintf("%s runs alone at %.3g G elem/s modeled", gpu.ID, gpuRate)
-	default:
-		p.CPUFraction = 1
-		p.Reason = fmt.Sprintf("%s runs %s at %.3g G elem/s modeled", h.CPU.ID, p.Approach, cpuRate)
-	}
 	p.PredictedCPUGElems = cpuRate
-	p.PredictedGPUGElems = gpuRate
 	p.PredictedCombosPerSec = (cpuRate + gpuRate) * 1e9 / float64(w.Samples)
 	return p, nil
 }

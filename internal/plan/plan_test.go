@@ -17,6 +17,9 @@ func hostCI3() Host {
 
 var wl = Workload{SNPs: 4096, Samples: 16384}
 
+// TestDecideCPUPricesDefaultKernel: the empty constraint prices the cpu
+// backend running the engine default, V4F, and restates the rate in
+// combinations per second.
 func TestDecideCPUPricesDefaultKernel(t *testing.T) {
 	p, err := Decide(wl, hostCI3(), Constraints{})
 	if err != nil {
@@ -25,23 +28,23 @@ func TestDecideCPUPricesDefaultKernel(t *testing.T) {
 	if p.Backend != "cpu" {
 		t.Errorf("backend = %q, want cpu (the empty constraint)", p.Backend)
 	}
-	if p.Approach != "V4F" {
-		t.Errorf("approach = %q, want V4F (the engine default)", p.Approach)
+	v4f, err := Decide(wl, hostCI3(), Constraints{Approach: 6})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.CPUFraction != 1 || p.PredictedGPUGElems != 0 {
-		t.Errorf("pure CPU plan carries a GPU share: frac=%g gpu=%g", p.CPUFraction, p.PredictedGPUGElems)
+	if *p != *v4f {
+		t.Errorf("default plan %+v, want the V4F plan %+v", p, v4f)
 	}
-	if p.PredictedCPUGElems <= 0 || p.PredictedCombosPerSec <= 0 {
-		t.Errorf("predictions not populated: %+v", p)
+	if p.PredictedCPUGElems <= 0 {
+		t.Fatalf("predictions not populated: %+v", p)
 	}
-	if p.Reason == "" {
-		t.Error("empty decision trace")
+	if want := p.PredictedCPUGElems * 1e9 / float64(wl.Samples); math.Abs(p.PredictedCombosPerSec-want) > 1e-6*want {
+		t.Errorf("combos/s %g, want %g", p.PredictedCombosPerSec, want)
 	}
 }
 
 // TestDecideLiveHost: on the live host's model an unconstrained plan
-// prices the engine default V4F at every benchmark shape and beyond,
-// never the portable V3F the model once rated higher.
+// prices the engine default V4F at every benchmark shape and beyond.
 func TestDecideLiveHost(t *testing.T) {
 	for _, w := range []Workload{
 		{SNPs: 64, Samples: 2048},
@@ -55,65 +58,72 @@ func TestDecideLiveHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Backend != "cpu" || p.CPUDevice != "HOST" || p.Approach != "V4F" {
-			t.Errorf("%d x %d live-host plan: backend=%q device=%q approach=%q", w.SNPs, w.Samples, p.Backend, p.CPUDevice, p.Approach)
+		v4f, err := Decide(w, LiveHost(), Constraints{Approach: 6})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Workers < 1 || p.PredictedCPUGElems <= 0 {
-			t.Errorf("%d x %d live-host plan: workers=%d predicted=%g", w.SNPs, w.Samples, p.Workers, p.PredictedCPUGElems)
+		if p.Backend != "cpu" || p.PredictedCPUGElems <= 0 || *p != *v4f {
+			t.Errorf("%d x %d live-host plan %+v, V4F plan %+v", w.SNPs, w.Samples, p, v4f)
 		}
 	}
 }
 
-// TestDecidePinnedHeteroPricesV2: hetero's CPU half runs V2, so its
-// split is priced on V2 against GN1. Priced as V4F instead, the same
-// plan read 0.406.
+// TestDecidePinnedHeteroPricesV2: hetero's CPU half runs V2, so a hetero
+// plan adds GN1's rate to the V2 rate. The CPU share of that sum is
+// 0.154; priced as V4F instead, the same share read 0.406.
 func TestDecidePinnedHeteroPricesV2(t *testing.T) {
-	h := hostCI3()
-	h.Workers = 2
-	p, err := Decide(Workload{SNPs: 96, Samples: 16384}, h, Constraints{Backend: "hetero", Approach: 2})
+	w := Workload{SNPs: 96, Samples: 16384}
+	p, err := Decide(w, hostCI3(), Constraints{Backend: "hetero", Approach: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Backend != "hetero" || p.Approach != "V2" || p.GPUDevice != "GN1" {
-		t.Fatalf("hetero plan: backend=%q approach=%q gpu=%q", p.Backend, p.Approach, p.GPUDevice)
+	cpu, err := Decide(w, hostCI3(), Constraints{Approach: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(p.CPUFraction-0.154) > 0.0005 {
-		t.Errorf("split %.4f, want 0.154", p.CPUFraction)
+	gpu, err := Decide(w, hostCI3(), Constraints{Backend: "gpusim:GN1"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The split is throughput-proportional.
-	want := p.PredictedCPUGElems / (p.PredictedCPUGElems + p.PredictedGPUGElems)
-	if diff := p.CPUFraction - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("split %g, want %g", p.CPUFraction, want)
+	if p.Backend != "hetero" || p.PredictedCPUGElems != cpu.PredictedCPUGElems {
+		t.Fatalf("hetero plan %+v, V2 plan %+v", p, cpu)
+	}
+	if sum := cpu.PredictedCombosPerSec + gpu.PredictedCombosPerSec; math.Abs(p.PredictedCombosPerSec-sum) > 1e-9*sum {
+		t.Errorf("hetero combos/s %g, want V2 + GN1 = %g", p.PredictedCombosPerSec, sum)
+	}
+	if share := cpu.PredictedCombosPerSec / p.PredictedCombosPerSec; math.Abs(share-0.154) > 0.0005 {
+		t.Errorf("CPU share %.4f, want 0.154", share)
 	}
 }
 
 func TestDecideHonorsConstraints(t *testing.T) {
-	p, err := Decide(wl, hostCI3(), Constraints{Backend: "baseline", Approach: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Backend != "baseline" || p.Approach != "V1" {
-		t.Errorf("baseline constraint: backend=%q approach=%q", p.Backend, p.Approach)
-	}
-
-	for a, name := range map[int]string{2: "V2", 5: "V3F", 6: "V4F"} {
-		p, err = Decide(wl, hostCI3(), Constraints{Approach: a})
+	rate := func(c Constraints) float64 {
+		t.Helper()
+		p, err := Decide(wl, hostCI3(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Approach != name {
-			t.Errorf("approach %d constraint priced %q, want %q", a, p.Approach, name)
+		if p.PredictedCPUGElems <= 0 {
+			t.Fatalf("%+v: no CPU rate: %+v", c, p)
 		}
+		return p.PredictedCPUGElems
 	}
+	// The approach is what is priced, on cpu and baseline alike.
+	if rate(Constraints{Backend: "baseline", Approach: 1}) != rate(Constraints{Approach: 1}) {
+		t.Error("baseline V1 priced unlike cpu V1")
+	}
+	if rate(Constraints{Approach: 2}) == rate(Constraints{Approach: 6}) {
+		t.Error("V2 and V4F priced alike")
+	}
+	rate(Constraints{Approach: 5})
 
 	// A gpusim constraint supplies its own device model and prices no
 	// CPU kernel.
-	p, err = Decide(wl, hostCI3(), Constraints{Backend: "gpusim:GI2", Approach: 6})
+	p, err := Decide(wl, hostCI3(), Constraints{Backend: "gpusim:GI2", Approach: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Backend != "gpusim:GI2" || p.GPUDevice != "GI2" || p.PredictedGPUGElems <= 0 ||
-		p.Approach != "" || p.PredictedCPUGElems != 0 || p.CPUFraction != 0 {
+	if p.Backend != "gpusim:GI2" || p.PredictedCPUGElems != 0 || p.PredictedCombosPerSec <= 0 {
 		t.Errorf("gpusim constraint: %+v", p)
 	}
 
@@ -131,8 +141,8 @@ func TestDecideOrderGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Approach != "V2" || p.PredictedCPUGElems <= 0 {
-		t.Errorf("order-4 plan: approach %q, predicted %g", p.Approach, p.PredictedCPUGElems)
+	if p.PredictedCPUGElems <= 0 {
+		t.Errorf("order-4 plan: predicted %g", p.PredictedCPUGElems)
 	}
 	if _, err := Decide(Workload{SNPs: 3, Samples: 4000, Order: 4}, hostCI3(), Constraints{Approach: 2}); err == nil {
 		t.Error("3 SNPs at order 4 accepted")

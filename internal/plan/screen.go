@@ -7,13 +7,12 @@ import (
 )
 
 // Two-stage cost model: should a search screen, and at what survivor
-// budget? The decision compares the modeled cost of exhaustive C(M,3)
-// search against stage-1 C(M,2) + stage-2 C(S,3) under a wall-time
-// budget, using the same per-approach throughput predictions the
-// single-stage planner runs on. Like every Plan, the decision steers
-// execution shape only — what the screened run searches is decided by
-// the screen's own semantics, and the decision is audited in the
-// Report.
+// budget? The decision compares the modeled cost of exhaustive C(M,k)
+// search against stage-1 C(M,2) + stage-2 C(S,k) under a wall-time
+// budget, using the same per-approach throughput predictions Decide
+// makes. The decision sizes the screen only — what the screened run
+// searches is decided by the screen's own semantics — and the Report's
+// screen audit records it.
 
 // screenPairRateFactor models the stage-1 pair kernel relative to the
 // triple kernel the throughput predictions describe: pairs scan this many
@@ -26,13 +25,14 @@ import (
 // (contingency.TripleCounted), but its cost per combination is no longer
 // proportional to that count, and the throughput predictions this factor
 // scales have not been recalibrated to it. So the factor stays where it
-// was, and with it every budget-screen decision and Report.Plan; taking
+// was, and with it every budget-screen decision; taking
 // it from a measurement is the planner's calibration work, not a change
 // of a kernel.
 const screenPairRateFactor = 4.5
 
-// minScreenSurvivors floors the survivor budget: below 3 SNPs stage 2
-// has no triples to search.
+// minScreenSurvivors floors the survivor budget at every order: a screen
+// keeps at least 3 SNPs, and at least k at order k, which stage 2 needs
+// for one combination.
 const minScreenSurvivors = 3
 
 // ScreenDecision is the planner's verdict on a budget-only screen.
@@ -66,27 +66,31 @@ func DecideScreen(w Workload, h Host, c Constraints, budgetSec float64) (*Screen
 	if combosPerSec <= 0 {
 		return nil, fmt.Errorf("plan: no modeled throughput for %s; cannot size a screen", p.Backend)
 	}
+	order := w.Order
+	if order == 0 {
+		order = 3
+	}
 	m := w.SNPs
 	d := &ScreenDecision{
-		PredictedExhaustiveSec: float64(combin.Triples(m)) / combosPerSec,
+		PredictedExhaustiveSec: float64(combin.Binomial(m, order)) / combosPerSec,
 		PredictedStage1Sec:     float64(combin.Pairs(m)) / (combosPerSec * screenPairRateFactor),
 	}
 	if d.PredictedExhaustiveSec <= budgetSec {
 		d.Decline = true
-		d.Reason = fmt.Sprintf("exhaustive C(%d,3) fits the %.3gs budget (predicted %.3gs); a screen would only add the pair scan",
-			m, budgetSec, d.PredictedExhaustiveSec)
+		d.Reason = fmt.Sprintf("exhaustive C(%d,%d) fits the %.3gs budget (predicted %.3gs); a screen would only add the pair scan",
+			m, order, budgetSec, d.PredictedExhaustiveSec)
 		return d, nil
 	}
-	s := minScreenSurvivors
-	clamped := false
+	floor := max(minScreenSurvivors, order)
+	s := floor - 1
 	if remaining := budgetSec - d.PredictedStage1Sec; remaining > 0 {
-		s = maxSurvivorsWithin(int64(remaining*combosPerSec), m)
-	} else {
-		clamped = true
+		// The largest survivor set whose C(s,k) stage 2 fits what the
+		// pair scan leaves of the budget.
+		s = combin.InvBinomial(int64(remaining*combosPerSec), order, m+1)
 	}
-	if s < minScreenSurvivors {
-		s = minScreenSurvivors
-		clamped = true
+	clamped := s < floor
+	if clamped {
+		s = floor
 	}
 	if s >= m {
 		d.Decline = true
@@ -94,30 +98,11 @@ func DecideScreen(w Workload, h Host, c Constraints, budgetSec float64) (*Screen
 		return d, nil
 	}
 	d.Survivors = s
-	d.PredictedStage2Sec = float64(combin.Triples(s)) / combosPerSec
+	d.PredictedStage2Sec = float64(combin.Binomial(s, order)) / combosPerSec
 	d.Reason = fmt.Sprintf("screen %d SNPs to %d survivors: predicted stage 1 %.3gs + stage 2 %.3gs against exhaustive %.3gs",
 		m, s, d.PredictedStage1Sec, d.PredictedStage2Sec, d.PredictedExhaustiveSec)
 	if clamped {
 		d.Reason += " (budget below the screen floor; kept the minimum survivor set)"
 	}
 	return d, nil
-}
-
-// maxSurvivorsWithin returns the largest s <= bound with
-// C(s,3) <= target triples (at least minScreenSurvivors - 1 = 2, so
-// callers can detect the floor).
-func maxSurvivorsWithin(target int64, bound int) int {
-	if target < 1 {
-		return minScreenSurvivors - 1
-	}
-	lo, hi := minScreenSurvivors-1, bound
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if combin.Triples(mid) <= target {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }

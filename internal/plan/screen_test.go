@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,12 +9,12 @@ import (
 	"trigene/internal/combin"
 )
 
-// modelScreen fetches the model's wall-time projections for wl by
-// asking for a decision under an effectively unlimited budget (which
-// always declines — exhaustive fits — but carries the predictions).
-func modelScreen(t *testing.T) *ScreenDecision {
+// modelScreen fetches the model's wall-time projections for w by asking
+// for a decision under an effectively unlimited budget (which always
+// declines — exhaustive fits — but carries the predictions).
+func modelScreen(t *testing.T, w Workload) *ScreenDecision {
 	t.Helper()
-	d, err := DecideScreen(wl, hostCI3(), Constraints{}, 1e12)
+	d, err := DecideScreen(w, hostCI3(), Constraints{}, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestScreenPairRateFollowsCountedCells(t *testing.T) {
 	if screenPairRateFactor != 4.5 {
 		t.Fatalf("screenPairRateFactor = %v, want the model constant 4.5", screenPairRateFactor)
 	}
-	model := modelScreen(t)
+	model := modelScreen(t, wl)
 	perTriple := model.PredictedExhaustiveSec / float64(combin.Triples(wl.SNPs))
 	perPair := model.PredictedStage1Sec / float64(combin.Pairs(wl.SNPs))
 	if got := perTriple / perPair; math.Abs(got-4.5) > 1e-9 {
@@ -55,80 +56,96 @@ func TestDecideScreenBudgetValidation(t *testing.T) {
 }
 
 // TestDecideScreenDeclinesWhenExhaustiveFits: when the exhaustive
-// C(M,3) search already fits the budget, screening would only add the
-// pair scan, so the planner declines and says why.
+// C(M,k) search already fits the budget, screening would only add the
+// pair scan, so the planner declines and says why, at every order.
 func TestDecideScreenDeclinesWhenExhaustiveFits(t *testing.T) {
-	model := modelScreen(t)
-	d, err := DecideScreen(wl, hostCI3(), Constraints{}, model.PredictedExhaustiveSec*2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Decline {
-		t.Fatalf("budget twice the exhaustive cost did not decline: %+v", d)
-	}
-	if d.Survivors != 0 {
-		t.Errorf("declined decision carries a survivor budget %d", d.Survivors)
-	}
-	if !strings.Contains(d.Reason, "fits") {
-		t.Errorf("reason %q does not explain the decline", d.Reason)
+	for _, k := range []int{2, 3, 4} {
+		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
+		model := modelScreen(t, w)
+		d, err := DecideScreen(w, hostCI3(), Constraints{}, model.PredictedExhaustiveSec*2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Decline {
+			t.Fatalf("order %d: budget twice the exhaustive cost did not decline: %+v", k, d)
+		}
+		if d.Survivors != 0 {
+			t.Errorf("order %d: declined decision carries a survivor budget %d", k, d.Survivors)
+		}
+		if want := fmt.Sprintf("exhaustive C(%d,%d) fits", w.SNPs, k); !strings.Contains(d.Reason, want) {
+			t.Errorf("order %d: reason %q does not say %q", k, d.Reason, want)
+		}
 	}
 }
 
 // TestDecideScreenSizesUnderTightBudget: a budget well below the
 // exhaustive cost yields a real pruning decision — a survivor set
-// strictly between the floor and M whose two-stage cost fits the
-// budget — and more budget never shrinks it.
+// strictly between the floor and M whose two-stage cost, C(M,2) pairs
+// and C(S,k) combinations, fits the budget — and more budget never
+// shrinks it.
 func TestDecideScreenSizesUnderTightBudget(t *testing.T) {
-	model := modelScreen(t)
-	budget := model.PredictedExhaustiveSec / 100
-	d, err := DecideScreen(wl, hostCI3(), Constraints{}, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Decline {
-		t.Fatalf("tight budget declined: %s", d.Reason)
-	}
-	if d.Survivors < minScreenSurvivors || d.Survivors >= wl.SNPs {
-		t.Errorf("survivor budget %d outside (%d, %d)", d.Survivors, minScreenSurvivors, wl.SNPs)
-	}
-	if total := d.PredictedStage1Sec + d.PredictedStage2Sec; total > budget {
-		t.Errorf("predicted two-stage cost %.3gs exceeds the %.3gs budget", total, budget)
-	}
-	if d.Reason == "" {
-		t.Error("sized decision has no reason")
-	}
+	for _, k := range []int{3, 4} {
+		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
+		model := modelScreen(t, w)
+		budget := model.PredictedExhaustiveSec / 100
+		d, err := DecideScreen(w, hostCI3(), Constraints{}, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Decline {
+			t.Fatalf("order %d: tight budget declined: %s", k, d.Reason)
+		}
+		if d.Survivors <= max(minScreenSurvivors, k) || d.Survivors >= w.SNPs {
+			t.Errorf("order %d: survivor budget %d outside (%d, %d)", k, d.Survivors, max(minScreenSurvivors, k), w.SNPs)
+		}
+		if total := d.PredictedStage1Sec + d.PredictedStage2Sec; total > budget {
+			t.Errorf("order %d: predicted two-stage cost %.3gs exceeds the %.3gs budget", k, total, budget)
+		}
+		// S is the largest set that fits: one more SNP's C(S+1,k) does not.
+		perComb := model.PredictedExhaustiveSec / float64(combin.Binomial(w.SNPs, k))
+		if over := d.PredictedStage1Sec + float64(combin.Binomial(d.Survivors+1, k))*perComb; over <= budget {
+			t.Errorf("order %d: %d survivors would also fit (%.3gs)", k, d.Survivors+1, over)
+		}
+		if d.Reason == "" {
+			t.Error("sized decision has no reason")
+		}
 
-	// Monotonicity: ten times the budget affords at least as many
-	// survivors.
-	wide, err := DecideScreen(wl, hostCI3(), Constraints{}, budget*10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Decline {
-		t.Fatalf("10x budget declined: %s", wide.Reason)
-	}
-	if wide.Survivors < d.Survivors {
-		t.Errorf("10x budget shrank the survivor set: %d -> %d", d.Survivors, wide.Survivors)
+		// Monotonicity: ten times the budget affords at least as many
+		// survivors.
+		wide, err := DecideScreen(w, hostCI3(), Constraints{}, budget*10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide.Decline {
+			t.Fatalf("order %d: 10x budget declined: %s", k, wide.Reason)
+		}
+		if wide.Survivors < d.Survivors {
+			t.Errorf("order %d: 10x budget shrank the survivor set: %d -> %d", k, d.Survivors, wide.Survivors)
+		}
 	}
 }
 
 // TestDecideScreenClampsToFloor: a budget too small even for the pair
-// scan keeps the minimum viable survivor set rather than declining —
-// screening still beats exhaustive search here — and flags the clamp.
+// scan keeps the minimum viable survivor set — 3 SNPs, and k at order
+// k — rather than declining (screening still beats exhaustive search
+// here), and flags the clamp.
 func TestDecideScreenClampsToFloor(t *testing.T) {
-	model := modelScreen(t)
-	d, err := DecideScreen(wl, hostCI3(), Constraints{}, model.PredictedStage1Sec/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Decline {
-		t.Fatalf("floor-clamped budget declined: %s", d.Reason)
-	}
-	if d.Survivors != minScreenSurvivors {
-		t.Errorf("survivor budget %d, want the %d floor", d.Survivors, minScreenSurvivors)
-	}
-	if !strings.Contains(d.Reason, "floor") {
-		t.Errorf("reason %q does not flag the clamp", d.Reason)
+	for _, k := range []int{2, 3, 4, 5} {
+		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
+		model := modelScreen(t, w)
+		d, err := DecideScreen(w, hostCI3(), Constraints{}, model.PredictedStage1Sec/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Decline {
+			t.Fatalf("order %d: floor-clamped budget declined: %s", k, d.Reason)
+		}
+		if want := max(minScreenSurvivors, k); d.Survivors != want {
+			t.Errorf("order %d: survivor budget %d, want the %d floor", k, d.Survivors, want)
+		}
+		if !strings.Contains(d.Reason, "floor") {
+			t.Errorf("order %d: reason %q does not flag the clamp", k, d.Reason)
+		}
 	}
 }
 

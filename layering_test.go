@@ -11,7 +11,7 @@ import (
 // packages a search runs on — engine, the encoded-dataset store, the
 // scheduler, the kernels, the objectives, the permutation test, the
 // dataset formats and the bit vectors — reach none of the packages that
-// model devices, simulate the GPU, run the baseline or plan runs. A core
+// model devices, simulate the GPU, run the baseline or price runs. A core
 // package that needs a number from a model takes it as an argument.
 // cluster is not on the list: it serves jobs through the root package,
 // which imports gpusim for its simulated-GPU backend. The walk reads
@@ -19,7 +19,7 @@ import (
 // purego tag.
 func TestCoreDoesNotLinkModels(t *testing.T) {
 	core := []string{"engine", "store", "sched", "contingency", "score", "permtest", "dataset", "bitvec"}
-	models := []string{"carm", "perfmodel", "energy", "device", "gpusim", "hetero", "mpi3snp", "plan"}
+	models := []string{"carm", "perfmodel", "device", "gpusim", "hetero", "mpi3snp", "plan"}
 	for _, tags := range [][]string{nil, {"purego"}} {
 		ctx := build.Default
 		ctx.BuildTags = tags
@@ -38,17 +38,6 @@ func TestCoreDoesNotLinkModels(t *testing.T) {
 				t.Errorf("tags %v: %s reaches %s: %s", tags, pkg, m, strings.Join(chain, " -> "))
 			}
 		}
-	}
-}
-
-// TestPlannerDoesNotLinkEnergy: the DVFS energy model is a benchsuite
-// study (`-exp energy`), not an input to the planner, which picks from
-// the roofline and throughput models alone.
-func TestPlannerDoesNotLinkEnergy(t *testing.T) {
-	from := map[string]string{}
-	walkImports(t, &build.Default, "trigene/internal/plan", "", from)
-	if _, ok := from["trigene/internal/energy"]; ok {
-		t.Errorf("internal/plan reaches internal/energy through %s", from["trigene/internal/energy"])
 	}
 }
 

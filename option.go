@@ -31,12 +31,6 @@ type searchConfig struct {
 	trace       bool
 	screen      *ScreenSpec
 
-	// Autotuning (WithAutoTune).
-	autotune bool
-	// The planner's price, filled by Session.applyPlan and attached as
-	// Report.Plan.
-	planInfo *PlanInfo
-
 	// Permutation-test knobs (ignored by Search).
 	permutations int
 	seed         int64
@@ -143,9 +137,7 @@ func WithObjective(name string) Option {
 	}
 }
 
-// WithBackend selects the execution engine (default CPU()). Under
-// WithAutoTune the planner prices the backend that runs, pinned or
-// default; it never chooses one.
+// WithBackend selects the execution engine (default CPU()).
 func WithBackend(b Backend) Option {
 	return func(c *searchConfig) error {
 		if b == nil {
@@ -156,25 +148,10 @@ func WithBackend(b Backend) Option {
 	}
 }
 
-// WithAutoTune turns on model-driven pricing: before the search runs,
-// the paper's analytical machinery (the CARM roofline and the
-// per-approach throughput models) prices the backend and approach the
-// search runs — the pinned ones, or each backend's default — and the
-// price is returned as Report.Plan. It chooses neither the backend nor
-// the approach, and it does not change how the scheduler cuts the
-// space: an autotuned run claims the same tiles as an untuned one, and
-// its Report is bit-exact with the untuned one apart from Report.Plan.
-func WithAutoTune() Option {
-	return func(c *searchConfig) error {
-		c.autotune = true
-		return nil
-	}
-}
-
 // WithApproach selects the pipeline on backends with selectable ones.
 // The CPU backend runs the lanes pass: V4Fused ("V4F", the default) or
 // V3Fused ("V3F", the portable Go bodies); it refuses V1..V4 before any
-// planning or work. The simulated GPU runs the paper's kernels V1..V4
+// work. The simulated GPU runs the paper's kernels V1..V4
 // (naive/split/transposed/tiled, V4 the default) or the fused one
 // (V4Fused). Use ParseApproach or ParseGPUKernel to obtain the value
 // from a string.

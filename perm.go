@@ -321,9 +321,6 @@ func (s *Session) permConfig(opts []Option, orders func() []int) (*searchConfig,
 	if cfg.approachSet {
 		return nil, fmt.Errorf("trigene: permutation tests re-score fixed candidates; WithApproach does not apply")
 	}
-	if cfg.autotune {
-		return nil, fmt.Errorf("trigene: permutation tests re-score fixed candidates; WithAutoTune does not apply")
-	}
 	if cfg.screen != nil {
 		return nil, fmt.Errorf("trigene: permutation tests re-score fixed candidates; WithScreen does not apply")
 	}

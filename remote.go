@@ -30,12 +30,6 @@ type SearchSpec struct {
 	Approach string `json:"approach,omitempty"`
 	// Workers is the per-node host parallelism (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	// AutoTune asks every executing node to run the model-driven
-	// planner for its own host (WithAutoTune): each worker prices the
-	// backend and approach the spec names, or their defaults, and its
-	// tile Reports carry that price (Report.Plan). The tiles run as
-	// they would untuned.
-	AutoTune bool `json:"autoTune,omitempty"`
 	// MaxWorkers caps how many distinct workers may hold live leases
 	// on the job at once (0 = unlimited). Cluster scheduling policy
 	// enforced by the coordinator; local execution ignores it.
@@ -55,7 +49,7 @@ type SearchSpec struct {
 	// combination space, workers run Session.PermutationSlice, and the
 	// coordinator merges hit counts (MergePerms) into Report.Perm.
 	// Objective and Workers keep their meaning; the search-shaping
-	// fields (Order, TopK, Approach, Screen, AutoTune) do not combine
+	// fields (Order, TopK, Approach, Screen) do not combine
 	// with it.
 	Perm *PermSpec `json:"perm,omitempty"`
 }
@@ -123,9 +117,6 @@ func (sp SearchSpec) Options() ([]Option, error) {
 	if sp.Workers != 0 {
 		opts = append(opts, WithWorkers(sp.Workers))
 	}
-	if sp.AutoTune {
-		opts = append(opts, WithAutoTune())
-	}
 	if sp.Screen != nil {
 		opts = append(opts, WithScreen(*sp.Screen))
 	}
@@ -143,7 +134,6 @@ func (c *searchConfig) spec() SearchSpec {
 		Objective: c.objName,
 		Backend:   c.backend.Name(),
 		Workers:   c.workers,
-		AutoTune:  c.autotune,
 	}
 	if c.approachSet {
 		sp.Approach = fmt.Sprintf("V%d", int(c.approach))

@@ -40,10 +40,6 @@ func TestSearchSpecRoundTrip(t *testing.T) {
 			SearchSpec{Order: 3, TopK: 1, Backend: "gpusim:GN1", Approach: "V5"}},
 		{"cpu V3F", []Option{WithApproach(V3Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V5"}},
 		{"cpu V4F", []Option{WithApproach(V4Fused)}, SearchSpec{Order: 3, TopK: 1, Backend: "cpu", Approach: "V6"}},
-		{"autotune, backend unpinned", []Option{WithAutoTune()},
-			SearchSpec{Order: 3, TopK: 1, Backend: "cpu", AutoTune: true}},
-		{"autotune, backend pinned", []Option{WithAutoTune(), WithBackend(Hetero())},
-			SearchSpec{Order: 3, TopK: 1, Backend: "hetero", AutoTune: true}},
 		{"screen", []Option{WithTopK(5), WithScreen(ScreenSpec{MaxSurvivors: 8, SeedPairs: 2, BudgetSeconds: 1.5})},
 			SearchSpec{Order: 3, TopK: 5, Backend: "cpu", Screen: &ScreenSpec{MaxSurvivors: 8, SeedPairs: 2, BudgetSeconds: 1.5}}},
 	}

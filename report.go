@@ -51,32 +51,6 @@ type ShardInfo struct {
 	Space string `json:"space"`
 }
 
-// PlanInfo is the price of a model-driven autotuned search
-// (WithAutoTune): what the paper's models predicted for the backend and
-// approach the run used. It sets nothing in the run; its predictions
-// are model outputs, never measurements.
-type PlanInfo struct {
-	// Backend and Approach are the engine and pipeline the run
-	// reports (Report.Backend, Report.Approach).
-	Backend  string `json:"backend"`
-	Approach string `json:"approach,omitempty"`
-	// Workers is the CPU pool size the predictions assume.
-	Workers int `json:"workers,omitempty"`
-	// CPUFraction is the modeled CPU share (1 pure CPU, 0 pure GPU,
-	// the throughput-proportional split on hetero plans).
-	CPUFraction float64 `json:"cpuFraction,omitempty"`
-	// Predicted* are the model's throughput projections: per side in
-	// G elements/s, and combined in combinations per second.
-	PredictedCPUGElems    float64 `json:"predictedCpuGElems,omitempty"`
-	PredictedGPUGElems    float64 `json:"predictedGpuGElems,omitempty"`
-	PredictedCombosPerSec float64 `json:"predictedCombosPerSec,omitempty"`
-	// CPUDevice and GPUDevice name the device models consulted.
-	CPUDevice string `json:"cpuDevice,omitempty"`
-	GPUDevice string `json:"gpuDevice,omitempty"`
-	// Reason is the human-readable decision trace.
-	Reason string `json:"reason,omitempty"`
-}
-
 // HeteroInfo carries the heterogeneous backend's split accounting.
 type HeteroInfo struct {
 	// CPUFraction is the fraction of the evaluated ranks the CPU
@@ -92,8 +66,8 @@ type HeteroInfo struct {
 // TraceSpan is one timed phase of a search, offset-based so spans
 // from one trace order and nest without wall-clock comparisons.
 type TraceSpan struct {
-	// Name identifies the phase: "plan", "encode", "search" or
-	// "merge"; a screened search adds "screen", "subset", "stage2" and
+	// Name identifies the phase: "encode", "search" or "merge"; a
+	// screened search adds "screen", "subset", "stage2" and
 	// "seeded" inside "search".
 	Name string `json:"name"`
 	// StartNs is the span's start offset from the trace origin (the
@@ -104,10 +78,9 @@ type TraceSpan struct {
 }
 
 // TraceInfo is the per-search phase timeline attached to a Report by
-// WithTrace: where the wall time of the call went — planning (the
-// autotuner's model evaluation), encoding (building or loading the
-// bit-plane representations the approach consumes), the search itself,
-// and shard merging. Spans are recorded by the session around the
+// WithTrace: where the wall time of the call went — encoding (building
+// or loading the bit-plane representations the approach consumes), the
+// search itself, and shard merging. Spans are recorded by the session around the
 // phases it drives; a backend's internal parallelism is summarized by
 // the single "search" span, not expanded.
 type TraceInfo struct {
@@ -154,9 +127,6 @@ type Report struct {
 	GPU *GPUStats
 	// Hetero is set by the heterogeneous backend.
 	Hetero *HeteroInfo
-	// Plan is the autotuner's decision trace on WithAutoTune runs; nil
-	// otherwise.
-	Plan *PlanInfo
 	// Screen is the audit record of a screened search (WithScreen):
 	// what stage 1 scanned, what survived, the cut line, and the stage
 	// timings — or the planner's decision to decline; nil on unscreened
@@ -279,17 +249,9 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		obj:       obj,
 		topK:      k,
 	}
-	// Shards of one autotuned job plan identically (same models, same
-	// inputs); the first trace present speaks for the merge.
-	for _, r := range reports {
-		if r.Plan != nil {
-			out.Plan = r.Plan
-			break
-		}
-	}
-	// Likewise for the screen audit: shards of one screened job run the
-	// identical deterministic stage 1 (or carry the coordinator's
-	// assembled record), so the first record present speaks for all.
+	// Shards of one screened job run the identical deterministic stage 1
+	// (or carry the coordinator's assembled record), so the first screen
+	// audit present speaks for all.
 	for _, r := range reports {
 		if r.Screen != nil {
 			out.Screen = r.Screen

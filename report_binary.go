@@ -51,7 +51,6 @@ const reportBinaryVersion = 1
 type reportRare struct {
 	GPU    *GPUStats   `json:"gpu,omitempty"`
 	Hetero *HeteroInfo `json:"hetero,omitempty"`
-	Plan   *PlanInfo   `json:"plan,omitempty"`
 	Screen *ScreenInfo `json:"screen,omitempty"`
 	Perm   *PermInfo   `json:"perm,omitempty"`
 	Trace  *TraceInfo  `json:"trace,omitempty"`
@@ -88,7 +87,7 @@ func (r Report) MarshalBinary() ([]byte, error) {
 		b = binary.AppendVarint(b, s.Hi)
 		b = appendString(b, s.Space)
 	}
-	rare := reportRare{GPU: r.GPU, Hetero: r.Hetero, Plan: r.Plan, Screen: r.Screen, Perm: r.Perm, Trace: r.Trace}
+	rare := reportRare{GPU: r.GPU, Hetero: r.Hetero, Screen: r.Screen, Perm: r.Perm, Trace: r.Trace}
 	if rare != (reportRare{}) {
 		raw, err := json.Marshal(rare)
 		if err != nil {
@@ -141,7 +140,7 @@ func (r *Report) UnmarshalBinary(data []byte) error {
 		if err := json.Unmarshal(d.b, &rare); err != nil {
 			return fmt.Errorf("trigene: binary report: rare blocks: %w", err)
 		}
-		out.GPU, out.Hetero, out.Plan, out.Screen, out.Perm, out.Trace = rare.GPU, rare.Hetero, rare.Plan, rare.Screen, rare.Perm, rare.Trace
+		out.GPU, out.Hetero, out.Screen, out.Perm, out.Trace = rare.GPU, rare.Hetero, rare.Screen, rare.Perm, rare.Trace
 	}
 	*r = out
 	return nil

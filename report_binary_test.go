@@ -13,7 +13,7 @@ import (
 
 // binaryCorpus is one real Report per shape the binary codec carries:
 // every backend, the blocks only some runs set (GPU stats, hetero split,
-// plan, screen audit, trace, permutation results) and a shard.
+// screen audit, trace, permutation results) and a shard.
 func binaryCorpus(t testing.TB) map[string]*trigene.Report {
 	t.Helper()
 	mx, err := trigene.Generate(trigene.GenConfig{
@@ -42,7 +42,6 @@ func binaryCorpus(t testing.TB) map[string]*trigene.Report {
 		"gpusim":         {trigene.WithBackend(trigene.GPUSim(gpu)), trigene.WithTopK(4), trigene.WithShard(0, 2)},
 		"baseline":       {trigene.WithBackend(trigene.Baseline()), trigene.WithTopK(2)},
 		"hetero":         {trigene.WithBackend(trigene.Hetero()), trigene.WithTopK(3)},
-		"autotuned":      {trigene.WithAutoTune(), trigene.WithTopK(3)},
 		"pinned screen":  {trigene.WithScreen(trigene.ScreenSpec{Survivors: []int{0, 3, 5, 9, 12, 15, 20}}), trigene.WithTopK(3)},
 		"screened":       {trigene.WithScreen(trigene.ScreenSpec{MaxSurvivors: 8, SeedPairs: 2}), trigene.WithTopK(3)},
 		"traced":         {trigene.WithTrace(), trigene.WithTopK(3)},
@@ -74,7 +73,6 @@ func binaryCorpus(t testing.TB) map[string]*trigene.Report {
 		"cpu V4F shard": out["cpu V4F shard"].Shard != nil,
 		"gpusim":        out["gpusim"].GPU != nil,
 		"hetero":        out["hetero"].Hetero != nil,
-		"autotuned":     out["autotuned"].Plan != nil,
 		"pinned screen": out["pinned screen"].Screen != nil,
 		"screened":      out["screened"].Screen != nil,
 		"traced":        out["traced"].Trace != nil,
@@ -121,29 +119,33 @@ func TestReportBinaryRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A tile post or journal record whose plan block still carries the
-	// keys that have since left decodes with every other field intact.
-	rep := corpus["autotuned"]
+	// A tile post or journal record of an autotuned run carries a plan
+	// block, the only rare block such a run set. It decodes to the
+	// Report without it, with and without the keys plans wrote while
+	// they still cut the run.
+	rep := corpus["all defaults"]
 	bin, err := rep.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
-	}
-	at := bytes.Index(bin, []byte(`"plan":{`))
-	if at < 0 {
-		t.Fatal("autotuned Report's binary form has no plan block")
-	}
-	at += len(`"plan":{`)
-	legacy := append(append(bin[:at:at], `"grain":4096,"gpuGrains":12,"predictedTilesPerSec":48.83,`...), bin[at:]...)
-	var got trigene.Report
-	if err := got.UnmarshalBinary(legacy); err != nil {
-		t.Fatalf("legacy plan keys: %v", err)
 	}
 	want, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if have, err := json.Marshal(&got); err != nil || !bytes.Equal(have, want) {
-		t.Errorf("legacy plan keys: decoded Report marshals to\n%s\nwant\n%s (err %v)", have, want, err)
+	for _, plan := range []string{
+		`{"plan":{"backend":"cpu","approach":"V4F","workers":4,"cpuFraction":1,"predictedCpuGElems":64.5,"predictedCombosPerSec":7.2e+07,"cpuDevice":"HOST","reason":"HOST runs V4F at 64.5 G elem/s modeled"}}`,
+		`{"plan":{"backend":"cpu","approach":"V4F","workers":4,"grain":4096,"cpuFraction":1,"predictedCpuGElems":64.5,"predictedCombosPerSec":7.2e+07,"predictedTilesPerSec":48.83,"cpuDevice":"HOST"}}`,
+	} {
+		var got trigene.Report
+		if err := got.UnmarshalBinary(append(bin[:len(bin):len(bin)], plan...)); err != nil {
+			t.Fatalf("legacy plan block %s: %v", plan, err)
+		}
+		if have, err := json.Marshal(&got); err != nil || !bytes.Equal(have, want) {
+			t.Errorf("legacy plan block: decoded Report marshals to\n%s\nwant\n%s (err %v)", have, want, err)
+		}
+		if again, err := got.MarshalBinary(); err != nil || !bytes.Equal(again, bin) {
+			t.Errorf("legacy plan block: re-encoding kept it (err %v)", err)
+		}
 	}
 }
 
@@ -202,13 +204,21 @@ func TestReportBinaryRefusals(t *testing.T) {
 // prefix cannot ask for gigabytes), and an accepted input re-encodes to
 // bytes that decode to a Report encoding the same again.
 func FuzzReportBinary(f *testing.F) {
-	for _, rep := range binaryCorpus(f) {
+	corpus := binaryCorpus(f)
+	for _, rep := range corpus {
 		bin, err := rep.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bin)
 	}
+	// A tile post of an autotuned run: a rare section holding only the
+	// plan block, which decodes and is dropped.
+	plain, err := corpus["all defaults"].MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(plain, `{"plan":{"backend":"cpu","approach":"V4F","predictedCombosPerSec":7.2e+07}}`...))
 	for _, seed := range []string{"", "\x01", "\x02", "\x01\xff\xff\xff\xff\x0f", "\x01\x00\x00\x00\x06\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x0f"} {
 		f.Add([]byte(seed))
 	}

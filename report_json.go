@@ -36,7 +36,6 @@ type wireReport struct {
 	Shard          *ShardInfo        `json:"shard,omitempty"`
 	GPU            *GPUStats         `json:"gpu,omitempty"`
 	Hetero         *HeteroInfo       `json:"hetero,omitempty"`
-	Plan           *PlanInfo         `json:"plan,omitempty"`
 	Screen         *ScreenInfo       `json:"screen,omitempty"`
 	Perm           *PermInfo         `json:"perm,omitempty"`
 	Trace          *TraceInfo        `json:"trace,omitempty"`
@@ -59,7 +58,6 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		Shard:          r.Shard,
 		GPU:            r.GPU,
 		Hetero:         r.Hetero,
-		Plan:           r.Plan,
 		Screen:         r.Screen,
 		Perm:           r.Perm,
 		Trace:          r.Trace,
@@ -87,7 +85,6 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		Shard:          w.Shard,
 		GPU:            w.GPU,
 		Hetero:         w.Hetero,
-		Plan:           w.Plan,
 		Screen:         w.Screen,
 		Perm:           w.Perm,
 		Trace:          w.Trace,

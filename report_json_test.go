@@ -94,88 +94,42 @@ func TestReportJSONGolden(t *testing.T) {
 	}
 }
 
-// goldenPlan is a fully populated autotune decision trace, as built
-// by a heterogeneous plan.
-func goldenPlan() *PlanInfo {
-	return &PlanInfo{
-		Backend:               "hetero",
-		Approach:              "V4",
-		Workers:               72,
-		CPUFraction:           0.25,
-		PredictedCPUGElems:    822.5,
-		PredictedGPUGElems:    2467.5,
-		PredictedCombosPerSec: 200000,
-		CPUDevice:             "CI3",
-		GPUDevice:             "GN1",
-		Reason:                "split CI3:GN1 at 25% CPU by modeled throughput",
-	}
-}
-
-// goldenPlanJSON pins the "plan" key of the wire format.
-const goldenPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,` +
+// legacyPlanJSON is the "plan" block autotuned Reports carried, as the
+// last releases with autotuning wrote it.
+const legacyPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,` +
 	`"cpuFraction":0.25,"predictedCpuGElems":822.5,"predictedGpuGElems":2467.5,` +
 	`"predictedCombosPerSec":200000,` +
 	`"cpuDevice":"CI3","gpuDevice":"GN1","reason":"split CI3:GN1 at 25% CPU by modeled throughput"}`
 
-// legacyPlanJSON is goldenPlanJSON as Reports wrote it while plans still
-// cut the run: with the grain, the device's claim seed and the tile rate.
-const legacyPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,"grain":4096,` +
+// legacyGrainPlanJSON is the block as Reports wrote it while plans
+// still cut the run: with the grain, the device's claim seed and the
+// tile rate.
+const legacyGrainPlanJSON = `"plan":{"backend":"hetero","approach":"V4","workers":72,"grain":4096,` +
 	`"cpuFraction":0.25,"gpuGrains":12,"predictedCpuGElems":822.5,"predictedGpuGElems":2467.5,` +
 	`"predictedCombosPerSec":200000,"predictedTilesPerSec":48.83,` +
 	`"cpuDevice":"CI3","gpuDevice":"GN1","reason":"split CI3:GN1 at 25% CPU by modeled throughput"}`
 
-// TestReportJSONPlanGolden: an autotuned Report carries its decision
-// trace on the wire, byte-stable and round-trip clean. (The plan-less
-// goldens above prove the key is absent when no planner ran.)
+// TestReportJSONPlanGolden: a Report written by an autotuned run carries
+// a "plan" block before "screen". It still decodes, to the Report
+// without the block, and re-marshals to the plan-less golden.
 func TestReportJSONPlanGolden(t *testing.T) {
 	rep := goldenReport()
-	rep.Plan = goldenPlan()
-	// The wire struct orders "plan" before "screen".
 	at := strings.Index(goldenReportJSON, `"screen":`)
-	want := goldenReportJSON[:at] + goldenPlanJSON + "," + goldenReportJSON[at:]
-
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != want {
-		t.Errorf("plan wire format drifted:\n got %s\nwant %s", raw, want)
-	}
-	var back Report
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&back, rep) {
-		t.Errorf("plan round trip changed the report:\n got %+v\nwant %+v", back, *rep)
-	}
-	if !reflect.DeepEqual(back.Plan, rep.Plan) {
-		t.Errorf("plan round trip: %+v != %+v", back.Plan, rep.Plan)
-	}
-	again, err := json.Marshal(&back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(raw) {
-		t.Errorf("plan re-marshal drifted:\n got %s", again)
-	}
-
-	// A Report written with the plan keys that have since left decodes
-	// with every other field intact.
-	var legacy Report
-	if err := json.Unmarshal([]byte(goldenReportJSON[:at]+legacyPlanJSON+","+goldenReportJSON[at:]), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&legacy, rep) {
-		t.Errorf("legacy plan keys changed the report:\n got %+v\nwant %+v", legacy, *rep)
-	}
-
-	// A merge of deserialized shard Reports keeps the trace.
-	merged, err := MergeReports(&back, &back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Plan, rep.Plan) {
-		t.Errorf("merge dropped the plan: %+v", merged.Plan)
+	for name, plan := range map[string]string{"plan": legacyPlanJSON, "plan with grain keys": legacyGrainPlanJSON} {
+		var back Report
+		if err := json.Unmarshal([]byte(goldenReportJSON[:at]+plan+","+goldenReportJSON[at:]), &back); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(&back, rep) {
+			t.Errorf("%s: legacy block changed the report:\n got %+v\nwant %+v", name, back, *rep)
+		}
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != goldenReportJSON {
+			t.Errorf("%s: re-marshal kept the block:\n got %s", name, again)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"trigene/internal/engine"
 	"trigene/internal/obs"
+	"trigene/internal/plan"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 	"trigene/internal/topk"
@@ -27,8 +28,10 @@ import (
 //
 //   - MaxSurvivors > 0 keeps the top-S SNPs deterministically;
 //   - BudgetSeconds > 0 (with MaxSurvivors 0) lets the planner derive
-//     S from its cost models under the time budget — and decline the
-//     screen entirely when exhaustive search fits the budget
+//     S from its cost models under the time budget: the largest S whose
+//     modeled C(M,2) pair scan plus C(S,k) order-k stage 2 fit, and at
+//     least max(3, k). It declines the screen entirely when the
+//     exhaustive C(M,k) search fits the budget or S would keep every SNP
 //     (Report.Screen.Declined records why);
 //   - Survivors/Seeds pin the stage-2 space outright, skipping stage 1
 //     (the form cluster coordinators use for stage-2 grants).
@@ -44,7 +47,10 @@ type ScreenSpec struct {
 	// none).
 	SeedPairs int `json:"seedPairs,omitempty"`
 	// BudgetSeconds is the end-to-end time budget the planner sizes the
-	// screen for when MaxSurvivors is 0.
+	// screen for when MaxSurvivors is 0, pricing the search's own order,
+	// backend and CPU approach on the live host's device model. The
+	// model is the paper's analytical one, not a measurement, so the
+	// budget sizes the screen and does not bound the wall time.
 	BudgetSeconds float64 `json:"budgetSeconds,omitempty"`
 	// Survivors pins the survivor set directly (strictly increasing SNP
 	// indices); stage 1 is skipped. Set by cluster stage-2 grants.
@@ -569,9 +575,16 @@ func remapCandidates(rep *Report, survivors []int) {
 }
 
 // decideScreen consults the planner's two-stage cost model for a
-// budget-only spec.
-func (s *Session) decideScreen(cfg *searchConfig, budgetSec float64) (*screenDecision, error) {
-	return planScreen(s.SNPs(), s.Samples(), cfg, budgetSec)
+// budget-only spec: the search's shape, and the backend and CPU approach
+// that will run it, priced on the live host.
+func (s *Session) decideScreen(cfg *searchConfig, budgetSec float64) (*plan.ScreenDecision, error) {
+	w := plan.Workload{SNPs: s.SNPs(), Samples: s.Samples(), Order: cfg.order, Objective: cfg.objName}
+	c := plan.Constraints{Backend: cfg.backend.Name(), Approach: int(cfg.cpuApproach())}
+	d, err := plan.DecideScreen(w, plan.LiveHost(), c, budgetSec)
+	if err != nil {
+		return nil, fmt.Errorf("trigene: screen planning: %w", err)
+	}
+	return d, nil
 }
 
 // observeScreen records the stage-1 counters: pairs scanned, survivors

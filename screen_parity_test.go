@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"trigene"
@@ -100,6 +101,54 @@ func TestScreenTightRecall(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSNPs(t, rep.Best.SNPs, 3, 9, 15)
+}
+
+// TestScreenBudgetSizesEveryOrder: a budget-only screen
+// (ScreenSpec.BudgetSeconds) is priced in C(M,k) combinations at order
+// k. A budget the exhaustive search fits declines the screen, naming
+// C(M,k), and the run is the unscreened one. A budget below even the
+// pair scan keeps the floor, max(3, k) survivors, which the order-k
+// stage 2 can search, and ranks what the same survivor count set by
+// MaxSurvivors ranks.
+func TestScreenBudgetSizesEveryOrder(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	for _, k := range []int{2, 3, 4} {
+		base := []trigene.Option{trigene.WithOrder(k), trigene.WithTopK(4)}
+		plain, err := s.Search(ctx, base...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		rep, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e6}))...)
+		if err != nil {
+			t.Fatalf("order %d, huge budget: %v", k, err)
+		}
+		if rep.Screen == nil || !rep.Screen.Declined {
+			t.Fatalf("order %d: a huge budget did not decline the screen: %+v", k, rep.Screen)
+		}
+		if want := fmt.Sprintf("C(%d,%d)", s.SNPs(), k); !strings.Contains(rep.Screen.Reason, want) {
+			t.Errorf("order %d: decline reason %q does not name %s", k, rep.Screen.Reason, want)
+		}
+		reportsEqual(t, fmt.Sprintf("order %d declined screen", k), rep, plain)
+
+		rep, err = s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e-9}))...)
+		if err != nil {
+			t.Fatalf("order %d, tiny budget: %v", k, err)
+		}
+		if rep.Screen == nil || rep.Screen.Declined {
+			t.Fatalf("order %d: a tiny budget did not screen: %+v", k, rep.Screen)
+		}
+		n := rep.Screen.Survivors
+		if n < max(3, k) || n >= s.SNPs() {
+			t.Errorf("order %d: screen kept %d survivors, want [%d, %d)", k, n, max(3, k), s.SNPs())
+		}
+		sized, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{MaxSurvivors: n}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEqual(t, fmt.Sprintf("order %d budget screen vs %d survivors", k, n), rep, sized)
+	}
 }
 
 // TestScreenTraceSpans: a traced screened search accounts for itself —

@@ -135,22 +135,12 @@ func (s *Session) Search(ctx context.Context, opts ...Option) (*Report, error) {
 		return nil, err
 	}
 	if cfg.remote != nil {
-		// Autotune crosses the wire inside the SearchSpec: each worker
-		// plans for its own host rather than inheriting this machine's.
 		return s.searchRemote(ctx, cfg)
 	}
 	s.store.Instrument(cfg.metrics)
 	var tr *obs.Trace
 	if cfg.trace {
 		tr = obs.NewTrace()
-	}
-	if cfg.autotune {
-		planDone := tr.Start("plan")
-		err := s.applyPlan(cfg)
-		planDone()
-		if err != nil {
-			return nil, err
-		}
 	}
 	// The approach's encodings build lazily inside the backend, so the
 	// "encode" span is the store's build-time delta across the search,
@@ -170,10 +160,6 @@ func (s *Session) Search(ctx context.Context, opts ...Option) (*Report, error) {
 	searchDone()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.planInfo != nil {
-		rep.Plan = cfg.planInfo
-		rep.Plan.Backend, rep.Plan.Approach = rep.Backend, rep.Approach
 	}
 	if cfg.trace {
 		if d := s.store.EncodeSeconds() - encodeBefore; d > 0 {

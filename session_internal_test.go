@@ -72,10 +72,9 @@ func TestSessionBuildsEachEncodingAtMostOnce(t *testing.T) {
 }
 
 // TestCPURefusesGPUApproaches: V1..V4 name the simulated GPU's kernels.
-// The cpu backend refuses each of them — pinned locally, under
-// WithAutoTune, sharded, and from a SearchSpec — with an error naming the
-// approach and the accepted ones, before any planning or encoding; gpusim
-// still runs all four.
+// The cpu backend refuses each of them — pinned locally, sharded,
+// screened, and from a SearchSpec — with an error naming the approach and
+// the accepted ones, before any encoding; gpusim still runs all four.
 func TestCPURefusesGPUApproaches(t *testing.T) {
 	ctx := context.Background()
 	gn1, err := GPUByID("GN1")
@@ -88,13 +87,12 @@ func TestCPURefusesGPUApproaches(t *testing.T) {
 			"local":                  {WithApproach(ap)},
 			"cpu named":              {WithBackend(CPU()), WithApproach(ap)},
 			"backend after approach": {WithApproach(ap), WithBackend(CPU())},
-			"autotuned":              {WithAutoTune(), WithApproach(ap)},
 			"sharded":                {WithApproach(ap), WithShard(0, 2)},
 			"screened":               {WithApproach(ap), WithScreen(ScreenSpec{MaxSurvivors: 8})},
 		} {
 			rep, err := s.Search(ctx, opts...)
 			if err == nil || rep != nil {
-				t.Fatalf("%v %s: ran, plan %+v", ap, name, rep.Plan)
+				t.Fatalf("%v %s: ran, %+v", ap, name, rep)
 			}
 			if msg := err.Error(); !strings.Contains(msg, ap.String()) || !strings.Contains(msg, "V3F or V4F") {
 				t.Errorf("%v %s: error %q does not name the approach and the accepted ones", ap, name, msg)

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"trigene"
+	"trigene/internal/combin"
+	"trigene/internal/obs"
+	"trigene/internal/sched"
 )
 
 // Shard/merge parity is the scheduler's core guarantee: a shard is a
@@ -83,41 +88,6 @@ func TestShardMergeParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				reportsEqual(t, "work-stealing", ws, full)
-
-				// Autotuned paths: the planner may repick the approach,
-				// regrain the scheduler and reseed the hetero split, but
-				// single-node, 2-shard-merged and work-stealing Reports
-				// must all stay bit-exact with the untuned full run — and
-				// carry the decision trace.
-				tuned, err := s.Search(ctx, append(base, trigene.WithAutoTune())...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reportsEqual(t, "autotuned", tuned, full)
-				if tuned.Plan == nil || tuned.Plan.Backend != tuned.Backend {
-					t.Errorf("autotuned plan trace: %+v (backend %q)", tuned.Plan, tuned.Backend)
-				}
-				var tunedParts []*trigene.Report
-				for i := 0; i < 2; i++ {
-					rep, err := s.Search(ctx, append(base, trigene.WithShard(i, 2), trigene.WithAutoTune())...)
-					if err != nil {
-						t.Fatalf("autotuned shard %d: %v", i, err)
-					}
-					tunedParts = append(tunedParts, rep)
-				}
-				tunedMerged, err := trigene.MergeReports(tunedParts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reportsEqual(t, "autotuned 2-shard merge", tunedMerged, full)
-				if tunedMerged.Plan == nil {
-					t.Error("merge dropped the autotuned shards' plan trace")
-				}
-				tunedWS, err := s.Search(ctx, append(base, trigene.WithWorkers(3), trigene.WithAutoTune())...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reportsEqual(t, "autotuned work-stealing", tunedWS, full)
 			})
 		}
 	}
@@ -276,5 +246,124 @@ func TestSessionShardEmptyEverywhere(t *testing.T) {
 		if rep.Shard == nil || rep.Shard.Lo != rep.Shard.Hi {
 			t.Errorf("%s empty shard info: %+v", b.Name(), rep.Shard)
 		}
+	}
+}
+
+// TestMergeRejectsMixedShardSpaces: a rank shard and a block-triple
+// shard of the same (index, count) cover different triples; merging
+// them must fail loudly instead of silently mis-unioning — the trap
+// being running one shard of a search on another backend.
+func TestMergeRejectsMixedShardSpaces(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	gn1, err := trigene.GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := trigene.WithBackend(trigene.GPUSim(gn1))
+	ranks, err := s.Search(ctx, gpu, trigene.WithShard(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := s.Search(ctx, trigene.WithApproach(trigene.V4Fused), trigene.WithShard(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranks.Shard.Space == blocks.Shard.Space {
+		t.Fatalf("test setup: both shards sliced %q", ranks.Shard.Space)
+	}
+	if _, err := trigene.MergeReports(ranks, blocks); err == nil {
+		t.Error("merge of mixed shard spaces accepted")
+	}
+	// Same-space shards still merge.
+	other, err := s.Search(ctx, gpu, trigene.WithShard(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trigene.MergeReports(ranks, other); err != nil {
+		t.Errorf("same-space merge failed: %v", err)
+	}
+}
+
+// TestMergeRejectsMixedBlockSizes: V3F/V4F cut the block-triple space at
+// one lane group of 8 SNPs. Reports of the removed V3/V4, and fused shards
+// from before the block size was named, cut it at blocks of 4 and say
+// "block-triples": they rank different triples and must not merge with a
+// bs8 shard, whatever their indices.
+func TestMergeRejectsMixedBlockSizes(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	shard := func(a trigene.Approach, i int) *trigene.Report {
+		t.Helper()
+		rep, err := s.Search(ctx, trigene.WithApproach(a), trigene.WithTopK(5), trigene.WithShard(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	v3f := []*trigene.Report{shard(trigene.V3Fused, 0), shard(trigene.V3Fused, 1)}
+	v4f := []*trigene.Report{shard(trigene.V4Fused, 0), shard(trigene.V4Fused, 1)}
+	if v3f[0].Shard.Space != "block-triples-bs8" || v4f[0].Shard.Space != "block-triples-bs8" {
+		t.Fatalf("shard spaces %q (V3F) and %q (V4F)", v3f[0].Shard.Space, v4f[0].Shard.Space)
+	}
+	var legacy []*trigene.Report
+	for _, r := range v4f {
+		old := *r
+		sh := *r.Shard
+		sh.Space = trigene.ShardSpaceBlocks
+		old.Approach, old.Shard = "V4", &sh
+		legacy = append(legacy, &old)
+	}
+	for _, a := range legacy {
+		for _, b := range v4f {
+			if _, err := trigene.MergeReports(a, b); err == nil {
+				t.Errorf("merged a block-triples shard %d with a block-triples-bs8 shard %d", a.Shard.Index, b.Shard.Index)
+			}
+		}
+	}
+	for _, set := range [][]*trigene.Report{v3f, v4f, {v3f[0], v4f[1]}} {
+		if _, err := trigene.MergeReports(set...); err != nil {
+			t.Errorf("%s shards did not merge: %v", set[0].Approach, err)
+		}
+	}
+}
+
+// TestSearchCutsByAutoGrain: a rank-space run is cut from its own inputs.
+// At 640 SNPs x 16384 samples on two workers an order-2 search claims
+// pair ranks at sched.AutoGrain's 1597 per tile, the grain the planner's
+// model once replaced with 567.
+func TestSearchCutsByAutoGrain(t *testing.T) {
+	const snps = 640
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: snps, Samples: 16384, Seed: 5, MAFMin: 0.2, MAFMax: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := s.Search(context.Background(), trigene.WithOrder(2), trigene.WithWorkers(2), trigene.WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	var expo strings.Builder
+	if _, err := reg.WriteTo(&expo); err != nil {
+		t.Fatal(err)
+	}
+	var grain, tiles float64
+	for _, line := range strings.Split(expo.String(), "\n") {
+		series, v, _ := strings.Cut(line, " ")
+		switch series {
+		case `trigene_sched_grain{space="pair"}`:
+			grain, _ = strconv.ParseFloat(v, 64)
+		case `trigene_sched_tiles_claimed_total{space="pair"}`:
+			tiles, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if tiles == 0 {
+		t.Error("no pair tiles claimed")
+	}
+	if want := sched.AutoGrain(combin.Pairs(snps), 2); grain != float64(want) {
+		t.Errorf("grain %g, want AutoGrain's %d", grain, want)
 	}
 }

@@ -22,10 +22,9 @@
 //     deadline-bearing heartbeat-renewed leases and exactly-once tile
 //     accounting, reachable from the public API through WithCluster;
 //   - the Cache-Aware Roofline Model and analytical device performance
-//     models that regenerate the paper's figures and tables;
-//   - the model-driven autotuner (WithAutoTune): the same models price
-//     the backend and approach the search runs, and the price is
-//     reported on Report.Plan without changing the run.
+//     models that regenerate the paper's figures and tables; a search
+//     reads them only to size a budget-only screen
+//     (ScreenSpec.BudgetSeconds).
 //
 // The public search surface is the Session/Backend API: a Session
 // validates a dataset once and serves concurrent searches, a Backend
