@@ -493,3 +493,48 @@ func wireForm(t *testing.T, rep *trigene.Report) string {
 	}
 	return string(raw)
 }
+
+// TestRunScreenBudget: -screen-budget sizes the screen and
+// -screen-survivors caps it, so a budget the exhaustive search fits
+// declines the screen whatever the cap; and at -order 2 a budget screen
+// declines, since its stage 1 already scores every pair: 40 SNPs score
+// C(40,2) = 780 pairs, not 780 and a stage 2 on top.
+func TestRunScreenBudget(t *testing.T) {
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 40, Samples: 1024, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "d.tg")
+	var text bytes.Buffer
+	if err := trigene.WriteText(&text, mx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args         []string
+		combinations int64
+	}{
+		{[]string{"-screen-survivors", "8", "-screen-budget", "1e6"}, 9880},
+		{[]string{"-order", "2", "-screen-budget", "0.0026"}, 780},
+	} {
+		var out, errBuf bytes.Buffer
+		if err := run(append([]string{"-in", path, "-json"}, tc.args...), &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var summary struct {
+			Report struct {
+				Combinations int64               `json:"combinations"`
+				Screen       *trigene.ScreenInfo `json:"screen"`
+			} `json:"report"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &summary); err != nil {
+			t.Fatal(err)
+		}
+		rep := summary.Report
+		if rep.Screen == nil || !rep.Screen.Declined || rep.Screen.PairsScanned != 0 || rep.Combinations != tc.combinations {
+			t.Errorf("%v: %d combinations, screen %+v; want %d and a declined screen", tc.args, rep.Combinations, rep.Screen, tc.combinations)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"trigene"
+	"trigene/internal/dataset"
+	"trigene/internal/engine"
 )
 
 // Client talks to a Coordinator. It is safe for concurrent use and
@@ -90,13 +92,21 @@ func (c *Client) ExecutePerm(ctx context.Context, mx *trigene.Matrix, spec trige
 // by its content hash first and uploads it — in the trigene binary
 // format — only when the coordinator does not hold it already, so a
 // dataset crosses the wire once while the coordinator holds it (see
-// SubmitRequest.DatasetSHA256).
+// SubmitRequest.DatasetSHA256). Naming it costs one validate-and-pack
+// pass over the genotypes streamed into SHA-256 (dataset.HashMatrix), not
+// a Session: a matrix a Session would refuse — fewer than 3 SNPs, a value
+// out of range, one phenotype class only — is refused with
+// "invalid dataset: " and that Session's error before any request is
+// sent.
 func (c *Client) Submit(ctx context.Context, mx *trigene.Matrix, spec trigene.SearchSpec, tiles int, name string) (string, error) {
-	sess, err := trigene.NewSession(mx)
+	if err := engine.CheckSNPs(mx.SNPs()); err != nil {
+		return "", fmt.Errorf("invalid dataset: %w", err)
+	}
+	hash, err := dataset.HashMatrix(mx)
 	if err != nil {
 		return "", fmt.Errorf("invalid dataset: %w", err)
 	}
-	return c.submit(ctx, SubmitRequest{Name: name, Spec: spec, Tiles: tiles, DatasetSHA256: sess.DatasetHash()},
+	return c.submit(ctx, SubmitRequest{Name: name, Spec: spec, Tiles: tiles, DatasetSHA256: hash},
 		func(w io.Writer) error { return trigene.WriteBinary(w, mx) })
 }
 

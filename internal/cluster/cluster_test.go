@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"trigene"
+	"trigene/internal/sched"
 )
 
 // plantedMatrix is the shared test dataset: a strong 3-way signal at
@@ -821,4 +824,61 @@ func TestWeightedLeaseConvergence(t *testing.T) {
 	if total != tiles {
 		t.Errorf("registry accounts %d completed tiles, want %d", total, tiles)
 	}
+}
+
+// TestClusterTilePanicFailsJob: a tile whose computation panics, on the
+// tile's own goroutine or on a consumer goroutine of a sched.Cursor's
+// Drain (where the engine scores tiles), fails its job with an error
+// naming the tile and the panic value, and the worker that ran it lives
+// on to run the next job.
+func TestClusterTilePanicFailsJob(t *testing.T) {
+	mx := plantedMatrix(t)
+	run := searchKind.run
+	var panicked atomic.Int32
+	searchKind.run = func(ctx context.Context, tr tileRun) (any, error) {
+		switch tr.spec.TopK {
+		case 2:
+			panicked.Add(1)
+			panic("boom")
+		case 3:
+			cur := sched.NewCursor(sched.NewSource(0, 8, 1))
+			return nil, cur.Drain(ctx, 2, func(_ int, t sched.Tile) (int64, error) {
+				if t.Lo == 5 {
+					panicked.Add(1)
+					panic("boom in a consumer")
+				}
+				return t.Len(), nil
+			})
+		}
+		return run(ctx, tr)
+	}
+	t.Cleanup(func() { searchKind.run = run }) // after the workers stop
+	cl, _ := newTestCluster(t, Config{LeaseTTL: 5 * time.Second})
+	ctx := context.Background()
+	startWorkers(t, cl, 1)
+
+	for topK, want := range map[int]string{2: "tile 0 panicked: boom", 3: "tile 0 panicked: boom in a consumer"} {
+		id, err := cl.Submit(ctx, mx, trigene.SearchSpec{TopK: topK}, 1, "panics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Wait(ctx, id); err == nil {
+			t.Fatalf("a job whose tile panicked (%s) completed", want)
+		}
+		st, err := cl.Status(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || !strings.HasSuffix(st.Error, want) {
+			t.Errorf("job status %+v, want failed naming %q", st, want)
+		}
+	}
+	if panicked.Load() != 2 {
+		t.Errorf("%d tiles panicked, want 2", panicked.Load())
+	}
+	rep, err := cl.ExecuteSearch(ctx, mx, paritySpec)
+	if err != nil {
+		t.Fatalf("the next job, on the same worker: %v", err)
+	}
+	reportsEqual(t, "after a panicked tile", rep, localReport(t, sessionFor(t, mx), paritySpec))
 }

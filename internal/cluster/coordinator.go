@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"trigene"
+	"trigene/internal/engine"
 	"trigene/internal/sched"
 	"trigene/internal/store"
 	"trigene/internal/wal"
@@ -314,15 +315,37 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(sc.Survivors) == 0 {
-			if sc.MaxSurvivors == 0 {
+			// A time budget would size the screen on the host that
+			// plans it, and a local run of the same spec would differ.
+			if sc.MaxSurvivors == 0 || sc.BudgetSeconds > 0 {
 				writeErr(w, http.StatusBadRequest,
-					"invalid spec: cluster screens need an explicit survivor budget (maxSurvivors); the planner's time budget is a single-host notion")
+					"invalid spec: cluster screens need an explicit survivor budget (maxSurvivors) and no time budget (budgetSeconds); the planner's time budget is a single-host notion")
 				return
 			}
 			screenTiles = req.ScreenTiles
 			if screenTiles == 0 {
 				screenTiles = req.Tiles
 			}
+		}
+	}
+
+	// A search space past int64 combinations fails here, not on the
+	// first worker: C(n, order) over the n SNPs stage 2 searches, which
+	// a cluster screen pins or caps.
+	if req.Spec.Perm == nil {
+		n, order := ds.snps, req.Spec.Order
+		if order == 0 {
+			order = 3
+		}
+		if sc := req.Spec.Screen; sc != nil {
+			n = min(n, sc.MaxSurvivors)
+			if len(sc.Survivors) > 0 {
+				n = len(sc.Survivors)
+			}
+		}
+		if err := engine.CheckSpace(n, order); err != nil {
+			writeErr(w, http.StatusBadRequest, "invalid spec: %v", err)
+			return
 		}
 	}
 

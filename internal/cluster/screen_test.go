@@ -163,7 +163,7 @@ func TestClusterScreenedPhaseGate(t *testing.T) {
 }
 
 // TestClusterScreenedSubmitValidation: bad screens fail at the door
-// with the trigene validation text, and budget-only screens are
+// with the trigene validation text, and screens with a time budget are
 // rejected as a cluster submission.
 func TestClusterScreenedSubmitValidation(t *testing.T) {
 	mx := plantedMatrix(t)
@@ -182,6 +182,9 @@ func TestClusterScreenedSubmitValidation(t *testing.T) {
 		{"budget-only",
 			trigene.SearchSpec{Screen: &trigene.ScreenSpec{BudgetSeconds: 1.5}},
 			"explicit survivor budget"},
+		{"budget-and-cap",
+			trigene.SearchSpec{Screen: &trigene.ScreenSpec{MaxSurvivors: 8, BudgetSeconds: 1.5}},
+			"no time budget"},
 		{"empty-spec",
 			trigene.SearchSpec{Screen: &trigene.ScreenSpec{}},
 			"empty ScreenSpec"},

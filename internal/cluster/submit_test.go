@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -517,6 +518,86 @@ func TestDurableSubmitRacesEviction(t *testing.T) {
 		co.mu.Unlock()
 		if err := cl.Cancel(ctx, idA); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSubmitRefusesInvalidMatrices: Submit names a Matrix without
+// building a Session, and still refuses what NewSession refuses — fewer
+// than 3 SNPs, a genotype or phenotype out of range, one class only —
+// with "invalid dataset: " and NewSession's error, before it sends any
+// request.
+func TestSubmitRefusesInvalidMatrices(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no request was expected", http.StatusTeapot)
+	}))
+	t.Cleanup(srv.Close)
+	cl := NewClient(srv.URL)
+	valid := func(m, n int) *trigene.Matrix {
+		mx := trigene.NewMatrix(m, n)
+		for j := 0; j < n; j += 2 {
+			mx.SetPhen(j, 1)
+		}
+		return mx
+	}
+	cases := map[string]*trigene.Matrix{"two SNPs": valid(2, 10)}
+	mx := valid(5, 70)
+	mx.Row(4)[69] = 3
+	cases["genotype 3 in the last byte"] = mx
+	mx = valid(5, 70)
+	mx.Row(0)[0] = 255
+	cases["genotype 255 in the first byte"] = mx
+	mx = valid(5, 70)
+	mx.Phenotypes()[7] = 2
+	cases["phenotype 2"] = mx
+	cases["controls only"] = trigene.NewMatrix(4, 9)
+	mx = trigene.NewMatrix(4, 9)
+	for j := 0; j < 9; j++ {
+		mx.SetPhen(j, 1)
+	}
+	cases["cases only"] = mx
+	for name, mx := range cases {
+		_, want := trigene.NewSession(mx)
+		if want == nil {
+			t.Fatalf("%s: NewSession accepts the matrix", name)
+		}
+		_, err := cl.Submit(context.Background(), mx, trigene.SearchSpec{}, 1, name)
+		if err == nil || err.Error() != "invalid dataset: "+want.Error() {
+			t.Errorf("%s: Submit error %v, want %q", name, err, "invalid dataset: "+want.Error())
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d requests reached the coordinator", n)
+	}
+}
+
+// TestSubmitRefusesSpacesBeyondInt64: a search whose C(M,k) overflows an
+// int64 is refused at the door with 400, naming the space; the largest M
+// that fits is taken, and so is a larger M screened to a few survivors.
+func TestSubmitRefusesSpacesBeyondInt64(t *testing.T) {
+	co := NewCoordinator(Config{})
+	for _, c := range []struct {
+		m      int
+		screen *trigene.ScreenSpec
+		want   int
+	}{
+		{1733, nil, http.StatusCreated},
+		{1734, nil, http.StatusBadRequest},
+		{1734, &trigene.ScreenSpec{MaxSurvivors: 20}, http.StatusCreated},
+	} {
+		mx := trigene.NewMatrix(c.m, 8)
+		for j := 0; j < 8; j += 2 {
+			mx.SetPhen(j, 1)
+		}
+		spec := trigene.SearchSpec{Order: 7, Screen: c.screen}
+		code, eb := postSubmit(t, co, SubmitRequest{Spec: spec, Tiles: 4, Dataset: binaryOf(t, mx)})
+		if code != c.want {
+			t.Errorf("order 7 over %d SNPs, screen %+v: HTTP %d %q, want %d", c.m, c.screen, code, eb.Error, c.want)
+		}
+		if c.want == http.StatusBadRequest && !strings.Contains(eb.Error, "more than an int64 counts") {
+			t.Errorf("order 7 over %d SNPs: refusal %q does not name the space", c.m, eb.Error)
 		}
 	}
 }

@@ -11,11 +11,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"trigene"
+	"trigene/internal/join"
 	"trigene/internal/obs"
 	"trigene/internal/store"
 )
@@ -570,7 +572,23 @@ func (p *pipeline) runTile(ctx context.Context, grant LeaseGrant, tg TileGrant, 
 	res := TileResult{Token: tg.Token}
 	kind := grantKind(&grant)
 	start := time.Now()
-	out, err := kind.run(ctx, tileRun{w: w, sess: sess, spec: &grant.Spec, opts: opts, shard: shard, binary: grant.BinaryReports})
+	out, err := func() (out any, err error) {
+		// A tile that panics fails its job, as a deterministic error
+		// does, and the worker lives on. The engine's, the encoders' and
+		// the permutation test's goroutines raise their panics again
+		// here, with the stack they were raised on.
+		defer func() {
+			if v := recover(); v != nil {
+				stack := debug.Stack()
+				if p, ok := v.(*join.Panic); ok {
+					v, stack = p.Value, p.Stack
+				}
+				w.logger().Error("tile panicked", "job", grant.Job, "tile", tg.Tile, "panic", v, "stack", string(stack))
+				err = fmt.Errorf("job %s tile %d panicked: %v", grant.Job, tg.Tile, v)
+			}
+		}()
+		return kind.run(ctx, tileRun{w: w, sess: sess, spec: &grant.Spec, opts: opts, shard: shard, binary: grant.BinaryReports})
+	}()
 	if err != nil {
 		return res, err
 	}

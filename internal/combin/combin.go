@@ -14,31 +14,46 @@ package combin
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Binomial returns C(n, k) as an int64. It panics if the result would
-// overflow int64 or if the arguments are negative.
+// overflow int64 or if the arguments are negative; a count that comes
+// from outside the program goes through BinomialChecked first.
 func Binomial(n, k int) int64 {
+	r, ok := BinomialChecked(n, k)
+	if !ok {
+		panic(fmt.Sprintf("combin: C(%d,%d) overflows int64", n, k))
+	}
+	return r
+}
+
+// BinomialChecked returns C(n, k) and true, or false when C(n, k) does not
+// fit an int64. It panics if the arguments are negative.
+func BinomialChecked(n, k int) (int64, bool) {
 	if n < 0 || k < 0 {
 		panic(fmt.Sprintf("combin: negative argument C(%d,%d)", n, k))
 	}
 	if k > n {
-		return 0
+		return 0, true
 	}
 	if k > n-k {
 		k = n - k
 	}
-	var r int64 = 1
+	// r = C(n-k+i, i) after step i: r * (n-k+i) / i, exact, with the
+	// product taken in 128 bits. Each step's result is at most C(n, k),
+	// so one above MaxInt64 means C(n, k) is too.
+	var r uint64 = 1
 	for i := 1; i <= k; i++ {
-		// r * (n-k+i) / i is exact at every step because r holds C(n-k+i-1, i-1)
-		// times earlier exact divisions; guard the multiply.
-		f := int64(n - k + i)
-		if r > math.MaxInt64/f {
-			panic(fmt.Sprintf("combin: C(%d,%d) overflows int64", n, k))
+		hi, lo := bits.Mul64(r, uint64(n-k+i))
+		if hi >= uint64(i) {
+			return 0, false
 		}
-		r = r * f / int64(i)
+		if r, _ = bits.Div64(hi, lo, uint64(i)); r > math.MaxInt64 {
+			return 0, false
+		}
 	}
-	return r
+	return int64(r), true
 }
 
 // Triples returns C(m, 3): the number of 3-way combinations of m items.
@@ -77,12 +92,12 @@ func UnrankTriple(rank int64, m int) (i, j, k int) {
 }
 
 // InvBinomial returns the largest v < bound with C(v, k) <= target, at
-// least k-1.
+// least k-1. C(v, k) beyond int64 counts as above any target.
 func InvBinomial(target int64, k, bound int) int {
 	lo, hi := k-1, bound-1 // C(k-1, k) == 0 <= target always holds
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if Binomial(mid, k) <= target {
+		if c, ok := BinomialChecked(mid, k); ok && c <= target {
 			lo = mid
 		} else {
 			hi = mid - 1

@@ -1,6 +1,7 @@
 package combin
 
 import (
+	"math/big"
 	"testing"
 )
 
@@ -229,5 +230,30 @@ func TestRankKPanicsOnBadInput(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestBinomialCheckedAtTheLimit: at every order the search takes, the
+// largest M whose C(M,k) fits an int64 gives the exact count, and one SNP
+// more is refused, not wrapped or panicked on. The counts are
+// math/big's.
+func TestBinomialCheckedAtTheLimit(t *testing.T) {
+	for k, limit := range map[int]int{3: 3810779, 4: 121977, 5: 16175, 6: 4337, 7: 1733} {
+		want := new(big.Int).Binomial(int64(limit), int64(k))
+		if got, ok := BinomialChecked(limit, k); !ok || !want.IsInt64() || got != want.Int64() {
+			t.Errorf("C(%d,%d) = %d, %v; want %v, true", limit, k, got, ok, want)
+		}
+		if got, ok := BinomialChecked(limit+1, k); ok {
+			t.Errorf("C(%d,%d) = %d; want it refused as beyond int64", limit+1, k, got)
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for k := 0; k <= n; k++ {
+			want := new(big.Int).Binomial(int64(n), int64(k))
+			got, ok := BinomialChecked(n, k)
+			if ok != want.IsInt64() || ok && got != want.Int64() {
+				t.Fatalf("C(%d,%d) = %d, %v; want %v", n, k, got, ok, want)
+			}
+		}
 	}
 }

@@ -24,12 +24,12 @@ func Kernel() string {
 	return "portable"
 }
 
-// HasAVX512 reports what the start-up probe found: AVX512F and
-// AVX512_VPOPCNTDQ with OS-saved opmask and ZMM state, in a build that
-// holds the assembly. Other packages' AVX-512 bodies (score's K2 lanes,
-// permtest's case-plane fill, transpose and sample counter) are gated on
-// it, so the module has one probe, and every body uses only those two
-// subsets (TestAssemblyStaysInsideTheProbe).
+// HasAVX512 reports what the module's one start-up probe found
+// (bitvec.HasAVX512): AVX512F and AVX512_VPOPCNTDQ with OS-saved opmask
+// and ZMM state, in a build that holds the assembly. score's K2 lanes and
+// permtest's case-plane fill, transpose and sample counter are gated on
+// it, and every body uses only those two subsets
+// (TestAssemblyStaysInsideTheProbe).
 func HasAVX512() bool { return hasAVX512 }
 
 // PairBlock is the seeded extension's state for one (i1, i2) pair over

@@ -2,11 +2,11 @@
 
 package contingency
 
-// hasAVX512 selects the assembly bodies of the fused kernel: probed
-// once, when the package initialises.
-var hasAVX512 = cpuHasAVX512VPOPCNTDQ()
+import "trigene/internal/bitvec"
 
-func cpuHasAVX512VPOPCNTDQ() bool
+// hasAVX512 selects the assembly bodies: the module's one probe
+// (bitvec.HasAVX512), read once, when the package initialises.
+var hasAVX512 = bitvec.HasAVX512()
 
 // The assembly bodies take raw pointers and walk n >= 1 words from
 // each; their Go callers have checked every slice holds that many.

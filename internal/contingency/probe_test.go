@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The one CPU probe (cpuHasAVX512VPOPCNTDQ) checks AVX512F and
+// The one CPU probe (bitvec's cpuHasAVX512VPOPCNTDQ) checks AVX512F and
 // AVX512_VPOPCNTDQ and nothing else, and every AVX-512 body in the module
 // runs where it says yes. An instruction from another AVX-512 subset would
 // fault on a CPU that has those two and not it. These lists name what the
@@ -203,8 +203,10 @@ func splitArgs(s string) []string {
 
 // TestAssemblyStaysInsideTheProbe scans every assembly file of the
 // repository, each macro expanded where it is used, for instructions the
-// probe does not vouch for. A body that needs one (a GFNI transpose, say)
-// must extend cpuHasAVX512VPOPCNTDQ first, and this test with it.
+// probe does not vouch for, and checks that the probe is the only code
+// that asks the CPU: one file issues CPUID. A body that needs another
+// instruction (a GFNI transpose, say) must extend bitvec's
+// cpuHasAVX512VPOPCNTDQ first, and this test with it.
 func TestAssemblyStaysInsideTheProbe(t *testing.T) {
 	root := filepath.Join("..", "..")
 	var files []string
@@ -227,6 +229,7 @@ func TestAssemblyStaysInsideTheProbe(t *testing.T) {
 		t.Fatal("no assembly found")
 	}
 	checked := 0
+	var probes []string // files that issue CPUID
 	for _, path := range files {
 		lines, macros := readAsm(t, path)
 		for _, line := range lines {
@@ -237,6 +240,9 @@ func TestAssemblyStaysInsideTheProbe(t *testing.T) {
 				}
 				name, _, _ := strings.Cut(fields[0], ".")
 				checked++
+				if name == "CPUID" && (len(probes) == 0 || probes[len(probes)-1] != path) {
+					probes = append(probes, path)
+				}
 				if why := unprobed(name, strings.Join(fields[1:], " ")); why != "" {
 					t.Errorf("%s: %s (in %q): %s", path, inst, line, why)
 				}
@@ -245,6 +251,9 @@ func TestAssemblyStaysInsideTheProbe(t *testing.T) {
 	}
 	if checked < 1000 {
 		t.Errorf("checked %d instructions in %d files; the scanner is not reading the assembly", checked, len(files))
+	}
+	if want := filepath.Join(root, "internal", "bitvec", "cpu_amd64.s"); len(probes) != 1 || probes[0] != want {
+		t.Errorf("CPUID issued in %v; the module's one probe is %s", probes, want)
 	}
 }
 

@@ -3,10 +3,10 @@ package dataset
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"trigene/internal/bitvec"
+	"trigene/internal/join"
 )
 
 // The encoders — Binarize, SNPPlanes, Split and ClassPlanes of a Packed,
@@ -52,33 +52,33 @@ func genotypeWords(x0, x1 uint64) (g0, g1, g2 uint64) {
 const snpRun = 8
 
 // eachSNPRun cuts the SNPs [0, m) into runs of snpRun and calls
-// encode(lo, hi) once for each, on up to GOMAXPROCS goroutines that claim
-// the runs in order; it returns when all are done. encode must write only
-// what belongs to its SNPs.
-func eachSNPRun(m int, encode func(lo, hi int)) {
+// encode(lo, hi) once for each, as eachRun does.
+func eachSNPRun(m int, encode func(lo, hi int)) { eachRun(m, snpRun, encode) }
+
+// eachRun cuts [0, n) into runs of run and calls fn(lo, hi) once for each,
+// on up to GOMAXPROCS goroutines that claim the runs in order; it returns
+// when all are done, raising on the caller any run's panic. fn must write
+// only what belongs to its range.
+func eachRun(n, run int, fn func(lo, hi int)) {
 	var (
-		next atomic.Int64 // first unclaimed SNP
-		wg   sync.WaitGroup
+		next atomic.Int64 // first unclaimed item
+		g    join.Group
 	)
 	claim := func() {
 		for {
-			lo := int(next.Add(snpRun)) - snpRun
-			if lo >= m {
+			lo := int(next.Add(int64(run))) - run
+			if lo >= n {
 				return
 			}
-			encode(lo, min(lo+snpRun, m))
+			fn(lo, min(lo+run, n))
 		}
 	}
-	// The caller is one of the goroutines, so few SNPs start none.
-	for w := min(runtime.GOMAXPROCS(0), (m+snpRun-1)/snpRun); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
+	// The caller is one of the goroutines, so a single run starts none.
+	for w := min(runtime.GOMAXPROCS(0), (n+run-1)/run); w > 1; w-- {
+		g.Go(claim)
 	}
-	claim()
-	wg.Wait()
+	g.Do(claim)
+	g.Wait()
 }
 
 // wordMove is what the phenotype says about one 64-sample word of the

@@ -58,3 +58,13 @@ func BenchmarkValidate(b *testing.B) {
 func BenchmarkPack(b *testing.B) {
 	benchmarkEncode(b, func(mx *dataset.Matrix) { dataset.Pack(mx) }, nil)
 }
+
+// BenchmarkHashMatrix is what a cluster client pays to name a Matrix: the
+// validate-and-pack pass streamed into SHA-256.
+func BenchmarkHashMatrix(b *testing.B) {
+	benchmarkEncode(b, func(mx *dataset.Matrix) {
+		if _, err := dataset.HashMatrix(mx); err != nil {
+			b.Fatal(err)
+		}
+	}, nil)
+}

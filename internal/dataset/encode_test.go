@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"trigene/internal/bitvec"
@@ -205,6 +206,30 @@ func TestEncodersIgnoreNonGenotypes(t *testing.T) {
 		mx.Row(3)[199-k] = v
 	}
 	checkEncoders(t, mx)
+}
+
+// TestEachRunRaisesPanicOnCaller: a run's panic, whichever goroutine
+// claimed the run, is raised again on eachRun's caller once every run
+// has returned.
+func TestEachRunRaisesPanicOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for bad := 0; bad < 64; bad += 9 {
+		func() {
+			var runs atomic.Int32
+			defer func() {
+				if v := recover(); v == nil || runs.Load() != 64 {
+					t.Fatalf("run %d: recovered %v after %d of 64 runs", bad, v, runs.Load())
+				}
+			}()
+			eachRun(64*8, 8, func(lo, hi int) {
+				runs.Add(1)
+				if lo == bad*8 {
+					panic("boom")
+				}
+			})
+			t.Fatalf("run %d: eachRun returned past a panic", bad)
+		}()
+	}
 }
 
 // TestValidateNamesFirstBadGenotype: the eight-at-a-time scan reports what

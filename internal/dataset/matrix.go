@@ -134,6 +134,12 @@ func (mx *Matrix) Validate() error {
 			return fmt.Errorf("dataset: SNP %d sample %d: invalid genotype %d", idx/mx.n, idx%mx.n, g)
 		}
 	}
+	return mx.checkPhenotypes()
+}
+
+// checkPhenotypes is Validate's check of the phenotypes: each 0 or 1, and
+// both classes present.
+func (mx *Matrix) checkPhenotypes() error {
 	for j, p := range mx.phen {
 		if p > 1 {
 			return fmt.Errorf("dataset: sample %d: invalid phenotype %d", j, p)

@@ -29,19 +29,100 @@ type Packed struct {
 // Pack returns mx in its packed form. A byte above 2, which only Row can
 // store, packs as code 3.
 func Pack(mx *Matrix) *Packed {
-	m, n := mx.m, mx.n
-	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
-	// A run of SNPs starts on a byte (eight rows are whole bytes), so runs
-	// write disjoint bytes.
-	eachSNPRun(m, func(lo, hi int) {
-		packGenotypes(p.Geno, lo*n, mx.geno[lo*n:hi*n])
+	p := &Packed{M: mx.m, N: mx.n, Geno: make([]byte, (len(mx.geno)+3)/4), Phen: packPhenotypes(mx.phen)}
+	// The section is the flat genotype array packed 4:1, so chunks of it
+	// pack alone, and a chunk of packChunk entries fills whole bytes.
+	eachRun(len(mx.geno), packChunk, func(lo, hi int) {
+		dst, src := p.Geno[lo/4:(hi+3)/4], mx.geno[lo:hi]
+		if !packSpan(dst, src) {
+			packSWAR(dst, src) // the portable body clamps bad bytes to code 3
+		}
 	})
-	for j, ph := range mx.phen {
+	return p
+}
+
+// HashMatrix returns Pack(mx).Hash() if mx.Validate() accepts mx, and
+// Validate's error if not, without building the packed form: one
+// validate-and-pack pass streams the sections into SHA-256 a packChunk of
+// genotypes at a time through a buffer that stays in the L1 cache. It is
+// how a cluster client names a Matrix it may not need to upload.
+func HashMatrix(mx *Matrix) (string, error) {
+	h := sha256.New()
+	hdr := hashHeader(mx.m, mx.n)
+	h.Write(hdr[:])
+	var buf [packChunk / 4]byte
+	for lo := 0; lo < len(mx.geno); lo += packChunk {
+		src := mx.geno[lo:min(lo+packChunk, len(mx.geno))]
+		dst := buf[:(len(src)+3)/4]
+		if !packSpan(dst, src) {
+			return "", mx.Validate() // names the first bad genotype
+		}
+		h.Write(dst)
+	}
+	if err := mx.checkPhenotypes(); err != nil {
+		return "", err
+	}
+	h.Write(packPhenotypes(mx.phen))
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// packChunk is how many genotypes Pack and HashMatrix pack at a time:
+// 64 KiB of matrix, 16 KiB packed. It is a multiple of 64 (the AVX-512
+// body's step), so every chunk but the last is whole steps.
+const packChunk = 64 << 10
+
+// packSpan is the validate-and-pack pass: it writes the genotypes src,
+// which start on a byte of the section, into dst, (len(src)+3)/4 bytes,
+// and reports whether every one is 0, 1 or 2. Where one is not, dst is
+// unspecified. Whole 64-byte steps take the AVX-512 body where the host
+// has it; the rest, and everything on other hosts, the SWAR body.
+func packSpan(dst []byte, src []uint8) bool {
+	body, clean := 0, true
+	if packVector && len(src) >= 64 {
+		body = len(src) &^ 63
+		clean = packBlocksAVX512(&dst[0], &src[0], body/64)
+	}
+	return packSWAR(dst[body/4:], src[body:]) && clean
+}
+
+// packSWAR is packSpan's portable body: eight genotypes to two bytes of
+// dst at a time, then the last few singly. Every byte of dst it covers is
+// written, and a byte above 2 packs as code 3.
+func packSWAR(dst []byte, src []uint8) bool {
+	// A byte above 2 has a bit above its low two set, or both of those.
+	const low = 0x0101010101010101
+	var bad uint64
+	for ; len(src) >= 8; src, dst = src[8:], dst[2:] {
+		x := binary.LittleEndian.Uint64(src)
+		bad |= x&^(3*low) | x&(x>>1)&low
+		x = clampCodes(x)
+		x |= x>>6 | x>>12 | x>>18 // each half's four codes meet in its low byte
+		_ = dst[1]
+		dst[0], dst[1] = byte(x), byte(x>>32)
+	}
+	for j := 0; j < len(src); j += 4 {
+		var b byte
+		for k, g := range src[j:min(j+4, len(src))] {
+			if g > 2 {
+				bad = 1
+			}
+			b |= min(g, 3) << (2 * k)
+		}
+		dst[j/4] = b
+	}
+	return bad == 0
+}
+
+// packPhenotypes returns the phenotype section of phen: bit j%8 of byte
+// j/8 set iff sample j is a case.
+func packPhenotypes(phen []uint8) []byte {
+	bits := make([]byte, (len(phen)+7)/8)
+	for j, ph := range phen {
 		if ph == Case {
-			p.Phen[j/8] |= 1 << (j % 8)
+			bits[j/8] |= 1 << (j % 8)
 		}
 	}
-	return p
+	return bits
 }
 
 // Matrix decodes p into a Matrix.
@@ -60,14 +141,19 @@ func (p *Packed) Matrix() *Matrix {
 // dataset's identity, whatever format it was read from.
 func (p *Packed) Hash() string {
 	h := sha256.New()
-	var hdr [16]byte
-	copy(hdr[:8], "tpack\x00v1")
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(p.M))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(p.N))
+	hdr := hashHeader(p.M, p.N)
 	h.Write(hdr[:])
 	h.Write(p.Geno)
 	h.Write(p.Phen)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashHeader is what the content hash digests ahead of the sections.
+func hashHeader(m, n int) (hdr [16]byte) {
+	copy(hdr[:8], "tpack\x00v1")
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(m))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(n))
+	return hdr
 }
 
 // PhenVector returns the phenotype as a bit vector: bit j is set iff
@@ -193,30 +279,8 @@ func clampCodes(x uint64) uint64 {
 	return x&(3*low) | ((hi&low7+low7)|hi)>>7&low*3
 }
 
-// packGenotypes writes row into the 2-bit section packed (zeroed) from
-// entry idx on: two bytes at a time where eight of the row's genotypes
-// fill them, singly where the row starts or ends inside a byte it shares
-// with its neighbour.
-func packGenotypes(packed []byte, idx int, row []uint8) {
-	head := min(len(row), -idx&3) // up to the next byte boundary
-	body := (len(row) - head) &^ 7
-	singly := func(idx int, row []uint8) {
-		for j, g := range row {
-			packed[(idx+j)/4] |= min(g, 3) << (uint(idx+j) % 4 * 2)
-		}
-	}
-	singly(idx, row[:head])
-	dst := packed[(idx+head)/4:]
-	for j := head; j < head+body; j, dst = j+8, dst[2:] {
-		x := clampCodes(binary.LittleEndian.Uint64(row[j:]))
-		x |= x>>6 | x>>12 | x>>18 // each half's four codes meet in its low byte
-		dst[0], dst[1] = byte(x), byte(x>>32)
-	}
-	singly(idx+head+body, row[head+body:])
-}
-
-// unpackGenotypes is packGenotypes' inverse: it fills row from entry idx
-// of packed on.
+// unpackGenotypes fills row with the genotypes of packed from entry idx
+// on.
 func unpackGenotypes(row []uint8, packed []byte, idx int) {
 	head := min(len(row), -idx&3)
 	body := (len(row) - head) &^ 7

@@ -2,10 +2,34 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
 )
+
+// packGenotypes writes row into the 2-bit section packed (zeroed) from
+// entry idx on: two bytes at a time where eight of the row's genotypes
+// fill them, singly where the row starts or ends inside a byte it shares
+// with its neighbour. It is the row-at-a-time form Pack's flat
+// validate-and-pack pass is held to; a byte above 2 packs as code 3.
+func packGenotypes(packed []byte, idx int, row []uint8) {
+	head := min(len(row), -idx&3) // up to the next byte boundary
+	body := (len(row) - head) &^ 7
+	singly := func(idx int, row []uint8) {
+		for j, g := range row {
+			packed[(idx+j)/4] |= min(g, 3) << (uint(idx+j) % 4 * 2)
+		}
+	}
+	singly(idx, row[:head])
+	dst := packed[(idx+head)/4:]
+	for j := head; j < head+body; j, dst = j+8, dst[2:] {
+		x := clampCodes(binary.LittleEndian.Uint64(row[j:]))
+		x |= x>>6 | x>>12 | x>>18
+		dst[0], dst[1] = byte(x), byte(x>>32)
+	}
+	singly(idx+head+body, row[head+body:])
+}
 
 // TestPackGenotypesMatchesPerGenotypeForm holds the byte-at-a-time pack
 // and unpack to the one-genotype-at-a-time definition of the section, at

@@ -365,8 +365,8 @@ type Searcher struct {
 // New validates the dataset and wraps it in a fresh encoded-dataset
 // store. No encoding is built until the first run needs it.
 func New(mx *dataset.Matrix) (*Searcher, error) {
-	if mx.SNPs() < 3 {
-		return nil, fmt.Errorf("engine: need at least 3 SNPs, have %d", mx.SNPs())
+	if err := CheckSNPs(mx.SNPs()); err != nil {
+		return nil, err
 	}
 	st, err := store.New(mx)
 	if err != nil {
@@ -379,8 +379,8 @@ func New(mx *dataset.Matrix) (*Searcher, error) {
 // screened search's survivors): the store adopts them as they are and no
 // Matrix is built.
 func NewPacked(p *dataset.Packed) (*Searcher, error) {
-	if p.M < 3 {
-		return nil, fmt.Errorf("engine: need at least 3 SNPs, have %d", p.M)
+	if err := CheckSNPs(p.M); err != nil {
+		return nil, err
 	}
 	st, err := store.NewPacked(p)
 	if err != nil {
@@ -393,10 +393,19 @@ func NewPacked(p *dataset.Packed) (*Searcher, error) {
 // or one loaded from a .tpack) so its memoized encodings are shared
 // instead of rebuilt.
 func NewFromStore(st *store.Store) (*Searcher, error) {
-	if st.SNPs() < 3 {
-		return nil, fmt.Errorf("engine: need at least 3 SNPs, have %d", st.SNPs())
+	if err := CheckSNPs(st.SNPs()); err != nil {
+		return nil, err
 	}
 	return &Searcher{st: st}, nil
+}
+
+// CheckSNPs is the one check every Searcher constructor makes of a
+// dataset's shape: a search needs at least 3 SNPs.
+func CheckSNPs(m int) error {
+	if m < 3 {
+		return fmt.Errorf("engine: need at least 3 SNPs, have %d", m)
+	}
+	return nil
 }
 
 // Matrix returns the dataset the searcher was built from (decoding it

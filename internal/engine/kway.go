@@ -37,6 +37,9 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: objective %q cannot score %d-way tables", o.Objective.Name(), order)
 	}
+	if err := CheckSpace(m, order); err != nil {
+		return nil, err
+	}
 	sp, err := flatSpace(combin.Binomial(m, order), &o, order, "kway")
 	if err != nil {
 		return nil, err
@@ -47,6 +50,15 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 		a.sizeK(cells)
 		return (&kWorker{split: split, m: m, order: order, a: a, scorer: scorer}).tile
 	})
+}
+
+// CheckSpace refuses an order-k search of n SNPs whose C(n,k)
+// combinations are more than an int64 counts.
+func CheckSpace(n, k int) error {
+	if _, ok := combin.BinomialChecked(n, k); !ok {
+		return fmt.Errorf("engine: an order-%d search of %d SNPs spans C(%d,%d) combinations, more than an int64 counts", k, n, n, k)
+	}
+	return nil
 }
 
 // kWorker is one consumer of the k-combination tile stream. Its

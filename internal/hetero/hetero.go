@@ -26,6 +26,7 @@ import (
 	"trigene/internal/device"
 	"trigene/internal/engine"
 	"trigene/internal/gpusim"
+	"trigene/internal/join"
 	"trigene/internal/obs"
 	"trigene/internal/perfmodel"
 	"trigene/internal/sched"
@@ -183,23 +184,27 @@ func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64
 	meter := sched.NewThroughputMeter(workers + 1)
 
 	type gpuOut struct {
-		res *gpusim.Result
-		err error
+		res   *gpusim.Result
+		err   error
+		panic *join.Panic // raised again here, where the caller can recover it
 	}
 	gpuCh := make(chan gpuOut, 1)
 	claimed := make(chan struct{})
 	go func() {
-		res, err := gpusim.New(gpuDev).Search(st, gpusim.Options{
-			Kernel:        gpusim.K4Tiled,
-			Objective:     opts.Objective,
-			TopK:          opts.TopK,
-			Context:       opts.Context,
-			Tiles:         cur,
-			Started:       func() { close(claimed) },
-			Meter:         meter,
-			MeterConsumer: workers,
+		var out gpuOut
+		out.panic = join.Catch(func() {
+			out.res, out.err = gpusim.New(gpuDev).Search(st, gpusim.Options{
+				Kernel:        gpusim.K4Tiled,
+				Objective:     opts.Objective,
+				TopK:          opts.TopK,
+				Context:       opts.Context,
+				Tiles:         cur,
+				Started:       func() { close(claimed) },
+				Meter:         meter,
+				MeterConsumer: workers,
+			})
 		})
-		gpuCh <- gpuOut{res: res, err: err}
+		gpuCh <- out
 	}()
 
 	// Wait for the device's opening claim (or its early failure) so a
@@ -209,6 +214,9 @@ func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64
 	case <-claimed:
 	case g := <-gpuCh:
 		gpu = &g
+	}
+	if gpu != nil && gpu.panic != nil {
+		panic(gpu.panic)
 	}
 	if gpu != nil && gpu.err != nil {
 		return nil, nil, fmt.Errorf("hetero: GPU half: %w", gpu.err)
@@ -227,6 +235,9 @@ func runStealing(st *store.Store, gpuDev device.GPU, opts *Options, lo, hi int64
 	if gpu == nil {
 		g := <-gpuCh
 		gpu = &g
+	}
+	if gpu.panic != nil {
+		panic(gpu.panic)
 	}
 	if cpuErr != nil {
 		return nil, nil, fmt.Errorf("hetero: CPU half: %w", cpuErr)

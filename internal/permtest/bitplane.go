@@ -55,6 +55,7 @@ import (
 	"trigene/internal/bitvec"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/join"
 	"trigene/internal/score"
 )
 
@@ -228,12 +229,9 @@ func Prepare(planes *dataset.SNPPlanes, candidates [][]int, cfg Config) (*Prepar
 	// one word wide.
 	lay := p.layout(64)
 	workers := min(c.Workers, len(candidates))
-	var wg sync.WaitGroup
+	var g join.Group
 	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			ps := getScratch(c, lay, len(p.cands))
 			defer scratchPool.Put(ps)
 			copy(ps.slab, planes.Phen.Words())
@@ -244,9 +242,9 @@ func Prepare(planes *dataset.SNPPlanes, candidates [][]int, cfg Config) (*Prepar
 				ps.count(cand, 0, 1)
 				cand.obs = ps.observed(cand)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	return p, nil
 }
 
@@ -267,19 +265,16 @@ func (p *Prepared) Range(offset, count int, cfg Config) (*RangeResult, error) {
 	hitsPer := make([][]int, c.Workers)
 	rowsPer := make([]int64, c.Workers)
 	var next atomic.Int64 // first unclaimed permutation of the range, less offset
-	var wg sync.WaitGroup
+	var g join.Group
 	for w := 0; w < c.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			ps := getScratch(c, lay, len(p.cands))
 			defer scratchPool.Put(ps)
 			hitsPer[w] = append([]int(nil), ps.permWorker(c, p.cands, p.n, p.nCases, offset, count, &next)...)
 			rowsPer[w] = ps.scored
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	if err := c.Context.Err(); err != nil {
 		return nil, err
 	}

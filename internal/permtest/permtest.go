@@ -12,11 +12,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"trigene/internal/bitvec"
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
+	"trigene/internal/join"
 	"trigene/internal/score"
 )
 
@@ -193,12 +193,9 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 	_, nCases := mx.ClassCounts()
 
 	counts := make([]int, c.Workers)
-	var wg sync.WaitGroup
+	var g join.Group
 	for w := 0; w < c.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			cs := newCellScore(c.Objective)
 			plane := make([]uint64, bitvec.WordsFor(n))
 			ctrl, cases := make([]int32, cells), make([]int32, cells)
@@ -222,9 +219,9 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 				}
 			}
 			counts[w] = hits
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	if err := c.Context.Err(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"trigene/internal/combin"
 )
@@ -51,9 +52,10 @@ type ScreenDecision struct {
 
 // DecideScreen sizes a screen for the workload under a wall-time
 // budget in seconds: the largest survivor set whose stage-1 + stage-2
-// cost fits, or a decline when exhaustive search already fits (the
-// space is small enough that screening only adds the pair scan) or
-// when the affordable budget covers every SNP (nothing would prune).
+// cost fits, or a decline at order 2 (stage 1 is the exhaustive search),
+// when exhaustive search already fits (the space is small enough that
+// screening only adds the pair scan) or when the affordable budget covers
+// every SNP (nothing would prune).
 func DecideScreen(w Workload, h Host, c Constraints, budgetSec float64) (*ScreenDecision, error) {
 	if budgetSec <= 0 {
 		return nil, fmt.Errorf("plan: screen budget must be positive seconds, got %g", budgetSec)
@@ -71,8 +73,14 @@ func DecideScreen(w Workload, h Host, c Constraints, budgetSec float64) (*Screen
 		order = 3
 	}
 	m := w.SNPs
+	// A space beyond int64 combinations never fits a budget: the
+	// exhaustive search is priced at +Inf.
+	exhaustive := math.Inf(1)
+	if c, ok := combin.BinomialChecked(m, order); ok {
+		exhaustive = float64(c) / combosPerSec
+	}
 	d := &ScreenDecision{
-		PredictedExhaustiveSec: float64(combin.Binomial(m, order)) / combosPerSec,
+		PredictedExhaustiveSec: exhaustive,
 		PredictedStage1Sec:     float64(combin.Pairs(m)) / (combosPerSec * screenPairRateFactor),
 	}
 	if d.PredictedExhaustiveSec <= budgetSec {
@@ -81,12 +89,18 @@ func DecideScreen(w Workload, h Host, c Constraints, budgetSec float64) (*Screen
 			m, order, budgetSec, d.PredictedExhaustiveSec)
 		return d, nil
 	}
+	if order == 2 {
+		d.Decline = true
+		d.Reason = fmt.Sprintf("at order 2 the screen's stage 1 already is the exhaustive C(%d,2) pair search; stage 2 would only score pairs again", m)
+		return d, nil
+	}
 	floor := max(minScreenSurvivors, order)
 	s := floor - 1
 	if remaining := budgetSec - d.PredictedStage1Sec; remaining > 0 {
 		// The largest survivor set whose C(s,k) stage 2 fits what the
 		// pair scan leaves of the budget.
-		s = combin.InvBinomial(int64(remaining*combosPerSec), order, m+1)
+		// (A budget past int64 combinations affords every SNP.)
+		s = combin.InvBinomial(int64(min(remaining*combosPerSec, math.MaxInt64/2)), order, m+1)
 	}
 	clamped := s < floor
 	if clamped {

@@ -128,9 +128,10 @@ func TestDecideScreenSizesUnderTightBudget(t *testing.T) {
 // TestDecideScreenClampsToFloor: a budget too small even for the pair
 // scan keeps the minimum viable survivor set — 3 SNPs, and k at order
 // k — rather than declining (screening still beats exhaustive search
-// here), and flags the clamp.
+// here), and flags the clamp. Order 2 declines instead
+// (TestDecideScreenDeclinesAtOrderTwo).
 func TestDecideScreenClampsToFloor(t *testing.T) {
-	for _, k := range []int{2, 3, 4, 5} {
+	for _, k := range []int{3, 4, 5} {
 		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
 		model := modelScreen(t, w)
 		d, err := DecideScreen(w, hostCI3(), Constraints{}, model.PredictedStage1Sec/2)
@@ -146,6 +147,40 @@ func TestDecideScreenClampsToFloor(t *testing.T) {
 		if !strings.Contains(d.Reason, "floor") {
 			t.Errorf("order %d: reason %q does not flag the clamp", k, d.Reason)
 		}
+	}
+}
+
+// TestDecideScreenDeclinesAtOrderTwo: at order 2 stage 1 already scans
+// every pair, so a screen can only add stage 2's re-scoring: whatever the
+// budget below the exhaustive cost, the planner declines and says why.
+func TestDecideScreenDeclinesAtOrderTwo(t *testing.T) {
+	w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: 2}
+	model := modelScreen(t, w)
+	for _, budget := range []float64{model.PredictedStage1Sec / 2, model.PredictedExhaustiveSec / 100, model.PredictedExhaustiveSec / 2} {
+		d, err := DecideScreen(w, hostCI3(), Constraints{}, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Decline || d.Survivors != 0 {
+			t.Errorf("budget %.3gs: %+v, want a decline", budget, d)
+		}
+		if !strings.Contains(d.Reason, "order 2") {
+			t.Errorf("budget %.3gs: reason %q does not name order 2", budget, d.Reason)
+		}
+	}
+}
+
+// TestDecideScreenPricesOverflowingSpaces: a space beyond int64
+// combinations is priced, not panicked on: its exhaustive search never
+// fits, and the screen is sized.
+func TestDecideScreenPricesOverflowingSpaces(t *testing.T) {
+	w := Workload{SNPs: 1734, Samples: 64, Order: 7}
+	d, err := DecideScreen(w, hostCI3(), Constraints{}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Decline || !math.IsInf(d.PredictedExhaustiveSec, 1) || d.Survivors < 7 || d.Survivors >= w.SNPs {
+		t.Errorf("C(1734,7) under a 10 s budget: %+v, want +Inf exhaustive and a screen", d)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 
 	"trigene/internal/combin"
+	"trigene/internal/join"
 )
 
 // Tile is one claimed unit of work: a half-open range [Lo, Hi) of
@@ -256,7 +257,8 @@ func (c *Cursor) Consume(ctx context.Context, grains int64, fn func(t Tile) (int
 
 // Drain runs a pool of consumers goroutine consumers over the cursor,
 // each executing fn for every tile it claims, until the space drains,
-// ctx is cancelled, or a consumer fails; the first error wins. fn
+// ctx is cancelled, or a consumer fails; the first error wins, and a
+// consumer's panic is raised again on the caller once all return. fn
 // receives the consumer index (for per-consumer scratch) and returns
 // the number of finished work items.
 func (c *Cursor) Drain(ctx context.Context, consumers int, fn func(consumer int, t Tile) (int64, error)) error {
@@ -264,20 +266,18 @@ func (c *Cursor) Drain(ctx context.Context, consumers int, fn func(consumer int,
 		consumers = 1
 	}
 	var firstErr errOnce
-	var wg sync.WaitGroup
+	var g join.Group // a consumer's panic is raised again on the caller
 	for w := 0; w < consumers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+		g.Go(func() {
 			err := c.Consume(ctx, 1, func(t Tile) (int64, error) {
 				return fn(w, t)
 			})
 			if err != nil {
 				firstErr.set(err)
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	return firstErr.get()
 }
 

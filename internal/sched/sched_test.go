@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"trigene/internal/join"
 )
 
 func TestSourceBoundsAndGrain(t *testing.T) {
@@ -258,6 +260,31 @@ func TestDrainFirstErrorWins(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// TestDrainRaisesConsumerPanic: a consumer's panic is raised again, with
+// its value, on the goroutine that called Drain, after every consumer
+// has returned, so a recover there sees it.
+func TestDrainRaisesConsumerPanic(t *testing.T) {
+	cur := NewCursor(NewSource(0, 1000, 10))
+	var scored atomic.Int64
+	defer func() {
+		p, ok := recover().(*join.Panic)
+		if !ok || p.Value != "boom" {
+			t.Fatalf("Drain raised %#v, want the consumer's panic", p)
+		}
+		if got := scored.Load(); got != 990 {
+			t.Fatalf("the other consumers scored %d of the 990 ranks left", got)
+		}
+	}()
+	cur.Drain(context.Background(), 3, func(_ int, tile Tile) (int64, error) {
+		if tile.Lo == 500 {
+			panic("boom")
+		}
+		scored.Add(tile.Len())
+		return tile.Len(), nil
+	})
+	t.Fatal("Drain returned past a consumer's panic")
 }
 
 func TestConsumeContextCancelled(t *testing.T) {

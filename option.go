@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"trigene/internal/contingency"
+	"trigene/internal/engine"
 	"trigene/internal/obs"
 	"trigene/internal/score"
 )
@@ -59,6 +60,30 @@ func newSearchConfig(opts []Option) (*searchConfig, error) {
 		return nil, fmt.Errorf("trigene: the cpu backend runs approach V3F or V4F, not %v (V1..V4 are gpusim kernels)", cfg.approach)
 	}
 	return cfg, nil
+}
+
+// checkSpace refuses a search over m SNPs whose combination space is more
+// than an int64 counts: C(n, k) over the n SNPs the order-k search may
+// enumerate, which is all m unless a screen pins its survivors or caps
+// them. A screen sized by BudgetSeconds alone passes: the planner's S
+// never spans more than an int64 counts, and it screens every space
+// that does. It runs before any encoding, screen or planner call.
+func (c *searchConfig) checkSpace(m int) error {
+	n := m
+	if sc := c.screen; sc != nil {
+		switch {
+		case sc.pinned():
+			n = len(sc.Survivors)
+		case sc.MaxSurvivors > 0:
+			n = min(m, sc.MaxSurvivors)
+		case sc.BudgetSeconds > 0:
+			return nil
+		}
+	}
+	if err := engine.CheckSpace(n, c.order); err != nil {
+		return fmt.Errorf("%w; search fewer SNPs, or screen them (ScreenSpec)", err)
+	}
+	return nil
 }
 
 // cpuApproach is the approach the planner prices for the configured

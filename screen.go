@@ -27,12 +27,13 @@ import (
 // survivor budget is set:
 //
 //   - MaxSurvivors > 0 keeps the top-S SNPs deterministically;
-//   - BudgetSeconds > 0 (with MaxSurvivors 0) lets the planner derive
-//     S from its cost models under the time budget: the largest S whose
-//     modeled C(M,2) pair scan plus C(S,k) order-k stage 2 fit, and at
-//     least max(3, k). It declines the screen entirely when the
-//     exhaustive C(M,k) search fits the budget or S would keep every SNP
-//     (Report.Screen.Declined records why);
+//   - BudgetSeconds > 0 lets the planner derive S from its cost models
+//     under the time budget: the largest S whose modeled C(M,2) pair
+//     scan plus C(S,k) order-k stage 2 fit, and at least max(3, k),
+//     capped at MaxSurvivors when that is set too. It declines the
+//     screen entirely at order 2 (stage 1 is the exhaustive pair
+//     search), when the exhaustive C(M,k) search fits the budget or
+//     when S would keep every SNP (Report.Screen.Declined records why);
 //   - Survivors/Seeds pin the stage-2 space outright, skipping stage 1
 //     (the form cluster coordinators use for stage-2 grants).
 //
@@ -40,14 +41,14 @@ import (
 // extends each by every third SNP, so a strong pair whose partners
 // were pruned still surfaces (order-3 searches only).
 type ScreenSpec struct {
-	// MaxSurvivors is the survivor budget S (0 = planner-derived from
-	// BudgetSeconds).
+	// MaxSurvivors is the survivor budget S, or with BudgetSeconds the
+	// cap on the S the planner derives (0 = no cap).
 	MaxSurvivors int `json:"maxSurvivors,omitempty"`
 	// SeedPairs is how many top pairs to keep as stage-2 seeds (0 =
 	// none).
 	SeedPairs int `json:"seedPairs,omitempty"`
 	// BudgetSeconds is the end-to-end time budget the planner sizes the
-	// screen for when MaxSurvivors is 0, pricing the search's own order,
+	// screen for (0 = none), pricing the search's own order,
 	// backend and CPU approach on the live host's device model. The
 	// model is the paper's analytical one, not a measurement, so the
 	// budget sizes the screen and does not bound the wall time.
@@ -411,8 +412,10 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 		info.Survivors = len(survivors)
 		info.SeedPairs = len(seeds)
 	default:
+		// The planner sizes S under a time budget, and MaxSurvivors caps
+		// what it sizes; without a budget, MaxSurvivors is S.
 		budget := spec.MaxSurvivors
-		if budget == 0 {
+		if spec.BudgetSeconds > 0 {
 			dec, err := s.decideScreen(cfg, spec.BudgetSeconds)
 			if err != nil {
 				return nil, err
@@ -428,9 +431,10 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 				return rep, nil
 			}
 			info.Reason = dec.Reason
-			budget = dec.Survivors
-			if budget > m {
-				budget = m
+			if budget == 0 || dec.Survivors < budget {
+				budget = dec.Survivors
+			} else {
+				info.Reason += fmt.Sprintf("; capped at MaxSurvivors %d", budget)
 			}
 		}
 		screenDone := tr.Start("screen")

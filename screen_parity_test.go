@@ -109,7 +109,8 @@ func TestScreenTightRecall(t *testing.T) {
 // C(M,k), and the run is the unscreened one. A budget below even the
 // pair scan keeps the floor, max(3, k) survivors, which the order-k
 // stage 2 can search, and ranks what the same survivor count set by
-// MaxSurvivors ranks.
+// MaxSurvivors ranks — except at order 2, where stage 1 is the exhaustive
+// search and every budget declines.
 func TestScreenBudgetSizesEveryOrder(t *testing.T) {
 	s := plantedSession(t)
 	ctx := context.Background()
@@ -135,6 +136,13 @@ func TestScreenBudgetSizesEveryOrder(t *testing.T) {
 		rep, err = s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e-9}))...)
 		if err != nil {
 			t.Fatalf("order %d, tiny budget: %v", k, err)
+		}
+		if k == 2 {
+			if rep.Screen == nil || !rep.Screen.Declined || !strings.Contains(rep.Screen.Reason, "order 2") {
+				t.Fatalf("order 2: a tiny budget did not decline the screen: %+v", rep.Screen)
+			}
+			reportsEqual(t, "order 2 declined screen, tiny budget", rep, plain)
+			continue
 		}
 		if rep.Screen == nil || rep.Screen.Declined {
 			t.Fatalf("order %d: a tiny budget did not screen: %+v", k, rep.Screen)

@@ -134,6 +134,9 @@ func (s *Session) Search(ctx context.Context, opts ...Option) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.checkSpace(s.SNPs()); err != nil {
+		return nil, err
+	}
 	if cfg.remote != nil {
 		return s.searchRemote(ctx, cfg)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"trigene/internal/combin"
 	"trigene/internal/obs"
 	"trigene/internal/permtest"
 	"trigene/internal/store"
@@ -429,5 +430,81 @@ func TestPermRowCounters(t *testing.T) {
 	}
 	if got := value("trigene_perm_rows_counted_total") - counted; got != 40*36 {
 		t.Errorf("MI slice scored %d rows, want all 40 x 36", got)
+	}
+}
+
+// refusingExecutor is a RemoteExecutor that fails the test if a search
+// reaches it.
+type refusingExecutor struct{ t *testing.T }
+
+func (e refusingExecutor) Name() string { return "refusing" }
+
+func (e refusingExecutor) ExecuteSearch(context.Context, *Matrix, SearchSpec) (*Report, error) {
+	e.t.Error("a search whose space overflows int64 reached the executor")
+	return nil, fmt.Errorf("refused")
+}
+
+// TestSearchRefusesSpacesBeyondInt64: at orders 5 to 7, a dataset one SNP
+// past the largest M whose C(M,k) fits an int64 is refused with an error —
+// locally before any encoding is built, and before a cluster hears of it —
+// while the largest M still runs, as a 1-of-N shard at the top of its rank
+// space. A screen pinned to a few survivors searches the larger dataset,
+// and so, at order 7, does a screen the planner sizes under a budget.
+func TestSearchRefusesSpacesBeyondInt64(t *testing.T) {
+	ctx := context.Background()
+	session := func(m int) *Session {
+		mx := NewMatrix(m, 8)
+		for i := 0; i < m; i++ {
+			for j, row := 0, mx.Row(i); j < len(row); j++ {
+				row[j] = uint8((i*7 + j*3 + i*j) % 3)
+			}
+		}
+		for j := 0; j < 8; j += 2 {
+			mx.SetPhen(j, 1)
+		}
+		s, err := NewSession(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for k, limit := range map[int]int{5: 16175, 6: 4337, 7: 1733} {
+		over := session(limit + 1)
+		for _, extra := range [][]Option{nil, {WithCluster(refusingExecutor{t})}} {
+			_, err := over.Search(ctx, append([]Option{WithOrder(k)}, extra...)...)
+			if err == nil || !strings.Contains(err.Error(), "more than an int64 counts") {
+				t.Errorf("order %d over %d SNPs: error %v, want the space refused", k, limit+1, err)
+			}
+		}
+		if b := over.store.Builds(); b != (store.Builds{}) {
+			t.Errorf("order %d over %d SNPs: refused searches built %+v", k, limit+1, b)
+		}
+		survivors := []int{0, 5, 9, 100, 1000, 1500, 1600, limit - 1, limit}
+		rep, err := over.Search(ctx, WithOrder(k), WithWorkers(1), WithScreen(ScreenSpec{Survivors: survivors}))
+		if err != nil {
+			t.Fatalf("order %d over %d SNPs, %d pinned survivors: %v", k, limit+1, len(survivors), err)
+		}
+		if want := combin.Binomial(len(survivors), k); rep.Combinations != want {
+			t.Errorf("order %d, %d pinned survivors: %d combinations, want %d", k, len(survivors), rep.Combinations, want)
+		}
+		if k == 7 { // the pair scan of the larger spaces takes seconds
+			rep, err := over.Search(ctx, WithOrder(k), WithWorkers(1), WithScreen(ScreenSpec{BudgetSeconds: 1e-3}))
+			if err != nil {
+				t.Fatalf("order %d over %d SNPs, budget screen: %v", k, limit+1, err)
+			}
+			if sc := rep.Screen; sc == nil || sc.Declined || sc.Survivors < k || sc.Survivors > limit || rep.Combinations != combin.Binomial(sc.Survivors, k) {
+				t.Errorf("order %d over %d SNPs, budget screen: %+v, %d combinations", k, limit+1, sc, rep.Combinations)
+			}
+		}
+
+		total := combin.Binomial(limit, k)
+		count := int(total / 500)
+		rep, err = session(limit).Search(ctx, WithOrder(k), WithWorkers(1), WithShard(count-1, count))
+		if err != nil {
+			t.Fatalf("order %d over %d SNPs, last of %d shards: %v", k, limit, count, err)
+		}
+		if rep.Combinations < 500 || rep.Combinations > 1000 || len(rep.Best.SNPs) != k || rep.Best.SNPs[k-1] != limit-1 {
+			t.Errorf("order %d over %d SNPs, last of %d shards: %d combinations, best %v", k, limit, count, rep.Combinations, rep.Best.SNPs)
+		}
 	}
 }
