@@ -6,7 +6,7 @@
 //
 //	datagen -snps 1000 -samples 4000 -seed 1 -out data.tg
 //	datagen -snps 256 -samples 2048 -interact 10,70,200 -model xor -out planted.tgb -format binary
-//	datagen -snps 1000 -samples 4000 -out data.tpack -format pack   # pre-encoded; searches start in ms
+//	datagen -snps 1000 -samples 4000 -out data.tpack -format pack   # packed; loads without a parse
 package main
 
 import (
@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	low := fs.Float64("low", 0.1, "low case probability of the penetrance model")
 	high := fs.Float64("high", 0.9, "high case probability of the penetrance model")
 	out := fs.String("out", "", "output path (default stdout)")
-	format := fs.String("format", "text", "output format: text, binary or pack (pre-encoded .tpack)")
+	format := fs.String("format", "text", "output format: text, binary or pack (packed .tpack, loaded without a parse)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

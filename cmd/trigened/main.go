@@ -6,7 +6,7 @@
 //	trigened worker -coordinator http://c:9321  # contribute a worker
 //	trigened worker -coordinator http://c:9321 -capacity 8          # weighted leasing
 //	trigened worker -coordinator http://c:9321 -cache-entries 8 -cache-dir /var/cache/trigene
-//	trigened pack   -in data.tg -out data.tpack # pre-encode a dataset offline
+//	trigened pack   -in data.tg -out data.tpack # pack a dataset offline
 //	trigened submit -coordinator http://c:9321 -in data.tg -tiles 64 -name scan1
 //	trigened submit -coordinator http://c:9321 -in data.tg -backend gpusim:GN1 -order 2
 //	trigened submit -coordinator http://c:9321 -in data.tg -wait    # block, print the Report
@@ -125,7 +125,8 @@ func usage(w io.Writer) {
 modes:
   serve    run the coordinator (job queue + tile leases)
   worker   lease and execute tiles against a coordinator
-  pack     pre-encode a dataset into the packed .tpack format
+  pack     write a dataset in the packed .tpack format (2-bit genotypes
+           under their content hash; loads without a parse)
   submit   submit a search spec over a dataset as a job (the dataset's
            bytes go only if the coordinator does not hold its hash)
   status   show the job queue, or one job

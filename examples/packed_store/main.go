@@ -1,8 +1,9 @@
 // packed_store demonstrates the encoded-dataset store lifecycle:
-// generate a dataset, pre-encode it into a packed .tpack file, reopen
-// it (memory-mapped where the platform allows) and search immediately
-// — no re-parse, no re-binarization — with bit-exact results and a
-// stable content hash.
+// generate a dataset, write it as a packed .tpack file (2-bit genotypes
+// under their content hash), reopen it (memory-mapped where the
+// platform allows) and search it without a re-parse — the first search
+// builds its bit-plane encoding from the packed sections — with
+// bit-exact results and a stable content hash.
 //
 // Run with: go run ./examples/packed_store
 package main
@@ -41,7 +42,7 @@ func run() error {
 	}
 
 	// Path 1: the ordinary session. Its first search builds the needed
-	// bit-plane encoding; WritePack then persists the encodings.
+	// bit-plane encoding; WritePack then persists the packed sections.
 	sess, err := trigene.NewSession(mx)
 	if err != nil {
 		return err
@@ -76,9 +77,9 @@ func run() error {
 	}
 	fmt.Printf("wrote %s: %d bytes\n", filepath.Base(path), fi.Size())
 
-	// Path 2: reopen the pack. OpenPack memory-maps the encodings, so
-	// the session is ready to search in milliseconds — the path a
-	// cluster worker or a CLI takes on a warm cache.
+	// Path 2: reopen the pack. OpenPack memory-maps the packed sections,
+	// so the session is ready in milliseconds — the path a cluster worker
+	// or a CLI takes on a warm cache.
 	start := time.Now()
 	packed, err := trigene.OpenPack(path)
 	if err != nil {
@@ -92,7 +93,7 @@ func run() error {
 	}
 	fmt.Printf("packed session: best %v (%s=%.4f), hash %.12s…\n",
 		rep.Best.SNPs, rep.Objective, rep.Best.Score, packed.DatasetHash())
-	fmt.Printf("pack opened in %v (mmap=%v); encodings adopted, not rebuilt\n",
+	fmt.Printf("pack opened in %v (mmap=%v); the search built its encoding from the packed sections\n",
 		loadDur.Round(time.Microsecond), packed.PackMapped())
 
 	if rep.Best.Score != warm.Best.Score || packed.DatasetHash() != sess.DatasetHash() {

@@ -130,9 +130,9 @@ type SubmitRequest struct {
 	DatasetSHA256 string `json:"datasetSHA256,omitempty"`
 	// Dataset is the dataset in the trigene binary format or the
 	// packed .tpack format (base64 in JSON). The coordinator holds and
-	// serves it packed either way, encoding a binary submission exactly
-	// once so workers never re-binarize. A request sets Dataset,
-	// DatasetSHA256 or both.
+	// serves it packed either way, packing a binary submission once, so
+	// workers read only .tpack. A request sets Dataset, DatasetSHA256 or
+	// both.
 	Dataset []byte `json:"dataset,omitempty"`
 }
 

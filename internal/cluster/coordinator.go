@@ -441,10 +441,10 @@ func (c *Coordinator) submittedDataset(req *SubmitRequest) (heldDataset, int, er
 		}
 		return ds, 0, nil
 	}
-	// Accept the dataset as trigene binary or pre-encoded .tpack, and
-	// hold (and serve) it packed either way: the coordinator encodes a
-	// binary submission exactly once, so every worker that fetches the
-	// job starts from the shared encodings instead of re-binarizing.
+	// Accept the dataset as trigene binary or .tpack, and hold (and
+	// serve) it packed either way: the coordinator packs a binary
+	// submission once, and every worker that fetches the job reads the
+	// packed sections under their content hash.
 	var sess *trigene.Session
 	ds := heldDataset{data: req.Dataset, uploaded: true}
 	if store.IsPack(req.Dataset) {

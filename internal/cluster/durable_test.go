@@ -363,6 +363,45 @@ func TestDurableRecoveryBackendParity(t *testing.T) {
 	}
 }
 
+// TestDurableRecoversVersion1Packs: a state directory from before the
+// .tpack went to version 2 holds version 1 packs, stored as uploaded.
+// With one whose planes disagree with its genotypes in the pack store,
+// a restarted coordinator recovers the job on it, and the job's Report
+// is bit-exact with the local search of the genotypes.
+func TestDurableRecoversVersion1Packs(t *testing.T) {
+	tampered, mx := tamperedV1(t)
+	local := sessionFor(t, mx)
+	ctx := context.Background()
+	cfg := Config{LeaseTTL: 10 * time.Second, StateDir: t.TempDir()}
+	cl, proxy, co := newDurableCluster(t, cfg)
+	spec := trigene.SearchSpec{Order: 3, TopK: 6, Workers: 2}
+	var resp SubmitResponse
+	if err := cl.do(ctx, http.MethodPost, "/v1/jobs", SubmitRequest{Name: "v1", Spec: spec, Tiles: 3, Dataset: tampered}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.ReadFile(co.packPath(local.DatasetHash()))
+	if err != nil || !bytes.Equal(held, tampered) {
+		t.Fatalf("pack store does not hold the version 1 upload as sent (err %v)", err)
+	}
+
+	proxy.crash()
+	proxy.resume(t, cfg)
+	startWorkers(t, cl, 2)
+	got, err := cl.Wait(ctx, resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Search(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "recovered version 1 pack", got, want)
+}
+
 // TestDurableCrashWithWorkers is the integration path: live workers,
 // real clock, coordinator SIGKILLed mid-job and recovered while the
 // workers keep hammering the same URL. The job converges to the

@@ -120,6 +120,22 @@ func FuzzSubmitRequest(f *testing.F) {
 	} {
 		f.Add([]byte(mustJSON(f, req)))
 	}
+	// C(1734, 7) is the first space of order 7 past an int64: a search of
+	// it, and a screen that may keep every SNP, are refused with a 400.
+	overflow := trigene.NewMatrix(1734, 8)
+	for j := 0; j < 8; j += 2 {
+		overflow.SetPhen(j, 1)
+	}
+	wide := binaryOf(f, overflow)
+	for _, spec := range []trigene.SearchSpec{{Order: 7}, {Order: 7, Screen: &trigene.ScreenSpec{MaxSurvivors: 1734}}} {
+		body := mustJSON(f, SubmitRequest{Tiles: 4, Spec: spec, Dataset: wide})
+		rec := httptest.NewRecorder()
+		NewCoordinator(Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader([]byte(body))))
+		if rec.Code != http.StatusBadRequest {
+			f.Fatalf("order 7 over 1734 SNPs, screen %+v: HTTP %d %s, want 400", spec.Screen, rec.Code, rec.Body.String())
+		}
+		f.Add([]byte(body))
+	}
 	for _, seed := range []string{``, `null`, `{}`, `[]`, `{"tiles":1e9,"datasetSHA256":"` + held + `"}`, `{"tiles":-1}`} {
 		f.Add([]byte(seed))
 	}

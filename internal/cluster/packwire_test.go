@@ -3,11 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,7 +81,7 @@ func TestCoordinatorServesPackedDataset(t *testing.T) {
 	}
 }
 
-// TestPackedSubmitParity: a job submitted as a pre-encoded pack and
+// TestPackedSubmitParity: a job submitted as a .tpack and
 // executed by loopback workers merges bit-exact with the local run.
 func TestPackedSubmitParity(t *testing.T) {
 	mx := plantedMatrix(t)
@@ -203,36 +200,5 @@ func TestWorkerPackDiskCache(t *testing.T) {
 	defer s.Close()
 	if s.DatasetHash() != sess.DatasetHash() {
 		t.Fatalf("disk cache returned %s, want %s", s.DatasetHash(), sess.DatasetHash())
-	}
-}
-
-// TestWorkerLegacyByteHashGrant: a pre-store coordinator serves the
-// raw binary dataset and names sha256(bytes) in the grant; the worker
-// must accept that fingerprint (and reject a wrong one) so mixed
-// versions fail over instead of looping forever.
-func TestWorkerLegacyByteHashGrant(t *testing.T) {
-	mx := plantedMatrix(t)
-	var bin bytes.Buffer
-	if err := trigene.WriteBinary(&bin, mx); err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j1/dataset", func(w http.ResponseWriter, r *http.Request) {
-		w.Write(bin.Bytes())
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	w := &Worker{Client: NewClient(srv.URL), Logger: testLogger(t)}
-	legacy := fmt.Sprintf("%x", sha256.Sum256(bin.Bytes()))
-	s, err := w.session(context.Background(), LeaseGrant{Job: "j1", DatasetSHA256: legacy})
-	if err != nil {
-		t.Fatalf("legacy byte-hash grant rejected: %v", err)
-	}
-	if s.SNPs() != mx.SNPs() {
-		t.Fatalf("session has %d SNPs, want %d", s.SNPs(), mx.SNPs())
-	}
-	if _, err := w.session(context.Background(), LeaseGrant{Job: "j1", DatasetSHA256: "0badc0de"}); err == nil {
-		t.Fatal("wrong fingerprint accepted")
 	}
 }

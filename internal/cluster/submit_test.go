@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -176,6 +177,61 @@ func TestSubmitByReference(t *testing.T) {
 	if ref, up := counts(); ref != 2 || up != 2 {
 		t.Fatalf("after the upload again: referenced %v, uploaded %v; want 2, 2", ref, up)
 	}
+}
+
+// tamperedV1 is a format version 1 pack whose stored bin and split0
+// planes were swapped under recomputed CRCs: every checksum and its
+// content hash verify, and it returns the dataset it decodes to.
+func tamperedV1(t *testing.T) ([]byte, *trigene.Matrix) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "tampered_v1.tpack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trigene.ReadPack(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, s.Matrix()
+}
+
+// TestSubmitPackCannotPoisonReferences: one client uploads a version 1
+// pack whose stored planes disagree with its genotypes, and another then
+// submits the genuine matrix, which goes by reference to those bytes.
+// The second job's Report equals the local search of the matrix: the
+// workers search only what the content hash covers.
+func TestSubmitPackCannotPoisonReferences(t *testing.T) {
+	tampered, mx := tamperedV1(t)
+	local := sessionFor(t, mx)
+	ctx := context.Background()
+	co := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
+	wire := &submitWire{next: co}
+	srv := httptest.NewServer(wire)
+	t.Cleanup(srv.Close)
+	cl := NewClient(srv.URL)
+	cl.Poll = 5 * time.Millisecond
+
+	spec := trigene.SearchSpec{TopK: 5}
+	if code, eb := postSubmit(t, co, SubmitRequest{Name: "upload", Spec: spec, Tiles: 2, Dataset: tampered}); code != http.StatusCreated {
+		t.Fatalf("version 1 upload: HTTP %d %q", code, eb.Error)
+	}
+	id, err := cl.Submit(ctx, mx, spec, 3, "honest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := wire.taken(); len(b) != 1 || b[0] > byReference {
+		t.Fatalf("honest submission bodies %v, want one reference", b)
+	}
+	startWorkers(t, cl, 2)
+	got, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Search(ctx, trigene.WithTopK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "by reference to an uploaded version 1 pack", got, want)
 }
 
 // TestSubmitDatasetHashDoor: the hash a submission names is checked

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 	"trigene"
 	"trigene/internal/join"
 	"trigene/internal/obs"
-	"trigene/internal/store"
 )
 
 // Worker executes leased tiles against one coordinator: it acquires a
@@ -670,10 +668,9 @@ func (p *pipeline) complete(ctx context.Context) {
 }
 
 // session returns the cached Session for a grant's dataset. On a cache
-// miss it tries the on-disk pack cache, then fetches from the
-// coordinator — packed .tpack bytes, decoded without re-binarizing —
-// and verifies the loaded dataset's content hash against the grant
-// before trusting it.
+// miss it tries the on-disk pack cache, then fetches the job's .tpack
+// from the coordinator, and verifies the loaded dataset's content hash
+// against the grant before trusting it.
 func (w *Worker) session(ctx context.Context, grant LeaseGrant) (*trigene.Session, error) {
 	if s, ok := w.sessions.get(grant.DatasetSHA256); ok {
 		w.wm.datasetLoad("memory")
@@ -689,37 +686,18 @@ func (w *Worker) session(ctx context.Context, grant LeaseGrant) (*trigene.Sessio
 		return nil, err
 	}
 	w.wm.datasetLoad("fetch")
-	var s *trigene.Session
-	if store.IsPack(raw) {
-		s, err = trigene.ReadPack(bytes.NewReader(raw))
-	} else {
-		// Compatibility: an old coordinator serving the raw binary form.
-		var mx *trigene.Matrix
-		if mx, err = trigene.ReadBinary(bytes.NewReader(raw)); err == nil {
-			s, err = trigene.NewSession(mx)
-		}
-	}
+	s, err := trigene.ReadPack(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
-	// Verify the fetched dataset against the grant: this coordinator
-	// names the content hash; an old one hashed the raw bytes, so the
-	// binary-compat path accepts that fingerprint too.
-	contentMatch := s.DatasetHash() == grant.DatasetSHA256
-	if !contentMatch {
-		if legacy := fmt.Sprintf("%x", sha256.Sum256(raw)); legacy != grant.DatasetSHA256 {
-			// The job behind this ID changed under us (coordinator
-			// restart between grant and fetch); abandon rather than
-			// compute on the wrong data.
-			return nil, fmt.Errorf("dataset fingerprint mismatch: fetched %.12s… (content %.12s…), lease names %.12s…",
-				legacy, s.DatasetHash(), grant.DatasetSHA256)
-		}
+	if s.DatasetHash() != grant.DatasetSHA256 {
+		// The job behind this ID changed under us (coordinator restart
+		// between grant and fetch); abandon rather than compute on the
+		// wrong data.
+		return nil, fmt.Errorf("dataset fingerprint mismatch: fetched %.12s…, lease names %.12s…",
+			s.DatasetHash(), grant.DatasetSHA256)
 	}
-	if contentMatch {
-		// Only content-hash-named packs go to disk: a legacy byte-hash
-		// key would fail sessionFromDisk's self-check on reload.
-		w.persistPack(grant.DatasetSHA256, raw, s)
-	}
+	w.persistPack(grant.DatasetSHA256, raw)
 	w.sessions.put(grant.DatasetSHA256, s)
 	return s, nil
 }
@@ -745,10 +723,10 @@ func (w *Worker) sessionFromDisk(hash string) *trigene.Session {
 	return s
 }
 
-// persistPack writes a verified dataset into the pack cache (atomic
+// persistPack writes a verified pack into the pack cache (atomic
 // rename so concurrent workers sharing the directory never read a
 // torn file). Failures only cost the cache, not the tile.
-func (w *Worker) persistPack(hash string, raw []byte, s *trigene.Session) {
+func (w *Worker) persistPack(hash string, raw []byte) {
 	if w.CacheDir == "" {
 		return
 	}
@@ -762,11 +740,7 @@ func (w *Worker) persistPack(hash string, raw []byte, s *trigene.Session) {
 		return
 	}
 	defer os.Remove(tmp.Name())
-	if store.IsPack(raw) {
-		_, err = tmp.Write(raw)
-	} else {
-		err = s.WritePack(tmp)
-	}
+	_, err = tmp.Write(raw)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

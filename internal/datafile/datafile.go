@@ -119,8 +119,7 @@ const FormatsHelp = "input format: auto (trigene text/binary, .tpack, .bed, VCF 
 // ReadSession loads the dataset at path ("-" for stdin) as a
 // ready-to-search Session. A packed .tpack input (format "pack", or
 // auto-detected from the TPK1 magic) opens the encoded-dataset store
-// directly — memory-mapped for files, so no re-parse and no
-// re-binarization; a PLINK .raw input (format "raw", or auto-detected
+// directly — memory-mapped for files, so no re-parse; a PLINK .raw input (format "raw", or auto-detected
 // from its FID header) becomes a store over the reader's packed
 // genotypes, with no Matrix built; every other format parses a matrix
 // and builds a fresh Session around it.

@@ -76,66 +76,6 @@ func (p *SNPPlanes) Plane(snp, g int) []uint64 {
 	return p.planes[k][g*p.Words : (g+1)*p.Words]
 }
 
-// PlaneOverlapError reports pre-built genotype planes in which one
-// sample carries two genotypes of the same SNP. The kernels derive the
-// unstored genotype (and the fused kernel nine of its 27 cells) from
-// the planes of a SNP being disjoint, so such planes are refused at
-// load.
-type PlaneOverlapError struct {
-	// Encoding is "binarized" or "split"; Class is the phenotype class
-	// of a split plane (0 for binarized).
-	Encoding string
-	Class    int
-	// SNP and Word locate the first overlap found.
-	SNP, Word int
-}
-
-func (e *PlaneOverlapError) Error() string {
-	planes := e.Encoding
-	if planes == "split" {
-		planes = fmt.Sprintf("split class-%d", e.Class)
-	}
-	return fmt.Sprintf("dataset: %s planes of SNP %d overlap in word %d: a sample carries two genotypes", planes, e.SNP, e.Word)
-}
-
-// BinarizedFromPlanes wraps pre-built plane storage (the packed
-// on-disk encoding) as a Binarized without recomputing it. planes must
-// hold m*3*WordsFor(n) words in (snp*3+g)*Words layout with zero tail
-// bits and the three planes of a SNP pairwise disjoint, and phen must
-// be an n-bit vector; the slices are adopted, not copied.
-func BinarizedFromPlanes(m, n int, planes []uint64, phen *bitvec.Vector) (*Binarized, error) {
-	if m <= 0 || n <= 0 {
-		return nil, fmt.Errorf("dataset: invalid dimensions %dx%d", m, n)
-	}
-	w := bitvec.WordsFor(n)
-	if len(planes) != m*3*w {
-		return nil, fmt.Errorf("dataset: binarized planes hold %d words, want %d", len(planes), m*3*w)
-	}
-	if phen.Len() != n {
-		return nil, fmt.Errorf("dataset: phenotype vector holds %d bits, want %d", phen.Len(), n)
-	}
-	if mask := bitvec.TailMask(n); mask != ^uint64(0) {
-		for p := 0; p < m*3; p++ {
-			if planes[(p+1)*w-1]&^mask != 0 {
-				return nil, fmt.Errorf("dataset: binarized plane %d has nonzero tail bits", p)
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		g0, g1, g2 := planes[i*3*w:(i*3+1)*w], planes[(i*3+1)*w:(i*3+2)*w], planes[(i*3+2)*w:(i*3+3)*w]
-		for k, a := range g0 {
-			if b, c := g1[k], g2[k]; a&b|(a|b)&c != 0 {
-				return nil, &PlaneOverlapError{Encoding: "binarized", SNP: i, Word: k}
-			}
-		}
-	}
-	return &Binarized{M: m, N: n, Words: w, planes: planes, Phen: phen}, nil
-}
-
-// PlaneData exposes the full plane storage in (snp*3+g)*Words layout.
-// The slice aliases internal storage; the packed codec serializes it.
-func (b *Binarized) PlaneData() []uint64 { return b.planes }
-
 func (b *Binarized) planeWords(snp, g int) []uint64 {
 	off := (snp*3 + g) * b.Words
 	return b.planes[off : off+b.Words]
@@ -172,47 +112,9 @@ type Split struct {
 // sample order.
 func SplitBinarize(mx *Matrix) *Split { return Pack(mx).Split() }
 
-// SplitFromPlanes wraps pre-built per-class plane storage (the packed
-// on-disk encoding) as a Split without recomputing it. planes[c] must
-// hold m*2*WordsFor(n[c]) words in (snp*2+g)*Words layout with zero
-// tail bits and the two planes of a SNP disjoint; the slices are
-// adopted, not copied.
-func SplitFromPlanes(m int, n [2]int, planes [2][]uint64) (*Split, error) {
-	if m <= 0 || n[Control] < 0 || n[Case] < 0 {
-		return nil, fmt.Errorf("dataset: invalid split dimensions m=%d n=%v", m, n)
-	}
-	s := &Split{M: m, N: n}
-	for c := 0; c < 2; c++ {
-		s.Words[c] = bitvec.WordsFor(n[c])
-		s.Pad[c] = s.Words[c]*bitvec.WordBits - n[c]
-		if len(planes[c]) != m*2*s.Words[c] {
-			return nil, fmt.Errorf("dataset: split class-%d planes hold %d words, want %d", c, len(planes[c]), m*2*s.Words[c])
-		}
-		if mask := bitvec.TailMask(n[c]); mask != ^uint64(0) {
-			w := s.Words[c]
-			for p := 0; p < m*2; p++ {
-				if planes[c][(p+1)*w-1]&^mask != 0 {
-					return nil, fmt.Errorf("dataset: split class-%d plane %d has nonzero tail bits", c, p)
-				}
-			}
-		}
-		w := s.Words[c]
-		for i := 0; i < m; i++ {
-			g0, g1 := planes[c][i*2*w:(i*2+1)*w], planes[c][(i*2+1)*w:(i*2+2)*w]
-			for k, a := range g0 {
-				if a&g1[k] != 0 {
-					return nil, &PlaneOverlapError{Encoding: "split", Class: c, SNP: i, Word: k}
-				}
-			}
-		}
-		s.planes[c] = planes[c]
-	}
-	return s, nil
-}
-
 // ClassPlaneData exposes one class's full plane storage in
 // (snp*2+g)*Words layout. The slice aliases internal storage; the
-// packed codec serializes it.
+// kernels read it.
 func (s *Split) ClassPlaneData(class int) []uint64 { return s.planes[class] }
 
 func (s *Split) plane(class, snp, g int) []uint64 {

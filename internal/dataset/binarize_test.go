@@ -236,7 +236,7 @@ func TestEncodersMatchPerSampleForm(t *testing.T) {
 			}
 			b := Binarize(mx)
 			want := binarizePerSample(mx)
-			for k, w := range b.PlaneData() {
+			for k, w := range b.planes {
 				if w != want[k] {
 					t.Fatalf("n=%d cases=%d: binarized word %d = %#x, per-sample form %#x", n, cases, k, w, want[k])
 				}

@@ -12,7 +12,7 @@ type storeMetrics struct {
 // immediately, so the exported counters always equal Builds()
 // regardless of when the registry is attached. Pack-loaded stores
 // increment trigene_store_pack_loads_total once, labeled by whether
-// the encodings alias an mmap region or were decoded onto the heap.
+// the packed sections alias an mmap region or a heap buffer.
 // Safe to call with a nil registry (a no-op).
 func (s *Store) Instrument(reg *obs.Registry) {
 	if reg == nil {

@@ -9,23 +9,22 @@ import (
 	"io"
 	"os"
 
-	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
-// The .tpack on-disk format, version 1 (all integers little endian):
+// The .tpack on-disk format, version 2 (all integers little endian):
 //
 //	offset  size  field
 //	0       4     magic "TPK1"
-//	4       2     format version (1)
+//	4       2     format version (2)
 //	6       2     reserved (0)
 //	8       8     total file size in bytes
 //	16      4     M (SNPs)
 //	20      4     N (samples)
 //	24      4     controls
 //	28      4     cases
-//	32      32    SHA-256 content hash (canonical geno+phen sections)
-//	64      4     section count
+//	32      32    SHA-256 content hash of the geno and phen sections
+//	64      4     section count (2)
 //	68      4     reserved (0)
 //	72      24*k  section table: {u32 id, u32 crc32c, u64 off, u64 len}
 //	...           sections, each 8-byte aligned
@@ -34,22 +33,23 @@ import (
 //
 //	geno    packed 2-bit genotypes, row-major, (M*N+3)/4 bytes
 //	phen    packed 1-bit phenotypes, (N+7)/8 bytes
-//	bin     Binarized planes: M*3*WordsFor(N) u64 words
-//	split0  Split class-0 planes: M*2*WordsFor(controls) u64 words
-//	split1  Split class-1 planes: M*2*WordsFor(cases) u64 words
 //
-// The content hash covers the geno and phen sections — the dataset's
-// format-independent identity, derivable from the matrix alone. The
-// plane sections are cached derivations of exactly that content; each
-// section additionally carries a CRC32-C in its table entry, verified
-// on load, so a corrupted plane (disk bit rot, torn copy) is rejected
-// instead of silently changing search results.
+// The content hash covers every byte a search reads: each encoding is
+// built from these two sections. Each section also carries a CRC32-C
+// in its table entry, verified on load, so disk bit rot or a torn copy
+// is named as corruption rather than as a hash mismatch.
+//
+// Version 1 had the same header and three more sections after these,
+// ids 3 to 5: the Binarized planes and the Split class-0 and class-1
+// planes, derived from geno and phen but outside the content hash. A
+// loader still accepts version 1: it bounds-checks all five table
+// entries and reads, checksums and hashes only geno and phen.
 
 // PackMagic is the 4-byte .tpack signature; loaders sniff it to tell
 // packed datasets from raw matrix formats.
 const PackMagic = "TPK1"
 
-const packVersion = 1
+const packVersion = 2
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/
 // arm64) used for per-section integrity.
@@ -58,17 +58,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const (
 	secGeno = iota + 1
 	secPhen
-	secBin
-	secSplit0
-	secSplit1
-	numSections = 5
+	numSections = 2 // the sections a pack is read from; all of version 2's
 )
 
 const (
 	packHeaderSize   = 72
 	sectionEntrySize = 24
-	tableEnd         = packHeaderSize + numSections*sectionEntrySize
 )
+
+// sectionCount is the number of section table entries a pack of the
+// given format version has, 0 for a version this build does not read.
+func sectionCount(version uint16) int {
+	switch version {
+	case 1:
+		return 5
+	case packVersion:
+		return numSections
+	}
+	return 0
+}
 
 // IsPack reports whether the given prefix (≥ 4 bytes) carries the
 // .tpack magic.
@@ -76,28 +84,20 @@ func IsPack(prefix []byte) bool {
 	return len(prefix) >= 4 && string(prefix[:4]) == PackMagic
 }
 
-// WritePack serializes the store in the packed on-disk format,
-// building (and memoizing) the Binarized and Split encodings if they
-// do not exist yet.
+// WritePack serializes the store in the packed on-disk format: the
+// header and the geno and phen sections, packing the matrix first on a
+// matrix-born store. It builds no plane encoding.
 func (s *Store) WritePack(w io.Writer) error {
 	s.mu.Lock()
 	packed := s.packedLocked()
-	geno, phen := packed.Geno, packed.Phen
 	hash := s.hashLocked()
-	bin := s.binarizedLocked()
-	split := s.splitLocked()
 	s.mu.Unlock()
-
-	var sections [numSections][]byte
-	sections[secGeno-1] = geno
-	sections[secPhen-1] = phen
-	sections[secBin-1] = wordsLEBytes(bin.PlaneData())
-	sections[secSplit0-1] = wordsLEBytes(split.ClassPlaneData(dataset.Control))
-	sections[secSplit1-1] = wordsLEBytes(split.ClassPlaneData(dataset.Case))
+	sections := [numSections][]byte{packed.Geno, packed.Phen}
+	hdr := make([]byte, packHeaderSize+numSections*sectionEntrySize)
 
 	// Lay the sections out 8-byte aligned after the table.
-	offs := make([]uint64, numSections)
-	pos := uint64(tableEnd)
+	var offs [numSections]uint64
+	pos := uint64(len(hdr))
 	for i, sec := range sections {
 		pos = (pos + 7) &^ 7
 		offs[i] = pos
@@ -105,7 +105,6 @@ func (s *Store) WritePack(w io.Writer) error {
 	}
 	total := (pos + 7) &^ 7
 
-	hdr := make([]byte, tableEnd)
 	copy(hdr[0:], PackMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], packVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], total)
@@ -129,7 +128,7 @@ func (s *Store) WritePack(w io.Writer) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	written := uint64(tableEnd)
+	written := uint64(len(hdr))
 	var pad [8]byte
 	for i, sec := range sections {
 		if offs[i] > written {
@@ -153,10 +152,8 @@ func (s *Store) WritePack(w io.Writer) error {
 
 // ReadPack decodes a .tpack from a byte stream into a heap-backed
 // Store — the wire path (cluster workers receive pack bytes). Open is
-// the file path with mmap. The stream is buffered once; word sections
-// are viewed in place when the buffer happens to be 8-byte aligned
-// and decode-copied otherwise, so peak memory stays near the pack
-// size instead of a multiple of it.
+// the file path with mmap. The store's packed sections alias the
+// buffered stream.
 func ReadPack(r io.Reader) (*Store, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -166,9 +163,9 @@ func ReadPack(r io.Reader) (*Store, error) {
 }
 
 // Open loads a .tpack file, mapping it into memory where the platform
-// supports mmap (the plane encodings then alias the page cache and
-// load in milliseconds) and falling back to a read into the heap. Call
-// Close on the returned Store when done with a mapped pack.
+// supports mmap (the packed sections then alias the page cache) and
+// falling back to a read into the heap. Call Close on the returned
+// Store when done with a mapped pack.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -183,17 +180,15 @@ func Open(path string) (*Store, error) {
 	if size > int64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("store: pack %s too large (%d bytes)", path, size)
 	}
-	if hostLittleEndian() {
-		if data, merr := mmapFile(f, int(size)); merr == nil {
-			st, perr := parsePack(data, data)
-			if perr != nil {
-				munmapBytes(data)
-				return nil, fmt.Errorf("store: %s: %w", path, perr)
-			}
-			return st, nil
+	if data, merr := mmapFile(f, int(size)); merr == nil {
+		st, perr := parsePack(data, data)
+		if perr != nil {
+			munmapBytes(data)
+			return nil, fmt.Errorf("store: %s: %w", path, perr)
 		}
+		return st, nil
 	}
-	buf := alignedBuffer(int(size))
+	buf := make([]byte, size)
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
@@ -204,18 +199,21 @@ func Open(path string) (*Store, error) {
 	return st, nil
 }
 
-// parsePack validates a complete pack image and assembles a Store
-// whose encodings alias the image (zero copy on little-endian hosts).
-// mapped is the mmap region to release on Close, nil for heap images.
+// parsePack validates a complete pack image and assembles a Store whose
+// packed sections alias the image; every encoding is built from them on
+// first use. mapped is the mmap region to release on Close, nil for
+// heap images.
 func parsePack(data []byte, mapped []byte) (*Store, error) {
-	if len(data) < tableEnd {
-		return nil, fmt.Errorf("store: truncated pack: %d bytes, need at least %d", len(data), tableEnd)
+	if len(data) < packHeaderSize {
+		return nil, fmt.Errorf("store: truncated pack: %d bytes, need at least %d", len(data), packHeaderSize)
 	}
 	if !IsPack(data) {
 		return nil, fmt.Errorf("store: bad magic %q (not a .tpack)", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != packVersion {
-		return nil, fmt.Errorf("store: unsupported pack version %d (this build reads version %d)", v, packVersion)
+	v := binary.LittleEndian.Uint16(data[4:])
+	count := sectionCount(v)
+	if count == 0 {
+		return nil, fmt.Errorf("store: unsupported pack version %d (this build reads versions 1 and %d)", v, packVersion)
 	}
 	if sz := binary.LittleEndian.Uint64(data[8:]); sz != uint64(len(data)) {
 		return nil, fmt.Errorf("store: truncated pack: header says %d bytes, have %d", sz, len(data))
@@ -233,12 +231,16 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 	if controls == 0 || cases == 0 {
 		return nil, fmt.Errorf("store: degenerate dataset: %d controls, %d cases", controls, cases)
 	}
-	if sc := binary.LittleEndian.Uint32(data[64:]); sc != numSections {
-		return nil, fmt.Errorf("store: pack has %d sections, want %d", sc, numSections)
+	if sc := binary.LittleEndian.Uint32(data[64:]); sc != uint32(count) {
+		return nil, fmt.Errorf("store: version %d pack has %d sections, want %d", v, sc, count)
+	}
+	tableEnd := packHeaderSize + count*sectionEntrySize
+	if len(data) < tableEnd {
+		return nil, fmt.Errorf("store: truncated pack: %d bytes, need at least %d", len(data), tableEnd)
 	}
 
 	var secs [numSections][]byte
-	for i := 0; i < numSections; i++ {
+	for i := 0; i < count; i++ {
 		e := data[packHeaderSize+i*sectionEntrySize:]
 		id := binary.LittleEndian.Uint32(e[0:])
 		sum := binary.LittleEndian.Uint32(e[4:])
@@ -247,8 +249,11 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 		if id != uint32(i+1) {
 			return nil, fmt.Errorf("store: section %d has id %d, want %d", i, id, i+1)
 		}
-		if off%8 != 0 || off < tableEnd || off > uint64(len(data)) || ln > uint64(len(data))-off {
+		if off%8 != 0 || off < uint64(tableEnd) || off > uint64(len(data)) || ln > uint64(len(data))-off {
 			return nil, fmt.Errorf("store: section %d [%d,+%d) out of bounds", id, off, ln)
+		}
+		if i >= numSections {
+			continue // a version 1 plane section: never read
 		}
 		secs[i] = data[off : off+ln]
 		if got := crc32.Checksum(secs[i], castagnoli); got != sum {
@@ -271,46 +276,14 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 		return nil, fmt.Errorf("store: content hash mismatch: header names %.12s…, sections hash to %.12s…", wantHash, got)
 	}
 
-	binWords, err := sectionWords(secs[secBin-1], m*3*bitvec.WordsFor(n), "bin")
-	if err != nil {
-		return nil, err
-	}
-	bin, err := dataset.BinarizedFromPlanes(m, n, binWords, packed.PhenVector())
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var splitPlanes [2][]uint64
-	counts := [2]int{controls, cases}
-	names := [2]string{"split0", "split1"}
-	for c := 0; c < 2; c++ {
-		splitPlanes[c], err = sectionWords(secs[secSplit0-1+c], m*2*bitvec.WordsFor(counts[c]), names[c])
-		if err != nil {
-			return nil, err
-		}
-	}
-	split, err := dataset.SplitFromPlanes(m, counts, splitPlanes)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-
 	return &Store{
 		m: m, n: n, controls: controls, cases: cases,
 		hash:     wantHash,
 		packed:   packed,
-		bin:      bin,
-		split:    split,
 		words32:  make(map[words32Key]*dataset.Words32),
 		mapped:   mapped,
 		fromPack: true,
 	}, nil
-}
-
-// sectionWords views a section as 64-bit words, checking its length.
-func sectionWords(sec []byte, wantWords int, name string) ([]uint64, error) {
-	if len(sec) != wantWords*8 {
-		return nil, fmt.Errorf("store: %s section holds %d bytes, want %d", name, len(sec), wantWords*8)
-	}
-	return leWords(sec), nil
 }
 
 // validateGeno rejects a genotype section carrying the invalid 2-bit

@@ -3,22 +3,23 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"trigene/internal/dataset"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.tpack")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.tpack and testdata/tampered_v1.tpack")
 
-// goldenMatrix is the fixed dataset behind testdata/golden.tpack.
+// goldenMatrix is the fixed dataset behind testdata/golden.tpack and
+// testdata/golden_v1.tpack.
 func goldenMatrix(t testing.TB) *dataset.Matrix {
 	return genMatrix(t, 23, 117, 42)
 }
@@ -26,7 +27,8 @@ func goldenMatrix(t testing.TB) *dataset.Matrix {
 // TestGoldenPack pins the on-disk format: the pack bytes of a fixed
 // dataset must match the committed golden file byte for byte, so any
 // codec change that silently alters the format (offsets, ordering,
-// endianness) fails here until the version is bumped deliberately.
+// endianness) fails here until the version is bumped deliberately. The
+// file is the header and the geno and phen sections, nothing else.
 func TestGoldenPack(t *testing.T) {
 	st, err := New(goldenMatrix(t))
 	if err != nil {
@@ -38,9 +40,6 @@ func TestGoldenPack(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "golden.tpack")
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -52,6 +51,10 @@ func TestGoldenPack(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("pack bytes differ from golden file (%d vs %d bytes); the format changed without a version bump", buf.Len(), len(want))
 	}
+	p := st.Packed()
+	if size := packHeaderSize + numSections*sectionEntrySize + (len(p.Geno)+7)&^7 + (len(p.Phen)+7)&^7; len(want) != size {
+		t.Fatalf("golden pack holds %d bytes, want %d: the header, the table and the two sections", len(want), size)
+	}
 	// And the golden file round-trips into an identical dataset.
 	loaded, err := ReadPack(bytes.NewReader(want))
 	if err != nil {
@@ -59,6 +62,112 @@ func TestGoldenPack(t *testing.T) {
 	}
 	if loaded.Hash() != st.Hash() {
 		t.Fatalf("golden hash %s != source hash %s", loaded.Hash(), st.Hash())
+	}
+}
+
+// swapPlanes returns a copy of a version 1 pack in which genotype planes
+// 0 and 1 of every SNP trade places in the bin and split0 sections, with
+// the sections' CRCs recomputed. Every checksum and the content hash
+// still verify and the planes stay disjoint, so a loader that adopted
+// them would search a different dataset under the genuine hash.
+func swapPlanes(v1 []byte) []byte {
+	b := bytes.Clone(v1)
+	m := int(binary.LittleEndian.Uint32(b[16:]))
+	for _, sec := range []struct{ id, perSNP int }{{3, 3}, {4, 2}} {
+		e := b[packHeaderSize+(sec.id-1)*sectionEntrySize:]
+		off, ln := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		data := b[off : off+ln]
+		plane := len(data) / (m * sec.perSNP)
+		for i := 0; i < m; i++ {
+			p0 := data[i*sec.perSNP*plane : (i*sec.perSNP+1)*plane]
+			p1 := data[(i*sec.perSNP+1)*plane : (i*sec.perSNP+2)*plane]
+			for k := range p0 {
+				p0[k], p1[k] = p1[k], p0[k]
+			}
+		}
+		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(data, castagnoli))
+	}
+	return b
+}
+
+// readGoldenV1 returns testdata/golden_v1.tpack, the golden pack as
+// format version 1 wrote it: five sections, three of them planes.
+func readGoldenV1(t testing.TB) []byte {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.tpack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v1
+}
+
+// TestVersion1PacksSearchTheirGenotypes: a version 1 pack still loads,
+// and every encoding of it is built from its geno and phen sections, so
+// planes that disagree with them are never read. The golden version 1
+// file, and the same file with its bin and split0 planes swapped under
+// recomputed CRCs (testdata/tampered_v1.tpack, which the root and
+// cluster tests load too), both give the encodings of the genuine
+// matrix, through ReadPack and Open.
+func TestVersion1PacksSearchTheirGenotypes(t *testing.T) {
+	v1 := readGoldenV1(t)
+	tampered := swapPlanes(v1)
+	path := filepath.Join("testdata", "tampered_v1.tpack")
+	if *updateGolden {
+		if err := os.WriteFile(path, tampered, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(want, tampered) {
+		t.Fatalf("%s is not golden_v1.tpack with its planes swapped (err %v; run with -update-golden)", path, err)
+	}
+	if bytes.Equal(v1, tampered) {
+		t.Fatal("swapping the planes changed nothing")
+	}
+	ref, err := New(goldenMatrix(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSplit, refBin := ref.Split(), ref.Binarized()
+	for name, data := range map[string][]byte{"golden_v1": v1, "tampered_v1": tampered} {
+		file := filepath.Join(t.TempDir(), name+".tpack")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadPack(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: ReadPack: %v", name, err)
+		}
+		opened, err := Open(file)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		for loader, st := range map[string]*Store{"ReadPack": read, "Open": opened} {
+			if st.Hash() != ref.Hash() {
+				t.Errorf("%s via %s: hash %s, want %s", name, loader, st.Hash(), ref.Hash())
+			}
+			if b := st.Builds(); b != (Builds{}) {
+				t.Errorf("%s via %s: the load built %+v", name, loader, b)
+			}
+			split, bin := st.Split(), st.Binarized()
+			some := st.SNPPlanes([]int{0, 7, 22})
+			for i := 0; i < ref.SNPs(); i++ {
+				for c := 0; c < 2; c++ {
+					for g := 0; g < 2; g++ {
+						if !slices.Equal(split.Plane(c, i, g), refSplit.Plane(c, i, g)) {
+							t.Fatalf("%s via %s: split plane (%d,%d,%d) is not the matrix's", name, loader, c, i, g)
+						}
+					}
+				}
+				for g := 0; g < 3; g++ {
+					if !slices.Equal(bin.Plane(i, g), refBin.Plane(i, g)) {
+						t.Fatalf("%s via %s: binarized plane (%d,%d) is not the matrix's", name, loader, i, g)
+					}
+					if want := some.Plane(i, g); want != nil && !slices.Equal(want, refBin.Plane(i, g)) {
+						t.Fatalf("%s via %s: SNPPlanes plane (%d,%d) is not the matrix's", name, loader, i, g)
+					}
+				}
+			}
+		}
+		opened.Close()
 	}
 }
 
@@ -100,8 +209,11 @@ func TestPackRoundTrip(t *testing.T) {
 				t.Fatalf("%dx%d: phenotype %d differs", dims.m, dims.n, j)
 			}
 		}
-		// The adopted encodings must equal fresh ones, and must not count
-		// as builds.
+		// The split form is built from the packed sections, once, and
+		// equals a fresh one.
+		if b := st.Builds(); b != (Builds{Matrix: 1}) {
+			t.Fatalf("%dx%d: pack load and Matrix built %+v, want the Matrix only", dims.m, dims.n, b)
+		}
 		ref := dataset.SplitBinarize(mx)
 		sp := st.Split()
 		for c := 0; c < 2; c++ {
@@ -116,8 +228,8 @@ func TestPackRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if b := st.Builds(); b.Binarized != 0 || b.Split != 0 {
-			t.Fatalf("%dx%d: pack load counted as build: %+v", dims.m, dims.n, b)
+		if b := st.Builds(); b != (Builds{Split: 1, Matrix: 1}) {
+			t.Fatalf("%dx%d: builds %+v, want one Split and the Matrix", dims.m, dims.n, b)
 		}
 	}
 }
@@ -133,7 +245,7 @@ func TestOpenMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// On unix little-endian hosts (the CI platform) the pack must map.
+	// On unix hosts (the CI platform) the pack must map.
 	if !st.Mapped() {
 		t.Log("pack not mapped; heap fallback in use on this platform")
 	}
@@ -171,6 +283,7 @@ func TestOpenMmap(t *testing.T) {
 // from version skew.
 func TestReadPackErrors(t *testing.T) {
 	good := packBytes(t, genMatrix(t, 9, 40, 9))
+	v1 := readGoldenV1(t)
 	mut := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
@@ -188,10 +301,9 @@ func TestReadPackErrors(t *testing.T) {
 		{"wrong version", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 9) }), "unsupported pack version 9"},
 		{"wrong hash", mut(func(b []byte) { b[33] ^= 0xFF }), "content hash mismatch"},
 		{"corrupt section", mut(func(b []byte) {
-			// Flip one bit in a split-plane word; the per-section CRC
-			// catches it even though the content hash (geno+phen only)
-			// still matches.
-			off := binary.LittleEndian.Uint64(b[packHeaderSize+(secSplit0-1)*sectionEntrySize+8:])
+			// Flip one phenotype bit; the section CRC names the
+			// corruption before the content hash is computed.
+			off := binary.LittleEndian.Uint64(b[packHeaderSize+(secPhen-1)*sectionEntrySize+8:])
 			b[off] ^= 1
 		}), "checksum mismatch"},
 		{"corrupt genotypes", mut(func(b []byte) {
@@ -203,8 +315,13 @@ func TestReadPackErrors(t *testing.T) {
 			sum := crc32.Checksum(b[off:off+ln], crc32.MakeTable(crc32.Castagnoli))
 			binary.LittleEndian.PutUint32(b[packHeaderSize+4:], sum)
 		}), "invalid packed genotype"},
-		{"overlapping split planes", overlapPack(good, secSplit0, 2), "split class-0 planes of SNP 0 overlap"},
-		{"overlapping binarized planes", overlapPack(good, secBin, 3), "binarized planes of SNP 0 overlap"},
+		{"version 2 with version 1's sections", withSections(good, 5), "version 2 pack has 5 sections, want 2"},
+		{"version 1 with version 2's sections", withSections(v1, 2), "version 1 pack has 2 sections, want 5"},
+		{"version 1 plane section out of bounds", func() []byte {
+			b := append([]byte(nil), v1...)
+			binary.LittleEndian.PutUint64(b[packHeaderSize+4*sectionEntrySize+16:], uint64(len(b)))
+			return b
+		}(), "out of bounds"},
 		{"class counts", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[24:], 0); binary.LittleEndian.PutUint32(b[28:], 40) }), "degenerate dataset"},
 		{"section out of bounds", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[packHeaderSize+16:], 1<<40)
@@ -222,60 +339,18 @@ func TestReadPackErrors(t *testing.T) {
 	}
 }
 
-// overlapPack returns a copy of a good pack in which the first sample
-// carries two genotypes of SNP 0 in one plane section (per SNP planes
-// the section holds that many planes): plane 1's first word is OR-ed
-// into plane 0's and the section CRC recomputed, so every integrity
-// check passes and only the semantic one can refuse it.
-func overlapPack(good []byte, sec, perSNP int) []byte {
-	b := append([]byte(nil), good...)
-	e := b[packHeaderSize+(sec-1)*sectionEntrySize:]
-	off := binary.LittleEndian.Uint64(e[8:])
-	ln := binary.LittleEndian.Uint64(e[16:])
-	m := uint64(binary.LittleEndian.Uint32(b[16:]))
-	words := ln / 8 / (m * uint64(perSNP))
-	p0, p1 := b[off:off+8], b[off+words*8:off+words*8+8]
-	binary.LittleEndian.PutUint64(p0, binary.LittleEndian.Uint64(p0)|binary.LittleEndian.Uint64(p1)|1)
-	binary.LittleEndian.PutUint64(p1, binary.LittleEndian.Uint64(p1)|1)
-	binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(b[off:off+ln], castagnoli))
+// withSections returns a copy of a pack whose header claims count
+// sections.
+func withSections(pack []byte, count uint32) []byte {
+	b := append([]byte(nil), pack...)
+	binary.LittleEndian.PutUint32(b[64:], count)
 	return b
-}
-
-// TestOverlappingPlanesRefused pins the trust boundary the fused kernel
-// leans on: a pack whose CRCs and content hash all verify but whose
-// split (or binarized) planes give one sample two genotypes must be
-// refused by both loaders with the typed error — not searched, where
-// the derived cells would go negative and index outside the K2 table.
-func TestOverlappingPlanesRefused(t *testing.T) {
-	good := packBytes(t, genMatrix(t, 9, 40, 9))
-	for _, tc := range []struct {
-		name        string
-		sec, perSNP int
-		encoding    string
-	}{{"split", secSplit0, 2, "split"}, {"split class 1", secSplit1, 2, "split"}, {"binarized", secBin, 3, "binarized"}} {
-		bad := overlapPack(good, tc.sec, tc.perSNP)
-		path := filepath.Join(t.TempDir(), "bad.tpack")
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, readErr := ReadPack(bytes.NewReader(bad))
-		_, openErr := Open(path)
-		for loader, err := range map[string]error{"ReadPack": readErr, "Open": openErr} {
-			var overlap *dataset.PlaneOverlapError
-			if !errors.As(err, &overlap) {
-				t.Errorf("%s: %s returned %v, want a *dataset.PlaneOverlapError", tc.name, loader, err)
-				continue
-			}
-			if overlap.Encoding != tc.encoding || overlap.SNP != 0 || overlap.Word != 0 {
-				t.Errorf("%s: %s located the overlap at %+v", tc.name, loader, *overlap)
-			}
-		}
-	}
 }
 
 // FuzzReadPack drives the pack loader with arbitrary bytes: it must
 // reject or accept without panicking, and anything it accepts must
-// behave like a dataset (consistent dimensions, usable encodings).
+// behave like a dataset: consistent dimensions, and encodings equal to
+// those of the matrix it decodes to.
 func FuzzReadPack(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("TPK1"))
@@ -291,11 +366,15 @@ func FuzzReadPack(f *testing.F) {
 	if err := st.WritePack(&buf); err != nil {
 		f.Fatal(err)
 	}
+	v1 := readGoldenV1(f)
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
-	// Valid checksums over planes that give a sample two genotypes.
-	f.Add(overlapPack(buf.Bytes(), secSplit0, 2))
-	f.Add(overlapPack(buf.Bytes(), secBin, 3))
+	f.Add(v1)
+	// Valid checksums over planes that disagree with the genotypes.
+	f.Add(swapPlanes(v1))
+	// Each version's header over the other's section table: refused.
+	f.Add(withSections(buf.Bytes(), 5))
+	f.Add(withSections(v1, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := ReadPack(bytes.NewReader(data))
 		if err != nil {
@@ -308,29 +387,20 @@ func FuzzReadPack(f *testing.F) {
 		if c0+c1 != st.Samples() || c0 <= 0 || c1 <= 0 {
 			t.Fatalf("accepted pack with class counts %d+%d of %d", c0, c1, st.Samples())
 		}
-		// The adopted encodings and the lazily decoded matrix must be
-		// internally consistent without panicking.
-		if got := st.Matrix(); got.SNPs() != st.SNPs() || got.Samples() != st.Samples() {
+		mx := st.Matrix()
+		if mx.SNPs() != st.SNPs() || mx.Samples() != st.Samples() {
 			t.Fatal("matrix dimensions disagree with header")
 		}
-		if err := st.Matrix().Validate(); err != nil {
+		if err := mx.Validate(); err != nil {
 			t.Fatalf("accepted pack decodes an invalid matrix: %v", err)
 		}
-		// The kernels' derivations need the stored planes of a SNP
-		// pairwise disjoint.
-		sp, bin := st.Split(), st.Binarized()
-		for i := 0; i < st.SNPs(); i++ {
-			for c := 0; c < 2; c++ {
-				for k, w := range sp.Plane(c, i, 0) {
-					if w&sp.Plane(c, i, 1)[k] != 0 {
-						t.Fatalf("accepted pack with overlapping split planes (class %d, SNP %d)", c, i)
-					}
-				}
-			}
-			for k, w := range bin.Plane(i, 0) {
-				if g1, g2 := bin.Plane(i, 1)[k], bin.Plane(i, 2)[k]; w&g1|(w|g1)&g2 != 0 {
-					t.Fatalf("accepted pack with overlapping binarized planes (SNP %d)", i)
-				}
+		if st.Hash() != dataset.Pack(mx).Hash() {
+			t.Fatal("accepted pack names a hash its matrix does not have")
+		}
+		split, ref := st.Split(), dataset.SplitBinarize(mx)
+		for c := 0; c < 2; c++ {
+			if !slices.Equal(split.ClassPlaneData(c), ref.ClassPlaneData(c)) {
+				t.Fatalf("accepted pack's class-%d split planes are not its matrix's", c)
 			}
 		}
 	})

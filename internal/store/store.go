@@ -15,14 +15,14 @@
 // and trigene_store_builds_total{repr="matrix"}.
 //
 // A Store also has a versioned packed on-disk format (.tpack): a
-// magic/version header, the SHA-256 content hash of the source matrix,
-// and the little-endian word planes of the two hot encodings. Open
-// maps a .tpack with mmap where the platform allows it (a portable
+// magic/version header, the SHA-256 content hash, and the packed
+// sections themselves, so the hash covers every byte a search reads.
+// Open maps a .tpack with mmap where the platform allows it (a portable
 // read-into-heap fallback covers the rest), so a worker or CLI starts
-// searching in milliseconds instead of re-parsing and re-binarizing
-// the dataset. The content hash is the Store's identity: caches (the
-// cluster worker's Session cache, on-disk pack caches) key on it, and
-// a pack round-trip preserves it bit for bit.
+// from the sections without re-parsing the dataset; the first search
+// builds its encoding from them. The content hash is the Store's
+// identity: caches (the cluster worker's Session cache, on-disk pack
+// caches) key on it, and a pack round-trip preserves it bit for bit.
 package store
 
 import (
@@ -35,9 +35,8 @@ import (
 )
 
 // Builds counts how many times each representation was constructed
-// from scratch over a Store's lifetime. Representations adopted from a
-// loaded pack are not builds. Tests assert the build-once guarantee on
-// these counters.
+// from scratch over a Store's lifetime. Tests assert the build-once
+// guarantee on these counters.
 type Builds struct {
 	Binarized   int
 	Split       int
@@ -181,9 +180,8 @@ func (s *Store) Builds() Builds {
 }
 
 // EncodeSeconds returns the cumulative wall time spent building
-// encodings from scratch over the Store's lifetime. Pack-adopted
-// representations cost nothing here; a traced search reports the delta
-// across the call as its "encode" span.
+// encodings from scratch over the Store's lifetime; a traced search
+// reports the delta across the call as its "encode" span.
 func (s *Store) EncodeSeconds() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,7 +203,8 @@ func (s *Store) timedBuildLocked(build func()) {
 	}
 }
 
-// Mapped reports whether the store's encodings alias an mmap'd pack.
+// Mapped reports whether the store's packed sections alias an mmap'd
+// pack.
 func (s *Store) Mapped() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -297,23 +296,14 @@ func (s *Store) binarizedLocked() *dataset.Binarized {
 }
 
 // SNPPlanes returns the three-plane form of the given SNPs only (any
-// order, repeats allowed, SNPs the dataset does not have left out): out
-// of the Binarized where the store holds one — adopted from a pack, or
-// built for gpusim's V1 — and otherwise encoded from those rows of the packed
-// sections, outside the lock. It builds and memoizes nothing, so a call
-// that names its SNPs (a permutation test) never pays a dataset-wide
-// encoding.
+// order, repeats allowed, SNPs the dataset does not have left out),
+// encoded from those rows of the packed sections outside the lock. It
+// builds and memoizes nothing, so a call that names its SNPs (a
+// permutation test) never pays a dataset-wide encoding.
 func (s *Store) SNPPlanes(snps []int) *dataset.SNPPlanes {
 	s.mu.Lock()
-	bin := s.bin
-	var p *dataset.Packed
-	if bin == nil {
-		p = s.packedLocked()
-	}
+	p := s.packedLocked()
 	s.mu.Unlock()
-	if bin != nil {
-		return bin.Select(snps)
-	}
 	return p.SNPPlanes(snps)
 }
 

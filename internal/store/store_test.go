@@ -61,8 +61,8 @@ func TestEachEncodingBuiltOnce(t *testing.T) {
 }
 
 // TestSNPPlanesBuildsNothing: planes of named SNPs are encoded from their
-// rows without a dataset-wide build, and come out of the Binarized once
-// the store holds one — the same words either way.
+// rows without a dataset-wide build, and equal the Binarized's words once
+// the store holds one.
 func TestSNPPlanesBuildsNothing(t *testing.T) {
 	st, err := New(genMatrix(t, 20, 150, 9))
 	if err != nil {
@@ -74,22 +74,18 @@ func TestSNPPlanesBuildsNothing(t *testing.T) {
 		t.Fatalf("SNPPlanes built %+v in %v s, want nothing", b, st.EncodeSeconds())
 	}
 	bin := st.Binarized()
-	aliased := st.SNPPlanes(snps)
 	for snp := 0; snp < 20; snp++ {
 		for g := 0; g < 3; g++ {
-			a, b := fromRows.Plane(snp, g), aliased.Plane(snp, g)
+			a := fromRows.Plane(snp, g)
 			if held := snp == 3 || snp == 7 || snp == 19; !held {
-				if a != nil || b != nil {
+				if a != nil {
 					t.Fatalf("SNP %d was not asked for and is held", snp)
 				}
 				continue
 			}
-			if &b[0] != &bin.Plane(snp, g)[0] {
-				t.Fatalf("plane (%d,%d) is a copy; want the Binarized's words", snp, g)
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("plane (%d,%d) word %d: %#x from the rows, %#x in the Binarized", snp, g, k, a[k], b[k])
+			for k, w := range bin.Plane(snp, g) {
+				if a[k] != w {
+					t.Fatalf("plane (%d,%d) word %d: %#x from the rows, %#x in the Binarized", snp, g, k, a[k], w)
 				}
 			}
 		}

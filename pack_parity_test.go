@@ -3,10 +3,7 @@ package trigene_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -121,36 +118,73 @@ func TestPackParityAllBackends(t *testing.T) {
 	}
 }
 
-// TestPackWithOverlappingPlanesRefused corrupts a pack the way no
-// checksum catches — one sample set in both stored split planes of a
-// SNP, section CRC recomputed — and requires both public loaders to
-// refuse it with the typed error instead of handing the fused kernel
-// planes its 18+9 cell derivation cannot survive.
-func TestPackWithOverlappingPlanesRefused(t *testing.T) {
-	var buf bytes.Buffer
-	if err := plantedSession(t).WritePack(&buf); err != nil {
+// TestVersion1PackSearchesItsGenotypes: a format version 1 pack whose
+// stored bin and split0 planes were swapped, with their CRCs recomputed
+// (internal/store/testdata/tampered_v1.tpack), names the genuine content
+// hash, so nothing but its genotypes may be searched. Loaded with
+// ReadPack and with OpenPack, its searches on every path that reads a
+// plane form and its permutation tests equal those of a session over
+// the matrix it decodes to, bit for bit.
+func TestVersion1PackSearchesItsGenotypes(t *testing.T) {
+	path := filepath.Join("internal", "store", "testdata", "tampered_v1.tpack")
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// .tpack v1: 72-byte header, 24-byte section entries {id, crc32c,
-	// off, len}; section 4 is the class-0 split planes, (snp*2+g)*Words.
-	bad := buf.Bytes()
-	entry := bad[72+3*24:]
-	off, ln := binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
-	words := ln / 8 / uint64(2*binary.LittleEndian.Uint32(bad[16:]))
-	bad[off] |= 1
-	bad[off+words*8] |= 1
-	binary.LittleEndian.PutUint32(entry[4:], crc32.Checksum(bad[off:off+ln], crc32.MakeTable(crc32.Castagnoli)))
-
-	path := filepath.Join(t.TempDir(), "overlap.tpack")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
+	read, err := trigene.ReadPack(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, readErr := trigene.ReadPack(bytes.NewReader(bad))
-	_, openErr := trigene.OpenPack(path)
-	for loader, err := range map[string]error{"ReadPack": readErr, "OpenPack": openErr} {
-		var overlap *trigene.PlaneOverlapError
-		if !errors.As(err, &overlap) {
-			t.Errorf("%s returned %v, want a *trigene.PlaneOverlapError", loader, err)
+	opened, err := trigene.OpenPack(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	ref, err := trigene.NewSession(read.Matrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gn1, err := trigene.GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	candidates := [][]int{{0, 5, 9}, {2, 11}, {1, 7, 13, 22}}
+	permOpts := []trigene.Option{trigene.WithPermutations(100), trigene.WithSeed(3)}
+	wantPerm, err := ref.PermutationTestAll(ctx, candidates, permOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for loader, s := range map[string]*trigene.Session{"ReadPack": read, "OpenPack": opened} {
+		if s.DatasetHash() != ref.DatasetHash() {
+			t.Errorf("%s: hash %s, matrix session %s", loader, s.DatasetHash(), ref.DatasetHash())
+		}
+		for name, opts := range map[string][]trigene.Option{
+			"cpu":       nil,
+			"cpu-V3F":   {trigene.WithApproach(trigene.V3Fused)},
+			"pairs":     {trigene.WithOrder(2)},
+			"gpusim-V1": {trigene.WithBackend(trigene.GPUSim(gn1)), trigene.WithApproach(trigene.V1Naive)},
+			"baseline":  {trigene.WithBackend(trigene.Baseline())},
+		} {
+			opts = append([]trigene.Option{trigene.WithTopK(5)}, opts...)
+			want, err := ref.Search(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Search(ctx, opts...)
+			if err != nil {
+				t.Fatalf("%s %s: %v", loader, name, err)
+			}
+			reportsEqual(t, loader+" "+name, got, want)
+		}
+		got, err := s.PermutationTestAll(ctx, candidates, permOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range candidates {
+			if *got[i] != *wantPerm[i] {
+				t.Errorf("%s: candidate %v: %+v, matrix session %+v", loader, candidates[i], *got[i], *wantPerm[i])
+			}
 		}
 	}
 }

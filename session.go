@@ -36,11 +36,11 @@ func NewSession(mx *Matrix) (*Session, error) {
 	return &Session{store: s.Store(), searcher: s}, nil
 }
 
-// OpenPack opens a pre-encoded .tpack dataset (see Session.WritePack
-// and the epistasis/trigened/datagen pack modes), memory-mapping it
-// where the platform allows so the session is ready to search in
-// milliseconds without re-parsing or re-binarizing the dataset. Call
-// Close when done with the session.
+// OpenPack opens a packed .tpack dataset (see Session.WritePack and the
+// epistasis/trigened/datagen pack modes), memory-mapping it where the
+// platform allows so the session is ready in milliseconds without
+// re-parsing the dataset; the first search builds its encoding from the
+// packed sections. Call Close when done with the session.
 func OpenPack(path string) (*Session, error) {
 	st, err := store.Open(path)
 	if err != nil {
@@ -86,9 +86,9 @@ func ReadRAWSession(r io.Reader) (*Session, error) {
 }
 
 // WritePack serializes the session's dataset in the packed .tpack
-// format, building (and memoizing) the hot encodings if they do not
-// exist yet. A pack round-trip preserves the dataset hash and every
-// search result bit for bit.
+// format: 2-bit genotypes and 1-bit phenotypes under their content
+// hash, no plane encoding. A pack round-trip preserves the dataset hash
+// and every search result bit for bit.
 func (s *Session) WritePack(w io.Writer) error { return s.store.WritePack(w) }
 
 // DatasetHash returns the hex SHA-256 content hash identifying the
@@ -97,8 +97,8 @@ func (s *Session) WritePack(w io.Writer) error { return s.store.WritePack(w) }
 // session cache, pack caches) key on it.
 func (s *Session) DatasetHash() string { return s.store.Hash() }
 
-// PackMapped reports whether the session's encodings are served from a
-// memory-mapped .tpack.
+// PackMapped reports whether the session's packed sections are served
+// from a memory-mapped .tpack.
 func (s *Session) PackMapped() bool { return s.store.Mapped() }
 
 // Close releases the mmap region of a session opened from a .tpack

@@ -154,9 +154,11 @@ func TestSingleApproachBuildsOneEncoding(t *testing.T) {
 	}
 }
 
-// TestPackSessionAdoptsEncodings: a pack-loaded session starts with
-// both hot encodings adopted (zero builds) and only ever builds the
-// derived 32-bit forms.
+// TestPackSessionAdoptsEncodings: a pack-loaded session adopts the
+// pack's packed sections, the 2-bit encoding every plane form is built
+// from. The load builds nothing, and each search builds the form it
+// reads once: the split form for V3F and V4F, the naive form and its
+// 32-bit layout for gpusim's V1.
 func TestPackSessionAdoptsEncodings(t *testing.T) {
 	s := internalSession(t)
 	ctx := context.Background()
@@ -168,27 +170,31 @@ func TestPackSessionAdoptsEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b := loaded.store.Builds(); b != (store.Builds{}) {
+		t.Fatalf("pack load built %+v", b)
+	}
 	gn1, err := GPUByID("GN1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{{WithApproach(V3Fused)}, {WithApproach(V4Fused)}, {WithBackend(GPUSim(gn1)), WithApproach(V1Naive)}} {
-		if _, err := loaded.Search(ctx, opts...); err != nil {
-			t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for _, opts := range [][]Option{{WithApproach(V3Fused)}, {WithApproach(V4Fused)}, {WithBackend(GPUSim(gn1)), WithApproach(V1Naive)}} {
+			if _, err := loaded.Search(ctx, opts...); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if b := loaded.store.Builds(); b.Binarized != 0 || b.Split != 0 {
-		t.Fatalf("pack-loaded session rebuilt adopted encodings: %+v", b)
+		if b, want := loaded.store.Builds(), (store.Builds{Split: 1, Binarized: 1, Naive32: 1}); b != want {
+			t.Fatalf("pass %d: pack-loaded session built %+v, want %+v", pass, b, want)
+		}
 	}
 }
 
 // TestPermutationTestBuildsNoEncoding: a permutation test reads the
 // genotype planes of its candidates' SNPs and nothing else of the
-// dataset. On a session over a matrix that is an encode of those rows,
-// never the dataset-wide Binarized; on a pack-loaded session the planes
-// come out of the adopted encoding and the matrix is never decoded
-// either. Results agree with each other and with the scalar reference
-// either way.
+// dataset: an encode of those rows, never the dataset-wide Binarized,
+// and on a pack-loaded session the matrix is never decoded either.
+// Results agree with each other and with the scalar reference either
+// way.
 func TestPermutationTestBuildsNoEncoding(t *testing.T) {
 	s := internalSession(t)
 	ctx := context.Background()
@@ -334,8 +340,8 @@ func TestRAWSessionBuildsNoMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	packRun := journey(t, fromPack)
-	if b := fromPack.store.Builds(); b != (store.Builds{}) {
-		t.Errorf("pack-loaded session built %+v for a screened search and a permutation test; want nothing", b)
+	if b := fromPack.store.Builds(); b != (store.Builds{Split: 1}) {
+		t.Errorf("pack-loaded session built %+v for a screened search and a permutation test; want the split form only, and no Matrix", b)
 	}
 	generated, err := NewSession(mx)
 	if err != nil {

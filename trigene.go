@@ -72,12 +72,6 @@ type Interaction = dataset.Interaction
 // PairInteraction plants a second-order signal in generated data.
 type PairInteraction = dataset.PairInteraction
 
-// PlaneOverlapError is what OpenPack and ReadPack return (match it
-// with errors.As) for a .tpack whose pre-built bit planes give one
-// sample two genotypes of the same SNP: checksums cannot catch such a
-// pack, and searching it would derive wrong contingency cells.
-type PlaneOverlapError = dataset.PlaneOverlapError
-
 // Kernel names the implementation of the fused order-3 kernel (the
 // default approach, V4F) selected for this host when the program
 // started: "avx512-vpopcntdq" or "portable". Nothing selects it by
