@@ -15,7 +15,7 @@
 //	epistasis -in data.tg -order 2               # pairs instead of triples
 //	epistasis -in data.tg -shard 0/4             # evaluate one shard of the space
 //	epistasis -in data.tg -screen-survivors 64   # two-stage: pair screen, then triples on survivors
-//	epistasis -in data.tg -screen-budget 2.5     # planner-sized screen under a 2.5 s budget
+//	epistasis -in data.tg -screen-budget 2.5     # screen only if the measured search overruns 2.5 s
 //	epistasis -in data.tg -permute 10000         # permutation-test the best candidate (bit-plane kernel)
 //	epistasis -in data.tg -permute 10000 -perm-cluster http://c:9321  # fan the test out over the cluster
 //	epistasis -in data.tpack                     # search a packed dataset (starts in ms)
@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("epistasis", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := datafile.BindSearchFlags(fs)
-	fs.Float64Var(&sf.ScreenBudget, "screen-budget", 0, "two-stage screening under a time budget: the planner sizes the survivor set to fit this many seconds (0 = off; combinable with -screen-survivors as a cap)")
+	fs.Float64Var(&sf.ScreenBudget, "screen-budget", 0, "two-stage screening under a time budget in seconds: the exhaustive search runs if its measured rate projects it inside the budget, else the survivor set is sized at that rate (0 = off; cpu backend, unsharded; combinable with -screen-survivors as a cap; host-dependent: a bit-exact rerun passes the Report's survivor count to -screen-survivors)")
 	shard := fs.String("shard", "", "evaluate shard \"i/n\" of the combination space (e.g. 0/4)")
 	permute := fs.Int("permute", 0, "permutation count for a significance test of the best candidate (0 = off)")
 	permCluster := fs.String("perm-cluster", "", "with -permute: fan the permutation test out over the cluster at this coordinator URL (the search itself stays local); merged p-values are bit-exact with the local run")

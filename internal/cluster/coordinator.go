@@ -315,11 +315,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(sc.Survivors) == 0 {
-			// A time budget would size the screen on the host that
-			// plans it, and a local run of the same spec would differ.
+			// A time budget is priced by the rate one host's search
+			// measures, and a local run of the same spec would differ.
 			if sc.MaxSurvivors == 0 || sc.BudgetSeconds > 0 {
 				writeErr(w, http.StatusBadRequest,
-					"invalid spec: cluster screens need an explicit survivor budget (maxSurvivors) and no time budget (budgetSeconds); the planner's time budget is a single-host notion")
+					"invalid spec: cluster screens need an explicit survivor budget (maxSurvivors) and no time budget (budgetSeconds); a time budget is priced by one host's measured search")
 				return
 			}
 			screenTiles = req.ScreenTiles
@@ -442,32 +442,21 @@ func (c *Coordinator) submittedDataset(req *SubmitRequest) (heldDataset, int, er
 		return ds, 0, nil
 	}
 	// Accept the dataset as trigene binary or .tpack, and hold (and
-	// serve) it packed either way: the coordinator packs a binary
-	// submission once, and every worker that fetches the job reads the
-	// packed sections under their content hash.
-	var sess *trigene.Session
-	ds := heldDataset{data: req.Dataset, uploaded: true}
-	if store.IsPack(req.Dataset) {
-		s, err := trigene.ReadPack(bytes.NewReader(req.Dataset))
-		if err != nil {
-			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
-		}
-		sess = s
-	} else {
-		mx, err := trigene.ReadBinary(bytes.NewReader(req.Dataset))
-		if err != nil {
-			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
-		}
-		s, err := trigene.NewSession(mx)
-		if err != nil {
-			return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := s.WritePack(&buf); err != nil {
-			return ds, http.StatusInternalServerError, fmt.Errorf("packing dataset: %v", err)
-		}
-		sess, ds.data = s, buf.Bytes()
+	// serve) it as the version 2 pack its session writes either way: the
+	// coordinator packs a binary submission once, a version 1 pack
+	// sheds the plane sections no search reads, and every worker that
+	// fetches the job reads the packed sections under their content
+	// hash.
+	ds := heldDataset{uploaded: true}
+	sess, err := uploadedSession(req.Dataset)
+	if err != nil {
+		return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: %v", err)
 	}
+	var buf bytes.Buffer
+	if err := sess.WritePack(&buf); err != nil {
+		return ds, http.StatusInternalServerError, fmt.Errorf("packing dataset: %v", err)
+	}
+	ds.data = buf.Bytes()
 	ds.sha, ds.snps, ds.samples = sess.DatasetHash(), sess.SNPs(), sess.Samples()
 	if req.DatasetSHA256 != "" && req.DatasetSHA256 != ds.sha {
 		return ds, http.StatusBadRequest, fmt.Errorf("invalid dataset: its content hash is %s, the request names %s", ds.sha, req.DatasetSHA256)
@@ -476,6 +465,19 @@ func (c *Coordinator) submittedDataset(req *SubmitRequest) (heldDataset, int, er
 	c.pins[ds.sha]++
 	c.mu.Unlock()
 	return ds, 0, nil
+}
+
+// uploadedSession decodes an uploaded dataset, a .tpack or trigene
+// binary.
+func uploadedSession(data []byte) (*trigene.Session, error) {
+	if store.IsPack(data) {
+		return trigene.ReadPack(bytes.NewReader(data))
+	}
+	mx, err := trigene.ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return trigene.NewSession(mx)
 }
 
 // heldLocked looks a dataset up among the retained jobs: the shared

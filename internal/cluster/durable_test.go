@@ -363,11 +363,13 @@ func TestDurableRecoveryBackendParity(t *testing.T) {
 	}
 }
 
-// TestDurableRecoversVersion1Packs: a state directory from before the
-// .tpack went to version 2 holds version 1 packs, stored as uploaded.
-// With one whose planes disagree with its genotypes in the pack store,
-// a restarted coordinator recovers the job on it, and the job's Report
-// is bit-exact with the local search of the genotypes.
+// TestDurableRecoversVersion1Packs: a version 1 upload is held as the
+// version 2 pack of its genotypes, under the same content hash. A state
+// directory from before the .tpack went to version 2 holds version 1
+// packs, stored as uploaded: with one whose planes disagree with its
+// genotypes put in the pack store in its place, a restarted coordinator
+// recovers the job on it, and the job's Report is bit-exact with the
+// local search of the genotypes.
 func TestDurableRecoversVersion1Packs(t *testing.T) {
 	tampered, mx := tamperedV1(t)
 	local := sessionFor(t, mx)
@@ -379,9 +381,17 @@ func TestDurableRecoversVersion1Packs(t *testing.T) {
 	if err := cl.do(ctx, http.MethodPost, "/v1/jobs", SubmitRequest{Name: "v1", Spec: spec, Tiles: 3, Dataset: tampered}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	held, err := os.ReadFile(co.packPath(local.DatasetHash()))
-	if err != nil || !bytes.Equal(held, tampered) {
-		t.Fatalf("pack store does not hold the version 1 upload as sent (err %v)", err)
+	var v2 bytes.Buffer
+	if err := local.WritePack(&v2); err != nil {
+		t.Fatal(err)
+	}
+	path := co.packPath(local.DatasetHash())
+	held, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(held, v2.Bytes()) {
+		t.Fatalf("pack store does not hold the version 1 upload as its version 2 pack (err %v, %d bytes, want %d)", err, len(held), v2.Len())
+	}
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	proxy.crash()

@@ -15,9 +15,10 @@ type SearchFlags struct {
 	Backend, Approach, Objective string
 	Order, TopK, Workers         int
 	ScreenSurvivors, ScreenSeeds int
-	// ScreenBudget is ScreenSpec.BudgetSeconds. BindSearchFlags leaves
-	// it unbound: a cluster job sizes its screen by survivors only, so
-	// epistasis binds -screen-budget itself.
+	// ScreenBudget is ScreenSpec.BudgetSeconds, priced by the rate the
+	// local search measures. BindSearchFlags leaves it unbound: a cluster
+	// job sizes its screen by survivors only, so epistasis binds
+	// -screen-budget itself.
 	ScreenBudget float64
 }
 

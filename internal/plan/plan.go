@@ -5,11 +5,11 @@
 // The planner chooses neither the kernel nor the device: the caller
 // names the backend and the CPU approach the search runs (Constraints),
 // and the planner predicts their throughput on a host description (a
-// Table I CPU, or the live host's synthesized model). The product reads
-// the prediction in one place: DecideScreen sizes a budget-only screen
-// (ScreenSpec.BudgetSeconds) from it. The benchmark harness compares
-// Decide's CPU rate with the measured one. Nothing else in a run
-// depends on the model.
+// Table I CPU, or the live host's synthesized model). No search reads
+// the prediction: a budget screen (ScreenSpec.BudgetSeconds) is priced by
+// the rate its own exhaustive search measures. The benchmark harness is
+// the package's one reader, comparing Decide's CPU rate with the
+// measured one (plan.pred_over_measured).
 package plan
 
 import (

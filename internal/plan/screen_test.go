@@ -1,148 +1,153 @@
-package plan
+package plan_test
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"trigene"
 	"trigene/internal/combin"
 )
 
-// modelScreen fetches the model's wall-time projections for w by asking
-// for a decision under an effectively unlimited budget (which always
-// declines — exhaustive fits — but carries the predictions).
-func modelScreen(t *testing.T, w Workload) *ScreenDecision {
+// The budget screen (ScreenSpec.BudgetSeconds) was once priced by this
+// package's model. It now prices itself from the rate its own exhaustive
+// search measures, and no search imports plan. The tests below keep each
+// decision the model used to make pinned on the search that makes it now,
+// through the public API, so that the model leaving the product loses none
+// of them.
+
+// screenSession is a session over a generated m x n dataset.
+func screenSession(t *testing.T, m, n int) *trigene.Session {
 	t.Helper()
-	d, err := DecideScreen(w, hostCI3(), Constraints{}, 1e12)
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: m, Samples: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Decline {
-		t.Fatalf("unlimited budget did not decline: %+v", d)
+	s, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.PredictedExhaustiveSec <= 0 || d.PredictedStage1Sec <= 0 {
-		t.Fatalf("no usable projections: %+v", d)
-	}
-	return d
+	return s
 }
 
-// TestScreenPairRateFollowsCountedCells: the model charges a pair and a
-// triple by the cells their kernels counted when the factor was set — 4
-// against 18 — so one scanned pair is predicted at 4/18 of one searched
-// triple. The factor is a literal: a kernel that counts fewer cells (the
-// triple lanes pass now counts 8) must not move it, and with it every
-// budget-screen decision.
-func TestScreenPairRateFollowsCountedCells(t *testing.T) {
-	if screenPairRateFactor != 4.5 {
-		t.Fatalf("screenPairRateFactor = %v, want the model constant 4.5", screenPairRateFactor)
-	}
-	model := modelScreen(t, wl)
-	perTriple := model.PredictedExhaustiveSec / float64(combin.Triples(wl.SNPs))
-	perPair := model.PredictedStage1Sec / float64(combin.Pairs(wl.SNPs))
-	if got := perTriple / perPair; math.Abs(got-4.5) > 1e-9 {
-		t.Errorf("a triple is modeled at %.4g pairs, want 18/4 = 4.5", got)
+// sameRanking fails unless got ranks what want ranks, bit for bit.
+func sameRanking(t *testing.T, label string, got, want *trigene.Report) {
+	t.Helper()
+	if got.Combinations != want.Combinations || fmt.Sprint(got.TopK) != fmt.Sprint(want.TopK) {
+		t.Errorf("%s: %d combinations %v, want the unscreened %d combinations %v",
+			label, got.Combinations, got.TopK, want.Combinations, want.TopK)
 	}
 }
 
 // TestDecideScreenBudgetValidation: a screen cannot be sized for a
-// non-positive budget.
+// negative budget, and a zero budget with nothing else set is an empty
+// spec; both are refused before a search runs.
 func TestDecideScreenBudgetValidation(t *testing.T) {
-	for _, budget := range []float64{0, -1.5} {
-		if _, err := DecideScreen(wl, hostCI3(), Constraints{}, budget); err == nil {
-			t.Errorf("budget %g accepted", budget)
+	s := screenSession(t, 24, 256)
+	for _, spec := range []trigene.ScreenSpec{{BudgetSeconds: -1.5}, {BudgetSeconds: 0}} {
+		if err := spec.Validate(0); err == nil {
+			t.Errorf("budget %g: Validate accepted it", spec.BudgetSeconds)
+		}
+		if _, err := s.Search(context.Background(), trigene.WithScreen(spec)); err == nil {
+			t.Errorf("budget %g: Search accepted it", spec.BudgetSeconds)
 		}
 	}
 }
 
-// TestDecideScreenDeclinesWhenExhaustiveFits: when the exhaustive
-// C(M,k) search already fits the budget, screening would only add the
-// pair scan, so the planner declines and says why, at every order.
+// TestDecideScreenDeclinesWhenExhaustiveFits: when the exhaustive C(M,k)
+// search fits the budget, screening would only add the pair scan, so the
+// search runs to the end at every order, scans no pair, keeps no survivor
+// set, ranks what the unscreened search ranks, and says why.
 func TestDecideScreenDeclinesWhenExhaustiveFits(t *testing.T) {
+	s := screenSession(t, 24, 256)
+	ctx := context.Background()
 	for _, k := range []int{2, 3, 4} {
-		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
-		model := modelScreen(t, w)
-		d, err := DecideScreen(w, hostCI3(), Constraints{}, model.PredictedExhaustiveSec*2)
+		base := []trigene.Option{trigene.WithOrder(k), trigene.WithTopK(5)}
+		plain, err := s.Search(ctx, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Decline {
-			t.Fatalf("order %d: budget twice the exhaustive cost did not decline: %+v", k, d)
+		rep, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e6}))...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.Survivors != 0 {
-			t.Errorf("order %d: declined decision carries a survivor budget %d", k, d.Survivors)
+		d := rep.Screen
+		if d == nil || !d.Declined {
+			t.Fatalf("order %d: a budget the exhaustive search fits did not decline: %+v", k, d)
 		}
-		if want := fmt.Sprintf("exhaustive C(%d,%d) fits", w.SNPs, k); !strings.Contains(d.Reason, want) {
-			t.Errorf("order %d: reason %q does not say %q", k, d.Reason, want)
+		if d.Survivors != 0 || d.PairsScanned != 0 {
+			t.Errorf("order %d: declined screen kept %d survivors over %d pairs", k, d.Survivors, d.PairsScanned)
 		}
+		if want := fmt.Sprintf("C(%d,%d)", s.SNPs(), k); !strings.Contains(d.Reason, want) {
+			t.Errorf("order %d: reason %q does not name %s", k, d.Reason, want)
+		}
+		sameRanking(t, fmt.Sprintf("order %d", k), rep, plain)
 	}
 }
 
 // TestDecideScreenSizesUnderTightBudget: a budget well below the
-// exhaustive cost yields a real pruning decision — a survivor set
-// strictly between the floor and M whose two-stage cost, C(M,2) pairs
-// and C(S,k) combinations, fits the budget — and more budget never
-// shrinks it.
+// measured exhaustive wall yields a real pruning decision at orders 3 and
+// 4: stage 1 scans every pair, the survivor set lies strictly between the
+// floor and M, stage 2 searches exactly C(S,k), and the reason names the
+// measured rate, the projection and the split.
 func TestDecideScreenSizesUnderTightBudget(t *testing.T) {
-	for _, k := range []int{3, 4} {
-		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
-		model := modelScreen(t, w)
-		budget := model.PredictedExhaustiveSec / 100
-		d, err := DecideScreen(w, hostCI3(), Constraints{}, budget)
+	ctx := context.Background()
+	for _, tc := range []struct{ m, n, k int }{{96, 16384, 3}, {24, 1024, 4}} {
+		s := screenSession(t, tc.m, tc.n)
+		base := []trigene.Option{trigene.WithOrder(tc.k), trigene.WithTopK(5)}
+		if _, err := s.Search(ctx, base...); err != nil { // builds the encodings
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := s.Search(ctx, base...); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
+		rep, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: wall.Seconds() / 4}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Decline {
-			t.Fatalf("order %d: tight budget declined: %s", k, d.Reason)
+		d := rep.Screen
+		if d == nil || d.Declined {
+			t.Fatalf("order %d: a quarter of the %v exhaustive wall did not screen: %+v", tc.k, wall, d)
 		}
-		if d.Survivors <= max(minScreenSurvivors, k) || d.Survivors >= w.SNPs {
-			t.Errorf("order %d: survivor budget %d outside (%d, %d)", k, d.Survivors, max(minScreenSurvivors, k), w.SNPs)
+		if floor := max(3, tc.k); d.Survivors < floor || d.Survivors >= tc.m {
+			t.Errorf("order %d: %d survivors, want [%d, %d)", tc.k, d.Survivors, floor, tc.m)
 		}
-		if total := d.PredictedStage1Sec + d.PredictedStage2Sec; total > budget {
-			t.Errorf("order %d: predicted two-stage cost %.3gs exceeds the %.3gs budget", k, total, budget)
+		if want := combin.Pairs(tc.m); d.PairsScanned != want {
+			t.Errorf("order %d: stage 1 scanned %d pairs, want C(%d,2) = %d", tc.k, d.PairsScanned, tc.m, want)
 		}
-		// S is the largest set that fits: one more SNP's C(S+1,k) does not.
-		perComb := model.PredictedExhaustiveSec / float64(combin.Binomial(w.SNPs, k))
-		if over := d.PredictedStage1Sec + float64(combin.Binomial(d.Survivors+1, k))*perComb; over <= budget {
-			t.Errorf("order %d: %d survivors would also fit (%.3gs)", k, d.Survivors+1, over)
+		if want := combin.Binomial(d.Survivors, tc.k); rep.Combinations != want {
+			t.Errorf("order %d: stage 2 searched %d combinations, want C(%d,%d) = %d", tc.k, rep.Combinations, d.Survivors, tc.k, want)
 		}
-		if d.Reason == "" {
-			t.Error("sized decision has no reason")
-		}
-
-		// Monotonicity: ten times the budget affords at least as many
-		// survivors.
-		wide, err := DecideScreen(w, hostCI3(), Constraints{}, budget*10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wide.Decline {
-			t.Fatalf("order %d: 10x budget declined: %s", k, wide.Reason)
-		}
-		if wide.Survivors < d.Survivors {
-			t.Errorf("order %d: 10x budget shrank the survivor set: %d -> %d", k, d.Survivors, wide.Survivors)
+		for _, want := range []string{"combinations/s measured", "projected", "stage 1", fmt.Sprintf("to %d survivors", d.Survivors)} {
+			if !strings.Contains(d.Reason, want) {
+				t.Errorf("order %d: reason %q does not name %q", tc.k, d.Reason, want)
+			}
 		}
 	}
 }
 
 // TestDecideScreenClampsToFloor: a budget too small even for the pair
-// scan keeps the minimum viable survivor set — 3 SNPs, and k at order
-// k — rather than declining (screening still beats exhaustive search
-// here), and flags the clamp. Order 2 declines instead
+// scan keeps the minimum viable survivor set — 3 SNPs, and k at order k —
+// rather than declining, and flags the clamp. Order 2 declines instead
 // (TestDecideScreenDeclinesAtOrderTwo).
 func TestDecideScreenClampsToFloor(t *testing.T) {
+	s := screenSession(t, 24, 256)
 	for _, k := range []int{3, 4, 5} {
-		w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: k}
-		model := modelScreen(t, w)
-		d, err := DecideScreen(w, hostCI3(), Constraints{}, model.PredictedStage1Sec/2)
+		rep, err := s.Search(context.Background(), trigene.WithOrder(k),
+			trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e-9}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Decline {
-			t.Fatalf("order %d: floor-clamped budget declined: %s", k, d.Reason)
+		d := rep.Screen
+		if d == nil || d.Declined {
+			t.Fatalf("order %d: floor-clamped budget declined: %+v", k, d)
 		}
-		if want := max(minScreenSurvivors, k); d.Survivors != want {
-			t.Errorf("order %d: survivor budget %d, want the %d floor", k, d.Survivors, want)
+		if want := max(3, k); d.Survivors != want {
+			t.Errorf("order %d: %d survivors, want the %d floor", k, d.Survivors, want)
 		}
 		if !strings.Contains(d.Reason, "floor") {
 			t.Errorf("order %d: reason %q does not flag the clamp", k, d.Reason)
@@ -152,56 +157,46 @@ func TestDecideScreenClampsToFloor(t *testing.T) {
 
 // TestDecideScreenDeclinesAtOrderTwo: at order 2 stage 1 already scans
 // every pair, so a screen can only add stage 2's re-scoring: whatever the
-// budget below the exhaustive cost, the planner declines and says why.
+// budget, the screen declines, says why, and the search is the unscreened
+// one.
 func TestDecideScreenDeclinesAtOrderTwo(t *testing.T) {
-	w := Workload{SNPs: wl.SNPs, Samples: wl.Samples, Order: 2}
-	model := modelScreen(t, w)
-	for _, budget := range []float64{model.PredictedStage1Sec / 2, model.PredictedExhaustiveSec / 100, model.PredictedExhaustiveSec / 2} {
-		d, err := DecideScreen(w, hostCI3(), Constraints{}, budget)
+	s := screenSession(t, 24, 256)
+	ctx := context.Background()
+	base := []trigene.Option{trigene.WithOrder(2), trigene.WithTopK(5)}
+	plain, err := s.Search(ctx, base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []float64{1e-9, 1e-3, 1e6} {
+		rep, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: budget}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Decline || d.Survivors != 0 {
-			t.Errorf("budget %.3gs: %+v, want a decline", budget, d)
+		if d := rep.Screen; d == nil || !d.Declined || d.Survivors != 0 || !strings.Contains(d.Reason, "order 2") {
+			t.Errorf("budget %gs: %+v, want a decline naming order 2", budget, d)
 		}
-		if !strings.Contains(d.Reason, "order 2") {
-			t.Errorf("budget %.3gs: reason %q does not name order 2", budget, d.Reason)
-		}
+		sameRanking(t, fmt.Sprintf("budget %gs", budget), rep, plain)
 	}
 }
 
-// TestDecideScreenPricesOverflowingSpaces: a space beyond int64
-// combinations is priced, not panicked on: its exhaustive search never
-// fits, and the screen is sized.
+// TestDecideScreenPricesOverflowingSpaces: a budget screen starts with
+// the exhaustive search, so a space beyond int64 combinations, C(1734,7),
+// is no longer priced: it is refused at the door, with or without a
+// MaxSurvivors cap, and a MaxSurvivors screen alone is how it is searched.
 func TestDecideScreenPricesOverflowingSpaces(t *testing.T) {
-	w := Workload{SNPs: 1734, Samples: 64, Order: 7}
-	d, err := DecideScreen(w, hostCI3(), Constraints{}, 10)
+	s := screenSession(t, 1734, 64)
+	ctx := context.Background()
+	for _, spec := range []trigene.ScreenSpec{{BudgetSeconds: 10}, {BudgetSeconds: 10, MaxSurvivors: 10}} {
+		_, err := s.Search(ctx, trigene.WithOrder(7), trigene.WithScreen(spec))
+		if err == nil || !strings.Contains(err.Error(), "more than an int64 counts") {
+			t.Errorf("C(1734,7) under %+v: error %v, want the space refused", spec, err)
+		}
+	}
+	rep, err := s.Search(ctx, trigene.WithOrder(7), trigene.WithScreen(trigene.ScreenSpec{MaxSurvivors: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Decline || !math.IsInf(d.PredictedExhaustiveSec, 1) || d.Survivors < 7 || d.Survivors >= w.SNPs {
-		t.Errorf("C(1734,7) under a 10 s budget: %+v, want +Inf exhaustive and a screen", d)
-	}
-}
-
-// TestDecideScreenDeclinesWhenNothingPrunes: at M equal to the
-// survivor floor, every budget that survives the exhaustive-fits
-// check affords all SNPs, so screening cannot prune and the planner
-// declines.
-func TestDecideScreenDeclinesWhenNothingPrunes(t *testing.T) {
-	tiny := Workload{SNPs: minScreenSurvivors, Samples: 1024}
-	probe, err := DecideScreen(tiny, hostCI3(), Constraints{}, 1e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DecideScreen(tiny, hostCI3(), Constraints{}, probe.PredictedExhaustiveSec/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Decline {
-		t.Fatalf("un-prunable workload did not decline: %+v", d)
-	}
-	if !strings.Contains(d.Reason, "cannot prune") {
-		t.Errorf("reason %q does not explain the decline", d.Reason)
+	if want := combin.Binomial(10, 7); rep.Combinations != want || rep.Screen == nil || rep.Screen.Survivors != 10 {
+		t.Errorf("C(1734,7) screened to 10 survivors: %d combinations, %+v, want %d", rep.Combinations, rep.Screen, want)
 	}
 }

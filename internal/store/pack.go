@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -153,7 +154,8 @@ func (s *Store) WritePack(w io.Writer) error {
 // ReadPack decodes a .tpack from a byte stream into a heap-backed
 // Store — the wire path (cluster workers receive pack bytes). Open is
 // the file path with mmap. The store's packed sections alias the
-// buffered stream.
+// buffered stream, except a version 1 pack's, which are copied out of
+// it.
 func ReadPack(r io.Reader) (*Store, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -200,9 +202,9 @@ func Open(path string) (*Store, error) {
 }
 
 // parsePack validates a complete pack image and assembles a Store whose
-// packed sections alias the image; every encoding is built from them on
-// first use. mapped is the mmap region to release on Close, nil for
-// heap images.
+// packed sections alias the image (a version 1 heap image's are copies);
+// every encoding is built from them on first use. mapped is the mmap
+// region to release on Close, nil for heap images.
 func parsePack(data []byte, mapped []byte) (*Store, error) {
 	if len(data) < packHeaderSize {
 		return nil, fmt.Errorf("store: truncated pack: %d bytes, need at least %d", len(data), packHeaderSize)
@@ -274,6 +276,11 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 	wantHash := hex.EncodeToString(data[32:64])
 	if got := packed.Hash(); got != wantHash {
 		return nil, fmt.Errorf("store: content hash mismatch: header names %.12s…, sections hash to %.12s…", wantHash, got)
+	}
+	if v != packVersion && mapped == nil {
+		// A version 1 heap image is 3.5x its geno and phen sections: copy
+		// them out, so its unread plane sections are not kept resident.
+		packed.Geno, packed.Phen = bytes.Clone(packed.Geno), bytes.Clone(packed.Phen)
 	}
 
 	return &Store{

@@ -171,6 +171,30 @@ func TestVersion1PacksSearchTheirGenotypes(t *testing.T) {
 	}
 }
 
+// TestVersion1HeapImageKeepsNoPlanes: a version 1 pack read into the
+// heap copies its geno and phen sections out of the image, so the image,
+// 3.5x their size with its unread plane sections, is not kept resident;
+// a version 2 image is just those sections and is aliased. Scribbling
+// over each image after the load tells the two apart.
+func TestVersion1HeapImageKeepsNoPlanes(t *testing.T) {
+	v2 := packBytes(t, goldenMatrix(t))
+	for name, tc := range map[string]struct {
+		data  []byte
+		alias bool
+	}{"version 1": {readGoldenV1(t), false}, "version 2": {v2, true}} {
+		img := bytes.Clone(tc.data)
+		st, err := parsePack(img, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		geno := bytes.Clone(st.packed.Geno)
+		clear(img)
+		if aliased := !bytes.Equal(st.packed.Geno, geno); aliased != tc.alias {
+			t.Errorf("%s: geno section aliases the image: %v, want %v", name, aliased, tc.alias)
+		}
+	}
+}
+
 func packBytes(t testing.TB, mx *dataset.Matrix) []byte {
 	t.Helper()
 	st, err := New(mx)

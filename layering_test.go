@@ -59,3 +59,23 @@ func walkImports(t *testing.T, ctx *build.Context, path, importer string, from m
 		}
 	}
 }
+
+// TestSearchDoesNotImportPlanner pins that no search reads the planner:
+// a budget screen is priced by the rate its own exhaustive search
+// measures, so the root package's non-test files, with and without the
+// purego tag, import no trigene/internal/plan.
+func TestSearchDoesNotImportPlanner(t *testing.T) {
+	for _, tags := range [][]string{nil, {"purego"}} {
+		ctx := build.Default
+		ctx.BuildTags = tags
+		pkg, err := ctx.ImportDir(".", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "trigene/internal/plan" {
+				t.Errorf("tags %v: the root package imports %s", tags, imp)
+			}
+		}
+	}
+}

@@ -56,8 +56,12 @@ func newSearchConfig(opts []Option) (*searchConfig, error) {
 	if cfg.backend == nil {
 		cfg.backend = CPU()
 	}
-	if _, cpu := cfg.backend.(cpuBackend); cpu && cfg.approachSet && cfg.approach != V3Fused && cfg.approach != V4Fused {
+	_, cpu := cfg.backend.(cpuBackend)
+	if cpu && cfg.approachSet && cfg.approach != V3Fused && cfg.approach != V4Fused {
 		return nil, fmt.Errorf("trigene: the cpu backend runs approach V3F or V4F, not %v (V1..V4 are gpusim kernels)", cfg.approach)
+	}
+	if sc := cfg.screen; sc != nil && sc.BudgetSeconds > 0 && (!cpu || cfg.shard != nil) {
+		return nil, &BudgetScreenError{Backend: cfg.backend.Name(), Sharded: cpu && cfg.shard != nil}
 	}
 	return cfg, nil
 }
@@ -65,19 +69,17 @@ func newSearchConfig(opts []Option) (*searchConfig, error) {
 // checkSpace refuses a search over m SNPs whose combination space is more
 // than an int64 counts: C(n, k) over the n SNPs the order-k search may
 // enumerate, which is all m unless a screen pins its survivors or caps
-// them. A screen sized by BudgetSeconds alone passes: the planner's S
-// never spans more than an int64 counts, and it screens every space
-// that does. It runs before any encoding, screen or planner call.
+// them. A time budget caps nothing: its screen starts with the exhaustive
+// C(m, k) search. It runs before any encoding or screen.
 func (c *searchConfig) checkSpace(m int) error {
 	n := m
 	if sc := c.screen; sc != nil {
 		switch {
 		case sc.pinned():
 			n = len(sc.Survivors)
+		case sc.BudgetSeconds > 0:
 		case sc.MaxSurvivors > 0:
 			n = min(m, sc.MaxSurvivors)
-		case sc.BudgetSeconds > 0:
-			return nil
 		}
 	}
 	if err := engine.CheckSpace(n, c.order); err != nil {
@@ -86,19 +88,11 @@ func (c *searchConfig) checkSpace(m int) error {
 	return nil
 }
 
-// cpuApproach is the approach the planner prices for the configured
-// search's CPU work: the cpu backend's pinned V3F or its default V4F at
-// order 3 (sharded or not: their shards slice the block-triple space and
-// merge bit-exactly) and V2 at every other order, hetero's CPU half (V2),
-// and baseline's V1-like pipeline. gpusim runs no CPU kernel; the planner
-// ignores the value there.
+// cpuApproach is the cpu backend's approach for the configured search:
+// its pinned V3F or its default V4F at order 3 (sharded or not: their
+// shards slice the block-triple space and merge bit-exactly) and V2 at
+// every other order.
 func (c *searchConfig) cpuApproach() Approach {
-	switch c.backend.(type) {
-	case baselineBackend:
-		return V1Naive
-	case heteroBackend:
-		return V2Split
-	}
 	switch {
 	case c.order != 3:
 		return V2Split
@@ -213,7 +207,9 @@ func WithShard(index, count int) Option {
 // cumulative number of evaluated combinations and the total. It must
 // be safe for concurrent use and return quickly. Progress is reported
 // by the CPU backend on every order and approach; other backends
-// complete without intermediate callbacks.
+// complete without intermediate callbacks. Under a time-budgeted screen
+// it reports the exhaustive search first and, if that is cut off,
+// stage 2's smaller space from zero.
 func WithProgress(fn func(done, total int64)) Option {
 	return func(c *searchConfig) error {
 		c.progress = fn

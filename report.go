@@ -129,7 +129,7 @@ type Report struct {
 	Hetero *HeteroInfo
 	// Screen is the audit record of a screened search (WithScreen):
 	// what stage 1 scanned, what survived, the cut line, and the stage
-	// timings — or the planner's decision to decline; nil on unscreened
+	// timings — or a budget's decision to decline; nil on unscreened
 	// runs.
 	Screen *ScreenInfo
 	// Perm is the merged outcome of a cluster permutation-test job

@@ -3,12 +3,14 @@ package trigene
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
+	"trigene/internal/combin"
 	"trigene/internal/engine"
 	"trigene/internal/obs"
-	"trigene/internal/plan"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 	"trigene/internal/topk"
@@ -27,13 +29,17 @@ import (
 // survivor budget is set:
 //
 //   - MaxSurvivors > 0 keeps the top-S SNPs deterministically;
-//   - BudgetSeconds > 0 lets the planner derive S from its cost models
-//     under the time budget: the largest S whose modeled C(M,2) pair
-//     scan plus C(S,k) order-k stage 2 fit, and at least max(3, k),
-//     capped at MaxSurvivors when that is set too. It declines the
-//     screen entirely at order 2 (stage 1 is the exhaustive pair
-//     search), when the exhaustive C(M,k) search fits the budget or
-//     when S would keep every SNP (Report.Screen.Declined records why);
+//   - BudgetSeconds > 0 prices the search from its own run: the
+//     exhaustive C(M,k) search starts, and at its first progress report
+//     at or after 5 % of the budget it projects its wall time. If that
+//     fits, it runs to the end (Report.Screen.Declined). If not, it is
+//     cancelled, stage 1 runs, and S is the largest survivor count whose
+//     C(S,k) stage 2, at the combinations/s the exhaustive search
+//     measured, fits what that search and stage 1 left of the budget: at
+//     least max(3, k), capped at MaxSurvivors when that is set too. At
+//     order 2 it always declines (stage 1 is the exhaustive pair
+//     search). Only the cpu backend reports progress, so other backends
+//     and sharded searches refuse a budget (BudgetScreenError);
 //   - Survivors/Seeds pin the stage-2 space outright, skipping stage 1
 //     (the form cluster coordinators use for stage-2 grants).
 //
@@ -42,16 +48,17 @@ import (
 // were pruned still surfaces (order-3 searches only).
 type ScreenSpec struct {
 	// MaxSurvivors is the survivor budget S, or with BudgetSeconds the
-	// cap on the S the planner derives (0 = no cap).
+	// cap on the S the budget sizes (0 = no cap).
 	MaxSurvivors int `json:"maxSurvivors,omitempty"`
 	// SeedPairs is how many top pairs to keep as stage-2 seeds (0 =
 	// none).
 	SeedPairs int `json:"seedPairs,omitempty"`
-	// BudgetSeconds is the end-to-end time budget the planner sizes the
-	// screen for (0 = none), pricing the search's own order,
-	// backend and CPU approach on the live host's device model. The
-	// model is the paper's analytical one, not a measurement, so the
-	// budget sizes the screen and does not bound the wall time.
+	// BudgetSeconds is the end-to-end time budget the screen is sized
+	// for (0 = none), priced by the rate the search itself measures on
+	// this host. The decision therefore depends on the host and its load:
+	// a bit-exact rerun pins MaxSurvivors to the Report's
+	// Screen.Survivors. The budget sizes the screen; it does not bound
+	// the wall time.
 	BudgetSeconds float64 `json:"budgetSeconds,omitempty"`
 	// Survivors pins the survivor set directly (strictly increasing SNP
 	// indices); stage 1 is skipped. Set by cluster stage-2 grants.
@@ -165,8 +172,9 @@ type ScreenInfo struct {
 	// of a traced Report.
 	Stage1Ns int64 `json:"stage1Ns"`
 	Stage2Ns int64 `json:"stage2Ns"`
-	// Declined records a planner decision not to screen (the search ran
-	// exhaustively); Reason says why.
+	// Declined records a budget decision not to screen (the search ran
+	// exhaustively); Reason says why, and on a budget screen names the
+	// measured rate, the projection and the split.
 	Declined bool   `json:"declined,omitempty"`
 	Reason   string `json:"reason,omitempty"`
 }
@@ -401,8 +409,9 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 	}
 	info := &ScreenInfo{}
 
-	// Resolve the survivor set: pinned, user-budgeted, or
-	// planner-derived (which may decline the screen).
+	// Resolve the survivor set: pinned, user-budgeted, or sized by the
+	// rate of the exhaustive search a time budget starts (which may
+	// decline the screen).
 	var survivors []int
 	var seeds [][2]int
 	switch {
@@ -412,17 +421,11 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 		info.Survivors = len(survivors)
 		info.SeedPairs = len(seeds)
 	default:
-		// The planner sizes S under a time budget, and MaxSurvivors caps
-		// what it sizes; without a budget, MaxSurvivors is S.
-		budget := spec.MaxSurvivors
+		var probe *budgetProbe
 		if spec.BudgetSeconds > 0 {
-			dec, err := s.decideScreen(cfg, spec.BudgetSeconds)
-			if err != nil {
-				return nil, err
-			}
-			if dec.Decline {
+			if cfg.order == 2 {
 				info.Declined = true
-				info.Reason = dec.Reason
+				info.Reason = fmt.Sprintf("at order 2 the screen's stage 1 already is the exhaustive C(%d,2) pair search; stage 2 would only score pairs again", m)
 				rep, err := cfg.backend.search(ctx, s, cfg)
 				if err != nil {
 					return nil, err
@@ -430,12 +433,18 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 				rep.Screen = info
 				return rep, nil
 			}
-			info.Reason = dec.Reason
-			if budget == 0 || dec.Survivors < budget {
-				budget = dec.Survivors
-			} else {
-				info.Reason += fmt.Sprintf("; capped at MaxSurvivors %d", budget)
+			rep, p, err := s.probeBudget(ctx, cfg, time.Duration(spec.BudgetSeconds*float64(time.Second)))
+			if err != nil {
+				return nil, err
 			}
+			observeProbe(cfg.metrics, p.rate(), rep != nil)
+			if rep != nil {
+				info.Declined = true
+				info.Reason = p.fitReason(m, cfg.order)
+				rep.Screen = info
+				return rep, nil
+			}
+			probe = p
 		}
 		screenDone := tr.Start("screen")
 		stage1 := time.Now()
@@ -445,7 +454,11 @@ func (s *Session) searchScreened(ctx context.Context, cfg *searchConfig, tr *obs
 			screenDone()
 			return nil, err
 		}
-		survivors, info.Threshold, err = scores.SelectSurvivors(budget)
+		n := spec.MaxSurvivors
+		if probe != nil {
+			n, info.Reason = probe.size(m, cfg.order, spec.MaxSurvivors, time.Since(stage1))
+		}
+		survivors, info.Threshold, err = scores.SelectSurvivors(n)
 		if err != nil {
 			screenDone()
 			return nil, err
@@ -578,17 +591,123 @@ func remapCandidates(rep *Report, survivors []int) {
 	}
 }
 
-// decideScreen consults the planner's two-stage cost model for a
-// budget-only spec: the search's shape, and the backend and CPU approach
-// that will run it, priced on the live host.
-func (s *Session) decideScreen(cfg *searchConfig, budgetSec float64) (*plan.ScreenDecision, error) {
-	w := plan.Workload{SNPs: s.SNPs(), Samples: s.Samples(), Order: cfg.order, Objective: cfg.objName}
-	c := plan.Constraints{Backend: cfg.backend.Name(), Approach: int(cfg.cpuApproach())}
-	d, err := plan.DecideScreen(w, plan.LiveHost(), c, budgetSec)
-	if err != nil {
-		return nil, fmt.Errorf("trigene: screen planning: %w", err)
+// minScreenSurvivors floors the survivor count a budget sizes at every
+// order: a screen keeps at least 3 SNPs, and at least k at order k, which
+// stage 2 needs for one combination.
+const minScreenSurvivors = 3
+
+// budgetProbe is what the exhaustive search under a budget screen
+// measured: its wall time, and at its one decision the combinations done,
+// the space's total and the wall time elapsed. A search that finished
+// before 5 % of the budget made no decision; its rate is over all of it.
+type budgetProbe struct {
+	budget            time.Duration
+	done, total       int64
+	elapsed, wall     time.Duration
+	decided, overshot bool
+}
+
+// rate is the combinations per second the probe measured.
+func (p *budgetProbe) rate() float64 { return float64(p.done) / p.elapsed.Seconds() }
+
+// projected is the exhaustive search's projected wall time.
+func (p *budgetProbe) projected() time.Duration {
+	return time.Duration(float64(p.elapsed) * float64(p.total) / float64(p.done))
+}
+
+// probeBudget starts the exhaustive search of a budget screen and decides
+// once, at the first progress report at or after 5 % of the budget,
+// whether it fits: elapsed x total / done against the budget. A search
+// that fits, or finishes first, runs to the end and its Report is
+// returned; one that does not is cancelled, and only its measurement is
+// returned.
+func (s *Session) probeBudget(ctx context.Context, cfg *searchConfig, budget time.Duration) (*Report, *budgetProbe, error) {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	p := &budgetProbe{budget: budget}
+	var claimed atomic.Bool
+	pcfg := *cfg
+	start := time.Now()
+	pcfg.progress = func(done, total int64) {
+		if cfg.progress != nil {
+			cfg.progress(done, total)
+		}
+		if claimed.Load() {
+			return
+		}
+		elapsed := time.Since(start)
+		if elapsed < budget/20 || done <= 0 || !claimed.CompareAndSwap(false, true) {
+			return
+		}
+		// Written by the one report that claimed the decision, read once
+		// the search's workers have joined.
+		p.decided, p.done, p.total, p.elapsed = true, done, total, elapsed
+		if p.projected() > budget {
+			p.overshot = true
+			cancel()
+		}
 	}
-	return d, nil
+	rep, err := cfg.backend.search(pctx, s, &pcfg)
+	p.wall = time.Since(start)
+	switch {
+	case err == nil:
+		if !p.decided {
+			p.done, p.total, p.elapsed = rep.Combinations, rep.Combinations, p.wall
+		}
+		return rep, p, nil
+	case p.overshot && ctx.Err() == nil:
+		return nil, p, nil
+	}
+	return nil, nil, err
+}
+
+// fitReason explains a budget screen the exhaustive search ran through.
+func (p *budgetProbe) fitReason(m, k int) string {
+	r := fmt.Sprintf("exhaustive C(%d,%d) ran in %.3gs against the %.3gs budget", m, k, p.wall.Seconds(), p.budget.Seconds())
+	if !p.decided {
+		return r + fmt.Sprintf(", finishing at %.3g combinations/s before 5%% of it", p.rate())
+	}
+	return r + fmt.Sprintf(": projected %.3gs from %.3g combinations/s measured over %.3gs", p.projected().Seconds(), p.rate(), p.elapsed.Seconds())
+}
+
+// size sizes the survivor count of a screen the probe cut off, once
+// stage 1 has taken stage1: the largest S whose C(S,k) stage 2, at the
+// probe's rate, fits what the probe and stage 1 left of the budget,
+// clamped into [max(3, k), m] and capped at maxSurvivors (0 = no cap).
+// The reason names the rate, the projection and the split.
+func (p *budgetProbe) size(m, k, maxSurvivors int, stage1 time.Duration) (int, string) {
+	left := max(p.budget-p.wall-stage1, 0)
+	n := combin.InvBinomial(int64(min(left.Seconds()*p.rate(), math.MaxInt64/2)), k, m+1)
+	note := ""
+	if floor := max(minScreenSurvivors, k); n < floor {
+		n, note = floor, " (below the screen floor; kept the minimum survivor set)"
+	}
+	if maxSurvivors > 0 && n > maxSurvivors {
+		n, note = maxSurvivors, fmt.Sprintf("; capped at MaxSurvivors %d", maxSurvivors)
+	}
+	return n, fmt.Sprintf("exhaustive C(%d,%d) projected at %.3gs from %.3g combinations/s measured over %.3gs, past the %.3gs budget; "+
+		"screen %d SNPs to %d survivors: the probe (%.3gs) and stage 1 (%.3gs) leave %.3gs for stage 2%s",
+		m, k, p.projected().Seconds(), p.rate(), p.elapsed.Seconds(), p.budget.Seconds(),
+		m, n, p.wall.Seconds(), stage1.Seconds(), left.Seconds(), note)
+}
+
+// BudgetScreenError refuses a ScreenSpec.BudgetSeconds a search cannot
+// price: a budget is priced from the progress the exhaustive search
+// reports, which only the cpu backend does, and shards of one search
+// would each measure their own slice and could size different screens.
+// Such a search pins its survivor count with ScreenSpec.MaxSurvivors.
+type BudgetScreenError struct {
+	// Backend names the search's backend; Sharded is set for a sharded
+	// search.
+	Backend string
+	Sharded bool
+}
+
+func (e *BudgetScreenError) Error() string {
+	if e.Sharded {
+		return "trigene: a sharded search cannot size its screen by ScreenSpec.BudgetSeconds (each shard would price its own slice); set ScreenSpec.MaxSurvivors"
+	}
+	return fmt.Sprintf("trigene: the %s backend reports no progress to price ScreenSpec.BudgetSeconds by; set ScreenSpec.MaxSurvivors", e.Backend)
 }
 
 // observeScreen records the stage-1 counters: pairs scanned, survivors
@@ -597,4 +716,18 @@ func observeScreen(reg *obs.Registry, pairs int64, survivors int, d time.Duratio
 	reg.Counter("trigene_screen_pairs_total", "Pairs scanned by stage-1 screens.").Add(pairs)
 	reg.Gauge("trigene_screen_survivors", "Survivor count of the most recent stage-1 screen.").Set(float64(survivors))
 	reg.Histogram("trigene_screen_seconds", "Stage-1 screen wall time in seconds.", obs.DurationBuckets).Observe(d.Seconds())
+}
+
+// observeProbe records a budget screen's decision: the combinations/s its
+// exhaustive search measured, and whether that search fit the budget or
+// was screened. A nil registry is a no-op.
+func observeProbe(reg *obs.Registry, rate float64, fit bool) {
+	reg.Gauge("trigene_screen_probe_combinations_per_second",
+		"Combinations/s the exhaustive search of the most recent budget screen measured.").Set(rate)
+	decision := "screened"
+	if fit {
+		decision = "fit"
+	}
+	reg.Counter("trigene_screen_budget_decisions_total", "Budget screen decisions: the exhaustive search fit the budget or was screened.",
+		obs.L("decision", decision)).Inc()
 }

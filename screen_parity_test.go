@@ -1,13 +1,17 @@
 package trigene_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"trigene"
+	"trigene/internal/obs"
 )
 
 // Screened-search parity is the tentpole guarantee of the two-stage
@@ -104,10 +108,10 @@ func TestScreenTightRecall(t *testing.T) {
 }
 
 // TestScreenBudgetSizesEveryOrder: a budget-only screen
-// (ScreenSpec.BudgetSeconds) is priced in C(M,k) combinations at order
-// k. A budget the exhaustive search fits declines the screen, naming
-// C(M,k), and the run is the unscreened one. A budget below even the
-// pair scan keeps the floor, max(3, k) survivors, which the order-k
+// (ScreenSpec.BudgetSeconds) starts the exhaustive C(M,k) search at order
+// k. A budget it fits declines the screen, naming C(M,k), and the run is
+// the unscreened one. A budget below even the pair scan keeps the floor,
+// max(3, k) survivors, which the order-k
 // stage 2 can search, and ranks what the same survivor count set by
 // MaxSurvivors ranks — except at order 2, where stage 1 is the exhaustive
 // search and every budget declines.
@@ -156,6 +160,106 @@ func TestScreenBudgetSizesEveryOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		reportsEqual(t, fmt.Sprintf("order %d budget screen vs %d survivors", k, n), rep, sized)
+	}
+}
+
+// TestScreenBudgetPricedByTheRun: a budget screen prices itself from its
+// own exhaustive search on this host. At 96 x 16384, order 3, a budget of
+// ten times the measured exhaustive wall runs that search to the end:
+// the screen is declined and the Report is the unscreened one. (The
+// analytical host model priced this search at over a second, past such a
+// budget, and screened it.) A budget a quarter of the wall screens, and
+// its reason names the rate the search measured. Both decisions reach
+// the metrics registry with the measured rate.
+func TestScreenBudgetPricedByTheRun(t *testing.T) {
+	mx, err := trigene.Generate(trigene.GenConfig{SNPs: 96, Samples: 16384, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trigene.NewSession(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	base := []trigene.Option{trigene.WithTopK(10)}
+	if _, err := s.Search(ctx, base...); err != nil { // builds the encodings
+		t.Fatal(err)
+	}
+	start := time.Now()
+	plain, err := s.Search(ctx, base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+
+	base = append(base, trigene.WithMetrics(reg))
+	rep, err := s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 10 * wall.Seconds()}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Screen == nil || !rep.Screen.Declined {
+		t.Fatalf("a budget of 10x the %v exhaustive wall screened: %+v", wall, rep.Screen)
+	}
+	if !strings.Contains(rep.Screen.Reason, "combinations/s") {
+		t.Errorf("decline reason %q names no measured rate", rep.Screen.Reason)
+	}
+	reportsEqual(t, "budget of 10x the exhaustive wall", rep, plain)
+
+	rep, err = s.Search(ctx, append(base, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: wall.Seconds() / 4}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Screen == nil || rep.Screen.Declined || rep.Screen.Survivors >= s.SNPs() {
+		t.Fatalf("a budget of a quarter of the %v exhaustive wall did not screen: %+v", wall, rep.Screen)
+	}
+	for _, want := range []string{"combinations/s measured", "projected", "stage 1", fmt.Sprintf("to %d survivors", rep.Screen.Survivors)} {
+		if !strings.Contains(rep.Screen.Reason, want) {
+			t.Errorf("screen reason %q does not name %q", rep.Screen.Reason, want)
+		}
+	}
+
+	var expo bytes.Buffer
+	if _, err := reg.WriteTo(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`trigene_screen_budget_decisions_total{decision="fit"} 1`,
+		`trigene_screen_budget_decisions_total{decision="screened"} 1`,
+		"trigene_screen_probe_combinations_per_second ",
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("scrape lacks %q:\n%s", want, expo.String())
+		}
+	}
+}
+
+// TestScreenBudgetNeedsProgress: only the cpu backend reports the
+// progress a budget is priced from, and shards of one search would each
+// price their own slice, so gpusim, hetero, baseline and a sharded search
+// refuse a budget with a BudgetScreenError naming MaxSurvivors, and a
+// MaxSurvivors screen runs on each.
+func TestScreenBudgetNeedsProgress(t *testing.T) {
+	s := plantedSession(t)
+	ctx := context.Background()
+	gn1, err := trigene.GPUByID("GN1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]trigene.Option{
+		"gpusim:GN1": trigene.WithBackend(trigene.GPUSim(gn1)),
+		"hetero":     trigene.WithBackend(trigene.Hetero()),
+		"baseline":   trigene.WithBackend(trigene.Baseline()),
+		"shard 0/2":  trigene.WithShard(0, 2),
+	} {
+		_, err := s.Search(ctx, opt, trigene.WithScreen(trigene.ScreenSpec{BudgetSeconds: 1e6}))
+		var be *trigene.BudgetScreenError
+		if !errors.As(err, &be) || !strings.Contains(err.Error(), "MaxSurvivors") {
+			t.Errorf("%s: budget screen error %v, want a BudgetScreenError naming MaxSurvivors", name, err)
+		}
+		if _, err := s.Search(ctx, opt, trigene.WithScreen(trigene.ScreenSpec{MaxSurvivors: 12})); err != nil {
+			t.Errorf("%s: MaxSurvivors screen: %v", name, err)
+		}
 	}
 }
 

@@ -454,8 +454,9 @@ func (e refusingExecutor) ExecuteSearch(context.Context, *Matrix, SearchSpec) (*
 // past the largest M whose C(M,k) fits an int64 is refused with an error —
 // locally before any encoding is built, and before a cluster hears of it —
 // while the largest M still runs, as a 1-of-N shard at the top of its rank
-// space. A screen pinned to a few survivors searches the larger dataset,
-// and so, at order 7, does a screen the planner sizes under a budget.
+// space. A screen pinned to a few survivors searches the larger dataset;
+// a screen sized by a time budget is refused, with or without a
+// MaxSurvivors cap, since it starts with the exhaustive search.
 func TestSearchRefusesSpacesBeyondInt64(t *testing.T) {
 	ctx := context.Background()
 	session := func(m int) *Session {
@@ -476,7 +477,10 @@ func TestSearchRefusesSpacesBeyondInt64(t *testing.T) {
 	}
 	for k, limit := range map[int]int{5: 16175, 6: 4337, 7: 1733} {
 		over := session(limit + 1)
-		for _, extra := range [][]Option{nil, {WithCluster(refusingExecutor{t})}} {
+		// A time budget caps nothing: its screen starts with the
+		// exhaustive search, so it is refused like the unscreened one.
+		for _, extra := range [][]Option{nil, {WithCluster(refusingExecutor{t})},
+			{WithScreen(ScreenSpec{BudgetSeconds: 1e-3})}, {WithScreen(ScreenSpec{MaxSurvivors: 10, BudgetSeconds: 1e-3})}} {
 			_, err := over.Search(ctx, append([]Option{WithOrder(k)}, extra...)...)
 			if err == nil || !strings.Contains(err.Error(), "more than an int64 counts") {
 				t.Errorf("order %d over %d SNPs: error %v, want the space refused", k, limit+1, err)
@@ -493,16 +497,6 @@ func TestSearchRefusesSpacesBeyondInt64(t *testing.T) {
 		if want := combin.Binomial(len(survivors), k); rep.Combinations != want {
 			t.Errorf("order %d, %d pinned survivors: %d combinations, want %d", k, len(survivors), rep.Combinations, want)
 		}
-		if k == 7 { // the pair scan of the larger spaces takes seconds
-			rep, err := over.Search(ctx, WithOrder(k), WithWorkers(1), WithScreen(ScreenSpec{BudgetSeconds: 1e-3}))
-			if err != nil {
-				t.Fatalf("order %d over %d SNPs, budget screen: %v", k, limit+1, err)
-			}
-			if sc := rep.Screen; sc == nil || sc.Declined || sc.Survivors < k || sc.Survivors > limit || rep.Combinations != combin.Binomial(sc.Survivors, k) {
-				t.Errorf("order %d over %d SNPs, budget screen: %+v, %d combinations", k, limit+1, sc, rep.Combinations)
-			}
-		}
-
 		total := combin.Binomial(limit, k)
 		count := int(total / 500)
 		rep, err = session(limit).Search(ctx, WithOrder(k), WithWorkers(1), WithShard(count-1, count))

@@ -22,9 +22,9 @@
 //     deadline-bearing heartbeat-renewed leases and exactly-once tile
 //     accounting, reachable from the public API through WithCluster;
 //   - the Cache-Aware Roofline Model and analytical device performance
-//     models that regenerate the paper's figures and tables; a search
-//     reads them only to size a budget-only screen
-//     (ScreenSpec.BudgetSeconds).
+//     models that regenerate the paper's figures and tables; no search
+//     reads them (a time-budgeted screen, ScreenSpec.BudgetSeconds, is
+//     priced by the rate its own exhaustive search measures).
 //
 // The public search surface is the Session/Backend API: a Session
 // validates a dataset once and serves concurrent searches, a Backend
