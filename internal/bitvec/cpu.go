@@ -5,6 +5,7 @@ package bitvec
 // holds the assembly (amd64 without -tags purego). Every AVX-512 body in
 // the module — contingency's kernels, score's K2 lanes, permtest's
 // case-plane fill, transpose and sample counter, dataset's validate-and-pack
-// pass — is gated on it and uses only those two subsets
-// (contingency's TestAssemblyStaysInsideTheProbe).
+// pass and its .raw reader's decode, tile transpose and assembly — is
+// gated on it and uses only those two subsets (contingency's
+// TestAssemblyStaysInsideTheProbe).
 func HasAVX512() bool { return hasAVX512 }

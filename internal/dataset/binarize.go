@@ -66,6 +66,8 @@ func (b *Binarized) Select(snps []int) *SNPPlanes {
 // SNP, nil if p does not hold the SNP. The slice aliases internal
 // storage.
 func (p *SNPPlanes) Plane(snp, g int) []uint64 {
+	// A caller bug: the kernels and the permutation test ask only for
+	// planes 0..2 of SNPs they were given.
 	if g < 0 || g > 2 {
 		panic(fmt.Sprintf("dataset: plane (%d,%d) out of range", snp, g))
 	}
@@ -84,6 +86,7 @@ func (b *Binarized) planeWords(snp, g int) []uint64 {
 // Plane returns the words of genotype plane g (0, 1 or 2) of the given
 // SNP. The slice aliases internal storage.
 func (b *Binarized) Plane(snp, g int) []uint64 {
+	// A caller bug: SNP indices come from combinations of [0, M).
 	if snp < 0 || snp >= b.M || g < 0 || g > 2 {
 		panic(fmt.Sprintf("dataset: plane (%d,%d) out of range", snp, g))
 	}
@@ -126,6 +129,8 @@ func (s *Split) plane(class, snp, g int) []uint64 {
 // Plane returns the words of genotype plane g (0 or 1) of the given SNP
 // for the given class. The slice aliases internal storage.
 func (s *Split) Plane(class, snp, g int) []uint64 {
+	// A caller bug: SNP indices come from combinations of [0, M), and
+	// classes and planes are loop counters of the kernels.
 	if class < 0 || class > 1 || snp < 0 || snp >= s.M || g < 0 || g > 1 {
 		panic(fmt.Sprintf("dataset: split plane (%d,%d,%d) out of range", class, snp, g))
 	}

@@ -23,6 +23,7 @@ func (cp *ClassPlanes) ClassWords(class int) int { return cp.words[class] }
 // Plane returns the words of genotype plane g (0, 1 or 2) of the given
 // SNP for the given class. The slice aliases internal storage.
 func (cp *ClassPlanes) Plane(class, snp, g int) []uint64 {
+	// A caller bug, as for Split.Plane.
 	if class < 0 || class > 1 || snp < 0 || snp >= cp.M || g < 0 || g > 2 {
 		panic(fmt.Sprintf("dataset: class plane (%d,%d,%d) out of range", class, snp, g))
 	}

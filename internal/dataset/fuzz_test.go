@@ -26,6 +26,9 @@ func FuzzReadRAW(f *testing.F) {
 	f.Add([]byte("\r\n FID IID PAT MAT SEX PHENOTYPE a b c d e f g h i\r\n\nf i 0 0 1 2 0 1 2 0 1 2 0 1 2\r\nf i 0 0 1 1\t2\t2\t2 2 2 2 2 2  2")) // fast and slow lines, CRLF, no final newline
 	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE a b\nf\u00a0x i 0 0 1 2 0 1\nf i 0 0 1 2 0\u00851\n"))                                            // white space outside ASCII
 	f.Add([]byte("FID IID PAT MAT SEX PHENOTYPE a b c d e f g h\nf i 0 0 1 9 0 1 2 0 1 2 3 NA\n"))                                                // phenotype before code
+	for _, seed := range rawVectorSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstReference(t, data, rawBlockSize, 8)
 		mx, err := ReadRAW(bytes.NewReader(data))
@@ -51,6 +54,37 @@ func FuzzReadRAW(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rawVectorSeeds are inputs that reach the decode's 32-code AVX-512 steps
+// and their remainders: files of M = 31, 32, 33, 64 and 95 SNPs, one with
+// CRLF line ends, and a file of M = 32 whose second sample line has, at
+// one position of its one 64-byte step, a code of 3 or NA in place of a
+// digit, or a doubled blank or a tab in place of a separating space.
+func rawVectorSeeds() [][]byte {
+	var seeds [][]byte
+	for i, m := range []int{31, 32, 33, 64, 95} {
+		seeds = append(seeds, rawText(randomMatrix(int64(i), m, 3)))
+	}
+	seeds = append(seeds, bytes.ReplaceAll(rawText(randomMatrix(5, 64, 3)), []byte("\n"), []byte("\r\n")))
+	text := rawText(randomMatrix(6, 32, 3))
+	lines := bytes.SplitAfter(text, []byte("\n"))
+	line := bytes.TrimSuffix(lines[2], []byte("\n"))
+	head, tail := line[:len(line)-64], line[len(line)-64:]
+	for at := range tail {
+		var bents [][]byte
+		if at%2 == 1 {
+			bents = [][]byte{{'3'}, []byte("NA")}
+		} else {
+			bents = [][]byte{[]byte("  "), {'\t'}}
+		}
+		for _, b := range bents {
+			bent := append(append(append(bytes.Clone(head), tail[:at]...), b...), tail[at+1:]...)
+			seed := append(append(bytes.Join(lines[:2], nil), bent...), '\n')
+			seeds = append(seeds, append(seed, bytes.Join(lines[3:], nil)...))
+		}
+	}
+	return seeds
 }
 
 // FuzzReadBED drives the PLINK .bed decoder with arbitrary triplets:

@@ -61,6 +61,8 @@ type Words32 struct {
 func BuildWords32(s *Split, layout Layout, bs int) *Words32 {
 	w := &Words32{M: s.M, MPadded: s.M, Layout: layout}
 	if layout == LayoutTiled {
+		// A caller bug: the tile width is a device's (gpusim's device
+		// table), never read from a file or a spec.
 		if bs <= 0 {
 			panic(fmt.Sprintf("dataset: tiled layout requires positive tile size, got %d", bs))
 		}
@@ -101,6 +103,8 @@ func (w *Words32) Index(snp, word, class int) int {
 	case LayoutTiled:
 		return (snp/w.BS)*w.BS*w.W[class] + word*w.BS + snp%w.BS
 	default:
+		// Unreachable: BuildWords32 makes every Words32, and only with
+		// the layout constants its callers name.
 		panic(fmt.Sprintf("dataset: unknown layout %d", int(w.Layout)))
 	}
 }

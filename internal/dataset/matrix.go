@@ -31,6 +31,15 @@ type Matrix struct {
 
 // NewMatrix returns a zeroed M-by-N genotype matrix (all genotypes 0,
 // all samples controls).
+//
+// The panics of NewMatrix and the accessors below are caller bugs, like
+// an index out of range; no dataset file reaches them. Every reader
+// refuses a file with no SNP or no sample before it builds a matrix
+// (ReadText, ReadBinary, ReadBED's .bim and .fam, ReadPED, ReadVCF's
+// #CHROM and row checks; readRAW's header and sample count; a .tpack's
+// header in internal/store), and stores only phenotypes it has checked
+// to be 0 or 1 and genotypes it has checked to be 0, 1 or 2.
+// TestReadersRefuseEmptyAndOutOfRange holds that.
 func NewMatrix(m, n int) *Matrix {
 	if m <= 0 || n <= 0 {
 		panic(fmt.Sprintf("dataset: invalid dimensions %dx%d", m, n))

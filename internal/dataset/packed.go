@@ -78,7 +78,7 @@ const packChunk = 64 << 10
 // has it; the rest, and everything on other hosts, the SWAR body.
 func packSpan(dst []byte, src []uint8) bool {
 	body, clean := 0, true
-	if packVector && len(src) >= 64 {
+	if hasAVX512 && len(src) >= 64 {
 		body = len(src) &^ 63
 		clean = packBlocksAVX512(&dst[0], &src[0], body/64)
 	}
@@ -173,7 +173,7 @@ func (p *Packed) Select(snps []int) *Packed {
 	out := &Packed{M: len(snps), N: n, Geno: make([]byte, (len(snps)*n+3)/4), Phen: slices.Clone(p.Phen)}
 	eachSNPRun(len(snps), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			copyGenotypes(out.Geno, k*n, p.Geno, snps[k]*n, n)
+			copyGenotypes(out.Geno, k*n, p.Geno, snps[k]*n, n, hasAVX512)
 		}
 	})
 	return out
@@ -320,14 +320,23 @@ func loadGenotypes(src []byte, from, n int) uint64 {
 
 // copyGenotypes ORs count entries of the section src, from entry from on,
 // into the section dst from entry to on, where dst holds zeros: a word of
-// 32 entries at a time, shifted by 0, 2, 4 or 6 bits. It writes only the
-// bytes of dst that hold entries to .. to+count-1, so copies to ranges
-// that share no byte may run concurrently.
-func copyGenotypes(dst []byte, to int, src []byte, from, count int) {
+// 32 entries at a time, shifted by 0, 2, 4 or 6 bits. Where vector is set
+// and from starts a byte, whole runs of 256 entries go first, 8 words to
+// a step of the AVX-512 body. It writes only the bytes of dst that hold
+// entries to .. to+count-1, so copies to ranges that share no byte may run
+// concurrently.
+func copyGenotypes(dst []byte, to int, src []byte, from, count int, vector bool) {
 	sh := uint(to%4) * 2
 	d, end := to/4, (to+count+3)/4
 	var carry uint64
-	for k := 0; k < count; k, d = k+32, d+8 {
+	k := 0
+	if steps := count / 256; vector && steps > 0 && from%4 == 0 && from/4+64*steps <= len(src) {
+		s := src[from/4 : from/4+64*steps]
+		orGenotypesAVX512(&dst[d:end][:64*steps][0], &s[0], steps, uint64(sh))
+		carry = binary.LittleEndian.Uint64(s[len(s)-8:]) >> (64 - sh)
+		k, d = 256*steps, d+64*steps
+	}
+	for ; k < count; k, d = k+32, d+8 {
 		x := loadGenotypes(src, from+k, min(32, count-k))
 		orBytes(dst[d:end], x<<sh|carry)
 		carry = x >> (64 - sh)

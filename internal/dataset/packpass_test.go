@@ -69,7 +69,7 @@ func checkPackPass(t *testing.T, mx *Matrix) {
 // class at every position of a step: they must agree on whether the
 // steps are clean, and on the packed bytes when they are.
 func TestPackBodiesAgree(t *testing.T) {
-	if !packVector {
+	if !hasAVX512 {
 		t.Skip("no AVX-512 body on this host or build")
 	}
 	r := rand.New(rand.NewSource(1))
@@ -174,7 +174,7 @@ func FuzzPackMatrix(f *testing.F) {
 			}
 		}
 		checkPackPass(t, mx)
-		if steps := len(mx.geno) / 64; packVector && steps > 0 {
+		if steps := len(mx.geno) / 64; hasAVX512 && steps > 0 {
 			vec, swar := make([]byte, 16*steps), make([]byte, 16*steps)
 			clean := packBlocksAVX512(&vec[0], &mx.geno[0], steps)
 			if packSWAR(swar, mx.geno[:64*steps]) != clean || clean && !bytes.Equal(vec, swar) {

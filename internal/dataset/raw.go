@@ -104,7 +104,7 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Packed, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				t := rawTokenizer{m: m}
+				t := rawTokenizer{m: m, vector: hasAVX512}
 				for j := range jobs {
 					t.tokenize(j.data, j.out)
 					if j.out.err != "" {
@@ -142,7 +142,13 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Packed, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dataset: raw input has no samples")
 	}
+	return assembleChunks(m, n, chunks, hasAVX512), nil
+}
 
+// assembleChunks ORs the chunks, in input order, into the packed sections
+// of the m x n dataset they make up, the genotypes on the AVX-512 body of
+// copyGenotypes where vector is set.
+func assembleChunks(m, n int, chunks []*rawChunk, vector bool) *Packed {
 	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
 	off := 0
 	for _, c := range chunks {
@@ -159,12 +165,12 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Packed, error) {
 			at := i * n
 			for _, c := range chunks {
 				stride := (c.rows + 3) / 4
-				copyGenotypes(p.Geno, at, c.packed, 4*i*stride, c.rows)
+				copyGenotypes(p.Geno, at, c.packed, 4*i*stride, c.rows, vector)
 				at += c.rows
 			}
 		}
 	})
-	return p, nil
+	return p
 }
 
 // rawBlocks cuts a stream into blocks of whole lines. At most limit
@@ -340,10 +346,11 @@ type rawChunk struct {
 // rawTokenizer turns blocks into chunks. Its staging is reused from
 // block to block and sized by the block's bytes, never by m alone.
 type rawTokenizer struct {
-	m    int
-	rows []uint8 // row-major genotypes of the block in hand
-	phen []uint8
-	tile [rawTile * rawTile]uint8
+	m      int
+	vector bool    // decode and transpose on the AVX-512 bodies
+	rows   []uint8 // row-major genotypes of the block in hand
+	phen   []uint8
+	tile   [rawTile * rawTile]uint8
 }
 
 func (t *rawTokenizer) tokenize(data []byte, c *rawChunk) {
@@ -353,8 +360,9 @@ func (t *rawTokenizer) tokenize(data []byte, c *rawChunk) {
 	// No more lines that long fit, newline included (the block's last may
 	// lack it). Rounded up to whole quads of rows for transpose, staging is
 	// at most half the block's bytes and three rows, themselves no wider
-	// than half a block that holds one.
-	if need := ((len(data)+1)/(shortest+1) + 3) / 4 * 4 * m; cap(t.rows) < need {
+	// than half a block that holds one, and a tile's width over: the
+	// AVX-512 transpose reads a tile of 64 columns where the last is cut.
+	if need := ((len(data)+1)/(shortest+1)+3)/4*4*m + rawTile; cap(t.rows) < need {
 		t.rows = make([]uint8, need)
 	}
 	t.phen = t.phen[:0]
@@ -379,7 +387,7 @@ func (t *rawTokenizer) tokenize(data []byte, c *rawChunk) {
 			continue
 		}
 		row := t.rows[len(t.phen)*m:][:m]
-		phen, msg := rawSampleLine(ln, row)
+		phen, msg := rawSampleLine(ln, row, t.vector)
 		if msg != "" {
 			c.err = msg
 			return
@@ -398,7 +406,7 @@ func raggedLine(nf, m int) string {
 // rawSampleLine decodes one sample line, right-trimmed and not blank,
 // into row and returns its phenotype, or what is wrong with the line:
 // its field count first, then its phenotype, then its first bad code.
-func rawSampleLine(ln []byte, row []uint8) (phen uint8, msg string) {
+func rawSampleLine(ln []byte, row []uint8, vector bool) (phen uint8, msg string) {
 	m := len(row)
 	s := fieldScanner{ln: ln}
 	var phenField, bad []byte
@@ -410,7 +418,7 @@ func rawSampleLine(ln []byte, row []uint8) (phen uint8, msg string) {
 		}
 		phenField = f
 	}
-	if nf == 6 && rawFastCodes(ln[s.p:], row) {
+	if nf == 6 && rawFastCodes(ln[s.p:], row, vector) {
 		nf += m
 	} else {
 		for f := s.next(); len(f) > 0; f = s.next() {
@@ -450,16 +458,22 @@ func rawSampleLine(ln []byte, row []uint8) (phen uint8, msg string) {
 
 // rawFastCodes decodes the shape PLINK writes after the phenotype —
 // len(row) times one separator (space from plink, tab from plink2) and
-// one digit 0..2, then the end of the line — eight codes to two 64-bit
+// one digit 0..2, then the end of the line — 32 codes to a 64-byte step
+// of the AVX-512 body where vector is set, then eight codes to two 64-bit
 // loads. It reports false for any other shape, and the caller then walks
 // the fields; what it wrote to row by then is overwritten.
-func rawFastCodes(tail []byte, row []uint8) bool {
+func rawFastCodes(tail []byte, row []uint8, vector bool) bool {
 	if len(tail) != 2*len(row) {
 		return false
 	}
 	sep := tail[0]
 	if sep != ' ' && sep != '\t' {
 		return false
+	}
+	clean := true
+	if steps := len(row) / 32; vector && steps > 0 {
+		clean = rawCodesAVX512(&row[0], &tail[0], steps, uint32(sep)*0x00010001|0x30003000)
+		tail, row = tail[64*steps:], row[32*steps:]
 	}
 	// XOR with the expected bytes leaves 0 under every separator and the
 	// code under every digit.
@@ -487,7 +501,7 @@ func rawFastCodes(tail []byte, row []uint8) bool {
 		}
 		row[k] = d
 	}
-	return bad == 0
+	return bad == 0 && clean
 }
 
 // transpose turns the first rows rows of the row-major staging into a
@@ -497,7 +511,9 @@ func rawFastCodes(tail []byte, row []uint8) bool {
 // of the bytes, and it goes through a tile: a quad row is written down
 // the tile's columns, all inside L1, and each tile column then leaves as
 // one run of consecutive bytes. Writing quad bytes straight to their SNPs
-// would touch a new cache line per byte.
+// would touch a new cache line per byte. Where t.vector is set, a tile
+// packs and transposes in registers instead (the AVX-512 body), a whole
+// one straight into the chunk.
 func (t *rawTokenizer) transpose(rows int) []byte {
 	m := t.m
 	stride := (rows + 3) / 4
@@ -508,20 +524,33 @@ func (t *rawTokenizer) transpose(rows int) []byte {
 		qb := min(rawTile, stride-q0)
 		for c0 := 0; c0 < m; c0 += rawTile {
 			cb := min(rawTile, m-c0)
-			for q := 0; q < qb; q++ {
-				r := t.rows[4*(q0+q)*m+c0:]
-				r0, r1, r2, r3 := r[:cb], r[m:][:cb], r[2*m:][:cb], r[3*m:][:cb]
-				col := tile[q:]
-				c := 0
-				for ; c+8 <= cb; c += 8 {
-					x := binary.LittleEndian.Uint64(r0[c:]) | binary.LittleEndian.Uint64(r1[c:])<<2 |
-						binary.LittleEndian.Uint64(r2[c:])<<4 | binary.LittleEndian.Uint64(r3[c:])<<6
-					for k := 0; k < 8; k++ {
-						col[(c+k)*rawTile] = byte(x >> (8 * k))
+			switch {
+			case t.vector && qb == rawTile && cb == rawTile:
+				src := t.rows[4*q0*m+c0 : 4*(q0+rawTile)*m]
+				dst := out[c0*stride+q0 : (c0+rawTile-1)*stride+q0+rawTile]
+				transposeTileAVX512(&dst[0], stride, &src[0], m, rawTile, tile)
+				continue
+			case t.vector:
+				// A cut tile reads up to a tile's width past its last
+				// staged row and transposes in place.
+				src := t.rows[4*q0*m+c0 : 4*(q0+qb)*m+rawTile]
+				transposeTileAVX512(&tile[0], rawTile, &src[0], m, qb, tile)
+			default:
+				for q := 0; q < qb; q++ {
+					r := t.rows[4*(q0+q)*m+c0:]
+					r0, r1, r2, r3 := r[:cb], r[m:][:cb], r[2*m:][:cb], r[3*m:][:cb]
+					col := tile[q:]
+					c := 0
+					for ; c+8 <= cb; c += 8 {
+						x := binary.LittleEndian.Uint64(r0[c:]) | binary.LittleEndian.Uint64(r1[c:])<<2 |
+							binary.LittleEndian.Uint64(r2[c:])<<4 | binary.LittleEndian.Uint64(r3[c:])<<6
+						for k := 0; k < 8; k++ {
+							col[(c+k)*rawTile] = byte(x >> (8 * k))
+						}
 					}
-				}
-				for ; c < cb; c++ {
-					col[c*rawTile] = r0[c] | r1[c]<<2 | r2[c]<<4 | r3[c]<<6
+					for ; c < cb; c++ {
+						col[c*rawTile] = r0[c] | r1[c]<<2 | r2[c]<<4 | r3[c]<<6
+					}
 				}
 			}
 			for c := 0; c < cb; c++ {

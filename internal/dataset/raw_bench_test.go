@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"trigene"
+	"trigene/internal/bitvec"
 	"trigene/internal/dataset"
 )
 
@@ -13,7 +14,11 @@ import (
 // what a cold start pays before it can search (read+session+hash: the
 // sections adopted by a session's store and hashed as they are), and what
 // a caller of trigene.ReadRAW pays (read+matrix: the sections decoded into
-// the M x N byte Matrix).
+// the M x N byte Matrix). Then each per-byte stage of the read alone, over
+// the whole file on one goroutine, on each body (body=avx512 skips where
+// the build or host has none): decode, the codes of every sample line;
+// transpose, every block's staged rows into its chunk; assembly, the
+// chunks into the packed sections. MB/s are of the file's text throughout.
 func BenchmarkReadRAW(b *testing.B) {
 	mx, err := dataset.Generate(dataset.GenConfig{SNPs: 640, Samples: 16384, Seed: 1, MAFMin: 0.3, MAFMax: 0.5})
 	if err != nil {
@@ -50,5 +55,25 @@ func BenchmarkReadRAW(b *testing.B) {
 				}
 			}
 		})
+	}
+	stages, err := dataset.RawStages(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, stage := range stages {
+		for _, body := range []struct {
+			name   string
+			vector bool
+		}{{"avx512", true}, {"go", false}} {
+			b.Run(stage.Name+"/body="+body.name, func(b *testing.B) {
+				if body.vector && !bitvec.HasAVX512() {
+					b.Skip("no AVX-512 body in this build or on this host")
+				}
+				b.SetBytes(int64(len(text)))
+				for i := 0; i < b.N; i++ {
+					stage.Run(body.vector)
+				}
+			})
+		}
 	}
 }
