@@ -105,13 +105,17 @@ type blockWorker struct {
 	// laneScorer is the objective's own scoring of the fused loop's lane
 	// tables (nil: score.ScoreColumns).
 	laneScorer score.LaneScorer
+	// yzFor is the block pair (b1, b2) whose pair tables the arena's yz
+	// bank holds for this run ({-1, -1}: none yet). It lives here, not in
+	// the pooled arena, so no run reads another's tables.
+	yzFor [2]int
 }
 
 // newBlockWorker builds a consumer over a pooled arena, sized for the
 // lanes pass, where V3F pins the pure-Go bodies and V4F takes the host's
 // tuned ones.
 func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, nb int) *blockWorker {
-	w := &blockWorker{s: s, o: o, split: split, nb: nb, a: a}
+	w := &blockWorker{s: s, o: o, split: split, nb: nb, a: a, yzFor: [2]int{-1, -1}}
 	a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
 	w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
 	if o.Approach != V3Fused {
@@ -143,7 +147,9 @@ type lanePair struct{ y, z, valid int }
 // contingency.Lanes SNPs, b0's SNPs in the lanes — the fused approaches'
 // one loop, whatever the plane length. Once per class, PairLanes puts the
 // (i1, i2) pair tables of b1 and b2 into the arena's yz bank, b1's SNPs in
-// the lanes against each i2 of b2. Then, one class at a time, the class
+// the lanes against each i2 of b2 — unless the bank holds them already:
+// colexicographic ranks vary b0 fastest, so a tile's block triples come in
+// runs that share (b1, b2). Then, one class at a time, the class
 // plane is walked in word tiles: the x tile is transposed once per word
 // tile, XLanes counts it against every SNP of b1 ∪ b2 and TripleLanes
 // against every (i1, i2), into the pair's lane table in the class's bank
@@ -177,11 +183,14 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 	if b1 == b2 {
 		zs = 0
 	}
-	for class, words := range split.Words {
-		data := split.ClassPlaneData(class)
-		for z := 0; z < lim2; z++ {
-			k.PairLanes(&a.yz[class][z], data, words, base1, lim1, base2+z, marg[class], int32(split.N[class]))
+	if w.yzFor != [2]int{b1, b2} {
+		for class, words := range split.Words {
+			data := split.ClassPlaneData(class)
+			for z := 0; z < lim2; z++ {
+				k.PairLanes(&a.yz[class][z], data, words, base1, lim1, base2+z, marg[class], int32(split.N[class]))
+			}
 		}
+		w.yzFor = [2]int{b1, b2}
 	}
 	pairs := a.pairs[:0]
 	for gi2 := base2; gi2 < base2+lim2; gi2++ {

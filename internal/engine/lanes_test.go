@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"trigene/internal/combin"
@@ -219,6 +220,51 @@ func TestLanesTilesMatchReference(t *testing.T) {
 					}
 				}
 				w.a.release()
+			}
+		}
+	}
+}
+
+// TestBlockedPairTablesFollowTheClaims: a worker keeps the (y, z) pair
+// tables of a block pair (b1, b2) across the block triples that share it.
+// The same search cut into one-block-triple tiles on two workers, so that
+// each worker's claims jump between runs of (b1, b2), and run as one tile
+// on one worker, which walks every run in rank order, must find the same
+// top-K to the bit and score the same combinations; a bank read for a
+// block pair it does not hold would move scores. On ragged 8-word planes
+// (224 x 500) and on 256-word ones (96 x 16384).
+func TestBlockedPairTablesFollowTheClaims(t *testing.T) {
+	for _, shape := range []struct{ m, n int }{{224, 500}, {96, 16384}} {
+		s, err := New(randomMatrix(int64(shape.m), shape.m, shape.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const topK = 64
+		cut, err := s.Run(Options{Workers: 2, TopK: topK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := Options{Workers: 1, TopK: topK}.withDefaults(s.st.Samples())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, body, err := s.triples(&o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.src = sp.src.WithGrain(sp.src.Ranks())
+		whole, err := s.run(&o, sp, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Stats.Combinations != whole.Stats.Combinations || len(cut.TopK) != topK || len(whole.TopK) != topK {
+			t.Fatalf("%d x %d: %d and %d combinations, %d and %d kept", shape.m, shape.n,
+				cut.Stats.Combinations, whole.Stats.Combinations, len(cut.TopK), len(whole.TopK))
+		}
+		for i, c := range cut.TopK {
+			if w := whole.TopK[i]; c.SNPs != w.SNPs || math.Float64bits(c.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%d x %d: TopK[%d] is %v at %v cut into block triples, %v at %v as one tile",
+					shape.m, shape.n, i, c.triple(), c.Score, w.triple(), w.Score)
 			}
 		}
 	}

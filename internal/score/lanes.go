@@ -47,7 +47,10 @@ func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *c
 // Both bodies check every count against the LnFact table, past the row
 // they stop at as well: the vector body declines a table with a count
 // outside it, and the Go body then fails on it the way Score does (or
-// scores it, if the vector body's check was only too coarse).
+// scores it, if the vector body's check was only too coarse). A group
+// whose valid lanes' counts all lie below termSide, nearly every group of
+// a search over a few hundred samples, the vector body scores from the
+// term table, one lookup per row instead of three.
 func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) bool {
 	return o.ScoreLanesStop(dst, ctrl, cases, rows, valid, bound) > 0
 }
@@ -65,7 +68,7 @@ func (o *K2Objective) ScoreLanesStop(dst *[contingency.Lanes]float64, ctrl, case
 		panic("score: lane table rows out of range")
 	}
 	if contingency.HasAVX512() && valid > 0 {
-		if stop, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], o.lf.Max(), 1<<valid-1, rows, bound); ok {
+		if stop, ok := k2LanesAVX512(dst, ctrl, cases, &o.lf.table[0], &o.terms[0], o.lf.Max(), 1<<valid-1, rows, bound); ok {
 			return stop
 		}
 	}

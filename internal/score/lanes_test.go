@@ -406,15 +406,219 @@ func TestScoreLanesDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkK2Lanes times K2 over eight tables of 500 samples (one op is
-// one group of eight), on both bodies at three bounds: one the group's
-// sums pass after about 9 of the 27 rows, one they pass after about 18,
-// and +Inf, which they never pass (the full sum). The row the group stops
-// after is reported as exit-row; ScoreColumns, which has no bound, is the
-// baseline.
+// TestTermTableIsK2Term: every entry of the term table the vector body
+// looks small counts up in is K2Term of its (r0, r1) to the bit, whatever
+// size of LnFact the objective holds, and every K2 objective holds the
+// one table of the process.
+func TestTermTableIsK2Term(t *testing.T) {
+	terms := k2Terms()
+	for _, n := range []int{2 * termSide, 500, 16384} {
+		k2 := NewK2(n)
+		if k2.terms != terms {
+			t.Fatalf("NewK2(%d) holds its own term table", n)
+		}
+		for r0 := 0; r0 < termSide; r0++ {
+			for r1 := 0; r1 < termSide; r1++ {
+				if got, want := terms[r0*termSide+r1], K2Term(k2.lf, r0, r1); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("term table (%d, %d) = %v, K2Term over %d samples gives %v", r0, r1, got, n, want)
+				}
+			}
+		}
+	}
+}
+
+// edgeLaneTables fills lane tables of n samples per class whose valid
+// lanes have their largest count of one class, placed in row top, at
+// peak, the rest spread at random over the first rows; the invalid lanes
+// hold counts of termSide and more.
+func edgeLaneTables(r *rand.Rand, n, peak, class, top, rows, valid int) (ctrl, cases contingency.LaneTable) {
+	for lane := 0; lane < contingency.Lanes; lane++ {
+		if lane >= valid {
+			for cell := range ctrl {
+				ctrl[cell][lane], cases[cell][lane] = int32(termSide+r.Intn(200)), int32(termSide+r.Intn(1<<20))
+			}
+			continue
+		}
+		for c, lt := range []*contingency.LaneTable{&ctrl, &cases} {
+			left := n
+			if c == class {
+				lt[top][lane] = int32(peak)
+				left -= peak
+			}
+			for left > 0 { // below peak wherever it lands
+				cell := r.Intn(rows)
+				if c == class && cell == top || lt[cell][lane] >= int32(min(peak, termSide))-1 {
+					continue
+				}
+				lt[cell][lane]++
+				left--
+			}
+		}
+	}
+	return ctrl, cases
+}
+
+// TestScoreLanesAtTheTermTableEdge: a group whose valid lanes' counts are
+// all below termSide is scored from the term table, and one with a count
+// of termSide or more in a valid lane from the LnFact table. Groups whose
+// largest count, of the controls or of the cases, is 62, 63, 64 or 65 —
+// in the first row, a middle one or the last — with larger counts in
+// their invalid lanes, take the two paths side by side; the vector body
+// must give k2LanesGo's stop row and Score's bits (or, above the bound, a
+// value above it) at bounds around the group's own scores, on 27 rows and
+// on a pair table's 9.
+func TestScoreLanesAtTheTermTableEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(82))
+	const n = 300
+	k2 := NewK2(2 * n)
+	for _, rows := range tableRows {
+		for _, peak := range []int{termSide - 2, termSide - 1, termSide, termSide + 1} {
+			for class := range 2 {
+				for _, top := range []int{0, rows / 2, rows - 1} {
+					for valid := 1; valid <= contingency.Lanes; valid++ {
+						ctrl, cases := edgeLaneTables(r, n, peak, class, top, rows, valid)
+						want := laneScores(k2, &ctrl, &cases, rows, valid)
+						for _, bound := range boundsAround(want) {
+							var dst, oracle [contingency.Lanes]float64
+							stop := k2.ScoreLanesStop(&dst, &ctrl, &cases, rows, valid, bound)
+							if wantStop := k2LanesGo(&oracle, &ctrl, &cases, k2.lf, rows, valid, bound); stop != wantStop {
+								t.Fatalf("%d rows, peak %d of class %d in row %d, valid=%d, bound %v: stop %d, k2LanesGo %d",
+									rows, peak, class, top, valid, bound, stop, wantStop)
+							}
+							for lane, w := range want {
+								if math.Float64bits(dst[lane]) != math.Float64bits(w) && !(w > bound && dst[lane] > bound) {
+									t.Fatalf("%d rows, peak %d of class %d in row %d, valid=%d, bound %v lane %d: scored %v, Score gives %v",
+										rows, peak, class, top, valid, bound, lane, dst[lane], w)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzK2Lanes: on any lane tables (counts of 16 bits, negative ones
+// too), valid lane count, row count (a pair table's 9 or a triple's 27),
+// LnFact size and bound, K2's ScoreLanesStop — the vector body where the
+// host has it, which scores small counts from the term table and the rest
+// from the LnFact table — and k2LanesGo agree: both fail on a count
+// outside the LnFact table or neither does, they give the same stop row,
+// and each valid lane's score has the same bits, or both are above the
+// bound. The vector body called alone vouches (ok) exactly when every
+// valid lane's largest counts r0 and r1, unsigned, and r0 + r1 + 1 lie in
+// the table, and then gives the same stop.
+func FuzzK2Lanes(f *testing.F) {
+	seed := func(fill func(cell, lane int) (int16, int16)) []byte {
+		b := make([]byte, 0, 4*contingency.Cells*contingency.Lanes)
+		for cell := 0; cell < contingency.Cells; cell++ {
+			for lane := 0; lane < contingency.Lanes; lane++ {
+				r0, r1 := fill(cell, lane)
+				b = append(b, byte(r0), byte(uint16(r0)>>8), byte(r1), byte(uint16(r1)>>8))
+			}
+		}
+		return b
+	}
+	for _, c := range []int16{62, 63, 64, 65} {
+		for _, valid := range []int{3, 8} {
+			// Every valid count at c; the masked-off lanes at 64 and past.
+			counts := seed(func(cell, lane int) (int16, int16) {
+				if lane >= valid {
+					return 64 + int16(cell), 1000
+				}
+				return c, int16(cell % 3)
+			})
+			f.Add(counts, uint8(valid), false, uint16(4000), math.Inf(1))
+			f.Add(counts, uint8(valid), true, uint16(4000), 200.0)
+			// c in one row of one valid lane, small counts elsewhere.
+			counts = seed(func(cell, lane int) (int16, int16) {
+				switch {
+				case lane >= valid:
+					return -1, 64
+				case cell == 5 && lane == 1:
+					return 3, c
+				}
+				return int16(lane + cell%4), int16(cell % 5)
+			})
+			f.Add(counts, uint8(valid), true, uint16(600), 60.0)
+			f.Add(counts, uint8(valid), false, uint16(60), math.Inf(1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, counts []byte, v uint8, pair bool, samples uint16, bound float64) {
+		var ctrl, cases contingency.LaneTable
+		for i := 0; i+3 < len(counts) && i/4 < contingency.Cells*contingency.Lanes; i += 4 {
+			cell, lane := i/4/contingency.Lanes, i/4%contingency.Lanes
+			ctrl[cell][lane] = int32(int16(uint16(counts[i]) | uint16(counts[i+1])<<8))
+			cases[cell][lane] = int32(int16(uint16(counts[i+2]) | uint16(counts[i+3])<<8))
+		}
+		valid, rows := int(v%(contingency.Lanes+1)), contingency.Cells
+		if pair {
+			rows = contingency.PairCells
+		}
+		k2 := NewK2(int(samples))
+		score := func(body func(dst *[contingency.Lanes]float64) int) (dst [contingency.Lanes]float64, stop int, failed bool) {
+			defer func() { failed = recover() != nil }()
+			stop = body(&dst)
+			return
+		}
+		got, stop, failed := score(func(dst *[contingency.Lanes]float64) int {
+			return k2.ScoreLanesStop(dst, &ctrl, &cases, rows, valid, bound)
+		})
+		want, wantStop, wantFailed := score(func(dst *[contingency.Lanes]float64) int {
+			return k2LanesGo(dst, &ctrl, &cases, k2.lf, rows, valid, bound)
+		})
+		if failed != wantFailed {
+			t.Fatalf("ScoreLanesStop failed = %v, k2LanesGo failed = %v", failed, wantFailed)
+		}
+		if failed {
+			return
+		}
+		if stop != wantStop {
+			t.Fatalf("stop %d, k2LanesGo %d", stop, wantStop)
+		}
+		for lane := 0; lane < valid; lane++ {
+			if math.Float64bits(got[lane]) != math.Float64bits(want[lane]) && !(got[lane] > bound && want[lane] > bound) {
+				t.Fatalf("lane %d at bound %v: scored %v, k2LanesGo %v", lane, bound, got[lane], want[lane])
+			}
+		}
+		if !contingency.HasAVX512() || valid == 0 {
+			return
+		}
+		limit := uint64(k2.lf.Max())
+		vouch := true
+		for lane := 0; lane < valid; lane++ {
+			var max0, max1 uint32
+			for cell := 0; cell < rows; cell++ {
+				max0, max1 = max(max0, uint32(ctrl[cell][lane])), max(max1, uint32(cases[cell][lane]))
+			}
+			vouch = vouch && uint64(max0) <= limit && uint64(max1) <= limit && uint64(max0)+uint64(max1)+1 <= limit
+		}
+		var dst [contingency.Lanes]float64
+		vstop, ok := k2LanesAVX512(&dst, &ctrl, &cases, &k2.lf.table[0], &k2.terms[0], k2.lf.Max(), 1<<valid-1, rows, bound)
+		if ok != vouch || ok && vstop != wantStop {
+			t.Fatalf("vector body: stop %d ok = %v, want ok = %v and stop %d", vstop, ok, vouch, wantStop)
+		}
+	})
+}
+
+// BenchmarkK2Lanes times K2 over eight tables (one op is one group of
+// eight) of 500 samples, whose counts all lie below termSide so that the
+// vector body takes one term-table gather per row, and of 16384 samples,
+// whose counts do not, so that it takes three from the LnFact table: on
+// both bodies at three bounds, one the group's sums pass after about 9 of
+// the 27 rows, one they pass after about 18, and +Inf, which they never
+// pass (the full sum). The row the group stops after is reported as
+// exit-row; ScoreColumns, which has no bound, is the baseline.
 func BenchmarkK2Lanes(b *testing.B) {
-	k2 := NewK2(500)
-	ctrl, cases := randomLaneTables(rand.New(rand.NewSource(6)), 250, 250, contingency.Cells, 8)
+	for _, n := range []int{500, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkK2Lanes(b, n) })
+	}
+}
+
+func benchmarkK2Lanes(b *testing.B, n int) {
+	k2 := NewK2(n)
+	ctrl, cases := randomLaneTables(rand.New(rand.NewSource(6)), n/2, n-n/2, contingency.Cells, 8)
 	for lane := 0; lane < 3; lane++ { // the extreme columns are not typical
 		for cell := range ctrl {
 			ctrl[cell][lane], cases[cell][lane] = ctrl[cell][3+lane], cases[cell][3+lane]
@@ -428,8 +632,7 @@ func BenchmarkK2Lanes(b *testing.B) {
 		for lane := 0; lane < contingency.Lanes; lane++ {
 			sum := 0.0
 			for cell := 0; cell < r; cell++ {
-				r0, r1 := int(ctrl[cell][lane]), int(cases[cell][lane])
-				sum += k2.lf.At(r0+r1+1) - k2.lf.At(r0) - k2.lf.At(r1)
+				sum += K2Term(k2.lf, int(ctrl[cell][lane]), int(cases[cell][lane]))
 			}
 			partial[r] = min(partial[r], sum)
 		}

@@ -178,13 +178,37 @@ type Objective interface {
 // K2Objective scores with the Bayesian K2 criterion (lower is better).
 type K2Objective struct {
 	lf *LnFact
+	// terms is the process's K2 term table, which the lanes pass looks
+	// small counts up in.
+	terms *[termSide * termSide]float64
 }
 
 // NewK2 returns a K2 objective able to score tables over at most
 // maxSamples samples.
 func NewK2(maxSamples int) *K2Objective {
-	return &K2Objective{lf: NewLnFact(maxSamples + 1)}
+	return &K2Objective{lf: NewLnFact(maxSamples + 1), terms: k2Terms()}
 }
+
+// termSide bounds the counts of K2's term table: a row whose two counts
+// are both below it has its term looked up whole.
+const termSide = 64
+
+// k2Terms returns the process's one K2 term table, built on first use:
+// entry r0*termSide + r1 is K2Term of (r0, r1), computed by K2Term itself
+// from the shared lnFacts prefix, so it has K2Term's bits
+// (TestTermTableIsK2Term). At 64 x 64 float64s it is 32 KiB, an L1's
+// worth: a lane group of small tables takes one gather per row from it
+// where the ln-factorial table takes three.
+var k2Terms = sync.OnceValue(func() *[termSide * termSide]float64 {
+	lf := NewLnFact(2 * termSide) // r0 + r1 + 1 <= 127
+	t := new([termSide * termSide]float64)
+	for r0 := 0; r0 < termSide; r0++ {
+		for r1 := 0; r1 < termSide; r1++ {
+			t[r0*termSide+r1] = K2Term(lf, r0, r1)
+		}
+	}
+	return t
+})
 
 // LnFact returns the objective's ln(n!) table, for callers that sum
 // K2Term themselves.
