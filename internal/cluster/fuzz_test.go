@@ -139,6 +139,8 @@ func FuzzSubmitRequest(f *testing.F) {
 	for _, seed := range []string{``, `null`, `{}`, `[]`, `{"tiles":1e9,"datasetSHA256":"` + held + `"}`, `{"tiles":-1}`} {
 		f.Add([]byte(seed))
 	}
+	// An upload whose header names 2^24 x 2^24 genotypes.
+	f.Add([]byte(mustJSON(f, SubmitRequest{Tiles: 1, Dataset: hugeHeader})))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		co := NewCoordinator(Config{})

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -279,6 +280,31 @@ func TestSubmitDatasetHashDoor(t *testing.T) {
 	}
 	if code, eb := postSubmit(t, co, SubmitRequest{Tiles: 2, DatasetSHA256: sha, Dataset: binaryOf(t, mx)}); code != http.StatusCreated {
 		t.Errorf("upload naming its own hash: HTTP %d %+v, want 201", code, eb)
+	}
+}
+
+// hugeHeader is a binary dataset of twelve bytes whose header names
+// 2^24 x 2^24 genotypes: 2^46 bytes of body that never arrive.
+var hugeHeader = []byte("TGB1\x00\x00\x00\x01\x00\x00\x00\x01")
+
+// TestSubmitHugeHeaderIsRefused: an upload whose header names far more
+// than it holds gets a 400 before any allocation of that size, and the
+// coordinator goes on serving.
+func TestSubmitHugeHeaderIsRefused(t *testing.T) {
+	co := NewCoordinator(Config{})
+	t.Cleanup(func() { co.Close() })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, eb := postSubmit(t, co, SubmitRequest{Tiles: 1, Dataset: hugeHeader})
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "invalid dataset") {
+		t.Errorf("12-byte upload naming 2^24 x 2^24: HTTP %d %+v, want 400", code, eb)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("refusing it allocated %d bytes", grew)
+	}
+	if code, eb := postSubmit(t, co, SubmitRequest{Tiles: 1, Dataset: binaryOf(t, plantedMatrix(t))}); code != http.StatusCreated {
+		t.Errorf("next upload: HTTP %d %+v, want 201", code, eb)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -65,6 +66,13 @@ func Read(path, format, phenPath string) (*dataset.Matrix, error) {
 // filesystem.
 func ReadFrom(r io.Reader, format, phenPath string) (*dataset.Matrix, error) {
 	br := bufio.NewReader(r)
+	return readFrom(br, r, format, phenPath)
+}
+
+// readFrom is ReadFrom over br, a bufio.Reader over r that has been
+// peeked at but not read. The trigene text and binary readers read br
+// with r's length, when it is known (see sized).
+func readFrom(br *bufio.Reader, r io.Reader, format, phenPath string) (*dataset.Matrix, error) {
 	switch format {
 	case "pack":
 		st, err := store.ReadPack(br)
@@ -87,7 +95,7 @@ func ReadFrom(r io.Reader, format, phenPath string) (*dataset.Matrix, error) {
 		}
 		switch {
 		case bytes.Equal(magic, []byte("TGB1")):
-			return dataset.ReadBinary(br)
+			return dataset.ReadBinary(sized(br, r))
 		case store.IsPack(magic):
 			st, err := store.ReadPack(br)
 			if err != nil {
@@ -101,7 +109,7 @@ func ReadFrom(r io.Reader, format, phenPath string) (*dataset.Matrix, error) {
 		case magic[0] == '#' && magic[1] == '#', bytes.Equal(magic, []byte("#CHR")):
 			return readVCFWithPhen(br, phenPath)
 		default:
-			return dataset.ReadText(br)
+			return dataset.ReadText(sized(br, r))
 		}
 	default:
 		return nil, fmt.Errorf("unknown input format %q (want auto, ped, raw, vcf, bed or pack)", format)
@@ -177,12 +185,55 @@ func ReadSessionFrom(r io.Reader, format, phenPath string) (*trigene.Session, er
 	case "raw":
 		return trigene.ReadRAWSession(br)
 	}
-	mx, err := ReadFrom(br, format, phenPath)
+	mx, err := readFrom(br, r, format, phenPath)
 	if err != nil {
 		return nil, err
 	}
 	return trigene.NewSession(mx)
 }
+
+// sized returns br, a bufio.Reader over r, as a reader that also tells
+// through Len how many bytes it has left, when r's length is known: a
+// regular file's size less its offset, or a Len method of r's own, plus
+// what br holds read ahead of r. dataset's text and binary readers
+// allocate a section whole only when a Len says the input holds it, and
+// otherwise grow it as it arrives; the bufio wrap alone would hide the
+// length.
+func sized(br *bufio.Reader, r io.Reader) io.Reader {
+	left := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		left = v.Len()
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return br
+		}
+		off, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return br
+		}
+		left = int(min(fi.Size()-off, math.MaxInt-int64(br.Buffered())))
+	default:
+		return br
+	}
+	return &sizedReader{br: br, left: left + br.Buffered()}
+}
+
+// sizedReader reads br and counts down left, the bytes br has left.
+type sizedReader struct {
+	br   *bufio.Reader
+	left int
+}
+
+func (s *sizedReader) Read(p []byte) (int, error) {
+	n, err := s.br.Read(p)
+	s.left -= n
+	return n, err
+}
+
+// Len is how many bytes are left to read.
+func (s *sizedReader) Len() int { return s.left }
 
 // readBEDPath opens a PLINK binary fileset by its .bed path,
 // resolving the .bim and .fam sidecars by swapping the extension.

@@ -1,8 +1,11 @@
 package datafile
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -152,5 +155,107 @@ func TestBEDPaths(t *testing.T) {
 	defer f.Close()
 	if _, err := ReadFrom(f, "auto", ""); err == nil || !strings.Contains(err.Error(), "sidecars") {
 		t.Errorf("streamed .bed: %v", err)
+	}
+}
+
+// TestReadSizesFromTheFile: a regular file's size reaches the trigene
+// binary and text readers through the bufio wrap, so a .tgb or text file
+// costs its matrix, its packed sections and the scanner's buffer, not
+// the copies of a buffer grown as the bytes arrive. A file read from an
+// offset, a truncated file and a pipe (whose length is not known) read
+// as before.
+func TestReadSizesFromTheFile(t *testing.T) {
+	mx := dataset.NewMatrix(320, 16384)
+	for i := range mx.SNPs() {
+		row := mx.Row(i)
+		for j := range row {
+			row[j] = uint8((i*7 + j*j) % 3)
+		}
+	}
+	for j := range mx.Samples() {
+		mx.SetPhen(j, uint8(j%5)&1)
+	}
+	var bin, text bytes.Buffer
+	if err := dataset.WriteBinary(&bin, mx); err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteText(&text, mx); err != nil {
+		t.Fatal(err)
+	}
+	cells := mx.SNPs() * mx.Samples()
+	for _, tc := range []struct {
+		name, content string
+		// most is what the read may allocate beyond the matrix itself.
+		most int
+	}{
+		{"data.tgb", bin.String(), (cells+3)/4 + 64<<10},
+		{"data.tg", text.String(), 1<<20 + 64<<10},
+	} {
+		path := write(t, tc.name, tc.content)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Read(path, "auto", "")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		equalMatrix(t, tc.name, got, mx)
+		if sess, err := ReadSession(path, "auto", ""); err != nil || sess.SNPs() != mx.SNPs() || sess.Samples() != mx.Samples() {
+			t.Errorf("%s: ReadSession: %v", tc.name, err)
+		}
+		if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(cells+mx.Samples()+tc.most); grew > most {
+			t.Errorf("%s: read allocated %d bytes, want at most %d", tc.name, grew, most)
+		}
+
+		f, err := os.Open(write(t, "prefixed", "junk"+tc.content))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(4, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		got, err = ReadFrom(f, "auto", "")
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s from an offset: %v", tc.name, err)
+		}
+		equalMatrix(t, tc.name+" from an offset", got, mx)
+
+		if _, err := Read(write(t, "short", tc.content[:len(tc.content)/2]), "auto", ""); err == nil {
+			t.Errorf("%s: half the file read without an error", tc.name)
+		}
+
+		pr, pw, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			io.WriteString(pw, tc.content)
+			pw.Close()
+		}()
+		sess, err := ReadSessionFrom(pr, "auto", "")
+		pr.Close()
+		if err != nil {
+			t.Fatalf("%s through a pipe: %v", tc.name, err)
+		}
+		if sess.SNPs() != mx.SNPs() || sess.Samples() != mx.Samples() {
+			t.Errorf("%s through a pipe: %d x %d", tc.name, sess.SNPs(), sess.Samples())
+		}
+	}
+}
+
+func equalMatrix(t *testing.T, name string, got, want *dataset.Matrix) {
+	t.Helper()
+	if got.SNPs() != want.SNPs() || got.Samples() != want.Samples() {
+		t.Fatalf("%s: %d x %d, want %d x %d", name, got.SNPs(), got.Samples(), want.SNPs(), want.Samples())
+	}
+	for i := range want.SNPs() {
+		if !bytes.Equal(got.Row(i), want.Row(i)) {
+			t.Fatalf("%s: SNP %d differs", name, i)
+		}
+	}
+	if !bytes.Equal(got.Phenotypes(), want.Phenotypes()) {
+		t.Fatalf("%s: phenotypes differ", name)
 	}
 }

@@ -50,8 +50,13 @@ func WriteText(w io.Writer, mx *Matrix) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text format produced by WriteText.
+// ReadText parses the text format produced by WriteText. The genotypes
+// are reserved in full only when r's length is known and can hold the
+// rows its header names; otherwise they grow as the rows arrive, so a
+// header naming more than the input holds costs no more memory than the
+// input.
 func ReadText(r io.Reader) (*Matrix, error) {
+	left, known := knownSize(r)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	if !sc.Scan() {
@@ -76,7 +81,11 @@ func ReadText(r io.Reader) (*Matrix, error) {
 	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
 		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
 	}
-	mx := NewMatrix(m, n)
+	reserve := min(m*n, bodyChunk)
+	if known && int64(m)*int64(n+1)+int64(n) <= left {
+		reserve = m * n
+	}
+	geno := make([]uint8, 0, reserve)
 	for i := 0; i < m; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("dataset: truncated at SNP row %d: %w", i, orEOF(sc.Err()))
@@ -85,7 +94,9 @@ func ReadText(r io.Reader) (*Matrix, error) {
 		if len(row) != n {
 			return nil, fmt.Errorf("dataset: SNP row %d has %d values, want %d", i, len(row), n)
 		}
-		dst := mx.Row(i)
+		base := len(geno)
+		geno = grow(geno, n, m*n)[:base+n]
+		dst := geno[base:]
 		for j, ch := range row {
 			if ch < '0' || ch > '2' {
 				return nil, fmt.Errorf("dataset: SNP row %d sample %d: invalid genotype %q", i, j, ch)
@@ -93,6 +104,7 @@ func ReadText(r io.Reader) (*Matrix, error) {
 			dst[j] = ch - '0'
 		}
 	}
+	mx := &Matrix{m: m, n: n, geno: geno, phen: make([]uint8, n)}
 	if !sc.Scan() {
 		return nil, fmt.Errorf("dataset: missing phenotype row: %w", orEOF(sc.Err()))
 	}
@@ -131,7 +143,10 @@ func WriteBinary(w io.Writer, mx *Matrix) error {
 // ReadBinary parses the binary format produced by WriteBinary: its body
 // is read straight into the packed sections and decoded from them. The
 // bits past the last genotype carry nothing and are cleared before a
-// genotype of code 3 is searched for and refused.
+// genotype of code 3 is searched for and refused. A section is allocated
+// whole only when r's length is known to hold it (readFull); a header
+// naming more than the input holds is refused before any allocation, or,
+// from a stream, costs no more memory than the stream delivers.
 func ReadBinary(r io.Reader) (*Matrix, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -149,8 +164,9 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
 		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
 	}
-	p := &Packed{M: m, N: n, Geno: make([]byte, (m*n+3)/4), Phen: make([]byte, (n+7)/8)}
-	if _, err := io.ReadFull(r, p.Geno); err != nil {
+	p := &Packed{M: m, N: n}
+	var err error
+	if p.Geno, err = readFull(r, (m*n+3)/4); err != nil {
 		return nil, fmt.Errorf("dataset: reading genotypes: %w", err)
 	}
 	if tail := m * n % 4; tail != 0 {
@@ -159,10 +175,67 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	if idx := firstCode3(p.Geno); idx >= 0 {
 		return nil, fmt.Errorf("dataset: invalid packed genotype 3 at index %d", idx)
 	}
-	if _, err := io.ReadFull(r, p.Phen); err != nil {
+	if p.Phen, err = readFull(r, (n+7)/8); err != nil {
 		return nil, fmt.Errorf("dataset: reading phenotypes: %w", err)
 	}
 	return p.Matrix(), nil
+}
+
+// bodyChunk is the most a reader reserves ahead of the bytes that have
+// arrived when the input's length is not known.
+const bodyChunk = 1 << 20
+
+// knownSize is how many bytes r has left when r tells it through a Len
+// method: a bytes.Reader, bytes.Buffer or strings.Reader, or the reader
+// datafile puts over a regular file.
+func knownSize(r io.Reader) (left int64, ok bool) {
+	if v, ok := r.(interface{ Len() int }); ok {
+		return int64(v.Len()), true
+	}
+	return 0, false
+}
+
+// grow returns buf with room for more bytes past its length: its
+// capacity doubles, but never past limit, so a buffer grown to hold
+// limit bytes holds no more.
+func grow(buf []byte, more, limit int) []byte {
+	if len(buf)+more <= cap(buf) {
+		return buf
+	}
+	nb := make([]byte, len(buf), min(limit, max(2*cap(buf), len(buf)+more)))
+	copy(nb, buf)
+	return nb
+}
+
+// readFull is io.ReadFull into a new buffer of size bytes, with its
+// errors, committing no more memory than r holds: the buffer is made
+// whole when r's length is known (and not at all when r is shorter),
+// and otherwise grows, doubling up to size, as the bytes arrive.
+func readFull(r io.Reader, size int) ([]byte, error) {
+	if left, ok := knownSize(r); ok {
+		switch {
+		case left >= int64(size):
+			buf := make([]byte, size)
+			_, err := io.ReadFull(r, buf)
+			return buf, err
+		case left == 0:
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	buf := make([]byte, 0, min(size, bodyChunk))
+	for len(buf) < size {
+		buf = grow(buf, 1, size)
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // firstCode3 returns the index of the first entry of a 2-bit genotype

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -150,6 +152,75 @@ func TestReadBinaryErrors(t *testing.T) {
 	}
 }
 
+// TestReadersRefuseHeadersPastTheInput: a header naming 2^24 x 2^24
+// genotypes over an input that holds none of them is an error from both
+// readers, whether the input's length is known (a bytes or strings
+// Reader) or not (a stream), and neither allocates what the header names.
+func TestReadersRefuseHeadersPastTheInput(t *testing.T) {
+	bin := "TGB1\x00\x00\x00\x01\x00\x00\x00\x01"
+	text := "#trigene v1 16777216 16777216\n"
+	for _, tc := range []struct {
+		name string
+		read func() (*Matrix, error)
+	}{
+		{"binary, known length", func() (*Matrix, error) { return ReadBinary(strings.NewReader(bin)) }},
+		{"binary, stream", func() (*Matrix, error) { return ReadBinary(iotest.OneByteReader(strings.NewReader(bin))) }},
+		{"binary, a row's worth", func() (*Matrix, error) {
+			return ReadBinary(iotest.HalfReader(strings.NewReader(bin + strings.Repeat("\x00", 1<<16))))
+		}},
+		{"text, known length", func() (*Matrix, error) { return ReadText(strings.NewReader(text)) }},
+		{"text, no newline", func() (*Matrix, error) { return ReadText(strings.NewReader(strings.TrimSpace(text))) }},
+		{"text, stream", func() (*Matrix, error) { return ReadText(iotest.OneByteReader(strings.NewReader(text + "0120\n"))) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mx, err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: read a %d x %d matrix", tc.name, mx.SNPs(), mx.Samples())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", tc.name, grew)
+		}
+	}
+}
+
+// TestStreamedReadsGrowToTheMatrix: read from a stream, whose length is
+// not known, the text reader's genotypes and the binary reader's packed
+// section grow as the rows arrive, past bodyChunk, and end holding the
+// matrix exactly: no spare capacity is kept for the matrix's lifetime.
+func TestStreamedReadsGrowToTheMatrix(t *testing.T) {
+	mx, err := Generate(GenConfig{SNPs: 300, Samples: 16384, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text, bin bytes.Buffer
+	if err := WriteText(&text, mx); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, mx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadText(iotest.HalfReader(&text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mx.SNPs() * mx.Samples(); len(got.geno) != want || cap(got.geno) != want {
+		t.Errorf("text: genotypes of length %d and capacity %d, want %d", len(got.geno), cap(got.geno), want)
+	}
+	if !bytes.Equal(got.geno, mx.geno) || !bytes.Equal(got.phen, mx.phen) {
+		t.Error("text: the matrix read is not the one written")
+	}
+	packed := bin.Bytes()[12 : 12+(len(mx.geno)+3)/4]
+	buf, err := readFull(iotest.HalfReader(bytes.NewReader(packed)), len(packed))
+	if err != nil || cap(buf) != len(packed) || !bytes.Equal(buf, packed) {
+		t.Errorf("binary: packed section of capacity %d, want %d (err %v)", cap(buf), len(packed), err)
+	}
+	if got, err := ReadBinary(iotest.HalfReader(&bin)); err != nil || !bytes.Equal(got.geno, mx.geno) {
+		t.Errorf("binary: the matrix read is not the one written (err %v)", err)
+	}
+}
+
 // readBinaryReference is the binary reader ReadBinary replaced, one
 // genotype at a time: the oracle of FuzzReadBinary.
 func readBinaryReference(r io.Reader) (*Matrix, error) {
@@ -220,13 +291,19 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add([]byte("TGB1\x00\x00\x00\x00"))
 	f.Add([]byte("TGB1\x02\x00\x00\x00\x03\x00\x00\x00\xff\x03"))
+	// A header naming 2^24 x 2^24 genotypes and no body.
+	f.Add([]byte("TGB1\x00\x00\x00\x01\x00\x00\x00\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 12 {
-			// Both readers size their buffers from the header before reading
-			// the body; keep what a short input declares small.
+			// The reference reader sizes its buffers from the header before
+			// reading the body. ReadBinary must not: on an input too short
+			// for what its header names, it alone runs, and refuses it.
 			m, n := binary.LittleEndian.Uint32(data[4:]), binary.LittleEndian.Uint32(data[8:])
 			if m <= 1<<24 && n <= 1<<24 && uint64(m)*uint64(n) > 8*uint64(len(data))+64 {
-				t.Skip()
+				if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+					t.Fatalf("ReadBinary accepted %d bytes naming %d x %d genotypes", len(data), m, n)
+				}
+				return
 			}
 		}
 		want, wantErr := readBinaryReference(bytes.NewReader(data))

@@ -1,9 +1,11 @@
 // Bit-plane permutation kernel: the blocked, allocation-free engine
 // behind KAll/KAllRange. Relabelings are drawn straight into case bit
-// planes (casePlane) and counted by sample, not by plane: a worker draws
-// a block of B of them, 64 at a time, and transposes each 64 x 64 bit
-// tile into sample rows, so row s holds one bit per permutation of the
-// block — whether sample s is a case in it. A candidate keeps, per cell
+// planes (casePlane: a vector fill, then flips to the exact case count,
+// eight draws a vector) and counted by sample, not by plane: a worker
+// draws a block of B of them, 64 at a time, and transposes each 64 x 64
+// bit tile into sample rows (eight tiles at a time from the planes' cache
+// lines), so row s holds one bit per permutation of the block — whether
+// sample s is a case in it. A candidate keeps, per cell
 // of its 3^k genotype combinations, the list of its samples' rows; the
 // cell's case count in every permutation of the block is then the number
 // of set bits each bit position has across those rows, which a

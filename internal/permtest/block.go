@@ -24,27 +24,30 @@ var chunkWidths = [...]int{8, 4, 2, 1}
 
 // slabStride is the distance in words between the planes of a slab of
 // 64 drawn planes of words words: one cache line more than a plane, so
-// that a tile's 64 words, one per plane, fall in 64 different L1 sets
-// and not, 2 KiB apart, in two.
+// that the words or lines of the 64 planes a transpose reads together
+// fall in different L1 sets and not, 2 KiB apart, in a few, and a line
+// read past a plane's last word stays inside the slab.
 func slabStride(words int) int { return words + 8 }
 
 // transpose writes the case bits of 64 permutations, one plane of words
 // words per permutation, slabStride(words) words apart in slab, into word
 // j of the sample rows, r words each: bit i of word j of row s is bit s
 // of plane i. Rows past the planes' last sample get the planes'
-// (tail-clean) zero pad bits.
+// (tail-clean) zero pad bits. The vector body reads the planes a cache
+// line (eight words) at a time, eight tiles at once, so it reads the
+// last plane up to words rounded up to 8, inside the slab's 64 strides.
 func transpose(rows []uint64, r, j int, slab []uint64, words int, vector bool) {
 	if words == 0 {
 		return
 	}
 	stride := slabStride(words)
 	rows = rows[j : (64*words-1)*r+j+1]
-	slab = slab[:63*stride+words]
 	if vector {
+		slab = slab[:63*stride+(words+7)&^7]
 		transposeAVX512(&rows[0], r*8, &slab[0], stride*8, words)
 		return
 	}
-	transposeGo(rows, r, slab, stride, words)
+	transposeGo(rows, r, slab[:63*stride+words], stride, words)
 }
 
 // transposeGo is the pure-Go body of transpose and its oracle: one 64 x

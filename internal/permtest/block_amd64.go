@@ -8,7 +8,9 @@ package permtest
 // contingency.HasAVX512.
 
 // transposeAVX512 is transpose's vector body: words 64 x 64 tiles of the
-// slab, planes pstride bytes apart, into rows stride bytes apart.
+// slab, planes pstride bytes apart, into rows stride bytes apart, eight
+// tiles at a time from the planes' cache lines. It reads the last plane
+// up to words rounded up to 8.
 //
 //go:noescape
 func transposeAVX512(rows *uint64, stride int, slab *uint64, pstride, words int)

@@ -31,114 +31,78 @@ DATA laneNumHi<>+48(SB)/8, $0x0000001d0000001c
 DATA laneNumHi<>+56(SB)/8, $0x0000001f0000001e
 GLOBL laneNumHi<>(SB), RODATA|NOPTR, $64
 
-// The per-lane masks of the transpose's rounds inside a register (s = 4,
-// 2, 1): lane l takes ^m, the high halves of its 2s-bit chunks, where bit s
-// of l is clear (the lower row of its pair) and m, the low halves, where it
-// is set.
-DATA tmask4<>+0(SB)/8, $0xf0f0f0f0f0f0f0f0
-DATA tmask4<>+8(SB)/8, $0xf0f0f0f0f0f0f0f0
-DATA tmask4<>+16(SB)/8, $0xf0f0f0f0f0f0f0f0
-DATA tmask4<>+24(SB)/8, $0xf0f0f0f0f0f0f0f0
-DATA tmask4<>+32(SB)/8, $0x0f0f0f0f0f0f0f0f
-DATA tmask4<>+40(SB)/8, $0x0f0f0f0f0f0f0f0f
-DATA tmask4<>+48(SB)/8, $0x0f0f0f0f0f0f0f0f
-DATA tmask4<>+56(SB)/8, $0x0f0f0f0f0f0f0f0f
-GLOBL tmask4<>(SB), RODATA|NOPTR, $64
+// The transpose is transpose64's six rounds, run on eight tiles at once:
+// a 64-byte line of a plane holds eight consecutive words of it, one word
+// of each of eight tiles, so with plane k's line in a register, lane t is
+// word k of tile t and every round is lane-wise between two registers.
+// Round s pairs word k with word k+s: new k+s = m ? k>>s : k+s, new k =
+// m ? k : (k+s)<<s, under m, the low s bits of every 2s.
 
-DATA tmask2<>+0(SB)/8, $0xcccccccccccccccc
-DATA tmask2<>+8(SB)/8, $0xcccccccccccccccc
-DATA tmask2<>+16(SB)/8, $0x3333333333333333
-DATA tmask2<>+24(SB)/8, $0x3333333333333333
-DATA tmask2<>+32(SB)/8, $0xcccccccccccccccc
-DATA tmask2<>+40(SB)/8, $0xcccccccccccccccc
-DATA tmask2<>+48(SB)/8, $0x3333333333333333
-DATA tmask2<>+56(SB)/8, $0x3333333333333333
-GLOBL tmask2<>(SB), RODATA|NOPTR, $64
-
-DATA tmask1<>+0(SB)/8, $0xaaaaaaaaaaaaaaaa
-DATA tmask1<>+8(SB)/8, $0x5555555555555555
-DATA tmask1<>+16(SB)/8, $0xaaaaaaaaaaaaaaaa
-DATA tmask1<>+24(SB)/8, $0x5555555555555555
-DATA tmask1<>+32(SB)/8, $0xaaaaaaaaaaaaaaaa
-DATA tmask1<>+40(SB)/8, $0x5555555555555555
-DATA tmask1<>+48(SB)/8, $0xaaaaaaaaaaaaaaaa
-DATA tmask1<>+56(SB)/8, $0x5555555555555555
-GLOBL tmask1<>(SB), RODATA|NOPTR, $64
-
-// The transpose is transpose64's six rounds on the tile's 64 words, eight
-// to a register (word k in lane k%8 of Z(k/8)). Round s pairs word k with
-// word k+s: new k+s = m ? k>>s : k+s, new k = m ? k : (k+s)<<s, under m,
-// the low s bits of every 2s.
-
-// XROUND is a round between registers a (words k) and b (words k+s):
-// s = 32, 16, 8.
+// XROUND is a round between registers a (words k) and b (words k+s).
 #define XROUND(s, m, a, b) \
 	VPSRLQ     $s, a, Z8; \
 	VPSLLQ     $s, b, Z9; \
 	VPTERNLOGQ $0xD8, m, Z8, b; \
 	VPTERNLOGQ $0xE4, m, Z9, a
 
-// IROUND is a round inside register r (s = 4, 2, 1): the partner words
-// come from a lane swap (swap), shifted down for the upper lanes and up
-// under k for the lower ones, and taken where the per-lane mask says.
-#define IROUND(swap, s, k, mask, r) \
-	swap(r, Z8); \
-	VPSRLQ     $s, Z8, Z9; \
-	VPSLLQ     $s, Z8, k, Z9; \
-	VPTERNLOGQ $0xD8, mask, Z9, r
+// ROUNDS3 runs three rounds s, s/2, s/4 on words Z0..Z7 whose word
+// numbers step by 4s/8 from register to register.
+#define ROUNDS3(s0, m0, s1, m1, s2, m2) \
+	XROUND(s0, m0, Z0, Z4); \
+	XROUND(s0, m0, Z1, Z5); \
+	XROUND(s0, m0, Z2, Z6); \
+	XROUND(s0, m0, Z3, Z7); \
+	XROUND(s1, m1, Z0, Z2); \
+	XROUND(s1, m1, Z1, Z3); \
+	XROUND(s1, m1, Z4, Z6); \
+	XROUND(s1, m1, Z5, Z7); \
+	XROUND(s2, m2, Z0, Z1); \
+	XROUND(s2, m2, Z2, Z3); \
+	XROUND(s2, m2, Z4, Z5); \
+	XROUND(s2, m2, Z6, Z7)
 
-// Lane swaps l <-> l^4, l^2, l^1.
-#define SWAP4(src, dst) VSHUFI64X2 $0x4E, src, src, dst
-#define SWAP2(src, dst) VPERMQ $0x4E, src, dst
-#define SWAP1(src, dst) VPSHUFD $0x4E, src, dst
-
-#define IROUNDS(swap, s, k, mask) \
-	IROUND(swap, s, k, mask, Z0); \
-	IROUND(swap, s, k, mask, Z1); \
-	IROUND(swap, s, k, mask, Z2); \
-	IROUND(swap, s, k, mask, Z3); \
-	IROUND(swap, s, k, mask, Z4); \
-	IROUND(swap, s, k, mask, Z5); \
-	IROUND(swap, s, k, mask, Z6); \
-	IROUND(swap, s, k, mask, Z7)
-
-// GATHER loads register r with word w of eight planes (AX, then eight
-// planes on); SCATTER stores register r to eight rows (DX, then eight
-// rows on). Each clears K1, so each sets it first.
-#define GATHER(r) \
-	KXNORW     K1, K1, K1; \
-	VPGATHERDQ (AX)(Y16*1), K1, r; \
-	ADDQ       R10, AX
-
-#define SCATTER(r) \
-	KXNORW      K1, K1, K1; \
-	VPSCATTERDQ r, K1, (DX)(Y17*1); \
-	ADDQ        R11, DX
+// COPY8 moves eight words of a transposed tile, rows off/64 .. off/64+7
+// of the lane at AX, to eight consecutive rows from DX, R8 bytes apart
+// (R13, R14, R15: three, five and seven rows), and steps DX past them.
+#define COPY8(off) \
+	MOVQ off+0(AX), BX; \
+	MOVQ BX, (DX); \
+	MOVQ off+64(AX), BX; \
+	MOVQ BX, (DX)(R8*1); \
+	MOVQ off+128(AX), BX; \
+	MOVQ BX, (DX)(R8*2); \
+	MOVQ off+192(AX), BX; \
+	MOVQ BX, (DX)(R13*1); \
+	MOVQ off+256(AX), BX; \
+	MOVQ BX, (DX)(R8*4); \
+	MOVQ off+320(AX), BX; \
+	MOVQ BX, (DX)(R14*1); \
+	MOVQ off+384(AX), BX; \
+	MOVQ BX, (DX)(R13*2); \
+	MOVQ off+448(AX), BX; \
+	MOVQ BX, (DX)(R15*1); \
+	LEAQ (DX)(R8*8), DX
 
 // func transposeAVX512(rows *uint64, stride int, slab *uint64, pstride, words int)
 //
 // Tile w is word w of the 64 planes, pstride bytes apart from slab; its
-// transpose goes to rows 64w..64w+63, stride bytes apart from rows.
-TEXT ·transposeAVX512(SB), NOSPLIT, $0-40
+// transpose goes to rows 64w..64w+63, stride bytes apart from rows. A
+// group of eight tiles (words 8g..8g+7) is done in three passes through
+// 4 KiB of stack, row k of the group's tiles at 64k(SP), lane t for tile
+// 8g+t:
+//   1. for k = 0..7, load the lines of planes k, k+8, …, k+56 and run
+//      rounds 32, 16 and 8 among them;
+//   2. for each eight rows 8i..8i+7, run rounds 4, 2 and 1;
+//   3. copy each tile's lane out to its 64 rows, a word to a row.
+// A line past a plane's last word reads the pad after it, inside the
+// slab (the last plane's too: the caller slices it to 63·pstride/8 +
+// words rounded up to 8); those tiles are not copied out.
+TEXT ·transposeAVX512(SB), $4096-40
 	MOVQ rows+0(FP), DI
 	MOVQ stride+8(FP), R8
 	MOVQ slab+16(FP), SI
 	MOVQ pstride+24(FP), R9
 	MOVQ words+32(FP), CX
-
-	// Y16: the eight planes' byte offsets, Y17: the eight rows'.
-	VMOVQ        R9, X8
-	VPBROADCASTD X8, Z16
-	VPMULLD      laneNum<>(SB), Z16, Z16
-	VMOVQ        R8, X8
-	VPBROADCASTD X8, Z17
-	VPMULLD      laneNum<>(SB), Z17, Z17
-	MOVQ         R9, R10
-	SHLQ         $3, R10 // eight planes
-	MOVQ         R8, R11
-	SHLQ         $3, R11 // eight rows
-	MOVQ         R8, R12
-	SHLQ         $6, R12 // a tile's 64 rows
 
 	MOVQ         $0x00000000ffffffff, AX
 	VPBROADCASTQ AX, Z10
@@ -146,58 +110,105 @@ TEXT ·transposeAVX512(SB), NOSPLIT, $0-40
 	VPBROADCASTQ AX, Z11
 	MOVQ         $0x00ff00ff00ff00ff, AX
 	VPBROADCASTQ AX, Z12
-	VMOVDQU64    tmask4<>(SB), Z13
-	VMOVDQU64    tmask2<>(SB), Z14
-	VMOVDQU64    tmask1<>(SB), Z15
-	MOVQ         $0x0f, AX
-	KMOVW        AX, K2
-	MOVQ         $0x33, AX
-	KMOVW        AX, K3
-	MOVQ         $0x55, AX
-	KMOVW        AX, K4
-	PCALIGN      $32
+	MOVQ         $0x0f0f0f0f0f0f0f0f, AX
+	VPBROADCASTQ AX, Z13
+	MOVQ         $0x3333333333333333, AX
+	VPBROADCASTQ AX, Z14
+	MOVQ         $0x5555555555555555, AX
+	VPBROADCASTQ AX, Z15
+	MOVQ         R9, R10
+	SHLQ         $3, R10 // eight planes
+	LEAQ         (R10)(R10*2), R11 // 24 planes
+	MOVQ         R8, R12
+	SHLQ         $6, R12 // a tile's 64 rows
 
-tile:
+group:
 	MOVQ SI, AX
-	GATHER(Z0)
-	GATHER(Z1)
-	GATHER(Z2)
-	GATHER(Z3)
-	GATHER(Z4)
-	GATHER(Z5)
-	GATHER(Z6)
-	GATHER(Z7)
+	LEAQ 0(SP), R13
+	MOVQ $8, DX
 
-	XROUND(32, Z10, Z0, Z4)
-	XROUND(32, Z10, Z1, Z5)
-	XROUND(32, Z10, Z2, Z6)
-	XROUND(32, Z10, Z3, Z7)
-	XROUND(16, Z11, Z0, Z2)
-	XROUND(16, Z11, Z1, Z3)
-	XROUND(16, Z11, Z4, Z6)
-	XROUND(16, Z11, Z5, Z7)
-	XROUND(8, Z12, Z0, Z1)
-	XROUND(8, Z12, Z2, Z3)
-	XROUND(8, Z12, Z4, Z5)
-	XROUND(8, Z12, Z6, Z7)
-	IROUNDS(SWAP4, 4, K2, Z13)
-	IROUNDS(SWAP2, 2, K3, Z14)
-	IROUNDS(SWAP1, 1, K4, Z15)
+planes:
+	LEAQ      (AX)(R10*4), BX
+	VMOVDQU64 (AX), Z0
+	VMOVDQU64 (AX)(R10*1), Z1
+	VMOVDQU64 (AX)(R10*2), Z2
+	VMOVDQU64 (AX)(R11*1), Z3
+	VMOVDQU64 (BX), Z4
+	VMOVDQU64 (BX)(R10*1), Z5
+	VMOVDQU64 (BX)(R10*2), Z6
+	VMOVDQU64 (BX)(R11*1), Z7
+	ROUNDS3(32, Z10, 16, Z11, 8, Z12)
+	VMOVDQU64 Z0, (R13)
+	VMOVDQU64 Z1, 512(R13)
+	VMOVDQU64 Z2, 1024(R13)
+	VMOVDQU64 Z3, 1536(R13)
+	VMOVDQU64 Z4, 2048(R13)
+	VMOVDQU64 Z5, 2560(R13)
+	VMOVDQU64 Z6, 3072(R13)
+	VMOVDQU64 Z7, 3584(R13)
+	ADDQ      R9, AX
+	ADDQ      $64, R13
+	DECQ      DX
+	JNZ       planes
 
+	LEAQ 0(SP), R13
+	MOVQ $8, DX
+
+eights:
+	VMOVDQU64 (R13), Z0
+	VMOVDQU64 64(R13), Z1
+	VMOVDQU64 128(R13), Z2
+	VMOVDQU64 192(R13), Z3
+	VMOVDQU64 256(R13), Z4
+	VMOVDQU64 320(R13), Z5
+	VMOVDQU64 384(R13), Z6
+	VMOVDQU64 448(R13), Z7
+	ROUNDS3(4, Z13, 2, Z14, 1, Z15)
+	VMOVDQU64 Z0, (R13)
+	VMOVDQU64 Z1, 64(R13)
+	VMOVDQU64 Z2, 128(R13)
+	VMOVDQU64 Z3, 192(R13)
+	VMOVDQU64 Z4, 256(R13)
+	VMOVDQU64 Z5, 320(R13)
+	VMOVDQU64 Z6, 384(R13)
+	VMOVDQU64 Z7, 448(R13)
+	ADDQ      $512, R13
+	DECQ      DX
+	JNZ       eights
+
+	// The group's tiles, min(8, words left): lane t of row k goes to row
+	// 64(8g+t) + k; each tile's last row leaves DX at the next tile's first.
+	MOVQ CX, BX
+	CMPQ BX, $8
+	JLE  copy
+	MOVQ $8, BX
+
+copy:
+	LEAQ 0(SP), AX
+	LEAQ (AX)(BX*8), R11 // past the last lane
 	MOVQ DI, DX
-	SCATTER(Z0)
-	SCATTER(Z1)
-	SCATTER(Z2)
-	SCATTER(Z3)
-	SCATTER(Z4)
-	SCATTER(Z5)
-	SCATTER(Z6)
-	SCATTER(Z7)
+	LEAQ (R8)(R8*2), R13
+	LEAQ (R8)(R8*4), R14
+	LEAQ (R13)(R8*4), R15
 
-	ADDQ $8, SI
-	ADDQ R12, DI
-	DECQ CX
-	JNZ  tile
+tiles:
+	COPY8(0)
+	COPY8(512)
+	COPY8(1024)
+	COPY8(1536)
+	COPY8(2048)
+	COPY8(2560)
+	COPY8(3072)
+	COPY8(3584)
+	ADDQ $8, AX
+	CMPQ AX, R11
+	JNE  tiles
+
+	LEAQ (R10)(R10*2), R11
+	MOVQ DX, DI
+	ADDQ $64, SI
+	SUBQ $8, CX
+	JGT  group
 	VZEROUPPER
 	RET
 
@@ -389,6 +400,11 @@ rippled:
 	VMOVDQU64 Z30, 1216(DI)
 	VZEROUPPER
 	RET
+
+// Lane swaps l <-> l^4, l^2, l^1.
+#define SWAP4(src, dst) VSHUFI64X2 $0x4E, src, src, dst
+#define SWAP2(src, dst) VPERMQ $0x4E, src, dst
+#define SWAP1(src, dst) VPSHUFD $0x4E, src, dst
 
 // FOLD adds the counter in the lanes swap brings down into the one in
 // the lanes it leaves, a level at a time with a ripple carry (Z3): the

@@ -2,6 +2,7 @@ package permtest
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -77,10 +78,15 @@ func (b *testBlock) list(samples []int) []int32 {
 
 // TestTransposeBodies: both transposes turn every slab of 64 planes into
 // its word of the sample rows bit for bit, for cohorts on and off a word
-// boundary and rows of 1 to 8 words, leaving the other words alone.
+// boundary and rows of 1 to 8 words, leaving the other words alone. The
+// vector body works on eight plane words, a cache line, at a time, so
+// planes of 1 to 7 words past a multiple of 8 read a line past their last
+// word: from the slab's pad, which holds garbage here, and for the last
+// plane from no further than the slab's end (newTestBlock's slab is no
+// longer than a worker's).
 func TestTransposeBodies(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
-	for _, n := range []int{1, 63, 64, 65, 130, 1000, 4097} {
+	for _, n := range []int{1, 63, 64, 65, 130, 200, 300, 380, 420, 512, 1000, 4097} {
 		for r := 1; r <= 8; r++ {
 			blk := newTestBlock(rng, n, r, randomWord)
 			for _, body := range planeBodies {
@@ -240,6 +246,16 @@ func FuzzBlockCount(f *testing.F) {
 	f.Add(uint16(100), uint8(1), []byte{1, 2, 3}, int64(1))
 	f.Add(uint16(64), uint8(4), []byte{}, int64(2))
 	f.Add(uint16(1000), uint8(6), []byte{0xff, 0x10, 0x80, 7}, int64(3))
+	// Rows of 1, 2, 4 and 8 words over planes 1 to 7 words past a
+	// multiple of 8.
+	f.Add(uint16(64), uint8(0), []byte{5, 0, 9, 0}, int64(4))
+	f.Add(uint16(129), uint8(1), []byte{1}, int64(5))
+	f.Add(uint16(200), uint8(3), []byte{7, 0, 100, 0}, int64(6))
+	f.Add(uint16(300), uint8(7), []byte{3}, int64(7))
+	f.Add(uint16(380), uint8(1), []byte{44, 1}, int64(8))
+	f.Add(uint16(420), uint8(3), []byte{1, 1, 2, 1}, int64(9))
+	f.Add(uint16(1921), uint8(7), []byte{9, 9}, int64(10))
+	f.Add(uint16(100), uint8(0), []byte{2, 0}, int64(11))
 	f.Fuzz(func(t *testing.T, n uint16, r uint8, cell []byte, seed int64) {
 		nn := int(n)%2000 + 1
 		rr := int(r)%8 + 1
@@ -277,4 +293,33 @@ func FuzzBlockCount(f *testing.F) {
 			checkCellCounts(t, blk, samples, contingency.Cells, body.vector)
 		}
 	})
+}
+
+// BenchmarkTranspose times the transpose of one block, r slabs of 64
+// drawn planes, into its sample rows, on both bodies, at the benchmark's
+// two plane widths and rows of 4 and 8 words.
+func BenchmarkTranspose(b *testing.B) {
+	for _, body := range planeBodies {
+		for _, n := range []int{500, 16384} {
+			for _, r := range []int{4, 8} {
+				b.Run(fmt.Sprintf("body=%s/n=%d/r=%d", body.name, n, r), func(b *testing.B) {
+					if body.vector && !contingency.HasAVX512() {
+						b.Skip("no AVX-512 body in this build or on this host")
+					}
+					words := bitvec.WordsFor(n)
+					rng := rand.New(rand.NewSource(1))
+					slab := make([]uint64, 64*slabStride(words))
+					for i := range slab {
+						slab[i] = rng.Uint64()
+					}
+					rows := make([]uint64, (64*words+1)*r)
+					for i := 0; i < b.N; i++ {
+						for j := 0; j < r; j++ {
+							transpose(rows, r, j, slab, words, body.vector)
+						}
+					}
+				})
+			}
+		}
+	}
 }

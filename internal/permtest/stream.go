@@ -82,15 +82,17 @@ func digit(x, v, m uint64) uint64 { return (x | v&m) & (v | m) }
 // generator is counter-based, so the word for output word i and digit d
 // is wyrand(start + (8i+d+1)·weyl) whichever order they are drawn in,
 // eight words are eight independent lanes, and digit is the bitwise
-// majority of x, v and m, one VPTERNLOGQ. The planes are identical to
-// the bit on every host, so the stream is still Stream 2.
+// majority of x, v and m, one VPTERNLOGQ. The flips have a vector body
+// as well, eight draws at a time from the same counter (flip). The
+// planes are identical to the bit on every host, so the stream is still
+// Stream 2.
 func casePlane(dst []uint64, n, nCases int, seed int64, p int) {
 	casePlaneWith(dst, n, nCases, seed, p, contingency.HasAVX512())
 }
 
-// casePlaneGo is casePlane through the Go fill on every host: the scalar
-// reference K draws with it, so what it checks the kernel against shares
-// no code with the vector body.
+// casePlaneGo is casePlane through the Go fill and flips on every host:
+// the scalar reference K draws with it, so what it checks the kernel
+// against shares no code with the vector bodies.
 func casePlaneGo(dst []uint64, n, nCases int, seed int64, p int) {
 	casePlaneWith(dst, n, nCases, seed, p, false)
 }
@@ -100,27 +102,52 @@ func casePlaneWith(dst []uint64, n, nCases int, seed int64, p int, vector bool) 
 		return
 	}
 	r := newRNG(seed, p)
+	have := fillPlane(dst, n, nCases, &r, vector)
+	flip(dst, n, have, nCases, &r, vector)
+}
+
+// fillPlane is casePlane's first step: every sample a case with
+// probability q. It returns the weight of dst and leaves r where the
+// flips start.
+func fillPlane(dst []uint64, n, nCases int, r *rng, vector bool) int {
 	q := uint((256*nCases + n/2) / n)
 	var m [9]uint64 // m[8]: q = 256, every sample a case
 	for d := range m {
 		m[d] = -uint64(q >> d & 1)
 	}
-	have := fill(dst, &r, &m, bitvec.TailMask(n), vector)
+	return fill(dst, r, &m, bitvec.TailMask(n), vector)
+}
 
-	// Flips go one way: a drawn position still in the state to leave
-	// (ok = 1) flips and moves the count a step; any other is a no-op.
-	// Written without a branch, because that one would be a coin toss.
+// flip draws positions of [0, n) from r and flips those still in the
+// state to leave — cases when have > nCases, controls else — until dst
+// has nCases bits. Flips go one way, so a position flips at most once and
+// the flipped positions are the first |have − nCases| distinct drawn
+// positions in that state, taken in draw order. The Go body draws one
+// position at a time, without a branch on the coin toss of whether it
+// flips; the vector body (flipAVX512) draws eight at a time from the same
+// counter and hands back to the Go loop for the one draw in 2^32 or so
+// that intn's rejection test might refuse, then carries on from where
+// intn left the counter, so both bodies flip the same positions.
+func flip(dst []uint64, n, have, nCases int, r *rng, vector bool) {
 	var leave uint64
-	step := 1
-	if have > nCases {
-		leave, step = 1, -1
+	d := nCases - have
+	if d < 0 {
+		leave, d = 1, -d
 	}
-	for have != nCases {
+	vector = vector && uint64(n) < 1<<32
+	for d > 0 {
+		if vector {
+			var at uint64
+			if d, at = flipAVX512(&dst[0], n, uint64(*r), leave, d); d == 0 {
+				return
+			}
+			*r = rng(at)
+		}
 		s := r.intn(uint64(n))
 		w, b := s>>6, s&63
 		ok := ^(dst[w]>>b ^ leave) & 1
 		dst[w] ^= ok << b
-		have += step * int(ok)
+		d -= int(ok)
 	}
 }
 

@@ -251,6 +251,19 @@ func FuzzCasePlane(f *testing.F) {
 	f.Add(uint16(600), uint16(300), int64(1), int64(0))
 	f.Add(uint16(512), uint16(511), int64(-9), int64(1<<31-1))
 	f.Add(uint16(16385), uint16(4000), int64(math.MinInt64), int64(1<<31))
+	// At most 64 samples, where a batch of eight draws often repeats a
+	// position, both ways.
+	f.Add(uint16(40), uint16(37), int64(5), int64(11))
+	f.Add(uint16(64), uint16(3), int64(6), int64(12))
+	f.Add(uint16(9), uint16(5), int64(7), int64(13))
+	// No flips: no class, or every sample a case.
+	f.Add(uint16(300), uint16(0), int64(8), int64(14))
+	f.Add(uint16(300), uint16(300), int64(9), int64(15))
+	// q rounded away from nCases at the widest cohort: about 128 flips,
+	// leaving cases (q = 129/256 over 32896) and leaving controls (q =
+	// 129/256 under 33150).
+	f.Add(uint16(65535), uint16(32896), int64(10), int64(16))
+	f.Add(uint16(65535), uint16(33150), int64(11), int64(17))
 	f.Fuzz(func(t *testing.T, n, nCases uint16, seed, p int64) {
 		if n == 0 {
 			return
@@ -270,6 +283,50 @@ func FuzzCasePlane(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlipRejectingLane: the vector flips hand a draw to intn when its
+// lane might reject, and carry on from where intn leaves the counter.
+// wyrand's word at counter state 0 is 0 (the product of 0 and anything),
+// and v = 0 is below intn's rejection threshold for every n that is not a
+// power of two, so starting the counter at −(8b+k+1)·weyl puts a
+// rejecting word in lane k of batch b. For each lane, three batches and
+// both flip directions, the planes must be the Go loop's, and a run that
+// meets the word in its first batch must stop before that lane.
+func TestFlipRejectingLane(t *testing.T) {
+	if !contingency.HasAVX512() {
+		t.Skip("no AVX-512 body in this build or on this host")
+	}
+	for _, n := range []int{200, 1000, 12345, 16384, 16385} {
+		words := bitvec.WordsFor(n)
+		base := make([]uint64, words)
+		r0 := newRNG(int64(n), 0)
+		have := fillPlane(base, n, n/2, &r0, false)
+		for k := uint64(0); k < 8; k++ {
+			for _, b := range []uint64{0, 1, 3} {
+				start := -(8*b + k + 1) * weyl
+				// Enough flips to reach the word whichever way they go.
+				for _, nCases := range []int{have - 8*int(b) - 24, have + 8*int(b) + 24} {
+					vec, ref := append([]uint64(nil), base...), append([]uint64(nil), base...)
+					rv, rg := rng(start), rng(start)
+					flip(vec, n, have, nCases, &rv, true)
+					flip(ref, n, have, nCases, &rg, false)
+					if !samePlane(vec, ref) || bitvec.PopCount(vec) != nCases {
+						t.Fatalf("n=%d lane %d batch %d nCases=%d: the vector flips draw a different plane", n, k, b, nCases)
+					}
+				}
+			}
+			// Called directly, the body stops before lane k whichever way
+			// it flips; the plane's parity picks the way.
+			leave, d := uint64(have&1), 24
+			plane := append([]uint64(nil), base...)
+			start := -(k + 1) * weyl
+			left, at := flipAVX512(&plane[0], n, start, leave, d)
+			if at != start+k*weyl || left < d-int(k) {
+				t.Fatalf("n=%d lane %d: stopped at counter %#x with %d flips left, want %#x and at least %d", n, k, at, left, start+k*weyl, d-int(k))
+			}
+		}
+	}
 }
 
 // TestCasePlaneAllocs: a draw allocates nothing on either body — no
@@ -294,20 +351,28 @@ func TestCasePlaneAllocs(t *testing.T) {
 
 // BenchmarkCasePlane times one relabeling on both bodies at the
 // benchmark's two plane widths, for a balanced cohort, a 1:3 one and one
-// whose q is odd: the three must cost the same.
+// whose q is odd: the three must cost the same. The part=fill arms time
+// the fill alone, so the gap to part=plane is what the flips cost.
 func BenchmarkCasePlane(b *testing.B) {
 	for _, body := range planeBodies {
 		for _, n := range []int{500, 16384} {
 			for _, nCases := range []int{n / 2, n / 4, n * 77 / 256} {
-				b.Run(fmt.Sprintf("body=%s/n=%d/cases=%d", body.name, n, nCases), func(b *testing.B) {
-					if body.vector && !contingency.HasAVX512() {
-						b.Skip("no AVX-512 body in this build or on this host")
-					}
-					dst := make([]uint64, bitvec.WordsFor(n))
-					for i := 0; i < b.N; i++ {
-						casePlaneWith(dst, n, nCases, 1, i, body.vector)
-					}
-				})
+				for _, part := range []string{"plane", "fill"} {
+					b.Run(fmt.Sprintf("body=%s/n=%d/cases=%d/part=%s", body.name, n, nCases, part), func(b *testing.B) {
+						if body.vector && !contingency.HasAVX512() {
+							b.Skip("no AVX-512 body in this build or on this host")
+						}
+						dst := make([]uint64, bitvec.WordsFor(n))
+						for i := 0; i < b.N; i++ {
+							if part == "fill" {
+								r := newRNG(1, i)
+								fillPlane(dst, n, nCases, &r, body.vector)
+							} else {
+								casePlaneWith(dst, n, nCases, 1, i, body.vector)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

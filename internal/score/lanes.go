@@ -65,6 +65,9 @@ func (o *K2Objective) ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *c
 func (o *K2Objective) ScoreLanesStop(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) (stop int) {
 	valid = min(valid, contingency.Lanes)
 	if rows < 1 || rows > contingency.Cells {
+		// A caller's bug: the lanes pass scores contingency.Cells or
+		// contingency.PairCells rows, and permtest scores in lanes only the
+		// candidates checkCand finds at most contingency.Cells cells.
 		panic("score: lane table rows out of range")
 	}
 	if contingency.HasAVX512() && valid > 0 {

@@ -39,6 +39,9 @@ var lnFacts struct {
 // NewLnFact returns a table of ln(n!) up to and including maxN.
 func NewLnFact(maxN int) *LnFact {
 	if maxN < 0 {
+		// Unreachable from input: New refuses a sample count outside
+		// [0, MaxSamples], and every other caller passes a dataset's
+		// sample count plus one or the term table's fixed size.
 		panic(fmt.Sprintf("score: negative table size %d", maxN))
 	}
 	lnFacts.Lock()
@@ -256,9 +259,18 @@ func (GiniObjective) Better(a, b float64) bool { return a < b }
 // Worst implements Objective.
 func (GiniObjective) Worst() float64 { return math.Inf(1) }
 
+// MaxSamples is the largest sample count New sizes an objective for:
+// the N the trigene text, binary and .tpack readers accept. K2's ln(n!)
+// table at that size takes 128 MiB.
+const MaxSamples = 1 << 24
+
 // New returns the named objective ("k2", "mi" or "gini") sized for
-// datasets of at most maxSamples samples.
+// datasets of at most maxSamples samples, which must lie in
+// [0, MaxSamples].
 func New(name string, maxSamples int) (Objective, error) {
+	if maxSamples < 0 || maxSamples > MaxSamples {
+		return nil, fmt.Errorf("score: sample count %d out of [0, %d]", maxSamples, MaxSamples)
+	}
 	switch name {
 	case "k2":
 		return NewK2(maxSamples), nil
@@ -306,6 +318,8 @@ func (GiniObjective) ScorePair(t *contingency.Table) float64 {
 // slices (lower is better). Both slices must have the same length.
 func K2Cells(controls, cases []int32, lf *LnFact) float64 {
 	if len(controls) != len(cases) {
+		// A caller's bug: every caller (engine's k-way walk, permtest's
+		// cellScore, bench's oracle) slices both from one cell count.
 		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
 	}
 	s := 0.0
@@ -319,6 +333,8 @@ func K2Cells(controls, cases []int32, lf *LnFact) float64 {
 // is better).
 func MICells(controls, cases []int32) float64 {
 	if len(controls) != len(cases) {
+		// A caller's bug: every caller (engine's k-way walk, permtest's
+		// cellScore, bench's oracle) slices both from one cell count.
 		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
 	}
 	var n0, n1 float64
@@ -348,6 +364,8 @@ func MICells(controls, cases []int32) float64 {
 // slices (lower is better).
 func GiniCells(controls, cases []int32) float64 {
 	if len(controls) != len(cases) {
+		// A caller's bug: every caller (engine's k-way walk, permtest's
+		// cellScore, bench's oracle) slices both from one cell count.
 		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
 	}
 	var n float64

@@ -3,6 +3,7 @@ package trigene_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"trigene"
@@ -120,6 +121,22 @@ func TestPublicAPIApproachesAndObjectives(t *testing.T) {
 	}
 	if _, err := trigene.NewObjective("bogus", 10); err == nil {
 		t.Error("bogus objective accepted")
+	}
+}
+
+// TestNewObjectiveRefusesSampleCountsOutOfRange: a negative sample count,
+// or one past the readers' 2^24, is an error for every objective, not a
+// panic in the ln(n!) table or a table that outgrows memory.
+func TestNewObjectiveRefusesSampleCountsOutOfRange(t *testing.T) {
+	for _, name := range []string{"k2", "mi", "gini"} {
+		for _, n := range []int{-1, -5, math.MinInt, 1<<24 + 1, 1 << 40, math.MaxInt} {
+			if obj, err := trigene.NewObjective(name, n); err == nil {
+				t.Errorf("NewObjective(%q, %d) = %v, want an error", name, n, obj)
+			}
+		}
+		if _, err := trigene.NewObjective(name, 0); err != nil {
+			t.Errorf("NewObjective(%q, 0): %v", name, err)
+		}
 	}
 }
 
