@@ -2,6 +2,7 @@ package combin
 
 import (
 	"math/big"
+	"strconv"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func TestBinomialOverflowPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Binomial(1<<40, 3)
+	Binomial(1<<min(40, strconv.IntSize-2), 3) // 1 << 30 where int has 32 bits
 }
 
 func TestElements(t *testing.T) {

@@ -60,12 +60,20 @@ func skipWithoutAssembly(t testing.TB, oracle bool) {
 	}
 }
 
-// fusedCells runs the primitive pair over the six planes with one body.
+// fusedCells builds the pair planes of y and z and charges x against
+// them with one body: the Go ones directly, or the entry points, which run
+// the assembly where the host and the build have it.
 func fusedCells(oracle bool, x0, x1, y0, y1, z0, z1 []uint64) (ft [Cells]int32) {
-	var b PairBlock
-	b.Init(len(x0), oracle)
-	b.Build(y0, y1, z0, z1)
-	b.Accumulate(&ft, x0, x1)
+	n := len(x0)
+	planes := make([]uint64, PairPlanes*n)
+	if oracle {
+		buildPairPlanesGo(planes, y0, y1, z0, z1)
+		sums := sumPairPlanesGo(planes, n)
+		accumulateFusedGo(&ft, x0, x1, planes, &sums)
+		return ft
+	}
+	BuildPairPlanes(planes, y0, y1, z0, z1)
+	AccumulateFusedLanes8(&ft, x0, x1, planes)
 	return ft
 }
 
@@ -74,8 +82,8 @@ func fusedCells(oracle bool, x0, x1, y0, y1, z0, z1 []uint64) (ft [Cells]int32) 
 // of the 8-word vector, many vectors deep), on slices that start one
 // word into their arrays (so no load is 64-byte aligned), over random,
 // all-zero, all-one and pad-inflated planes, each body must equal the
-// sample-by-sample reference and AccumulateSplit cell for cell, and
-// Build must lay the planes out as documented.
+// sample-by-sample reference and AccumulateSplit cell for cell, and must
+// lay the planes out and sum them as documented.
 func TestFusedPrimitiveMatchesReference(t *testing.T) {
 	zeros := func(n int) (p0, p1 []uint64) { return make([]uint64, n), make([]uint64, n) }
 	ones := func(n int) (p0, p1 []uint64) {
@@ -125,54 +133,67 @@ func TestFusedPrimitiveMatchesReference(t *testing.T) {
 						t.Fatalf("n=%d %s: fused cells differ from the reference\ngot  %v\nwant %v", n, sh.name, got, want)
 					}
 				}
-				// Layout and sums of the block itself.
+				// Layout and sums of the planes themselves.
 				y0, y1 := gen(random)
 				z0, z1 := gen(random)
-				var b PairBlock
-				b.Init(n, body.oracle)
-				b.Build(y0, y1, z0, z1)
+				planes := make([]uint64, PairPlanes*n)
+				var sums [PairPlanes]int32
+				if body.oracle {
+					buildPairPlanesGo(planes, y0, y1, z0, z1)
+					sums = sumPairPlanesGo(planes, n)
+				} else {
+					BuildPairPlanes(planes, y0, y1, z0, z1)
+					sums = sumPairPlanes(planes, n)
+				}
 				var wantSums [PairPlanes]int32
 				for w := 0; w < n; w++ {
 					ys := [3]uint64{y0[w], y1[w], ^(y0[w] | y1[w])}
 					zs := [3]uint64{z0[w], z1[w], ^(z0[w] | z1[w])}
 					for p := 0; p < PairPlanes; p++ {
 						v := ys[p/3] & zs[p%3]
-						if got := b.planes[p*n+w]; got != v {
+						if got := planes[p*n+w]; got != v {
 							t.Fatalf("n=%d: plane %d word %d = %#x, want %#x", n, p, w, got, v)
 						}
 						wantSums[p] += int32(bits.OnesCount64(v))
 					}
 				}
-				if b.sums != wantSums {
-					t.Fatalf("n=%d: plane sums %v, want %v", n, b.sums, wantSums)
+				if sums != wantSums {
+					t.Fatalf("n=%d: plane sums %v, want %v", n, sums, wantSums)
 				}
 			}
 		})
 	}
 }
 
-// TestFusedAccumulateIsAdditive asserts Accumulate adds (+=) rather than
-// overwrites, since the blocked engine calls it once per word tile on
-// the same table, and that a block survives being rebuilt for a shorter
-// and then a longer tile.
+// TestFusedAccumulateIsAdditive asserts the accumulation adds (+=)
+// rather than overwrites, since the benchmark's kernel layer calls it
+// once per word tile on the same table, and that one plane buffer serves
+// a longer, a shorter and then a longer range again.
 func TestFusedAccumulateIsAdditive(t *testing.T) {
 	for _, body := range bodies {
 		t.Run(body.name, func(t *testing.T) {
 			skipWithoutAssembly(t, body.oracle)
 			r := rand.New(rand.NewSource(71))
-			var b PairBlock
-			b.Init(40, body.oracle)
+			buf := make([]uint64, PairPlanes*40)
 			for _, n := range []int{40, 6, 19} {
 				x0, x1 := randomPlanes(r, n)
 				y0, y1 := randomPlanes(r, n)
 				z0, z1 := randomPlanes(r, n)
-				b.Build(y0, y1, z0, z1)
+				planes := buf[:PairPlanes*n]
+				accumulate := func(ft *[Cells]int32) { AccumulateFusedLanes8(ft, x0, x1, planes) }
+				if body.oracle {
+					buildPairPlanesGo(planes, y0, y1, z0, z1)
+					sums := sumPairPlanesGo(planes, n)
+					accumulate = func(ft *[Cells]int32) { accumulateFusedGo(ft, x0, x1, planes, &sums) }
+				} else {
+					BuildPairPlanes(planes, y0, y1, z0, z1)
+				}
 				var once, twice [Cells]int32
-				b.Accumulate(&once, x0, x1)
-				b.Accumulate(&twice, x0, x1)
-				b.Accumulate(&twice, x0, x1)
+				accumulate(&once)
+				accumulate(&twice)
+				accumulate(&twice)
 				if once != referenceCells(x0, x1, y0, y1, z0, z1) {
-					t.Fatalf("n=%d: reused block differs from the reference", n)
+					t.Fatalf("n=%d: reused planes differ from the reference", n)
 				}
 				for i := range once {
 					if twice[i] != 2*once[i] {
@@ -184,9 +205,9 @@ func TestFusedAccumulateIsAdditive(t *testing.T) {
 	}
 }
 
-// TestBarePlaneEntryPoints keeps the pre-PairBlock functions honest:
-// bare planes from BuildPairPlanes, charged through AccumulateFusedX2
-// and AccumulateFusedLanes8, give AccumulateSplit's cells.
+// TestBarePlaneEntryPoints keeps the entry points honest: planes from
+// BuildPairPlanes, charged through AccumulateFusedX2 and
+// AccumulateFusedLanes8, give AccumulateSplit's cells.
 func TestBarePlaneEntryPoints(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for _, n := range []int{0, 1, 4, 7, 8, 9, 31, 104, 105} {

@@ -29,30 +29,41 @@ func LaneTileWords(words int) int { return 2 * Lanes * words }
 // consecutive SNPs out as the x tile of a lanes pass over that range:
 // dst[(w*2+g)*Lanes+lane] is word w0+w of genotype plane g of SNP lane.
 // src holds the SNPs' whole planes end to end, (snp*2+g)*words, the way
-// dataset.Split stores a class. Lanes past the SNPs given are zeroed: a
-// SNP no sample carries genotype 0 or 1 of, whose counts are well-formed
-// and which the caller ignores.
+// dataset.Split stores a class. Lanes past the SNPs given read zeroPlane:
+// a SNP no sample carries genotype 0 or 1 of, whose counts are
+// well-formed and which the caller ignores. The tile is written a word of
+// the range at a time, 16 sequential stores into two lines, for any
+// number of SNPs.
 func TransposeLanes(dst, src []uint64, words, w0, w1 int) {
 	if words == 0 {
 		return
 	}
 	n := len(src) / (2 * words)
-	tile := w1 - w0
-	dst = dst[:LaneTileWords(tile)]
-	for lane := 0; lane < n; lane++ {
-		p0 := src[lane*2*words+w0 : lane*2*words+w1]
-		p1 := src[(lane*2+1)*words+w0 : (lane*2+1)*words+w1]
-		for w := range p0 {
-			dst[2*w*Lanes+lane] = p0[w]
-			dst[(2*w+1)*Lanes+lane] = p1[w]
+	dst = dst[:LaneTileWords(w1-w0)]
+	for ; w0 < w1; w0 += len(zeroPlane) {
+		tile := min(w1-w0, len(zeroPlane))
+		var p [2 * Lanes][]uint64 // row 2*lane+g, as in src
+		for r := range p {
+			p[r] = zeroPlane[:]
+			if r < 2*n {
+				p[r] = src[r*words+w0:]
+			}
 		}
-	}
-	for lane := n; lane < Lanes; lane++ {
-		for o := lane; o < len(dst); o += Lanes {
-			dst[o] = 0
+		row := func(r int) []uint64 { return p[r][:tile] }
+		a0, a1, b0, b1, c0, c1, d0, d1 := row(0), row(1), row(2), row(3), row(4), row(5), row(6), row(7)
+		e0, e1, f0, f1, g0, g1, h0, h1 := row(8), row(9), row(10), row(11), row(12), row(13), row(14), row(15)
+		for w := range a0 {
+			d := (*[2 * Lanes]uint64)(dst[2*w*Lanes:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0[w], b0[w], c0[w], d0[w], e0[w], f0[w], g0[w], h0[w]
+			d[8], d[9], d[10], d[11], d[12], d[13], d[14], d[15] = a1[w], b1[w], c1[w], d1[w], e1[w], f1[w], g1[w], h1[w]
 		}
+		dst = dst[LaneTileWords(tile):]
 	}
 }
+
+// zeroPlane is the planes of the lanes TransposeLanes is given no SNP
+// for; a longer range is laid out in pieces of its length.
+var zeroPlane [256]uint64
 
 // LaneKernel runs the triple lanes pass — TripleLanes and XLanes per word
 // tile, then PairLanes and Derive — on the bodies chosen for the host at

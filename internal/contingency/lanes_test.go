@@ -315,8 +315,9 @@ func FuzzLanesAccumulate(f *testing.F) {
 // (y, z) of a block triple costs at the engine's fused block of Lanes SNPs
 // — 64 TripleLanes, 16 XLanes and 64 Derive calls, reported per pair —
 // with planes longer than a default tile walked in tiles, the later ones
-// adding, the way the engine walks them; and the transpose that feeds it
-// and one Derive.
+// adding, the way the engine walks them; the transpose that feeds it,
+// of a full chunk and of a partial one, tile by tile into one reused
+// tile-sized buffer as the engine does; and one Derive.
 func BenchmarkLanes(b *testing.B) {
 	const tile, bs = 120, Lanes
 	var derived bool
@@ -329,13 +330,19 @@ func BenchmarkLanes(b *testing.B) {
 		}
 		data, marg := classPlanes(0, words, snps)
 		xt := make([]uint64, LaneTileWords(words))
-		b.Run(fmt.Sprintf("transpose/%dw", words), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for w0 := 0; w0 < words; w0 += tile {
-					TransposeLanes(xt[LaneTileWords(w0):], data[:2*Lanes*words], words, w0, min(w0+tile, words))
+		for i := 0; i < words; i += tile {
+			TransposeLanes(xt[LaneTileWords(i):], data[:2*Lanes*words], words, i, min(i+tile, words))
+		}
+		for _, nx := range []int{Lanes, 5} {
+			b.Run(fmt.Sprintf("transpose/%dw/%dsnps", words, nx), func(b *testing.B) {
+				xtile := make([]uint64, LaneTileWords(min(tile, words)))
+				for i := 0; i < b.N; i++ {
+					for w0 := 0; w0 < words; w0 += tile {
+						TransposeLanes(xtile, data[:2*nx*words], words, w0, min(w0+tile, words))
+					}
 				}
-			}
-		})
+			})
+		}
 		for _, body := range bodies {
 			k := LaneKernel{Oracle: body.oracle}
 			name := fmt.Sprintf("%dw/%s", words, body.name)

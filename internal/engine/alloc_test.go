@@ -40,9 +40,9 @@ import (
 // loops are held to the same standard on the same searchers: the pair
 // walker, of a pair search and with the screen's planes (its marginals
 // live on the Searcher, its two lane tables and their scores in the
-// arena, passed to //go:noescape stubs), and the seeded extension (its two
-// class-plane-sized PairBlocks and its raw table live in the worker
-// arena).
+// arena, passed to //go:noescape stubs), and the seeded extension (its
+// x tile, counts and lane tables are the lanes pass's, sized in the
+// worker arena by sizeLanes).
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)

@@ -8,9 +8,9 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (the flat path, and the pair walker's column
-// scoring), the seeded extension's raw table and pair blocks, the fused
-// loop's x tile, counts and lane-table banks, the pair walker's lane
+// a contingency table (the flat path, and the column scoring of lane
+// tables), the lanes pass's x tile, counts and lane-table banks (the
+// block pass's and the seeded extension's), the pair walker's lane
 // tables, the generic k-way cells, and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
@@ -18,18 +18,15 @@ type arena struct {
 	// tab is the flat path's single reusable table; taking its address
 	// for the objective would otherwise heap-allocate per combination.
 	tab contingency.Table
-	// raw is the seeded extension's table of the triple in hand, in
-	// (third, seed) cell order before it is permuted into tab.
-	raw contingency.Table
-	// block is one pair block per class: the seeded extension's cached
-	// seed pair over the whole class plane.
-	block [2]contingency.PairBlock
 	// yz, xt, xc, pairs, bank and laneScore are the fused loop's scratch
 	// for the block triple in hand: per class the (i1, i2) pair tables of
 	// its blocks b1 and b2, b1's SNPs in the lanes of one lane table per
 	// i2; its x tile over the word tile in hand, the XLanes counts against
 	// each SNP of b1 ∪ b2, the (i1, i2) pairs the x SNPs meet, per class
 	// one lane table per pair, and the scores of a pair's eight tables.
+	// The seeded extension uses the first of them: the seed pair's table
+	// in yz[class][0], a chunk's counts against p.I and p.J in xc[0] and
+	// xc[1], and its tables in bank[class][0], permuted into bank[class][1].
 	yz        [2][]contingency.LaneTable
 	xt        []uint64
 	xc        []contingency.XCounts
@@ -47,8 +44,9 @@ type arena struct {
 	// scored counts the combinations this consumer evaluated.
 	scored int64
 	// rejected counts the lane groups scoring gave up on (the fused
-	// loop's against the top-K's bound, the pair walker's against its
-	// group bound) since the last tile was observed.
+	// loop's and the seeded extension's against the top-K's bound, the
+	// pair walker's against its group bound) since the last tile was
+	// observed.
 	rejected int64
 }
 

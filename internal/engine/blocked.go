@@ -40,9 +40,8 @@ func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
 	if o.Progress != nil {
 		sp.items = s.blockSpaceCombos(sp.src, nb)
 	}
-	split := s.st.Split()
 	return sp, func(_ int, a *arena) tileFunc {
-		return newBlockWorker(s, o, a, split, nb).tile
+		return newBlockWorker(s, o, a, nb).tile
 	}, nil
 }
 
@@ -92,36 +91,62 @@ func (s *Searcher) blockTripleCombos(b0, b1, b2 int) int64 {
 
 // blockWorker holds one worker's reusable state for the lanes pass.
 type blockWorker struct {
-	s     *Searcher
-	o     *Options
-	split *dataset.Split
-	nb    int
-	a     *arena
-	// lanes runs the fused loop's primitives: the Go bodies for V3F, the
-	// host's for V4F. marg is the split form's plane popcounts they
-	// derive from.
-	lanes contingency.LaneKernel
-	marg  *[2][][2]int32
-	// laneScorer is the objective's own scoring of the fused loop's lane
-	// tables (nil: score.ScoreColumns).
-	laneScorer score.LaneScorer
+	lanesPass
+	s  *Searcher
+	nb int
 	// yzFor is the block pair (b1, b2) whose pair tables the arena's yz
 	// bank holds for this run ({-1, -1}: none yet). It lives here, not in
 	// the pooled arena, so no run reads another's tables.
 	yzFor [2]int
 }
 
-// newBlockWorker builds a consumer over a pooled arena, sized for the
-// lanes pass, where V3F pins the pure-Go bodies and V4F takes the host's
-// tuned ones.
-func newBlockWorker(s *Searcher, o *Options, a *arena, split *dataset.Split, nb int) *blockWorker {
-	w := &blockWorker{s: s, o: o, split: split, nb: nb, a: a, yzFor: [2]int{-1, -1}}
+// newBlockWorker builds a consumer over a pooled arena.
+func newBlockWorker(s *Searcher, o *Options, a *arena, nb int) *blockWorker {
+	return &blockWorker{lanesPass: s.newLanesPass(o, a), s: s, nb: nb, yzFor: [2]int{-1, -1}}
+}
+
+// lanesPass is what a consumer of the lanes pass holds: its options, its
+// arena, sized for the pass, the split planes, the kernel (the Go bodies
+// for V3F, the host's otherwise), the split form's plane popcounts it
+// derives from, and the objective's own scoring of lane tables (nil:
+// score.ScoreColumns, and always for V3F).
+type lanesPass struct {
+	o          *Options
+	a          *arena
+	split      *dataset.Split
+	lanes      contingency.LaneKernel
+	marg       *[2][][2]int32
+	laneScorer score.LaneScorer
+}
+
+func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
+	split := s.st.Split()
 	a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
-	w.lanes.Oracle, w.marg = o.Approach == V3Fused, s.marginals()
+	p := lanesPass{o: o, a: a, split: split, lanes: contingency.LaneKernel{Oracle: o.Approach == V3Fused}, marg: s.marginals()}
 	if o.Approach != V3Fused {
-		w.laneScorer, _ = o.Objective.(score.LaneScorer)
+		p.laneScorer, _ = o.Objective.(score.LaneScorer)
 	}
-	return w
+	return p
+}
+
+// scoreGroup scores the valid lanes of one lane group's tables into the
+// arena's laneScore and reports whether they are to be offered. A
+// LaneScorer is bounded by the worker's top-K: a group it rejects would
+// have been turned away lane by lane, so its offers are skipped and the
+// list goes through the states it would have gone through. A lane scored
+// above the bound in a group that is not rejected is offered and turned
+// away, as its full score would be.
+func (p *lanesPass) scoreGroup(ctrl, cases *contingency.LaneTable, valid int) bool {
+	a := p.a
+	if p.laneScorer == nil {
+		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, contingency.Cells, valid, &a.tab)
+		return true
+	}
+	if p.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.Cells, valid, a.top.bound()) {
+		a.rejected++
+		return false
+	}
+	return true
 }
 
 // tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
@@ -231,22 +256,11 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 }
 
 // scoreLanes scores the two lane tables of the block triple's j'th pair
-// where they lie and offers the valid lanes' triples (x + lane, p.y, p.z). A
-// LaneScorer is bounded by the worker's top-K: a group it rejects would
-// have been turned away lane by lane, so its offers are skipped and the
-// list goes through the states it would have gone through. A lane scored
-// above the bound in a group that is not rejected is offered and turned
-// away, as its full score would be.
+// where they lie and offers the valid lanes' triples (x + lane, p.y, p.z).
 func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 	a := w.a
-	ctrl, cases := &a.bank[dataset.Control][j], &a.bank[dataset.Case][j]
-	if w.laneScorer != nil {
-		if w.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.Cells, p.valid, a.top.bound()) {
-			a.rejected++
-			return
-		}
-	} else {
-		score.ScoreColumns(w.o.Objective, &a.laneScore, ctrl, cases, contingency.Cells, p.valid, &a.tab)
+	if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], p.valid) {
+		return
 	}
 	for lane := 0; lane < p.valid; lane++ {
 		a.top.Offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))

@@ -226,17 +226,20 @@ type edgeShape struct {
 }
 
 // TestPairAndSeededParityEdgeShapes is the engine-level parity run of
-// the pair kernel and of the seeded extension's PairBlock path, on the
-// same shapes and under all three objectives: RunPairs' ranking and
+// the pair kernel and of the seeded extension's lanes pass, on the same
+// shapes and under all three objectives: RunPairs' ranking and
 // RunPairScreen's per-SNP bests and seed list must be bit-equal to a
 // brute-force pass over contingency.BuildReferencePair scored with the
 // objective's 27-row form, and every triple RunSeeded scores must carry
 // the score of contingency.BuildReference on the sorted triple — for
 // seed pairs whose third SNPs all sort above them, all between, all
-// below, and on every side. A K2 or MI score moves in its last bits if
-// the rows are summed in another order, so this fails if the nine-row
-// scorers or the seeded row permutation drift; the ragged classes make
-// it fail if row 26 loses its pad correction on the way.
+// below, and on every side, at the default word tile and at 3-word tiles
+// that cut every plane. A K2 or MI score moves in its last bits if the
+// rows are summed in another order, so this fails if the nine-row scorers
+// or the seeded row permutation drift. Seeds at SNPs 0, 7, 8 and M−1, on
+// SNP counts that are no multiple of 8, cut the seeded extension's chunks
+// of eight thirds at p.I, at p.J and at the end of a seed's run; all the
+// seeds in one run must score exactly seededReference's set.
 func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 	const topK = 6
 	for _, sh := range edgeShapes() {
@@ -284,25 +287,44 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 				}
 			}
 
-			// Thirds above, between, below, and all three.
+			// Thirds above, between, below, and all three; chunks cut at
+			// p.I (7, 8), at p.J (0, 7) and at the run's end (8, m−1).
+			var all []Pair
 			tried := map[Pair]bool{}
-			for _, seed := range []Pair{{0, 1}, {0, m - 1}, {m - 2, m - 1}, {m / 3, m - 1 - m/3}} {
-				if seed.I >= seed.J || tried[seed] {
+			for _, seed := range []Pair{{0, 1}, {0, m - 1}, {m - 2, m - 1}, {m / 3, m - 1 - m/3}, {0, 7}, {7, 8}, {8, m - 1}} {
+				if seed.I >= seed.J || seed.J >= m || tried[seed] {
 					continue
 				}
 				tried[seed] = true
-				res, err := s.RunSeeded([]Pair{seed}, nil, Options{Objective: obj, TopK: m, Workers: 2})
-				if err != nil {
-					t.Fatalf("%s: RunSeeded(%v): %v", name, seed, err)
-				}
-				if len(res.TopK) != m-2 || res.Stats.Combinations != int64(m-2) {
-					t.Fatalf("%s: seed %v extended to %d triples (%d scored), want %d", name, seed, len(res.TopK), res.Stats.Combinations, m-2)
-				}
-				for _, c := range res.TopK {
-					tab := contingency.BuildReference(sh.mx, c.triple().I, c.triple().J, c.triple().K)
-					if want := obj.Score(&tab); c.Score != want {
-						t.Errorf("%s: seed %v triple %v scored %v, reference %v", name, seed, c.triple(), c.Score, want)
+				all = append(all, seed)
+				for _, bw := range []int{0, 3} {
+					res, err := s.RunSeeded([]Pair{seed}, nil, Options{Objective: obj, TopK: m, Workers: 2, BlockWords: bw})
+					if err != nil {
+						t.Fatalf("%s: RunSeeded(%v): %v", name, seed, err)
 					}
+					if len(res.TopK) != m-2 || res.Stats.Combinations != int64(m-2) {
+						t.Fatalf("%s: seed %v extended to %d triples (%d scored), want %d", name, seed, len(res.TopK), res.Stats.Combinations, m-2)
+					}
+					for _, c := range res.TopK {
+						tab := contingency.BuildReference(sh.mx, c.triple().I, c.triple().J, c.triple().K)
+						if want := obj.Score(&tab); c.Score != want {
+							t.Errorf("%s bw=%d: seed %v triple %v scored %v, reference %v", name, bw, seed, c.triple(), c.Score, want)
+						}
+					}
+				}
+			}
+			want := seededReference(m, all, nil)
+			res, err := s.RunSeeded(all, nil, Options{Objective: obj, TopK: len(want), Workers: 3})
+			if err != nil {
+				t.Fatalf("%s: RunSeeded(%v): %v", name, all, err)
+			}
+			if len(res.TopK) != len(want) || res.Stats.Combinations != int64(len(want)) {
+				t.Fatalf("%s: seeds %v extended to %d triples (%d scored), want %d", name, all, len(res.TopK), res.Stats.Combinations, len(want))
+			}
+			for _, c := range res.TopK {
+				tab := contingency.BuildReference(sh.mx, c.triple().I, c.triple().J, c.triple().K)
+				if sc := obj.Score(&tab); !want[c.triple()] || c.Score != sc {
+					t.Errorf("%s: seeds %v: triple %v scored %v, reference %v (in the set: %v)", name, all, c.triple(), c.Score, sc, want[c.triple()])
 				}
 			}
 		}
@@ -311,8 +333,7 @@ func TestPairAndSeededParityEdgeShapes(t *testing.T) {
 
 // TestSeededPermutation pins the row permutation itself: each slot's
 // map is a bijection on the 27 rows, a third SNP that sorts first needs
-// none, and row 26 — (2,2,2), where the pad bits of the NOR-derived
-// planes land — never moves, so one correction after permuting is right.
+// none, and row 26 — (2,2,2) — never moves.
 func TestSeededPermutation(t *testing.T) {
 	for slot, perm := range seededPerm {
 		var hit [contingency.Cells]bool

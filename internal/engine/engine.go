@@ -54,6 +54,12 @@
 // 8-aligned and half-empty chunks doubled the passes; at BS = 8 every x
 // block is aligned and the transpose is 3.5 % of the time).
 //
+// A screen's seeded extension (seeded.go, RunSeeded) runs the same
+// primitives with one (y, z), the seed pair, and up to eight consecutive
+// third SNPs in the lanes, its rows permuted into sorted-triple order and
+// scored under the same bound. So contingency.LaneKernel is the CPU's one
+// order-3 counting path besides V2's.
+//
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
 // paper's dynamically scheduled thread pool — each scoring into the

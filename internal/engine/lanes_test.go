@@ -74,7 +74,11 @@ func tiledShapes() []edgeShape {
 // (bounded) must equal V3F (scored in full through ScoreColumns) and a
 // brute force over BuildReference, sharded 1/3/7 ways on 1 and 4
 // workers, for K = 1, 4 and 10, and its rejection counter must show that
-// groups were rejected.
+// groups were rejected. The seeded extension is held to the same on the
+// same dataset, against the brute force over seededReference's set: its
+// seeds pair the planted SNPs and their copies, so thirds that swap a
+// copy in tie within one seed's run and across seeds, and a subset mask
+// and overlapping seeds make lanes of its groups skipped ones.
 func TestLaneRejectionParityWithTies(t *testing.T) {
 	const m = 28
 	mx, err := dataset.Generate(dataset.GenConfig{
@@ -92,59 +96,87 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := score.NewK2(mx.Samples())
-	ref := NewTopK(obj, int(combin.Triples(m)))
-	combin.ForEachTriple(m, func(i, j, k int) {
-		tab := contingency.BuildReference(mx, i, j, k)
-		ref.Offer(Triple{i, j, k}.scored(obj.Score(&tab)))
-	})
-	ranking := ref.List()
+	rank := func(offer func(func(i, j, k int))) []Candidate {
+		ref := NewTopK(obj, int(combin.Triples(m)))
+		offer(func(i, j, k int) {
+			tab := contingency.BuildReference(mx, i, j, k)
+			ref.Offer(Triple{i, j, k}.scored(obj.Score(&tab)))
+		})
+		return ref.List()
+	}
+	ranking := rank(func(f func(i, j, k int)) { combin.ForEachTriple(m, f) })
 	if planted := (Triple{2, 9, 14}); ranking[0].triple() != planted || ranking[7].Score != ranking[0].Score {
 		t.Fatalf("fixture: best %+v, eighth %+v; want %v tied eight ways", ranking[0], ranking[7], planted)
 	}
-	for _, k := range []int{1, 4, 10} {
-		if ranking[k-1].Score != ranking[k].Score {
-			t.Fatalf("fixture: places %d and %d do not tie (%v, %v)", k, k+1, ranking[k-1].Score, ranking[k].Score)
+	seeds := []Pair{{2, 9}, {3, 10}, {2, 10}, {3, 9}, {0, 27}, {7, 20}, {2, 9}, {14, 22}}
+	inSubset := make([]bool, m)
+	for _, snp := range []int{2, 9, 15, 20, 22} {
+		inSubset[snp] = true
+	}
+	seededRanking := rank(func(f func(i, j, k int)) {
+		for tr := range seededReference(m, seeds, inSubset) {
+			f(tr.I, tr.J, tr.K)
 		}
-		want := ranking[:k]
-		for _, shards := range []int{1, 3, 7} {
-			for _, workers := range []int{1, 4} {
-				for _, a := range []Approach{V3Fused, V4Fused} {
-					name := fmt.Sprintf("K=%d %d shards %d workers %v", k, shards, workers, a)
-					reg := obs.NewRegistry()
-					merged := NewTopK(obj, k)
-					var combos int64
-					for i := 0; i < shards; i++ {
-						o := Options{Approach: a, TopK: k, Workers: workers, Metrics: reg}
-						if shards > 1 {
-							o.Shard = &sched.Shard{Index: i, Count: shards}
+	})
+	arms := []struct {
+		name    string
+		ranking []Candidate
+		label   string // the engine series its runs record under; "": the approach
+		run     func(Options) (*Result, error)
+	}{
+		{"exhaustive", ranking, "", s.Run},
+		{"seeded", seededRanking, "seeded", func(o Options) (*Result, error) { return s.RunSeeded(seeds, inSubset, o) }},
+	}
+	for _, arm := range arms {
+		for _, k := range []int{1, 4, 10} {
+			if arm.ranking[k-1].Score != arm.ranking[k].Score {
+				t.Fatalf("%s fixture: places %d and %d do not tie (%v, %v)", arm.name, k, k+1, arm.ranking[k-1].Score, arm.ranking[k].Score)
+			}
+			want := arm.ranking[:k]
+			for _, shards := range []int{1, 3, 7} {
+				for _, workers := range []int{1, 4} {
+					for _, a := range []Approach{V3Fused, V4Fused} {
+						name := fmt.Sprintf("%s K=%d %d shards %d workers %v", arm.name, k, shards, workers, a)
+						reg := obs.NewRegistry()
+						merged := NewTopK(obj, k)
+						var combos int64
+						for i := 0; i < shards; i++ {
+							o := Options{Approach: a, TopK: k, Workers: workers, Metrics: reg}
+							if shards > 1 {
+								o.Shard = &sched.Shard{Index: i, Count: shards}
+							}
+							res, err := arm.run(o)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							combos += res.Stats.Combinations
+							for _, c := range res.TopK {
+								merged.Offer(c)
+							}
 						}
-						res, err := s.Run(o)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						if combos != int64(len(arm.ranking)) {
+							t.Errorf("%s: %d combinations, want %d", name, combos, len(arm.ranking))
 						}
-						combos += res.Stats.Combinations
-						for _, c := range res.TopK {
-							merged.Offer(c)
+						got := merged.List()
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
 						}
-					}
-					if combos != combin.Triples(m) {
-						t.Errorf("%s: %d combinations, want %d", name, combos, combin.Triples(m))
-					}
-					got := merged.List()
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d candidates, want %d", name, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, got[i], want[i])
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("%s: TopK[%d] = %+v, reference %+v", name, i, got[i], want[i])
+							}
 						}
-					}
-					rm := resolveRunMetrics(reg, a.String())
-					switch rejected := rm.rejected.Value(); {
-					case a == V4Fused && rejected == 0:
-						t.Errorf("%s: no lane group was rejected", name)
-					case a == V3Fused && rejected != 0:
-						t.Errorf("%s: %d lane groups rejected without a bound", name, rejected)
+						label := arm.label
+						if label == "" {
+							label = a.String()
+						}
+						rm := resolveRunMetrics(reg, label)
+						switch rejected := rm.rejected.Value(); {
+						case a == V4Fused && rejected == 0:
+							t.Errorf("%s: no lane group was rejected", name)
+						case a == V3Fused && rejected != 0:
+							t.Errorf("%s: %d lane groups rejected without a bound", name, rejected)
+						}
 					}
 				}
 			}
@@ -192,7 +224,7 @@ func TestLanesTilesMatchReference(t *testing.T) {
 				if src.Grain() != 1 {
 					t.Fatalf("%s: claim grain %d, want 1", name, src.Grain())
 				}
-				w := newBlockWorker(s, &o, getArena(obj, all), s.Split(), nb)
+				w := newBlockWorker(s, &o, getArena(obj, all), nb)
 				total := src.Ranks()
 				for lo := int64(0); lo < total; lo++ {
 					for hi := lo + 1; hi <= total; hi++ {

@@ -28,7 +28,7 @@ func resolveRunMetrics(reg *obs.Registry, approach string) runMetrics {
 		tiles:  reg.Counter("trigene_engine_tiles_total", "Tiles scored by the search engine, by approach.", l),
 		combos: reg.Counter("trigene_engine_combinations_total", "SNP combinations scored, by approach.", l),
 		rejected: reg.Counter("trigene_engine_lane_groups_rejected_total",
-			"Groups of up to eight lane tables whose scoring stopped early because none could enter the worker's top-K (nor, on a pair screen, improve a SNP's best), by approach: V4F and pair.", l),
+			"Groups of up to eight lane tables whose scoring stopped early because none could enter the worker's top-K (nor, on a pair screen, improve a SNP's best), by approach: V4F, pair and seeded.", l),
 	}
 }
 

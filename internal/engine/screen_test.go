@@ -288,7 +288,10 @@ func TestSeededCoversEachExtensionOnce(t *testing.T) {
 }
 
 // TestSeededShardedMatchesFull: shards of the dense seeds×M extension
-// space merge back to the full seeded result.
+// space merge back to the full seeded result. M is no multiple of 8, the
+// seeds at SNPs 0, 7, 8 and M−1 cut the chunks of eight thirds at p.I, at
+// p.J and at a seed's end, and 2, 3 and 5 shards cut seeds' runs
+// mid-chunk.
 func TestSeededShardedMatchesFull(t *testing.T) {
 	const m = 13
 	mx := randomMatrix(305, m, 100)
@@ -301,12 +304,12 @@ func TestSeededShardedMatchesFull(t *testing.T) {
 	for _, c := range []int{0, 4, 6, 10} {
 		inSubset[c] = true
 	}
-	seeds := []Pair{{0, 4}, {2, 7}, {5, 11}}
+	seeds := []Pair{{0, 4}, {2, 7}, {5, 11}, {0, 7}, {7, 8}, {8, m - 1}}
 	full, err := s.RunSeeded(seeds, inSubset, Options{TopK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, count := range []int{2, 3} {
+	for _, count := range []int{2, 3, 5} {
 		merged := NewTopK(obj, 6)
 		var combos int64
 		for i := 0; i < count; i++ {

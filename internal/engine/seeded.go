@@ -61,81 +61,101 @@ func seedRanks(seeds []Pair, m int) map[int64]int {
 
 // seededWorker is one consumer of the extension tile stream.
 type seededWorker struct {
-	o        *Options
-	split    *dataset.Split
+	lanesPass
 	m        int
 	seeds    []Pair
 	seedRank map[int64]int
 	inSubset []bool
-	a        *arena
 }
 
-// newSeededWorker builds a consumer over a pooled arena, sized for the
-// two class-plane-sized seed blocks.
+// newSeededWorker builds a consumer over a pooled arena.
 func (s *Searcher) newSeededWorker(o *Options, a *arena, seeds []Pair, seedRank map[int64]int, inSubset []bool) *seededWorker {
-	split := s.st.Split()
-	for class := range a.block {
-		a.block[class].Init(split.Words[class], false)
-	}
-	return &seededWorker{o: o, split: split, m: s.st.SNPs(),
-		seeds: seeds, seedRank: seedRank, inSubset: inSubset, a: a}
+	return &seededWorker{lanesPass: s.newLanesPass(o, a), m: s.st.SNPs(), seeds: seeds, seedRank: seedRank, inSubset: inSubset}
 }
 
 // tile scores the extensions with ranks in [t.Lo, t.Hi) and returns
 // the tile length (skipped ranks do not count as combinations). Ranks
-// run third-fastest, so a tile is a few runs over one seed each: the
-// seed pair's PairBlock is built once per class at the head of a run
-// and every third SNP of the run is one fused Accumulate per class
-// against it — the triple kernel, with the seed as its cached (y, z).
+// run third-fastest, so a tile is a few runs over one seed each: at the
+// head of a run, PairLanes puts the seed pair's table in lane 0 of the
+// arena's first yz table, once per class, and the run's third SNPs go
+// through the lanes pass eight at a time, the seed as every lane's
+// (y, z). A chunk of thirds ends at p.I, at p.J, at the end of the run
+// and at the end of the tile, so its thirds are consecutive SNPs — one
+// x tile — and all sort into the same slot of their triples.
 func (w *seededWorker) tile(t sched.Tile) (int64, error) {
-	obj := w.o.Objective
-	split := w.split
+	split, k, a := w.split, w.lanes, w.a
 	span := int64(w.m)
-	raw, tab := &w.a.raw, &w.a.tab
 	var scored int64
 	for r := t.Lo; r < t.Hi; {
 		sIdx := int(r / span)
 		p := w.seeds[sIdx]
-		for class := range w.a.block {
-			w.a.block[class].Build(
-				split.Plane(class, p.I, 0), split.Plane(class, p.I, 1),
-				split.Plane(class, p.J, 0), split.Plane(class, p.J, 1))
+		for class, words := range split.Words {
+			k.PairLanes(&a.yz[class][0], split.ClassPlaneData(class), words, p.I, 1, p.J, w.marg[class], int32(split.N[class]))
 		}
-		for end := min(int64(sIdx+1)*span, t.Hi); r < end; r++ {
+		for end := min(int64(sIdx+1)*span, t.Hi); r < end; {
 			third := int(r % span)
 			if third == p.I || third == p.J {
+				r++
 				continue
 			}
-			tr, slot := extend(p, third)
-			if w.inSubset != nil && w.inSubset[tr.I] && w.inSubset[tr.J] && w.inSubset[tr.K] {
-				continue
-			}
-			if w.ownedByEarlierSeed(tr.I, tr.J, tr.K, sIdx) {
-				continue
-			}
-			*raw = contingency.Table{}
-			for class := range w.a.block {
-				w.a.block[class].Accumulate(&raw.Counts[class],
-					split.Plane(class, third, 0), split.Plane(class, third, 1))
-			}
-			// The kernel's rows are (third, p.I, p.J) genotypes; scores are
-			// bit-equal to BuildReference's only when the objective sums
-			// rows in sorted-triple order.
-			perm := &seededPerm[slot]
-			for class := range raw.Counts {
-				for cell, src := range perm {
-					tab.Counts[class][cell] = raw.Counts[class][src]
-				}
-				// Row 26 (2,2,2) is where every permutation leaves it, and
-				// with it the NOR-derived planes' pad inflation.
-				tab.Counts[class][contingency.Cells-1] -= int32(split.Pad[class])
-			}
-			w.a.top.Offer(tr.scored(obj.Score(tab)))
-			scored++
+			_, slot := extend(p, third)
+			n := min(end-r, contingency.Lanes, int64([3]int{p.I, p.J, w.m}[slot]-third))
+			scored += w.chunk(p, sIdx, third, int(n), slot)
+			r += n
 		}
 	}
-	w.a.scored += scored
+	a.scored += scored
 	return t.Len(), nil
+}
+
+// chunk scores the n extensions of seed p (index sIdx) by the third SNPs
+// x, x+1, ..., one per lane, which sort into slot, and returns how many it
+// counts. A lane whose triple lies wholly inside the subset, or belongs to
+// an earlier seed, is scored with the rest but neither offered nor
+// counted, and a chunk of such lanes alone is skipped. Per class, each
+// word tile is transposed, counted by XLanes against p.I and p.J and by
+// TripleLanes against the pair, and Derive completes the tables over the
+// whole plane; the kernel's rows are (third, p.I, p.J) genotypes, so the
+// rows are then permuted into sorted-triple order as whole lane vectors —
+// scores are bit-equal to BuildReference's only when the objective sums
+// rows in that order.
+func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
+	var live [contingency.Lanes]bool
+	var count int64
+	for lane := range live[:n] {
+		tr, _ := extend(p, x+lane)
+		if live[lane] = !w.skipped(tr, sIdx); live[lane] {
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	split, k, a, bw := w.split, w.lanes, w.a, w.o.BlockWords
+	for class, words := range split.Words {
+		lt := &a.bank[class][0]
+		data := split.ClassPlaneData(class)
+		for w0 := 0; w0 < words; w0 += bw {
+			w1 := min(w0+bw, words)
+			contingency.TransposeLanes(a.xt, data[x*2*words:(x+n)*2*words], words, w0, w1)
+			k.XLanes(&a.xc[0], a.xt, data, words, p.I, w0, w1, w0 > 0)
+			k.XLanes(&a.xc[1], a.xt, data, words, p.J, w0, w1, w0 > 0)
+			k.TripleLanes(lt, a.xt, data, words, p.I, p.J, w0, w1, w0 > 0)
+		}
+		k.Derive(lt, &a.xc[0], &a.xc[1], w.marg[class][x:x+n], &a.yz[class][0], 0)
+		for cell, src := range &seededPerm[slot] {
+			a.bank[class][1][cell] = lt[src]
+		}
+	}
+	if w.scoreGroup(&a.bank[dataset.Control][1], &a.bank[dataset.Case][1], n) {
+		for lane, ok := range live[:n] {
+			if ok {
+				tr, _ := extend(p, x+lane)
+				a.top.Offer(tr.scored(a.laneScore[lane]))
+			}
+		}
+	}
+	return count
 }
 
 // extend returns the sorted triple that seed pair p forms with a third
@@ -152,7 +172,7 @@ func extend(p Pair, third int) (Triple, int) {
 
 // seededPerm[slot][cell] is the kernel row (third genotype major, then
 // p.I, then p.J) that holds sorted-triple row cell when the third SNP
-// sorts into slot.
+// sorts into slot. Slot 0 is the identity.
 var seededPerm = func() (perm [3][contingency.Cells]uint8) {
 	for gt := 0; gt < 3; gt++ {
 		for gi := 0; gi < 3; gi++ {
@@ -167,15 +187,19 @@ var seededPerm = func() (perm [3][contingency.Cells]uint8) {
 	return perm
 }()
 
-// ownedByEarlierSeed reports whether another of the triple's pairs is
-// a seed with a smaller index than cur — the canonical-owner dedup
-// that keeps each triple scored exactly once across the seed list.
-func (w *seededWorker) ownedByEarlierSeed(i, j, k, cur int) bool {
+// skipped reports whether the triple lies wholly inside the subset, which
+// the subset search covers, or another of its pairs is a seed with a
+// smaller index than cur — the canonical-owner dedup that keeps each
+// triple scored exactly once across the seed list.
+func (w *seededWorker) skipped(tr Triple, cur int) bool {
+	if w.inSubset != nil && w.inSubset[tr.I] && w.inSubset[tr.J] && w.inSubset[tr.K] {
+		return true
+	}
 	span := int64(w.m)
 	for _, key := range [3]int64{
-		int64(i)*span + int64(j),
-		int64(i)*span + int64(k),
-		int64(j)*span + int64(k),
+		int64(tr.I)*span + int64(tr.J),
+		int64(tr.I)*span + int64(tr.K),
+		int64(tr.J)*span + int64(tr.K),
 	} {
 		if idx, ok := w.seedRank[key]; ok && idx < cur {
 			return true

@@ -3,6 +3,7 @@ package permtest
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"trigene/internal/bitvec"
@@ -191,7 +192,7 @@ func TestCasePlaneBodiesAgree(t *testing.T) {
 	keys := []struct {
 		seed int64
 		p    int
-	}{{1, 0}, {-3, 7}, {math.MinInt64, 1<<31 - 1}, {-1 << 40, 1 << 31}, {977, 1<<31 - 2}}
+	}{{1, 0}, {-3, 7}, {math.MinInt64, 1<<31 - 1}, {-1 << 40, 1 << min(31, strconv.IntSize-2)}, {977, 1<<31 - 2}} // 1 << 30 where int has 32 bits
 	var ns []int
 	for n := 1; n <= 600; n++ {
 		ns = append(ns, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strconv"
 	"testing"
 
 	"trigene"
@@ -129,7 +130,8 @@ func TestPublicAPIApproachesAndObjectives(t *testing.T) {
 // panic in the ln(n!) table or a table that outgrows memory.
 func TestNewObjectiveRefusesSampleCountsOutOfRange(t *testing.T) {
 	for _, name := range []string{"k2", "mi", "gini"} {
-		for _, n := range []int{-1, -5, math.MinInt, 1<<24 + 1, 1 << 40, math.MaxInt} {
+		// 1 << 40 where int has 64 bits, 1 << 30 where it has 32.
+		for _, n := range []int{-1, -5, math.MinInt, 1<<24 + 1, 1 << min(40, strconv.IntSize-2), math.MaxInt} {
 			if obj, err := trigene.NewObjective(name, n); err == nil {
 				t.Errorf("NewObjective(%q, %d) = %v, want an error", name, n, obj)
 			}
