@@ -62,8 +62,9 @@ type cpuBackend struct{}
 // V3F on the portable Go bodies — across a dynamically scheduled worker
 // pool fed by the tile scheduler. It supports every interaction order,
 // top-K ranking, and sharding on every order (order 3 slices block
-// triples of 8 SNPs, orders 2/k the combination-rank space). It refuses
-// approaches V1..V4, which are gpusim kernels.
+// triples of 8 SNPs, order 2 block pairs of 8, orders 4..7 the
+// combination-rank space). It refuses approaches V1..V4, which are gpusim
+// kernels.
 func CPU() Backend { return cpuBackend{} }
 
 // Name implements Backend.
@@ -117,7 +118,7 @@ func (cpuBackend) search(ctx context.Context, s *Session, cfg *searchConfig) (*R
 	}
 	space := ShardSpaceRanks
 	if res.BlockSNPs > 0 {
-		space = blockSpaceName(res.BlockSNPs)
+		space = blockSpaceName(res.Order, res.BlockSNPs)
 	}
 	rep.Shard = shardInfo(cfg.shard, res.Space, space)
 	fillStats(rep, res.Stats)

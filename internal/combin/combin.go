@@ -77,18 +77,12 @@ func RankTriple(i, j, k int) int64 {
 }
 
 // UnrankTriple inverts RankTriple: it returns the triple i < j < k with
-// the given colexicographic rank. m bounds the search (the rank must be
-// < C(m,3)).
+// the given colexicographic rank, UnrankK's combination at k = 3. m bounds
+// the search (the rank must be < C(m,3)).
 func UnrankTriple(rank int64, m int) (i, j, k int) {
-	if rank < 0 || rank >= Triples(m) {
-		panic(fmt.Sprintf("combin: rank %d out of range for m=%d", rank, m))
-	}
-	k = InvBinomial(rank, 3, m)
-	rank -= Binomial(k, 3)
-	j = InvBinomial(rank, 2, k)
-	rank -= Binomial(j, 2)
-	i = int(rank)
-	return i, j, k
+	var c [3]int
+	UnrankK(rank, m, c[:])
+	return c[0], c[1], c[2]
 }
 
 // InvBinomial returns the largest v < bound with C(v, k) <= target, at
@@ -141,24 +135,6 @@ func ForEachPair(m int, fn func(i, j int)) {
 			fn(i, j)
 		}
 	}
-}
-
-// RankPair returns the colexicographic rank of the pair i < j.
-func RankPair(i, j int) int64 {
-	if !(0 <= i && i < j) {
-		panic(fmt.Sprintf("combin: invalid pair (%d,%d)", i, j))
-	}
-	return Binomial(j, 2) + int64(i)
-}
-
-// UnrankPair inverts RankPair for pairs over m items.
-func UnrankPair(rank int64, m int) (i, j int) {
-	if rank < 0 || rank >= Pairs(m) {
-		panic(fmt.Sprintf("combin: pair rank %d out of range for m=%d", rank, m))
-	}
-	j = InvBinomial(rank, 2, m)
-	i = int(rank - Binomial(j, 2))
-	return i, j
 }
 
 // Range is a half-open interval [Lo, Hi) of combination ranks.

@@ -112,16 +112,18 @@ func TestNextTripleMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestPairRankUnrank: at k = 2, RankK and UnrankK number the pairs in
+// ForEachPair's order.
 func TestPairRankUnrank(t *testing.T) {
 	const m = 30
 	var rank int64
 	ForEachPair(m, func(i, j int) {
-		if got := RankPair(i, j); got != rank {
-			t.Fatalf("RankPair(%d,%d) = %d, want %d", i, j, got, rank)
+		if got := RankK([]int{i, j}); got != rank {
+			t.Fatalf("RankK(%d,%d) = %d, want %d", i, j, got, rank)
 		}
-		gi, gj := UnrankPair(rank, m)
-		if gi != i || gj != j {
-			t.Fatalf("UnrankPair(%d) = (%d,%d), want (%d,%d)", rank, gi, gj, i, j)
+		var pair [2]int
+		if UnrankK(rank, m, pair[:]); pair != [2]int{i, j} {
+			t.Fatalf("UnrankK(%d) = %v, want (%d,%d)", rank, pair, i, j)
 		}
 		rank++
 	})
@@ -134,9 +136,9 @@ func TestUnrankOutOfRangePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { UnrankTriple(-1, 10) },
 		func() { UnrankTriple(Triples(10), 10) },
-		func() { UnrankPair(Pairs(10), 10) },
+		func() { UnrankK(Pairs(10), 10, make([]int, 2)) },
 		func() { RankTriple(2, 1, 3) },
-		func() { RankPair(3, 3) },
+		func() { RankK([]int{3, 3}) },
 	} {
 		func() {
 			defer func() {

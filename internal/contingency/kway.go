@@ -51,7 +51,7 @@ func BuildSplitK(s *dataset.Split, snps []int, ctrl, cases []int32) error {
 			dst = cases
 		}
 		words := s.Words[class]
-		planes := make([][2][]uint64, k)
+		var planes [MaxOrder][2][]uint64
 		for d, snp := range snps {
 			planes[d][0] = s.Plane(class, snp, 0)
 			planes[d][1] = s.Plane(class, snp, 1)

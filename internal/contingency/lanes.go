@@ -118,11 +118,6 @@ func (k LaneKernel) XLanes(xc *XCounts, xt, data []uint64, words, s, w0, w1 int,
 	xLanesGo(xc, xt, s0s, s1s, add)
 }
 
-// PairLanes is the package's PairLanes on the kernel's bodies.
-func (k LaneKernel) PairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32) {
-	pairLanes(lt, data, words, x, valid, y, marg, n, k.vector())
-}
-
 // Derive completes the tables of the triples (x[lane], y, z) of one class
 // whose eight counted rows TripleLanes left in lt over the class's whole
 // planes. xy and xz are XLanes' counts of the x lanes against y and

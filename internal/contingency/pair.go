@@ -25,15 +25,15 @@ const PairCounted = 4
 // PairComboIndex returns the embedded table row for (gx, gy).
 func PairComboIndex(gx, gy int) int { return gx*3 + gy }
 
-// PairLanes sets rows 0..PairCells-1 of lt to one class's embedded pair
-// tables of the pairs (x+l, y), lane l < valid (1..Lanes): row
-// PairComboIndex(gx, gy), column l. data is the class's planes as
-// dataset.Split stores them, plane g of SNP i at (2i+g)*words, so the x
-// SNPs of consecutive lanes lie one stride apart; marg[i] = {|plane 0|,
-// |plane 1|} of SNP i in the class and n is the class size. Only the
-// four cells of stored genotypes are counted, 4 AND+POPCNT per word and
-// lane; every sample carries exactly one genotype of each SNP, so the
-// other five follow, for all lanes at once:
+// PairLanes sets rows 0..PairCells-1 of lt, on the kernel's bodies, to one
+// class's embedded pair tables of the pairs (x+l, y), lane l < valid
+// (1..Lanes): row PairComboIndex(gx, gy), column l. data is the class's
+// planes as dataset.Split stores them, plane g of SNP i at (2i+g)*words,
+// so the x SNPs of consecutive lanes lie one stride apart; marg[i] =
+// {|plane 0|, |plane 1|} of SNP i in the class and n is the class size.
+// Only the four cells of stored genotypes are counted, 4 AND+POPCNT per
+// word and lane; every sample carries exactly one genotype of each SNP,
+// so the other five follow, for all lanes at once:
 //
 //	c02 = |x0| − c00 − c01    c20 = |y0| − c00 − c10
 //	c12 = |x1| − c10 − c11    c21 = |y1| − c01 − c11
@@ -43,8 +43,8 @@ func PairComboIndex(gx, gy int) int { return gx*3 + gy }
 // there is no pad correction. Rows 9..26 of lt are left alone, and what
 // rows 0..8 hold in the lanes at and past valid is unspecified. The planes
 // of a SNP must be disjoint, which the dataset loaders guarantee.
-func PairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32) {
-	pairLanes(lt, data, words, x, valid, y, marg, n, hasAVX512)
+func (k LaneKernel) PairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32) {
+	pairLanes(lt, data, words, x, valid, y, marg, n, k.vector())
 }
 
 // pairLanes counts with the chosen body and derives. Like the fused

@@ -172,7 +172,7 @@ func TestPairLanesMatchReferenceTable(t *testing.T) {
 		}
 		build := func(lt *[2]LaneTable, x, valid, y int) {
 			for class := range lt {
-				PairLanes(&lt[class], s.ClassPlaneData(class), s.Words[class], x, valid, y, marg[class], int32(s.N[class]))
+				LaneKernel{}.PairLanes(&lt[class], s.ClassPlaneData(class), s.Words[class], x, valid, y, marg[class], int32(s.N[class]))
 			}
 		}
 		for y := 1; y < m; y++ {

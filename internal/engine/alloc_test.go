@@ -36,13 +36,13 @@ import (
 // to arena memory (the lanes pass's counts and derive, the run's pair
 // tables, K2's lane scoring); the stubs are //go:noescape so nothing is
 // moved to the heap, which for the lanes pass and the lane scoring is
-// pinned separately at the end, on stack tables. The engine's other two tile
+// pinned separately at the end, on stack tables. The engine's other tile
 // loops are held to the same standard on the same searchers: the pair
-// walker, of a pair search and with the screen's planes (its marginals
-// live on the Searcher, its two lane tables and their scores in the
-// arena, passed to //go:noescape stubs), and the seeded extension (its
-// x tile, counts and lane tables are the lanes pass's, sized in the
-// worker arena by sizeLanes).
+// pass, of a pair search and with the screen's planes, on V3F and V4F (its
+// marginals live on the Searcher, its pair tables and their scores in the
+// arena, passed to //go:noescape stubs), the seeded extension (its x
+// tile, counts and lane tables are the lanes pass's, sized in the worker
+// arena by sizeLanes), and the k-way loop at orders 4 and 5.
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)
@@ -117,10 +117,18 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := probe.s.st.SNPs()
-		for name, screen := range map[string]*screenPlanes{"pair": nil, "pair screen": newScreenPlanes(o.Objective, m)} {
-			a := getArena(o.Objective, o.TopK)
-			steadyStateAllocs(t, probe.name+"/"+name, combin.Pairs(m), probe.s.newPairWalker(&o, a, screen).tile)
-			a.release()
+		for _, ap := range []Approach{V3Fused, V4Fused} {
+			po := o
+			po.Approach = ap
+			_, bt, err := probe.s.blockSpace(&po, 2, "pair", "pair")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, screen := range map[string]*screenPlanes{"pair": nil, "pair screen": newScreenPlanes(o.Objective, m)} {
+				a := getArena(o.Objective, o.TopK)
+				steadyStateAllocs(t, fmt.Sprintf("%s/%s/%v", probe.name, name, ap), bt.ranks(), probe.s.newBlockWorker(&po, a, bt, screen).tile)
+				a.release()
+			}
 		}
 
 		// Seeds that overlap in a SNP, with a subset mask: every skip rule
@@ -131,6 +139,24 @@ func TestHotPathAllocs(t *testing.T) {
 		a := getArena(o.Objective, o.TopK)
 		sw := probe.s.newSeededWorker(&o, a, seeds, seedRanks(seeds, m), inSubset)
 		steadyStateAllocs(t, probe.name+"/seeded", int64(len(seeds)*m), sw.tile)
+		a.release()
+	}
+
+	// The generic k-way loop past order 3, where a combination's planes
+	// outnumber what escape analysis keeps on the stack unasked.
+	kway, err := New(randomMatrix(207, 20, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range []int{4, 5} {
+		o, err := Options{TopK: 4}.withDefaults(kway.st.Samples())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := getArena(o.Objective, o.TopK)
+		a.sizeK(contingency.CellsK(order))
+		w := &kWorker{split: kway.Split(), m: 20, order: order, a: a, scorer: o.Objective.(score.CellScorer)}
+		steadyStateAllocs(t, fmt.Sprintf("kway/order%d", order), combin.Binomial(20, order), w.tile)
 		a.release()
 	}
 

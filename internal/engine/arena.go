@@ -9,23 +9,24 @@ import (
 
 // arena is one consumer's reusable scratch for the claim→score loop:
 // a contingency table (the flat path, and the column scoring of lane
-// tables), the lanes pass's x tile, counts and lane-table banks (the
-// block pass's and the seeded extension's), the pair walker's lane
-// tables, the generic k-way cells, and the consumer's top-K.
+// tables), the block walk's pair tables, x tile, counts and lane-table
+// banks (the lanes pass's, the pair pass's and the seeded extension's),
+// the generic k-way cells, and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
 	// tab is the flat path's single reusable table; taking its address
 	// for the objective would otherwise heap-allocate per combination.
 	tab contingency.Table
-	// yz, xt, xc, pairs, bank and laneScore are the fused loop's scratch
-	// for the block triple in hand: per class the (i1, i2) pair tables of
+	// yz, xt, xc, pairs, bank and laneScore are the block walk's scratch
+	// for the block tuple in hand: per class the (i1, i2) pair tables of
 	// its blocks b1 and b2, b1's SNPs in the lanes of one lane table per
 	// i2; its x tile over the word tile in hand, the XLanes counts against
 	// each SNP of b1 ∪ b2, the (i1, i2) pairs the x SNPs meet, per class
-	// one lane table per pair, and the scores of a pair's eight tables.
-	// The seeded extension uses the first of them: the seed pair's table
-	// in yz[class][0], a chunk's counts against p.I and p.J in xc[0] and
+	// one lane table per pair, and the scores of eight tables. The pair
+	// pass scores the yz tables themselves into laneScore. The seeded
+	// extension uses the first of them: the seed pair's table in
+	// yz[class][0], a chunk's counts against p.I and p.J in xc[0] and
 	// xc[1], and its tables in bank[class][0], permuted into bank[class][1].
 	yz        [2][]contingency.LaneTable
 	xt        []uint64
@@ -33,19 +34,15 @@ type arena struct {
 	pairs     []lanePair
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
-	// pairLanes are the pair walker's two lane tables, one per class: the
-	// embedded tables of the eight pairs of a group in hand, scored into
-	// laneScore.
-	pairLanes [2]contingency.LaneTable
 	// ctrl/cases are the generic k-way cells.
 	ctrl, cases []int32
 	// top accumulates this consumer's best candidates.
 	top *TopK
 	// scored counts the combinations this consumer evaluated.
 	scored int64
-	// rejected counts the lane groups scoring gave up on (the fused
-	// loop's and the seeded extension's against the top-K's bound, the
-	// pair walker's against its group bound) since the last tile was
+	// rejected counts the lane groups scoring gave up on (the lanes
+	// pass's and the seeded extension's against the top-K's bound, the
+	// pair pass's against its group bound) since the last tile was
 	// observed.
 	rejected int64
 }

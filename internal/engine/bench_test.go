@@ -8,7 +8,6 @@ import (
 	"trigene/internal/contingency"
 	"trigene/internal/dataset"
 	"trigene/internal/obs"
-	"trigene/internal/sched"
 )
 
 // BenchmarkFusedShapes times the default search (V4F, K2, top-10) on one
@@ -75,27 +74,18 @@ func BenchmarkPairScreen(b *testing.B) {
 	b.StopTimer()
 	pairs := combin.Pairs(m)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
-	o, err := opts.withDefaults(n)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rejected := resolveRunMetrics(reg, "pair").rejected.Value()
-	b.ReportMetric(float64(rejected)/float64(b.N)/float64(pairGroups(pairs, sched.AutoGrain(pairs, o.Workers), m)), "rejected-share")
+	b.ReportMetric(float64(rejected)/float64(b.N)/float64(pairGroups(m)), "rejected-share")
 }
 
-// pairGroups counts the lane groups a one-worker pair scan of m SNPs
-// scores: its cursor claims [0, total) in tiles of grain ranks, and each
-// tile's part of a colexicographic j-run is cut into groups of up to
-// eight pairs.
-func pairGroups(total, grain int64, m int) (groups int64) {
-	for lo := int64(0); lo < total; lo += grain {
-		hi := min(lo+grain, total)
-		i, j := combin.UnrankPair(lo, m)
-		for r := lo; r < hi; i, j = 0, j+1 {
-			run := min(int64(j-i), hi-r)
-			r += run
-			groups += (run + contingency.Lanes - 1) / contingency.Lanes
-		}
+// pairGroups counts the lane groups a pair scan of m SNPs scores: one per
+// SNP z of each block pair (b1, b2) that some SNP of b1 sorts below, all of
+// b2's off the diagonal and all but the first on it.
+func pairGroups(m int) (groups int64) {
+	const bs = contingency.Lanes
+	for base2 := 0; base2 < m; base2 += bs {
+		lim2 := int64(blockLim(base2, bs, m))
+		groups += int64(base2/bs)*lim2 + lim2 - 1
 	}
 	return groups
 }

@@ -15,94 +15,114 @@ import (
 // lane group, the sample dimension is walked in tiles of BlockWords 64-bit
 // words, and each worker holds a private bank of BS^2 lane tables per
 // class, so the tile data and the tables stay L1-resident across the
-// intra-block combination loops.
-//
-// One scheduler rank is one block triple (b0 <= b1 <= b2), via the
-// bijection between multisets of size 3 over nb blocks and strict
-// triples over nb+2 items. Because block triples partition the
-// combination space, a Shard over block-triple ranks is a disjoint
-// sub-search whose results merge bit-exactly. The same is why no shared
-// cursor over combination ranks can feed it.
+// intra-block combination loops. One scheduler rank is one block triple
+// (b0 <= b1 <= b2) of the block space.
 func (s *Searcher) blockedRun(o *Options) (space, tiler, error) {
-	if o.Tiles != nil {
-		return space{}, nil, fmt.Errorf("engine: a shared tile cursor requires approach V2, have %v", o.Approach)
+	sp, bt, err := s.blockSpace(o, 3, "blocked", o.Approach.String())
+	if err != nil {
+		return sp, nil, err
 	}
-	nb, src := s.blockSpace()
-	sp := space{src: src, order: 3, kind: "blocked", approach: o.Approach.String()}
+	return sp, func(_ int, a *arena) tileFunc {
+		return s.newBlockWorker(o, a, bt, nil).tile
+	}, nil
+}
+
+// blockSpace is the space of the block walk at order 2 or 3, kind and
+// approach naming it in the metrics: one rank per multiset of order blocks
+// of contingency.Lanes SNPs (blockTuples), claimed one at a time, and
+// restricted to o.Shard when set. Because block tuples partition the
+// combination space, a Shard over their ranks is a disjoint sub-search
+// whose results merge bit-exactly; the same is why no shared cursor over
+// combination ranks can feed it. Its progress total is the combinations
+// its ranks cover, counted only when a Progress callback will read it.
+func (s *Searcher) blockSpace(o *Options, order int, kind, approach string) (space, blockTuples, error) {
+	if o.Tiles != nil {
+		return space{}, blockTuples{}, fmt.Errorf("engine: a shared tile cursor requires approach V2 at order 3, have %s", approach)
+	}
+	m := s.st.SNPs()
+	bt := blockTuples{m: m, nb: combin.TripleBlocks(m, contingency.Lanes), order: order}
+	sp := space{src: sched.NewSource(0, bt.ranks(), 1), order: order, kind: kind, approach: approach}
 	if o.Shard != nil {
-		sub, err := src.Shard(*o.Shard)
+		sub, err := sp.src.Shard(*o.Shard)
 		if err != nil {
-			return sp, nil, err
+			return sp, bt, err
 		}
 		b := sub.Bounds()
 		sp.src, sp.covered, sp.blockSNPs = sub, &b, contingency.Lanes
 	}
 	if o.Progress != nil {
-		sp.items = s.blockSpaceCombos(sp.src, nb)
+		b := sp.src.Bounds()
+		sp.items = bt.below(b.Hi) - bt.below(b.Lo)
 	}
-	return sp, func(_ int, a *arena) tileFunc {
-		return newBlockWorker(s, o, a, nb).tile
-	}, nil
+	return sp, bt, nil
 }
 
-// blockSpace returns the run's block count and the block-triple space:
-// multiset triples over nb blocks of contingency.Lanes SNPs, claimed one
-// at a time.
-func (s *Searcher) blockSpace() (nb int, src sched.Source) {
-	nb = combin.TripleBlocks(s.st.SNPs(), contingency.Lanes)
-	return nb, sched.NewSource(0, combin.Triples(nb+2), 1)
-}
+// blockTuples is the block walk's rank space over m SNPs in nb blocks of
+// contingency.Lanes: a rank is a multiset of order blocks b_0 <= ... <=
+// b_{order-1}, the colexicographic rank of the strict combination
+// (b_0, b_1 + 1, ..., b_{order-1} + order - 1) over nb + order - 1 items.
+type blockTuples struct{ m, nb, order int }
 
-// blockSpaceCombos counts the combinations covered by a range of
-// block-triple ranks — the progress denominator of a (possibly
-// sharded) blocked run. One O(1) count per block triple.
-func (s *Searcher) blockSpaceCombos(src sched.Source, nb int) int64 {
-	b := src.Bounds()
-	if b.Lo == 0 && b.Hi == combin.Triples(nb+2) {
-		return combin.Triples(s.st.SNPs())
-	}
-	var total int64
-	for rank := b.Lo; rank < b.Hi; rank++ {
-		a, bb, c := combin.UnrankTriple(rank, nb+2)
-		total += s.blockTripleCombos(a, bb-1, c-2)
-	}
-	return total
-}
+// ranks returns the number of block tuples.
+func (bt blockTuples) ranks() int64 { return combin.Binomial(bt.nb+bt.order-1, bt.order) }
 
-// blockTripleCombos counts the strict combinations (i0 < i1 < i2) with
-// i0 in block b0, i1 in block b1, i2 in block b2 (b0 <= b1 <= b2).
-func (s *Searcher) blockTripleCombos(b0, b1, b2 int) int64 {
-	const bs = contingency.Lanes
-	m := s.st.SNPs()
-	l0 := int64(blockLim(b0*bs, bs, m))
-	l1 := int64(blockLim(b1*bs, bs, m))
-	l2 := int64(blockLim(b2*bs, bs, m))
-	switch {
-	case b0 == b1 && b1 == b2:
-		return l0 * (l0 - 1) * (l0 - 2) / 6
-	case b0 == b1:
-		return l0 * (l0 - 1) / 2 * l2
-	case b1 == b2:
-		return l0 * (l1 * (l1 - 1) / 2)
-	default:
-		return l0 * l1 * l2
+// unrank writes the blocks of a rank into dst, whose length is the order.
+func (bt blockTuples) unrank(rank int64, dst []int) {
+	combin.UnrankK(rank, bt.nb+bt.order-1, dst)
+	for i := range dst {
+		dst[i] -= i
 	}
 }
 
-// blockWorker holds one worker's reusable state for the lanes pass.
+// combos counts the strict combinations whose i'th SNP lies in block
+// blocks[i]: the product, over the distinct blocks, of C(lim, multiplicity)
+// with lim the SNPs the block holds.
+func (bt blockTuples) combos(blocks []int) int64 {
+	n := int64(1)
+	for i, j := 0, 0; i < len(blocks); i = j {
+		for j = i + 1; j < len(blocks) && blocks[j] == blocks[i]; j++ {
+		}
+		n *= combin.Binomial(blockLim(blocks[i]*contingency.Lanes, contingency.Lanes, bt.m), j-i)
+	}
+	return n
+}
+
+// below counts the combinations of the block tuples ranked below r, for r
+// up to ranks(). The tuples whose top block lies below block B rank below
+// C(B+order-1, order) and hold every combination of the SNPs before B, so
+// only those of r's own top block are counted one by one: at most nb of
+// them at order 2.
+func (bt blockTuples) below(r int64) int64 {
+	k := bt.order
+	top := combin.InvBinomial(r, k, bt.nb+k) // r's top block + k - 1, nb + k - 1 at ranks()
+	n := combin.Binomial(min(bt.m, (top-k+1)*contingency.Lanes), k)
+	var buf [3]int
+	blocks := buf[:k]
+	for rank := combin.Binomial(top, k); rank < r; rank++ {
+		bt.unrank(rank, blocks)
+		n += bt.combos(blocks)
+	}
+	return n
+}
+
+// blockWorker holds one worker's reusable state for the block walk: the
+// lanes pass over block triples, or the pair pass over block pairs.
 type blockWorker struct {
 	lanesPass
-	s  *Searcher
-	nb int
+	bt blockTuples
+	// screen is a pair screen's per-SNP bests, which the pair pass
+	// charges (nil otherwise).
+	screen *screenPlanes
 	// yzFor is the block pair (b1, b2) whose pair tables the arena's yz
 	// bank holds for this run ({-1, -1}: none yet). It lives here, not in
 	// the pooled arena, so no run reads another's tables.
 	yzFor [2]int
 }
 
-// newBlockWorker builds a consumer over a pooled arena.
-func newBlockWorker(s *Searcher, o *Options, a *arena, nb int) *blockWorker {
-	return &blockWorker{lanesPass: s.newLanesPass(o, a), s: s, nb: nb, yzFor: [2]int{-1, -1}}
+// newBlockWorker builds a consumer of the block tuples bt over a pooled
+// arena.
+func (s *Searcher) newBlockWorker(o *Options, a *arena, bt blockTuples, screen *screenPlanes) *blockWorker {
+	return &blockWorker{lanesPass: s.newLanesPass(o, a), bt: bt, screen: screen, yzFor: [2]int{-1, -1}}
 }
 
 // lanesPass is what a consumer of the lanes pass holds: its options, its
@@ -122,6 +142,7 @@ type lanesPass struct {
 func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
 	split := s.st.Split()
 	a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
+	a.tab = contingency.Table{} // pooled: ScoreColumns writes rows 0..8 of pair tables only
 	p := lanesPass{o: o, a: a, split: split, lanes: contingency.LaneKernel{Oracle: o.Approach == V3Fused}, marg: s.marginals()}
 	if o.Approach != V3Fused {
 		p.laneScorer, _ = o.Objective.(score.LaneScorer)
@@ -129,38 +150,116 @@ func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
 	return p
 }
 
-// scoreGroup scores the valid lanes of one lane group's tables into the
-// arena's laneScore and reports whether they are to be offered. A
-// LaneScorer is bounded by the worker's top-K: a group it rejects would
-// have been turned away lane by lane, so its offers are skipped and the
-// list goes through the states it would have gone through. A lane scored
-// above the bound in a group that is not rejected is offered and turned
-// away, as its full score would be.
-func (p *lanesPass) scoreGroup(ctrl, cases *contingency.LaneTable, valid int) bool {
+// scoreGroup scores the valid lanes of one lane group's tables, rows
+// cells each (contingency.PairCells or Cells), into the arena's laneScore
+// and reports whether they are to be offered. A LaneScorer is held to
+// bound, at least the worker's top-K bound: a group it rejects would have
+// been turned away lane by lane, so its offers are skipped and the list
+// goes through the states it would have gone through. A lane scored above
+// the bound in a group that is not rejected is offered and turned away, as
+// its full score would be.
+func (p *lanesPass) scoreGroup(ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) bool {
 	a := p.a
 	if p.laneScorer == nil {
-		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, contingency.Cells, valid, &a.tab)
+		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, rows, valid, &a.tab)
 		return true
 	}
-	if p.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, contingency.Cells, valid, a.top.bound()) {
+	if p.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, rows, valid, bound) {
 		a.rejected++
 		return false
 	}
 	return true
 }
 
-// tile evaluates the block triples with ranks in [t.Lo, t.Hi) and
+// tile evaluates the block tuples with ranks in [t.Lo, t.Hi) and
 // returns how many combinations it scored.
 func (w *blockWorker) tile(t sched.Tile) (int64, error) {
 	var scored int64
+	var buf [3]int
+	blocks := buf[:w.bt.order]
 	for rank := t.Lo; rank < t.Hi; rank++ {
-		// Unrank the multiset triple: strict triple over nb+2 minus the
-		// staircase offsets.
-		a, b, c := combin.UnrankTriple(rank, w.nb+2)
-		scored += w.processBlockLanes(a, b-1, c-2)
+		w.bt.unrank(rank, blocks)
+		if len(blocks) == 2 {
+			scored += w.processBlockPair(blocks[0], blocks[1])
+		} else {
+			scored += w.processBlockLanes(blocks[0], blocks[1], blocks[2])
+		}
 	}
 	w.a.scored += scored
 	return scored, nil
+}
+
+// pairTables puts the pair tables of the block pair (b1, b2), b1 <= b2,
+// into the arena's yz bank, once per class, unless it holds them already:
+// yz[class][z] holds in lane l the table of (base1+l, base2+z), b1's SNP l
+// against b2's SNP z, for the lanes of b1's SNPs that sort below it
+// (PairLanes, b1's SNPs in the lanes). The lanes pass derives from them;
+// the pair pass scores them.
+func (w *blockWorker) pairTables(b1, b2 int) {
+	if w.yzFor == [2]int{b1, b2} {
+		return
+	}
+	const bs = contingency.Lanes
+	split, a := w.split, w.a
+	base1, base2 := b1*bs, b2*bs
+	lim1, lim2 := blockLim(base1, bs, w.bt.m), blockLim(base2, bs, w.bt.m)
+	for class, words := range split.Words {
+		data := split.ClassPlaneData(class)
+		for z := range lim2 {
+			if valid := min(lim1, base2+z-base1); valid > 0 {
+				w.lanes.PairLanes(&a.yz[class][z], data, words, base1, valid, base2+z, w.marg[class], int32(split.N[class]))
+			}
+		}
+	}
+	w.yzFor = [2]int{b1, b2}
+}
+
+// processBlockPair scores the pairs of the block pair (b1, b2), b1 <= b2:
+// b1's SNP base1+l against b2's SNP base2+z wherever the first sorts
+// below the second. Each z's two tables, left in the yz bank by
+// pairTables, are scored where they lie under pairBound, and the pairs of
+// a group scoring does not reject are offered — on a screen, charged to
+// both SNPs — in lane order: a rejected group holds no pair that could
+// enter the top-K or improve either SNP's best.
+func (w *blockWorker) processBlockPair(b1, b2 int) int64 {
+	const bs = contingency.Lanes
+	a := w.a
+	base1, base2 := b1*bs, b2*bs
+	lim1, lim2 := blockLim(base1, bs, w.bt.m), blockLim(base2, bs, w.bt.m)
+	w.pairTables(b1, b2)
+	var scored int64
+	for z := range lim2 {
+		j, valid := base2+z, min(lim1, base2+z-base1)
+		if valid <= 0 {
+			continue
+		}
+		scored += int64(valid)
+		if !w.scoreGroup(&a.yz[dataset.Control][z], &a.yz[dataset.Case][z], contingency.PairCells, valid, w.pairBound(base1, valid, j)) {
+			continue
+		}
+		for l, sc := range a.laneScore[:valid] {
+			if w.screen != nil {
+				w.screen.charge(base1+l, j, sc)
+			}
+			a.top.Offer(Pair{I: base1 + l, J: j}.scored(sc))
+		}
+	}
+	return scored
+}
+
+// pairBound is the score a group of pairs (x+l, j), l < valid, is given
+// up on above: the loosest of the worker's top-K bound and, on a screen,
+// the bests of j and of every x SNP of the group (+Inf while any of them
+// is unseen). A pair scoring above all of them changes nothing: Offer
+// turns it away, and keep acts only on a better score. Bounds only ever
+// come down during a run, so one read at the group's start is at worst
+// looser than a fresh one.
+func (w *blockWorker) pairBound(x, valid, j int) float64 {
+	b := w.a.top.bound()
+	if p := w.screen; p != nil {
+		b = p.loosest(j, j+1, p.loosest(x, x+valid, b))
+	}
+	return b
 }
 
 // lanePair is one (i1, i2) the block triple's eight x SNPs meet: its two
@@ -170,14 +269,14 @@ type lanePair struct{ y, z, valid int }
 
 // processBlockLanes evaluates the block triple (b0, b1, b2) of blocks of
 // contingency.Lanes SNPs, b0's SNPs in the lanes — the fused approaches'
-// one loop, whatever the plane length. Once per class, PairLanes puts the
-// (i1, i2) pair tables of b1 and b2 into the arena's yz bank, b1's SNPs in
-// the lanes against each i2 of b2 — unless the bank holds them already:
-// colexicographic ranks vary b0 fastest, so a tile's block triples come in
-// runs that share (b1, b2). Then, one class at a time, the class
-// plane is walked in word tiles: the x tile is transposed once per word
-// tile, XLanes counts it against every SNP of b1 ∪ b2 and TripleLanes
-// against every (i1, i2), into the pair's lane table in the class's bank
+// one loop, whatever the plane length. pairTables puts the (i1, i2) pair
+// tables of b1 and b2 into the arena's yz bank, unless it holds them
+// already: colexicographic ranks vary b0 fastest, so a tile's block
+// triples come in runs that share (b1, b2). Then, one class at a time,
+// the class plane is walked in word tiles: the x tile is transposed once
+// per word tile, XLanes counts it against every SNP of b1 ∪ b2 and
+// TripleLanes against every (i1, i2), into the pair's lane table in the
+// class's bank
 // — each sets on the class's first tile (no class is empty: the store
 // refuses such a dataset) and adds on the others, so nothing is zeroed.
 // The pass over the class's last tile completes a pair's eight counted
@@ -192,7 +291,7 @@ type lanePair struct{ y, z, valid int }
 // block b0 = b1.
 func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 	const bs = contingency.Lanes
-	m := w.s.st.SNPs()
+	m := w.bt.m
 	bw := w.o.BlockWords
 	split, k, marg := w.split, w.lanes, w.marg
 	a := w.a
@@ -208,15 +307,7 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 	if b1 == b2 {
 		zs = 0
 	}
-	if w.yzFor != [2]int{b1, b2} {
-		for class, words := range split.Words {
-			data := split.ClassPlaneData(class)
-			for z := 0; z < lim2; z++ {
-				k.PairLanes(&a.yz[class][z], data, words, base1, lim1, base2+z, marg[class], int32(split.N[class]))
-			}
-		}
-		w.yzFor = [2]int{b1, b2}
-	}
+	w.pairTables(b1, b2)
 	pairs := a.pairs[:0]
 	for gi2 := base2; gi2 < base2+lim2; gi2++ {
 		for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
@@ -259,7 +350,7 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 // where they lie and offers the valid lanes' triples (x + lane, p.y, p.z).
 func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 	a := w.a
-	if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], p.valid) {
+	if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], contingency.Cells, p.valid, a.top.bound()) {
 		return
 	}
 	for lane := 0; lane < p.valid; lane++ {
@@ -269,12 +360,4 @@ func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
 
 // blockLim returns how many SNPs of a block starting at base exist in a
 // dataset of m SNPs.
-func blockLim(base, bs, m int) int {
-	if base >= m {
-		return 0
-	}
-	if base+bs > m {
-		return m - base
-	}
-	return bs
-}
+func blockLim(base, bs, m int) int { return max(0, min(bs, m-base)) }

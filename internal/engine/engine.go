@@ -13,8 +13,9 @@
 //	                plane's first word tile and added to by the rest.
 //	                The other 19 cells are derived (Derive) from the x
 //	                lanes' pair counts against each SNP of the two
-//	                blocks (XLanes), the (i1, i2) pair tables (PairLanes),
-//	                both once per block triple, and the x marginals;
+//	                blocks (XLanes, once per block triple), the (i1, i2)
+//	                pair tables (PairLanes, once per block pair), and the
+//	                x marginals;
 //	                the pass that completes a pair's tables scores the
 //	                eight of them where they lie. One loop, whatever the
 //	                plane length. V3F pins the pure-Go bodies, the
@@ -54,11 +55,17 @@
 // 8-aligned and half-empty chunks doubled the passes; at BS = 8 every x
 // block is aligned and the transpose is 3.5 % of the time).
 //
-// A screen's seeded extension (seeded.go, RunSeeded) runs the same
-// primitives with one (y, z), the seed pair, and up to eight consecutive
-// third SNPs in the lanes, its rows permuted into sorted-triple order and
-// scored under the same bound. So contingency.LaneKernel is the CPU's one
-// order-3 counting path besides V2's.
+// Order 2 walks the same block space one order down (pair.go, RunPairs
+// and the screen's stage 1, RunPairScreen): a block pair (b1, b2) puts
+// its pair tables in the arena's yz bank through the helper the lanes
+// pass fills its (y, z) tables with (blockWorker.pairTables, b1's SNPs in
+// the lanes against each SNP of b2), and the pair pass scores them where
+// they lie. A screen's seeded extension (seeded.go, RunSeeded) runs the
+// lanes pass's primitives with one (y, z), the seed pair, and up to eight
+// consecutive third SNPs in the lanes, its rows permuted into
+// sorted-triple order and scored under the same bound. So
+// contingency.LaneKernel is the CPU's one counting path at orders 2 and 3
+// besides V2's, and V3F runs its Go bodies at both.
 //
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
@@ -70,9 +77,13 @@
 //	search                  claims from (sched space)         records as (approach)
 //	Run, V2                 combination ranks ("flat")        "V2"
 //	Run, V3F/V4F            block triples ("blocked")         "V3F", "V4F"
-//	RunPairs, RunPairScreen pair ranks ("pair")               "pair"
+//	RunPairs, RunPairScreen block pairs ("pair")              "pair"
 //	RunK, orders 2..7       k-combination ranks ("kway")      "kway"
 //	RunSeeded               seed x third-SNP ranks ("seeded") "seeded"
+//
+// The block triples and block pairs are one space at two orders
+// (blockSpace): multisets of blocks of contingency.Lanes SNPs, claimed one
+// at a time.
 //
 // Every run records its claims in the trigene_sched_* series under its
 // space, its tiles and combinations in the trigene_engine_* series under
@@ -217,12 +228,13 @@ type Result struct {
 	// Space is the covered slice of the scheduler's work space when
 	// Shard restricted the run; nil means the full space. Its ranks are
 	// colexicographic combination (or seed-extension) ranks, except on
-	// V3F/V4F (BlockSNPs set), where they are block-triple ranks.
+	// the block walk (BlockSNPs set): block-triple ranks on V3F/V4F,
+	// block-pair ranks on RunPairs.
 	Space *sched.Tile
-	// BlockSNPs is the block size whose block triples Space ranks count:
-	// contingency.Lanes on V3F/V4F. Spaces cut at different block sizes
-	// rank different triples. Zero when Space is nil or its ranks are not
-	// block triples.
+	// BlockSNPs is the block size whose block tuples Space ranks count:
+	// contingency.Lanes on the block walk. Spaces cut at different block
+	// sizes rank different combinations. Zero when Space is nil or its
+	// ranks are not block tuples.
 	BlockSNPs int
 }
 
@@ -233,12 +245,12 @@ const l1DataBytes = 32 << 10
 // Options configures a search. The zero value means: V4F, all CPUs,
 // K2 objective, top-1, word tiles sized for a 32 KiB L1d. No option
 // sets the claim grain: a rank-space run cuts its space with
-// sched.AutoGrain over the ranks it covers and Workers, and V3F/V4F
-// claim one block triple at a time.
+// sched.AutoGrain over the ranks it covers and Workers, and the block
+// walk claims one block triple or block pair at a time.
 type Options struct {
 	// Approach selects the order-3 pipeline: V4Fused (the default),
-	// V3Fused, or V2Split for shared-cursor runs. Any other value is
-	// refused.
+	// V3Fused, or V2Split for shared-cursor runs; at order 2, V3Fused
+	// runs the pair pass on the Go bodies. Any other value is refused.
 	Approach Approach
 	// Workers is the pool size (default runtime.GOMAXPROCS(0)).
 	Workers int
@@ -255,9 +267,10 @@ type Options struct {
 	// chunks and returns the context error.
 	Context context.Context
 	// Shard restricts the search to slice Index of Count of the
-	// scheduler's work space: combination ranks for V2 and orders 2/k,
-	// block-triple ranks for V3F/V4F, seed-extension ranks for a seeded
-	// run. Every run supports it.
+	// scheduler's work space: combination ranks for V2 and RunK,
+	// block-triple ranks for V3F/V4F, block-pair ranks for RunPairs and
+	// RunPairScreen, seed-extension ranks for a seeded run. Every run
+	// supports it.
 	Shard *sched.Shard
 	// Meter, when non-nil, receives per-consumer throughput samples as
 	// workers finish tiles: worker w records into consumer w. A
@@ -267,9 +280,10 @@ type Options struct {
 	// Tiles optionally supplies an externally shared claiming cursor
 	// over the run's rank space: the run's workers then steal work from
 	// it alongside any other consumer (the heterogeneous backend's CPU
-	// half), or drain a sub-range it covers. V2 only: V3F/V4F's ranks
-	// are block triples; Shard and Progress are
-	// ignored when set (the cursor owns the space and its progress).
+	// half), or drain a sub-range it covers. The block walk (V3F/V4F,
+	// RunPairs, RunPairScreen) refuses one: its ranks are block tuples.
+	// Shard and Progress are ignored when set (the cursor owns the space
+	// and its progress).
 	Tiles *sched.Cursor
 	// Progress, when non-nil, is invoked from worker goroutines as
 	// work chunks complete, with the cumulative number of evaluated
@@ -362,8 +376,9 @@ type Searcher struct {
 
 	// marg caches the popcount of every stored plane of the split form,
 	// marg[class][snp] = {|plane 0|, |plane 1|}: what the pair kernel
-	// derives five of its nine cells from. Counted once, on the first
-	// pair run.
+	// derives five of its nine cells from, and Derive the x lanes' cells.
+	// Counted once, on the first run of the block walk or the seeded
+	// extension.
 	margOnce sync.Once
 	marg     [2][][2]int32
 }

@@ -79,8 +79,12 @@ func TestTileParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb, src := s.blockSpace(); nb != 5 || src.Grain() != 1 {
-		t.Errorf("40 SNPs make %d blocks claimed %d block triples at a time, want 5 and 1", nb, src.Grain())
+	o, err := Options{}.withDefaults(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, bt, err := s.blockSpace(&o, 3, "blocked", "V4F"); err != nil || bt.nb != 5 || sp.src.Grain() != 1 {
+		t.Errorf("40 SNPs make %d blocks claimed %d block triples at a time (%v), want 5 and 1", bt.nb, sp.src.Grain(), err)
 	}
 	for _, a := range []Approach{V3Fused, V4Fused} {
 		if o, err := (Options{Approach: a}).withDefaults(64); err != nil || o.BlockWords != 120 {

@@ -185,7 +185,7 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 }
 
 // TestLanesTilesMatchReference drives the fused loop directly, the way
-// TestPairWalkerTilesMatchReference drives the pair walker: for every
+// TestPairWalkerTilesMatchReference drives the pair pass: for every
 // [lo, hi) cut of the block-triple rank space — block triples on and off
 // the b0 = b1 and b1 = b2 diagonals, three distinct blocks, last blocks
 // that are short — the tile must score exactly the combinations of its
@@ -220,21 +220,17 @@ func TestLanesTilesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nb, src := s.blockSpace()
-				if src.Grain() != 1 {
-					t.Fatalf("%s: claim grain %d, want 1", name, src.Grain())
+				sp, bt, err := s.blockSpace(&o, 3, "blocked", a.String())
+				if err != nil || sp.src.Grain() != 1 {
+					t.Fatalf("%s: claim grain %d, %v; want 1", name, sp.src.Grain(), err)
 				}
-				w := newBlockWorker(s, &o, getArena(obj, all), nb)
-				total := src.Ranks()
+				w := s.newBlockWorker(&o, getArena(obj, all), bt, nil)
+				total := sp.src.Ranks()
 				for lo := int64(0); lo < total; lo++ {
 					for hi := lo + 1; hi <= total; hi++ {
 						w.a.top.reset(obj, all)
 						n, _ := w.tile(sched.Tile{Lo: lo, Hi: hi})
-						var expect int64
-						for rank := lo; rank < hi; rank++ {
-							b0, b1, b2 := combin.UnrankTriple(rank, nb+2)
-							expect += s.blockTripleCombos(b0, b1-1, b2-2)
-						}
+						expect := bt.below(hi) - bt.below(lo)
 						if n != expect || int64(len(w.a.top.items)) != expect {
 							t.Fatalf("%s: tile [%d,%d) reports %d combinations and kept %d, want %d",
 								name, lo, hi, n, len(w.a.top.items), expect)
@@ -297,6 +293,78 @@ func TestBlockedPairTablesFollowTheClaims(t *testing.T) {
 			if w := whole.TopK[i]; c.SNPs != w.SNPs || math.Float64bits(c.Score) != math.Float64bits(w.Score) {
 				t.Fatalf("%d x %d: TopK[%d] is %v at %v cut into block triples, %v at %v as one tile",
 					shape.m, shape.n, i, c.triple(), c.Score, w.triple(), w.Score)
+			}
+		}
+	}
+}
+
+// TestBlockSpaceCoversEveryCombination: the block walk's space at orders
+// 2 and 3 over M SNPs from 3 to 40 — below one block, at multiples of
+// eight and one either side. Each block tuple's count must be the number
+// of strict combinations whose i'th SNP lies in its i'th block, counted
+// one by one; the counts of all ranks must sum to C(M, k), and those
+// below each rank to what below counts; and for 1 to 7 shards, the
+// progress totals of the shards' spaces must sum to C(M, k) too.
+func TestBlockSpaceCoversEveryCombination(t *testing.T) {
+	const bs = contingency.Lanes
+	for m := 3; m <= 40; m++ {
+		s, err := New(randomMatrix(int64(m), m, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range []int{2, 3} {
+			want := combin.Binomial(m, order)
+			byTuple := map[[3]int]int64{}
+			comb := make([]int, order)
+			for r := int64(0); r < want; r++ {
+				var key [3]int
+				for i, snp := range combin.UnrankK(r, m, comb) {
+					key[i] = snp / bs
+				}
+				byTuple[key]++
+			}
+			o, err := Options{Progress: func(done, total int64) {}}.withDefaults(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, bt, err := s.blockSpace(&o, order, "blocked", "V4F")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.items != want {
+				t.Errorf("M=%d order %d: progress total %d, want C(M,k) = %d", m, order, sp.items, want)
+			}
+			var sum int64
+			blocks := make([]int, order)
+			for r := int64(0); r < bt.ranks(); r++ {
+				if below := bt.below(r); below != sum {
+					t.Errorf("M=%d order %d: %d combinations below rank %d, want %d", m, order, below, r, sum)
+				}
+				bt.unrank(r, blocks)
+				var key [3]int
+				copy(key[:], blocks)
+				if n := bt.combos(blocks); n != byTuple[key] {
+					t.Errorf("M=%d order %d: block tuple %v counts %d combinations, enumeration %d", m, order, blocks, n, byTuple[key])
+				}
+				delete(byTuple, key)
+				sum += bt.combos(blocks)
+			}
+			if sum != want || len(byTuple) != 0 {
+				t.Errorf("M=%d order %d: block tuples count %d combinations, want %d; %d tuples of the enumeration unranked", m, order, sum, want, len(byTuple))
+			}
+			for count := 1; count <= 7; count++ {
+				var sharded int64
+				for i := 0; i < count; i++ {
+					o.Shard = &sched.Shard{Index: i, Count: count}
+					sp, _, err := s.blockSpace(&o, order, "blocked", "V4F")
+					if err != nil {
+						t.Fatal(err)
+					}
+					sharded += sp.items
+				}
+				if sharded != want {
+					t.Errorf("M=%d order %d: %d shards count %d combinations, want %d", m, order, count, sharded, want)
+				}
 			}
 		}
 	}

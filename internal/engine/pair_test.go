@@ -15,6 +15,8 @@ import (
 	"trigene/internal/score"
 )
 
+// TestPairSearchMatchesBruteForce: the pair pass finds a brute force's
+// best on the Go bodies (V3F) and the host's (V4F).
 func TestPairSearchMatchesBruteForce(t *testing.T) {
 	mx := randomMatrix(110, 20, 150)
 	s, err := New(mx)
@@ -31,15 +33,17 @@ func TestPairSearchMatchesBruteForce(t *testing.T) {
 			best = c
 		}
 	})
-	res, err := s.RunPairs(Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best != best {
-		t.Errorf("best = %+v, want %+v", res.Best, best)
-	}
-	if res.Stats.Combinations != combin.Pairs(20) {
-		t.Errorf("combinations = %d", res.Stats.Combinations)
+	for _, a := range []Approach{V3Fused, V4Fused} {
+		res, err := s.RunPairs(Options{Approach: a, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best != best {
+			t.Errorf("%v: best = %+v, want %+v", a, res.Best, best)
+		}
+		if res.Stats.Combinations != combin.Pairs(20) {
+			t.Errorf("%v: combinations = %d", a, res.Stats.Combinations)
+		}
 	}
 }
 
@@ -161,48 +165,64 @@ func TestPairCancellation(t *testing.T) {
 	}
 }
 
-// TestPairWalkerTilesMatchReference drives the walker directly: cut any
-// way into tiles (mid-run starts and ends, single ranks, runs of one
-// pair at j = 1), it must offer exactly the colexicographic pairs of
-// each tile, each once, with BuildReferencePair's score. 173 samples
-// leave both classes ragged.
+// TestPairWalkerTilesMatchReference drives the pair walk, the block walk's
+// pair pass, directly: for every [lo, hi) cut of the block-pair rank space
+// — block pairs on and off the diagonal, a last block of one SNP (9 SNPs)
+// and of three (19) — the tile
+// must offer exactly the pairs of its block pairs, each once, with
+// BuildReferencePair's score, and count them, on the Go bodies (V3F) and
+// the host's (V4F). 173 samples leave both classes ragged.
 func TestPairWalkerTilesMatchReference(t *testing.T) {
-	const m = 9
-	mx := randomMatrix(115, m, 173)
-	s, err := New(mx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := combin.Pairs(m)
-	o, err := Options{TopK: int(total)}.withDefaults(mx.Samples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []float64 // by pair rank
-	combin.ForEachPair(m, func(i, j int) {
-		tab := contingency.BuildReferencePair(mx, i, j)
-		want = append(want, o.Objective.Score(&tab))
-	})
-	a := getArena(o.Objective, o.TopK)
-	defer a.release()
-	w := s.newPairWalker(&o, a, nil)
-	for lo := int64(0); lo < total; lo++ {
-		for hi := lo + 1; hi <= total; hi++ {
-			a.top.reset(o.Objective, o.TopK)
-			if n, err := w.tile(sched.Tile{Lo: lo, Hi: hi}); n != hi-lo || err != nil {
-				t.Fatalf("tile [%d,%d) reports %d pairs, %v", lo, hi, n, err)
+	for _, m := range []int{9, 19} {
+		mx := randomMatrix(115, m, 173)
+		s, err := New(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := int(combin.Pairs(m))
+		want := map[Pair]float64{}
+		obj := score.NewK2(mx.Samples())
+		combin.ForEachPair(m, func(i, j int) {
+			tab := contingency.BuildReferencePair(mx, i, j)
+			want[Pair{i, j}] = obj.Score(&tab)
+		})
+		for _, ap := range []Approach{V3Fused, V4Fused} {
+			o, err := Options{Approach: ap, Objective: obj, TopK: all}.withDefaults(mx.Samples())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(a.top.items) != int(hi-lo) {
-				t.Fatalf("tile [%d,%d) offered %d pairs", lo, hi, len(a.top.items))
+			sp, bt, err := s.blockSpace(&o, 2, "pair", "pair")
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen := map[int64]bool{}
-			for _, c := range a.top.items {
-				r := combin.RankPair(c.SNPs[0], c.SNPs[1])
-				if r < lo || r >= hi || seen[r] || [contingency.MaxOrder - 2]int(c.SNPs[2:]) != [contingency.MaxOrder - 2]int{} || c.Score != want[r] {
-					t.Fatalf("tile [%d,%d) offered %+v, reference score %v", lo, hi, c, want[min(r, total-1)])
+			a := getArena(o.Objective, o.TopK)
+			w := s.newBlockWorker(&o, a, bt, nil)
+			total := sp.src.Ranks()
+			for lo := int64(0); lo < total; lo++ {
+				for hi := lo + 1; hi <= total; hi++ {
+					a.top.reset(o.Objective, o.TopK)
+					var expect int64
+					for r := lo; r < hi; r++ {
+						var blocks [2]int
+						bt.unrank(r, blocks[:])
+						expect += bt.combos(blocks[:])
+					}
+					if n, err := w.tile(sched.Tile{Lo: lo, Hi: hi}); n != expect || err != nil || int64(len(a.top.items)) != expect {
+						t.Fatalf("%d SNPs %v: tile [%d,%d) reports %d pairs (%v) and offered %d, want %d", m, ap, lo, hi, n, err, len(a.top.items), expect)
+					}
+					seen := map[Pair]bool{}
+					for _, c := range a.top.items {
+						p := Pair{c.SNPs[0], c.SNPs[1]}
+						r := combin.RankK([]int{p.I / contingency.Lanes, p.J/contingency.Lanes + 1})
+						sc, ok := want[p]
+						if !ok || r < lo || r >= hi || seen[p] || [contingency.MaxOrder - 2]int(c.SNPs[2:]) != [contingency.MaxOrder - 2]int{} || c.Score != sc {
+							t.Fatalf("%d SNPs %v: tile [%d,%d) offered %+v, reference score %v", m, ap, lo, hi, c, sc)
+						}
+						seen[p] = true
+					}
 				}
-				seen[r] = true
 			}
+			a.release()
 		}
 	}
 }
@@ -224,12 +244,14 @@ func TestPairLessAndTypes(t *testing.T) {
 // SNP of them ties its bests with its copies, and the copies' own pairs
 // tie further down. Where the bound bites, a pair scoring exactly the
 // bound must still be offered: (2, 10) is met after (3, 9), (4, 9) and
-// (5, 9) — a later j-run — and at K = 4 it has to displace (5, 9) on the
-// pair order alone. RunPairs at K = 1, 4 and 10 and RunPairScreen (its
-// Best, Seen and TopPairs) must equal a brute force over
-// BuildReferencePair and ScorePair under K2, MI and Gini, sharded 1, 3 and
-// 7 ways on 1 and 4 workers, and the pair rejection counter must show that
-// groups were rejected under K2 and none under MI and Gini.
+// (5, 9) — a later group of their block pair — and at K = 4 it has to
+// displace (5, 9) on the pair order alone. RunPairs at K = 1, 4 and 10 and
+// RunPairScreen (its Best, Seen and TopPairs) must equal a brute force
+// over BuildReferencePair and ScorePair under K2, MI and Gini, sharded 1,
+// 3 and 7 ways on 1 and 4 workers, on the Go bodies (V3F) and the host's
+// (V4F), and the pair rejection counter must show that groups were
+// rejected under V4F's K2 and none under MI and Gini or on V3F, which
+// scores every table in full.
 func TestPairRejectionParityWithTies(t *testing.T) {
 	const m = 28
 	var pen [9]float64
@@ -284,14 +306,18 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 		for _, k := range []int{1, 4, 10} {
 			want := ranking[:k]
 			for _, shards := range []int{1, 3, 7} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("%s K=%d %d shards %d workers", obj.Name(), k, shards, workers)
+				for _, arm := range []struct {
+					a       Approach
+					workers int
+				}{{V3Fused, 1}, {V3Fused, 4}, {V4Fused, 1}, {V4Fused, 4}} {
+					workers := arm.workers
+					name := fmt.Sprintf("%s K=%d %d shards %d workers %v", obj.Name(), k, shards, workers, arm.a)
 					reg := obs.NewRegistry()
 					pairs, seeds := NewTopK(obj, k), NewTopK(obj, k)
 					var combos, screened int64
 					merged := newScreenPlanes(obj, m)
 					for i := 0; i < shards; i++ {
-						o := Options{Objective: obj, TopK: k, Workers: workers, Metrics: reg}
+						o := Options{Approach: arm.a, Objective: obj, TopK: k, Workers: workers, Metrics: reg}
 						if shards > 1 {
 							o.Shard = &sched.Shard{Index: i, Count: shards}
 						}
@@ -332,9 +358,9 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 						}
 					}
 					switch rejected := resolveRunMetrics(reg, "pair").rejected.Value(); {
-					case obj.Name() == "k2" && rejected == 0:
+					case obj.Name() == "k2" && arm.a == V4Fused && rejected == 0:
 						t.Errorf("%s: no lane group was rejected", name)
-					case obj.Name() != "k2" && rejected != 0:
+					case (obj.Name() != "k2" || arm.a == V3Fused) && rejected != 0:
 						t.Errorf("%s: %d lane groups rejected without a bound", name, rejected)
 					}
 				}
@@ -346,12 +372,13 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 // TestPairGroupBoundCoversEverySNP: a screen may give up on a group of
 // pairs only when none of them can improve the best of any SNP the group
 // holds. Every SNP's best is primed below any K2 score (−1) and the top-K
-// is full of such scores, so the group (3..10, 17) is rejected — unless one
-// of its SNPs, the x of any lane or y, has a loose best. Then the group
-// must be scored and that best improved: to the lane's pair's score for
-// an x, to the best of the eight for y; no other best moves.
+// is full of such scores, so the group (8..15, 16) — the one group of the
+// block pair (1, 2) at 17 SNPs — is rejected, unless one of its SNPs, the
+// x of any lane or y, has a loose best. Then the group must be scored and
+// that best improved: to the lane's pair's score for an x, to the best of
+// the eight for y; no other best moves.
 func TestPairGroupBoundCoversEverySNP(t *testing.T) {
-	const m, x, y = 20, 3, 17
+	const m, x, y = 17, 8, 16
 	mx := randomMatrix(116, m, 300)
 	s, err := New(mx)
 	if err != nil {
@@ -367,7 +394,10 @@ func TestPairGroupBoundCoversEverySNP(t *testing.T) {
 		tab := contingency.BuildReferencePair(mx, x+l, y)
 		scores[l] = ps.ScorePair(&tab)
 	}
-	lo := combin.RankPair(x, y)
+	_, bt, err := s.blockSpace(&o, 2, "pair", "pair")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for loose := -1; loose <= contingency.Lanes; loose++ {
 		snp := -1 // the SNP with a loose best: none, lane loose's x, or y
 		switch {
@@ -387,7 +417,7 @@ func TestPairGroupBoundCoversEverySNP(t *testing.T) {
 		for k := 0; k < o.TopK; k++ {
 			a.top.Offer(Pair{0, k + 1}.scored(-1))
 		}
-		s.newPairWalker(&o, a, screen).tile(sched.Tile{Lo: lo, Hi: lo + contingency.Lanes})
+		s.newBlockWorker(&o, a, bt, screen).processBlockPair(x/contingency.Lanes, y/contingency.Lanes)
 		if rejected := a.rejected == 1; rejected != (snp < 0) {
 			t.Errorf("loose SNP %d: %d groups rejected", snp, a.rejected)
 		}

@@ -141,7 +141,8 @@ func TestSubRangeResultsMatchSubEnumeration(t *testing.T) {
 }
 
 // TestSharedCursorRejectedForBlocked: a shared cursor hands out
-// combination ranks, which V3F/V4F do not claim.
+// combination ranks, which the block walk — V3F/V4F, the pair search and
+// the pair screen — does not claim.
 func TestSharedCursorRejectedForBlocked(t *testing.T) {
 	mx := randomMatrix(133, 10, 60)
 	s, err := New(mx)
@@ -153,6 +154,12 @@ func TestSharedCursorRejectedForBlocked(t *testing.T) {
 		if _, err := s.Run(Options{Approach: a, Tiles: cur}); err == nil {
 			t.Errorf("%v: shared cursor accepted", a)
 		}
+	}
+	if _, err := s.RunPairs(Options{Tiles: cur}); err == nil {
+		t.Error("RunPairs accepted a shared cursor")
+	}
+	if _, err := s.RunPairScreen(Options{Tiles: cur}); err == nil {
+		t.Error("RunPairScreen accepted a shared cursor")
 	}
 	if _, err := s.NewHotLoop(Options{Approach: V2Split, Tiles: cur}); err == nil {
 		t.Error("HotLoop accepted a shared cursor")

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 
-	"trigene/internal/combin"
 	"trigene/internal/sched"
 	"trigene/internal/score"
 )
@@ -12,11 +11,11 @@ import (
 // scan that charges every pair's score to both participating SNPs, so
 // the survivor selection ("top-S SNPs by best participating pair
 // score") and the seed list ("top pairs") fall out of one pass over
-// C(M,2). The scan is the pair search (same kernel, walker, space and
+// C(M,2). The scan is the pair search (same pass, block-pair space and
 // sharding) with per-worker screen planes beside each top-K; the planes'
-// bests join the bound a group of eight pairs is given up on above, so a
-// group none of whose pairs improves a best or enters the top-K is never
-// charged (pairWalker.group).
+// bests join the bound a group of up to eight pairs is given up on above,
+// so a group none of whose pairs improves a best or enters the top-K is
+// never charged (blockWorker.processBlockPair).
 
 // ScreenResult is the outcome of a stage-1 pairwise screen.
 type ScreenResult struct {
@@ -33,30 +32,23 @@ type ScreenResult struct {
 	TopPairs []Candidate
 	// Stats describes the scan (Combinations counts pairs).
 	Stats Stats
-	// Space is the covered slice of pair ranks when Shard restricted
-	// the scan; nil means the full space.
+	// Space is the covered slice of block-pair ranks when Shard
+	// restricted the scan; nil means the full space.
 	Space *sched.Tile
 }
 
 // RunPairScreen executes the stage-1 screen scan. Options are
 // interpreted as for RunPairs: TopK bounds the seed pair list, Shard
-// slices the colexicographic pair-rank space (each shard charges only
-// the pairs it scanned, and sharded results merge with MergeScreens).
+// slices the block-pair space (each shard charges only the pairs it
+// scanned, and sharded results merge with MergeScreens).
 func (s *Searcher) RunPairScreen(opts Options) (*ScreenResult, error) {
 	o, err := opts.withDefaults(s.st.Samples())
 	if err != nil {
 		return nil, err
 	}
 	m := s.st.SNPs()
-	sp, err := flatSpace(combin.Pairs(m), &o, 2, "pair")
-	if err != nil {
-		return nil, err
-	}
 	planes := make([]*screenPlanes, o.Workers)
-	pairs, err := s.run(&o, sp, func(w int, a *arena) tileFunc {
-		planes[w] = newScreenPlanes(o.Objective, m)
-		return s.newPairWalker(&o, a, planes[w]).tile
-	})
+	pairs, err := s.pairRun(&o, planes)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,8 @@ import (
 // must equal a reference pair enumeration (every pair's score charged
 // to both SNPs, best kept), and its seed list must equal the pair
 // engine's own ranking — the screen is the pair search with a
-// different accumulator, nothing more.
+// different accumulator, nothing more — on the Go bodies (V3F) and the
+// host's (V4F).
 func TestPairScreenMatchesBruteForce(t *testing.T) {
 	const m = 20
 	mx := randomMatrix(300, m, 160)
@@ -37,44 +38,46 @@ func TestPairScreenMatchesBruteForce(t *testing.T) {
 		}
 	})
 
-	res, err := s.RunPairScreen(Options{Workers: 3, TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SNPs != m {
-		t.Fatalf("SNPs = %d, want %d", res.SNPs, m)
-	}
-	if res.Stats.Combinations != combin.Pairs(m) {
-		t.Errorf("scanned %d pairs, want %d", res.Stats.Combinations, combin.Pairs(m))
-	}
-	if res.Space != nil {
-		t.Errorf("unsharded scan recorded a Space: %+v", res.Space)
-	}
-	for i := 0; i < m; i++ {
-		if !res.Seen[i] {
-			t.Errorf("SNP %d unseen by a full scan", i)
-			continue
+	for _, a := range []Approach{V3Fused, V4Fused} {
+		res, err := s.RunPairScreen(Options{Approach: a, Workers: 3, TopK: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Best[i] != best[i] {
-			t.Errorf("SNP %d best = %g, brute force %g", i, res.Best[i], best[i])
+		if res.SNPs != m {
+			t.Fatalf("SNPs = %d, want %d", res.SNPs, m)
 		}
-	}
+		if res.Stats.Combinations != combin.Pairs(m) {
+			t.Errorf("scanned %d pairs, want %d", res.Stats.Combinations, combin.Pairs(m))
+		}
+		if res.Space != nil {
+			t.Errorf("unsharded scan recorded a Space: %+v", res.Space)
+		}
+		for i := 0; i < m; i++ {
+			if !res.Seen[i] {
+				t.Errorf("SNP %d unseen by a full scan", i)
+				continue
+			}
+			if res.Best[i] != best[i] {
+				t.Errorf("SNP %d best = %g, brute force %g", i, res.Best[i], best[i])
+			}
+		}
 
-	pairs, err := s.RunPairs(Options{Workers: 2, TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TopPairs) != len(pairs.TopK) {
-		t.Fatalf("seed list %d entries, pair search %d", len(res.TopPairs), len(pairs.TopK))
-	}
-	for i := range res.TopPairs {
-		if res.TopPairs[i] != pairs.TopK[i] {
-			t.Errorf("seed[%d] = %+v, pair search %+v", i, res.TopPairs[i], pairs.TopK[i])
+		pairs, err := s.RunPairs(Options{Approach: a, Workers: 2, TopK: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.TopPairs) != len(pairs.TopK) {
+			t.Fatalf("seed list %d entries, pair search %d", len(res.TopPairs), len(pairs.TopK))
+		}
+		for i := range res.TopPairs {
+			if res.TopPairs[i] != pairs.TopK[i] {
+				t.Errorf("seed[%d] = %+v, pair search %+v", i, res.TopPairs[i], pairs.TopK[i])
+			}
 		}
 	}
 }
 
-// TestPairScreenShardedMergeMatchesFull: shards of the pair-rank
+// TestPairScreenShardedMergeMatchesFull: shards of the block-pair
 // space, merged elementwise (best-of per SNP, seed lists re-ranked),
 // reproduce the full scan — the property cluster coordinators rely on
 // when they run stage 1 as its own sharded phase.

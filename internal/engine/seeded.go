@@ -147,7 +147,7 @@ func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
 			a.bank[class][1][cell] = lt[src]
 		}
 	}
-	if w.scoreGroup(&a.bank[dataset.Control][1], &a.bank[dataset.Case][1], n) {
+	if w.scoreGroup(&a.bank[dataset.Control][1], &a.bank[dataset.Case][1], contingency.Cells, n, a.top.bound()) {
 		for lane, ok := range live[:n] {
 			if ok {
 				tr, _ := extend(p, x+lane)

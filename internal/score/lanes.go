@@ -4,7 +4,7 @@ import "trigene/internal/contingency"
 
 // LaneScorer is implemented by lower-is-better objectives that can score
 // the tables of a lanes pass (contingency.LaneKernel's TripleLanes and
-// Derive, or contingency.PairLanes for pairs) where they lie: the table
+// Derive, or LaneKernel.PairLanes for pairs) where they lie: the table
 // of lane l has column l of ctrl and of cases as its class rows, of which
 // the first rows are read — contingency.Cells for a triple, contingency.PairCells for an
 // embedded pair table, whose rows past them are empty. ScoreLanes sets

@@ -284,7 +284,7 @@ func New(name string, maxSamples int) (Objective, error) {
 }
 
 // PairScorer is implemented by objectives that can score an embedded
-// pair table (contingency.PairLanes, BuildReferencePair) from its nine pair cells alone,
+// pair table (contingency.LaneKernel.PairLanes, BuildReferencePair) from its nine pair cells alone,
 // bit-identically to Score on the same table: rows 9..26 are empty, an
 // empty row adds exactly +0.0 to every sum of K2, MI and Gini, and each
 // objective keeps the summation order of its 27-row form. (The generic

@@ -188,9 +188,10 @@ func WithApproach(v Approach) Option {
 // WithShard restricts the search to shard index of count near-equal
 // contiguous slices of the scheduler's work space — the primitive that
 // distributed deployments partition on. Every backend shards: the CPU's
-// orders 2 and k, gpusim, baseline and hetero slice the combination-rank
-// space; the CPU's order-3 V3F/V4F slice block triples of eight SNPs
-// (ShardSpaceFusedBlocks, see ShardInfo.Space). Running every
+// orders 4 to 7, gpusim, baseline and hetero slice the combination-rank
+// space; the CPU's order 3 (V3F/V4F) slices block triples of eight SNPs
+// (ShardSpaceFusedBlocks) and its order 2 block pairs of eight
+// ("block-pairs-bs8", see ShardInfo.Space). Running every
 // shard and merging the Reports (MergeReports) reproduces the
 // unsharded search bit-exactly.
 func WithShard(index, count int) Option {

@@ -21,8 +21,9 @@ type SearchCandidate struct {
 
 // Shard space units: what the ranks in ShardInfo.Lo/Hi count.
 const (
-	// ShardSpaceRanks: colexicographic combination ranks (CPU orders 2
-	// and k, gpusim, baseline, hetero).
+	// ShardSpaceRanks: colexicographic combination ranks (CPU orders 4
+	// to 7, gpusim, baseline, hetero; CPU order 2 before it walked block
+	// pairs).
 	ShardSpaceRanks = "combination-ranks"
 	// ShardSpaceBlocks: block-triple ranks at blocks of 4 SNPs, what
 	// Reports of the removed CPU V3/V4 carry; named so that they refuse to
@@ -34,8 +35,16 @@ const (
 	ShardSpaceFusedBlocks = ShardSpaceBlocks + "-bs8"
 )
 
-// blockSpaceName names the block-triple space cut at blocks of bs SNPs.
-func blockSpaceName(bs int) string { return ShardSpaceBlocks + "-bs" + strconv.Itoa(bs) }
+// blockSpaceName names the space of block tuples of the given order cut
+// at blocks of bs SNPs: "block-triples-bs8" at order 3, "block-pairs-bs8"
+// at order 2.
+func blockSpaceName(order, bs int) string {
+	unit := ShardSpaceBlocks
+	if order == 2 {
+		unit = "block-pairs"
+	}
+	return unit + "-bs" + strconv.Itoa(bs)
+}
 
 // ShardInfo records which slice of the scheduler's work space a
 // sharded Report covers.
@@ -46,8 +55,9 @@ type ShardInfo struct {
 	// Lo and Hi are the covered ranks [Lo, Hi) in Space units.
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-	// Space names the rank units: ShardSpaceRanks, or
-	// ShardSpaceFusedBlocks on a CPU order-3 shard.
+	// Space names the rank units: ShardSpaceFusedBlocks on a CPU
+	// order-3 shard, "block-pairs-bs8" (block pairs of 8 SNPs) on a CPU
+	// order-2 one, ShardSpaceRanks on the others.
 	Space string `json:"space"`
 }
 
@@ -211,7 +221,7 @@ func MergeReports(reports ...*Report) (*Report, error) {
 				r.Order, r.Objective, base.Order, base.Objective)
 		}
 		// Shards only union back to the full space when they sliced the
-		// SAME space: a rank shard (gpusim, order 2, ...) and a
+		// SAME space: a rank shard (gpusim, order 4, ...) and a
 		// block-triple shard (V4F) of the same (index, count) cover
 		// different triples, and so do block-triple shards cut at
 		// different block sizes (the removed V4's 4 SNPs, V4F's 8), so

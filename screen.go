@@ -343,7 +343,7 @@ func (sc *ScreenScores) SeedList(n int) [][2]int {
 // ScreenStage1 runs the stage-1 pairwise scan by itself and returns
 // its wire-safe scores — the entry point cluster workers execute for a
 // screened job's stage-1 tiles. Relevant options: WithObjective (must
-// match the job), WithWorkers, WithShard (slices the pair-rank space;
+// match the job), WithWorkers, WithShard (slices the block-pair space;
 // per-shard scores merge with MergeScreens), WithMetrics. seedPairs
 // bounds the scan's seed-candidate list (0 = none).
 func (s *Session) ScreenStage1(ctx context.Context, seedPairs int, opts ...Option) (*ScreenScores, error) {

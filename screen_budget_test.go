@@ -1,4 +1,4 @@
-package plan_test
+package trigene_test
 
 import (
 	"context"
@@ -11,9 +11,9 @@ import (
 	"trigene/internal/combin"
 )
 
-// The budget screen (ScreenSpec.BudgetSeconds) was once priced by this
-// package's model. It now prices itself from the rate its own exhaustive
-// search measures, and no search imports plan. The tests below keep each
+// The budget screen (ScreenSpec.BudgetSeconds) was once priced by
+// internal/plan's model. It now prices itself from the rate its own
+// exhaustive search measures, and no search imports plan. The tests below keep each
 // decision the model used to make pinned on the search that makes it now,
 // through the public API, so that the model leaving the product loses none
 // of them.
@@ -41,10 +41,10 @@ func sameRanking(t *testing.T, label string, got, want *trigene.Report) {
 	}
 }
 
-// TestDecideScreenBudgetValidation: a screen cannot be sized for a
+// TestScreenBudgetValidation: a screen cannot be sized for a
 // negative budget, and a zero budget with nothing else set is an empty
 // spec; both are refused before a search runs.
-func TestDecideScreenBudgetValidation(t *testing.T) {
+func TestScreenBudgetValidation(t *testing.T) {
 	s := screenSession(t, 24, 256)
 	for _, spec := range []trigene.ScreenSpec{{BudgetSeconds: -1.5}, {BudgetSeconds: 0}} {
 		if err := spec.Validate(0); err == nil {
@@ -56,11 +56,11 @@ func TestDecideScreenBudgetValidation(t *testing.T) {
 	}
 }
 
-// TestDecideScreenDeclinesWhenExhaustiveFits: when the exhaustive C(M,k)
+// TestScreenBudgetDeclinesWhenExhaustiveFits: when the exhaustive C(M,k)
 // search fits the budget, screening would only add the pair scan, so the
 // search runs to the end at every order, scans no pair, keeps no survivor
 // set, ranks what the unscreened search ranks, and says why.
-func TestDecideScreenDeclinesWhenExhaustiveFits(t *testing.T) {
+func TestScreenBudgetDeclinesWhenExhaustiveFits(t *testing.T) {
 	s := screenSession(t, 24, 256)
 	ctx := context.Background()
 	for _, k := range []int{2, 3, 4} {
@@ -87,12 +87,12 @@ func TestDecideScreenDeclinesWhenExhaustiveFits(t *testing.T) {
 	}
 }
 
-// TestDecideScreenSizesUnderTightBudget: a budget well below the
+// TestScreenBudgetSizesUnderTightBudget: a budget well below the
 // measured exhaustive wall yields a real pruning decision at orders 3 and
 // 4: stage 1 scans every pair, the survivor set lies strictly between the
 // floor and M, stage 2 searches exactly C(S,k), and the reason names the
 // measured rate, the projection and the split.
-func TestDecideScreenSizesUnderTightBudget(t *testing.T) {
+func TestScreenBudgetSizesUnderTightBudget(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct{ m, n, k int }{{96, 16384, 3}, {24, 1024, 4}} {
 		s := screenSession(t, tc.m, tc.n)
@@ -130,11 +130,11 @@ func TestDecideScreenSizesUnderTightBudget(t *testing.T) {
 	}
 }
 
-// TestDecideScreenClampsToFloor: a budget too small even for the pair
+// TestScreenBudgetClampsToFloor: a budget too small even for the pair
 // scan keeps the minimum viable survivor set — 3 SNPs, and k at order k —
 // rather than declining, and flags the clamp. Order 2 declines instead
-// (TestDecideScreenDeclinesAtOrderTwo).
-func TestDecideScreenClampsToFloor(t *testing.T) {
+// (TestScreenBudgetDeclinesAtOrderTwo).
+func TestScreenBudgetClampsToFloor(t *testing.T) {
 	s := screenSession(t, 24, 256)
 	for _, k := range []int{3, 4, 5} {
 		rep, err := s.Search(context.Background(), trigene.WithOrder(k),
@@ -155,11 +155,11 @@ func TestDecideScreenClampsToFloor(t *testing.T) {
 	}
 }
 
-// TestDecideScreenDeclinesAtOrderTwo: at order 2 stage 1 already scans
+// TestScreenBudgetDeclinesAtOrderTwo: at order 2 stage 1 already scans
 // every pair, so a screen can only add stage 2's re-scoring: whatever the
 // budget, the screen declines, says why, and the search is the unscreened
 // one.
-func TestDecideScreenDeclinesAtOrderTwo(t *testing.T) {
+func TestScreenBudgetDeclinesAtOrderTwo(t *testing.T) {
 	s := screenSession(t, 24, 256)
 	ctx := context.Background()
 	base := []trigene.Option{trigene.WithOrder(2), trigene.WithTopK(5)}
@@ -179,11 +179,11 @@ func TestDecideScreenDeclinesAtOrderTwo(t *testing.T) {
 	}
 }
 
-// TestDecideScreenPricesOverflowingSpaces: a budget screen starts with
+// TestScreenBudgetPricesOverflowingSpaces: a budget screen starts with
 // the exhaustive search, so a space beyond int64 combinations, C(1734,7),
 // is no longer priced: it is refused at the door, with or without a
 // MaxSurvivors cap, and a MaxSurvivors screen alone is how it is searched.
-func TestDecideScreenPricesOverflowingSpaces(t *testing.T) {
+func TestScreenBudgetPricesOverflowingSpaces(t *testing.T) {
 	s := screenSession(t, 1734, 64)
 	ctx := context.Background()
 	for _, spec := range []trigene.ScreenSpec{{BudgetSeconds: 10}, {BudgetSeconds: 10, MaxSurvivors: 10}} {

@@ -220,7 +220,7 @@ func TestSessionShardEverywhere(t *testing.T) {
 	}{
 		{"baseline", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithBackend(trigene.Baseline()), trigene.WithShard(0, 2)}},
 		{"hetero", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithBackend(trigene.Hetero()), trigene.WithShard(0, 2)}},
-		{"cpu order 2", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithOrder(2), trigene.WithShard(0, 2)}},
+		{"cpu order 2", "block-pairs-bs8", []trigene.Option{trigene.WithOrder(2), trigene.WithShard(0, 2)}},
 		{"cpu order 4", trigene.ShardSpaceRanks, []trigene.Option{trigene.WithOrder(4), trigene.WithShard(0, 2)}},
 		{"cpu V3F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V3Fused), trigene.WithShard(0, 2)}},
 		{"cpu V4F pinned", trigene.ShardSpaceFusedBlocks, []trigene.Option{trigene.WithApproach(trigene.V4Fused), trigene.WithShard(0, 2)}},

@@ -283,6 +283,71 @@ func TestMergeRejectsMixedShardSpaces(t *testing.T) {
 	if _, err := trigene.MergeReports(ranks, other); err != nil {
 		t.Errorf("same-space merge failed: %v", err)
 	}
+
+	// At order 2 the CPU slices block pairs; a shard of the same (index,
+	// count) over pair ranks, as releases before the block walk cut it,
+	// covers other pairs.
+	var pairs []*trigene.Report
+	for i := 0; i < 2; i++ {
+		rep, err := s.Search(ctx, trigene.WithOrder(2), trigene.WithShard(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Shard.Space != "block-pairs-bs8" {
+			t.Fatalf("order-2 shard %d sliced %q", i, rep.Shard.Space)
+		}
+		pairs = append(pairs, rep)
+	}
+	legacy := *pairs[1]
+	sh := *legacy.Shard
+	sh.Space = trigene.ShardSpaceRanks
+	legacy.Shard = &sh
+	if _, err := trigene.MergeReports(pairs[0], &legacy); err == nil {
+		t.Error("merged a block-pairs-bs8 shard with a combination-ranks one")
+	}
+	if _, err := trigene.MergeReports(pairs...); err != nil {
+		t.Errorf("block-pair shards failed to merge: %v", err)
+	}
+}
+
+// TestPairShardSetsMergeToTheSearch: order 2 walks block pairs of eight
+// SNPs, so its shard bounds fall at block pairs whatever M. At every M
+// from 3 to 40 — below one block, at multiples of eight and one either
+// side — every set of 1 to 7 shards must cover C(M,2) pairs between them
+// and merge to the unsharded Report.
+func TestPairShardSetsMergeToTheSearch(t *testing.T) {
+	ctx := context.Background()
+	for m := 3; m <= 40; m++ {
+		mx, err := trigene.Generate(trigene.GenConfig{SNPs: m, Samples: 96, Seed: int64(m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := trigene.NewSession(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := []trigene.Option{trigene.WithOrder(2), trigene.WithTopK(5)}
+		full, err := s.Search(ctx, base...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Combinations != combin.Pairs(m) {
+			t.Fatalf("%d SNPs: %d pairs, want %d", m, full.Combinations, combin.Pairs(m))
+		}
+		for count := 1; count <= 7; count++ {
+			parts := make([]*trigene.Report, count)
+			for i := range parts {
+				if parts[i], err = s.Search(ctx, append(base, trigene.WithShard(i, count))...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged, err := trigene.MergeReports(parts...)
+			if err != nil {
+				t.Fatalf("%d SNPs, %d shards: %v", m, count, err)
+			}
+			reportsEqual(t, fmt.Sprintf("%d SNPs, %d shards", m, count), merged, full)
+		}
+	}
 }
 
 // TestMergeRejectsMixedBlockSizes: V3F/V4F cut the block-triple space at
@@ -329,41 +394,50 @@ func TestMergeRejectsMixedBlockSizes(t *testing.T) {
 }
 
 // TestSearchCutsByAutoGrain: a rank-space run is cut from its own inputs.
-// At 640 SNPs x 16384 samples on two workers an order-2 search claims
-// pair ranks at sched.AutoGrain's 1597 per tile, the grain the planner's
-// model once replaced with 567.
+// At 48 SNPs on two workers an order-4 search claims k-combination ranks
+// at sched.AutoGrain's grain for C(48,4) ranks and two workers; an order-2
+// search at 640 SNPs x 16384 samples walks block pairs and claims one at
+// a time, as the order-3 block walk does its block triples.
 func TestSearchCutsByAutoGrain(t *testing.T) {
-	const snps = 640
-	mx, err := trigene.Generate(trigene.GenConfig{SNPs: snps, Samples: 16384, Seed: 5, MAFMin: 0.2, MAFMax: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := trigene.NewSession(mx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	if _, err := s.Search(context.Background(), trigene.WithOrder(2), trigene.WithWorkers(2), trigene.WithMetrics(reg)); err != nil {
-		t.Fatal(err)
-	}
-	var expo strings.Builder
-	if _, err := reg.WriteTo(&expo); err != nil {
-		t.Fatal(err)
-	}
-	var grain, tiles float64
-	for _, line := range strings.Split(expo.String(), "\n") {
-		series, v, _ := strings.Cut(line, " ")
-		switch series {
-		case `trigene_sched_grain{space="pair"}`:
-			grain, _ = strconv.ParseFloat(v, 64)
-		case `trigene_sched_tiles_claimed_total{space="pair"}`:
-			tiles, _ = strconv.ParseFloat(v, 64)
+	for _, tc := range []struct {
+		snps, samples, order int
+		space                string
+		grain                int64
+	}{
+		{48, 256, 4, "kway", sched.AutoGrain(combin.Binomial(48, 4), 2)},
+		{640, 16384, 2, "pair", 1},
+	} {
+		mx, err := trigene.Generate(trigene.GenConfig{SNPs: tc.snps, Samples: tc.samples, Seed: 5, MAFMin: 0.2, MAFMax: 0.5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tiles == 0 {
-		t.Error("no pair tiles claimed")
-	}
-	if want := sched.AutoGrain(combin.Pairs(snps), 2); grain != float64(want) {
-		t.Errorf("grain %g, want AutoGrain's %d", grain, want)
+		s, err := trigene.NewSession(mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		if _, err := s.Search(context.Background(), trigene.WithOrder(tc.order), trigene.WithWorkers(2), trigene.WithMetrics(reg)); err != nil {
+			t.Fatal(err)
+		}
+		var expo strings.Builder
+		if _, err := reg.WriteTo(&expo); err != nil {
+			t.Fatal(err)
+		}
+		var grain, tiles float64
+		for _, line := range strings.Split(expo.String(), "\n") {
+			series, v, _ := strings.Cut(line, " ")
+			switch series {
+			case `trigene_sched_grain{space="` + tc.space + `"}`:
+				grain, _ = strconv.ParseFloat(v, 64)
+			case `trigene_sched_tiles_claimed_total{space="` + tc.space + `"}`:
+				tiles, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		if tiles == 0 {
+			t.Errorf("order %d: no %s tiles claimed", tc.order, tc.space)
+		}
+		if grain != float64(tc.grain) {
+			t.Errorf("order %d: grain %g, want %d", tc.order, grain, tc.grain)
+		}
 	}
 }
