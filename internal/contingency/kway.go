@@ -22,6 +22,11 @@ const MaxOrder = 7
 // CellsK returns 3^k.
 func CellsK(k int) int {
 	if k < 1 || k > MaxOrder {
+		// Unreachable: every caller checks the order first —
+		// BuildSplitK, BuildReferenceK, engine.RunK and permtest's
+		// checkCombo against [2, MaxOrder] or [1, MaxOrder], and bench's
+		// oracle takes it from a searched candidate. The slices it sizes
+		// reach BuildSplitK's plane walk.
 		panic(fmt.Sprintf("contingency: order %d out of [1,%d]", k, MaxOrder))
 	}
 	c := 1

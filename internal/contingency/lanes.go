@@ -134,6 +134,12 @@ func (k LaneKernel) XLanes(xc *XCounts, xt, data []uint64, words, s, w0, w1 int,
 // last: 19 rows, each a vector subtraction across the lanes.
 func (k LaneKernel) Derive(lt *LaneTable, xy, xz *XCounts, xmarg [][2]int32, yz *LaneTable, col int) {
 	if len(xmarg) < 1 || len(xmarg) > Lanes || col < 0 || col >= Lanes {
+		// Unreachable: the engine's lanes pass hands it nx x SNPs, which
+		// processBlockLanes clamps to at most Lanes and returns before any
+		// work when below 1, and col, y's slot in a block of at most Lanes
+		// SNPs; its seeded pass hands it a chunk of 1 to Lanes thirds
+		// (seededWorker.tile's min with Lanes) and col 0. The vector body
+		// reads xmarg and yz's column through raw pointers.
 		panic("contingency: derive lanes out of range")
 	}
 	if k.vector() {

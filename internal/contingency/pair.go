@@ -52,6 +52,10 @@ func (k LaneKernel) PairLanes(lt *LaneTable, data []uint64, words, x, valid, y i
 // shorter than a vector.
 func pairLanes(lt *LaneTable, data []uint64, words, x, valid, y int, marg [][2]int32, n int32, vector bool) {
 	if valid < 1 || valid > Lanes {
+		// Unreachable: the engine's pairTables calls it only for valid > 0
+		// and at most lim1, a block's SNP count (blockLim caps it at
+		// Lanes), and the seeded pass with valid = 1. The vector body reads
+		// valid x SNPs' planes and marginals through raw pointers.
 		panic("contingency: pair lanes out of range")
 	}
 	xs := data[2*x*words : 2*(x+valid)*words]

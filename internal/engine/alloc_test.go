@@ -155,7 +155,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		a := getArena(o.Objective, o.TopK)
 		a.sizeK(contingency.CellsK(order))
-		w := &kWorker{split: kway.Split(), m: 20, order: order, a: a, scorer: o.Objective.(score.CellScorer)}
+		w := &kWorker{split: kway.Split(), m: 20, order: order, a: a, scorer: o.Objective}
 		steadyStateAllocs(t, fmt.Sprintf("kway/order%d", order), combin.Binomial(20, order), w.tile)
 		a.release()
 	}

@@ -142,7 +142,6 @@ type lanesPass struct {
 func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
 	split := s.st.Split()
 	a.sizeLanes(min(o.BlockWords, max(split.Words[0], split.Words[1])))
-	a.tab = contingency.Table{} // pooled: ScoreColumns writes rows 0..8 of pair tables only
 	p := lanesPass{o: o, a: a, split: split, lanes: contingency.LaneKernel{Oracle: o.Approach == V3Fused}, marg: s.marginals()}
 	if o.Approach != V3Fused {
 		p.laneScorer, _ = o.Objective.(score.LaneScorer)

@@ -18,8 +18,8 @@ import (
 // the correctness-first generalization.
 
 // RunK executes an exhaustive search of the given interaction order.
-// Options are interpreted as for Run; the Objective must implement
-// score.CellScorer (all built-in objectives do). Shard slices the
+// Options are interpreted as for Run; the Objective scores each
+// combination's 3^k cells through ScoreCells. Shard slices the
 // colexicographic k-combination rank space.
 func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	o, err := opts.withDefaults(s.st.Samples())
@@ -33,10 +33,6 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	if order > m {
 		return nil, fmt.Errorf("engine: order %d exceeds %d SNPs", order, m)
 	}
-	scorer, ok := o.Objective.(score.CellScorer)
-	if !ok {
-		return nil, fmt.Errorf("engine: objective %q cannot score %d-way tables", o.Objective.Name(), order)
-	}
 	if err := CheckSpace(m, order); err != nil {
 		return nil, err
 	}
@@ -48,7 +44,7 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	cells := contingency.CellsK(order)
 	return s.run(&o, sp, func(_ int, a *arena) tileFunc {
 		a.sizeK(cells)
-		return (&kWorker{split: split, m: m, order: order, a: a, scorer: scorer}).tile
+		return (&kWorker{split: split, m: m, order: order, a: a, scorer: o.Objective}).tile
 	})
 }
 

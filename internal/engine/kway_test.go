@@ -111,7 +111,7 @@ func TestRunKOrder4BruteForce(t *testing.T) {
 		if err := contingency.BuildReferenceK(mx, comb, ctrl, cases); err != nil {
 			t.Fatal(err)
 		}
-		sc := score.K2Cells(ctrl, cases, score.NewLnFact(mx.Samples()+1))
+		sc := obj.ScoreCells(ctrl, cases)
 		if obj.Better(sc, bestScore) {
 			bestScore = sc
 			bestSNPs = append([]int(nil), comb...)

@@ -247,7 +247,7 @@ func TestPairLessAndTypes(t *testing.T) {
 // (5, 9) — a later group of their block pair — and at K = 4 it has to
 // displace (5, 9) on the pair order alone. RunPairs at K = 1, 4 and 10 and
 // RunPairScreen (its Best, Seen and TopPairs) must equal a brute force
-// over BuildReferencePair and ScorePair under K2, MI and Gini, sharded 1,
+// over BuildReferencePair and Score under K2, MI and Gini, sharded 1,
 // 3 and 7 ways on 1 and 4 workers, on the Go bodies (V3F) and the host's
 // (V4F), and the pair rejection counter must show that groups were
 // rejected under V4F's K2 and none under MI and Gini or on V3F, which
@@ -276,7 +276,6 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, obj := range []score.Objective{score.NewK2(mx.Samples()), score.MIObjective{}, score.GiniObjective{}} {
-		ps := obj.(score.PairScorer)
 		ref := NewTopK(obj, int(combin.Pairs(m)))
 		best := make([]float64, m)
 		for i := range best {
@@ -284,7 +283,7 @@ func TestPairRejectionParityWithTies(t *testing.T) {
 		}
 		combin.ForEachPair(m, func(i, j int) {
 			tab := contingency.BuildReferencePair(mx, i, j)
-			sc := ps.ScorePair(&tab)
+			sc := obj.Score(&tab)
 			ref.Offer(Pair{i, j}.scored(sc))
 			for _, snp := range []int{i, j} {
 				if obj.Better(sc, best[snp]) {
@@ -388,11 +387,10 @@ func TestPairGroupBoundCoversEverySNP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := o.Objective.(score.PairScorer)
 	var scores [contingency.Lanes]float64
 	for l := range scores {
 		tab := contingency.BuildReferencePair(mx, x+l, y)
-		scores[l] = ps.ScorePair(&tab)
+		scores[l] = o.Objective.Score(&tab)
 	}
 	_, bt, err := s.blockSpace(&o, 2, "pair", "pair")
 	if err != nil {

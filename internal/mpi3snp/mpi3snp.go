@@ -162,7 +162,7 @@ func searchRange(ctx context.Context, cp *dataset.ClassPlanes, m int, rg combin.
 				}
 			}
 		}
-		top.Offer(engine.Candidate{SNPs: [contingency.MaxOrder]int{i, j, k}, Score: score.MutualInformation(&tab)})
+		top.Offer(engine.Candidate{SNPs: [contingency.MaxOrder]int{i, j, k}, Score: score.MIObjective{}.Score(&tab)})
 		i, j, k, _ = combin.NextTriple(i, j, k, m)
 	}
 }

@@ -57,7 +57,7 @@ func TestBaselineTablesMatchReference(t *testing.T) {
 	want := map[[3]int]float64{}
 	combin.ForEachTriple(6, func(i, j, k int) {
 		tab := contingency.BuildReference(mx, i, j, k)
-		want[[3]int{i, j, k}] = score.MutualInformation(&tab)
+		want[[3]int{i, j, k}] = score.MIObjective{}.Score(&tab)
 	})
 	if int64(len(base.TopK)) != combin.Triples(6) {
 		t.Fatalf("TopK = %d, want all %d", len(base.TopK), combin.Triples(6))

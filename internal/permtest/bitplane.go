@@ -353,9 +353,6 @@ func checkCand(planes *dataset.SNPPlanes, snps []int, cs *cellScore, out *planeC
 	if err := checkCombo(planes.M, snps); err != nil {
 		return err
 	}
-	if err := cs.check(len(snps)); err != nil {
-		return err
-	}
 	for _, snp := range snps {
 		if planes.Plane(snp, 0) == nil {
 			return fmt.Errorf("permtest: the planes given do not hold SNP %d of candidate %v", snp, snps)
@@ -603,7 +600,7 @@ func (ps *permScratch) scoreTable(cand *planeCand, g, l int, bound float64) (flo
 		cases[c], ctrl[c] = ps.cases[g*gs+c][l], ps.ctrl[g*gs+c][l]
 	}
 	if ps.cs.k2 == nil || cand.lanes {
-		return ps.cs.score(ctrl, cases), cand.cells
+		return ps.cs.obj.ScoreCells(ctrl, cases), cand.cells
 	}
 	lf := ps.cs.k2.LnFact()
 	sum := 0.0

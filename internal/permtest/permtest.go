@@ -108,40 +108,17 @@ func checkCombo(m int, snps []int) error {
 	return nil
 }
 
-// cellScore scores 3^k-cell count slices the way the scan that produced
-// a candidate did: through a contingency.Table for orders 2–3 (pairs
-// embedded in cells 0..8), through score.CellScorer beyond. It holds a
-// scratch table, so each goroutine needs its own.
+// cellScore is how a candidate's permuted tables are scored: through the
+// objective's ScoreCells, and, under K2, eight at a time through its
+// lanes.
 type cellScore struct {
-	obj   score.Objective
-	cells score.CellScorer   // nil: obj scores tables only
-	k2    *score.K2Objective // nil for any other objective
-	tab   contingency.Table
+	obj score.Objective
+	k2  *score.K2Objective // nil for any other objective
 }
 
 func newCellScore(obj score.Objective) *cellScore {
-	cs := &cellScore{obj: obj}
-	cs.cells, _ = obj.(score.CellScorer)
-	cs.k2, _ = obj.(*score.K2Objective)
-	return cs
-}
-
-// check reports whether candidates of order k can be scored.
-func (cs *cellScore) check(k int) error {
-	if k > 3 && cs.cells == nil {
-		return fmt.Errorf("permtest: objective %q cannot score %d-way tables", cs.obj.Name(), k)
-	}
-	return nil
-}
-
-func (cs *cellScore) score(ctrl, cases []int32) float64 {
-	if len(ctrl) > contingency.Cells {
-		return cs.cells.ScoreCells(ctrl, cases)
-	}
-	cs.tab = contingency.Table{}
-	copy(cs.tab.Counts[dataset.Control][:], ctrl)
-	copy(cs.tab.Counts[dataset.Case][:], cases)
-	return cs.obj.Score(&cs.tab)
+	k2, _ := obj.(*score.K2Objective)
+	return &cellScore{obj: obj, k2: k2}
 }
 
 // hit reports whether a permuted score ties or beats the observed one.
@@ -151,8 +128,7 @@ func (cs *cellScore) hit(sc, obs float64) bool {
 
 // K tests the significance of an arbitrary-order candidate; the order
 // is len(snps), in [2, contingency.MaxOrder], and snps must be strictly
-// increasing. Orders beyond 3 require an Objective implementing
-// score.CellScorer (all built-in objectives do).
+// increasing.
 //
 // K is the scalar reference of the bit-plane kernel (KAll/KAllRange):
 // it draws the same relabelings, through casePlane's Go fill on every
@@ -169,15 +145,12 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cs := newCellScore(c.Objective)
-	if err := cs.check(len(snps)); err != nil {
-		return nil, err
-	}
 	cells := contingency.CellsK(len(snps))
 	obsCtrl, obsCases := make([]int32, cells), make([]int32, cells)
 	if err := contingency.BuildReferenceK(mx, snps, obsCtrl, obsCases); err != nil {
 		return nil, err
 	}
-	obs := cs.score(obsCtrl, obsCases)
+	obs := cs.obj.ScoreCells(obsCtrl, obsCases)
 
 	// Each sample's genotype-combination cell, so a permutation only
 	// pays one table fill.
@@ -196,7 +169,6 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 	var g join.Group
 	for w := 0; w < c.Workers; w++ {
 		g.Go(func() {
-			cs := newCellScore(c.Objective)
 			plane := make([]uint64, bitvec.WordsFor(n))
 			ctrl, cases := make([]int32, cells), make([]int32, cells)
 			hits := 0
@@ -214,7 +186,7 @@ func K(mx *dataset.Matrix, snps []int, cfg Config) (*Result, error) {
 						ctrl[cell]++
 					}
 				}
-				if cs.hit(cs.score(ctrl, cases), obs) {
+				if cs.hit(cs.obj.ScoreCells(ctrl, cases), obs) {
 					hits++
 				}
 			}

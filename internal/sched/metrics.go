@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"strconv"
-
-	"trigene/internal/obs"
-)
+import "trigene/internal/obs"
 
 // cursorMetrics is a Cursor's resolved series; the zero value (nil
 // metrics) is a no-op, so the uninstrumented claim path pays only nil
@@ -33,27 +29,4 @@ func (c *Cursor) Instrument(reg *obs.Registry, space string) {
 	}
 	reg.Gauge("trigene_sched_grain", "Ranks per claim of the most recent instrumented cursor.", l).
 		Set(float64(c.src.grain))
-}
-
-// Instrument registers a per-consumer realized-rate collector on reg:
-// each scrape samples Rate for every consumer slot, labeled
-// consumer="0".., under the given metric name (which must be a valid
-// metric name; pass something namespaced like
-// "trigene_engine_consumer_items_per_second"). Re-registering the
-// name rebinds the collector to this meter — each search run's meter
-// takes over the series. A nil registry is a no-op.
-func (m *ThroughputMeter) Instrument(reg *obs.Registry, name string) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc(name, "Realized per-consumer throughput in items/second.", func() []obs.Sample {
-		samples := make([]obs.Sample, 0, len(m.cells))
-		for i := range m.cells {
-			samples = append(samples, obs.Sample{
-				Value:  m.Rate(i),
-				Labels: []obs.Label{obs.L("consumer", strconv.Itoa(i))},
-			})
-		}
-		return samples
-	})
 }

@@ -5,38 +5,31 @@ import "trigene/internal/contingency"
 // LaneScorer is implemented by lower-is-better objectives that can score
 // the tables of a lanes pass (contingency.LaneKernel's TripleLanes and
 // Derive, or LaneKernel.PairLanes for pairs) where they lie: the table
-// of lane l has column l of ctrl and of cases as its class rows, of which
-// the first rows are read — contingency.Cells for a triple, contingency.PairCells for an
-// embedded pair table, whose rows past them are empty. ScoreLanes sets
-// dst[l] for l < valid to exactly what Score gives on that table (with the
-// rows past rows empty), bit for bit — or, if that score is above bound,
-// to some value above bound: a table may be given up on as soon as it
-// provably cannot score bound or better. It returns true (rejected) only
-// if every valid lane's score is above bound; bound = +Inf never rejects
-// and always gives the exact scores. Lanes at and past valid may hold
-// anything; they are not read as counts and what dst holds for them is
-// undefined. K2 implements it; the engine falls back to ScoreColumns for
-// an objective that does not.
+// of lane l is the first rows rows of column l of ctrl and of cases —
+// contingency.Cells for a triple, contingency.PairCells for a pair.
+// ScoreLanes sets dst[l] for l < valid to exactly what ScoreCells gives
+// on that table, bit for bit — or, if that score is above bound, to some
+// value above bound: a table may be given up on as soon as it provably
+// cannot score bound or better. It returns true (rejected) only if every
+// valid lane's score is above bound; bound = +Inf never rejects and
+// always gives the exact scores. Rows past rows and lanes at and past
+// valid may hold anything; they are not read as counts and what dst
+// holds for such lanes is undefined. K2 implements it; the engine falls
+// back to ScoreColumns for an objective that does not.
 type LaneScorer interface {
 	ScoreLanes(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) (rejected bool)
 }
 
 // ScoreColumns is ScoreLanes for any objective, without a bound: the
 // first rows of each valid lane's column are copied into the scratch
-// table, whose rows past them must be empty, and scored through Score —
-// or, for rows = contingency.PairCells and a PairScorer, through
-// ScorePair, which gives the same bits on such a table.
+// table and scored through ScoreCells.
 func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, scratch *contingency.Table) {
-	score := obj.Score
-	if ps, ok := obj.(PairScorer); ok && rows == contingency.PairCells {
-		score = ps.ScorePair
-	}
+	ctrlCol, casesCol := scratch.Counts[0][:rows], scratch.Counts[1][:rows]
 	for lane := 0; lane < valid; lane++ {
-		for cell := 0; cell < rows; cell++ {
-			scratch.Counts[0][cell] = ctrl[cell][lane]
-			scratch.Counts[1][cell] = cases[cell][lane]
+		for cell := range ctrlCol {
+			ctrlCol[cell], casesCol[cell] = ctrl[cell][lane], cases[cell][lane]
 		}
-		dst[lane] = score(scratch)
+		dst[lane] = obj.ScoreCells(ctrlCol, casesCol)
 	}
 }
 

@@ -107,8 +107,8 @@ func randomLaneTables(r *rand.Rand, n0, n1, rows, valid int) (ctrl, cases contin
 	return ctrl, cases
 }
 
-// laneScores is, for each of the first valid columns, Score on the table
-// of its first rows — ScorePair's where that is a pair table.
+// laneScores is, for each of the first valid columns, ScoreCells on the
+// table of its first rows.
 func laneScores(obj Objective, ctrl, cases *contingency.LaneTable, rows, valid int) []float64 {
 	scores := make([]float64, valid)
 	for lane := range scores {
@@ -116,18 +116,14 @@ func laneScores(obj Objective, ctrl, cases *contingency.LaneTable, rows, valid i
 		for cell := 0; cell < rows; cell++ {
 			tab.Counts[0][cell], tab.Counts[1][cell] = ctrl[cell][lane], cases[cell][lane]
 		}
-		if rows == contingency.PairCells {
-			scores[lane] = obj.(PairScorer).ScorePair(&tab)
-		} else {
-			scores[lane] = obj.Score(&tab)
-		}
+		scores[lane] = obj.ScoreCells(tab.Counts[0][:rows], tab.Counts[1][:rows])
 	}
 	return scores
 }
 
 // TestScoreLanesIsBitIdenticalToScore: whichever way a lanes pass is
-// scored, every valid lane gets exactly Score's float64 on the table of
-// its column — ScorePair's on the nine rows of a pair table — for 1 to 8
+// scored, every valid lane gets exactly ScoreCells' float64 on the first
+// rows of its column — nine for a pair table, 27 for a triple — for 1 to 8
 // valid lanes, with cells at 0 and at N, and with garbage in the invalid
 // lanes and in the rows past a pair table's nine, which must neither fault
 // (they index far outside the LnFact table) nor change a valid lane's

@@ -65,11 +65,6 @@ func (l *LnFact) At(n int) float64 {
 	return l.table[n]
 }
 
-// K2 computes the Bayesian K2 score of a contingency table.
-// Lower is better. The LnFact table must cover N+1 where N is the
-// total sample count.
-func K2(t *contingency.Table, lf *LnFact) float64 { return k2(t, lf, contingency.Cells) }
-
 // K2Term is the K2 term of one row with r0 controls and r1 cases,
 // (lnFact(r0+r1+1) − lnFact(r0)) − lnFact(r1): every K2 sum in the
 // repository adds these terms in row order, so partial sums taken by one
@@ -79,58 +74,16 @@ func K2Term(lf *LnFact, r0, r1 int) float64 {
 	return lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
 }
 
-// k2 sums the K2 terms of the first cells rows, in row order.
-func k2(t *contingency.Table, lf *LnFact, cells int) float64 {
-	score := 0.0
-	for combo := 0; combo < cells; combo++ {
-		score += K2Term(lf, int(t.Counts[0][combo]), int(t.Counts[1][combo]))
+// checkCells checks that a table given as paired per-class cell slices
+// has as many rows in each class.
+func checkCells(controls, cases []int32) {
+	if len(controls) != len(cases) {
+		// Unreachable: every caller slices both classes from one cell
+		// count — Score from a Table's rows, ScoreColumns from its rows
+		// argument, the engine's k-way walk from its arena (sizeK),
+		// permtest from its candidate's cells, bench's oracle from CellsK.
+		panic("score: cell count mismatch")
 	}
-	return score
-}
-
-// MutualInformation computes I(combo; class) in nats from the table.
-// Higher is better. It is the objective used by the MPI3SNP baseline.
-func MutualInformation(t *contingency.Table) float64 {
-	return mutualInformation(t, contingency.Cells)
-}
-
-// classTotals sums the first cells rows of each class.
-func classTotals(t *contingency.Table, cells int) (totals [2]int) {
-	for class := range totals {
-		for _, c := range t.Counts[class][:cells] {
-			totals[class] += int(c)
-		}
-	}
-	return totals
-}
-
-// mutualInformation is MutualInformation over the first cells rows, in
-// row order.
-func mutualInformation(t *contingency.Table, cells int) float64 {
-	totals := classTotals(t, cells)
-	n := float64(totals[0] + totals[1])
-	if n == 0 {
-		return 0
-	}
-	// I(X;Y) = H(class) + H(combo) - H(combo, class)
-	hClass := 0.0
-	for class := 0; class < 2; class++ {
-		p := float64(totals[class]) / n
-		hClass += entropyTerm(p)
-	}
-	hCombo, hJoint := 0.0, 0.0
-	for combo := 0; combo < cells; combo++ {
-		row := float64(t.Counts[0][combo]) + float64(t.Counts[1][combo])
-		hCombo += entropyTerm(row / n)
-		for class := 0; class < 2; class++ {
-			hJoint += entropyTerm(float64(t.Counts[class][combo]) / n)
-		}
-	}
-	mi := hClass + hCombo - hJoint
-	if mi < 0 { // guard tiny negative rounding residue
-		mi = 0
-	}
-	return mi
 }
 
 func entropyTerm(p float64) float64 {
@@ -140,42 +93,28 @@ func entropyTerm(p float64) float64 {
 	return -p * math.Log(p)
 }
 
-// Gini computes the count-weighted Gini impurity of the class split
-// across genotype combinations. Lower is better.
-func Gini(t *contingency.Table) float64 { return gini(t, contingency.Cells) }
-
-// gini is Gini over the first cells rows, in row order.
-func gini(t *contingency.Table, cells int) float64 {
-	totals := classTotals(t, cells)
-	n := float64(totals[0] + totals[1])
-	if n == 0 {
-		return 0
-	}
-	g := 0.0
-	for combo := 0; combo < cells; combo++ {
-		r0 := float64(t.Counts[0][combo])
-		r1 := float64(t.Counts[1][combo])
-		row := r0 + r1
-		if row == 0 {
-			continue
-		}
-		p := r0 / row
-		g += row / n * 2 * p * (1 - p)
-	}
-	return g
-}
-
 // Objective ranks contingency tables. Implementations must be safe for
 // concurrent use.
 type Objective interface {
 	// Name identifies the objective in reports and CLIs.
 	Name() string
-	// Score evaluates a table.
+	// Score evaluates a table: ScoreCells over its contingency.Cells
+	// rows. An embedded pair table (rows 9..26 empty) scores as its nine
+	// rows do, since an empty row adds exactly +0 to each objective's sum.
 	Score(t *contingency.Table) float64
+	CellScorer
 	// Better reports whether score a beats score b.
 	Better(a, b float64) bool
 	// Worst is a sentinel no real table can beat.
 	Worst() float64
+}
+
+// CellScorer scores a table of any order given as paired per-class cell
+// slices, row i holding controls[i] controls and cases[i] cases: 9 rows
+// for a pair, 27 for a triple, 3^k for order k. Both slices must have the
+// same length. Every Objective is one.
+type CellScorer interface {
+	ScoreCells(controls, cases []int32) float64
 }
 
 // K2Objective scores with the Bayesian K2 criterion (lower is better).
@@ -221,7 +160,20 @@ func (o *K2Objective) LnFact() *LnFact { return o.lf }
 func (o *K2Objective) Name() string { return "k2" }
 
 // Score implements Objective.
-func (o *K2Objective) Score(t *contingency.Table) float64 { return K2(t, o.lf) }
+func (o *K2Objective) Score(t *contingency.Table) float64 {
+	return o.ScoreCells(t.Counts[0][:], t.Counts[1][:])
+}
+
+// ScoreCells implements CellScorer: the K2 terms of the rows, summed in
+// row order.
+func (o *K2Objective) ScoreCells(controls, cases []int32) float64 {
+	checkCells(controls, cases)
+	s := 0.0
+	for i, c := range controls {
+		s += K2Term(o.lf, int(c), int(cases[i]))
+	}
+	return s
+}
 
 // Better implements Objective: lower K2 wins.
 func (o *K2Objective) Better(a, b float64) bool { return a < b }
@@ -236,7 +188,38 @@ type MIObjective struct{}
 func (MIObjective) Name() string { return "mi" }
 
 // Score implements Objective.
-func (MIObjective) Score(t *contingency.Table) float64 { return MutualInformation(t) }
+func (o MIObjective) Score(t *contingency.Table) float64 {
+	return o.ScoreCells(t.Counts[0][:], t.Counts[1][:])
+}
+
+// ScoreCells implements CellScorer: I(combo; class) in nats, as
+// H(class) + H(combo) − H(combo, class), each entropy summed in row
+// order and the joint one a class at a time.
+func (MIObjective) ScoreCells(controls, cases []int32) float64 {
+	checkCells(controls, cases)
+	var n0, n1 int
+	for i, c := range controls {
+		n0 += int(c)
+		n1 += int(cases[i])
+	}
+	n := float64(n0 + n1)
+	if n == 0 {
+		return 0
+	}
+	hClass := entropyTerm(float64(n0)/n) + entropyTerm(float64(n1)/n)
+	var hCombo, hJoint float64
+	for i, c := range controls {
+		c0, c1 := float64(c), float64(cases[i])
+		hCombo += entropyTerm((c0 + c1) / n)
+		hJoint += entropyTerm(c0 / n)
+		hJoint += entropyTerm(c1 / n)
+	}
+	mi := hClass + hCombo - hJoint
+	if mi < 0 { // guard tiny negative rounding residue
+		mi = 0
+	}
+	return mi
+}
 
 // Better implements Objective: higher MI wins.
 func (MIObjective) Better(a, b float64) bool { return a > b }
@@ -251,7 +234,34 @@ type GiniObjective struct{}
 func (GiniObjective) Name() string { return "gini" }
 
 // Score implements Objective.
-func (GiniObjective) Score(t *contingency.Table) float64 { return Gini(t) }
+func (o GiniObjective) Score(t *contingency.Table) float64 {
+	return o.ScoreCells(t.Counts[0][:], t.Counts[1][:])
+}
+
+// ScoreCells implements CellScorer: the count-weighted Gini impurity of
+// the class split across the rows, summed in row order.
+func (GiniObjective) ScoreCells(controls, cases []int32) float64 {
+	checkCells(controls, cases)
+	total := 0
+	for i, c := range controls {
+		total += int(c) + int(cases[i])
+	}
+	n := float64(total)
+	if n == 0 {
+		return 0
+	}
+	g := 0.0
+	for i, c := range controls {
+		c0, c1 := float64(c), float64(cases[i])
+		row := c0 + c1
+		if row == 0 {
+			continue
+		}
+		p := c0 / row
+		g += row / n * 2 * p * (1 - p)
+	}
+	return g
+}
 
 // Better implements Objective: lower impurity wins.
 func (GiniObjective) Better(a, b float64) bool { return a < b }
@@ -281,131 +291,4 @@ func New(name string, maxSamples int) (Objective, error) {
 	default:
 		return nil, fmt.Errorf("score: unknown objective %q (want k2, mi or gini)", name)
 	}
-}
-
-// PairScorer is implemented by objectives that can score an embedded
-// pair table (contingency.LaneKernel.PairLanes, BuildReferencePair) from its nine pair cells alone,
-// bit-identically to Score on the same table: rows 9..26 are empty, an
-// empty row adds exactly +0.0 to every sum of K2, MI and Gini, and each
-// objective keeps the summation order of its 27-row form. (The generic
-// cell-slice forms below do not: MICells pairs up the joint-entropy
-// terms.) All built-in objectives implement it; the pair engine falls
-// back to Score for any that does not.
-type PairScorer interface {
-	ScorePair(t *contingency.Table) float64
-}
-
-// ScorePair implements PairScorer.
-func (o *K2Objective) ScorePair(t *contingency.Table) float64 {
-	return k2(t, o.lf, contingency.PairCells)
-}
-
-// ScorePair implements PairScorer.
-func (MIObjective) ScorePair(t *contingency.Table) float64 {
-	return mutualInformation(t, contingency.PairCells)
-}
-
-// ScorePair implements PairScorer.
-func (GiniObjective) ScorePair(t *contingency.Table) float64 {
-	return gini(t, contingency.PairCells)
-}
-
-// Generic cell-slice scoring: the arbitrary-order (k-way) search mode
-// produces 3^k-cell tables as paired slices; the three objectives share
-// their math with the fixed 27-cell Table forms above.
-
-// K2Cells computes the Bayesian K2 score over paired per-class cell
-// slices (lower is better). Both slices must have the same length.
-func K2Cells(controls, cases []int32, lf *LnFact) float64 {
-	if len(controls) != len(cases) {
-		// A caller's bug: every caller (engine's k-way walk, permtest's
-		// cellScore, bench's oracle) slices both from one cell count.
-		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
-	}
-	s := 0.0
-	for i := range controls {
-		s += K2Term(lf, int(controls[i]), int(cases[i]))
-	}
-	return s
-}
-
-// MICells computes mutual information over paired cell slices (higher
-// is better).
-func MICells(controls, cases []int32) float64 {
-	if len(controls) != len(cases) {
-		// A caller's bug: every caller (engine's k-way walk, permtest's
-		// cellScore, bench's oracle) slices both from one cell count.
-		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
-	}
-	var n0, n1 float64
-	for i := range controls {
-		n0 += float64(controls[i])
-		n1 += float64(cases[i])
-	}
-	n := n0 + n1
-	if n == 0 {
-		return 0
-	}
-	h := entropyTerm(n0/n) + entropyTerm(n1/n)
-	var hCombo, hJoint float64
-	for i := range controls {
-		c0, c1 := float64(controls[i]), float64(cases[i])
-		hCombo += entropyTerm((c0 + c1) / n)
-		hJoint += entropyTerm(c0/n) + entropyTerm(c1/n)
-	}
-	mi := h + hCombo - hJoint
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
-}
-
-// GiniCells computes count-weighted Gini impurity over paired cell
-// slices (lower is better).
-func GiniCells(controls, cases []int32) float64 {
-	if len(controls) != len(cases) {
-		// A caller's bug: every caller (engine's k-way walk, permtest's
-		// cellScore, bench's oracle) slices both from one cell count.
-		panic(fmt.Sprintf("score: cell count mismatch %d/%d", len(controls), len(cases)))
-	}
-	var n float64
-	for i := range controls {
-		n += float64(controls[i]) + float64(cases[i])
-	}
-	if n == 0 {
-		return 0
-	}
-	g := 0.0
-	for i := range controls {
-		c0, c1 := float64(controls[i]), float64(cases[i])
-		row := c0 + c1
-		if row == 0 {
-			continue
-		}
-		p := c0 / row
-		g += row / n * 2 * p * (1 - p)
-	}
-	return g
-}
-
-// CellScorer is implemented by objectives that can score arbitrary
-// cell-slice tables (all built-in objectives do). The k-way engine
-// requires it.
-type CellScorer interface {
-	ScoreCells(controls, cases []int32) float64
-}
-
-// ScoreCells implements CellScorer.
-func (o *K2Objective) ScoreCells(controls, cases []int32) float64 {
-	return K2Cells(controls, cases, o.lf)
-}
-
-// ScoreCells implements CellScorer.
-func (MIObjective) ScoreCells(controls, cases []int32) float64 {
-	return MICells(controls, cases)
-}
-
-// ScoreCells implements CellScorer.
-func (GiniObjective) ScoreCells(controls, cases []int32) float64 {
-	return GiniCells(controls, cases)
 }

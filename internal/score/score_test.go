@@ -79,8 +79,8 @@ func TestLnFactNegativePanics(t *testing.T) {
 
 func TestK2EmptyTableIsZero(t *testing.T) {
 	var tab contingency.Table
-	lf := NewLnFact(2)
-	if got := K2(&tab, lf); got != 0 {
+	k2 := NewK2(2)
+	if got := k2.Score(&tab); got != 0 {
 		t.Errorf("K2(empty) = %g, want 0", got)
 	}
 }
@@ -91,9 +91,9 @@ func TestK2ClosedFormSingleCell(t *testing.T) {
 	var tab contingency.Table
 	tab.Counts[0][0] = 2
 	tab.Counts[1][0] = 1
-	lf := NewLnFact(10)
+	k2 := NewK2(10)
 	want := math.Log(12)
-	if got := K2(&tab, lf); math.Abs(got-want) > 1e-12 {
+	if got := k2.Score(&tab); math.Abs(got-want) > 1e-12 {
 		t.Errorf("K2 = %g, want %g", got, want)
 	}
 }
@@ -108,9 +108,9 @@ func TestK2PrefersSeparatedTable(t *testing.T) {
 	mix.Counts[1][0] = 25
 	mix.Counts[0][1] = 25
 	mix.Counts[1][1] = 25
-	lf := NewLnFact(200)
-	if !(K2(&sep, lf) < K2(&mix, lf)) {
-		t.Errorf("K2 separated %g should beat mixed %g", K2(&sep, lf), K2(&mix, lf))
+	k2 := NewK2(200)
+	if !(k2.Score(&sep) < k2.Score(&mix)) {
+		t.Errorf("K2 separated %g should beat mixed %g", k2.Score(&sep), k2.Score(&mix))
 	}
 }
 
@@ -129,14 +129,14 @@ func TestK2CellPermutationInvariance(t *testing.T) {
 		shuf.Counts[0][p] = tab.Counts[0][combo]
 		shuf.Counts[1][p] = tab.Counts[1][combo]
 	}
-	lf := NewLnFact(4000)
-	if math.Abs(K2(&tab, lf)-K2(&shuf, lf)) > 1e-9 {
+	k2 := NewK2(4000)
+	if math.Abs(k2.Score(&tab)-k2.Score(&shuf)) > 1e-9 {
 		t.Error("K2 not invariant under cell permutation")
 	}
-	if math.Abs(MutualInformation(&tab)-MutualInformation(&shuf)) > 1e-9 {
+	if math.Abs((MIObjective{}).Score(&tab)-(MIObjective{}).Score(&shuf)) > 1e-9 {
 		t.Error("MI not invariant under cell permutation")
 	}
-	if math.Abs(Gini(&tab)-Gini(&shuf)) > 1e-9 {
+	if math.Abs((GiniObjective{}).Score(&tab)-(GiniObjective{}).Score(&shuf)) > 1e-9 {
 		t.Error("Gini not invariant under cell permutation")
 	}
 }
@@ -146,7 +146,7 @@ func TestMutualInformationExtremes(t *testing.T) {
 	var sep contingency.Table
 	sep.Counts[0][0] = 40
 	sep.Counts[1][1] = 40
-	if got := MutualInformation(&sep); math.Abs(got-math.Ln2) > 1e-9 {
+	if got := (MIObjective{}).Score(&sep); math.Abs(got-math.Ln2) > 1e-9 {
 		t.Errorf("MI(perfect) = %g, want ln2 = %g", got, math.Ln2)
 	}
 	// Independence: MI = 0.
@@ -155,11 +155,11 @@ func TestMutualInformationExtremes(t *testing.T) {
 		ind.Counts[0][combo] = 10
 		ind.Counts[1][combo] = 10
 	}
-	if got := MutualInformation(&ind); got > 1e-9 {
+	if got := (MIObjective{}).Score(&ind); got > 1e-9 {
 		t.Errorf("MI(independent) = %g, want 0", got)
 	}
 	var empty contingency.Table
-	if MutualInformation(&empty) != 0 {
+	if (MIObjective{}).Score(&empty) != 0 {
 		t.Error("MI(empty) should be 0")
 	}
 }
@@ -168,18 +168,18 @@ func TestGiniExtremes(t *testing.T) {
 	var sep contingency.Table
 	sep.Counts[0][0] = 40
 	sep.Counts[1][1] = 40
-	if got := Gini(&sep); got != 0 {
+	if got := (GiniObjective{}).Score(&sep); got != 0 {
 		t.Errorf("Gini(perfect) = %g, want 0", got)
 	}
 	var mix contingency.Table
 	mix.Counts[0][0] = 20
 	mix.Counts[1][0] = 20
 	// Single cell 50/50: impurity 2*0.5*0.5 = 0.5
-	if got := Gini(&mix); math.Abs(got-0.5) > 1e-12 {
+	if got := (GiniObjective{}).Score(&mix); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Gini(50/50) = %g, want 0.5", got)
 	}
 	var empty contingency.Table
-	if Gini(&empty) != 0 {
+	if (GiniObjective{}).Score(&empty) != 0 {
 		t.Error("Gini(empty) should be 0")
 	}
 }
@@ -235,7 +235,7 @@ func TestObjectivesAgreeOnSeparationOrdering(t *testing.T) {
 // only in the sense of being well-defined and finite; check finiteness
 // and symmetry between classes (swapping columns leaves K2 unchanged).
 func TestK2ClassSymmetryProperty(t *testing.T) {
-	lf := NewLnFact(20000)
+	k2 := NewK2(20000)
 	f := func(cells [27]uint8, cells2 [27]uint8) bool {
 		var tab, swp contingency.Table
 		for i := 0; i < contingency.Cells; i++ {
@@ -244,7 +244,7 @@ func TestK2ClassSymmetryProperty(t *testing.T) {
 			swp.Counts[0][i] = int32(cells2[i])
 			swp.Counts[1][i] = int32(cells[i])
 		}
-		a, b := K2(&tab, lf), K2(&swp, lf)
+		a, b := k2.Score(&tab), k2.Score(&swp)
 		return !math.IsNaN(a) && !math.IsInf(a, 0) && math.Abs(a-b) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -252,22 +252,75 @@ func TestK2ClassSymmetryProperty(t *testing.T) {
 	}
 }
 
+// refScore is each objective's formula written out over paired cells,
+// every sum taken row by row in row order, the joint entropy a class at a
+// time: the order the table forms of K2, MI and Gini always kept, so
+// ScoreCells must match it to the bit at every order.
+func refScore(name string, lf *LnFact, ctrl, cases []int32) float64 {
+	var n0, n1 float64
+	for i := range ctrl {
+		n0 += float64(ctrl[i])
+		n1 += float64(cases[i])
+	}
+	n := n0 + n1
+	ent := func(p float64) float64 {
+		if p <= 0 {
+			return 0
+		}
+		return -p * math.Log(p)
+	}
+	sum := 0.0
+	switch {
+	case name == "k2":
+		for i := range ctrl {
+			r0, r1 := int(ctrl[i]), int(cases[i])
+			sum += lf.At(r0+r1+1) - lf.At(r0) - lf.At(r1)
+		}
+	case n == 0:
+	case name == "mi":
+		hCombo, hJoint := 0.0, 0.0
+		for i := range ctrl {
+			hCombo += ent((float64(ctrl[i]) + float64(cases[i])) / n)
+			hJoint += ent(float64(ctrl[i]) / n)
+			hJoint += ent(float64(cases[i]) / n)
+		}
+		if sum = ent(n0/n) + ent(n1/n) + hCombo - hJoint; sum < 0 {
+			sum = 0
+		}
+	case name == "gini":
+		for i := range ctrl {
+			row := float64(ctrl[i]) + float64(cases[i])
+			if row > 0 {
+				p := float64(ctrl[i]) / row
+				sum += row / n * 2 * p * (1 - p)
+			}
+		}
+	}
+	return sum
+}
+
+// TestCellScoringMatchesTableScoring: at every order 2–7, on random cells
+// with some rows empty, each objective's ScoreCells equals refScore bit
+// for bit.
 func TestCellScoringMatchesTableScoring(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	var tab contingency.Table
-	for i := 0; i < contingency.Cells; i++ {
-		tab.Counts[0][i] = int32(r.Intn(40))
-		tab.Counts[1][i] = int32(r.Intn(40))
-	}
-	lf := NewLnFact(5000)
-	if math.Abs(K2(&tab, lf)-K2Cells(tab.Counts[0][:], tab.Counts[1][:], lf)) > 1e-12 {
-		t.Error("K2Cells disagrees with K2")
-	}
-	if math.Abs(MutualInformation(&tab)-MICells(tab.Counts[0][:], tab.Counts[1][:])) > 1e-12 {
-		t.Error("MICells disagrees with MutualInformation")
-	}
-	if math.Abs(Gini(&tab)-GiniCells(tab.Counts[0][:], tab.Counts[1][:])) > 1e-12 {
-		t.Error("GiniCells disagrees with Gini")
+	k2 := NewK2(1 << 16)
+	for order := 2; order <= contingency.MaxOrder; order++ {
+		cells := contingency.CellsK(order)
+		for trial := 0; trial < 200; trial++ {
+			ctrl, cases := make([]int32, cells), make([]int32, cells)
+			for i := range ctrl {
+				if r.Intn(4) > 0 { // a quarter of the rows stay empty
+					ctrl[i], cases[i] = int32(r.Intn(40)), int32(r.Intn(40))
+				}
+			}
+			for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
+				got, want := obj.ScoreCells(ctrl, cases), refScore(obj.Name(), k2.lf, ctrl, cases)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("order %d trial %d: %s.ScoreCells = %v, row-order reference %v", order, trial, obj.Name(), got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -277,53 +330,38 @@ func TestObjectivesImplementCellScorer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, ok := obj.(CellScorer)
-		if !ok {
-			t.Fatalf("%s does not implement CellScorer", name)
-		}
-		// Cell scoring of a 27-cell slice equals table scoring.
+		// Cell scoring of a 27-cell slice is table scoring.
 		var tab contingency.Table
 		tab.Counts[0][3] = 12
 		tab.Counts[1][9] = 15
-		if got := cs.ScoreCells(tab.Counts[0][:], tab.Counts[1][:]); math.Abs(got-obj.Score(&tab)) > 1e-12 {
-			t.Errorf("%s: ScoreCells %g != Score %g", name, got, obj.Score(&tab))
+		if got, want := obj.ScoreCells(tab.Counts[0][:], tab.Counts[1][:]), obj.Score(&tab); got != want {
+			t.Errorf("%s: ScoreCells %g != Score %g", name, got, want)
 		}
 	}
 }
 
 func TestCellScoringMismatchPanics(t *testing.T) {
-	lf := NewLnFact(10)
-	for _, f := range []func(){
-		func() { K2Cells(make([]int32, 3), make([]int32, 4), lf) },
-		func() { MICells(make([]int32, 3), make([]int32, 4)) },
-		func() { GiniCells(make([]int32, 3), make([]int32, 4)) },
-	} {
+	for _, obj := range []Objective{NewK2(10), MIObjective{}, GiniObjective{}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: expected panic", obj.Name())
 				}
 			}()
-			f()
+			obj.ScoreCells(make([]int32, 3), make([]int32, 4))
 		}()
 	}
 }
 
-// TestScorePairIsBitIdenticalToScore: on an embedded pair table the
-// nine-row scorers must return Score's value to the last bit, for every
-// objective, because a screened search and an unscreened pair search
-// rank by them interchangeably. Empty rows add exactly +0.0, so that
-// holds as long as each objective sums its nine rows in the order its
-// 27-row form does. The generic cell-slice forms do not all qualify:
-// MICells adds each row's two joint-entropy terms to each other before
-// adding them to the sum, MutualInformation adds them one at a time, and
-// on some tables the two roundings differ. The test pins that trap by
-// finding such tables — if MICells ever becomes a drop-in, ScorePair can
-// be deleted in favour of the cell-slice forms.
+// TestScorePairIsBitIdenticalToScore: a pair table's score does not
+// depend on which form it is handed in — its nine rows to ScoreCells (the
+// lanes pass, permtest) or its 27-row embedding to Score (the reference
+// builders, the oracle) — for every objective, because a screened search
+// and an unscreened pair search rank by them interchangeably. Empty rows
+// add exactly +0.0 to each sum.
 func TestScorePairIsBitIdenticalToScore(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	k2 := NewK2(4000)
-	miCellsDiffers := 0
 	for trial := 0; trial < 2000; trial++ {
 		var tab contingency.Table
 		for class := 0; class < 2; class++ {
@@ -335,16 +373,9 @@ func TestScorePairIsBitIdenticalToScore(t *testing.T) {
 		}
 		for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
 			want := obj.Score(&tab)
-			if got := obj.(PairScorer).ScorePair(&tab); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d: %s.ScorePair = %v, Score = %v", trial, obj.Name(), got, want)
+			if got := obj.ScoreCells(tab.Counts[0][:contingency.PairCells], tab.Counts[1][:contingency.PairCells]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: %s.ScoreCells over 9 rows = %v, Score = %v", trial, obj.Name(), got, want)
 			}
 		}
-		mi := MutualInformation(&tab)
-		if MICells(tab.Counts[0][:contingency.PairCells], tab.Counts[1][:contingency.PairCells]) != mi {
-			miCellsDiffers++
-		}
-	}
-	if miCellsDiffers == 0 {
-		t.Error("MICells matched MutualInformation bit for bit on every table: the summation-order trap this test pins is gone")
 	}
 }

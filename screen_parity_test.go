@@ -355,11 +355,12 @@ func TestScreenShardedMergeParity(t *testing.T) {
 }
 
 // TestMergeScreensShardCountsMatchUnsharded: the stage-1 scan cut into
-// 1, 3 and 7 shards of the pair-rank space and merged with MergeScreens
-// equals the unsharded scan bit for bit — per-SNP bests, seen planes,
-// seed list and pair count — under every objective, on a dataset whose
-// classes are ragged (413 samples) and on one of three SNPs, where most
-// of seven shards are empty.
+// 1, 3 and 7 shards of its block-pair rank space (blocks of 8 SNPs) and
+// merged with MergeScreens equals the unsharded scan bit for bit —
+// per-SNP bests, seen planes, seed list and pair count — under every
+// objective, on a dataset whose classes are ragged (413 samples) and on
+// one of three SNPs, one block pair, so that six of seven shards are
+// empty.
 func TestMergeScreensShardCountsMatchUnsharded(t *testing.T) {
 	ctx := context.Background()
 	for _, shape := range [][2]int{{17, 413}, {3, 150}} {
