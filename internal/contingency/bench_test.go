@@ -24,19 +24,24 @@ func benchPlanes(words int) [6][]uint64 {
 // figure workloads.
 const benchWords = 256
 
-func BenchmarkAccumulateSplitScalar(b *testing.B) {
-	p := benchPlanes(benchWords)
-	b.SetBytes(benchWords * 8 * 6)
-	var ft [Cells]int32
-	for i := 0; i < b.N; i++ {
-		AccumulateSplit(&ft, p[0], p[1], p[2], p[3], p[4], p[5])
-	}
-}
-
-func BenchmarkBuildSplit(b *testing.B) {
-	spl := dataset.SplitBinarize(randomMatrix(3, 8, 16384))
-	for i := 0; i < b.N; i++ {
-		_ = BuildSplit(spl, 1, 4, 7)
+// BenchmarkBuildSplitK times the split builder at orders 3 to 5 on 500,
+// 2048 and 16384 samples, reported per table (both classes).
+func BenchmarkBuildSplitK(b *testing.B) {
+	for _, n := range []int{500, 2048, 16384} {
+		spl := dataset.SplitBinarize(randomMatrix(3, 8, n))
+		for _, snps := range [][]int{{1, 4, 7}, {0, 2, 4, 7}, {0, 1, 3, 5, 7}} {
+			cells := CellsK(len(snps))
+			ctrl, cases := make([]int32, cells), make([]int32, cells)
+			b.Run(fmt.Sprintf("order%d/n%d", len(snps), n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					clear(ctrl)
+					clear(cases)
+					if err := BuildSplitK(spl, snps, ctrl, cases); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

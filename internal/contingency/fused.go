@@ -55,7 +55,7 @@ func BuildPairPlanes(dst []uint64, y0s, y1s, z0s, z1s []uint64) {
 // instead of 27: the nine cells of x genotype 2 follow by subtraction,
 // because every sample of a pair plane carries exactly one x genotype.
 // That needs x0 & x1 == 0 in every word, which the dataset loaders
-// guarantee. Padding handling matches AccumulateSplit: the pad bits land
+// guarantee. Padding handling matches BuildSplitK's: the pad bits land
 // in plane 8's sum and from there in accumulator 26, and the caller
 // subtracts them.
 func AccumulateFusedLanes8(ft *[Cells]int32, x0s, x1s, pair []uint64) {

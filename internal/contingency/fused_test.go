@@ -82,8 +82,8 @@ func fusedCells(oracle bool, x0, x1, y0, y1, z0, z1 []uint64) (ft [Cells]int32) 
 // of the 8-word vector, many vectors deep), on slices that start one
 // word into their arrays (so no load is 64-byte aligned), over random,
 // all-zero, all-one and pad-inflated planes, each body must equal the
-// sample-by-sample reference and AccumulateSplit cell for cell, and must
-// lay the planes out and sum them as documented.
+// sample-by-sample reference cell for cell, and must lay the planes out
+// and sum them as documented.
 func TestFusedPrimitiveMatchesReference(t *testing.T) {
 	zeros := func(n int) (p0, p1 []uint64) { return make([]uint64, n), make([]uint64, n) }
 	ones := func(n int) (p0, p1 []uint64) {
@@ -121,11 +121,6 @@ func TestFusedPrimitiveMatchesReference(t *testing.T) {
 					y0, y1 := gen(sh.y)
 					z0, z1 := gen(sh.z)
 					want := referenceCells(x0, x1, y0, y1, z0, z1)
-					var split [Cells]int32
-					AccumulateSplit(&split, x0, x1, y0, y1, z0, z1)
-					if split != want {
-						t.Fatalf("n=%d %s: AccumulateSplit differs from the reference", n, sh.name)
-					}
 					if sh.wantCell26 >= 0 && want[Cells-1] != sh.wantCell26 {
 						t.Fatalf("n=%d %s: reference cell 26 = %d, want %d", n, sh.name, want[Cells-1], sh.wantCell26)
 					}
@@ -207,7 +202,7 @@ func TestFusedAccumulateIsAdditive(t *testing.T) {
 
 // TestBarePlaneEntryPoints keeps the entry points honest: planes from
 // BuildPairPlanes, charged through AccumulateFusedX2 and
-// AccumulateFusedLanes8, give AccumulateSplit's cells.
+// AccumulateFusedLanes8, give the sample-by-sample reference's cells.
 func TestBarePlaneEntryPoints(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for _, n := range []int{0, 1, 4, 7, 8, 9, 31, 104, 105} {
@@ -215,9 +210,8 @@ func TestBarePlaneEntryPoints(t *testing.T) {
 		u0, u1 := randomPlanes(r, n)
 		y0, y1 := randomPlanes(r, n)
 		z0, z1 := randomPlanes(r, n)
-		var wantA, wantB [Cells]int32
-		AccumulateSplit(&wantA, x0, x1, y0, y1, z0, z1)
-		AccumulateSplit(&wantB, u0, u1, y0, y1, z0, z1)
+		wantA := referenceCells(x0, x1, y0, y1, z0, z1)
+		wantB := referenceCells(u0, u1, y0, y1, z0, z1)
 
 		pair := make([]uint64, PairPlanes*n)
 		BuildPairPlanes(pair, y0, y1, z0, z1)
@@ -225,7 +219,7 @@ func TestBarePlaneEntryPoints(t *testing.T) {
 		AccumulateFusedLanes8(&got, x0, x1, pair)
 		AccumulateFusedX2(&gotA, &gotB, x0, x1, u0, u1, pair)
 		if got != wantA || gotA != wantA || gotB != wantB {
-			t.Errorf("n=%d: bare-plane entry points differ from AccumulateSplit", n)
+			t.Errorf("n=%d: bare-plane entry points differ from the reference", n)
 		}
 		// Their plane sums live on the stack and go to the assembly by
 		// pointer: without //go:noescape on the stubs each call would

@@ -8,11 +8,11 @@ import (
 )
 
 // Arbitrary-order tables. The paper motivates orders beyond three
-// ("interactions of three or more SNPs"); this generic builder covers
-// k in [2, MaxOrder], producing 3^k cells per class with the same
-// phenotype-split + NOR-inference strategy as the specialized kernels.
-// Cell index: base-3, first SNP most significant (matching ComboIndex
-// for k = 3 and PairComboIndex for k = 2).
+// ("interactions of three or more SNPs"); the split builder covers k in
+// [2, MaxOrder], producing 3^k cells per class with the paper's V2
+// strategy, phenotype split and genotype 2 by NOR. BuildSplit is its
+// order-3 table. Cell index: base-3, first SNP most significant
+// (matching ComboIndex for k = 3 and PairComboIndex for k = 2).
 
 // MaxOrder bounds the generic builder: 3^7 cells of two int32 columns
 // still fit comfortably in L1, and int64 rank arithmetic stays exact
@@ -26,7 +26,7 @@ func CellsK(k int) int {
 		// BuildSplitK, BuildReferenceK, engine.RunK and permtest's
 		// checkCombo against [2, MaxOrder] or [1, MaxOrder], and bench's
 		// oracle takes it from a searched candidate. The slices it sizes
-		// reach BuildSplitK's plane walk.
+		// reach BuildSplitK's product expansion.
 		panic(fmt.Sprintf("contingency: order %d out of [1,%d]", k, MaxOrder))
 	}
 	c := 1
@@ -38,9 +38,15 @@ func CellsK(k int) int {
 
 // BuildSplitK accumulates the 3^k-cell counts for the given SNP
 // combination into ctrl and cases (which must both have length
-// CellsK(len(snps)) and arrive zeroed). Genotype-2 planes are derived
+// CellsK(len(snps)) and arrive zeroed). Genotype-2 words are derived
 // with NOR; the padding inflation of the all-genotype-2 cell is
 // corrected internally.
+//
+// It runs breadth first, a word at a time: the first k−1 SNPs' genotype
+// words expand level by level into the 3^(k−1) AND products of their
+// genotype combinations, product i of the combination whose base-3
+// digits are i, and each product is counted against the last SNP's
+// three words into cells 3i, 3i+1 and 3i+2.
 func BuildSplitK(s *dataset.Split, snps []int, ctrl, cases []int32) error {
 	k := len(snps)
 	if k < 2 || k > MaxOrder {
@@ -50,54 +56,38 @@ func BuildSplitK(s *dataset.Split, snps []int, ctrl, cases []int32) error {
 	if len(ctrl) != cells || len(cases) != cells {
 		return fmt.Errorf("contingency: cell slices %d/%d, want %d", len(ctrl), len(cases), cells)
 	}
+	var prod [maxProducts]uint64
 	for class := 0; class < 2; class++ {
 		dst := ctrl
 		if class == dataset.Case {
 			dst = cases
 		}
-		words := s.Words[class]
 		var planes [MaxOrder][2][]uint64
 		for d, snp := range snps {
 			planes[d][0] = s.Plane(class, snp, 0)
 			planes[d][1] = s.Plane(class, snp, 1)
 		}
-		var level [MaxOrder + 1]uint64 // partial AND per recursion depth
-		var geno [MaxOrder][3]uint64   // per-SNP plane words for the current word
-		for w := 0; w < words; w++ {
-			for d := 0; d < k; d++ {
+		z0s, z1s := planes[k-1][0], planes[k-1][1]
+		for w := range z0s {
+			g0, g1 := planes[0][0][w], planes[0][1][w]
+			prod[0], prod[1], prod[2] = g0, g1, ^(g0 | g1)
+			n := 3
+			for d := 1; d < k-1; d++ {
 				g0, g1 := planes[d][0][w], planes[d][1][w]
-				geno[d][0], geno[d][1], geno[d][2] = g0, g1, ^(g0 | g1)
-			}
-			// Iterative DFS over the 3^k cells with shared AND
-			// prefixes: digits holds the current genotype per depth.
-			level[0] = ^uint64(0)
-			var digits [MaxOrder]int
-			d := 0
-			for {
-				if d == k {
-					cell := 0
-					for i := 0; i < k; i++ {
-						cell = cell*3 + digits[i]
-					}
-					dst[cell] += int32(bits.OnesCount64(level[k]))
-					d--
-					for d >= 0 {
-						digits[d]++
-						if digits[d] < 3 {
-							break
-						}
-						digits[d] = 0
-						d--
-					}
-					if d < 0 {
-						break
-					}
-					level[d+1] = level[d] & geno[d][digits[d]]
-					d++
-					continue
+				g2 := ^(g0 | g1)
+				for i := n - 1; i >= 0; i-- {
+					p := prod[i]
+					prod[3*i], prod[3*i+1], prod[3*i+2] = p&g0, p&g1, p&g2
 				}
-				level[d+1] = level[d] & geno[d][digits[d]]
-				d++
+				n *= 3
+			}
+			z0, z1 := z0s[w], z1s[w]
+			z2 := ^(z0 | z1)
+			for i, p := range prod[:n] {
+				c := dst[3*i : 3*i+3]
+				c[0] += int32(bits.OnesCount64(p & z0))
+				c[1] += int32(bits.OnesCount64(p & z1))
+				c[2] += int32(bits.OnesCount64(p & z2))
 			}
 		}
 		// The all-genotype-2 cell absorbed the padding ones.
@@ -105,6 +95,10 @@ func BuildSplitK(s *dataset.Split, snps []int, ctrl, cases []int32) error {
 	}
 	return nil
 }
+
+// maxProducts is 3^(MaxOrder−1), the AND products BuildSplitK expands
+// per word at the largest order.
+const maxProducts = 729
 
 // BuildReferenceK is the per-sample oracle for arbitrary order.
 func BuildReferenceK(mx *dataset.Matrix, snps []int, ctrl, cases []int32) error {

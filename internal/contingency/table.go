@@ -4,14 +4,14 @@
 // genotype combinations.
 //
 // BuildSplit is the paper's V2 pipeline (phenotype-split data,
-// genotype-2 planes inferred by NOR) over the word-range primitive
-// AccumulateSplit, and BuildReference the per-sample oracle. The
-// engine's order-3 kernel is the lanes pass (lanes.go, LaneKernel).
+// genotype-2 planes inferred by NOR) at order 3, BuildSplitK's table at
+// k = 3 (kway.go, the split builder of every order), and BuildReference
+// the per-sample oracle. The engine's order-3 kernel is the lanes pass
+// (lanes.go, LaneKernel).
 package contingency
 
 import (
 	"fmt"
-	"math/bits"
 
 	"trigene/internal/dataset"
 )
@@ -75,57 +75,12 @@ func (t *Table) String() string {
 }
 
 // BuildSplit constructs the table with the phenotype-split pipeline
-// (V2): only planes 0 and 1 are stored per class; plane 2 is derived
-// word-by-word with NOR, and the known padding inflation of the (2,2,2)
-// cell is subtracted afterwards.
+// (V2): BuildSplitK over the three SNPs, into the table's two columns.
 func BuildSplit(s *dataset.Split, i, j, k int) Table {
 	var t Table
-	for class := 0; class < 2; class++ {
-		AccumulateSplit(&t.Counts[class],
-			s.Plane(class, i, 0), s.Plane(class, i, 1),
-			s.Plane(class, j, 0), s.Plane(class, j, 1),
-			s.Plane(class, k, 0), s.Plane(class, k, 1))
-		t.Counts[class][Cells-1] -= int32(s.Pad[class])
-	}
+	// Three SNPs and 27 cells a class: BuildSplitK has nothing to refuse.
+	_ = BuildSplitK(s, []int{i, j, k}, t.Counts[dataset.Control][:], t.Counts[dataset.Case][:])
 	return t
-}
-
-// AccumulateSplit adds, to the 27 accumulators, the genotype-combination
-// counts contributed by the given word range of the six stored planes
-// (x0, x1, y0, y1, z0, z1). Genotype-2 words are derived by NOR without
-// tail masking: if the range covers a padded final word, the caller must
-// subtract the padding from accumulator 26 afterwards.
-func AccumulateSplit(ft *[Cells]int32, x0s, x1s, y0s, y1s, z0s, z1s []uint64) {
-	n := len(x0s)
-	if n == 0 {
-		return
-	}
-	_ = x1s[n-1]
-	_ = y0s[n-1]
-	_ = y1s[n-1]
-	_ = z0s[n-1]
-	_ = z1s[n-1]
-	for w := 0; w < n; w++ {
-		x0, x1 := x0s[w], x1s[w]
-		y0, y1 := y0s[w], y1s[w]
-		z0, z1 := z0s[w], z1s[w]
-		x2 := ^(x0 | x1)
-		y2 := ^(y0 | y1)
-		z2 := ^(z0 | z1)
-		xs := [3]uint64{x0, x1, x2}
-		ys := [3]uint64{y0, y1, y2}
-		zs := [3]uint64{z0, z1, z2}
-		idx := 0
-		for gx := 0; gx < 3; gx++ {
-			for gy := 0; gy < 3; gy++ {
-				xy := xs[gx] & ys[gy]
-				ft[idx] += int32(bits.OnesCount64(xy & zs[0]))
-				ft[idx+1] += int32(bits.OnesCount64(xy & zs[1]))
-				ft[idx+2] += int32(bits.OnesCount64(xy & zs[2]))
-				idx += 3
-			}
-		}
-	}
 }
 
 // BuildReference computes the table directly from the genotype matrix,

@@ -109,39 +109,6 @@ func TestBuilderEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestAccumulateEmptyRange(t *testing.T) {
-	var ft [Cells]int32
-	AccumulateSplit(&ft, nil, nil, nil, nil, nil, nil)
-	for _, c := range ft {
-		if c != 0 {
-			t.Fatal("empty accumulate changed counters")
-		}
-	}
-}
-
-func TestAccumulateIsAdditive(t *testing.T) {
-	// Accumulating two word ranges separately must equal accumulating
-	// the concatenation: the blocked engine path depends on this.
-	r := rand.New(rand.NewSource(44))
-	words := 10
-	mk := func() []uint64 {
-		w := make([]uint64, words)
-		for i := range w {
-			w[i] = r.Uint64()
-		}
-		return w
-	}
-	x0, x1, y0, y1, z0, z1 := mk(), mk(), mk(), mk(), mk(), mk()
-	var whole, parts [Cells]int32
-	AccumulateSplit(&whole, x0, x1, y0, y1, z0, z1)
-	cut := 4
-	AccumulateSplit(&parts, x0[:cut], x1[:cut], y0[:cut], y1[:cut], z0[:cut], z1[:cut])
-	AccumulateSplit(&parts, x0[cut:], x1[cut:], y0[cut:], y1[cut:], z0[cut:], z1[cut:])
-	if whole != parts {
-		t.Error("accumulation is not additive across word ranges")
-	}
-}
-
 func TestClassTotalAndString(t *testing.T) {
 	mx := randomMatrix(45, 3, 30)
 	tab := BuildReference(mx, 0, 1, 2)

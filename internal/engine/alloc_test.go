@@ -15,8 +15,8 @@ import (
 
 // TestHotPathAllocs proves the steady-state claim→score loop performs
 // zero heap allocations per scored combination on the approaches the
-// paper's throughput story rests on: V2 (flat split kernel), V4
-// (blocked lane-vectorized kernel) and the fused pair-AND variants.
+// paper's throughput story rests on: V2 (the k-way rank body at order
+// 3), V4 (blocked lane-vectorized kernel) and the fused pair-AND variants.
 // The per-consumer arenas (pooled contingency tables, the pair-plane
 // buffer, reused top-K heaps) are what make this hold. The guarantee
 // must survive instrumentation, so every approach is probed twice:
@@ -42,7 +42,7 @@ import (
 // marginals live on the Searcher, its pair tables and their scores in the
 // arena, passed to //go:noescape stubs), the seeded extension (its x
 // tile, counts and lane tables are the lanes pass's, sized in the worker
-// arena by sizeLanes), and the k-way loop at orders 4 and 5.
+// arena by sizeLanes), and the k-way rank body at orders 4, 5 and 7.
 func TestHotPathAllocs(t *testing.T) {
 	mx := randomMatrix(200, 32, 320)
 	s, err := New(mx)
@@ -142,21 +142,23 @@ func TestHotPathAllocs(t *testing.T) {
 		a.release()
 	}
 
-	// The generic k-way loop past order 3, where a combination's planes
-	// outnumber what escape analysis keeps on the stack unasked.
+	// The k-way rank body past order 3, where a combination's planes
+	// outnumber what escape analysis keeps on the stack unasked, and at
+	// order 7, where its products are the most (its combinations drawn
+	// from the first 11 SNPs).
 	kway, err := New(randomMatrix(207, 20, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, order := range []int{4, 5} {
+	for _, c := range []struct{ order, m int }{{4, 20}, {5, 20}, {7, 11}} {
 		o, err := Options{TopK: 4}.withDefaults(kway.st.Samples())
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := getArena(o.Objective, o.TopK)
-		a.sizeK(contingency.CellsK(order))
-		w := &kWorker{split: kway.Split(), m: 20, order: order, a: a, scorer: o.Objective}
-		steadyStateAllocs(t, fmt.Sprintf("kway/order%d", order), combin.Binomial(20, order), w.tile)
+		a.sizeK(contingency.CellsK(c.order))
+		w := &kWorker{split: kway.Split(), m: c.m, order: c.order, a: a, scorer: o.Objective}
+		steadyStateAllocs(t, fmt.Sprintf("kway/order%d", c.order), combin.Binomial(c.m, c.order), w.tile)
 		a.release()
 	}
 

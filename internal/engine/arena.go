@@ -8,16 +8,13 @@ import (
 )
 
 // arena is one consumer's reusable scratch for the claim→score loop:
-// a contingency table (the flat path, and the column scoring of lane
-// tables), the block walk's pair tables, x tile, counts and lane-table
-// banks (the lanes pass's, the pair pass's and the seeded extension's),
-// the generic k-way cells, and the consumer's top-K.
+// the block walk's pair tables, x tile, counts and lane-table banks (the
+// lanes pass's, the pair pass's and the seeded extension's), the cell
+// columns (the k-way rank body's table, and the column scoring of lane
+// tables), and the consumer's top-K.
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
-	// tab is the flat path's single reusable table; taking its address
-	// for the objective would otherwise heap-allocate per combination.
-	tab contingency.Table
 	// yz, xt, xc, pairs, bank and laneScore are the block walk's scratch
 	// for the block tuple in hand: per class the (i1, i2) pair tables of
 	// its blocks b1 and b2, b1's SNPs in the lanes of one lane table per
@@ -34,7 +31,8 @@ type arena struct {
 	pairs     []lanePair
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
-	// ctrl/cases are the generic k-way cells.
+	// ctrl/cases are the cell columns: the k-way rank body's table, or
+	// the scratch score.ScoreColumns copies a lane's table into.
 	ctrl, cases []int32
 	// top accumulates this consumer's best candidates.
 	top *TopK
@@ -83,9 +81,10 @@ func (a *arena) sizeLanes(tile int) {
 			a.yz[class] = make([]contingency.LaneTable, bs)
 		}
 	}
+	a.sizeK(contingency.Cells)
 }
 
-// sizeK sizes the k-way cells for tables of the given cell count.
+// sizeK sizes the cell columns for tables of the given cell count.
 func (a *arena) sizeK(cells int) {
 	if cap(a.ctrl) < cells {
 		a.ctrl = make([]int32, cells)

@@ -160,7 +160,7 @@ func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
 func (p *lanesPass) scoreGroup(ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) bool {
 	a := p.a
 	if p.laneScorer == nil {
-		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, rows, valid, &a.tab)
+		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, rows, valid, a.ctrl, a.cases)
 		return true
 	}
 	if p.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, rows, valid, bound) {

@@ -23,10 +23,12 @@
 //	                where the host has it) and is the default.
 //	V2 (split)      one full-length table per combination from the
 //	                phenotype-split planes, genotype 2 inferred with NOR
-//	                (contingency.BuildSplit), over combination ranks: what
-//	                a shared cursor (Options.Tiles — the heterogeneous
-//	                backend's CPU half) can feed, and the reference the
-//	                simulated GPU's parity tests compare against.
+//	                (contingency.BuildSplitK), over combination ranks: the
+//	                k-way rank body (kway.go, kWorker) at order 3. It is
+//	                what a shared cursor (Options.Tiles — the
+//	                heterogeneous backend's CPU half) can feed, and the
+//	                reference the simulated GPU's parity tests compare
+//	                against.
 //
 // V1, V3 and V4 name the simulated GPU's kernels and the planner's price
 // list; Run refuses them.
@@ -65,7 +67,8 @@
 // consecutive third SNPs in the lanes, its rows permuted into
 // sorted-triple order and scored under the same bound. So
 // contingency.LaneKernel is the CPU's one counting path at orders 2 and 3
-// besides V2's, and V3F runs its Go bodies at both.
+// besides V2's, and V3F runs its Go bodies at both. V2 and orders 4–7
+// share the other one, the split builder and its rank body.
 //
 // One run loop (run.go, Searcher.run) drives every search: a cursor over
 // the run's space, and a pool of workers claiming tiles from it — the
@@ -75,11 +78,13 @@
 // only its space and its tile body:
 //
 //	search                  claims from (sched space)         records as (approach)
-//	Run, V2                 combination ranks ("flat")        "V2"
+//	Run, V2                 triple ranks ("flat")             "V2"
 //	Run, V3F/V4F            block triples ("blocked")         "V3F", "V4F"
 //	RunPairs, RunPairScreen block pairs ("pair")              "pair"
 //	RunK, orders 2..7       k-combination ranks ("kway")      "kway"
 //	RunSeeded               seed x third-SNP ranks ("seeded") "seeded"
+//
+// Run's V2 and RunK are one tile body, kWorker, at order 3 and at order k.
 //
 // The block triples and block pairs are one space at two orders
 // (blockSpace): multisets of blocks of contingency.Lanes SNPs, claimed one
@@ -483,5 +488,7 @@ func (s *Searcher) triples(o *Options) (space, tiler, error) {
 	if o.Approach.fused() {
 		return s.blockedRun(o)
 	}
-	return s.flatRun(o)
+	sp, body, err := s.kway(o, 3, "flat")
+	sp.approach = o.Approach.String()
+	return sp, body, err
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // Arbitrary-order exhaustive search. The paper's introduction motivates
-// interactions "of three or more SNPs"; RunK generalizes the split
-// kernel to any order in [2, contingency.MaxOrder], using the generic
-// 3^k-cell builder and the objectives' cell-scoring interface.
-// Orders 2 and 3 have specialized fast paths (RunPairs, Run); RunK is
-// the correctness-first generalization.
+// interactions "of three or more SNPs"; RunK runs the paper's V2 split
+// builder (contingency.BuildSplitK) at any order in [2,
+// contingency.MaxOrder] over colexicographic combination ranks, scoring
+// each combination's 3^k cells through the objective's ScoreCells. Its
+// rank body, kWorker, is also Run's V2 at order 3. Orders 2 and 3 have
+// faster paths (RunPairs, Run's V3F/V4F).
 
 // RunK executes an exhaustive search of the given interaction order.
 // Options are interpreted as for Run; the Objective scores each
@@ -36,16 +37,29 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	if err := CheckSpace(m, order); err != nil {
 		return nil, err
 	}
-	sp, err := flatSpace(combin.Binomial(m, order), &o, order, "kway")
+	sp, body, err := s.kway(&o, order, "kway")
 	if err != nil {
 		return nil, err
 	}
+	return s.run(&o, sp, body)
+}
+
+// kway returns the space of an order-k run over the colexicographic
+// combination ranks, under the sched label kind, and its rank body.
+func (s *Searcher) kway(o *Options, order int, kind string) (space, tiler, error) {
+	m := s.st.SNPs()
+	sp, err := flatSpace(combin.Binomial(m, order), o, order, kind)
+	if err != nil {
+		return sp, nil, err
+	}
+	// Resolve the split form once, before the pool starts; the store
+	// memoizes it for every later run.
 	split := s.st.Split()
 	cells := contingency.CellsK(order)
-	return s.run(&o, sp, func(_ int, a *arena) tileFunc {
+	return sp, func(_ int, a *arena) tileFunc {
 		a.sizeK(cells)
 		return (&kWorker{split: split, m: m, order: order, a: a, scorer: o.Objective}).tile
-	})
+	}, nil
 }
 
 // CheckSpace refuses an order-k search of n SNPs whose C(n,k)

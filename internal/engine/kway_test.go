@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"trigene/internal/combin"
@@ -9,30 +10,62 @@ import (
 	"trigene/internal/score"
 )
 
+// TestBuildSplitKMatchesReference holds the split builder to the
+// sample-by-sample reference at every order, on sample counts on both
+// sides of a word boundary and ragged ones (so padded last words), with a
+// class of one sample, monomorphic SNPs (all genotype 2, all genotype 0)
+// and runs of adjacent SNPs; at order 3 BuildSplit, its table form, must
+// give the same cells.
 func TestBuildSplitKMatchesReference(t *testing.T) {
-	mx := randomMatrix(140, 9, 201) // odd N exercises pad correction
-	s := dataset.SplitBinarize(mx)
-	for _, snps := range [][]int{
-		{0, 1}, {2, 7}, {0, 3, 6}, {1, 4, 8}, {0, 2, 4, 6}, {1, 3, 5, 7, 8},
-	} {
-		cells := contingency.CellsK(len(snps))
-		gotC, gotK := make([]int32, cells), make([]int32, cells)
-		wantC, wantK := make([]int32, cells), make([]int32, cells)
-		if err := contingency.BuildSplitK(s, snps, gotC, gotK); err != nil {
-			t.Fatal(err)
-		}
-		if err := contingency.BuildReferenceK(mx, snps, wantC, wantK); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < cells; i++ {
-			if gotC[i] != wantC[i] || gotK[i] != wantK[i] {
-				t.Fatalf("snps %v cell %d: (%d,%d), want (%d,%d)",
-					snps, i, gotC[i], gotK[i], wantC[i], wantK[i])
+	const m = 9
+	for _, n := range []int{1, 63, 64, 65, 140, 777} {
+		for _, oneCase := range []bool{false, true} {
+			mx := randomMatrix(140+int64(n), m, n)
+			if oneCase {
+				for j := 0; j < n; j++ {
+					mx.SetPhen(j, dataset.Control)
+				}
+				mx.SetPhen(n/2, dataset.Case)
+			}
+			for j := range mx.Row(0) {
+				mx.Row(0)[j], mx.Row(5)[j] = 2, 0
+			}
+			s := dataset.SplitBinarize(mx)
+			for order := 2; order <= contingency.MaxOrder; order++ {
+				first, last, spread := make([]int, order), make([]int, order), make([]int, order)
+				for i := range first {
+					first[i], last[i], spread[i] = i, m-order+i, i*(m-1)/(order-1)
+				}
+				for _, snps := range [][]int{first, last, spread} {
+					cells := contingency.CellsK(order)
+					gotC, gotK := make([]int32, cells), make([]int32, cells)
+					wantC, wantK := make([]int32, cells), make([]int32, cells)
+					if err := contingency.BuildSplitK(s, snps, gotC, gotK); err != nil {
+						t.Fatal(err)
+					}
+					if err := contingency.BuildReferenceK(mx, snps, wantC, wantK); err != nil {
+						t.Fatal(err)
+					}
+					for i := range gotC {
+						if gotC[i] != wantC[i] || gotK[i] != wantK[i] {
+							t.Fatalf("n=%d one case=%v snps %v cell %d: (%d,%d), want (%d,%d)",
+								n, oneCase, snps, i, gotC[i], gotK[i], wantC[i], wantK[i])
+						}
+					}
+					if order == 3 {
+						tab := contingency.BuildSplit(s, snps[0], snps[1], snps[2])
+						if !slices.Equal(tab.Counts[dataset.Control][:], wantC) || !slices.Equal(tab.Counts[dataset.Case][:], wantK) {
+							t.Fatalf("n=%d one case=%v snps %v: BuildSplit differs from the reference", n, oneCase, snps)
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestBuildSplitKOrder3MatchesTableBuilder checks that BuildSplit, the
+// fixed-size table form, gives the same cells as BuildSplitK at order 3.
 func TestBuildSplitKOrder3MatchesTableBuilder(t *testing.T) {
 	mx := randomMatrix(141, 7, 130)
 	s := dataset.SplitBinarize(mx)

@@ -11,7 +11,9 @@
 // reported as Result.ModeledCombinedGElems.
 //
 // The CPU half runs the paper-ladder V2 kernel (engine.V2Split), the
-// one CPU pipeline that claims combination ranks on a shared cursor.
+// one CPU pipeline that claims combination ranks on a shared cursor: the
+// engine's k-way rank body at k = 3, contingency.BuildSplitK's table per
+// combination.
 // The package is kept to demonstrate Section V-D; it is not a product
 // path, and its CPU half runs far behind the cpu backend's V4F.
 package hetero

@@ -21,15 +21,15 @@ type LaneScorer interface {
 }
 
 // ScoreColumns is ScoreLanes for any objective, without a bound: the
-// first rows of each valid lane's column are copied into the scratch
-// table and scored through ScoreCells.
-func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, scratch *contingency.Table) {
-	ctrlCol, casesCol := scratch.Counts[0][:rows], scratch.Counts[1][:rows]
+// first rows of each valid lane's column are copied into the column
+// scratches ctrlCol and casesCol, each at least rows long, and scored
+// through ScoreCells.
+func ScoreColumns(obj Objective, dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, rows, valid int, ctrlCol, casesCol []int32) {
 	for lane := 0; lane < valid; lane++ {
-		for cell := range ctrlCol {
+		for cell := 0; cell < rows; cell++ {
 			ctrlCol[cell], casesCol[cell] = ctrl[cell][lane], cases[cell][lane]
 		}
-		dst[lane] = obj.ScoreCells(ctrlCol, casesCol)
+		dst[lane] = obj.ScoreCells(ctrlCol[:rows], casesCol[:rows])
 	}
 }
 

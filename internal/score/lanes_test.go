@@ -59,9 +59,9 @@ func laneScorers(n int) []laneScorer {
 			}, body.score})
 		}
 		for _, obj := range []Objective{k2, MIObjective{}, GiniObjective{}} {
-			var scratch contingency.Table
+			var ctrlCol, casesCol [contingency.Cells]int32
 			scorers = append(scorers, laneScorer{fmt.Sprintf("%s/columns/%d rows", obj.Name(), rows), obj, rows, func(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid int) {
-				ScoreColumns(obj, dst, ctrl, cases, rows, valid, &scratch)
+				ScoreColumns(obj, dst, ctrl, cases, rows, valid, ctrlCol[:], casesCol[:])
 			}, nil})
 		}
 	}
@@ -661,9 +661,9 @@ func benchmarkK2Lanes(b *testing.B, n int) {
 		}
 	}
 	b.Run("columns", func(b *testing.B) {
-		var scratch contingency.Table
+		var ctrlCol, casesCol [contingency.Cells]int32
 		for i := 0; i < b.N; i++ {
-			ScoreColumns(k2, &dst, &ctrl, &cases, contingency.Cells, 8, &scratch)
+			ScoreColumns(k2, &dst, &ctrl, &cases, contingency.Cells, 8, ctrlCol[:], casesCol[:])
 		}
 	})
 }

@@ -80,7 +80,7 @@ func checkCells(controls, cases []int32) {
 	if len(controls) != len(cases) {
 		// Unreachable: every caller slices both classes from one cell
 		// count — Score from a Table's rows, ScoreColumns from its rows
-		// argument, the engine's k-way walk from its arena (sizeK),
+		// argument, the engine's k-way rank body from its arena (sizeK),
 		// permtest from its candidate's cells, bench's oracle from CellsK.
 		panic("score: cell count mismatch")
 	}
