@@ -36,6 +36,8 @@ type Vector struct {
 // New returns a zeroed Vector holding n bits.
 func New(n int) *Vector {
 	if n < 0 {
+		// Unreachable: the module's product code builds no Vector with
+		// New; its tests do, at lengths they count themselves.
 		panic(fmt.Sprintf("bitvec: negative length %d", n))
 	}
 	return &Vector{n: n, w: make([]uint64, WordsFor(n))}
@@ -47,9 +49,16 @@ func New(n int) *Vector {
 // invariant.
 func FromWords(n int, w []uint64) *Vector {
 	if len(w) != WordsFor(n) {
+		// Unreachable: the one caller, dataset.Packed.PhenVector, makes
+		// its words with WordsFor(N).
 		panic(fmt.Sprintf("bitvec: %d words cannot hold exactly %d bits", len(w), n))
 	}
 	if m := TailMask(n); m != ^uint64(0) && len(w) > 0 && w[len(w)-1]&^m != 0 {
+		// Unreachable from a dataset file or a .tpack: PhenVector copies
+		// the phenotype section of a Packed that either store.NewPacked
+		// took — its checkSections refuses a bit past sample N, for every
+		// .tpack, binary and .raw session — or dataset.Pack made from a
+		// Matrix, which sets one bit per sample.
 		panic("bitvec: nonzero tail bits")
 	}
 	return &Vector{n: n, w: w}
@@ -90,6 +99,8 @@ func (v *Vector) Get(i int) bool {
 
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
+		// Unreachable: Set and Get have one product caller, String, which
+		// walks [0, n); tests index what they built.
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
 	}
 }

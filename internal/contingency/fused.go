@@ -11,7 +11,7 @@ const PairPlanes = 9
 
 // TripleCounted is how many of a triple's 27 cells the lanes pass counts
 // per (y, z): the products of stored planes x_a ∧ y_b ∧ z_c, a, b, c in
-// {0, 1} (LaneKernel.TripleLanes); the other 19 are derived. The pair
+// {0, 1} (LaneKernel.Block); the other 19 are derived. The pair
 // kernel's counterpart is PairCounted.
 const TripleCounted = 8
 

@@ -23,11 +23,8 @@ func accumulateFusedAVX512(ft *[Cells]int32, x0, x1, planes *uint64, sums *[Pair
 //go:noescape
 func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, words, valid int)
 
+// blockLanesAVX512 is Block's body over n >= 1 words from planes, which
+// starts at word w0 of the class's first plane.
+//
 //go:noescape
-func tripleLanesAVX512(lt *LaneTable, xt, y0, y1, z0, z1 *uint64, n int, add bool)
-
-//go:noescape
-func xLanesAVX512(xc *XCounts, xt, s0, s1 *uint64, n int, add bool)
-
-//go:noescape
-func deriveAVX512(lt *LaneTable, xy, xz *XCounts, xmarg *[2]int32, nx int, yz *int32)
+func blockLanesAVX512(bank []LaneTable, xc []XCounts, xt, planes []uint64, pairs []lanePair, snps []int32, n, words int, add, derive bool, xmarg [][2]int32, yz []LaneTable)

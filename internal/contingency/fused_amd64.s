@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX-512 VPOPCNTDQ bodies of the fused kernel's three loops, of the
-// pair kernel's one and, at the end, of the lanes pass's three, which walk
-// word by word with a SNP per lane. The others walk n >= 1 words in 8-word
+// pair kernel's one and, at the end, of the lanes pass's block entry,
+// which walks word by word with a SNP per lane. The others walk n >= 1 words in 8-word
 // vectors under opmask K1: 0xFF for the full vectors and the low n%8 bits
 // for a ragged last one, whose masked loads and stores touch nothing
 // beyond word n (masked-out elements neither fault nor count). The nine
@@ -386,12 +386,18 @@ pairDone:
 	VZEROUPPER
 	RET
 
-// The lanes pass's three bodies walk word by word with a SNP per lane: per
-// word, the x0 and x1 vectors of the x tile (128 bytes per word, R9 the
-// word index) meet the words of the y, z or s planes, broadcast. A short
-// chunk's missing lanes are zero words of the tile, so there is no mask
-// and no lane reduction; each accumulator narrows to one row of eight
-// 32-bit counts, set (R12 zero) or added to what the row held.
+// The lanes pass's block entry walks word by word with a SNP per lane:
+// per word, the x0 and x1 vectors of the x tile (128 bytes per word, R9
+// the word index) meet the words of an s, y or z plane, broadcast. A
+// short chunk's missing lanes are zero words of the tile, so there is no
+// mask and no lane reduction; each accumulator narrows to one row of
+// eight 32-bit counts, set or (add) added to what the row held.
+
+// XCELL counts x ∧ s for the eight lanes, s broadcast.
+#define XCELL(s, x, acc) \
+	VPANDQ   s, x, Z4; \
+	VPOPCNTQ Z4, Z4; \
+	VPADDQ   Z4, acc, acc
 
 // TRIPLECELL counts x ∧ y ∧ z for the eight lanes: y broadcast into Z4,
 // ANDed with the lanes' x word and the broadcast z in one ternary op.
@@ -401,34 +407,129 @@ pairDone:
 	VPOPCNTQ     Z4, Z4; \
 	VPADDQ       Z4, acc, acc
 
-// func tripleLanesAVX512(lt *LaneTable, xt, y0, y1, z0, z1 *uint64, n int, add bool)
+// func blockLanesAVX512(bank []LaneTable, xc []XCounts, xt, planes []uint64, pairs []lanePair, snps []int32, n, words int, add, derive bool, xmarg [][2]int32, yz []LaneTable)
 //
-// The eight cells x_a ∧ y_b ∧ z_c, a, b, c in {0, 1}, in Z8..Z15 in the
-// order 4a+2b+c, to rows 0, 1, 3, 4, 9, 10, 12 and 13 of lt.
-TEXT ·tripleLanesAVX512(SB), NOSPLIT, $0-57
-	MOVQ    lt+0(FP), DI
-	MOVQ    xt+8(FP), AX
-	MOVQ    y0+16(FP), BX
-	MOVQ    y1+24(FP), DX
-	MOVQ    z0+32(FP), SI
-	MOVQ    z1+40(FP), R8
-	MOVQ    n+48(FP), CX
-	MOVBQZX add+56(FP), R12
-	XORQ    R9, R9
-	VPXORQ  Z8, Z8, Z8
-	VPXORQ  Z9, Z9, Z9
-	VPXORQ  Z10, Z10, Z10
-	VPXORQ  Z11, Z11, Z11
-	VPXORQ  Z12, Z12, Z12
-	VPXORQ  Z13, Z13, Z13
-	VPXORQ  Z14, Z14, Z14
-	VPXORQ  Z15, Z15, Z15
+// One word tile of one class through a LaneList, in one call: first the
+// four cells x_a ∧ s_b of each SNP s of snps, in Z8..Z11 in the order
+// 2a+b, to the rows of xc[i]; then the eight cells x_a ∧ y_b ∧ z_c of
+// each pair (y, z), in Z8..Z15 in the order 4a+2b+c, to rows 0, 1, 3, 4,
+// 9, 10, 12 and 13 of bank[j]. planes starts at the tile's first word of
+// the class's first plane, so plane g of SNP s of the tile starts
+// (2s+g)·words words on (R11 the bytes of one plane). With derive, the
+// pass over a pair then derives its other 19 rows from the counted ones,
+// still in Y8..Y15 — T000, T001, T010, T011, T100, T101, T110, T111 —
+// its y and z slots of xc (XY at R10, XZ at R12), its column of yz (AX;
+// rows 32 bytes apart), and |x0|, |x1| of the lanes in the low halves of
+// Z16 and Z17, loaded once a call under the low nx bits of K2 so nothing
+// past the last lane is read (a lane past it is no SNP: |x0| = |x1| = 0).
+// A lanePair is six int32s: y, z, ySlot, zSlot, table, col.
+TEXT ·blockLanesAVX512(SB), NOSPLIT, $0-216
+	CMPB        derive+161(FP), $0
+	JEQ         blockStart
+	MOVQ        xmarg_len+176(FP), CX
+	MOVQ        $1, R13
+	SHLQ        CX, R13
+	DECQ        R13
+	KMOVW       R13, K2
+	MOVQ        xmarg_base+168(FP), BX
+	VMOVDQU64.Z (BX), K2, Z8
+	VPMOVQD     Z8, Y9
+	VMOVDQA64   Z9, Z16
+	VPSRLQ      $32, Z8, Z8
+	VPMOVQD     Z8, Y9
+	VMOVDQA64   Z9, Z17
+
+blockStart:
+	MOVQ    xt_base+48(FP), SI
+	MOVQ    planes_base+72(FP), R8
+	MOVQ    n+144(FP), CX
+	MOVQ    words+152(FP), R11
+	SHLQ    $3, R11
+	MOVQ    xc_base+24(FP), DI
+	MOVQ    snps_base+120(FP), R10
+	XORQ    R13, R13
+
+snpNext:
+	CMPQ   R13, snps_len+128(FP)
+	JGE    pairStart
+	MOVL   (R10)(R13*4), BX
+	IMULQ  R11, BX
+	LEAQ   (R8)(BX*2), BX // s0
+	LEAQ   (BX)(R11*1), DX // s1
+	MOVQ   SI, AX
+	XORQ   R9, R9
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+
+xLoop:
+	VMOVDQU64    (AX), Z0
+	VMOVDQU64    64(AX), Z1
+	VPBROADCASTQ (BX)(R9*8), Z2
+	VPBROADCASTQ (DX)(R9*8), Z3
+	XCELL(Z2, Z0, Z8)
+	XCELL(Z3, Z0, Z9)
+	XCELL(Z2, Z1, Z10)
+	XCELL(Z3, Z1, Z11)
+	ADDQ         $128, AX
+	INCQ         R9
+	CMPQ         R9, CX
+	JLT          xLoop
+
+	VPMOVQD Z8, Y8
+	VPMOVQD Z9, Y9
+	VPMOVQD Z10, Y10
+	VPMOVQD Z11, Y11
+	CMPB    add+160(FP), $0
+	JEQ     xSet
+	VPADDD  (DI), Y8, Y8
+	VPADDD  32(DI), Y9, Y9
+	VPADDD  64(DI), Y10, Y10
+	VPADDD  96(DI), Y11, Y11
+
+xSet:
+	VMOVDQU Y8, (DI)
+	VMOVDQU Y9, 32(DI)
+	VMOVDQU Y10, 64(DI)
+	VMOVDQU Y11, 96(DI)
+	ADDQ    $128, DI
+	INCQ    R13
+	JMP     snpNext
+
+pairStart:
+	MOVQ bank_base+0(FP), DI
+	XORQ R13, R13
+
+pairNext:
+	CMPQ   R13, pairs_len+104(FP)
+	JGE    blockDone
+	IMUL3Q $24, R13, R14
+	ADDQ   pairs_base+96(FP), R14
+	MOVL   (R14), BX
+	IMULQ  R11, BX
+	LEAQ   (R8)(BX*2), BX // y0
+	LEAQ   (BX)(R11*1), DX // y1
+	MOVL   4(R14), R10
+	IMULQ  R11, R10
+	LEAQ   (R8)(R10*2), R10 // z0
+	LEAQ   (R10)(R11*1), R12 // z1
+	MOVQ   SI, AX
+	XORQ   R9, R9
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 
 tripleLoop:
 	VMOVDQU64    (AX), Z0
 	VMOVDQU64    64(AX), Z1
-	VPBROADCASTQ (SI)(R9*8), Z2
-	VPBROADCASTQ (R8)(R9*8), Z3
+	VPBROADCASTQ (R10)(R9*8), Z2
+	VPBROADCASTQ (R12)(R9*8), Z3
 	TRIPLECELL((BX)(R9*8), Z0, Z2, Z8)
 	TRIPLECELL((BX)(R9*8), Z0, Z3, Z9)
 	TRIPLECELL((DX)(R9*8), Z0, Z2, Z10)
@@ -450,8 +551,8 @@ tripleLoop:
 	VPMOVQD Z13, Y13
 	VPMOVQD Z14, Y14
 	VPMOVQD Z15, Y15
-	TESTQ   R12, R12
-	JZ      tripleSet
+	CMPB    add+160(FP), $0
+	JEQ     tripleSet
 	VPADDD  (DI), Y8, Y8
 	VPADDD  32(DI), Y9, Y9
 	VPADDD  96(DI), Y10, Y10
@@ -470,137 +571,111 @@ tripleSet:
 	VMOVDQU Y13, 320(DI)
 	VMOVDQU Y14, 384(DI)
 	VMOVDQU Y15, 416(DI)
-	VZEROUPPER
-	RET
+	CMPB    derive+161(FP), $0
+	JEQ     pairDone
+	MOVL    8(R14), R10
+	SHLQ    $7, R10
+	ADDQ    xc_base+24(FP), R10 // XY
+	MOVL    12(R14), R12
+	SHLQ    $7, R12
+	ADDQ    xc_base+24(FP), R12 // XZ
+	MOVL    16(R14), AX
+	IMUL3Q  $864, AX, AX
+	MOVL    20(R14), BX
+	LEAQ    (AX)(BX*4), AX
+	ADDQ    yz_base+192(FP), AX // the (y, z) column
 
-// XCELL counts x ∧ s for the eight lanes, s broadcast.
-#define XCELL(s, x, acc) \
-	VPANDQ   s, x, Z4; \
-	VPOPCNTQ Z4, Z4; \
-	VPADDQ   Z4, acc, acc
+	// x genotype 0. Rows 2, 5, 6, 7 and 8 stay in Y0, Y1, Y2, Y3 and Y6
+	// for the genotype-2 rows below.
+	VMOVDQU (R10), Y4   // XY[0][0]
+	VMOVDQU 32(R10), Y5 // XY[0][1]
+	VPSUBD  Y8, Y4, Y0  // row 2 = XY[0][0] − T000 − T001
+	VPSUBD  Y9, Y0, Y0
+	VMOVDQU Y0, 64(DI)
+	VPSUBD  Y10, Y5, Y1 // row 5 = XY[0][1] − T010 − T011
+	VPSUBD  Y11, Y1, Y1
+	VMOVDQU Y1, 160(DI)
+	VMOVDQU (R12), Y2   // row 6 = XZ[0][0] − T000 − T010
+	VPSUBD  Y8, Y2, Y2
+	VPSUBD  Y10, Y2, Y2
+	VMOVDQU Y2, 192(DI)
+	VMOVDQU 32(R12), Y3 // row 7 = XZ[0][1] − T001 − T011
+	VPSUBD  Y9, Y3, Y3
+	VPSUBD  Y11, Y3, Y3
+	VMOVDQU Y3, 224(DI)
+	VPSUBD  Z4, Z16, Z6 // row 8 = |x0| − XY[0][0] − XY[0][1] − row 6 − row 7
+	VPSUBD  Y5, Y6, Y6
+	VPSUBD  Y2, Y6, Y6
+	VPSUBD  Y3, Y6, Y6
+	VMOVDQU Y6, 256(DI)
 
-// func xLanesAVX512(xc *XCounts, xt, s0, s1 *uint64, n int, add bool)
-//
-// The four cells x_a ∧ s_b in Z8..Z11 in the order 2a+b, to the rows of
-// xc.
-TEXT ·xLanesAVX512(SB), NOSPLIT, $0-41
-	MOVQ    xc+0(FP), DI
-	MOVQ    xt+8(FP), AX
-	MOVQ    s0+16(FP), BX
-	MOVQ    s1+24(FP), DX
-	MOVQ    n+32(FP), CX
-	MOVBQZX add+40(FP), R12
-	XORQ    R9, R9
-	VPXORQ  Z8, Z8, Z8
-	VPXORQ  Z9, Z9, Z9
-	VPXORQ  Z10, Z10, Z10
-	VPXORQ  Z11, Z11, Z11
+	// Genotype-2 rows of counted (y, z) cells: YZ[b][c] − T0bc − T1bc.
+	VPBROADCASTD (AX), Y7    // row 18
+	VPSUBD       Y8, Y7, Y7
+	VPSUBD       Y12, Y7, Y7
+	VMOVDQU      Y7, 576(DI)
+	VPBROADCASTD 32(AX), Y7  // row 19
+	VPSUBD       Y9, Y7, Y7
+	VPSUBD       Y13, Y7, Y7
+	VMOVDQU      Y7, 608(DI)
+	VPBROADCASTD 96(AX), Y7  // row 21
+	VPSUBD       Y10, Y7, Y7
+	VPSUBD       Y14, Y7, Y7
+	VMOVDQU      Y7, 672(DI)
+	VPBROADCASTD 128(AX), Y7 // row 22
+	VPSUBD       Y11, Y7, Y7
+	VPSUBD       Y15, Y7, Y7
+	VMOVDQU      Y7, 704(DI)
 
-xLoop:
-	VMOVDQU64    (AX), Z0
-	VMOVDQU64    64(AX), Z1
-	VPBROADCASTQ (BX)(R9*8), Z2
-	VPBROADCASTQ (DX)(R9*8), Z3
-	XCELL(Z2, Z0, Z8)
-	XCELL(Z3, Z0, Z9)
-	XCELL(Z2, Z1, Z10)
-	XCELL(Z3, Z1, Z11)
-	ADDQ         $128, AX
-	INCQ         R9
-	CMPQ         R9, CX
-	JLT          xLoop
+	// x genotype 1, each derived row followed by the genotype-2 row of
+	// its (b, c): YZ[b][c] − (row of x genotype 0 + row of genotype 1).
+	VMOVDQU      64(R10), Y4  // XY[1][0]
+	VMOVDQU      96(R10), Y5  // XY[1][1]
+	VPSUBD       Y12, Y4, Y7  // row 11 = XY[1][0] − T100 − T101
+	VPSUBD       Y13, Y7, Y7
+	VMOVDQU      Y7, 352(DI)
+	VPADDD       Y7, Y0, Y0
+	VPBROADCASTD 64(AX), Y7   // row 20
+	VPSUBD       Y0, Y7, Y7
+	VMOVDQU      Y7, 640(DI)
+	VPSUBD       Y14, Y5, Y7  // row 14 = XY[1][1] − T110 − T111
+	VPSUBD       Y15, Y7, Y7
+	VMOVDQU      Y7, 448(DI)
+	VPADDD       Y7, Y1, Y1
+	VPBROADCASTD 160(AX), Y7  // row 23
+	VPSUBD       Y1, Y7, Y7
+	VMOVDQU      Y7, 736(DI)
+	VPSUBD       Z4, Z17, Z0  // row 17 = |x1| − XY[1][0] − XY[1][1] − row 15 − row 16
+	VPSUBD       Y5, Y0, Y0
+	VMOVDQU      64(R12), Y1  // row 15 = XZ[1][0] − T100 − T110
+	VPSUBD       Y12, Y1, Y1
+	VPSUBD       Y14, Y1, Y1
+	VMOVDQU      Y1, 480(DI)
+	VPSUBD       Y1, Y0, Y0
+	VPADDD       Y1, Y2, Y2
+	VPBROADCASTD 192(AX), Y7  // row 24
+	VPSUBD       Y2, Y7, Y7
+	VMOVDQU      Y7, 768(DI)
+	VMOVDQU      96(R12), Y1  // row 16 = XZ[1][1] − T101 − T111
+	VPSUBD       Y13, Y1, Y1
+	VPSUBD       Y15, Y1, Y1
+	VMOVDQU      Y1, 512(DI)
+	VPSUBD       Y1, Y0, Y0
+	VMOVDQU      Y0, 544(DI)
+	VPADDD       Y1, Y3, Y3
+	VPBROADCASTD 224(AX), Y7  // row 25
+	VPSUBD       Y3, Y7, Y7
+	VMOVDQU      Y7, 800(DI)
+	VPADDD       Y0, Y6, Y6
+	VPBROADCASTD 256(AX), Y7  // row 26
+	VPSUBD       Y6, Y7, Y7
+	VMOVDQU      Y7, 832(DI)
 
-	VPMOVQD Z8, Y8
-	VPMOVQD Z9, Y9
-	VPMOVQD Z10, Y10
-	VPMOVQD Z11, Y11
-	TESTQ   R12, R12
-	JZ      xSet
-	VPADDD  (DI), Y8, Y8
-	VPADDD  32(DI), Y9, Y9
-	VPADDD  64(DI), Y10, Y10
-	VPADDD  96(DI), Y11, Y11
+pairDone:
+	ADDQ $864, DI
+	INCQ R13
+	JMP  pairNext
 
-xSet:
-	VMOVDQU Y8, (DI)
-	VMOVDQU Y9, 32(DI)
-	VMOVDQU Y10, 64(DI)
-	VMOVDQU Y11, 96(DI)
-	VZEROUPPER
-	RET
-
-// DERIVEX derives the ten rows of x genotype a from its eight counted
-// ones: base is the byte offset of row 9a of the lane table, off that of
-// row 2a of the XCounts xy (SI) and xz (DX), and xa holds |x_a|. Y0..Y3
-// are T[a][0][0], T[a][0][1], T[a][1][0], T[a][1][1]; Y4, Y5 XY[a][0],
-// XY[a][1]; Y6, Y7 XZ[a][0], XZ[a][1] and then T[a][2][0], T[a][2][1].
-#define DERIVEX(base, off, xa) \
-	VMOVDQU base(DI), Y0; \
-	VMOVDQU base+32(DI), Y1; \
-	VMOVDQU base+96(DI), Y2; \
-	VMOVDQU base+128(DI), Y3; \
-	VMOVDQU off(SI), Y4; \
-	VMOVDQU off+32(SI), Y5; \
-	VPSUBD  Y0, Y4, Y6; \
-	VPSUBD  Y1, Y6, Y6; \
-	VMOVDQU Y6, base+64(DI); \
-	VPSUBD  Y2, Y5, Y6; \
-	VPSUBD  Y3, Y6, Y6; \
-	VMOVDQU Y6, base+160(DI); \
-	VMOVDQU off(DX), Y6; \
-	VPSUBD  Y0, Y6, Y6; \
-	VPSUBD  Y2, Y6, Y6; \
-	VMOVDQU Y6, base+192(DI); \
-	VMOVDQU off+32(DX), Y7; \
-	VPSUBD  Y1, Y7, Y7; \
-	VPSUBD  Y3, Y7, Y7; \
-	VMOVDQU Y7, base+224(DI); \
-	VPSUBD  Y4, xa, xa; \
-	VPSUBD  Y5, xa, xa; \
-	VPSUBD  Y6, xa, xa; \
-	VPSUBD  Y7, xa, xa; \
-	VMOVDQU xa, base+256(DI)
-
-// DERIVE2 derives row 18+bc, T[2][b][c] = YZ[b][c] − T[0][b][c] −
-// T[1][b][c], YZ[b][c] broadcast from row bc of the (y, z) column (R8).
-#define DERIVE2(bc) \
-	VPBROADCASTD 32*bc(R8), Y0; \
-	VPSUBD       32*bc(DI), Y0, Y0; \
-	VPSUBD       32*(9+bc)(DI), Y0, Y0; \
-	VMOVDQU      Y0, 32*(18+bc)(DI)
-
-// func deriveAVX512(lt *LaneTable, xy, xz *XCounts, xmarg *[2]int32, nx int, yz *int32)
-//
-// The 19 derived rows of a lane table, for all eight lanes at once. |x0|
-// and |x1| of the nx lanes are the low and high halves of xmarg's qwords,
-// loaded under the low nx bits of K2 so nothing past the last lane is
-// read (a lane past it is no SNP: |x0| = |x1| = 0); yz points at row 0 of
-// the (y, z) pair table's column, whose rows lie 32 bytes apart.
-TEXT ·deriveAVX512(SB), NOSPLIT, $0-48
-	MOVQ        lt+0(FP), DI
-	MOVQ        xy+8(FP), SI
-	MOVQ        xz+16(FP), DX
-	MOVQ        xmarg+24(FP), BX
-	MOVQ        nx+32(FP), CX
-	MOVQ        yz+40(FP), R8
-	MOVQ        $1, R13
-	SHLQ        CX, R13
-	DECQ        R13
-	KMOVW       R13, K2
-	VMOVDQU64.Z (BX), K2, Z8
-	VPMOVQD     Z8, Y9
-	VPSRLQ      $32, Z8, Z8
-	VPMOVQD     Z8, Y10
-	DERIVEX(0, 0, Y9)
-	DERIVEX(288, 64, Y10)
-	DERIVE2(0)
-	DERIVE2(1)
-	DERIVE2(2)
-	DERIVE2(3)
-	DERIVE2(4)
-	DERIVE2(5)
-	DERIVE2(6)
-	DERIVE2(7)
-	DERIVE2(8)
+blockDone:
 	VZEROUPPER
 	RET

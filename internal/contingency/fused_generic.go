@@ -23,14 +23,6 @@ func pairLanesAVX512(lt *LaneTable, x, y *uint64, xmarg, ymarg *[2]int32, n, wor
 	panic("contingency: no assembly in this build")
 }
 
-func tripleLanesAVX512(lt *LaneTable, xt, y0, y1, z0, z1 *uint64, n int, add bool) {
-	panic("contingency: no assembly in this build")
-}
-
-func xLanesAVX512(xc *XCounts, xt, s0, s1 *uint64, n int, add bool) {
-	panic("contingency: no assembly in this build")
-}
-
-func deriveAVX512(lt *LaneTable, xy, xz *XCounts, xmarg *[2]int32, nx int, yz *int32) {
+func blockLanesAVX512(bank []LaneTable, xc []XCounts, xt, planes []uint64, pairs []lanePair, snps []int32, n, words int, add, derive bool, xmarg [][2]int32, yz []LaneTable) {
 	panic("contingency: no assembly in this build")
 }

@@ -1,6 +1,9 @@
 package contingency
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Lanes is how many x SNPs one pass of the triple lanes pass counts: one
 // per 64-bit lane of a 512-bit vector.
@@ -65,65 +68,90 @@ func TransposeLanes(dst, src []uint64, words, w0, w1 int) {
 // for; a longer range is laid out in pieces of its length.
 var zeroPlane [256]uint64
 
-// LaneKernel runs the triple lanes pass — TripleLanes and XLanes per word
-// tile, then PairLanes and Derive — on the bodies chosen for the host at
+// LaneKernel runs the triple lanes pass — Block per class and word tile,
+// after PairLanes per block pair — on the bodies chosen for the host at
 // start-up, or, with Oracle, on the pure-Go bodies whatever the host
-// supports (the reference pipeline's pin).
+// supports (the reference pipeline's pin). Both bodies walk the same
+// LaneList.
 //
 // Of a triple's 27 cells per class, eight are counted per (y, z): the
 // products of stored planes, x_a ∧ y_b ∧ z_c for a, b, c in {0, 1}. The
 // pair cells x_a ∧ s_b are counted once per SNP s the x lanes meet, the
 // (y, z) tables once per block pair they meet, and |x_a| once per search.
 // Every sample carries exactly one genotype of each SNP, so the other 19
-// cells are sums of those minus counted ones (Derive). No genotype-2 plane
-// is formed, so pad bits never enter a count and the tables need no pad
-// correction. The planes of a SNP must be disjoint, which the dataset
+// cells are sums of those minus counted ones (derived). No genotype-2
+// plane is formed, so pad bits never enter a count and the tables need no
+// pad correction. The planes of a SNP must be disjoint, which the dataset
 // loaders guarantee.
 type LaneKernel struct{ Oracle bool }
 
 // vector reports whether the kernel runs the host's assembly bodies.
 func (k LaneKernel) vector() bool { return hasAVX512 && !k.Oracle }
 
-// TripleLanes counts the eight stored-genotype cells of the triples
-// (x[lane], y, z) over words [w0, w1) into rows 0, 1, 3, 4, 9, 10, 12 and
-// 13 of lt — setting them, or with add adding to them, so that a plane cut
-// into word tiles is one call per tile into one table, the first setting
-// and the rest adding. xt is the x tile of the range (TransposeLanes);
-// data holds the class's planes as dataset.Split stores them, plane g of
-// SNP i at (2i+g)*words. The other rows are left alone. Per word and
-// cell, one three-way AND, one POPCNT and one add for all eight lanes.
-func (k LaneKernel) TripleLanes(lt *LaneTable, xt, data []uint64, words, y, z, w0, w1 int, add bool) {
-	y0s, y1s := data[2*y*words+w0:2*y*words+w1], data[(2*y+1)*words+w0:(2*y+1)*words+w1]
-	z0s, z1s := data[2*z*words+w0:2*z*words+w1], data[(2*z+1)*words+w0:(2*z+1)*words+w1]
-	n := len(y0s)
-	xt = xt[:LaneTileWords(n)]
-	if k.vector() && n > 0 {
-		tripleLanesAVX512(lt, &xt[0], &y0s[0], &y1s[0], &z0s[0], &z1s[0], n, add)
-		return
-	}
-	tripleLanesGo(lt, xt, y0s, y1s, z0s, z1s, add)
+// LaneList is the work of one block entry (LaneKernel.Block): the SNPs
+// the x lanes are counted against, and the (y, z) pairs whose triples
+// with them are counted and derived. At most 2·Lanes SNPs and Lanes²
+// pairs, the most one block triple of lane groups meets; a list is a
+// value, so it allocates nothing.
+type LaneList struct {
+	snps   [2 * Lanes]int32
+	pairs  [Lanes * Lanes]lanePair
+	nsnps  int
+	npairs int
+	top    int32 // the largest SNP of snps
+	tables int32 // one past the largest yz table a pair names
 }
 
-// XLanes counts the four pair cells of the pairs (x[lane], s) over words
-// [w0, w1) into xc, setting them or with add adding to them, as
-// TripleLanes does its rows.
-func (k LaneKernel) XLanes(xc *XCounts, xt, data []uint64, words, s, w0, w1 int, add bool) {
-	s0s, s1s := data[2*s*words+w0:2*s*words+w1], data[(2*s+1)*words+w0:(2*s+1)*words+w1]
-	n := len(s0s)
-	xt = xt[:LaneTileWords(n)]
-	if k.vector() && n > 0 {
-		xLanesAVX512(xc, &xt[0], &s0s[0], &s1s[0], n, add)
-		return
+// lanePair is one (y, z) of a LaneList: the two SNPs, the slots of their
+// pair counts (slot i is SNP i of the list), and where their pair table
+// lies: column col of yz table table. The vector body reads it by offset.
+type lanePair struct{ y, z, ySlot, zSlot, table, col int32 }
+
+// Reset empties the list.
+func (l *LaneList) Reset() { l.nsnps, l.npairs, l.top, l.tables = 0, 0, 0, 0 }
+
+// AddSNP appends SNP s to the list's SNPs; its slot is its position.
+func (l *LaneList) AddSNP(s int) {
+	if s < 0 || s > math.MaxInt32 || l.nsnps == len(l.snps) {
+		panic("contingency: lane list SNP out of range or list full")
 	}
-	xLanesGo(xc, xt, s0s, s1s, add)
+	l.snps[l.nsnps] = int32(s)
+	l.nsnps++
+	l.top = max(l.top, int32(s))
 }
 
-// Derive completes the tables of the triples (x[lane], y, z) of one class
-// whose eight counted rows TripleLanes left in lt over the class's whole
-// planes. xy and xz are XLanes' counts of the x lanes against y and
-// against z, xmarg the x SNPs' {|x0|, |x1|} (one per lane; lanes past it
-// count as no SNP), and column col of yz's first nine rows the (y, z)
-// pair table (PairLanes). With T[a][b][c] the cell of genotypes (a, b, c):
+// AddPair appends the pair of the SNPs in slots y and z, whose (y, z)
+// pair table is column col of yz table table.
+func (l *LaneList) AddPair(y, z, table, col int) {
+	if y < 0 || y >= l.nsnps || z < 0 || z >= l.nsnps || table < 0 || table >= Lanes*Lanes || col < 0 || col >= Lanes || l.npairs == len(l.pairs) {
+		panic("contingency: lane list pair out of range or list full")
+	}
+	l.pairs[l.npairs] = lanePair{y: l.snps[y], z: l.snps[z], ySlot: int32(y), zSlot: int32(z), table: int32(table), col: int32(col)}
+	l.npairs++
+	l.tables = max(l.tables, int32(table)+1)
+}
+
+// Pairs returns how many pairs the list holds.
+func (l *LaneList) Pairs() int { return l.npairs }
+
+// Pair returns the SNPs of the list's j'th pair.
+func (l *LaneList) Pair(j int) (y, z int) {
+	p := l.pairs[:l.npairs][j]
+	return int(p.y), int(p.z)
+}
+
+// Block runs one word tile [w0, w1) of one class through the list: the
+// x tile xt of the range (TransposeLanes) is counted against each SNP of
+// the list into xc[slot] — the four pair cells x_a ∧ s_b — and against
+// each pair (y, z) into bank[j], the j'th pair's lane table — the eight
+// cells x_a ∧ y_b ∧ z_c in rows 0, 1, 3, 4, 9, 10, 12 and 13. Both set
+// their rows on the class's first tile (w0 = 0) and add to them on the
+// others, so that a plane cut into word tiles is one call per tile. The
+// last tile (w1 = words) also derives each pair's other 19 rows, while
+// the eight counted ones are at hand: from xc of y and of z, xmarg, the x
+// SNPs' {|x0|, |x1|} (one per lane; lanes past it count as no SNP), and
+// the pair's (y, z) table (PairLanes) in yz. With T[a][b][c] the cell of
+// genotypes (a, b, c):
 //
 //	T[a][b][2] = XY[a][b] − T[a][b][0] − T[a][b][1]
 //	T[a][2][c] = XZ[a][c] − T[a][0][c] − T[a][1][c]
@@ -131,25 +159,55 @@ func (k LaneKernel) XLanes(xc *XCounts, xt, data []uint64, words, s, w0, w1 int,
 //	T[2][b][c] = YZ[b][c] − T[0][b][c] − T[1][b][c]
 //
 // for a, b, c in {0, 1} in the first three and b, c in {0, 1, 2} in the
-// last: 19 rows, each a vector subtraction across the lanes.
-func (k LaneKernel) Derive(lt *LaneTable, xy, xz *XCounts, xmarg [][2]int32, yz *LaneTable, col int) {
-	if len(xmarg) < 1 || len(xmarg) > Lanes || col < 0 || col >= Lanes {
-		// Unreachable: the engine's lanes pass hands it nx x SNPs, which
-		// processBlockLanes clamps to at most Lanes and returns before any
-		// work when below 1, and col, y's slot in a block of at most Lanes
-		// SNPs; its seeded pass hands it a chunk of 1 to Lanes thirds
-		// (seededWorker.tile's min with Lanes) and col 0. The vector body
-		// reads xmarg and yz's column through raw pointers.
-		panic("contingency: derive lanes out of range")
+// last: 19 rows, each a vector subtraction across the lanes. data holds
+// the class's planes as dataset.Split stores them, plane g of SNP i at
+// (2i+g)*words. Per word, pair and cell, one three-way AND, one POPCNT
+// and one add for all eight lanes.
+func (k LaneKernel) Block(bank []LaneTable, xc []XCounts, l *LaneList, xt, data []uint64, words, w0, w1 int, xmarg [][2]int32, yz []LaneTable) {
+	n, derive := w1-w0, w1 == words
+	if w0 < 0 || n < 0 || w1 > words || len(xt) < LaneTileWords(n) || l.nsnps > len(xc) || l.npairs > len(bank) ||
+		l.nsnps > 0 && (2*int(l.top)+2)*words > len(data) ||
+		derive && (len(xmarg) < 1 || len(xmarg) > Lanes || int(l.tables) > len(yz)) {
+		// Unreachable: the engine's lanes pass walks [0, words) in tiles
+		// of its arena's x tile (arena.sizeLanes), lists the SNPs of two
+		// blocks of at most Lanes and the pairs they form, which index
+		// the arena's 2·Lanes XCounts, Lanes² bank tables and Lanes yz
+		// tables, hands it nx x SNPs, which processBlockLanes clamps to
+		// at most Lanes and returns before any work when below 1, and SNPs
+		// of the dataset the split planes hold; its seeded pass lists one
+		// pair of dataset SNPs and hands it a chunk of 1 to Lanes thirds
+		// (seededWorker.tile's min with Lanes). The vector body reads all
+		// of them through raw pointers.
+		panic("contingency: lane block out of range")
 	}
-	if k.vector() {
-		deriveAVX512(lt, xy, xz, &xmarg[0], len(xmarg), &yz[0][col])
+	if !k.vector() || n == 0 || l.nsnps == 0 {
+		blockLanesGo(bank, xc, l, xt, data, words, w0, w1, xmarg, yz)
 		return
 	}
-	deriveGo(lt, xy, xz, xmarg, yz, col)
+	blockLanesAVX512(bank, xc, xt, data[w0:], l.pairs[:l.npairs], l.snps[:l.nsnps], n, words, w0 > 0, derive, xmarg, yz)
 }
 
-// tripleLanesGo is the pure-Go body of TripleLanes and its oracle.
+// blockLanesGo is the pure-Go body of Block and its oracle.
+func blockLanesGo(bank []LaneTable, xc []XCounts, l *LaneList, xt, data []uint64, words, w0, w1 int, xmarg [][2]int32, yz []LaneTable) {
+	add := w0 > 0
+	xt = xt[:LaneTileWords(w1-w0)]
+	plane := func(s int32, g int) []uint64 {
+		o := (2*int(s)+g)*words + w0
+		return data[o : o+w1-w0]
+	}
+	for i, s := range l.snps[:l.nsnps] {
+		xLanesGo(&xc[i], xt, plane(s, 0), plane(s, 1), add)
+	}
+	for j, p := range l.pairs[:l.npairs] {
+		tripleLanesGo(&bank[j], xt, plane(p.y, 0), plane(p.y, 1), plane(p.z, 0), plane(p.z, 1), add)
+		if w1 == words {
+			deriveGo(&bank[j], &xc[p.ySlot], &xc[p.zSlot], xmarg, &yz[p.table], int(p.col))
+		}
+	}
+}
+
+// tripleLanesGo counts the eight cells of the triples (x[lane], y, z)
+// over the words of the given planes into lt, as Block does a pair's.
 func tripleLanesGo(lt *LaneTable, xt, y0s, y1s, z0s, z1s []uint64, add bool) {
 	n := len(y0s)
 	y1s, z0s, z1s = y1s[:n], z0s[:n], z1s[:n]
@@ -171,7 +229,8 @@ func tripleLanesGo(lt *LaneTable, xt, y0s, y1s, z0s, z1s []uint64, add bool) {
 	}
 }
 
-// xLanesGo is the pure-Go body of XLanes and its oracle.
+// xLanesGo counts the four cells of the pairs (x[lane], s) over the
+// words of the given planes into xc, as Block does a SNP's.
 func xLanesGo(xc *XCounts, xt, s0s, s1s []uint64, add bool) {
 	s1s = s1s[:len(s0s)]
 	var c XCounts
@@ -202,7 +261,8 @@ func setLaneRow(row, c *[Lanes]int32, add bool) {
 	*row = *c
 }
 
-// deriveGo is the pure-Go body of Derive and its oracle.
+// deriveGo derives the 19 other rows of lt, as Block does a pair's on
+// a class's last tile, (y, z) table column col of yz.
 func deriveGo(lt *LaneTable, xy, xz *XCounts, xmarg [][2]int32, yz *LaneTable, col int) {
 	for l := 0; l < Lanes; l++ {
 		var xm [2]int32

@@ -31,41 +31,69 @@ func referenceTriple(x0, x1, y0, y1, z0, z1 []uint64, samples int) (ft [Cells]in
 	return ft
 }
 
-// lanesPass runs the triple lanes pass with one kernel the way the
-// engine's fused loop does, over the triples (x+l, y, z), l < nx, of one
-// class of n samples: data and marg hold the class as dataset.Split
-// stores it and Searcher caches its marginals. Per word tile (cut at the
-// given offsets, ascending inside (0, words); none: one whole-plane pass)
-// the chunk goes through TransposeLanes into a reused dirty tile that
-// starts one word into its array, and XLanes against y and z and
-// TripleLanes against (y, z) go into dirty tables, the first tile setting
-// and the rest adding. The (y, z) table comes from PairLanes with y in
-// the lane it has in its run of eight, and Derive completes the table.
-func lanesPass(k LaneKernel, data []uint64, words int, marg [][2]int32, n, x, nx, y, z int, cuts []int) (lt LaneTable) {
-	for row := range lt {
-		for l := range lt[row] {
-			lt[row][l] = -12345 // the first pass sets, it does not add
+// dirtyTables returns n lane tables, and dirtyCounts n pair counts, full
+// of a value no count takes: a block entry's first tile must set its rows,
+// not add to them.
+func dirtyTables(n int) []LaneTable {
+	t := make([]LaneTable, n)
+	for i := range t {
+		for row := range t[i] {
+			for l := range t[i][row] {
+				t[i][row][l] = -12345
+			}
 		}
 	}
-	xy := XCounts{lt[0], lt[0], lt[0], lt[0]}
-	xz := xy
+	return t
+}
+
+func dirtyCounts(n int) []XCounts {
+	c := make([]XCounts, n)
+	for i := range c {
+		for row := range c[i] {
+			for l := range c[i][row] {
+				c[i][row][l] = -12345
+			}
+		}
+	}
+	return c
+}
+
+// runBlock walks one class through the block entry with one kernel the
+// way the engine's lanes pass does: per word tile (cut at the given
+// offsets, ascending inside (0, words); none: one whole-plane pass) the x
+// chunk of nx SNPs from x goes through TransposeLanes into a reused dirty
+// tile that starts one word into its array, and Block counts it against
+// the list into bank and xc — the first tile setting, the rest adding,
+// the last deriving from xmarg and yz.
+func runBlock(k LaneKernel, l *LaneList, bank []LaneTable, xc []XCounts, data []uint64, words int, xmarg [][2]int32, yz []LaneTable, x, nx int, cuts []int) {
 	xt := make([]uint64, 1+LaneTileWords(words))[1:]
 	w0 := 0
-	for _, w1 := range append(cuts, words) {
+	for _, w1 := range append(cuts[:len(cuts):len(cuts)], words) {
 		for i := range xt {
 			xt[i] = 0xDEADBEEFDEADBEEF // a reused tile: short chunks must be cleared
 		}
 		TransposeLanes(xt, data[2*x*words:2*(x+nx)*words], words, w0, w1)
-		k.XLanes(&xy, xt, data, words, y, w0, w1, w0 > 0)
-		k.XLanes(&xz, xt, data, words, z, w0, w1, w0 > 0)
-		k.TripleLanes(&lt, xt, data, words, y, z, w0, w1, w0 > 0)
+		k.Block(bank, xc, l, xt, data, words, w0, w1, xmarg, yz)
 		w0 = w1
 	}
-	var yz LaneTable
+}
+
+// lanesPass runs the triple lanes pass over the triples (x+l, y, z),
+// l < nx, of one class of n samples, a list of one pair: data and marg
+// hold the class as dataset.Split stores it and Searcher caches its
+// marginals. The (y, z) table comes from PairLanes with y in the lane it
+// has in its run of eight.
+func lanesPass(k LaneKernel, data []uint64, words int, marg [][2]int32, n, x, nx, y, z int, cuts []int) LaneTable {
+	var l LaneList
+	l.AddSNP(y)
+	l.AddSNP(z)
 	run := y - y%Lanes
-	k.PairLanes(&yz, data, words, run, min(Lanes, len(marg)-run), z, marg, int32(n))
-	k.Derive(&lt, &xy, &xz, marg[x:x+nx], &yz, y-run)
-	return lt
+	l.AddPair(0, 1, 0, y-run)
+	yz := make([]LaneTable, 1)
+	k.PairLanes(&yz[0], data, words, run, min(Lanes, len(marg)-run), z, marg, int32(n))
+	bank := dirtyTables(1)
+	runBlock(k, &l, bank, dirtyCounts(2), data, words, marg[x:x+nx], yz, x, nx, cuts)
+	return bank[0]
 }
 
 // tileCuts draws a cut of n words into tiles: nothing (one pass), one
@@ -232,17 +260,154 @@ func TestLanesDeriveStaysInsideTheClass(t *testing.T) {
 	}
 }
 
-// FuzzLanesAccumulate holds the lanes pass to BuildReference lane by lane
-// on both bodies. Each input draws a dataset (from seed) of one or two
-// samples up to 38401 — classes of 1 to about 300 words, nearly always
-// ending off a word boundary — and a chunk of 1 to 8 x SNPs (lanes) at a
-// start of 0 to 3; shape picks whether y lies inside the chunk, as on the
-// diagonal block b0 = b1, or past it, whether the chunk's first SNP and y
-// are monomorphic, and how many word tiles (one to three, cut at random
-// words) each class is walked in, the later ones through the add path.
-// Every x lane's two class columns must equal BuildReference's table of
-// (x+l, y, z), and every lane past the chunk the table of a SNP that is
-// genotype 2 everywhere: BuildReferencePair's (y, z) cells in rows 18..26.
+// blockTriple is a block triple of the engine's lanes pass: nx x SNPs
+// from x, and blocks b1 and b2 of lim1 and lim2 SNPs from base1 and base2
+// (the same block when base1 = base2).
+type blockTriple struct{ x, nx, base1, lim1, base2, lim2 int }
+
+// list builds the block triple's lane list the way processBlockLanes
+// does — the SNPs of b1 ∪ b2, then each (i1, i2) that an x SNP sorts
+// below, its (y, z) table in lane i1 of yz table i2 — keeping each pair
+// with probability keep (at least one), and returns the pairs it kept.
+func (b blockTriple) list(r *rand.Rand, keep float64) (l LaneList, pairs [][2]int) {
+	for i := range b.lim1 {
+		l.AddSNP(b.base1 + i)
+	}
+	zs := 0
+	if b.base1 != b.base2 {
+		zs = b.lim1
+		for i := range b.lim2 {
+			l.AddSNP(b.base2 + i)
+		}
+	}
+	var all [][2]int // (y, z) by their slots in b1 and b2
+	for z := range b.lim2 {
+		for y := max(0, b.x+1-b.base1); y < b.lim1 && b.base1+y < b.base2+z; y++ {
+			all = append(all, [2]int{y, z})
+		}
+	}
+	for j, p := range all {
+		if r.Float64() < keep || len(pairs) == 0 && j == len(all)-1 {
+			l.AddPair(p[0], zs+p[1], p[1], p[0])
+			pairs = append(pairs, [2]int{b.base1 + p[0], b.base2 + p[1]})
+		}
+	}
+	return l, pairs
+}
+
+// yzTables fills the block pair's (y, z) tables as the engine's
+// pairTables does: table z holds b1's SNPs that sort below b2's SNP z.
+func (b blockTriple) yzTables(k LaneKernel, data []uint64, words int, marg [][2]int32, n int) []LaneTable {
+	yz := dirtyTables(Lanes)
+	for z := range b.lim2 {
+		if valid := min(b.lim1, b.base2+z-b.base1); valid > 0 {
+			k.PairLanes(&yz[z], data, words, b.base1, valid, b.base2+z, marg, int32(n))
+		}
+	}
+	return yz
+}
+
+// TestLaneBlockMatchesReference is the differential test of the block
+// entry over whole lane lists: on block triples off the diagonal, on it
+// (b1 = b2, where z's slot is i2 itself) and with the x block equal to b1,
+// with 1 to 8 x SNPs, lists of 1 to 64 pairs and plane lengths of 0 to 300
+// words, mostly off a multiple of 8 and walked in one or several word
+// tiles into banks and counts reused dirty from the last list, the vector
+// body's tables and counts must equal the Go body's cell for cell, every
+// bank table and count past the list must be left alone, and at a spread
+// of lengths every lane of every pair must equal the sample-by-sample
+// count: BuildReference's cells of (x+l, y, z), and past the x SNPs those
+// of a SNP that is genotype 2 everywhere.
+func TestLaneBlockMatchesReference(t *testing.T) {
+	if !hasAVX512 {
+		t.Log("no AVX-512 VPOPCNTDQ body: the Go body alone against the reference")
+	}
+	r := rand.New(rand.NewSource(57))
+	checked := map[int]bool{0: true, 1: true, 7: true, 9: true, 63: true, 121: true, 137: true, 255: true, 299: true, 300: true}
+	var banks [2][]LaneTable
+	var counts [2][]XCounts
+	for b := range banks {
+		banks[b], counts[b] = dirtyTables(Lanes*Lanes+1), dirtyCounts(2*Lanes+1)
+	}
+	for words := 0; words <= 300; words++ {
+		if words%8 == 0 && !checked[words] {
+			continue
+		}
+		pad := r.Intn(64)
+		samples := max(64*words-pad, 0)
+		snps := make([][2][]uint64, 3*Lanes)
+		for i := range snps {
+			p0, p1 := randomPlanes(r, words)
+			clearTail(samples, p0, p1)
+			snps[i] = [2][]uint64{p0, p1}
+		}
+		data, marg := classPlanes(1, words, snps)
+		nx := 1 + r.Intn(Lanes)
+		var bt blockTriple
+		switch words % 3 {
+		case 0: // b0 < b1 < b2
+			bt = blockTriple{0, nx, Lanes, 1 + r.Intn(Lanes), 2 * Lanes, 1 + r.Intn(Lanes)}
+		case 1: // b0 < b1 = b2
+			lim := 2 + r.Intn(Lanes-1)
+			bt = blockTriple{0, nx, Lanes, lim, Lanes, lim}
+		default: // b0 = b1 < b2
+			bt = blockTriple{Lanes, min(nx, Lanes-1), Lanes, Lanes, 2 * Lanes, 1 + r.Intn(Lanes)}
+		}
+		keep := []float64{1, 0.5, 0.05}[r.Intn(3)]
+		l, pairs := bt.list(r, keep)
+		cuts := tileCuts(r, words)
+		xmarg := marg[bt.x : bt.x+bt.nx]
+		for b, body := range bodies {
+			if !body.oracle && !hasAVX512 {
+				continue
+			}
+			k := LaneKernel{Oracle: body.oracle}
+			restBank, restCounts := slices.Clone(banks[b][len(pairs):]), slices.Clone(counts[b][l.nsnps:])
+			runBlock(k, &l, banks[b], counts[b], data, words, xmarg, bt.yzTables(k, data, words, marg, samples), bt.x, bt.nx, cuts)
+			if !slices.Equal(banks[b][len(pairs):], restBank) || !slices.Equal(counts[b][l.nsnps:], restCounts) {
+				t.Fatalf("words=%d %s: the block wrote past its %d pairs or %d SNPs", words, body.name, len(pairs), l.nsnps)
+			}
+		}
+		if hasAVX512 && (!slices.Equal(banks[0][:len(pairs)], banks[1][:len(pairs)]) || !slices.Equal(counts[0][:l.nsnps], counts[1][:l.nsnps])) {
+			t.Fatalf("words=%d %+v, %d pairs, tiles cut at %v: the bodies disagree", words, bt, len(pairs), cuts)
+		}
+		if !checked[words] {
+			continue
+		}
+		empty := make([]uint64, words)
+		for j, p := range pairs {
+			y, z := snps[p[0]], snps[p[1]]
+			for lane := 0; lane < Lanes; lane++ {
+				x0, x1 := empty, empty
+				if lane < bt.nx {
+					x0, x1 = snps[bt.x+lane][0], snps[bt.x+lane][1]
+				}
+				want := referenceTriple(x0, x1, y[0], y[1], z[0], z[1], samples)
+				if got := column(&banks[0][j], lane); got != want {
+					t.Fatalf("words=%d %+v, pair %d (%d, %d), lane %d: differs from the reference\ngot  %v\nwant %v",
+						words, bt, j, p[0], p[1], lane, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLanesAccumulate holds the block entry to BuildReference lane by
+// lane on both bodies. Each input draws a dataset (from seed) of one or
+// two samples up to 38401 — classes of 1 to about 300 words, nearly
+// always ending off a word boundary — and a chunk of 1 to 8 x SNPs
+// (lanes) at a start of 0 to 3; shape picks whether y lies inside the
+// chunk, as on the diagonal block b0 = b1, or past it, whether the
+// chunk's first SNP and y are monomorphic, and how many word tiles (one
+// to three, cut at random words) each class is walked in, the later ones
+// through the add path. The lane list holds every SNP past the chunk's
+// first and, besides (y, z), a random share of the other pairs of them,
+// each with its own (y, z) table at y's lane of its run of eight; banks
+// and counts arrive dirty. Every x lane's two class columns of (y, z)
+// must equal BuildReference's table of (x+l, y, z), and every lane past
+// the chunk the table of a SNP that is genotype 2 everywhere:
+// BuildReferencePair's (y, z) cells in rows 18..26; the two bodies must
+// agree on every pair of the list.
 func FuzzLanesAccumulate(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(2*120*64+77), uint8(7), uint8(0x15))
@@ -266,42 +431,72 @@ func FuzzLanesAccumulate(f *testing.F) {
 		}
 		split := dataset.SplitBinarize(mx)
 		tiles := 1 + int(shape>>1)%3
-		var got [2]LaneTable
-		for _, body := range bodies {
+		var l LaneList
+		for s := x + 1; s < m; s++ {
+			l.AddSNP(s)
+		}
+		var pairs [][2]int
+		target := 0
+		for py := x + 1; py < m; py++ {
+			for pz := py + 1; pz < m; pz++ {
+				if py == y && pz == z {
+					target = len(pairs)
+				} else if r.Intn(2) == 0 {
+					continue
+				}
+				l.AddPair(py-x-1, pz-x-1, len(pairs), py%Lanes)
+				pairs = append(pairs, [2]int{py, pz})
+			}
+		}
+		var got [2][2][]LaneTable // body, class
+		for b, body := range bodies {
 			if !body.oracle && !hasAVX512 {
 				continue
 			}
-			for class := range got {
-				words := split.Words[class]
+			k := LaneKernel{Oracle: body.oracle}
+			for class := range got[b] {
+				words, data := split.Words[class], split.ClassPlaneData(class)
 				marg := make([][2]int32, m)
 				for snp := range marg {
 					for g := range marg[snp] {
 						marg[snp][g] = int32(bitvec.PopCount(split.Plane(class, snp, g)))
 					}
 				}
+				yz := dirtyTables(len(pairs))
+				for j, p := range pairs {
+					run := p[0] - p[0]%Lanes
+					k.PairLanes(&yz[j], data, words, run, min(Lanes, m-run), p[1], marg, int32(split.N[class]))
+				}
 				var cuts []int
 				for _, w := range r.Perm(max(words-1, 0))[:min(tiles-1, max(words-1, 0))] {
 					cuts = append(cuts, w+1)
 				}
 				slices.Sort(cuts)
-				got[class] = lanesPass(LaneKernel{Oracle: body.oracle}, split.ClassPlaneData(class), words, marg,
-					split.N[class], x, nx, y, z, cuts)
+				got[b][class] = dirtyTables(len(pairs))
+				runBlock(k, &l, got[b][class], dirtyCounts(l.nsnps), data, words, marg[x:x+nx], yz, x, nx, cuts)
 			}
 			pair := BuildReferencePair(mx, y, z)
-			for l := 0; l < Lanes; l++ {
+			for lane := 0; lane < Lanes; lane++ {
 				var want Table
-				if l < nx {
-					want = BuildReference(mx, x+l, y, z)
+				if lane < nx {
+					want = BuildReference(mx, x+lane, y, z)
 				} else {
 					for class := range want.Counts {
 						copy(want.Counts[class][2*PairCells:], pair.Counts[class][:PairCells])
 					}
 				}
-				for class := range got {
-					if c := column(&got[class], l); c != want.Counts[class] {
+				for class := range got[b] {
+					if c := column(&got[b][class][target], lane); c != want.Counts[class] {
 						t.Fatalf("n=%d %s body, class %d, %d tiles: lane %d of %d, triple (%d+%d, %d, %d) differs from the reference\ngot  %v\nwant %v",
-							n, body.name, class, tiles, l, nx, x, l, y, z, c, want.Counts[class])
+							n, body.name, class, tiles, lane, nx, x, lane, y, z, c, want.Counts[class])
 					}
+				}
+			}
+		}
+		if hasAVX512 {
+			for class := range got[0] {
+				if !slices.Equal(got[0][class], got[1][class]) {
+					t.Fatalf("n=%d class %d, %d tiles, %d pairs: the bodies disagree", n, class, tiles, len(pairs))
 				}
 			}
 		}
@@ -311,16 +506,15 @@ func FuzzLanesAccumulate(f *testing.F) {
 // BenchmarkLanes times the lanes pass on both bodies at the plane lengths
 // of a 500-sample class, one vector, an 8192-sample class, a default tile,
 // a 16384-sample class of one tile and a bit, and two tiles and a bit:
-// TripleLanes for one (y, z), XLanes for one SNP, and as pair/ what one
-// (y, z) of a block triple costs at the engine's fused block of Lanes SNPs
-// — 64 TripleLanes, 16 XLanes and 64 Derive calls, reported per pair —
-// with planes longer than a default tile walked in tiles, the later ones
-// adding, the way the engine walks them; the transpose that feeds it,
-// of a full chunk and of a partial one, tile by tile into one reused
-// tile-sized buffer as the engine does; and one Derive.
+// as pair/, what one (y, z) of a block triple costs at the engine's fused
+// block of Lanes SNPs — one Block call per word tile over a list of 2·Lanes
+// SNPs and Lanes² pairs, the last deriving, reported per pair — and as
+// seeded/, one call per tile over a list of one pair, as the seeded
+// extension runs it, both on x tiles transposed beforehand; and the
+// transpose that feeds them, of a full chunk and of a partial one, tile
+// by tile into one reused tile-sized buffer as the engine does.
 func BenchmarkLanes(b *testing.B) {
 	const tile, bs = 120, Lanes
-	var derived bool
 	for _, words := range []int{4, 8, 64, 120, 137, 256} {
 		r := rand.New(rand.NewSource(5))
 		snps := make([][2][]uint64, Lanes+2*bs)
@@ -329,10 +523,6 @@ func BenchmarkLanes(b *testing.B) {
 			snps[i] = [2][]uint64{p0, p1}
 		}
 		data, marg := classPlanes(0, words, snps)
-		xt := make([]uint64, LaneTileWords(words))
-		for i := 0; i < words; i += tile {
-			TransposeLanes(xt[LaneTileWords(i):], data[:2*Lanes*words], words, i, min(i+tile, words))
-		}
 		for _, nx := range []int{Lanes, 5} {
 			b.Run(fmt.Sprintf("transpose/%dw/%dsnps", words, nx), func(b *testing.B) {
 				xtile := make([]uint64, LaneTileWords(min(tile, words)))
@@ -343,54 +533,34 @@ func BenchmarkLanes(b *testing.B) {
 				}
 			})
 		}
+		block, _ := blockTriple{0, Lanes, Lanes, bs, Lanes + bs, bs}.list(r, 1)
+		var seeded LaneList
+		seeded.AddSNP(Lanes)
+		seeded.AddSNP(Lanes + bs)
+		seeded.AddPair(0, 1, 0, 0)
+		bank, yz := make([]LaneTable, bs*bs), make([]LaneTable, bs)
+		xc := make([]XCounts, 2*bs)
+		xt := make([]uint64, LaneTileWords(words))
+		for i := 0; i < words; i += tile {
+			TransposeLanes(xt[LaneTileWords(i):], data[:2*Lanes*words], words, i, min(i+tile, words))
+		}
 		for _, body := range bodies {
 			k := LaneKernel{Oracle: body.oracle}
 			name := fmt.Sprintf("%dw/%s", words, body.name)
-			var lt, yz LaneTable
-			var xc [2 * bs]XCounts
-			b.Run("triple/"+name, func(b *testing.B) {
-				skipWithoutAssembly(b, body.oracle)
-				for i := 0; i < b.N; i++ {
-					for w0 := 0; w0 < words; w0 += tile {
-						k.TripleLanes(&lt, xt[LaneTileWords(w0):], data, words, Lanes, Lanes+bs, w0, min(w0+tile, words), w0 > 0)
-					}
-				}
-			})
-			b.Run("x/"+name, func(b *testing.B) {
-				skipWithoutAssembly(b, body.oracle)
-				for i := 0; i < b.N; i++ {
-					for w0 := 0; w0 < words; w0 += tile {
-						k.XLanes(&xc[0], xt[LaneTileWords(w0):], data, words, Lanes, w0, min(w0+tile, words), w0 > 0)
-					}
-				}
-			})
-			b.Run("pair/"+name, func(b *testing.B) {
-				skipWithoutAssembly(b, body.oracle)
-				for i := 0; i < b.N; i++ {
-					for w0 := 0; w0 < words; w0 += tile {
-						w1 := min(w0+tile, words)
-						for s := range xc {
-							k.XLanes(&xc[s], xt[LaneTileWords(w0):], data, words, Lanes+s, w0, w1, w0 > 0)
-						}
-						for p := 0; p < bs*bs; p++ {
-							k.TripleLanes(&lt, xt[LaneTileWords(w0):], data, words, Lanes+p/bs, Lanes+bs+p%bs, w0, w1, w0 > 0)
-						}
-					}
-					for p := 0; p < bs*bs; p++ {
-						k.Derive(&lt, &xc[p/bs], &xc[bs+p%bs], marg[:Lanes], &yz, p/bs)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(bs*bs), "ns/pair")
-			})
-			if !derived {
-				b.Run("derive/"+body.name, func(b *testing.B) {
+			for _, arm := range []struct {
+				name string
+				l    *LaneList
+			}{{"pair/", &block}, {"seeded/", &seeded}} {
+				b.Run(arm.name+name, func(b *testing.B) {
 					skipWithoutAssembly(b, body.oracle)
 					for i := 0; i < b.N; i++ {
-						k.Derive(&lt, &xc[0], &xc[bs], marg[:Lanes], &yz, 1)
+						for w0 := 0; w0 < words; w0 += tile {
+							k.Block(bank, xc, arm.l, xt[LaneTileWords(w0):], data, words, w0, min(w0+tile, words), marg[:Lanes], yz)
+						}
 					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(arm.l.Pairs()), "ns/pair")
 				})
 			}
 		}
-		derived = true
 	}
 }

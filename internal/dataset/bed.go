@@ -28,8 +28,12 @@ func IsBED(magic []byte) bool {
 // 11 = homozygous A2 (0), 01 = missing (rejected). Sample-major files
 // (mode byte 0x00) and trailing bytes — the signature of a .fam that
 // disagrees with the .bed's sample count — are errors.
-func ReadBED(bed, bim, fam io.Reader) (*Matrix, error) {
-	phen, err := readFAM(fam)
+func ReadBED(bed, bim, fam io.Reader) (*Matrix, error) { return readBED(bed, bim, fam, MaxSamples) }
+
+// readBED is ReadBED refusing a .fam of more than maxSamples samples;
+// tests lower the bound.
+func readBED(bed, bim, fam io.Reader, maxSamples int) (*Matrix, error) {
+	phen, err := readFAM(fam, maxSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +90,9 @@ func ReadBED(bed, bim, fam io.Reader) (*Matrix, error) {
 }
 
 // readFAM parses the .fam sidecar: one sample per line, six columns
-// (FID IID PAT MAT SEX PHENO), phenotype 1 = control / 2 = case.
-func readFAM(r io.Reader) ([]uint8, error) {
+// (FID IID PAT MAT SEX PHENO), phenotype 1 = control / 2 = case, at most
+// maxSamples of them.
+func readFAM(r io.Reader, maxSamples int) ([]uint8, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	var phen []uint8
@@ -97,6 +102,9 @@ func readFAM(r io.Reader) ([]uint8, error) {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
+		}
+		if len(phen) == maxSamples {
+			return nil, fmt.Errorf("dataset: bed: fam line %d: more than %d samples", line, maxSamples)
 		}
 		fields := strings.Fields(text)
 		if len(fields) < 6 {

@@ -187,3 +187,18 @@ func TestReadBEDPadding(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, rows[0])
 	}
 }
+
+// TestReadBEDRefusesTooManySamples: a .fam of more samples than the bound
+// is refused, naming the line and the bound, before the .bed is read or
+// the matrix allocated.
+func TestReadBEDRefusesTooManySamples(t *testing.T) {
+	rows := [][]uint8{{0, 1, 2, 1, 0}}
+	fam := famLines([]string{"1", "2", "2", "1", "2"})
+	if _, err := readBED(bytes.NewReader(encodeBED(rows, nil)), strings.NewReader(bimLines(1)), strings.NewReader(fam), 5); err != nil {
+		t.Fatalf("5 samples at a bound of 5: %v", err)
+	}
+	_, err := readBED(bytes.NewReader(nil), strings.NewReader(bimLines(1)), strings.NewReader(fam), 4)
+	if err == nil || !strings.Contains(err.Error(), "fam line 5: more than 4 samples") {
+		t.Fatalf("5 samples at a bound of 4: err = %v", err)
+	}
+}

@@ -78,7 +78,7 @@ func ReadText(r io.Reader) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: bad N: %w", err)
 	}
-	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
+	if m <= 0 || n <= 0 || m > 1<<24 || n > MaxSamples {
 		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
 	}
 	reserve := min(m*n, bodyChunk)
@@ -161,7 +161,7 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	}
 	m := int(binary.LittleEndian.Uint32(hdr[0:]))
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
+	if m <= 0 || n <= 0 || m > 1<<24 || n > MaxSamples {
 		return nil, fmt.Errorf("dataset: unreasonable dimensions %dx%d", m, n)
 	}
 	p := &Packed{M: m, N: n}

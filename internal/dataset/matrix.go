@@ -21,6 +21,10 @@ const (
 	Case    = 1
 )
 
+// MaxSamples is the most samples a dataset may hold: every reader refuses
+// more before it allocates by N, and score.New sizes no objective past it.
+const MaxSamples = 1 << 24
+
 // Matrix is the raw genotype matrix: M SNPs by N samples, SNP-major,
 // plus one phenotype value per sample.
 type Matrix struct {

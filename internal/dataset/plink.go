@@ -25,7 +25,11 @@ import (
 // The minor allele of each SNP is determined from the data (the rarer
 // allele; ties break toward the lexicographically larger token), and
 // genotype values are minor-allele counts.
-func ReadPED(r io.Reader) (*Matrix, error) {
+func ReadPED(r io.Reader) (*Matrix, error) { return readPED(r, MaxSamples) }
+
+// readPED is ReadPED refusing more than maxSamples sample lines; tests
+// lower the bound.
+func readPED(r io.Reader, maxSamples int) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	var rows [][]string // allele tokens per sample
@@ -37,6 +41,9 @@ func ReadPED(r io.Reader) (*Matrix, error) {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
+		}
+		if len(rows) == maxSamples {
+			return nil, fmt.Errorf("dataset: ped line %d: more than %d samples", line, maxSamples)
 		}
 		fields := strings.Fields(text)
 		if len(fields) < 8 {
@@ -158,7 +165,11 @@ func ReadRAWPacked(r io.Reader) (*Packed, error) {
 // counts taken from the leading GT subfield (phased or unphased). phen
 // supplies the phenotype per sample in header order, since VCF carries
 // no case-control status.
-func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) {
+func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) { return readVCF(r, phen, MaxSamples) }
+
+// readVCF is ReadVCF refusing a header of more than maxSamples samples;
+// tests lower the bound.
+func readVCF(r io.Reader, phen []uint8, maxSamples int) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	var samples int
@@ -177,6 +188,9 @@ func ReadVCF(r io.Reader, phen []uint8) (*Matrix, error) {
 			}
 			if samples != 0 {
 				return nil, fmt.Errorf("dataset: vcf line %d: second #CHROM header (%d samples; the first named %d)", line, len(fields)-9, samples)
+			}
+			if len(fields)-9 > maxSamples {
+				return nil, fmt.Errorf("dataset: vcf line %d: header names %d samples, more than %d", line, len(fields)-9, maxSamples)
 			}
 			samples = len(fields) - 9
 			continue

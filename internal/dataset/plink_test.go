@@ -294,3 +294,30 @@ func TestReadVCFRepeatedHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestReadPEDRefusesTooManySamples: a .ped of exactly the sample bound
+// reads, and one sample line past it is refused, naming the line and the
+// bound, before the matrix is allocated.
+func TestReadPEDRefusesTooManySamples(t *testing.T) {
+	ped := "F S1 0 0 1 1 A A\nF S2 0 0 1 2 A G\n\nF S3 0 0 1 1 G G\n"
+	if mx, err := readPED(strings.NewReader(ped), 3); err != nil || mx.Samples() != 3 {
+		t.Fatalf("3 samples at a bound of 3: %v", err)
+	}
+	_, err := readPED(strings.NewReader(ped), 2)
+	if err == nil || !strings.Contains(err.Error(), "ped line 4: more than 2 samples") {
+		t.Fatalf("3 samples at a bound of 2: err = %v", err)
+	}
+}
+
+// TestReadVCFRefusesTooManySamples: a #CHROM header naming more samples
+// than the bound is refused at the header, before a row is read.
+func TestReadVCFRefusesTooManySamples(t *testing.T) {
+	vcf := vcfHeader + "1\t100\trs1\tA\tG\t.\tPASS\t.\tGT\t0/0\t0/1\t1/1\n"
+	if _, err := readVCF(strings.NewReader(vcf), []uint8{0, 1, 0}, 3); err != nil {
+		t.Fatalf("3 samples at a bound of 3: %v", err)
+	}
+	_, err := readVCF(strings.NewReader(vcf), []uint8{0, 1, 0}, 2)
+	if err == nil || !strings.Contains(err.Error(), "header names 3 samples, more than 2") {
+		t.Fatalf("3 samples at a bound of 2: err = %v", err)
+	}
+}

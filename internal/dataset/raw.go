@@ -142,6 +142,9 @@ func readRAW(r io.Reader, blockSize, maxLine int) (*Packed, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dataset: raw input has no samples")
 	}
+	if n > MaxSamples {
+		return nil, fmt.Errorf("dataset: raw input has %d samples, more than %d", n, MaxSamples)
+	}
 	return assembleChunks(m, n, chunks, hasAVX512), nil
 }
 

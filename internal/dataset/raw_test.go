@@ -453,3 +453,42 @@ func TestReadRAWStagingFollowsBytes(t *testing.T) {
 		t.Errorf("allocated %d bytes for %d of input, want at most %d", got, len(text), limit)
 	}
 }
+
+// manySamples is a .raw input of one SNP and the given number of sample
+// lines, generated as it is read.
+type manySamples struct {
+	head string
+	left int
+	buf  []byte
+}
+
+func (g *manySamples) Read(p []byte) (int, error) {
+	const line = "F I 0 0 0 1 0\n"
+	if len(g.buf) == 0 {
+		switch {
+		case g.head != "":
+			g.buf, g.head = []byte(g.head), ""
+		case g.left > 0:
+			k := min(g.left, 1<<16)
+			g.buf, g.left = []byte(strings.Repeat(line, k)), g.left-k
+		default:
+			return 0, io.EOF
+		}
+	}
+	n := copy(p, g.buf)
+	g.buf = g.buf[n:]
+	return n, nil
+}
+
+// TestReadRAWRefusesTooManySamples: a .raw of MaxSamples + 1 sample lines
+// (≈ 235 MB, generated as it is read) is refused with its count before
+// the packed sections are allocated.
+func TestReadRAWRefusesTooManySamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 2^24 + 1 sample lines")
+	}
+	_, err := ReadRAWPacked(&manySamples{head: "FID IID PAT MAT SEX PHENOTYPE rs1_A\n", left: MaxSamples + 1})
+	if want := fmt.Sprintf("raw input has %d samples, more than %d", MaxSamples+1, MaxSamples); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%d samples: err = %v, want %q", MaxSamples+1, err, want)
+	}
+}

@@ -162,7 +162,8 @@ func TestHotPathAllocs(t *testing.T) {
 		a.release()
 	}
 
-	// The fused loop's stubs, on tables that live on the stack.
+	// The fused loop's stubs, on a lane list and tables that live on the
+	// stack.
 	split := short.Split()
 	words := split.Words[0]
 	data := split.ClassPlaneData(0)
@@ -172,15 +173,16 @@ func TestHotPathAllocs(t *testing.T) {
 	k2 := score.NewK2(2 * short.st.Samples()) // both classes get the control table
 	var k contingency.LaneKernel
 	if allocs := testing.AllocsPerRun(32, func() {
-		var lt, yz contingency.LaneTable
-		var xy, xz contingency.XCounts
+		var bank, yz [1]contingency.LaneTable
+		var xc [2]contingency.XCounts
+		var l contingency.LaneList
 		var scores [contingency.Lanes]float64
-		k.PairLanes(&yz, data, words, 8, 1, 9, marg, int32(split.N[0]))
-		k.XLanes(&xy, xt, data, words, 8, 0, words, false)
-		k.XLanes(&xz, xt, data, words, 9, 0, words, false)
-		k.TripleLanes(&lt, xt, data, words, 8, 9, 0, words, false)
-		k.Derive(&lt, &xy, &xz, marg[:contingency.Lanes], &yz, 0)
-		k2.ScoreLanes(&scores, &lt, &lt, contingency.Cells, contingency.Lanes, math.Inf(1))
+		k.PairLanes(&yz[0], data, words, 8, 1, 9, marg, int32(split.N[0]))
+		l.AddSNP(8)
+		l.AddSNP(9)
+		l.AddPair(0, 1, 0, 0)
+		k.Block(bank[:], xc[:], &l, xt, data, words, 0, words, marg[:contingency.Lanes], yz[:])
+		k2.ScoreLanes(&scores, &bank[0], &bank[0], contingency.Cells, contingency.Lanes, math.Inf(1))
 		if scores[0] == 0 {
 			t.Fatal("no score")
 		}

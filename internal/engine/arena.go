@@ -15,20 +15,21 @@ import (
 // Arenas are pooled across runs so a Session serving repeated
 // searches allocates nothing in the steady state beyond warm-up.
 type arena struct {
-	// yz, xt, xc, pairs, bank and laneScore are the block walk's scratch
+	// yz, xt, xc, list, bank and laneScore are the block walk's scratch
 	// for the block tuple in hand: per class the (i1, i2) pair tables of
 	// its blocks b1 and b2, b1's SNPs in the lanes of one lane table per
-	// i2; its x tile over the word tile in hand, the XLanes counts against
-	// each SNP of b1 ∪ b2, the (i1, i2) pairs the x SNPs meet, per class
-	// one lane table per pair, and the scores of eight tables. The pair
-	// pass scores the yz tables themselves into laneScore. The seeded
-	// extension uses the first of them: the seed pair's table in
-	// yz[class][0], a chunk's counts against p.I and p.J in xc[0] and
-	// xc[1], and its tables in bank[class][0], permuted into bank[class][1].
+	// i2; its x tile over the word tile in hand, the x lanes' pair counts
+	// against each SNP of b1 ∪ b2, the lane list of those SNPs and the
+	// (i1, i2) pairs the x SNPs meet, per class one lane table per pair,
+	// and the scores of eight tables. The pair pass scores the yz tables
+	// themselves into laneScore. The seeded extension uses the first of
+	// them: the seed pair's table in yz[class][0], a list of the seed
+	// pair, a chunk's counts against p.I and p.J in xc[0] and xc[1], and
+	// its tables in bank[class][0], permuted into bank[class][1].
 	yz        [2][]contingency.LaneTable
 	xt        []uint64
 	xc        []contingency.XCounts
-	pairs     []lanePair
+	list      contingency.LaneList
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
 	// ctrl/cases are the cell columns: the k-way rank body's table, or
@@ -69,9 +70,6 @@ func (a *arena) sizeLanes(tile int) {
 	}
 	if len(a.xc) < 2*bs {
 		a.xc = make([]contingency.XCounts, 2*bs)
-	}
-	if cap(a.pairs) < bs*bs {
-		a.pairs = make([]lanePair, 0, bs*bs)
 	}
 	for class := range a.bank {
 		if len(a.bank[class]) < bs*bs {

@@ -117,12 +117,16 @@ type blockWorker struct {
 	// bank holds for this run ({-1, -1}: none yet). It lives here, not in
 	// the pooled arena, so no run reads another's tables.
 	yzFor [2]int
+	// listFor is the block pair and first slot of b1 whose lane list the
+	// arena holds for this run ({-1, -1, -1}: none yet), kept here for the
+	// same reason.
+	listFor [3]int
 }
 
 // newBlockWorker builds a consumer of the block tuples bt over a pooled
 // arena.
 func (s *Searcher) newBlockWorker(o *Options, a *arena, bt blockTuples, screen *screenPlanes) *blockWorker {
-	return &blockWorker{lanesPass: s.newLanesPass(o, a), bt: bt, screen: screen, yzFor: [2]int{-1, -1}}
+	return &blockWorker{lanesPass: s.newLanesPass(o, a), bt: bt, screen: screen, yzFor: [2]int{-1, -1}, listFor: [3]int{-1, -1, -1}}
 }
 
 // lanesPass is what a consumer of the lanes pass holds: its options, its
@@ -261,26 +265,24 @@ func (w *blockWorker) pairBound(x, valid, j int) float64 {
 	return b
 }
 
-// lanePair is one (i1, i2) the block triple's eight x SNPs meet: its two
-// SNPs and how many of the lanes sort below i1. Its tables are the two
-// lane tables at its position in the arena's banks.
-type lanePair struct{ y, z, valid int }
-
 // processBlockLanes evaluates the block triple (b0, b1, b2) of blocks of
 // contingency.Lanes SNPs, b0's SNPs in the lanes — the fused approaches'
 // one loop, whatever the plane length. pairTables puts the (i1, i2) pair
 // tables of b1 and b2 into the arena's yz bank, unless it holds them
 // already: colexicographic ranks vary b0 fastest, so a tile's block
-// triples come in runs that share (b1, b2). Then, one class at a time,
-// the class plane is walked in word tiles: the x tile is transposed once
-// per word tile, XLanes counts it against every SNP of b1 ∪ b2 and
-// TripleLanes against every (i1, i2), into the pair's lane table in the
-// class's bank
-// — each sets on the class's first tile (no class is empty: the store
-// refuses such a dataset) and adds on the others, so nothing is zeroed.
-// The pass over the class's last tile completes a pair's eight counted
-// rows, and Derive the other 19 there and then; the cases' completes the
-// pair's two tables, which are scored while they are hot.
+// triples come in runs that share (b1, b2). The arena's lane list names
+// the SNPs of b1 ∪ b2 and the (i1, i2) pairs the x SNPs meet, and is
+// rebuilt only when the block pair or its first slot changes (the slot
+// moves only on the diagonal b0 = b1). Then, one class at a time, the
+// class plane is walked in word tiles: the x tile is transposed once per
+// word tile and goes through LaneKernel.Block, one call that counts it
+// against every SNP of the list and every pair, into the pair's lane
+// table in the class's bank — each set on the class's first tile (no
+// class is empty: the store refuses such a dataset) and added to on the
+// others, so nothing is zeroed — and on the class's last tile derives
+// every pair's other 19 rows. After the cases, each pair's two tables
+// are scored where they lie; the only per-pair Go work left is that
+// scoring and its offers.
 //
 // The class loop is outside the pair loop so that one pass's working set
 // is one x tile and the y/z words of the two blocks next to one class's
@@ -300,61 +302,51 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 	if nx <= 0 {
 		return 0
 	}
-	// SNP i of b1 ∪ b2 has XLanes counts a.xc[i-base1] in b1, and
-	// a.xc[zs+i-base2] in b2: the same slot on the diagonal b1 = b2.
-	zs := lim1
-	if b1 == b2 {
-		zs = 0
-	}
 	w.pairTables(b1, b2)
-	pairs := a.pairs[:0]
-	for gi2 := base2; gi2 < base2+lim2; gi2++ {
-		for gi1 := max(base1, x+1); gi1 < base1+lim1 && gi1 < gi2; gi1++ {
-			pairs = append(pairs, lanePair{y: gi1, z: gi2, valid: min(nx, gi1-x)})
+	l := &a.list
+	if y0 := max(0, x+1-base1); w.listFor != [3]int{b1, b2, y0} {
+		// SNP i of b1 has slot i of the list and of a.xc, and SNP i of b2
+		// slot zs+i: the same slot on the diagonal b1 = b2.
+		l.Reset()
+		for i := range lim1 {
+			l.AddSNP(base1 + i)
 		}
+		zs := 0
+		if b1 != b2 {
+			zs = lim1
+			for i := range lim2 {
+				l.AddSNP(base2 + i)
+			}
+		}
+		for z := range lim2 {
+			for y := y0; y < lim1 && base1+y < base2+z; y++ {
+				l.AddPair(y, zs+z, z, y)
+			}
+		}
+		w.listFor = [3]int{b1, b2, y0}
 	}
-	var scored int64
 	for class, words := range split.Words {
-		bank := a.bank[class][:len(pairs)]
 		data := split.ClassPlaneData(class) // plane g of SNP i at (2i+g)*words
 		xmarg := marg[class][x : x+nx]
 		for w0 := 0; w0 < words; w0 += bw {
 			w1 := min(w0+bw, words)
 			contingency.TransposeLanes(a.xt, data[x*2*words:(x+nx)*2*words], words, w0, w1)
-			for i := range a.xc[:max(lim1, zs+lim2)] {
-				snp := base1 + i
-				if i >= lim1 {
-					snp = base2 + i - zs
-				}
-				k.XLanes(&a.xc[i], a.xt, data, words, snp, w0, w1, w0 > 0)
-			}
-			for j, p := range pairs {
-				k.TripleLanes(&bank[j], a.xt, data, words, p.y, p.z, w0, w1, w0 > 0)
-				if w1 < words {
-					continue
-				}
-				y, z := p.y-base1, p.z-base2
-				k.Derive(&bank[j], &a.xc[y], &a.xc[zs+z], xmarg, &a.yz[class][z], y)
-				if class == dataset.Case {
-					w.scoreLanes(x, j, p)
-					scored += int64(p.valid)
-				}
-			}
+			k.Block(a.bank[class], a.xc, l, a.xt, data, words, w0, w1, xmarg, a.yz[class])
+		}
+	}
+	var scored int64
+	for j := range l.Pairs() {
+		y, z := l.Pair(j)
+		valid := min(nx, y-x)
+		scored += int64(valid)
+		if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], contingency.Cells, valid, a.top.bound()) {
+			continue
+		}
+		for lane := range valid {
+			a.top.Offer(Triple{I: x + lane, J: y, K: z}.scored(a.laneScore[lane]))
 		}
 	}
 	return scored
-}
-
-// scoreLanes scores the two lane tables of the block triple's j'th pair
-// where they lie and offers the valid lanes' triples (x + lane, p.y, p.z).
-func (w *blockWorker) scoreLanes(x, j int, p lanePair) {
-	a := w.a
-	if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], contingency.Cells, p.valid, a.top.bound()) {
-		return
-	}
-	for lane := 0; lane < p.valid; lane++ {
-		a.top.Offer(Triple{I: x + lane, J: p.y, K: p.z}.scored(a.laneScore[lane]))
-	}
 }
 
 // blockLim returns how many SNPs of a block starting at base exist in a

@@ -7,20 +7,20 @@
 //
 //	V3F/V4F (lanes) eight x SNPs per pass, one per 64-bit lane, and only
 //	                the 8 cells of stored genotypes counted per (i1, i2)
-//	                — x_a & y_b & z_c straight from the split planes
-//	                (contingency.LaneKernel.TripleLanes) — into a lane
-//	                table of the worker's BS^2 bank per class, set by a
-//	                plane's first word tile and added to by the rest.
-//	                The other 19 cells are derived (Derive) from the x
-//	                lanes' pair counts against each SNP of the two
-//	                blocks (XLanes, once per block triple), the (i1, i2)
-//	                pair tables (PairLanes, once per block pair), and the
-//	                x marginals;
-//	                the pass that completes a pair's tables scores the
-//	                eight of them where they lie. One loop, whatever the
-//	                plane length. V3F pins the pure-Go bodies, the
-//	                oracle; V4F takes the tuned ones (AVX-512 VPOPCNTDQ
-//	                where the host has it) and is the default.
+//	                — x_a & y_b & z_c straight from the split planes —
+//	                into a lane table of the worker's BS^2 bank per
+//	                class, set by a plane's first word tile and added to
+//	                by the rest. The other 19 cells are derived on the
+//	                last tile from the x lanes' pair counts against each
+//	                SNP of the two blocks (counted per word tile too),
+//	                the (i1, i2) pair tables (PairLanes, once per block
+//	                pair), and the x marginals: one
+//	                contingency.LaneKernel.Block call per block triple,
+//	                class and word tile does all of it. The pair's two
+//	                tables are then scored where they lie. One loop,
+//	                whatever the plane length. V3F pins the pure-Go
+//	                bodies, the oracle; V4F takes the tuned ones (AVX-512
+//	                VPOPCNTDQ where the host has it) and is the default.
 //	V2 (split)      one full-length table per combination from the
 //	                phenotype-split planes, genotype 2 inferred with NOR
 //	                (contingency.BuildSplitK), over combination ranks: the
@@ -34,10 +34,10 @@
 // list; Run refuses them.
 //
 // The fused loop (blocked.go, processBlockLanes) runs per block triple,
-// per class, per word tile, per (i1, i2) of the block pair. Its block is
-// one lane group (BS = 8, FusedTileParams), so b0's SNPs fill the lanes
-// and meet up to BS² = 64 pairs, over which the transpose and the 16
-// XLanes are spread. Its working set per word of tile is 128 bytes of
+// per class, per word tile, one Block call over the (i1, i2) of the block
+// pair. Its block is one lane group (BS = 8, FusedTileParams), so b0's
+// SNPs fill the lanes and meet up to BS² = 64 pairs, over which the
+// transpose and the 16 SNPs' pair counts are spread. Its working set per word of tile is 128 bytes of
 // x tile, read by every pass, and the words of the two blocks' y/z planes
 // (16 bytes per SNP, up to 16 SNPs), each read by the 8 passes of its
 // SNP; a pass adds eight rows to one 864-byte table of the class's bank.
@@ -348,7 +348,7 @@ func (o Options) withDefaults(maxSamples int) (Options, error) {
 // FusedTileParams derives the lanes pass's tile. Its unit is one lane
 // group of contingency.Lanes x SNPs, so its block is that lane group, the
 // only block the loop takes: a block-triple rank is one aligned group of x
-// SNPs, whose transpose and XLanes against the two blocks serve all BS² =
+// SNPs, whose transpose and pair counts against the two blocks serve all BS² =
 // 64 of its (i1, i2) pairs. The word tile comes from fusedTileWords and is
 // a whole number of 8-word vectors (at least one), so only a class's last
 // tile is ragged.
@@ -362,7 +362,7 @@ func FusedTileParams(l1Bytes int) (blockSNPs, blockWords int) {
 // passes; a y or z word is read only by the 8 passes of its SNP, and the
 // pair loop walks one z at a time, so the y/z words stream through the
 // cache rather than live in it. The x tile gets half the budget, less the
-// eight counted rows a pass writes; the y/z stream and the XLanes counts
+// eight counted rows a pass writes; the y/z stream and the pair counts
 // have the other half. At the 32 KiB default that is 126 words (120 in
 // whole vectors): at 16384 samples 120 ran ahead of 96 and 72 on one
 // shape and level with them on the other, and tiles of 72 words and up
@@ -381,7 +381,8 @@ type Searcher struct {
 
 	// marg caches the popcount of every stored plane of the split form,
 	// marg[class][snp] = {|plane 0|, |plane 1|}: what the pair kernel
-	// derives five of its nine cells from, and Derive the x lanes' cells.
+	// derives five of its nine cells from, and the block entry the x lanes'
+	// cells.
 	// Counted once, on the first run of the block walk or the seeded
 	// extension.
 	margOnce sync.Once

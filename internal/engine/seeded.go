@@ -112,11 +112,13 @@ func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 // x, x+1, ..., one per lane, which sort into slot, and returns how many it
 // counts. A lane whose triple lies wholly inside the subset, or belongs to
 // an earlier seed, is scored with the rest but neither offered nor
-// counted, and a chunk of such lanes alone is skipped. Per class, each
-// word tile is transposed, counted by XLanes against p.I and p.J and by
-// TripleLanes against the pair, and Derive completes the tables over the
-// whole plane; the kernel's rows are (third, p.I, p.J) genotypes, so the
-// rows are then permuted into sorted-triple order as whole lane vectors —
+// counted, and a chunk of such lanes alone is skipped. The arena's lane
+// list holds the seed pair: SNPs p.I and p.J in slots 0 and 1, one pair
+// whose (y, z) table is lane 0 of the first yz table. Per class, each
+// word tile is transposed and goes through LaneKernel.Block, which counts
+// it against p.I, p.J and the pair and, on the last tile, derives the
+// table; the kernel's rows are (third, p.I, p.J) genotypes, so the rows
+// are then permuted into sorted-triple order as whole lane vectors —
 // scores are bit-equal to BuildReference's only when the objective sums
 // rows in that order.
 func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
@@ -132,17 +134,19 @@ func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
 		return 0
 	}
 	split, k, a, bw := w.split, w.lanes, w.a, w.o.BlockWords
+	l := &a.list
+	l.Reset()
+	l.AddSNP(p.I)
+	l.AddSNP(p.J)
+	l.AddPair(0, 1, 0, 0)
 	for class, words := range split.Words {
-		lt := &a.bank[class][0]
 		data := split.ClassPlaneData(class)
 		for w0 := 0; w0 < words; w0 += bw {
 			w1 := min(w0+bw, words)
 			contingency.TransposeLanes(a.xt, data[x*2*words:(x+n)*2*words], words, w0, w1)
-			k.XLanes(&a.xc[0], a.xt, data, words, p.I, w0, w1, w0 > 0)
-			k.XLanes(&a.xc[1], a.xt, data, words, p.J, w0, w1, w0 > 0)
-			k.TripleLanes(lt, a.xt, data, words, p.I, p.J, w0, w1, w0 > 0)
+			k.Block(a.bank[class][:1], a.xc, l, a.xt, data, words, w0, w1, w.marg[class][x:x+n], a.yz[class][:1])
 		}
-		k.Derive(lt, &a.xc[0], &a.xc[1], w.marg[class][x:x+n], &a.yz[class][0], 0)
+		lt := &a.bank[class][0]
 		for cell, src := range &seededPerm[slot] {
 			a.bank[class][1][cell] = lt[src]
 		}

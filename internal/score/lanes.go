@@ -3,8 +3,8 @@ package score
 import "trigene/internal/contingency"
 
 // LaneScorer is implemented by lower-is-better objectives that can score
-// the tables of a lanes pass (contingency.LaneKernel's TripleLanes and
-// Derive, or LaneKernel.PairLanes for pairs) where they lie: the table
+// the tables of a lanes pass (contingency.LaneKernel's Block, or
+// LaneKernel.PairLanes for pairs) where they lie: the table
 // of lane l is the first rows rows of column l of ctrl and of cases —
 // contingency.Cells for a triple, contingency.PairCells for a pair.
 // ScoreLanes sets dst[l] for l < valid to exactly what ScoreCells gives

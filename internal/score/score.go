@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"trigene/internal/contingency"
+	"trigene/internal/dataset"
 )
 
 // LnFact caches ln(n!) for n in [0, max].
@@ -270,9 +271,9 @@ func (GiniObjective) Better(a, b float64) bool { return a < b }
 func (GiniObjective) Worst() float64 { return math.Inf(1) }
 
 // MaxSamples is the largest sample count New sizes an objective for:
-// the N the trigene text, binary and .tpack readers accept. K2's ln(n!)
+// the N every dataset reader accepts (dataset.MaxSamples). K2's ln(n!)
 // table at that size takes 128 MiB.
-const MaxSamples = 1 << 24
+const MaxSamples = dataset.MaxSamples
 
 // New returns the named objective ("k2", "mi" or "gini") sized for
 // datasets of at most maxSamples samples, which must lie in

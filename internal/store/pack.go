@@ -224,7 +224,7 @@ func parsePack(data []byte, mapped []byte) (*Store, error) {
 	n := int(binary.LittleEndian.Uint32(data[20:]))
 	controls := int(binary.LittleEndian.Uint32(data[24:]))
 	cases := int(binary.LittleEndian.Uint32(data[28:]))
-	if m <= 0 || n <= 0 || m > 1<<24 || n > 1<<24 {
+	if m <= 0 || n <= 0 || m > 1<<24 || n > dataset.MaxSamples {
 		return nil, fmt.Errorf("store: unreasonable dimensions %dx%d", m, n)
 	}
 	if controls < 0 || cases < 0 || controls+cases != n {
