@@ -141,6 +141,11 @@ func FuzzSubmitRequest(f *testing.F) {
 	}
 	// An upload whose header names 2^24 x 2^24 genotypes.
 	f.Add([]byte(mustJSON(f, SubmitRequest{Tiles: 1, Dataset: hugeHeader})))
+	// Orders outside [2, 7] are refused at the door, a negative one too:
+	// the space check counts C(n, order) only for an order in range.
+	for _, order := range []int{-1, 1, 8} {
+		f.Add([]byte(mustJSON(f, SubmitRequest{Tiles: 2, Spec: trigene.SearchSpec{Order: order}, DatasetSHA256: held})))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		co := NewCoordinator(Config{})

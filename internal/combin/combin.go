@@ -23,6 +23,13 @@ import (
 func Binomial(n, k int) int64 {
 	r, ok := BinomialChecked(n, k)
 	if !ok {
+		// Unreachable: every search space is counted after
+		// engine.CheckSpace (the public API's checkSpace before any
+		// encoding or screen, the coordinator's check of a submitted spec,
+		// RunK) has refused an order-k space of n SNPs whose C(n, k) does
+		// not fit an int64; the block walk's C(⌈m/8⌉ + k − 1, k), a
+		// screen's C(S, k) over at most the n SNPs checked and a block's
+		// C(lim, multiplicity) are no larger.
 		panic(fmt.Sprintf("combin: C(%d,%d) overflows int64", n, k))
 	}
 	return r
@@ -32,6 +39,11 @@ func Binomial(n, k int) int64 {
 // fit an int64. It panics if the arguments are negative.
 func BinomialChecked(n, k int) (int64, bool) {
 	if n < 0 || k < 0 {
+		// Unreachable: every argument is a count — a dataset's SNPs, a
+		// survivor or block count, an order that WithOrder and
+		// engine.CheckSpace (which a cluster submission's spec goes
+		// through) bound to [2, contingency.MaxOrder], a multiplicity —
+		// or InvBinomial's probe, at least k − 1 ≥ 0.
 		panic(fmt.Sprintf("combin: negative argument C(%d,%d)", n, k))
 	}
 	if k > n {
@@ -71,6 +83,9 @@ func Elements(m, n, k int) float64 {
 // RankTriple returns the colexicographic rank of the triple i < j < k.
 func RankTriple(i, j, k int) int64 {
 	if !(0 <= i && i < j && j < k) {
+		// Unreachable from input: no product code ranks a triple (the
+		// search unranks tile ranks), and the tests pass triples from
+		// ForEachTriple and UnrankTriple.
 		panic(fmt.Sprintf("combin: invalid triple (%d,%d,%d)", i, j, k))
 	}
 	return Binomial(k, 3) + Binomial(j, 2) + int64(i)
@@ -158,6 +173,9 @@ func RankK(comb []int) int64 {
 	var r int64
 	for i, v := range comb {
 		if i > 0 && comb[i-1] >= v {
+			// Unreachable from input: no product code ranks a
+			// combination (the search unranks tile ranks), and the tests
+			// pass combinations from UnrankK and NextK.
 			panic(fmt.Sprintf("combin: combination %v not strictly increasing", comb))
 		}
 		r += Binomial(v, i+1)
@@ -170,6 +188,12 @@ func RankK(comb []int) int64 {
 func UnrankK(rank int64, m int, dst []int) []int {
 	k := len(dst)
 	if rank < 0 || rank >= Binomial(m, k) {
+		// Unreachable: every caller unranks the first rank of a tile,
+		// which the scheduler hands out only inside its space [0, C(m, k))
+		// — the block walk's, the k-way search's, a shard of the triple
+		// space (sched.Source.Shard refuses a shard outside it, and an
+		// empty shard runs no device) — or the next rank of a walk that
+		// stops at the space's end.
 		panic(fmt.Sprintf("combin: rank %d out of range for C(%d,%d)", rank, m, k))
 	}
 	bound := m

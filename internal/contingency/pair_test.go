@@ -201,6 +201,60 @@ func TestPairLanesMatchReferenceTable(t *testing.T) {
 	}
 }
 
+// TestPairLanesStaysInsideTheClass: K2's lane scoring checks only the
+// rows it reads, so the counts it is given must be certified where they
+// are made. On split encodings whose classes end off a word boundary and
+// on a pad-free one, for every y and every group of 1 to 8 x SNPs a pair
+// scan or a seed could start at, on both bodies, every count PairLanes
+// writes into a valid lane lies in [0, class size] and each lane's nine
+// cells sum to the class size.
+func TestPairLanesStaysInsideTheClass(t *testing.T) {
+	const m = 13
+	for _, samples := range []int{173, 65, 128, 40, 1100} {
+		mx := randomMatrix(int64(400+samples), m, samples)
+		s := dataset.SplitBinarize(mx)
+		for class := 0; class < 2; class++ {
+			data, words, size := s.ClassPlaneData(class), s.Words[class], int32(s.N[class])
+			marg := make([][2]int32, m)
+			for snp := range marg {
+				for g := range marg[snp] {
+					marg[snp][g] = int32(bitvec.PopCount(s.Plane(class, snp, g)))
+				}
+			}
+			for _, body := range bodies {
+				if !body.oracle && !hasAVX512 {
+					continue
+				}
+				for y := 0; y < m; y++ {
+					for x := 0; x < m; x++ {
+						for valid := 1; valid <= min(Lanes, m-x); valid++ {
+							if x <= y && y < x+valid {
+								continue // y is one of the lanes' SNPs
+							}
+							lt := pairLaneCells(!body.oracle, data, words, x, valid, y, marg, int(size))
+							for l := 0; l < valid; l++ {
+								var sum int32
+								col := laneColumn(&lt, l)
+								for cell, c := range col[:PairCells] {
+									if c < 0 || c > size {
+										t.Fatalf("samples=%d class %d %s: pair (%d+%d, %d) of %d lanes, cell %d = %d, class size %d",
+											samples, class, body.name, x, l, y, valid, cell, c, size)
+									}
+									sum += c
+								}
+								if sum != size {
+									t.Fatalf("samples=%d class %d %s: pair (%d+%d, %d) of %d lanes sums to %d, class size %d",
+										samples, class, body.name, x, l, y, valid, sum, size)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzPairAccumulate feeds arbitrary plane contents, lengths and sample
 // counts to both bodies of the pair primitive: every one of 1 to 8 valid
 // lanes must get the sample-by-sample reference's cells. shape picks the

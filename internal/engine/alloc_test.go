@@ -177,12 +177,13 @@ func TestHotPathAllocs(t *testing.T) {
 		var xc [2]contingency.XCounts
 		var l contingency.LaneList
 		var scores [contingency.Lanes]float64
+		valid := [1]uint8{contingency.Lanes}
 		k.PairLanes(&yz[0], data, words, 8, 1, 9, marg, int32(split.N[0]))
 		l.AddSNP(8)
 		l.AddSNP(9)
 		l.AddPair(0, 1, 0, 0)
 		k.Block(bank[:], xc[:], &l, xt, data, words, 0, words, marg[:contingency.Lanes], yz[:])
-		k2.ScoreLanes(&scores, &bank[0], &bank[0], contingency.Cells, contingency.Lanes, math.Inf(1))
+		k2.ScoreGroups(&scores, bank[:], bank[:], valid[:], contingency.Cells, math.Inf(1))
 		if scores[0] == 0 {
 			t.Fatal("no score")
 		}

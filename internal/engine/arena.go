@@ -32,6 +32,10 @@ type arena struct {
 	list      contingency.LaneList
 	bank      [2][]contingency.LaneTable
 	laneScore [contingency.Lanes]float64
+	// valid is the valid lane count of each group of a scoring run: the
+	// lanes pass's per pair of the list, the pair pass's and the seeded
+	// extension's in valid[0].
+	valid [contingency.Lanes * contingency.Lanes]uint8
 	// ctrl/cases are the cell columns: the k-way rank body's table, or
 	// the scratch score.ScoreColumns copies a lane's table into.
 	ctrl, cases []int32

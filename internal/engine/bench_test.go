@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"trigene/internal/combin"
@@ -13,21 +12,38 @@ import (
 // BenchmarkFusedShapes times the default search (V4F, K2, top-10) on one
 // worker at the shapes the repository's benchmark runs its triple kernel
 // on — triples-wide, pipeline-cold's stage 2, a cluster-loopback job and
-// triples-tall — and reports ns per combination. 17 samples in 32 are
-// cases, so at 16384 samples the class planes are 120 and 136 words: one
-// default word tile, and one and a bit.
+// triples-tall — and reports ns per combination. In the uniform arms every
+// genotype is drawn uniformly and 17 samples in 32 are cases, so at 16384
+// samples the class planes are 120 and 136 words: one default word tile,
+// and one and a bit. The 224x500-maf arm is triples-tall as the benchmark
+// generates it (dataset.Generate, minor allele frequencies 0.3–0.5, a
+// threshold-planted triple): there K2 gives up on a group of tables after
+// about 16 of its 27 rows, against about 26 on uniform genotypes, so it
+// is the arm whose scoring share matches the workload's.
 func BenchmarkFusedShapes(b *testing.B) {
-	for _, sh := range []struct{ snps, samples int }{{96, 16384}, {64, 16384}, {128, 8192}, {224, 500}} {
-		b.Run(fmt.Sprintf("%dx%d", sh.snps, sh.samples), func(b *testing.B) {
-			mx := randomMatrix(7, sh.snps, sh.samples)
-			for j := 0; j < sh.samples; j++ {
-				phen := dataset.Control
-				if j%32 < 17 {
-					phen = dataset.Case
-				}
-				mx.SetPhen(j, uint8(phen))
+	shapes := []struct {
+		name string
+		mx   func() *dataset.Matrix
+		snps int
+	}{
+		{"96x16384", func() *dataset.Matrix { return uniformMatrix(96, 16384) }, 96},
+		{"64x16384", func() *dataset.Matrix { return uniformMatrix(64, 16384) }, 64},
+		{"128x8192", func() *dataset.Matrix { return uniformMatrix(128, 8192) }, 128},
+		{"224x500", func() *dataset.Matrix { return uniformMatrix(224, 500) }, 224},
+		{"224x500-maf", func() *dataset.Matrix {
+			mx, err := dataset.Generate(dataset.GenConfig{
+				SNPs: 224, Samples: 500, Seed: 7, MAFMin: 0.3, MAFMax: 0.5,
+				Interaction: &dataset.Interaction{SNPs: [3]int{17, 101, 190}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)},
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			s, err := New(mx)
+			return mx
+		}, 224},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			s, err := New(sh.mx())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -41,6 +57,20 @@ func BenchmarkFusedShapes(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(combin.Triples(sh.snps)), "ns/combination")
 		})
 	}
+}
+
+// uniformMatrix is BenchmarkFusedShapes' uniform arms' dataset: uniform
+// genotypes, 17 samples in 32 cases.
+func uniformMatrix(snps, samples int) *dataset.Matrix {
+	mx := randomMatrix(7, snps, samples)
+	for j := 0; j < samples; j++ {
+		phen := dataset.Control
+		if j%32 < 17 {
+			phen = dataset.Case
+		}
+		mx.SetPhen(j, uint8(phen))
+	}
+	return mx
 }
 
 // BenchmarkPairScreen times the stage-1 pair screen (RunPairScreen, K2,

@@ -153,25 +153,30 @@ func (s *Searcher) newLanesPass(o *Options, a *arena) lanesPass {
 	return p
 }
 
-// scoreGroup scores the valid lanes of one lane group's tables, rows
-// cells each (contingency.PairCells or Cells), into the arena's laneScore
-// and reports whether they are to be offered. A LaneScorer is held to
-// bound, at least the worker's top-K bound: a group it rejects would have
-// been turned away lane by lane, so its offers are skipped and the list
-// goes through the states it would have gone through. A lane scored above
-// the bound in a group that is not rejected is offered and turned away, as
-// its full score would be.
-func (p *lanesPass) scoreGroup(ctrl, cases *contingency.LaneTable, rows, valid int, bound float64) bool {
+// nextGroup scores a run of lane groups in order, group g's tables
+// ctrl[g] and cases[g], rows cells each (contingency.PairCells or Cells),
+// valid[g] of their lanes valid, and returns the first it does not reject,
+// its scores in the arena's laneScore, or len(valid). A LaneScorer is held
+// to bound, at least the worker's top-K bound: a group it rejects would
+// have been turned away lane by lane, so its offers are skipped and the
+// list goes through the states it would have gone through. The bound
+// moves only on an offer, so a caller that offers the group returned and
+// calls again from the next, with the bound read afresh, makes the
+// decisions a call per group would. A lane scored above the bound in a
+// group that is not rejected is offered and turned away, as its full score
+// would be. Without a LaneScorer the first group is scored in full and
+// returned.
+func (p *lanesPass) nextGroup(ctrl, cases []contingency.LaneTable, valid []uint8, rows int, bound float64) int {
 	a := p.a
 	if p.laneScorer == nil {
-		score.ScoreColumns(p.o.Objective, &a.laneScore, ctrl, cases, rows, valid, a.ctrl, a.cases)
-		return true
+		if len(valid) > 0 {
+			score.ScoreColumns(p.o.Objective, &a.laneScore, &ctrl[0], &cases[0], rows, int(valid[0]), a.ctrl, a.cases)
+		}
+		return 0
 	}
-	if p.laneScorer.ScoreLanes(&a.laneScore, ctrl, cases, rows, valid, bound) {
-		a.rejected++
-		return false
-	}
-	return true
+	next := p.laneScorer.ScoreGroups(&a.laneScore, ctrl, cases, valid, rows, bound)
+	a.rejected += int64(next)
+	return next
 }
 
 // tile evaluates the block tuples with ranks in [t.Lo, t.Hi) and
@@ -237,7 +242,8 @@ func (w *blockWorker) processBlockPair(b1, b2 int) int64 {
 			continue
 		}
 		scored += int64(valid)
-		if !w.scoreGroup(&a.yz[dataset.Control][z], &a.yz[dataset.Case][z], contingency.PairCells, valid, w.pairBound(base1, valid, j)) {
+		a.valid[0] = uint8(valid)
+		if w.nextGroup(a.yz[dataset.Control][z:z+1], a.yz[dataset.Case][z:z+1], a.valid[:1], contingency.PairCells, w.pairBound(base1, valid, j)) > 0 {
 			continue
 		}
 		for l, sc := range a.laneScore[:valid] {
@@ -280,9 +286,11 @@ func (w *blockWorker) pairBound(x, valid, j int) float64 {
 // table in the class's bank — each set on the class's first tile (no
 // class is empty: the store refuses such a dataset) and added to on the
 // others, so nothing is zeroed — and on the class's last tile derives
-// every pair's other 19 rows. After the cases, each pair's two tables
-// are scored where they lie; the only per-pair Go work left is that
-// scoring and its offers.
+// every pair's other 19 rows. After the cases, the pairs' tables are
+// scored where they lie as one run of lane groups, pair (y, z) with
+// min(nx, y − x) valid lanes, and scoring returns only at a group it does
+// not reject: the Go work left is a valid count per pair and, per group
+// offered, its offers and one more call from the group after.
 //
 // The class loop is outside the pair loop so that one pass's working set
 // is one x tile and the y/z words of the two blocks next to one class's
@@ -335,18 +343,22 @@ func (w *blockWorker) processBlockLanes(b0, b1, b2 int) int64 {
 		}
 	}
 	var scored int64
-	for j := range l.Pairs() {
-		y, z := l.Pair(j)
-		valid := min(nx, y-x)
-		scored += int64(valid)
-		if !w.scoreGroup(&a.bank[dataset.Control][j], &a.bank[dataset.Case][j], contingency.Cells, valid, a.top.bound()) {
-			continue
+	valid := a.valid[:l.Pairs()]
+	for j := range valid {
+		y, _ := l.Pair(j)
+		valid[j] = uint8(min(nx, y-x))
+		scored += int64(valid[j])
+	}
+	ctrl, cases := a.bank[dataset.Control], a.bank[dataset.Case]
+	for j := 0; ; j++ {
+		if j += w.nextGroup(ctrl[j:], cases[j:], valid[j:], contingency.Cells, a.top.bound()); j == len(valid) {
+			return scored
 		}
-		for lane := range valid {
-			a.top.Offer(Triple{I: x + lane, J: y, K: z}.scored(a.laneScore[lane]))
+		y, z := l.Pair(j)
+		for lane, sc := range a.laneScore[:valid[j]] {
+			a.top.Offer(Triple{I: x + lane, J: y, K: z}.scored(sc))
 		}
 	}
-	return scored
 }
 
 // blockLim returns how many SNPs of a block starting at base exist in a

@@ -27,15 +27,12 @@ func (s *Searcher) RunK(order int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if order < 2 || order > contingency.MaxOrder {
-		return nil, fmt.Errorf("engine: order %d out of [2,%d]", order, contingency.MaxOrder)
-	}
 	m := s.st.SNPs()
-	if order > m {
-		return nil, fmt.Errorf("engine: order %d exceeds %d SNPs", order, m)
-	}
 	if err := CheckSpace(m, order); err != nil {
 		return nil, err
+	}
+	if order > m {
+		return nil, fmt.Errorf("engine: order %d exceeds %d SNPs", order, m)
 	}
 	sp, body, err := s.kway(&o, order, "kway")
 	if err != nil {
@@ -62,9 +59,14 @@ func (s *Searcher) kway(o *Options, order int, kind string) (space, tiler, error
 	}, nil
 }
 
-// CheckSpace refuses an order-k search of n SNPs whose C(n,k)
-// combinations are more than an int64 counts.
+// CheckSpace refuses an order-k search of n SNPs whose order lies
+// outside [2, contingency.MaxOrder] (a spec's order reaches it unchecked
+// from a cluster submission) or whose C(n,k) combinations are more than
+// an int64 counts.
 func CheckSpace(n, k int) error {
+	if k < 2 || k > contingency.MaxOrder {
+		return fmt.Errorf("engine: order %d out of [2,%d]", k, contingency.MaxOrder)
+	}
 	if _, ok := combin.BinomialChecked(n, k); !ok {
 		return fmt.Errorf("engine: an order-%d search of %d SNPs spans C(%d,%d) combinations, more than an int64 counts", k, n, n, k)
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"trigene/internal/combin"
@@ -179,6 +181,82 @@ func TestLaneRejectionParityWithTies(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// groupByGroup is K2 whose lane scoring takes a run one group at a time,
+// through ScoreLanesStop, the way the lanes pass scored before it handed
+// K2 whole runs, and counts the groups it rejects.
+type groupByGroup struct {
+	*score.K2Objective
+	rejected *atomic.Int64
+}
+
+func (o groupByGroup) ScoreGroups(dst *[contingency.Lanes]float64, ctrl, cases []contingency.LaneTable, valid []uint8, rows int, bound float64) int {
+	for g, v := range valid {
+		if o.ScoreLanesStop(dst, &ctrl[g], &cases[g], rows, int(v), bound) == 0 {
+			return g
+		}
+		o.rejected.Add(1)
+	}
+	return len(valid)
+}
+
+// TestLaneRejectionCountMatchesGroupByGroup: the lanes pass scores a
+// block triple's pairs as runs of lane groups under one bound, calling
+// again after each group it offers. Since the bound moves only on an
+// offer, it must reject exactly the groups that scoring one group at a
+// time rejects. On a fixed V4F search of a dataset with triples-tall's
+// generator settings, on one worker, at K = 10 and K = 100,
+// trigene_engine_lane_groups_rejected_total must equal the count an
+// objective that scores group by group keeps itself, and the same
+// search's series under that objective; the top-Ks must be equal. So for
+// the exhaustive search, the pair search and the seeded extension, which
+// score runs of one group.
+func TestLaneRejectionCountMatchesGroupByGroup(t *testing.T) {
+	mx, err := dataset.Generate(dataset.GenConfig{
+		SNPs: 70, Samples: 500, Seed: 58, MAFMin: 0.3, MAFMax: 0.5,
+		Interaction: &dataset.Interaction{SNPs: [3]int{4, 31, 62}, Penetrance: dataset.ThresholdPenetrance(3, 0.05, 0.95)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2 := score.NewK2(mx.Samples())
+	seeds := []Pair{{4, 31}, {31, 62}, {4, 62}, {10, 11}}
+	for _, arm := range []struct {
+		label string
+		run   func(Options) (*Result, error)
+	}{
+		{"V4F", s.Run},
+		{"pair", s.RunPairs},
+		{"seeded", func(o Options) (*Result, error) { return s.RunSeeded(seeds, nil, o) }},
+	} {
+		for _, k := range []int{10, 100} {
+			var rejected [2]int64
+			var tops [2][]Candidate
+			perGroup := groupByGroup{k2, new(atomic.Int64)}
+			for i, obj := range []score.Objective{k2, perGroup} {
+				reg := obs.NewRegistry()
+				res, err := arm.run(Options{Approach: V4Fused, Objective: obj, TopK: k, Workers: 1, Metrics: reg})
+				if err != nil {
+					t.Fatalf("%s K=%d: %v", arm.label, k, err)
+				}
+				rm := resolveRunMetrics(reg, arm.label)
+				rejected[i], tops[i] = rm.rejected.Value(), res.TopK
+			}
+			t.Logf("%s K=%d: %d lane groups rejected", arm.label, k, rejected[0])
+			if counted := perGroup.rejected.Load(); rejected[0] == 0 || rejected[0] != counted || rejected[1] != counted {
+				t.Errorf("%s K=%d: %d lane groups rejected by runs, %d group by group (%d counted by the scorer)",
+					arm.label, k, rejected[0], rejected[1], counted)
+			}
+			if !slices.Equal(tops[0], tops[1]) {
+				t.Errorf("%s K=%d: top-K %v by runs, %v group by group", arm.label, k, tops[0], tops[1])
 			}
 		}
 	}

@@ -66,6 +66,10 @@ type seededWorker struct {
 	seeds    []Pair
 	seedRank map[int64]int
 	inSubset []bool
+	// seedFor is the seed pair whose table and lane list the arena holds
+	// for this run (nil: none yet). It lives here, not in the pooled
+	// arena, so no run reads another's, as blockWorker's listFor does.
+	seedFor *Pair
 }
 
 // newSeededWorker builds a consumer over a pooled arena.
@@ -76,12 +80,15 @@ func (s *Searcher) newSeededWorker(o *Options, a *arena, seeds []Pair, seedRank 
 // tile scores the extensions with ranks in [t.Lo, t.Hi) and returns
 // the tile length (skipped ranks do not count as combinations). Ranks
 // run third-fastest, so a tile is a few runs over one seed each: at the
-// head of a run, PairLanes puts the seed pair's table in lane 0 of the
-// arena's first yz table, once per class, and the run's third SNPs go
-// through the lanes pass eight at a time, the seed as every lane's
-// (y, z). A chunk of thirds ends at p.I, at p.J, at the end of the run
-// and at the end of the tile, so its thirds are consecutive SNPs — one
-// x tile — and all sort into the same slot of their triples.
+// head of a run, unless the arena holds them for this seed pair already,
+// PairLanes puts the seed pair's table in lane 0 of the arena's first yz
+// table, once per class, and the arena's lane list is set to the seed
+// pair: SNPs p.I and p.J in slots 0 and 1, one pair whose (y, z) table is
+// lane 0 of the first yz table. The run's third SNPs go through the lanes
+// pass eight at a time, the seed as every lane's (y, z). A chunk of
+// thirds ends at p.I, at p.J, at the end of the run and at the end of the
+// tile, so its thirds are consecutive SNPs — one x tile — and all sort
+// into the same slot of their triples.
 func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 	split, k, a := w.split, w.lanes, w.a
 	span := int64(w.m)
@@ -89,8 +96,16 @@ func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 	for r := t.Lo; r < t.Hi; {
 		sIdx := int(r / span)
 		p := w.seeds[sIdx]
-		for class, words := range split.Words {
-			k.PairLanes(&a.yz[class][0], split.ClassPlaneData(class), words, p.I, 1, p.J, w.marg[class], int32(split.N[class]))
+		if w.seedFor != &w.seeds[sIdx] {
+			for class, words := range split.Words {
+				k.PairLanes(&a.yz[class][0], split.ClassPlaneData(class), words, p.I, 1, p.J, w.marg[class], int32(split.N[class]))
+			}
+			l := &a.list
+			l.Reset()
+			l.AddSNP(p.I)
+			l.AddSNP(p.J)
+			l.AddPair(0, 1, 0, 0)
+			w.seedFor = &w.seeds[sIdx]
 		}
 		for end := min(int64(sIdx+1)*span, t.Hi); r < end; {
 			third := int(r % span)
@@ -112,11 +127,10 @@ func (w *seededWorker) tile(t sched.Tile) (int64, error) {
 // x, x+1, ..., one per lane, which sort into slot, and returns how many it
 // counts. A lane whose triple lies wholly inside the subset, or belongs to
 // an earlier seed, is scored with the rest but neither offered nor
-// counted, and a chunk of such lanes alone is skipped. The arena's lane
-// list holds the seed pair: SNPs p.I and p.J in slots 0 and 1, one pair
-// whose (y, z) table is lane 0 of the first yz table. Per class, each
-// word tile is transposed and goes through LaneKernel.Block, which counts
-// it against p.I, p.J and the pair and, on the last tile, derives the
+// counted, and a chunk of such lanes alone is skipped. The arena holds
+// the seed pair's table and lane list (tile). Per class, each word tile
+// is transposed and goes through LaneKernel.Block, which counts it
+// against p.I, p.J and the pair and, on the last tile, derives the
 // table; the kernel's rows are (third, p.I, p.J) genotypes, so the rows
 // are then permuted into sorted-triple order as whole lane vectors —
 // scores are bit-equal to BuildReference's only when the objective sums
@@ -135,10 +149,6 @@ func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
 	}
 	split, k, a, bw := w.split, w.lanes, w.a, w.o.BlockWords
 	l := &a.list
-	l.Reset()
-	l.AddSNP(p.I)
-	l.AddSNP(p.J)
-	l.AddPair(0, 1, 0, 0)
 	for class, words := range split.Words {
 		data := split.ClassPlaneData(class)
 		for w0 := 0; w0 < words; w0 += bw {
@@ -151,7 +161,8 @@ func (w *seededWorker) chunk(p Pair, sIdx, x, n, slot int) int64 {
 			a.bank[class][1][cell] = lt[src]
 		}
 	}
-	if w.scoreGroup(&a.bank[dataset.Control][1], &a.bank[dataset.Case][1], contingency.Cells, n, a.top.bound()) {
+	a.valid[0] = uint8(n)
+	if w.nextGroup(a.bank[dataset.Control][1:2], a.bank[dataset.Case][1:2], a.valid[:1], contingency.Cells, a.top.bound()) == 0 {
 		for lane, ok := range live[:n] {
 			if ok {
 				tr, _ := extend(p, x+lane)

@@ -188,6 +188,56 @@ func TestCellCountsBodies(t *testing.T) {
 	}
 }
 
+// TestCellCountsStayInsideTheCell: K2's lane scoring checks only the
+// rows it reads, so the permuted tables it is given must be certified
+// where they are counted. For cells whose sizes sit at the edges of the
+// counter's levels (2^k − 1, 2^k and 2^k + 1 samples, so that the top
+// level is barely used, just reached and just passed), in cohorts off a
+// word boundary, on rows of 1 to 8 words (so groups of eight permutations
+// and every chunk width), under planes where every sample, no sample or a
+// random half is a case, both bodies of the counter give every
+// permutation a case count in [0, cell size] and a control count that
+// makes up the rest.
+func TestCellCountsStayInsideTheCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	noCases := func(*rand.Rand) uint64 { return 0 }
+	for _, n := range []int{300, 1111} {
+		for _, r := range []int{1, 3, 8} {
+			for _, word := range []func(*rand.Rand) uint64{randomWord, allCases, noCases} {
+				blk := newTestBlock(rng, n, r, word)
+				all := rng.Perm(n)
+				for k := 0; 1<<k <= n; k++ {
+					for _, size := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
+						if size > n {
+							continue
+						}
+						list := blk.list(all[:size])
+						for _, body := range planeBodies {
+							if body.vector && !contingency.HasAVX512() {
+								continue
+							}
+							ctr := make([]uint64, ctrLevels*8)
+							for _, ch := range chunksOf(r, 8) {
+								j0, w := ch[0], ch[1]
+								gs := contingency.Cells
+								cases, ctrl := make([][8]int32, 8*w*gs), make([][8]int32, 8*w*gs)
+								cellCounts(cases, ctrl, gs, blk.rows[j0:], list, r, w, ctr, body.vector)
+								for b := 0; b < 64*w; b++ {
+									c, rest := cases[b/8*gs][b%8], ctrl[b/8*gs][b%8]
+									if c < 0 || c > int32(size) || c+rest != int32(size) {
+										t.Fatalf("%s n=%d r=%d chunk %v, cell of %d: permutation %d counts %d cases and %d controls",
+											body.name, n, r, ch, size, 64*j0+b, c, rest)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCellCountsDeepCounter: cells every sample of which is a case fill
 // every level of their counters. A cell of 70 001 samples needs 17; to
 // reach all ctrLevels of the vector body's counter at every chunk width

@@ -4,15 +4,17 @@ package score
 
 import "trigene/internal/contingency"
 
-// k2LanesAVX512 scores the first rows (1..27) of the lanes whose bit is
-// set in mask (a subset of the low eight) against bound, with
-// ScoreLanesStop's contract. ok = false means it could not vouch, from all
-// those rows, that every index of those lanes lies in the LnFact table,
-// 0..limit — always so when a count is outside it, never for a table over
-// fewer than limit samples; it has then read no table entry and dst is
-// unspecified. terms is the term table, termSide x termSide, which it
-// reads instead of lnFact for a group whose counts are all below termSide.
-// Callers gate it on contingency.HasAVX512.
+// k2LanesAVX512 scores a run of groups lane groups, ctrl[g] and cases[g]
+// for g < groups with valid[g] valid lanes, against bound in one pass over
+// each group's first rows (1..27), with ScoreGroups' contract: next is the
+// first group it does not reject, its scores in dst, or groups; stop is
+// the row after which the last rejected group was given up on (0: none
+// was). ok = false means a row it read holds a valid lane's count whose
+// indices do not all lie in the LnFact table, 0..limit; it has then read
+// no table entry for that row and dst, next and stop are unspecified.
+// terms is the term table, termSide x termSide, which it reads instead of
+// lnFact for a row whose valid counts all lie below termSide, when limit
+// reaches 2*termSide - 1. Callers gate it on contingency.HasAVX512.
 //
 //go:noescape
-func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, lnFact, terms *float64, limit, mask, rows int, bound float64) (stop int, ok bool)
+func k2LanesAVX512(dst *[contingency.Lanes]float64, ctrl, cases *contingency.LaneTable, valid *uint8, groups int, lnFact, terms *float64, limit, rows int, bound float64) (next, stop int, ok bool)
